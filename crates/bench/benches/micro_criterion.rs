@@ -1,18 +1,24 @@
 //! Criterion-style micro-benchmarks for the hot data-structure paths:
 //! range-TLB translation, page-TLB translation, routing-table lookup,
-//! graph edit distance, Hungarian assignment, and connected-subgraph
-//! enumeration — running on the in-repo harness
+//! graph edit distance, Hungarian assignment, connected-subgraph
+//! enumeration, and the serve loop's execution phase (one services build,
+//! a fresh chip epoch, a reused one) — running on the in-repo harness
 //! ([`vnpu_bench::harness`]; the `criterion` crate is unavailable in
 //! this offline workspace). Pass `-- --quick` for a sub-second pass.
 
 use std::hint::black_box;
 use vnpu::routing_table::RoutingTable;
-use vnpu::{PhysCoreId, VmId};
+use vnpu::{Hypervisor, PhysCoreId, VirtCoreId, VmId, VnpuRequest};
 use vnpu_bench::harness::{BatchSize, Criterion};
 use vnpu_bench::{criterion_group, criterion_main};
 use vnpu_mem::page::{PageTable, PageTranslator};
 use vnpu_mem::rtt::{RangeTranslationTable, RangeTranslator, RttEntry};
 use vnpu_mem::{Perm, PhysAddr, Translate, TranslationCosts, VirtAddr};
+use vnpu_serve::arrivals::Shape;
+use vnpu_serve::{ServeConfig, ServeRuntime};
+use vnpu_sim::isa::{Instr, Program};
+use vnpu_sim::machine::Machine;
+use vnpu_sim::SocConfig;
 use vnpu_topo::mapping::{Mapper, Strategy};
 use vnpu_topo::{enumerate, ged, hungarian, MeshShape, NodeId, Topology, UniformCosts};
 
@@ -144,5 +150,69 @@ fn bench_mapping(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_translation, bench_routing, bench_mapping);
+/// The serve loop's execution phase, piece by piece, on a chip running
+/// one 3×3 tenant (nine threads of the ring program).
+fn bench_execution(c: &mut Criterion) {
+    let mut g = c.benchmark_group("execution");
+    let mut hv = Hypervisor::new(SocConfig::sim());
+    let vm = hv.create_vnpu(VnpuRequest::mesh(3, 3)).unwrap();
+    g.bench_function("services_build", |b| {
+        b.iter(|| black_box(hv.services(vm, VirtCoreId(4)).unwrap()))
+    });
+    // What a chip pays when its epoch inputs changed: bind every core's
+    // services and program, simulate, finish the epoch.
+    let mut machine = Machine::new(SocConfig::sim());
+    let tenant = machine.add_tenant("ring");
+    let vnpu = hv.vnpu(vm).unwrap();
+    g.bench_function("epoch_fresh", |b| {
+        b.iter(|| {
+            for v in 0..9u32 {
+                let body = vec![
+                    Instr::matmul(16, 16, 16),
+                    Instr::send((v + 1) % 9, 1024, v),
+                    Instr::recv((v + 8) % 9, 1024, (v + 8) % 9),
+                ];
+                machine
+                    .bind_with(
+                        vnpu.phys_core(VirtCoreId(v)).unwrap(),
+                        tenant,
+                        v,
+                        Program::looped(vec![], body, 1),
+                        hv.services(vm, VirtCoreId(v)).unwrap(),
+                    )
+                    .unwrap();
+            }
+            black_box(machine.run_epoch().unwrap().makespan())
+        })
+    });
+    // What it pays when they did not: a whole serve tick on a 3×3 chip
+    // whose single, never-leaving tenant is answered from the epoch memo
+    // (arrivals are a thousand ticks apart, so the tick is little else).
+    let soc = SocConfig {
+        mesh_width: 3,
+        mesh_height: 3,
+        ..SocConfig::sim()
+    };
+    let mut cfg = ServeConfig::cluster(7, 0, vec![soc]);
+    cfg.traffic.mix = vec![(1, Shape::Mesh(3, 3))];
+    cfg.traffic.mean_interarrival_ticks = 1_000;
+    cfg.traffic.mean_lifetime_epochs = 1_000_000;
+    cfg.max_attempts = Some(1);
+    let mut rt = ServeRuntime::new(cfg);
+    while rt.live_count() == 0 {
+        rt.step().unwrap();
+    }
+    g.bench_function("epoch_steady", |b| {
+        b.iter(|| black_box(rt.step().unwrap().executed_chips))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_translation,
+    bench_routing,
+    bench_mapping,
+    bench_execution
+);
 criterion_main!(benches);

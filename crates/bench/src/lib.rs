@@ -27,9 +27,9 @@ use vnpu::{Hypervisor, VirtCoreId, VmId};
 use vnpu_mem::translate::PhysicalTranslator;
 use vnpu_sim::isa::Program;
 use vnpu_sim::machine::{CoreServices, Machine, TenantId};
-use vnpu_sim::noc::NocRouter;
+use vnpu_sim::noc::{DorRouter, NocRouter};
 use vnpu_sim::{Report, SocConfig};
-use vnpu_topo::{route, NodeId, Topology};
+use vnpu_topo::Topology;
 
 /// Which virtualization design services a binding — the comparative
 /// systems of §6.1.
@@ -128,7 +128,7 @@ pub fn bind_mig(
 /// `v` lives on `v2p[v]`; paths are plain DOR.
 #[derive(Debug, Clone)]
 pub struct RemapRouter {
-    topo: Topology,
+    dor: DorRouter,
     v2p: Vec<u32>,
 }
 
@@ -136,7 +136,7 @@ impl RemapRouter {
     /// Creates the router over the machine's mesh.
     pub fn new(cfg: &SocConfig, v2p: Vec<u32>) -> Self {
         RemapRouter {
-            topo: Topology::mesh2d(cfg.mesh_width, cfg.mesh_height),
+            dor: DorRouter::new(cfg),
             v2p,
         }
     }
@@ -153,13 +153,8 @@ impl NocRouter for RemapRouter {
             })
     }
 
-    fn path(&self, src_phys: u32, dst_phys: u32) -> vnpu_sim::Result<Vec<u32>> {
-        route::dor_path(&self.topo, NodeId(src_phys), NodeId(dst_phys))
-            .map(|p| p.into_iter().map(|n| n.0).collect())
-            .map_err(|_| vnpu_sim::SimError::RouteFault {
-                core: src_phys,
-                dst: dst_phys,
-            })
+    fn path(&mut self, src_phys: u32, dst_phys: u32) -> vnpu_sim::Result<&[u32]> {
+        self.dor.path(src_phys, dst_phys)
     }
 
     fn name(&self) -> String {

@@ -2195,6 +2195,104 @@ mod tests {
     }
 
     #[test]
+    fn deployment_stamp_moves_exactly_when_the_deployment_does() {
+        let mut h = Hypervisor::with_hbm_bytes(SocConfig::sim(), 1 << 30);
+        let big = h.create_vnpu(VnpuRequest::mesh(6, 4)).unwrap();
+        let hole = h
+            .create_vnpu(VnpuRequest::mesh(1, 1).mem_bytes(256 << 20))
+            .unwrap();
+        let row = h
+            .create_vnpu(VnpuRequest::custom(Topology::line(6)).mem_bytes(256 << 20))
+            .unwrap();
+        let stamp = |h: &Hypervisor, vm| h.vnpu(vm).unwrap().deployment_stamp();
+        let (big0, row0) = (stamp(&h, big), stamp(&h, row));
+        assert_ne!(big0, row0, "every deployment has its own stamp");
+        // Binding, planning and a no-op migration deploy nothing.
+        h.services(row, VirtCoreId(0)).unwrap();
+        let noop = h
+            .plan(&[PlanOp::Migrate {
+                vm: big,
+                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+            }])
+            .unwrap();
+        assert_eq!(h.commit(&noop).unwrap().migration_count(), 0);
+        assert_eq!((stamp(&h, big), stamp(&h, row)), (big0, row0));
+        // A core move re-deploys the moved tenant only ...
+        h.destroy_vnpu(big).unwrap();
+        let remap = h
+            .plan(&[PlanOp::Migrate {
+                vm: row,
+                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+            }])
+            .unwrap();
+        assert_eq!(h.commit(&remap).unwrap().migration_count(), 1);
+        let row1 = stamp(&h, row);
+        assert_ne!(row1, row0);
+        // ... and so does a memory move.
+        h.destroy_vnpu(hole).unwrap();
+        let compact = h
+            .plan(&[PlanOp::Migrate {
+                vm: row,
+                to: MigrationTarget::CompactMemory,
+            }])
+            .unwrap();
+        assert_eq!(h.commit(&compact).unwrap().migration_count(), 1);
+        assert_ne!(stamp(&h, row), row1);
+    }
+
+    #[test]
+    fn every_bind_starts_cold_and_follows_the_current_deployment() {
+        use crate::routing_table::RT_LOOKUP_CYCLES;
+        use vnpu_mem::{Perm, VirtAddr};
+        let mut h = hv();
+        let big = h.create_vnpu(VnpuRequest::mesh(6, 5)).unwrap();
+        let row = h
+            .create_vnpu(
+                VnpuRequest::custom(Topology::line(6))
+                    .mem_bytes(512 << 20)
+                    .noc_isolation(true),
+            )
+            .unwrap();
+        // Walk both RTT entries twice on one core's services: the range
+        // TLB fills and a `last_v` hint is learned ...
+        let walk = |s: &mut vnpu_sim::machine::CoreServices| {
+            for off in [0u64, 256 << 20, 0, 256 << 20] {
+                s.translator
+                    .translate(VirtAddr(GUEST_VA_BASE + off), 64, Perm::R)
+                    .unwrap();
+            }
+            assert_eq!(s.router.resolve(3).unwrap().1, RT_LOOKUP_CYCLES);
+            assert_eq!(s.router.resolve(3).unwrap().1, 0, "rewrite cache warm");
+            s.translator.stats()
+        };
+        let mut first = h.services(row, VirtCoreId(0)).unwrap();
+        let cold = walk(&mut first);
+        assert!(cold.misses >= 2);
+        // ... none of which a later bind, of this or a sibling core, sees.
+        assert_eq!(walk(&mut h.services(row, VirtCoreId(0)).unwrap()), cold);
+        assert_eq!(walk(&mut h.services(row, VirtCoreId(4)).unwrap()), cold);
+        // After a live migration the shared tables are the new ones.
+        let phys = |h: &Hypervisor, v| h.vnpu(row).unwrap().phys_core(VirtCoreId(v)).unwrap();
+        let before = (phys(&h, 0), phys(&h, 5));
+        h.destroy_vnpu(big).unwrap();
+        let txn = h
+            .plan(&[PlanOp::Migrate {
+                vm: row,
+                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+            }])
+            .unwrap();
+        assert_eq!(h.commit(&txn).unwrap().migration_count(), 1);
+        let after = (phys(&h, 0), phys(&h, 5));
+        assert_ne!(before, after);
+        let mut moved = h.services(row, VirtCoreId(0)).unwrap();
+        assert_eq!(moved.router.resolve(5).unwrap().0, after.1);
+        let path = moved.router.path(after.0, after.1).unwrap();
+        assert_eq!((path[0], *path.last().unwrap()), after);
+        let own: Vec<u32> = (0..6).map(|v| phys(&h, v)).collect();
+        assert!(path.iter().all(|hop| own.contains(hop)), "still confined");
+    }
+
+    #[test]
     fn budgeted_plan_keeps_the_affordable_prefix() {
         let mut h = hv();
         // Fragment the chip: two tenants in opposite corners.

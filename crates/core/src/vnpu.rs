@@ -4,13 +4,14 @@
 use crate::ids::{VirtCoreId, VmId};
 use crate::routing_table::RoutingTable;
 use crate::vchunk::{self, MemMode, BANDWIDTH_WINDOW_CYCLES};
-use crate::vrouter::{RoutePolicy, VRouterNoc};
+use crate::vrouter::{ConfinedPaths, RoutePolicy, VRouterNoc};
 use crate::{Result, VnpuError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use vnpu_mem::buddy::Block;
 use vnpu_mem::counter::AccessCounter;
-use vnpu_mem::rtt::RttEntry;
-use vnpu_mem::{TranslationCosts, VirtAddr};
+use vnpu_mem::rtt::{RangeTranslationTable, RangeTranslator, RttEntry};
+use vnpu_mem::{Translate, TranslationCosts, VirtAddr};
 use vnpu_sim::machine::CoreServices;
 use vnpu_topo::mapping::{Mapping, Strategy};
 use vnpu_topo::Topology;
@@ -195,6 +196,39 @@ pub fn near_mesh_topology(n: u32) -> Topology {
     t
 }
 
+/// One deployment of a virtual NPU's meta-tables: replaced wholesale
+/// whenever the hypervisor (re-)deploys the core mapping, routing table
+/// or memory plan, so nothing in it can outlive what it was derived from.
+/// The tables are kept in the form the cores' bound services share: built
+/// by the first bind that needs them, handed to every later one by `Arc`.
+#[derive(Debug, Clone)]
+struct Deployment {
+    /// Unique per deployment in this process; see
+    /// [`VirtualNpu::deployment_stamp`].
+    stamp: u64,
+    /// Virtual core `i` → physical core (the NoC routing table's view).
+    v2p: OnceLock<Arc<[u32]>>,
+    /// Direction-override paths, for binds under [`RoutePolicy::Confined`].
+    confined_paths: OnceLock<Arc<ConfinedPaths>>,
+    /// The validated, VA-sorted range table, for binds in
+    /// [`MemMode::Range`].
+    range_table: OnceLock<Arc<RangeTranslationTable>>,
+}
+
+impl Deployment {
+    fn new() -> Self {
+        // Stamps are only ever compared for equality, so nothing
+        // observable depends on which thread drew which value.
+        static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+        Deployment {
+            stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
+            v2p: OnceLock::new(),
+            confined_paths: OnceLock::new(),
+            range_table: OnceLock::new(),
+        }
+    }
+}
+
 /// A provisioned virtual NPU: cores (with virtual topology), memory plan
 /// and routing state, as deployed by the hypervisor.
 #[derive(Debug, Clone)]
@@ -213,6 +247,7 @@ pub struct VirtualNpu {
     temporal_sharing: bool,
     strategy: Strategy,
     translation_costs: TranslationCosts,
+    deployment: Deployment,
 }
 
 impl VirtualNpu {
@@ -246,7 +281,18 @@ impl VirtualNpu {
             temporal_sharing: req.wants_temporal_sharing(),
             strategy: req.strategy_ref().clone(),
             translation_costs: TranslationCosts::default(),
+            deployment: Deployment::new(),
         }
+    }
+
+    /// Identifies what is currently deployed for this virtual NPU: the
+    /// value changes exactly when its core mapping, routing table or
+    /// memory plan is (re-)deployed — creation, a live migration, an HBM
+    /// compaction — and is never reused by another deployment in this
+    /// process. Everything the bound services do is a function of the
+    /// deployment, so equal stamps mean identical [`VirtualNpu::services`].
+    pub fn deployment_stamp(&self) -> u64 {
+        self.deployment.stamp
     }
 
     /// This virtual NPU's VM identifier.
@@ -330,6 +376,7 @@ impl VirtualNpu {
     pub(crate) fn redeploy_cores(&mut self, mapping: Mapping, routing_table: RoutingTable) {
         self.mapping = mapping;
         self.routing_table = routing_table;
+        self.deployment = Deployment::new();
     }
 
     /// Re-deploys this virtual NPU's memory plan after an HBM compaction:
@@ -338,6 +385,7 @@ impl VirtualNpu {
     pub(crate) fn redeploy_memory(&mut self, rtt_entries: Vec<RttEntry>, blocks: Vec<Block>) {
         self.rtt_entries = rtt_entries;
         self.blocks = blocks;
+        self.deployment = Deployment::new();
     }
 
     /// Guest-VA window start.
@@ -358,6 +406,12 @@ impl VirtualNpu {
     /// Builds the per-core services (vRouter + vChunk) for binding virtual
     /// core `v` into a [`vnpu_sim::machine::Machine`].
     ///
+    /// What the hypervisor deployed — physical topology, core list, path
+    /// table, range table — is shared with the virtual NPU's other bound
+    /// cores; the per-core hardware state (destination-rewrite cache,
+    /// range TLB and `last_v` hints, bandwidth counter) is fresh, so every
+    /// bind starts cold.
+    ///
     /// # Errors
     ///
     /// Returns an error for out-of-range cores or unbuildable tables.
@@ -374,13 +428,26 @@ impl VirtualNpu {
         policy: RoutePolicy,
     ) -> Result<CoreServices> {
         self.phys_core(v)?; // range check
-        let v2p: Vec<u32> = self.mapping.phys_nodes().iter().map(|n| n.0).collect();
-        let mut router = VRouterNoc::new(self.phys_topology.as_ref().clone(), v2p, policy);
+        let v2p = self
+            .deployment
+            .v2p
+            .get_or_init(|| self.mapping.phys_nodes().iter().map(|n| n.0).collect());
+        let mut router = VRouterNoc::new(Arc::clone(&self.phys_topology), Arc::clone(v2p), policy);
         if policy == RoutePolicy::Confined {
-            router.precompute_paths();
+            let paths = self
+                .deployment
+                .confined_paths
+                .get_or_init(|| Arc::new(ConfinedPaths::build(&self.phys_topology, v2p)));
+            router = router.with_paths(Arc::clone(paths));
         }
-        let translator =
-            vchunk::build_translator(&self.rtt_entries, mem_mode, self.translation_costs)?;
+        let translator: Box<dyn Translate + Send> = match mem_mode {
+            MemMode::Range { tlb_entries } => Box::new(RangeTranslator::new(
+                self.range_table()?,
+                tlb_entries,
+                self.translation_costs,
+            )),
+            _ => vchunk::build_translator(&self.rtt_entries, mem_mode, self.translation_costs)?,
+        };
         let limiter = self.bandwidth_cap.map(|cap| {
             AccessCounter::new(
                 BANDWIDTH_WINDOW_CYCLES,
@@ -392,6 +459,17 @@ impl VirtualNpu {
             translator,
             limiter,
         })
+    }
+
+    /// The deployed range table, validated once per deployment.
+    fn range_table(&self) -> Result<Arc<RangeTranslationTable>> {
+        if let Some(table) = self.deployment.range_table.get() {
+            return Ok(Arc::clone(table));
+        }
+        let table = Arc::new(RangeTranslationTable::new(self.rtt_entries.clone())?);
+        Ok(Arc::clone(
+            self.deployment.range_table.get_or_init(|| table),
+        ))
     }
 
     /// The route policy implied by the isolation request.

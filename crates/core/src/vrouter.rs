@@ -13,7 +13,8 @@
 use crate::ids::{PhysCoreId, VirtCoreId};
 use crate::routing_table::{RoutingTable, RT_LOOKUP_CYCLES};
 use std::collections::HashMap;
-use vnpu_sim::noc::NocRouter;
+use std::sync::Arc;
+use vnpu_sim::noc::{dor_path_into, NocRouter};
 use vnpu_sim::{Result as SimResult, SimError};
 use vnpu_topo::{route, NodeId, Topology};
 
@@ -77,20 +78,63 @@ pub enum RoutePolicy {
     Confined,
 }
 
+/// The direction-override paths the hypervisor deploys for one virtual
+/// NPU under [`RoutePolicy::Confined`]: every ordered pair of its cores,
+/// routed inside the allocation where a confined route exists and by DOR
+/// where the allocation is fragmented. Built once per deployment and
+/// shared by the routers of all the virtual NPU's cores.
+#[derive(Debug, Default)]
+pub struct ConfinedPaths {
+    paths: HashMap<(u32, u32), Vec<u32>>,
+    /// One per relay node of every confined path (meta-zone storage).
+    direction_entries: u64,
+    /// Pairs routed by DOR because no confined route exists.
+    fallback_paths: u64,
+}
+
+impl ConfinedPaths {
+    /// Routes every ordered pair of distinct cores in `v2p` on `topo`.
+    pub fn build(topo: &Topology, v2p: &[u32]) -> Self {
+        let allowed: Vec<NodeId> = v2p.iter().map(|&p| NodeId(p)).collect();
+        let mut table = ConfinedPaths::default();
+        for &a in v2p {
+            for &b in v2p {
+                if a == b {
+                    continue;
+                }
+                let Ok((path, fallback)) = confined_or_dor(topo, &allowed, a, b) else {
+                    continue;
+                };
+                if fallback {
+                    table.fallback_paths += 1;
+                } else {
+                    // One direction entry per relay node (minus source).
+                    table.direction_entries += path.len().saturating_sub(1) as u64;
+                }
+                table.paths.insert((a, b), path);
+            }
+        }
+        table
+    }
+}
+
 /// Per-core NoC router for one virtual NPU.
 ///
-/// One instance exists per bound virtual core; path lookups are cached
-/// (the hypervisor precomputes directions into the core's meta-zone, so
-/// steady-state routing is table-driven).
+/// Every bound virtual core gets its own instance, but only the
+/// destination-rewrite cache is per core: the physical topology, the
+/// virtual→physical core list and (under [`RoutePolicy::Confined`]) the
+/// path table are what the hypervisor deployed for the whole virtual NPU,
+/// held here by `Arc` — steady-state routing is table-driven, and binding
+/// a core copies none of it.
 pub struct VRouterNoc {
-    topo: Topology,
-    v2p: Vec<u32>,
+    topo: Arc<Topology>,
+    v2p: Arc<[u32]>,
     policy: RoutePolicy,
-    allowed: Vec<NodeId>,
     cached_dst: Option<u32>,
-    path_cache: HashMap<(u32, u32), Vec<u32>>,
-    direction_entries: u64,
-    fallback_paths: u64,
+    deployed: Option<Arc<ConfinedPaths>>,
+    /// Buffer for routes computed on the fly (DOR, or a confined pair the
+    /// deployed table does not hold).
+    scratch: Vec<u32>,
 }
 
 impl std::fmt::Debug for VRouterNoc {
@@ -104,30 +148,52 @@ impl std::fmt::Debug for VRouterNoc {
 
 impl VRouterNoc {
     /// Creates a NoC vRouter for a virtual NPU whose virtual core `i` is
-    /// backed by physical core `v2p[i]` on the given physical mesh.
-    pub fn new(phys_topo: Topology, v2p: Vec<u32>, policy: RoutePolicy) -> Self {
-        let allowed = v2p.iter().map(|&p| NodeId(p)).collect();
+    /// backed by physical core `v2p[i]` on the given physical mesh. Both
+    /// arguments may be owned values or `Arc`s shared with sibling
+    /// routers.
+    pub fn new(
+        phys_topo: impl Into<Arc<Topology>>,
+        v2p: impl Into<Arc<[u32]>>,
+        policy: RoutePolicy,
+    ) -> Self {
         VRouterNoc {
-            topo: phys_topo,
-            v2p,
+            topo: phys_topo.into(),
+            v2p: v2p.into(),
             policy,
-            allowed,
             cached_dst: None,
-            path_cache: HashMap::new(),
-            direction_entries: 0,
-            fallback_paths: 0,
+            deployed: None,
+            scratch: Vec::new(),
         }
     }
 
-    /// Number of per-node direction entries this router has materialized
+    /// Installs an already-built path table (the one the virtual NPU's
+    /// other cores use).
+    pub fn with_paths(mut self, paths: Arc<ConfinedPaths>) -> Self {
+        self.deployed = Some(paths);
+        self
+    }
+
+    /// Precomputes all pairwise paths among the virtual NPU's cores (what
+    /// the hypervisor deploys into per-core meta-zones) for a router that
+    /// was not handed a shared table. Returns the total number of
+    /// direction entries installed.
+    pub fn precompute_paths(&mut self) -> u64 {
+        // DOR needs no table: routes are a function of the endpoints.
+        if self.policy == RoutePolicy::Confined {
+            self.deployed = Some(Arc::new(ConfinedPaths::build(&self.topo, &self.v2p)));
+        }
+        self.direction_entries()
+    }
+
+    /// Number of per-node direction entries deployed for this router
     /// (meta-zone storage accounting for [`crate::hwcost`]).
     pub fn direction_entries(&self) -> u64 {
-        self.direction_entries
+        self.deployed.as_ref().map_or(0, |p| p.direction_entries)
     }
 
     /// Paths that fell back to DOR because no confined route existed.
     pub fn fallback_paths(&self) -> u64 {
-        self.fallback_paths
+        self.deployed.as_ref().map_or(0, |p| p.fallback_paths)
     }
 
     /// The route policy in force.
@@ -153,11 +219,28 @@ impl NocRouter for VRouterNoc {
         Ok((p, RT_LOOKUP_CYCLES))
     }
 
-    fn path(&self, src_phys: u32, dst_phys: u32) -> SimResult<Vec<u32>> {
-        if let Some(p) = self.path_cache.get(&(src_phys, dst_phys)) {
-            return Ok(p.clone());
+    fn path(&mut self, src_phys: u32, dst_phys: u32) -> SimResult<&[u32]> {
+        let fault = || SimError::RouteFault {
+            core: src_phys,
+            dst: dst_phys,
+        };
+        if self.policy == RoutePolicy::Dor {
+            let shape = self.topo.mesh_shape().ok_or_else(fault)?;
+            dor_path_into(shape, src_phys, dst_phys, &mut self.scratch)?;
+            return Ok(&self.scratch);
         }
-        compute_path(&self.topo, &self.allowed, self.policy, src_phys, dst_phys).map(|(p, _)| p)
+        if let Some(path) = self
+            .deployed
+            .as_ref()
+            .and_then(|table| table.paths.get(&(src_phys, dst_phys)))
+        {
+            return Ok(path);
+        }
+        let allowed: Vec<NodeId> = self.v2p.iter().map(|&p| NodeId(p)).collect();
+        let (path, _) =
+            confined_or_dor(&self.topo, &allowed, src_phys, dst_phys).map_err(|_| fault())?;
+        self.scratch = path;
+        Ok(&self.scratch)
     }
 
     fn per_packet_overhead(&self) -> u64 {
@@ -172,57 +255,19 @@ impl NocRouter for VRouterNoc {
     }
 }
 
-impl VRouterNoc {
-    /// Precomputes and caches all pairwise paths among the virtual NPU's
-    /// cores (what the hypervisor deploys into per-core meta-zones).
-    /// Returns the total number of direction entries installed.
-    pub fn precompute_paths(&mut self) -> u64 {
-        let cores = self.v2p.clone();
-        for &a in &cores {
-            for &b in &cores {
-                if a == b {
-                    continue;
-                }
-                if let Ok((path, fallback)) =
-                    compute_path(&self.topo, &self.allowed, self.policy, a, b)
-                {
-                    if self.policy == RoutePolicy::Confined && !fallback {
-                        // One direction entry per relay node (minus source).
-                        self.direction_entries += path.len().saturating_sub(1) as u64;
-                    }
-                    if fallback {
-                        self.fallback_paths += 1;
-                    }
-                    self.path_cache.insert((a, b), path);
-                }
-            }
-        }
-        self.direction_entries
-    }
-}
-
-fn compute_path(
+/// The confined route `src → dst` inside `allowed`, or — for a fragmented
+/// virtual NPU with no such route — the DOR route across foreign cores
+/// (the §4.3 performance/utilization trade-off), flagged `true`.
+fn confined_or_dor(
     topo: &Topology,
     allowed: &[NodeId],
-    policy: RoutePolicy,
     src: u32,
     dst: u32,
-) -> SimResult<(Vec<u32>, bool)> {
+) -> Result<(Vec<u32>, bool), vnpu_topo::TopoError> {
     let as_u32 = |p: Vec<NodeId>| p.into_iter().map(|n| n.0).collect::<Vec<u32>>();
-    match policy {
-        RoutePolicy::Dor => route::dor_path(topo, NodeId(src), NodeId(dst))
-            .map(|p| (as_u32(p), false))
-            .map_err(|_| SimError::RouteFault { core: src, dst }),
-        RoutePolicy::Confined => {
-            match route::confined_path(topo, allowed, NodeId(src), NodeId(dst)) {
-                Ok(p) => Ok((as_u32(p), false)),
-                // Fragmented virtual NPU: fall back to DOR across foreign
-                // cores (the §4.3 performance/utilization trade-off).
-                Err(_) => route::dor_path(topo, NodeId(src), NodeId(dst))
-                    .map(|p| (as_u32(p), true))
-                    .map_err(|_| SimError::RouteFault { core: src, dst }),
-            }
-        }
+    match route::confined_path(topo, allowed, NodeId(src), NodeId(dst)) {
+        Ok(p) => Ok((as_u32(p), false)),
+        Err(_) => route::dor_path(topo, NodeId(src), NodeId(dst)).map(|p| (as_u32(p), true)),
     }
 }
 
@@ -264,14 +309,14 @@ mod tests {
 
     #[test]
     fn confined_path_stays_inside_vnpu() {
-        let r = fig5_router(RoutePolicy::Confined);
+        let mut r = fig5_router(RoutePolicy::Confined);
         let path = r.path(11, 6).unwrap();
         assert_eq!(path, vec![11, 7, 6]);
     }
 
     #[test]
     fn dor_path_crosses_foreign_core() {
-        let r = fig5_router(RoutePolicy::Dor);
+        let mut r = fig5_router(RoutePolicy::Dor);
         let path = r.path(11, 6).unwrap();
         // DOR (X then Y): 11 is (3,2); 6 is (2,1): go west to (2,2)=10,
         // then north to 6 — crossing foreign core 10.

@@ -20,6 +20,7 @@
 
 use crate::translate::{Translate, TranslateStats, Translation, TranslationCosts};
 use crate::{MemError, Perm, PhysAddr, Result, VirtAddr};
+use std::sync::Arc;
 
 /// Bits of state per hardware range-TLB entry (VA 48 + PA 48 + size 32 +
 /// perm 4 + last_v 8 + valid 4), matching the paper's "144 bits for each".
@@ -159,9 +160,15 @@ impl RangeTranslationTable {
 
 /// The per-core translation engine: a small range TLB over the RTT plus the
 /// `RTT_CUR` pointer and `last_v` maintenance, with a cycle cost model.
+///
+/// The table may be shared: the cores of one virtual NPU are all deployed
+/// the same table, so their translators hold one `Arc` of it. A core's
+/// `last_v` hints are its own, though — the first hint it learns copies
+/// the table for that translator alone, so every translator starts from
+/// the table as deployed, whatever its siblings have learned.
 #[derive(Debug, Clone)]
 pub struct RangeTranslator {
-    rtt: RangeTranslationTable,
+    rtt: Arc<RangeTranslationTable>,
     /// Resident entry indices with LRU ticks.
     resident: Vec<(usize, u64)>,
     tlb_capacity: usize,
@@ -172,15 +179,20 @@ pub struct RangeTranslator {
 }
 
 impl RangeTranslator {
-    /// Wraps a table with a hardware range TLB of `tlb_entries` entries.
+    /// Wraps a table — owned, or an `Arc` shared with other translators —
+    /// with a hardware range TLB of `tlb_entries` entries.
     ///
     /// # Panics
     ///
     /// Panics if `tlb_entries == 0`.
-    pub fn new(rtt: RangeTranslationTable, tlb_entries: usize, costs: TranslationCosts) -> Self {
+    pub fn new(
+        rtt: impl Into<Arc<RangeTranslationTable>>,
+        tlb_entries: usize,
+        costs: TranslationCosts,
+    ) -> Self {
         assert!(tlb_entries > 0, "range TLB needs at least one entry");
         RangeTranslator {
-            rtt,
+            rtt: rtt.into(),
             resident: Vec::with_capacity(tlb_entries),
             tlb_capacity: tlb_entries,
             rtt_cur: 0,
@@ -283,8 +295,8 @@ impl Translate for RangeTranslator {
             // Pattern-3 bookkeeping: remember where we went from the old
             // entry.
             let old = self.rtt_cur;
-            if old != idx {
-                self.rtt.entries[old].last_v = Some(idx as u16);
+            if old != idx && self.rtt.entries[old].last_v != Some(idx as u16) {
+                Arc::make_mut(&mut self.rtt).entries[old].last_v = Some(idx as u16);
             }
             self.tlb_insert(idx);
             (idx, cycles, false)
@@ -512,6 +524,38 @@ mod tests {
         assert_eq!(tr.stats().probe_reads, 2 + 3);
         // Hint must now be corrected.
         assert_eq!(tr.rtt().get(0).unwrap().last_v, Some(1));
+    }
+
+    #[test]
+    fn translators_sharing_a_table_keep_their_hints_apart() {
+        // Two cores of one vNPU are deployed the same table. What one
+        // learns (`last_v`) must not warm the other: a freshly bound
+        // translator starts cold.
+        let entries: Vec<RttEntry> = (0..4u64)
+            .map(|i| RttEntry::new(VirtAddr(i * 0x1000), PhysAddr(i * 0x1000), 0x1000, Perm::R))
+            .collect();
+        let shared = Arc::new(RangeTranslationTable::new(entries).unwrap());
+        let walk = |tr: &mut RangeTranslator| {
+            for i in [0u64, 1, 2, 3, 0] {
+                tr.translate(VirtAddr(i * 0x1000), 64, Perm::R).unwrap();
+            }
+            tr.stats()
+        };
+        let mut first = RangeTranslator::new(Arc::clone(&shared), 1, TranslationCosts::default());
+        let trained = walk(&mut first);
+        assert_eq!(first.rtt().get(3).unwrap().last_v, Some(0));
+        assert!(
+            shared.entries().iter().all(|e| e.last_v.is_none()),
+            "the deployed table is never written through a translator"
+        );
+        let mut second = RangeTranslator::new(Arc::clone(&shared), 1, TranslationCosts::default());
+        assert_eq!(walk(&mut second), trained, "a sibling starts as cold");
+        let mut alone = RangeTranslator::new(
+            RangeTranslationTable::clone(&shared),
+            1,
+            TranslationCosts::default(),
+        );
+        assert_eq!(walk(&mut alone), trained, "sharing changes no cost");
     }
 
     #[test]

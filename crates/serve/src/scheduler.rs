@@ -7,8 +7,11 @@
 //! their vNPUs frees cores and HBM — the fragmentation churn of §4.3),
 //! then submits the tick's arrivals to the cluster's admission queue,
 //! runs one admission pass under the configured [`AdmissionPolicy`] and
-//! [`ChipPlacement`], and finally binds every live tenant's per-core
-//! program into its chip's machine and executes the epoch. Placement
+//! [`ChipPlacement`], and finally executes one epoch per loaded chip —
+//! binding its tenants' per-core programs and running the simulator only
+//! where the chip's residents, their deployments, its hardware state or
+//! its pending migration pauses differ from the epoch it ran last, and
+//! reusing that epoch's makespan where they do not. Placement
 //! latency is measured in *controller cycles*: a fixed per-tick
 //! scheduling overhead plus the meta-table configuration cycles the
 //! hypervisors actually spend (the Figure 11 cost model), accrued
@@ -384,6 +387,43 @@ pub struct ServeRuntime {
     /// The determinism digest chain, recorded only under
     /// [`vnpu_conc::ConcMode::phase_digests`].
     digests: Option<vnpu_conc::DigestChain>,
+    /// Per chip: the inputs of the last epoch it executed and the
+    /// makespan that epoch produced.
+    epoch_memo: Vec<EpochMemo>,
+    /// Epochs answered from [`ServeRuntime::epoch_memo`] so far.
+    epoch_memo_hits: u64,
+    /// This tick's runnable residents in `(chip, vm)` order, and the
+    /// epochs of the chips they load — buffers reused across ticks.
+    runnable: Vec<(ClusterVmId, TenantId)>,
+    chip_epochs: Vec<ChipEpoch>,
+}
+
+/// One chip's last executed epoch. The simulator is deterministic and
+/// [`Machine::finish_epoch`] rewinds every clock, so an epoch's makespan
+/// is a pure function of what `key` spells out; while the next tick's key
+/// is equal the epoch need not be bound or run again.
+#[derive(Debug, Default)]
+struct EpochMemo {
+    /// The chip's topology generation (core scales, core and link faults,
+    /// degraded mode), its pending migration pauses as `(tenant, cycles)`,
+    /// a separator, then `(vm, tenant, deployment stamp)` per runnable
+    /// resident in bind order. Empty until the chip first executes.
+    key: Vec<u64>,
+    /// The key of the tick being decided; swapped into `key` once its
+    /// epoch has run.
+    next_key: Vec<u64>,
+    makespan: u64,
+}
+
+/// One loaded chip's epoch within a tick: decided (memo hit) up front, or
+/// bound and waiting for the simulator.
+#[derive(Debug)]
+struct ChipEpoch {
+    chip: usize,
+    /// `None` while the bound epoch has not run yet.
+    outcome: Option<Result<u64, vnpu_sim::SimError>>,
+    /// Wall-clock of the simulator run (0 for a memo hit).
+    nanos: u64,
 }
 
 impl ServeRuntime {
@@ -451,8 +491,20 @@ impl ServeRuntime {
             pool,
             phase_nanos: PhaseNanos::default(),
             digests: cfg.conc.phase_digests.then(vnpu_conc::DigestChain::default),
+            epoch_memo: cfg.chips.iter().map(|_| EpochMemo::default()).collect(),
+            epoch_memo_hits: 0,
+            runnable: Vec::new(),
+            chip_epochs: Vec::new(),
             cfg,
         }
+    }
+
+    /// Chip epochs so far whose inputs equalled those of the chip's
+    /// previous epoch and were therefore answered without binding or
+    /// simulating. Purely diagnostic: reports, traces and digests are the
+    /// same whether an epoch ran or was reused.
+    pub fn epoch_memo_hits(&self) -> u64 {
+        self.epoch_memo_hits
     }
 
     /// The per-phase determinism digest chain recorded so far, when
@@ -599,10 +651,10 @@ impl ServeRuntime {
     /// pass, a maintenance phase (one budgeted drain step per draining
     /// chip), an optional defragmentation phase (when
     /// [`ServeConfig::defrag`] is set), a fragmentation sample, and
-    /// (when enabled) one machine epoch on every chip with live
-    /// tenants. Steps past
-    /// `cfg.epochs` keep working — the bound only applies to
-    /// [`ServeRuntime::run`].
+    /// (when enabled) one machine epoch on every chip with runnable
+    /// tenants — simulated where the chip's epoch inputs changed since
+    /// its last one, reused where they did not. Steps past `cfg.epochs`
+    /// keep working — the bound only applies to [`ServeRuntime::run`].
     ///
     /// # Errors
     ///
@@ -1002,96 +1054,11 @@ impl ServeRuntime {
             live_vnpus: self.live.len(),
         });
 
-        // 7. Execution epochs: every chip with live tenants runs them.
-        //    Machine epochs are chip-independent — embarrassingly
-        //    parallel — so after a sequential bind pass the loaded
-        //    machines fan out on the worker pool, and outcomes are
-        //    folded back (first error raised) in chip order either way.
+        // 7. Execution epochs: every chip with runnable tenants executes
+        //    one — see `execution_phase`.
         let t_exec = self.phase_clock();
         if self.cfg.execute_epochs && !self.live.is_empty() {
-            let mut residents_by_chip: Vec<Vec<(ClusterVmId, TenantId)>> =
-                vec![Vec::new(); self.machines.len()];
-            for l in self.live.values() {
-                // A tenant awaiting recovery is stalled: it still maps
-                // dead hardware, so binding it would fault and its NoC
-                // traffic could cross a dead link. It resumes the epoch
-                // after its recovery (or never, if declared lost). A
-                // tenant admitted *this* tick (after the recovery phase
-                // ran) gets the same direct check — the next tick's
-                // sweep will queue it for recovery.
-                if self.pending_recovery.contains_key(&l.id)
-                    || (self.machines[l.id.chip].has_active_faults()
-                        && FaultDetector::tenant_affected(self.cluster.chip(l.id.chip), l.id.vm))
-                {
-                    continue;
-                }
-                residents_by_chip[l.id.chip].push((l.id, l.tenant));
-            }
-            let loaded: Vec<usize> = (0..self.machines.len())
-                .filter(|&c| !residents_by_chip[c].is_empty())
-                .collect();
-            for &chip in &loaded {
-                for &(id, tenant) in &residents_by_chip[chip] {
-                    bind_ring_workload(
-                        &mut self.machines[chip],
-                        self.cluster.chip(chip),
-                        id,
-                        tenant,
-                    )?;
-                }
-            }
-            // Each job owns its chip's machine for the epoch and hands it
-            // back alongside the outcome.
-            let mut slots: Vec<Option<Machine>> = std::mem::take(&mut self.machines)
-                .into_iter()
-                .map(Some)
-                .collect();
-            let jobs: Vec<_> = loaded
-                .iter()
-                .map(|&chip| {
-                    let mut machine = slots[chip].take().expect("loaded chips are distinct");
-                    move || {
-                        let t0 = Instant::now();
-                        let outcome = machine.run_epoch();
-                        (machine, outcome, t0.elapsed().as_nanos() as u64)
-                    }
-                })
-                .collect();
-            let results = self.pool.run(jobs);
-            let mut outcomes = Vec::with_capacity(loaded.len());
-            for (&chip, (machine, outcome, nanos)) in loaded.iter().zip(results) {
-                slots[chip] = Some(machine);
-                outcomes.push((chip, outcome, nanos));
-            }
-            self.machines = slots
-                .into_iter()
-                .map(|s| s.expect("every machine restored"))
-                .collect();
-            for (chip, outcome, nanos) in outcomes {
-                let report = outcome.map_err(vnpu::VnpuError::Sim)?;
-                if let Some(chain) = self.digests.as_mut() {
-                    // Per-chip execution digest: the epoch's makespan
-                    // fold (wall-clock nanos deliberately excluded —
-                    // they are nondeterministic by nature).
-                    let mut d = vnpu_conc::Digest::new();
-                    d.write_u64(report.makespan());
-                    chain.record(
-                        tick,
-                        vnpu_conc::Phase::Execution,
-                        Some(chip as u32),
-                        d.finish(),
-                    );
-                }
-                self.temporal.emit(TraceEvent::Executed {
-                    tick,
-                    chip,
-                    machine_cycles: report.makespan(),
-                });
-                if self.cfg.time_phases {
-                    self.exec_nanos[chip] += nanos;
-                }
-                events.executed_chips += 1;
-            }
+            self.execution_phase(tick, &mut events)?;
         }
         self.phase_nanos.execution += elapsed_nanos(t_exec);
         if self.temporal.wants_detail() {
@@ -1126,6 +1093,169 @@ impl ServeRuntime {
             .map_or(0, |c| c.findings().len())
             .saturating_sub(findings_before) as u64;
         Ok(events)
+    }
+
+    /// Phase 7 of [`ServeRuntime::step`]: one machine epoch per chip with
+    /// runnable tenants, paying only for what changed.
+    ///
+    /// Each loaded chip's epoch inputs are spelled into its
+    /// [`EpochMemo`] key straight from the hypervisor (who is resident,
+    /// on which deployment) and the machine (hardware generation, pending
+    /// pauses). A chip whose key equals that of the epoch it last ran —
+    /// and that owes no pause, which only a real epoch can charge and
+    /// clear — is answered with that epoch's makespan. Every other chip
+    /// binds its residents' ring programs and runs the simulator: inline
+    /// on one worker or when it is the only one, fanned out on the pool
+    /// otherwise (machine epochs are chip-independent). Outcomes fold in
+    /// chip order either way, a reused epoch exactly like a run one: same
+    /// trace event, same digest, same counters.
+    fn execution_phase(
+        &mut self,
+        tick: u64,
+        events: &mut TickEvents,
+    ) -> Result<(), vnpu::VnpuError> {
+        self.runnable.clear();
+        for l in self.live.values() {
+            // A tenant awaiting recovery is stalled: it still maps dead
+            // hardware, so binding it would fault and its NoC traffic
+            // could cross a dead link. It resumes the epoch after its
+            // recovery (or never, if declared lost). A tenant admitted
+            // *this* tick (after the recovery phase ran) gets the same
+            // direct check — the next tick's sweep will queue it for
+            // recovery.
+            if self.pending_recovery.contains_key(&l.id)
+                || (self.machines[l.id.chip].has_active_faults()
+                    && FaultDetector::tenant_affected(self.cluster.chip(l.id.chip), l.id.vm))
+            {
+                continue;
+            }
+            self.runnable.push((l.id, l.tenant));
+        }
+
+        // Decide every loaded chip: reuse, or bind for a run. `live` is
+        // ordered by (chip, vm), so each chip's residents are contiguous.
+        self.chip_epochs.clear();
+        for residents in self.runnable.chunk_by(|a, b| a.0.chip == b.0.chip) {
+            let chip = residents[0].0.chip;
+            let (machine, hv) = (&mut self.machines[chip], self.cluster.chip(chip));
+            let memo = &mut self.epoch_memo[chip];
+            memo.next_key.clear();
+            memo.next_key.push(machine.topology_generation());
+            for (tenant, pause) in machine.pending_migration_pauses() {
+                memo.next_key.extend([u64::from(tenant), pause]);
+            }
+            let owes_pause = memo.next_key.len() > 1;
+            // Tenant IDs are 32-bit, so this cannot be one.
+            memo.next_key.push(u64::MAX);
+            for &(id, tenant) in residents {
+                let stamp = hv.vnpu(id.vm)?.deployment_stamp();
+                memo.next_key
+                    .extend([u64::from(id.vm.0), u64::from(tenant), stamp]);
+            }
+            let reuse = !owes_pause && memo.next_key == memo.key;
+            if !reuse || cfg!(debug_assertions) {
+                for &(id, tenant) in residents {
+                    bind_ring_workload(machine, hv, id, tenant)?;
+                }
+            }
+            if reuse {
+                // Debug builds re-run every reused epoch from scratch:
+                // the differential oracle for the memo.
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    machine.run_epoch_makespan().map_err(vnpu::VnpuError::Sim)?,
+                    memo.makespan,
+                    "chip {chip}, tick {tick}: reused epoch diverges from a fresh run"
+                );
+                self.epoch_memo_hits += 1;
+            }
+            self.chip_epochs.push(ChipEpoch {
+                chip,
+                outcome: reuse.then_some(Ok(memo.makespan)),
+                nanos: 0,
+            });
+        }
+
+        // Run what was bound: inline when there is nothing to overlap,
+        // otherwise each job owns its chip's machine for the epoch and
+        // hands it back alongside the outcome.
+        let bound: Vec<usize> = if self.pool.workers() == 1 {
+            Vec::new()
+        } else {
+            (0..self.chip_epochs.len())
+                .filter(|&i| self.chip_epochs[i].outcome.is_none())
+                .collect()
+        };
+        if bound.len() < 2 {
+            for epoch in self.chip_epochs.iter_mut().filter(|e| e.outcome.is_none()) {
+                let t0 = Instant::now();
+                epoch.outcome = Some(self.machines[epoch.chip].run_epoch_makespan());
+                epoch.nanos = t0.elapsed().as_nanos() as u64;
+            }
+        } else {
+            let mut slots: Vec<Option<Machine>> = std::mem::take(&mut self.machines)
+                .into_iter()
+                .map(Some)
+                .collect();
+            let jobs: Vec<_> = bound
+                .iter()
+                .map(|&i| {
+                    let mut machine = slots[self.chip_epochs[i].chip]
+                        .take()
+                        .expect("loaded chips are distinct");
+                    move || {
+                        let t0 = Instant::now();
+                        let outcome = machine.run_epoch_makespan();
+                        (machine, outcome, t0.elapsed().as_nanos() as u64)
+                    }
+                })
+                .collect();
+            for (&i, (machine, outcome, nanos)) in bound.iter().zip(self.pool.run(jobs)) {
+                let epoch = &mut self.chip_epochs[i];
+                slots[epoch.chip] = Some(machine);
+                epoch.outcome = Some(outcome);
+                epoch.nanos = nanos;
+            }
+            self.machines = slots
+                .into_iter()
+                .map(|s| s.expect("every machine restored"))
+                .collect();
+        }
+
+        // Fold in chip order (first error raised).
+        for epoch in self.chip_epochs.drain(..) {
+            let chip = epoch.chip;
+            let makespan = epoch
+                .outcome
+                .expect("every bound epoch ran")
+                .map_err(vnpu::VnpuError::Sim)?;
+            let memo = &mut self.epoch_memo[chip];
+            std::mem::swap(&mut memo.key, &mut memo.next_key);
+            memo.makespan = makespan;
+            if let Some(chain) = self.digests.as_mut() {
+                // Per-chip execution digest: the epoch's makespan fold
+                // (wall-clock nanos deliberately excluded — they are
+                // nondeterministic by nature).
+                let mut d = vnpu_conc::Digest::new();
+                d.write_u64(makespan);
+                chain.record(
+                    tick,
+                    vnpu_conc::Phase::Execution,
+                    Some(chip as u32),
+                    d.finish(),
+                );
+            }
+            self.temporal.emit(TraceEvent::Executed {
+                tick,
+                chip,
+                machine_cycles: makespan,
+            });
+            if self.cfg.time_phases {
+                self.exec_nanos[chip] += epoch.nanos;
+            }
+            events.executed_chips += 1;
+        }
+        Ok(())
     }
 
     /// Phase 1b of [`ServeRuntime::step`]: the fault → detect → recover
@@ -1716,6 +1846,7 @@ fn bind_ring_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrivals::Shape;
     use vnpu::admission::{Aging, Backfill, RetryAfterFree, SmallestFirst};
     use vnpu::cluster::{BestFitFragmentation, LeastLoaded};
 
@@ -1734,6 +1865,225 @@ mod tests {
         let mut cfg = ServeConfig::cluster(seed, 80, vec![SocConfig::sim(), small]);
         cfg.traffic.candidate_cap = 200;
         cfg
+    }
+
+    /// A fleet that falls quiet: `chips` chips of `mesh` cores, offered
+    /// only `shape` tenants that practically never leave, one request a
+    /// tick, each tried once. As soon as no further `shape` fits, ticks
+    /// stop changing anything.
+    fn quiet_cfg(chips: usize, mesh: (u32, u32), shape: Shape) -> ServeConfig {
+        let soc = SocConfig {
+            mesh_width: mesh.0,
+            mesh_height: mesh.1,
+            ..SocConfig::sim()
+        };
+        let mut cfg = ServeConfig::cluster(5, 0, vec![soc; chips]);
+        cfg.traffic.mix = vec![(1, shape)];
+        cfg.traffic.mean_interarrival_ticks = 1;
+        cfg.traffic.mean_lifetime_epochs = 1_000_000;
+        cfg.placement = Arc::new(LeastLoaded);
+        cfg.max_attempts = Some(1);
+        cfg
+    }
+
+    /// Steps once; returns `(chips executed, of which reused)`.
+    fn step_reuse(rt: &mut ServeRuntime) -> (u32, u64) {
+        let before = rt.epoch_memo_hits();
+        let ev = rt.step().unwrap();
+        (ev.executed_chips, rt.epoch_memo_hits() - before)
+    }
+
+    /// Steps a [`quiet_cfg`] fleet until `tenants` are resident and one
+    /// more tick has run them (arrivals come in bursts, so the fill-up
+    /// takes a seed-dependent handful of ticks).
+    fn settle(rt: &mut ServeRuntime, tenants: usize) {
+        while rt.live_count() < tenants {
+            assert!(rt.tick_index() < 30, "the fleet fills within 30 ticks");
+            rt.step().unwrap();
+        }
+        rt.step().unwrap();
+    }
+
+    #[test]
+    fn steady_fleet_reuses_epochs_and_reports_them_as_executed() {
+        // Two 4x2 chips, two 2x2 tenants each. Once all four are resident
+        // every chip epoch is a reuse — and still one `Executed` event,
+        // one executed epoch and one makespan's worth of machine cycles
+        // per chip per tick. The pinned totals are what the
+        // re-bind-and-run-every-tick loop produced for this run.
+        let mut cfg = quiet_cfg(2, (4, 2), Shape::Mesh(2, 2));
+        cfg.record_trace = true;
+        let mut rt = ServeRuntime::new(cfg);
+        settle(&mut rt, 4);
+        let settled_at = rt.tick_index();
+        while rt.tick_index() < 50 {
+            assert_eq!(step_reuse(&mut rt), (2, 2), "tick {}", rt.tick_index() - 1);
+        }
+        let executed_events = |tick: u64| {
+            rt.trace()
+                .unwrap()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Executed { tick: t, .. } if *t == tick))
+                .count()
+        };
+        assert!((settled_at..50).all(|t| executed_events(t) == 2));
+        let r = rt.report();
+        assert_eq!((r.executed_epochs, r.machine_cycles), (92, 43_276));
+        let chip = |i: usize| (r.per_chip[i].executed_epochs, r.per_chip[i].machine_cycles);
+        assert_eq!((chip(0), chip(1)), ((46, 21_666), (46, 21_610)));
+        assert!(rt.epoch_memo_hits() >= 2 * (50 - settled_at));
+    }
+
+    #[test]
+    fn an_epoch_is_reused_exactly_when_nothing_it_depends_on_changed() {
+        // One chip under sparse churn: every tick either admits or
+        // retires someone (the resident set differs: a fresh epoch) or
+        // changes nothing (a reuse). Both kinds must occur, alone, many
+        // times.
+        let mut cfg = ServeConfig::standard(23, 0);
+        cfg.traffic.candidate_cap = 200;
+        cfg.traffic.mean_interarrival_ticks = 5;
+        cfg.traffic.mean_lifetime_epochs = 12;
+        let mut rt = ServeRuntime::new(cfg);
+        let (mut admits, mut retires, mut quiet) = (0, 0, 0);
+        for _ in 0..400 {
+            let before = rt.epoch_memo_hits();
+            let ev = rt.step().unwrap();
+            let reused = rt.epoch_memo_hits() - before;
+            if ev.executed_chips == 0 {
+                continue; // empty chip: nothing to run or reuse
+            }
+            let changed = !ev.admitted.is_empty() || ev.departed > 0;
+            assert_eq!(reused, u64::from(!changed), "tick {}: {ev:?}", ev.tick);
+            admits += u32::from(!ev.admitted.is_empty() && ev.departed == 0);
+            retires += u32::from(ev.admitted.is_empty() && ev.departed > 0);
+            quiet += u32::from(!changed);
+        }
+        assert!(admits > 10 && retires > 10 && quiet > 100);
+    }
+
+    #[test]
+    fn pauses_and_hardware_changes_each_force_a_fresh_epoch() {
+        let mut rt = ServeRuntime::new(quiet_cfg(1, (3, 3), Shape::Mesh(2, 2)));
+        settle(&mut rt, 1); // a second 2x2 does not fit a 3x3 chip
+        let tenant = rt.live.values().next().unwrap().tenant;
+        assert_eq!(step_reuse(&mut rt), (1, 1), "settled");
+        let steady = rt.epoch_memo[0].makespan;
+
+        // A migration pause: fresh on the tick it lands (the epoch runs
+        // late by the pause), fresh again on the tick after (the pause is
+        // spent), then steady at the old makespan.
+        rt.machines[0].migrate_tenant(tenant, 700).unwrap();
+        assert_eq!(step_reuse(&mut rt), (1, 0));
+        assert!(rt.epoch_memo[0].makespan > steady + 600);
+        assert_eq!(step_reuse(&mut rt), (1, 0));
+        assert_eq!(rt.epoch_memo[0].makespan, steady);
+        assert_eq!(step_reuse(&mut rt), (1, 1));
+
+        // A hybrid-core reconfiguration — and a re-set to the same
+        // values, which moves the generation chain all the same.
+        for _ in 0..2 {
+            rt.set_core_scales(0, 0, 300, 100).unwrap();
+            assert_eq!(step_reuse(&mut rt), (1, 0));
+            assert!(rt.epoch_memo[0].makespan > steady, "a slower core 0");
+            assert_eq!(step_reuse(&mut rt), (1, 1));
+        }
+    }
+
+    #[test]
+    fn fault_onset_repair_and_recovery_stalls_each_force_a_fresh_epoch() {
+        // A 4x2 chip packed with two 2x2 tenants on {0,1,4,5} and
+        // {2,3,6,7}. Core 7 fails at tick 40 and is repaired at tick 44:
+        // its owner has nowhere to go, so it stalls (pending recovery)
+        // until the repair heals it in place, while its neighbour keeps
+        // executing on the degraded chip.
+        let mut cfg = quiet_cfg(1, (4, 2), Shape::Mesh(2, 2));
+        cfg.fault_plan = FaultPlan::new().core_fault(0, 7, 40, Some(44));
+        let mut rt = ServeRuntime::new(cfg);
+        settle(&mut rt, 2);
+        let mut makespans = std::collections::BTreeMap::new();
+        while rt.tick_index() < 50 {
+            let tick = rt.tick_index();
+            // Onset: the generation moves, the chip degrades and one
+            // resident drops out of the runnable set. Repair: the
+            // generation moves again and the stalled tenant is back.
+            let fresh = tick == 40 || tick == 44;
+            assert_eq!(step_reuse(&mut rt), (1, u64::from(!fresh)), "tick {tick}");
+            assert_eq!(
+                rt.pending_recovery.len(),
+                usize::from((40..44).contains(&tick))
+            );
+            makespans.insert(tick, rt.epoch_memo[0].makespan);
+        }
+        assert_eq!(rt.live_count(), 2, "nobody was lost");
+        assert_ne!(makespans[&40], makespans[&39], "one tenant, degraded");
+        assert_eq!(makespans[&49], makespans[&39], "healed: the old epoch");
+
+        // A fault on a core nobody owns stalls nobody, but the chip still
+        // degrades — onset and repair are each a fresh epoch. (Placement
+        // is deterministic: a dry run finds a core the tenant leaves free.)
+        let cfg = quiet_cfg(1, (3, 3), Shape::Mesh(2, 2));
+        let mut dry = ServeRuntime::new(cfg.clone());
+        settle(&mut dry, 1);
+        let hv = dry.cluster().chip(0);
+        let free_core = (0..9u32)
+            .find(|&c| hv.free_set().contains(vnpu_topo::NodeId(c)))
+            .unwrap();
+        let mut cfg = cfg;
+        cfg.fault_plan = FaultPlan::new().core_fault(0, free_core, 40, Some(44));
+        let mut rt = ServeRuntime::new(cfg);
+        settle(&mut rt, 1);
+        while rt.tick_index() < 50 {
+            let tick = rt.tick_index();
+            let fresh = tick == 40 || tick == 44;
+            assert_eq!(step_reuse(&mut rt), (1, u64::from(!fresh)), "tick {tick}");
+            assert!(rt.pending_recovery.is_empty());
+        }
+    }
+
+    #[test]
+    fn reports_and_digests_are_identical_at_every_width_with_epochs_reused() {
+        // Long-lived tenants on three chips: most epochs are reuses, and
+        // which ones are must not depend on the worker count.
+        let run = |workers: usize| {
+            let mut cfg = quick_cluster_cfg(19);
+            cfg.chips.push(cfg.chips[0].clone());
+            cfg.epochs = 70;
+            cfg.traffic.mean_interarrival_ticks = 3;
+            cfg.traffic.mean_lifetime_epochs = 25;
+            cfg.placement = Arc::new(LeastLoaded);
+            cfg.workers = workers;
+            cfg.conc.phase_digests = true;
+            let mut rt = ServeRuntime::new(cfg);
+            for _ in 0..70 {
+                rt.step().unwrap();
+            }
+            rt.drain().unwrap();
+            let json: Vec<String> = rt
+                .report()
+                .to_json(usize::MAX)
+                .lines()
+                .filter(|l| !l.contains("\"workers\""))
+                .map(str::to_owned)
+                .collect();
+            (
+                json,
+                rt.digest_chain().unwrap().clone(),
+                rt.epoch_memo_hits(),
+            )
+        };
+        let (json, chain, hits) = run(1);
+        assert!(hits > 50, "the scenario must actually reuse epochs: {hits}");
+        for workers in [2, 4, 8] {
+            let (j, c, h) = run(workers);
+            assert_eq!(j, json, "workers={workers}");
+            assert_eq!(
+                vnpu_conc::compare_chains("workers=1", &chain, "wide", &c),
+                None,
+                "workers={workers}"
+            );
+            assert_eq!(h, hits, "workers={workers}");
+        }
     }
 
     #[test]

@@ -130,6 +130,14 @@ impl SocConfig {
         self.mesh_width * self.mesh_height
     }
 
+    /// The tile mesh's shape (row-major core IDs).
+    pub fn mesh_shape(&self) -> vnpu_topo::MeshShape {
+        vnpu_topo::MeshShape {
+            width: self.mesh_width,
+            height: self.mesh_height,
+        }
+    }
+
     /// Total on-chip SRAM in bytes.
     pub fn total_scratchpad(&self) -> u64 {
         self.scratchpad_bytes * u64::from(self.core_count())

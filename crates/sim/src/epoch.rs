@@ -10,9 +10,11 @@
 //! * **epoch state** (this module) — everything one workload batch
 //!   creates: thread bindings with their virtualization services, the
 //!   event queue, flow credits, global-memory flags and barriers, and the
-//!   per-core activity traces. [`Machine::finish_epoch`] drops this layer
-//!   and resets the chip's *clocks* (link/channel `busy_until`), while the
-//!   chip structures themselves are never rebuilt.
+//!   per-core activity traces. [`Machine::finish_epoch`] empties this
+//!   layer *in place* — every container keeps its capacity, so a machine
+//!   driven through many epochs stops allocating once it has seen its
+//!   largest batch — and resets the chip's *clocks* (link/channel
+//!   `busy_until`), while the chip structures themselves are never rebuilt.
 //!
 //! The event loop itself also lives here: it is the part of the machine
 //! that only ever touches one epoch.
@@ -66,7 +68,41 @@ pub(crate) struct ThreadState {
     pub compute_cycles: u64,
     pub macs: u64,
     pub consumed_flags: HashMap<u32, u64>,
-    pub blocked: Option<String>,
+    pub blocked: Option<Blocked>,
+}
+
+/// Why a thread is parked. Recorded on every blocking instruction but
+/// read only when [`Machine::run`] ends in [`SimError::Deadlock`], so it
+/// stays a plain value until the error text is rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Blocked {
+    /// `(dst, tag, bytes in flight)`
+    SendCredit(u32, u32, u64),
+    /// `(src, tag, bytes awaited)`
+    Recv(u32, u32, u64),
+    /// `(tag, bytes needed in total, bytes published)`
+    GlobalRead(u32, u64, u64),
+    /// `(barrier id)`
+    Barrier(u32),
+}
+
+impl std::fmt::Display for Blocked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Blocked::SendCredit(dst, tag, in_flight) => write!(
+                f,
+                "send to {dst} tag {tag}: flow-credit wait ({in_flight} in flight)"
+            ),
+            Blocked::Recv(src, tag, bytes) => {
+                write!(f, "recv from {src} tag {tag}: waiting for {bytes} bytes")
+            }
+            Blocked::GlobalRead(tag, needed, have) => write!(
+                f,
+                "global-read tag {tag}: waiting for {needed} bytes (have {have})"
+            ),
+            Blocked::Barrier(id) => write!(f, "barrier {id}"),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,9 +142,9 @@ impl PartialOrd for QueuedEvent {
     }
 }
 
-/// Everything one workload batch allocates on the machine. Dropped and
-/// rebuilt (cheaply — all containers start empty) by
-/// [`Machine::finish_epoch`]; the chip state is not.
+/// Everything one workload batch puts on the machine. Emptied in place
+/// (capacity kept) by [`Machine::finish_epoch`]; the chip state is not
+/// touched.
 #[derive(Debug)]
 pub(crate) struct EpochState {
     pub threads: Vec<ThreadState>,
@@ -144,19 +180,50 @@ impl EpochState {
             mem_trace: Vec::new(),
         }
     }
-}
 
-/// The event loop: the epoch-scoped half of [`Machine`]'s behaviour.
-impl Machine {
+    /// Empties the epoch for the next batch without giving back memory.
+    /// [`Machine::run`] moves the traces into its report; they are
+    /// re-created here when it did.
+    pub(crate) fn reset(&mut self, core_count: usize) {
+        self.threads.clear();
+        self.queue.clear();
+        self.seq = 0;
+        self.now = 0;
+        self.flow_index.clear();
+        self.flows.clear();
+        self.flags.clear();
+        self.flag_waiters.clear();
+        self.barriers.clear();
+        self.tenant_threads.clear();
+        self.traces.iter_mut().for_each(CoreTrace::clear);
+        self.traces.resize_with(core_count, CoreTrace::default);
+        self.mem_trace.clear();
+    }
+
     pub(crate) fn push_event(&mut self, time: u64, event: Event) {
-        self.epoch.seq += 1;
-        self.epoch.queue.push(QueuedEvent {
+        self.seq += 1;
+        self.queue.push(QueuedEvent {
             time,
-            seq: self.epoch.seq,
+            seq: self.seq,
             event,
         });
     }
 
+    /// A thread's final instruction completes without scheduling another
+    /// event, so the true makespan is the max over completion stamps,
+    /// not the last event time.
+    pub(crate) fn makespan(&self) -> u64 {
+        self.threads
+            .iter()
+            .filter_map(|th| th.finished_at)
+            .max()
+            .unwrap_or(0)
+            .max(self.now)
+    }
+}
+
+/// The event loop: the epoch-scoped half of [`Machine`]'s behaviour.
+impl Machine {
     fn flow_idx(&mut self, key: FlowKey) -> usize {
         match self.epoch.flow_index.entry(key) {
             Entry::Occupied(o) => *o.get(),
@@ -183,6 +250,13 @@ impl Machine {
     /// * [`SimError::MemFault`] / [`SimError::RouteFault`] — a program
     ///   performed an invalid access.
     pub fn run(&mut self) -> Result<Report> {
+        self.run_events()?;
+        Ok(self.build_report())
+    }
+
+    /// The event loop proper: drains the queue, then checks that every
+    /// thread finished. Returns the epoch's makespan.
+    pub(crate) fn run_events(&mut self) -> Result<u64> {
         // Kick off every thread at its controller-dispatch offset.
         for t in 0..self.epoch.threads.len() {
             let core = self.epoch.threads[t].phys_core;
@@ -191,7 +265,7 @@ impl Machine {
                 controller::DispatchPath::InstructionNoc,
                 core,
             );
-            self.push_event(offset, Event::ThreadReady(t));
+            self.epoch.push_event(offset, Event::ThreadReady(t));
         }
         while let Some(q) = self.epoch.queue.pop() {
             self.epoch.now = q.time;
@@ -214,11 +288,13 @@ impl Machine {
             .enumerate()
             .filter(|(_, th)| th.phase != Phase::Done)
             .map(|(i, th)| {
+                let why: &dyn std::fmt::Display = match &th.blocked {
+                    Some(blocked) => blocked,
+                    None => &"not started",
+                };
                 format!(
-                    "thread {i} (tenant {}, core {}): {}",
-                    th.tenant,
-                    th.phys_core,
-                    th.blocked.as_deref().unwrap_or("not started")
+                    "thread {i} (tenant {}, core {}): {why}",
+                    th.tenant, th.phys_core
                 )
             })
             .collect();
@@ -227,7 +303,7 @@ impl Machine {
                 detail: blocked.join("; "),
             });
         }
-        Ok(self.build_report())
+        Ok(self.epoch.makespan())
     }
 
     fn current_instr(&self, t: usize) -> Option<Instr> {
@@ -278,7 +354,7 @@ impl Machine {
     fn finish_instr(&mut self, t: usize, at: u64) {
         self.advance(t, at);
         if self.epoch.threads[t].phase != Phase::Done {
-            self.push_event(at, Event::ThreadReady(t));
+            self.epoch.push_event(at, Event::ThreadReady(t));
         }
     }
 
@@ -395,10 +471,8 @@ impl Machine {
         let flow = &mut self.epoch.flows[fidx];
         if flow.sent - flow.consumed + bytes > credit {
             flow.credit_waiters.push(t);
-            self.epoch.threads[t].blocked = Some(format!(
-                "send to {dst} tag {tag}: flow-credit wait ({} in flight)",
-                flow.sent - flow.consumed
-            ));
+            self.epoch.threads[t].blocked =
+                Some(Blocked::SendCredit(dst, tag, flow.sent - flow.consumed));
             return Ok(());
         }
         flow.sent += bytes;
@@ -406,34 +480,36 @@ impl Machine {
         let packet_bytes = self.config().packet_bytes;
         let packet_overhead = self.config().packet_overhead;
         let now = self.epoch.now;
-        let services = self.services.get_mut(t).expect("every thread has services");
-        let (dst_phys, lookup) = services
-            .router
+        let engine_busy_until = self.core(phys as usize).send_engine_busy_until;
+        // The path borrows from the router for the whole streaming loop,
+        // so from here on the machine is touched field by field.
+        let router = &mut self
+            .services
+            .get_mut(t)
+            .expect("every thread has services")
+            .router;
+        let (dst_phys, lookup) = router
             .resolve(dst)
             .map_err(|_| SimError::RouteFault { core: phys, dst })?;
-        let path = services.router.path(phys, dst_phys)?;
-        let per_packet = services.router.per_packet_overhead();
+        let per_packet = router.per_packet_overhead();
+        let path = router.path(phys, dst_phys)?;
         // The thread only programs the engine; streaming is asynchronous.
         let engine_ready = now + send_setup + lookup;
-        let mut depart = engine_ready.max(self.core(phys as usize).send_engine_busy_until);
+        let mut depart = engine_ready.max(engine_busy_until);
         let send_started = depart;
         let mut off = 0u64;
-        let mut arrivals: Vec<(u64, u64)> = Vec::new();
         while off < bytes {
             let len = packet_bytes.min(bytes - off);
-            let timing = self.noc.send_packet(&path, len, depart + per_packet)?;
+            let timing = self.noc.send_packet(path, len, depart + per_packet)?;
             depart = timing.injected_at + packet_overhead;
-            arrivals.push((timing.arrived_at + packet_overhead, len));
-            off += len;
-        }
-        for (at, len) in arrivals {
-            self.push_event(
-                at,
+            self.epoch.push_event(
+                timing.arrived_at + packet_overhead,
                 Event::PacketArrive {
                     flow_idx: fidx,
                     bytes: len,
                 },
             );
+            off += len;
         }
         self.core_mut(phys as usize).send_engine_busy_until = depart;
         self.epoch.traces[phys as usize].push(send_started, depart, Activity::Send);
@@ -456,16 +532,14 @@ impl Machine {
             let waiters = std::mem::take(&mut flow.credit_waiters);
             let now = self.epoch.now;
             for w in waiters {
-                self.push_event(now, Event::ThreadReady(w));
+                self.epoch.push_event(now, Event::ThreadReady(w));
             }
             let done = now + self.recv_ack;
             self.finish_instr(t, done);
         } else {
             debug_assert!(flow.waiter.is_none(), "one receiver per flow");
             flow.waiter = Some((t, bytes, self.epoch.now));
-            self.epoch.threads[t].blocked = Some(format!(
-                "recv from {src} tag {tag}: waiting for {bytes} bytes"
-            ));
+            self.epoch.threads[t].blocked = Some(Blocked::Recv(src, tag, bytes));
         }
     }
 
@@ -481,7 +555,7 @@ impl Machine {
                 let phys = self.epoch.threads[t].phys_core as usize;
                 self.epoch.traces[phys].push(since, now, Activity::RecvWait);
                 for w in waiters {
-                    self.push_event(now, Event::ThreadReady(w));
+                    self.epoch.push_event(now, Event::ThreadReady(w));
                 }
                 let done = now + self.recv_ack;
                 self.finish_instr(t, done);
@@ -521,7 +595,8 @@ impl Machine {
         // Flag publication: one extra cache-line write after the data.
         let flag_done = self.hbm.access_uvm(channel, 64, done, line, mlp);
         self.epoch.traces[phys as usize].push(now, flag_done, Activity::Send);
-        self.push_event(flag_done, Event::FlagWrite { tenant, tag, bytes });
+        self.epoch
+            .push_event(flag_done, Event::FlagWrite { tenant, tag, bytes });
         // Stores drain through a write buffer: the producer core continues
         // after issuing (symmetric with the asynchronous send engine); the
         // channel occupancy above still serializes its later accesses.
@@ -568,10 +643,8 @@ impl Machine {
             self.epoch
                 .flag_waiters
                 .push((t, tag, consumed + bytes, self.epoch.now));
-            self.epoch.threads[t].blocked = Some(format!(
-                "global-read tag {tag}: waiting for {} bytes (have {available})",
-                consumed + bytes
-            ));
+            self.epoch.threads[t].blocked =
+                Some(Blocked::GlobalRead(tag, consumed + bytes, available));
         }
         Ok(())
     }
@@ -584,7 +657,7 @@ impl Machine {
         let now = self.epoch.now;
         for (t, wtag, needed, since) in waiters {
             if wtag == tag && self.epoch.threads[t].tenant == tenant && available >= needed {
-                self.push_event(now, Event::ThreadReady(t));
+                self.epoch.push_event(now, Event::ThreadReady(t));
             } else {
                 still_waiting.push((t, wtag, needed, since));
             }
@@ -603,27 +676,17 @@ impl Machine {
             for (p, _) in participants {
                 self.advance(p, now);
                 if self.epoch.threads[p].phase != Phase::Done {
-                    self.push_event(now, Event::ThreadReady(p));
+                    self.epoch.push_event(now, Event::ThreadReady(p));
                 }
             }
             // Re-check Done bookkeeping for completed threads handled in advance().
         } else {
-            self.epoch.threads[t].blocked = Some(format!("barrier {id}"));
+            self.epoch.threads[t].blocked = Some(Blocked::Barrier(id));
         }
     }
 
     fn build_report(&mut self) -> Report {
-        // A thread's final instruction completes without scheduling another
-        // event, so the true makespan is the max over completion stamps,
-        // not the last event time.
-        let makespan = self
-            .epoch
-            .threads
-            .iter()
-            .filter_map(|th| th.finished_at)
-            .max()
-            .unwrap_or(0)
-            .max(self.epoch.now);
+        let makespan = self.epoch.makespan();
         let mut tenants: HashMap<TenantId, TenantStats> = HashMap::new();
         for th in &self.epoch.threads {
             let s = tenants.entry(th.tenant).or_insert_with(|| TenantStats {

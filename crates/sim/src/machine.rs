@@ -26,7 +26,7 @@ use crate::isa::{Instr, Program};
 use crate::noc::{DorRouter, Noc, NocRouter};
 use crate::stats::Report;
 use crate::{Result, SimError};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use vnpu_mem::counter::AccessCounter;
 use vnpu_mem::translate::PhysicalTranslator;
 use vnpu_mem::Translate;
@@ -139,8 +139,9 @@ pub struct Machine {
     /// ([`Machine::migrate_tenant`]): every thread the tenant binds in the
     /// *next* epoch starts this many cycles late (its cores were being
     /// drained, moved and re-deployed). Cleared by
-    /// [`Machine::finish_epoch`].
-    pending_migration_pause: HashMap<TenantId, u64>,
+    /// [`Machine::finish_epoch`]; a removed tenant's entry leaves with it.
+    /// Ordered, so [`Machine::pending_migration_pauses`] is deterministic.
+    pending_migration_pause: BTreeMap<TenantId, u64>,
     migrations: u64,
     migration_pause_cycles: u64,
     /// Hardware-reconfiguration fingerprint, evolved as a hash chain by
@@ -197,7 +198,7 @@ impl Machine {
             epoch: EpochState::new(n),
             epoch_index: 0,
             epoch_history: Vec::new(),
-            pending_migration_pause: HashMap::new(),
+            pending_migration_pause: BTreeMap::new(),
             migrations: 0,
             migration_pause_cycles: 0,
             topology_generation: 0,
@@ -263,6 +264,9 @@ impl Machine {
             return Err(SimError::TenantBusy(tenant));
         }
         self.tenant_names.remove(&tenant);
+        // A pause owed by a tenant that no longer exists can never be
+        // charged; left behind it would read as pending reconfiguration.
+        self.pending_migration_pause.remove(&tenant);
         Ok(())
     }
 
@@ -317,6 +321,14 @@ impl Machine {
         self.migrations += 1;
         self.migration_pause_cycles += pause_cycles;
         tenant
+    }
+
+    /// The pauses the next epoch will charge, as `(tenant, cycles)` in
+    /// tenant order — together with the bound programs and
+    /// [`Machine::topology_generation`], everything that epoch's outcome
+    /// depends on.
+    pub fn pending_migration_pauses(&self) -> impl Iterator<Item = (TenantId, u64)> + '_ {
+        self.pending_migration_pause.iter().map(|(&t, &p)| (t, p))
     }
 
     /// Live migrations declared over this machine's lifetime.
@@ -626,11 +638,11 @@ impl Machine {
     }
 
     /// Ends the current epoch: drops all thread bindings, flows, flags,
-    /// barriers and traces, and rewinds the chip's clocks (core/link/
-    /// channel `busy_until`) to zero — while the chip structures (cores
-    /// with their hybrid scalings, NoC link graph, HBM channels) and the
-    /// tenant registry survive. The machine is immediately bindable for
-    /// the next batch.
+    /// barriers and traces (their buffers are kept for the next batch),
+    /// and rewinds the chip's clocks (core/link/channel `busy_until`) to
+    /// zero — while the chip structures (cores with their hybrid
+    /// scalings, NoC link array, HBM channels) and the tenant registry
+    /// survive. The machine is immediately bindable for the next batch.
     pub fn finish_epoch(&mut self) {
         let threads = self.epoch.threads.len();
         let tenants = self
@@ -639,14 +651,7 @@ impl Machine {
             .values()
             .filter(|&&n| n > 0)
             .count();
-        let makespan = self
-            .epoch
-            .threads
-            .iter()
-            .filter_map(|th| th.finished_at)
-            .max()
-            .unwrap_or(0)
-            .max(self.epoch.now);
+        let makespan = self.epoch.makespan();
         // Drop the oldest half in one batch (amortized O(1) per epoch)
         // rather than shifting the whole vector on every finish.
         if self.epoch_history.len() >= 2 * EPOCH_HISTORY_CAP {
@@ -659,7 +664,7 @@ impl Machine {
             tenants,
         });
         self.epoch_index += 1;
-        self.epoch = EpochState::new(self.cfg.core_count() as usize);
+        self.epoch.reset(self.cfg.core_count() as usize);
         self.services.clear();
         // Migration pauses apply to exactly one epoch's bindings.
         self.pending_migration_pause.clear();
@@ -682,6 +687,20 @@ impl Machine {
         let report = self.run()?;
         self.finish_epoch();
         Ok(report)
+    }
+
+    /// [`Machine::run_epoch`] for callers that need only the batch's
+    /// makespan: the same event loop and epoch finish, without assembling
+    /// a [`Report`] (which copies the configuration, the tenant names and
+    /// every core's trace).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Machine::run_epoch`].
+    pub fn run_epoch_makespan(&mut self) -> Result<u64> {
+        let makespan = self.run_events()?;
+        self.finish_epoch();
+        Ok(makespan)
     }
 }
 
@@ -785,9 +804,49 @@ mod tests {
         m.bind(1, t, 1, Program::once(vec![Instr::recv(0, 2048, 0)]))
             .unwrap();
         match m.run() {
-            Err(SimError::Deadlock { detail }) => assert!(detail.contains("recv")),
+            Err(SimError::Deadlock { detail }) => assert_eq!(
+                detail,
+                "thread 0 (tenant 0, core 1): recv from 0 tag 0: waiting for 2048 bytes"
+            ),
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn deadlock_text_names_every_kind_of_wait() {
+        let mut m = Machine::new(fpga());
+        let t = m.add_tenant("t");
+        // Credit-stalled sender (nobody consumes), a reader of a flag
+        // nobody writes, and a barrier the other two never reach.
+        m.bind(
+            0,
+            t,
+            0,
+            Program::looped(vec![], vec![Instr::send(1, 48 * 1024, 5)], 2),
+        )
+        .unwrap();
+        m.bind(
+            1,
+            t,
+            1,
+            Program::once(vec![Instr::GlobalRead {
+                va: VirtAddr(0),
+                bytes: 64,
+                tag: 9,
+            }]),
+        )
+        .unwrap();
+        m.bind(2, t, 2, Program::once(vec![Instr::Barrier { id: 3 }]))
+            .unwrap();
+        let Err(SimError::Deadlock { detail }) = m.run() else {
+            panic!("expected deadlock");
+        };
+        assert_eq!(
+            detail,
+            "thread 0 (tenant 0, core 0): send to 1 tag 5: flow-credit wait (49152 in flight); \
+             thread 1 (tenant 0, core 1): global-read tag 9: waiting for 64 bytes (have 0); \
+             thread 2 (tenant 0, core 2): barrier 3"
+        );
     }
 
     #[test]
@@ -1369,6 +1428,72 @@ mod tests {
             m.migrate_tenant(999, 1),
             Err(SimError::UnknownTenant(999))
         ));
+    }
+
+    #[test]
+    fn remove_tenant_drops_its_pending_pause() {
+        // Remapped (paused) and then evacuated before the next epoch: the
+        // pause must leave with the tenant instead of lingering until
+        // some later epoch finishes on this machine.
+        let mut m = Machine::new(fpga());
+        let stays = m.add_tenant("stays");
+        let leaves = m.add_tenant("leaves");
+        m.migrate_tenant(stays, 700).unwrap();
+        m.migrate_tenant(leaves, 900).unwrap();
+        assert_eq!(
+            m.pending_migration_pauses().collect::<Vec<_>>(),
+            vec![(stays, 700), (leaves, 900)]
+        );
+        m.remove_tenant(leaves).unwrap();
+        assert_eq!(
+            m.pending_migration_pauses().collect::<Vec<_>>(),
+            vec![(stays, 700)]
+        );
+        // The lifetime counters still record the declared migration.
+        assert_eq!(m.migration_count(), 2);
+        m.finish_epoch();
+        assert_eq!(m.pending_migration_pauses().count(), 0);
+    }
+
+    #[test]
+    fn run_epoch_makespan_matches_the_full_report() {
+        let bind_batch = |m: &mut Machine, t: TenantId| {
+            for c in 0..4u32 {
+                m.bind(
+                    c,
+                    t,
+                    c,
+                    Program::looped(
+                        vec![Instr::dma_load(u64::from(c) << 20, 8 * 1024)],
+                        vec![
+                            Instr::matmul(32, 32, 32),
+                            Instr::send((c + 1) % 4, 2048, c),
+                            Instr::recv((c + 3) % 4, 2048, (c + 3) % 4),
+                        ],
+                        3,
+                    ),
+                )
+                .unwrap();
+            }
+        };
+        let mut full = Machine::new(fpga());
+        let t = full.add_tenant("t");
+        bind_batch(&mut full, t);
+        let expect = full.run_epoch().unwrap().makespan();
+
+        let mut lean = Machine::new(fpga());
+        let t = lean.add_tenant("t");
+        for round in 0..3 {
+            bind_batch(&mut lean, t);
+            assert_eq!(lean.run_epoch_makespan().unwrap(), expect, "round {round}");
+        }
+        assert_eq!(lean.epoch_index(), 3);
+        // Both flavours leave the machine equally reusable, in any order.
+        bind_batch(&mut lean, t);
+        assert_eq!(lean.run_epoch().unwrap().makespan(), expect);
+        bind_batch(&mut lean, t);
+        assert_eq!(lean.run_epoch_makespan().unwrap(), expect);
+        assert!(lean.epoch_history().iter().all(|e| e.makespan == expect));
     }
 
     #[test]

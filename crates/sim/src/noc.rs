@@ -16,8 +16,7 @@
 
 use crate::config::SocConfig;
 use crate::{Result, SimError};
-use std::collections::{BTreeSet, HashMap};
-use vnpu_topo::{route, NodeId, Topology};
+use vnpu_topo::{route, MeshShape, NodeId};
 
 /// Resolves program-level destination core IDs and supplies NoC paths.
 ///
@@ -36,12 +35,14 @@ pub trait NocRouter: Send {
     fn resolve(&mut self, dst_program: u32) -> Result<(u32, u64)>;
 
     /// Physical path (node sequence including both endpoints) between two
-    /// physical cores.
+    /// physical cores. The slice borrows from the router — a deployed
+    /// table entry, or a buffer the router reuses — so the per-`Send`
+    /// lookup allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::RouteFault`] when no path exists.
-    fn path(&self, src_phys: u32, dst_phys: u32) -> Result<Vec<u32>>;
+    fn path(&mut self, src_phys: u32, dst_phys: u32) -> Result<&[u32]>;
 
     /// Extra cycles charged per packet (destination-rewrite muxing in the
     /// send/receive engine; 0 for bare-metal).
@@ -53,25 +54,40 @@ pub trait NocRouter: Send {
     fn name(&self) -> String;
 }
 
+/// Streams the dimension-order route `src → dst` on a `shape` mesh into
+/// `out` (cleared first) — the allocation-free path lookup every
+/// DOR-based [`NocRouter`] shares.
+///
+/// # Errors
+///
+/// Returns [`SimError::RouteFault`] when an endpoint is outside the mesh.
+pub fn dor_path_into(shape: MeshShape, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<()> {
+    out.clear();
+    route::dor_walk(shape, NodeId(src), NodeId(dst), |n| out.push(n.0))
+        .map_err(|_| SimError::RouteFault { core: src, dst })
+}
+
 /// Bare-metal routing: program IDs *are* physical IDs; dimension-order
 /// (X-then-Y) paths; zero lookup cost.
 #[derive(Debug, Clone)]
 pub struct DorRouter {
-    topo: Topology,
+    shape: MeshShape,
+    path: Vec<u32>,
 }
 
 impl DorRouter {
     /// Creates a DOR router over the machine's mesh.
     pub fn new(cfg: &SocConfig) -> Self {
         DorRouter {
-            topo: Topology::mesh2d(cfg.mesh_width, cfg.mesh_height),
+            shape: cfg.mesh_shape(),
+            path: Vec::new(),
         }
     }
 }
 
 impl NocRouter for DorRouter {
     fn resolve(&mut self, dst_program: u32) -> Result<(u32, u64)> {
-        if (dst_program as usize) < self.topo.node_count() {
+        if (dst_program as usize) < self.shape.len() {
             Ok((dst_program, 0))
         } else {
             Err(SimError::RouteFault {
@@ -81,13 +97,9 @@ impl NocRouter for DorRouter {
         }
     }
 
-    fn path(&self, src_phys: u32, dst_phys: u32) -> Result<Vec<u32>> {
-        route::dor_path(&self.topo, NodeId(src_phys), NodeId(dst_phys))
-            .map(|p| p.into_iter().map(|n| n.0).collect())
-            .map_err(|_| SimError::RouteFault {
-                core: src_phys,
-                dst: dst_phys,
-            })
+    fn path(&mut self, src_phys: u32, dst_phys: u32) -> Result<&[u32]> {
+        dor_path_into(self.shape, src_phys, dst_phys, &mut self.path)?;
+        Ok(&self.path)
     }
 
     fn name(&self) -> String {
@@ -95,26 +107,38 @@ impl NocRouter for DorRouter {
     }
 }
 
-/// One directed mesh link's occupancy state.
+/// One directed mesh link: occupancy clock, load counter and fault flag.
 #[derive(Debug, Clone, Copy, Default)]
 struct Link {
     busy_until: u64,
     bytes_carried: u64,
+    /// Injected hardware failure. Faults model hardware, so — like the
+    /// link array itself — they survive [`Noc::reset_epoch`] until
+    /// explicitly repaired.
+    faulted: bool,
 }
 
+/// Outgoing link directions of a mesh node, in ascending order of the
+/// neighbour's ID (so walking nodes then directions enumerates the
+/// directed links sorted).
+const DIRECTIONS: usize = 4;
+
 /// The mesh NoC: directed links with busy-until contention tracking.
+///
+/// Links live in one dense array, four slots per node (north,
+/// west, east, south); slots pointing off the mesh edge are never
+/// addressed.
 #[derive(Debug, Clone)]
 pub struct Noc {
-    links: HashMap<(u32, u32), Link>,
+    links: Vec<Link>,
+    shape: MeshShape,
     link_bw: u64,
     router_latency: u64,
     contention_cycles: u64,
     packets_sent: u64,
-    /// Faulted directed links (injected hardware failures). A packet
-    /// routed across one errors with [`SimError::LinkFaulted`]. Faults
-    /// model hardware, so — like the link graph — they survive
-    /// [`Noc::reset_epoch`] until explicitly repaired.
-    faulted: BTreeSet<(u32, u32)>,
+    /// Directed links currently faulted. A packet routed across one
+    /// errors with [`SimError::LinkFaulted`].
+    faulted_links: usize,
     /// Extra per-hop router cycles charged while the chip runs in
     /// degraded mode (active faults anywhere on the chip force the
     /// routers onto slower fault-tolerant arbitration). 0 = healthy.
@@ -134,21 +158,52 @@ pub struct PacketTiming {
 impl Noc {
     /// Creates the NoC for a mesh configuration.
     pub fn new(cfg: &SocConfig) -> Self {
-        let topo = Topology::mesh2d(cfg.mesh_width, cfg.mesh_height);
-        let mut links = HashMap::new();
-        for (a, b) in topo.edges() {
-            links.insert((a.0, b.0), Link::default());
-            links.insert((b.0, a.0), Link::default());
-        }
+        let shape = cfg.mesh_shape();
         Noc {
-            links,
+            links: vec![Link::default(); shape.len() * DIRECTIONS],
+            shape,
             link_bw: cfg.link_bytes_per_cycle.max(1),
             router_latency: cfg.router_latency,
             contention_cycles: 0,
             packets_sent: 0,
-            faulted: BTreeSet::new(),
+            faulted_links: 0,
             degraded_penalty: 0,
         }
+    }
+
+    /// The neighbour of `node` in direction slot `dir`, if the mesh has
+    /// one there.
+    fn neighbor(&self, node: u32, dir: usize) -> Option<u32> {
+        let MeshShape { width, height } = self.shape;
+        let (x, y) = (node % width, node / width);
+        match dir {
+            0 => (y > 0).then(|| node - width),
+            1 => (x > 0).then(|| node - 1),
+            2 => (x + 1 < width).then(|| node + 1),
+            _ => (y + 1 < height).then(|| node + width),
+        }
+    }
+
+    /// Slot of the directed link `a → b` in the link array, if the two
+    /// cores are mesh-adjacent.
+    fn link_slot(&self, a: u32, b: u32) -> Option<usize> {
+        if a as usize >= self.shape.len() {
+            return None;
+        }
+        (0..DIRECTIONS)
+            .find(|&dir| self.neighbor(a, dir) == Some(b))
+            .map(|dir| a as usize * DIRECTIONS + dir)
+    }
+
+    /// Every directed link of the mesh with its state, sorted by
+    /// `(src, dst)`.
+    fn directed_links(&self) -> impl Iterator<Item = ((u32, u32), &Link)> + '_ {
+        (0..self.shape.len() as u32).flat_map(move |a| {
+            (0..DIRECTIONS).filter_map(move |dir| {
+                let b = self.neighbor(a, dir)?;
+                Some(((a, b), &self.links[a as usize * DIRECTIONS + dir]))
+            })
+        })
     }
 
     /// Sends one packet of `bytes` along `path` starting no earlier than
@@ -175,19 +230,17 @@ impl Noc {
         let mut t = depart;
         let mut injected_at = None;
         for w in path.windows(2) {
-            if self.faulted.contains(&(w[0], w[1])) {
+            let slot = self.link_slot(w[0], w[1]).ok_or(SimError::RouteFault {
+                core: w[0],
+                dst: w[1],
+            })?;
+            let link = &mut self.links[slot];
+            if link.faulted {
                 return Err(SimError::LinkFaulted {
                     src: w[0],
                     dst: w[1],
                 });
             }
-            let link = self
-                .links
-                .get_mut(&(w[0], w[1]))
-                .ok_or(SimError::RouteFault {
-                    core: w[0],
-                    dst: w[1],
-                })?;
             let start = t.max(link.busy_until);
             self.contention_cycles += start - t;
             link.busy_until = start + ser;
@@ -205,10 +258,12 @@ impl Noc {
 
     /// Rewinds the NoC to an idle state for a fresh machine epoch: every
     /// link's `busy_until` clock and the per-epoch counters are zeroed,
-    /// while the link graph itself is reused (never rebuilt).
+    /// while the link array (and its fault flags) is reused, never
+    /// rebuilt.
     pub fn reset_epoch(&mut self) {
-        for link in self.links.values_mut() {
-            *link = Link::default();
+        for link in &mut self.links {
+            link.busy_until = 0;
+            link.bytes_carried = 0;
         }
         self.contention_cycles = 0;
         self.packets_sent = 0;
@@ -235,30 +290,41 @@ impl Noc {
     /// Returns [`SimError::RouteFault`] when `a` and `b` are not adjacent
     /// in the mesh (there is no such link to fault).
     pub fn set_link_faulted(&mut self, a: u32, b: u32, faulted: bool) -> Result<bool> {
-        if !self.links.contains_key(&(a, b)) || !self.links.contains_key(&(b, a)) {
+        let (Some(ab), Some(ba)) = (self.link_slot(a, b), self.link_slot(b, a)) else {
             return Err(SimError::RouteFault { core: a, dst: b });
-        }
-        let changed = if faulted {
-            self.faulted.insert((a, b)) | self.faulted.insert((b, a))
-        } else {
-            self.faulted.remove(&(a, b)) | self.faulted.remove(&(b, a))
         };
+        let mut changed = false;
+        for slot in [ab, ba] {
+            let link = &mut self.links[slot];
+            if link.faulted != faulted {
+                link.faulted = faulted;
+                changed = true;
+                if faulted {
+                    self.faulted_links += 1;
+                } else {
+                    self.faulted_links -= 1;
+                }
+            }
+        }
         Ok(changed)
     }
 
     /// Whether the directed link `src → dst` is currently faulted.
     pub fn link_faulted(&self, src: u32, dst: u32) -> bool {
-        self.faulted.contains(&(src, dst))
+        self.link_slot(src, dst)
+            .is_some_and(|slot| self.links[slot].faulted)
     }
 
     /// Currently faulted directed links, in sorted order.
     pub fn faulted_links(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.faulted.iter().copied()
+        self.directed_links()
+            .filter(|(_, link)| link.faulted)
+            .map(|(key, _)| key)
     }
 
     /// Number of faulted directed links.
     pub fn faulted_link_count(&self) -> usize {
-        self.faulted.len()
+        self.faulted_links
     }
 
     /// Sets the degraded-mode per-hop penalty (0 restores full speed).
@@ -273,13 +339,9 @@ impl Noc {
 
     /// Bytes carried per directed link, for utilization heat maps.
     pub fn link_loads(&self) -> Vec<((u32, u32), u64)> {
-        let mut v: Vec<_> = self
-            .links
-            .iter()
-            .map(|(&k, l)| (k, l.bytes_carried))
-            .collect();
-        v.sort_unstable();
-        v
+        self.directed_links()
+            .map(|(key, link)| (key, link.bytes_carried))
+            .collect()
     }
 }
 
@@ -296,6 +358,32 @@ mod tests {
         let mut r = DorRouter::new(&cfg());
         assert_eq!(r.resolve(3).unwrap(), (3, 0));
         assert!(r.resolve(99).is_err());
+    }
+
+    #[test]
+    fn dor_router_reuses_its_path_buffer() {
+        let mut r = DorRouter::new(&cfg());
+        assert_eq!(r.path(0, 6).unwrap(), [0, 1, 2, 6]);
+        assert_eq!(r.path(7, 4).unwrap(), [7, 6, 5, 4]);
+        assert_eq!(r.path(3, 3).unwrap(), [3]);
+        assert!(matches!(
+            r.path(0, 8),
+            Err(SimError::RouteFault { core: 0, dst: 8 })
+        ));
+    }
+
+    #[test]
+    fn link_array_holds_exactly_the_mesh_links() {
+        // 4x2 mesh: 3 horizontal links per row x 2 rows + 4 vertical,
+        // each in both directions; row ends do not wrap.
+        let noc = Noc::new(&cfg());
+        let loads = noc.link_loads();
+        assert_eq!(loads.len(), 2 * (3 * 2 + 4));
+        assert!(loads.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+        let has = |a, b| loads.iter().any(|(k, _)| *k == (a, b));
+        assert!(has(0, 1) && has(1, 0) && has(0, 4) && has(4, 0) && has(6, 7));
+        assert!(!has(3, 4) && !has(4, 3), "no wrap across a row end");
+        assert!(!noc.link_faulted(3, 4) && !noc.link_faulted(0, 99));
     }
 
     #[test]

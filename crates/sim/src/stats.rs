@@ -33,6 +33,11 @@ impl CoreTrace {
         }
     }
 
+    /// Forgets every interval, keeping the buffer for the next epoch.
+    pub(crate) fn clear(&mut self) {
+        self.intervals.clear();
+    }
+
     /// All recorded intervals in insertion order.
     pub fn intervals(&self) -> &[(u64, u64, Activity)] {
         &self.intervals

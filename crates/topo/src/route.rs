@@ -11,7 +11,7 @@
 //! the allocated set) and [`path_directions`] converts it into the per-node
 //! direction entries stored in the routing table.
 
-use crate::{NodeId, Result, TopoError, Topology};
+use crate::{MeshShape, NodeId, Result, TopoError, Topology};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -49,27 +49,51 @@ impl fmt::Display for Direction {
 ///
 /// # Errors
 ///
-/// Returns [`TopoError::Unroutable`] if `topo` is not a mesh.
+/// Returns [`TopoError::Unroutable`] if `topo` is not a mesh or an
+/// endpoint lies outside it.
 pub fn dor_path(topo: &Topology, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>> {
-    let (sx, sy) = topo.mesh_coord(src).ok_or(TopoError::Unroutable {
+    let shape = topo.mesh_shape().ok_or(TopoError::Unroutable {
         src: src.0,
         dst: dst.0,
     })?;
-    let (dx, dy) = topo.mesh_coord(dst).ok_or(TopoError::Unroutable {
-        src: src.0,
-        dst: dst.0,
-    })?;
-    let mut path = vec![src];
-    let (mut x, mut y) = (sx, sy);
+    let mut path = Vec::new();
+    dor_walk(shape, src, dst, |n| path.push(n))?;
+    Ok(path)
+}
+
+/// Walks the dimension-order (X-then-Y) route between two nodes of a
+/// row-major `shape` mesh, calling `visit` on every node of the route in
+/// order, both endpoints included. Needs no graph and allocates nothing,
+/// so per-packet routers can stream a route into a buffer they reuse.
+///
+/// # Errors
+///
+/// Returns [`TopoError::Unroutable`] if either endpoint lies outside the
+/// mesh (nothing is visited).
+pub fn dor_walk(
+    shape: MeshShape,
+    src: NodeId,
+    dst: NodeId,
+    mut visit: impl FnMut(NodeId),
+) -> Result<()> {
+    if src.index() >= shape.len() || dst.index() >= shape.len() {
+        return Err(TopoError::Unroutable {
+            src: src.0,
+            dst: dst.0,
+        });
+    }
+    let (mut x, mut y) = (src.0 % shape.width, src.0 / shape.width);
+    let (dx, dy) = (dst.0 % shape.width, dst.0 / shape.width);
+    visit(src);
     while x != dx {
         x = if dx > x { x + 1 } else { x - 1 };
-        path.push(topo.mesh_node(x, y).expect("mesh coordinate in range"));
+        visit(NodeId(y * shape.width + x));
     }
     while y != dy {
         y = if dy > y { y + 1 } else { y - 1 };
-        path.push(topo.mesh_node(x, y).expect("mesh coordinate in range"));
+        visit(NodeId(y * shape.width + x));
     }
-    Ok(path)
+    Ok(())
 }
 
 /// Computes a shortest path from `src` to `dst` that stays inside
@@ -300,6 +324,20 @@ mod tests {
     fn dor_on_non_mesh_errors() {
         let t = Topology::ring(5);
         assert!(dor_path(&t, NodeId(0), NodeId(2)).is_err());
+    }
+
+    #[test]
+    fn dor_walk_rejects_endpoints_outside_the_mesh() {
+        let shape = MeshShape {
+            width: 3,
+            height: 2,
+        };
+        let mut visited = Vec::new();
+        assert!(dor_walk(shape, NodeId(0), NodeId(6), |n| visited.push(n.0)).is_err());
+        assert!(dor_walk(shape, NodeId(9), NodeId(0), |n| visited.push(n.0)).is_err());
+        assert!(visited.is_empty(), "a refused walk visits nothing");
+        dor_walk(shape, NodeId(5), NodeId(0), |n| visited.push(n.0)).unwrap();
+        assert_eq!(visited, vec![5, 4, 3, 0]);
     }
 
     #[test]

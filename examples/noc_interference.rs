@@ -18,8 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("physical mesh 4x3; vNPU2 owns cores {vnpu2:?}");
 
     // Virtual core 3 (physical 11) sends to virtual core 1 (physical 6).
-    let dor = VRouterNoc::new(topo.clone(), vnpu2.clone(), RoutePolicy::Dor);
-    let confined = VRouterNoc::new(topo.clone(), vnpu2.clone(), RoutePolicy::Confined);
+    let mut dor = VRouterNoc::new(topo.clone(), vnpu2.clone(), RoutePolicy::Dor);
+    let mut confined = VRouterNoc::new(topo.clone(), vnpu2.clone(), RoutePolicy::Confined);
 
     let dor_path = dor.path(11, 6)?;
     let confined_path = confined.path(11, 6)?;

@@ -62,6 +62,16 @@ cargo test --test conc_mutations -q
 VNPU_CONC_PROBE=1 cargo bench --bench parallel_tick -- --quick
 echo "conc gate: mutants flagged, shipped code clean under the probe"
 
+echo "== epoch-memo differential gate =="
+# The serve loop reuses a chip's last epoch while its inputs are
+# unchanged. `cargo test` builds with debug assertions, where every reuse
+# is also bound and simulated afresh and must give the same makespan; the
+# campaign drives that oracle through admissions, retirements, defrag
+# core and memory moves, drains, faults, repairs, recoveries and core
+# rescales, and fails if no epoch was reused or a kind of event is absent.
+cargo test --test props -q epoch_memo_matches_fresh_epochs_under_reconfiguration
+echo "epoch-memo gate: reused epochs equal fresh ones under reconfiguration"
+
 echo "== cargo bench --bench defrag_churn -- --quick =="
 cargo bench --bench defrag_churn -- --quick
 

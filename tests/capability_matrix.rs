@@ -75,14 +75,14 @@ fn interconnection_virtualization_confines_paths() {
         .unwrap();
     let vnpu = hv.vnpu(vm).unwrap();
     let own: Vec<u32> = vnpu.mapping().phys_nodes().iter().map(|n| n.0).collect();
-    let services = vnpu.services(VirtCoreId(0)).unwrap();
+    let mut services = vnpu.services(VirtCoreId(0)).unwrap();
     for &src in &own {
         for &dst in &own {
             if src == dst {
                 continue;
             }
             let path = services.router.path(src, dst).unwrap();
-            for hop in &path {
+            for hop in path {
                 assert!(
                     own.contains(hop),
                     "isolated vNPU path {src}->{dst} crosses foreign core {hop}"

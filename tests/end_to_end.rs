@@ -167,7 +167,7 @@ fn headline_claim_vnpu_beats_mig_tdm_on_gpt2_large() {
 /// the bench crate's helper without depending on it).
 fn vnpu_bench_router(cfg: &SocConfig, v2p: Vec<u32>) -> impl vnpu_sim::noc::NocRouter {
     struct Remap {
-        topo: vnpu_topo::Topology,
+        dor: vnpu_sim::noc::DorRouter,
         v2p: Vec<u32>,
     }
     impl vnpu_sim::noc::NocRouter for Remap {
@@ -180,17 +180,15 @@ fn vnpu_bench_router(cfg: &SocConfig, v2p: Vec<u32>) -> impl vnpu_sim::noc::NocR
                     dst,
                 })
         }
-        fn path(&self, src: u32, dst: u32) -> vnpu_sim::Result<Vec<u32>> {
-            vnpu_topo::route::dor_path(&self.topo, vnpu_topo::NodeId(src), vnpu_topo::NodeId(dst))
-                .map(|p| p.into_iter().map(|n| n.0).collect())
-                .map_err(|_| vnpu_sim::SimError::RouteFault { core: src, dst })
+        fn path(&mut self, src: u32, dst: u32) -> vnpu_sim::Result<&[u32]> {
+            self.dor.path(src, dst)
         }
         fn name(&self) -> String {
             "remap".to_owned()
         }
     }
     Remap {
-        topo: vnpu_topo::Topology::mesh2d(cfg.mesh_width, cfg.mesh_height),
+        dor: vnpu_sim::noc::DorRouter::new(cfg),
         v2p,
     }
 }

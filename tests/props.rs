@@ -852,3 +852,167 @@ fn fault_churn_reports_are_byte_identical_across_workers() {
         },
     );
 }
+
+/// Differential campaign for the serve loop's per-chip epoch memo: a
+/// reused epoch must be indistinguishable from one bound and simulated
+/// afresh, whatever happened to the fleet in between.
+///
+/// Each case drives a 2–4-chip runtime (6×6 and 4×4 chips) through a
+/// seeded mix of everything that changes an epoch's inputs: admissions
+/// and retirements (the traffic), defragmentation migrations — core moves
+/// and memory compactions — every third tick, a seeded plan of core and
+/// link faults with repairs (onsets, recovery remaps in place, emergency
+/// re-placements on another chip, stalls, self-heals), and, from outside
+/// at seeded ticks, whole-chip drains (cross-chip evacuations) and
+/// hybrid-core reconfigurations, each of the latter re-set to the same
+/// values one tick later.
+///
+/// The oracle is built into debug builds (what tier-1 runs): there every
+/// reuse also binds and runs the epoch and asserts the same makespan, so
+/// a stale reuse panics the case. The campaign adds what makes that
+/// meaningful — epochs *were* reused in every case, and over the
+/// campaign every kind of invalidating event occurred.
+#[test]
+fn epoch_memo_matches_fresh_epochs_under_reconfiguration() {
+    use std::cell::Cell;
+    use std::sync::Arc;
+    use vnpu::cluster::LeastLoaded;
+    use vnpu::drain::ChipSchedState;
+    use vnpu::plan::GreedyDefrag;
+    use vnpu_fault::FaultPlan;
+    use vnpu_serve::{ServeConfig, ServeRuntime};
+    use vnpu_sim::SocConfig;
+
+    const TICKS: u64 = 90;
+    #[derive(Default)]
+    struct Seen {
+        admitted: Cell<u64>,
+        departed: Cell<u64>,
+        core_moves: Cell<u64>,
+        memory_moves: Cell<u64>,
+        evacuated: Cell<u64>,
+        onsets: Cell<u64>,
+        repairs: Cell<u64>,
+        remapped: Cell<u64>,
+        replaced: Cell<u64>,
+        rescaled: Cell<u64>,
+    }
+    let seen = Seen::default();
+    let add = |cell: &Cell<u64>, n: u64| cell.set(cell.get() + n);
+
+    check(
+        "epoch_memo_matches_fresh_epochs_under_reconfiguration",
+        6,
+        (
+            range(0u64..1 << 32),
+            range(2usize..5),
+            vec_of((range(5u64..TICKS - 5), range(0u32..1 << 16)), 2..7),
+        ),
+        |(seed, chips, pokes)| {
+            let small = SocConfig {
+                mesh_width: 4,
+                mesh_height: 4,
+                ..SocConfig::sim()
+            };
+            let socs: Vec<SocConfig> = (0..*chips)
+                .map(|c| {
+                    if c % 2 == 0 {
+                        SocConfig::sim()
+                    } else {
+                        small.clone()
+                    }
+                })
+                .collect();
+            let cores: Vec<u32> = socs.iter().map(SocConfig::core_count).collect();
+            let mut cfg = ServeConfig::cluster(*seed, TICKS, socs);
+            for chip in &mut cfg.chips {
+                chip.hbm_bytes = 1 << 30; // small enough for compaction to matter
+            }
+            cfg.traffic.mean_interarrival_ticks = 1;
+            cfg.traffic.mean_lifetime_epochs = 12;
+            cfg.traffic.candidate_cap = 120;
+            cfg.placement = Arc::new(LeastLoaded);
+            cfg.defrag = Some(Arc::new(GreedyDefrag::default()));
+            cfg.defrag_interval = 3;
+            let mut faults = FaultPlan::seeded(*seed ^ 0xFA17, &cores, 6, TICKS - 20, Some(9));
+            // One link fault too: its tenants are detected by route, and
+            // an in-place remap may fail to escape it.
+            faults = faults.link_fault(0, 14, 15, 20 + seed % 30, Some(60 + seed % 20));
+            cfg.fault_plan = faults;
+            cfg.record_trace = true;
+            let mut rt = ServeRuntime::new(cfg);
+
+            let mut draining: Option<usize> = None;
+            let mut reset: Vec<(u64, usize, u32, u32, u32)> = Vec::new();
+            for tick in 0..TICKS {
+                // Hand an emptied chip back; start at most one drain at a time.
+                if let Some(chip) = draining {
+                    if rt.cluster().chip(chip).vnpu_count() == 0 {
+                        rt.complete_drain(chip).map_err(|e| e.to_string())?;
+                        rt.undrain(chip).map_err(|e| e.to_string())?;
+                        draining = None;
+                    }
+                }
+                for &(at, arg) in pokes.iter().filter(|(at, _)| *at == tick) {
+                    let chip = arg as usize % chips;
+                    if arg % 3 == 0 {
+                        let idle = draining.is_none()
+                            && rt.drain_state(chip) == Ok(ChipSchedState::Schedulable);
+                        if idle && rt.begin_drain(chip).is_ok() {
+                            draining = Some(chip);
+                        }
+                    } else {
+                        let core = (arg >> 4) % cores[chip];
+                        let (m, v) = (50 + (arg >> 8) % 200, 50 + (arg >> 10) % 200);
+                        rt.set_core_scales(chip, core, m, v)
+                            .map_err(|e| e.to_string())?;
+                        reset.push((at + 1, chip, core, m, v));
+                        add(&seen.rescaled, 1);
+                    }
+                }
+                for &(_, chip, core, m, v) in reset.iter().filter(|r| r.0 == tick) {
+                    rt.set_core_scales(chip, core, m, v)
+                        .map_err(|e| e.to_string())?;
+                }
+                let ev = rt.step().map_err(|e| format!("tick {tick}: {e}"))?;
+                add(&seen.admitted, ev.admitted.len() as u64);
+                add(&seen.departed, ev.departed);
+                add(&seen.evacuated, ev.drain_migrations);
+                add(&seen.onsets, ev.fault_onsets);
+                add(&seen.repairs, ev.fault_repairs);
+                add(&seen.remapped, ev.recoveries_remapped);
+                add(&seen.replaced, ev.recoveries_replaced);
+            }
+            prop_assert!(
+                rt.epoch_memo_hits() > 0,
+                "no epoch was ever reused: the oracle checked nothing"
+            );
+            for e in rt.trace().expect("recording") {
+                if let vnpu_temporal::TraceEvent::Migrated { cost, .. } = e {
+                    add(&seen.core_moves, u64::from(cost.routing_cycles > 0));
+                    add(&seen.memory_moves, u64::from(cost.rtt_cycles > 0));
+                }
+            }
+            rt.drain().map_err(|e| e.to_string())?;
+            let report = rt.report();
+            prop_assert_eq!(report.leaked_cores, 0);
+            prop_assert_eq!(report.leaked_hbm_bytes, 0);
+            Ok(())
+        },
+    );
+
+    for (what, count) in [
+        ("admission", &seen.admitted),
+        ("retirement", &seen.departed),
+        ("defrag core move", &seen.core_moves),
+        ("defrag memory move", &seen.memory_moves),
+        ("drain evacuation", &seen.evacuated),
+        ("fault onset", &seen.onsets),
+        ("fault repair", &seen.repairs),
+        ("recovery remap", &seen.remapped),
+        ("recovery re-placement", &seen.replaced),
+        ("core rescale", &seen.rescaled),
+    ] {
+        assert!(count.get() > 0, "the campaign never exercised a {what}");
+    }
+}

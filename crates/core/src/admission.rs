@@ -5,11 +5,13 @@
 //! The paper evaluates *static* provisioning — every vNPU exists before
 //! the workload runs. A serving deployment instead sees a stream of
 //! create/destroy requests under fragmentation, where placement can fail
-//! *now* and succeed *after the next departure*. This module gives the
-//! [`crate::Hypervisor`] that lifecycle: [`Hypervisor::submit`] enqueues a
-//! request, [`Hypervisor::process_admissions`] runs one admission tick
-//! under the configured [`AdmissionPolicy`], and every attempt remains
-//! transactional (a failed placement changes nothing, exactly as a failed
+//! *now* and succeed *after the next departure*. This module holds the
+//! queue and the policies of that lifecycle; the one admission path that
+//! drives them is [`crate::cluster::Cluster`] — [`Cluster::submit`]
+//! enqueues a request, [`Cluster::process_admissions`] runs one admission
+//! tick under the configured [`AdmissionPolicy`], and a single chip is
+//! simply a 1-chip cluster. Every attempt remains transactional (a failed
+//! placement changes nothing, exactly as a failed
 //! [`Hypervisor::create_vnpu`] rolls back its partial allocations).
 //!
 //! [`AdmissionPolicy`] is an open, object-safe trait — NeuroVM-style
@@ -22,13 +24,11 @@
 //! `Hypervisor::set_admission_policy` shim have been removed — construct
 //! the trait objects directly.
 //!
-//! [`Hypervisor::submit`]: crate::Hypervisor::submit
-//! [`Hypervisor::process_admissions`]: crate::Hypervisor::process_admissions
+//! [`Cluster::submit`]: crate::cluster::Cluster::submit
+//! [`Cluster::process_admissions`]: crate::cluster::Cluster::process_admissions
 //! [`Hypervisor::create_vnpu`]: crate::Hypervisor::create_vnpu
 
-use crate::ids::VmId;
 use crate::vnpu::VnpuRequest;
-use crate::VnpuError;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -276,38 +276,6 @@ pub struct FitHint {
     pub height: u32,
 }
 
-/// Terminal outcome of one queued request during an admission tick.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmissionOutcome {
-    /// Placed; the request's virtual NPU is live.
-    Admitted(VmId),
-    /// Permanently rejected (impossible request, or attempt budget spent).
-    Rejected(VnpuError),
-}
-
-/// One terminal admission decision, as returned by
-/// [`crate::Hypervisor::process_admissions`]. Requests still queued after
-/// the tick produce no event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionEvent {
-    /// The request this decision is about.
-    pub id: RequestId,
-    /// What happened to it.
-    pub outcome: AdmissionOutcome,
-    /// The hypervisor's cumulative meta-table configuration cycle counter
-    /// ([`crate::Hypervisor::total_config_cycles`]) at the instant this
-    /// decision was made, so a scheduler can stamp each placement with
-    /// only the configuration work accrued *up to that event* rather than
-    /// charging every admission in a tick for the whole tick's work.
-    pub config_cycles_total: u64,
-    /// On a terminal rejection for want of a candidate
-    /// ([`VnpuError::Mapping`] with
-    /// [`vnpu_topo::TopoError::NoCandidate`]): the largest request shape
-    /// that *would* currently fit, if any. `None` on admissions and on
-    /// rejections with other causes.
-    pub fit_hint: Option<FitHint>,
-}
-
 #[derive(Debug)]
 pub(crate) struct PendingRequest {
     pub id: RequestId,
@@ -460,13 +428,11 @@ pub(crate) enum TickVerdict {
     EndTick,
 }
 
-/// Per-tick bookkeeping shared by the single-chip
-/// ([`crate::Hypervisor::process_admissions`]) and cluster
-/// ([`crate::cluster::Cluster::process_admissions`]) admission engines,
-/// so their semantics cannot diverge: backfill narrowing, attempt
-/// accounting, terminal/budget rejection, and [`FailureAction`]
-/// dispatch all live here. The callers own only what genuinely differs —
-/// where a request is attempted and what a rejection event carries.
+/// Per-tick bookkeeping of the admission engine
+/// ([`crate::cluster::Cluster::process_admissions`]): backfill narrowing,
+/// attempt accounting, terminal/budget rejection, and [`FailureAction`]
+/// dispatch all live here. The caller owns where a request is attempted
+/// and what a rejection event carries.
 #[derive(Debug, Default)]
 pub(crate) struct AdmissionTick {
     /// Once a policy answers [`FailureAction::BackfillBelow`], only

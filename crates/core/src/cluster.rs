@@ -6,9 +6,10 @@
 //! mapping machinery is chip-local. A [`Cluster`] lifts that to N chips
 //! (heterogeneous [`SocConfig`]s allowed) with three pieces:
 //!
-//! * a **cluster-level admission queue** reusing the same open
-//!   [`AdmissionPolicy`] trait objects the single-chip path uses — one
-//!   policy orders requests across the whole fleet;
+//! * **the admission queue** — the only one: a [`Hypervisor`] owns no
+//!   queue, and a single chip is served by a 1-chip cluster. One open
+//!   [`AdmissionPolicy`] trait object orders requests across the whole
+//!   fleet;
 //! * a [`ChipPlacement`] trait deciding *which chip* each request maps
 //!   onto ([`FirstFit`], [`BestFitFragmentation`], [`LeastLoaded`] ship);
 //! * a **shared [`ShardedMappingCache`]**: every chip's placements are
@@ -28,7 +29,12 @@
 //!
 //! Placement attempts stay transactional per chip (a failed
 //! [`Hypervisor::create_vnpu_in`] changes nothing), so cluster admission
-//! inherits the single-chip leak-freedom invariants.
+//! inherits the single-chip leak-freedom invariants. Every fleet-wide
+//! operation has one entry point — [`Cluster::process_admissions`],
+//! [`Cluster::drain_tick`], [`Cluster::defrag_pass`] — and the per-chip
+//! planning inside the latter two fans out through
+//! [`WorkerPool::lend`], which alone decides between inline and pooled
+//! execution.
 
 use crate::admission::{
     AdmissionPolicy, AdmissionQueue, AdmissionTick, FitHint, FragmentationStats, PendingView,
@@ -37,7 +43,9 @@ use crate::admission::{
 use crate::drain::{ChipSchedState, DrainMove, DrainPolicy, DrainStep};
 use crate::hypervisor::Hypervisor;
 use crate::ids::VmId;
-use crate::plan::{CommitReceipt, Defragmenter, PlanOp, ReconfigBudget, ReconfigCost};
+use crate::plan::{
+    CommitReceipt, Defragmenter, MigrationTarget, PlanOp, ReconfigBudget, ReconfigCost,
+};
 use crate::pool::WorkerPool;
 use crate::vnpu::{VirtualNpu, VnpuRequest};
 use crate::{Result, VnpuError};
@@ -45,7 +53,7 @@ use std::fmt;
 use std::sync::Arc;
 use vnpu_sim::SocConfig;
 use vnpu_topo::cache::{CacheStats, MappingCache, ShardedMappingCache};
-use vnpu_topo::mapping::{Mapper, Mapping, ProbedCache};
+use vnpu_topo::mapping::{Mapper, Mapping, ProbedCache, Strategy};
 use vnpu_topo::TopoError;
 
 /// A virtual NPU's cluster-wide identity: which chip it lives on, and
@@ -258,8 +266,9 @@ pub struct ClusterAdmissionEvent {
     pub outcome: ClusterAdmissionOutcome,
     /// The cluster-wide cumulative configuration-cycle counter
     /// ([`Cluster::total_config_cycles`]) at the instant of this
-    /// decision (same incremental-stamping contract as the single-chip
-    /// [`crate::admission::AdmissionEvent::config_cycles_total`]).
+    /// decision, so a scheduler can stamp each placement with only the
+    /// configuration work accrued *up to that event* rather than
+    /// charging every admission in a tick for the whole tick's work.
     pub config_cycles_total: u64,
     /// On a terminal no-candidate rejection: the largest request shape
     /// that would currently fit on *some* chip (the fleet-wide best
@@ -267,41 +276,58 @@ pub struct ClusterAdmissionEvent {
     pub fit_hint: Option<FitHint>,
 }
 
+/// Everything the cluster keeps for one chip, in one value — so a phase
+/// that plans per chip can lend the whole slot to a pool worker
+/// ([`WorkerPool::lend`]) instead of pulling parallel vectors apart.
+#[derive(Debug)]
+struct ChipSlot {
+    hv: Hypervisor,
+    /// The chip's dedicated cache for fit-hint and defrag probes, so
+    /// advisory probing never distorts the shared placement cache's
+    /// hit-rate statistics — and so per-chip planning can run on the
+    /// worker pool without sharing a hint table. Hint values are
+    /// deterministic pure functions of the owning chip's state, so
+    /// isolating them per chip changes no planned outcome. The cache
+    /// sits in a [`vnpu_conc::sync::Lock`] cell (site `HINT_CACHE`,
+    /// shard = chip index): exclusivity is still enforced by ownership,
+    /// but every access window is visible to an installed concurrency
+    /// probe.
+    hints: vnpu_conc::sync::Lock<MappingCache>,
+    /// Schedulability / drain lifecycle state.
+    sched: ChipSchedState,
+    /// The memoized snapshot (`None` = stale): every mutating path
+    /// clears it, so a tick's snapshot vector re-scans only the chips
+    /// that changed.
+    snap: Option<ChipSnapshot>,
+}
+
+/// [`Cluster::slot`], mutably. A free function over the `chips` field so
+/// callers keep the cluster's other fields (the shared cache) borrowable
+/// alongside.
+fn slot_mut(chips: &mut [ChipSlot], chip: usize) -> Result<&mut ChipSlot> {
+    let count = chips.len();
+    chips
+        .get_mut(chip)
+        .ok_or(VnpuError::UnknownChip { chip, count })
+}
+
 /// N hypervisor-managed chips behind one admission queue, one placement
 /// policy, and one shared mapping cache.
 #[derive(Debug)]
 pub struct Cluster {
-    chips: Vec<Hypervisor>,
+    chips: Vec<ChipSlot>,
     /// The shared placement cache, sharded behind per-shard locks so the
     /// admission workers' speculative probes never serialize on it. All
     /// *mutating* cache traffic (`get`/`insert` with statistics) still
     /// flows through the sequential merge, so contents and counters are
     /// identical at every worker count.
     cache: Arc<ShardedMappingCache>,
-    /// Dedicated per-chip caches for fit-hint and defrag probes, so
-    /// advisory probing never distorts the shared placement cache's
-    /// hit-rate statistics — and so per-chip planning phases can run on
-    /// the worker pool without sharing a hint table. Hint values are
-    /// deterministic pure functions of the owning chip's state, so
-    /// isolating them per chip changes no planned outcome. Each cache
-    /// sits in a [`vnpu_conc::sync::Lock`] cell (site `HINT_CACHE`,
-    /// shard = chip index): exclusivity is still enforced by ownership,
-    /// but every access window is visible to an installed concurrency
-    /// probe.
-    hint_caches: Vec<vnpu_conc::sync::Lock<MappingCache>>,
     admissions: AdmissionQueue,
     placement: Arc<dyn ChipPlacement>,
-    /// Per-chip schedulability / drain lifecycle state, in chip order.
-    sched: Vec<ChipSchedState>,
     /// The worker pool the parallel phases (admission probing, drain and
     /// defrag planning) fan out on. The default single-worker pool runs
     /// everything inline — the exact sequential path.
     pool: Arc<WorkerPool>,
-    /// Memoized per-chip snapshots (`None` = dirty): every mutating path
-    /// invalidates the touched chip, so a tick's snapshot vector is
-    /// assembled from cached entries instead of re-scanning every chip's
-    /// free region each tick.
-    snap_cache: Vec<Option<ChipSnapshot>>,
 }
 
 impl Cluster {
@@ -324,25 +350,26 @@ impl Cluster {
     /// Panics when `chips` is empty.
     pub fn with_chips(chips: Vec<Hypervisor>) -> Self {
         assert!(!chips.is_empty(), "a cluster owns at least one chip");
-        let count = chips.len();
-        let sched = vec![ChipSchedState::Schedulable; count];
+        let chips = chips
+            .into_iter()
+            .enumerate()
+            .map(|(i, hv)| ChipSlot {
+                hv,
+                hints: vnpu_conc::sync::Lock::new(
+                    &vnpu_conc::sites::HINT_CACHE,
+                    MappingCache::default(),
+                )
+                .at_shard(i as u32),
+                sched: ChipSchedState::Schedulable,
+                snap: None,
+            })
+            .collect();
         Cluster {
             chips,
             cache: Arc::new(ShardedMappingCache::default()),
-            hint_caches: (0..count)
-                .map(|i| {
-                    vnpu_conc::sync::Lock::new(
-                        &vnpu_conc::sites::HINT_CACHE,
-                        MappingCache::default(),
-                    )
-                    .at_shard(i as u32)
-                })
-                .collect(),
             admissions: AdmissionQueue::default(),
             placement: Arc::new(FirstFit),
-            sched,
             pool: Arc::new(WorkerPool::new(1)),
-            snap_cache: vec![None; count],
         }
     }
 
@@ -363,8 +390,8 @@ impl Cluster {
     /// install the probe right after construction, where the cache
     /// refcount is 1 and installation always succeeds.
     pub fn set_conc_probe(&mut self, probe: Option<Arc<dyn vnpu_conc::ConcProbe>>) -> bool {
-        for cache in &mut self.hint_caches {
-            cache.set_probe(probe.clone());
+        for slot in &mut self.chips {
+            slot.hints.set_probe(probe.clone());
         }
         match Arc::get_mut(&mut self.cache) {
             Some(cache) => {
@@ -380,6 +407,14 @@ impl Cluster {
         self.pool.workers()
     }
 
+    /// The slot of `chip`, or [`VnpuError::UnknownChip`].
+    fn slot(&self, chip: usize) -> Result<&ChipSlot> {
+        let count = self.chips.len();
+        self.chips
+            .get(chip)
+            .ok_or(VnpuError::UnknownChip { chip, count })
+    }
+
     /// Number of chips.
     pub fn chip_count(&self) -> usize {
         self.chips.len()
@@ -391,7 +426,7 @@ impl Cluster {
     ///
     /// Panics when `index` is out of range.
     pub fn chip(&self, index: usize) -> &Hypervisor {
-        &self.chips[index]
+        &self.chips[index].hv
     }
 
     /// Mutable access to the chip at `index` — administrative operations
@@ -410,13 +445,14 @@ impl Cluster {
     /// Panics when `index` is out of range.
     pub fn chip_mut(&mut self, index: usize) -> &mut Hypervisor {
         // The caller may mutate anything; the memoized snapshot is stale.
-        self.mark_dirty(index);
-        &mut self.chips[index]
+        let slot = &mut self.chips[index];
+        slot.snap = None;
+        &mut slot.hv
     }
 
     /// The chips, in index order.
     pub fn chips(&self) -> impl Iterator<Item = &Hypervisor> {
-        self.chips.iter()
+        self.chips.iter().map(|slot| &slot.hv)
     }
 
     /// Replaces the cluster admission ordering policy (queued requests
@@ -440,7 +476,9 @@ impl Cluster {
         self.admissions.set_max_attempts(max_attempts);
     }
 
-    /// Queues a create request for the next admission tick.
+    /// Queues a create request for the next admission tick. Requests
+    /// that can *never* fit (more cores than any chip, more memory than
+    /// any HBM) are still queued; the first tick rejects them.
     pub fn submit(&mut self, req: VnpuRequest) -> RequestId {
         self.admissions.push(req)
     }
@@ -463,109 +501,83 @@ impl Cluster {
     /// Cluster-wide monotone resource-freeing counter: the sum of every
     /// chip's [`Hypervisor::free_events`].
     pub fn free_events(&self) -> u64 {
-        self.chips.iter().map(Hypervisor::free_events).sum()
+        self.chips().map(Hypervisor::free_events).sum()
     }
 
     /// Cluster-wide cumulative meta-table configuration cycles.
     pub fn total_config_cycles(&self) -> u64 {
-        self.chips.iter().map(Hypervisor::total_config_cycles).sum()
+        self.chips().map(Hypervisor::total_config_cycles).sum()
     }
 
     /// Live virtual NPUs across all chips.
     pub fn live_count(&self) -> usize {
-        self.chips.iter().map(Hypervisor::vnpu_count).sum()
+        self.chips().map(Hypervisor::vnpu_count).sum()
     }
 
     /// Total physical cores across all chips.
     pub fn total_cores(&self) -> u32 {
-        self.chips.iter().map(|h| h.config().core_count()).sum()
+        self.chips().map(|h| h.config().core_count()).sum()
     }
 
     /// Free cores across all chips.
     pub fn free_cores(&self) -> u32 {
-        self.chips.iter().map(Hypervisor::free_core_count).sum()
+        self.chips().map(Hypervisor::free_core_count).sum()
     }
 
     /// Per-chip fragmentation pictures, in chip order.
     pub fn fragmentation(&self) -> Vec<FragmentationStats> {
-        self.chips.iter().map(Hypervisor::fragmentation).collect()
+        self.chips().map(Hypervisor::fragmentation).collect()
     }
 
-    /// Per-chip placement snapshots, in chip order.
-    pub fn snapshots(&self) -> Vec<ChipSnapshot> {
-        (0..self.chips.len()).map(|i| self.snapshot_of(i)).collect()
-    }
-
-    /// The placement snapshot of one chip.
+    /// The placement snapshot of one chip, scanned afresh (read-only —
+    /// the form audits and tests use; the tick-rate entry points are
+    /// [`Cluster::tick_snapshots`] and [`Cluster::snapshot_cached`]).
     ///
     /// # Panics
     ///
     /// Panics when `index` is out of range.
     pub fn snapshot_of(&self, index: usize) -> ChipSnapshot {
-        let h = &self.chips[index];
-        let frag = h.fragmentation();
+        let ChipSlot { hv, sched, .. } = &self.chips[index];
+        let frag = hv.fragmentation();
         ChipSnapshot {
             chip: index,
-            total_cores: h.config().core_count(),
+            total_cores: hv.config().core_count(),
             free_cores: frag.free_cores,
-            faulted_cores: h.faulted_core_count(),
+            faulted_cores: hv.faulted_core_count(),
             free_components: frag.free_components,
             largest_free_component: frag.largest_free_component,
             free_connectivity: frag.free_connectivity,
             hbm_free_bytes: frag.hbm_free_bytes,
-            hbm_total_bytes: h.hbm_total_bytes(),
+            hbm_total_bytes: hv.hbm_total_bytes(),
             hbm_largest_free_block: frag.hbm_largest_free_block,
             hbm_external_fragmentation: frag.hbm_external_fragmentation,
-            live_vnpus: h.vnpu_count(),
-            schedulable: self.sched[index] == ChipSchedState::Schedulable,
-        }
-    }
-
-    /// Marks one chip's memoized snapshot stale. Every mutating path
-    /// (placements, teardowns, migrations, drain-lifecycle transitions,
-    /// [`Cluster::chip_mut`]) calls this, so [`Cluster::tick_snapshots`]
-    /// re-scans only the chips that actually changed.
-    fn mark_dirty(&mut self, chip: usize) {
-        if let Some(slot) = self.snap_cache.get_mut(chip) {
-            *slot = None;
+            live_vnpus: hv.vnpu_count(),
+            schedulable: *sched == ChipSchedState::Schedulable,
         }
     }
 
     /// The per-chip snapshots, in chip order, served from the memoized
     /// store — only chips touched since the last call are re-scanned.
-    /// This is the tick-rate entry point; [`Cluster::snapshots`] stays
-    /// the always-fresh (read-only) form for audits and tests.
     pub fn tick_snapshots(&mut self) -> Vec<ChipSnapshot> {
         (0..self.chips.len())
             .map(|i| self.snapshot_cached(i))
             .collect()
     }
 
-    /// One chip's snapshot from the memoized store (re-scanned only when
-    /// stale).
+    /// One chip's snapshot from the memoized store, re-scanned only when
+    /// stale. Every mutating path (placements, teardowns, migrations,
+    /// fault and drain-lifecycle transitions, [`Cluster::chip_mut`])
+    /// marks the chips it touched stale, so this is always the current
+    /// picture.
     ///
     /// # Panics
     ///
     /// Panics when `index` is out of range.
     pub fn snapshot_cached(&mut self, index: usize) -> ChipSnapshot {
-        if self.snap_cache[index].is_none() {
-            self.snap_cache[index] = Some(self.snapshot_of(index));
+        if self.chips[index].snap.is_none() {
+            self.chips[index].snap = Some(self.snapshot_of(index));
         }
-        self.snap_cache[index].clone().expect("just filled")
-    }
-
-    /// Recomputes one chip's snapshot and refreshes the memoized store —
-    /// the serve loop uses this for chips its drain/defrag bookkeeping
-    /// just touched, keeping the tick at one free-region scan per
-    /// *changed* chip.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub fn snapshot_refresh(&mut self, index: usize) -> ChipSnapshot {
-        let snap = self.snapshot_of(index);
-        self.snap_cache[index] = Some(snap.clone());
-        snap
+        self.chips[index].snap.clone().expect("just filled")
     }
 
     // ------------------------------------------------------------------
@@ -578,16 +590,13 @@ impl Cluster {
     ///
     /// [`VnpuError::UnknownChip`] for an out-of-range index.
     pub fn drain_state(&self, chip: usize) -> Result<ChipSchedState> {
-        self.sched.get(chip).copied().ok_or(VnpuError::UnknownChip {
-            chip,
-            count: self.chips.len(),
-        })
+        Ok(self.slot(chip)?.sched)
     }
 
     /// Whether the chip may currently be nominated for placements.
     /// Out-of-range indices are simply not schedulable.
     pub fn is_schedulable(&self, chip: usize) -> bool {
-        self.sched.get(chip) == Some(&ChipSchedState::Schedulable)
+        self.drain_state(chip) == Ok(ChipSchedState::Schedulable)
     }
 
     /// Takes a chip out of service for maintenance: from this call on it
@@ -595,7 +604,7 @@ impl Cluster {
     /// the fleet [`Cluster::fit_hint`], and refuses direct placements
     /// ([`Cluster::create_on`]) and inbound migrations. Its live tenants
     /// keep running and are moved off by budgeted
-    /// [`Cluster::drain_step`]s. Outstanding placement plans against the
+    /// [`Cluster::drain_tick`]s. Outstanding placement plans against the
     /// chip are staled ([`Hypervisor::invalidate_plans`]) so half-planned
     /// reshapes cannot land mid-drain.
     ///
@@ -604,187 +613,66 @@ impl Cluster {
     /// [`VnpuError::UnknownChip`] for a bad index; [`VnpuError::Drain`]
     /// when the chip is already draining or drained.
     pub fn begin_drain(&mut self, chip: usize) -> Result<()> {
-        let state = self.drain_state(chip)?;
-        if state != ChipSchedState::Schedulable {
+        let slot = slot_mut(&mut self.chips, chip)?;
+        if slot.sched != ChipSchedState::Schedulable {
             return Err(VnpuError::Drain {
                 chip,
                 detail: "chip is already draining or drained",
             });
         }
-        self.sched[chip] = ChipSchedState::Draining;
-        self.chips[chip].invalidate_plans();
-        self.mark_dirty(chip);
+        slot.sched = ChipSchedState::Draining;
+        slot.hv.invalidate_plans();
+        slot.snap = None;
         Ok(())
     }
 
-    /// Runs one budgeted evacuation step on a draining chip: the policy
-    /// proposes this epoch's `(tenant, destination)` set within `budget`
-    /// (destinations are the schedulable chips' snapshots), and each
-    /// proposal is applied through the transactional
-    /// [`Cluster::migrate_to_chip`] — create-before-destroy, so a failed
-    /// move leaves the tenant on the source chip. Proposals that no
-    /// longer apply (tenant departed, destination stopped fitting,
-    /// destination no longer schedulable) are skipped, not errors: the
-    /// tenants stay for a later step.
-    ///
-    /// # Errors
-    ///
-    /// [`VnpuError::UnknownChip`] for a bad index; [`VnpuError::Drain`]
-    /// when the chip is not draining.
-    pub fn drain_step(
-        &mut self,
-        chip: usize,
-        policy: &dyn DrainPolicy,
-        budget: &ReconfigBudget,
-    ) -> Result<DrainStep> {
-        if self.drain_state(chip)? != ChipSchedState::Draining {
-            return Err(VnpuError::Drain {
-                chip,
-                detail: "drain_step requires begin_drain first",
-            });
-        }
-        let destinations: Vec<ChipSnapshot> = (0..self.chips.len())
-            .filter(|&i| i != chip && self.is_schedulable(i))
-            .map(|i| self.snapshot_of(i))
-            .collect();
-        self.drain_step_inner(chip, policy, budget, &destinations)
-    }
-
-    /// [`Cluster::drain_step`] with the per-chip [`ChipSnapshot`]s
-    /// already known — the serve loop passes the tick's snapshots (in
-    /// chip order) so the maintenance phase shares the tick's single
-    /// free-region scan instead of re-scanning every destination. Stale
-    /// destination entries only cause skipped proposals (each move is
-    /// transactional), never bad state.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::drain_step`].
-    pub fn drain_step_with_snapshots(
-        &mut self,
-        chip: usize,
-        policy: &dyn DrainPolicy,
-        budget: &ReconfigBudget,
-        snapshots: &[ChipSnapshot],
-    ) -> Result<DrainStep> {
-        if self.drain_state(chip)? != ChipSchedState::Draining {
-            return Err(VnpuError::Drain {
-                chip,
-                detail: "drain_step requires begin_drain first",
-            });
-        }
-        let destinations: Vec<ChipSnapshot> = snapshots
-            .iter()
-            .filter(|s| s.chip != chip && s.schedulable)
-            .cloned()
-            .collect();
-        self.drain_step_inner(chip, policy, budget, &destinations)
-    }
-
-    fn drain_step_inner(
-        &mut self,
-        chip: usize,
-        policy: &dyn DrainPolicy,
-        budget: &ReconfigBudget,
-        destinations: &[ChipSnapshot],
-    ) -> Result<DrainStep> {
-        let proposals = policy.plan_step(&self.chips[chip], destinations, budget);
-        Ok(self.apply_drain_proposals(chip, proposals, budget))
-    }
-
-    /// Runs the maintenance phase for *every* draining chip in one call:
-    /// each chip's evacuation step is planned read-only (on the worker
-    /// pool when it is wider than one and more than one chip drains),
-    /// then the plans are applied transactionally in chip order. Returns
-    /// `(chip, step)` pairs in chip order.
+    /// Runs one budgeted evacuation step on *every* draining chip — the
+    /// one drain entry point. Each chip's policy proposes this epoch's
+    /// `(tenant, destination)` set within `budget`, read-only, against
+    /// the schedulable chips among `snapshots` (the tick's per-chip
+    /// snapshots, in chip order, so the maintenance phase shares the
+    /// tick's single free-region scan); the planning fans out through
+    /// [`WorkerPool::lend`]. The proposals are then applied in chip
+    /// order, each through the transactional [`Cluster::migrate_to_chip`]
+    /// — create-before-destroy, so a failed move leaves the tenant on the
+    /// source chip. Proposals that no longer apply (tenant departed,
+    /// destination stopped fitting or draining itself, a stale snapshot)
+    /// are skipped, not errors: the tenants stay for a later step.
+    /// Returns `(chip, step)` pairs in chip order; no chip draining means
+    /// no step.
     ///
     /// Plan-then-apply is used at every worker count, so results are
-    /// byte-identical regardless of parallelism. With a single draining
-    /// chip (the common maintenance scenario) it is also exactly
-    /// [`Cluster::drain_step_with_snapshots`]; with several, every plan
-    /// sees the tick's snapshots rather than its predecessors' moves —
-    /// a proposal staled by an earlier chip's evacuation is skipped by
-    /// the transactional apply, never applied wrongly.
-    ///
-    /// # Errors
-    ///
-    /// [`VnpuError::Drain`] is never returned (only draining chips are
-    /// selected); errors propagate as for [`Cluster::drain_step`].
+    /// byte-identical regardless of parallelism: with several chips
+    /// draining, every plan sees the tick's snapshots rather than its
+    /// predecessors' moves.
     pub fn drain_tick(
         &mut self,
         policy: &Arc<dyn DrainPolicy>,
         budget: &ReconfigBudget,
         snapshots: &[ChipSnapshot],
-    ) -> Result<Vec<(usize, DrainStep)>> {
+    ) -> Vec<(usize, DrainStep)> {
         let draining: Vec<usize> = (0..self.chips.len())
-            .filter(|&c| self.sched[c] == ChipSchedState::Draining)
+            .filter(|&c| self.chips[c].sched == ChipSchedState::Draining)
             .collect();
-        if draining.is_empty() {
-            return Ok(Vec::new());
-        }
-        let destinations_for = |chip: usize| -> Vec<ChipSnapshot> {
-            snapshots
-                .iter()
-                .filter(|s| s.chip != chip && s.schedulable)
-                .cloned()
-                .collect()
+        let destinations = |&chip: &usize| -> (usize, Vec<ChipSnapshot>) {
+            let open = snapshots.iter().filter(|s| s.chip != chip && s.schedulable);
+            (chip, open.cloned().collect())
         };
-        let plans: Vec<(usize, Vec<(VmId, usize)>)> =
-            if draining.len() > 1 && self.pool.workers() > 1 {
-                // Fan the read-only planning out: each job owns its
-                // chip's hypervisor for the duration and hands it back
-                // with the proposals, restored in chip order below.
-                let mut slots: Vec<Option<Hypervisor>> = std::mem::take(&mut self.chips)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-                let jobs: Vec<_> = draining
-                    .iter()
-                    .map(|&chip| {
-                        let hv = slots[chip].take().expect("draining chips are distinct");
-                        let policy = Arc::clone(policy);
-                        let budget = *budget;
-                        let destinations = destinations_for(chip);
-                        move || {
-                            let proposals = policy.plan_step(&hv, &destinations, &budget);
-                            (hv, proposals)
-                        }
-                    })
-                    .collect();
-                let results = self.pool.run(jobs);
-                let mut plans = Vec::with_capacity(draining.len());
-                for (&chip, (hv, proposals)) in draining.iter().zip(results) {
-                    slots[chip] = Some(hv);
-                    plans.push((chip, proposals));
-                }
-                self.chips = slots
-                    .into_iter()
-                    .map(|s| s.expect("every chip restored"))
-                    .collect();
-                plans
-            } else {
-                draining
-                    .iter()
-                    .map(|&chip| {
-                        let destinations = destinations_for(chip);
-                        (
-                            chip,
-                            policy.plan_step(&self.chips[chip], &destinations, budget),
-                        )
-                    })
-                    .collect()
-            };
-        let mut steps = Vec::with_capacity(plans.len());
-        for (chip, proposals) in plans {
-            let step = self.apply_drain_proposals(chip, proposals, budget);
-            steps.push((chip, step));
-        }
-        Ok(steps)
+        let (policy, limit) = (Arc::clone(policy), *budget);
+        let plans = self.pool.lend(
+            &mut self.chips,
+            draining.iter().map(destinations),
+            move |slot, destinations| policy.plan_step(&slot.hv, &destinations, &limit),
+        );
+        draining
+            .into_iter()
+            .zip(plans)
+            .map(|(chip, proposals)| (chip, self.apply_drain_proposals(chip, proposals, budget)))
+            .collect()
     }
 
     /// Applies one chip's drain proposals under the budget — the
-    /// sequential half of a drain step, shared by the one-chip and
-    /// whole-tick entry points.
+    /// sequential half of a drain step.
     fn apply_drain_proposals(
         &mut self,
         chip: usize,
@@ -799,8 +687,9 @@ impl Cluster {
             // tenant's *estimated* cost (the landed copy's meta-tables
             // may price slightly differently), so the post-move check
             // below bounds any estimate overshoot to a single move.
-            let affordable = self.chips[chip].vnpu(vm).is_ok_and(|v| {
-                let estimate = crate::drain::estimated_move_cost(&self.chips[chip], v);
+            let hv = &self.chips[chip].hv;
+            let affordable = hv.vnpu(vm).is_ok_and(|v| {
+                let estimate = crate::drain::estimated_move_cost(hv, v);
                 budget.admits(&step.total, step.moved.len(), &estimate)
             });
             if !affordable {
@@ -822,7 +711,7 @@ impl Cluster {
                 Err(_) => step.skipped += 1,
             }
         }
-        step.remaining = self.chips[chip].vnpu_count();
+        step.remaining = self.chips[chip].hv.vnpu_count();
         step
     }
 
@@ -835,26 +724,27 @@ impl Cluster {
     /// [`VnpuError::UnknownChip`] for a bad index; [`VnpuError::Drain`]
     /// when the chip is not draining or still has residents.
     pub fn complete_drain(&mut self, chip: usize) -> Result<()> {
-        if self.drain_state(chip)? != ChipSchedState::Draining {
+        let slot = slot_mut(&mut self.chips, chip)?;
+        if slot.sched != ChipSchedState::Draining {
             return Err(VnpuError::Drain {
                 chip,
                 detail: "complete_drain requires an active drain",
             });
         }
-        if self.chips[chip].vnpu_count() > 0 {
+        if slot.hv.vnpu_count() > 0 {
             return Err(VnpuError::Drain {
                 chip,
                 detail: "chip still has resident tenants",
             });
         }
-        self.sched[chip] = ChipSchedState::Drained;
-        self.mark_dirty(chip);
+        slot.sched = ChipSchedState::Drained;
+        slot.snap = None;
         Ok(())
     }
 
     /// Hands a draining or drained chip back to the schedulers: it is
     /// nominated and advertised again exactly as before the drain. The
-    /// cluster's hint cache is dropped so no pre-drain exhaustion proof
+    /// cluster's hint caches are dropped so no pre-drain exhaustion proof
     /// can shadow the chip's post-maintenance free region.
     ///
     /// # Errors
@@ -862,17 +752,15 @@ impl Cluster {
     /// [`VnpuError::UnknownChip`] for a bad index; [`VnpuError::Drain`]
     /// when the chip was not draining or drained.
     pub fn undrain(&mut self, chip: usize) -> Result<()> {
-        if self.drain_state(chip)? == ChipSchedState::Schedulable {
+        let slot = slot_mut(&mut self.chips, chip)?;
+        if slot.sched == ChipSchedState::Schedulable {
             return Err(VnpuError::Drain {
                 chip,
                 detail: "chip is not draining or drained",
             });
         }
-        self.sched[chip] = ChipSchedState::Schedulable;
-        for cache in &mut self.hint_caches {
-            cache.with(|hc| hc.clear());
-        }
-        self.mark_dirty(chip);
+        slot.sched = ChipSchedState::Schedulable;
+        self.reshaped(chip);
         Ok(())
     }
 
@@ -880,23 +768,19 @@ impl Cluster {
     // Hardware-fault lifecycle (the `vnpu_fault` layer's cluster hooks).
     // ------------------------------------------------------------------
 
-    /// One chip's fault-mask transition plus the cluster-level cache
-    /// hygiene every such transition needs: the chip's free region just
-    /// changed shape in a way advisory probes cannot see, so (as in
-    /// [`Cluster::undrain`]) the dedicated hint caches are dropped —
-    /// a pre-fault fit hint or exhaustion proof must not shadow the
-    /// post-fault region — and the chip's memoized snapshot is marked
+    /// Cache hygiene after `chip`'s placeable region changed shape in a
+    /// way advisory probes cannot see (a fault-mask transition, a
+    /// hand-back from maintenance): every dedicated hint cache is
+    /// dropped — a fit hint or exhaustion proof from before must not
+    /// shadow the new region — and the chip's memoized snapshot is marked
     /// stale. The *placement* cache needs no flush: its keys carry the
     /// chip's reconfiguration generation, which the fault layer evolves
     /// on every onset/repair, so stale entries expire by key.
-    fn after_fault_transition(&mut self, chip: usize, changed: bool) {
-        if !changed {
-            return;
+    fn reshaped(&mut self, chip: usize) {
+        for slot in &mut self.chips {
+            slot.hints.with(|hc| hc.clear());
         }
-        for cache in &mut self.hint_caches {
-            cache.with(|hc| hc.clear());
-        }
-        self.mark_dirty(chip);
+        self.chips[chip].snap = None;
     }
 
     /// Marks one core on one chip faulted. Returns whether the mask
@@ -921,13 +805,12 @@ impl Cluster {
     }
 
     fn set_core_fault_state(&mut self, chip: usize, core: u32, faulted: bool) -> Result<bool> {
-        let count = self.chips.len();
-        let changed = self
-            .chips
-            .get_mut(chip)
-            .ok_or(VnpuError::UnknownChip { chip, count })?
+        let changed = slot_mut(&mut self.chips, chip)?
+            .hv
             .set_core_faulted(core, faulted)?;
-        self.after_fault_transition(chip, changed);
+        if changed {
+            self.reshaped(chip);
+        }
         Ok(changed)
     }
 
@@ -950,13 +833,12 @@ impl Cluster {
     }
 
     fn set_link_fault_state(&mut self, chip: usize, a: u32, b: u32, faulted: bool) -> Result<bool> {
-        let count = self.chips.len();
-        let changed = self
-            .chips
-            .get_mut(chip)
-            .ok_or(VnpuError::UnknownChip { chip, count })?
+        let changed = slot_mut(&mut self.chips, chip)?
+            .hv
             .set_link_faulted(a, b, faulted);
-        self.after_fault_transition(chip, changed);
+        if changed {
+            self.reshaped(chip);
+        }
         Ok(changed)
     }
 
@@ -965,22 +847,20 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// As for [`Hypervisor::create_vnpu`]; additionally
+    /// [`VnpuError::UnknownChip`] for an out-of-range chip index;
     /// [`VnpuError::Drain`] when the chip is draining or drained (even
-    /// the queue-bypassing path honours the maintenance mask),
-    /// [`VnpuError::UnknownVm`] is never returned here, and an
-    /// out-of-range chip index panics.
+    /// the queue-bypassing path honours the maintenance mask); otherwise
+    /// as for [`Hypervisor::create_vnpu`].
     pub fn create_on(&mut self, chip: usize, req: VnpuRequest) -> Result<ClusterVmId> {
-        if chip < self.chips.len() && !self.is_schedulable(chip) {
+        let slot = slot_mut(&mut self.chips, chip)?;
+        if slot.sched != ChipSchedState::Schedulable {
             return Err(VnpuError::Drain {
                 chip,
                 detail: "cannot place on a draining chip",
             });
         }
-        let cache = Arc::clone(&self.cache);
-        let mut shared = &*cache;
-        let vm = self.chips[chip].create_vnpu_in(req, &mut shared)?;
-        self.mark_dirty(chip);
+        let vm = slot.hv.create_vnpu_in(req, &mut &*self.cache)?;
+        slot.snap = None;
         Ok(ClusterVmId { chip, vm })
     }
 
@@ -991,13 +871,7 @@ impl Cluster {
     /// [`VnpuError::UnknownChip`] for an out-of-range chip index,
     /// [`VnpuError::UnknownVm`] for stale IDs.
     pub fn vnpu(&self, id: ClusterVmId) -> Result<&VirtualNpu> {
-        self.chips
-            .get(id.chip)
-            .ok_or(VnpuError::UnknownChip {
-                chip: id.chip,
-                count: self.chips.len(),
-            })?
-            .vnpu(id.vm)
+        self.slot(id.chip)?.hv.vnpu(id.vm)
     }
 
     /// Tears down a virtual NPU, releasing its chip's cores and memory.
@@ -1007,28 +881,21 @@ impl Cluster {
     /// [`VnpuError::UnknownChip`] for an out-of-range chip index,
     /// otherwise as for [`Hypervisor::destroy_vnpu`].
     pub fn destroy(&mut self, id: ClusterVmId) -> Result<()> {
-        let count = self.chips.len();
-        self.chips
-            .get_mut(id.chip)
-            .ok_or(VnpuError::UnknownChip {
-                chip: id.chip,
-                count,
-            })?
-            .destroy_vnpu(id.vm)?;
-        self.mark_dirty(id.chip);
+        let slot = slot_mut(&mut self.chips, id.chip)?;
+        slot.hv.destroy_vnpu(id.vm)?;
+        slot.snap = None;
         Ok(())
     }
 
     /// The fleet-wide fit hint: the largest shape that would currently
     /// place on *some* schedulable chip, probed through the cluster's
-    /// dedicated hint cache (the shared placement cache's statistics stay
-    /// untouched). Draining and drained chips are never advertised.
+    /// dedicated hint caches (the shared placement cache's statistics
+    /// stay untouched). Draining and drained chips are never advertised.
     /// Chips are probed biggest-island-first and pruned once no remaining
     /// chip's largest free island can beat the best hint found.
     pub fn fit_hint(&mut self) -> Option<FitHint> {
         let islands: Vec<usize> = self
-            .chips
-            .iter()
+            .chips()
             .map(|h| h.fragmentation().largest_free_component)
             .collect();
         self.fit_hint_bounded(&islands)
@@ -1047,20 +914,17 @@ impl Cluster {
             .collect();
         order.sort_unstable();
         let mut best: Option<FitHint> = None;
-        let Cluster {
-            chips,
-            hint_caches,
-            sched,
-            ..
-        } = self;
         for (std::cmp::Reverse(island), i) in order {
             if best.is_some_and(|b| island as u32 <= b.cores) {
                 break; // sorted descending: nothing further can beat it
             }
-            if sched.get(i) != Some(&ChipSchedState::Schedulable) {
+            let ChipSlot {
+                hv, hints, sched, ..
+            } = &mut self.chips[i];
+            if *sched != ChipSchedState::Schedulable {
                 continue; // a draining chip's window must not be advertised
             }
-            if let Some(hint) = hint_caches[i].with(|hc| chips[i].fit_hint_in_bounded(hc, island)) {
+            if let Some(hint) = hints.with(|hc| hv.fit_hint_in_bounded(hc, island)) {
                 if best.is_none_or(|b| hint.cores > b.cores) {
                     best = Some(hint);
                 }
@@ -1071,14 +935,17 @@ impl Cluster {
 
     /// Runs one cluster admission tick: requests in (cluster) policy
     /// order, each attempted on the chips the placement policy nominates,
-    /// in order, through the shared mapping cache. Returns the tick's
-    /// terminal decisions; requests that stay queued produce no event.
+    /// in order, through the shared mapping cache — each attempt the same
+    /// transactional [`Hypervisor::create_vnpu_in`] pipeline a direct
+    /// create runs. Returns the tick's *terminal* decisions — admissions
+    /// and rejections; requests that merely stay queued produce no event.
     ///
     /// A request is terminally rejected when it cannot fit *any* chip
-    /// even idle, or when its attempt budget is spent. Non-terminal
-    /// failures defer to the admission policy's
-    /// [`crate::admission::FailureAction`],
-    /// exactly as on a single chip.
+    /// even idle, or when its attempt budget is spent. What happens after
+    /// a non-terminal failure is the admission policy's call
+    /// ([`crate::admission::FailureAction`]): head-of-line policies stop
+    /// the tick, skip-ahead policies continue, backfill policies continue
+    /// for strictly smaller requests only.
     pub fn process_admissions(&mut self) -> Vec<ClusterAdmissionEvent> {
         self.process_admissions_with_snapshots().0
     }
@@ -1102,6 +969,7 @@ impl Cluster {
         let mut snapshots = self.tick_snapshots();
         for id in self.admissions.attempt_order(free_events_at_start) {
             let Some(pending) = self.admissions.request(id) else {
+                // A policy may return stale or duplicate IDs; ignore them.
                 continue;
             };
             let view = pending.view();
@@ -1110,10 +978,12 @@ impl Cluster {
             }
             let request = pending.req.clone();
             // Terminal = impossible fleet-wide: no chip's raw capacity
-            // covers the request even when idle.
+            // covers the request even when idle. The classification only
+            // applies to *failed* attempts: if a placement path lets such
+            // a request place after all, the admission succeeds normally.
             let terminal = view.cores == 0
                 || view.memory_bytes == 0
-                || self.chips.iter().all(|h| {
+                || self.chips().all(|h| {
                     view.cores > h.config().core_count() || view.memory_bytes > h.hbm_total_bytes()
                 });
             let order = self.placement.chip_order(&view, &snapshots);
@@ -1147,18 +1017,18 @@ impl Cluster {
                             // (failed creates are transactional), so
                             // a probe always matches what the merge
                             // would compute inline.
-                            let chip_state = if self.is_schedulable(chip) {
-                                self.chips.get(chip).map(|hv| {
+                            let chip_state = self
+                                .chips
+                                .get(chip)
+                                .filter(|slot| slot.sched == ChipSchedState::Schedulable)
+                                .map(|slot| {
                                     (
-                                        hv.topology_arc(),
-                                        hv.phys_key(),
-                                        hv.topology_generation(),
-                                        hv.availability_for(&request),
+                                        slot.hv.topology_arc(),
+                                        slot.hv.phys_key(),
+                                        slot.hv.topology_generation(),
+                                        slot.hv.availability_for(&request),
                                     )
-                                })
-                            } else {
-                                None
-                            };
+                                });
                             let cache = Arc::clone(&self.cache);
                             let req_topo = request.topology().clone();
                             let strategy = request.strategy_ref().clone();
@@ -1189,18 +1059,21 @@ impl Cluster {
                 };
                 for (&chip, probe) in wave.iter().zip(probes) {
                     // Defense in depth against custom placement policies:
-                    // a draining chip is never attempted even when
-                    // nominated (the shipped policies already filter on
-                    // the snapshot's schedulability mask).
-                    if !self.is_schedulable(chip) {
-                        continue;
-                    }
-                    let Some(hv) = self.chips.get_mut(chip) else {
+                    // a draining (or out-of-range) chip is never
+                    // attempted even when nominated (the shipped policies
+                    // already filter on the snapshot's schedulability
+                    // mask).
+                    let Some(slot) = self
+                        .chips
+                        .get_mut(chip)
+                        .filter(|slot| slot.sched == ChipSchedState::Schedulable)
+                    else {
                         continue;
                     };
                     let mut probed = ProbedCache::new(&self.cache, probe);
-                    match hv.create_vnpu_in(request.clone(), &mut probed) {
+                    match slot.hv.create_vnpu_in(request.clone(), &mut probed) {
                         Ok(vm) => {
+                            slot.snap = None;
                             placed = Some(ClusterVmId { chip, vm });
                             break 'waves;
                         }
@@ -1215,7 +1088,6 @@ impl Cluster {
             match placed {
                 Some(cvm) => {
                     self.admissions.remove(id);
-                    self.mark_dirty(cvm.chip);
                     snapshots[cvm.chip] = self.snapshot_cached(cvm.chip);
                     events.push(ClusterAdmissionEvent {
                         id,
@@ -1236,9 +1108,8 @@ impl Cluster {
                         let schedulable = || {
                             self.chips
                                 .iter()
-                                .enumerate()
-                                .filter(|(i, _)| self.sched[*i] == ChipSchedState::Schedulable)
-                                .map(|(_, h)| h)
+                                .filter(|slot| slot.sched == ChipSchedState::Schedulable)
+                                .map(|slot| &slot.hv)
                         };
                         let cores_feasible = schedulable()
                             .any(|h| h.free_core_count() >= view.cores || view.temporal_sharing);
@@ -1285,54 +1156,25 @@ impl Cluster {
         (events, snapshots)
     }
 
-    /// Runs one background-defragmentation pass on one chip: the policy
-    /// proposes migrations from `stats` (pass the tick's snapshot stats —
-    /// [`ChipSnapshot::fragmentation_stats`] — to share the per-tick
-    /// scan), the chip prices them through
-    /// [`Hypervisor::plan_budgeted_in`] against the shared mapping cache
-    /// (dropping everything past `budget`) and commits the affordable
-    /// prefix atomically. Probing goes through the cluster's dedicated
-    /// hint cache so advisory probes never distort placement-cache
-    /// statistics. Returns the receipt (empty when the policy proposed
-    /// nothing or nothing was affordable).
+    /// Runs one background-defragmentation pass over *every* schedulable
+    /// chip — the one defrag entry point (a draining chip is being
+    /// emptied, not compacted). The policy proposes migrations per chip
+    /// from the chip's entry in `snapshots` (the tick's per-chip
+    /// snapshots, in chip order — [`ChipSnapshot::fragmentation_stats`]),
+    /// reading only the owning chip and probing only its dedicated hint
+    /// cache, so the planning fans out through [`WorkerPool::lend`]. The
+    /// plans are then priced through [`Hypervisor::plan_budgeted_in`]
+    /// against the shared mapping cache (dropping everything past
+    /// `budget`) and the affordable prefix committed atomically, in chip
+    /// order — the same shared-cache operation sequence at any worker
+    /// count, so reports stay byte-identical. Returns `(chip, receipt)`
+    /// pairs in chip order, one per schedulable chip (empty when the
+    /// policy proposed nothing or nothing was affordable).
     ///
     /// # Errors
     ///
-    /// [`VnpuError::UnknownChip`] for a bad index; otherwise as for
-    /// [`Hypervisor::plan_in`] / [`Hypervisor::commit_in`] (a failed
-    /// commit leaves the chip untouched).
-    pub fn defrag_chip(
-        &mut self,
-        chip: usize,
-        defrag: &dyn Defragmenter,
-        budget: &ReconfigBudget,
-        stats: &FragmentationStats,
-    ) -> Result<CommitReceipt> {
-        let count = self.chips.len();
-        let Cluster {
-            chips, hint_caches, ..
-        } = self;
-        let hv = chips
-            .get_mut(chip)
-            .ok_or(VnpuError::UnknownChip { chip, count })?;
-        let ops: Vec<PlanOp> = hint_caches[chip].with(|hc| defrag.plan(hv, stats, budget, hc));
-        self.apply_defrag_ops(chip, ops, budget)
-    }
-
-    /// Runs one defragmentation pass over *every* schedulable chip: the
-    /// policy's per-chip planning (which reads only the owning chip and
-    /// its dedicated hint cache) fans out on the worker pool, then the
-    /// plans are priced and committed through the shared cache in chip
-    /// order — the same shared-cache operation sequence the sequential
-    /// per-chip loop performs, so reports stay byte-identical at any
-    /// worker count. `snapshots` are the tick's per-chip snapshots (in
-    /// chip order); each chip's [`FragmentationStats`] are taken from its
-    /// entry. Returns `(chip, receipt)` pairs in chip order, one per
-    /// schedulable chip (empty receipts included).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::defrag_chip`] on the first failing chip.
+    /// As for [`Hypervisor::commit_in`] on the first failing chip (a
+    /// failed commit leaves the chip untouched).
     pub fn defrag_pass(
         &mut self,
         defrag: &Arc<dyn Defragmenter>,
@@ -1342,77 +1184,26 @@ impl Cluster {
         let targets: Vec<usize> = (0..self.chips.len())
             .filter(|&c| self.is_schedulable(c))
             .collect();
-        if targets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let plans: Vec<(usize, Vec<PlanOp>)> = if targets.len() > 1 && self.pool.workers() > 1 {
-            // Fan the planning out: each job owns its chip's hypervisor
-            // and hint cache for the duration and hands both back.
-            let mut slots: Vec<Option<Hypervisor>> = std::mem::take(&mut self.chips)
-                .into_iter()
-                .map(Some)
-                .collect();
-            let mut hint_slots: Vec<Option<vnpu_conc::sync::Lock<MappingCache>>> =
-                std::mem::take(&mut self.hint_caches)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-            let jobs: Vec<_> = targets
-                .iter()
-                .map(|&chip| {
-                    let hv = slots[chip].take().expect("target chips are distinct");
-                    let mut hint = hint_slots[chip].take().expect("target chips are distinct");
-                    let defrag = Arc::clone(defrag);
-                    let budget = *budget;
-                    let stats = snapshots[chip].fragmentation_stats();
-                    move || {
-                        let ops = hint.with(|hc| defrag.plan(&hv, &stats, &budget, hc));
-                        (hv, hint, ops)
-                    }
-                })
-                .collect();
-            let results = self.pool.run(jobs);
-            let mut plans = Vec::with_capacity(targets.len());
-            for (&chip, (hv, hint, ops)) in targets.iter().zip(results) {
-                slots[chip] = Some(hv);
-                hint_slots[chip] = Some(hint);
-                plans.push((chip, ops));
-            }
-            self.chips = slots
-                .into_iter()
-                .map(|s| s.expect("every chip restored"))
-                .collect();
-            self.hint_caches = hint_slots
-                .into_iter()
-                .map(|s| s.expect("every hint cache restored"))
-                .collect();
-            plans
-        } else {
+        let (defrag, limit) = (Arc::clone(defrag), *budget);
+        let plans = self.pool.lend(
+            &mut self.chips,
             targets
                 .iter()
-                .map(|&chip| {
-                    let stats = snapshots[chip].fragmentation_stats();
-                    let Cluster {
-                        chips, hint_caches, ..
-                    } = self;
-                    (
-                        chip,
-                        hint_caches[chip].with(|hc| defrag.plan(&chips[chip], &stats, budget, hc)),
-                    )
-                })
-                .collect()
-        };
-        let mut receipts = Vec::with_capacity(plans.len());
-        for (chip, ops) in plans {
-            let receipt = self.apply_defrag_ops(chip, ops, budget)?;
-            receipts.push((chip, receipt));
-        }
-        Ok(receipts)
+                .map(|&chip| (chip, snapshots[chip].fragmentation_stats())),
+            move |slot, stats| {
+                let ChipSlot { hv, hints, .. } = slot;
+                hints.with(|hc| defrag.plan(hv, &stats, &limit, hc))
+            },
+        );
+        targets
+            .into_iter()
+            .zip(plans)
+            .map(|(chip, ops)| Ok((chip, self.apply_defrag_ops(chip, ops, budget)?)))
+            .collect()
     }
 
     /// Prices and commits one chip's defrag proposals through the shared
-    /// cache — the sequential half of a defrag pass, shared by the
-    /// one-chip and whole-fleet entry points.
+    /// cache — the sequential half of a defrag pass.
     fn apply_defrag_ops(
         &mut self,
         chip: usize,
@@ -1422,17 +1213,12 @@ impl Cluster {
         if ops.is_empty() {
             return Ok(CommitReceipt::default());
         }
-        let count = self.chips.len();
-        let cache = Arc::clone(&self.cache);
-        let mut shared = &*cache;
-        let hv = self
-            .chips
-            .get_mut(chip)
-            .ok_or(VnpuError::UnknownChip { chip, count })?;
+        let slot = &mut self.chips[chip];
+        let mut shared = &*self.cache;
         // Proposals are advisory: a policy whose ops cannot be planned
         // (a tenant departed under it, a target stopped fitting) skips
         // this pass instead of failing the caller's serving tick.
-        let Ok(txn) = hv.plan_budgeted_in(&ops, budget, &mut shared) else {
+        let Ok(txn) = slot.hv.plan_budgeted_in(&ops, budget, &mut shared) else {
             return Ok(CommitReceipt::default());
         };
         // Nothing to do when every affordable op resolved to a no-op
@@ -1445,8 +1231,8 @@ impl Cluster {
         if txn.is_empty() || all_noop_migrations {
             return Ok(CommitReceipt::default());
         }
-        let receipt = hv.commit_in(&txn, &mut shared)?;
-        self.mark_dirty(chip);
+        let receipt = slot.hv.commit_in(&txn, &mut shared)?;
+        slot.snap = None;
         Ok(receipt)
     }
 
@@ -1471,31 +1257,30 @@ impl Cluster {
     pub fn recover_in_place(
         &mut self,
         id: ClusterVmId,
-        strategy: &vnpu_topo::mapping::Strategy,
+        strategy: &Strategy,
     ) -> Result<ReconfigCost> {
-        let count = self.chips.len();
-        if id.chip >= count {
-            return Err(VnpuError::UnknownChip {
-                chip: id.chip,
-                count,
-            });
-        }
+        self.remap_under_pin(id, strategy.clone())
+    }
+
+    /// The one same-chip move: a remap-under-pin of `id` under
+    /// `strategy`, planned and committed as a single transaction through
+    /// the shared cache. Returns the paid cost (zero when the best
+    /// mapping is the current one).
+    fn remap_under_pin(&mut self, id: ClusterVmId, strategy: Strategy) -> Result<ReconfigCost> {
+        let slot = slot_mut(&mut self.chips, id.chip)?;
         let ops = [PlanOp::Migrate {
             vm: id.vm,
-            to: crate::plan::MigrationTarget::Remap(strategy.clone()),
+            to: MigrationTarget::Remap(strategy),
         }];
-        let cache = Arc::clone(&self.cache);
-        let mut shared = &*cache;
-        let hv = &mut self.chips[id.chip];
-        let txn = hv.plan_in(&ops, &mut shared)?;
-        let receipt = hv.commit_in(&txn, &mut shared)?;
-        let cost = receipt
+        let mut shared = &*self.cache;
+        let txn = slot.hv.plan_in(&ops, &mut shared)?;
+        let receipt = slot.hv.commit_in(&txn, &mut shared)?;
+        slot.snap = None;
+        Ok(receipt
             .migrated
             .first()
             .map(|(_, c)| *c)
-            .unwrap_or_default();
-        self.mark_dirty(id.chip);
-        Ok(cost)
+            .unwrap_or_default())
     }
 
     /// Live-migrates a virtual NPU across chips: the tenant is recreated
@@ -1506,8 +1291,10 @@ impl Cluster {
     /// the tenant's entire guest HBM crosses chips on top of its per-core
     /// scratchpad state.
     ///
-    /// Same-chip "migrations" (`to_chip == id.chip`) are planned as a
-    /// remap-under-pin transaction instead, which may be a free no-op.
+    /// Same-chip "migrations" (`to_chip == id.chip`) are a
+    /// remap-under-pin transaction instead — under the tenant's own
+    /// mapping strategy, so an exact-only tenant keeps its
+    /// edit-distance-0 guarantee — which may be a free no-op.
     ///
     /// # Errors
     ///
@@ -1521,44 +1308,16 @@ impl Cluster {
         id: ClusterVmId,
         to_chip: usize,
     ) -> Result<(ClusterVmId, ReconfigCost)> {
-        let count = self.chips.len();
-        if to_chip >= count {
-            return Err(VnpuError::UnknownChip {
-                chip: to_chip,
-                count,
-            });
-        }
-        if !self.is_schedulable(to_chip) {
+        if self.drain_state(to_chip)? != ChipSchedState::Schedulable {
             return Err(VnpuError::Drain {
                 chip: to_chip,
                 detail: "cannot migrate onto a draining chip",
             });
         }
-        let src = self.chips.get(id.chip).ok_or(VnpuError::UnknownChip {
-            chip: id.chip,
-            count,
-        })?;
-        let vnpu = src.vnpu(id.vm)?;
+        let vnpu = self.vnpu(id)?;
         if to_chip == id.chip {
-            // A same-chip "migration" is a remap-under-pin transaction —
-            // under the tenant's own mapping strategy, so an exact-only
-            // tenant keeps its edit-distance-0 guarantee.
-            let ops = [PlanOp::Migrate {
-                vm: id.vm,
-                to: crate::plan::MigrationTarget::Remap(vnpu.mapping_strategy().clone()),
-            }];
-            let cache = Arc::clone(&self.cache);
-            let mut shared = &*cache;
-            let hv = &mut self.chips[id.chip];
-            let txn = hv.plan_in(&ops, &mut shared)?;
-            let receipt = hv.commit_in(&txn, &mut shared)?;
-            let cost = receipt
-                .migrated
-                .first()
-                .map(|(_, c)| *c)
-                .unwrap_or_default();
-            self.mark_dirty(id.chip);
-            return Ok((id, cost));
+            let strategy = vnpu.mapping_strategy().clone();
+            return Ok((id, self.remap_under_pin(id, strategy)?));
         }
         // Rebuild the tenant's request faithfully: the landed copy keeps
         // every policy-level attribute of the original, including its
@@ -1575,35 +1334,35 @@ impl Cluster {
         // Cross-chip state: every byte of guest HBM plus each core's
         // scratchpad working set moves over the inter-chip fabric (the
         // same formula the drain estimate prices against).
-        let data_move = crate::drain::cross_chip_data_bytes(src, vnpu);
+        let data_move = crate::drain::cross_chip_data_bytes(&self.chips[id.chip].hv, vnpu);
         // The landed copy goes through the full provisioning pipeline
         // (not a planned create) so temporal-sharing tenants keep their
         // §7 over-provisioning path onto busy cores; create_vnpu_in is
         // itself all-or-nothing, and the source is only torn down after
         // the copy stands.
-        let cache = Arc::clone(&self.cache);
-        let mut shared = &*cache;
-        let new_vm = self.chips[to_chip].create_vnpu_in(req, &mut shared)?;
-        let landed = self.chips[to_chip].vnpu(new_vm).expect("just created");
+        let dest = &mut self.chips[to_chip].hv;
+        let new_vm = dest.create_vnpu_in(req, &mut &*self.cache)?;
+        let landed = dest.vnpu(new_vm).expect("just created");
         let routing_cycles = landed.routing_table().config_cycles();
         let rtt_cycles = vnpu_mem::rtt::rtt_deploy_cycles(landed.rtt_entries().len());
-        if let Err(e) = self.chips[id.chip].destroy_vnpu(id.vm) {
+        if let Err(e) = self.chips[id.chip].hv.destroy_vnpu(id.vm) {
             // Unwind the landed copy so a failed source teardown leaves
             // the fleet exactly as it was.
             self.chips[to_chip]
+                .hv
                 .destroy_vnpu(new_vm)
                 .expect("freshly created vm tears down");
             return Err(e);
         }
-        let cost = ReconfigCost::for_move(routing_cycles, rtt_cycles, data_move);
-        self.mark_dirty(id.chip);
-        self.mark_dirty(to_chip);
+        self.chips[id.chip].snap = None;
+        self.chips[to_chip].snap = None;
+        let to = ClusterVmId {
+            chip: to_chip,
+            vm: new_vm,
+        };
         Ok((
-            ClusterVmId {
-                chip: to_chip,
-                vm: new_vm,
-            },
-            cost,
+            to,
+            ReconfigCost::for_move(routing_cycles, rtt_cycles, data_move),
         ))
     }
 }
@@ -1627,6 +1386,23 @@ mod tests {
 
     fn two_chip_cluster() -> Cluster {
         Cluster::new(vec![sim_chip(), small_chip()])
+    }
+
+    /// One maintenance tick against the fleet's current snapshots.
+    fn drain_once(cl: &mut Cluster, budget: &ReconfigBudget) -> Vec<(usize, DrainStep)> {
+        let policy: Arc<dyn DrainPolicy> = Arc::new(crate::drain::CheapestFirstDrain);
+        let snapshots = cl.tick_snapshots();
+        cl.drain_tick(&policy, budget, &snapshots)
+    }
+
+    #[test]
+    fn create_on_an_unknown_chip_is_an_error_not_a_panic() {
+        let mut cl = two_chip_cluster();
+        assert_eq!(
+            cl.create_on(2, VnpuRequest::mesh(1, 1)),
+            Err(VnpuError::UnknownChip { chip: 2, count: 2 })
+        );
+        assert_eq!(cl.live_count(), 0);
     }
 
     #[test]
@@ -1845,8 +1621,8 @@ mod tests {
     }
 
     #[test]
-    fn defrag_chip_opens_a_larger_window() {
-        use crate::plan::{GreedyDefrag, ReconfigBudget};
+    fn defrag_pass_opens_a_larger_window() {
+        use crate::plan::GreedyDefrag;
         // Fill a 6x6 with four 3x3 quadrant tenants, then free the two
         // diagonal ones: two 9-core islands remain. Moving one surviving
         // quadrant into a freed one merges the free region into an
@@ -1861,14 +1637,13 @@ mod tests {
         let before = cl.snapshot_of(0);
         assert_eq!(before.free_components, 2);
         assert_eq!(before.largest_free_component, 9);
-        let receipt = cl
-            .defrag_chip(
-                0,
-                &GreedyDefrag::default(),
-                &ReconfigBudget::default(),
-                &before.fragmentation_stats(),
-            )
+        let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
+        let receipts = cl
+            .defrag_pass(&defrag, &ReconfigBudget::default(), &[before])
             .unwrap();
+        assert_eq!(receipts.len(), 1, "one receipt per schedulable chip");
+        let (chip, receipt) = &receipts[0];
+        assert_eq!(*chip, 0);
         assert!(receipt.migration_count() >= 1, "a window-opening move runs");
         let (_, cost) = receipt.migrated[0];
         assert!(cost.routing_cycles > 0);
@@ -1904,12 +1679,7 @@ mod tests {
     }
 
     #[test]
-    fn defrag_chip_absorbs_unplannable_proposals() {
-        use crate::admission::FragmentationStats;
-        use crate::plan::{Defragmenter, MigrationTarget, ReconfigBudget};
-        use vnpu_topo::cache::MappingCache;
-        use vnpu_topo::mapping::Strategy;
-
+    fn defrag_pass_absorbs_unplannable_proposals() {
         // A policy that always proposes moving a tenant that does not
         // exist: advisory proposals must skip the pass, not error it.
         #[derive(Debug)]
@@ -1933,11 +1703,13 @@ mod tests {
         }
         let mut cl = Cluster::new(vec![sim_chip()]);
         cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
-        let stats = cl.snapshot_of(0).fragmentation_stats();
-        let receipt = cl
-            .defrag_chip(0, &Bogus, &ReconfigBudget::default(), &stats)
+        let bogus: Arc<dyn Defragmenter> = Arc::new(Bogus);
+        let snapshots = cl.tick_snapshots();
+        let receipts = cl
+            .defrag_pass(&bogus, &ReconfigBudget::default(), &snapshots)
             .expect("unplannable advisory proposals skip the pass");
-        assert_eq!(receipt.migration_count(), 0);
+        assert_eq!(receipts.len(), 1);
+        assert_eq!(receipts[0].1.migration_count(), 0);
         assert_eq!(cl.chip(0).vnpu_count(), 1, "nothing was touched");
     }
 
@@ -1984,9 +1756,11 @@ mod tests {
 
     #[test]
     fn drain_lifecycle_masks_and_restores_schedulability() {
-        use crate::drain::{CheapestFirstDrain, ChipSchedState};
-        use crate::plan::ReconfigBudget;
         let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
+        assert!(
+            drain_once(&mut cl, &ReconfigBudget::default()).is_empty(),
+            "nothing draining, no step"
+        );
         for _ in 0..3 {
             cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
         }
@@ -2029,7 +1803,10 @@ mod tests {
             max_migrations: 2,
             ..ReconfigBudget::default()
         };
-        let step1 = cl.drain_step(0, &CheapestFirstDrain, &budget).unwrap();
+        let steps = drain_once(&mut cl, &budget);
+        assert_eq!(steps.len(), 1, "one step per draining chip");
+        let (chip, step1) = &steps[0];
+        assert_eq!(*chip, 0);
         assert_eq!(step1.moved.len(), 2, "budget caps the per-epoch moves");
         assert_eq!(step1.remaining, 1);
         assert!(
@@ -2040,14 +1817,14 @@ mod tests {
             matches!(cl.complete_drain(0), Err(VnpuError::Drain { chip: 0, .. })),
             "complete_drain refuses while residents remain"
         );
-        let step2 = cl.drain_step(0, &CheapestFirstDrain, &budget).unwrap();
+        let step2 = &drain_once(&mut cl, &budget)[0].1;
         assert!(step2.is_evacuated());
         assert_eq!(cl.chip(0).vnpu_count(), 0);
         assert_eq!(cl.chip(1).vnpu_count(), 5, "every tenant landed on chip 1");
         cl.complete_drain(0).unwrap();
         assert_eq!(cl.drain_state(0), Ok(ChipSchedState::Drained));
         assert!(
-            cl.drain_step(0, &CheapestFirstDrain, &budget).is_err(),
+            drain_once(&mut cl, &budget).is_empty(),
             "drained chips no longer step"
         );
         // Hand-back restores schedulability byte-for-byte: the chip is
@@ -2074,17 +1851,13 @@ mod tests {
 
     #[test]
     fn drain_step_skips_unplaceable_tenants() {
-        use crate::drain::CheapestFirstDrain;
-        use crate::plan::ReconfigBudget;
         // Chip 0 hosts a 5x5 tenant no other chip can take (chip 1 is
         // 4x4): the step moves what it can and reports the residual.
         let mut cl = two_chip_cluster();
         cl.create_on(0, VnpuRequest::mesh(5, 5)).unwrap();
         cl.create_on(0, VnpuRequest::mesh(1, 2)).unwrap();
         cl.begin_drain(0).unwrap();
-        let step = cl
-            .drain_step(0, &CheapestFirstDrain, &ReconfigBudget::default())
-            .unwrap();
+        let step = &drain_once(&mut cl, &ReconfigBudget::default())[0].1;
         assert_eq!(step.moved.len(), 1, "only the small tenant fits chip 1");
         assert_eq!(step.remaining, 1, "the 5x5 tenant stays resident");
         assert!(!step.is_evacuated());

@@ -17,8 +17,9 @@
 //!   unschedulable (placement policies stop nominating it, the fleet
 //!   [`crate::admission::FitHint`] stops advertising it) and stales its
 //!   outstanding placement plans;
-//! * [`crate::cluster::Cluster::drain_step`] runs one budgeted
-//!   evacuation step through [`crate::cluster::Cluster::migrate_to_chip`]
+//! * [`crate::cluster::Cluster::drain_tick`] runs one budgeted
+//!   evacuation step per draining chip through
+//!   [`crate::cluster::Cluster::migrate_to_chip`]
 //!   — create-before-destroy, so a failed move leaves the tenant on the
 //!   source chip and a tenant can never exist on two chips;
 //! * [`crate::cluster::Cluster::complete_drain`] validates the chip is
@@ -42,7 +43,7 @@ pub enum ChipSchedState {
     /// it.
     Schedulable,
     /// Being evacuated: no new placements, budgeted
-    /// [`crate::cluster::Cluster::drain_step`]s move its tenants off.
+    /// [`crate::cluster::Cluster::drain_tick`]s move its tenants off.
     Draining,
     /// Evacuated and under maintenance: empty, unschedulable, waiting
     /// for [`crate::cluster::Cluster::undrain`].
@@ -60,7 +61,7 @@ impl fmt::Display for ChipSchedState {
 }
 
 /// One tenant moved off a draining chip by a
-/// [`crate::cluster::Cluster::drain_step`].
+/// [`crate::cluster::Cluster::drain_tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainMove {
     /// The tenant's identity on the draining chip (now stale).

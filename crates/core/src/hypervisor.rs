@@ -8,10 +8,7 @@
 //! the whole provisioning pipeline and accounts the controller cycles it
 //! would cost (the Figure 11 configuration overhead).
 
-use crate::admission::{
-    AdmissionEvent, AdmissionOutcome, AdmissionPolicy, AdmissionQueue, AdmissionTick, FitHint,
-    FragmentationStats, RequestId, TickVerdict,
-};
+use crate::admission::{FitHint, FragmentationStats};
 use crate::ids::{VirtCoreId, VmId};
 use crate::meta::MetaZoneLayout;
 use crate::mmio::{MmioSpace, PfReg, Requester};
@@ -33,7 +30,7 @@ use vnpu_topo::cache::{labeled_hash, CacheStats, FreeSet, MappingCache};
 use vnpu_topo::mapping::{Mapper, Mapping, PlacementCache, Strategy};
 use vnpu_topo::{NodeId, Topology};
 
-/// Candidate-enumeration cap for [`Hypervisor::fit_hint_in`] probes:
+/// Candidate-enumeration cap for [`Hypervisor::fit_hint_in_bounded`] probes:
 /// hints are advisory, so the probe budget stays well below a real
 /// placement attempt's.
 const FIT_PROBE_CANDIDATE_CAP: usize = 200;
@@ -68,15 +65,8 @@ pub struct Hypervisor {
     mmio: MmioSpace,
     /// Memoized mapping results keyed by (request, strategy, free region).
     cache: MappingCache,
-    /// Queued create requests awaiting placement.
-    admissions: AdmissionQueue,
     /// Monotone count of vNPU destructions (drives retry-after-free).
     free_events: u64,
-    /// Memoized *fit-hint probe* results, kept separate from the
-    /// placement cache so advisory probes never inflate the
-    /// placement-memoization statistics ([`Hypervisor::cache_stats`])
-    /// that serving reports and benches assert on.
-    hint_cache: MappingCache,
     /// Reconfiguration generation, folded into every mapping-cache key:
     /// hardware changes the topology fingerprint cannot see (hybrid-core
     /// scaling alters heterogeneous match costs) bump this counter so
@@ -132,9 +122,7 @@ impl Hypervisor {
             config_cycles: 0,
             mmio,
             cache: MappingCache::default(),
-            admissions: AdmissionQueue::default(),
             free_events: 0,
-            hint_cache: MappingCache::default(),
             topo_generation: 0,
             plan_generation: 0,
             faulted: vec![false; n],
@@ -373,6 +361,14 @@ impl Hypervisor {
             .zip(&self.core_users)
             .filter(|&(&f, &users)| f && users == 0)
             .count() as u32
+    }
+
+    /// Cores that are neither free nor dead-and-unowned: what live
+    /// tenants and administrative reservations hold. After every tenant
+    /// has been retired this is the chip's core *leak* — the quantity the
+    /// serve report and the end-of-run quiescence probe both publish.
+    pub fn leaked_core_count(&self) -> u32 {
+        self.cfg.core_count() - self.free_core_count() - self.masked_core_count()
     }
 
     /// Whether any core or link fault is currently active.
@@ -694,141 +690,20 @@ impl Hypervisor {
         self.vnpu(vm)?.services(vcore)
     }
 
-    /// Queues a create request for placement by a later admission tick.
-    /// Requests that can *never* fit (more cores than the chip, more
-    /// memory than the HBM) are still queued; the first tick rejects them.
-    pub fn submit(&mut self, req: VnpuRequest) -> RequestId {
-        self.admissions.push(req)
-    }
-
-    /// Number of requests waiting for placement.
-    pub fn pending_count(&self) -> usize {
-        self.admissions.len()
-    }
-
-    /// The admission queue (policy, attempt budget, queued IDs).
-    pub fn admissions(&self) -> &AdmissionQueue {
-        &self.admissions
-    }
-
-    /// Replaces the admission ordering policy with a trait object —
-    /// any [`AdmissionPolicy`] implementation, including ones defined
-    /// outside this crate.
-    pub fn set_admission_policy_obj(&mut self, policy: std::sync::Arc<dyn AdmissionPolicy>) {
-        self.admissions.set_policy(policy);
-    }
-
-    /// Caps placement attempts per queued request (see
-    /// [`AdmissionQueue::set_max_attempts`]).
-    pub fn set_admission_max_attempts(&mut self, max_attempts: Option<u32>) {
-        self.admissions.set_max_attempts(max_attempts);
-    }
-
-    /// Runs one admission tick: attempts queued requests in policy order,
-    /// placing each through the same transactional
-    /// [`Hypervisor::create_vnpu`] pipeline (and therefore through the
-    /// mapping cache). Returns the tick's *terminal* decisions —
-    /// admissions and rejections; requests that merely stay queued produce
-    /// no event.
-    ///
-    /// Rejection happens when a request cannot possibly fit the chip
-    /// (cores or memory exceed the hardware) or when its attempt budget is
-    /// exhausted. What happens after a non-terminal failure is the
-    /// policy's call ([`crate::admission::FailureAction`]): head-of-line
-    /// policies stop the
-    /// tick, skip-ahead policies continue, backfill policies continue for
-    /// strictly smaller requests only.
-    pub fn process_admissions(&mut self) -> Vec<AdmissionEvent> {
-        let mut cache = std::mem::take(&mut self.cache);
-        let events = self.process_admissions_in(&mut cache);
-        self.cache = cache;
-        events
-    }
-
-    /// [`Hypervisor::process_admissions`] with an explicit (possibly
-    /// shared) [`MappingCache`] — the form a
-    /// [`crate::cluster::Cluster`]-managed chip uses.
-    pub fn process_admissions_in(&mut self, cache: &mut MappingCache) -> Vec<AdmissionEvent> {
-        let mut events = Vec::new();
-        let mut tick = AdmissionTick::new();
-        for id in self.admissions.attempt_order(self.free_events) {
-            let Some(req) = self.admissions.request(id) else {
-                // A policy may return stale or duplicate IDs; ignore them.
-                continue;
-            };
-            if tick.skips(&req.view()) {
-                continue;
-            }
-            // A failure is terminal (reject now, never retry) when the
-            // request can't fit the hardware even on an idle chip. The
-            // classification only applies to *failed* attempts: if a
-            // future placement path (sharding, over-provisioning) lets
-            // such a request place after all, the admission succeeds
-            // normally.
-            let terminal = req.req.core_count() == 0
-                || req.req.memory_bytes() == 0
-                || req.req.core_count() > self.cfg.core_count()
-                || req.req.memory_bytes() > self.buddy.total_bytes();
-            let request = req.req.clone();
-            match self.create_vnpu_in(request, cache) {
-                Ok(vm) => {
-                    self.admissions.remove(id);
-                    events.push(AdmissionEvent {
-                        id,
-                        outcome: AdmissionOutcome::Admitted(vm),
-                        config_cycles_total: self.config_cycles,
-                        fit_hint: None,
-                    });
-                }
-                Err(err) => {
-                    match tick.on_failure(&mut self.admissions, id, self.free_events, terminal) {
-                        TickVerdict::Reject => {
-                            let fit_hint = match &err {
-                                VnpuError::Mapping(vnpu_topo::TopoError::NoCandidate) => {
-                                    self.fit_hint()
-                                }
-                                _ => None,
-                            };
-                            events.push(AdmissionEvent {
-                                id,
-                                outcome: AdmissionOutcome::Rejected(err),
-                                config_cycles_total: self.config_cycles,
-                                fit_hint,
-                            });
-                        }
-                        TickVerdict::Defer => {}
-                        TickVerdict::EndTick => break,
-                    }
-                }
-            }
-        }
-        events
-    }
-
     /// The largest request shape that would place on the *current* free
     /// region, probed largest-first with near-square mesh shapes through
-    /// the given cache — so repeated rejections against an unchanged
-    /// free region replay the memoized exhaustion proofs instead of
+    /// the given cache — so repeated probes against an unchanged free
+    /// region replay the memoized exhaustion proofs instead of
     /// re-enumerating. `None` when nothing fits (no free cores, or every
     /// probe fails).
     ///
-    /// Pass a *dedicated* hint cache (as [`Hypervisor::fit_hint`] and the
-    /// cluster do), not the placement cache: probes are advisory and
-    /// would otherwise distort the placement-memoization hit rate.
-    pub fn fit_hint_in(&self, cache: &mut MappingCache) -> Option<FitHint> {
-        // Probes enumerate *connected* candidates, so nothing larger than
-        // the largest connected free component can succeed — start there
-        // instead of burning guaranteed-failure enumerations from the
-        // total free count.
-        let largest_island = self.fragmentation().largest_free_component;
-        self.fit_hint_in_bounded(cache, largest_island)
-    }
-
-    /// [`Hypervisor::fit_hint_in`] with the chip's largest connected free
-    /// component already known (callers that just computed
-    /// [`Hypervisor::fragmentation`] pass it in to avoid a second
-    /// free-region scan). Probing starts at `largest_island` because
-    /// larger connected candidates cannot exist.
+    /// `largest_island` is the chip's largest connected free component
+    /// ([`Hypervisor::fragmentation`], or a snapshot of it): probes
+    /// enumerate *connected* candidates, so nothing larger can succeed and
+    /// probing starts there. Pass a *dedicated* hint cache (as
+    /// [`crate::cluster::Cluster::fit_hint`] does), not the placement
+    /// cache: probes are advisory and would otherwise distort the
+    /// placement-memoization hit rate.
     pub fn fit_hint_in_bounded(
         &self,
         cache: &mut MappingCache,
@@ -869,15 +744,6 @@ impl Hypervisor {
             }
         }
         None
-    }
-
-    /// [`Hypervisor::fit_hint_in`] against this hypervisor's own
-    /// dedicated hint cache (placement-cache statistics stay untouched).
-    pub fn fit_hint(&mut self) -> Option<FitHint> {
-        let mut cache = std::mem::take(&mut self.hint_cache);
-        let hint = self.fit_hint_in(&mut cache);
-        self.hint_cache = cache;
-        hint
     }
 
     /// The per-tick fragmentation picture: free-core connectivity and
@@ -1561,6 +1427,7 @@ fn plan_compaction(buddy: &mut BuddyAllocator, old: &[Block]) -> Result<Option<C
 mod tests {
     use super::*;
     use crate::admission::{Backfill, RetryAfterFree, SmallestFirst};
+    use crate::cluster::{Cluster, ClusterAdmissionOutcome as Outcome};
     use crate::vchunk::MemMode;
     use std::sync::Arc;
 
@@ -1826,59 +1693,65 @@ mod tests {
         assert_eq!(stats.hits, 3, "subsequent identical requests must hit");
     }
 
+    // Single-chip admission. The hypervisor owns no queue: a 1-chip
+    // `Cluster` *is* the single-chip admission path, and these tests pin
+    // its queue, policy and fit-hint behaviour on one chip.
+
+    fn one_chip() -> Cluster {
+        Cluster::new(vec![SocConfig::sim()]) // 6x6
+    }
+
     #[test]
     fn admission_fifo_blocks_head_of_line() {
-        let mut h = hv();
-        h.create_vnpu(VnpuRequest::mesh(6, 5)).unwrap(); // 6 cores left
-        let big = h.submit(VnpuRequest::mesh(3, 3));
-        let small = h.submit(VnpuRequest::mesh(1, 2));
-        let events = h.process_admissions();
+        let mut cl = one_chip();
+        cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap(); // 6 cores left
+        cl.submit(VnpuRequest::mesh(3, 3));
+        cl.submit(VnpuRequest::mesh(1, 2));
+        let events = cl.process_admissions();
         assert!(events.is_empty(), "FIFO head cannot place, tick stops");
-        assert_eq!(h.pending_count(), 2);
-        let _ = (big, small);
+        assert_eq!(cl.pending_count(), 2);
     }
 
     #[test]
     fn admission_smallest_first_places_past_blocked_head() {
-        let mut h = hv();
-        h.create_vnpu(VnpuRequest::mesh(6, 5)).unwrap();
-        let big = h.submit(VnpuRequest::mesh(3, 3));
-        let small = h.submit(VnpuRequest::mesh(1, 2));
-        h.set_admission_policy_obj(Arc::new(SmallestFirst));
-        let events = h.process_admissions();
+        let mut cl = one_chip();
+        cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap();
+        cl.submit(VnpuRequest::mesh(3, 3));
+        let small = cl.submit(VnpuRequest::mesh(1, 2));
+        cl.set_admission_policy(Arc::new(SmallestFirst));
+        let events = cl.process_admissions();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].id, small);
-        assert!(matches!(events[0].outcome, AdmissionOutcome::Admitted(_)));
-        assert_eq!(h.pending_count(), 1, "big request stays queued");
-        let _ = big;
+        assert!(matches!(events[0].outcome, Outcome::Admitted(_)));
+        assert_eq!(cl.pending_count(), 1, "big request stays queued");
     }
 
     #[test]
     fn admission_retry_after_free_waits_for_departure() {
-        let mut h = hv();
-        let resident = h.create_vnpu(VnpuRequest::mesh(6, 6)).unwrap(); // full chip
-        h.set_admission_policy_obj(Arc::new(RetryAfterFree));
-        let id = h.submit(VnpuRequest::mesh(2, 2));
-        assert!(h.process_admissions().is_empty());
+        let mut cl = one_chip();
+        let resident = cl.create_on(0, VnpuRequest::mesh(6, 6)).unwrap(); // full chip
+        cl.set_admission_policy(Arc::new(RetryAfterFree));
+        let id = cl.submit(VnpuRequest::mesh(2, 2));
+        assert!(cl.process_admissions().is_empty());
+        assert_eq!(cl.admissions().views()[0].attempts, 1);
         // Without a destroy, the next tick does not even attempt it.
-        let misses_before = h.cache_stats().misses;
-        assert!(h.process_admissions().is_empty());
-        assert_eq!(h.cache_stats().misses, misses_before, "no re-attempt");
-        h.destroy_vnpu(resident).unwrap();
-        let events = h.process_admissions();
+        assert!(cl.process_admissions().is_empty());
+        assert_eq!(cl.admissions().views()[0].attempts, 1, "no re-attempt");
+        cl.destroy(resident).unwrap();
+        let events = cl.process_admissions();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].id, id);
-        assert!(matches!(events[0].outcome, AdmissionOutcome::Admitted(_)));
+        assert!(matches!(events[0].outcome, Outcome::Admitted(_)));
     }
 
     #[test]
     fn admission_events_stamp_config_cycles_incrementally() {
-        let mut h = hv();
-        h.submit(VnpuRequest::mesh(2, 2));
-        h.submit(VnpuRequest::mesh(2, 2));
-        let before = h.total_config_cycles();
-        let events = h.process_admissions();
-        let after = h.total_config_cycles();
+        let mut cl = one_chip();
+        cl.submit(VnpuRequest::mesh(2, 2));
+        cl.submit(VnpuRequest::mesh(2, 2));
+        let before = cl.total_config_cycles();
+        let events = cl.process_admissions();
+        let after = cl.total_config_cycles();
         assert_eq!(events.len(), 2);
         // Each placement deploys its own meta-tables, so the per-event
         // cumulative counters are strictly increasing and the first
@@ -1890,38 +1763,37 @@ mod tests {
 
     #[test]
     fn admission_rejects_impossible_and_budget_exhausted() {
-        let mut h = hv();
-        let impossible = h.submit(VnpuRequest::mesh(7, 7)); // 49 > 36 cores
-        let events = h.process_admissions();
+        let mut cl = one_chip();
+        let impossible = cl.submit(VnpuRequest::mesh(7, 7)); // 49 > 36 cores
+        let events = cl.process_admissions();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].id, impossible);
-        assert!(matches!(events[0].outcome, AdmissionOutcome::Rejected(_)));
+        assert!(matches!(events[0].outcome, Outcome::Rejected(_)));
 
-        h.create_vnpu(VnpuRequest::mesh(6, 6)).unwrap(); // fill the chip
-        h.set_admission_max_attempts(Some(2));
-        let starved = h.submit(VnpuRequest::mesh(2, 2));
-        assert!(h.process_admissions().is_empty(), "attempt 1 defers");
-        let events = h.process_admissions();
+        cl.create_on(0, VnpuRequest::mesh(6, 6)).unwrap(); // fill the chip
+        cl.set_max_attempts(Some(2));
+        let starved = cl.submit(VnpuRequest::mesh(2, 2));
+        assert!(cl.process_admissions().is_empty(), "attempt 1 defers");
+        let events = cl.process_admissions();
         assert_eq!(events.len(), 1, "attempt 2 exhausts the budget");
         assert_eq!(events[0].id, starved);
-        assert!(matches!(events[0].outcome, AdmissionOutcome::Rejected(_)));
-        assert_eq!(h.pending_count(), 0);
+        assert!(matches!(events[0].outcome, Outcome::Rejected(_)));
+        assert_eq!(cl.pending_count(), 0);
     }
 
     #[test]
     fn admission_backfill_skips_only_smaller_requests() {
-        let mut h = hv();
-        h.create_vnpu(VnpuRequest::mesh(6, 5)).unwrap(); // 6 cores left
-        let big = h.submit(VnpuRequest::mesh(3, 3)); // blocked head (9)
-        let same = h.submit(VnpuRequest::mesh(3, 3)); // same size: held back
-        let small = h.submit(VnpuRequest::mesh(1, 2)); // backfills
-        h.set_admission_policy_obj(Arc::new(Backfill));
-        let events = h.process_admissions();
+        let mut cl = one_chip();
+        cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap(); // 6 cores left
+        cl.submit(VnpuRequest::mesh(3, 3)); // blocked head (9)
+        cl.submit(VnpuRequest::mesh(3, 3)); // same size: held back
+        let small = cl.submit(VnpuRequest::mesh(1, 2)); // backfills
+        cl.set_admission_policy(Arc::new(Backfill));
+        let events = cl.process_admissions();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].id, small);
-        assert!(matches!(events[0].outcome, AdmissionOutcome::Admitted(_)));
-        assert_eq!(h.pending_count(), 2, "both 3x3 requests stay queued");
-        let _ = (big, same);
+        assert!(matches!(events[0].outcome, Outcome::Admitted(_)));
+        assert_eq!(cl.pending_count(), 2, "both 3x3 requests stay queued");
     }
 
     #[test]
@@ -2356,34 +2228,34 @@ mod tests {
         // check but has no *connected* candidate → NoCandidate; with a
         // budget of one attempt it is terminally rejected. The event must
         // offer the largest shape that does fit: the whole 6-core island.
-        let mut h = hv();
+        let mut cl = one_chip();
         let keep_free = [0u32, 1, 2, 6, 7, 8, 28, 29, 34, 35];
         let taken: Vec<u32> = (0..36).filter(|c| !keep_free.contains(c)).collect();
-        h.reserve_cores(&taken).unwrap();
-        h.set_admission_max_attempts(Some(1));
-        let id = h.submit(VnpuRequest::mesh(3, 3));
-        let events = h.process_admissions();
+        cl.chip_mut(0).reserve_cores(&taken).unwrap();
+        cl.set_max_attempts(Some(1));
+        let id = cl.submit(VnpuRequest::mesh(3, 3));
+        let events = cl.process_admissions();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].id, id);
         assert!(matches!(
             events[0].outcome,
-            AdmissionOutcome::Rejected(VnpuError::Mapping(vnpu_topo::TopoError::NoCandidate))
+            Outcome::Rejected(VnpuError::Mapping(vnpu_topo::TopoError::NoCandidate))
         ));
         let hint = events[0].fit_hint.expect("a 6-core island fits");
         assert_eq!(hint.cores, 6, "largest fitting shape fills the big island");
         assert_eq!((hint.width, hint.height), (3, 2));
         // Admitted events never carry a hint.
-        let mut h2 = hv();
-        h2.submit(VnpuRequest::mesh(2, 2));
-        let ev = h2.process_admissions();
+        let mut cl2 = one_chip();
+        cl2.submit(VnpuRequest::mesh(2, 2));
+        let ev = cl2.process_admissions();
         assert!(ev[0].fit_hint.is_none());
     }
 
     #[test]
     fn fit_hint_is_none_on_a_full_chip() {
-        let mut h = hv();
-        h.create_vnpu(VnpuRequest::mesh(6, 6)).unwrap();
-        assert_eq!(h.fit_hint(), None);
+        let mut cl = one_chip();
+        cl.create_on(0, VnpuRequest::mesh(6, 6)).unwrap();
+        assert_eq!(cl.fit_hint(), None);
     }
 
     #[test]
@@ -2394,24 +2266,24 @@ mod tests {
         // against a looser free region (the debug-build re-probe in
         // `fit_hint_in_bounded` proves this on every emission; acting on
         // the hint here proves it end to end).
-        let mut h = hv();
-        let vm = h.create_vnpu(VnpuRequest::mesh(2, 6)).unwrap();
-        let loose = h.fit_hint().expect("most of the chip is free");
+        let mut cl = one_chip();
+        let vm = cl.create_on(0, VnpuRequest::mesh(2, 6)).unwrap();
+        let loose = cl.fit_hint().expect("most of the chip is free");
         assert!(loose.cores >= 24, "a big island must be advertised");
         // Churn: release the block, then carve the free region up much
         // more tightly — stale cache entries now describe shapes the
         // current free set cannot hold.
-        h.destroy_vnpu(vm).unwrap();
+        cl.destroy(vm).unwrap();
         let taken: Vec<u32> = (0..36).filter(|&c| c % 3 != 0 || c >= 18).collect();
-        h.reserve_cores(&taken).unwrap();
-        let tight = h.fit_hint().expect("free cores remain");
+        cl.chip_mut(0).reserve_cores(&taken).unwrap();
+        let tight = cl.fit_hint().expect("free cores remain");
         assert!(
             tight.cores < loose.cores,
             "the tighter free set must shrink the hint"
         );
         // Acting on the hint verbatim must succeed: the advertised core
         // count rebuilds the exact near-mesh probe shape.
-        h.create_vnpu(VnpuRequest::cores(tight.cores))
+        cl.create_on(0, VnpuRequest::cores(tight.cores))
             .expect("a sound hint is placeable as advertised");
     }
 

@@ -30,9 +30,14 @@
 //! models allowed) behind one admission queue, with pluggable
 //! [`cluster::ChipPlacement`] policies and a mapping cache shared across
 //! chips (keys carry each chip's topology fingerprint, so entries never
-//! alias). Admission ordering itself is the open
-//! [`admission::AdmissionPolicy`] trait — FIFO, smallest-first,
-//! retry-after-free, backfill and aging ship in-crate. Fleet operations
+//! alias). Admission lives on the [`cluster::Cluster`] only — a
+//! [`hypervisor::Hypervisor`] places and tears down what it is told to and
+//! owns no queue, so a single chip is served by a 1-chip cluster. The
+//! ordering is the open [`admission::AdmissionPolicy`] trait — FIFO,
+//! smallest-first, retry-after-free, backfill and aging ship in-crate.
+//! Per-chip work that may overlap (drain and defrag planning, machine
+//! epochs) fans out through one method, [`pool::WorkerPool::lend`], which
+//! alone decides between inline and pooled execution. Fleet operations
 //! compose on top: [`plan`] makes every mutation a costed, atomically
 //! committable transaction, and [`drain`] turns whole-chip maintenance
 //! evacuation into a budgeted pipeline over those transactions.
@@ -76,9 +81,8 @@ pub mod vrouter;
 mod ids;
 
 pub use admission::{
-    AdmissionEvent, AdmissionOutcome, AdmissionPolicy, AdmissionQueue, Aging, Backfill,
-    FailureAction, Fifo, FitHint, FragmentationStats, PendingView, RequestId, RetryAfterFree,
-    SmallestFirst,
+    AdmissionPolicy, AdmissionQueue, Aging, Backfill, FailureAction, Fifo, FitHint,
+    FragmentationStats, PendingView, RequestId, RetryAfterFree, SmallestFirst,
 };
 pub use cluster::{
     BestFitFragmentation, ChipPlacement, ChipSnapshot, Cluster, ClusterAdmissionEvent,

@@ -3,10 +3,12 @@
 //! Same offline-first spirit as `vnpu_mem::proptest_lite`: plain
 //! `std::thread` workers draining a shared channel — no external crates,
 //! no scoped-thread tricks, no unsafe. Jobs are `'static` closures, so
-//! callers *move* owned per-chip state (a `Machine`, a `Hypervisor`, a
-//! hint cache) into each job and take it back out of the result, which is
-//! exactly the shape the deterministic serve-loop merge wants: fan work
-//! out by chip, collect results **in submission-index order**, reduce
+//! owned per-chip state (a `Machine`, a cluster's chip slot) is *moved*
+//! into each job and back out with its result — [`WorkerPool::lend`] does
+//! that for the picked elements of a `Vec`, and is the one place that
+//! chooses between running per-chip work inline and fanning it out. The
+//! shape is what the deterministic serve-loop merge wants: fan work out
+//! by chip, collect results **in submission-index order**, reduce
 //! sequentially.
 //!
 //! Determinism contract: [`WorkerPool::run`] returns results in the same
@@ -256,6 +258,75 @@ impl WorkerPool {
         let order = self.batch_order(jobs.len());
         collect_or_error(run_pooled(tx, jobs, order.as_deref())?)
     }
+
+    /// The per-chip fan-out: calls `job(&mut items[i], input)` for every
+    /// `(i, input)` in `picks` and returns the results **in pick order**.
+    /// This is the one place that decides between sequential and pooled
+    /// execution of per-chip work.
+    ///
+    /// On a single-worker pool, or with fewer than two picks, the jobs
+    /// run inline on borrowed elements, in pick order — nothing is moved,
+    /// nothing is submitted. Otherwise each picked element is *lent*:
+    /// moved into a pool job (see [`WorkerPool::run`]) and moved back
+    /// into its slot before this returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a pick indexes past `items` or names an element
+    /// twice. A panicking job is re-raised on the caller's thread as in
+    /// [`WorkerPool::run`] — but only after every lent element is back
+    /// in its slot, so `items` is whole whichever way this returns.
+    pub fn lend<T, I, R, F>(
+        &self,
+        items: &mut Vec<T>,
+        picks: impl IntoIterator<Item = (usize, I)>,
+        job: F,
+    ) -> Vec<R>
+    where
+        T: Send + 'static,
+        I: Send + 'static,
+        R: Send + 'static,
+        F: Fn(&mut T, I) -> R + Send + Sync + 'static,
+    {
+        let inline = |items: &mut Vec<T>, picks: &mut dyn Iterator<Item = (usize, I)>| {
+            picks.map(|(i, input)| job(&mut items[i], input)).collect()
+        };
+        let mut picks = picks.into_iter();
+        if self.tx.is_none() {
+            return inline(items, &mut picks);
+        }
+        let picks: Vec<(usize, I)> = picks.collect();
+        if picks.len() < 2 {
+            return inline(items, &mut picks.into_iter());
+        }
+        let job = Arc::new(job);
+        let mut slots: Vec<Option<T>> = std::mem::take(items).into_iter().map(Some).collect();
+        let (lent, jobs): (Vec<usize>, Vec<_>) = picks
+            .into_iter()
+            .map(|(i, input)| {
+                let mut item = slots[i].take().expect("picks are distinct");
+                let job = Arc::clone(&job);
+                // The panic is caught *inside* the job so the element
+                // always travels back with the outcome.
+                let lent = move || {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| job(&mut item, input)));
+                    (item, outcome)
+                };
+                (i, lent)
+            })
+            .unzip();
+        let mut outcomes = Vec::with_capacity(lent.len());
+        for (i, (item, outcome)) in lent.into_iter().zip(self.run(jobs)) {
+            slots[i] = Some(item);
+            outcomes.push(outcome);
+        }
+        items.extend(
+            slots
+                .into_iter()
+                .map(|s| s.expect("every lent element came back")),
+        );
+        collect_or_unwind(outcomes)
+    }
 }
 
 /// Executes `jobs` inline in the given permuted order, catching panics,
@@ -452,6 +523,59 @@ mod tests {
             assert_eq!(chip.len(), 5);
             assert_eq!(chip[0], c as u32);
             assert_eq!(chip[4], 99);
+        }
+    }
+
+    #[test]
+    fn lend_returns_results_in_pick_order_and_every_element_to_its_slot() {
+        for workers in [1, 2, 4] {
+            let pool = WorkerPool::new(workers);
+            let mut chips: Vec<Vec<u32>> = (0..6).map(|c| vec![c]).collect();
+            // Picks out of index order, each with its own input.
+            let picks = [(4usize, 40u32), (1, 10), (5, 50)];
+            let sums = pool.lend(&mut chips, picks, |chip, input| {
+                chip.push(input);
+                chip.iter().sum::<u32>()
+            });
+            assert_eq!(sums, vec![44, 11, 55], "workers={workers}");
+            let want: Vec<Vec<u32>> = (0..6)
+                .map(|c| match c {
+                    1 | 4 | 5 => vec![c, c * 10],
+                    _ => vec![c],
+                })
+                .collect();
+            assert_eq!(chips, want, "workers={workers}");
+            // No picks, one pick: nothing to overlap, nothing moves.
+            let none: Vec<u32> = pool.lend(&mut chips, Vec::<(usize, ())>::new(), |_, ()| 0);
+            assert!(none.is_empty());
+            let caller = thread::current().id();
+            let ran_on = pool.lend(&mut chips, [(2, ())], |_, ()| thread::current().id());
+            assert_eq!(ran_on, vec![caller], "workers={workers}");
+            assert_eq!(chips, want);
+        }
+    }
+
+    #[test]
+    fn lend_restores_every_element_before_a_job_panic_resurfaces() {
+        for workers in [1, 4] {
+            let pool = WorkerPool::new(workers);
+            let mut chips: Vec<u32> = (0..5).collect();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.lend(&mut chips, (0..5).map(|i| (i, ())), |chip, ()| {
+                    if *chip == 3 {
+                        panic!("chip 3 died");
+                    }
+                    *chip += 10;
+                })
+            }));
+            let payload = caught.expect_err("the job's panic must reach the caller");
+            assert_eq!(payload_message(payload.as_ref()), "chip 3 died");
+            assert_eq!(chips.len(), 5, "workers={workers}: no slot left empty");
+            assert_eq!(chips[3], 3, "workers={workers}");
+            assert_eq!(chips[..3], [10, 11, 12], "workers={workers}");
+            // The pool and the vector both keep working.
+            pool.lend(&mut chips, [(3, ()), (4, ())], |chip, ()| *chip += 10);
+            assert_eq!(chips[3], 13);
         }
     }
 

@@ -17,13 +17,24 @@
 //!   inter-arrival gaps, a weighted mix of virtual-topology shapes
 //!   (meshes, chains, awkward core counts) and geometric lifetimes.
 //! * [`scheduler`] — the runtime itself, **step-driven**: each
-//!   [`ServeRuntime::step`] retires expired tenants, submits arrivals to
-//!   the cluster admission queue ([`vnpu::admission`]), runs one
-//!   admission pass under the configured [`vnpu::AdmissionPolicy`] and
-//!   [`vnpu::ChipPlacement`] trait objects, samples fragmentation, and
-//!   executes one machine epoch per loaded chip
-//!   ([`vnpu_sim::machine::Machine::run_epoch`]). Callers interleave
-//!   inspection and policy swaps between steps;
+//!   [`ServeRuntime::step`] runs an ordered list of phase functions over
+//!   one shared tick context — departures, fault recovery, arrivals, one
+//!   pass of the cluster admission queue ([`vnpu::admission`]; the
+//!   cluster's is the only one) under the configured
+//!   [`vnpu::AdmissionPolicy`] and [`vnpu::ChipPlacement`] trait objects,
+//!   maintenance (one budgeted [`vnpu::Cluster::drain_tick`]),
+//!   defragmentation ([`vnpu::Cluster::defrag_pass`]), the fragmentation
+//!   sample, one machine epoch per loaded chip
+//!   ([`vnpu_sim::machine::Machine::run_epoch_makespan`], reused while
+//!   the chip's inputs are unchanged) and the optional fleet audit. Every
+//!   phase runs through a single wrapper that owns the per-phase
+//!   stopwatch ([`ServeConfig::time_phases`]) and the digest chain
+//!   ([`ServeRuntime::digest_chain`]): phases only write digest words,
+//!   the wrapper hashes and records them. Per-chip work that can overlap
+//!   (machine epochs; drain and defrag planning inside the cluster) goes
+//!   through the one fan-out method, [`vnpu::pool::WorkerPool::lend`],
+//!   which alone chooses between inline and pooled execution. Callers
+//!   interleave inspection and policy swaps between steps;
 //!   [`ServeRuntime::run`] is the thin batch loop over `step` + drain.
 //! * [`report`] — the [`ServeReport`]: accepted/rejected/queued counts,
 //!   p50/p99 time-to-placement in controller cycles, shared-cache hit

@@ -1,13 +1,17 @@
-//! The serving loop: departures → arrivals → cluster admission tick →
-//! execution epochs, repeated, with every step deterministic under the
-//! seed.
+//! The serving loop: one tick is an ordered list of phase units —
+//! departures → fault recovery → arrivals → cluster admission →
+//! maintenance (drain) → defragmentation → fragmentation sample →
+//! execution epochs → audit — repeated, with every step deterministic
+//! under the seed.
 //!
 //! Each *tick* of the runtime is one machine epoch per loaded chip. The
 //! scheduler first retires tenants whose lifetime expired (destroying
 //! their vNPUs frees cores and HBM — the fragmentation churn of §4.3),
-//! then submits the tick's arrivals to the cluster's admission queue,
+//! lands the tick's hardware faults and recovers the tenants they hit,
+//! then submits the tick's arrivals to the cluster's admission queue and
 //! runs one admission pass under the configured [`AdmissionPolicy`] and
-//! [`ChipPlacement`], and finally executes one epoch per loaded chip —
+//! [`ChipPlacement`], evacuates draining chips and defragments the others
+//! within their budgets, and finally executes one epoch per loaded chip —
 //! binding its tenants' per-core programs and running the simulator only
 //! where the chip's residents, their deployments, its hardware state or
 //! its pending migration pauses differ from the epoch it ran last, and
@@ -18,27 +22,41 @@
 //! incrementally so each placement is charged only the configuration
 //! work done up to its own admission decision.
 //!
+//! The phases are plain functions over one shared tick context (the
+//! tick's [`TickEvents`] and per-chip snapshots), listed in one array,
+//! and all run through **one wrapper**. What is instrumentation rather
+//! than serving lives in that wrapper and nowhere else: the per-phase
+//! stopwatch ([`ServeConfig::time_phases`]) and the determinism digest
+//! chain ([`ServeRuntime::digest_chain`]) — a phase only *writes digest
+//! words*, per chip; the wrapper hashes and records them. Per-chip work
+//! that may overlap (machine epochs here, drain and defrag planning in
+//! the cluster) fans out through `WorkerPool::lend`, which alone decides
+//! between inline and pooled execution.
+//!
 //! The runtime is **step-driven**: [`ServeRuntime::step`] advances one
 //! tick and returns its [`TickEvents`], so callers can interleave
 //! inspection, policy swaps ([`ServeRuntime::set_admission_policy`],
-//! [`ServeRuntime::set_placement`]) and hardware reconfiguration
-//! ([`ServeRuntime::set_core_scales`]) at epoch boundaries — the natural
-//! hook points for the migration and defragmentation passes to come.
+//! [`ServeRuntime::set_placement`]), maintenance
+//! ([`ServeRuntime::begin_drain`]) and hardware reconfiguration
+//! ([`ServeRuntime::set_core_scales`]) at epoch boundaries.
 //! [`ServeRuntime::run`] remains as the thin batch loop: step through
 //! the configured epochs, [`ServeRuntime::drain`], report.
 
-use crate::arrivals::{Arrival, ArrivalGenerator, TrafficConfig};
+use crate::arrivals::{ArrivalGenerator, TrafficConfig};
 use crate::report::{percentile, ChipReport, FragSample, ServeReport};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use vnpu::admission::{AdmissionPolicy, Fifo, FitHint, RequestId};
-use vnpu::cluster::{ChipPlacement, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit};
+use vnpu::cluster::{
+    ChipPlacement, ChipSnapshot, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit,
+};
 use vnpu::drain::{CheapestFirstDrain, ChipSchedState, DrainPolicy};
 use vnpu::plan::{Defragmenter, ReconfigBudget, ReconfigCost};
 use vnpu::pool::WorkerPool;
 use vnpu::{Hypervisor, VirtCoreId};
 use vnpu_audit::{AuditFinding, FleetAuditor};
+use vnpu_conc::Phase;
 use vnpu_fault::{FaultDetector, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use vnpu_sim::isa::{Instr, Program};
 use vnpu_sim::machine::{Machine, TenantId};
@@ -233,7 +251,7 @@ impl ServeConfig {
 }
 
 /// What one [`ServeRuntime::step`] did, for callers steering the loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TickEvents {
     /// The tick that just ran.
     pub tick: u64,
@@ -320,26 +338,75 @@ impl TemporalSink {
         }
     }
 
-    /// Whether observation-only events (pass-start snapshots, fit
-    /// hints, cache samples, quiescence probes) have a consumer. The
-    /// fold ignores them, so when this is `false` the loop skips even
-    /// *computing* them — the disabled checker costs nothing.
-    fn wants_detail(&self) -> bool {
-        self.checker.is_some() || self.trace.is_some()
+    /// Emits an observation-only event (pass-start snapshots, fit hints,
+    /// cache samples, quiescence probes) — if it has a consumer. The
+    /// fold ignores these, so with the checker and the recording both
+    /// off the event is not even *computed*: the disabled checker costs
+    /// nothing.
+    fn detail(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if self.checker.is_some() || self.trace.is_some() {
+            self.emit(event());
+        }
     }
 }
 
-/// Per-phase wall-clock accumulators (nanoseconds) — all zero unless
-/// [`ServeConfig::time_phases`] is on, so timed and untimed runs differ
-/// only in these fields.
-#[derive(Debug, Default, Clone, Copy)]
-struct PhaseNanos {
-    recovery: u64,
-    admission: u64,
-    drain: u64,
-    defrag: u64,
-    execution: u64,
+/// The phases [`ServeRuntime::step`] times and digests: one slot per
+/// [`Phase`], indexed by it.
+const TIMED_PHASES: usize = Phase::Execution as usize + 1;
+
+/// What the phases of one tick share. [`ServeRuntime::step`] builds one,
+/// hands it to every unit of [`TICK_PHASES`] in order, and returns its
+/// `events`.
+#[derive(Debug)]
+struct TickCtx {
+    tick: u64,
+    events: TickEvents,
+    /// The tick's per-chip snapshots, in chip order: produced by the
+    /// admission pass, then refreshed by the maintenance and defrag
+    /// phases for the chips they changed — one free-region scan per
+    /// *changed* chip serves admission, drain, defrag and the
+    /// fragmentation sample.
+    snapshots: Vec<ChipSnapshot>,
+    /// [`Cluster::total_config_cycles`] when the tick's arrivals were
+    /// stamped: the base each admission decision's incremental
+    /// configuration-cycle stamp is read against.
+    config_base: u64,
+    /// The digest words the running phase has written, per chip (`None`
+    /// = fleet-level); [`ServeRuntime::run_phase`] folds them into the
+    /// chain when the phase ends. `None` unless
+    /// [`vnpu_conc::ConcMode::phase_digests`] is on.
+    words: Option<BTreeMap<Option<u32>, Vec<u64>>>,
 }
+
+impl TickCtx {
+    /// Lets the running phase append to `chip`'s digest words (opening
+    /// the entry even if nothing is written: an empty entry is still a
+    /// record). Phases only ever *write words*; hashing and recording
+    /// are the wrapper's. Free when digests are off — `write` never runs.
+    fn digest(&mut self, chip: Option<usize>, write: impl FnOnce(&mut Vec<u64>)) {
+        if let Some(words) = self.words.as_mut() {
+            write(words.entry(chip.map(|c| c as u32)).or_default());
+        }
+    }
+}
+
+/// One unit of the tick: a phase body over the shared [`TickCtx`].
+type PhaseFn = fn(&mut ServeRuntime, &mut TickCtx) -> Result<(), vnpu::VnpuError>;
+
+/// The tick, as data: every phase in the order it runs. A unit listed
+/// with a [`Phase`] is timed and digested under it by
+/// [`ServeRuntime::run_phase`]; the others are bookkeeping between them.
+const TICK_PHASES: [(Option<Phase>, PhaseFn); 9] = [
+    (None, ServeRuntime::departures),
+    (Some(Phase::Recovery), ServeRuntime::recovery),
+    (None, ServeRuntime::arrivals),
+    (Some(Phase::Admission), ServeRuntime::admission),
+    (Some(Phase::Drain), ServeRuntime::maintenance),
+    (Some(Phase::Defrag), ServeRuntime::defrag),
+    (None, ServeRuntime::sample),
+    (Some(Phase::Execution), ServeRuntime::execution),
+    (None, ServeRuntime::audit),
+];
 
 /// The serving runtime: a [`Cluster`] of hypervisor-managed chips, one
 /// [`Machine`] per chip, driven through continuous churn.
@@ -350,10 +417,13 @@ pub struct ServeRuntime {
     machines: Vec<Machine>,
     generator: ArrivalGenerator,
     live: BTreeMap<ClusterVmId, LiveVnpu>,
-    /// Lifetime (epochs) of each queued request, by admission ID.
-    queued_lifetimes: HashMap<RequestId, u64>,
-    /// Controller-cycle stamp of each submission.
-    submitted_at: HashMap<RequestId, u64>,
+    /// Every request waiting in the cluster's admission queue, by
+    /// admission ID: `(tenant lifetime in epochs, controller-cycle stamp
+    /// of the submission)`. Invariant: an entry is inserted when the
+    /// request is submitted and removed by the request's terminal
+    /// admission event — the cluster emits exactly one per request — so
+    /// the ID of an admission event is always present.
+    queued: HashMap<RequestId, (u64, u64)>,
     controller_cycles: u64,
     accounted_config_cycles: u64,
     placement_cycles: Vec<u64>,
@@ -381,9 +451,10 @@ pub struct ServeRuntime {
     /// The worker pool backing the tick's parallel phases (shared with
     /// the cluster; one worker = inline sequential execution).
     pool: Arc<WorkerPool>,
-    /// Per-phase wall-clock, populated only under
-    /// [`ServeConfig::time_phases`].
-    phase_nanos: PhaseNanos,
+    /// Per-phase wall-clock (nanoseconds), indexed by [`Phase`] — all
+    /// zero unless [`ServeConfig::time_phases`] is on, so timed and
+    /// untimed runs differ only in these slots.
+    phase_nanos: [u64; TIMED_PHASES],
     /// The determinism digest chain, recorded only under
     /// [`vnpu_conc::ConcMode::phase_digests`].
     digests: Option<vnpu_conc::DigestChain>,
@@ -424,6 +495,13 @@ struct ChipEpoch {
     outcome: Option<Result<u64, vnpu_sim::SimError>>,
     /// Wall-clock of the simulator run (0 for a memo hit).
     nanos: u64,
+}
+
+impl ChipEpoch {
+    /// Bound, and still waiting for the simulator.
+    fn is_bound(&self) -> bool {
+        self.outcome.is_none()
+    }
 }
 
 impl ServeRuntime {
@@ -475,8 +553,7 @@ impl ServeRuntime {
             machines,
             generator,
             live: BTreeMap::new(),
-            queued_lifetimes: HashMap::new(),
-            submitted_at: HashMap::new(),
+            queued: HashMap::new(),
             controller_cycles: 0,
             accounted_config_cycles: 0,
             placement_cycles: Vec::new(),
@@ -489,7 +566,7 @@ impl ServeRuntime {
             auditor: FleetAuditor::new(),
             audit_findings: Vec::new(),
             pool,
-            phase_nanos: PhaseNanos::default(),
+            phase_nanos: [0; TIMED_PHASES],
             digests: cfg.conc.phase_digests.then(vnpu_conc::DigestChain::default),
             epoch_memo: cfg.chips.iter().map(|_| EpochMemo::default()).collect(),
             epoch_memo_hits: 0,
@@ -514,12 +591,6 @@ impl ServeRuntime {
     /// which names the first divergent `(tick, phase, chip)`.
     pub fn digest_chain(&self) -> Option<&vnpu_conc::DigestChain> {
         self.digests.as_ref()
-    }
-
-    /// Starts a phase stopwatch — `None` (free) unless
-    /// [`ServeConfig::time_phases`] is on.
-    fn phase_clock(&self) -> Option<Instant> {
-        self.cfg.time_phases.then(Instant::now)
     }
 
     /// Live virtual NPUs right now.
@@ -647,174 +718,185 @@ impl ServeRuntime {
         Ok(self.report())
     }
 
-    /// Advances one tick: departures, arrivals, one cluster admission
-    /// pass, a maintenance phase (one budgeted drain step per draining
-    /// chip), an optional defragmentation phase (when
-    /// [`ServeConfig::defrag`] is set), a fragmentation sample, and
-    /// (when enabled) one machine epoch on every chip with runnable
-    /// tenants — simulated where the chip's epoch inputs changed since
-    /// its last one, reused where they did not. Steps past `cfg.epochs`
-    /// keep working — the bound only applies to [`ServeRuntime::run`].
+    /// Advances one tick by running the ordered phase list over one shared
+    /// tick context: departures, fault recovery, arrivals and one cluster
+    /// admission pass, a maintenance phase (one budgeted drain step per
+    /// draining chip), an optional defragmentation phase (when
+    /// [`ServeConfig::defrag`] is set), a fragmentation sample, one
+    /// machine epoch on every chip with runnable tenants (when enabled) —
+    /// simulated where the chip's epoch inputs changed since its last
+    /// one, reused where they did not — and the optional fleet audit.
+    /// Steps past `cfg.epochs` keep working — the bound only applies to
+    /// [`ServeRuntime::run`].
     ///
     /// # Errors
     ///
     /// Propagates simulator failures; placement failures are data.
     pub fn step(&mut self) -> Result<TickEvents, vnpu::VnpuError> {
-        let tick = self.tick;
+        let mut ctx = TickCtx {
+            tick: self.tick,
+            events: TickEvents {
+                tick: self.tick,
+                ..TickEvents::default()
+            },
+            snapshots: Vec::new(),
+            config_base: 0,
+            words: self.digests.as_ref().map(|_| BTreeMap::new()),
+        };
         self.tick += 1;
         self.controller_cycles += self.cfg.tick_cycles;
-        let mut events = TickEvents {
-            tick,
-            arrivals: 0,
-            admitted: Vec::new(),
-            rejected: Vec::new(),
-            departed: 0,
-            queued: 0,
-            migrations: 0,
-            drain_migrations: 0,
-            executed_chips: 0,
-            audit_findings: 0,
-            audit_detail: Vec::new(),
-            temporal_findings: 0,
-            fault_onsets: 0,
-            fault_repairs: 0,
-            recoveries_remapped: 0,
-            recoveries_replaced: 0,
-            recoveries_pending: 0,
-            tenants_lost: 0,
-        };
-        let findings_before = self
-            .temporal
-            .checker
-            .as_ref()
-            .map_or(0, |c| c.findings().len());
+        let findings_before = self.temporal_findings().len();
+        for (phase, run) in TICK_PHASES {
+            self.run_phase(phase, run, &mut ctx)?;
+        }
+        ctx.events.temporal_findings = (self.temporal_findings().len() - findings_before) as u64;
+        Ok(ctx.events)
+    }
 
-        // 1. Departures: tenants whose lifetime expired leave first,
-        //    freeing cores/HBM for this tick's admissions.
+    /// The one wrapper every tick phase runs through. What is
+    /// instrumentation rather than serving happens here, once, *around*
+    /// the phase: the stopwatch ([`ServeConfig::time_phases`]) is started
+    /// and stopped and its reading added to the phase's
+    /// [`ServeRuntime::phase_nanos`] slot, and the digest words the phase
+    /// wrote are hashed, per chip in chip order, into the chain. A unit
+    /// without a [`Phase`] is neither timed nor digested.
+    fn run_phase(
+        &mut self,
+        phase: Option<Phase>,
+        run: PhaseFn,
+        ctx: &mut TickCtx,
+    ) -> Result<(), vnpu::VnpuError> {
+        let Some(phase) = phase else {
+            return run(self, ctx);
+        };
+        let clock = self.cfg.time_phases.then(Instant::now);
+        let result = run(self, ctx);
+        if let Some(started) = clock {
+            self.phase_nanos[phase as usize] += started.elapsed().as_nanos() as u64;
+        }
+        if let (Some(chain), Some(words)) = (self.digests.as_mut(), ctx.words.as_mut()) {
+            for (chip, words) in std::mem::take(words) {
+                let mut d = vnpu_conc::Digest::new();
+                for word in words {
+                    d.write_u64(word);
+                }
+                chain.record(ctx.tick, phase, chip, d.finish());
+            }
+        }
+        result
+    }
+
+    /// Folds the configuration cycles the hypervisors spent since the
+    /// last fold into the controller clock, and returns the cluster-wide
+    /// counter they were read from.
+    fn fold_config_cycles(&mut self) -> u64 {
+        let now = self.cluster.total_config_cycles();
+        self.controller_cycles += now - self.accounted_config_cycles;
+        self.accounted_config_cycles = now;
+        now
+    }
+
+    /// Tick phase: tenants whose lifetime expired leave first, freeing
+    /// cores/HBM for this tick's admissions.
+    fn departures(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         let expired: Vec<ClusterVmId> = self
             .live
             .values()
-            .filter(|l| l.expires_at_epoch <= tick)
+            .filter(|l| l.expires_at_epoch <= ctx.tick)
             .map(|l| l.id)
             .collect();
         for id in expired {
-            self.retire(id, tick)?;
-            events.departed += 1;
+            self.retire(id, ctx.tick)?;
+            ctx.events.departed += 1;
         }
-        // 1b. Fault-recovery phase: this tick's scheduled onsets and
-        //     repairs land (machine and hypervisor in lockstep), affected
-        //     tenants are detected, and every pending tenant gets one
-        //     recovery attempt — remap-under-pin, else emergency
-        //     cross-chip re-placement, else it stays pending until the
-        //     policy deadline declares it lost. Runs before `config_base`
-        //     is read so recovery's configuration work folds into the
-        //     controller clock with the departures, never into admission
-        //     latency stamps.
-        let t_recovery = self.phase_clock();
-        self.recovery_phase(tick, &mut events)?;
-        self.phase_nanos.recovery += elapsed_nanos(t_recovery);
+        Ok(())
+    }
 
-        // Departures (and recovery) may spend configuration cycles
-        // (meta-table teardown); fold them into the controller clock
-        // *before* this tick's arrivals are stamped, so pre-admission
-        // work never inflates their measured placement latency. Nothing
-        // between here and the admission pass touches the hypervisors'
-        // config-cycle counters, so `config_base` is also the pass's
-        // starting point.
-        let config_base = self.cluster.total_config_cycles();
-        self.controller_cycles += config_base - self.accounted_config_cycles;
-        self.accounted_config_cycles = config_base;
-
-        // 2. Arrivals enter the cluster admission queue.
-        let arrivals: Vec<Arrival> = self.generator.arrivals_for_tick(tick);
-        for arrival in arrivals {
+    /// Tick phase: the tick's arrivals enter the cluster admission queue.
+    ///
+    /// Departures and recovery may have spent configuration cycles
+    /// (meta-table teardown, remaps); they are folded into the controller
+    /// clock *before* the arrivals are stamped, so pre-admission work
+    /// never inflates their measured placement latency. Nothing between
+    /// here and the admission pass touches the hypervisors' config-cycle
+    /// counters, so the folded counter is also the pass's starting point.
+    fn arrivals(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
+        let tick = ctx.tick;
+        ctx.config_base = self.fold_config_cycles();
+        for arrival in self.generator.arrivals_for_tick(tick) {
             let id = self.cluster.submit(arrival.request);
-            self.queued_lifetimes.insert(id, arrival.lifetime_epochs);
-            self.submitted_at.insert(id, self.controller_cycles);
-            if self.temporal.wants_detail() {
-                self.temporal.emit(TraceEvent::Arrival { tick, id: id.0 });
-            }
-            events.arrivals += 1;
+            self.queued
+                .insert(id, (arrival.lifetime_epochs, self.controller_cycles));
+            self.temporal
+                .detail(|| TraceEvent::Arrival { tick, id: id.0 });
+            ctx.events.arrivals += 1;
         }
+        Ok(())
+    }
 
-        // 3. One cluster admission pass. Configuration cycles are
-        //    accounted incrementally: every decision carries the
-        //    cluster-wide cumulative config-cycle counter at the moment
-        //    it was made, so each placement is stamped with only the
-        //    configuration work accrued up to *that* event. The pass
-        //    hands back its per-chip snapshots so the defrag phase and
-        //    the fragmentation sample reuse the tick's single
-        //    free-region scan.
-        let t_admission = self.phase_clock();
-        if self.temporal.wants_detail() {
-            // Pass-start snapshot of the largest schedulable island:
-            // the sound upper bound TEMP-HINT checks every fit hint
-            // against (free regions only shrink during the pass). The
-            // pass below reuses the same memoized snapshots, so this
-            // costs no extra free-region scan.
-            let largest_island = self
+    /// Tick phase ([`Phase::Admission`]): one cluster admission pass.
+    /// Configuration cycles are accounted incrementally: every decision
+    /// carries the cluster-wide cumulative config-cycle counter at the
+    /// moment it was made, so each placement is stamped with only the
+    /// configuration work accrued up to *that* event. The pass hands back
+    /// its per-chip snapshots for the later phases to share.
+    fn admission(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
+        let tick = ctx.tick;
+        // Pass-start snapshot of the largest schedulable island: the
+        // sound upper bound TEMP-HINT checks every fit hint against (free
+        // regions only shrink during the pass). The pass below reuses the
+        // same memoized snapshots, so this costs no extra free-region
+        // scan.
+        self.temporal.detail(|| TraceEvent::AdmissionStart {
+            tick,
+            largest_island: self
                 .cluster
                 .tick_snapshots()
                 .iter()
                 .filter(|s| s.schedulable)
                 .map(|s| s.largest_free_component)
                 .max()
-                .unwrap_or(0) as u32;
-            self.temporal.emit(TraceEvent::AdmissionStart {
-                tick,
-                largest_island,
-            });
-        }
-        let (admission_events, mut snapshots) = self.cluster.process_admissions_with_snapshots();
-        if let Some(chain) = self.digests.as_mut() {
-            // Fleet-level admission digest: the merged decision sequence
-            // in nomination order — exactly what a completion-order
-            // merge would scramble.
-            let mut d = vnpu_conc::Digest::new();
+                .unwrap_or(0) as u32,
+        });
+        let (admission_events, snapshots) = self.cluster.process_admissions_with_snapshots();
+        ctx.snapshots = snapshots;
+        // Fleet-level admission digest: the merged decision sequence in
+        // nomination order — exactly what a completion-order merge would
+        // scramble.
+        ctx.digest(None, |w| {
             for event in &admission_events {
-                d.write_u64(event.id.0);
+                w.push(event.id.0);
                 match &event.outcome {
                     ClusterAdmissionOutcome::Admitted(id) => {
-                        d.write_u64(1);
-                        d.write_u64(id.chip as u64);
-                        d.write_u64(u64::from(id.vm.0));
+                        w.extend([1, id.chip as u64, u64::from(id.vm.0)]);
                     }
-                    ClusterAdmissionOutcome::Rejected(_) => d.write_u64(2),
+                    ClusterAdmissionOutcome::Rejected(_) => w.push(2),
                 }
-                d.write_u64(event.config_cycles_total);
+                w.push(event.config_cycles_total);
                 match event.fit_hint {
-                    Some(hint) => {
-                        d.write_u64(u64::from(hint.cores));
-                        d.write_u64(u64::from(hint.width));
-                        d.write_u64(u64::from(hint.height));
-                    }
-                    None => d.write_u64(0),
+                    Some(hint) => w.extend([hint.cores, hint.width, hint.height].map(u64::from)),
+                    None => w.push(0),
                 }
             }
-            chain.record(tick, vnpu_conc::Phase::Admission, None, d.finish());
-        }
+        });
         for event in admission_events {
-            let lifetime = self
-                .queued_lifetimes
+            let (lifetime, stamp) = self
+                .queued
                 .remove(&event.id)
-                .expect("every queued id has a lifetime");
-            let stamp = self
-                .submitted_at
-                .remove(&event.id)
-                .expect("every queued id has a submit stamp");
+                .expect("every admission event answers a queued request");
+            let request = event.id.0;
             match event.outcome {
                 ClusterAdmissionOutcome::Admitted(id) => {
                     self.temporal.emit(TraceEvent::Admitted {
                         tick,
-                        id: event.id.0,
+                        id: request,
                         chip: id.chip,
                         vm: id.vm.0,
                     });
                     let decided_at =
-                        self.controller_cycles + (event.config_cycles_total - config_base);
+                        self.controller_cycles + (event.config_cycles_total - ctx.config_base);
                     self.placement_cycles.push(decided_at.saturating_sub(stamp));
-                    let name = format!("chip{}vm{}", id.chip, id.vm.0);
-                    let tenant = self.machines[id.chip].add_tenant(&name);
+                    let tenant = self.machines[id.chip].add_tenant(&tenant_name(id));
                     self.live.insert(
                         id,
                         LiveVnpu {
@@ -823,81 +905,84 @@ impl ServeRuntime {
                             expires_at_epoch: tick + lifetime.max(1),
                         },
                     );
-                    events.admitted.push(id);
+                    ctx.events.admitted.push(id);
                 }
                 ClusterAdmissionOutcome::Rejected(_) => {
-                    self.temporal.emit(TraceEvent::Rejected {
-                        tick,
-                        id: event.id.0,
-                    });
-                    if self.temporal.wants_detail() {
-                        if let Some(hint) = event.fit_hint {
-                            self.temporal.emit(TraceEvent::HintEmitted {
-                                tick,
-                                id: event.id.0,
-                                cores: hint.cores,
-                            });
-                        }
+                    self.temporal
+                        .emit(TraceEvent::Rejected { tick, id: request });
+                    if let Some(hint) = event.fit_hint {
+                        self.temporal.detail(|| TraceEvent::HintEmitted {
+                            tick,
+                            id: request,
+                            cores: hint.cores,
+                        });
                     }
-                    events.rejected.push((event.id, event.fit_hint));
+                    ctx.events.rejected.push((event.id, event.fit_hint));
                 }
             }
         }
-        events.queued = self.cluster.pending_count() as u64;
-        if self.first_admission_tick.is_none() && !events.admitted.is_empty() {
+        ctx.events.queued = self.cluster.pending_count() as u64;
+        if self.first_admission_tick.is_none() && !ctx.events.admitted.is_empty() {
             self.first_admission_tick = Some(tick);
         }
-        self.phase_nanos.admission += elapsed_nanos(t_admission);
+        Ok(())
+    }
 
-        // 4. Maintenance phase: every chip under an active drain gets one
-        //    budgeted evacuation step — planned against the tick's
-        //    snapshots for every draining chip (in parallel when the pool
-        //    is wider than one), then applied in chip order. Moved
-        //    tenants keep their identity in the serving loop (lifetime,
-        //    accounting) but land on the destination chip's machine,
-        //    where the paid pause is charged to their next-epoch threads
-        //    — the same epoch-boundary semantics as a defrag migration.
-        let t_drain = self.phase_clock();
-        let drain_steps =
-            self.cluster
-                .drain_tick(&self.cfg.drain_policy, &self.cfg.drain_budget, &snapshots)?;
-        for (chip, step) in drain_steps {
-            if let Some(chain) = self.digests.as_mut() {
-                // Per-chip drain digest: the applied moves in plan order
-                // plus the step's skip/remaining accounting.
-                let mut d = vnpu_conc::Digest::new();
+    /// Moves a live tenant's serving-loop identity after the cluster
+    /// re-placed it on another chip (a drain evacuation, an emergency
+    /// recovery): it keeps its lifetime and accounting but leaves the
+    /// source chip's machine and lands on the destination's, where the
+    /// paid pause is charged to its next-epoch threads — the same
+    /// epoch-boundary semantics as a defrag migration.
+    fn relocate(
+        &mut self,
+        from: ClusterVmId,
+        to: ClusterVmId,
+        paused_cycles: u64,
+    ) -> Result<(), vnpu::VnpuError> {
+        let live = self
+            .live
+            .remove(&from)
+            .expect("relocated tenants are live in the serving loop");
+        self.machines[from.chip]
+            .remove_tenant(live.tenant)
+            .map_err(vnpu::VnpuError::Sim)?;
+        let tenant = self.machines[to.chip].adopt_tenant(&tenant_name(to), paused_cycles);
+        self.live.insert(
+            to,
+            LiveVnpu {
+                id: to,
+                tenant,
+                expires_at_epoch: live.expires_at_epoch,
+            },
+        );
+        Ok(())
+    }
+
+    /// Tick phase ([`Phase::Drain`]): every chip under an active drain
+    /// gets one budgeted evacuation step — [`Cluster::drain_tick`] plans
+    /// against the tick's snapshots and applies in chip order — and each
+    /// moved tenant is [relocated](ServeRuntime::relocate).
+    fn maintenance(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
+        let tick = ctx.tick;
+        let steps = self.cluster.drain_tick(
+            &self.cfg.drain_policy,
+            &self.cfg.drain_budget,
+            &ctx.snapshots,
+        );
+        for (chip, step) in steps {
+            // Per-chip drain digest: the applied moves in plan order plus
+            // the step's skip/remaining accounting.
+            ctx.digest(Some(chip), |w| {
                 for m in &step.moved {
-                    d.write_u64(m.from.chip as u64);
-                    d.write_u64(u64::from(m.from.vm.0));
-                    d.write_u64(m.to.chip as u64);
-                    d.write_u64(u64::from(m.to.vm.0));
-                    d.write_u64(m.cost.routing_cycles);
-                    d.write_u64(m.cost.rtt_cycles);
-                    d.write_u64(m.cost.data_move_bytes);
-                    d.write_u64(m.cost.paused_cycles);
+                    w.extend([m.from.chip as u64, u64::from(m.from.vm.0)]);
+                    w.extend([m.to.chip as u64, u64::from(m.to.vm.0)]);
+                    w.extend(cost_words(&m.cost));
                 }
-                d.write_u64(step.skipped as u64);
-                d.write_u64(step.remaining as u64);
-                chain.record(tick, vnpu_conc::Phase::Drain, Some(chip as u32), d.finish());
-            }
+                w.extend([step.skipped as u64, step.remaining as u64]);
+            });
             for m in &step.moved {
-                let live = self
-                    .live
-                    .remove(&m.from)
-                    .expect("drained tenants are live in the serving loop");
-                self.machines[m.from.chip]
-                    .remove_tenant(live.tenant)
-                    .map_err(vnpu::VnpuError::Sim)?;
-                let name = format!("chip{}vm{}", m.to.chip, m.to.vm.0);
-                let tenant = self.machines[m.to.chip].adopt_tenant(&name, m.cost.paused_cycles);
-                self.live.insert(
-                    m.to,
-                    LiveVnpu {
-                        id: m.to,
-                        tenant,
-                        expires_at_epoch: live.expires_at_epoch,
-                    },
-                );
+                self.relocate(m.from, m.to, m.cost.paused_cycles)?;
                 self.temporal.emit(TraceEvent::DrainMove {
                     tick,
                     from_chip: m.from.chip,
@@ -906,139 +991,109 @@ impl ServeRuntime {
                     to_vm: m.to.vm.0,
                     cost: m.cost,
                 });
-                events.drain_migrations += 1;
+                ctx.events.drain_migrations += 1;
+                ctx.snapshots[m.to.chip] = self.cluster.snapshot_cached(m.to.chip);
             }
-            if self.temporal.wants_detail() {
-                self.temporal.emit(TraceEvent::DrainStep {
-                    tick,
-                    chip,
-                    moved: step.moved.len() as u64,
-                    skipped: step.skipped as u64,
-                    remaining: step.remaining as u64,
-                });
-            }
-            // Refresh only the chips this step touched (source plus the
-            // destinations that received a tenant) — the tick keeps its
-            // one-free-region-scan-per-chip budget.
-            if !step.moved.is_empty() {
-                snapshots[chip] = self.cluster.snapshot_refresh(chip);
-                let mut touched: Vec<usize> = step.moved.iter().map(|m| m.to.chip).collect();
-                touched.sort_unstable();
-                touched.dedup();
-                for dest in touched {
-                    snapshots[dest] = self.cluster.snapshot_refresh(dest);
-                }
-            }
+            self.temporal.detail(|| TraceEvent::DrainStep {
+                tick,
+                chip,
+                moved: step.moved.len() as u64,
+                skipped: step.skipped as u64,
+                remaining: step.remaining as u64,
+            });
+            ctx.snapshots[chip] = self.cluster.snapshot_cached(chip);
         }
-        self.phase_nanos.drain += elapsed_nanos(t_drain);
+        Ok(())
+    }
 
-        // 5. Optional defragmentation phase: the configured policy
-        //    proposes migrations per chip from the snapshot stats, the
-        //    cluster plans them under the budget and commits atomically,
-        //    and each migrated tenant's machine pause lands on its
-        //    next-epoch threads. Committed passes refresh the chip's
-        //    snapshot and book the recovered fragmentation. The interval
-        //    is anchored to the first completed admission tick: before
-        //    any placement exists a pass can only waste work, and an
-        //    anchor of tick 0 would skew `defrag_interval`-relative
-        //    accounting for traffic that starts late.
-        let defrag_due = self.cfg.defrag_interval > 0
+    /// Tick phase ([`Phase::Defrag`]), optional: when a policy is
+    /// configured and the interval is due, [`Cluster::defrag_pass`] plans
+    /// per schedulable chip from the tick's snapshots and commits under
+    /// the budget, and each migrated tenant's machine pause lands on its
+    /// next-epoch threads. Committed passes refresh the chip's snapshot
+    /// and book the recovered fragmentation. The interval is anchored to
+    /// the first completed admission tick: before any placement exists a
+    /// pass can only waste work, and an anchor of tick 0 would skew
+    /// `defrag_interval`-relative accounting for traffic that starts
+    /// late.
+    fn defrag(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
+        let tick = ctx.tick;
+        let interval = self.cfg.defrag_interval;
+        let due = interval > 0
             && self
                 .first_admission_tick
-                .is_some_and(|t0| tick >= t0 && (tick - t0) % self.cfg.defrag_interval == 0);
-        let t_defrag = self.phase_clock();
-        if let Some(defrag) = self.cfg.defrag.clone() {
-            if defrag_due {
-                // A draining chip is being emptied, not compacted —
-                // defrag_pass targets schedulable chips only, planning
-                // (in parallel when the pool is wider than one) from the
-                // tick's snapshots and committing in chip order.
-                let receipts =
-                    self.cluster
-                        .defrag_pass(&defrag, &self.cfg.defrag_budget, &snapshots)?;
-                for (chip, receipt) in receipts {
-                    if let Some(chain) = self.digests.as_mut() {
-                        // Per-chip defrag digest: the committed receipt —
-                        // created/migrated/destroyed VMs and their costs
-                        // in commit order.
-                        let mut d = vnpu_conc::Digest::new();
-                        for vm in &receipt.created {
-                            d.write_u64(u64::from(vm.0));
-                        }
-                        for (vm, cost) in &receipt.migrated {
-                            d.write_u64(u64::from(vm.0));
-                            d.write_u64(cost.routing_cycles);
-                            d.write_u64(cost.rtt_cycles);
-                            d.write_u64(cost.data_move_bytes);
-                            d.write_u64(cost.paused_cycles);
-                        }
-                        for vm in &receipt.destroyed {
-                            d.write_u64(u64::from(vm.0));
-                        }
-                        chain.record(
-                            tick,
-                            vnpu_conc::Phase::Defrag,
-                            Some(chip as u32),
-                            d.finish(),
-                        );
-                    }
-                    if receipt.migration_count() == 0 {
-                        continue;
-                    }
-                    for (vm, cost) in &receipt.migrated {
-                        let id = ClusterVmId { chip, vm: *vm };
-                        if let Some(live) = self.live.get(&id) {
-                            self.machines[chip]
-                                .migrate_tenant(live.tenant, cost.paused_cycles)
-                                .map_err(vnpu::VnpuError::Sim)?;
-                        }
-                        self.temporal.emit(TraceEvent::Migrated {
-                            tick,
-                            chip,
-                            vm: vm.0,
-                            cost: *cost,
-                        });
-                        events.migrations += 1;
-                    }
-                    let before = &snapshots[chip];
-                    let (window_before, hbm_before) = (
-                        before.largest_free_component,
-                        before.hbm_external_fragmentation,
-                    );
-                    snapshots[chip] = self.cluster.snapshot_refresh(chip);
-                    let after = &snapshots[chip];
-                    let delta = hbm_before - after.hbm_external_fragmentation;
-                    self.temporal.emit(TraceEvent::DefragRecovered {
-                        tick,
-                        chip,
-                        window_cores: after.largest_free_component.saturating_sub(window_before)
-                            as u64,
-                        // Pre-clamped: only improvements are booked, and
-                        // folding `+= 0.0` preserves byte-identity for
-                        // the non-negative running sum.
-                        hbm_frag_delta: if delta > 0.0 { delta } else { 0.0 },
-                    });
+                .is_some_and(|t0| tick >= t0 && (tick - t0) % interval == 0);
+        let Some(defrag) = self.cfg.defrag.as_ref().filter(|_| due) else {
+            return Ok(());
+        };
+        let receipts = self
+            .cluster
+            .defrag_pass(defrag, &self.cfg.defrag_budget, &ctx.snapshots)?;
+        for (chip, receipt) in receipts {
+            // Per-chip defrag digest: the committed receipt —
+            // created/migrated/destroyed VMs and their costs in commit
+            // order.
+            ctx.digest(Some(chip), |w| {
+                w.extend(receipt.created.iter().map(|vm| u64::from(vm.0)));
+                for (vm, cost) in &receipt.migrated {
+                    w.push(u64::from(vm.0));
+                    w.extend(cost_words(cost));
                 }
+                w.extend(receipt.destroyed.iter().map(|vm| u64::from(vm.0)));
+            });
+            if receipt.migration_count() == 0 {
+                continue;
             }
+            for (vm, cost) in &receipt.migrated {
+                let id = ClusterVmId { chip, vm: *vm };
+                if let Some(live) = self.live.get(&id) {
+                    self.machines[chip]
+                        .migrate_tenant(live.tenant, cost.paused_cycles)
+                        .map_err(vnpu::VnpuError::Sim)?;
+                }
+                self.temporal.emit(TraceEvent::Migrated {
+                    tick,
+                    chip,
+                    vm: vm.0,
+                    cost: *cost,
+                });
+                ctx.events.migrations += 1;
+            }
+            let after = self.cluster.snapshot_cached(chip);
+            let before = std::mem::replace(&mut ctx.snapshots[chip], after);
+            let after = &ctx.snapshots[chip];
+            let delta = before.hbm_external_fragmentation - after.hbm_external_fragmentation;
+            self.temporal.emit(TraceEvent::DefragRecovered {
+                tick,
+                chip,
+                window_cores: after
+                    .largest_free_component
+                    .saturating_sub(before.largest_free_component)
+                    as u64,
+                // Pre-clamped: only improvements are booked, and
+                // folding `+= 0.0` preserves byte-identity for
+                // the non-negative running sum.
+                hbm_frag_delta: if delta > 0.0 { delta } else { 0.0 },
+            });
         }
-        self.phase_nanos.defrag += elapsed_nanos(t_defrag);
-        // Fold the pass's configuration work (admissions, drain
-        // evacuations *and* defrag re-deployments) into the controller
-        // clock.
-        let config_now = self.cluster.total_config_cycles();
-        self.controller_cycles += config_now - config_base;
-        self.accounted_config_cycles = config_now;
+        Ok(())
+    }
 
-        // 6. Fragmentation sample (after admissions, maintenance and
-        //    defrag, before execution), aggregated across chips from the
-        //    tick's shared snapshots — no extra free-region scan.
+    /// Tick phase: folds the pass's configuration work (admissions,
+    /// drain evacuations *and* defrag re-deployments) into the controller
+    /// clock, then takes the fragmentation sample — after admissions,
+    /// maintenance and defrag, before execution — aggregated across chips
+    /// from the tick's shared snapshots, with no extra free-region scan.
+    fn sample(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
+        self.fold_config_cycles();
+        let snapshots = &ctx.snapshots;
         let free_cores: u32 = snapshots.iter().map(|s| s.free_cores).sum();
         let weighted_conn: f64 = snapshots
             .iter()
             .map(|s| s.free_connectivity * f64::from(s.free_cores))
             .sum();
         self.fragmentation.push(FragSample {
-            tick,
+            tick: ctx.tick,
             free_cores,
             free_components: snapshots.iter().map(|s| s.free_components).sum(),
             free_connectivity: if free_cores == 0 {
@@ -1053,49 +1108,10 @@ impl ServeRuntime {
                 / snapshots.len().max(1) as f64,
             live_vnpus: self.live.len(),
         });
-
-        // 7. Execution epochs: every chip with runnable tenants executes
-        //    one — see `execution_phase`.
-        let t_exec = self.phase_clock();
-        if self.cfg.execute_epochs && !self.live.is_empty() {
-            self.execution_phase(tick, &mut events)?;
-        }
-        self.phase_nanos.execution += elapsed_nanos(t_exec);
-        if self.temporal.wants_detail() {
-            // Placement-cache conservation sample: TEMP-CACHE checks
-            // hits + misses == lookups and that both series are
-            // monotone across samples.
-            let cache = self.cluster.cache_stats();
-            self.temporal.emit(TraceEvent::CacheSample {
-                tick,
-                hits: cache.hits,
-                misses: cache.misses,
-                lookups: cache.hits + cache.misses,
-            });
-        }
-
-        // 8. Optional post-tick fleet audit: every invariant the tick's
-        //    phases were supposed to preserve, cross-checked read-only.
-        //    Findings are data, not errors — callers (and the report)
-        //    decide how hard to fail on them.
-        if self.cfg.audit {
-            let findings = self.auditor.audit(&self.cluster);
-            events.audit_findings = findings.len() as u64;
-            if self.cfg.audit_detail {
-                events.audit_detail = findings.clone();
-            }
-            self.audit_findings.extend(findings);
-        }
-        events.temporal_findings = self
-            .temporal
-            .checker
-            .as_ref()
-            .map_or(0, |c| c.findings().len())
-            .saturating_sub(findings_before) as u64;
-        Ok(events)
+        Ok(())
     }
 
-    /// Phase 7 of [`ServeRuntime::step`]: one machine epoch per chip with
+    /// Tick phase ([`Phase::Execution`]): one machine epoch per chip with
     /// runnable tenants, paying only for what changed.
     ///
     /// Each loaded chip's epoch inputs are spelled into its
@@ -1104,16 +1120,17 @@ impl ServeRuntime {
     /// pauses). A chip whose key equals that of the epoch it last ran —
     /// and that owes no pause, which only a real epoch can charge and
     /// clear — is answered with that epoch's makespan. Every other chip
-    /// binds its residents' ring programs and runs the simulator: inline
-    /// on one worker or when it is the only one, fanned out on the pool
-    /// otherwise (machine epochs are chip-independent). Outcomes fold in
-    /// chip order either way, a reused epoch exactly like a run one: same
-    /// trace event, same digest, same counters.
-    fn execution_phase(
-        &mut self,
-        tick: u64,
-        events: &mut TickEvents,
-    ) -> Result<(), vnpu::VnpuError> {
+    /// binds its residents' ring programs and runs the simulator, its
+    /// machine lent through [`WorkerPool::lend`] (machine epochs are
+    /// chip-independent): inline on one worker or when it is the only
+    /// one, fanned out on the pool otherwise. Outcomes fold in chip order
+    /// either way, a reused epoch exactly like a run one: same trace
+    /// event, same digest, same counters.
+    fn execution(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
+        if !self.cfg.execute_epochs || self.live.is_empty() {
+            return Ok(());
+        }
+        let tick = ctx.tick;
         self.runnable.clear();
         for l in self.live.values() {
             // A tenant awaiting recovery is stalled: it still maps dead
@@ -1176,50 +1193,23 @@ impl ServeRuntime {
             });
         }
 
-        // Run what was bound: inline when there is nothing to overlap,
-        // otherwise each job owns its chip's machine for the epoch and
-        // hands it back alongside the outcome.
-        let bound: Vec<usize> = if self.pool.workers() == 1 {
-            Vec::new()
-        } else {
-            (0..self.chip_epochs.len())
-                .filter(|&i| self.chip_epochs[i].outcome.is_none())
-                .collect()
-        };
-        if bound.len() < 2 {
-            for epoch in self.chip_epochs.iter_mut().filter(|e| e.outcome.is_none()) {
-                let t0 = Instant::now();
-                epoch.outcome = Some(self.machines[epoch.chip].run_epoch_makespan());
-                epoch.nanos = t0.elapsed().as_nanos() as u64;
-            }
-        } else {
-            let mut slots: Vec<Option<Machine>> = std::mem::take(&mut self.machines)
-                .into_iter()
-                .map(Some)
-                .collect();
-            let jobs: Vec<_> = bound
+        // Run what was bound, each epoch on its own chip's machine.
+        let ran = self.pool.lend(
+            &mut self.machines,
+            self.chip_epochs
                 .iter()
-                .map(|&i| {
-                    let mut machine = slots[self.chip_epochs[i].chip]
-                        .take()
-                        .expect("loaded chips are distinct");
-                    move || {
-                        let t0 = Instant::now();
-                        let outcome = machine.run_epoch_makespan();
-                        (machine, outcome, t0.elapsed().as_nanos() as u64)
-                    }
-                })
-                .collect();
-            for (&i, (machine, outcome, nanos)) in bound.iter().zip(self.pool.run(jobs)) {
-                let epoch = &mut self.chip_epochs[i];
-                slots[epoch.chip] = Some(machine);
-                epoch.outcome = Some(outcome);
-                epoch.nanos = nanos;
-            }
-            self.machines = slots
-                .into_iter()
-                .map(|s| s.expect("every machine restored"))
-                .collect();
+                .filter(|epoch| epoch.is_bound())
+                .map(|epoch| (epoch.chip, ())),
+            |machine, ()| {
+                let started = Instant::now();
+                let outcome = machine.run_epoch_makespan();
+                (outcome, started.elapsed().as_nanos() as u64)
+            },
+        );
+        let bound = self.chip_epochs.iter_mut().filter(|epoch| epoch.is_bound());
+        for (epoch, (outcome, nanos)) in bound.zip(ran) {
+            epoch.outcome = Some(outcome);
+            epoch.nanos = nanos;
         }
 
         // Fold in chip order (first error raised).
@@ -1232,19 +1222,10 @@ impl ServeRuntime {
             let memo = &mut self.epoch_memo[chip];
             std::mem::swap(&mut memo.key, &mut memo.next_key);
             memo.makespan = makespan;
-            if let Some(chain) = self.digests.as_mut() {
-                // Per-chip execution digest: the epoch's makespan fold
-                // (wall-clock nanos deliberately excluded — they are
-                // nondeterministic by nature).
-                let mut d = vnpu_conc::Digest::new();
-                d.write_u64(makespan);
-                chain.record(
-                    tick,
-                    vnpu_conc::Phase::Execution,
-                    Some(chip as u32),
-                    d.finish(),
-                );
-            }
+            // Per-chip execution digest: the epoch's makespan (wall-clock
+            // nanos deliberately excluded — they are nondeterministic by
+            // nature).
+            ctx.digest(Some(chip), |w| w.push(makespan));
             self.temporal.emit(TraceEvent::Executed {
                 tick,
                 chip,
@@ -1253,43 +1234,72 @@ impl ServeRuntime {
             if self.cfg.time_phases {
                 self.exec_nanos[chip] += epoch.nanos;
             }
-            events.executed_chips += 1;
+            ctx.events.executed_chips += 1;
         }
         Ok(())
     }
 
-    /// Phase 1b of [`ServeRuntime::step`]: the fault → detect → recover
-    /// lifecycle.
+    /// Tick phase: post-tick observation. The placement-cache
+    /// conservation sample (TEMP-CACHE checks hits + misses == lookups
+    /// and that both series are monotone across samples), then the
+    /// optional fleet audit: every invariant the tick's phases were
+    /// supposed to preserve, cross-checked read-only. Findings are data,
+    /// not errors — callers (and the report) decide how hard to fail on
+    /// them.
+    fn audit(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
+        self.temporal.detail(|| {
+            let cache = self.cluster.cache_stats();
+            TraceEvent::CacheSample {
+                tick: ctx.tick,
+                hits: cache.hits,
+                misses: cache.misses,
+                lookups: cache.hits + cache.misses,
+            }
+        });
+        if self.cfg.audit {
+            let findings = self.auditor.audit(&self.cluster);
+            ctx.events.audit_findings = findings.len() as u64;
+            if self.cfg.audit_detail {
+                ctx.events.audit_detail = findings.clone();
+            }
+            self.audit_findings.extend(findings);
+        }
+        Ok(())
+    }
+
+    /// Tick phase ([`Phase::Recovery`]): the fault → detect → recover
+    /// lifecycle. Runs before the arrivals phase folds the configuration
+    /// cycles spent so far into the controller clock, so recovery's
+    /// configuration work is accounted with the departures', never inside
+    /// an admission latency stamp.
     ///
-    /// Onsets and repairs scheduled for `tick` land on the machine first
-    /// (it owns the topology-generation hash chain) and the hypervisor
-    /// adopts the machine's counter — the same lockstep rule as
-    /// [`ServeRuntime::set_core_scales`] — so placements memoized against
-    /// the pre-fault chip expire by key. Newly affected tenants join the
-    /// pending-recovery queue; every pending tenant then gets one
-    /// recovery attempt in deterministic [`ClusterVmId`] order:
+    /// Onsets and repairs scheduled for this tick land on the machine
+    /// first (it owns the topology-generation hash chain) and the
+    /// hypervisor adopts the machine's counter — the same lockstep rule
+    /// as [`ServeRuntime::set_core_scales`] — so placements memoized
+    /// against the pre-fault chip expire by key. Newly affected tenants
+    /// join the pending-recovery queue; every pending tenant then gets
+    /// one recovery attempt in deterministic [`ClusterVmId`] order:
     /// remap-under-pin on its own chip under
     /// [`RecoveryPolicy::remap_strategy`], else an emergency cross-chip
     /// re-placement (chips in index order), else it stays pending until
     /// [`RecoveryPolicy::max_recovery_ticks`] ticks after detection, when
     /// it is retired as lost. A pending tenant whose fault is repaired
-    /// under it self-heals without moving.
-    fn recovery_phase(
-        &mut self,
-        tick: u64,
-        events: &mut TickEvents,
-    ) -> Result<(), vnpu::VnpuError> {
+    /// under it self-heals without moving. Only touched chips write
+    /// digest words.
+    fn recovery(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         if self.cfg.fault_plan.is_empty() && self.pending_recovery.is_empty() {
             return Ok(());
         }
-        // Per-chip digest words for the tick's `Phase::Recovery` records
-        // (folded at the end; only touched chips record an entry).
-        let mut digest_words: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+        let tick = ctx.tick;
         let chip_count = self.machines.len();
 
-        // Scheduled onsets land.
-        let onsets: Vec<FaultEvent> = self.cfg.fault_plan.onsets_at(tick).copied().collect();
-        for ev in onsets {
+        // Scheduled onsets land, then scheduled repairs.
+        let plan = &self.cfg.fault_plan;
+        let transitions: Vec<(FaultEvent, bool)> = (plan.onsets_at(tick).map(|ev| (*ev, true)))
+            .chain(plan.repairs_at(tick).map(|ev| (*ev, false)))
+            .collect();
+        for (ev, faulted) in transitions {
             let chip = ev.chip;
             let machine = self
                 .machines
@@ -1298,83 +1308,47 @@ impl ServeRuntime {
                     chip,
                     count: chip_count,
                 })?;
-            let changed = match ev.kind {
-                FaultKind::Core { core } => {
-                    let m = machine.fault_core(core).map_err(vnpu::VnpuError::Sim)?;
-                    self.cluster.fault_core(chip, core)?;
-                    m
-                }
-                FaultKind::Link { a, b } => {
-                    let m = machine.fault_link(a, b).map_err(vnpu::VnpuError::Sim)?;
-                    self.cluster.fault_link(chip, a, b)?;
-                    m
-                }
+            // Machine first; a transition it refuses never reaches the
+            // hypervisor's mask.
+            let on_machine = match (ev.kind, faulted) {
+                (FaultKind::Core { core }, true) => machine.fault_core(core),
+                (FaultKind::Core { core }, false) => machine.repair_core(core),
+                (FaultKind::Link { a, b }, true) => machine.fault_link(a, b),
+                (FaultKind::Link { a, b }, false) => machine.repair_link(a, b),
+            };
+            let changed = on_machine.map_err(vnpu::VnpuError::Sim)?;
+            match (ev.kind, faulted) {
+                (FaultKind::Core { core }, true) => self.cluster.fault_core(chip, core)?,
+                (FaultKind::Core { core }, false) => self.cluster.repair_core(chip, core)?,
+                (FaultKind::Link { a, b }, true) => self.cluster.fault_link(chip, a, b)?,
+                (FaultKind::Link { a, b }, false) => self.cluster.repair_link(chip, a, b)?,
             };
             let generation = self.machines[chip].topology_generation();
             self.cluster
                 .chip_mut(chip)
                 .set_topology_generation(generation);
             if !changed {
-                continue; // duplicate onset: already faulted, nothing new
+                continue; // duplicate transition: nothing new
             }
-            self.temporal.emit(TraceEvent::FaultOnset { tick, chip });
-            events.fault_onsets += 1;
-            let words = digest_words.entry(chip).or_default();
-            words.push(1);
-            match ev.kind {
-                FaultKind::Core { core } => words.extend([u64::from(core), u64::MAX]),
-                FaultKind::Link { a, b } => words.extend([u64::from(a), u64::from(b)]),
-            }
-            for vm in FaultDetector::affected_tenants(self.cluster.chip(chip), &ev.kind) {
-                let id = ClusterVmId { chip, vm };
-                if self.live.contains_key(&id) && !self.pending_recovery.contains_key(&id) {
-                    self.pending_recovery.insert(id, tick);
-                    self.temporal.emit(TraceEvent::RecoveryDetected {
-                        tick,
-                        chip,
-                        vm: vm.0,
-                    });
+            ctx.digest(Some(chip), |w| {
+                w.push(if faulted { 1 } else { 2 });
+                match ev.kind {
+                    FaultKind::Core { core } => w.extend([u64::from(core), u64::MAX]),
+                    FaultKind::Link { a, b } => w.extend([u64::from(a), u64::from(b)]),
                 }
-            }
-        }
-
-        // Scheduled repairs land (machine-first, same lockstep).
-        let repairs: Vec<FaultEvent> = self.cfg.fault_plan.repairs_at(tick).copied().collect();
-        for ev in repairs {
-            let chip = ev.chip;
-            let machine = self
-                .machines
-                .get_mut(chip)
-                .ok_or(vnpu::VnpuError::UnknownChip {
-                    chip,
-                    count: chip_count,
-                })?;
-            let changed = match ev.kind {
-                FaultKind::Core { core } => {
-                    let m = machine.repair_core(core).map_err(vnpu::VnpuError::Sim)?;
-                    self.cluster.repair_core(chip, core)?;
-                    m
-                }
-                FaultKind::Link { a, b } => {
-                    let m = machine.repair_link(a, b).map_err(vnpu::VnpuError::Sim)?;
-                    self.cluster.repair_link(chip, a, b)?;
-                    m
-                }
-            };
-            let generation = self.machines[chip].topology_generation();
-            self.cluster
-                .chip_mut(chip)
-                .set_topology_generation(generation);
-            if !changed {
+            });
+            if !faulted {
+                self.temporal.emit(TraceEvent::FaultRepair { tick, chip });
+                ctx.events.fault_repairs += 1;
                 continue;
             }
-            self.temporal.emit(TraceEvent::FaultRepair { tick, chip });
-            events.fault_repairs += 1;
-            let words = digest_words.entry(chip).or_default();
-            words.push(2);
-            match ev.kind {
-                FaultKind::Core { core } => words.extend([u64::from(core), u64::MAX]),
-                FaultKind::Link { a, b } => words.extend([u64::from(a), u64::from(b)]),
+            self.temporal.emit(TraceEvent::FaultOnset { tick, chip });
+            ctx.events.fault_onsets += 1;
+            for vm in FaultDetector::affected_tenants(self.cluster.chip(chip), &ev.kind) {
+                let id = ClusterVmId { chip, vm };
+                if self.live.contains_key(&id) {
+                    self.detect(id, tick);
+                }
             }
         }
 
@@ -1390,17 +1364,11 @@ impl ServeRuntime {
             .copied()
             .filter(|id| {
                 self.machines[id.chip].has_active_faults()
-                    && !self.pending_recovery.contains_key(id)
                     && FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm)
             })
             .collect();
         for id in swept {
-            self.pending_recovery.insert(id, tick);
-            self.temporal.emit(TraceEvent::RecoveryDetected {
-                tick,
-                chip: id.chip,
-                vm: id.vm.0,
-            });
+            self.detect(id, tick);
         }
 
         // One recovery attempt per pending tenant, in ClusterVmId order.
@@ -1415,22 +1383,19 @@ impl ServeRuntime {
                 self.pending_recovery.remove(&id);
                 continue;
             }
-            let dt = tick - since;
-            let words_key = id.chip;
+            let (dt, vm) = (tick - since, u64::from(id.vm.0));
+            let recovered = |kind| TraceEvent::Recovered {
+                tick,
+                chip: id.chip,
+                vm: id.vm.0,
+                kind,
+                onset_tick: since,
+            };
             // Fault repaired under the tenant: self-healed in place.
             if !FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm) {
                 self.pending_recovery.remove(&id);
-                self.temporal.emit(TraceEvent::Recovered {
-                    tick,
-                    chip: id.chip,
-                    vm: id.vm.0,
-                    kind: RecoveryKind::SelfHealed,
-                    onset_tick: since,
-                });
-                digest_words
-                    .entry(words_key)
-                    .or_default()
-                    .extend([3, u64::from(id.vm.0), dt]);
+                self.temporal.emit(recovered(RecoveryKind::SelfHealed));
+                ctx.digest(Some(id.chip), |w| w.extend([3, vm, dt]));
                 continue;
             }
             // (a) Remap-under-pin around the dead resource. The plan
@@ -1441,12 +1406,11 @@ impl ServeRuntime {
             //     endpoints. Re-check before declaring victory; a paid
             //     remap that failed to escape falls through to the
             //     emergency re-placement.
-            let mut remap_cost = None;
             if let Ok(cost) = self
                 .cluster
                 .recover_in_place(id, &self.cfg.recovery.remap_strategy)
             {
-                let tenant = self.live.get(&id).expect("checked live").tenant;
+                let tenant = self.live[&id].tenant;
                 self.machines[id.chip]
                     .migrate_tenant(tenant, cost.paused_cycles)
                     .map_err(vnpu::VnpuError::Sim)?;
@@ -1458,56 +1422,24 @@ impl ServeRuntime {
                     chip: id.chip,
                     cost,
                 });
-                remap_cost = Some(cost);
-            }
-            if let Some(cost) = remap_cost
-                .filter(|_| !FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm))
-            {
-                self.pending_recovery.remove(&id);
-                self.temporal.emit(TraceEvent::Recovered {
-                    tick,
-                    chip: id.chip,
-                    vm: id.vm.0,
-                    kind: RecoveryKind::Remapped,
-                    onset_tick: since,
-                });
-                events.recoveries_remapped += 1;
-                digest_words.entry(words_key).or_default().extend([
-                    4,
-                    u64::from(id.vm.0),
-                    dt,
-                    cost.paused_cycles,
-                ]);
-                continue;
+                if !FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm) {
+                    self.pending_recovery.remove(&id);
+                    self.temporal.emit(recovered(RecoveryKind::Remapped));
+                    ctx.events.recoveries_remapped += 1;
+                    ctx.digest(Some(id.chip), |w| {
+                        w.extend([4, vm, dt, cost.paused_cycles]);
+                    });
+                    continue;
+                }
             }
             // (b) Emergency cross-chip re-placement, chips in index
             //     order (the unplanned, unbudgeted cousin of a drain
             //     evacuation).
-            let mut landed: Option<(ClusterVmId, ReconfigCost)> = None;
-            for dest in 0..chip_count {
-                if dest == id.chip {
-                    continue;
-                }
-                if let Ok(placed) = self.cluster.migrate_to_chip(id, dest) {
-                    landed = Some(placed);
-                    break;
-                }
-            }
+            let landed = (0..chip_count)
+                .filter(|&dest| dest != id.chip)
+                .find_map(|dest| self.cluster.migrate_to_chip(id, dest).ok());
             if let Some((new_id, cost)) = landed {
-                let live = self.live.remove(&id).expect("checked live");
-                self.machines[id.chip]
-                    .remove_tenant(live.tenant)
-                    .map_err(vnpu::VnpuError::Sim)?;
-                let name = format!("chip{}vm{}", new_id.chip, new_id.vm.0);
-                let tenant = self.machines[new_id.chip].adopt_tenant(&name, cost.paused_cycles);
-                self.live.insert(
-                    new_id,
-                    LiveVnpu {
-                        id: new_id,
-                        tenant,
-                        expires_at_epoch: live.expires_at_epoch,
-                    },
-                );
+                self.relocate(id, new_id, cost.paused_cycles)?;
                 self.pending_recovery.remove(&id);
                 self.temporal.emit(TraceEvent::RecoveryPaid {
                     tick,
@@ -1516,26 +1448,20 @@ impl ServeRuntime {
                 });
                 // Booked against the *old* identity — the outage being
                 // resolved is the one detected on the source chip.
-                self.temporal.emit(TraceEvent::Recovered {
-                    tick,
-                    chip: id.chip,
-                    vm: id.vm.0,
-                    kind: RecoveryKind::Replaced,
-                    onset_tick: since,
+                self.temporal.emit(recovered(RecoveryKind::Replaced));
+                ctx.events.recoveries_replaced += 1;
+                ctx.digest(Some(id.chip), |w| {
+                    let to_vm = u64::from(new_id.vm.0);
+                    w.extend([5, vm, new_id.chip as u64, to_vm, dt, cost.paused_cycles]);
                 });
-                events.recoveries_replaced += 1;
-                digest_words.entry(words_key).or_default().extend([
-                    5,
-                    u64::from(id.vm.0),
-                    new_id.chip as u64,
-                    u64::from(new_id.vm.0),
-                    dt,
-                    cost.paused_cycles,
-                ]);
                 continue;
             }
             // (c) Nowhere to go: lost after the deadline, else pending.
-            if dt >= self.cfg.recovery.max_recovery_ticks {
+            let lost = dt >= self.cfg.recovery.max_recovery_ticks;
+            ctx.digest(Some(id.chip), |w| {
+                w.extend([if lost { 6 } else { 7 }, vm, dt]);
+            });
+            if lost {
                 self.pending_recovery.remove(&id);
                 self.temporal.emit(TraceEvent::TenantLost {
                     tick,
@@ -1544,49 +1470,33 @@ impl ServeRuntime {
                     onset_tick: since,
                 });
                 self.retire(id, tick)?;
-                events.tenants_lost += 1;
-                digest_words
-                    .entry(words_key)
-                    .or_default()
-                    .extend([6, u64::from(id.vm.0), dt]);
-            } else {
-                digest_words
-                    .entry(words_key)
-                    .or_default()
-                    .extend([7, u64::from(id.vm.0), dt]);
+                ctx.events.tenants_lost += 1;
             }
         }
-        events.recoveries_pending = self.pending_recovery.len() as u64;
+        ctx.events.recoveries_pending = self.pending_recovery.len() as u64;
 
         // Degraded-mode accounting: a chip with any active fault at the
         // end of the phase serves this tick at the degraded router
         // penalty.
-        let degraded: Vec<usize> = self
-            .machines
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.has_active_faults())
-            .map(|(chip, _)| chip)
-            .collect();
-        for chip in degraded {
-            self.temporal.emit(TraceEvent::Degraded { tick, chip });
-        }
-
-        if let Some(chain) = self.digests.as_mut() {
-            for (chip, words) in &digest_words {
-                let mut d = vnpu_conc::Digest::new();
-                for &w in words {
-                    d.write_u64(w);
-                }
-                chain.record(
-                    tick,
-                    vnpu_conc::Phase::Recovery,
-                    Some(*chip as u32),
-                    d.finish(),
-                );
+        for chip in 0..chip_count {
+            if self.machines[chip].has_active_faults() {
+                self.temporal.emit(TraceEvent::Degraded { tick, chip });
             }
         }
         Ok(())
+    }
+
+    /// Queues a fault-affected live tenant for recovery (once).
+    fn detect(&mut self, id: ClusterVmId, tick: u64) {
+        if self.pending_recovery.contains_key(&id) {
+            return;
+        }
+        self.pending_recovery.insert(id, tick);
+        self.temporal.emit(TraceEvent::RecoveryDetected {
+            tick,
+            chip: id.chip,
+            vm: id.vm.0,
+        });
     }
 
     /// Every finding the post-tick fleet audits have reported so far, in
@@ -1649,39 +1559,26 @@ impl ServeRuntime {
         for id in remaining {
             self.retire(id, tick)?;
         }
-        if self.temporal.wants_detail() {
-            // End-of-run quiescence probe: after the final drain a
-            // correct run holds no tenants, no occupied cores or HBM,
-            // and (absent permanent faults) one free region per chip —
-            // TEMP-LEAK's obligations.
-            let mut leaked_cores = 0u64;
-            let mut leaked_hbm_bytes = 0u64;
-            let mut faulted_cores = 0u64;
-            for hv in self.cluster.chips() {
-                leaked_cores += u64::from(
-                    hv.config().core_count() - hv.free_core_count() - hv.masked_core_count(),
-                );
-                leaked_hbm_bytes += hv.hbm_total_bytes() - hv.hbm_free_bytes();
-                faulted_cores += u64::from(hv.faulted_core_count());
-            }
-            let free_components: u64 = self
-                .cluster
-                .tick_snapshots()
-                .iter()
-                .map(|s| s.free_components as u64)
-                .sum();
-            let live_vnpus = self.live.len() as u64;
-            let chips = self.machines.len() as u64;
-            self.temporal.emit(TraceEvent::Quiesced {
+        // End-of-run quiescence probe: after the final drain a correct
+        // run holds no tenants, no occupied cores or HBM, and (absent
+        // permanent faults) one free region per chip — TEMP-LEAK's
+        // obligations.
+        self.temporal.detail(|| {
+            let chips = || self.cluster.chips();
+            TraceEvent::Quiesced {
                 tick,
-                live_vnpus,
-                leaked_cores,
-                leaked_hbm_bytes,
-                faulted_cores,
-                free_components,
-                chips,
-            });
-        }
+                live_vnpus: self.live.len() as u64,
+                leaked_cores: chips().map(|hv| u64::from(hv.leaked_core_count())).sum(),
+                leaked_hbm_bytes: chips()
+                    .map(|hv| hv.hbm_total_bytes() - hv.hbm_free_bytes())
+                    .sum(),
+                faulted_cores: chips().map(|hv| u64::from(hv.faulted_core_count())).sum(),
+                free_components: chips()
+                    .map(|hv| hv.fragmentation().free_components as u64)
+                    .sum(),
+                chips: self.machines.len() as u64,
+            }
+        });
         if let Some(checker) = self.temporal.checker.as_mut() {
             checker.finish();
         }
@@ -1731,9 +1628,7 @@ impl ServeRuntime {
                     // An unowned faulted core is dead hardware held out of
                     // the free region by the fault mask — not leaked
                     // tenant state.
-                    leaked_cores: hv.config().core_count()
-                        - hv.free_core_count()
-                        - hv.masked_core_count(),
+                    leaked_cores: hv.leaked_core_count(),
                     leaked_hbm_bytes: hv.hbm_total_bytes() - hv.hbm_free_bytes(),
                     exec_nanos: self.exec_nanos[i],
                 }
@@ -1764,11 +1659,7 @@ impl ServeRuntime {
             leaked_cores: per_chip.iter().map(|c| c.leaked_cores).sum(),
             leaked_hbm_bytes: per_chip.iter().map(|c| c.leaked_hbm_bytes).sum(),
             audit_findings: self.audit_findings.len() as u64,
-            temporal_findings: self
-                .temporal
-                .checker
-                .as_ref()
-                .map_or(0, |c| c.findings().len() as u64),
+            temporal_findings: self.temporal_findings().len() as u64,
             faults_injected: fold.faults_injected,
             faults_repaired: fold.faults_repaired,
             recoveries_remapped: fold.recoveries_remapped,
@@ -1781,11 +1672,11 @@ impl ServeRuntime {
             mttr_total_ticks: fold.mttr_total_ticks,
             mttr_max_ticks: fold.mttr_max_ticks,
             workers: self.cfg.workers,
-            recovery_nanos: self.phase_nanos.recovery,
-            admission_nanos: self.phase_nanos.admission,
-            drain_nanos: self.phase_nanos.drain,
-            defrag_nanos: self.phase_nanos.defrag,
-            execution_nanos: self.phase_nanos.execution,
+            recovery_nanos: self.phase_nanos[Phase::Recovery as usize],
+            admission_nanos: self.phase_nanos[Phase::Admission as usize],
+            drain_nanos: self.phase_nanos[Phase::Drain as usize],
+            defrag_nanos: self.phase_nanos[Phase::Defrag as usize],
+            execution_nanos: self.phase_nanos[Phase::Execution as usize],
             per_chip,
         }
     }
@@ -1805,9 +1696,19 @@ impl ServeRuntime {
     }
 }
 
-/// Nanoseconds read off a phase stopwatch (0 when timing is off).
-fn elapsed_nanos(clock: Option<Instant>) -> u64 {
-    clock.map_or(0, |t| t.elapsed().as_nanos() as u64)
+/// The machine-side tenant name of a placed vNPU.
+fn tenant_name(id: ClusterVmId) -> String {
+    format!("chip{}vm{}", id.chip, id.vm.0)
+}
+
+/// A reconfiguration cost as digest words.
+fn cost_words(cost: &ReconfigCost) -> [u64; 4] {
+    [
+        cost.routing_cycles,
+        cost.rtt_cycles,
+        cost.data_move_bytes,
+        cost.paused_cycles,
+    ]
 }
 
 /// Binds one live vNPU's epoch workload: each virtual core computes and
@@ -2716,6 +2617,79 @@ mod tests {
         assert!(
             vnpu_conc::compare_chains("w1", &chain_a, "w4", &chain_b).is_none(),
             "recovery must be phase-for-phase deterministic across workers"
+        );
+    }
+
+    #[test]
+    fn the_phase_wrapper_orders_digests_and_times_only_on_request() {
+        use vnpu::plan::GreedyDefrag;
+        // Every timed phase has work: faults, a drain, defrag, execution.
+        let busy_cfg = |time_phases: bool| {
+            let mut cfg = ServeConfig::cluster(31, 0, vec![SocConfig::sim(), SocConfig::sim()]);
+            cfg.traffic.candidate_cap = 200;
+            cfg.traffic.mean_interarrival_ticks = 2;
+            cfg.placement = Arc::new(LeastLoaded);
+            cfg.defrag = Some(Arc::new(GreedyDefrag::default()));
+            cfg.fault_plan = FaultPlan::new().row_outage(0, 6, 1, 20, Some(40));
+            cfg.conc.phase_digests = true;
+            cfg.time_phases = time_phases;
+            cfg
+        };
+        let run = |time_phases: bool| {
+            let mut rt = ServeRuntime::new(busy_cfg(time_phases));
+            let started = Instant::now();
+            for tick in 0..60 {
+                if tick == 30 {
+                    rt.begin_drain(1).unwrap();
+                }
+                rt.step().unwrap();
+            }
+            (rt, started.elapsed().as_nanos() as u64)
+        };
+        let phase_nanos = |r: &ServeReport| {
+            [
+                r.recovery_nanos,
+                r.admission_nanos,
+                r.drain_nanos,
+                r.defrag_nanos,
+                r.execution_nanos,
+            ]
+        };
+
+        let (untimed, _) = run(false);
+        let report = untimed.report();
+        assert_eq!(phase_nanos(&report), [0; 5], "timing is off by default");
+        assert!(report.per_chip.iter().all(|c| c.exec_nanos == 0));
+        // Within a tick the chain runs in phase order, chips ascending
+        // within a phase — and every timed phase left entries.
+        let chain = untimed.digest_chain().unwrap();
+        let key = |e: &vnpu_conc::DigestEntry| (e.tick, e.phase, e.chip);
+        assert!(chain.entries.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        for phase in [
+            Phase::Recovery,
+            Phase::Admission,
+            Phase::Drain,
+            Phase::Defrag,
+            Phase::Execution,
+        ] {
+            assert!(chain.entries.iter().any(|e| e.phase == phase), "{phase}");
+        }
+        // One fleet-level admission entry per tick, whatever happened.
+        let admissions = chain.entries.iter().filter(|e| e.phase == Phase::Admission);
+        assert_eq!(admissions.count(), 60);
+
+        let (timed, wall) = run(true);
+        let report = timed.report();
+        let nanos = phase_nanos(&report);
+        assert!(nanos.iter().all(|&n| n > 0), "every phase timed: {nanos:?}");
+        assert!(
+            nanos.iter().sum::<u64>() <= wall,
+            "phases are timed once each, inside step(): {nanos:?} vs {wall}"
+        );
+        // Timing observes; it changes nothing else.
+        assert_eq!(
+            vnpu_conc::compare_chains("untimed", chain, "timed", timed.digest_chain().unwrap()),
+            None
         );
     }
 

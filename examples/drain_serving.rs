@@ -1,7 +1,7 @@
 //! Drain-for-maintenance demo: a two-chip serving fleet under churn,
 //! with chip 0 taken out of service mid-run.
 //!
-//! The drain lifecycle is `begin_drain` → budgeted `drain_step`s (run
+//! The drain lifecycle is `begin_drain` → budgeted `drain_tick`s (run
 //! automatically by the serve loop's maintenance phase) →
 //! `complete_drain` once the chip is empty → `undrain` when the
 //! maintenance window closes. While the chip drains, no placement and no

@@ -15,6 +15,17 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== serve output pin =="
+# One seeded 4-chip run with every reconfiguration layer on, compared
+# against absolute constants (report JSON hash, trace length, digest
+# chain length and fold) captured before the serve loop was restructured:
+# a refactor of the loop must reproduce them bit for bit.
+cargo test --test cluster -q serve_outputs_are_pinned_across_refactors
+
+echo "== scripts/loc.sh (non-test source size) =="
+# Printed in every run so "lines removed" is a number, not a claim.
+scripts/loc.sh
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -479,3 +479,98 @@ fn aging_bounds_large_request_wait_under_adversarial_small_stream() {
         "head-of-line reservation must resolve within {bound} ticks, took {waited}"
     );
 }
+
+/// FNV-1a over 64-bit words / bytes: a hash this file owns, so the pinned
+/// constants below move only when the serve loop's outputs do.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// An absolute pin on everything one serve run publishes: the report
+/// JSON, the trace stream's length and the digest chain. The scenario
+/// turns every reconfiguration layer on at once — churn over a
+/// heterogeneous 4-chip fleet, defrag every 4 ticks, seeded core faults
+/// plus a link fault, one begin/complete/undrain maintenance cycle, the
+/// fleet audit, the online temporal checker, trace recording and phase
+/// digests. The constants were captured at the commit *before* the serve
+/// loop was restructured into phase units; a refactor of the loop must
+/// reproduce them bit for bit.
+#[test]
+fn serve_outputs_are_pinned_across_refactors() {
+    use vnpu::plan::GreedyDefrag;
+    use vnpu_fault::FaultPlan;
+    let socs = vec![
+        SocConfig::sim(),
+        SocConfig::sim(),
+        small_soc(),
+        SocConfig::sim(),
+    ];
+    let cores: Vec<u32> = socs.iter().map(SocConfig::core_count).collect();
+    let mut cfg = ServeConfig::cluster(29, 320, socs);
+    cfg.traffic.candidate_cap = 200;
+    cfg.traffic.mean_interarrival_ticks = 1;
+    cfg.traffic.mean_lifetime_epochs = 40;
+    cfg.max_attempts = Some(6);
+    cfg.drain_budget.max_migrations = 2;
+    cfg.placement = Arc::new(LeastLoaded);
+    cfg.defrag = Some(Arc::new(GreedyDefrag::default()));
+    cfg.defrag_interval = 4;
+    cfg.fault_plan =
+        FaultPlan::seeded(29, &cores, 10, 300, Some(25)).link_fault(1, 14, 15, 60, Some(110));
+    cfg.audit = true;
+    cfg.temporal = true;
+    cfg.record_trace = true;
+    cfg.conc.phase_digests = true;
+    let mut rt = ServeRuntime::new(cfg);
+    let (mut drained_at, mut completed_at) = (None, None);
+    while rt.tick_index() < 320 {
+        let tick = rt.tick_index();
+        if tick == 120 {
+            rt.begin_drain(0).unwrap();
+            drained_at = Some(tick);
+        }
+        if drained_at.is_some() && completed_at.is_none() && rt.cluster().chip(0).vnpu_count() == 0
+        {
+            rt.complete_drain(0).unwrap();
+            completed_at = Some(tick);
+        }
+        if completed_at.is_some_and(|t| tick == t + 10) {
+            rt.undrain(0).unwrap();
+        }
+        rt.step().unwrap();
+    }
+    rt.drain().unwrap();
+    assert_eq!(rt.drain_state(0), Ok(ChipSchedState::Schedulable));
+    let report = rt.report();
+    // The fleet is overloaded on purpose, so every branch of every phase
+    // runs: rejections with fit hints, all four recovery resolutions, a
+    // budgeted evacuation that stalls (`TEMP-DRAIN` findings) before it
+    // completes, and `FaultLinkEndpoint` audit warnings while a tenant
+    // sits on the dead link. Their counts are part of the pinned JSON.
+    assert!(report.rejected > 0 && report.migrations > 0 && report.drain_migrations > 0);
+    assert!(report.recoveries_remapped > 0 && report.recoveries_replaced > 0);
+    assert!(report.recoveries_self_healed > 0 && report.tenants_lost > 0);
+    assert!(report.audit_findings > 0 && report.temporal_findings > 0);
+
+    let json_hash = fnv1a(report.to_json(usize::MAX).bytes());
+    let trace_len = rt.trace().unwrap().len();
+    let chain = rt.digest_chain().unwrap();
+    let chain_fold = fnv1a(chain.entries.iter().flat_map(|e| {
+        let chip = e.chip.map_or(u64::MAX, u64::from);
+        [e.tick, e.phase as u64, chip, e.digest]
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+    }));
+    assert_eq!(
+        (json_hash, trace_len, chain.len(), chain_fold),
+        (
+            10_639_872_328_804_908_377,
+            3_210,
+            1_994,
+            2_749_346_674_272_218_807
+        ),
+        "the serve loop's published outputs moved"
+    );
+}

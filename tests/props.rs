@@ -332,8 +332,13 @@ fn compile_and_run_arbitrary_chains() {
 /// policies) ends — after destroying the survivors — with every core
 /// free, all HBM returned, and the buddy fully coalesced back into its
 /// maximal block. No cores or memory may leak through any interleaving.
+///
+/// Creates go through the one admission path — a 1-chip [`Cluster`]'s
+/// queue — so the drawn policy really decides which queued requests are
+/// attempted after each op, and in which order.
 #[test]
 fn hypervisor_churn_leaves_no_residue() {
+    use vnpu::cluster::{Cluster, ClusterAdmissionOutcome, ClusterVmId};
     use vnpu_sim::SocConfig;
     check(
         "hypervisor_churn_leaves_no_residue",
@@ -344,46 +349,55 @@ fn hypervisor_churn_leaves_no_residue() {
         ),
         |(ops, policy_pick)| {
             let hbm = 2 << 30;
-            let mut hv = Hypervisor::with_hbm_bytes(SocConfig::sim(), hbm);
+            let mut cl =
+                Cluster::with_chips(vec![Hypervisor::with_hbm_bytes(SocConfig::sim(), hbm)]);
             let policy: std::sync::Arc<dyn AdmissionPolicy> = match policy_pick {
                 0 => std::sync::Arc::new(Fifo),
                 1 => std::sync::Arc::new(SmallestFirst),
                 _ => std::sync::Arc::new(RetryAfterFree),
             };
-            hv.set_admission_policy_obj(policy);
-            let total_cores = hv.config().core_count();
-            let free_hbm_at_start = hv.hbm_free_bytes();
-            let mut live: Vec<VmId> = Vec::new();
+            cl.set_admission_policy(policy);
+            // A bounded budget, so blocked heads eventually leave the
+            // queue and every policy keeps making decisions.
+            cl.set_max_attempts(Some(3));
+            let total_cores = cl.total_cores();
+            let free_hbm_at_start = cl.chip(0).hbm_free_bytes();
+            let mut live: Vec<ClusterVmId> = Vec::new();
             for &(shape, action) in ops {
                 if action == 0 && !live.is_empty() {
                     // Destroy the oldest live vNPU (deterministic pick).
                     let vm = live.remove(0);
-                    hv.destroy_vnpu(vm).expect("destroy live vnpu");
-                    continue;
+                    cl.destroy(vm).expect("destroy live vnpu");
+                } else {
+                    cl.submit(match shape {
+                        0 => VnpuRequest::mesh(1, 1).mem_bytes(8 << 20),
+                        1 => VnpuRequest::mesh(2, 2).mem_bytes(48 << 20),
+                        2 => VnpuRequest::mesh(2, 3).mem_bytes(96 << 20),
+                        3 => VnpuRequest::mesh(3, 3).mem_bytes(160 << 20),
+                        4 => VnpuRequest::cores(5).mem_bytes(24 << 20),
+                        5 => VnpuRequest::cores(7).mem_bytes(72 << 20),
+                        6 => VnpuRequest::mesh(4, 2).mem_bytes(33 << 20),
+                        _ => VnpuRequest::mesh(1, 3).mem_bytes(130 << 20),
+                    });
                 }
-                let req = match shape {
-                    0 => VnpuRequest::mesh(1, 1).mem_bytes(8 << 20),
-                    1 => VnpuRequest::mesh(2, 2).mem_bytes(48 << 20),
-                    2 => VnpuRequest::mesh(2, 3).mem_bytes(96 << 20),
-                    3 => VnpuRequest::mesh(3, 3).mem_bytes(160 << 20),
-                    4 => VnpuRequest::cores(5).mem_bytes(24 << 20),
-                    5 => VnpuRequest::cores(7).mem_bytes(72 << 20),
-                    6 => VnpuRequest::mesh(4, 2).mem_bytes(33 << 20),
-                    _ => VnpuRequest::mesh(1, 3).mem_bytes(130 << 20),
-                };
-                // Placement may legitimately fail under fragmentation;
-                // the invariant is that failures change nothing and
-                // successes are fully reversible.
-                if let Ok(vm) = hv.create_vnpu(req) {
-                    live.push(vm);
+                // One admission tick per op. Placement may legitimately
+                // fail under fragmentation; the invariant is that
+                // failures change nothing and successes are fully
+                // reversible.
+                for ev in cl.process_admissions() {
+                    if let ClusterAdmissionOutcome::Admitted(id) = ev.outcome {
+                        live.push(id);
+                    }
                 }
                 // Bookkeeping sanity every step: used + free == total.
-                prop_assert!(hv.free_core_count() <= total_cores);
-                prop_assert!(hv.hbm_free_bytes() <= free_hbm_at_start);
+                prop_assert!(cl.free_cores() <= total_cores);
+                prop_assert!(cl.chip(0).hbm_free_bytes() <= free_hbm_at_start);
+                prop_assert_eq!(cl.live_count(), live.len());
             }
             for vm in live {
-                hv.destroy_vnpu(vm).expect("drain");
+                cl.destroy(vm).expect("drain");
             }
+            let hv = cl.chip(0);
             prop_assert_eq!(hv.free_core_count(), total_cores, "no leaked cores");
             prop_assert_eq!(hv.hbm_free_bytes(), free_hbm_at_start, "no leaked HBM");
             let frag = hv.fragmentation();

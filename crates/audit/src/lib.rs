@@ -26,8 +26,8 @@
 //! The fleet pass is wired into the serving loop behind
 //! `ServeConfig::audit` (off by default — zero cost) and into the
 //! serving benches' quick modes as a hard gate. It is also the safety
-//! net for the ROADMAP's parallel-cluster-tick refactor: the invariants
-//! a sharded tick must preserve are exactly the rules below.
+//! net for refactors of the serve tick: the invariants a restructured
+//! tick must preserve are exactly the rules below.
 //!
 //! # Rule catalogue
 //!
@@ -57,9 +57,6 @@
 //! | `FAULT-MAP` | no live tenant maps a faulted core | fault |
 //! | `FAULT-FREE` | no faulted core is advertised free | fault |
 //! | `FAULT-LINK` | no live tenant owns an endpoint of a faulted link | fault |
-//! | `CONC-ORDER` | locks are acquired in declared rank/shard order | conc |
-//! | `CONC-HOLD` | no pool batch submitted while holding a lock | conc |
-//! | `CONC-SHARD` | shard choice is a pure function of the key hash | conc |
 //! | `CONC-DET` | phase digest chains agree across runs | conc |
 //! | `TEMP-STARVE` | arrivals admitted or terminally rejected in bounded ticks | temporal |
 //! | `TEMP-DRAIN` | a silently stalled drain progresses or finishes in bounded ticks | temporal |
@@ -69,9 +66,9 @@
 //! | `TEMP-LEAK` | quiescence implies a coalesced, leak-free free state | temporal |
 //! | `TEMP-HINT` | emitted fit hints fit the emitting admission snapshot | temporal |
 //!
-//! The `CONC-*` rules are produced by `vnpu_conc`'s trace analyses and
-//! determinism sanitizer (see that crate); [`AuditFinding`] implements
-//! `From<vnpu_conc::ConcFinding>` so concurrency findings flow through
+//! `CONC-DET` is produced by `vnpu_conc`'s digest-chain comparison (see
+//! that crate); [`AuditFinding`] implements
+//! `From<vnpu_conc::ConcFinding>` so determinism findings flow through
 //! the same reporting channel as the passes above. The `TEMP-*` rules
 //! are produced by `vnpu_temporal`'s streaming property checker over
 //! serve traces and lift into this channel the same way.
@@ -175,15 +172,6 @@ pub enum Rule {
     /// routers. A warning — traffic may still route around the link —
     /// but recovery should be moving the tenant.
     FaultLinkEndpoint,
-    /// A lock was acquired against the declared rank/shard order, or
-    /// the observed acquisition graph has a cycle (potential deadlock).
-    ConcLockOrder,
-    /// A worker-pool batch was submitted while the submitting thread
-    /// held an instrumented lock.
-    ConcHoldAcrossSubmit,
-    /// A sharded lock's shard choice derived from worker identity or
-    /// pool width instead of the key hash.
-    ConcShardOrder,
     /// Phase digest chains diverged between runs that must agree.
     ConcDeterminism,
     /// A queued request was neither admitted nor terminally rejected
@@ -236,9 +224,6 @@ impl Rule {
             Rule::FaultMappedCore => "FAULT-MAP",
             Rule::FaultFreeCore => "FAULT-FREE",
             Rule::FaultLinkEndpoint => "FAULT-LINK",
-            Rule::ConcLockOrder => "CONC-ORDER",
-            Rule::ConcHoldAcrossSubmit => "CONC-HOLD",
-            Rule::ConcShardOrder => "CONC-SHARD",
             Rule::ConcDeterminism => "CONC-DET",
             Rule::TemporalStarvation => "TEMP-STARVE",
             Rule::TemporalDrainConvergence => "TEMP-DRAIN",
@@ -317,20 +302,12 @@ impl AuditFinding {
 }
 
 impl From<vnpu_conc::ConcFinding> for AuditFinding {
-    /// Lifts a concurrency finding into the audit channel: same rule id
-    /// (the `CONC-*` [`Rule`] variants), same severity, chip carried
-    /// over; concurrency findings never name a VM or core.
+    /// Lifts a determinism finding into the audit channel: same rule id
+    /// (`CONC-DET`, the only [`vnpu_conc::ConcRule`]), same severity, chip
+    /// carried over; determinism findings never name a VM or core.
     fn from(finding: vnpu_conc::ConcFinding) -> Self {
         AuditFinding {
-            rule: match finding.rule {
-                vnpu_conc::ConcRule::LockOrder => Rule::ConcLockOrder,
-                vnpu_conc::ConcRule::HoldAcrossSubmit => Rule::ConcHoldAcrossSubmit,
-                vnpu_conc::ConcRule::ShardOrder => Rule::ConcShardOrder,
-                // `ConcRule` is non_exhaustive; a future rule defaults
-                // to the determinism bucket rather than being dropped.
-                vnpu_conc::ConcRule::Determinism => Rule::ConcDeterminism,
-                _ => Rule::ConcDeterminism,
-            },
+            rule: Rule::ConcDeterminism,
             severity: match finding.severity {
                 vnpu_conc::ConcSeverity::Warning => Severity::Warning,
                 vnpu_conc::ConcSeverity::Error => Severity::Error,
@@ -404,9 +381,6 @@ mod tests {
             Rule::FaultMappedCore,
             Rule::FaultFreeCore,
             Rule::FaultLinkEndpoint,
-            Rule::ConcLockOrder,
-            Rule::ConcHoldAcrossSubmit,
-            Rule::ConcShardOrder,
             Rule::ConcDeterminism,
             Rule::TemporalStarvation,
             Rule::TemporalDrainConvergence,
@@ -432,12 +406,7 @@ mod tests {
 
     #[test]
     fn conc_findings_convert_losslessly() {
-        let cases = [
-            (vnpu_conc::ConcRule::LockOrder, "CONC-ORDER"),
-            (vnpu_conc::ConcRule::HoldAcrossSubmit, "CONC-HOLD"),
-            (vnpu_conc::ConcRule::ShardOrder, "CONC-SHARD"),
-            (vnpu_conc::ConcRule::Determinism, "CONC-DET"),
-        ];
+        let cases = [(vnpu_conc::ConcRule::Determinism, "CONC-DET")];
         for (conc_rule, id) in cases {
             // The conc crate and the audit catalogue must agree on ids.
             assert_eq!(conc_rule.id(), id);

@@ -31,7 +31,6 @@ pub mod fig15_vnpu_vs_uvm;
 pub mod fig16_vnpu_vs_mig;
 pub mod fig18_topo_mapping;
 pub mod fig19_hw_cost;
-pub mod parallel_tick;
 pub mod serving_churn;
 pub mod table3_vrouter_noc;
 pub mod temporal_check;

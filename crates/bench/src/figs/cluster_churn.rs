@@ -40,16 +40,6 @@ fn churn_config(quick: bool, placement: Arc<dyn ChipPlacement>) -> ServeConfig {
     cfg.traffic.mean_interarrival_ticks = 1;
     cfg.traffic.candidate_cap = if quick { 200 } else { 400 };
     cfg.placement = placement;
-    // Worker-pool width for the tick's parallel phases; the
-    // `scripts/verify.sh` gate runs this bench at `VNPU_WORKERS=1` and
-    // `=4` and byte-diffs the two report JSONs (modulo the report's own
-    // `workers` field).
-    if let Some(w) = std::env::var("VNPU_WORKERS")
-        .ok()
-        .and_then(|w| w.parse::<usize>().ok())
-    {
-        cfg.workers = w.max(1);
-    }
     cfg
 }
 

@@ -2,7 +2,7 @@
 //! temporal-property verifier (`vnpu_temporal`): the three dynamic
 //! scenario families (churn + defrag, whole-chip maintenance drain,
 //! fault lifecycle with scheduled repair) run with the online checker
-//! enabled at `workers = 1/2/4/8` and must
+//! enabled and must
 //!
 //! * surface **zero** `TEMP-*` findings on every healthy run — liveness
 //!   (TEMP-STARVE), drain convergence (TEMP-DRAIN), recovery deadlines
@@ -10,8 +10,8 @@
 //!   quiescence leaks (TEMP-LEAK) and hint soundness (TEMP-HINT) all
 //!   hold by construction;
 //! * leave every [`vnpu_serve::ServeReport`] **byte-identical** to the
-//!   checker-off baseline (modulo the report's own `workers` field) —
-//!   temporal checking is a read-only observer of the event stream;
+//!   checker-off baseline — temporal checking is a read-only observer
+//!   of the event stream;
 //! * agree with the **offline** replay: `check_trace` over the recorded
 //!   trace (report claim appended) comes back clean too, and the trace
 //!   carries the scenario's signature events (drain moves, fault
@@ -28,7 +28,7 @@ use std::time::Instant;
 use vnpu::cluster::LeastLoaded;
 use vnpu::plan::GreedyDefrag;
 use vnpu_fault::FaultPlan;
-use vnpu_serve::{ServeConfig, ServeReport, ServeRuntime};
+use vnpu_serve::{ServeConfig, ServeRuntime};
 use vnpu_sim::SocConfig;
 use vnpu_temporal::{check_trace, TraceEvent};
 
@@ -39,7 +39,7 @@ const SEED: u64 = 0x7E_40_0A_11;
 struct Scenario {
     name: &'static str,
     /// Builds the config for a given mode; `temporal`/`record_trace`
-    /// and `workers` are overlaid by the driver.
+    /// are overlaid by the driver.
     config: fn(bool) -> ServeConfig,
     /// Whether the driver walks the drain-maintenance lifecycle
     /// (warm → begin_drain → evacuate → complete/undrain → serve on).
@@ -108,16 +108,6 @@ const SCENARIOS: [Scenario; 3] = [
     },
 ];
 
-/// The report's JSON with its `workers` line stripped — the one field
-/// that legitimately varies with the pool width.
-fn normalized_json(r: &ServeReport) -> String {
-    r.to_json(usize::MAX)
-        .lines()
-        .filter(|l| !l.contains("\"workers\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Drives one configured run to completion (scenario lifecycle + ticks
 /// + end-of-run drain) and hands the runtime back for inspection.
 fn drive(cfg: ServeConfig, drive_drain: bool) -> ServeRuntime {
@@ -158,39 +148,33 @@ fn run_scenario(sc: &Scenario, quick: bool) -> Outcome {
     let t0 = Instant::now();
     let baseline_rt = drive((sc.config)(quick), sc.drive_drain);
     let baseline_nanos = t0.elapsed().as_nanos();
-    let baseline = normalized_json(&baseline_rt.report());
+    let baseline = baseline_rt.report().to_json(usize::MAX);
 
-    // --- Online checker at every pool width: zero findings, report
-    //     byte-identical to the baseline. ---
-    let mut checked_nanos = 0u128;
-    for workers in [1usize, 2, 4, 8] {
-        let mut cfg = (sc.config)(quick);
-        cfg.temporal = true;
-        cfg.workers = workers;
-        let t1 = Instant::now();
-        let rt = drive(cfg, sc.drive_drain);
-        if workers == 1 {
-            checked_nanos = t1.elapsed().as_nanos();
-        }
-        assert!(
-            rt.temporal_findings().is_empty(),
-            "{} at workers={workers}: a healthy run must check clean: {:?}",
-            sc.name,
-            rt.temporal_findings()
-        );
-        let report = rt.report();
-        assert_eq!(
-            report.temporal_findings, 0,
-            "{}: the report mirrors the zero-findings count",
-            sc.name
-        );
-        assert_eq!(
-            normalized_json(&report),
-            baseline,
-            "{} at workers={workers}: temporal checking must be read-only",
-            sc.name
-        );
-    }
+    // --- Online checker: zero findings, report byte-identical to the
+    //     baseline. ---
+    let mut cfg = (sc.config)(quick);
+    cfg.temporal = true;
+    let t1 = Instant::now();
+    let rt = drive(cfg, sc.drive_drain);
+    let checked_nanos = t1.elapsed().as_nanos();
+    assert!(
+        rt.temporal_findings().is_empty(),
+        "{}: a healthy run must check clean: {:?}",
+        sc.name,
+        rt.temporal_findings()
+    );
+    let report = rt.report();
+    assert_eq!(
+        report.temporal_findings, 0,
+        "{}: the report mirrors the zero-findings count",
+        sc.name
+    );
+    assert_eq!(
+        report.to_json(usize::MAX),
+        baseline,
+        "{}: temporal checking must be read-only",
+        sc.name
+    );
 
     // --- Offline replay: the recorded trace (claim appended) is clean
     //     under the same config-derived bounds, and it carries the
@@ -287,8 +271,8 @@ pub fn run(quick: bool) {
         );
     }
     println!(
-        "\nall scenarios: zero TEMP-* findings at workers 1/2/4/8, reports \
-         byte-identical to the checker-off baseline, offline replay agrees\n"
+        "\nall scenarios: zero TEMP-* findings, reports byte-identical to \
+         the checker-off baseline, offline replay agrees\n"
     );
 
     // --- JSON artifact via the existing harness conventions. ---

@@ -1,10 +1,10 @@
 //! The per-phase determinism digest chain.
 //!
-//! The serve loop (behind `ServeConfig`'s [`crate::ConcMode`]) hashes
-//! the *result* of each tick phase — admission merge, drain apply,
+//! The serve loop (behind `ServeConfig::phase_digests`) hashes the
+//! *result* of each tick phase — admission decisions, drain apply,
 //! defrag apply, execution fold — per tick and per chip into a
-//! [`DigestChain`]. Two runs that must agree (different worker counts,
-//! different schedule seeds) then compare chains entry-by-entry:
+//! [`DigestChain`]. Two runs that must agree (the same seed twice,
+//! instrumentation on and off) then compare chains entry-by-entry:
 //! [`compare_chains`] pinpoints the **first** divergent
 //! `(tick, phase, chip)` instead of leaving a whole-report diff to
 //! bisect, and reports it as a `CONC-DET` [`ConcFinding`].
@@ -26,9 +26,8 @@ pub fn mix64(mut x: u64) -> u64 {
 }
 
 /// An order-sensitive 64-bit fold: `write_u64` values in, one mixed
-/// word out. Order sensitivity is the point — a merge that folds in
-/// completion order instead of nomination order produces a different
-/// digest.
+/// word out. Order sensitivity is the point — a fold in any order but
+/// the canonical one produces a different digest.
 #[derive(Debug, Clone, Copy)]
 pub struct Digest {
     state: u64,
@@ -78,8 +77,7 @@ pub enum Phase {
     /// detected, and each one's recovery resolution (remapped, replaced
     /// cross-chip, pending or lost) per chip.
     Recovery,
-    /// Admission-wave merge: which requests landed where, in nomination
-    /// order.
+    /// Admission pass: which requests landed where, in decision order.
     Admission,
     /// Drain-step apply: planned moves, skips and remaining counts per
     /// draining chip.
@@ -111,7 +109,7 @@ pub struct DigestEntry {
     /// Which phase.
     pub phase: Phase,
     /// The chip the digest covers, or `None` for a fleet-level phase
-    /// (the admission merge spans chips).
+    /// (the admission pass spans chips).
     pub chip: Option<u32>,
     /// The folded phase result.
     pub digest: u64,

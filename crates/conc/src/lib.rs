@@ -1,70 +1,32 @@
-//! **vnpu_conc** — the concurrency sanitizer for the parallel fleet
-//! tick.
+//! **vnpu_conc** — the determinism sanitizer of the serve loop.
 //!
-//! PR 7's "byte-identical at any worker count" contract was enforced
-//! only by end-to-end report diffs: a lock-order inversion or a merge
-//! that silently depends on completion order would pass as long as
-//! today's schedules happened to serialize it. This crate extends the
-//! audit philosophy (read-only passes, stable rule ids, mutation-proven
-//! detection) into the concurrency dimension with three layers:
+//! The serve tick is single-threaded (the only threads in the stack are
+//! the mapper's own edit-distance scoring), so there is no lock to order
+//! and no schedule to explore. What remains worth checking is that two
+//! runs which must agree — the same seed twice, instrumentation on and
+//! off — really do, and *where* they stop agreeing when they do not: the
+//! serve loop (behind `ServeConfig::phase_digests`) records a per-tick,
+//! per-phase, per-chip [`DigestChain`] (admission decisions, drain and
+//! defrag applies, recovery resolutions, execution makespans — never
+//! wall-clock), and [`compare_chains`] pinpoints the *first* divergent
+//! `(tick, phase, chip)` instead of leaving a whole-report diff to
+//! bisect.
 //!
-//! 1. **Instrumented sync layer** ([`sync`]) — thin [`sync::Mutex`] /
-//!    [`sync::Lock`] wrappers adopted by every lock site in the
-//!    workspace (the worker pool's shared receiver, the sharded mapping
-//!    cache's per-shard locks, the per-chip hint caches). Each wrapper
-//!    carries its [`sites::Site`] label and an optional [`ConcProbe`];
-//!    with no probe installed the wrappers are a pure pass-through —
-//!    **no atomics and no allocation** on the lock path, just one plain
-//!    `Option` load and branch — so production runs pay nothing.
-//! 2. **Trace analyses** ([`analysis`]) — over the per-thread
-//!    acquisition/release traces a [`probe::TraceProbe`] records:
-//!    lock-order rank inversions and acquisition-graph cycles
-//!    (`CONC-ORDER`), locks held across worker-pool job submission
-//!    (`CONC-HOLD`), and shard-lock ownership that drifts with worker
-//!    identity instead of staying a pure function of the key hash
-//!    (`CONC-SHARD`, checked within and *across* traces taken at
-//!    different pool widths).
-//! 3. **Schedule explorer + determinism sanitizer** ([`sched`],
-//!    [`digest`]) — a seeded permutation schedule replays pool batches
-//!    under K permuted interleavings (job pickup order is the
-//!    instrumented yield point), while the serve loop records a
-//!    per-tick, per-chip, per-phase digest chain (admission merge,
-//!    drain/defrag apply, execution fold). Comparing chains pinpoints
-//!    the *first* divergent `(tick, phase, chip)` (`CONC-DET`) instead
-//!    of leaving a whole-report diff to bisect.
-//!
-//! Findings are [`ConcFinding`]s under four stable rule ids
-//! (`CONC-ORDER`, `CONC-HOLD`, `CONC-SHARD`, `CONC-DET`); `vnpu_audit`
-//! carries the same ids in its [`Rule`] catalogue and converts
-//! `ConcFinding`s into `AuditFinding`s, so concurrency findings flow
-//! through the same reporting channel as the PLAN/ROUTE/FLEET passes.
-//! Like those passes, this crate proves itself by mutation: the
-//! workspace's `conc_mutations` suite checks that a completion-order
-//! merge, a worker-derived shard map and an inverted lock pair are each
-//! flagged while the shipped code audits clean at widths 1/2/4/8.
-//!
-//! [`Rule`]: ConcRule
+//! A divergence is a [`ConcFinding`] under the stable rule id `CONC-DET`;
+//! `vnpu_audit` carries the same id in its rule catalogue and converts
+//! `ConcFinding`s into `AuditFinding`s, so it flows through the same
+//! reporting channel as the PLAN/ROUTE/FLEET passes. The workspace's
+//! `conc_mutations` suite proves the rule by mutation: a chain folded in
+//! completion order is flagged against one folded in job order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::Arc;
 
-pub mod analysis;
 pub mod digest;
-pub mod probe;
-pub mod sched;
-pub mod sites;
-pub mod sync;
 
-pub use analysis::{
-    analyze_all, analyze_hold_across_submit, analyze_lock_order, analyze_shard_order,
-};
 pub use digest::{compare_all, compare_chains, Digest, DigestChain, DigestEntry, Phase};
-pub use probe::{ConcProbe, EventKind, Trace, TraceEvent, TraceProbe};
-pub use sched::ScheduleSeed;
-pub use sites::{Site, SiteId};
 
 /// The concurrency rules this crate checks. Every rule has a stable
 /// string id (mirrored by `vnpu_audit::Rule`'s CONC entries) used in
@@ -72,18 +34,6 @@ pub use sites::{Site, SiteId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum ConcRule {
-    /// A lock was acquired against the registry's canonical rank order
-    /// (or the acquisition graph built from traces has a cycle) —
-    /// a potential deadlock.
-    LockOrder,
-    /// A thread submitted a worker-pool batch while holding an
-    /// instrumented lock — workers that need the same lock deadlock
-    /// against the submitter, and the batch serializes at best.
-    HoldAcrossSubmit,
-    /// A sharded lock's owner drifted for the same key: shard choice
-    /// derives from worker identity or pool width instead of being a
-    /// pure function of the key hash.
-    ShardOrder,
     /// Two runs that must agree diverged; the finding names the first
     /// divergent `(tick, phase, chip)` of the digest chains.
     Determinism,
@@ -93,9 +43,6 @@ impl ConcRule {
     /// The stable rule id used in reports and the README catalogue.
     pub fn id(self) -> &'static str {
         match self {
-            ConcRule::LockOrder => "CONC-ORDER",
-            ConcRule::HoldAcrossSubmit => "CONC-HOLD",
-            ConcRule::ShardOrder => "CONC-SHARD",
             ConcRule::Determinism => "CONC-DET",
         }
     }
@@ -128,7 +75,7 @@ impl fmt::Display for ConcSeverity {
 
 /// One concurrency finding: rule, severity, the offending chip when one
 /// is identifiable (determinism findings), and a human-readable detail
-/// naming the witness (sites, threads, tick/phase).
+/// naming the witness (runs, tick, phase).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConcFinding {
     /// The rule that fired.
@@ -137,7 +84,7 @@ pub struct ConcFinding {
     pub severity: ConcSeverity,
     /// Offending chip index, when one is identifiable.
     pub chip: Option<usize>,
-    /// Human-readable witness (lock sites, thread, tick/phase, ...).
+    /// Human-readable witness (run labels, tick, phase, digests).
     pub detail: String,
 }
 
@@ -180,68 +127,13 @@ impl fmt::Display for ConcFinding {
     }
 }
 
-/// Concurrency-instrumentation switches for a serve run, carried on
-/// `ServeConfig`. The default (`probe: None`, `schedule: None`,
-/// `phase_digests: false`) is the production configuration: every
-/// instrumented code path degenerates to a plain `Option` check.
-#[derive(Clone, Default)]
-pub struct ConcMode {
-    /// The probe every instrumented lock and the worker pool report to;
-    /// `None` (the default) records nothing and costs nothing.
-    pub probe: Option<Arc<dyn ConcProbe>>,
-    /// Seeded schedule perturbation: permutes worker-pool batch
-    /// submission (and inline execution) order at the pool's
-    /// instrumented yield point, so K seeds explore K interleavings.
-    pub schedule: Option<ScheduleSeed>,
-    /// Record the per-tick / per-chip / per-phase [`DigestChain`] on the
-    /// serve runtime, for cross-run [`compare_chains`] checks.
-    pub phase_digests: bool,
-}
-
-impl ConcMode {
-    /// Instrumentation for one exploration run: the given probe, the
-    /// given schedule seed, digests on.
-    pub fn exploring(probe: Arc<dyn ConcProbe>, schedule: ScheduleSeed) -> Self {
-        ConcMode {
-            probe: Some(probe),
-            schedule: Some(schedule),
-            phase_digests: true,
-        }
-    }
-
-    /// Probe + digests without schedule perturbation (the natural
-    /// schedule, observed).
-    pub fn probed(probe: Arc<dyn ConcProbe>) -> Self {
-        ConcMode {
-            probe: Some(probe),
-            schedule: None,
-            phase_digests: true,
-        }
-    }
-}
-
-impl fmt::Debug for ConcMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConcMode")
-            .field("probe", &self.probe.as_ref().map(|_| "installed"))
-            .field("schedule", &self.schedule)
-            .field("phase_digests", &self.phase_digests)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn rule_ids_are_unique_and_stable() {
-        let rules = [
-            ConcRule::LockOrder,
-            ConcRule::HoldAcrossSubmit,
-            ConcRule::ShardOrder,
-            ConcRule::Determinism,
-        ];
+        let rules = [ConcRule::Determinism];
         let ids: std::collections::BTreeSet<&str> = rules.iter().map(|r| r.id()).collect();
         assert_eq!(ids.len(), rules.len(), "duplicate rule id");
         for id in ids {
@@ -257,15 +149,5 @@ mod tests {
         assert!(s.contains("error"), "{s}");
         assert!(s.contains("chip2"), "{s}");
         assert!(s.contains("tick 3 diverged"), "{s}");
-    }
-
-    #[test]
-    fn conc_mode_default_is_fully_off() {
-        let mode = ConcMode::default();
-        assert!(mode.probe.is_none());
-        assert!(mode.schedule.is_none());
-        assert!(!mode.phase_digests);
-        let dbg = format!("{mode:?}");
-        assert!(dbg.contains("probe: None"), "{dbg}");
     }
 }

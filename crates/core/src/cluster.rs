@@ -12,12 +12,11 @@
 //!   fleet;
 //! * a [`ChipPlacement`] trait deciding *which chip* each request maps
 //!   onto ([`FirstFit`], [`BestFitFragmentation`], [`LeastLoaded`] ship);
-//! * a **shared [`ShardedMappingCache`]**: every chip's placements are
-//!   memoized in one table (sharded by key hash so pool workers can
-//!   probe it concurrently; per-chip [`MappingCache`]s serve only
-//!   advisory fit hints). Entries never alias across chips because each key
-//!   carries the chip's `labeled_hash` topology fingerprint and its
-//!   reconfiguration generation — two identical free regions on two
+//! * a **shared [`MappingCache`]**: every chip's placements are memoized
+//!   in one table (a second `MappingCache` per chip serves only advisory
+//!   fit-hint and defrag probes). Entries never alias across chips because
+//!   each key carries the chip's `labeled_hash` topology fingerprint and
+//!   its reconfiguration generation — two identical free regions on two
 //!   identical chip models *do* share entries, which is the point.
 //!   After reconfigs, soundness relies on the generation reflecting the
 //!   actual hardware state: the serve layer mirrors the machine's
@@ -31,10 +30,11 @@
 //! [`Hypervisor::create_vnpu_in`] changes nothing), so cluster admission
 //! inherits the single-chip leak-freedom invariants. Every fleet-wide
 //! operation has one entry point — [`Cluster::process_admissions`],
-//! [`Cluster::drain_tick`], [`Cluster::defrag_pass`] — and the per-chip
-//! planning inside the latter two fans out through
-//! [`WorkerPool::lend`], which alone decides between inline and pooled
-//! execution.
+//! [`Cluster::drain_tick`], [`Cluster::defrag_pass`] — and all of them run
+//! on the caller's thread: the per-chip planning inside the latter two is
+//! a loop over the chips, in chip order. The only threads in the stack are
+//! the mapper's own ([`Strategy::threads`], Algorithm 1's parallel
+//! edit-distance scoring).
 
 use crate::admission::{
     AdmissionPolicy, AdmissionQueue, AdmissionTick, FitHint, FragmentationStats, PendingView,
@@ -46,14 +46,13 @@ use crate::ids::VmId;
 use crate::plan::{
     CommitReceipt, Defragmenter, MigrationTarget, PlanOp, ReconfigBudget, ReconfigCost,
 };
-use crate::pool::WorkerPool;
 use crate::vnpu::{VirtualNpu, VnpuRequest};
 use crate::{Result, VnpuError};
 use std::fmt;
 use std::sync::Arc;
 use vnpu_sim::SocConfig;
-use vnpu_topo::cache::{CacheStats, MappingCache, ShardedMappingCache};
-use vnpu_topo::mapping::{Mapper, Mapping, ProbedCache, Strategy};
+use vnpu_topo::cache::{CacheStats, MappingCache};
+use vnpu_topo::mapping::Strategy;
 use vnpu_topo::TopoError;
 
 /// A virtual NPU's cluster-wide identity: which chip it lives on, and
@@ -276,23 +275,17 @@ pub struct ClusterAdmissionEvent {
     pub fit_hint: Option<FitHint>,
 }
 
-/// Everything the cluster keeps for one chip, in one value — so a phase
-/// that plans per chip can lend the whole slot to a pool worker
-/// ([`WorkerPool::lend`]) instead of pulling parallel vectors apart.
+/// Everything the cluster keeps for one chip, in one value.
 #[derive(Debug)]
 struct ChipSlot {
     hv: Hypervisor,
     /// The chip's dedicated cache for fit-hint and defrag probes, so
     /// advisory probing never distorts the shared placement cache's
-    /// hit-rate statistics — and so per-chip planning can run on the
-    /// worker pool without sharing a hint table. Hint values are
-    /// deterministic pure functions of the owning chip's state, so
-    /// isolating them per chip changes no planned outcome. The cache
-    /// sits in a [`vnpu_conc::sync::Lock`] cell (site `HINT_CACHE`,
-    /// shard = chip index): exclusivity is still enforced by ownership,
-    /// but every access window is visible to an installed concurrency
-    /// probe.
-    hints: vnpu_conc::sync::Lock<MappingCache>,
+    /// hit-rate statistics. Hint values are pure functions of the owning
+    /// chip's state, and a chip's hints are dropped when its placeable
+    /// region changes shape behind the probes' back
+    /// ([`Cluster::reshaped`]).
+    hints: MappingCache,
     /// Schedulability / drain lifecycle state.
     sched: ChipSchedState,
     /// The memoized snapshot (`None` = stale): every mutating path
@@ -311,23 +304,50 @@ fn slot_mut(chips: &mut [ChipSlot], chip: usize) -> Result<&mut ChipSlot> {
         .ok_or(VnpuError::UnknownChip { chip, count })
 }
 
+impl ChipSlot {
+    /// Prices and commits one chip's defrag proposals through the shared
+    /// `cache` — the second half of a chip's defrag pass.
+    fn apply_defrag_ops(
+        &mut self,
+        cache: &mut MappingCache,
+        ops: Vec<PlanOp>,
+        budget: &ReconfigBudget,
+    ) -> Result<CommitReceipt> {
+        if ops.is_empty() {
+            return Ok(CommitReceipt::default());
+        }
+        // Proposals are advisory: a policy whose ops cannot be planned
+        // (a tenant departed under it, a target stopped fitting) skips
+        // this pass instead of failing the caller's serving tick.
+        let Ok(txn) = self.hv.plan_budgeted_in(&ops, budget, cache) else {
+            return Ok(CommitReceipt::default());
+        };
+        // Nothing to do when every affordable op resolved to a no-op
+        // migration — committing would pay a full rollback-snapshot
+        // clone (and transient buddy churn) to change nothing.
+        let all_noop_migrations = txn
+            .ops()
+            .iter()
+            .all(|p| matches!(p.op, PlanOp::Migrate { .. }) && p.cost.is_zero());
+        if txn.is_empty() || all_noop_migrations {
+            return Ok(CommitReceipt::default());
+        }
+        let receipt = self.hv.commit_in(&txn, cache)?;
+        self.snap = None;
+        Ok(receipt)
+    }
+}
+
 /// N hypervisor-managed chips behind one admission queue, one placement
 /// policy, and one shared mapping cache.
 #[derive(Debug)]
 pub struct Cluster {
     chips: Vec<ChipSlot>,
-    /// The shared placement cache, sharded behind per-shard locks so the
-    /// admission workers' speculative probes never serialize on it. All
-    /// *mutating* cache traffic (`get`/`insert` with statistics) still
-    /// flows through the sequential merge, so contents and counters are
-    /// identical at every worker count.
-    cache: Arc<ShardedMappingCache>,
+    /// The shared placement cache: one bounded FIFO table for every
+    /// chip's placements, migrations and recoveries.
+    cache: MappingCache,
     admissions: AdmissionQueue,
     placement: Arc<dyn ChipPlacement>,
-    /// The worker pool the parallel phases (admission probing, drain and
-    /// defrag planning) fan out on. The default single-worker pool runs
-    /// everything inline — the exact sequential path.
-    pool: Arc<WorkerPool>,
 }
 
 impl Cluster {
@@ -352,59 +372,19 @@ impl Cluster {
         assert!(!chips.is_empty(), "a cluster owns at least one chip");
         let chips = chips
             .into_iter()
-            .enumerate()
-            .map(|(i, hv)| ChipSlot {
+            .map(|hv| ChipSlot {
                 hv,
-                hints: vnpu_conc::sync::Lock::new(
-                    &vnpu_conc::sites::HINT_CACHE,
-                    MappingCache::default(),
-                )
-                .at_shard(i as u32),
+                hints: MappingCache::default(),
                 sched: ChipSchedState::Schedulable,
                 snap: None,
             })
             .collect();
         Cluster {
             chips,
-            cache: Arc::new(ShardedMappingCache::default()),
+            cache: MappingCache::default(),
             admissions: AdmissionQueue::default(),
             placement: Arc::new(FirstFit),
-            pool: Arc::new(WorkerPool::new(1)),
         }
-    }
-
-    /// Installs the worker pool the cluster's parallel phases (admission
-    /// candidate probing, drain and defrag planning) fan out on. The
-    /// serve layer shares one pool between the cluster and its machine
-    /// epochs. A single-worker pool (the default) runs everything inline
-    /// on the caller's thread — the exact sequential path.
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = pool;
-    }
-
-    /// Installs (or removes) the concurrency probe on every lock the
-    /// cluster owns: the per-chip hint caches and — when the shared
-    /// mapping cache is not aliased elsewhere — its shard locks.
-    /// Returns `false` when the shared cache could not be reached
-    /// (another `Arc` clone of it is alive, e.g. mid-tick); callers
-    /// install the probe right after construction, where the cache
-    /// refcount is 1 and installation always succeeds.
-    pub fn set_conc_probe(&mut self, probe: Option<Arc<dyn vnpu_conc::ConcProbe>>) -> bool {
-        for slot in &mut self.chips {
-            slot.hints.set_probe(probe.clone());
-        }
-        match Arc::get_mut(&mut self.cache) {
-            Some(cache) => {
-                cache.set_probe(probe);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Worker threads the cluster's parallel phases may use.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
     }
 
     /// The slot of `chip`, or [`VnpuError::UnknownChip`].
@@ -593,12 +573,6 @@ impl Cluster {
         Ok(self.slot(chip)?.sched)
     }
 
-    /// Whether the chip may currently be nominated for placements.
-    /// Out-of-range indices are simply not schedulable.
-    pub fn is_schedulable(&self, chip: usize) -> bool {
-        self.drain_state(chip) == Ok(ChipSchedState::Schedulable)
-    }
-
     /// Takes a chip out of service for maintenance: from this call on it
     /// is never nominated by the placement policy, never advertised by
     /// the fleet [`Cluster::fit_hint`], and refuses direct placements
@@ -631,9 +605,8 @@ impl Cluster {
     /// `(tenant, destination)` set within `budget`, read-only, against
     /// the schedulable chips among `snapshots` (the tick's per-chip
     /// snapshots, in chip order, so the maintenance phase shares the
-    /// tick's single free-region scan); the planning fans out through
-    /// [`WorkerPool::lend`]. The proposals are then applied in chip
-    /// order, each through the transactional [`Cluster::migrate_to_chip`]
+    /// tick's single free-region scan). The proposals are then applied in
+    /// chip order, each through the transactional [`Cluster::migrate_to_chip`]
     /// — create-before-destroy, so a failed move leaves the tenant on the
     /// source chip. Proposals that no longer apply (tenant departed,
     /// destination stopped fitting or draining itself, a stale snapshot)
@@ -641,38 +614,34 @@ impl Cluster {
     /// Returns `(chip, step)` pairs in chip order; no chip draining means
     /// no step.
     ///
-    /// Plan-then-apply is used at every worker count, so results are
-    /// byte-identical regardless of parallelism: with several chips
-    /// draining, every plan sees the tick's snapshots rather than its
-    /// predecessors' moves.
+    /// Every chip is planned before any proposal is applied: with several
+    /// chips draining, every plan sees the tick's snapshots rather than
+    /// its predecessors' moves.
     pub fn drain_tick(
         &mut self,
         policy: &Arc<dyn DrainPolicy>,
         budget: &ReconfigBudget,
         snapshots: &[ChipSnapshot],
     ) -> Vec<(usize, DrainStep)> {
-        let draining: Vec<usize> = (0..self.chips.len())
-            .filter(|&c| self.chips[c].sched == ChipSchedState::Draining)
+        let plans: Vec<(usize, Vec<(VmId, usize)>)> = self
+            .chips
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.sched == ChipSchedState::Draining)
+            .map(|(chip, slot)| {
+                let open = snapshots.iter().filter(|s| s.chip != chip && s.schedulable);
+                let destinations: Vec<ChipSnapshot> = open.cloned().collect();
+                (chip, policy.plan_step(&slot.hv, &destinations, budget))
+            })
             .collect();
-        let destinations = |&chip: &usize| -> (usize, Vec<ChipSnapshot>) {
-            let open = snapshots.iter().filter(|s| s.chip != chip && s.schedulable);
-            (chip, open.cloned().collect())
-        };
-        let (policy, limit) = (Arc::clone(policy), *budget);
-        let plans = self.pool.lend(
-            &mut self.chips,
-            draining.iter().map(destinations),
-            move |slot, destinations| policy.plan_step(&slot.hv, &destinations, &limit),
-        );
-        draining
+        plans
             .into_iter()
-            .zip(plans)
             .map(|(chip, proposals)| (chip, self.apply_drain_proposals(chip, proposals, budget)))
             .collect()
     }
 
-    /// Applies one chip's drain proposals under the budget — the
-    /// sequential half of a drain step.
+    /// Applies one chip's drain proposals under the budget — the second
+    /// half of a drain step.
     fn apply_drain_proposals(
         &mut self,
         chip: usize,
@@ -744,8 +713,8 @@ impl Cluster {
 
     /// Hands a draining or drained chip back to the schedulers: it is
     /// nominated and advertised again exactly as before the drain. The
-    /// cluster's hint caches are dropped so no pre-drain exhaustion proof
-    /// can shadow the chip's post-maintenance free region.
+    /// chip's hint cache is dropped so no pre-drain exhaustion proof can
+    /// shadow its post-maintenance free region.
     ///
     /// # Errors
     ///
@@ -770,17 +739,17 @@ impl Cluster {
 
     /// Cache hygiene after `chip`'s placeable region changed shape in a
     /// way advisory probes cannot see (a fault-mask transition, a
-    /// hand-back from maintenance): every dedicated hint cache is
-    /// dropped — a fit hint or exhaustion proof from before must not
-    /// shadow the new region — and the chip's memoized snapshot is marked
-    /// stale. The *placement* cache needs no flush: its keys carry the
-    /// chip's reconfiguration generation, which the fault layer evolves
-    /// on every onset/repair, so stale entries expire by key.
+    /// hand-back from maintenance): the chip's own hint cache is dropped
+    /// — a fit hint or exhaustion proof from before must not shadow the
+    /// new region — and its memoized snapshot is marked stale. Other
+    /// chips' hints describe other chips and stay. The *placement* cache
+    /// needs no flush: its keys carry the chip's reconfiguration
+    /// generation, which the fault layer evolves on every onset/repair,
+    /// so stale entries expire by key.
     fn reshaped(&mut self, chip: usize) {
-        for slot in &mut self.chips {
-            slot.hints.with(|hc| hc.clear());
-        }
-        self.chips[chip].snap = None;
+        let slot = &mut self.chips[chip];
+        slot.hints.clear();
+        slot.snap = None;
     }
 
     /// Marks one core on one chip faulted. Returns whether the mask
@@ -859,7 +828,7 @@ impl Cluster {
                 detail: "cannot place on a draining chip",
             });
         }
-        let vm = slot.hv.create_vnpu_in(req, &mut &*self.cache)?;
+        let vm = slot.hv.create_vnpu_in(req, &mut self.cache)?;
         slot.snap = None;
         Ok(ClusterVmId { chip, vm })
     }
@@ -924,7 +893,7 @@ impl Cluster {
             if *sched != ChipSchedState::Schedulable {
                 continue; // a draining chip's window must not be advertised
             }
-            if let Some(hint) = hints.with(|hc| hv.fit_hint_in_bounded(hc, island)) {
+            if let Some(hint) = hv.fit_hint_in_bounded(hints, island) {
                 if best.is_none_or(|b| hint.cores > b.cores) {
                     best = Some(hint);
                 }
@@ -993,95 +962,28 @@ impl Cluster {
             // placement policy happened to try last.
             let mut saw_no_candidate = false;
             let mut placed: Option<ClusterVmId> = None;
-            // Nominated chips are attempted in *waves* of the pool's
-            // width: workers speculatively probe every chip in the wave
-            // concurrently (read-only — a stats-free cache peek, else a
-            // fresh mapping attempt against the chip's current free set),
-            // then the sequential merge replays the canonical
-            // cache-get/insert protocol per chip in nomination order,
-            // consuming a probe's result only where the merge-time lookup
-            // misses. The first success in nomination order wins — the
-            // same winner the sequential loop picks, with the same cache
-            // contents and counters, at any worker count. A single-worker
-            // pool degenerates to waves of one with no probe phase: the
-            // exact sequential path.
-            let wave_width = self.pool.workers().max(1);
-            'waves: for wave in order.chunks(wave_width) {
-                let probes: Vec<Option<std::result::Result<Mapping, TopoError>>> = if wave.len() > 1
-                {
-                    let jobs: Vec<_> = wave
-                        .iter()
-                        .map(|&chip| {
-                            // Within one request, a chip's free set
-                            // cannot change between probe and merge
-                            // (failed creates are transactional), so
-                            // a probe always matches what the merge
-                            // would compute inline.
-                            let chip_state = self
-                                .chips
-                                .get(chip)
-                                .filter(|slot| slot.sched == ChipSchedState::Schedulable)
-                                .map(|slot| {
-                                    (
-                                        slot.hv.topology_arc(),
-                                        slot.hv.phys_key(),
-                                        slot.hv.topology_generation(),
-                                        slot.hv.availability_for(&request),
-                                    )
-                                });
-                            let cache = Arc::clone(&self.cache);
-                            let req_topo = request.topology().clone();
-                            let strategy = request.strategy_ref().clone();
-                            move || -> Option<std::result::Result<Mapping, TopoError>> {
-                                let (topo, phys_key, generation, free) = chip_state?;
-                                if cache
-                                    .peek(phys_key, generation, &req_topo, &strategy, &free)
-                                    .is_some()
-                                {
-                                    // A valid entry exists: the
-                                    // merge-time `get` hits (or, if an
-                                    // earlier merge evicted it,
-                                    // recomputes inline) — nothing to
-                                    // precompute.
-                                    return None;
-                                }
-                                Some(
-                                    Mapper::with_phys_key(&topo, phys_key)
-                                        .at_generation(generation)
-                                        .map_in(&free, &req_topo, &strategy),
-                                )
-                            }
-                        })
-                        .collect();
-                    self.pool.run(jobs)
-                } else {
-                    (0..wave.len()).map(|_| None).collect()
+            for chip in order {
+                // Defense in depth against custom placement policies: a
+                // draining (or out-of-range) chip is never attempted even
+                // when nominated (the shipped policies already filter on
+                // the snapshot's schedulability mask).
+                let Some(slot) = self
+                    .chips
+                    .get_mut(chip)
+                    .filter(|slot| slot.sched == ChipSchedState::Schedulable)
+                else {
+                    continue;
                 };
-                for (&chip, probe) in wave.iter().zip(probes) {
-                    // Defense in depth against custom placement policies:
-                    // a draining (or out-of-range) chip is never
-                    // attempted even when nominated (the shipped policies
-                    // already filter on the snapshot's schedulability
-                    // mask).
-                    let Some(slot) = self
-                        .chips
-                        .get_mut(chip)
-                        .filter(|slot| slot.sched == ChipSchedState::Schedulable)
-                    else {
-                        continue;
-                    };
-                    let mut probed = ProbedCache::new(&self.cache, probe);
-                    match slot.hv.create_vnpu_in(request.clone(), &mut probed) {
-                        Ok(vm) => {
-                            slot.snap = None;
-                            placed = Some(ClusterVmId { chip, vm });
-                            break 'waves;
-                        }
-                        Err(err) => {
-                            saw_no_candidate |=
-                                matches!(err, VnpuError::Mapping(TopoError::NoCandidate));
-                            last_err = Some(err);
-                        }
+                match slot.hv.create_vnpu_in(request.clone(), &mut self.cache) {
+                    Ok(vm) => {
+                        slot.snap = None;
+                        placed = Some(ClusterVmId { chip, vm });
+                        break;
+                    }
+                    Err(err) => {
+                        saw_no_candidate |=
+                            matches!(err, VnpuError::Mapping(TopoError::NoCandidate));
+                        last_err = Some(err);
                     }
                 }
             }
@@ -1162,12 +1064,10 @@ impl Cluster {
     /// from the chip's entry in `snapshots` (the tick's per-chip
     /// snapshots, in chip order — [`ChipSnapshot::fragmentation_stats`]),
     /// reading only the owning chip and probing only its dedicated hint
-    /// cache, so the planning fans out through [`WorkerPool::lend`]. The
-    /// plans are then priced through [`Hypervisor::plan_budgeted_in`]
-    /// against the shared mapping cache (dropping everything past
-    /// `budget`) and the affordable prefix committed atomically, in chip
-    /// order — the same shared-cache operation sequence at any worker
-    /// count, so reports stay byte-identical. Returns `(chip, receipt)`
+    /// cache. Each chip's plan is then priced through
+    /// [`Hypervisor::plan_budgeted_in`] against the shared mapping cache
+    /// (dropping everything past `budget`) and the affordable prefix
+    /// committed atomically, in chip order. Returns `(chip, receipt)`
     /// pairs in chip order, one per schedulable chip (empty when the
     /// policy proposed nothing or nothing was affordable).
     ///
@@ -1181,59 +1081,16 @@ impl Cluster {
         budget: &ReconfigBudget,
         snapshots: &[ChipSnapshot],
     ) -> Result<Vec<(usize, CommitReceipt)>> {
-        let targets: Vec<usize> = (0..self.chips.len())
-            .filter(|&c| self.is_schedulable(c))
-            .collect();
-        let (defrag, limit) = (Arc::clone(defrag), *budget);
-        let plans = self.pool.lend(
-            &mut self.chips,
-            targets
-                .iter()
-                .map(|&chip| (chip, snapshots[chip].fragmentation_stats())),
-            move |slot, stats| {
-                let ChipSlot { hv, hints, .. } = slot;
-                hints.with(|hc| defrag.plan(hv, &stats, &limit, hc))
-            },
-        );
-        targets
-            .into_iter()
-            .zip(plans)
-            .map(|(chip, ops)| Ok((chip, self.apply_defrag_ops(chip, ops, budget)?)))
-            .collect()
-    }
-
-    /// Prices and commits one chip's defrag proposals through the shared
-    /// cache — the sequential half of a defrag pass.
-    fn apply_defrag_ops(
-        &mut self,
-        chip: usize,
-        ops: Vec<PlanOp>,
-        budget: &ReconfigBudget,
-    ) -> Result<CommitReceipt> {
-        if ops.is_empty() {
-            return Ok(CommitReceipt::default());
+        let mut receipts = Vec::new();
+        for (chip, slot) in self.chips.iter_mut().enumerate() {
+            if slot.sched != ChipSchedState::Schedulable {
+                continue;
+            }
+            let stats = snapshots[chip].fragmentation_stats();
+            let ops = defrag.plan(&slot.hv, &stats, budget, &mut slot.hints);
+            receipts.push((chip, slot.apply_defrag_ops(&mut self.cache, ops, budget)?));
         }
-        let slot = &mut self.chips[chip];
-        let mut shared = &*self.cache;
-        // Proposals are advisory: a policy whose ops cannot be planned
-        // (a tenant departed under it, a target stopped fitting) skips
-        // this pass instead of failing the caller's serving tick.
-        let Ok(txn) = slot.hv.plan_budgeted_in(&ops, budget, &mut shared) else {
-            return Ok(CommitReceipt::default());
-        };
-        // Nothing to do when every affordable op resolved to a no-op
-        // migration — committing would pay a full rollback-snapshot
-        // clone (and transient buddy churn) to change nothing.
-        let all_noop_migrations = txn
-            .ops()
-            .iter()
-            .all(|p| matches!(p.op, PlanOp::Migrate { .. }) && p.cost.is_zero());
-        if txn.is_empty() || all_noop_migrations {
-            return Ok(CommitReceipt::default());
-        }
-        let receipt = slot.hv.commit_in(&txn, &mut shared)?;
-        slot.snap = None;
-        Ok(receipt)
+        Ok(receipts)
     }
 
     /// Remaps a virtual NPU in place on its own chip under a
@@ -1272,9 +1129,8 @@ impl Cluster {
             vm: id.vm,
             to: MigrationTarget::Remap(strategy),
         }];
-        let mut shared = &*self.cache;
-        let txn = slot.hv.plan_in(&ops, &mut shared)?;
-        let receipt = slot.hv.commit_in(&txn, &mut shared)?;
+        let txn = slot.hv.plan_in(&ops, &mut self.cache)?;
+        let receipt = slot.hv.commit_in(&txn, &mut self.cache)?;
         slot.snap = None;
         Ok(receipt
             .migrated
@@ -1341,7 +1197,7 @@ impl Cluster {
         // itself all-or-nothing, and the source is only torn down after
         // the copy stands.
         let dest = &mut self.chips[to_chip].hv;
-        let new_vm = dest.create_vnpu_in(req, &mut &*self.cache)?;
+        let new_vm = dest.create_vnpu_in(req, &mut self.cache)?;
         let landed = dest.vnpu(new_vm).expect("just created");
         let routing_cycles = landed.routing_table().config_cycles();
         let rtt_cycles = vnpu_mem::rtt::rtt_deploy_cycles(landed.rtt_entries().len());
@@ -1862,6 +1718,65 @@ mod tests {
         assert_eq!(step.remaining, 1, "the 5x5 tenant stays resident");
         assert!(!step.is_evacuated());
         assert_eq!(cl.chip(1).vnpu_count(), 1);
+    }
+
+    #[test]
+    fn a_fault_on_one_chip_keeps_the_other_chips_hints() {
+        // Hints are per chip and keyed by that chip's generation: a
+        // reshape of chip 0 drops chip 0's hints only.
+        let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
+        cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap(); // 6 free on chip 0
+        let ChipSlot { hv, hints, .. } = &mut cl.chips[0];
+        assert!(hv.fit_hint_in_bounded(hints, 6).is_some());
+        assert!(!cl.chips[0].hints.is_empty());
+        // Chip 1's idle 36-core window answers the fleet hint.
+        assert_eq!(cl.fit_hint().map(|h| h.cores), Some(36));
+        let before = cl.chips[1].hints.stats();
+        assert!(before.misses > 0, "the first probe of chip 1 is cold");
+        let free_core = (0..36)
+            .find(|&c| cl.chip(0).free_set().contains(vnpu_topo::NodeId(c)))
+            .unwrap();
+        assert_eq!(cl.fault_core(0, free_core), Ok(true));
+        assert!(cl.chips[0].hints.is_empty(), "chip 0's hints are dropped");
+        assert_eq!(cl.fit_hint().map(|h| h.cores), Some(36));
+        let after = cl.chips[1].hints.stats();
+        assert_eq!(after.misses, before.misses, "answered from chip 1's hints");
+        assert_eq!(after.hits, before.hits + 1);
+    }
+
+    #[test]
+    fn advisory_probes_leave_the_placement_cache_alone_and_twin_chips_share_it() {
+        use crate::plan::GreedyDefrag;
+        // One cache for the fleet: a direct create on chip 0 and a queued
+        // admission on its twin share an entry.
+        let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
+        cl.set_placement(Arc::new(LeastLoaded));
+        cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        cl.submit(VnpuRequest::mesh(2, 2));
+        let events = cl.process_admissions();
+        assert!(matches!(
+            events[0].outcome,
+            ClusterAdmissionOutcome::Admitted(ClusterVmId { chip: 1, .. })
+        ));
+        let placed = cl.cache_stats();
+        assert_eq!((placed.misses, placed.hits), (1, 1));
+        // Advisory probing — a fleet fit hint, and a defrag pass over a
+        // chip whose free region is split (row 3 reserved) but cannot be
+        // improved — goes through the per-chip hint caches only.
+        cl.chip_mut(0)
+            .reserve_cores(&[18, 19, 20, 21, 22, 23])
+            .unwrap();
+        assert!(cl.fit_hint().is_some());
+        let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
+        let snapshots = cl.tick_snapshots();
+        assert_eq!(snapshots[0].free_components, 2);
+        let receipts = cl
+            .defrag_pass(&defrag, &ReconfigBudget::default(), &snapshots)
+            .unwrap();
+        assert!(receipts.iter().all(|(_, r)| r.migration_count() == 0));
+        let probed = cl.chips[0].hints.stats();
+        assert!(probed.hits + probed.misses > 0, "the probes did run");
+        assert_eq!(cl.cache_stats(), placed, "and never touched the cache");
     }
 
     #[test]

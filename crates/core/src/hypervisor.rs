@@ -27,7 +27,7 @@ use vnpu_mem::rtt::{rtt_deploy_cycles, RttEntry};
 use vnpu_mem::{Perm, PhysAddr, VirtAddr};
 use vnpu_sim::SocConfig;
 use vnpu_topo::cache::{labeled_hash, CacheStats, FreeSet, MappingCache};
-use vnpu_topo::mapping::{Mapper, Mapping, PlacementCache, Strategy};
+use vnpu_topo::mapping::{Mapper, Mapping, Strategy};
 use vnpu_topo::{NodeId, Topology};
 
 /// Candidate-enumeration cap for [`Hypervisor::fit_hint_in_bounded`] probes:
@@ -465,11 +465,7 @@ impl Hypervisor {
     /// # Errors
     ///
     /// As for [`Hypervisor::create_vnpu`].
-    pub fn create_vnpu_in<C: PlacementCache>(
-        &mut self,
-        req: VnpuRequest,
-        cache: &mut C,
-    ) -> Result<VmId> {
+    pub fn create_vnpu_in(&mut self, req: VnpuRequest, cache: &mut MappingCache) -> Result<VmId> {
         if req.core_count() == 0 || req.memory_bytes() == 0 {
             return Err(VnpuError::EmptyRequest);
         }
@@ -483,12 +479,9 @@ impl Hypervisor {
         //    plain free set's.
         let widened = self.widened_for(&req);
         let available = widened.as_ref().unwrap_or(&self.free_set);
-        let mapping = cache.map(
-            &self.mapper(),
-            available,
-            req.topology(),
-            req.strategy_ref(),
-        )?;
+        let mapping =
+            self.mapper()
+                .map_cached(available, req.topology(), req.strategy_ref(), cache)?;
 
         // 2. Guest memory: buddy blocks mapped 1:1 into RTT entries.
         let (entries, blocks) = self.allocate_memory(req.memory_bytes())?;
@@ -564,23 +557,6 @@ impl Hypervisor {
         } else {
             None
         }
-    }
-
-    /// The exact free region a [`Hypervisor::create_vnpu_in`] for `req`
-    /// would map against right now — the plain free set, or its
-    /// temporal-sharing widening. Speculative admission probes clone this
-    /// so an off-thread `map_in` computes precisely the value the
-    /// sequential merge would.
-    pub fn availability_for(&self, req: &VnpuRequest) -> FreeSet {
-        self.widened_for(req)
-            .unwrap_or_else(|| self.free_set.clone())
-    }
-
-    /// A clone of the shared physical-topology handle — cheap
-    /// (`Arc`-bump), so worker threads can own the topology a probe maps
-    /// against without copying the graph.
-    pub fn topology_arc(&self) -> Arc<Topology> {
-        Arc::clone(&self.topo)
     }
 
     /// The chip's precomputed [`labeled_hash`] fingerprint (the `phys`
@@ -899,11 +875,7 @@ impl Hypervisor {
     /// [`VnpuError::Memory`], [`VnpuError::MetaZoneOverflow`] or
     /// [`VnpuError::UnknownVm`] (also for VMs destroyed earlier in the
     /// same plan).
-    pub fn plan_in<C: PlacementCache>(
-        &self,
-        ops: &[PlanOp],
-        cache: &mut C,
-    ) -> Result<PlacementTxn> {
+    pub fn plan_in(&self, ops: &[PlanOp], cache: &mut MappingCache) -> Result<PlacementTxn> {
         self.plan_with(ops, None, cache)
     }
 
@@ -915,11 +887,11 @@ impl Hypervisor {
     /// # Errors
     ///
     /// As for [`Hypervisor::plan_in`].
-    pub fn plan_budgeted_in<C: PlacementCache>(
+    pub fn plan_budgeted_in(
         &self,
         ops: &[PlanOp],
         budget: &ReconfigBudget,
-        cache: &mut C,
+        cache: &mut MappingCache,
     ) -> Result<PlacementTxn> {
         self.plan_with(ops, Some(budget), cache)
     }
@@ -931,19 +903,19 @@ impl Hypervisor {
     /// [`Hypervisor::plan_with`] runs it against the plan's simulated
     /// free region and [`Hypervisor::migrate_vnpu_in`] against the live
     /// one, so the simulate and apply paths cannot drift.
-    fn plan_remap<C: PlacementCache>(
+    fn plan_remap(
         &self,
         vm: VmId,
         virt: &Topology,
         own: &[NodeId],
         strategy: &Strategy,
         free: &FreeSet,
-        cache: &mut C,
+        cache: &mut MappingCache,
     ) -> Result<Option<(Mapping, RoutingTable, ReconfigCost)>> {
         // Remap-under-pin treats the tenant's own cores as free — except
         // the faulted ones, which the move exists to escape.
         let widened = free.with_released_except(own, &self.faulted_nodes());
-        let mapping = cache.map(&self.mapper(), &widened, virt, strategy)?;
+        let mapping = self.mapper().map_cached(&widened, virt, strategy, cache)?;
         if mapping.phys_nodes() == own {
             return Ok(None);
         }
@@ -953,11 +925,11 @@ impl Hypervisor {
         Ok(Some((mapping, routing, cost)))
     }
 
-    fn plan_with<C: PlacementCache>(
+    fn plan_with(
         &self,
         ops: &[PlanOp],
         budget: Option<&ReconfigBudget>,
-        cache: &mut C,
+        cache: &mut MappingCache,
     ) -> Result<PlacementTxn> {
         let mut sim = SimCores {
             users: self.core_users.clone(),
@@ -987,11 +959,11 @@ impl Hypervisor {
                     if req.core_count() == 0 || req.memory_bytes() == 0 {
                         return Err(VnpuError::EmptyRequest);
                     }
-                    let mapping = cache.map(
-                        &self.mapper(),
+                    let mapping = self.mapper().map_cached(
                         &sim.free,
                         req.topology(),
                         req.strategy_ref(),
+                        cache,
                     )?;
                     let (entries, _blocks) =
                         allocate_memory_from(&mut sim_buddy, req.memory_bytes())?;
@@ -1141,10 +1113,10 @@ impl Hypervisor {
     ///
     /// * [`VnpuError::StalePlan`] — the chip changed since the plan.
     /// * Any provisioning error from an op (the commit rolls back).
-    pub fn commit_in<C: PlacementCache>(
+    pub fn commit_in(
         &mut self,
         txn: &PlacementTxn,
-        cache: &mut C,
+        cache: &mut MappingCache,
     ) -> Result<CommitReceipt> {
         if txn.plan_generation != self.plan_generation {
             return Err(VnpuError::StalePlan {
@@ -1232,11 +1204,11 @@ impl Hypervisor {
     /// configuration cycles. Returns `None` when the best mapping is the
     /// current one (nothing moves, nothing is charged). Only called from
     /// [`Hypervisor::commit_in`], whose snapshot guarantees atomicity.
-    fn migrate_vnpu_in<C: PlacementCache>(
+    fn migrate_vnpu_in(
         &mut self,
         vm: VmId,
         strategy: &Strategy,
-        cache: &mut C,
+        cache: &mut MappingCache,
     ) -> Result<Option<ReconfigCost>> {
         let vnpu = self.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))?;
         if let Some(n) = vnpu

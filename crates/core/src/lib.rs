@@ -35,12 +35,12 @@
 //! owns no queue, so a single chip is served by a 1-chip cluster. The
 //! ordering is the open [`admission::AdmissionPolicy`] trait — FIFO,
 //! smallest-first, retry-after-free, backfill and aging ship in-crate.
-//! Per-chip work that may overlap (drain and defrag planning, machine
-//! epochs) fans out through one method, [`pool::WorkerPool::lend`], which
-//! alone decides between inline and pooled execution. Fleet operations
-//! compose on top: [`plan`] makes every mutation a costed, atomically
-//! committable transaction, and [`drain`] turns whole-chip maintenance
-//! evacuation into a budgeted pipeline over those transactions.
+//! Everything above the mapper runs on the caller's thread: per-chip work
+//! (drain and defrag planning, machine epochs) is a plain loop in chip
+//! order. Fleet operations compose on top: [`plan`] makes every mutation a
+//! costed, atomically committable transaction, and [`drain`] turns
+//! whole-chip maintenance evacuation into a budgeted pipeline over those
+//! transactions.
 //!
 //! # Quickstart
 //!
@@ -71,7 +71,6 @@ pub mod meta;
 pub mod mig;
 pub mod mmio;
 pub mod plan;
-pub mod pool;
 pub mod routing_table;
 pub mod uvm;
 pub mod vchunk;

@@ -29,8 +29,7 @@
 //! Everything is deterministic: the same seed reproduces the same fault
 //! schedule, and the recovery path runs through the same transactional
 //! plan machinery as every other placement mutation — so serving reports
-//! stay byte-identical across runs and worker-pool widths even with
-//! faults in flight.
+//! stay byte-identical across runs even with faults in flight.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -30,12 +30,11 @@
 //!   phase runs through a single wrapper that owns the per-phase
 //!   stopwatch ([`ServeConfig::time_phases`]) and the digest chain
 //!   ([`ServeRuntime::digest_chain`]): phases only write digest words,
-//!   the wrapper hashes and records them. Per-chip work that can overlap
-//!   (machine epochs; drain and defrag planning inside the cluster) goes
-//!   through the one fan-out method, [`vnpu::pool::WorkerPool::lend`],
-//!   which alone chooses between inline and pooled execution. Callers
-//!   interleave inspection and policy swaps between steps;
-//!   [`ServeRuntime::run`] is the thin batch loop over `step` + drain.
+//!   the wrapper hashes and records them. The tick is single-threaded:
+//!   per-chip work (machine epochs; drain and defrag planning inside the
+//!   cluster) is a loop in chip order. Callers interleave inspection and
+//!   policy swaps between steps; [`ServeRuntime::run`] is the thin batch
+//!   loop over `step` + drain.
 //! * [`report`] — the [`ServeReport`]: accepted/rejected/queued counts,
 //!   p50/p99 time-to-placement in controller cycles, shared-cache hit
 //!   rate, the fragmentation trajectory, per-chip breakdowns

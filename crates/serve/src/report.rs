@@ -192,10 +192,9 @@ pub struct ServeReport {
     pub mttr_total_ticks: u64,
     /// Worst observed ticks-to-recover.
     pub mttr_max_ticks: u64,
-    /// Worker threads the run's parallel phases used (1 = the exact
-    /// sequential path). The only report field that varies with the
-    /// thread count — strip its JSON line (`grep -v '"workers"'`) to
-    /// byte-compare runs across worker counts.
+    /// Echo of `ServeConfig::workers`, which nothing else reads (the
+    /// tick is single-threaded); kept because the pinned report JSON
+    /// prints the line.
     pub workers: usize,
     /// Wall-clock spent in the fault-recovery phase, in nanoseconds (0
     /// unless the run collected phase timing — `ServeConfig::time_phases`

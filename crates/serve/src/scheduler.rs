@@ -28,10 +28,9 @@
 //! than serving lives in that wrapper and nowhere else: the per-phase
 //! stopwatch ([`ServeConfig::time_phases`]) and the determinism digest
 //! chain ([`ServeRuntime::digest_chain`]) — a phase only *writes digest
-//! words*, per chip; the wrapper hashes and records them. Per-chip work
-//! that may overlap (machine epochs here, drain and defrag planning in
-//! the cluster) fans out through `WorkerPool::lend`, which alone decides
-//! between inline and pooled execution.
+//! words*, per chip; the wrapper hashes and records them. The whole tick
+//! runs on the caller's thread: per-chip work (machine epochs here, drain
+//! and defrag planning in the cluster) is a loop in chip order.
 //!
 //! The runtime is **step-driven**: [`ServeRuntime::step`] advances one
 //! tick and returns its [`TickEvents`], so callers can interleave
@@ -53,7 +52,6 @@ use vnpu::cluster::{
 };
 use vnpu::drain::{CheapestFirstDrain, ChipSchedState, DrainPolicy};
 use vnpu::plan::{Defragmenter, ReconfigBudget, ReconfigCost};
-use vnpu::pool::WorkerPool;
 use vnpu::{Hypervisor, VirtCoreId};
 use vnpu_audit::{AuditFinding, FleetAuditor};
 use vnpu_conc::Phase;
@@ -154,12 +152,10 @@ pub struct ServeConfig {
     /// [`vnpu_temporal::check_trace`]). Off by default — a long run's
     /// trace is large.
     pub record_trace: bool,
-    /// Worker threads for the tick's parallel phases (admission
-    /// candidate evaluation, drain/defrag planning, machine epochs).
-    /// `1` — the default — is *exactly* the sequential path (no pool
-    /// thread is ever spawned), and every value produces byte-identical
-    /// reports; see the README's "Parallel fleet tick" section for the
-    /// determinism contract.
+    /// Inert: accepted, echoed into [`ServeReport::workers`] (and its
+    /// JSON line) and read nowhere else. The tick is single-threaded; the
+    /// field stays only because `benchmark/` assigns it by name and the
+    /// pinned report JSON prints it (ROADMAP, benchmark-only follow-up).
     pub workers: usize,
     /// Collect per-phase wall-clock (admission / drain / defrag /
     /// execution) into the report via [`std::time::Instant`]. Off by
@@ -175,14 +171,10 @@ pub struct ServeConfig {
     /// ([`vnpu_fault::RecoveryPolicy::max_recovery_ticks`]) after which
     /// an unplaceable tenant is declared lost.
     pub recovery: RecoveryPolicy,
-    /// Concurrency instrumentation ([`vnpu_conc::ConcMode`]): an
-    /// optional probe installed on every lock the runtime owns, an
-    /// optional seeded schedule perturbation for the worker pool, and
-    /// the per-phase determinism digest chain
-    /// ([`ServeRuntime::digest_chain`]). All off by default — the
-    /// production configuration, where every instrumented path is a
-    /// plain `Option` check.
-    pub conc: vnpu_conc::ConcMode,
+    /// Record the per-tick / per-phase / per-chip determinism digest
+    /// chain ([`ServeRuntime::digest_chain`]) for cross-run
+    /// [`vnpu_conc::compare_chains`] checks. Off by default.
+    pub phase_digests: bool,
 }
 
 impl ServeConfig {
@@ -225,7 +217,7 @@ impl ServeConfig {
             time_phases: false,
             fault_plan: FaultPlan::new(),
             recovery: RecoveryPolicy::default(),
-            conc: vnpu_conc::ConcMode::default(),
+            phase_digests: false,
         }
     }
 
@@ -374,7 +366,7 @@ struct TickCtx {
     /// The digest words the running phase has written, per chip (`None`
     /// = fleet-level); [`ServeRuntime::run_phase`] folds them into the
     /// chain when the phase ends. `None` unless
-    /// [`vnpu_conc::ConcMode::phase_digests`] is on.
+    /// [`ServeConfig::phase_digests`] is on.
     words: Option<BTreeMap<Option<u32>, Vec<u64>>>,
 }
 
@@ -448,25 +440,21 @@ pub struct ServeRuntime {
     auditor: FleetAuditor,
     /// Every finding the post-tick audits reported, in tick order.
     audit_findings: Vec<AuditFinding>,
-    /// The worker pool backing the tick's parallel phases (shared with
-    /// the cluster; one worker = inline sequential execution).
-    pool: Arc<WorkerPool>,
     /// Per-phase wall-clock (nanoseconds), indexed by [`Phase`] — all
     /// zero unless [`ServeConfig::time_phases`] is on, so timed and
     /// untimed runs differ only in these slots.
     phase_nanos: [u64; TIMED_PHASES],
     /// The determinism digest chain, recorded only under
-    /// [`vnpu_conc::ConcMode::phase_digests`].
+    /// [`ServeConfig::phase_digests`].
     digests: Option<vnpu_conc::DigestChain>,
     /// Per chip: the inputs of the last epoch it executed and the
     /// makespan that epoch produced.
     epoch_memo: Vec<EpochMemo>,
     /// Epochs answered from [`ServeRuntime::epoch_memo`] so far.
     epoch_memo_hits: u64,
-    /// This tick's runnable residents in `(chip, vm)` order, and the
-    /// epochs of the chips they load — buffers reused across ticks.
+    /// This tick's runnable residents in `(chip, vm)` order — a buffer
+    /// reused across ticks.
     runnable: Vec<(ClusterVmId, TenantId)>,
-    chip_epochs: Vec<ChipEpoch>,
 }
 
 /// One chip's last executed epoch. The simulator is deterministic and
@@ -486,24 +474,6 @@ struct EpochMemo {
     makespan: u64,
 }
 
-/// One loaded chip's epoch within a tick: decided (memo hit) up front, or
-/// bound and waiting for the simulator.
-#[derive(Debug)]
-struct ChipEpoch {
-    chip: usize,
-    /// `None` while the bound epoch has not run yet.
-    outcome: Option<Result<u64, vnpu_sim::SimError>>,
-    /// Wall-clock of the simulator run (0 for a memo hit).
-    nanos: u64,
-}
-
-impl ChipEpoch {
-    /// Bound, and still waiting for the simulator.
-    fn is_bound(&self) -> bool {
-        self.outcome.is_none()
-    }
-}
-
 impl ServeRuntime {
     /// Builds the runtime (cluster, machines and traffic stream).
     ///
@@ -521,19 +491,6 @@ impl ServeRuntime {
         cluster.set_admission_policy(Arc::clone(&cfg.policy));
         cluster.set_placement(Arc::clone(&cfg.placement));
         cluster.set_max_attempts(cfg.max_attempts);
-        let pool = Arc::new(WorkerPool::with_conc(
-            cfg.workers,
-            cfg.conc.probe.clone(),
-            cfg.conc.schedule,
-        ));
-        cluster.set_worker_pool(Arc::clone(&pool));
-        if cfg.conc.probe.is_some() {
-            let installed = cluster.set_conc_probe(cfg.conc.probe.clone());
-            debug_assert!(
-                installed,
-                "the shared cache is exclusively owned at construction"
-            );
-        }
         let machines = cfg
             .chips
             .iter()
@@ -565,13 +522,11 @@ impl ServeRuntime {
             tick: 0,
             auditor: FleetAuditor::new(),
             audit_findings: Vec::new(),
-            pool,
             phase_nanos: [0; TIMED_PHASES],
-            digests: cfg.conc.phase_digests.then(vnpu_conc::DigestChain::default),
+            digests: cfg.phase_digests.then(vnpu_conc::DigestChain::default),
             epoch_memo: cfg.chips.iter().map(|_| EpochMemo::default()).collect(),
             epoch_memo_hits: 0,
             runnable: Vec::new(),
-            chip_epochs: Vec::new(),
             cfg,
         }
     }
@@ -585,10 +540,10 @@ impl ServeRuntime {
     }
 
     /// The per-phase determinism digest chain recorded so far, when
-    /// [`vnpu_conc::ConcMode::phase_digests`] is on (`None` otherwise).
-    /// Two runs that must agree — different worker counts, different
-    /// schedule seeds — are compared with [`vnpu_conc::compare_chains`],
-    /// which names the first divergent `(tick, phase, chip)`.
+    /// [`ServeConfig::phase_digests`] is on (`None` otherwise). Two runs
+    /// that must agree — the same seed twice, instrumentation on and off —
+    /// are compared with [`vnpu_conc::compare_chains`], which names the
+    /// first divergent `(tick, phase, chip)`.
     pub fn digest_chain(&self) -> Option<&vnpu_conc::DigestChain> {
         self.digests.as_ref()
     }
@@ -1120,12 +1075,10 @@ impl ServeRuntime {
     /// pauses). A chip whose key equals that of the epoch it last ran —
     /// and that owes no pause, which only a real epoch can charge and
     /// clear — is answered with that epoch's makespan. Every other chip
-    /// binds its residents' ring programs and runs the simulator, its
-    /// machine lent through [`WorkerPool::lend`] (machine epochs are
-    /// chip-independent): inline on one worker or when it is the only
-    /// one, fanned out on the pool otherwise. Outcomes fold in chip order
-    /// either way, a reused epoch exactly like a run one: same trace
-    /// event, same digest, same counters.
+    /// binds its residents' ring programs and runs the simulator. Chips
+    /// are decided, run and folded one after another in chip order, a
+    /// reused epoch exactly like a run one: same trace event, same
+    /// digest, same counters.
     fn execution(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         if !self.cfg.execute_epochs || self.live.is_empty() {
             return Ok(());
@@ -1149,9 +1102,8 @@ impl ServeRuntime {
             self.runnable.push((l.id, l.tenant));
         }
 
-        // Decide every loaded chip: reuse, or bind for a run. `live` is
-        // ordered by (chip, vm), so each chip's residents are contiguous.
-        self.chip_epochs.clear();
+        // Per loaded chip: reuse, or bind and run. `live` is ordered by
+        // (chip, vm), so each chip's residents are contiguous.
         for residents in self.runnable.chunk_by(|a, b| a.0.chip == b.0.chip) {
             let chip = residents[0].0.chip;
             let (machine, hv) = (&mut self.machines[chip], self.cluster.chip(chip));
@@ -1185,43 +1137,15 @@ impl ServeRuntime {
                     "chip {chip}, tick {tick}: reused epoch diverges from a fresh run"
                 );
                 self.epoch_memo_hits += 1;
+            } else {
+                let clock = self.cfg.time_phases.then(Instant::now);
+                memo.makespan = machine.run_epoch_makespan().map_err(vnpu::VnpuError::Sim)?;
+                if let Some(started) = clock {
+                    self.exec_nanos[chip] += started.elapsed().as_nanos() as u64;
+                }
             }
-            self.chip_epochs.push(ChipEpoch {
-                chip,
-                outcome: reuse.then_some(Ok(memo.makespan)),
-                nanos: 0,
-            });
-        }
-
-        // Run what was bound, each epoch on its own chip's machine.
-        let ran = self.pool.lend(
-            &mut self.machines,
-            self.chip_epochs
-                .iter()
-                .filter(|epoch| epoch.is_bound())
-                .map(|epoch| (epoch.chip, ())),
-            |machine, ()| {
-                let started = Instant::now();
-                let outcome = machine.run_epoch_makespan();
-                (outcome, started.elapsed().as_nanos() as u64)
-            },
-        );
-        let bound = self.chip_epochs.iter_mut().filter(|epoch| epoch.is_bound());
-        for (epoch, (outcome, nanos)) in bound.zip(ran) {
-            epoch.outcome = Some(outcome);
-            epoch.nanos = nanos;
-        }
-
-        // Fold in chip order (first error raised).
-        for epoch in self.chip_epochs.drain(..) {
-            let chip = epoch.chip;
-            let makespan = epoch
-                .outcome
-                .expect("every bound epoch ran")
-                .map_err(vnpu::VnpuError::Sim)?;
-            let memo = &mut self.epoch_memo[chip];
             std::mem::swap(&mut memo.key, &mut memo.next_key);
-            memo.makespan = makespan;
+            let makespan = memo.makespan;
             // Per-chip execution digest: the epoch's makespan (wall-clock
             // nanos deliberately excluded — they are nondeterministic by
             // nature).
@@ -1231,9 +1155,6 @@ impl ServeRuntime {
                 chip,
                 machine_cycles: makespan,
             });
-            if self.cfg.time_phases {
-                self.exec_nanos[chip] += epoch.nanos;
-            }
             ctx.events.executed_chips += 1;
         }
         Ok(())
@@ -1943,48 +1864,37 @@ mod tests {
     }
 
     #[test]
-    fn reports_and_digests_are_identical_at_every_width_with_epochs_reused() {
+    fn reports_and_digests_rerun_identical_with_epochs_reused() {
         // Long-lived tenants on three chips: most epochs are reuses, and
-        // which ones are must not depend on the worker count.
-        let run = |workers: usize| {
+        // which ones are must repeat run after run.
+        let run = || {
             let mut cfg = quick_cluster_cfg(19);
             cfg.chips.push(cfg.chips[0].clone());
             cfg.epochs = 70;
             cfg.traffic.mean_interarrival_ticks = 3;
             cfg.traffic.mean_lifetime_epochs = 25;
             cfg.placement = Arc::new(LeastLoaded);
-            cfg.workers = workers;
-            cfg.conc.phase_digests = true;
+            cfg.phase_digests = true;
             let mut rt = ServeRuntime::new(cfg);
             for _ in 0..70 {
                 rt.step().unwrap();
             }
             rt.drain().unwrap();
-            let json: Vec<String> = rt
-                .report()
-                .to_json(usize::MAX)
-                .lines()
-                .filter(|l| !l.contains("\"workers\""))
-                .map(str::to_owned)
-                .collect();
             (
-                json,
+                rt.report().to_json(usize::MAX),
                 rt.digest_chain().unwrap().clone(),
                 rt.epoch_memo_hits(),
             )
         };
-        let (json, chain, hits) = run(1);
+        let (json, chain, hits) = run();
         assert!(hits > 50, "the scenario must actually reuse epochs: {hits}");
-        for workers in [2, 4, 8] {
-            let (j, c, h) = run(workers);
-            assert_eq!(j, json, "workers={workers}");
-            assert_eq!(
-                vnpu_conc::compare_chains("workers=1", &chain, "wide", &c),
-                None,
-                "workers={workers}"
-            );
-            assert_eq!(h, hits, "workers={workers}");
-        }
+        let (j, c, h) = run();
+        assert_eq!(j, json);
+        assert_eq!(
+            vnpu_conc::compare_chains("first", &chain, "second", &c),
+            None
+        );
+        assert_eq!(h, hits);
     }
 
     #[test]
@@ -2595,7 +2505,7 @@ mod tests {
         cfg.traffic.mean_interarrival_ticks = 2;
         cfg.placement = Arc::new(LeastLoaded);
         cfg.fault_plan = FaultPlan::new().row_outage(0, 6, 1, 20, Some(40));
-        cfg.conc.phase_digests = true;
+        cfg.phase_digests = true;
         let mut a = ServeRuntime::new(cfg.clone());
         for _ in 0..60 {
             a.step().unwrap();
@@ -2608,15 +2518,14 @@ mod tests {
                 .any(|e| e.phase == vnpu_conc::Phase::Recovery && e.chip == Some(0)),
             "fault ticks must record recovery digests"
         );
-        cfg.workers = 4;
         let mut b = ServeRuntime::new(cfg);
         for _ in 0..60 {
             b.step().unwrap();
         }
         let chain_b = b.digest_chain().expect("digests on").clone();
         assert!(
-            vnpu_conc::compare_chains("w1", &chain_a, "w4", &chain_b).is_none(),
-            "recovery must be phase-for-phase deterministic across workers"
+            vnpu_conc::compare_chains("first", &chain_a, "second", &chain_b).is_none(),
+            "recovery must be phase-for-phase deterministic run to run"
         );
     }
 
@@ -2631,7 +2540,7 @@ mod tests {
             cfg.placement = Arc::new(LeastLoaded);
             cfg.defrag = Some(Arc::new(GreedyDefrag::default()));
             cfg.fault_plan = FaultPlan::new().row_outage(0, 6, 1, 20, Some(40));
-            cfg.conc.phase_digests = true;
+            cfg.phase_digests = true;
             cfg.time_phases = time_phases;
             cfg
         };

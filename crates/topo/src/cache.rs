@@ -250,8 +250,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hits over total cacheable lookups, in `[0, 1]`; 0 when idle.
-    /// Saturating like [`CacheStats::merge`], so counters pinned at the
-    /// `u64` ceiling still yield a rate in range.
+    /// Saturating, so counters pinned at the `u64` ceiling still yield a
+    /// rate in range.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits.saturating_add(self.misses);
         if total == 0 {
@@ -260,23 +260,13 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Folds `other` into `self`. Every counter is an order-independent
-    /// *saturating* sum: merging per-shard (or per-worker) statistics in
-    /// any order yields the same aggregate — the property the
-    /// byte-identical report assertions in the churn benches rely on —
-    /// and a long soak run that approaches `u64::MAX` pins at the
-    /// ceiling instead of wrapping and breaking hit-rate asserts.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits = self.hits.saturating_add(other.hits);
-        self.misses = self.misses.saturating_add(other.misses);
-        self.insertions = self.insertions.saturating_add(other.insertions);
-        self.evictions = self.evictions.saturating_add(other.evictions);
-        self.uncacheable = self.uncacheable.saturating_add(other.uncacheable);
-    }
 }
 
-/// A bounded memo table for complete mapping results.
+/// A bounded memo table for complete mapping results — the one cache
+/// type in the workspace: a cluster's shared placement cache, its
+/// per-chip hint caches and a bare hypervisor's own cache are all plain,
+/// exclusively borrowed `MappingCache`s (no lock, no shards; the serve
+/// tick is single-threaded).
 ///
 /// Both successful [`Mapping`]s and mapping errors (notably
 /// [`crate::TopoError::NoCandidate`], whose exhaustion proof is the most
@@ -382,10 +372,9 @@ impl MappingCache {
     /// Memoizes a result. Eviction is FIFO and *batched*: when an insert
     /// pushes the table past `capacity`, the oldest entries are drained in
     /// one pass down to a low-water mark (`capacity - max(1, capacity/8)`),
-    /// so the amortized per-insert eviction cost is O(1) and — once the
-    /// cache is sharded behind per-shard locks — concurrent writers never
-    /// serialize on a long eviction scan. The capacity bound itself is
-    /// unchanged: `len() <= capacity` holds after every insert.
+    /// so the amortized per-insert eviction cost is O(1). The capacity
+    /// bound itself is unchanged: `len() <= capacity` holds after every
+    /// insert.
     pub fn insert(&mut self, key: CacheKey, result: Result<Mapping>) {
         if self.entries.insert(key.clone(), result).is_none() {
             self.order.push_back(key);
@@ -401,50 +390,6 @@ impl MappingCache {
                     }
                 }
             }
-        }
-    }
-
-    /// Builds a key like [`MappingCache::key_for`] but **without touching
-    /// any state**: no `uncacheable` counter bump, no canonical-key
-    /// memoization. Returns `None` when the strategy is uncacheable *or*
-    /// when the request's canonical key has not been memoized yet — the
-    /// permutation search behind `canonical_key` is exactly the cost a
-    /// speculative probe wants to avoid paying twice, and every entry that
-    /// exists in the table was inserted through `key_for`, which memoizes.
-    /// Sound for speculation: a `None` merely downgrades a would-be peek
-    /// hit to a recompute.
-    pub fn peek_key(
-        &self,
-        phys_key: u64,
-        generation: u64,
-        req: &Topology,
-        strategy: &Strategy,
-        free: &FreeSet,
-    ) -> Option<CacheKey> {
-        let tag = strategy.cache_tag()?;
-        let labeled = labeled_hash(req);
-        let canonical = self.canon_memo.get(&labeled)?.clone();
-        Some(CacheKey {
-            phys: phys_key,
-            generation,
-            canonical,
-            labeled,
-            strategy: tag,
-            free: (free.fingerprint(), free.free_count()),
-        })
-    }
-
-    /// Looks up a memoized result **without recording a hit or miss**,
-    /// with the same placement-vs-live-free-set validation as
-    /// [`MappingCache::get`]. This is the read-only half of the parallel
-    /// admission protocol: speculative workers peek, and only the
-    /// sequential merge replays the canonical `get`/`insert` sequence that
-    /// mutates contents and statistics.
-    pub fn peek(&self, key: &CacheKey, free: &FreeSet) -> Option<Result<Mapping>> {
-        match self.entries.get(key) {
-            Some(Ok(m)) if !m.phys_nodes().iter().all(|&n| free.contains(n)) => None,
-            Some(r) => Some(r.clone()),
-            None => None,
         }
     }
 
@@ -469,139 +414,6 @@ impl MappingCache {
     /// Effectiveness counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-}
-
-/// Default shard count for [`ShardedMappingCache`].
-///
-/// Deliberately a *fixed constant*, never derived from the worker count:
-/// the shard a key lands in decides which FIFO ring evicts it, so tying
-/// shard count to `workers` would make cache contents — and therefore
-/// reports — differ across thread counts. With a constant, the sequential
-/// merge replays the identical per-shard op sequence no matter how many
-/// workers probed.
-pub const DEFAULT_SHARD_COUNT: usize = 8;
-
-/// The concurrent form of [`MappingCache`]: entries sharded by the
-/// request's [`labeled_hash`] behind per-shard locks.
-///
-/// The determinism contract of the parallel serve loop is enforced by
-/// *protocol*, not by this type alone: speculative workers only call
-/// [`ShardedMappingCache::peek`] (stats-free, read-only), while the single
-/// coordinating thread performs every mutating `get`/`insert` through
-/// [`ShardedMappingCache::with_shard`] in the same order the sequential
-/// loop would. Sharding therefore only buys lock granularity for the
-/// concurrent peeks; contents and statistics stay byte-identical at any
-/// worker count because the mutation sequence is identical.
-///
-/// The per-shard locks are [`vnpu_conc::sync::Mutex`]es declared under
-/// the [`vnpu_conc::sites::CACHE_SHARD`] site: with no probe installed
-/// (the default) they behave exactly like `std` mutexes with
-/// clear-on-poison, and an installed [`vnpu_conc::ConcProbe`] records
-/// every shard acquisition tagged with the request's key hash so the
-/// `CONC-SHARD` pass can check that shard choice is a pure function of
-/// the key.
-#[derive(Debug)]
-pub struct ShardedMappingCache {
-    shards: Vec<vnpu_conc::sync::Mutex<MappingCache>>,
-}
-
-impl Default for ShardedMappingCache {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CACHE_CAPACITY, DEFAULT_SHARD_COUNT)
-    }
-}
-
-impl ShardedMappingCache {
-    /// A sharded cache bounding *total* live entries to roughly
-    /// `capacity`, split evenly over `shards` shards (each at least 1).
-    pub fn with_capacity(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = (capacity / shards).max(1);
-        ShardedMappingCache {
-            shards: (0..shards)
-                .map(|i| {
-                    vnpu_conc::sync::Mutex::new(
-                        &vnpu_conc::sites::CACHE_SHARD,
-                        MappingCache::with_capacity(per_shard),
-                    )
-                    .at_shard(i as u32)
-                })
-                .collect(),
-        }
-    }
-
-    /// Installs (or removes) the concurrency probe on every shard lock.
-    /// Requires `&mut self`: installation happens while the cache is
-    /// still exclusively owned, so the hot shared path never checks
-    /// anything but a plain `Option`.
-    pub fn set_probe(&mut self, probe: Option<std::sync::Arc<dyn vnpu_conc::ConcProbe>>) {
-        for shard in &mut self.shards {
-            shard.set_probe(probe.clone());
-        }
-    }
-
-    /// Index of the shard owning entries keyed by `key` (the request's
-    /// [`labeled_hash`]). All cache keys for a given request share its
-    /// labeled hash, so one request always maps to one shard and the
-    /// per-request `key_for`/`get`/`insert` sequence runs under a single
-    /// lock.
-    fn shard_index(&self, key: u64) -> usize {
-        (mix(key) % self.shards.len() as u64) as usize
-    }
-
-    /// Runs `f` with exclusive access to the shard owning `req`. The
-    /// acquisition is tagged with the request's key hash for the
-    /// `CONC-SHARD` consistency pass.
-    pub fn with_shard<R>(&self, req: &Topology, f: impl FnOnce(&mut MappingCache) -> R) -> R {
-        let key = labeled_hash(req);
-        let mut guard = self.shards[self.shard_index(key)].lock_tagged(key);
-        f(&mut guard)
-    }
-
-    /// Stats-free speculative lookup (see [`MappingCache::peek_key`] /
-    /// [`MappingCache::peek`]): `None` when the strategy is uncacheable,
-    /// the canonical key is not memoized yet, or the entry is absent or
-    /// fails placement validation. Safe to call from any worker thread.
-    pub fn peek(
-        &self,
-        phys_key: u64,
-        generation: u64,
-        req: &Topology,
-        strategy: &Strategy,
-        free: &FreeSet,
-    ) -> Option<Result<Mapping>> {
-        self.with_shard(req, |c| {
-            let key = c.peek_key(phys_key, generation, req, strategy, free)?;
-            c.peek(&key, free)
-        })
-    }
-
-    /// Merged effectiveness counters over all shards (order-independent
-    /// sums, so the aggregate is shard-layout-agnostic).
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            total.merge(&shard.lock().stats());
-        }
-        total
-    }
-
-    /// Total live entries over all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry in every shard, keeping statistics.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
     }
 }
 
@@ -952,169 +764,6 @@ mod tests {
             }
             assert!(cache.stats().evictions > 0, "cap {capacity}: must evict");
         }
-    }
-
-    #[test]
-    fn stats_merge_is_a_componentwise_sum() {
-        let a = CacheStats {
-            hits: 3,
-            misses: 5,
-            insertions: 5,
-            evictions: 1,
-            uncacheable: 2,
-        };
-        let b = CacheStats {
-            hits: 10,
-            misses: 1,
-            insertions: 1,
-            evictions: 0,
-            uncacheable: 4,
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge is order-independent");
-        assert_eq!(ab.hits, 13);
-        assert_eq!(ab.misses, 6);
-        assert_eq!(ab.insertions, 6);
-        assert_eq!(ab.evictions, 1);
-        assert_eq!(ab.uncacheable, 6);
-    }
-
-    #[test]
-    fn stats_merge_saturates_at_u64_boundaries() {
-        let near_max = CacheStats {
-            hits: u64::MAX,
-            misses: u64::MAX - 1,
-            insertions: u64::MAX / 2 + 1,
-            evictions: 0,
-            uncacheable: u64::MAX,
-        };
-        let more = CacheStats {
-            hits: 1,
-            misses: 2,
-            insertions: u64::MAX / 2 + 1,
-            evictions: u64::MAX,
-            uncacheable: u64::MAX,
-        };
-        let mut merged = near_max;
-        merged.merge(&more);
-        assert_eq!(merged.hits, u64::MAX, "hits pin instead of wrapping");
-        assert_eq!(merged.misses, u64::MAX, "misses pin instead of wrapping");
-        assert_eq!(merged.insertions, u64::MAX);
-        assert_eq!(merged.evictions, u64::MAX);
-        assert_eq!(merged.uncacheable, u64::MAX);
-        // Saturation keeps the hit-rate assert meaningful: the rate stays
-        // in [0, 1] instead of collapsing when a counter wraps to ~0.
-        assert!((0.0..=1.0).contains(&merged.hit_rate()));
-
-        let mut reversed = more;
-        reversed.merge(&near_max);
-        assert_eq!(merged, reversed, "saturating merge stays order-independent");
-    }
-
-    #[test]
-    fn sharded_cache_probe_tags_acquisitions_with_the_key_hash() {
-        use vnpu_conc::{ConcProbe, EventKind, TraceProbe};
-        let probe = std::sync::Arc::new(TraceProbe::new());
-        let mut cache = ShardedMappingCache::with_capacity(64, 4);
-        cache.set_probe(Some(probe.clone() as std::sync::Arc<dyn ConcProbe>));
-        let req = Topology::mesh2d(2, 2);
-        let expected_key = labeled_hash(&req);
-        cache.with_shard(&req, |_c| ());
-        cache.set_probe(None);
-        cache.with_shard(&req, |_c| ());
-        let trace = probe.take_trace();
-        assert_eq!(trace.len(), 2, "probe removal silences recording");
-        assert_eq!(trace.events[0].kind, EventKind::Acquired);
-        assert_eq!(trace.events[0].tag, Some(expected_key));
-        assert_eq!(
-            trace.events[0].site.id,
-            vnpu_conc::sites::CACHE_SHARD.id,
-            "shard locks are declared under the CACHE_SHARD site"
-        );
-        assert_eq!(trace.events[1].kind, EventKind::Released);
-    }
-
-    #[test]
-    fn peek_is_stats_free_and_validates_placement() {
-        let phys = Topology::mesh2d(3, 3);
-        let mapper = Mapper::new(&phys);
-        let req = Topology::line(2);
-        let strategy = Strategy::similar_topology().threads(1);
-        let free = FreeSet::all_free(9);
-        let mut cache = MappingCache::default();
-
-        // Before anything is cached: peek_key has no canonical memo yet.
-        assert!(cache
-            .peek_key(labeled_hash(&phys), 0, &req, &strategy, &free)
-            .is_none());
-
-        let placed = mapper
-            .map_cached(&free, &req, &strategy, &mut cache)
-            .unwrap();
-        let before = cache.stats();
-        let key = cache
-            .peek_key(labeled_hash(&phys), 0, &req, &strategy, &free)
-            .expect("canonical key memoized by the insert path");
-        assert_eq!(
-            cache.peek(&key, &free).unwrap().unwrap(),
-            placed,
-            "peek returns the memoized mapping"
-        );
-        let mut collided = free.clone();
-        collided.occupy_all(placed.phys_nodes());
-        assert!(
-            cache.peek(&key, &collided).is_none(),
-            "peek validates the placement against the live free set"
-        );
-        assert_eq!(
-            cache.stats(),
-            before,
-            "peeks must not perturb hit/miss statistics"
-        );
-    }
-
-    #[test]
-    fn sharded_cache_matches_protocol_and_merges_stats() {
-        let phys = Topology::mesh2d(5, 5);
-        let mapper = Mapper::new(&phys);
-        let strategy = Strategy::similar_topology().threads(1);
-        let sharded = ShardedMappingCache::with_capacity(64, 4);
-        let reqs = [
-            Topology::line(2),
-            Topology::line(3),
-            Topology::mesh2d(2, 2),
-            Topology::mesh2d(2, 3),
-        ];
-        let free = FreeSet::all_free(25);
-        for req in &reqs {
-            let direct = mapper.map_in(&free, req, &strategy).unwrap();
-            let via = sharded
-                .with_shard(req, |c| mapper.map_cached(&free, req, &strategy, c))
-                .unwrap();
-            assert_eq!(via, direct);
-            // Second pass hits; worker-side peek sees the entry.
-            sharded
-                .with_shard(req, |c| mapper.map_cached(&free, req, &strategy, c))
-                .unwrap();
-            assert_eq!(
-                sharded
-                    .peek(labeled_hash(&phys), 0, req, &strategy, &free)
-                    .unwrap()
-                    .unwrap(),
-                direct
-            );
-        }
-        let s = sharded.stats();
-        assert_eq!(s.hits, reqs.len() as u64);
-        assert_eq!(s.misses, reqs.len() as u64);
-        assert_eq!(s.insertions, reqs.len() as u64);
-        assert_eq!(sharded.len(), reqs.len());
-        sharded.clear();
-        assert!(sharded.is_empty());
-        assert_eq!(sharded.stats(), s, "clear keeps statistics");
     }
 
     #[test]

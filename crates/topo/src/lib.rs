@@ -55,9 +55,9 @@ pub mod mapping;
 pub mod route;
 mod topology;
 
-pub use cache::{CacheStats, FreeSet, MappingCache, ShardedMappingCache};
+pub use cache::{CacheStats, FreeSet, MappingCache};
 pub use ged::{GedResult, MatchCosts, UniformCosts};
-pub use mapping::{Mapper, Mapping, PlacementCache, ProbedCache, Strategy};
+pub use mapping::{Mapper, Mapping, Strategy};
 pub use route::Direction;
 pub use topology::{EdgeAttr, MeshShape, NodeAttr, NodeId, NodeKind, Topology};
 

@@ -336,14 +336,13 @@ impl<'a> Mapper<'a> {
     }
 
     /// [`Mapper::map_cached`] with an optional *precomputed* result to use
-    /// in place of the inline [`Mapper::map_in`] call on a cache miss —
-    /// the replay half of the speculative-probe protocol: a worker thread
-    /// computes `map_in` off the critical path, and the sequential merge
-    /// substitutes that value here so the cache's `get`/`insert` sequence
-    /// (and every statistic) is exactly what the non-speculative path
-    /// would have produced. `precomputed` must equal what `map_in(free,
-    /// req, strategy)` would return — callers guarantee this by computing
-    /// it with the same mapper, free set, request and strategy.
+    /// in place of the inline [`Mapper::map_in`] call on a cache miss, so
+    /// a caller that already holds the answer (the benchmark's replay
+    /// seeds a cache this way) runs the same `get`/`insert` sequence, with
+    /// the same statistics, as the plain path. `precomputed` must equal
+    /// what `map_in(free, req, strategy)` would return — callers guarantee
+    /// this by computing it with the same mapper, free set, request and
+    /// strategy.
     ///
     /// # Errors
     ///
@@ -619,98 +618,6 @@ fn complete_option_mapping(
             )),
         })
         .collect()
-}
-
-/// A memoization backend for one cached mapping attempt.
-///
-/// The hypervisor's placement paths are generic over this trait so the
-/// same code serves three cache forms: an exclusively-borrowed
-/// [`MappingCache`] (the per-chip hint caches, and every pre-existing
-/// call site), a shared [`crate::cache::ShardedMappingCache`] reached through per-shard
-/// locks (the cluster's placement cache), and the [`ProbedCache`] adapter
-/// that substitutes a speculatively-precomputed result into the shared
-/// cache's miss path. Each impl runs the *identical* `key_for` → `get` →
-/// `insert` protocol of [`Mapper::map_cached`], which is what keeps
-/// cache contents and statistics byte-identical across them.
-pub trait PlacementCache {
-    /// One memoized mapping attempt; see [`Mapper::map_cached`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Mapper::map_cached`].
-    fn map(
-        &mut self,
-        mapper: &Mapper<'_>,
-        free: &FreeSet,
-        req: &Topology,
-        strategy: &Strategy,
-    ) -> Result<Mapping>;
-}
-
-impl PlacementCache for MappingCache {
-    fn map(
-        &mut self,
-        mapper: &Mapper<'_>,
-        free: &FreeSet,
-        req: &Topology,
-        strategy: &Strategy,
-    ) -> Result<Mapping> {
-        mapper.map_cached(free, req, strategy, self)
-    }
-}
-
-impl PlacementCache for &crate::cache::ShardedMappingCache {
-    fn map(
-        &mut self,
-        mapper: &Mapper<'_>,
-        free: &FreeSet,
-        req: &Topology,
-        strategy: &Strategy,
-    ) -> Result<Mapping> {
-        self.with_shard(req, |c| mapper.map_cached(free, req, strategy, c))
-    }
-}
-
-/// A [`ShardedMappingCache`](crate::cache::ShardedMappingCache) view that
-/// substitutes one speculatively-precomputed mapping result into the miss
-/// path of its *first* `map` call (subsequent calls fall through to the
-/// plain shared-cache protocol).
-///
-/// This is the coordinator's side of the parallel-admission handshake:
-/// a worker ran `map_in` for `(free, req, strategy)` off-thread; wrapping
-/// the shared cache in `ProbedCache::new(cache, Some(result))` makes the
-/// merge consume that value only when the canonical protocol actually
-/// misses — on a hit the cached entry wins, exactly as it would have
-/// sequentially.
-#[derive(Debug)]
-pub struct ProbedCache<'a> {
-    cache: &'a crate::cache::ShardedMappingCache,
-    probe: Option<Result<Mapping>>,
-}
-
-impl<'a> ProbedCache<'a> {
-    /// Wraps `cache`, arming it with `probe` for the first miss.
-    pub fn new(
-        cache: &'a crate::cache::ShardedMappingCache,
-        probe: Option<Result<Mapping>>,
-    ) -> Self {
-        ProbedCache { cache, probe }
-    }
-}
-
-impl PlacementCache for ProbedCache<'_> {
-    fn map(
-        &mut self,
-        mapper: &Mapper<'_>,
-        free: &FreeSet,
-        req: &Topology,
-        strategy: &Strategy,
-    ) -> Result<Mapping> {
-        let probe = self.probe.take();
-        self.cache.with_shard(req, |c| {
-            mapper.map_cached_with(free, req, strategy, c, probe)
-        })
-    }
 }
 
 #[cfg(test)]

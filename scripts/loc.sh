@@ -29,7 +29,7 @@ for crate in crates/*/; do
   read -r lines code < <(count "$crate"src/*.rs)
   printf '%-28s %8d %8d\n' "$name" "$lines" "$code"
 done
-for file in crates/core/src/hypervisor.rs crates/core/src/cluster.rs crates/core/src/pool.rs \
+for file in crates/core/src/hypervisor.rs crates/core/src/cluster.rs \
   crates/core/src/admission.rs crates/serve/src/scheduler.rs; do
   read -r lines code < <(count "$file")
   printf '%-28s %8d %8d\n' "  ${file#crates/}" "$lines" "$code"

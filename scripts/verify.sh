@@ -23,8 +23,17 @@ echo "== serve output pin =="
 cargo test --test cluster -q serve_outputs_are_pinned_across_refactors
 
 echo "== scripts/loc.sh (non-test source size) =="
-# Printed in every run so "lines removed" is a number, not a claim.
-scripts/loc.sh
+# Printed in every run so "lines removed" is a number, not a claim — and
+# ratcheted: `core + serve` code lines may not grow past where the last
+# simplification PR landed them. A PR that shrinks them lowers the bound.
+CORE_SERVE_CODE_MAX=5118
+loc=$(scripts/loc.sh)
+echo "$loc"
+core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
+if [ "$core_serve_code" -gt "$CORE_SERVE_CODE_MAX" ]; then
+  echo "verify: FAIL (core + serve is $core_serve_code code lines, ratchet is $CORE_SERVE_CODE_MAX)"
+  exit 1
+fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -44,34 +53,12 @@ cargo bench --bench serving_churn -- --quick
 echo "== cargo bench --bench cluster_churn -- --quick =="
 cargo bench --bench cluster_churn -- --quick
 
-echo "== parallel determinism gate: cluster_churn at 1 vs 4 workers =="
-# The same seeded churn must emit a byte-identical report JSON at any
-# worker-pool width; only the report's own "workers" field may differ.
-report="target/vnpu-bench/cluster_churn.report.quick.json"
-VNPU_WORKERS=1 cargo bench --bench cluster_churn -- --quick >/dev/null
-cp "$report" "${report}.w1"
-VNPU_WORKERS=4 cargo bench --bench cluster_churn -- --quick >/dev/null
-cp "$report" "${report}.w4"
-diff <(grep -v '"workers"' "${report}.w1") <(grep -v '"workers"' "${report}.w4") \
-  || { echo "verify: FAIL (cluster_churn reports diverge across workers)"; exit 1; }
-rm -f "${report}.w1" "${report}.w4"
-echo "cluster_churn reports byte-identical at 1 and 4 workers"
-
-echo "== cargo bench --bench parallel_tick -- --quick =="
-cargo bench --bench parallel_tick -- --quick
-
-echo "== concurrency sanitizer gate =="
-# Mutation suite: the three seeded mutants (completion-order merge,
-# worker-derived shard count, inverted lock pair) must each be flagged
-# under their CONC-* rule while the pristine doubles and the shipped
-# runtime audit clean.
+echo "== determinism sanitizer gate =="
+# Mutation suite: a fold in completion order must be flagged under
+# CONC-DET while a fold in job order stays clean, and the shipped runtime
+# records identical digest chains run after run with an unperturbed report.
 cargo test --test conc_mutations -q
-# Probe pass: rerun the 16-chip fleet with the TraceProbe installed and
-# phase digests on — the bench asserts zero CONC findings, agreeing
-# digest chains across widths 1/2/4/8, and reports byte-identical to
-# the uninstrumented baseline.
-VNPU_CONC_PROBE=1 cargo bench --bench parallel_tick -- --quick
-echo "conc gate: mutants flagged, shipped code clean under the probe"
+echo "conc gate: mutant flagged, shipped code digest-identical"
 
 echo "== epoch-memo differential gate =="
 # The serve loop reuses a chip's last epoch while its inputs are
@@ -97,11 +84,11 @@ echo "== temporal verification gate =="
 # stalled drain, overdue recovery, inflated cost, broken cache
 # conservation, leaked quiescence, oversized hint) must be flagged
 # under exactly its TEMP-* rule while the pristine scenario traces
-# check clean online and offline at every worker count.
+# check clean online and offline.
 cargo test --test temporal_mutations -q
-# Dedicated gate bench: churn/drain/fault with the online checker at
-# workers 1/2/4/8 — zero findings, reports byte-identical to the
-# checker-off baseline, offline replay agrees.
+# Dedicated gate bench: churn/drain/fault with the online checker —
+# zero findings, reports byte-identical to the checker-off baseline,
+# offline replay agrees.
 cargo bench --bench temporal_check -- --quick
 # Streaming passes of the two dynamic headline scenarios: with the
 # checker on, the scenarios assert zero TEMP-* findings and the report

@@ -116,11 +116,6 @@ fn smoke_fault_recovery() {
 }
 
 #[test]
-fn smoke_parallel_tick() {
-    figs::parallel_tick::run(true);
-}
-
-#[test]
 fn smoke_temporal_check() {
     figs::temporal_check::run(true);
 }

@@ -522,7 +522,7 @@ fn serve_outputs_are_pinned_across_refactors() {
     cfg.audit = true;
     cfg.temporal = true;
     cfg.record_trace = true;
-    cfg.conc.phase_digests = true;
+    cfg.phase_digests = true;
     let mut rt = ServeRuntime::new(cfg);
     let (mut drained_at, mut completed_at) = (None, None);
     while rt.tick_index() < 320 {

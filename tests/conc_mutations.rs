@@ -1,60 +1,43 @@
-//! Mutation testing for the concurrency sanitizer (`vnpu_conc`): each
-//! of the three deliberately broken test doubles the crate documents —
-//! a merge that folds results in **completion** order, a shard map
-//! derived from the **worker count**, and an **inverted** two-lock
-//! acquisition — must be flagged under its matching `CONC-*` rule,
-//! while the shipped code (the real serving runtime, probe installed)
-//! audits clean at pool widths 1/2/4/8 with byte-identical reports.
+//! Mutation testing for the determinism sanitizer (`vnpu_conc`): a fold
+//! that takes per-job results in **completion** order must be flagged
+//! under `CONC-DET` when two runs complete in different orders, while a
+//! fold in **job** order stays clean — and the shipped serving runtime
+//! records identical digest chains run after run, with a report
+//! byte-identical to the run that records none.
 
 use std::sync::Arc;
-use std::sync::Mutex as StdMutex;
 use vnpu::cluster::LeastLoaded;
-use vnpu::pool::WorkerPool;
-use vnpu_conc::sched::permuted_indices;
-use vnpu_conc::sites::{CACHE_SHARD, HINT_CACHE};
-use vnpu_conc::{
-    analyze_all, analyze_hold_across_submit, analyze_lock_order, analyze_shard_order, compare_all,
-    compare_chains, ConcFinding, ConcMode, ConcRule, Digest, DigestChain, Phase, ScheduleSeed,
-    Trace, TraceProbe,
-};
-use vnpu_serve::{ServeConfig, ServeReport, ServeRuntime};
+use vnpu_conc::{compare_all, compare_chains, ConcRule, Digest, DigestChain, Phase};
+use vnpu_serve::{ServeConfig, ServeRuntime};
 use vnpu_sim::SocConfig;
 
-fn rule_ids(findings: &[ConcFinding]) -> Vec<&'static str> {
-    findings.iter().map(|f| f.rule.id()).collect()
+// ---------------------------------------------------------------------
+// The mutant: a fold over per-job results taken in the order the jobs
+// *completed*. Two runs that complete in different orders then record
+// different digests and `CONC-DET` names the divergent phase; folding in
+// job order is invariant under the completion order.
+// ---------------------------------------------------------------------
+
+/// Sixteen jobs `(job index, result)` as they completed: `rotate` jobs
+/// late, so two different rotations are two different completion orders
+/// of the same results.
+fn completed(rotate: usize) -> Vec<(usize, u64)> {
+    let mut jobs: Vec<(usize, u64)> = (0..16)
+        .map(|i| (i, (i as u64 + 1).wrapping_mul(0x9E37_79B9)))
+        .collect();
+    jobs.rotate_left(rotate);
+    jobs
 }
 
-// ---------------------------------------------------------------------
-// Mutant 1: a merge that folds results in completion order. The digest
-// chain diverges across permuted schedules and `CONC-DET` names the
-// divergent phase; the correct job-order merge stays schedule-invariant.
-// ---------------------------------------------------------------------
-
-/// Runs a 16-job batch on a single-worker pool (inline, so the seeded
-/// schedule fully determines execution order), then digests the merge.
-/// `fold_in_completion_order` selects the mutant: folding the shared
-/// completion log instead of the pool's job-ordered results.
-fn merge_digest(schedule: Option<ScheduleSeed>, fold_in_completion_order: bool) -> DigestChain {
-    let pool = WorkerPool::with_conc(1, None, schedule);
-    let completion: Arc<StdMutex<Vec<u64>>> = Arc::new(StdMutex::new(Vec::new()));
-    let jobs: Vec<_> = (0u64..16)
-        .map(|i| {
-            let completion = Arc::clone(&completion);
-            move || {
-                let value = (i + 1).wrapping_mul(0x9E37_79B9);
-                completion.lock().expect("completion log").push(value);
-                value
-            }
-        })
-        .collect();
-    let in_job_order = pool.run(jobs);
-    let folded = if fold_in_completion_order {
-        completion.lock().expect("completion log").clone()
-    } else {
-        in_job_order
-    };
+/// Digests one batch into a one-entry chain. `fold_in_completion_order`
+/// selects the mutant: folding `completed` as it stands instead of by
+/// job index.
+fn merge_digest(mut completed: Vec<(usize, u64)>, fold_in_completion_order: bool) -> DigestChain {
+    if !fold_in_completion_order {
+        completed.sort_by_key(|&(job, _)| job);
+    }
     let mut digest = Digest::new();
-    for value in folded {
+    for (_, value) in completed {
         digest.write_u64(value);
     }
     let mut chain = DigestChain::new();
@@ -64,16 +47,10 @@ fn merge_digest(schedule: Option<ScheduleSeed>, fold_in_completion_order: bool) 
 
 #[test]
 fn completion_order_merge_is_flagged_as_conc_det() {
-    // A seed whose 16-element permutation is not the identity (batch 0
-    // uses the seed verbatim, so this is exactly the execution order).
-    let seed = (1..64)
-        .map(ScheduleSeed)
-        .find(|&s| permuted_indices(16, s) != (0..16).collect::<Vec<_>>())
-        .expect("some seed permutes 16 jobs");
-    let natural = merge_digest(None, true);
-    let permuted = merge_digest(Some(seed), true);
-    let finding = compare_chains("schedule=natural", &natural, "schedule=seeded", &permuted)
-        .expect("the completion-order merge must diverge across schedules");
+    let natural = merge_digest(completed(0), true);
+    let shuffled = merge_digest(completed(5), true);
+    let finding = compare_chains("order=natural", &natural, "order=rotated", &shuffled)
+        .expect("the completion-order merge must diverge across completion orders");
     assert_eq!(finding.rule.id(), "CONC-DET");
     assert!(
         finding.detail.contains("execution"),
@@ -83,183 +60,24 @@ fn completion_order_merge_is_flagged_as_conc_det() {
 
 #[test]
 fn job_order_merge_is_schedule_invariant() {
-    let natural = merge_digest(None, false);
-    for raw in [1u64, 7, 42] {
-        let permuted = merge_digest(Some(ScheduleSeed(raw)), false);
+    let natural = merge_digest(completed(0), false);
+    for rotate in [1usize, 7, 13] {
+        let shuffled = merge_digest(completed(rotate), false);
         assert_eq!(
-            compare_chains("schedule=natural", &natural, "schedule=seeded", &permuted),
+            compare_chains("order=natural", &natural, "order=rotated", &shuffled),
             None,
-            "folding in job order must be schedule-invariant (seed {raw})"
+            "folding in job order must not see the completion order (rotation {rotate})"
         );
     }
 }
 
 // ---------------------------------------------------------------------
-// Mutant 2: a sharded cache whose shard count is derived from the pool
-// width instead of being fixed. The same key then lands on different
-// shards at different widths, which `CONC-SHARD` catches from the
-// tagged acquisition traces; the fixed-count double stays clean.
+// The shipped code: the real serving runtime with digests on audits
+// clean, its report is byte-identical to the uninstrumented run's, and
+// a same-seed rerun records the identical digest chain.
 // ---------------------------------------------------------------------
 
-/// A miniature sharded-cache double at the real `CACHE_SHARD` site:
-/// `touch` locks `shards[key % len]` tagged with the key, exactly the
-/// shipped cache's discipline — only the shard *count* is a parameter.
-struct ShardDouble {
-    shards: Vec<vnpu_conc::sync::Mutex<u64>>,
-}
-
-impl ShardDouble {
-    fn new(shards: usize, probe: &Arc<TraceProbe>) -> Self {
-        let shards = (0..shards)
-            .map(|i| {
-                let mut m = vnpu_conc::sync::Mutex::new(&CACHE_SHARD, 0u64).at_shard(i as u32);
-                m.set_probe(Some(probe.clone()));
-                m
-            })
-            .collect();
-        ShardDouble { shards }
-    }
-
-    fn touch(&self, key: u64) {
-        let idx = (key % self.shards.len() as u64) as usize;
-        *self.shards[idx].lock_tagged(key) += 1;
-    }
-}
-
-/// Traces the same key set through a double whose shard count is
-/// `shards_for(workers)`, once per pool width.
-fn shard_traces(shards_for: impl Fn(usize) -> usize) -> Vec<Trace> {
-    [2usize, 4, 8]
-        .iter()
-        .map(|&workers| {
-            let probe = Arc::new(TraceProbe::new());
-            let cache = ShardDouble::new(shards_for(workers), &probe);
-            for key in [2u64, 5, 6, 11] {
-                cache.touch(key);
-            }
-            probe.take_trace()
-        })
-        .collect()
-}
-
-#[test]
-fn worker_derived_shard_count_is_flagged_as_conc_shard() {
-    let findings = analyze_shard_order(&shard_traces(|workers| workers));
-    assert!(
-        !findings.is_empty(),
-        "a worker-derived shard count must be flagged"
-    );
-    assert!(
-        rule_ids(&findings).iter().all(|id| *id == "CONC-SHARD"),
-        "every finding carries the shard rule: {findings:?}"
-    );
-}
-
-#[test]
-fn fixed_shard_count_audits_clean() {
-    assert_eq!(
-        analyze_shard_order(&shard_traces(|_| 8)),
-        Vec::new(),
-        "a fixed shard count maps each key to one shard at every width"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Mutant 3: a two-lock acquisition inverted against the site ranks
-// (hint cache, rank 20, taken before a cache shard, rank 10). The
-// acquisition trace flags `CONC-ORDER`; the rank-ordered pair is clean.
-// ---------------------------------------------------------------------
-
-/// Two probed locks at the shipped sites; `inverted` picks the mutant
-/// acquisition order.
-fn two_lock_trace(inverted: bool) -> Trace {
-    let probe = Arc::new(TraceProbe::new());
-    let mut shard = vnpu_conc::sync::Mutex::new(&CACHE_SHARD, ()).at_shard(0);
-    let mut hint = vnpu_conc::sync::Mutex::new(&HINT_CACHE, ()).at_shard(0);
-    shard.set_probe(Some(probe.clone()));
-    hint.set_probe(Some(probe.clone()));
-    if inverted {
-        let _outer = hint.lock();
-        let _inner = shard.lock();
-    } else {
-        let _outer = shard.lock();
-        let _inner = hint.lock();
-    }
-    probe.take_trace()
-}
-
-#[test]
-fn inverted_lock_pair_is_flagged_as_conc_order() {
-    let findings = analyze_lock_order(&two_lock_trace(true));
-    assert!(!findings.is_empty(), "the inverted pair must be flagged");
-    assert!(
-        rule_ids(&findings).iter().all(|id| *id == "CONC-ORDER"),
-        "every finding carries the lock-order rule: {findings:?}"
-    );
-}
-
-#[test]
-fn rank_ordered_lock_pair_audits_clean() {
-    assert_eq!(
-        analyze_lock_order(&two_lock_trace(false)),
-        Vec::new(),
-        "acquiring in ascending site rank is the sanctioned order"
-    );
-}
-
-// ---------------------------------------------------------------------
-// `CONC-HOLD`: submitting a pool batch while holding an instrumented
-// lock on the submitting thread is flagged; releasing first is clean.
-// ---------------------------------------------------------------------
-
-fn submit_trace(hold_across_submit: bool) -> Trace {
-    let probe = Arc::new(TraceProbe::new());
-    let pool = WorkerPool::with_conc(2, Some(probe.clone()), None);
-    let mut cache = vnpu_conc::sync::Mutex::new(&CACHE_SHARD, 0u64).at_shard(0);
-    cache.set_probe(Some(probe.clone()));
-    let jobs = || (0u64..4).map(|i| move || i * i).collect::<Vec<_>>();
-    if hold_across_submit {
-        let guard = cache.lock();
-        let _ = pool.run(jobs());
-        drop(guard);
-    } else {
-        {
-            *cache.lock() += 1;
-        }
-        let _ = pool.run(jobs());
-    }
-    probe.take_trace()
-}
-
-#[test]
-fn lock_held_across_pool_submission_is_flagged_as_conc_hold() {
-    let findings = analyze_hold_across_submit(&submit_trace(true));
-    assert!(
-        !findings.is_empty(),
-        "holding across submit must be flagged"
-    );
-    assert!(
-        rule_ids(&findings).iter().all(|id| *id == "CONC-HOLD"),
-        "every finding carries the hold rule: {findings:?}"
-    );
-}
-
-#[test]
-fn releasing_before_pool_submission_audits_clean() {
-    assert_eq!(
-        analyze_hold_across_submit(&submit_trace(false)),
-        Vec::new(),
-        "a released lock never blocks the pool"
-    );
-}
-
-// ---------------------------------------------------------------------
-// The shipped code: the real serving runtime with the probe installed
-// audits clean at every pool width, with reports byte-identical to the
-// uninstrumented run and digest chains identical across widths.
-// ---------------------------------------------------------------------
-
-fn churn_config(workers: usize) -> ServeConfig {
+fn churn_config() -> ServeConfig {
     let small = SocConfig {
         mesh_width: 4,
         mesh_height: 4,
@@ -276,33 +94,21 @@ fn churn_config(workers: usize) -> ServeConfig {
     cfg.defrag = Some(Arc::new(vnpu::plan::GreedyDefrag::default()));
     cfg.defrag_interval = 7;
     cfg.audit = true;
-    cfg.workers = workers;
     cfg
 }
 
-fn normalized_json(report: &ServeReport) -> String {
-    report
-        .to_json(usize::MAX)
-        .lines()
-        .filter(|l| !l.contains("\"workers\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
-fn shipped_runtime_audits_clean_at_every_pool_width() {
-    let baseline = ServeRuntime::new(churn_config(1))
+fn shipped_runtime_audits_clean_and_reruns_digest_identical() {
+    let baseline = ServeRuntime::new(churn_config())
         .run()
         .expect("uninstrumented run completes");
     assert_eq!(baseline.audit_findings, 0, "baseline audits clean");
 
-    let mut traces: Vec<Trace> = Vec::new();
     let mut chains: Vec<(String, DigestChain)> = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let probe = Arc::new(TraceProbe::new());
-        let mut cfg = churn_config(workers);
+    for run in ["first", "second"] {
+        let mut cfg = churn_config();
         let epochs = cfg.epochs;
-        cfg.conc = ConcMode::probed(probe.clone());
+        cfg.phase_digests = true;
         // `run()` consumes the runtime; drive the same loop by hand so
         // the digest chain is readable afterwards.
         let mut rt = ServeRuntime::new(cfg);
@@ -313,32 +119,21 @@ fn shipped_runtime_audits_clean_at_every_pool_width() {
         let report = rt.report();
         assert_eq!(
             report.audit_findings, 0,
-            "workers={workers}: instrumented run audits clean"
+            "{run} run: instrumented run audits clean"
         );
         assert_eq!(
-            normalized_json(&report),
-            normalized_json(&baseline),
-            "workers={workers}: the probe must not perturb the report"
+            report.to_json(usize::MAX),
+            baseline.to_json(usize::MAX),
+            "{run} run: recording digests must not perturb the report"
         );
-        chains.push((
-            format!("workers={workers}"),
-            rt.digest_chain().expect("digests enabled").clone(),
-        ));
-        traces.push(probe.take_trace());
+        let chain = rt.digest_chain().expect("digests enabled").clone();
+        assert!(!chain.is_empty(), "{run} run: phases must record digests");
+        chains.push((run.to_owned(), chain));
     }
-    assert!(
-        traces.iter().all(|t| !t.is_empty()),
-        "the probe must actually observe lock traffic"
-    );
-    assert_eq!(
-        analyze_all(&traces),
-        Vec::new(),
-        "shipped code must produce zero CONC findings"
-    );
     assert_eq!(
         compare_all(&chains),
         Vec::new(),
-        "phase digests must agree across pool widths"
+        "phase digests must agree across same-seed runs"
     );
     assert_eq!(
         ConcRule::Determinism.id(),

@@ -638,23 +638,22 @@ fn mapping_cache_matches_uncached_similar_topology() {
     );
 }
 
-/// The parallel fleet tick is deterministic by protocol, not by luck: the
-/// same seeded cluster churn — heterogeneous chips, defrag on, audited —
-/// must produce a byte-identical `ServeReport` JSON at every worker-pool
-/// width (modulo the report's own `workers` field) with zero fleet-audit
-/// findings. Four full runtimes per case, so the case count stays small.
+/// The fleet tick is deterministic under its seed: the same seeded cluster
+/// churn — heterogeneous chips, defrag on, audited — must produce a
+/// byte-identical `ServeReport` JSON when run again, with zero fleet-audit
+/// findings. Two full runtimes per case, so the case count stays small.
 #[test]
-fn parallel_tick_reports_are_byte_identical_across_workers() {
+fn cluster_churn_reruns_are_byte_identical_and_audit_clean() {
     use std::sync::Arc;
     use vnpu::cluster::LeastLoaded;
     use vnpu_serve::{ServeConfig, ServeRuntime};
     use vnpu_sim::SocConfig;
     check(
-        "parallel_tick_reports_are_byte_identical_across_workers",
+        "cluster_churn_reruns_are_byte_identical_and_audit_clean",
         4,
         range(0u64..1 << 32),
         |&seed| {
-            let config_for = |workers: usize| {
+            let config = || {
                 let small = SocConfig {
                     mesh_width: 4,
                     mesh_height: 4,
@@ -668,139 +667,41 @@ fn parallel_tick_reports_are_byte_identical_across_workers() {
                 cfg.defrag = Some(Arc::new(vnpu::plan::GreedyDefrag::default()));
                 cfg.defrag_interval = 7;
                 cfg.audit = true;
-                cfg.workers = workers;
                 cfg
             };
-            let normalize = |json: String| {
-                json.lines()
-                    .filter(|l| !l.contains("\"workers\""))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            let baseline = ServeRuntime::new(config_for(1))
-                .run()
-                .expect("sequential run completes");
-            prop_assert_eq!(baseline.audit_findings, 0, "sequential run audits clean");
-            let expected = normalize(baseline.to_json(usize::MAX));
-            for workers in [2usize, 4, 8] {
-                let report = ServeRuntime::new(config_for(workers))
-                    .run()
-                    .expect("parallel run completes");
-                prop_assert_eq!(report.audit_findings, 0, "parallel run audits clean");
-                prop_assert_eq!(
-                    &normalize(report.to_json(usize::MAX)),
-                    &expected,
-                    "reports diverge across worker counts"
-                );
-            }
-            Ok(())
-        },
-    );
-}
-
-/// Loom-lite schedule exploration: the same seeded 3-chip churn at
-/// `workers = 4`, replayed under K = 8 permuted worker-pool schedules
-/// with the conc probe installed, must produce byte-identical audited
-/// `ServeReport` JSON, agreeing phase-digest chains, and zero `CONC-*`
-/// findings from the lock traces. Nine full runtimes per case, so the
-/// case count stays small.
-#[test]
-fn schedule_exploration_leaves_the_report_invariant() {
-    use std::sync::Arc;
-    use vnpu::cluster::LeastLoaded;
-    use vnpu_conc::{analyze_all, compare_all, ConcMode, ScheduleSeed, TraceProbe};
-    use vnpu_serve::{ServeConfig, ServeRuntime};
-    use vnpu_sim::SocConfig;
-    check(
-        "schedule_exploration_leaves_the_report_invariant",
-        2,
-        range(0u64..1 << 32),
-        |&seed| {
-            let config_for = || {
-                let small = SocConfig {
-                    mesh_width: 4,
-                    mesh_height: 4,
-                    ..SocConfig::sim()
-                };
-                let mut cfg =
-                    ServeConfig::cluster(seed, 60, vec![SocConfig::sim(), small, SocConfig::sim()]);
-                cfg.traffic.mean_interarrival_ticks = 1;
-                cfg.traffic.candidate_cap = 120;
-                cfg.placement = Arc::new(LeastLoaded);
-                cfg.defrag = Some(Arc::new(vnpu::plan::GreedyDefrag::default()));
-                cfg.defrag_interval = 7;
-                cfg.audit = true;
-                cfg.workers = 4;
-                cfg
-            };
-            let baseline = ServeRuntime::new(config_for())
-                .run()
-                .expect("unexplored run completes");
-            prop_assert_eq!(baseline.audit_findings, 0, "unexplored run audits clean");
-            let expected = baseline.to_json(usize::MAX);
-            let mut traces = Vec::new();
-            let mut chains = Vec::new();
-            for k in 0u64..8 {
-                let probe = Arc::new(TraceProbe::new());
-                let mut cfg = config_for();
-                let epochs = cfg.epochs;
-                cfg.conc = ConcMode::exploring(probe.clone(), ScheduleSeed(k));
-                // `run()` consumes the runtime; drive the loop by hand
-                // so the digest chain is readable afterwards.
-                let mut rt = ServeRuntime::new(cfg);
-                while rt.tick_index() < epochs {
-                    rt.step().expect("explored tick completes");
-                }
-                rt.drain().expect("explored drain completes");
-                let report = rt.report();
-                prop_assert_eq!(report.audit_findings, 0, "schedule {} must audit clean", k);
-                prop_assert_eq!(
-                    &report.to_json(usize::MAX),
-                    &expected,
-                    "schedule {} perturbed the report",
-                    k
-                );
-                chains.push((
-                    format!("schedule={k}"),
-                    rt.digest_chain().expect("digests on").clone(),
-                ));
-                traces.push(probe.take_trace());
-            }
+            let first = ServeRuntime::new(config()).run().expect("run completes");
+            prop_assert_eq!(first.audit_findings, 0, "the run audits clean");
+            let again = ServeRuntime::new(config()).run().expect("rerun completes");
+            prop_assert_eq!(again.audit_findings, 0, "the rerun audits clean");
             prop_assert_eq!(
-                analyze_all(&traces),
-                Vec::new(),
-                "schedule exploration must surface zero CONC findings"
-            );
-            prop_assert_eq!(
-                compare_all(&chains),
-                Vec::new(),
-                "phase digests must agree across explored schedules"
+                &again.to_json(usize::MAX),
+                &first.to_json(usize::MAX),
+                "reports diverge between same-seed runs"
             );
             Ok(())
         },
     );
 }
 
-/// Satellite property: the fault/recovery phase keeps the parallel tick
+/// Satellite property: the fault/recovery phase keeps the tick
 /// deterministic. The same seeded 3-chip churn with a seeded mid-run
 /// fault plan (core faults sampled over the whole fleet, each repaired
-/// 9 ticks later) must produce byte-identical audited reports at
-/// `workers = 1, 2, 4, 8` (modulo the report's own `workers` field),
+/// 9 ticks later) must produce a byte-identical report when run again,
 /// leak nothing, converge its recovery queue, and leave a fleet the
 /// invariant auditor signs off on.
 #[test]
-fn fault_churn_reports_are_byte_identical_across_workers() {
+fn fault_churn_reruns_are_byte_identical_and_converge() {
     use std::sync::Arc;
     use vnpu::cluster::LeastLoaded;
     use vnpu_fault::FaultPlan;
     use vnpu_serve::{ServeConfig, ServeRuntime};
     use vnpu_sim::SocConfig;
     check(
-        "fault_churn_reports_are_byte_identical_across_workers",
+        "fault_churn_reruns_are_byte_identical_and_converge",
         4,
         range(0u64..1 << 32),
         |&seed| {
-            let config_for = |workers: usize| {
+            let config = || {
                 let small = SocConfig {
                     mesh_width: 4,
                     mesh_height: 4,
@@ -816,31 +717,22 @@ fn fault_churn_reports_are_byte_identical_across_workers() {
                 // 8-tick recovery deadline, so the lost-tenant path is
                 // reachable alongside remap and cross-chip replacement.
                 cfg.fault_plan = FaultPlan::seeded(seed, &[36, 16, 36], 5, 50, Some(9));
-                cfg.workers = workers;
                 cfg
             };
-            let normalize = |json: String| {
-                json.lines()
-                    .filter(|l| !l.contains("\"workers\""))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            let mut baseline = ServeRuntime::new(config_for(1));
+            let mut first = ServeRuntime::new(config());
             for _ in 0..80 {
-                baseline.step().expect("sequential fault tick");
+                first.step().expect("fault tick");
             }
             // Recovery must converge: every detected tenant is resolved
             // (remapped, replaced, self-healed or lost) once the last
             // repair lands, and the healed fleet audits clean.
             prop_assert_eq!(
-                vnpu_audit::FleetAuditor::new()
-                    .audit(baseline.cluster())
-                    .len(),
+                vnpu_audit::FleetAuditor::new().audit(first.cluster()).len(),
                 0,
                 "healed fleet audits clean"
             );
-            baseline.drain().expect("sequential drain");
-            let report = baseline.report();
+            first.drain().expect("drain");
+            let report = first.report();
             prop_assert_eq!(report.recoveries_pending, 0, "recovery converged");
             prop_assert_eq!(report.leaked_cores, 0, "no core leaks under faults");
             prop_assert_eq!(report.leaked_hbm_bytes, 0, "no HBM leaks under faults");
@@ -849,19 +741,16 @@ fn fault_churn_reports_are_byte_identical_across_workers() {
                 report.faults_repaired,
                 "every sampled fault repairs on schedule"
             );
-            let expected = normalize(report.to_json(usize::MAX));
-            for workers in [2usize, 4, 8] {
-                let mut rt = ServeRuntime::new(config_for(workers));
-                for _ in 0..80 {
-                    rt.step().expect("parallel fault tick");
-                }
-                rt.drain().expect("parallel drain");
-                prop_assert_eq!(
-                    &normalize(rt.report().to_json(usize::MAX)),
-                    &expected,
-                    "fault-recovery reports diverge across worker counts"
-                );
+            let mut again = ServeRuntime::new(config());
+            for _ in 0..80 {
+                again.step().expect("rerun fault tick");
             }
+            again.drain().expect("rerun drain");
+            prop_assert_eq!(
+                &again.report().to_json(usize::MAX),
+                &report.to_json(usize::MAX),
+                "fault-recovery reports diverge between same-seed runs"
+            );
             Ok(())
         },
     );

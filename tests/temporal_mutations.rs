@@ -14,7 +14,7 @@ use std::sync::Arc;
 use vnpu::cluster::LeastLoaded;
 use vnpu::plan::GreedyDefrag;
 use vnpu_fault::FaultPlan;
-use vnpu_serve::{ServeConfig, ServeReport, ServeRuntime};
+use vnpu_serve::{ServeConfig, ServeRuntime};
 use vnpu_sim::SocConfig;
 use vnpu_temporal::{check_trace, CheckerConfig, TempRule, TraceEvent};
 
@@ -45,7 +45,7 @@ fn drain_cfg() -> ServeConfig {
 
 /// Row outage + link fault with scheduled repair: exercises the whole
 /// FaultOnset → RecoveryDetected → Recovered/TenantLost lifecycle.
-fn fault_cfg(workers: usize) -> ServeConfig {
+fn fault_cfg() -> ServeConfig {
     let mut cfg = ServeConfig::cluster(0xFA17_0001, 160, vec![SocConfig::sim(), SocConfig::sim()]);
     cfg.traffic.candidate_cap = 200;
     cfg.traffic.mean_interarrival_ticks = 2;
@@ -54,7 +54,6 @@ fn fault_cfg(workers: usize) -> ServeConfig {
     cfg.fault_plan = FaultPlan::new()
         .row_outage(0, 6, 1, 40, Some(70))
         .link_fault(0, 24, 25, 40, Some(70));
-    cfg.workers = workers;
     cfg.temporal = true;
     cfg.record_trace = true;
     cfg
@@ -121,7 +120,7 @@ fn pristine_scenario_traces_check_clean_offline() {
     for (name, trace, check) in [
         ("churn+defrag", pristine_trace(churn_cfg(), false)),
         ("drain", pristine_trace(drain_cfg(), true)),
-        ("fault", pristine_trace(fault_cfg(1), false)),
+        ("fault", pristine_trace(fault_cfg(), false)),
     ]
     .map(|(n, (t, c))| (n, t, c))
     {
@@ -202,7 +201,7 @@ fn stalled_drain_mutation_fires_temp_drain() {
 
 #[test]
 fn late_recovery_mutation_fires_temp_fault() {
-    let (mut trace, check) = pristine_trace(fault_cfg(1), false);
+    let (mut trace, check) = pristine_trace(fault_cfg(), false);
     // Corrupt: push one recovery past the policy deadline.
     let slot = trace
         .iter()
@@ -299,24 +298,18 @@ fn oversized_hint_mutation_fires_temp_hint() {
     assert_fires_exactly(&trace, check, TempRule::HintSoundness);
 }
 
-/// The report's JSON with its `workers` line stripped — the one field
-/// that legitimately varies with the pool width.
-fn normalized_json(r: &ServeReport) -> String {
-    r.to_json(usize::MAX)
-        .lines()
-        .filter(|l| !l.contains("\"workers\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
-fn online_checker_leaves_reports_byte_identical_at_every_worker_count() {
-    let mut plain_cfg = fault_cfg(1);
+fn online_checker_leaves_the_report_byte_identical() {
+    let mut plain_cfg = fault_cfg();
     plain_cfg.temporal = false;
     plain_cfg.record_trace = false;
-    let baseline = normalized_json(&ServeRuntime::new(plain_cfg).run().expect("baseline run"));
-    for workers in [1, 2, 4, 8] {
-        let mut cfg = fault_cfg(workers);
+    let baseline = ServeRuntime::new(plain_cfg)
+        .run()
+        .expect("baseline run")
+        .to_json(usize::MAX);
+    // Checker on, twice: each run checks clean and matches the baseline.
+    for run in ["first", "second"] {
+        let mut cfg = fault_cfg();
         cfg.record_trace = false;
         let mut rt = ServeRuntime::new(cfg);
         while rt.tick_index() < 160 {
@@ -325,13 +318,13 @@ fn online_checker_leaves_reports_byte_identical_at_every_worker_count() {
         rt.drain().expect("end-of-run drain");
         assert!(
             rt.temporal_findings().is_empty(),
-            "workers={workers} must check clean: {:?}",
+            "{run} checked run must check clean: {:?}",
             rt.temporal_findings()
         );
         assert_eq!(
-            normalized_json(&rt.report()),
+            rt.report().to_json(usize::MAX),
             baseline,
-            "the online checker must not perturb the run at workers={workers}"
+            "the online checker must not perturb the {run} run"
         );
     }
 }

@@ -654,7 +654,7 @@ mod tests {
         let txn = hv
             .plan(&[PlanOp::Migrate {
                 vm,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
         let mut view = PlanView::resolve(&hv, &txn);

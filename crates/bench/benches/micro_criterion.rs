@@ -141,7 +141,7 @@ fn bench_mapping(c: &mut Criterion) {
                 m.map(
                     &free_locked,
                     &req,
-                    &Strategy::similar_topology().threads(1).candidate_cap(2000),
+                    &Strategy::similar_topology().candidate_cap(2000),
                 )
                 .unwrap(),
             );

@@ -31,7 +31,6 @@ fn occupy_scattered(hv: &mut Hypervisor) {
 struct Params {
     iterations: u32,
     candidate_cap: usize,
-    threads: usize,
 }
 
 fn one(
@@ -80,13 +79,11 @@ pub fn run(quick: bool) {
         Params {
             iterations: 4,
             candidate_cap: 500,
-            threads: 1,
         }
     } else {
         Params {
             iterations: 24,
             candidate_cap: 4000,
-            threads: 4,
         }
     };
     let model_set: Vec<(&str, ModelGraph)> = if quick {
@@ -112,9 +109,7 @@ pub fn run(quick: bool) {
                 &cfg,
                 model,
                 cores,
-                Strategy::similar_topology()
-                    .threads(p.threads)
-                    .candidate_cap(p.candidate_cap),
+                Strategy::similar_topology().candidate_cap(p.candidate_cap),
                 &p,
             );
             let (Some(zig), Some(sim)) = (zig, sim) else {

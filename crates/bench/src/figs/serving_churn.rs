@@ -47,7 +47,7 @@ fn placement_workload() -> (Topology, Vec<(FreeSet, Topology, Strategy)>) {
         VnpuRequest::mesh(2, 3),
         VnpuRequest::cores(5),
     ];
-    let strategy = Strategy::similar_topology().threads(1).candidate_cap(400);
+    let strategy = Strategy::similar_topology().candidate_cap(400);
     let mut work = Vec::new();
     for occ in occupancies {
         let mut set = FreeSet::all_free(36);

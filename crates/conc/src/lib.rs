@@ -1,8 +1,8 @@
 //! **vnpu_conc** — the determinism sanitizer of the serve loop.
 //!
-//! The serve tick is single-threaded (the only threads in the stack are
-//! the mapper's own edit-distance scoring), so there is no lock to order
-//! and no schedule to explore. What remains worth checking is that two
+//! The stack spawns no threads (the serve tick and the mapper's scoring
+//! are plain loops), so there is no lock to order and no schedule to
+//! explore. What remains worth checking is that two
 //! runs which must agree — the same seed twice, instrumentation on and
 //! off — really do, and *where* they stop agreeing when they do not: the
 //! serve loop (behind `ServeConfig::phase_digests`) records a per-tick,

@@ -32,9 +32,8 @@
 //! operation has one entry point — [`Cluster::process_admissions`],
 //! [`Cluster::drain_tick`], [`Cluster::defrag_pass`] — and all of them run
 //! on the caller's thread: the per-chip planning inside the latter two is
-//! a loop over the chips, in chip order. The only threads in the stack are
-//! the mapper's own ([`Strategy::threads`], Algorithm 1's parallel
-//! edit-distance scoring).
+//! a loop over the chips, in chip order. The mapper below spawns no
+//! threads either.
 
 use crate::admission::{
     AdmissionPolicy, AdmissionQueue, AdmissionTick, FitHint, FragmentationStats, PendingView,
@@ -1553,7 +1552,7 @@ mod tests {
             ) -> Vec<PlanOp> {
                 vec![PlanOp::Migrate {
                     vm: crate::ids::VmId(9_999),
-                    to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                    to: MigrationTarget::Remap(Strategy::similar_topology()),
                 }]
             }
         }

@@ -690,9 +690,7 @@ impl Hypervisor {
             return None;
         }
         let mapper = self.mapper();
-        let strategy = Strategy::similar_topology()
-            .threads(1)
-            .candidate_cap(FIT_PROBE_CANDIDATE_CAP);
+        let strategy = Strategy::similar_topology().candidate_cap(FIT_PROBE_CANDIDATE_CAP);
         for cores in (1..=(largest_island as u32).min(free)).rev() {
             let probe = crate::vnpu::near_mesh_topology(cores);
             if mapper
@@ -1437,7 +1435,7 @@ mod tests {
         let mut h2 = Hypervisor::new(cfg);
         h2.create_vnpu(VnpuRequest::mesh(3, 3)).unwrap();
         let vm2 = h2
-            .create_vnpu(VnpuRequest::mesh(3, 3).strategy(Strategy::similar_topology().threads(2)))
+            .create_vnpu(VnpuRequest::mesh(3, 3).strategy(Strategy::similar_topology()))
             .unwrap();
         let v2 = h2.vnpu(vm2).unwrap();
         assert_eq!(v2.core_count(), 9);
@@ -1906,7 +1904,7 @@ mod tests {
         let txn = h
             .plan(&[PlanOp::Migrate {
                 vm: row,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
         let receipt = h.commit(&txn).unwrap();
@@ -1984,7 +1982,7 @@ mod tests {
         let txn = h
             .plan(&[PlanOp::Migrate {
                 vm,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
         assert!(txn.total().is_zero(), "best mapping is the current one");
@@ -2056,7 +2054,7 @@ mod tests {
         let noop = h
             .plan(&[PlanOp::Migrate {
                 vm: big,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
         assert_eq!(h.commit(&noop).unwrap().migration_count(), 0);
@@ -2066,7 +2064,7 @@ mod tests {
         let remap = h
             .plan(&[PlanOp::Migrate {
                 vm: row,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
         assert_eq!(h.commit(&remap).unwrap().migration_count(), 1);
@@ -2122,7 +2120,7 @@ mod tests {
         let txn = h
             .plan(&[PlanOp::Migrate {
                 vm: row,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
         assert_eq!(h.commit(&txn).unwrap().migration_count(), 1);
@@ -2148,11 +2146,11 @@ mod tests {
         let ops = vec![
             PlanOp::Migrate {
                 vm: a,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             },
             PlanOp::Migrate {
                 vm: b,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             },
         ];
         let unbudgeted = h.plan(&ops).unwrap();
@@ -2368,7 +2366,7 @@ mod tests {
         let txn = h
             .plan(&[PlanOp::Migrate {
                 vm,
-                to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
         let receipt = h.commit(&txn).unwrap();

@@ -35,9 +35,9 @@
 //! owns no queue, so a single chip is served by a 1-chip cluster. The
 //! ordering is the open [`admission::AdmissionPolicy`] trait — FIFO,
 //! smallest-first, retry-after-free, backfill and aging ship in-crate.
-//! Everything above the mapper runs on the caller's thread: per-chip work
-//! (drain and defrag planning, machine epochs) is a plain loop in chip
-//! order. Fleet operations compose on top: [`plan`] makes every mutation a
+//! Everything runs on the caller's thread, the mapper included: per-chip
+//! work (drain and defrag planning, machine epochs) is a plain loop in
+//! chip order. Fleet operations compose on top: [`plan`] makes every mutation a
 //! costed, atomically committable transaction, and [`drain`] turns
 //! whole-chip maintenance evacuation into a budgeted pipeline over those
 //! transactions.

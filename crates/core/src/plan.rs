@@ -350,9 +350,7 @@ impl Defragmenter for GreedyDefrag {
             let mut vms: Vec<(u32, VmId)> =
                 hv.vnpus().map(|(vm, v)| (v.core_count(), *vm)).collect();
             vms.sort_unstable();
-            let strategy = Strategy::similar_topology()
-                .threads(1)
-                .candidate_cap(self.probe_candidate_cap);
+            let strategy = Strategy::similar_topology().candidate_cap(self.probe_candidate_cap);
             for (_, vm) in vms {
                 if ops.len() >= move_cap {
                     break;

@@ -306,7 +306,7 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
-            remap_strategy: Strategy::similar_topology().threads(1).candidate_cap(200),
+            remap_strategy: Strategy::similar_topology().candidate_cap(200),
             max_recovery_ticks: 8,
         }
     }

@@ -183,11 +183,10 @@ impl ArrivalGenerator {
         // `mean − 1`, so the realized mean matches the configured one.
         let lifetime = 1 + geometric(&mut self.rng, self.cfg.mean_lifetime_epochs.max(1) - 1);
         self.generated += 1;
-        let request = shape.request().mem_bytes(mem).strategy(
-            Strategy::similar_topology()
-                .threads(1)
-                .candidate_cap(self.cfg.candidate_cap),
-        );
+        let request = shape
+            .request()
+            .mem_bytes(mem)
+            .strategy(Strategy::similar_topology().candidate_cap(self.cfg.candidate_cap));
         Arrival {
             at_tick: tick,
             shape,

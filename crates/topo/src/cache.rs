@@ -55,7 +55,7 @@ pub struct FreeSet {
 }
 
 /// SplitMix64 finalizer: decorrelates node indices before XOR-folding.
-fn mix(v: u64) -> u64 {
+pub(crate) fn mix(v: u64) -> u64 {
     let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -499,7 +499,7 @@ mod tests {
         let req = Topology::mesh2d(2, 3);
         let mut free = FreeSet::all_free(25);
         free.occupy_all(&[NodeId(0), NodeId(6), NodeId(12)]);
-        let strategy = Strategy::similar_topology().threads(1);
+        let strategy = Strategy::similar_topology();
         let mut cache = MappingCache::default();
         let first = mapper
             .map_cached(&free, &req, &strategy, &mut cache)
@@ -528,7 +528,7 @@ mod tests {
 
         let phys = Topology::mesh2d(3, 3);
         let mapper = Mapper::new(&phys);
-        let strategy = Strategy::similar_topology().threads(1);
+        let strategy = Strategy::similar_topology();
         let free = FreeSet::from_free_nodes(9, &[0, 1, 2, 3, 5].map(NodeId));
         let mut cache = MappingCache::default();
         let got_cheap = mapper
@@ -574,7 +574,7 @@ mod tests {
         let phys = Topology::mesh2d(3, 3);
         let mapper = Mapper::new(&phys);
         let req = Topology::line(2);
-        let strategy = Strategy::similar_topology().threads(1);
+        let strategy = Strategy::similar_topology();
         let mut cache = MappingCache::default();
         let free = FreeSet::all_free(9);
         let placed = mapper
@@ -604,7 +604,7 @@ mod tests {
         let phys = Topology::mesh2d(3, 3);
         let mapper = Mapper::new(&phys);
         let req = Topology::line(2);
-        let strategy = Strategy::similar_topology().threads(1);
+        let strategy = Strategy::similar_topology();
         let mut cache = MappingCache::default();
         let wrong = FreeSet::all_free(4);
         let valid = FreeSet::from_free_nodes(9, &[0, 1, 2, 3].map(NodeId));
@@ -631,7 +631,7 @@ mod tests {
         // miss, never a hit against a stale cost-annotated strategy.
         let phys = Topology::mesh2d(3, 3);
         let req = Topology::mesh2d(2, 2);
-        let strategy = Strategy::similar_topology().threads(1);
+        let strategy = Strategy::similar_topology();
         let free = FreeSet::all_free(9);
         let mut cache = MappingCache::default();
         let before = Mapper::new(&phys)
@@ -666,7 +666,7 @@ mod tests {
         // Two free islands; a connected 4-line cannot be placed.
         let free = FreeSet::from_free_nodes(9, &[0, 1, 7, 8].map(NodeId));
         let req = Topology::line(4);
-        let strategy = Strategy::similar_topology().threads(1);
+        let strategy = Strategy::similar_topology();
         let mut cache = MappingCache::default();
         assert!(mapper
             .map_cached(&free, &req, &strategy, &mut cache)
@@ -689,7 +689,7 @@ mod tests {
         let mesh = Topology::mesh2d(3, 3);
         let ring = Topology::ring(9);
         let req = Topology::line(3);
-        let strategy = Strategy::similar_topology().threads(1);
+        let strategy = Strategy::similar_topology();
         let mut cache = MappingCache::default();
         let free = FreeSet::all_free(9);
         let on_mesh = Mapper::new(&mesh)
@@ -711,7 +711,7 @@ mod tests {
         let phys = Topology::mesh2d(4, 4);
         let mapper = Mapper::new(&phys);
         let req = Topology::mesh2d(2, 2);
-        let strategy = Strategy::similar_topology().threads(1);
+        let strategy = Strategy::similar_topology();
         let mut cache = MappingCache::with_capacity(2);
         for i in 0..4u32 {
             let mut free = FreeSet::all_free(16);
@@ -734,7 +734,7 @@ mod tests {
             let phys = Topology::mesh2d(8, 8);
             let mapper = Mapper::new(&phys);
             let req = Topology::mesh2d(2, 2);
-            let strategy = Strategy::similar_topology().threads(1);
+            let strategy = Strategy::similar_topology();
             let mut cache = MappingCache::with_capacity(capacity);
             for i in 0..(3 * capacity as u32 + 5) {
                 let mut free = FreeSet::all_free(64);

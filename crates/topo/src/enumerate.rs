@@ -9,18 +9,23 @@
 //!    node sets are never produced;
 //! 2. isomorphism dedup — callers pair this module with
 //!    [`crate::canonical::canonical_key`];
-//! 3. exact-match early exit — [`enumerate_connected`] accepts a visitor
-//!    that can stop enumeration as soon as a perfect candidate is seen.
+//! 3. exact-match early exit — [`enumerate_connected_in`] accepts a
+//!    visitor that can stop enumeration as soon as a perfect candidate is
+//!    seen.
 //!
-//! A rectangle fast-path ([`mesh_rectangles`]) answers `w × h` mesh requests
-//! in O(free-mask scan) time without general enumeration.
+//! A rectangle fast-path ([`mesh_rectangles_in`]) answers `w × h` mesh
+//! requests in O(free-mask scan) time without general enumeration.
+//!
+//! Both take the free region as a [`FreeSet`], whose occupancy mask is
+//! used as-is — online serving maintains one incrementally, so no mask is
+//! rebuilt per request.
 
 use crate::cache::FreeSet;
 use crate::{MeshShape, NodeId, Topology};
 use std::collections::BTreeSet;
 
 /// Upper bound on enumerated candidates, protecting against combinatorial
-/// blow-up on large free regions (the NP-hard step the paper parallelizes).
+/// blow-up on large free regions (the NP-hard step of Algorithm 1).
 pub const DEFAULT_CANDIDATE_CAP: usize = 2_000;
 
 /// Recursion-step budget per candidate of the cap: bounds the total work
@@ -38,27 +43,14 @@ pub enum Visit {
 }
 
 /// Enumerates every connected induced subgraph with exactly `k` nodes of
-/// the subgraph of `topo` induced by `free`, invoking `visit` once per
-/// candidate (as a sorted node list). Enumeration is exhaustive and
-/// duplicate-free (ESU), but stops after `cap` candidates or when the
-/// visitor returns [`Visit::Stop`].
+/// the subgraph of `topo` induced by the free nodes of `free`, invoking
+/// `visit` once per candidate (as a sorted node list). Enumeration is
+/// exhaustive and duplicate-free (ESU), but stops after `cap` candidates,
+/// when the step budget (`cap ×` [`STEPS_PER_CANDIDATE`], at least 10 000) runs out, or when
+/// the visitor returns [`Visit::Stop`] — so the visited sequence is a pure
+/// function of `(topo, free, k, cap)` up to the stop.
 ///
 /// Returns the number of candidates visited.
-pub fn enumerate_connected(
-    topo: &Topology,
-    free: &[NodeId],
-    k: usize,
-    cap: usize,
-    visit: impl FnMut(&[NodeId]) -> Visit,
-) -> usize {
-    let set = FreeSet::from_free_nodes(topo.node_count(), free);
-    enumerate_connected_in(topo, &set, k, cap, visit)
-}
-
-/// [`enumerate_connected`] over an incrementally-maintained [`FreeSet`]:
-/// the occupancy mask is reused as-is instead of being rebuilt from a node
-/// list — the hot-path entry point for online serving, where the free set
-/// changes by small deltas between requests.
 ///
 /// # Panics
 ///
@@ -183,8 +175,9 @@ pub fn connected_candidates(
     k: usize,
     cap: usize,
 ) -> Vec<Vec<NodeId>> {
+    let set = FreeSet::from_free_nodes(topo.node_count(), free);
     let mut out = Vec::new();
-    enumerate_connected(topo, free, k, cap, |c| {
+    enumerate_connected_in(topo, &set, k, cap, |c| {
         out.push(c.to_vec());
         Visit::Continue
     });
@@ -195,17 +188,6 @@ pub fn connected_candidates(
 /// `req_w × req_h` window (and its transpose when not square) whose cells
 /// are all free, as sorted node lists. Returns `None` when `topo` is not a
 /// mesh.
-pub fn mesh_rectangles(
-    topo: &Topology,
-    free: &[NodeId],
-    req_w: u32,
-    req_h: u32,
-) -> Option<Vec<Vec<NodeId>>> {
-    let set = FreeSet::from_free_nodes(topo.node_count(), free);
-    mesh_rectangles_in(topo, &set, req_w, req_h)
-}
-
-/// [`mesh_rectangles`] over a prebuilt [`FreeSet`] (no mask rebuild).
 ///
 /// # Panics
 ///
@@ -269,6 +251,10 @@ mod tests {
 
     fn all_free(t: &Topology) -> Vec<NodeId> {
         t.nodes().collect()
+    }
+
+    fn set_of(t: &Topology, free: &[NodeId]) -> FreeSet {
+        FreeSet::from_free_nodes(t.node_count(), free)
     }
 
     #[test]
@@ -374,7 +360,7 @@ mod tests {
         let t = Topology::mesh2d(4, 4);
         let free = all_free(&t);
         let mut seen = 0;
-        enumerate_connected(&t, &free, 3, usize::MAX, |_| {
+        enumerate_connected_in(&t, &set_of(&t, &free), 3, usize::MAX, |_| {
             seen += 1;
             if seen == 5 {
                 Visit::Stop
@@ -396,7 +382,7 @@ mod tests {
     fn rectangles_on_full_mesh() {
         let t = Topology::mesh2d(5, 5);
         let free = all_free(&t);
-        let rects = mesh_rectangles(&t, &free, 3, 3).unwrap();
+        let rects = mesh_rectangles_in(&t, &set_of(&t, &free), 3, 3).unwrap();
         assert_eq!(rects.len(), 9); // 3x3 windows in a 5x5
         for r in &rects {
             assert_eq!(r.len(), 9);
@@ -408,7 +394,7 @@ mod tests {
     fn rectangles_include_transpose() {
         let t = Topology::mesh2d(4, 4);
         let free = all_free(&t);
-        let rects = mesh_rectangles(&t, &free, 1, 4).unwrap();
+        let rects = mesh_rectangles_in(&t, &set_of(&t, &free), 1, 4).unwrap();
         // vertical 1x4: 4 placements; horizontal 4x1: 4 placements
         assert_eq!(rects.len(), 8);
     }
@@ -423,7 +409,7 @@ mod tests {
             .collect();
         let free: Vec<NodeId> = t.nodes().filter(|n| !first.contains(n)).collect();
         assert_eq!(free.len(), 16);
-        let rects = mesh_rectangles(&t, &free, 3, 3).unwrap();
+        let rects = mesh_rectangles_in(&t, &set_of(&t, &free), 3, 3).unwrap();
         assert!(
             rects.is_empty(),
             "the 5x5-minus-3x3 example must exhibit topology lock-in"
@@ -434,6 +420,6 @@ mod tests {
     fn non_mesh_returns_none() {
         let t = Topology::ring(6);
         let free = all_free(&t);
-        assert!(mesh_rectangles(&t, &free, 2, 2).is_none());
+        assert!(mesh_rectangles_in(&t, &set_of(&t, &free), 2, 2).is_none());
     }
 }

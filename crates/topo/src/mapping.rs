@@ -10,10 +10,16 @@
 //! * [`Strategy::similar_topology`] — the paper's best-effort mapping:
 //!   enumerate connected candidate sub-topologies of the free region,
 //!   early-exit on an exact (isomorphic) match, deduplicate isomorphic
-//!   candidates, score the rest by topology edit distance in parallel, and
-//!   return the minimum.
+//!   candidates, score the rest by topology edit distance, and return the
+//!   minimum.
 //! * [`Strategy::exact_only`] — the rigid "topology lock-in" behaviour:
 //!   succeed only on an exact match (what MIG-style partitioning provides).
+//!
+//! A search is **one walk** of the candidate enumeration, shared by the
+//! last two strategies: each visited candidate gets one induced subgraph
+//! and one canonical key, compared to the request's (stop on a verified
+//! isomorphism) and, for similar-topology, reused to deduplicate. The
+//! mapper spawns no threads; scoring is a plain loop.
 //!
 //! All strategies honour R-1 (node count) by construction; R-3
 //! (connectivity) is enforced unless fragmentation mode
@@ -46,14 +52,13 @@ pub enum StrategyKind {
 /// use vnpu_topo::mapping::Strategy;
 /// let s = Strategy::similar_topology()
 ///     .candidate_cap(5_000)
-///     .threads(2);
+///     .allow_disconnected(true);
 /// ```
 #[derive(Clone)]
 pub struct Strategy {
     kind: StrategyKind,
     candidate_cap: usize,
     allow_disconnected: bool,
-    threads: usize,
     costs: Arc<dyn MatchCosts + Send + Sync>,
     /// Whether `costs` is still the stock [`UniformCosts`] — custom costs
     /// make a mapping attempt uncacheable (the cache key cannot see them).
@@ -66,7 +71,6 @@ impl std::fmt::Debug for Strategy {
             .field("kind", &self.kind)
             .field("candidate_cap", &self.candidate_cap)
             .field("allow_disconnected", &self.allow_disconnected)
-            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -78,7 +82,6 @@ impl Strategy {
             kind: StrategyKind::Straightforward,
             candidate_cap: DEFAULT_CANDIDATE_CAP,
             allow_disconnected: false,
-            threads: 1,
             costs: Arc::new(UniformCosts),
             default_costs: true,
         }
@@ -89,13 +92,7 @@ impl Strategy {
     pub fn similar_topology() -> Self {
         Strategy {
             kind: StrategyKind::SimilarTopology,
-            candidate_cap: DEFAULT_CANDIDATE_CAP,
-            allow_disconnected: false,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            costs: Arc::new(UniformCosts),
-            default_costs: true,
+            ..Strategy::straightforward()
         }
     }
 
@@ -121,7 +118,8 @@ impl Strategy {
         Strategy::similar_topology().allow_disconnected(true)
     }
 
-    /// Limits the number of enumerated candidate sub-topologies.
+    /// Limits the number of enumerated candidate sub-topologies, for
+    /// similar-topology and exact-only searches alike.
     pub fn candidate_cap(mut self, cap: usize) -> Self {
         self.candidate_cap = cap.max(1);
         self
@@ -134,10 +132,11 @@ impl Strategy {
         self
     }
 
-    /// Number of worker threads for parallel edit-distance scoring
-    /// (Algorithm 1 line 30's `multiprocess`).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Accepted and ignored: the mapper spawns no threads (candidates are
+    /// scored in a plain loop). Kept only because `benchmark/`, which is
+    /// edited in PRs of its own, still calls it; it goes once that call
+    /// does.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -156,8 +155,7 @@ impl Strategy {
 
     /// A discriminant folding every result-affecting knob into one word for
     /// [`MappingCache`] keys, or `None` when the strategy is uncacheable
-    /// (custom costs). The thread count is deliberately excluded: scoring
-    /// is deterministic regardless of how it is parallelized.
+    /// (custom costs).
     pub fn cache_tag(&self) -> Option<u64> {
         if !self.default_costs {
             return None;
@@ -309,7 +307,10 @@ impl<'a> Mapper<'a> {
         }
         match strategy.kind {
             StrategyKind::Straightforward => Ok(self.straightforward(free, req, strategy)),
-            StrategyKind::ExactOnly => self.exact(free, req),
+            StrategyKind::ExactOnly => match self.walk(free, req, strategy.candidate_cap, false) {
+                Walk::Exact(m) => Ok(m),
+                Walk::Candidates(_) => Err(TopoError::NoCandidate),
+            },
             StrategyKind::SimilarTopology => self.similar(free, req, strategy),
         }
     }
@@ -395,92 +396,70 @@ impl<'a> Mapper<'a> {
         }
     }
 
-    /// Exact isomorphic match or [`TopoError::NoCandidate`].
-    fn exact(&self, free: &FreeSet, req: &Topology) -> Result<Mapping> {
-        if let Some(m) = self.try_exact(free, req, DEFAULT_CANDIDATE_CAP) {
-            return Ok(m);
-        }
-        Err(TopoError::NoCandidate)
-    }
-
-    fn try_exact(&self, free: &FreeSet, req: &Topology, cap: usize) -> Option<Mapping> {
+    /// The one candidate walk of a search. Tries the rectangle fast path,
+    /// then enumerates connected `k`-node candidates up to `cap`, building
+    /// each one's subgraph and canonical key once: a candidate whose key
+    /// equals the request's and that passes the isomorphism check ends the
+    /// walk as [`Walk::Exact`]; every other one, when `collect` is set, is
+    /// kept as a sorted cell list if its key is new (Algorithm 1's
+    /// isomorphism dedup, lines 20–29).
+    fn walk(&self, free: &FreeSet, req: &Topology, cap: usize, collect: bool) -> Walk {
+        let exact = |iso: Vec<NodeId>, back: &[NodeId]| Mapping {
+            phys_nodes: iso.iter().map(|j| back[j.index()]).collect(),
+            edit_distance: 0,
+            exact_distance: true,
+            connected: true,
+        };
         // Rectangle fast-path for mesh requests on mesh hardware.
         if let Some(shape) = req.mesh_shape() {
-            if let Some(rects) =
-                enumerate::mesh_rectangles_in(self.phys, free, shape.width, shape.height)
-            {
-                if let Some(cells) = rects.into_iter().next() {
-                    // `cells` is sorted; the window is itself row-major, so an
-                    // isomorphism search gives the virtual -> physical layout.
-                    let (sub, back) = self.phys.induced_subgraph(&cells);
-                    if let Some(iso) = find_isomorphism(req, &sub) {
-                        let phys_nodes = iso.iter().map(|j| back[j.index()]).collect();
-                        return Some(Mapping {
-                            phys_nodes,
-                            edit_distance: 0,
-                            exact_distance: true,
-                            connected: true,
-                        });
-                    }
+            let rects = enumerate::mesh_rectangles_in(self.phys, free, shape.width, shape.height);
+            if let Some(cells) = rects.and_then(|r| r.into_iter().next()) {
+                // `cells` is sorted; the window is itself row-major, so an
+                // isomorphism search gives the virtual -> physical layout.
+                let (sub, back) = self.phys.induced_subgraph(&cells);
+                if let Some(iso) = find_isomorphism(req, &sub) {
+                    return Walk::Exact(exact(iso, &back));
                 }
             }
         }
-        // General exact search: enumerate connected candidates, compare
-        // canonical keys, verify with an isomorphism search. The cap
-        // bounds the (worst-case exponential) exhaustion proof.
+        // General search: compare canonical keys, verify a match with an
+        // isomorphism search. The cap bounds the (worst-case exponential)
+        // exhaustion proof.
         let req_key = canonical_key(req);
-        let mut found: Option<Mapping> = None;
+        let mut found = None;
+        let mut seen: HashSet<CanonicalKey> = HashSet::new();
+        let mut candidates: Vec<Vec<NodeId>> = Vec::new();
         enumerate::enumerate_connected_in(self.phys, free, req.node_count(), cap, |cells| {
             let (sub, back) = self.phys.induced_subgraph(cells);
-            if canonical_key(&sub) == req_key {
+            let key = canonical_key(&sub);
+            if key == req_key {
                 if let Some(iso) = find_isomorphism(req, &sub) {
-                    found = Some(Mapping {
-                        phys_nodes: iso.iter().map(|j| back[j.index()]).collect(),
-                        edit_distance: 0,
-                        exact_distance: true,
-                        connected: true,
-                    });
+                    found = Some(exact(iso, &back));
                     return Visit::Stop;
                 }
             }
+            if collect && seen.insert(key) {
+                candidates.push(cells.to_vec());
+            }
             Visit::Continue
         });
-        found
+        found.map_or(Walk::Candidates(candidates), Walk::Exact)
     }
 
-    /// Algorithm 1: enumerate, early-exit, dedup, score in parallel, pick
-    /// the minimum-edit-distance candidate.
+    /// Algorithm 1: enumerate, early-exit, dedup, score, pick the
+    /// minimum-edit-distance candidate.
     fn similar(&self, free: &FreeSet, req: &Topology, strategy: &Strategy) -> Result<Mapping> {
-        // Line 22: exact early exit.
-        if let Some(m) = self.try_exact(free, req, strategy.candidate_cap) {
-            return Ok(m);
-        }
-        // Lines 20–29: collect connected candidates, dedup by canonical key.
-        let mut seen: HashSet<CanonicalKey> = HashSet::new();
-        let mut candidates: Vec<Vec<NodeId>> = Vec::new();
-        enumerate::enumerate_connected_in(
-            self.phys,
-            free,
-            req.node_count(),
-            strategy.candidate_cap,
-            |cells| {
-                let (sub, _) = self.phys.induced_subgraph(cells);
-                if seen.insert(canonical_key(&sub)) {
-                    candidates.push(cells.to_vec());
-                }
-                Visit::Continue
-            },
-        );
-        if candidates.is_empty() {
-            if strategy.allow_disconnected {
-                // Fragmentation mode: fall back to zig-zag over whatever is
-                // free; the caller accepts inter-core conflict overheads.
-                return Ok(self.straightforward(free, req, strategy));
-            }
-            return Err(TopoError::NoCandidate);
-        }
-        // Lines 30–32: parallel TED scoring.
-        let results = self.score_parallel(req, &candidates, strategy);
+        // Lines 20–29, with line 22's exact early exit.
+        let candidates = match self.walk(free, req, strategy.candidate_cap, true) {
+            Walk::Exact(m) => return Ok(m),
+            Walk::Candidates(candidates) => candidates,
+        };
+        // Lines 30–32: TED scoring.
+        let costs = strategy.costs.as_ref();
+        let results: Vec<GedResult> = candidates
+            .iter()
+            .map(|cells| ged::ged(req, &self.phys.induced_subgraph(cells).0, costs))
+            .collect();
         // Refine the best few candidates with 2-opt swaps (the bipartite
         // assignment ignores global edge structure). Pipeline-style
         // requests (virtual IDs in dataflow order) additionally get a
@@ -488,32 +467,38 @@ impl<'a> Mapper<'a> {
         // is usually the natural embedding for chains.
         let mut order: Vec<usize> = (0..results.len()).collect();
         order.sort_by_key(|&i| results[i].cost);
-        let mut best: Option<(u64, Vec<NodeId>, bool)> = None;
+        let mut best: Option<(u64, Vec<NodeId>)> = None;
         for &i in order.iter().take(REFINE_TOP_CANDIDATES) {
             let cells = &candidates[i];
             let (sub, back) = self.phys.induced_subgraph(cells);
-            let mut starts: Vec<Vec<Option<NodeId>>> =
-                vec![complete_option_mapping(&results[i].mapping, cells.len())];
-            starts.push(self.serpentine_mapping(cells));
+            let starts = [
+                complete_option_mapping(&results[i].mapping, cells.len()),
+                self.serpentine_mapping(cells),
+            ];
             for start in starts {
-                let (refined, cost) =
-                    ged::refine_mapping(req, &sub, &start, strategy.costs.as_ref(), 8);
-                if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
+                let (refined, cost) = ged::refine_mapping(req, &sub, &start, costs, 8);
+                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     let phys_nodes = refined
                         .iter()
-                        .map(|m| back[m.expect("total mapping").index()])
+                        .map(|m| back[m.expect("2-opt swaps keep a total mapping total").index()])
                         .collect();
-                    best = Some((cost, phys_nodes, false));
+                    best = Some((cost, phys_nodes));
                 }
             }
         }
-        let (cost, phys_nodes, exact) = best.expect("candidates is non-empty");
-        Ok(Mapping {
-            phys_nodes,
-            edit_distance: cost,
-            exact_distance: exact,
-            connected: true,
-        })
+        match best {
+            Some((edit_distance, phys_nodes)) => Ok(Mapping {
+                phys_nodes,
+                edit_distance,
+                exact_distance: false,
+                connected: true,
+            }),
+            // No connected candidate. Fragmentation mode falls back to
+            // zig-zag over whatever is free; the caller accepts inter-core
+            // conflict overheads.
+            None if strategy.allow_disconnected => Ok(self.straightforward(free, req, strategy)),
+            None => Err(TopoError::NoCandidate),
+        }
     }
 
     /// Virtual node `i` → the `i`-th candidate cell in serpentine order
@@ -523,7 +508,10 @@ impl<'a> Mapper<'a> {
         let mut order: Vec<usize> = (0..cells.len()).collect();
         if self.phys.mesh_shape().is_some() {
             order.sort_by_key(|&j| {
-                let (x, y) = self.phys.mesh_coord(cells[j]).expect("mesh coord");
+                let (x, y) = self
+                    .phys
+                    .mesh_coord(cells[j])
+                    .expect("candidate cells are nodes of the mesh `phys`");
                 let xx = if y % 2 == 0 { x as i64 } else { -(x as i64) };
                 (y, xx)
             });
@@ -552,46 +540,16 @@ impl<'a> Mapper<'a> {
         }
         order.into_iter().map(|j| Some(NodeId(j as u32))).collect()
     }
+}
 
-    fn score_parallel(
-        &self,
-        req: &Topology,
-        candidates: &[Vec<NodeId>],
-        strategy: &Strategy,
-    ) -> Vec<GedResult> {
-        let threads = strategy.threads.min(candidates.len()).max(1);
-        if threads == 1 {
-            return candidates
-                .iter()
-                .map(|cells| {
-                    let (sub, _) = self.phys.induced_subgraph(cells);
-                    ged::ged(req, &sub, strategy.costs.as_ref())
-                })
-                .collect();
-        }
-        let chunk = candidates.len().div_ceil(threads);
-        let mut results: Vec<Option<GedResult>> = vec![None; candidates.len()];
-        std::thread::scope(|scope| {
-            let mut rest = results.as_mut_slice();
-            for (t, cand_chunk) in candidates.chunks(chunk).enumerate() {
-                let (head, tail) = rest.split_at_mut(cand_chunk.len().min(rest.len()));
-                rest = tail;
-                let phys = self.phys;
-                let costs = Arc::clone(&strategy.costs);
-                let _ = t;
-                scope.spawn(move || {
-                    for (slot, cells) in head.iter_mut().zip(cand_chunk) {
-                        let (sub, _) = phys.induced_subgraph(cells);
-                        *slot = Some(ged::ged(req, &sub, costs.as_ref()));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every candidate scored"))
-            .collect()
-    }
+/// What one candidate walk ([`Mapper::walk`]) found.
+enum Walk {
+    /// A candidate isomorphic to the request; the walk stopped at it.
+    Exact(Mapping),
+    /// No isomorphic candidate within the cap. Holds the candidates
+    /// visited, one sorted cell list per isomorphism class in visit order
+    /// (empty when the caller did not ask to collect them).
+    Candidates(Vec<Vec<NodeId>>),
 }
 
 /// How many of the lowest-TED candidates receive 2-opt refinement.
@@ -618,6 +576,296 @@ fn complete_option_mapping(
             )),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod reference {
+    //! The two-walk search that [`Mapper::walk`] replaced, kept verbatim as
+    //! a differential oracle: an exact-match walk to the cap, then — on a
+    //! miss — a second walk of the same sequence to dedup and collect.
+    //! The campaign below holds the one-walk search to identical
+    //! `Result<Mapping>`s over random free regions.
+
+    use super::*;
+
+    impl Mapper<'_> {
+        /// The reference search for the two enumerating strategy kinds;
+        /// the exact-only arm is `try_exact` at the strategy's cap.
+        fn map_reference(
+            &self,
+            free: &FreeSet,
+            req: &Topology,
+            strategy: &Strategy,
+        ) -> Result<Mapping> {
+            match strategy.kind {
+                StrategyKind::ExactOnly => self
+                    .try_exact(free, req, strategy.candidate_cap)
+                    .ok_or(TopoError::NoCandidate),
+                StrategyKind::SimilarTopology => self.similar_two_walks(free, req, strategy),
+                StrategyKind::Straightforward => unreachable!("never enumerates candidates"),
+            }
+        }
+
+        fn try_exact(&self, free: &FreeSet, req: &Topology, cap: usize) -> Option<Mapping> {
+            // Rectangle fast-path for mesh requests on mesh hardware.
+            if let Some(shape) = req.mesh_shape() {
+                if let Some(rects) =
+                    enumerate::mesh_rectangles_in(self.phys, free, shape.width, shape.height)
+                {
+                    if let Some(cells) = rects.into_iter().next() {
+                        // `cells` is sorted; the window is itself row-major, so an
+                        // isomorphism search gives the virtual -> physical layout.
+                        let (sub, back) = self.phys.induced_subgraph(&cells);
+                        if let Some(iso) = find_isomorphism(req, &sub) {
+                            let phys_nodes = iso.iter().map(|j| back[j.index()]).collect();
+                            return Some(Mapping {
+                                phys_nodes,
+                                edit_distance: 0,
+                                exact_distance: true,
+                                connected: true,
+                            });
+                        }
+                    }
+                }
+            }
+            // General exact search: enumerate connected candidates, compare
+            // canonical keys, verify with an isomorphism search. The cap
+            // bounds the (worst-case exponential) exhaustion proof.
+            let req_key = canonical_key(req);
+            let mut found: Option<Mapping> = None;
+            enumerate::enumerate_connected_in(self.phys, free, req.node_count(), cap, |cells| {
+                let (sub, back) = self.phys.induced_subgraph(cells);
+                if canonical_key(&sub) == req_key {
+                    if let Some(iso) = find_isomorphism(req, &sub) {
+                        found = Some(Mapping {
+                            phys_nodes: iso.iter().map(|j| back[j.index()]).collect(),
+                            edit_distance: 0,
+                            exact_distance: true,
+                            connected: true,
+                        });
+                        return Visit::Stop;
+                    }
+                }
+                Visit::Continue
+            });
+            found
+        }
+
+        fn similar_two_walks(
+            &self,
+            free: &FreeSet,
+            req: &Topology,
+            strategy: &Strategy,
+        ) -> Result<Mapping> {
+            // Line 22: exact early exit.
+            if let Some(m) = self.try_exact(free, req, strategy.candidate_cap) {
+                return Ok(m);
+            }
+            // Lines 20–29: collect connected candidates, dedup by canonical key.
+            let mut seen: HashSet<CanonicalKey> = HashSet::new();
+            let mut candidates: Vec<Vec<NodeId>> = Vec::new();
+            enumerate::enumerate_connected_in(
+                self.phys,
+                free,
+                req.node_count(),
+                strategy.candidate_cap,
+                |cells| {
+                    let (sub, _) = self.phys.induced_subgraph(cells);
+                    if seen.insert(canonical_key(&sub)) {
+                        candidates.push(cells.to_vec());
+                    }
+                    Visit::Continue
+                },
+            );
+            if candidates.is_empty() {
+                if strategy.allow_disconnected {
+                    // Fragmentation mode: fall back to zig-zag over whatever is
+                    // free; the caller accepts inter-core conflict overheads.
+                    return Ok(self.straightforward(free, req, strategy));
+                }
+                return Err(TopoError::NoCandidate);
+            }
+            // Lines 30–32: TED scoring (the one-thread arm of the deleted
+            // scoring fork).
+            let results: Vec<GedResult> = candidates
+                .iter()
+                .map(|cells| {
+                    let (sub, _) = self.phys.induced_subgraph(cells);
+                    ged::ged(req, &sub, strategy.costs.as_ref())
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..results.len()).collect();
+            order.sort_by_key(|&i| results[i].cost);
+            let mut best: Option<(u64, Vec<NodeId>, bool)> = None;
+            for &i in order.iter().take(REFINE_TOP_CANDIDATES) {
+                let cells = &candidates[i];
+                let (sub, back) = self.phys.induced_subgraph(cells);
+                let mut starts: Vec<Vec<Option<NodeId>>> =
+                    vec![complete_option_mapping(&results[i].mapping, cells.len())];
+                starts.push(self.serpentine_mapping(cells));
+                for start in starts {
+                    let (refined, cost) =
+                        ged::refine_mapping(req, &sub, &start, strategy.costs.as_ref(), 8);
+                    if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
+                        let phys_nodes = refined
+                            .iter()
+                            .map(|m| back[m.expect("total mapping").index()])
+                            .collect();
+                        best = Some((cost, phys_nodes, false));
+                    }
+                }
+            }
+            let (cost, phys_nodes, exact) = best.expect("candidates is non-empty");
+            Ok(Mapping {
+                phys_nodes,
+                edit_distance: cost,
+                exact_distance: exact,
+                connected: true,
+            })
+        }
+    }
+
+    /// The campaign's only source of randomness: splitmix64 over a counter.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 += 1;
+            (crate::cache::mix(self.0) % n as u64) as usize
+        }
+    }
+
+    /// A free region of `phys` at 10–90% free: each node free
+    /// independently, or — with `blobs` — connected tenant-like blobs
+    /// occupied until the target is met. `faults` then masks up to three
+    /// more nodes.
+    fn random_free_set(phys: &Topology, rng: &mut Rng, blobs: bool, faults: bool) -> FreeSet {
+        let n = phys.node_count();
+        let target_free = n * (10 + rng.below(81)) / 100;
+        let mut free = FreeSet::all_free(n);
+        if blobs {
+            while free.free_count() > target_free {
+                let nodes = free.nodes();
+                let mut blob = vec![nodes[rng.below(nodes.len())]];
+                let size = 1 + rng.below(6);
+                let mut at = 0;
+                while at < blob.len() && blob.len() < size {
+                    for &u in phys.neighbors(blob[at]) {
+                        if free.contains(u) && !blob.contains(&u) && blob.len() < size {
+                            blob.push(u);
+                        }
+                    }
+                    at += 1;
+                }
+                free.occupy_all(&blob);
+            }
+        } else {
+            for node in phys.nodes() {
+                if rng.below(n) >= target_free {
+                    free.occupy(node);
+                }
+            }
+        }
+        if faults {
+            for _ in 0..1 + rng.below(3) {
+                free.occupy(NodeId(rng.below(n) as u32));
+            }
+        }
+        free
+    }
+
+    /// `near_mesh_topology` of the core crate for a count with no
+    /// near-square factor pair: a `width`-wide grid whose last row is
+    /// partial.
+    fn partial_grid(n: u32, width: u32) -> Topology {
+        let mut edges = Vec::new();
+        for id in 0..n {
+            if (id + 1) % width != 0 && id + 1 < n {
+                edges.push((id, id + 1));
+            }
+            if id + width < n {
+                edges.push((id, id + width));
+            }
+        }
+        Topology::from_edges(n as usize, &edges).unwrap()
+    }
+
+    #[test]
+    fn one_walk_search_matches_the_two_walk_reference() {
+        // A 4x4 torus stripped of its mesh tag: no rectangle fast path, BFS
+        // serpentine seeds.
+        let torus = Topology::torus2d(4, 4).unwrap();
+        let torus_edges: Vec<(u32, u32)> = torus.edges().map(|(a, b)| (a.0, b.0)).collect();
+        let physicals = [
+            Topology::mesh2d(4, 4),
+            Topology::mesh2d(6, 6),
+            Topology::mesh2d(8, 6),
+            Topology::from_edges(16, &torus_edges).unwrap(),
+        ];
+        let mut requests: Vec<Topology> = (1..=4)
+            .flat_map(|w| (1..=3).map(move |h| Topology::mesh2d(w, h)))
+            .collect();
+        requests.extend([3, 5, 6, 12].map(Topology::line));
+        requests.push(Topology::ring(6));
+        requests.push(Topology::from_edges(6, &[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]).unwrap());
+        requests.extend([
+            partial_grid(5, 3),
+            partial_grid(7, 3),
+            Topology::mesh2d(6, 4),
+        ]);
+        let caps = [1, 200, 300, 400, 2_000];
+
+        const FREE_SETS: usize = 1024;
+        let mut rng = Rng(0x5EED_0016);
+        // Cases that ended in: exact hit, scored miss, NoCandidate,
+        // disconnected fallback.
+        let mut arms = [0usize; 4];
+        for case in 0..FREE_SETS {
+            let phys = &physicals[case % physicals.len()];
+            let mapper = Mapper::new(phys);
+            let free = random_free_set(phys, &mut rng, case / 4 % 2 == 1, case / 8 % 2 == 1);
+            let fitting: Vec<&Topology> = requests
+                .iter()
+                .filter(|r| r.node_count() <= free.free_count())
+                .collect();
+            if fitting.is_empty() {
+                continue;
+            }
+            let req = fitting[rng.below(fitting.len())];
+            let cap = caps[rng.below(caps.len())];
+            let disconnected = rng.below(2) == 1;
+            for strategy in [Strategy::exact_only(), Strategy::similar_topology()] {
+                let strategy = strategy.candidate_cap(cap).allow_disconnected(disconnected);
+                let got = mapper.map_in(&free, req, &strategy);
+                let want = mapper.map_reference(&free, req, &strategy);
+                assert_eq!(
+                    got,
+                    want,
+                    "case {case}: {} free of {}, {}-node request, {strategy:?}",
+                    free.free_count(),
+                    phys.node_count(),
+                    req.node_count(),
+                );
+                arms[match &got {
+                    Ok(m) if m.edit_distance() == 0 => 0,
+                    Ok(m) if !m.is_distance_exact() => 1,
+                    Err(TopoError::NoCandidate) => 2,
+                    // An exact cost above zero: only the zig-zag fallback.
+                    Ok(_) => 3,
+                    Err(e) => panic!("case {case}: unexpected {e}"),
+                }] += 1;
+            }
+        }
+        println!(
+            "mapper differential campaign: {FREE_SETS} free sets, 0 mismatches; \
+             exact hit {}, scored miss {}, NoCandidate {}, disconnected fallback {}",
+            arms[0], arms[1], arms[2], arms[3]
+        );
+        assert!(
+            arms.iter().all(|&n| n > 0),
+            "an outcome was never reached: {arms:?}"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -710,7 +958,7 @@ mod tests {
         );
         // Similar topology succeeds with a small positive edit distance.
         let second = mapper
-            .map(&free, &req, &Strategy::similar_topology().threads(2))
+            .map(&free, &req, &Strategy::similar_topology())
             .unwrap();
         assert_eq!(second.phys_nodes().len(), 9);
         assert!(second.edit_distance() > 0);
@@ -752,7 +1000,7 @@ mod tests {
         let req = Topology::line(6);
         let free = free_except(&phys, &[6, 7, 8, 11, 12, 13]);
         let m = Mapper::new(&phys)
-            .map(&free, &req, &Strategy::similar_topology().threads(2))
+            .map(&free, &req, &Strategy::similar_topology())
             .unwrap();
         let mut seen = HashSet::new();
         for n in m.phys_nodes() {
@@ -805,7 +1053,7 @@ mod tests {
             .map(&free, &req, &Strategy::straightforward())
             .unwrap();
         let t = mapper
-            .map(&free, &req, &Strategy::similar_topology().threads(2))
+            .map(&free, &req, &Strategy::similar_topology())
             .unwrap();
         assert!(
             t.edit_distance() <= s.edit_distance(),
@@ -843,7 +1091,7 @@ mod tests {
         let req = Topology::line(12);
         let free: Vec<NodeId> = phys.nodes().collect();
         let m = Mapper::new(&phys)
-            .map(&free, &req, &Strategy::similar_topology().threads(1))
+            .map(&free, &req, &Strategy::similar_topology())
             .unwrap();
         // Every consecutive pair must be physically adjacent.
         for w in m.phys_nodes().windows(2) {
@@ -866,5 +1114,25 @@ mod tests {
             .map(&free, &req, &Strategy::exact_only())
             .unwrap();
         assert_eq!(m.edit_distance(), 0);
+    }
+
+    #[test]
+    fn exact_only_search_honours_the_candidate_cap() {
+        // 3x2 mesh with node 2 taken: the only claw (centre 4, leaves 1, 3
+        // and 5) is not the first candidate visited (that is the 4-cycle
+        // {0, 1, 3, 4}), and a `from_edges` request has no mesh shape, so
+        // the rectangle fast path is out of play.
+        let phys = Topology::mesh2d(3, 2);
+        let free = free_except(&phys, &[2]);
+        let claw = Topology::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        assert!(claw.mesh_shape().is_none());
+        let mapper = Mapper::new(&phys);
+        let m = mapper.map(&free, &claw, &Strategy::exact_only()).unwrap();
+        assert_eq!(m.edit_distance(), 0);
+        assert_eq!(m.phys_of(NodeId(0)), NodeId(4));
+        assert_eq!(
+            mapper.map(&free, &claw, &Strategy::exact_only().candidate_cap(1)),
+            Err(TopoError::NoCandidate)
+        );
     }
 }

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         (
             "Similar-topology mapping (min edit distance)",
-            Strategy::similar_topology().threads(4).candidate_cap(4000),
+            Strategy::similar_topology().candidate_cap(4000),
         ),
     ] {
         let mut hypervisor = Hypervisor::new(cfg.clone());

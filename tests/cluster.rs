@@ -129,7 +129,7 @@ fn shared_cache_never_serves_hits_across_heterogeneous_chips() {
                 .map_in(
                     &free,
                     cl.vnpu(id).unwrap().virt_topology(),
-                    &vnpu_topo::mapping::Strategy::similar_topology().threads(1),
+                    &vnpu_topo::mapping::Strategy::similar_topology(),
                 )
                 .unwrap();
             assert_eq!(

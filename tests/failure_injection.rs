@@ -308,7 +308,7 @@ fn fault_during_in_flight_migration_is_stale_plan_with_clean_rollback() {
         .unwrap();
     let migrate = [PlanOp::Migrate {
         vm,
-        to: MigrationTarget::Remap(Strategy::similar_topology().threads(1)),
+        to: MigrationTarget::Remap(Strategy::similar_topology()),
     }];
     let txn = hv.plan(&migrate).expect("plan against the healthy chip");
     // The fault strikes mid-flight (far corner, nobody owns it).

@@ -222,7 +222,7 @@ fn mapping_invariants() {
             let free: Vec<NodeId> = phys.nodes().filter(|n| !taken.contains(&n.0)).collect();
             let req = Topology::mesh2d(*req_w, *req_h);
             let mapper = Mapper::new(&phys);
-            let strategy = Strategy::similar_topology().threads(1).candidate_cap(500);
+            let strategy = Strategy::similar_topology().candidate_cap(500);
             if let Ok(m) = mapper.map(&free, &req, &strategy) {
                 prop_assert_eq!(m.phys_nodes().len(), req.node_count());
                 let mut seen = std::collections::HashSet::new();
@@ -431,7 +431,7 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
             let mut hv = Hypervisor::with_hbm_bytes(SocConfig::sim(), hbm);
             let total_cores = hv.config().core_count();
             let free_hbm_at_start = hv.hbm_free_bytes();
-            let remap = || MigrationTarget::Remap(Strategy::similar_topology().threads(1));
+            let remap = || MigrationTarget::Remap(Strategy::similar_topology());
             let mut live: Vec<VmId> = Vec::new();
             for &(shape, action) in ops {
                 match action {
@@ -616,7 +616,7 @@ fn mapping_cache_matches_uncached_similar_topology() {
                 3 => Topology::line(4),
                 _ => Topology::line(6),
             };
-            let strategy = Strategy::similar_topology().threads(1).candidate_cap(300);
+            let strategy = Strategy::similar_topology().candidate_cap(300);
             let mapper = Mapper::new(&phys);
             let uncached = mapper.map_in(&free, &req, &strategy);
             let mut cache = MappingCache::default();

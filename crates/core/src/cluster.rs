@@ -1147,9 +1147,11 @@ impl Cluster {
     /// scratchpad state.
     ///
     /// Same-chip "migrations" (`to_chip == id.chip`) are a
-    /// remap-under-pin transaction instead — under the tenant's own
-    /// mapping strategy, so an exact-only tenant keeps its
-    /// edit-distance-0 guarantee — which may be a free no-op.
+    /// remap-under-pin transaction instead (planned by running the
+    /// commit's op loop on a copy of the chip's placement state, then
+    /// committed) — under the tenant's own mapping strategy, so an
+    /// exact-only tenant keeps its edit-distance-0 guarantee — which may
+    /// be a free no-op.
     ///
     /// # Errors
     ///
@@ -1190,11 +1192,11 @@ impl Cluster {
         // scratchpad working set moves over the inter-chip fabric (the
         // same formula the drain estimate prices against).
         let data_move = crate::drain::cross_chip_data_bytes(&self.chips[id.chip].hv, vnpu);
-        // The landed copy goes through the full provisioning pipeline
-        // (not a planned create) so temporal-sharing tenants keep their
-        // §7 over-provisioning path onto busy cores; create_vnpu_in is
-        // itself all-or-nothing, and the source is only torn down after
-        // the copy stands.
+        // The landed copy is a direct create, not a `PlanOp::Create`:
+        // only a direct create widens onto busy cores, so
+        // temporal-sharing tenants keep their §7 over-provisioning path;
+        // create_vnpu_in is itself all-or-nothing, and the source is
+        // only torn down after the copy stands.
         let dest = &mut self.chips[to_chip].hv;
         let new_vm = dest.create_vnpu_in(req, &mut self.cache)?;
         let landed = dest.vnpu(new_vm).expect("just created");

@@ -19,7 +19,7 @@ use crate::routing_table::RoutingTable;
 use crate::vnpu::{VirtualNpu, VnpuRequest, GUEST_VA_BASE};
 use crate::{Result, VnpuError};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use vnpu_mem::buddy::{Block, BuddyAllocator};
@@ -46,39 +46,22 @@ pub const MIN_BLOCK_BYTES: u64 = 1 << 20;
 /// bigger guest windows become multiple entries.
 pub const MAX_BLOCK_BYTES: u64 = 256 << 20;
 
-/// The resource owner and meta-table manager for one physical NPU.
+/// What a chip *is* as far as a placement op is concerned: the facts
+/// [`Placement::apply`] reads and never writes. They change only outside
+/// the transaction engine (reconfiguration, fault masking).
 #[derive(Debug)]
-pub struct Hypervisor {
+struct Chip {
     cfg: SocConfig,
     topo: Arc<Topology>,
     /// The chip's `labeled_hash` fingerprint, computed once so per-request
     /// mappers don't re-hash the whole topology before a cache lookup.
     phys_key: u64,
-    core_users: Vec<u32>,
-    /// The free-core region (`core_users[i] == 0`), maintained
-    /// incrementally so the mapping hot path never rebuilds it.
-    free_set: FreeSet,
-    buddy: BuddyAllocator,
-    vnpus: BTreeMap<VmId, VirtualNpu>,
-    next_vm: u32,
-    config_cycles: u64,
-    mmio: MmioSpace,
-    /// Memoized mapping results keyed by (request, strategy, free region).
-    cache: MappingCache,
-    /// Monotone count of vNPU destructions (drives retry-after-free).
-    free_events: u64,
     /// Reconfiguration generation, folded into every mapping-cache key:
     /// hardware changes the topology fingerprint cannot see (hybrid-core
     /// scaling alters heterogeneous match costs) bump this counter so
     /// previously cached strategies expire instead of replaying stale
     /// placements.
     topo_generation: u64,
-    /// Plan-generation hash chain: every committed [`PlacementTxn`] (and
-    /// every [`Hypervisor::invalidate_plans`]) advances it, so a
-    /// transaction planned before another commit can never apply against
-    /// state it did not see — [`Hypervisor::commit`] rejects it as
-    /// [`VnpuError::StalePlan`]. 0 = no commit yet.
-    plan_generation: u64,
     /// Per-core fault mask maintained by [`Hypervisor::set_core_faulted`]:
     /// a faulted core is held *occupied* in the free region (so every
     /// placement path — mapping, fit hints, snapshots, fragmentation —
@@ -89,6 +72,39 @@ pub struct Hypervisor {
     /// Links carry no occupancy, but the audit layer cross-checks live
     /// tenants against them and routing costs degrade while any is set.
     faulted_links: BTreeSet<(u32, u32)>,
+}
+
+/// Everything a [`PlanOp`] can change, as one value: a commit applies its
+/// ops to the live one (and assigns a clone back to roll back), a plan
+/// applies the same ops to a clone and drops it.
+#[derive(Debug, Clone)]
+struct Placement {
+    core_users: Vec<u32>,
+    /// The free-core region (`core_users[i] == 0`), maintained
+    /// incrementally so the mapping hot path never rebuilds it.
+    free_set: FreeSet,
+    buddy: BuddyAllocator,
+    vnpus: BTreeMap<VmId, VirtualNpu>,
+    next_vm: u32,
+    config_cycles: u64,
+    /// Monotone count of vNPU destructions (drives retry-after-free).
+    free_events: u64,
+}
+
+/// The resource owner and meta-table manager for one physical NPU.
+#[derive(Debug)]
+pub struct Hypervisor {
+    chip: Chip,
+    state: Placement,
+    mmio: MmioSpace,
+    /// Memoized mapping results keyed by (request, strategy, free region).
+    cache: MappingCache,
+    /// Plan-generation hash chain: every committed [`PlacementTxn`] (and
+    /// every [`Hypervisor::invalidate_plans`]) advances it, so a
+    /// transaction planned before another commit can never apply against
+    /// state it did not see — [`Hypervisor::commit`] rejects it as
+    /// [`VnpuError::StalePlan`]. 0 = no commit yet.
+    plan_generation: u64,
 }
 
 impl Hypervisor {
@@ -110,70 +126,28 @@ impl Hypervisor {
         let mut mmio = MmioSpace::new();
         mmio.write_pf(Requester::Hypervisor, PfReg::HyperEnable, 1)
             .expect("hypervisor owns the PF");
-        let phys_key = labeled_hash(&topo);
         Hypervisor {
-            topo: Arc::new(topo),
-            phys_key,
-            core_users: vec![0; n],
-            free_set: FreeSet::all_free(n),
-            buddy: BuddyAllocator::new(PhysAddr(0x8_0000_0000), hbm_bytes, MIN_BLOCK_BYTES),
-            vnpus: BTreeMap::new(),
-            next_vm: 0,
-            config_cycles: 0,
+            chip: Chip {
+                phys_key: labeled_hash(&topo),
+                topo: Arc::new(topo),
+                topo_generation: 0,
+                faulted: vec![false; n],
+                faulted_links: BTreeSet::new(),
+                cfg,
+            },
+            state: Placement {
+                core_users: vec![0; n],
+                free_set: FreeSet::all_free(n),
+                buddy: BuddyAllocator::new(PhysAddr(0x8_0000_0000), hbm_bytes, MIN_BLOCK_BYTES),
+                vnpus: BTreeMap::new(),
+                next_vm: 0,
+                config_cycles: 0,
+                free_events: 0,
+            },
             mmio,
             cache: MappingCache::default(),
-            free_events: 0,
-            topo_generation: 0,
             plan_generation: 0,
-            faulted: vec![false; n],
-            faulted_links: BTreeSet::new(),
-            cfg,
         }
-    }
-
-    /// The mapper for this chip, bound to the precomputed topology
-    /// fingerprint and the current reconfiguration generation.
-    fn mapper(&self) -> Mapper<'_> {
-        Mapper::with_phys_key(&self.topo, self.phys_key).at_generation(self.topo_generation)
-    }
-
-    /// Takes one user reference on a core, updating the free region when
-    /// the core transitions free → used. A faulted core is already held
-    /// occupied by the fault mask, so the transition does not touch the
-    /// free region again.
-    fn acquire_core(&mut self, core: u32) {
-        let users = &mut self.core_users[core as usize];
-        *users += 1;
-        if *users == 1 && !self.faulted[core as usize] {
-            self.free_set.occupy(NodeId(core));
-        }
-    }
-
-    /// Drops one user reference on a core, updating the free region when
-    /// the core transitions used → free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VnpuError::OverRelease`] when the core has no user — a
-    /// double release, which previously was silently masked by a
-    /// saturating subtraction.
-    fn release_core(&mut self, core: u32) -> Result<()> {
-        let users = &mut self.core_users[core as usize];
-        if *users == 0 {
-            return Err(VnpuError::OverRelease { core });
-        }
-        *users -= 1;
-        if *users == 0 && !self.faulted[core as usize] {
-            self.free_set.release(NodeId(core));
-            // Any used→free transition is a retry signal, whether it came
-            // from destroy_vnpu or an administrative release_cores — a
-            // retry-after-free request must not stall behind capacity
-            // freed outside a vNPU teardown. A *faulted* core is neither:
-            // it stays out of the free region (and is no retry signal)
-            // until repaired.
-            self.free_events += 1;
-        }
-        Ok(())
     }
 
     /// The controller's MMIO register space (PF + per-tenant VFs).
@@ -189,22 +163,27 @@ impl Hypervisor {
 
     /// The SoC configuration.
     pub fn config(&self) -> &SocConfig {
-        &self.cfg
+        &self.chip.cfg
     }
 
     /// The physical topology (memory-distance annotated).
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.chip.topo
     }
 
     /// Currently free physical cores, ascending.
     pub fn free_cores(&self) -> Vec<u32> {
-        self.free_set.nodes().into_iter().map(|n| n.0).collect()
+        self.state
+            .free_set
+            .nodes()
+            .into_iter()
+            .map(|n| n.0)
+            .collect()
     }
 
     /// The free-core region (incrementally maintained).
     pub fn free_set(&self) -> &FreeSet {
-        &self.free_set
+        &self.state.free_set
     }
 
     /// Per-core user counts, indexed by physical core ID: 0 = free,
@@ -213,12 +192,12 @@ impl Hypervisor {
     /// this is the occupancy ground truth the `vnpu_audit` fleet
     /// auditor cross-checks against tenant mappings and the free set.
     pub fn core_users(&self) -> &[u32] {
-        &self.core_users
+        &self.state.core_users
     }
 
     /// Number of free cores.
     pub fn free_core_count(&self) -> u32 {
-        self.free_set.free_count() as u32
+        self.state.free_set.free_count() as u32
     }
 
     /// Mapping-cache effectiveness counters (hits, misses, evictions).
@@ -228,12 +207,12 @@ impl Hypervisor {
 
     /// Free HBM bytes.
     pub fn hbm_free_bytes(&self) -> u64 {
-        self.buddy.free_bytes()
+        self.state.buddy.free_bytes()
     }
 
     /// Total managed HBM bytes.
     pub fn hbm_total_bytes(&self) -> u64 {
-        self.buddy.total_bytes()
+        self.state.buddy.total_bytes()
     }
 
     /// Monotone count of resource-freeing events — core used→free
@@ -241,22 +220,22 @@ impl Hypervisor {
     /// and vNPU destructions (which also free HBM). This is the
     /// retry-after-free signal.
     pub fn free_events(&self) -> u64 {
-        self.free_events
+        self.state.free_events
     }
 
     /// Fraction of physical cores currently allocated.
     pub fn core_utilization(&self) -> f64 {
-        1.0 - f64::from(self.free_core_count()) / f64::from(self.cfg.core_count())
+        1.0 - f64::from(self.free_core_count()) / f64::from(self.chip.cfg.core_count())
     }
 
     /// Controller cycles spent configuring meta-tables so far (Figure 11).
     pub fn total_config_cycles(&self) -> u64 {
-        self.config_cycles
+        self.state.config_cycles
     }
 
     /// The reconfiguration generation mapping-cache keys are bound to.
     pub fn topology_generation(&self) -> u64 {
-        self.topo_generation
+        self.chip.topo_generation
     }
 
     /// Declares a hardware reconfiguration the topology fingerprint
@@ -274,7 +253,7 @@ impl Hypervisor {
     /// [`Hypervisor::set_topology_generation`] (the serve layer's
     /// `set_core_scales` does).
     pub fn bump_topology_generation(&mut self) {
-        self.topo_generation += 1;
+        self.chip.topo_generation += 1;
     }
 
     /// Adopts an externally tracked reconfiguration counter — when the
@@ -284,7 +263,7 @@ impl Hypervisor {
     /// drift), and the pairing layer mirrors it here after every
     /// reconfig.
     pub fn set_topology_generation(&mut self, generation: u64) {
-        self.topo_generation = generation;
+        self.chip.topo_generation = generation;
     }
 
     // ------------------------------------------------------------------
@@ -308,23 +287,23 @@ impl Hypervisor {
     /// Returns [`VnpuError::VirtCoreOutOfRange`] for a core outside the
     /// chip.
     pub fn set_core_faulted(&mut self, core: u32, faulted: bool) -> Result<bool> {
-        let count = self.cfg.core_count();
+        let count = self.chip.cfg.core_count();
         if core >= count {
             return Err(VnpuError::VirtCoreOutOfRange {
                 vcore: VirtCoreId(core),
                 count,
             });
         }
-        if self.faulted[core as usize] == faulted {
+        if self.chip.faulted[core as usize] == faulted {
             return Ok(false);
         }
-        self.faulted[core as usize] = faulted;
-        if self.core_users[core as usize] == 0 {
+        self.chip.faulted[core as usize] = faulted;
+        if self.state.core_users[core as usize] == 0 {
             if faulted {
-                self.free_set.occupy(NodeId(core));
+                self.state.free_set.occupy(NodeId(core));
             } else {
-                self.free_set.release(NodeId(core));
-                self.free_events += 1;
+                self.state.free_set.release(NodeId(core));
+                self.state.free_events += 1;
             }
         }
         self.invalidate_plans();
@@ -333,12 +312,17 @@ impl Hypervisor {
 
     /// Whether a core is currently marked faulted (out-of-range = false).
     pub fn core_faulted(&self, core: u32) -> bool {
-        self.faulted.get(core as usize).copied().unwrap_or(false)
+        self.chip
+            .faulted
+            .get(core as usize)
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Currently faulted cores, ascending.
     pub fn faulted_cores(&self) -> Vec<u32> {
-        self.faulted
+        self.chip
+            .faulted
             .iter()
             .enumerate()
             .filter(|(_, &f)| f)
@@ -348,7 +332,7 @@ impl Hypervisor {
 
     /// Number of currently faulted cores.
     pub fn faulted_core_count(&self) -> u32 {
-        self.faulted.iter().filter(|&&f| f).count() as u32
+        self.chip.faulted.iter().filter(|&&f| f).count() as u32
     }
 
     /// Faulted cores currently *unowned* — held out of the free region by
@@ -356,9 +340,10 @@ impl Hypervisor {
     /// dead hardware, not leaked tenant state (an owned faulted core is
     /// already accounted to its owner).
     pub fn masked_core_count(&self) -> u32 {
-        self.faulted
+        self.chip
+            .faulted
             .iter()
-            .zip(&self.core_users)
+            .zip(&self.state.core_users)
             .filter(|&(&f, &users)| f && users == 0)
             .count() as u32
     }
@@ -368,12 +353,12 @@ impl Hypervisor {
     /// has been retired this is the chip's core *leak* — the quantity the
     /// serve report and the end-of-run quiescence probe both publish.
     pub fn leaked_core_count(&self) -> u32 {
-        self.cfg.core_count() - self.free_core_count() - self.masked_core_count()
+        self.chip.cfg.core_count() - self.free_core_count() - self.masked_core_count()
     }
 
     /// Whether any core or link fault is currently active.
     pub fn has_faults(&self) -> bool {
-        !self.faulted_links.is_empty() || self.faulted.iter().any(|&f| f)
+        !self.chip.faulted_links.is_empty() || self.chip.faulted.iter().any(|&f| f)
     }
 
     /// Marks an undirected NoC link faulted (or repairs it). Links carry
@@ -385,9 +370,9 @@ impl Hypervisor {
     pub fn set_link_faulted(&mut self, a: u32, b: u32, faulted: bool) -> bool {
         let key = (a.min(b), a.max(b));
         let changed = if faulted {
-            self.faulted_links.insert(key)
+            self.chip.faulted_links.insert(key)
         } else {
-            self.faulted_links.remove(&key)
+            self.chip.faulted_links.remove(&key)
         };
         if changed {
             self.invalidate_plans();
@@ -397,33 +382,22 @@ impl Hypervisor {
 
     /// Whether the undirected link `a`–`b` is marked faulted.
     pub fn link_faulted(&self, a: u32, b: u32) -> bool {
-        self.faulted_links.contains(&(a.min(b), a.max(b)))
+        self.chip.faulted_links.contains(&(a.min(b), a.max(b)))
     }
 
     /// Currently faulted undirected links, endpoints sorted, ascending.
     pub fn faulted_links(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.faulted_links.iter().copied()
-    }
-
-    /// The faulted cores as [`NodeId`]s — the exclusion list remap
-    /// widening must never re-offer.
-    fn faulted_nodes(&self) -> Vec<NodeId> {
-        self.faulted
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+        self.chip.faulted_links.iter().copied()
     }
 
     /// Number of live virtual NPUs.
     pub fn vnpu_count(&self) -> usize {
-        self.vnpus.len()
+        self.state.vnpus.len()
     }
 
     /// Live virtual NPUs, ascending by VM ID.
     pub fn vnpus(&self) -> impl Iterator<Item = (&VmId, &VirtualNpu)> {
-        self.vnpus.iter()
+        self.state.vnpus.iter()
     }
 
     /// Looks up a virtual NPU.
@@ -432,7 +406,7 @@ impl Hypervisor {
     ///
     /// Returns [`VnpuError::UnknownVm`] for stale IDs.
     pub fn vnpu(&self, vm: VmId) -> Result<&VirtualNpu> {
-        self.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))
+        self.state.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))
     }
 
     /// Provisions a virtual NPU: maps cores, allocates memory, builds and
@@ -466,103 +440,14 @@ impl Hypervisor {
     ///
     /// As for [`Hypervisor::create_vnpu`].
     pub fn create_vnpu_in(&mut self, req: VnpuRequest, cache: &mut MappingCache) -> Result<VmId> {
-        if req.core_count() == 0 || req.memory_bytes() == 0 {
-            return Err(VnpuError::EmptyRequest);
-        }
-        // 1. Core allocation via the topology-mapping strategy, memoized
-        //    through the mapping cache (the request topology + free-region
-        //    fingerprint identify the answer). With temporal sharing (§7
-        //    over-provisioning), the available set is widened with the
-        //    least-loaded busy cores; their current tenants will be
-        //    time-division-multiplexed with this one. The widened set is
-        //    its own cacheable region — its fingerprint differs from the
-        //    plain free set's.
-        let widened = self.widened_for(&req);
-        let available = widened.as_ref().unwrap_or(&self.free_set);
-        let mapping =
-            self.mapper()
-                .map_cached(available, req.topology(), req.strategy_ref(), cache)?;
-
-        // 2. Guest memory: buddy blocks mapped 1:1 into RTT entries.
-        let (entries, blocks) = self.allocate_memory(req.memory_bytes())?;
-        let mem_bytes: u64 = entries.iter().map(|e| e.size).sum();
-
-        // 3. Routing table: compact form when the allocation is an exact
-        //    axis-aligned mesh window, standard otherwise.
-        let vm = VmId(self.next_vm);
-        let routing_table = self.build_routing_table(vm, req.topology(), &mapping);
-
-        // 4. Meta-zone budget check per core.
-        let layout = MetaZoneLayout {
-            noc_rt_entries: u64::from(req.core_count()),
-            direction_entries: if req.wants_noc_isolation() {
-                // Worst case: every pair stores a full path.
-                u64::from(req.core_count()) * u64::from(req.core_count())
-            } else {
-                0
-            },
-            rtt_entries: entries.len() as u64,
-        };
-        if let Err(e) = layout.check(self.cfg.scratchpad_bytes) {
-            for b in &blocks {
-                let _ = self.buddy.free(b.addr);
-            }
-            return Err(e);
-        }
-
-        // 5. Deploy: mark cores used, account controller configuration.
-        for &n in mapping.phys_nodes() {
-            self.acquire_core(n.0);
-        }
-        self.config_cycles += routing_table.config_cycles();
-        self.config_cycles += rtt_deploy_cycles(entries.len());
-        self.next_vm += 1;
-        let vnpu = VirtualNpu::new(
-            vm,
-            Arc::clone(&self.topo),
-            mapping,
-            routing_table,
-            entries,
-            blocks,
-            mem_bytes,
-            &req,
-        );
-        self.vnpus.insert(vm, vnpu);
+        let (vm, _) = self.state.create(&self.chip, &req, true, cache)?;
         Ok(vm)
-    }
-
-    /// The temporal-sharing widening of the free set for `req`: when the
-    /// request opts into §7 over-provisioning and the plain free region is
-    /// too small, the least-loaded busy cores are treated as additionally
-    /// available (their tenants will be time-division-multiplexed).
-    /// `None` when the plain free set is the region to map against.
-    fn widened_for(&self, req: &VnpuRequest) -> Option<FreeSet> {
-        if req.wants_temporal_sharing() && self.free_set.free_count() < req.core_count() as usize {
-            let mut set = self.free_set.clone();
-            let mut busy: Vec<(u32, u32)> = self
-                .core_users
-                .iter()
-                .enumerate()
-                .filter(|&(i, &u)| u > 0 && !self.faulted[i])
-                .map(|(i, &u)| (u, i as u32))
-                .collect();
-            busy.sort_unstable();
-            for (_, core) in busy {
-                if set.free_count() >= req.core_count() as usize {
-                    break;
-                }
-                set.release(NodeId(core));
-            }
-            Some(set)
-        } else {
-            None
-        }
     }
 
     /// The chip's precomputed [`labeled_hash`] fingerprint (the `phys`
     /// component of every cache key for this chip).
     pub fn phys_key(&self) -> u64 {
-        self.phys_key
+        self.chip.phys_key
     }
 
     /// Administratively reserves specific physical cores (hyper-mode
@@ -576,7 +461,7 @@ impl Hypervisor {
     /// * [`VnpuError::Faulted`] — a core currently marked faulted; dead
     ///   hardware cannot be reserved (nothing is reserved).
     pub fn reserve_cores(&mut self, cores: &[u32]) -> Result<()> {
-        let count = self.cfg.core_count();
+        let count = self.chip.cfg.core_count();
         for &c in cores {
             if c >= count {
                 return Err(VnpuError::VirtCoreOutOfRange {
@@ -584,12 +469,12 @@ impl Hypervisor {
                     count,
                 });
             }
-            if self.faulted[c as usize] {
+            if self.chip.faulted[c as usize] {
                 return Err(VnpuError::Faulted { core: c });
             }
         }
         for &c in cores {
-            self.acquire_core(c);
+            self.state.acquire_core(&self.chip, c);
         }
         Ok(())
     }
@@ -605,7 +490,7 @@ impl Hypervisor {
     /// * [`VnpuError::OverRelease`] — a core released more times than it
     ///   was acquired (counting duplicates within this call).
     pub fn release_cores(&mut self, cores: &[u32]) -> Result<()> {
-        let count = self.cfg.core_count();
+        let count = self.chip.cfg.core_count();
         let mut releases = vec![0u32; count as usize];
         for &c in cores {
             if c >= count {
@@ -615,12 +500,14 @@ impl Hypervisor {
                 });
             }
             releases[c as usize] += 1;
-            if releases[c as usize] > self.core_users[c as usize] {
+            if releases[c as usize] > self.state.core_users[c as usize] {
                 return Err(VnpuError::OverRelease { core: c });
             }
         }
         for &c in cores {
-            self.release_core(c).expect("validated above");
+            self.state
+                .release_core(&self.chip, c)
+                .expect("the loop above counted a user for every release");
         }
         Ok(())
     }
@@ -634,26 +521,7 @@ impl Hypervisor {
     ///   user reference (an earlier [`Hypervisor::release_cores`] misuse);
     ///   the vNPU is left untouched.
     pub fn destroy_vnpu(&mut self, vm: VmId) -> Result<()> {
-        let vnpu = self.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))?;
-        if let Some(n) = vnpu
-            .mapping()
-            .phys_nodes()
-            .iter()
-            .find(|n| self.core_users[n.index()] == 0)
-        {
-            return Err(VnpuError::OverRelease { core: n.0 });
-        }
-        let vnpu = self.vnpus.remove(&vm).expect("looked up above");
-        for &n in vnpu.mapping().phys_nodes() {
-            self.release_core(n.0).expect("validated above");
-        }
-        for b in vnpu.blocks() {
-            self.buddy
-                .free(b.addr)
-                .expect("hypervisor-owned block frees cleanly");
-        }
-        self.free_events += 1;
-        Ok(())
+        self.state.destroy(&self.chip, vm)
     }
 
     /// Builds per-core services for binding into a machine — convenience
@@ -685,16 +553,16 @@ impl Hypervisor {
         cache: &mut MappingCache,
         largest_island: usize,
     ) -> Option<FitHint> {
-        let free = self.free_set.free_count() as u32;
+        let free = self.state.free_set.free_count() as u32;
         if free == 0 || largest_island == 0 {
             return None;
         }
-        let mapper = self.mapper();
+        let mapper = self.chip.mapper();
         let strategy = Strategy::similar_topology().candidate_cap(FIT_PROBE_CANDIDATE_CAP);
         for cores in (1..=(largest_island as u32).min(free)).rev() {
             let probe = crate::vnpu::near_mesh_topology(cores);
             if mapper
-                .map_cached(&self.free_set, &probe, &strategy, cache)
+                .map_cached(&self.state.free_set, &probe, &strategy, cache)
                 .is_ok()
             {
                 // Soundness of the emitted hint, re-proved in debug
@@ -703,7 +571,9 @@ impl Hypervisor {
                 // attempt, so a stale memoized success can never leak
                 // out as an unplaceable advice.
                 debug_assert!(
-                    mapper.map_in(&self.free_set, &probe, &strategy).is_ok(),
+                    mapper
+                        .map_in(&self.state.free_set, &probe, &strategy)
+                        .is_ok(),
                     "fit hint advertises {cores} cores but a fresh probe \
                      cannot place that shape on the current free set"
                 );
@@ -724,12 +594,12 @@ impl Hypervisor {
     /// buddy external fragmentation (the two resources whose fragmentation
     /// gates admission).
     pub fn fragmentation(&self) -> FragmentationStats {
-        let free_nodes = self.free_set.nodes();
-        let components = self.topo.subset_components(&free_nodes);
+        let free_nodes = self.state.free_set.nodes();
+        let components = self.chip.topo.subset_components(&free_nodes);
         let free_cores = free_nodes.len();
         let largest = components.first().copied().unwrap_or(0);
-        let free_bytes = self.buddy.free_bytes();
-        let largest_block = self.buddy.largest_free_block();
+        let free_bytes = self.state.buddy.free_bytes();
+        let largest_block = self.state.buddy.largest_free_block();
         FragmentationStats {
             free_cores: free_cores as u32,
             free_components: components.len(),
@@ -771,8 +641,8 @@ impl Hypervisor {
     fn advance_plan_generation(&mut self, salt: u64) {
         let mut h = DefaultHasher::new();
         self.plan_generation.hash(&mut h);
-        self.next_vm.hash(&mut h);
-        self.free_set.fingerprint().hash(&mut h);
+        self.state.next_vm.hash(&mut h);
+        self.state.free_set.fingerprint().hash(&mut h);
         salt.hash(&mut h);
         // `| 1` keeps 0 reserved for "no commit yet".
         self.plan_generation = h.finish() | 1;
@@ -787,12 +657,12 @@ impl Hypervisor {
     /// nothing" invariant is asserted by comparing digests.
     pub fn state_digest(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        self.core_users.hash(&mut h);
-        self.free_set.fingerprint().hash(&mut h);
-        self.free_set.free_count().hash(&mut h);
-        self.buddy.free_bytes().hash(&mut h);
-        self.buddy.largest_free_block().hash(&mut h);
-        for (vm, vnpu) in &self.vnpus {
+        self.state.core_users.hash(&mut h);
+        self.state.free_set.fingerprint().hash(&mut h);
+        self.state.free_set.free_count().hash(&mut h);
+        self.state.buddy.free_bytes().hash(&mut h);
+        self.state.buddy.largest_free_block().hash(&mut h);
+        for (vm, vnpu) in &self.state.vnpus {
             vm.0.hash(&mut h);
             for n in vnpu.mapping().phys_nodes() {
                 n.0.hash(&mut h);
@@ -806,13 +676,13 @@ impl Hypervisor {
             vnpu.mem_bytes().hash(&mut h);
             vnpu.routing_table().entry_count().hash(&mut h);
         }
-        self.next_vm.hash(&mut h);
-        self.config_cycles.hash(&mut h);
-        self.free_events.hash(&mut h);
-        self.topo_generation.hash(&mut h);
+        self.state.next_vm.hash(&mut h);
+        self.state.config_cycles.hash(&mut h);
+        self.state.free_events.hash(&mut h);
+        self.chip.topo_generation.hash(&mut h);
         self.plan_generation.hash(&mut h);
-        self.faulted.hash(&mut h);
-        self.faulted_links.hash(&mut h);
+        self.chip.faulted.hash(&mut h);
+        self.chip.faulted_links.hash(&mut h);
         h.finish()
     }
 
@@ -834,11 +704,8 @@ impl Hypervisor {
         free: &FreeSet,
         cache: &mut MappingCache,
     ) -> Result<Mapping> {
-        let vnpu = self.vnpu(vm)?;
-        let widened = free.with_released_except(vnpu.mapping().phys_nodes(), &self.faulted_nodes());
-        Ok(self
-            .mapper()
-            .map_cached(&widened, vnpu.virt_topology(), strategy, cache)?)
+        self.chip
+            .remap_target(self.vnpu(vm)?, strategy, free, cache)
     }
 
     /// Plans a transaction over this hypervisor's own cache — see
@@ -854,25 +721,29 @@ impl Hypervisor {
         result
     }
 
-    /// Evaluates `ops` against a snapshot of the chip without mutating
-    /// anything: every op is resolved (mappings computed through `cache`,
-    /// memory splits simulated on a buddy clone, meta-zone budgets
-    /// checked) and priced with a [`ReconfigCost`]. Ops apply to the
-    /// snapshot in order, so a plan may destroy one tenant and create
-    /// into the freed region. The returned [`PlacementTxn`] commits
-    /// atomically via [`Hypervisor::commit_in`].
+    /// Runs the commit's op loop on a *copy* of the placement state and
+    /// keeps only the prices: every op goes through the one routine
+    /// [`Hypervisor::commit_in`] applies to the live state (mappings
+    /// looked up through `cache`, memory split on the copy's allocator,
+    /// meta-zone budgets checked) and is priced with the
+    /// [`ReconfigCost`] it paid there. Ops apply to the copy in order, so
+    /// a plan may destroy one tenant and create into the freed region;
+    /// the copy is then dropped, so nothing on the chip moves. The
+    /// returned [`PlacementTxn`] commits atomically via
+    /// [`Hypervisor::commit_in`] — with nothing in between, at exactly
+    /// the planned prices.
     ///
-    /// Planned `Create` ops do not widen onto busy cores — temporal
+    /// A `Create` inside a plan does not widen onto busy cores — temporal
     /// sharing (§7 over-provisioning) remains a direct
     /// [`Hypervisor::create_vnpu`] concern.
     ///
     /// # Errors
     ///
-    /// The first op that cannot be planned fails the whole plan:
+    /// The first op that cannot be applied fails the whole plan:
     /// [`VnpuError::EmptyRequest`], [`VnpuError::Mapping`],
-    /// [`VnpuError::Memory`], [`VnpuError::MetaZoneOverflow`] or
-    /// [`VnpuError::UnknownVm`] (also for VMs destroyed earlier in the
-    /// same plan).
+    /// [`VnpuError::Memory`], [`VnpuError::MetaZoneOverflow`],
+    /// [`VnpuError::OverRelease`] or [`VnpuError::UnknownVm`] (also for
+    /// VMs destroyed earlier in the same plan).
     pub fn plan_in(&self, ops: &[PlanOp], cache: &mut MappingCache) -> Result<PlacementTxn> {
         self.plan_with(ops, None, cache)
     }
@@ -894,169 +765,20 @@ impl Hypervisor {
         self.plan_with(ops, Some(budget), cache)
     }
 
-    /// Computes a remap-under-pin for one tenant against an explicit
-    /// free region: the new mapping, its routing table and its cost, or
-    /// `None` when the best mapping is the current one. This is the
-    /// *single* source of migration mapping/cost logic —
-    /// [`Hypervisor::plan_with`] runs it against the plan's simulated
-    /// free region and [`Hypervisor::migrate_vnpu_in`] against the live
-    /// one, so the simulate and apply paths cannot drift.
-    fn plan_remap(
-        &self,
-        vm: VmId,
-        virt: &Topology,
-        own: &[NodeId],
-        strategy: &Strategy,
-        free: &FreeSet,
-        cache: &mut MappingCache,
-    ) -> Result<Option<(Mapping, RoutingTable, ReconfigCost)>> {
-        // Remap-under-pin treats the tenant's own cores as free — except
-        // the faulted ones, which the move exists to escape.
-        let widened = free.with_released_except(own, &self.faulted_nodes());
-        let mapping = self.mapper().map_cached(&widened, virt, strategy, cache)?;
-        if mapping.phys_nodes() == own {
-            return Ok(None);
-        }
-        let routing = self.build_routing_table(vm, virt, &mapping);
-        let data = own.len() as u64 * self.cfg.scratchpad_bytes;
-        let cost = ReconfigCost::for_move(routing.config_cycles(), 0, data);
-        Ok(Some((mapping, routing, cost)))
-    }
-
     fn plan_with(
         &self,
         ops: &[PlanOp],
         budget: Option<&ReconfigBudget>,
         cache: &mut MappingCache,
     ) -> Result<PlacementTxn> {
-        let mut sim = SimCores {
-            users: self.core_users.clone(),
-            free: self.free_set.clone(),
-            faulted: &self.faulted,
-        };
-        let mut sim_buddy = self.buddy.clone();
-        let mut sim_next_vm = self.next_vm;
-        // Positions of tenants as evolved by earlier ops in this plan.
-        let mut moved_cores: HashMap<VmId, Vec<NodeId>> = HashMap::new();
-        let mut moved_blocks: HashMap<VmId, Vec<Block>> = HashMap::new();
-        let mut destroyed: HashSet<VmId> = HashSet::new();
+        let mut copy = self.state.clone();
+        // What a commit would report; dropped with the copy.
+        let mut receipt = CommitReceipt::default();
         let mut planned: Vec<PlannedOp> = Vec::new();
         let mut total = ReconfigCost::default();
         let mut migrations = 0usize;
-
-        let live = |vm: VmId, destroyed: &HashSet<VmId>| -> Result<&VirtualNpu> {
-            if destroyed.contains(&vm) {
-                return Err(VnpuError::UnknownVm(vm));
-            }
-            self.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))
-        };
-
         for op in ops {
-            let cost = match op {
-                PlanOp::Create(req) => {
-                    if req.core_count() == 0 || req.memory_bytes() == 0 {
-                        return Err(VnpuError::EmptyRequest);
-                    }
-                    let mapping = self.mapper().map_cached(
-                        &sim.free,
-                        req.topology(),
-                        req.strategy_ref(),
-                        cache,
-                    )?;
-                    let (entries, _blocks) =
-                        allocate_memory_from(&mut sim_buddy, req.memory_bytes())?;
-                    let routing =
-                        self.build_routing_table(VmId(sim_next_vm), req.topology(), &mapping);
-                    let layout = MetaZoneLayout {
-                        noc_rt_entries: u64::from(req.core_count()),
-                        direction_entries: if req.wants_noc_isolation() {
-                            u64::from(req.core_count()) * u64::from(req.core_count())
-                        } else {
-                            0
-                        },
-                        rtt_entries: entries.len() as u64,
-                    };
-                    layout.check(self.cfg.scratchpad_bytes)?;
-                    for &n in mapping.phys_nodes() {
-                        sim.acquire(n);
-                    }
-                    sim_next_vm += 1;
-                    ReconfigCost {
-                        routing_cycles: routing.config_cycles(),
-                        rtt_cycles: rtt_deploy_cycles(entries.len()),
-                        data_move_bytes: 0,
-                        paused_cycles: 0,
-                    }
-                }
-                PlanOp::Destroy(vm) => {
-                    let vnpu = live(*vm, &destroyed)?;
-                    let cores = moved_cores
-                        .get(vm)
-                        .cloned()
-                        .unwrap_or_else(|| vnpu.mapping().phys_nodes().to_vec());
-                    let blocks = moved_blocks
-                        .get(vm)
-                        .cloned()
-                        .unwrap_or_else(|| vnpu.memory_blocks().to_vec());
-                    for &n in &cores {
-                        sim.release(n)?;
-                    }
-                    for b in &blocks {
-                        sim_buddy
-                            .free(b.addr)
-                            .expect("planned teardown frees live blocks");
-                    }
-                    destroyed.insert(*vm);
-                    ReconfigCost::default()
-                }
-                PlanOp::Migrate {
-                    vm,
-                    to: MigrationTarget::Remap(strategy),
-                } => {
-                    let vnpu = live(*vm, &destroyed)?;
-                    let own = moved_cores
-                        .get(vm)
-                        .cloned()
-                        .unwrap_or_else(|| vnpu.mapping().phys_nodes().to_vec());
-                    match self.plan_remap(
-                        *vm,
-                        vnpu.virt_topology(),
-                        &own,
-                        strategy,
-                        &sim.free,
-                        cache,
-                    )? {
-                        None => ReconfigCost::default(),
-                        Some((mapping, _routing, cost)) => {
-                            for &n in &own {
-                                sim.release(n)?;
-                            }
-                            for &n in mapping.phys_nodes() {
-                                sim.acquire(n);
-                            }
-                            moved_cores.insert(*vm, mapping.phys_nodes().to_vec());
-                            cost
-                        }
-                    }
-                }
-                PlanOp::Migrate {
-                    vm,
-                    to: MigrationTarget::CompactMemory,
-                } => {
-                    let vnpu = live(*vm, &destroyed)?;
-                    let old = moved_blocks
-                        .get(vm)
-                        .cloned()
-                        .unwrap_or_else(|| vnpu.memory_blocks().to_vec());
-                    match plan_compaction(&mut sim_buddy, &old)? {
-                        None => ReconfigCost::default(),
-                        Some((new_blocks, _entries, cost)) => {
-                            moved_blocks.insert(*vm, new_blocks);
-                            cost
-                        }
-                    }
-                }
-            };
+            let cost = copy.apply(&self.chip, op, cache, &mut receipt)?;
             if let Some(b) = budget {
                 if matches!(op, PlanOp::Migrate { .. }) && !cost.is_zero() {
                     if !b.admits(&total, migrations, &cost) {
@@ -1073,10 +795,10 @@ impl Hypervisor {
         }
         Ok(PlacementTxn {
             ops: planned,
-            free_fingerprint: self.free_set.fingerprint(),
-            free_count: self.free_set.free_count(),
-            hbm_free_bytes: self.buddy.free_bytes(),
-            next_vm: self.next_vm,
+            free_fingerprint: self.state.free_set.fingerprint(),
+            free_count: self.state.free_set.free_count(),
+            hbm_free_bytes: self.state.buddy.free_bytes(),
+            next_vm: self.state.next_vm,
             plan_generation: self.plan_generation,
             total,
         })
@@ -1098,14 +820,13 @@ impl Hypervisor {
     /// Atomically applies a planned transaction: first validates that the
     /// chip still looks exactly as it did at plan time (free-region
     /// fingerprint and count, HBM occupancy, VM numbering, and the
-    /// plan-generation chain), then applies every op in order — creating
-    /// through the normal provisioning pipeline, re-mapping migrated
-    /// tenants via the shared [`MappingCache`], re-deploying routing and
-    /// RTT state, releasing old cores. On success the plan-generation
-    /// chain advances (outstanding plans become stale). On *any* failure
-    /// — staleness or a mid-apply error — the hypervisor's observable
-    /// state is byte-identical to before the call
-    /// ([`Hypervisor::state_digest`]).
+    /// plan-generation chain), then runs every op, in order, through the
+    /// routine the plan ran on its copy — this time on the live placement
+    /// state. On success the plan-generation chain advances (outstanding
+    /// plans become stale). On *any* failure — staleness or a mid-apply
+    /// error — the state is assigned back from a snapshot taken before
+    /// the first op, so the hypervisor is byte-identical to before the
+    /// call ([`Hypervisor::state_digest`]).
     ///
     /// # Errors
     ///
@@ -1121,140 +842,62 @@ impl Hypervisor {
                 detail: "plan generation advanced since planning",
             });
         }
-        if txn.free_fingerprint != self.free_set.fingerprint()
-            || txn.free_count != self.free_set.free_count()
+        if txn.free_fingerprint != self.state.free_set.fingerprint()
+            || txn.free_count != self.state.free_set.free_count()
         {
             return Err(VnpuError::StalePlan {
                 detail: "free region changed since planning",
             });
         }
-        if txn.hbm_free_bytes != self.buddy.free_bytes() {
+        if txn.hbm_free_bytes != self.state.buddy.free_bytes() {
             return Err(VnpuError::StalePlan {
                 detail: "HBM occupancy changed since planning",
             });
         }
-        if txn.next_vm != self.next_vm {
+        if txn.next_vm != self.state.next_vm {
             return Err(VnpuError::StalePlan {
                 detail: "VM numbering advanced since planning",
             });
         }
-        let snapshot = (
-            self.core_users.clone(),
-            self.free_set.clone(),
-            self.buddy.clone(),
-            self.vnpus.clone(),
-            self.next_vm,
-            self.config_cycles,
-            self.free_events,
-        );
+        let snapshot = self.state.clone();
         let mut receipt = CommitReceipt::default();
-        let mut apply = || -> Result<()> {
-            for p in &txn.ops {
-                match &p.op {
-                    PlanOp::Create(req) => {
-                        let vm = self.create_vnpu_in(req.clone(), cache)?;
-                        receipt.created.push(vm);
-                        receipt.total = receipt.total.plus(p.cost);
-                    }
-                    PlanOp::Destroy(vm) => {
-                        self.destroy_vnpu(*vm)?;
-                        receipt.destroyed.push(*vm);
-                    }
-                    PlanOp::Migrate { vm, to } => {
-                        let moved = match to {
-                            MigrationTarget::Remap(strategy) => {
-                                self.migrate_vnpu_in(*vm, strategy, cache)?
-                            }
-                            MigrationTarget::CompactMemory => self.compact_vnpu_memory(*vm)?,
-                        };
-                        if let Some(cost) = moved {
-                            receipt.migrated.push((*vm, cost));
-                            receipt.total = receipt.total.plus(cost);
-                        }
-                    }
-                }
-            }
-            Ok(())
-        };
-        match apply() {
-            Ok(()) => {
-                self.advance_plan_generation(txn.ops.len() as u64);
-                Ok(receipt)
-            }
-            Err(e) => {
-                let (core_users, free_set, buddy, vnpus, next_vm, config_cycles, free_events) =
-                    snapshot;
-                self.core_users = core_users;
-                self.free_set = free_set;
-                self.buddy = buddy;
-                self.vnpus = vnpus;
-                self.next_vm = next_vm;
-                self.config_cycles = config_cycles;
-                self.free_events = free_events;
-                Err(e)
+        for p in &txn.ops {
+            if let Err(e) = self.state.apply(&self.chip, &p.op, cache, &mut receipt) {
+                self.state = snapshot;
+                return Err(e);
             }
         }
+        self.advance_plan_generation(txn.ops.len() as u64);
+        Ok(receipt)
+    }
+}
+
+impl Chip {
+    /// The mapper for this chip, bound to the precomputed topology
+    /// fingerprint and the current reconfiguration generation.
+    fn mapper(&self) -> Mapper<'_> {
+        Mapper::with_phys_key(&self.topo, self.phys_key).at_generation(self.topo_generation)
     }
 
-    /// Live-migrates `vm`'s cores: re-maps its virtual topology under pin
-    /// (own cores count as free), releases the old cores, acquires the
-    /// new ones and re-deploys the routing table, charging the
-    /// configuration cycles. Returns `None` when the best mapping is the
-    /// current one (nothing moves, nothing is charged). Only called from
-    /// [`Hypervisor::commit_in`], whose snapshot guarantees atomicity.
-    fn migrate_vnpu_in(
-        &mut self,
-        vm: VmId,
+    /// Where a remap-under-pin would put `vnpu` given the free region
+    /// `free`: its own cores count as free (it vacates them by moving) —
+    /// except the faulted ones, which the move exists to escape and which
+    /// are never re-offered.
+    fn remap_target(
+        &self,
+        vnpu: &VirtualNpu,
         strategy: &Strategy,
+        free: &FreeSet,
         cache: &mut MappingCache,
-    ) -> Result<Option<ReconfigCost>> {
-        let vnpu = self.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))?;
-        if let Some(n) = vnpu
-            .mapping()
-            .phys_nodes()
-            .iter()
-            .find(|n| self.core_users[n.index()] == 0)
-        {
-            return Err(VnpuError::OverRelease { core: n.0 });
-        }
-        let own: Vec<NodeId> = vnpu.mapping().phys_nodes().to_vec();
-        let virt = vnpu.virt_topology().clone();
-        let Some((mapping, routing, cost)) =
-            self.plan_remap(vm, &virt, &own, strategy, &self.free_set, cache)?
-        else {
-            return Ok(None);
-        };
-        for &n in &own {
-            self.release_core(n.0).expect("validated above");
-        }
-        for &n in mapping.phys_nodes() {
-            self.acquire_core(n.0);
-        }
-        self.config_cycles += cost.routing_cycles;
-        let vnpu = self.vnpus.get_mut(&vm).expect("looked up above");
-        vnpu.redeploy_cores(mapping, routing);
-        Ok(Some(cost))
-    }
-
-    /// Compacts `vm`'s HBM: frees its buddy blocks, re-allocates the same
-    /// sizes (the allocator hands out lowest addresses first, so holes
-    /// squeeze out) and re-deploys its RTT, charging the entry writes.
-    /// Returns `None` when the allocator hands back the identical blocks.
-    /// Only called from [`Hypervisor::commit_in`] (snapshot atomicity).
-    fn compact_vnpu_memory(&mut self, vm: VmId) -> Result<Option<ReconfigCost>> {
-        let vnpu = self.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))?;
-        let old: Vec<Block> = vnpu.memory_blocks().to_vec();
-        let Some((new_blocks, entries, cost)) = plan_compaction(&mut self.buddy, &old)? else {
-            return Ok(None);
-        };
-        self.config_cycles += cost.rtt_cycles;
-        let vnpu = self.vnpus.get_mut(&vm).expect("looked up above");
-        vnpu.redeploy_memory(entries, new_blocks);
-        Ok(Some(cost))
-    }
-
-    fn allocate_memory(&mut self, bytes: u64) -> Result<(Vec<RttEntry>, Vec<Block>)> {
-        allocate_memory_from(&mut self.buddy, bytes)
+    ) -> Result<Mapping> {
+        let faulted: Vec<NodeId> = (0..self.faulted.len() as u32)
+            .map(NodeId)
+            .filter(|n| self.faulted[n.index()])
+            .collect();
+        let widened = free.with_released_except(vnpu.mapping().phys_nodes(), &faulted);
+        Ok(self
+            .mapper()
+            .map_cached(&widened, vnpu.virt_topology(), strategy, cache)?)
     }
 
     /// Detects an axis-aligned window allocation and emits the compact
@@ -1284,14 +927,311 @@ impl Hypervisor {
     }
 }
 
+impl Placement {
+    /// Applies one op: the only implementation of each [`PlanOp`] kind.
+    /// [`Hypervisor::commit_in`] calls it on the live state, a plan on a
+    /// clone. Returns what the op paid (zero for a destroy and for a
+    /// migration that resolved to a no-op) and records it in `receipt`.
+    /// An `Err` may leave `self` half-applied: the commit assigns its
+    /// snapshot back, the plan drops its clone.
+    fn apply(
+        &mut self,
+        chip: &Chip,
+        op: &PlanOp,
+        cache: &mut MappingCache,
+        receipt: &mut CommitReceipt,
+    ) -> Result<ReconfigCost> {
+        let cost = match op {
+            PlanOp::Create(req) => {
+                let (vm, cost) = self.create(chip, req, false, cache)?;
+                receipt.created.push(vm);
+                cost
+            }
+            PlanOp::Destroy(vm) => {
+                self.destroy(chip, *vm)?;
+                receipt.destroyed.push(*vm);
+                ReconfigCost::default()
+            }
+            PlanOp::Migrate { vm, to } => {
+                let cost = match to {
+                    MigrationTarget::Remap(strategy) => self.remap(chip, *vm, strategy, cache)?,
+                    MigrationTarget::CompactMemory => self.compact(*vm)?,
+                };
+                if !cost.is_zero() {
+                    receipt.migrated.push((*vm, cost));
+                }
+                cost
+            }
+        };
+        receipt.total = receipt.total.plus(cost);
+        Ok(cost)
+    }
+
+    /// Takes one user reference on a core, updating the free region when
+    /// the core transitions free → used. A faulted core is already held
+    /// occupied by the fault mask, so the transition does not touch the
+    /// free region again.
+    fn acquire_core(&mut self, chip: &Chip, core: u32) {
+        let users = &mut self.core_users[core as usize];
+        *users += 1;
+        if *users == 1 && !chip.faulted[core as usize] {
+            self.free_set.occupy(NodeId(core));
+        }
+    }
+
+    /// Drops one user reference on a core, updating the free region when
+    /// the core transitions used → free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VnpuError::OverRelease`] when the core has no user — a
+    /// double release, which previously was silently masked by a
+    /// saturating subtraction.
+    fn release_core(&mut self, chip: &Chip, core: u32) -> Result<()> {
+        let users = &mut self.core_users[core as usize];
+        if *users == 0 {
+            return Err(VnpuError::OverRelease { core });
+        }
+        *users -= 1;
+        if *users == 0 && !chip.faulted[core as usize] {
+            self.free_set.release(NodeId(core));
+            // Any used→free transition is a retry signal, whether it came
+            // from destroy_vnpu or an administrative release_cores — a
+            // retry-after-free request must not stall behind capacity
+            // freed outside a vNPU teardown. A *faulted* core is neither:
+            // it stays out of the free region (and is no retry signal)
+            // until repaired.
+            self.free_events += 1;
+        }
+        Ok(())
+    }
+
+    /// `vm`'s record, provided every core it maps still carries a user
+    /// reference — checked before a teardown or a move releases them, so
+    /// neither searches or mutates on behalf of a tenant whose core an
+    /// earlier [`Hypervisor::release_cores`] misuse stripped.
+    fn owned(&self, vm: VmId) -> Result<&VirtualNpu> {
+        let vnpu = self.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))?;
+        let stripped = |n: &&NodeId| self.core_users[n.index()] == 0;
+        match vnpu.mapping().phys_nodes().iter().find(stripped) {
+            Some(n) => Err(VnpuError::OverRelease { core: n.0 }),
+            None => Ok(vnpu),
+        }
+    }
+
+    /// The provisioning pipeline behind [`Hypervisor::create_vnpu_in`]
+    /// (`direct`) and [`PlanOp::Create`]: maps cores, allocates memory,
+    /// builds and deploys the routing and range-translation tables, and
+    /// returns the new VM with the configuration cycles it was charged.
+    /// All-or-nothing on its own: a failing create changes nothing.
+    fn create(
+        &mut self,
+        chip: &Chip,
+        req: &VnpuRequest,
+        direct: bool,
+        cache: &mut MappingCache,
+    ) -> Result<(VmId, ReconfigCost)> {
+        if req.core_count() == 0 || req.memory_bytes() == 0 {
+            return Err(VnpuError::EmptyRequest);
+        }
+        // 1. Core allocation via the topology-mapping strategy, memoized
+        //    through the mapping cache (the request topology + free-region
+        //    fingerprint identify the answer). With temporal sharing (§7
+        //    over-provisioning), the available set is widened with the
+        //    least-loaded busy cores; their current tenants will be
+        //    time-division-multiplexed with this one. The widened set is
+        //    its own cacheable region — its fingerprint differs from the
+        //    plain free set's. This is the one rule that separates a
+        //    direct create from a planned one: a `Create` inside a plan
+        //    never widens, so a transaction never books a core a tenant
+        //    already holds (the audit linter's PLAN-CORE rule relies on
+        //    that).
+        let widened = direct.then(|| self.widened_for(chip, req)).flatten();
+        let available = widened.as_ref().unwrap_or(&self.free_set);
+        let mapping =
+            chip.mapper()
+                .map_cached(available, req.topology(), req.strategy_ref(), cache)?;
+
+        // 2. Guest memory: buddy blocks mapped 1:1 into RTT entries.
+        let (entries, blocks) = allocate_memory(&mut self.buddy, req.memory_bytes())?;
+        let mem_bytes: u64 = entries.iter().map(|e| e.size).sum();
+
+        // 3. Routing table: compact form when the allocation is an exact
+        //    axis-aligned mesh window, standard otherwise.
+        let vm = VmId(self.next_vm);
+        let routing_table = chip.build_routing_table(vm, req.topology(), &mapping);
+
+        // 4. Meta-zone budget check per core.
+        let layout = MetaZoneLayout {
+            noc_rt_entries: u64::from(req.core_count()),
+            direction_entries: if req.wants_noc_isolation() {
+                // Worst case: every pair stores a full path.
+                u64::from(req.core_count()) * u64::from(req.core_count())
+            } else {
+                0
+            },
+            rtt_entries: entries.len() as u64,
+        };
+        if let Err(e) = layout.check(chip.cfg.scratchpad_bytes) {
+            for b in &blocks {
+                let _ = self.buddy.free(b.addr);
+            }
+            return Err(e);
+        }
+
+        // 5. Deploy: mark cores used, account controller configuration.
+        for &n in mapping.phys_nodes() {
+            self.acquire_core(chip, n.0);
+        }
+        let cost = ReconfigCost {
+            routing_cycles: routing_table.config_cycles(),
+            rtt_cycles: rtt_deploy_cycles(entries.len()),
+            data_move_bytes: 0,
+            paused_cycles: 0,
+        };
+        self.config_cycles += cost.config_cycles();
+        self.next_vm += 1;
+        let vnpu = VirtualNpu::new(
+            vm,
+            Arc::clone(&chip.topo),
+            mapping,
+            routing_table,
+            entries,
+            blocks,
+            mem_bytes,
+            req,
+        );
+        self.vnpus.insert(vm, vnpu);
+        Ok((vm, cost))
+    }
+
+    /// The temporal-sharing widening of the free set for `req`: when the
+    /// request opts into §7 over-provisioning and the plain free region is
+    /// too small, the least-loaded busy cores are treated as additionally
+    /// available (their tenants will be time-division-multiplexed).
+    /// `None` when the plain free set is the region to map against.
+    fn widened_for(&self, chip: &Chip, req: &VnpuRequest) -> Option<FreeSet> {
+        if req.wants_temporal_sharing() && self.free_set.free_count() < req.core_count() as usize {
+            let mut set = self.free_set.clone();
+            let mut busy: Vec<(u32, u32)> = self
+                .core_users
+                .iter()
+                .enumerate()
+                .filter(|&(i, &u)| u > 0 && !chip.faulted[i])
+                .map(|(i, &u)| (u, i as u32))
+                .collect();
+            busy.sort_unstable();
+            for (_, core) in busy {
+                if set.free_count() >= req.core_count() as usize {
+                    break;
+                }
+                set.release(NodeId(core));
+            }
+            Some(set)
+        } else {
+            None
+        }
+    }
+
+    /// Tears `vm` down, releasing its cores and memory; refuses (changing
+    /// nothing) when [`Placement::owned`] does.
+    fn destroy(&mut self, chip: &Chip, vm: VmId) -> Result<()> {
+        self.owned(vm)?;
+        let vnpu = self
+            .vnpus
+            .remove(&vm)
+            .expect("owned() found this vm in the map");
+        for &n in vnpu.mapping().phys_nodes() {
+            self.release_core(chip, n.0)
+                .expect("owned() saw a user on each of the vm's distinct cores");
+        }
+        for b in vnpu.blocks() {
+            self.buddy
+                .free(b.addr)
+                .expect("hypervisor-owned block frees cleanly");
+        }
+        self.free_events += 1;
+        Ok(())
+    }
+
+    /// Live-migrates `vm`'s cores: re-maps its virtual topology under pin
+    /// ([`Chip::remap_target`] against the current free region), releases
+    /// the old cores, acquires the new ones and re-deploys the routing
+    /// table, charging the configuration cycles; the tenant's per-core
+    /// scratchpad state is what moves. Zero cost when the best mapping is
+    /// the current one (nothing moves, nothing is charged).
+    fn remap(
+        &mut self,
+        chip: &Chip,
+        vm: VmId,
+        strategy: &Strategy,
+        cache: &mut MappingCache,
+    ) -> Result<ReconfigCost> {
+        let vnpu = self.owned(vm)?;
+        let own: Vec<NodeId> = vnpu.mapping().phys_nodes().to_vec();
+        let mapping = chip.remap_target(vnpu, strategy, &self.free_set, cache)?;
+        if mapping.phys_nodes() == own {
+            return Ok(ReconfigCost::default());
+        }
+        let routing = chip.build_routing_table(vm, vnpu.virt_topology(), &mapping);
+        let data = own.len() as u64 * chip.cfg.scratchpad_bytes;
+        let cost = ReconfigCost::for_move(routing.config_cycles(), 0, data);
+        for &n in &own {
+            self.release_core(chip, n.0)
+                .expect("owned() saw a user on each of the vm's distinct cores");
+        }
+        for &n in mapping.phys_nodes() {
+            self.acquire_core(chip, n.0);
+        }
+        self.config_cycles += cost.routing_cycles;
+        self.vnpus
+            .get_mut(&vm)
+            .expect("owned() found this vm in the map")
+            .redeploy_cores(mapping, routing);
+        Ok(cost)
+    }
+
+    /// Compacts `vm`'s HBM: frees its buddy blocks, re-allocates the same
+    /// sizes in order (the allocator hands out lowest addresses first, so
+    /// holes squeeze out) and re-deploys its guest-VA-contiguous RTT,
+    /// charging the entry writes. Zero cost when the allocator hands back
+    /// the identical blocks.
+    ///
+    /// Block sizes are non-increasing (the allocation split is), so each
+    /// size still has a free region at least as large as the slot it just
+    /// vacated; an allocation failure here is a buddy bug.
+    fn compact(&mut self, vm: VmId) -> Result<ReconfigCost> {
+        let vnpu = self.vnpus.get_mut(&vm).ok_or(VnpuError::UnknownVm(vm))?;
+        let old = vnpu.memory_blocks();
+        for b in old {
+            self.buddy
+                .free(b.addr)
+                .expect("hypervisor-owned block frees cleanly");
+        }
+        let mut new_blocks = Vec::with_capacity(old.len());
+        for b in old {
+            new_blocks.push(self.buddy.alloc(b.size).map_err(VnpuError::Memory)?);
+        }
+        if new_blocks == old {
+            return Ok(ReconfigCost::default());
+        }
+        let mut entries = Vec::with_capacity(new_blocks.len());
+        let mut va = VirtAddr(GUEST_VA_BASE);
+        for b in &new_blocks {
+            entries.push(RttEntry::new(va, b.addr, b.size, Perm::RW));
+            va = va.offset(b.size);
+        }
+        let bytes: u64 = new_blocks.iter().map(|b| b.size).sum();
+        let cost = ReconfigCost::for_move(0, rtt_deploy_cycles(entries.len()), bytes);
+        self.config_cycles += cost.rtt_cycles;
+        vnpu.redeploy_memory(entries, new_blocks);
+        Ok(cost)
+    }
+}
+
 /// Splits a guest-memory request into buddy blocks mapped 1:1 into RTT
-/// entries, rolling back partial allocations on exhaustion. Works on any
-/// allocator so [`Hypervisor::plan_in`] can simulate the exact split on a
-/// clone.
-fn allocate_memory_from(
-    buddy: &mut BuddyAllocator,
-    bytes: u64,
-) -> Result<(Vec<RttEntry>, Vec<Block>)> {
+/// entries, rolling back partial allocations on exhaustion.
+fn allocate_memory(buddy: &mut BuddyAllocator, bytes: u64) -> Result<(Vec<RttEntry>, Vec<Block>)> {
     let mut entries: Vec<RttEntry> = Vec::new();
     let mut blocks: Vec<Block> = Vec::new();
     let mut va = VirtAddr(GUEST_VA_BASE);
@@ -1314,83 +1254,6 @@ fn allocate_memory_from(
         blocks.push(block);
     }
     Ok((entries, blocks))
-}
-
-/// Plan-time simulation of the hypervisor's core bookkeeping: user
-/// counts plus the derived free region, mirroring
-/// `acquire_core`/`release_core` *exactly* — including temporal sharing,
-/// where a shared core stays occupied until its last user leaves. The
-/// plan must evolve the same way the commit will, or a plan could
-/// succeed whose commit fails with no intervening state change.
-struct SimCores<'a> {
-    users: Vec<u32>,
-    free: FreeSet,
-    /// The live fault mask: a faulted core is pinned occupied in the free
-    /// region exactly as `acquire_core`/`release_core` pin it, so a plan
-    /// can never free a dead core into its simulated region either.
-    faulted: &'a [bool],
-}
-
-impl SimCores<'_> {
-    fn acquire(&mut self, n: NodeId) {
-        let users = &mut self.users[n.index()];
-        *users += 1;
-        if *users == 1 && !self.faulted[n.index()] {
-            self.free.occupy(n);
-        }
-    }
-
-    fn release(&mut self, n: NodeId) -> Result<()> {
-        let users = &mut self.users[n.index()];
-        if *users == 0 {
-            return Err(VnpuError::OverRelease { core: n.0 });
-        }
-        *users -= 1;
-        if *users == 0 && !self.faulted[n.index()] {
-            self.free.release(n);
-        }
-        Ok(())
-    }
-}
-
-/// Frees a tenant's buddy blocks and re-allocates the same sizes in
-/// order (lowest-address-first, squeezing holes out), returning the new
-/// blocks, the rebuilt guest-VA-contiguous RTT entries and the cost — or
-/// `None` when the allocator hands back the identical blocks (net
-/// no-op). The single source of compaction logic:
-/// [`Hypervisor::plan_with`] runs it on the plan's buddy clone,
-/// `Hypervisor::compact_vnpu_memory` on the live allocator (where the
-/// mutation *is* the apply; commit's snapshot rolls back on error).
-///
-/// Block sizes are non-increasing (the allocation split is), so each
-/// size still has a free region at least as large as the slot it just
-/// vacated; an allocation failure here is a buddy bug.
-/// What a (non-no-op) compaction resolves to: the re-allocated blocks,
-/// the rebuilt RTT entries, and the price.
-type CompactionPlan = (Vec<Block>, Vec<RttEntry>, ReconfigCost);
-
-fn plan_compaction(buddy: &mut BuddyAllocator, old: &[Block]) -> Result<Option<CompactionPlan>> {
-    for b in old {
-        buddy
-            .free(b.addr)
-            .expect("hypervisor-owned block frees cleanly");
-    }
-    let mut new_blocks = Vec::with_capacity(old.len());
-    for b in old {
-        new_blocks.push(buddy.alloc(b.size).map_err(VnpuError::Memory)?);
-    }
-    if new_blocks == old {
-        return Ok(None);
-    }
-    let mut entries = Vec::with_capacity(new_blocks.len());
-    let mut va = VirtAddr(GUEST_VA_BASE);
-    for b in &new_blocks {
-        entries.push(RttEntry::new(va, b.addr, b.size, Perm::RW));
-        va = va.offset(b.size);
-    }
-    let bytes: u64 = new_blocks.iter().map(|b| b.size).sum();
-    let cost = ReconfigCost::for_move(0, rtt_deploy_cycles(entries.len()), bytes);
-    Ok(Some((new_blocks, entries, cost)))
 }
 
 #[cfg(test)]
@@ -1446,15 +1309,15 @@ mod tests {
     #[test]
     fn destroy_releases_resources() {
         let mut h = hv();
-        let before_mem = h.buddy.free_bytes();
+        let before_mem = h.state.buddy.free_bytes();
         let vm = h
             .create_vnpu(VnpuRequest::mesh(2, 2).mem_bytes(128 << 20))
             .unwrap();
         assert_eq!(h.free_core_count(), 32);
-        assert!(h.buddy.free_bytes() < before_mem);
+        assert!(h.state.buddy.free_bytes() < before_mem);
         h.destroy_vnpu(vm).unwrap();
         assert_eq!(h.free_core_count(), 36);
-        assert_eq!(h.buddy.free_bytes(), before_mem);
+        assert_eq!(h.state.buddy.free_bytes(), before_mem);
         assert!(matches!(h.vnpu(vm), Err(VnpuError::UnknownVm(_))));
         assert!(h.destroy_vnpu(vm).is_err());
     }
@@ -1480,11 +1343,11 @@ mod tests {
     #[test]
     fn hbm_exhaustion_rolls_back() {
         let mut h = Hypervisor::with_hbm_bytes(SocConfig::sim(), 64 << 20);
-        let free_before = h.buddy.free_bytes();
+        let free_before = h.state.buddy.free_bytes();
         let r = h.create_vnpu(VnpuRequest::mesh(2, 2).mem_bytes(1 << 30));
         assert!(matches!(r, Err(VnpuError::Memory(_))));
         assert_eq!(
-            h.buddy.free_bytes(),
+            h.state.buddy.free_bytes(),
             free_before,
             "partial blocks must be freed"
         );
@@ -1635,10 +1498,47 @@ mod tests {
     }
 
     #[test]
+    fn plan_and_commit_agree_on_an_over_released_tenant() {
+        // Regression: the planner searched first and checked ownership
+        // only when the tenant moved, so a stay-put Remap of a tenant with
+        // a stripped core planned Ok at zero cost and the commit right
+        // behind it failed OverRelease. Both refuse, before any lookup.
+        let remap = |vm| PlanOp::Migrate {
+            vm,
+            to: MigrationTarget::Remap(Strategy::similar_topology()),
+        };
+        let mut h = hv();
+        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
+        let core = h.vnpu(vm).unwrap().mapping().phys_nodes()[0].0;
+        h.release_cores(&[core]).unwrap(); // misuse: steals the vNPU's core
+        let (digest, lookups) = (h.state_digest(), h.cache_stats());
+        for op in [remap(vm), PlanOp::Destroy(vm)] {
+            let refused = h.plan(&[op]).map(|txn| txn.len());
+            assert_eq!(refused, Err(VnpuError::OverRelease { core }));
+        }
+        assert_eq!(h.cache_stats(), lookups, "refused before the search");
+        assert_eq!(h.state_digest(), digest);
+        // The commit's turn: a faulted core is stripped without the free
+        // region (or anything else a commit checks for staleness) moving.
+        let mut h = hv();
+        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
+        let core = h.vnpu(vm).unwrap().mapping().phys_nodes()[0].0;
+        h.set_core_faulted(core, true).unwrap();
+        let txn = h.plan(&[remap(vm)]).unwrap();
+        assert!(!txn.total().is_zero(), "the plan escapes the dead core");
+        h.release_cores(&[core]).unwrap();
+        let (digest, lookups) = (h.state_digest(), h.cache_stats());
+        assert_eq!(h.commit(&txn), Err(VnpuError::OverRelease { core }));
+        assert_eq!(h.cache_stats(), lookups);
+        assert_eq!(h.state_digest(), digest);
+    }
+
+    #[test]
     fn free_set_tracks_core_users_incrementally() {
         let mut h = hv();
         let vm = h.create_vnpu(VnpuRequest::mesh(3, 2)).unwrap();
         let reference: Vec<u32> = h
+            .state
             .core_users
             .iter()
             .enumerate()
@@ -1941,8 +1841,8 @@ mod tests {
 
     #[test]
     fn plan_accounts_temporal_sharing_user_counts() {
-        // Regression: the plan used to mark a destroyed tenant's cores
-        // free outright, while the commit's release_core keeps a shared
+        // Regression: a hand-simulated plan once marked a destroyed
+        // tenant's cores free outright, while release_core keeps a shared
         // core occupied until its *last* user leaves — so a plan could
         // succeed whose commit failed with no intervening state change.
         let mut h = hv();
@@ -1963,7 +1863,7 @@ mod tests {
         h.commit(&txn).unwrap();
         assert_eq!(h.free_core_count(), 0, "shared cores stay occupied");
         // Destroying the resident in the same plan as a create works:
-        // the simulation frees exactly what the commit frees.
+        // the plan frees exactly what the commit frees.
         let txn = h
             .plan(&[
                 PlanOp::Destroy(resident),

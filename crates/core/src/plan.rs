@@ -12,15 +12,19 @@
 //! * a [`PlanOp`] is one mutation — [`PlanOp::Create`],
 //!   [`PlanOp::Migrate`] (re-map a tenant's cores under pin, or compact
 //!   its HBM blocks) or [`PlanOp::Destroy`];
-//! * [`crate::Hypervisor::plan`] evaluates a whole op list against a
-//!   *snapshot* of the chip, pricing every op with a [`ReconfigCost`]
-//!   (routing-table re-deployment cycles, RTT re-deployment cycles,
-//!   data-movement bytes, paused-tenant time) and returning a
-//!   [`PlacementTxn`];
-//! * [`crate::Hypervisor::commit`] validates the transaction against the
+//! * [`crate::Hypervisor::commit`] validates a transaction against the
 //!   live free region and plan generation, then applies *all* ops or —
 //!   on any failure or staleness — none (the hypervisor's observable
-//!   state is byte-identical to before the call).
+//!   state is byte-identical to before the call);
+//! * [`crate::Hypervisor::plan`] *is* that commit run on a copy: the
+//!   whole op list goes through the commit's op loop — one routine per
+//!   op kind, there is no second, simulated one — against a clone of the
+//!   chip's placement state, each op keeps the [`ReconfigCost`] it paid
+//!   there (routing-table re-deployment cycles, RTT re-deployment
+//!   cycles, data-movement bytes, paused-tenant time), the clone is
+//!   dropped and the priced list comes back as a [`PlacementTxn`]. A plan
+//!   that succeeded therefore commits, at the planned prices, unless the
+//!   chip changed in between.
 //!
 //! On top of the transaction engine, [`Defragmenter`] is the policy
 //! trait for background compaction: driven by the per-tick
@@ -167,12 +171,12 @@ pub struct PlannedOp {
 
 /// A planned, costed, not-yet-applied set of placement mutations.
 ///
-/// Produced by [`crate::Hypervisor::plan`] against a snapshot of the
-/// chip; applied atomically by [`crate::Hypervisor::commit`]. The
-/// transaction remembers the snapshot's free-region fingerprint, HBM
-/// occupancy and plan generation — if any of them changed by commit
-/// time, the commit fails with [`crate::VnpuError::StalePlan`] and
-/// mutates nothing.
+/// Produced by [`crate::Hypervisor::plan`] on a copy of the chip's
+/// placement state; applied atomically by [`crate::Hypervisor::commit`].
+/// The transaction remembers the free-region fingerprint, HBM occupancy
+/// and plan generation the copy was taken at — if any of them changed by
+/// commit time, the commit fails with [`crate::VnpuError::StalePlan`]
+/// and mutates nothing.
 #[derive(Debug, Clone)]
 pub struct PlacementTxn {
     pub(crate) ops: Vec<PlannedOp>,

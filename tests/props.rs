@@ -414,33 +414,82 @@ fn hypervisor_churn_leaves_no_residue() {
 
 /// Transactional-plan churn invariant: any random interleaving of
 /// creates, destroys, core migrations and memory compactions — all
-/// driven through `Hypervisor::plan`/`commit` — leaks nothing and ends
-/// fully coalesced at quiescence, and every deliberately staled commit
-/// leaves the hypervisor byte-identical (`state_digest` compare).
+/// driven through `Hypervisor::plan`/`commit`, one op at a time and as
+/// multi-op mixed plans, with temporal-sharing residents on the chip —
+/// leaks nothing and ends fully coalesced at quiescence, every
+/// deliberately staled commit leaves the hypervisor byte-identical
+/// (`state_digest` compare), and every un-intervened commit lands at the
+/// planned prices (`land`): the commit is the plan's oracle.
 #[test]
 fn placement_plan_churn_is_transactional_and_leak_free() {
-    use vnpu::plan::{MigrationTarget, PlanOp};
+    use std::cell::Cell;
+    use vnpu::plan::{CommitReceipt, MigrationTarget, PlacementTxn, PlanOp, ReconfigBudget};
     use vnpu::VnpuError;
     use vnpu_sim::SocConfig;
+    use vnpu_topo::cache::MappingCache;
+
+    /// Commits a plan nothing has intervened on. It must not fail, it
+    /// pays exactly what was planned, op for op, and what the receipt
+    /// leaves out is exactly the migrations planned as zero-cost no-ops.
+    fn land(hv: &mut Hypervisor, txn: &PlacementTxn) -> Result<CommitReceipt, String> {
+        let receipt = hv
+            .commit(txn)
+            .map_err(|e| format!("an un-intervened commit failed: {e}"))?;
+        prop_assert_eq!(receipt.total, txn.total());
+        let (mut created, mut destroyed, mut migrated) = (0, Vec::new(), Vec::new());
+        for p in txn.ops() {
+            match &p.op {
+                PlanOp::Create(_) => created += 1,
+                PlanOp::Destroy(vm) => destroyed.push(*vm),
+                PlanOp::Migrate { vm, .. } if !p.cost.is_zero() => migrated.push((*vm, p.cost)),
+                PlanOp::Migrate { .. } => {}
+            }
+        }
+        prop_assert_eq!(receipt.created.len(), created);
+        prop_assert_eq!(receipt.destroyed, destroyed);
+        prop_assert_eq!(receipt.migrated, migrated);
+        Ok(receipt)
+    }
+
+    // How often each multi-op outcome was reached over the campaign:
+    // a landed destroy-then-create, a remap + compaction of one VM that
+    // both moved, a resident actually sharing cores, a plan the budget
+    // cut short, a no-op migration left out of a receipt.
+    let reached: [Cell<u32>; 5] = Default::default();
+    let [turnover, both_moved, sharing, cut_short, noop_omitted] = &reached;
+    let hit = |outcome: &Cell<u32>| outcome.set(outcome.get() + 1);
     check(
         "placement_plan_churn_is_transactional_and_leak_free",
         48,
-        vec_of((range(0u32..8), range(0u32..5)), 4..32),
+        vec_of((range(0u32..8), range(0u32..9)), 4..32),
         |ops| {
             let hbm = 2 << 30;
             let mut hv = Hypervisor::with_hbm_bytes(SocConfig::sim(), hbm);
             let total_cores = hv.config().core_count();
             let free_hbm_at_start = hv.hbm_free_bytes();
             let remap = || MigrationTarget::Remap(Strategy::similar_topology());
+            let compact = |vm| PlanOp::Migrate {
+                vm,
+                to: MigrationTarget::CompactMemory,
+            };
             let mut live: Vec<VmId> = Vec::new();
             for &(shape, action) in ops {
+                let req = match shape {
+                    0 => VnpuRequest::mesh(1, 1).mem_bytes(8 << 20),
+                    1 => VnpuRequest::mesh(2, 2).mem_bytes(48 << 20),
+                    2 => VnpuRequest::mesh(2, 3).mem_bytes(96 << 20),
+                    3 => VnpuRequest::mesh(3, 3).mem_bytes(160 << 20),
+                    4 => VnpuRequest::cores(5).mem_bytes(24 << 20),
+                    5 => VnpuRequest::cores(7).mem_bytes(72 << 20),
+                    6 => VnpuRequest::mesh(4, 2).mem_bytes(33 << 20),
+                    _ => VnpuRequest::mesh(1, 3).mem_bytes(130 << 20),
+                };
                 match action {
                     0 if !live.is_empty() => {
                         // Destroy the oldest tenant, transactionally.
                         let vm = live.remove(0);
                         let txn = hv.plan(&[PlanOp::Destroy(vm)]).expect("plan destroy");
-                        let receipt = hv.commit(&txn).expect("commit destroy");
-                        prop_assert_eq!(receipt.destroyed.len(), 1);
+                        land(&mut hv, &txn)?;
                     }
                     1 if !live.is_empty() => {
                         // Migrate the oldest tenant's cores under pin.
@@ -448,30 +497,73 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                         let txn = hv
                             .plan(&[PlanOp::Migrate { vm, to: remap() }])
                             .expect("remap-under-pin always has its own spot");
-                        hv.commit(&txn).expect("commit migrate");
+                        if land(&mut hv, &txn)?.migrated.is_empty() {
+                            hit(noop_omitted);
+                        }
                     }
                     2 if !live.is_empty() => {
                         // Compact the oldest tenant's HBM blocks.
-                        let vm = live[0];
                         let txn = hv
-                            .plan(&[PlanOp::Migrate {
-                                vm,
-                                to: MigrationTarget::CompactMemory,
-                            }])
+                            .plan(&[compact(live[0])])
                             .expect("compaction re-allocates freed space");
-                        hv.commit(&txn).expect("commit compaction");
+                        land(&mut hv, &txn)?;
+                    }
+                    5 if !live.is_empty() => {
+                        // Turn the oldest tenant over in one plan: the
+                        // create may map into the region the destroy
+                        // frees. A plan that does not fit changes nothing.
+                        let digest = hv.state_digest();
+                        let swap = [PlanOp::Destroy(live[0]), PlanOp::Create(req)];
+                        let Ok(txn) = hv.plan(&swap) else {
+                            prop_assert_eq!(hv.state_digest(), digest, "failed plan mutated");
+                            continue;
+                        };
+                        live.remove(0);
+                        live.push(land(&mut hv, &txn)?.created[0]);
+                        hit(turnover);
+                    }
+                    6 if !live.is_empty() => {
+                        // Move one tenant's cores and memory in one plan.
+                        let vm = live[shape as usize % live.len()];
+                        let txn = hv
+                            .plan(&[PlanOp::Migrate { vm, to: remap() }, compact(vm)])
+                            .expect("both moves have their own spot");
+                        if land(&mut hv, &txn)?.migration_count() == 2 {
+                            hit(both_moved);
+                        }
+                    }
+                    7 => {
+                        // A temporal-sharing resident, large enough to
+                        // need busy cores (a direct create: planned ones
+                        // never widen onto them).
+                        let wide = VnpuRequest::mesh(3 + shape % 4, 3).mem_bytes(8 << 20);
+                        if let Ok(vm) = hv.create_vnpu(wide.temporal_sharing(true)) {
+                            live.push(vm);
+                        }
+                        if hv.core_users().iter().any(|&users| users > 1) {
+                            hit(sharing);
+                        }
+                    }
+                    8 => {
+                        // Every tenant's two moves under a budget of one:
+                        // the affordable prefix is what lands.
+                        let all: Vec<PlanOp> = live
+                            .iter()
+                            .flat_map(|&vm| [PlanOp::Migrate { vm, to: remap() }, compact(vm)])
+                            .collect();
+                        let budget = ReconfigBudget {
+                            max_migrations: 1,
+                            ..ReconfigBudget::default()
+                        };
+                        let txn = hv
+                            .plan_budgeted_in(&all, &budget, &mut MappingCache::default())
+                            .expect("budgeted moves plan");
+                        prop_assert!(land(&mut hv, &txn)?.migration_count() <= 1);
+                        if txn.len() < all.len() {
+                            hit(cut_short);
+                        }
                     }
                     _ => {
-                        let req = match shape {
-                            0 => VnpuRequest::mesh(1, 1).mem_bytes(8 << 20),
-                            1 => VnpuRequest::mesh(2, 2).mem_bytes(48 << 20),
-                            2 => VnpuRequest::mesh(2, 3).mem_bytes(96 << 20),
-                            3 => VnpuRequest::mesh(3, 3).mem_bytes(160 << 20),
-                            4 => VnpuRequest::cores(5).mem_bytes(24 << 20),
-                            5 => VnpuRequest::cores(7).mem_bytes(72 << 20),
-                            6 => VnpuRequest::mesh(4, 2).mem_bytes(33 << 20),
-                            _ => VnpuRequest::mesh(1, 3).mem_bytes(130 << 20),
-                        };
                         // Placement may legitimately fail under
                         // fragmentation; planned failures change nothing.
                         let Ok(txn) = hv.plan(&[PlanOp::Create(req.clone())]) else {
@@ -492,8 +584,7 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                         );
                         // Re-plan against the new generation and land it.
                         let txn = hv.plan(&[PlanOp::Create(req)]).expect("replan");
-                        let receipt = hv.commit(&txn).expect("commit create");
-                        live.push(receipt.created[0]);
+                        live.push(land(&mut hv, &txn)?.created[0]);
                     }
                 }
                 prop_assert!(hv.free_core_count() <= total_cores);
@@ -503,7 +594,7 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
             if !live.is_empty() {
                 let drain: Vec<PlanOp> = live.drain(..).map(PlanOp::Destroy).collect();
                 let txn = hv.plan(&drain).expect("plan drain");
-                hv.commit(&txn).expect("commit drain");
+                land(&mut hv, &txn)?;
             }
             prop_assert_eq!(hv.free_core_count(), total_cores, "no leaked cores");
             prop_assert_eq!(hv.hbm_free_bytes(), free_hbm_at_start, "no leaked HBM");
@@ -516,6 +607,11 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
             prop_assert_eq!(frag.free_components, 1, "free region is whole again");
             Ok(())
         },
+    );
+    let reached = reached.map(Cell::into_inner);
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "a multi-op outcome was never reached: {reached:?}"
     );
 }
 

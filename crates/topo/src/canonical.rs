@@ -2,20 +2,38 @@
 //! candidate topologies (Algorithm 1, line 25: "for the same topology, we
 //! retain only one instance").
 //!
-//! Two mechanisms are provided:
+//! [`canonical_key`] runs once per enumerated candidate, so it works on
+//! integers and allocates nothing for graphs of at most
+//! [`EXACT_CANONICAL_LIMIT`] nodes (one buffer above):
 //!
-//! * [`wl_hash`] — a Weisfeiler–Lehman colour-refinement hash. Fast and
-//!   sound for *distinguishing* many non-isomorphic graphs, but may collide
-//!   (WL-equivalent non-isomorphic graphs hash equal). Used for graphs
-//!   larger than [`EXACT_CANONICAL_LIMIT`].
-//! * [`canonical_form`] — an exact canonical adjacency encoding obtained by
-//!   searching permutations within WL colour classes. Exponential in the
-//!   worst case but cheap for the ≤10-node candidate topologies that
-//!   dominate virtual-NPU requests.
+//! * [`wl_colors`] — Weisfeiler–Lehman colour refinement over a colour
+//!   array. A round folds each node's colour with the multiset of its
+//!   neighbours' (a wrapping sum of mixed words, so no sorting) and the
+//!   round number; refinement stops at the first round that splits no
+//!   class, which two WL-equivalent graphs reach together, so their
+//!   colours stay comparable. Sound for *distinguishing* graphs, but
+//!   WL-equivalent non-isomorphic graphs collide; [`wl_hash`] of the
+//!   colours is the key above the limit.
+//! * the exact canonical code — the smallest upper-triangle adjacency
+//!   code (45 bits at ten nodes) over the node orders that respect the
+//!   colour classes, found by a pruned search over stack arrays.
+//!   Exponential in the worst case but cheap for the ≤10-node candidate
+//!   topologies that dominate virtual-NPU requests.
+//!
+//! **Why results cannot move.** Key *values* are opaque (compared, hashed
+//! in memory, never persisted or digested); what the mapper reads is the
+//! partition they induce, and that is what any correct implementation
+//! gives: isomorphism classes (node kinds respected) up to the limit,
+//! WL-equivalence classes above it. The test-only `reference` module keeps
+//! the hashing implementation this one replaced and holds the two to the
+//! same partition. The one place a colour *value* used to decide something
+//! — the order [`find_isomorphism`] settles the request's nodes in, and
+//! with it which automorphic image an exact match lands on — keeps its
+//! historical definition (`decision_order`).
 
+use crate::cache::mix;
 use crate::{NodeId, Topology};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Largest node count for which [`canonical_key`] computes the exact
@@ -25,172 +43,180 @@ pub const EXACT_CANONICAL_LIMIT: usize = 10;
 /// A key identifying a topology up to isomorphism (exactly for graphs of at
 /// most [`EXACT_CANONICAL_LIMIT`] nodes; heuristically via WL hashing
 /// beyond).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CanonicalKey {
     nodes: usize,
     edges: usize,
+    /// Node kinds by canonical position (exact keys; the WL hash already
+    /// carries them), so heterogeneous topologies with different core-kind
+    /// distributions never collide.
+    kinds: u64,
     code: u64,
 }
 
 /// Computes the dedup key for a topology.
-///
-/// The key also folds in node-attribute multisets so that heterogeneous
-/// topologies with different core-kind distributions never collide.
 pub fn canonical_key(t: &Topology) -> CanonicalKey {
-    let code = if t.node_count() <= EXACT_CANONICAL_LIMIT {
-        hash_u64s(&canonical_form(t))
+    let n = t.node_count();
+    let (kinds, code) = if n <= EXACT_CANONICAL_LIMIT {
+        let mut lanes = [0u64; 3 * EXACT_CANONICAL_LIMIT];
+        wl_refine(t, &mut lanes[..3 * n]);
+        exact_code(t, &lanes[..n])
     } else {
-        wl_hash(t)
+        (0, wl_hash(t))
     };
     CanonicalKey {
-        nodes: t.node_count(),
+        nodes: n,
         edges: t.edge_count(),
+        kinds,
         code,
     }
 }
 
-/// Iterated Weisfeiler–Lehman colour refinement, returning a hash of the
-/// stable colouring (plus node/edge counts folded in by the caller).
+/// Weisfeiler–Lehman colour-refinement hash: an order-free fold of the
+/// stable colouring (node/edge counts are folded in by the caller).
 pub fn wl_hash(t: &Topology) -> u64 {
-    let colors = wl_colors(t);
-    let mut sorted = colors;
-    sorted.sort_unstable();
-    hash_u64s(&sorted)
+    wl_colors(t)
+        .iter()
+        .fold(0, |acc, &c| acc.wrapping_add(mix(c)))
 }
 
 /// Runs WL colour refinement to a fixed point and returns per-node colours.
 pub fn wl_colors(t: &Topology) -> Vec<u64> {
     let n = t.node_count();
-    // Initial colour: (degree, node kind) so heterogeneous nodes differ.
-    let mut colors: Vec<u64> = (0..n)
-        .map(|i| {
-            let node = NodeId(i as u32);
-            let attr = t.node_attr(node);
-            hash_tuple(&[t.degree(node) as u64, attr.kind as u64])
-        })
-        .collect();
-    // n rounds suffice for stabilization on n-node graphs.
-    for _ in 0..n.max(1) {
-        let mut next = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut nb: Vec<u64> = t
-                .neighbors(NodeId(i as u32))
-                .iter()
-                .map(|v| colors[v.index()])
-                .collect();
-            nb.sort_unstable();
-            nb.insert(0, colors[i]);
-            next.push(hash_u64s(&nb));
-        }
-        if next == colors {
-            break;
-        }
-        colors = next;
-    }
-    colors
+    let mut lanes = vec![0u64; 3 * n];
+    wl_refine(t, &mut lanes);
+    lanes.truncate(n);
+    lanes
 }
 
-/// Exact canonical form: the lexicographically-smallest flattened adjacency
-/// encoding over all node permutations compatible with the WL colouring.
-///
-/// The output is a vector of `u64` words encoding, per canonical node
-/// position, its attribute kind followed by its canonical neighbor indices.
-/// Two graphs are isomorphic (respecting node kinds) iff their canonical
-/// forms are equal, for graphs within [`EXACT_CANONICAL_LIMIT`].
-pub fn canonical_form(t: &Topology) -> Vec<u64> {
+/// WL refinement over three `n`-word lanes of `lanes` (colours, the next
+/// round, a sorted copy), leaving the final colours in the first. Returns
+/// the number of rounds run: one more than the partition needed to settle
+/// (refinement only ever splits classes, so a round that leaves their
+/// number unchanged changed nothing), and never more than `n`.
+fn wl_refine(t: &Topology, lanes: &mut [u64]) -> usize {
     let n = t.node_count();
-    if n == 0 {
-        return Vec::new();
+    let (colors, rest) = lanes.split_at_mut(n);
+    let (next, sorted) = rest.split_at_mut(n);
+    let mut class_count = |colors: &[u64]| {
+        sorted.copy_from_slice(colors);
+        sorted.sort_unstable();
+        1 + sorted.windows(2).filter(|w| w[0] != w[1]).count()
+    };
+    // Initial colour: (degree, node kind) so heterogeneous nodes differ.
+    for (i, c) in colors.iter_mut().enumerate() {
+        let node = NodeId(i as u32);
+        *c = mix((t.degree(node) as u64) << 8 | t.node_attr(node).kind as u64);
     }
-    // Group nodes by WL colour; only permute within groups ordered by colour.
-    let colors = wl_colors(t);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (colors[i], i));
-    // Partition into colour classes.
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for &i in &order {
-        match classes.last_mut() {
-            Some(c) if colors[c[0]] == colors[i] => c.push(i),
-            _ => classes.push(vec![i]),
+    let mut classes = class_count(colors);
+    for round in 1..=n {
+        for (i, slot) in next.iter_mut().enumerate() {
+            // The round number keeps colours of different depths apart, so
+            // graphs that settle after different rounds never share one.
+            let own = mix(colors[i] ^ round as u64);
+            let around = t.neighbors(NodeId(i as u32));
+            *slot = mix(around
+                .iter()
+                .fold(own, |acc, v| acc.wrapping_add(mix(colors[v.index()]))));
         }
+        colors.copy_from_slice(next);
+        let refined = class_count(colors);
+        if refined == classes {
+            return round;
+        }
+        classes = refined;
     }
-    let mut best: Option<Vec<u64>> = None;
-    let mut perm: Vec<usize> = Vec::with_capacity(n);
-    permute_classes(t, &classes, 0, &mut perm, &mut best);
-    best.unwrap_or_default()
+    n
 }
 
-fn permute_classes(
-    t: &Topology,
-    classes: &[Vec<usize>],
-    class_idx: usize,
-    perm: &mut Vec<usize>,
-    best: &mut Option<Vec<u64>>,
-) {
-    if class_idx == classes.len() {
-        let enc = encode(t, perm);
-        if best.as_ref().is_none_or(|b| enc < *b) {
-            *best = Some(enc);
-        }
-        return;
-    }
-    let class = &classes[class_idx];
-    let mut items = class.clone();
-    heap_permute(&mut items, &mut |p: &[usize]| {
-        perm.extend_from_slice(p);
-        permute_classes(t, classes, class_idx + 1, perm, best);
-        perm.truncate(perm.len() - p.len());
-    });
+/// Exact canonical form of a graph of at most [`EXACT_CANONICAL_LIMIT`]
+/// nodes: its node kinds by canonical position, then the smallest
+/// adjacency code over all node orders compatible with the WL colouring.
+/// Two such graphs are isomorphic (respecting node kinds) iff their
+/// canonical forms are equal.
+///
+/// # Panics
+///
+/// Panics if `t` has more than [`EXACT_CANONICAL_LIMIT`] nodes: the code
+/// is a fixed-width bit matrix.
+pub fn canonical_form(t: &Topology) -> Vec<u64> {
+    assert!(
+        t.node_count() <= EXACT_CANONICAL_LIMIT,
+        "exact canonical form is defined up to {EXACT_CANONICAL_LIMIT} nodes"
+    );
+    let (kinds, code) = exact_code(t, &wl_colors(t));
+    vec![kinds, code]
 }
 
-/// Heap's algorithm invoking `f` on every permutation of `items`.
-fn heap_permute(items: &mut [usize], f: &mut dyn FnMut(&[usize])) {
-    let n = items.len();
-    if n == 0 {
-        f(&[]);
-        return;
+/// `(kinds, code)` of [`canonical_form`], given the graph's WL colours.
+/// Canonical position `k` may hold any node of the `k`-th smallest colour;
+/// `code` lists, position by position, whether each earlier position is a
+/// neighbour — the upper triangle of the reordered adjacency matrix, most
+/// significant bit first.
+fn exact_code(t: &Topology, colors: &[u64]) -> (u64, u64) {
+    let n = colors.len();
+    let mut search = CodeSearch {
+        colors,
+        order: [0; EXACT_CANONICAL_LIMIT],
+        rows: [0; EXACT_CANONICAL_LIMIT],
+        placed: [0; EXACT_CANONICAL_LIMIT],
+        best: u64::MAX,
+    };
+    for i in 0..n {
+        search.order[i] = i;
+        for v in t.neighbors(NodeId(i as u32)) {
+            search.rows[i] |= 1 << v.index();
+        }
     }
-    let mut c = vec![0usize; n];
-    f(items);
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                items.swap(0, i);
-            } else {
-                items.swap(c[i], i);
+    search.order[..n].sort_unstable_by_key(|&i| (colors[i], i));
+    let kinds = search.order[..n]
+        .iter()
+        .enumerate()
+        .fold(0, |acc, (k, &i)| {
+            acc | (t.node_attr(NodeId(i as u32)).kind as u64) << (4 * k)
+        });
+    search.place(0, 0, 0);
+    (kinds, search.best)
+}
+
+/// Branch-and-bound state of [`exact_code`], all on the stack.
+struct CodeSearch<'a> {
+    colors: &'a [u64],
+    /// Nodes by `(colour, index)`: position `k` takes a node coloured like
+    /// `order[k]`.
+    order: [usize; EXACT_CANONICAL_LIMIT],
+    /// Adjacency bit rows by original node index.
+    rows: [u16; EXACT_CANONICAL_LIMIT],
+    /// Node at each canonical position decided so far.
+    placed: [usize; EXACT_CANONICAL_LIMIT],
+    best: u64,
+}
+
+impl CodeSearch<'_> {
+    /// Tries every unused node of the right colour at position `pos`,
+    /// abandoning a prefix as soon as it exceeds the best code's.
+    fn place(&mut self, pos: usize, used: u16, code: u64) {
+        let n = self.colors.len();
+        if pos == n {
+            self.best = code;
+            return;
+        }
+        // Code bits that positions after `pos` will still append.
+        let rest = n * (n - 1) / 2 - pos * (pos + 1) / 2;
+        for k in 0..n {
+            let v = self.order[k];
+            if used >> v & 1 == 1 || self.colors[v] != self.colors[self.order[pos]] {
+                continue;
             }
-            f(items);
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
+            let grown = self.placed[..pos]
+                .iter()
+                .fold(code, |acc, &p| acc << 1 | u64::from(self.rows[v] >> p & 1));
+            if grown <= self.best >> rest {
+                self.placed[pos] = v;
+                self.place(pos + 1, used | 1 << v, grown);
+            }
         }
     }
-}
-
-/// Encodes the graph under a permutation: `perm[k]` is the original node at
-/// canonical position `k`.
-fn encode(t: &Topology, perm: &[usize]) -> Vec<u64> {
-    let n = perm.len();
-    let mut pos = vec![0usize; t.node_count()];
-    for (k, &orig) in perm.iter().enumerate() {
-        pos[orig] = k;
-    }
-    let mut out = Vec::with_capacity(n * 3);
-    for &orig in perm {
-        out.push(t.node_attr(NodeId(orig as u32)).kind as u64);
-        let mut nb: Vec<u64> = t
-            .neighbors(NodeId(orig as u32))
-            .iter()
-            .map(|v| pos[v.index()] as u64)
-            .collect();
-        nb.sort_unstable();
-        out.push(nb.len() as u64);
-        out.extend(nb);
-    }
-    out
 }
 
 /// Verifies isomorphism between two topologies (exact for any size, but
@@ -223,66 +249,59 @@ pub fn find_isomorphism(a: &Topology, b: &Topology) -> Option<Vec<NodeId>> {
     if sa != sb {
         return None;
     }
-    // Backtracking search mapping a-nodes (ordered by colour-class size) to
-    // b-nodes of equal colour.
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut class_size: HashMap<u64, usize> = HashMap::new();
-    for &c in &ca {
-        *class_size.entry(c).or_insert(0) += 1;
-    }
-    order.sort_by_key(|&i| (class_size[&ca[i]], ca[i], i));
+    // Backtracking search mapping a-nodes to b-nodes of equal colour.
+    let search = IsoSearch {
+        n,
+        ca: &ca,
+        cb: &cb,
+        ea: &a.edge_table(),
+        eb: &b.edge_table(),
+        order: &decision_order(a),
+    };
     let mut mapping = vec![usize::MAX; n];
     let mut used = vec![false; n];
-    if backtrack_iso(a, b, &ca, &cb, &order, 0, &mut mapping, &mut used) {
-        Some(mapping.into_iter().map(|m| NodeId(m as u32)).collect())
-    } else {
-        None
-    }
+    search
+        .backtrack(0, &mut mapping, &mut used)
+        .then(|| mapping.into_iter().map(|m| NodeId(m as u32)).collect())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn backtrack_iso(
-    a: &Topology,
-    b: &Topology,
-    ca: &[u64],
-    cb: &[u64],
-    order: &[usize],
-    depth: usize,
-    mapping: &mut [usize],
-    used: &mut [bool],
-) -> bool {
-    if depth == order.len() {
-        return true;
+/// The order in which [`find_isomorphism`] settles `a`'s nodes: smallest
+/// colour class first, classes of one size by colour *value*, nodes of a
+/// class by index. When several isomorphisms exist, this order picks the
+/// one returned — for the mapper, which automorphic image of the request
+/// an exact match is placed on — so the values are part of every pinned
+/// placement and stay what they always were: `n` rounds of SipHash
+/// refinement over sorted neighbour colours. Runs once per verified match,
+/// on the request only; the colours the search itself matches on are
+/// [`wl_colors`].
+fn decision_order(a: &Topology) -> Vec<usize> {
+    let colors = siphash_colors(a);
+    let class_size = |c: u64| colors.iter().filter(|&&x| x == c).count();
+    let mut order: Vec<usize> = (0..colors.len()).collect();
+    order.sort_by_key(|&i| (class_size(colors[i]), colors[i], i));
+    order
+}
+
+/// Exactly `n` rounds of WL refinement with SipHash as the colour
+/// function (see [`decision_order`] for why the values matter).
+fn siphash_colors(t: &Topology) -> Vec<u64> {
+    let n = t.node_count();
+    let mut colors: Vec<u64> = t
+        .nodes()
+        .map(|node| hash_u64s(&[t.degree(node) as u64, t.node_attr(node).kind as u64]))
+        .collect();
+    for _ in 0..n {
+        colors = (0..n)
+            .map(|i| {
+                let around = t.neighbors(NodeId(i as u32));
+                let mut nb: Vec<u64> = around.iter().map(|v| colors[v.index()]).collect();
+                nb.sort_unstable();
+                nb.insert(0, colors[i]);
+                hash_u64s(&nb)
+            })
+            .collect();
     }
-    let u = order[depth];
-    for v in 0..b.node_count() {
-        if used[v] || ca[u] != cb[v] {
-            continue;
-        }
-        // Edge consistency with already-mapped nodes, in both directions:
-        // for every mapped node w, (u,w) is an edge in `a` iff (v, m(w)) is
-        // an edge in `b`. Checking both directions keeps the partial mapping
-        // an induced-subgraph isomorphism at every depth.
-        let ok = (0..mapping.len()).all(|w| {
-            let m = mapping[w];
-            if m == usize::MAX {
-                return true;
-            }
-            a.has_edge(NodeId(u as u32), NodeId(w as u32))
-                == b.has_edge(NodeId(v as u32), NodeId(m as u32))
-        });
-        if !ok {
-            continue;
-        }
-        mapping[u] = v;
-        used[v] = true;
-        if backtrack_iso(a, b, ca, cb, order, depth + 1, mapping, used) {
-            return true;
-        }
-        mapping[u] = usize::MAX;
-        used[v] = false;
-    }
-    false
+    colors
 }
 
 fn hash_u64s(vals: &[u64]) -> u64 {
@@ -291,8 +310,224 @@ fn hash_u64s(vals: &[u64]) -> u64 {
     h.finish()
 }
 
-fn hash_tuple(vals: &[u64]) -> u64 {
-    hash_u64s(vals)
+/// The fixed inputs of [`find_isomorphism`]'s backtracking search.
+struct IsoSearch<'a> {
+    n: usize,
+    ca: &'a [u64],
+    cb: &'a [u64],
+    ea: &'a [Option<crate::EdgeAttr>],
+    eb: &'a [Option<crate::EdgeAttr>],
+    order: &'a [usize],
+}
+
+impl IsoSearch<'_> {
+    fn backtrack(&self, depth: usize, mapping: &mut [usize], used: &mut [bool]) -> bool {
+        if depth == self.n {
+            return true;
+        }
+        let u = self.order[depth];
+        for v in 0..self.n {
+            if used[v] || self.ca[u] != self.cb[v] {
+                continue;
+            }
+            // Edge consistency with already-mapped nodes, in both directions:
+            // for every mapped node w, (u,w) is an edge in `a` iff (v, m(w)) is
+            // an edge in `b`. Checking both directions keeps the partial mapping
+            // an induced-subgraph isomorphism at every depth.
+            let ok = (0..self.n).all(|w| {
+                let m = mapping[w];
+                m == usize::MAX
+                    || self.ea[u * self.n + w].is_some() == self.eb[v * self.n + m].is_some()
+            });
+            if !ok {
+                continue;
+            }
+            mapping[u] = v;
+            used[v] = true;
+            if self.backtrack(depth + 1, mapping, used) {
+                return true;
+            }
+            mapping[u] = usize::MAX;
+            used[v] = false;
+        }
+        false
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The hashing implementation [`canonical_key`] replaced, kept verbatim
+    //! as a differential oracle: SipHash refinement ([`siphash_colors`],
+    //! always `n` rounds), a `Vec` encoding per class permutation, the hash
+    //! of the smallest. The campaign holds the new keys to the partition
+    //! these induce.
+
+    use super::*;
+    use crate::testing::{connected_subset, relabeled, sprinkle_kinds, Rng};
+
+    /// `(nodes, edges, code)` of the replaced `CanonicalKey`.
+    fn canonical_key(t: &Topology) -> (usize, usize, u64) {
+        let code = if t.node_count() <= EXACT_CANONICAL_LIMIT {
+            hash_u64s(&canonical_form(t))
+        } else {
+            let mut sorted = siphash_colors(t);
+            sorted.sort_unstable();
+            hash_u64s(&sorted)
+        };
+        (t.node_count(), t.edge_count(), code)
+    }
+
+    fn canonical_form(t: &Topology) -> Vec<u64> {
+        let n = t.node_count();
+        if n == 0 {
+            return Vec::new();
+        }
+        // Group nodes by WL colour; only permute within groups ordered by colour.
+        let colors = siphash_colors(t);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| (colors[i], i));
+        // Partition into colour classes.
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for &i in &order {
+            match classes.last_mut() {
+                Some(c) if colors[c[0]] == colors[i] => c.push(i),
+                _ => classes.push(vec![i]),
+            }
+        }
+        let mut best: Option<Vec<u64>> = None;
+        let mut perm: Vec<usize> = Vec::with_capacity(n);
+        permute_classes(t, &classes, 0, &mut perm, &mut best);
+        best.unwrap_or_default()
+    }
+
+    fn permute_classes(
+        t: &Topology,
+        classes: &[Vec<usize>],
+        class_idx: usize,
+        perm: &mut Vec<usize>,
+        best: &mut Option<Vec<u64>>,
+    ) {
+        if class_idx == classes.len() {
+            let enc = encode(t, perm);
+            if best.as_ref().is_none_or(|b| enc < *b) {
+                *best = Some(enc);
+            }
+            return;
+        }
+        let class = &classes[class_idx];
+        let mut items = class.clone();
+        heap_permute(&mut items, &mut |p: &[usize]| {
+            perm.extend_from_slice(p);
+            permute_classes(t, classes, class_idx + 1, perm, best);
+            perm.truncate(perm.len() - p.len());
+        });
+    }
+
+    /// Heap's algorithm invoking `f` on every permutation of `items`.
+    fn heap_permute(items: &mut [usize], f: &mut dyn FnMut(&[usize])) {
+        let n = items.len();
+        if n == 0 {
+            f(&[]);
+            return;
+        }
+        let mut c = vec![0usize; n];
+        f(items);
+        let mut i = 0;
+        while i < n {
+            if c[i] < i {
+                if i % 2 == 0 {
+                    items.swap(0, i);
+                } else {
+                    items.swap(c[i], i);
+                }
+                f(items);
+                c[i] += 1;
+                i = 0;
+            } else {
+                c[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    /// Encodes the graph under a permutation: `perm[k]` is the original node at
+    /// canonical position `k`.
+    fn encode(t: &Topology, perm: &[usize]) -> Vec<u64> {
+        let n = perm.len();
+        let mut pos = vec![0usize; t.node_count()];
+        for (k, &orig) in perm.iter().enumerate() {
+            pos[orig] = k;
+        }
+        let mut out = Vec::with_capacity(n * 3);
+        for &orig in perm {
+            out.push(t.node_attr(NodeId(orig as u32)).kind as u64);
+            let mut nb: Vec<u64> = t
+                .neighbors(NodeId(orig as u32))
+                .iter()
+                .map(|v| pos[v.index()] as u64)
+                .collect();
+            nb.sort_unstable();
+            out.push(nb.len() as u64);
+            out.extend(nb);
+        }
+        out
+    }
+
+    #[test]
+    fn key_partition_matches_the_hashing_reference() {
+        const PAIRS: usize = 2_400;
+        let mesh = Topology::mesh2d(6, 6);
+        let mut rng = Rng(0x5EED_0019);
+        // Pairs with (equal, different) keys, at most ten nodes and above.
+        let mut arms = [[0usize; 2]; 2];
+        for case in 0..PAIRS {
+            let k = 2 + case % 11;
+            let mut a = mesh
+                .induced_subgraph(&connected_subset(&mesh, k, &mut rng))
+                .0;
+            if case / 11 % 2 == 1 {
+                sprinkle_kinds(&mut a, &mut rng);
+            }
+            let b = match case % 3 {
+                // The same graph under other labels,
+                0 => relabeled(&a, &mut rng),
+                // the same with one node's kind changed,
+                1 => {
+                    let mut b = relabeled(&a, &mut rng);
+                    let kind = &mut b.node_attr_mut(NodeId(rng.below(k) as u32)).kind;
+                    *kind = match *kind {
+                        crate::NodeKind::Standard => crate::NodeKind::VectorOptimized,
+                        _ => crate::NodeKind::Standard,
+                    };
+                    b
+                }
+                // another region of the mesh.
+                _ => {
+                    let cells = connected_subset(&mesh, k, &mut rng);
+                    relabeled(&mesh.induced_subgraph(&cells).0, &mut rng)
+                }
+            };
+            let same = super::canonical_key(&a) == super::canonical_key(&b);
+            assert_eq!(
+                same,
+                canonical_key(&a) == canonical_key(&b),
+                "case {case}: {a:?} / {b:?}"
+            );
+            if k <= EXACT_CANONICAL_LIMIT {
+                assert_eq!(same, are_isomorphic(&a, &b), "case {case}: {a:?} / {b:?}");
+            }
+            arms[usize::from(k > EXACT_CANONICAL_LIMIT)][usize::from(!same)] += 1;
+        }
+        println!(
+            "canonical-key campaign: {PAIRS} pairs, same partition; up to \
+             {EXACT_CANONICAL_LIMIT} nodes {} equal / {} different, above {} / {}",
+            arms[0][0], arms[0][1], arms[1][0], arms[1][1]
+        );
+        assert!(
+            arms.iter().flatten().all(|&n| n > 0),
+            "an outcome was never reached: {arms:?}"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -383,5 +618,55 @@ mod tests {
         let a = Topology::mesh2d(4, 4);
         let b = Topology::mesh2d(4, 4);
         assert_eq!(canonical_key(&a), canonical_key(&b));
+    }
+
+    #[test]
+    fn refinement_stops_at_the_partition_fix_point() {
+        // The replaced refinement compared re-hashed colours, which differ
+        // every round, and so always ran n rounds.
+        let edges = |t: &Topology| t.edges().map(|(a, b)| (a.0, b.0)).collect::<Vec<_>>();
+        let path_and_ring = {
+            let mut e = edges(&Topology::line(4));
+            e.extend(
+                edges(&Topology::ring(6))
+                    .iter()
+                    .map(|&(a, b)| (a + 4, b + 4)),
+            );
+            Topology::from_edges(10, &e).unwrap()
+        };
+        // Swapping two edges' endpoints keeps every degree.
+        let switched = {
+            let mut e = edges(&Topology::mesh2d(3, 3));
+            e.retain(|&edge| edge != (0, 1) && edge != (7, 8));
+            e.extend([(0, 7), (1, 8)]);
+            Topology::from_edges(9, &e).unwrap()
+        };
+        let two_rings = |n: u32| {
+            let mut e = edges(&Topology::ring(n));
+            e.extend(
+                edges(&Topology::ring(n))
+                    .iter()
+                    .map(|&(a, b)| (a + n, b + n)),
+            );
+            Topology::from_edges(2 * n as usize, &e).unwrap()
+        };
+        for (graph, twin) in [
+            (Topology::line(10), path_and_ring),
+            (Topology::mesh2d(3, 3), switched),
+            (Topology::ring(10), two_rings(5)),
+            (Topology::ring(12), two_rings(6)),
+        ] {
+            let n = graph.node_count();
+            let rounds = wl_refine(&graph, &mut vec![0; 3 * n]);
+            assert!(rounds < n, "{n} nodes took {rounds} rounds");
+            assert_eq!(graph.degree_sequence(), twin.degree_sequence());
+            assert!(!are_isomorphic(&graph, &twin));
+            // Exact keys tell the twins apart; above the limit two regular
+            // graphs of one degree are WL-equivalent and share a key.
+            assert_eq!(
+                canonical_key(&graph) != canonical_key(&twin),
+                n <= EXACT_CANONICAL_LIMIT
+            );
+        }
     }
 }

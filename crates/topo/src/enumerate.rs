@@ -19,10 +19,22 @@
 //! Both take the free region as a [`FreeSet`], whose occupancy mask is
 //! used as-is — online serving maintains one incrementally, so no mask is
 //! rebuilt per request.
+//!
+//! An enumeration allocates per *call*, never per step or per candidate:
+//! the subgraph being grown, its sorted copy handed to the visitor, and
+//! one pair of bit masks over the physical node ids per recursion depth
+//! (`node_count().div_ceil(64)` words each, so a chip of any size) — the
+//! extension set, popped lowest bit first, and the subgraph's closed
+//! neighbourhood, which answers "in the subgraph or adjacent to it" with
+//! one probe. **Why results cannot move:** a bit set popped lowest-first
+//! is the ordered set it replaced, and the probe is the predicate the
+//! edge-map scan computed, so the candidate count, the step budget and the
+//! visited sequence are exactly as documented on
+//! [`enumerate_connected_in`]; the test-only `reference` module keeps the
+//! replaced walk and holds this one to it.
 
 use crate::cache::FreeSet;
 use crate::{MeshShape, NodeId, Topology};
-use std::collections::BTreeSet;
 
 /// Upper bound on enumerated candidates, protecting against combinatorial
 /// blow-up on large free regions (the NP-hard step of Algorithm 1).
@@ -64,7 +76,7 @@ pub fn enumerate_connected_in(
     free: &FreeSet,
     k: usize,
     cap: usize,
-    mut visit: impl FnMut(&[NodeId]) -> Visit,
+    visit: impl FnMut(&[NodeId]) -> Visit,
 ) -> usize {
     assert_eq!(
         free.capacity(),
@@ -74,98 +86,127 @@ pub fn enumerate_connected_in(
     if k == 0 || free.free_count() < k {
         return 0;
     }
-    let is_free = free.mask();
-    let mut count = 0usize;
-    let mut steps = cap.saturating_mul(STEPS_PER_CANDIDATE).max(10_000);
-    let mut stopped = false;
+    let words = topo.node_count().div_ceil(64);
+    let mut esu = Esu {
+        topo,
+        is_free: free.mask(),
+        k,
+        cap,
+        words,
+        count: 0,
+        steps: cap.saturating_mul(STEPS_PER_CANDIDATE).max(10_000),
+        stopped: false,
+        sub: Vec::with_capacity(k),
+        sorted: Vec::with_capacity(k),
+        visit,
+    };
+    // One (extension set, closed neighbourhood) mask pair per depth.
+    let mut masks = vec![0u64; 2 * words * k];
 
     // ESU: for each root v (ascending), grow subgraphs using only nodes > v,
     // with an extension set of exclusive neighbors.
     for root in (0..topo.node_count() as u32).map(NodeId) {
-        if !is_free[root.index()] {
+        if !esu.is_free[root.index()] {
             continue;
         }
-        if stopped || count >= cap || steps == 0 {
+        if esu.done() {
             break;
         }
-        let mut sub = vec![root];
-        let ext: BTreeSet<NodeId> = topo
-            .neighbors(root)
-            .iter()
-            .copied()
-            .filter(|&u| u > root && is_free[u.index()])
-            .collect();
-        extend(
-            topo,
-            is_free,
-            root,
-            &mut sub,
-            ext,
-            k,
-            cap,
-            &mut count,
-            &mut steps,
-            &mut stopped,
-            &mut visit,
-        );
-    }
-    count
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extend(
-    topo: &Topology,
-    is_free: &[bool],
-    root: NodeId,
-    sub: &mut Vec<NodeId>,
-    ext: BTreeSet<NodeId>,
-    k: usize,
-    cap: usize,
-    count: &mut usize,
-    steps: &mut usize,
-    stopped: &mut bool,
-    visit: &mut impl FnMut(&[NodeId]) -> Visit,
-) {
-    if *stopped || *count >= cap || *steps == 0 {
-        return;
-    }
-    *steps -= 1;
-    if sub.len() == k {
-        *count += 1;
-        let mut sorted = sub.clone();
-        sorted.sort_unstable();
-        if visit(&sorted) == Visit::Stop {
-            *stopped = true;
-        }
-        return;
-    }
-    let mut ext = ext;
-    while let Some(&w) = ext.iter().next() {
-        ext.remove(&w);
-        if *stopped || *count >= cap || *steps == 0 {
-            return;
-        }
-        // New extension: ext ∪ {exclusive neighbors of w} (neighbors > root,
-        // free, not already in sub, not already in ext-before-this-level —
-        // ESU guarantees uniqueness by only adding neighbors not adjacent to
-        // the current subgraph before w joined).
-        let mut next_ext = ext.clone();
-        for &u in topo.neighbors(w) {
-            if u > root && is_free[u.index()] && !sub.contains(&u) && !neighbor_of_sub(topo, sub, u)
-            {
-                next_ext.insert(u);
+        let (ext, closed) = masks[..2 * words].split_at_mut(words);
+        ext.fill(0);
+        closed.fill(0);
+        set(closed, root);
+        for &u in topo.neighbors(root) {
+            set(closed, u);
+            if u > root && esu.is_free[u.index()] {
+                set(ext, u);
             }
         }
-        sub.push(w);
-        extend(
-            topo, is_free, root, sub, next_ext, k, cap, count, steps, stopped, visit,
-        );
-        sub.pop();
+        esu.sub.clear();
+        esu.sub.push(root);
+        esu.extend(root, &mut masks);
     }
+    esu.count
 }
 
-fn neighbor_of_sub(topo: &Topology, sub: &[NodeId], u: NodeId) -> bool {
-    sub.iter().any(|&s| topo.has_edge(s, u))
+fn set(mask: &mut [u64], node: NodeId) {
+    mask[node.index() / 64] |= 1 << (node.index() % 64);
+}
+
+fn is_set(mask: &[u64], node: NodeId) -> bool {
+    mask[node.index() / 64] >> (node.index() % 64) & 1 == 1
+}
+
+/// State of one [`enumerate_connected_in`] call. Node sets are bit masks
+/// over the physical node ids, `words` words each.
+struct Esu<'a, V> {
+    topo: &'a Topology,
+    is_free: &'a [bool],
+    k: usize,
+    cap: usize,
+    words: usize,
+    count: usize,
+    steps: usize,
+    stopped: bool,
+    /// The subgraph being grown, in the order its nodes joined.
+    sub: Vec<NodeId>,
+    /// `sub` sorted, as handed to the visitor.
+    sorted: Vec<NodeId>,
+    visit: V,
+}
+
+impl<V: FnMut(&[NodeId]) -> Visit> Esu<'_, V> {
+    fn done(&self) -> bool {
+        self.stopped || self.count >= self.cap || self.steps == 0
+    }
+
+    /// One recursion step. `masks` starts with this depth's pair: the
+    /// extension set (nodes that may join `sub` next, taken lowest first)
+    /// and `sub`'s closed neighbourhood (`sub` and everything adjacent to
+    /// it); the deeper pairs follow.
+    fn extend(&mut self, root: NodeId, masks: &mut [u64]) {
+        if self.done() {
+            return;
+        }
+        self.steps -= 1;
+        if self.sub.len() == self.k {
+            self.count += 1;
+            self.sorted.clear();
+            self.sorted.extend_from_slice(&self.sub);
+            self.sorted.sort_unstable();
+            if (self.visit)(&self.sorted) == Visit::Stop {
+                self.stopped = true;
+            }
+            return;
+        }
+        let (level, deeper) = masks.split_at_mut(2 * self.words);
+        let (ext, closed) = level.split_at_mut(self.words);
+        while let Some((word, bits)) = ext.iter_mut().enumerate().find(|(_, w)| **w != 0) {
+            let w = NodeId((word * 64) as u32 + bits.trailing_zeros());
+            *bits &= *bits - 1;
+            if self.done() {
+                return;
+            }
+            // New extension: ext ∪ {exclusive neighbors of w} (neighbors > root,
+            // free, outside the closed neighbourhood of the subgraph before w
+            // joined — which is what makes ESU duplicate-free). A child that
+            // completes the subgraph reads neither mask.
+            if self.sub.len() + 1 < self.k {
+                let (next_ext, next_closed) = deeper[..2 * self.words].split_at_mut(self.words);
+                next_ext.copy_from_slice(ext);
+                next_closed.copy_from_slice(closed);
+                for &u in self.topo.neighbors(w) {
+                    if u > root && self.is_free[u.index()] && !is_set(closed, u) {
+                        set(next_ext, u);
+                    }
+                    set(next_closed, u);
+                }
+            }
+            self.sub.push(w);
+            self.extend(root, deeper);
+            self.sub.pop();
+        }
+    }
 }
 
 /// Collects (up to `cap`) connected candidates as vectors.
@@ -241,6 +282,216 @@ fn collect_windows(
             cells.sort_unstable();
             out.push(cells);
         }
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The enumeration [`enumerate_connected_in`] replaced, kept verbatim
+    //! as a differential oracle: extension sets as `BTreeSet`s cloned per
+    //! step, "neighbour of the subgraph" asked of the edge map. The
+    //! campaign holds the bit-mask walk to the same visited sequence and
+    //! return value, however the walk ends.
+
+    use super::*;
+    use crate::testing::Rng;
+    use std::collections::BTreeSet;
+
+    fn enumerate_connected_in(
+        topo: &Topology,
+        free: &FreeSet,
+        k: usize,
+        cap: usize,
+        mut visit: impl FnMut(&[NodeId]) -> Visit,
+    ) -> usize {
+        assert_eq!(
+            free.capacity(),
+            topo.node_count(),
+            "free set sized for a different topology"
+        );
+        if k == 0 || free.free_count() < k {
+            return 0;
+        }
+        let is_free = free.mask();
+        let mut count = 0usize;
+        let mut steps = cap.saturating_mul(STEPS_PER_CANDIDATE).max(10_000);
+        let mut stopped = false;
+
+        // ESU: for each root v (ascending), grow subgraphs using only nodes > v,
+        // with an extension set of exclusive neighbors.
+        for root in (0..topo.node_count() as u32).map(NodeId) {
+            if !is_free[root.index()] {
+                continue;
+            }
+            if stopped || count >= cap || steps == 0 {
+                break;
+            }
+            let mut sub = vec![root];
+            let ext: BTreeSet<NodeId> = topo
+                .neighbors(root)
+                .iter()
+                .copied()
+                .filter(|&u| u > root && is_free[u.index()])
+                .collect();
+            extend(
+                topo,
+                is_free,
+                root,
+                &mut sub,
+                ext,
+                k,
+                cap,
+                &mut count,
+                &mut steps,
+                &mut stopped,
+                &mut visit,
+            );
+        }
+        count
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn extend(
+        topo: &Topology,
+        is_free: &[bool],
+        root: NodeId,
+        sub: &mut Vec<NodeId>,
+        ext: BTreeSet<NodeId>,
+        k: usize,
+        cap: usize,
+        count: &mut usize,
+        steps: &mut usize,
+        stopped: &mut bool,
+        visit: &mut impl FnMut(&[NodeId]) -> Visit,
+    ) {
+        if *stopped || *count >= cap || *steps == 0 {
+            return;
+        }
+        *steps -= 1;
+        if sub.len() == k {
+            *count += 1;
+            let mut sorted = sub.clone();
+            sorted.sort_unstable();
+            if visit(&sorted) == Visit::Stop {
+                *stopped = true;
+            }
+            return;
+        }
+        let mut ext = ext;
+        while let Some(&w) = ext.iter().next() {
+            ext.remove(&w);
+            if *stopped || *count >= cap || *steps == 0 {
+                return;
+            }
+            // New extension: ext ∪ {exclusive neighbors of w} (neighbors > root,
+            // free, not already in sub, not already in ext-before-this-level —
+            // ESU guarantees uniqueness by only adding neighbors not adjacent to
+            // the current subgraph before w joined).
+            let mut next_ext = ext.clone();
+            for &u in topo.neighbors(w) {
+                if u > root
+                    && is_free[u.index()]
+                    && !sub.contains(&u)
+                    && !neighbor_of_sub(topo, sub, u)
+                {
+                    next_ext.insert(u);
+                }
+            }
+            sub.push(w);
+            extend(
+                topo, is_free, root, sub, next_ext, k, cap, count, steps, stopped, visit,
+            );
+            sub.pop();
+        }
+    }
+
+    fn neighbor_of_sub(topo: &Topology, sub: &[NodeId], u: NodeId) -> bool {
+        sub.iter().any(|&s| topo.has_edge(s, u))
+    }
+
+    /// Runs `walk` to its end or to the `stop_at`-th candidate, returning
+    /// the visited sequence and the walk's return value.
+    fn record(
+        stop_at: usize,
+        walk: impl FnOnce(&mut dyn FnMut(&[NodeId]) -> Visit) -> usize,
+    ) -> (Vec<Vec<NodeId>>, usize) {
+        let mut seen = Vec::new();
+        let count = walk(&mut |cells| {
+            seen.push(cells.to_vec());
+            if seen.len() == stop_at {
+                Visit::Stop
+            } else {
+                Visit::Continue
+            }
+        });
+        (seen, count)
+    }
+
+    #[test]
+    fn bitmask_walk_matches_the_btreeset_reference() {
+        // Chips of one mask word and of two.
+        let physicals = [
+            Topology::mesh2d(6, 6),
+            Topology::mesh2d(8, 6),
+            Topology::mesh2d(9, 8),
+            Topology::torus2d(4, 4).unwrap(),
+        ];
+        const CASES: usize = 400;
+        let mut rng = Rng(0x5EED_3019);
+        // Walks ended by: exhaustion, the cap, the visitor.
+        let mut ends = [0usize; 3];
+        for case in 0..CASES {
+            let phys = &physicals[case % physicals.len()];
+            let n = phys.node_count();
+            let mut free = FreeSet::all_free(n);
+            let occupied = rng.below(n * 3 / 4);
+            for _ in 0..occupied {
+                free.occupy(NodeId(rng.below(n) as u32));
+            }
+            let k = 1 + rng.below(9);
+            let cap = [1, 7, 60, 2_000][rng.below(4)];
+            let stop_at = [usize::MAX, 1 + rng.below(40)][rng.below(2)];
+            let got = record(stop_at, |v| {
+                super::enumerate_connected_in(phys, &free, k, cap, v)
+            });
+            let want = record(stop_at, |v| enumerate_connected_in(phys, &free, k, cap, v));
+            assert_eq!(
+                got, want,
+                "case {case}: k {k}, cap {cap}, stop at {stop_at}"
+            );
+            ends[match got.1 {
+                c if c == stop_at => 2,
+                c if c == cap => 1,
+                _ => 0,
+            }] += 1;
+        }
+        assert!(
+            ends.iter().all(|&n| n > 0),
+            "an ending was never reached: {ends:?}"
+        );
+
+        // The step budget binding: the 19-node candidates of an idle 5x4
+        // mesh are few (20) and spread through a recursion far longer than
+        // the 10 000 steps a cap of 50 buys.
+        let phys = Topology::mesh2d(5, 4);
+        let free = FreeSet::all_free(20);
+        let got = record(usize::MAX, |v| {
+            super::enumerate_connected_in(&phys, &free, 19, 50, v)
+        });
+        let want = record(usize::MAX, |v| {
+            enumerate_connected_in(&phys, &free, 19, 50, v)
+        });
+        assert_eq!(got, want);
+        assert!(
+            (1..20).contains(&got.1),
+            "budget-bound walk visited {}",
+            got.1
+        );
+        println!(
+            "ESU campaign: {CASES} walks, identical sequences; {} exhausted, {} capped, \
+             {} stopped by the visitor; budget-bound walk visited {} of 20",
+            ends[0], ends[1], ends[2], got.1
+        );
     }
 }
 

@@ -15,6 +15,23 @@
 //!   which returns the cost of a *valid but possibly suboptimal* edit path,
 //!   i.e. an upper bound on the true distance;
 //! * [`ged`] — dispatches between the two on graph size.
+//!
+//! These run once per candidate of a mapper search (and [`refine_mapping`]
+//! a dozen times on top), all asking `edge_attr` of the same two graphs in
+//! a loop, so each call builds the two dense `n × n` tables of
+//! `Topology::edge_table` once and reads them from then on. Beyond
+//! those it allocates what it returns plus, per call, the A\* heap
+//! (whose states are `Copy` values, not owners of vectors) or the
+//! assignment matrix; a 2-opt swap is priced in place from the O(n) terms
+//! it touches. **Why results cannot move:** the tables answer exactly
+//! what the edge map answered. The A\* pushes the same states in the same
+//! order, and the heap's order is a function of `g` and `depth` alone, so
+//! it pops in the same order and returns the same optimum *and* the same
+//! mapping. The 2-opt loop visits the same swaps in the same order and
+//! accepts on the same strict `<` of the same integer — the difference of
+//! the touched terms is the difference of the full sums. The test-only
+//! `reference` module keeps the replaced kernels and holds these to
+//! identical results.
 
 use crate::hungarian;
 use crate::{EdgeAttr, NodeAttr, NodeId, Topology};
@@ -159,14 +176,20 @@ pub fn ged(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> GedResult {
 /// unmapped `g2` nodes (and their incident edges) are inserted. Edge costs
 /// are charged when the *second* endpoint of an edge is decided, so every
 /// edge is charged exactly once.
+///
+/// # Panics
+///
+/// Panics if either graph has more than [`EXACT_GED_LIMIT`] nodes: a
+/// search state is a fixed-size value (use [`ged`], which dispatches).
 pub fn ged_exact(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> GedResult {
-    #[derive(PartialEq, Eq)]
+    #[derive(Clone, Copy, PartialEq, Eq)]
     struct State {
         g: u64,
         depth: usize,
-        /// mapping[i] = Some(j) substitution, Some(usize::MAX as u32) = deleted
-        mapping: Vec<u32>,
-        used: Vec<bool>,
+        /// mapping[i] = j for a substitution, DELETED for a deletion
+        mapping: [u8; EXACT_GED_LIMIT],
+        /// bit j set = `g2` node j is some decided node's image
+        used: u8,
     }
     impl Ord for State {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -183,64 +206,51 @@ pub fn ged_exact(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> GedRes
         }
     }
 
-    const DELETED: u32 = u32::MAX;
+    const DELETED: u8 = u8::MAX;
     let n1 = g1.node_count();
     let n2 = g2.node_count();
+    assert!(
+        n1.max(n2) <= EXACT_GED_LIMIT,
+        "exact edit distance is limited to {EXACT_GED_LIMIT} nodes"
+    );
+    let e1 = g1.edge_table();
+    let e2 = g2.edge_table();
 
     let mut heap: BinaryHeap<State> = BinaryHeap::new();
     heap.push(State {
         g: 0,
         depth: 0,
-        mapping: Vec::new(),
-        used: vec![false; n2],
+        mapping: [DELETED; EXACT_GED_LIMIT],
+        used: 0,
     });
     let mut best = u64::MAX;
-    let mut best_mapping: Vec<u32> = Vec::new();
+    let mut best_mapping = [DELETED; EXACT_GED_LIMIT];
 
     while let Some(state) = heap.pop() {
         if state.g >= best {
             continue;
         }
+        let is_used = |j: usize| state.used >> j & 1 == 1;
         if state.depth == n1 {
             // Close the path: insert all unused g2 nodes + their edges.
-            let mut total = state.g;
-            for j in 0..n2 {
-                if !state.used[j] {
-                    total += costs.node_insert(g2.node_attr(NodeId(j as u32)));
-                }
-            }
-            // Edges of g2 with at least one unused endpoint are inserted.
-            for (a, b) in g2.edges() {
-                if !state.used[a.index()] || !state.used[b.index()] {
-                    total += costs.edge_insert(&g2.edge_attr(a, b).unwrap_or_default());
-                }
-            }
+            let total = state.g + insert_rest(g2, &e2, costs, is_used);
             if total < best {
                 best = total;
-                best_mapping = state.mapping.clone();
+                best_mapping = state.mapping;
             }
             continue;
         }
         let u = state.depth;
         let u_id = NodeId(u as u32);
         // Option A: substitute u with any unused j.
-        for j in 0..n2 {
-            if state.used[j] {
-                continue;
-            }
-            let j_id = NodeId(j as u32);
-            let mut g = state.g + costs.node_substitute(g1.node_attr(u_id), g2.node_attr(j_id));
+        for j in (0..n2).filter(|&j| !is_used(j)) {
+            let mut g =
+                state.g + costs.node_substitute(g1.node_attr(u_id), g2.node_attr(NodeId(j as u32)));
             // Edge costs against previously decided g1 nodes.
             for w in 0..u {
-                let w_id = NodeId(w as u32);
-                let e1 = g1.edge_attr(u_id, w_id);
                 let m = state.mapping[w];
-                let e2 = if m == DELETED {
-                    None
-                } else {
-                    g2.edge_attr(j_id, NodeId(m))
-                };
-                g += match (e1, e2) {
+                let image = (m != DELETED).then(|| e2[j * n2 + m as usize]).flatten();
+                g += match (e1[u * n1 + w], image) {
                     (Some(a), Some(b)) => costs.edge_substitute(&a, &b),
                     (Some(a), None) => costs.edge_delete(&a),
                     (None, Some(b)) => costs.edge_insert(&b),
@@ -250,41 +260,34 @@ pub fn ged_exact(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> GedRes
             if g >= best {
                 continue;
             }
-            let mut mapping = state.mapping.clone();
-            mapping.push(j as u32);
-            let mut used = state.used.clone();
-            used[j] = true;
-            heap.push(State {
+            let mut next = State {
                 g,
                 depth: u + 1,
-                mapping,
-                used,
-            });
+                used: state.used | 1 << j,
+                ..state
+            };
+            next.mapping[u] = j as u8;
+            heap.push(next);
         }
         // Option B: delete u (its edges to decided nodes are deleted too).
         let mut g = state.g + costs.node_delete(g1.node_attr(u_id));
-        for w in 0..u {
-            if let Some(a) = g1.edge_attr(u_id, NodeId(w as u32)) {
-                g += costs.edge_delete(&a);
-            }
+        for a in e1[u * n1..u * n1 + u].iter().flatten() {
+            g += costs.edge_delete(a);
         }
         // Edges from u to not-yet-decided g1 nodes will be charged when those
         // nodes are decided (mapping against DELETED yields edge_delete).
         if g < best {
-            let mut mapping = state.mapping.clone();
-            mapping.push(DELETED);
             heap.push(State {
                 g,
                 depth: u + 1,
-                mapping,
-                used: state.used,
+                ..state
             });
         }
     }
 
-    let mapping = best_mapping
+    let mapping = best_mapping[..n1]
         .iter()
-        .map(|&m| (m != DELETED).then_some(NodeId(m)))
+        .map(|&m| (m != DELETED).then_some(NodeId(u32::from(m))))
         .collect();
     GedResult {
         cost: best,
@@ -307,6 +310,7 @@ pub fn ged_bipartite(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> Ge
             exact: true,
         };
     }
+    let pricer = Pricer::new(g1, g2, costs);
     let mut cost = vec![vec![hungarian::INF; n]; n];
     for i in 0..n1 {
         let i_id = NodeId(i as u32);
@@ -321,41 +325,24 @@ pub fn ged_bipartite(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> Ge
             *cell = sub + edge_est;
         }
         // Deletion of i: node + incident edges.
-        let del_edges: u64 = g1
-            .neighbors(i_id)
-            .iter()
-            .map(|&w| costs.edge_delete(&g1.edge_attr(i_id, w).unwrap_or_default()))
-            .sum();
-        for j in 0..n1 {
-            cost[i][n2 + j] = hungarian::INF;
-        }
+        let row = pricer.e1[i * n1..(i + 1) * n1].iter().flatten();
+        let del_edges: u64 = row.map(|e| costs.edge_delete(e)).sum();
         cost[i][n2 + i] = costs.node_delete(g1.node_attr(i_id)) + del_edges;
     }
     for j in 0..n2 {
-        let j_id = NodeId(j as u32);
-        let ins_edges: u64 = g2
-            .neighbors(j_id)
-            .iter()
-            .map(|&w| costs.edge_insert(&g2.edge_attr(j_id, w).unwrap_or_default()))
-            .sum();
-        cost[n1 + j][..n2].fill(hungarian::INF);
-        cost[n1 + j][j] = costs.node_insert(g2.node_attr(j_id)) + ins_edges;
+        let row = pricer.e2[j * n2..(j + 1) * n2].iter().flatten();
+        let ins_edges: u64 = row.map(|e| costs.edge_insert(e)).sum();
+        cost[n1 + j][j] = costs.node_insert(g2.node_attr(NodeId(j as u32))) + ins_edges;
         // Dummy-to-dummy cells are free.
-        for i in 0..n1 {
-            cost[n1 + j][n2 + i] = 0;
-        }
+        cost[n1 + j][n2..].fill(0);
     }
     let (assign, _) = hungarian::solve(&cost);
-    let mut mapping: Vec<Option<NodeId>> = vec![None; n1];
-    for (i, m) in mapping.iter_mut().enumerate() {
-        let col = assign[i];
-        if col < n2 {
-            *m = Some(NodeId(col as u32));
-        }
-    }
-    let true_cost = mapping_cost(g1, g2, &mapping, costs);
+    let mapping: Vec<Option<NodeId>> = assign[..n1]
+        .iter()
+        .map(|&col| (col < n2).then_some(NodeId(col as u32)))
+        .collect();
     GedResult {
-        cost: true_cost,
+        cost: pricer.total(&mapping),
         mapping,
         exact: false,
     }
@@ -370,50 +357,103 @@ pub fn mapping_cost(
     mapping: &[Option<NodeId>],
     costs: &dyn MatchCosts,
 ) -> u64 {
-    assert_eq!(mapping.len(), g1.node_count(), "mapping length mismatch");
-    let mut total = 0u64;
-    let mut used = vec![false; g2.node_count()];
-    for (i, m) in mapping.iter().enumerate() {
-        let i_id = NodeId(i as u32);
-        match m {
-            Some(j) => {
-                assert!(!used[j.index()], "mapping must be injective");
-                used[j.index()] = true;
-                total += costs.node_substitute(g1.node_attr(i_id), g2.node_attr(*j));
-            }
-            None => total += costs.node_delete(g1.node_attr(i_id)),
+    Pricer::new(g1, g2, costs).total(mapping)
+}
+
+/// Prices node mappings `g1 → g2` against dense edge tables built once:
+/// [`mapping_cost`] is one [`Pricer::total`], the bipartite heuristic
+/// reads its rows, and [`refine_mapping`] re-prices only the terms a swap
+/// touches. An edit path's cost is a sum of per-node terms
+/// ([`Pricer::node`]), per-pair terms over `g1`'s node pairs
+/// ([`Pricer::pair`]) and the insertion of whatever part of `g2` the
+/// mapping's image leaves out.
+struct Pricer<'a> {
+    g1: &'a Topology,
+    g2: &'a Topology,
+    costs: &'a dyn MatchCosts,
+    e1: Vec<Option<EdgeAttr>>,
+    e2: Vec<Option<EdgeAttr>>,
+}
+
+impl<'a> Pricer<'a> {
+    fn new(g1: &'a Topology, g2: &'a Topology, costs: &'a dyn MatchCosts) -> Self {
+        Pricer {
+            g1,
+            g2,
+            costs,
+            e1: g1.edge_table(),
+            e2: g2.edge_table(),
         }
     }
-    for (j, &u) in used.iter().enumerate() {
-        if !u {
-            total += costs.node_insert(g2.node_attr(NodeId(j as u32)));
+
+    /// Substitution or deletion of `g1` node `i`.
+    fn node(&self, mapping: &[Option<NodeId>], i: usize) -> u64 {
+        let attr = self.g1.node_attr(NodeId(i as u32));
+        match mapping[i] {
+            Some(j) => self.costs.node_substitute(attr, self.g2.node_attr(j)),
+            None => self.costs.node_delete(attr),
         }
     }
-    // Requested edges: substituted if image edge exists, else deleted.
-    for (a, b) in g1.edges() {
-        let attr = g1.edge_attr(a, b).unwrap_or_default();
-        match (mapping[a.index()], mapping[b.index()]) {
-            (Some(ma), Some(mb)) => match g2.edge_attr(ma, mb) {
-                Some(e2) => total += costs.edge_substitute(&attr, &e2),
-                None => total += costs.edge_delete(&attr),
-            },
-            _ => total += costs.edge_delete(&attr),
-        }
-    }
-    // Candidate edges with no pre-image are insertions.
-    let mut preimage = vec![None; g2.node_count()];
-    for (i, m) in mapping.iter().enumerate() {
-        if let Some(j) = m {
-            preimage[j.index()] = Some(i);
-        }
-    }
-    for (a, b) in g2.edges() {
-        let covered = match (preimage[a.index()], preimage[b.index()]) {
-            (Some(pa), Some(pb)) => g1.has_edge(NodeId(pa as u32), NodeId(pb as u32)),
-            _ => false,
+
+    /// The edge term of `g1` nodes `p != q`: a requested edge is
+    /// substituted if its image edge exists, else deleted; an image edge
+    /// with no requested edge behind it is an insertion.
+    fn pair(&self, mapping: &[Option<NodeId>], p: usize, q: usize) -> u64 {
+        let image = match (mapping[p], mapping[q]) {
+            (Some(mp), Some(mq)) => self.e2[mp.index() * self.g2.node_count() + mq.index()],
+            _ => None,
         };
-        if !covered {
-            total += costs.edge_insert(&g2.edge_attr(a, b).unwrap_or_default());
+        match (self.e1[p * self.g1.node_count() + q], image) {
+            (Some(a), Some(b)) => self.costs.edge_substitute(&a, &b),
+            (Some(a), None) => self.costs.edge_delete(&a),
+            (None, Some(b)) => self.costs.edge_insert(&b),
+            (None, None) => 0,
+        }
+    }
+
+    /// Exact cost of the edit path `mapping` induces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping` does not give every `g1` node an entry or uses
+    /// a `g2` node twice.
+    fn total(&self, mapping: &[Option<NodeId>]) -> u64 {
+        let (n1, n2) = (self.g1.node_count(), self.g2.node_count());
+        assert_eq!(mapping.len(), n1, "mapping length mismatch");
+        let mut used = vec![false; n2];
+        for j in mapping.iter().flatten() {
+            assert!(!used[j.index()], "mapping must be injective");
+            used[j.index()] = true;
+        }
+        let mut total = 0u64;
+        for p in 0..n1 {
+            total += self.node(mapping, p);
+            total += (p + 1..n1).map(|q| self.pair(mapping, p, q)).sum::<u64>();
+        }
+        // Candidate edges inside the image are pair terms above.
+        total + insert_rest(self.g2, &self.e2, self.costs, |j| used[j])
+    }
+}
+
+/// Cost of inserting the part of `g2` that a mapping's image leaves out:
+/// every node `is_used` rejects and every edge (of the dense table `e2`)
+/// with such an endpoint.
+fn insert_rest(
+    g2: &Topology,
+    e2: &[Option<EdgeAttr>],
+    costs: &dyn MatchCosts,
+    is_used: impl Fn(usize) -> bool,
+) -> u64 {
+    let n2 = g2.node_count();
+    let mut total = 0;
+    for a in 0..n2 {
+        if !is_used(a) {
+            total += costs.node_insert(g2.node_attr(NodeId(a as u32)));
+        }
+        for b in (a + 1..n2).filter(|&b| !(is_used(a) && is_used(b))) {
+            if let Some(e) = e2[a * n2 + b] {
+                total += costs.edge_insert(&e);
+            }
         }
     }
     total
@@ -426,6 +466,10 @@ pub fn mapping_cost(
 /// node costs ignore global edge structure) and is what untangles a
 /// pipeline chain into a snake through the candidate region.
 ///
+/// A swap of the images of `i` and `j` leaves the image set alone, so it
+/// moves only the node terms of `i` and `j` and their pair terms with
+/// every other node: each swap is priced by that O(n) difference.
+///
 /// Returns the refined mapping and its cost.
 pub fn refine_mapping(
     g1: &Topology,
@@ -434,15 +478,25 @@ pub fn refine_mapping(
     costs: &dyn MatchCosts,
     max_passes: usize,
 ) -> (Vec<Option<NodeId>>, u64) {
+    let pricer = Pricer::new(g1, g2, costs);
     let mut best = mapping.to_vec();
-    let mut best_cost = mapping_cost(g1, g2, &best, costs);
+    let mut best_cost = pricer.total(&best);
     let n = best.len();
+    let touching = |m: &[Option<NodeId>], i: usize, j: usize| {
+        let others = (0..n).filter(|&q| q != i && q != j);
+        pricer.node(m, i)
+            + pricer.node(m, j)
+            + others
+                .map(|q| pricer.pair(m, i, q) + pricer.pair(m, j, q))
+                .sum::<u64>()
+    };
     for _ in 0..max_passes {
         let mut improved = false;
         for i in 0..n {
             for j in (i + 1)..n {
+                let before = touching(&best, i, j);
                 best.swap(i, j);
-                let c = mapping_cost(g1, g2, &best, costs);
+                let c = best_cost - before + touching(&best, i, j);
                 if c < best_cost {
                     best_cost = c;
                     improved = true;
@@ -456,6 +510,324 @@ pub fn refine_mapping(
         }
     }
     (best, best_cost)
+}
+
+#[cfg(test)]
+mod reference {
+    //! The kernels this module replaced, kept verbatim as differential
+    //! oracles: the A\* whose states own `Vec`s and ask the edge map, the
+    //! edge-walking `mapping_cost`, and the 2-opt loop that re-prices the
+    //! whole mapping for every swap. The campaigns hold the replacements
+    //! to identical results — mappings included, not only costs.
+
+    use super::*;
+    use crate::testing::{connected_subset, relabeled, sprinkle_kinds, Rng};
+
+    fn ged_exact(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> GedResult {
+        #[derive(PartialEq, Eq)]
+        struct State {
+            g: u64,
+            depth: usize,
+            /// mapping[i] = Some(j) substitution, Some(usize::MAX as u32) = deleted
+            mapping: Vec<u32>,
+            used: Vec<bool>,
+        }
+        impl Ord for State {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                // Max-heap on Reverse(g), tie-break deeper first for faster goal.
+                other
+                    .g
+                    .cmp(&self.g)
+                    .then_with(|| self.depth.cmp(&other.depth))
+            }
+        }
+        impl PartialOrd for State {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        const DELETED: u32 = u32::MAX;
+        let n1 = g1.node_count();
+        let n2 = g2.node_count();
+
+        let mut heap: BinaryHeap<State> = BinaryHeap::new();
+        heap.push(State {
+            g: 0,
+            depth: 0,
+            mapping: Vec::new(),
+            used: vec![false; n2],
+        });
+        let mut best = u64::MAX;
+        let mut best_mapping: Vec<u32> = Vec::new();
+
+        while let Some(state) = heap.pop() {
+            if state.g >= best {
+                continue;
+            }
+            if state.depth == n1 {
+                // Close the path: insert all unused g2 nodes + their edges.
+                let mut total = state.g;
+                for j in 0..n2 {
+                    if !state.used[j] {
+                        total += costs.node_insert(g2.node_attr(NodeId(j as u32)));
+                    }
+                }
+                // Edges of g2 with at least one unused endpoint are inserted.
+                for (a, b) in g2.edges() {
+                    if !state.used[a.index()] || !state.used[b.index()] {
+                        total += costs.edge_insert(&g2.edge_attr(a, b).unwrap_or_default());
+                    }
+                }
+                if total < best {
+                    best = total;
+                    best_mapping = state.mapping.clone();
+                }
+                continue;
+            }
+            let u = state.depth;
+            let u_id = NodeId(u as u32);
+            // Option A: substitute u with any unused j.
+            for j in 0..n2 {
+                if state.used[j] {
+                    continue;
+                }
+                let j_id = NodeId(j as u32);
+                let mut g = state.g + costs.node_substitute(g1.node_attr(u_id), g2.node_attr(j_id));
+                // Edge costs against previously decided g1 nodes.
+                for w in 0..u {
+                    let w_id = NodeId(w as u32);
+                    let e1 = g1.edge_attr(u_id, w_id);
+                    let m = state.mapping[w];
+                    let e2 = if m == DELETED {
+                        None
+                    } else {
+                        g2.edge_attr(j_id, NodeId(m))
+                    };
+                    g += match (e1, e2) {
+                        (Some(a), Some(b)) => costs.edge_substitute(&a, &b),
+                        (Some(a), None) => costs.edge_delete(&a),
+                        (None, Some(b)) => costs.edge_insert(&b),
+                        (None, None) => 0,
+                    };
+                }
+                if g >= best {
+                    continue;
+                }
+                let mut mapping = state.mapping.clone();
+                mapping.push(j as u32);
+                let mut used = state.used.clone();
+                used[j] = true;
+                heap.push(State {
+                    g,
+                    depth: u + 1,
+                    mapping,
+                    used,
+                });
+            }
+            // Option B: delete u (its edges to decided nodes are deleted too).
+            let mut g = state.g + costs.node_delete(g1.node_attr(u_id));
+            for w in 0..u {
+                if let Some(a) = g1.edge_attr(u_id, NodeId(w as u32)) {
+                    g += costs.edge_delete(&a);
+                }
+            }
+            // Edges from u to not-yet-decided g1 nodes will be charged when those
+            // nodes are decided (mapping against DELETED yields edge_delete).
+            if g < best {
+                let mut mapping = state.mapping.clone();
+                mapping.push(DELETED);
+                heap.push(State {
+                    g,
+                    depth: u + 1,
+                    mapping,
+                    used: state.used,
+                });
+            }
+        }
+
+        let mapping = best_mapping
+            .iter()
+            .map(|&m| (m != DELETED).then_some(NodeId(m)))
+            .collect();
+        GedResult {
+            cost: best,
+            mapping,
+            exact: true,
+        }
+    }
+
+    fn mapping_cost(
+        g1: &Topology,
+        g2: &Topology,
+        mapping: &[Option<NodeId>],
+        costs: &dyn MatchCosts,
+    ) -> u64 {
+        assert_eq!(mapping.len(), g1.node_count(), "mapping length mismatch");
+        let mut total = 0u64;
+        let mut used = vec![false; g2.node_count()];
+        for (i, m) in mapping.iter().enumerate() {
+            let i_id = NodeId(i as u32);
+            match m {
+                Some(j) => {
+                    assert!(!used[j.index()], "mapping must be injective");
+                    used[j.index()] = true;
+                    total += costs.node_substitute(g1.node_attr(i_id), g2.node_attr(*j));
+                }
+                None => total += costs.node_delete(g1.node_attr(i_id)),
+            }
+        }
+        for (j, &u) in used.iter().enumerate() {
+            if !u {
+                total += costs.node_insert(g2.node_attr(NodeId(j as u32)));
+            }
+        }
+        // Requested edges: substituted if image edge exists, else deleted.
+        for (a, b) in g1.edges() {
+            let attr = g1.edge_attr(a, b).unwrap_or_default();
+            match (mapping[a.index()], mapping[b.index()]) {
+                (Some(ma), Some(mb)) => match g2.edge_attr(ma, mb) {
+                    Some(e2) => total += costs.edge_substitute(&attr, &e2),
+                    None => total += costs.edge_delete(&attr),
+                },
+                _ => total += costs.edge_delete(&attr),
+            }
+        }
+        // Candidate edges with no pre-image are insertions.
+        let mut preimage = vec![None; g2.node_count()];
+        for (i, m) in mapping.iter().enumerate() {
+            if let Some(j) = m {
+                preimage[j.index()] = Some(i);
+            }
+        }
+        for (a, b) in g2.edges() {
+            let covered = match (preimage[a.index()], preimage[b.index()]) {
+                (Some(pa), Some(pb)) => g1.has_edge(NodeId(pa as u32), NodeId(pb as u32)),
+                _ => false,
+            };
+            if !covered {
+                total += costs.edge_insert(&g2.edge_attr(a, b).unwrap_or_default());
+            }
+        }
+        total
+    }
+
+    fn refine_mapping(
+        g1: &Topology,
+        g2: &Topology,
+        mapping: &[Option<NodeId>],
+        costs: &dyn MatchCosts,
+        max_passes: usize,
+    ) -> (Vec<Option<NodeId>>, u64) {
+        let mut best = mapping.to_vec();
+        let mut best_cost = mapping_cost(g1, g2, &best, costs);
+        let n = best.len();
+        for _ in 0..max_passes {
+            let mut improved = false;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    best.swap(i, j);
+                    let c = mapping_cost(g1, g2, &best, costs);
+                    if c < best_cost {
+                        best_cost = c;
+                        improved = true;
+                    } else {
+                        best.swap(i, j);
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        (best, best_cost)
+    }
+
+    /// A connected region of a 6x6 mesh as a graph of its own, under
+    /// random labels, with memory distances, and — `dressed` — random node
+    /// kinds and edge costs.
+    fn region(k: usize, dressed: bool, rng: &mut Rng) -> Topology {
+        let mut mesh = Topology::mesh2d(6, 6);
+        mesh.annotate_mem_distance(&[NodeId(0), NodeId(35)]);
+        let mut t = relabeled(
+            &mesh.induced_subgraph(&connected_subset(&mesh, k, rng)).0,
+            rng,
+        );
+        if dressed {
+            sprinkle_kinds(&mut t, rng);
+            for (a, b) in t.edges().collect::<Vec<_>>() {
+                let cost = 1 + rng.below(3) as u64;
+                t.add_edge_with(a, b, EdgeAttr { cost }).unwrap();
+            }
+        }
+        t
+    }
+
+    fn cost_models() -> [&'static dyn MatchCosts; 2] {
+        const HETERO: HeteroCosts = HeteroCosts {
+            kind_penalty: 4,
+            mem_distance_weight: 1,
+        };
+        [&UniformCosts, &HETERO]
+    }
+
+    #[test]
+    fn exact_search_matches_the_vec_cloning_reference() {
+        const PAIRS: usize = 600;
+        let mut rng = Rng(0x5EED_1019);
+        let mut nonzero = 0;
+        for case in 0..PAIRS {
+            let g1 = region(1 + rng.below(EXACT_GED_LIMIT), case % 2 == 1, &mut rng);
+            let g2 = region(1 + rng.below(EXACT_GED_LIMIT), case % 4 >= 2, &mut rng);
+            for costs in cost_models() {
+                let got = super::ged_exact(&g1, &g2, costs);
+                assert_eq!(got, ged_exact(&g1, &g2, costs), "case {case}");
+                nonzero += usize::from(got.cost > 0);
+            }
+        }
+        println!("exact-GED campaign: {PAIRS} pairs x 2 cost models, identical results");
+        assert!(nonzero > PAIRS, "too few non-trivial distances: {nonzero}");
+    }
+
+    #[test]
+    fn delta_refinement_matches_the_full_recompute_reference() {
+        const CASES: usize = 1_200;
+        let mut rng = Rng(0x5EED_2019);
+        // Starts that refinement improved: total, partial.
+        let mut improved = [0usize; 2];
+        for case in 0..CASES {
+            let n1 = 2 + rng.below(11);
+            let g1 = region(n1, case % 2 == 1, &mut rng);
+            let partial = case % 3 == 0;
+            // A partial start leaves some requested nodes unmapped and
+            // may leave candidate nodes over.
+            let n2 = if partial { 1 + rng.below(n1 + 2) } else { n1 };
+            let g2 = region(n2, case % 4 >= 2, &mut rng);
+            let mut images: Vec<Option<NodeId>> = (0..n2 as u32).map(|j| Some(NodeId(j))).collect();
+            images.resize(n1.max(n2), None);
+            for i in (1..images.len()).rev() {
+                images.swap(i, rng.below(i + 1));
+            }
+            images.truncate(n1);
+            for costs in cost_models() {
+                let start = mapping_cost(&g1, &g2, &images, costs);
+                assert_eq!(super::mapping_cost(&g1, &g2, &images, costs), start);
+                let got = super::refine_mapping(&g1, &g2, &images, costs, 8);
+                assert_eq!(
+                    got,
+                    refine_mapping(&g1, &g2, &images, costs, 8),
+                    "case {case}"
+                );
+                improved[usize::from(partial)] += usize::from(got.1 < start);
+            }
+        }
+        println!(
+            "2-opt campaign: {CASES} starts x 2 cost models, identical (mapping, cost); \
+             improved {} total and {} partial starts",
+            improved[0], improved[1]
+        );
+        assert!(improved.iter().all(|&n| n > 0), "refinement never ran");
+    }
 }
 
 #[cfg(test)]

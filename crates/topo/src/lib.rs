@@ -138,3 +138,68 @@ impl std::error::Error for TopoError {}
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, TopoError>;
+
+#[cfg(test)]
+pub(crate) mod testing {
+    //! Seeded inputs shared by the kernels' differential campaigns.
+
+    use crate::{NodeId, NodeKind, Topology};
+
+    /// The campaigns' only source of randomness: splitmix64 over a counter.
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            self.0 += 1;
+            (crate::cache::mix(self.0) % n as u64) as usize
+        }
+    }
+
+    /// A connected `k`-node subset of connected `t`, sorted: grown from a
+    /// random node by random picks among the nodes adjacent to it so far.
+    pub(crate) fn connected_subset(t: &Topology, k: usize, rng: &mut Rng) -> Vec<NodeId> {
+        let mut cells = vec![NodeId(rng.below(t.node_count()) as u32)];
+        while cells.len() < k {
+            let frontier: Vec<NodeId> = cells
+                .iter()
+                .flat_map(|&c| t.neighbors(c).iter().copied())
+                .filter(|n| !cells.contains(n))
+                .collect();
+            cells.push(frontier[rng.below(frontier.len())]);
+        }
+        cells.sort_unstable();
+        cells
+    }
+
+    /// Gives about a quarter of `t`'s nodes a random non-default kind.
+    pub(crate) fn sprinkle_kinds(t: &mut Topology, rng: &mut Rng) {
+        for node in t.nodes().collect::<Vec<_>>() {
+            if rng.below(4) == 0 {
+                t.node_attr_mut(node).kind = [
+                    NodeKind::MatrixOptimized,
+                    NodeKind::VectorOptimized,
+                    NodeKind::MemoryInterface,
+                ][rng.below(3)];
+            }
+        }
+    }
+
+    /// `t` under a random relabeling, node and edge attributes carried along.
+    pub(crate) fn relabeled(t: &Topology, rng: &mut Rng) -> Topology {
+        let n = t.node_count();
+        let mut to: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            to.swap(i, rng.below(i + 1));
+        }
+        let mut out = Topology::empty(n);
+        for node in t.nodes() {
+            *out.node_attr_mut(NodeId(to[node.index()])) = *t.node_attr(node);
+        }
+        for (a, b) in t.edges() {
+            let attr = t.edge_attr(a, b).expect("listed by `edges`");
+            out.add_edge_with(NodeId(to[a.index()]), NodeId(to[b.index()]), attr)
+                .expect("a permutation of valid endpoints");
+        }
+        out
+    }
+}

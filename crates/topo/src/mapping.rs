@@ -30,7 +30,6 @@ use crate::canonical::{canonical_key, find_isomorphism, CanonicalKey};
 use crate::enumerate::{self, Visit, DEFAULT_CANDIDATE_CAP};
 use crate::ged::{self, GedResult, MatchCosts, UniformCosts};
 use crate::{NodeId, Result, TopoError, Topology};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Which allocation algorithm a [`Strategy`] runs.
@@ -427,7 +426,8 @@ impl<'a> Mapper<'a> {
         // exhaustion proof.
         let req_key = canonical_key(req);
         let mut found = None;
-        let mut seen: HashSet<CanonicalKey> = HashSet::new();
+        // Keys seen so far, sorted.
+        let mut seen: Vec<CanonicalKey> = Vec::new();
         let mut candidates: Vec<Vec<NodeId>> = Vec::new();
         enumerate::enumerate_connected_in(self.phys, free, req.node_count(), cap, |cells| {
             let (sub, back) = self.phys.induced_subgraph(cells);
@@ -438,8 +438,11 @@ impl<'a> Mapper<'a> {
                     return Visit::Stop;
                 }
             }
-            if collect && seen.insert(key) {
-                candidates.push(cells.to_vec());
+            if collect {
+                if let Err(at) = seen.binary_search(&key) {
+                    seen.insert(at, key);
+                    candidates.push(cells.to_vec());
+                }
             }
             Visit::Continue
         });
@@ -454,33 +457,37 @@ impl<'a> Mapper<'a> {
             Walk::Exact(m) => return Ok(m),
             Walk::Candidates(candidates) => candidates,
         };
-        // Lines 30–32: TED scoring.
+        // Lines 30–32: TED scoring, one subgraph per candidate. Only the
+        // best few (lowest cost, earliest first) go on to refinement, so
+        // only theirs are kept.
         let costs = strategy.costs.as_ref();
-        let results: Vec<GedResult> = candidates
-            .iter()
-            .map(|cells| ged::ged(req, &self.phys.induced_subgraph(cells).0, costs))
-            .collect();
-        // Refine the best few candidates with 2-opt swaps (the bipartite
-        // assignment ignores global edge structure). Pipeline-style
-        // requests (virtual IDs in dataflow order) additionally get a
-        // serpentine seed — a snake through the candidate region — which
-        // is usually the natural embedding for chains.
-        let mut order: Vec<usize> = (0..results.len()).collect();
-        order.sort_by_key(|&i| results[i].cost);
+        let mut top: Vec<(GedResult, Topology, &[NodeId])> = Vec::new();
+        for cells in &candidates {
+            let (sub, _) = self.phys.induced_subgraph(cells);
+            let scored = ged::ged(req, &sub, costs);
+            let rank = top.partition_point(|(r, ..)| r.cost <= scored.cost);
+            if rank < REFINE_TOP_CANDIDATES {
+                top.truncate(REFINE_TOP_CANDIDATES - 1);
+                top.insert(rank, (scored, sub, cells));
+            }
+        }
+        // Refine them with 2-opt swaps (the bipartite assignment ignores
+        // global edge structure). Pipeline-style requests (virtual IDs in
+        // dataflow order) additionally get a serpentine seed — a snake
+        // through the candidate region — which is usually the natural
+        // embedding for chains.
         let mut best: Option<(u64, Vec<NodeId>)> = None;
-        for &i in order.iter().take(REFINE_TOP_CANDIDATES) {
-            let cells = &candidates[i];
-            let (sub, back) = self.phys.induced_subgraph(cells);
+        for (scored, sub, cells) in &top {
             let starts = [
-                complete_option_mapping(&results[i].mapping, cells.len()),
+                complete_option_mapping(&scored.mapping, cells.len()),
                 self.serpentine_mapping(cells),
             ];
             for start in starts {
-                let (refined, cost) = ged::refine_mapping(req, &sub, &start, costs, 8);
+                let (refined, cost) = ged::refine_mapping(req, sub, &start, costs, 8);
                 if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     let phys_nodes = refined
                         .iter()
-                        .map(|m| back[m.expect("2-opt swaps keep a total mapping total").index()])
+                        .map(|m| cells[m.expect("2-opt swaps keep a total mapping total").index()])
                         .collect();
                     best = Some((cost, phys_nodes));
                 }
@@ -587,6 +594,8 @@ mod reference {
     //! `Result<Mapping>`s over random free regions.
 
     use super::*;
+    use crate::testing::Rng;
+    use std::collections::HashSet;
 
     impl Mapper<'_> {
         /// The reference search for the two enumerating strategy kinds;
@@ -722,16 +731,6 @@ mod reference {
                 exact_distance: exact,
                 connected: true,
             })
-        }
-    }
-
-    /// The campaign's only source of randomness: splitmix64 over a counter.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 += 1;
-            (crate::cache::mix(self.0) % n as u64) as usize
         }
     }
 
@@ -872,6 +871,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::Topology;
+    use std::collections::HashSet;
 
     fn free_except(t: &Topology, taken: &[u32]) -> Vec<NodeId> {
         t.nodes().filter(|n| !taken.contains(&n.0)).collect()

@@ -429,25 +429,40 @@ impl Topology {
     /// Node and edge attributes are copied. The result is never a mesh (no
     /// shape metadata), even if the subset happens to form one.
     pub fn induced_subgraph(&self, subset: &[NodeId]) -> (Topology, Vec<NodeId>) {
-        let mut index_of = std::collections::HashMap::with_capacity(subset.len());
+        const ABSENT: u32 = u32::MAX;
+        let mut index_of = vec![ABSENT; self.node_count()];
         for (i, &n) in subset.iter().enumerate() {
-            index_of.insert(n, NodeId(i as u32));
+            index_of[n.index()] = i as u32;
         }
         let mut sub = Topology::empty(subset.len());
         for (i, &n) in subset.iter().enumerate() {
             sub.nodes[i] = self.nodes[n.index()];
-        }
-        for (i, &n) in subset.iter().enumerate() {
             for &nb in self.neighbors(n) {
-                if let Some(&j) = index_of.get(&nb) {
-                    if NodeId(i as u32) < j {
-                        let attr = self.edge_attr(n, nb).unwrap_or_default();
-                        sub.add_edge_with(NodeId(i as u32), j, attr).unwrap();
-                    }
+                let j = index_of[nb.index()];
+                if j != ABSENT && (i as u32) < j {
+                    let attr = self.edge_attr(n, nb).unwrap_or_default();
+                    sub.edges.insert((NodeId(i as u32), NodeId(j)), attr);
+                    sub.adj[i].push(NodeId(j));
+                    sub.adj[j as usize].push(NodeId(i as u32));
                 }
             }
         }
+        for list in &mut sub.adj {
+            list.sort_unstable();
+        }
         (sub, subset.to_vec())
+    }
+
+    /// Dense `n × n` edge-attribute table (row-major, symmetric): the O(1)
+    /// `edge_attr` of the kernels that ask about the same graph in a loop.
+    pub(crate) fn edge_table(&self) -> Vec<Option<EdgeAttr>> {
+        let n = self.node_count();
+        let mut table = vec![None; n * n];
+        for (&(a, b), &attr) in &self.edges {
+            table[a.index() * n + b.index()] = Some(attr);
+            table[b.index() * n + a.index()] = Some(attr);
+        }
+        table
     }
 
     /// Recomputes each node's `mem_distance` attribute as the BFS hop

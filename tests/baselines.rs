@@ -103,3 +103,184 @@ fn noc_isolation_does_not_cost_performance_on_regular_allocations() {
         "confinement on a rectangle must be free: {ratio:.3}"
     );
 }
+
+/// One cell's simulated counters, rendered: the five report scalars,
+/// then `core:lookups/hits/misses/probe_reads/cycles` per bound thread.
+fn counters(report: &vnpu_sim::Report) -> String {
+    let mut line = format!(
+        "makespan={} noc_packets={} noc_contention={} hbm_wait={} translation={} |",
+        report.makespan(),
+        report.noc_packets(),
+        report.noc_contention_cycles(),
+        report.hbm_wait_cycles(),
+        report.translation_cycles(),
+    );
+    for (core, s) in report.translator_stats() {
+        line.push_str(&format!(
+            " {core}:{}/{}/{}/{}/{}",
+            s.lookups, s.hits, s.misses, s.probe_reads, s.cycles
+        ));
+    }
+    line
+}
+
+/// The paper cells the benchmark's `paper_static` runs (same models,
+/// options and provisioning), one row per figure: Fig. 14 ResNet18 ×
+/// the four memory modes, Fig. 15 transformer block 128 × {vNPU,
+/// UVM-32}, Fig. 16 36-core GPT2-small + ResNet34 × {vNPU, bare metal,
+/// MIG}.
+fn paper_cells() -> Vec<(&'static str, String)> {
+    use vnpu::mig::MigPartitioner;
+    use vnpu_bench::{bind_design, bind_mig, Design};
+    use vnpu_workloads::compile::Residency;
+
+    let options = |iterations, residency| CompileOptions {
+        iterations,
+        residency,
+        weight_va_base: vnpu::vnpu::GUEST_VA_BASE,
+        ..Default::default()
+    };
+    let run = |mut machine: Machine| counters(&machine.run().expect("cell runs"));
+    let mut cells = Vec::new();
+
+    let fpga = SocConfig::fpga();
+    let out = compile(
+        &models::resnet18(),
+        8,
+        &fpga,
+        &options(16, Residency::Streamed),
+    )
+    .expect("compile");
+    for (name, mode) in [
+        ("fig14/resnet18/physical", MemMode::Physical),
+        ("fig14/resnet18/range4", MemMode::Range { tlb_entries: 4 }),
+        ("fig14/resnet18/page32", MemMode::Page { tlb_entries: 32 }),
+        ("fig14/resnet18/page4", MemMode::Page { tlb_entries: 4 }),
+    ] {
+        let mut hv = Hypervisor::new(fpga.clone());
+        let mem = (out.va_footprint + (1 << 20)).max(64 << 20);
+        let vm = hv
+            .create_vnpu(VnpuRequest::mesh(4, 2).mem_bytes(mem))
+            .expect("create");
+        let mut machine = Machine::new(fpga.clone());
+        let design = Design::VnpuWith(mode, RoutePolicy::Dor);
+        bind_design(&mut machine, &hv, vm, &out.programs, design, "resnet18");
+        cells.push((name, run(machine)));
+    }
+
+    let sim = SocConfig::sim();
+    let out = compile(
+        &models::transformer_block(128, 16),
+        4,
+        &sim,
+        &options(32, Residency::Auto),
+    )
+    .expect("compile");
+    for (name, design) in [
+        ("fig15/transformer_block_128/vnpu", Design::Vnpu),
+        (
+            "fig15/transformer_block_128/uvm32",
+            Design::Uvm { iotlb: 32 },
+        ),
+    ] {
+        let mut hv = Hypervisor::new(sim.clone());
+        let vm = hv
+            .create_vnpu(VnpuRequest::mesh(2, 2).mem_bytes(64 << 20))
+            .expect("create");
+        let mut machine = Machine::new(sim.clone());
+        bind_design(&mut machine, &hv, vm, &out.programs, design, "block");
+        cells.push((name, run(machine)));
+    }
+
+    let opts = options(96, Residency::Auto);
+    let small = compile(&models::gpt2_small(), 12, &sim, &opts).expect("compile");
+    let big = compile(&models::resnet34(), 24, &sim, &opts).expect("compile");
+    for (name, design) in [
+        ("fig16/36c_gpt2s_resnet34/vnpu", Design::Vnpu),
+        ("fig16/36c_gpt2s_resnet34/bare", Design::BareMetal),
+    ] {
+        let mut hv = Hypervisor::new(sim.clone());
+        let a = hv
+            .create_vnpu(VnpuRequest::cores(12).mem_bytes(1 << 30))
+            .expect("create");
+        let b = hv
+            .create_vnpu(VnpuRequest::cores(24).mem_bytes(1 << 30))
+            .expect("create");
+        let mut machine = Machine::new(sim.clone());
+        bind_design(&mut machine, &hv, a, &small.programs, design, "gpt2s");
+        bind_design(&mut machine, &hv, b, &big.programs, design, "resnet34");
+        cells.push((name, run(machine)));
+    }
+    let mig_big = compile(&models::resnet34(), 18, &sim, &opts).expect("compile");
+    let mut mig = MigPartitioner::standard(&sim);
+    let alloc_a = mig.allocate(12).expect("partition");
+    let alloc_b = mig.allocate(18).expect("partition");
+    let mut machine = Machine::new(sim.clone());
+    bind_mig(&mut machine, &sim, &alloc_a, &small.programs, "gpt2s");
+    bind_mig(&mut machine, &sim, &alloc_b, &mig_big.programs, "resnet34");
+    cells.push(("fig16/36c_gpt2s_resnet34/mig", run(machine)));
+    cells
+}
+
+/// Absolute values of the reproduced paper cells, captured at the parent
+/// of the PR that rewrote the simulator's miss path (page table, IOTLB,
+/// packet arrivals): a change to `sim` or `mem` that moves any simulated
+/// number — not only a frame rate — fails here, printing the table to
+/// paste when the move is meant.
+#[test]
+fn paper_cells_are_pinned() {
+    let cells = paper_cells();
+    let pinned = cells.len() == PAPER_CELL_PINS.len()
+        && cells
+            .iter()
+            .zip(PAPER_CELL_PINS)
+            .all(|((name, line), (pin_name, pin))| name == pin_name && line == pin);
+    if !pinned {
+        let mut table = String::new();
+        for (name, line) in &cells {
+            table.push_str(&format!(
+                "    (\n        \"{name}\",\n        \"{line}\",\n    ),\n"
+            ));
+        }
+        panic!("paper cells moved; the simulator now yields:\n{table}");
+    }
+}
+
+const PAPER_CELL_PINS: &[(&str, &str)] = &[
+    (
+        "fig14/resnet18/physical",
+        "makespan=33121883 noc_packets=14800 noc_contention=6720 hbm_wait=2541612442 translation=0 | 0:96/96/0/0/0 1:288/288/0/0/0 2:288/288/0/0/0 3:288/288/0/0/0 4:864/864/0/0/0 5:2368/2368/0/0/0 6:26752/26752/0/0/0 7:60320/60320/0/0/0",
+    ),
+    (
+        "fig14/resnet18/range4",
+        "makespan=33122190 noc_packets=14800 noc_contention=6720 hbm_wait=2536158073 translation=91352 | 0:96/95/1/1/107 1:288/287/1/1/299 2:288/287/1/1/299 3:288/287/1/1/299 4:864/863/1/1/875 5:2368/2367/1/1/2379 6:26752/26751/1/1/26763 7:60320/60319/1/1/60331",
+    ),
+    (
+        "fig14/resnet18/page32",
+        "makespan=42517631 noc_packets=14800 noc_contention=6720 hbm_wait=75636291 translation=9057835 | 0:112/109/3/3/709 1:432/422/10/10/2422 2:432/422/10/10/2422 3:432/422/10/10/2422 4:1296/1268/28/28/6868 5:3552/2352/1200/1200/242352 6:40128/26736/13392/13392/2705136 7:90480/60304/30176/30176/6095504",
+    ),
+    (
+        "fig14/resnet18/page4",
+        "makespan=42640990 noc_packets=14800 noc_contention=6720 hbm_wait=31276542 translation=9230965 | 0:112/109/3/3/709 1:432/272/160/160/32272 2:432/272/160/160/32272 3:432/272/160/160/32272 4:1296/848/448/448/90448 5:3552/2352/1200/1200/242352 6:40128/26736/13392/13392/2705136 7:90480/60304/30176/30176/6095504",
+    ),
+    (
+        "fig15/transformer_block_128/vnpu",
+        "makespan=58791 noc_packets=352 noc_contention=0 hbm_wait=34235 translation=172 | 0:56/55/1/1/67 1:8/7/1/1/19 6:32/31/1/1/43 7:32/31/1/1/43",
+    ),
+    (
+        "fig15/transformer_block_128/uvm32",
+        "makespan=156667 noc_packets=0 noc_contention=0 hbm_wait=725389 translation=13170 | 0:184/169/15/15/3169 1:232/222/10/10/2222 6:224/205/19/19/4005 7:192/174/18/18/3774",
+    ),
+    (
+        "fig16/36c_gpt2s_resnet34/vnpu",
+        "makespan=8150956 noc_packets=172704 noc_contention=3266368 hbm_wait=2276614139 translation=54894 | 0:5760/5759/1/1/5771 1:3456/3455/1/1/3467 2:3456/3455/1/1/3467 3:3456/3455/1/1/3467 6:3456/3455/1/1/3467 7:3456/3455/1/1/3467 8:3456/3455/1/1/3467 9:3456/3455/1/1/3467 12:3456/3455/1/1/3467 13:3456/3455/1/1/3467 14:3456/3455/1/1/3467 15:3456/3455/1/1/3467 4:10/9/1/1/21 5:10/9/1/1/21 11:18/17/1/1/29 10:36/35/1/1/47 16:36/35/1/1/47 17:54/53/1/1/65 18:18/17/1/1/29 19:18/17/1/1/29 20:256/255/1/1/267 21:720/719/1/1/731 22:880/879/1/1/891 23:864/863/1/1/875 24:864/863/1/1/875 25:864/863/1/1/875 26:576/575/1/1/587 27:576/575/1/1/587 28:640/639/1/1/651 29:576/575/1/1/587 35:576/575/1/1/587 34:576/575/1/1/587 33:576/575/1/1/587 32:576/575/1/1/587 31:576/575/1/1/587 30:826/825/1/1/837",
+    ),
+    (
+        "fig16/36c_gpt2s_resnet34/bare",
+        "makespan=8150555 noc_packets=172704 noc_contention=2916388 hbm_wait=2299896858 translation=0 | 0:5760/5760/0/0/0 1:3456/3456/0/0/0 2:3456/3456/0/0/0 3:3456/3456/0/0/0 6:3456/3456/0/0/0 7:3456/3456/0/0/0 8:3456/3456/0/0/0 9:3456/3456/0/0/0 12:3456/3456/0/0/0 13:3456/3456/0/0/0 14:3456/3456/0/0/0 15:3456/3456/0/0/0 4:10/10/0/0/0 5:10/10/0/0/0 11:18/18/0/0/0 10:36/36/0/0/0 16:36/36/0/0/0 17:54/54/0/0/0 18:18/18/0/0/0 19:18/18/0/0/0 20:256/256/0/0/0 21:720/720/0/0/0 22:880/880/0/0/0 23:864/864/0/0/0 24:864/864/0/0/0 25:864/864/0/0/0 26:576/576/0/0/0 27:576/576/0/0/0 28:640/640/0/0/0 29:576/576/0/0/0 35:576/576/0/0/0 34:576/576/0/0/0 33:576/576/0/0/0 32:576/576/0/0/0 31:576/576/0/0/0 30:826/826/0/0/0",
+    ),
+    (
+        "fig16/36c_gpt2s_resnet34/mig",
+        "makespan=8088505 noc_packets=142272 noc_contention=10752 hbm_wait=1932825656 translation=0 | 0:5760/5760/0/0/0 1:3456/3456/0/0/0 2:3456/3456/0/0/0 6:3456/3456/0/0/0 7:3456/3456/0/0/0 8:3456/3456/0/0/0 12:3456/3456/0/0/0 13:3456/3456/0/0/0 14:3456/3456/0/0/0 18:3456/3456/0/0/0 19:3456/3456/0/0/0 20:3456/3456/0/0/0 3:5/5/0/0/0 4:5/5/0/0/0 5:18/18/0/0/0 9:18/18/0/0/0 10:18/18/0/0/0 11:18/18/0/0/0 15:18/18/0/0/0 16:130/130/0/0/0 17:864/864/0/0/0 21:1168/1168/0/0/0 22:1152/1152/0/0/0 23:1152/1152/0/0/0 27:1152/1152/0/0/0 28:640/640/0/0/0 29:1152/1152/0/0/0 33:1152/1152/0/0/0 34:1152/1152/0/0/0 35:826/826/0/0/0",
+    ),
+];

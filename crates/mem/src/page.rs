@@ -5,19 +5,38 @@
 //! A DMA chunk access walks every page it touches; each page lookup either
 //! hits the small LRU IOTLB or pays a full page-table walk, and a miss
 //! stalls the whole DMA queue behind it.
+//!
+//! The *modelled* hardware pays per page; the model itself does not. The
+//! table keeps one run per mapped range, not one node per page, and the
+//! IOTLB scans its entries once per lookup, so building, walking and
+//! dropping a translator costs the host what the mapping's shape costs,
+//! not what its size does.
 
-use crate::translate::{Translate, TranslateStats, Translation, TranslationCosts};
+use crate::translate::{last_byte, Translate, TranslateStats, Translation, TranslationCosts};
 use crate::{MemError, Perm, PhysAddr, Result, VirtAddr};
-use std::collections::BTreeMap;
 
-/// A flat (single-level, map-backed) page table with fixed-size pages.
+/// One mapped run: `pages` consecutive virtual pages from `vpn0` backed
+/// by consecutive physical pages from `pfn0`, all with `perm`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    vpn0: u64,
+    pfn0: u64,
+    pages: u64,
+    perm: Perm,
+}
+
+/// A flat (single-level) page table with fixed-size pages, held as the
+/// runs it was mapped in: a vector of disjoint `(vpn0, pfn0, pages,
+/// perm)` runs sorted by `vpn0`. Mapping a range is one insert and a
+/// lookup one binary search, whatever the range's size — the hypervisor
+/// maps whole buddy blocks, so a table is a handful of runs.
 ///
 /// The walk latency of a real multi-level table is modelled by
 /// [`TranslationCosts::page_walk`] rather than by structural levels.
 #[derive(Debug, Clone)]
 pub struct PageTable {
     page_size: u64,
-    map: BTreeMap<u64, (u64, Perm)>, // vpn -> (pfn, perm)
+    runs: Vec<Run>,
 }
 
 impl PageTable {
@@ -33,7 +52,7 @@ impl PageTable {
         );
         PageTable {
             page_size,
-            map: BTreeMap::new(),
+            runs: Vec::new(),
         }
     }
 
@@ -44,12 +63,12 @@ impl PageTable {
 
     /// Number of mapped pages.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.runs.iter().map(|r| r.pages).sum::<u64>() as usize
     }
 
     /// Whether the table maps no pages.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.runs.is_empty()
     }
 
     /// Maps the virtual range `[va, va + len)` to consecutive physical
@@ -58,33 +77,50 @@ impl PageTable {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::InvalidRange`] if either address is unaligned or
-    /// the range overlaps an existing mapping.
+    /// Returns [`MemError::InvalidRange`] if either address is unaligned,
+    /// `len` is zero, or the range overlaps an existing mapping.
     pub fn map_range(&mut self, va: VirtAddr, pa: PhysAddr, len: u64, perm: Perm) -> Result<()> {
         if va.value() % self.page_size != 0 || pa.value() % self.page_size != 0 || len == 0 {
             return Err(MemError::InvalidRange { va });
         }
-        let pages = len.div_ceil(self.page_size);
         let vpn0 = va.value() / self.page_size;
-        let pfn0 = pa.value() / self.page_size;
-        for i in 0..pages {
-            if self.map.contains_key(&(vpn0 + i)) {
-                return Err(MemError::InvalidRange { va });
-            }
+        let pages = len.div_ceil(self.page_size);
+        // Only one-byte pages can push a run past the last page number.
+        let Some(end) = vpn0.checked_add(pages) else {
+            return Err(MemError::InvalidRange { va });
+        };
+        let at = self.runs.partition_point(|r| r.vpn0 < vpn0);
+        let clear_below = at == 0 || {
+            let below = &self.runs[at - 1];
+            below.vpn0 + below.pages <= vpn0
+        };
+        let clear_above = self.runs.get(at).is_none_or(|above| end <= above.vpn0);
+        if !(clear_below && clear_above) {
+            return Err(MemError::InvalidRange { va });
         }
-        for i in 0..pages {
-            self.map.insert(vpn0 + i, (pfn0 + i, perm));
-        }
+        let run = Run {
+            vpn0,
+            pfn0: pa.value() / self.page_size,
+            pages,
+            perm,
+        };
+        self.runs.insert(at, run);
         Ok(())
+    }
+
+    /// The frame and permissions of virtual page `vpn`, if mapped.
+    fn lookup_vpn(&self, vpn: u64) -> Option<(u64, Perm)> {
+        let at = self.runs.partition_point(|r| r.vpn0 <= vpn);
+        let run = self.runs[..at].last()?;
+        let page = vpn - run.vpn0;
+        (page < run.pages).then(|| (run.pfn0 + page, run.perm))
     }
 
     /// Looks up the page containing `va`.
     pub fn lookup(&self, va: VirtAddr) -> Option<(PhysAddr, Perm)> {
-        let vpn = va.value() / self.page_size;
-        self.map.get(&vpn).map(|&(pfn, perm)| {
-            let off = va.value() % self.page_size;
-            (PhysAddr(pfn * self.page_size + off), perm)
-        })
+        let (pfn, perm) = self.lookup_vpn(va.value() / self.page_size)?;
+        let off = va.value() % self.page_size;
+        Some((PhysAddr(pfn * self.page_size + off), perm))
     }
 }
 
@@ -94,7 +130,11 @@ impl PageTable {
 pub struct PageTlb {
     capacity: usize,
     /// (vpn, pfn, perm, last-use tick), linear scan — capacities are 4–32.
+    /// Ticks are unique, so the least-recently-used entry is too.
     entries: Vec<(u64, u64, Perm, u64)>,
+    /// Slot of the most recently used entry: a DMA stream's bursts stay
+    /// on one page for many lookups, so it is tried before the scan.
+    mru: usize,
     tick: u64,
 }
 
@@ -109,6 +149,7 @@ impl PageTlb {
         PageTlb {
             capacity,
             entries: Vec::with_capacity(capacity),
+            mru: 0,
             tick: 0,
         }
     }
@@ -121,35 +162,47 @@ impl PageTlb {
     /// Looks up a virtual page number; refreshes LRU state on hit.
     pub fn lookup(&mut self, vpn: u64) -> Option<(u64, Perm)> {
         self.tick += 1;
-        let tick = self.tick;
-        for e in &mut self.entries {
-            if e.0 == vpn {
-                e.3 = tick;
-                return Some((e.1, e.2));
-            }
-        }
-        None
+        let slot = match self.entries.get(self.mru) {
+            Some(e) if e.0 == vpn => self.mru,
+            _ => self.entries.iter().position(|e| e.0 == vpn)?,
+        };
+        self.mru = slot;
+        let e = &mut self.entries[slot];
+        e.3 = self.tick;
+        Some((e.1, e.2))
     }
 
     /// Inserts a translation, evicting the least-recently-used entry when
     /// full.
     pub fn insert(&mut self, vpn: u64, pfn: u64, perm: Perm) {
+        match self.entries.iter().position(|e| e.0 == vpn) {
+            Some(slot) => {
+                self.tick += 1;
+                self.entries[slot] = (vpn, pfn, perm, self.tick);
+                self.mru = slot;
+            }
+            None => self.fill(vpn, pfn, perm),
+        }
+    }
+
+    /// [`PageTlb::insert`] for a `vpn` known to be absent — the lookup
+    /// that just missed it — replacing the LRU victim where it sits.
+    fn fill(&mut self, vpn: u64, pfn: u64, perm: Perm) {
         self.tick += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
-            *e = (vpn, pfn, perm, self.tick);
+        let entry = (vpn, pfn, perm, self.tick);
+        if self.entries.len() < self.capacity {
+            self.mru = self.entries.len();
+            self.entries.push(entry);
             return;
         }
-        if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.3)
-                .map(|(i, _)| i)
-                .expect("TLB non-empty when full");
-            self.entries.swap_remove(lru);
-        }
-        self.entries.push((vpn, pfn, perm, self.tick));
+        let (slot, victim) = self
+            .entries
+            .iter_mut()
+            .enumerate()
+            .min_by_key(|(_, e)| e.3)
+            .expect("capacity is positive, so a full TLB has entries");
+        *victim = entry;
+        self.mru = slot;
     }
 
     /// Drops all entries.
@@ -196,7 +249,7 @@ impl Translate for PageTranslator {
         }
         let ps = self.table.page_size();
         let first_vpn = va.value() / ps;
-        let last_vpn = (va.value() + len - 1) / ps;
+        let last_vpn = last_byte(va, len)? / ps;
         let mut cycles = 0u64;
         let mut all_hit = true;
         let mut first_pa = None;
@@ -213,13 +266,13 @@ impl Translate for PageTranslator {
                     self.stats.probe_reads += 1;
                     all_hit = false;
                     cycles += self.costs.page_walk;
-                    let page_va = VirtAddr(vpn * ps);
-                    let (pa, p) = self
-                        .table
-                        .lookup(page_va)
-                        .ok_or(MemError::TranslationFault { va: page_va })?;
-                    let pfn = pa.value() / ps;
-                    self.tlb.insert(vpn, pfn, p);
+                    let (pfn, p) =
+                        self.table
+                            .lookup_vpn(vpn)
+                            .ok_or(MemError::TranslationFault {
+                                va: VirtAddr(vpn * ps),
+                            })?;
+                    self.tlb.fill(vpn, pfn, p);
                     (pfn, p)
                 }
             };
@@ -385,5 +438,270 @@ mod tests {
     fn name_reflects_capacity() {
         let tr = PageTranslator::new(PageTable::new(4096), 32, TranslationCosts::default());
         assert_eq!(tr.name(), "iotlb-32");
+    }
+
+    #[test]
+    fn access_off_the_end_of_the_address_space_is_an_overrun() {
+        // `va + len - 1` wraps: an error, not an empty page walk.
+        let mut tr = PageTranslator::new(table_64k(), 4, TranslationCosts::default());
+        let va = VirtAddr(u64::MAX - 10);
+        assert_eq!(
+            tr.translate(va, 64, Perm::R),
+            Err(MemError::RangeOverrun { va, len: 64 })
+        );
+        // The last byte of the address space is still an ordinary fault.
+        assert!(matches!(
+            tr.translate(va, 11, Perm::R),
+            Err(MemError::TranslationFault { .. })
+        ));
+    }
+
+    #[test]
+    fn runs_keep_their_own_frames_and_permissions() {
+        let mut t = PageTable::new(4096);
+        t.map_range(VirtAddr(0x4000), PhysAddr(0x10_0000), 0x2000, Perm::R)
+            .unwrap();
+        t.map_range(VirtAddr(0x1000), PhysAddr(0x90_0000), 0x1001, Perm::RW)
+            .unwrap();
+        // Adjacent below and above: no overlap.
+        t.map_range(VirtAddr(0x3000), PhysAddr(0x20_0000), 0x1000, Perm::RX)
+            .unwrap();
+        assert_eq!(t.len(), 2 + 2 + 1, "a partial page counts whole");
+        assert_eq!(
+            t.lookup(VirtAddr(0x2fff)),
+            Some((PhysAddr(0x90_1fff), Perm::RW))
+        );
+        assert_eq!(
+            t.lookup(VirtAddr(0x3000)),
+            Some((PhysAddr(0x20_0000), Perm::RX))
+        );
+        assert_eq!(
+            t.lookup(VirtAddr(0x5abc)),
+            Some((PhysAddr(0x10_1abc), Perm::R))
+        );
+        assert_eq!(t.lookup(VirtAddr(0x6000)), None);
+        assert_eq!(t.lookup(VirtAddr(0xfff)), None);
+        // A range swallowing existing runs, or reaching into one, overlaps.
+        for (va, len) in [(0u64, 0x10_000u64), (0x2000, 0x1000), (0x5000, 0x3000)] {
+            assert_eq!(
+                t.map_range(VirtAddr(va), PhysAddr(0), len, Perm::R),
+                Err(MemError::InvalidRange { va: VirtAddr(va) })
+            );
+        }
+        assert_eq!(t.len(), 5, "a rejected range maps nothing");
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The structures [`PageTable`] and [`PageTlb`] replaced, kept
+    //! verbatim as differential oracles: a `BTreeMap` with one node per
+    //! page, and an LRU that scans every entry on lookup, searches again
+    //! on insert and evicts by `swap_remove`. The campaigns hold the runs
+    //! table to the same `Ok`/`Err`, `len()` and lookups, and the TLB to
+    //! the same hit/miss sequence and the same resident set (so the same
+    //! victim) after every access.
+
+    use super::*;
+    use crate::prop_assert_eq;
+    use crate::proptest_lite::{check, range, vec_of};
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+
+    struct MapTable {
+        page_size: u64,
+        map: BTreeMap<u64, (u64, Perm)>, // vpn -> (pfn, perm)
+    }
+
+    impl MapTable {
+        fn map_range(&mut self, va: VirtAddr, pa: PhysAddr, len: u64, perm: Perm) -> Result<()> {
+            if va.value() % self.page_size != 0 || pa.value() % self.page_size != 0 || len == 0 {
+                return Err(MemError::InvalidRange { va });
+            }
+            let pages = len.div_ceil(self.page_size);
+            let vpn0 = va.value() / self.page_size;
+            let pfn0 = pa.value() / self.page_size;
+            for i in 0..pages {
+                if self.map.contains_key(&(vpn0 + i)) {
+                    return Err(MemError::InvalidRange { va });
+                }
+            }
+            for i in 0..pages {
+                self.map.insert(vpn0 + i, (pfn0 + i, perm));
+            }
+            Ok(())
+        }
+
+        fn lookup(&self, va: VirtAddr) -> Option<(PhysAddr, Perm)> {
+            let vpn = va.value() / self.page_size;
+            self.map.get(&vpn).map(|&(pfn, perm)| {
+                let off = va.value() % self.page_size;
+                (PhysAddr(pfn * self.page_size + off), perm)
+            })
+        }
+    }
+
+    struct ScanTlb {
+        capacity: usize,
+        entries: Vec<(u64, u64, Perm, u64)>,
+        tick: u64,
+    }
+
+    impl ScanTlb {
+        fn lookup(&mut self, vpn: u64) -> Option<(u64, Perm)> {
+            self.tick += 1;
+            let tick = self.tick;
+            for e in &mut self.entries {
+                if e.0 == vpn {
+                    e.3 = tick;
+                    return Some((e.1, e.2));
+                }
+            }
+            None
+        }
+
+        fn insert(&mut self, vpn: u64, pfn: u64, perm: Perm) {
+            self.tick += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
+                *e = (vpn, pfn, perm, self.tick);
+                return;
+            }
+            if self.entries.len() == self.capacity {
+                let lru = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.3)
+                    .map(|(i, _)| i)
+                    .expect("TLB non-empty when full");
+                self.entries.swap_remove(lru);
+            }
+            self.entries.push((vpn, pfn, perm, self.tick));
+        }
+    }
+
+    /// The resident `vpn`s of either TLB, sorted.
+    fn resident(entries: &[(u64, u64, Perm, u64)]) -> Vec<u64> {
+        let mut vpns: Vec<u64> = entries.iter().map(|e| e.0).collect();
+        vpns.sort_unstable();
+        vpns
+    }
+
+    #[test]
+    fn runs_table_matches_the_btreemap_reference() {
+        const PS: u64 = 4096;
+        const PERMS: [Perm; 4] = [Perm::R, Perm::RW, Perm::RX, Perm::NONE];
+        // (va in quarter pages, pa in quarter pages, len in quarter
+        // pages, perm): three addresses in four are unaligned unless
+        // snapped, lengths include zero and partial pages, and a 24-page
+        // window makes adjacent and overlapping ranges the common case.
+        let (accepted, rejected) = (Cell::new(0u32), Cell::new(0u32));
+        let op = (
+            range(0u64..96),
+            range(0u64..4096),
+            range(0u64..40),
+            range(0usize..8),
+        );
+        check(
+            "runs_table_matches_the_btreemap_reference",
+            512,
+            vec_of(op, 1..24),
+            |ops| {
+                let mut runs = PageTable::new(PS);
+                let mut map = MapTable {
+                    page_size: PS,
+                    map: BTreeMap::new(),
+                };
+                for &(va, pa, len, choice) in ops {
+                    // Half the draws are snapped to page boundaries, so
+                    // the aligned paths are reached as often as the
+                    // rejected ones.
+                    let snap = |q: u64| if choice < 4 { q / 4 * 4 } else { q };
+                    let (va, pa) = (VirtAddr(snap(va) * PS / 4), PhysAddr(snap(pa) * PS / 4));
+                    let (len, perm) = (len * PS / 4, PERMS[choice % 4]);
+                    let (got, want) = (
+                        runs.map_range(va, pa, len, perm),
+                        map.map_range(va, pa, len, perm),
+                    );
+                    prop_assert_eq!(got, want, "map_range({va}, {pa}, {len:#x})");
+                    let outcome = if got.is_ok() { &accepted } else { &rejected };
+                    outcome.set(outcome.get() + 1);
+                    prop_assert_eq!(runs.len(), map.map.len());
+                    prop_assert_eq!(runs.is_empty(), map.map.is_empty());
+                }
+                for probe in 0..(36 * 4) {
+                    let va = VirtAddr(probe * PS / 4 + probe % 7);
+                    prop_assert_eq!(runs.lookup(va), map.lookup(va), "lookup({va})");
+                }
+                Ok(())
+            },
+        );
+        assert!(
+            accepted.get() > 0 && rejected.get() > 0,
+            "both outcomes exercised: {accepted:?} accepted, {rejected:?} rejected"
+        );
+    }
+
+    #[test]
+    fn tlb_matches_the_scan_everything_lru() {
+        // The translator's use of a TLB: look up, and on a miss install.
+        // A small `vpn` alphabet revisits pages; runs of one page are
+        // what the MRU slot serves.
+        for capacity in [1usize, 4, 32] {
+            let (hits, evictions) = (Cell::new(0u32), Cell::new(0u32));
+            check(
+                "tlb_matches_the_scan_everything_lru",
+                256,
+                vec_of((range(0u64..48), range(1usize..6)), 1..160),
+                |stream| {
+                    let mut tlb = PageTlb::new(capacity);
+                    let mut scan = ScanTlb {
+                        capacity,
+                        entries: Vec::new(),
+                        tick: 0,
+                    };
+                    for &(vpn, repeats) in stream {
+                        for _ in 0..repeats {
+                            let (got, want) = (tlb.lookup(vpn), scan.lookup(vpn));
+                            prop_assert_eq!(got, want, "lookup({vpn})");
+                            if got.is_none() {
+                                let full = scan.entries.len() == capacity;
+                                evictions.set(evictions.get() + u32::from(full));
+                                tlb.fill(vpn, vpn + 1000, Perm::RW);
+                                scan.insert(vpn, vpn + 1000, Perm::RW);
+                            } else {
+                                hits.set(hits.get() + 1);
+                            }
+                            prop_assert_eq!(
+                                resident(&tlb.entries),
+                                resident(&scan.entries),
+                                "after {vpn}"
+                            );
+                        }
+                    }
+                    Ok(())
+                },
+            );
+            assert!(
+                hits.get() > 0 && evictions.get() > 0,
+                "capacity {capacity}: {hits:?} hits, {evictions:?} evictions"
+            );
+        }
+    }
+
+    #[test]
+    fn public_insert_overwrites_in_place_like_the_reference() {
+        let mut tlb = PageTlb::new(2);
+        let mut scan = ScanTlb {
+            capacity: 2,
+            entries: Vec::new(),
+            tick: 0,
+        };
+        for (vpn, pfn) in [(1, 10), (2, 20), (1, 11), (3, 30), (3, 31), (2, 21)] {
+            tlb.insert(vpn, pfn, Perm::R);
+            scan.insert(vpn, pfn, Perm::R);
+            assert_eq!(resident(&tlb.entries), resident(&scan.entries));
+            assert_eq!(tlb.lookup(vpn), scan.lookup(vpn));
+        }
     }
 }

@@ -18,7 +18,7 @@
 //!   accessed after it last time, so steady-state misses cost a single
 //!   probe even across the iteration wrap-around.
 
-use crate::translate::{Translate, TranslateStats, Translation, TranslationCosts};
+use crate::translate::{last_byte, Translate, TranslateStats, Translation, TranslationCosts};
 use crate::{MemError, Perm, PhysAddr, Result, VirtAddr};
 use std::sync::Arc;
 
@@ -66,10 +66,17 @@ impl RttEntry {
         }
     }
 
+    /// Offset of `va` into the range, if it falls inside.
+    #[inline]
+    fn offset_of(&self, va: VirtAddr) -> Option<u64> {
+        let off = va.value().checked_sub(self.va.value())?;
+        (off < self.size).then_some(off)
+    }
+
     /// Whether `va` falls inside this range.
     #[inline]
     pub fn contains(&self, va: VirtAddr) -> bool {
-        va >= self.va && va.value() < self.va.value() + self.size
+        self.offset_of(va).is_some()
     }
 
     /// Translates an address inside the range (no bounds check).
@@ -81,7 +88,7 @@ impl RttEntry {
     /// Whether an access of `len` bytes at `va` stays inside the range.
     #[inline]
     pub fn covers(&self, va: VirtAddr, len: u64) -> bool {
-        self.contains(va) && va.value() + len <= self.va.value() + self.size
+        self.offset_of(va).is_some_and(|off| len <= self.size - off)
     }
 }
 
@@ -99,8 +106,9 @@ impl RangeTranslationTable {
     /// # Errors
     ///
     /// Returns [`MemError::InvalidRange`] for zero-sized or overlapping
-    /// ranges, and if more than `u16::MAX` entries are supplied (the
-    /// paper's `last_v` is 8-bit; we allow 16 for larger simulations).
+    /// ranges, for a range that runs off the end of the address space,
+    /// and if more than `u16::MAX` entries are supplied (the paper's
+    /// `last_v` is 8-bit; we allow 16 for larger simulations).
     pub fn new(mut entries: Vec<RttEntry>) -> Result<Self> {
         entries.sort_by_key(|e| e.va);
         if entries.len() > u16::MAX as usize {
@@ -109,7 +117,7 @@ impl RangeTranslationTable {
             });
         }
         for e in &entries {
-            if e.size == 0 {
+            if e.size == 0 || e.va.value().checked_add(e.size).is_none() {
                 return Err(MemError::InvalidRange { va: e.va });
             }
         }
@@ -280,6 +288,7 @@ impl RangeTranslator {
 
 impl Translate for RangeTranslator {
     fn translate(&mut self, va: VirtAddr, len: u64, perm: Perm) -> Result<Translation> {
+        last_byte(va, len)?;
         self.stats.lookups += 1;
         let (idx, cycles, hit) = if let Some(idx) = self.tlb_lookup(va) {
             self.stats.hits += 1;
@@ -321,7 +330,7 @@ impl Translate for RangeTranslator {
         // VA-contiguous (adjacent buddy blocks of one guest window), the
         // DMA engine splits the burst: translate the remainder too and
         // charge both lookups. Otherwise the access genuinely overruns.
-        let covered = e.va.value() + e.size - va.value();
+        let covered = e.size - (va - e.va);
         if covered == 0 || covered >= len {
             return Err(MemError::RangeOverrun { va, len });
         }
@@ -692,6 +701,31 @@ mod tests {
         assert!(matches!(
             tr.translate(VirtAddr(0x1f00), 0x200, Perm::W),
             Err(MemError::PermissionDenied { .. })
+        ));
+    }
+
+    #[test]
+    fn access_off_the_end_of_the_address_space_is_an_overrun() {
+        // A range reaching the last representable byte: `va + len` wraps
+        // for every access near its end.
+        let top = VirtAddr(u64::MAX - 0xfff);
+        let rtt = RangeTranslationTable::new(vec![RttEntry::new(top, PhysAddr(0), 0xfff, Perm::R)])
+            .unwrap();
+        let e = *rtt.get(0).unwrap();
+        let va = VirtAddr(u64::MAX - 10);
+        assert!(e.contains(va) && e.covers(va, 10) && !e.covers(va, 64));
+        assert!(!e.covers(va, u64::MAX));
+        let mut tr = RangeTranslator::new(rtt, 4, TranslationCosts::default());
+        assert_eq!(
+            tr.translate(va, 64, Perm::R),
+            Err(MemError::RangeOverrun { va, len: 64 })
+        );
+        assert_eq!(tr.stats().lookups, 0, "rejected before the TLB");
+        assert!(tr.translate(va, 10, Perm::R).is_ok());
+        // A table entry may not run off the address space either.
+        assert!(matches!(
+            RangeTranslationTable::new(vec![RttEntry::new(top, PhysAddr(0), 0x1000, Perm::R)]),
+            Err(MemError::InvalidRange { .. })
         ));
     }
 }

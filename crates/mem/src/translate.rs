@@ -2,9 +2,7 @@
 //! the paper evaluates in Figure 14 (physical / page-based IOTLB /
 //! range-based vChunk), consumed by the simulator's DMA engine.
 
-#[allow(unused_imports)] // referenced by doc links
-use crate::MemError;
-use crate::{Perm, PhysAddr, Result, VirtAddr};
+use crate::{MemError, Perm, PhysAddr, Result, VirtAddr};
 use std::fmt;
 
 /// Latency parameters of the translation hardware, in core clock cycles.
@@ -117,6 +115,21 @@ pub trait Translate {
     fn reset_stats(&mut self);
 }
 
+/// Address of the last byte of the access `[va, va + len)` (of `va` itself
+/// for an empty one). A guest chooses both numbers, so the sum is
+/// checked: an access that runs off the end of the address space is a
+/// [`MemError::RangeOverrun`] in every translator, and in the simulator
+/// before a transfer's first burst.
+///
+/// # Errors
+///
+/// [`MemError::RangeOverrun`] when `va + len - 1` does not fit.
+pub fn last_byte(va: VirtAddr, len: u64) -> Result<u64> {
+    va.value()
+        .checked_add(len.saturating_sub(1))
+        .ok_or(MemError::RangeOverrun { va, len })
+}
+
 /// Identity translation with zero cost — the paper's "Physical Mem" ideal
 /// bar in Figure 14.
 #[derive(Debug, Clone, Default)]
@@ -132,7 +145,8 @@ impl PhysicalTranslator {
 }
 
 impl Translate for PhysicalTranslator {
-    fn translate(&mut self, va: VirtAddr, _len: u64, _perm: Perm) -> Result<Translation> {
+    fn translate(&mut self, va: VirtAddr, len: u64, _perm: Perm) -> Result<Translation> {
+        last_byte(va, len)?;
         self.stats.lookups += 1;
         self.stats.hits += 1;
         Ok(Translation {
@@ -168,6 +182,18 @@ mod tests {
         assert!(r.hit);
         assert_eq!(t.stats().lookups, 1);
         assert_eq!(t.stats().hit_rate(), 1.0);
+    }
+
+    #[test]
+    fn access_off_the_end_of_the_address_space_is_an_overrun() {
+        let mut t = PhysicalTranslator::new();
+        let va = VirtAddr(u64::MAX - 10);
+        assert_eq!(
+            t.translate(va, 64, Perm::R),
+            Err(MemError::RangeOverrun { va, len: 64 })
+        );
+        assert!(t.translate(va, 11, Perm::R).is_ok(), "the last byte exists");
+        assert!(t.translate(VirtAddr(u64::MAX), 0, Perm::R).is_ok());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! distance from the controller.
 
 use crate::config::SocConfig;
-use vnpu_topo::{NodeId, Topology};
 
 /// How NPU instructions travel from the controller to the cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +33,9 @@ pub fn dispatch_latency(cfg: &SocConfig, path: DispatchPath, core: u32) -> u64 {
     match path {
         DispatchPath::InstructionBus => IBUS_LATENCY,
         DispatchPath::InstructionNoc => {
-            let topo = Topology::mesh2d(cfg.mesh_width, cfg.mesh_height);
-            let hops = topo.hop_distance(NodeId(0), NodeId(core)).unwrap_or(0);
+            // From the corner of a mesh the hop distance is the core's
+            // column plus its row; every thread of every epoch asks.
+            let hops = core % cfg.mesh_width + core / cfg.mesh_width;
             INST_NOC_BASE + u64::from(hops) * INST_NOC_HOP
         }
     }
@@ -68,6 +68,21 @@ pub fn rt_config_cycles_compact(cores: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn instruction_noc_latency_is_the_mesh_hop_distance_from_the_controller() {
+        use vnpu_topo::{NodeId, Topology};
+        for cfg in [SocConfig::fpga(), SocConfig::sim(), SocConfig::sim48()] {
+            let topo = Topology::mesh2d(cfg.mesh_width, cfg.mesh_height);
+            for core in 0..cfg.core_count() {
+                let hops = topo.hop_distance(NodeId(0), NodeId(core)).unwrap();
+                assert_eq!(
+                    dispatch_latency(&cfg, DispatchPath::InstructionNoc, core),
+                    INST_NOC_BASE + u64::from(hops) * INST_NOC_HOP
+                );
+            }
+        }
+    }
 
     #[test]
     fn ibus_is_fixed() {

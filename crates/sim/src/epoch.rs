@@ -9,15 +9,36 @@
 //!   and the tenant registry. Built once, reused for every batch.
 //! * **epoch state** (this module) — everything one workload batch
 //!   creates: thread bindings with their virtualization services, the
-//!   event queue, flow credits, global-memory flags and barriers, and the
-//!   per-core activity traces. [`Machine::finish_epoch`] empties this
-//!   layer *in place* — every container keeps its capacity, so a machine
+//!   event queue, flow credits and in-flight packets, global-memory flags
+//!   and barriers, and the per-core activity traces.
+//!   [`Machine::finish_epoch`] empties this layer *in place* — every
+//!   container keeps its capacity (flows are recycled with their
+//!   credit-waiter buffers, packets live in one arena), so a machine
 //!   driven through many epochs stops allocating once it has seen its
 //!   largest batch — and resets the chip's *clocks* (link/channel
 //!   `busy_until`), while the chip structures themselves are never rebuilt.
 //!
 //! The event loop itself also lives here: it is the part of the machine
 //! that only ever touches one epoch.
+//!
+//! # Packet arrivals are not events
+//!
+//! A packet's arrival time is known the moment `Send` streams it, and an
+//! arrival does one thing: it adds to its flow's `arrived` count. So a
+//! packet is not queued. `Send` still draws one sequence number per
+//! packet — the place its arrival holds in the total `(time, seq)` order
+//! — and records `(arrival, seq, bytes)` on the flow, in one epoch-level
+//! arena of list nodes (`EpochState::arrivals`, freed nodes reused).
+//! Whoever reads `arrived` first folds in every record ordered before the
+//! event being handled, which is exactly the set of arrivals a queue
+//! would have delivered by then. Only a receiver that must wait needs the
+//! queue: it gets a single `Event::FlowWake` under the `(arrival, seq)`
+//! of the packet that completes its need — queued by `Recv` when that
+//! packet is already in flight, by the completing `Send` otherwise — so
+//! it wakes at the point in the order, and its `ThreadReady` draws the
+//! sequence number, that a per-packet event would have given it. The
+//! latest arrival feeds `EpochState::makespan` and the cycle-limit
+//! check: a packet nobody receives counts as before.
 
 use crate::compute::kernel_cycles;
 use crate::controller;
@@ -27,6 +48,7 @@ use crate::stats::{Activity, CoreTrace, Report, TenantStats};
 use crate::{Result, SimError};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
+use vnpu_mem::translate::last_byte;
 use vnpu_mem::{Perm, VirtAddr};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,15 +66,69 @@ pub(crate) struct FlowKey {
     pub tag: u32,
 }
 
-#[derive(Debug, Default)]
+/// End of an in-flight list / no free node.
+const NO_ARRIVAL: u32 = u32::MAX;
+
+/// One packet in flight: a node of its flow's arrival list, held in
+/// [`EpochState::arrivals`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrival {
+    time: u64,
+    seq: u64,
+    bytes: u64,
+    /// Next packet of the flow (or next free node) in the arena.
+    next: u32,
+}
+
+/// A receiver parked on a flow.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlowWaiter {
+    thread: usize,
+    /// Bytes needed beyond `consumed`.
+    needed: u64,
+    since: u64,
+    /// Whether the [`Event::FlowWake`] that will satisfy it is queued.
+    wake_queued: bool,
+}
+
+#[derive(Debug)]
 pub(crate) struct FlowState {
     pub sent: u64,
+    /// Bytes of the packets folded in so far (see the module docs).
     pub arrived: u64,
     pub consumed: u64,
-    /// Blocked receiver: (thread, bytes needed beyond `consumed`, since).
-    pub waiter: Option<(usize, u64, u64)>,
+    /// In-flight packets in `(time, seq)` order: first and last node.
+    head: u32,
+    tail: u32,
+    pub waiter: Option<FlowWaiter>,
     /// Senders blocked on flow credit.
     pub credit_waiters: Vec<usize>,
+}
+
+impl Default for FlowState {
+    fn default() -> Self {
+        FlowState {
+            sent: 0,
+            arrived: 0,
+            consumed: 0,
+            head: NO_ARRIVAL,
+            tail: NO_ARRIVAL,
+            waiter: None,
+            credit_waiters: Vec::new(),
+        }
+    }
+}
+
+impl FlowState {
+    /// Back to [`FlowState::default`], keeping the waiter buffer.
+    fn recycle(&mut self) {
+        let mut credit_waiters = std::mem::take(&mut self.credit_waiters);
+        credit_waiters.clear();
+        *self = FlowState {
+            credit_waiters,
+            ..FlowState::default()
+        };
+    }
 }
 
 #[derive(Debug)]
@@ -108,10 +184,9 @@ impl std::fmt::Display for Blocked {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
     ThreadReady(usize),
-    PacketArrive {
-        flow_idx: usize,
-        bytes: u64,
-    },
+    /// The packet that completes a parked receiver's need has arrived on
+    /// this flow; queued under that packet's own `(time, seq)`.
+    FlowWake(usize),
     FlagWrite {
         tenant: TenantId,
         tag: u32,
@@ -151,8 +226,23 @@ pub(crate) struct EpochState {
     pub queue: BinaryHeap<QueuedEvent>,
     pub seq: u64,
     pub now: u64,
+    /// Sequence number of the event being handled: with `now`, the point
+    /// in the total order up to which arrivals have happened.
+    cur_seq: u64,
     pub flow_index: HashMap<FlowKey, usize>,
+    /// Flow slots; the first `flow_index.len()` are this epoch's, the
+    /// rest are kept from earlier epochs for reuse.
     pub flows: Vec<FlowState>,
+    /// Arena of in-flight packets, threaded into per-flow lists and one
+    /// free list.
+    arrivals: Vec<Arrival>,
+    free_arrival: u32,
+    /// Latest arrival time of any packet sent this epoch.
+    last_arrival: u64,
+    /// Queue an [`Event::FlowWake`] for every packet instead of one per
+    /// parked receiver. Never set outside this module's tests, where it
+    /// is the eager schedule the lazy one must be indistinguishable from.
+    wake_per_packet: bool,
     pub flags: HashMap<(TenantId, u32), u64>,
     /// (thread, tag, needed_total, since)
     pub flag_waiters: Vec<(usize, u32, u64, u64)>,
@@ -170,8 +260,13 @@ impl EpochState {
             queue: BinaryHeap::new(),
             seq: 0,
             now: 0,
+            cur_seq: 0,
             flow_index: HashMap::new(),
             flows: Vec::new(),
+            arrivals: Vec::new(),
+            free_arrival: NO_ARRIVAL,
+            last_arrival: 0,
+            wake_per_packet: false,
             flags: HashMap::new(),
             flag_waiters: Vec::new(),
             barriers: HashMap::new(),
@@ -189,8 +284,15 @@ impl EpochState {
         self.queue.clear();
         self.seq = 0;
         self.now = 0;
+        self.cur_seq = 0;
+        let live_flows = self.flow_index.len();
+        self.flows[..live_flows]
+            .iter_mut()
+            .for_each(FlowState::recycle);
         self.flow_index.clear();
-        self.flows.clear();
+        self.arrivals.clear();
+        self.free_arrival = NO_ARRIVAL;
+        self.last_arrival = 0;
         self.flags.clear();
         self.flag_waiters.clear();
         self.barriers.clear();
@@ -209,9 +311,117 @@ impl EpochState {
         });
     }
 
+    /// Records a packet of `fidx` arriving at `time`, under a sequence
+    /// number of its own.
+    fn record_arrival(&mut self, fidx: usize, time: u64, bytes: u64) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.last_arrival = self.last_arrival.max(time);
+        let node = Arrival {
+            time,
+            seq,
+            bytes,
+            next: NO_ARRIVAL,
+        };
+        let at = if self.free_arrival == NO_ARRIVAL {
+            self.arrivals.push(node);
+            (self.arrivals.len() - 1) as u32
+        } else {
+            let at = self.free_arrival;
+            self.free_arrival = self.arrivals[at as usize].next;
+            self.arrivals[at as usize] = node;
+            at
+        };
+        if self.wake_per_packet {
+            self.queue.push(QueuedEvent {
+                time,
+                seq,
+                event: Event::FlowWake(fidx),
+            });
+        }
+        let flow = &mut self.flows[fidx];
+        // `seq` is the largest drawn so far, so order is decided by time
+        // alone and ties go behind.
+        if flow.tail == NO_ARRIVAL || self.arrivals[flow.tail as usize].time <= time {
+            match flow.tail {
+                NO_ARRIVAL => flow.head = at,
+                tail => self.arrivals[tail as usize].next = at,
+            }
+            flow.tail = at;
+        } else {
+            // Two threads bound under one core ID stream this flow over
+            // two paths, and this packet overtakes one in flight: file it
+            // in order, and let a parked receiver look again — its need
+            // may now be complete sooner.
+            if let Some(waiter) = flow.waiter.as_mut() {
+                waiter.wake_queued = false;
+            }
+            let mut prev = NO_ARRIVAL;
+            let mut cur = flow.head;
+            while self.arrivals[cur as usize].time <= time {
+                prev = cur;
+                cur = self.arrivals[cur as usize].next;
+            }
+            self.arrivals[at as usize].next = cur;
+            match prev {
+                NO_ARRIVAL => flow.head = at,
+                prev => self.arrivals[prev as usize].next = at,
+            }
+        }
+    }
+
+    /// Folds into `arrived` every packet of `fidx` that has arrived by
+    /// the event being handled, returning its node to the free list.
+    fn fold_arrivals(&mut self, fidx: usize) {
+        let by = (self.now, self.cur_seq);
+        let flow = &mut self.flows[fidx];
+        while flow.head != NO_ARRIVAL {
+            let at = flow.head;
+            let node = self.arrivals[at as usize];
+            if (node.time, node.seq) > by {
+                return;
+            }
+            flow.arrived += node.bytes;
+            flow.head = node.next;
+            self.arrivals[at as usize].next = self.free_arrival;
+            self.free_arrival = at;
+        }
+        flow.tail = NO_ARRIVAL;
+    }
+
+    /// Queues the wake of `fidx`'s parked receiver, unless it is queued
+    /// already, under the in-flight packet that completes its need — if
+    /// that packet has been sent.
+    fn schedule_wake(&mut self, fidx: usize) {
+        if self.wake_per_packet {
+            return;
+        }
+        let flow = &mut self.flows[fidx];
+        let Some(waiter) = flow.waiter.as_mut().filter(|w| !w.wake_queued) else {
+            return;
+        };
+        let mut have = flow.arrived - flow.consumed;
+        let mut at = flow.head;
+        while at != NO_ARRIVAL {
+            let node = self.arrivals[at as usize];
+            have += node.bytes;
+            if have >= waiter.needed {
+                waiter.wake_queued = true;
+                self.queue.push(QueuedEvent {
+                    time: node.time,
+                    seq: node.seq,
+                    event: Event::FlowWake(fidx),
+                });
+                return;
+            }
+            at = node.next;
+        }
+    }
+
     /// A thread's final instruction completes without scheduling another
-    /// event, so the true makespan is the max over completion stamps,
-    /// not the last event time.
+    /// event, and a packet nobody waits for arrives without one, so the
+    /// true makespan is the max over completion stamps, the last event
+    /// and the last arrival.
     pub(crate) fn makespan(&self) -> u64 {
         self.threads
             .iter()
@@ -219,19 +429,22 @@ impl EpochState {
             .max()
             .unwrap_or(0)
             .max(self.now)
+            .max(self.last_arrival)
     }
 }
 
 /// The event loop: the epoch-scoped half of [`Machine`]'s behaviour.
 impl Machine {
     fn flow_idx(&mut self, key: FlowKey) -> usize {
+        let next = self.epoch.flow_index.len();
         match self.epoch.flow_index.entry(key) {
             Entry::Occupied(o) => *o.get(),
             Entry::Vacant(v) => {
-                let idx = self.epoch.flows.len();
-                v.insert(idx);
-                self.epoch.flows.push(FlowState::default());
-                idx
+                v.insert(next);
+                if next == self.epoch.flows.len() {
+                    self.epoch.flows.push(FlowState::default());
+                }
+                next
             }
         }
     }
@@ -267,18 +480,23 @@ impl Machine {
             );
             self.epoch.push_event(offset, Event::ThreadReady(t));
         }
+        let limit = self.config().max_cycles;
         while let Some(q) = self.epoch.queue.pop() {
             self.epoch.now = q.time;
-            if self.epoch.now > self.config().max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.config().max_cycles,
-                });
+            self.epoch.cur_seq = q.seq;
+            if self.epoch.now > limit {
+                return Err(SimError::CycleLimit { limit });
             }
             match q.event {
                 Event::ThreadReady(t) => self.step_thread(t)?,
-                Event::PacketArrive { flow_idx, bytes } => self.packet_arrive(flow_idx, bytes),
+                Event::FlowWake(fidx) => self.flow_wake(fidx),
                 Event::FlagWrite { tenant, tag, bytes } => self.flag_write(tenant, tag, bytes),
             }
+        }
+        // An arrival past the budget is an event past the budget, queued
+        // or not.
+        if self.epoch.last_arrival > limit {
+            return Err(SimError::CycleLimit { limit });
         }
         // Done or deadlocked.
         let blocked: Vec<String> = self
@@ -409,10 +627,20 @@ impl Machine {
         Ok(())
     }
 
+    /// A program picks both numbers of a transfer. One that runs off the
+    /// end of the address space faults before its first burst, so the
+    /// burst loops can offset `va` freely.
+    fn check_span(core: u32, va: VirtAddr, bytes: u64) -> Result<()> {
+        last_byte(va, bytes)
+            .map(drop)
+            .map_err(|err| SimError::MemFault { core, err })
+    }
+
     /// Streams a DMA transfer: chunked issue, translation stalls, optional
     /// bandwidth limiting, HBM channel contention.
     fn do_dma(&mut self, t: usize, va: VirtAddr, bytes: u64, perm: Perm) -> Result<()> {
         let phys = self.epoch.threads[t].phys_core;
+        Self::check_span(phys, va, bytes)?;
         let channel = self.config().interface_of(phys);
         let burst = self.config().dma_burst_bytes.max(1);
         let issue_interval = self.config().dma_issue_interval;
@@ -502,15 +730,13 @@ impl Machine {
             let len = packet_bytes.min(bytes - off);
             let timing = self.noc.send_packet(path, len, depart + per_packet)?;
             depart = timing.injected_at + packet_overhead;
-            self.epoch.push_event(
-                timing.arrived_at + packet_overhead,
-                Event::PacketArrive {
-                    flow_idx: fidx,
-                    bytes: len,
-                },
-            );
+            self.epoch
+                .record_arrival(fidx, timing.arrived_at + packet_overhead, len);
             off += len;
         }
+        // A receiver already parked here wakes on the packet that
+        // completes its need: one of these, if none before them did.
+        self.epoch.schedule_wake(fidx);
         self.core_mut(phys as usize).send_engine_busy_until = depart;
         self.epoch.traces[phys as usize].push(send_started, depart, Activity::Send);
         self.finish_instr(t, engine_ready);
@@ -526,41 +752,56 @@ impl Machine {
             tag,
         };
         let fidx = self.flow_idx(key);
+        self.epoch.fold_arrivals(fidx);
         let flow = &mut self.epoch.flows[fidx];
         if flow.arrived - flow.consumed >= bytes {
             flow.consumed += bytes;
-            let waiters = std::mem::take(&mut flow.credit_waiters);
-            let now = self.epoch.now;
-            for w in waiters {
-                self.epoch.push_event(now, Event::ThreadReady(w));
-            }
-            let done = now + self.recv_ack;
+            self.release_credit_waiters(fidx);
+            let done = self.epoch.now + self.recv_ack;
             self.finish_instr(t, done);
         } else {
             debug_assert!(flow.waiter.is_none(), "one receiver per flow");
-            flow.waiter = Some((t, bytes, self.epoch.now));
+            flow.waiter = Some(FlowWaiter {
+                thread: t,
+                needed: bytes,
+                since: self.epoch.now,
+                wake_queued: false,
+            });
             self.epoch.threads[t].blocked = Some(Blocked::Recv(src, tag, bytes));
+            self.epoch.schedule_wake(fidx);
         }
     }
 
-    fn packet_arrive(&mut self, fidx: usize, bytes: u64) {
-        let flow = &mut self.epoch.flows[fidx];
-        flow.arrived += bytes;
-        if let Some((t, needed, since)) = flow.waiter {
-            if flow.arrived - flow.consumed >= needed {
-                flow.waiter = None;
-                flow.consumed += needed;
-                let waiters = std::mem::take(&mut flow.credit_waiters);
-                let now = self.epoch.now;
-                let phys = self.epoch.threads[t].phys_core as usize;
-                self.epoch.traces[phys].push(since, now, Activity::RecvWait);
-                for w in waiters {
-                    self.epoch.push_event(now, Event::ThreadReady(w));
-                }
-                let done = now + self.recv_ack;
-                self.finish_instr(t, done);
-            }
+    /// Re-readies every sender parked on `fidx`'s credit, in the order
+    /// they blocked.
+    fn release_credit_waiters(&mut self, fidx: usize) {
+        let mut waiters = std::mem::take(&mut self.epoch.flows[fidx].credit_waiters);
+        let now = self.epoch.now;
+        for w in waiters.drain(..) {
+            self.epoch.push_event(now, Event::ThreadReady(w));
         }
+        self.epoch.flows[fidx].credit_waiters = waiters;
+    }
+
+    /// What a packet's arrival does when a receiver is parked on its
+    /// flow: completes the `Recv` once enough bytes are there.
+    fn flow_wake(&mut self, fidx: usize) {
+        self.epoch.fold_arrivals(fidx);
+        let flow = &mut self.epoch.flows[fidx];
+        let Some(waiter) = flow.waiter else {
+            return;
+        };
+        if flow.arrived - flow.consumed < waiter.needed {
+            return;
+        }
+        flow.waiter = None;
+        flow.consumed += waiter.needed;
+        let now = self.epoch.now;
+        let phys = self.epoch.threads[waiter.thread].phys_core as usize;
+        self.epoch.traces[phys].push(waiter.since, now, Activity::RecvWait);
+        self.release_credit_waiters(fidx);
+        let done = now + self.recv_ack;
+        self.finish_instr(waiter.thread, done);
     }
 
     fn do_global_write(&mut self, t: usize, va: VirtAddr, bytes: u64, tag: u32) -> Result<()> {
@@ -568,6 +809,7 @@ impl Machine {
         // load/store (cache-line) granularity.
         let tenant = self.epoch.threads[t].tenant;
         let phys = self.epoch.threads[t].phys_core;
+        Self::check_span(phys, va, bytes)?;
         let channel = self.config().interface_of(phys);
         let burst = self.config().dma_burst_bytes.max(1);
         let (line, mlp) = (self.config().uvm_line_bytes, self.config().uvm_mlp);
@@ -605,6 +847,7 @@ impl Machine {
     }
 
     fn do_global_read(&mut self, t: usize, va: VirtAddr, bytes: u64, tag: u32) -> Result<()> {
+        Self::check_span(self.epoch.threads[t].phys_core, va, bytes)?;
         let tenant = self.epoch.threads[t].tenant;
         let consumed = *self.epoch.threads[t].consumed_flags.get(&tag).unwrap_or(&0);
         let available = *self.epoch.flags.get(&(tenant, tag)).unwrap_or(&0);
@@ -650,19 +893,30 @@ impl Machine {
     }
 
     fn flag_write(&mut self, tenant: TenantId, tag: u32, bytes: u64) {
-        *self.epoch.flags.entry((tenant, tag)).or_insert(0) += bytes;
-        let available = self.epoch.flags[&(tenant, tag)];
-        let mut still_waiting = Vec::new();
-        let waiters = std::mem::take(&mut self.epoch.flag_waiters);
-        let now = self.epoch.now;
-        for (t, wtag, needed, since) in waiters {
-            if wtag == tag && self.epoch.threads[t].tenant == tenant && available >= needed {
-                self.epoch.push_event(now, Event::ThreadReady(t));
-            } else {
-                still_waiting.push((t, wtag, needed, since));
+        let EpochState {
+            flags,
+            flag_waiters,
+            threads,
+            queue,
+            seq,
+            now,
+            ..
+        } = &mut self.epoch;
+        let published = flags.entry((tenant, tag)).or_insert(0);
+        *published += bytes;
+        let available = *published;
+        flag_waiters.retain(|&(t, wtag, needed, _)| {
+            let ready = wtag == tag && threads[t].tenant == tenant && available >= needed;
+            if ready {
+                *seq += 1;
+                queue.push(QueuedEvent {
+                    time: *now,
+                    seq: *seq,
+                    event: Event::ThreadReady(t),
+                });
             }
-        }
-        self.epoch.flag_waiters = still_waiting;
+            !ready
+        });
     }
 
     fn do_barrier(&mut self, t: usize, id: u32) {
@@ -739,4 +993,427 @@ pub struct EpochSummary {
     pub threads: usize,
     /// Tenants that had at least one thread bound.
     pub tenants: usize,
+}
+
+#[cfg(test)]
+impl Machine {
+    /// A machine that queues an [`Event::FlowWake`] for every packet it
+    /// sends, under the packet's own `(arrival, seq)` — the schedule the
+    /// per-packet arrival events used to make, driving the same handler.
+    /// The lazy schedule (one wake per parked receiver) must be
+    /// indistinguishable from it.
+    fn with_eager_arrivals(cfg: crate::SocConfig) -> Machine {
+        let mut machine = Machine::new(cfg);
+        machine.epoch.wake_per_packet = true;
+        machine
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SocConfig;
+    use std::cell::Cell;
+    use vnpu_mem::proptest_lite::{check, range, vec_of};
+    use vnpu_mem::{prop_assert_eq, MemError};
+
+    /// Everything a report holds, rendered.
+    fn fingerprint(report: &Report) -> String {
+        let traces: Vec<_> = (0..8)
+            .map(|core| report.core_trace(core).intervals())
+            .collect();
+        format!(
+            "{} {:?} {traces:?} {} {} {} {:?}",
+            report.makespan(),
+            report.tenants(),
+            report.noc_contention_cycles(),
+            report.noc_packets(),
+            report.hbm_wait_cycles(),
+            report.translator_stats(),
+        )
+    }
+
+    /// A run's report, or its error with the deadlock text.
+    fn outcome(machine: &mut Machine) -> std::result::Result<String, String> {
+        match machine.run() {
+            Ok(report) => Ok(fingerprint(&report)),
+            Err(error) => Err(format!("{error:?}")),
+        }
+    }
+
+    /// How the 8 cores of the 4×2 mesh split into tenant rings, and the
+    /// (scrambled) order rings take their cores in, so that different
+    /// tenants' hops share links.
+    const RINGS: [&[usize]; 5] = [&[8], &[4, 4], &[3, 5], &[2, 3, 3], &[2, 2, 4]];
+    const CORE_ORDER: [u32; 8] = [0, 5, 1, 4, 2, 7, 3, 6];
+    /// Bytes of each `Send` a core issues per iteration: whole packets,
+    /// ragged tails, sub-packet sends.
+    const SENDS: [&[u64]; 6] = [
+        &[3000],
+        &[2048, 952],
+        &[100, 2900],
+        &[5000, 1000, 3000],
+        &[9000],
+        &[700, 700, 700],
+    ];
+
+    /// The `Recv`s matching `total` sent bytes: in one piece or split
+    /// unevenly; rarely (a ring of eight should usually complete) never,
+    /// or one byte more than is ever sent.
+    fn recvs(total: u64, split: usize) -> Vec<u64> {
+        match split {
+            24 => vec![],
+            25 => vec![total + 1],
+            _ => match split % 4 {
+                0 => vec![total],
+                1 => vec![total / 3, total - total / 3],
+                2 => vec![1, total - 1],
+                _ => vec![total - 1, 1],
+            },
+        }
+    }
+
+    /// Binds the rings described by `layout` and the per-core `specs`
+    /// `(delay, send pattern, recv split, order)`.
+    fn bind_rings(
+        machine: &mut Machine,
+        layout: usize,
+        iterations: u32,
+        specs: &[(u64, usize, usize, usize)],
+    ) {
+        let mut next_core = 0;
+        for &ring in RINGS[layout] {
+            let tenant = machine.add_tenant("ring");
+            let cores = &CORE_ORDER[next_core..next_core + ring];
+            let ring_specs = &specs[next_core..next_core + ring];
+            next_core += ring;
+            for (i, (&core, &(delay, send, split, order))) in
+                cores.iter().zip(ring_specs).enumerate()
+            {
+                let (to, from) = ((i + 1) % ring, (i + ring - 1) % ring);
+                let sends: Vec<Instr> = SENDS[send]
+                    .iter()
+                    .map(|&bytes| Instr::send(cores[to], bytes, i as u32))
+                    .collect();
+                let inbound = SENDS[ring_specs[from].1].iter().sum();
+                let recvs: Vec<Instr> = recvs(inbound, split)
+                    .into_iter()
+                    .map(|bytes| Instr::recv(cores[from], bytes, from as u32))
+                    .collect();
+                let body = match order % 4 {
+                    // Receive first: only ring members after the first,
+                    // or nobody ever sends.
+                    0 if i > 0 => [recvs, sends].concat(),
+                    0 | 1 => [sends, recvs].concat(),
+                    2 => [sends, vec![Instr::matmul(32, 32, 32)], recvs].concat(),
+                    _ => {
+                        // Alternate, then whatever is left of the longer.
+                        let mut body = Vec::new();
+                        for k in 0..sends.len().max(recvs.len()) {
+                            body.extend(sends.get(k));
+                            body.extend(recvs.get(k));
+                        }
+                        body
+                    }
+                };
+                let prelude = vec![Instr::Delay {
+                    cycles: delay * 1500,
+                }];
+                machine
+                    .bind(
+                        core,
+                        tenant,
+                        core,
+                        Program::looped(prelude, body, iterations),
+                    )
+                    .expect("bind");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_arrivals_match_a_wake_per_packet() {
+        const CREDITS: [u64; 4] = [2048, 8192, 16 * 1024, 64 * 1024];
+        const PACKETS: [u64; 3] = [256, 1000, 2048];
+        let (completed, deadlocked, waited) = (Cell::new(0u32), Cell::new(0u32), Cell::new(0u32));
+        let globals = (
+            range(0usize..RINGS.len()),
+            range(0usize..CREDITS.len()),
+            range(0usize..PACKETS.len()),
+            range(1u32..4),
+        );
+        let core = (
+            range(0u64..4),
+            range(0usize..SENDS.len()),
+            range(0usize..26),
+            range(0usize..4),
+        );
+        check(
+            "lazy_arrivals_match_a_wake_per_packet",
+            600,
+            (globals, vec_of(core, 8..9)),
+            |((layout, credit, packet, iterations), specs)| {
+                let cfg = SocConfig {
+                    flow_credit_bytes: CREDITS[*credit],
+                    packet_bytes: PACKETS[*packet],
+                    ..SocConfig::fpga()
+                };
+                let mut lazy = Machine::new(cfg.clone());
+                let mut eager = Machine::with_eager_arrivals(cfg);
+                bind_rings(&mut lazy, *layout, *iterations, specs);
+                bind_rings(&mut eager, *layout, *iterations, specs);
+                let first = outcome(&mut lazy);
+                prop_assert_eq!(first, outcome(&mut eager));
+                match &first {
+                    Ok(report) => {
+                        completed.set(completed.get() + 1);
+                        waited.set(waited.get() + u32::from(report.contains("RecvWait")));
+                        // The next epoch on the recycled flows and arena
+                        // is a first epoch again. Tenants are numbered
+                        // on, so the same rings get fresh IDs.
+                        lazy.finish_epoch();
+                        let mut fresh = Machine::new(lazy.config().clone());
+                        for _ in 0..RINGS[*layout].len() {
+                            fresh.add_tenant("ring");
+                        }
+                        bind_rings(&mut lazy, *layout, *iterations, specs);
+                        bind_rings(&mut fresh, *layout, *iterations, specs);
+                        prop_assert_eq!(outcome(&mut lazy), outcome(&mut fresh));
+                    }
+                    Err(error) => {
+                        deadlocked.set(deadlocked.get() + u32::from(error.contains("Deadlock")));
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(
+            completed.get() > 0 && deadlocked.get() > 0 && waited.get() > 0,
+            "{completed:?} completed ({waited:?} with a parked receiver), {deadlocked:?} deadlocked"
+        );
+    }
+
+    /// Runs the same bindings lazily and eagerly, asserting one outcome.
+    fn both(cfg: &SocConfig, bind: impl Fn(&mut Machine)) -> Result<Report> {
+        let mut lazy = Machine::new(cfg.clone());
+        let mut eager = Machine::with_eager_arrivals(cfg.clone());
+        bind(&mut lazy);
+        bind(&mut eager);
+        let result = lazy.run();
+        assert_eq!(
+            result.as_ref().map(fingerprint),
+            eager.run().as_ref().map(fingerprint)
+        );
+        result
+    }
+
+    #[test]
+    fn fold_takes_exactly_the_arrivals_ordered_before_the_current_event() {
+        let mut epoch = EpochState::new(1);
+        epoch.flows.push(FlowState::default());
+        epoch.seq = 4;
+        epoch.record_arrival(0, 100, 7); // (100, 5)
+        epoch.record_arrival(0, 100, 11); // (100, 6)
+        epoch.record_arrival(0, 130, 13); // (130, 7)
+        let arrived_by = |epoch: &mut EpochState, now, seq| {
+            (epoch.now, epoch.cur_seq) = (now, seq);
+            epoch.fold_arrivals(0);
+            epoch.flows[0].arrived
+        };
+        assert_eq!(arrived_by(&mut epoch, 99, 900), 0);
+        // Same cycle: the sequence number decides.
+        assert_eq!(arrived_by(&mut epoch, 100, 4), 0);
+        assert_eq!(arrived_by(&mut epoch, 100, 5), 7);
+        assert_eq!(arrived_by(&mut epoch, 100, 8), 18);
+        assert_eq!(arrived_by(&mut epoch, 130, 6), 18);
+        assert_eq!(arrived_by(&mut epoch, 131, 0), 31);
+        // Folded nodes are reused before the arena grows, and a packet
+        // that overtakes one in flight is filed ahead of it.
+        epoch.record_arrival(0, 140, 1);
+        epoch.record_arrival(0, 135, 2);
+        assert_eq!(epoch.arrivals.len(), 3);
+        assert_eq!(epoch.makespan(), 140);
+        assert_eq!(arrived_by(&mut epoch, 135, 99), 33);
+    }
+
+    #[test]
+    fn unreceived_packet_still_sets_the_makespan() {
+        let report = both(&SocConfig::fpga(), |m| {
+            let t = m.add_tenant("t");
+            m.bind(0, t, 0, Program::once(vec![Instr::send(1, 4096, 0)]))
+                .unwrap();
+        })
+        .unwrap();
+        // The thread is done once the engine is programmed (dispatch 10 +
+        // setup 27); the epoch lasts until its second packet lands.
+        assert_eq!(report.tenant(0).unwrap().end, 37);
+        assert_eq!(report.makespan(), 37 + 2 * (128 + 13) + 3);
+    }
+
+    #[test]
+    fn arrival_past_the_cycle_limit_is_a_cycle_limit_not_a_deadlock() {
+        // Every thread event happens by cycle 37; only the packet — which
+        // nobody receives, landing at 322 — outlives the budget. The
+        // parked receiver of another flow makes it a deadlock otherwise.
+        let run = |max_cycles| {
+            let cfg = SocConfig {
+                max_cycles,
+                ..SocConfig::fpga()
+            };
+            both(&cfg, |m| {
+                let t = m.add_tenant("t");
+                m.bind(0, t, 0, Program::once(vec![Instr::send(1, 4096, 0)]))
+                    .unwrap();
+                m.bind(2, t, 2, Program::once(vec![Instr::recv(3, 64, 0)]))
+                    .unwrap();
+            })
+            .unwrap_err()
+        };
+        assert_eq!(run(321), SimError::CycleLimit { limit: 321 });
+        assert!(matches!(run(322), SimError::Deadlock { .. }));
+    }
+
+    #[test]
+    fn same_cycle_arrivals_wake_their_receivers_in_seq_order() {
+        // Two one-hop flows, 1 → 2 (tenant 0) and 4 → 5 (tenant 1), from
+        // cores one dispatch hop from the controller: both senders start
+        // on one cycle, in binding order, and their single packets land
+        // on one cycle. Both receivers share core 3's compute unit, so
+        // the one woken first — the one whose packet drew the lower
+        // sequence number, i.e. whose sender was bound first — computes
+        // first and finishes first.
+        let run = |swap: bool| {
+            both(&SocConfig::fpga(), |m| {
+                let tenants = [m.add_tenant("a"), m.add_tenant("b")];
+                let mut flows = [(tenants[0], 1, 2), (tenants[1], 4, 5)];
+                if swap {
+                    flows.reverse();
+                }
+                for (tenant, src, dst) in flows {
+                    m.bind(
+                        src,
+                        tenant,
+                        src,
+                        Program::once(vec![Instr::send(dst, 2048, 0)]),
+                    )
+                    .unwrap();
+                }
+                for (tenant, src, dst) in flows {
+                    let body = vec![Instr::recv(src, 2048, 0), Instr::matmul(64, 64, 64)];
+                    m.bind(3, tenant, dst, Program::once(body)).unwrap();
+                }
+            })
+            .unwrap()
+        };
+        for swap in [false, true] {
+            let report = run(swap);
+            let waits: Vec<u64> = report
+                .core_trace(3)
+                .intervals()
+                .iter()
+                .filter(|(_, _, what)| *what == Activity::RecvWait)
+                .map(|&(_, end, _)| end)
+                .collect();
+            assert_eq!(waits.len(), 2);
+            assert_eq!(waits[0], waits[1], "both packets land together");
+            let (a, b) = (report.tenant(0).unwrap().end, report.tenant(1).unwrap().end);
+            assert_eq!(b < a, swap, "a ends at {a}, b at {b}");
+        }
+    }
+
+    #[test]
+    fn two_senders_on_one_flow_may_overtake_each_other() {
+        // Two threads bound under one program-level core ID stream the
+        // same flow over different paths, so a later packet can land
+        // before an earlier one; the receiver still wakes on the arrival
+        // that completes its need.
+        for delay in (0..=900).step_by(75) {
+            for split in [&[8192u64][..], &[100, 8092], &[5000, 3192], &[8191, 1]] {
+                both(&SocConfig::fpga(), |m| {
+                    let t = m.add_tenant("t");
+                    m.bind(3, t, 0, Program::once(vec![Instr::send(1, 6144, 0)]))
+                        .unwrap();
+                    let prelude = vec![Instr::Delay { cycles: delay }];
+                    let body = vec![Instr::send(1, 2048, 0)];
+                    m.bind(0, t, 0, Program::looped(prelude, body, 1)).unwrap();
+                    let recvs = split.iter().map(|&b| Instr::recv(0, b, 0)).collect();
+                    m.bind(1, t, 1, Program::once(recvs)).unwrap();
+                })
+                .expect("the flow completes");
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_off_the_end_of_the_address_space_is_a_fault() {
+        let va = VirtAddr(u64::MAX - 10);
+        let hostile = [
+            Instr::DmaLoad { va, bytes: 4096 },
+            Instr::DmaStore { va, bytes: 64 },
+            Instr::GlobalWrite {
+                va,
+                bytes: 64,
+                tag: 0,
+            },
+            Instr::GlobalRead {
+                va,
+                bytes: 64,
+                tag: 0,
+            },
+        ];
+        for instr in hostile {
+            let mut m = Machine::new(SocConfig::fpga());
+            let t = m.add_tenant("guest");
+            m.bind(5, t, 0, Program::once(vec![instr])).unwrap();
+            let bytes = if matches!(instr, Instr::DmaLoad { .. }) {
+                4096
+            } else {
+                64
+            };
+            assert_eq!(
+                m.run().unwrap_err(),
+                SimError::MemFault {
+                    core: 5,
+                    err: MemError::RangeOverrun { va, len: bytes },
+                },
+                "{instr:?}"
+            );
+        }
+        // Up to the last byte is an ordinary transfer.
+        let mut m = Machine::new(SocConfig::fpga());
+        let t = m.add_tenant("guest");
+        let last = Instr::DmaLoad { va, bytes: 11 };
+        m.bind(5, t, 0, Program::once(vec![last])).unwrap();
+        assert!(m.run().is_ok());
+    }
+
+    #[test]
+    fn reset_recycles_flows_with_their_buffers() {
+        let cfg = SocConfig {
+            flow_credit_bytes: 2048,
+            ..SocConfig::fpga()
+        };
+        let mut m = Machine::new(cfg);
+        let t = m.add_tenant("t");
+        let bind = |m: &mut Machine| {
+            // The second send parks on credit until the first is consumed.
+            let sends = vec![Instr::send(1, 2048, 0), Instr::send(1, 2048, 0)];
+            let recvs = vec![Instr::recv(0, 2048, 0), Instr::recv(0, 2048, 0)];
+            m.bind(0, t, 0, Program::once(sends)).unwrap();
+            m.bind(1, t, 1, Program::once(recvs)).unwrap();
+        };
+        bind(&mut m);
+        let first = m.run_epoch_makespan().unwrap();
+        assert!(m.epoch.flow_index.is_empty());
+        assert_eq!(m.epoch.flows.len(), 1, "the slot is kept");
+        let flow = &m.epoch.flows[0];
+        assert_eq!((flow.sent, flow.arrived, flow.consumed), (0, 0, 0));
+        assert!(flow.waiter.is_none() && flow.head == NO_ARRIVAL);
+        assert!(flow.credit_waiters.capacity() > 0, "and so is its buffer");
+        let arena = m.epoch.arrivals.capacity();
+        bind(&mut m);
+        assert_eq!(m.run_epoch_makespan().unwrap(), first);
+        assert_eq!(m.epoch.flows.len(), 1);
+        assert_eq!(m.epoch.arrivals.capacity(), arena);
+    }
 }

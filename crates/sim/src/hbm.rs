@@ -26,6 +26,10 @@ pub struct Hbm {
     bytes_per_cycle: u64,
     latency: u64,
     wait_cycles: u64,
+    /// `(bytes, service cycles)` of the last DMA burst: a stream's bursts
+    /// are all one size, so the division is paid per stream, not per
+    /// burst.
+    last_service: (u64, u64),
 }
 
 impl Hbm {
@@ -36,6 +40,7 @@ impl Hbm {
             bytes_per_cycle: cfg.bandwidth_per_interface(),
             latency: cfg.mem_latency,
             wait_cycles: 0,
+            last_service: (0, 0),
         }
     }
 
@@ -54,8 +59,10 @@ impl Hbm {
         let ch = &mut self.channels[channel as usize];
         let start = now.max(ch.busy_until);
         self.wait_cycles += start - now;
-        let service = bytes.div_ceil(self.bytes_per_cycle);
-        ch.busy_until = start + service;
+        if self.last_service.0 != bytes {
+            self.last_service = (bytes, bytes.div_ceil(self.bytes_per_cycle));
+        }
+        ch.busy_until = start + self.last_service.1;
         ch.bytes_served += bytes;
         ch.busy_until + self.latency
     }
@@ -141,6 +148,17 @@ mod tests {
         let b = h.access(1, 2048, 0);
         assert_eq!(a, b);
         assert_eq!(h.wait_cycles(), 0);
+    }
+
+    #[test]
+    fn burst_sizes_may_alternate() {
+        // The remembered service time belongs to one burst size only.
+        let mut h = hbm();
+        let mut expect = 0;
+        for bytes in [2048u64, 2048, 64, 2048, 7, 64, 64] {
+            expect += bytes.div_ceil(8);
+            assert_eq!(h.access(0, bytes, 0), expect + 40);
+        }
     }
 
     #[test]

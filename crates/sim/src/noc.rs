@@ -185,14 +185,26 @@ impl Noc {
     }
 
     /// Slot of the directed link `a → b` in the link array, if the two
-    /// cores are mesh-adjacent.
+    /// cores are mesh-adjacent. The direction is read off `b - a`; only a
+    /// step along a row has to check that it stays on the row.
     fn link_slot(&self, a: u32, b: u32) -> Option<usize> {
-        if a as usize >= self.shape.len() {
+        let MeshShape { width, .. } = self.shape;
+        let nodes = self.shape.len();
+        if a as usize >= nodes || b as usize >= nodes {
             return None;
         }
-        (0..DIRECTIONS)
-            .find(|&dir| self.neighbor(a, dir) == Some(b))
-            .map(|dir| a as usize * DIRECTIONS + dir)
+        let dir = if b.wrapping_add(width) == a {
+            0
+        } else if a.wrapping_add(width) == b {
+            3
+        } else if b.wrapping_add(1) == a && a % width != 0 {
+            1
+        } else if a.wrapping_add(1) == b && b % width != 0 {
+            2
+        } else {
+            return None;
+        };
+        Some(a as usize * DIRECTIONS + dir)
     }
 
     /// Every directed link of the mesh with its state, sorted by
@@ -384,6 +396,32 @@ mod tests {
         assert!(has(0, 1) && has(1, 0) && has(0, 4) && has(4, 0) && has(6, 7));
         assert!(!has(3, 4) && !has(4, 3), "no wrap across a row end");
         assert!(!noc.link_faulted(3, 4) && !noc.link_faulted(0, 99));
+    }
+
+    #[test]
+    fn link_slot_agrees_with_the_neighbour_table() {
+        // Every (a, b) pair, two past the mesh on each side, on meshes
+        // where a row step and a column step can be the same number.
+        for (width, height) in [(4, 2), (1, 5), (5, 1), (1, 1), (2, 2), (6, 6)] {
+            let noc = Noc::new(&SocConfig {
+                mesh_width: width,
+                mesh_height: height,
+                ..cfg()
+            });
+            let nodes = width * height;
+            for a in 0..nodes + 2 {
+                for b in 0..nodes + 2 {
+                    let by_table = (0..DIRECTIONS)
+                        .find(|&dir| a < nodes && noc.neighbor(a, dir) == Some(b))
+                        .map(|dir| a as usize * DIRECTIONS + dir);
+                    assert_eq!(
+                        noc.link_slot(a, b),
+                        by_table,
+                        "{width}x{height}: {a} -> {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

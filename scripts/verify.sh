@@ -116,6 +116,25 @@ for campaign in \
   cargo test -p vnpu_topo -q "$campaign" -- --nocapture
 done
 
+echo "== simulator miss-path gate =="
+# The paper cells' simulated counters (makespan, NoC packets and
+# contention, HBM wait, translation cycles, per-core TranslateStats) are
+# pinned absolutely, at values captured before the page table, the IOTLB
+# and the packet-arrival path were rewritten: a simulator change that
+# moves any of them fails here, not only one that moves a frame rate.
+cargo test --test baselines -q paper_cells_are_pinned
+# Each replacement keeps what it replaced as a test-only reference and a
+# seeded campaign holds the two together: the runs page table to the
+# per-page `BTreeMap` (same `Ok`/`Err`, `len()` and lookups over
+# unaligned, empty, adjacent and overlapping ranges), the one-scan IOTLB
+# to the scan-everything LRU (same hits, same victim, capacities 1 / 4 /
+# 32), and one wake per parked receiver to a wake per packet (identical
+# reports and deadlock texts over multi-tenant rings with small flow
+# credit, uneven splits and receivers posted before and after senders).
+cargo test -p vnpu_mem -q runs_table_matches_the_btreemap_reference -- --nocapture
+cargo test -p vnpu_mem -q tlb_matches_the_scan_everything_lru -- --nocapture
+cargo test -p vnpu_sim -q lazy_arrivals_match_a_wake_per_packet -- --nocapture
+
 echo "== plan/commit agreement gate =="
 # A plan is the commit's op loop run on a copy, so there is no second
 # planner to hold it to: the commit is the oracle. The campaign drives

@@ -4,5 +4,5 @@
 //! mode here.
 
 fn main() {
-    vnpu_bench::figs::fig14_mem_virt::run(vnpu_bench::harness::quick_from_env());
+    vnpu_bench::figs::fig14_mem_virt::run(vnpu_bench::quick_from_env());
 }

@@ -12,14 +12,17 @@ use vnpu::vchunk::MemMode;
 use vnpu::vrouter::RoutePolicy;
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::machine::Machine;
-use vnpu_sim::SocConfig;
+use vnpu_sim::{Report, SocConfig};
 use vnpu_workloads::compile::{compile, CompileOptions, Residency};
 use vnpu_workloads::models;
 use vnpu_workloads::ModelGraph;
 
 const CORES: u32 = 8;
 
-fn one(cfg: &SocConfig, model: &ModelGraph, mode: MemMode, iterations: u32) -> f64 {
+/// Builds and runs one cell of the figure: `model` compiled for eight
+/// cores with streamed weights, on a 4×2 vNPU translating under `mode`.
+/// The tenant is tenant 0 of the returned report.
+pub fn cell(cfg: &SocConfig, model: &ModelGraph, mode: MemMode, iterations: u32) -> Report {
     let opts = CompileOptions {
         iterations,
         residency: Residency::Streamed, // weights stream from HBM: the §4.2 burst regime
@@ -34,7 +37,7 @@ fn one(cfg: &SocConfig, model: &ModelGraph, mode: MemMode, iterations: u32) -> f
             VnpuRequest::mesh(4, 2).mem_bytes((out.va_footprint + (1 << 20)).max(64 << 20)),
         )
         .expect("vNPU");
-    let tenant = bind_design(
+    bind_design(
         &mut machine,
         &hv,
         vm,
@@ -42,7 +45,7 @@ fn one(cfg: &SocConfig, model: &ModelGraph, mode: MemMode, iterations: u32) -> f
         Design::VnpuWith(mode, RoutePolicy::Dor),
         model.name(),
     );
-    machine.run().expect("run").fps(tenant)
+    machine.run().expect("run")
 }
 
 /// Compares the four memory modes; `quick` trims models and iterations.
@@ -72,7 +75,7 @@ pub fn run(quick: bool) {
     for model in &model_zoo {
         let fps: Vec<f64> = modes
             .iter()
-            .map(|(_, m)| one(&cfg, model, *m, iterations))
+            .map(|(_, m)| cell(&cfg, model, *m, iterations).fps(0))
             .collect();
         let base = fps[0].max(1e-9);
         assert!(

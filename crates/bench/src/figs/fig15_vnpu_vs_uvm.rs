@@ -11,7 +11,7 @@
 use crate::{bind_design, print_table, Design};
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::machine::Machine;
-use vnpu_sim::SocConfig;
+use vnpu_sim::{Report, SocConfig};
 use vnpu_workloads::compile::{compile, CompileOptions};
 use vnpu_workloads::models;
 use vnpu_workloads::ModelGraph;
@@ -76,16 +76,22 @@ fn data_parallel_programs(
         .collect()
 }
 
-/// Single-instance cycles per iteration under one design.
-fn single(cfg: &SocConfig, model: &ModelGraph, design: Design, iterations: u32) -> f64 {
+/// Builds and runs one single-instance cell of the figure: `model` on a
+/// 2×2 vNPU under `design`. The tenant is tenant 0 of the returned report.
+pub fn cell(cfg: &SocConfig, model: &ModelGraph, design: Design, iterations: u32) -> Report {
     let programs = compile_block(model, cfg, iterations);
     let mut machine = Machine::new(cfg.clone());
     let mut hv = Hypervisor::new(cfg.clone());
     let vm = hv
         .create_vnpu(VnpuRequest::mesh(2, 2).mem_bytes(64 << 20))
         .expect("vNPU");
-    let tenant = bind_design(&mut machine, &hv, vm, &programs, design, model.name());
-    machine.run().expect("run").cycles_per_iteration(tenant)
+    bind_design(&mut machine, &hv, vm, &programs, design, model.name());
+    machine.run().expect("run")
+}
+
+/// Single-instance cycles per iteration under one design.
+fn single(cfg: &SocConfig, model: &ModelGraph, design: Design, iterations: u32) -> f64 {
+    cell(cfg, model, design, iterations).cycles_per_iteration(0)
 }
 
 /// Multi-instance: two co-located instances; returns both tenants'

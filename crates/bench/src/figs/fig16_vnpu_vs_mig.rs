@@ -17,7 +17,7 @@ use crate::{bind_design, bind_mig, print_table, Design};
 use vnpu::mig::MigPartitioner;
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::machine::Machine;
-use vnpu_sim::SocConfig;
+use vnpu_sim::{Report, SocConfig};
 use vnpu_workloads::compile::{compile, CompileOptions};
 use vnpu_workloads::models;
 use vnpu_workloads::ModelGraph;
@@ -36,89 +36,39 @@ fn programs(
     compile(model, cores, cfg, &opts).expect("compile").programs
 }
 
-struct Outcome {
-    fps_a: f64,
-    fps_b: f64,
-    warmup_a: u64,
-    warmup_b: u64,
-}
-
-/// Runs two tenants under vNPU (exact-size allocations).
-fn run_vnpu(
-    cfg: &SocConfig,
-    a: (&ModelGraph, u32),
-    b: (&ModelGraph, u32),
-    design: Design,
-    iterations: u32,
-) -> Outcome {
-    let mut machine = Machine::new(cfg.clone());
-    let mut hv = Hypervisor::new(cfg.clone());
-    let vm_a = hv
-        .create_vnpu(VnpuRequest::cores(a.1).mem_bytes(1 << 30))
-        .expect("vNPU A");
-    let vm_b = hv
-        .create_vnpu(VnpuRequest::cores(b.1).mem_bytes(1 << 30))
-        .expect("vNPU B");
-    let ta = bind_design(
-        &mut machine,
-        &hv,
-        vm_a,
-        &programs(a.0, a.1, cfg, iterations),
-        design,
-        a.0.name(),
-    );
-    let tb = bind_design(
-        &mut machine,
-        &hv,
-        vm_b,
-        &programs(b.0, b.1, cfg, iterations),
-        design,
-        b.0.name(),
-    );
-    let r = machine.run().expect("run");
-    Outcome {
-        fps_a: r.fps(ta),
-        fps_b: r.fps(tb),
-        warmup_a: r.warmup_cycles(ta),
-        warmup_b: r.warmup_cycles(tb),
-    }
-}
-
-/// Runs two tenants under MIG fixed partitions. Each tenant gets a whole
-/// partition; a tenant needing more virtual cores than the partition holds
-/// time-division-multiplexes. A tenant needing fewer still compiles to the
+/// Builds and runs one cell of the figure: two tenants `(model, cores)`
+/// sharing a chip — tenants 0 and 1 of the returned report. `Some(design)`
+/// gives each an exact-size vNPU bound under that design. `None` is the
+/// MIG baseline: each tenant gets a whole fixed partition; a tenant
+/// needing more virtual cores than the partition holds
+/// time-division-multiplexes, and one needing fewer still compiles to the
 /// number of cores it *wants* (the paper: GPT2-small uses 12 of 18/24).
-fn run_mig(
+pub fn cell(
     cfg: &SocConfig,
     a: (&ModelGraph, u32),
     b: (&ModelGraph, u32),
+    design: Option<Design>,
     iterations: u32,
-) -> Outcome {
+) -> Report {
     let mut machine = Machine::new(cfg.clone());
-    let mut mig = MigPartitioner::standard(cfg);
-    let alloc_a = mig.allocate(a.1).expect("partition A");
-    let alloc_b = mig.allocate(b.1).expect("partition B");
-    let ta = bind_mig(
-        &mut machine,
-        cfg,
-        &alloc_a,
-        &programs(a.0, a.1, cfg, iterations),
-        a.0.name(),
-    );
-    let tb = bind_mig(
-        &mut machine,
-        cfg,
-        &alloc_b,
-        &programs(b.0, b.1, cfg, iterations),
-        b.0.name(),
-    );
-    let r = machine.run().expect("run");
-    Outcome {
-        fps_a: r.fps(ta),
-        fps_b: r.fps(tb),
-        warmup_a: r.warmup_cycles(ta),
-        warmup_b: r.warmup_cycles(tb),
+    let tenants =
+        [a, b].map(|(model, cores)| (model.name(), cores, programs(model, cores, cfg, iterations)));
+    if let Some(design) = design {
+        let mut hv = Hypervisor::new(cfg.clone());
+        for (name, cores, programs) in &tenants {
+            let vm = hv
+                .create_vnpu(VnpuRequest::cores(*cores).mem_bytes(1 << 30))
+                .expect("vNPU");
+            bind_design(&mut machine, &hv, vm, programs, design, name);
+        }
+    } else {
+        let mut mig = MigPartitioner::standard(cfg);
+        for (name, cores, programs) in &tenants {
+            let alloc = mig.allocate(*cores).expect("partition");
+            bind_mig(&mut machine, cfg, &alloc, programs, name);
+        }
     }
+    machine.run().expect("run")
 }
 
 /// Runs the two-chip comparison; `quick` keeps only the 36-core scenario
@@ -132,28 +82,17 @@ pub fn run(quick: bool) {
     let resnet34 = models::resnet34();
     // vNPU: exact 12 + 24; MIG: both squeezed into 18-core partitions
     // (GPT2-small still runs 12 virtual cores; ResNet34 gets only 18).
-    let v36 = run_vnpu(
-        &cfg36,
-        (&gpt_s, 12),
-        (&resnet34, 24),
-        Design::Vnpu,
-        iterations,
-    );
-    let m36 = run_mig(&cfg36, (&gpt_s, 12), (&resnet34, 18), iterations);
-    let bare36 = run_vnpu(
-        &cfg36,
-        (&gpt_s, 12),
-        (&resnet34, 24),
-        Design::BareMetal,
-        iterations,
-    );
+    let on36 = |b, design| cell(&cfg36, (&gpt_s, 12), (&resnet34, b), design, iterations);
+    let v36 = on36(24, Some(Design::Vnpu));
+    let m36 = on36(18, None);
+    let bare36 = on36(24, Some(Design::BareMetal));
 
-    let fmt = |o: &Outcome| {
+    let fmt = |r: &Report| {
         vec![
-            format!("{:.1}", o.fps_a),
-            format!("{:.1}", o.fps_b),
-            format!("{:.2}M", o.warmup_a as f64 / 1e6),
-            format!("{:.2}M", o.warmup_b as f64 / 1e6),
+            format!("{:.1}", r.fps(0)),
+            format!("{:.1}", r.fps(1)),
+            format!("{:.2}M", r.warmup_cycles(0) as f64 / 1e6),
+            format!("{:.2}M", r.warmup_cycles(1) as f64 / 1e6),
         ]
     };
     let mut scenarios = vec![
@@ -168,15 +107,10 @@ pub fn run(quick: bool) {
     } else {
         let cfg48 = SocConfig::sim48();
         let gpt_l = models::gpt2_large();
-        let v48 = run_vnpu(&cfg48, (&gpt_s, 12), (&gpt_l, 36), Design::Vnpu, iterations);
-        let m48 = run_mig(&cfg48, (&gpt_s, 12), (&gpt_l, 36), iterations); // 36 vcores on 24 phys: TDM
-        let bare48 = run_vnpu(
-            &cfg48,
-            (&gpt_s, 12),
-            (&gpt_l, 36),
-            Design::BareMetal,
-            iterations,
-        );
+        let on48 = |design| cell(&cfg48, (&gpt_s, 12), (&gpt_l, 36), design, iterations);
+        let v48 = on48(Some(Design::Vnpu));
+        let m48 = on48(None); // 36 vcores on 24 phys: TDM
+        let bare48 = on48(Some(Design::BareMetal));
         scenarios.push(("48c vNPU (GPT2-s:12 + GPT2-l:36)", fmt(&v48)));
         scenarios.push(("48c MIG  (GPT2-s:24p + GPT2-l:24p TDM)", fmt(&m48)));
         scenarios.push(("48c bare-metal (same alloc as vNPU)", fmt(&bare48)));
@@ -197,11 +131,14 @@ pub fn run(quick: bool) {
         &rows,
     );
 
-    let resnet_speedup = v36.fps_b / m36.fps_b.max(1e-9);
-    let overhead36 = 1.0 - v36.fps_b / bare36.fps_b.max(1e-9);
-    assert!(v36.fps_a > 0.0 && v36.fps_b > 0.0, "both tenants must run");
+    let resnet_speedup = v36.fps(1) / m36.fps(1).max(1e-9);
+    let overhead36 = 1.0 - v36.fps(1) / bare36.fps(1).max(1e-9);
     assert!(
-        v36.warmup_a > 0 && v36.warmup_b > 0,
+        v36.fps(0) > 0.0 && v36.fps(1) > 0.0,
+        "both tenants must run"
+    );
+    assert!(
+        v36.warmup_cycles(0) > 0 && v36.warmup_cycles(1) > 0,
         "warm-up (weight loading) must be visible"
     );
     println!("\nvNPU vs MIG: ResNet34 {resnet_speedup:.2}x (paper 1.28x avg).");
@@ -210,8 +147,8 @@ pub fn run(quick: bool) {
         100.0 * overhead36
     );
     if let Some((v48, m48, bare48)) = outcomes48 {
-        let gptl_speedup = v48.fps_b / m48.fps_b.max(1e-9);
-        let overhead48 = 1.0 - v48.fps_b / bare48.fps_b.max(1e-9);
+        let gptl_speedup = v48.fps(1) / m48.fps(1).max(1e-9);
+        let overhead48 = 1.0 - v48.fps(1) / bare48.fps(1).max(1e-9);
         println!(
             "GPT2-large {gptl_speedup:.2}x vs MIG (paper up to 1.92x); \
              48c bare-metal overhead {:.2}%.",
@@ -228,7 +165,7 @@ pub fn run(quick: bool) {
         );
         // GPT2-small under MIG wastes partition cores; vNPU gives it exactly 12,
         // so its fps should be comparable (within noise) across designs.
-        let gpts_ratio = v48.fps_a / m48.fps_a.max(1e-9);
+        let gpts_ratio = v48.fps(0) / m48.fps(0).max(1e-9);
         assert!(
             (0.8..1.3).contains(&gpts_ratio),
             "GPT2-small fps should be similar under both designs ({gpts_ratio:.2})"

@@ -1,23 +1,23 @@
-//! Shared harness code for the figure/table benchmarks.
+//! Shared code for the figure/table benchmarks.
 //!
 //! Each bench target under `benches/` reproduces one table or figure of
-//! the paper. This library provides everything they need so the repo is
-//! self-contained offline:
+//! the paper. This library provides what they share:
 //!
 //! * the plumbing in this root module — binding compiled workloads onto
 //!   machines under the various virtualization designs (vNPU, UVM, MIG,
-//!   bare-metal) and uniform table printing;
+//!   bare-metal), uniform table printing and the `--quick` switch;
 //! * [`figs`] — the core loop of every figure/table bench, parameterized
 //!   by a `quick` flag so `tests/benches_smoke.rs` can exercise each one
-//!   at tiny scale under `cargo test`;
-//! * [`harness`] — the in-repo Criterion-style micro-benchmark harness
-//!   (the `criterion` crate is unavailable offline).
+//!   at tiny scale under `cargo test`.
+//!
+//! Nothing here times anything: wall-clock numbers come from the separate
+//! `benchmark/` package, which imports [`bind_design`], [`bind_mig`] and
+//! [`Design`] from this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figs;
-pub mod harness;
 
 use vnpu::mig::MigAllocation;
 use vnpu::uvm;
@@ -28,7 +28,7 @@ use vnpu_mem::translate::PhysicalTranslator;
 use vnpu_sim::isa::Program;
 use vnpu_sim::machine::{CoreServices, Machine, TenantId};
 use vnpu_sim::noc::{DorRouter, NocRouter};
-use vnpu_sim::{Report, SocConfig};
+use vnpu_sim::SocConfig;
 use vnpu_topo::Topology;
 
 /// Which virtualization design services a binding — the comparative
@@ -162,14 +162,19 @@ impl NocRouter for RemapRouter {
     }
 }
 
-/// Convenience: a second `VRouterNoc` construction helper for ad-hoc
-/// virtual NPUs in micro-benches (no hypervisor).
+/// Convenience: a `VRouterNoc` for an ad-hoc virtual NPU (no hypervisor).
 pub fn adhoc_vrouter(cfg: &SocConfig, v2p: Vec<u32>, policy: RoutePolicy) -> VRouterNoc {
     VRouterNoc::new(
         Topology::mesh2d(cfg.mesh_width, cfg.mesh_height),
         v2p,
         policy,
     )
+}
+
+/// True when `--quick` is among the process arguments (cargo's own flags
+/// are ignored): the bench targets' fast mode.
+pub fn quick_from_env() -> bool {
+    std::env::args().any(|a| a == "--quick")
 }
 
 /// Prints a fixed-width table with a title, headers and rows.
@@ -201,20 +206,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     );
     for row in rows {
         println!("{}", fmt_row(row));
-    }
-}
-
-/// Formats a throughput (iterations/s) with 1 decimal.
-pub fn fps(report: &Report, tenant: TenantId) -> String {
-    format!("{:.1}", report.fps(tenant))
-}
-
-/// Formats a ratio like "1.92x".
-pub fn ratio(a: f64, b: f64) -> String {
-    if b == 0.0 {
-        "inf".to_owned()
-    } else {
-        format!("{:.2}x", a / b)
     }
 }
 

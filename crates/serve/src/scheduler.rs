@@ -159,8 +159,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Collect per-phase wall-clock (admission / drain / defrag /
     /// execution) into the report via [`std::time::Instant`]. Off by
-    /// default so reports stay fully deterministic run-to-run; the
-    /// bench layer flips it on for perf trajectories.
+    /// default so reports stay fully deterministic run-to-run;
+    /// `benchmark/` flips it on for its per-phase metrics.
     pub time_phases: bool,
     /// The seeded hardware-fault schedule injected into the run
     /// ([`vnpu_fault::FaultPlan`]); empty by default — the healthy-fleet

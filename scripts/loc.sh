@@ -1,38 +1,48 @@
 #!/usr/bin/env bash
-# Non-test source size, per crate and for `core + serve`.
+# Source size, per crate, for `core + serve` and for the whole workspace.
 #
-# For every `crates/*/src/*.rs` (top level of `src/` only), counts the
-# lines that precede the file's first `#[cfg(test)]` — all of them, and
-# those that are neither blank nor a `//` comment ("code"). Prints one
-# row per crate, the three largest files by name, and the `core + serve`
-# sum the simplification PRs are judged by.
+# For every `crates/*/src/**/*.rs` (plus `crates/bench/benches/*.rs`,
+# counted with `bench`), counts the lines that precede the file's first
+# `#[cfg(test)]` — all of them, and those that are neither blank nor a
+# `//` comment ("code") — and the lines from that `#[cfg(test)]` on
+# ("test"). Prints one row per crate, the four largest files by name, the
+# `core + serve` sum the simplification PRs are judged by, and a
+# `workspace` row whose test column also takes in the root `tests/*.rs`.
 #
 # Usage: scripts/loc.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
-# Prints "<lines> <code>" summed over the given files.
+# Prints "<lines> <code> <test>" summed over the given files.
 count() {
   awk '
     FNR == 1 { in_tests = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-    in_tests { next }
+    in_tests { test++; next }
     { lines++ }
     !/^[[:space:]]*(\/\/|$)/ { code++ }
-    END { printf "%d %d\n", lines, code }
+    END { printf "%d %d %d\n", lines, code, test }
   ' "$@"
 }
 
-printf '%-28s %8s %8s\n' "non-test source" "lines" "code"
+row() {
+  local name=$1
+  shift
+  read -r lines code test < <(count "$@")
+  printf '%-28s %8d %8d %8d\n' "$name" "$lines" "$code" "$test"
+}
+
+printf '%-28s %8s %8s %8s\n' "source" "lines" "code" "test"
 for crate in crates/*/; do
-  name=$(basename "$crate")
-  read -r lines code < <(count "$crate"src/*.rs)
-  printf '%-28s %8d %8d\n' "$name" "$lines" "$code"
+  mapfile -t files < <(find "$crate"src "$crate"benches -name '*.rs' 2>/dev/null | sort)
+  row "$(basename "$crate")" "${files[@]}"
 done
 for file in crates/core/src/hypervisor.rs crates/core/src/cluster.rs \
   crates/core/src/admission.rs crates/serve/src/scheduler.rs; do
-  read -r lines code < <(count "$file")
-  printf '%-28s %8d %8d\n' "  ${file#crates/}" "$lines" "$code"
+  row "  ${file#crates/}" "$file"
 done
-read -r lines code < <(count crates/core/src/*.rs crates/serve/src/*.rs)
-printf '%-28s %8d %8d\n' "core + serve" "$lines" "$code"
+row "core + serve" crates/core/src/*.rs crates/serve/src/*.rs
+mapfile -t files < <(find crates/*/src crates/*/benches -name '*.rs' 2>/dev/null | sort)
+read -r lines code test < <(count "${files[@]}")
+printf '%-28s %8d %8d %8d\n' "workspace" "$lines" "$code" \
+  "$((test + $(cat tests/*.rs | wc -l)))"

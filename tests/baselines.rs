@@ -125,57 +125,26 @@ fn counters(report: &vnpu_sim::Report) -> String {
 }
 
 /// The paper cells the benchmark's `paper_static` runs (same models,
-/// options and provisioning), one row per figure: Fig. 14 ResNet18 ×
-/// the four memory modes, Fig. 15 transformer block 128 × {vNPU,
-/// UVM-32}, Fig. 16 36-core GPT2-small + ResNet34 × {vNPU, bare metal,
-/// MIG}.
+/// options and provisioning), one row per figure, each built by the
+/// figure's own `cell`: Fig. 14 ResNet18 × the four memory modes, Fig. 15
+/// transformer block 128 × {vNPU, UVM-32}, Fig. 16 36-core GPT2-small +
+/// ResNet34 × {vNPU, bare metal, MIG}.
 fn paper_cells() -> Vec<(&'static str, String)> {
-    use vnpu::mig::MigPartitioner;
-    use vnpu_bench::{bind_design, bind_mig, Design};
-    use vnpu_workloads::compile::Residency;
+    use vnpu_bench::figs::{fig14_mem_virt, fig15_vnpu_vs_uvm, fig16_vnpu_vs_mig};
+    use vnpu_bench::Design;
 
-    let options = |iterations, residency| CompileOptions {
-        iterations,
-        residency,
-        weight_va_base: vnpu::vnpu::GUEST_VA_BASE,
-        ..Default::default()
-    };
-    let run = |mut machine: Machine| counters(&machine.run().expect("cell runs"));
     let mut cells = Vec::new();
-
-    let fpga = SocConfig::fpga();
-    let out = compile(
-        &models::resnet18(),
-        8,
-        &fpga,
-        &options(16, Residency::Streamed),
-    )
-    .expect("compile");
+    let (fpga, resnet18) = (SocConfig::fpga(), models::resnet18());
     for (name, mode) in [
         ("fig14/resnet18/physical", MemMode::Physical),
         ("fig14/resnet18/range4", MemMode::Range { tlb_entries: 4 }),
         ("fig14/resnet18/page32", MemMode::Page { tlb_entries: 32 }),
         ("fig14/resnet18/page4", MemMode::Page { tlb_entries: 4 }),
     ] {
-        let mut hv = Hypervisor::new(fpga.clone());
-        let mem = (out.va_footprint + (1 << 20)).max(64 << 20);
-        let vm = hv
-            .create_vnpu(VnpuRequest::mesh(4, 2).mem_bytes(mem))
-            .expect("create");
-        let mut machine = Machine::new(fpga.clone());
-        let design = Design::VnpuWith(mode, RoutePolicy::Dor);
-        bind_design(&mut machine, &hv, vm, &out.programs, design, "resnet18");
-        cells.push((name, run(machine)));
+        let report = fig14_mem_virt::cell(&fpga, &resnet18, mode, 16);
+        cells.push((name, counters(&report)));
     }
-
-    let sim = SocConfig::sim();
-    let out = compile(
-        &models::transformer_block(128, 16),
-        4,
-        &sim,
-        &options(32, Residency::Auto),
-    )
-    .expect("compile");
+    let (sim, block) = (SocConfig::sim(), models::transformer_block(128, 16));
     for (name, design) in [
         ("fig15/transformer_block_128/vnpu", Design::Vnpu),
         (
@@ -183,42 +152,18 @@ fn paper_cells() -> Vec<(&'static str, String)> {
             Design::Uvm { iotlb: 32 },
         ),
     ] {
-        let mut hv = Hypervisor::new(sim.clone());
-        let vm = hv
-            .create_vnpu(VnpuRequest::mesh(2, 2).mem_bytes(64 << 20))
-            .expect("create");
-        let mut machine = Machine::new(sim.clone());
-        bind_design(&mut machine, &hv, vm, &out.programs, design, "block");
-        cells.push((name, run(machine)));
+        let report = fig15_vnpu_vs_uvm::cell(&sim, &block, design, 32);
+        cells.push((name, counters(&report)));
     }
-
-    let opts = options(96, Residency::Auto);
-    let small = compile(&models::gpt2_small(), 12, &sim, &opts).expect("compile");
-    let big = compile(&models::resnet34(), 24, &sim, &opts).expect("compile");
-    for (name, design) in [
-        ("fig16/36c_gpt2s_resnet34/vnpu", Design::Vnpu),
-        ("fig16/36c_gpt2s_resnet34/bare", Design::BareMetal),
+    let (small, big) = (models::gpt2_small(), models::resnet34());
+    for (name, resnet_cores, design) in [
+        ("fig16/36c_gpt2s_resnet34/vnpu", 24, Some(Design::Vnpu)),
+        ("fig16/36c_gpt2s_resnet34/bare", 24, Some(Design::BareMetal)),
+        ("fig16/36c_gpt2s_resnet34/mig", 18, None),
     ] {
-        let mut hv = Hypervisor::new(sim.clone());
-        let a = hv
-            .create_vnpu(VnpuRequest::cores(12).mem_bytes(1 << 30))
-            .expect("create");
-        let b = hv
-            .create_vnpu(VnpuRequest::cores(24).mem_bytes(1 << 30))
-            .expect("create");
-        let mut machine = Machine::new(sim.clone());
-        bind_design(&mut machine, &hv, a, &small.programs, design, "gpt2s");
-        bind_design(&mut machine, &hv, b, &big.programs, design, "resnet34");
-        cells.push((name, run(machine)));
+        let report = fig16_vnpu_vs_mig::cell(&sim, (&small, 12), (&big, resnet_cores), design, 96);
+        cells.push((name, counters(&report)));
     }
-    let mig_big = compile(&models::resnet34(), 18, &sim, &opts).expect("compile");
-    let mut mig = MigPartitioner::standard(&sim);
-    let alloc_a = mig.allocate(12).expect("partition");
-    let alloc_b = mig.allocate(18).expect("partition");
-    let mut machine = Machine::new(sim.clone());
-    bind_mig(&mut machine, &sim, &alloc_a, &small.programs, "gpt2s");
-    bind_mig(&mut machine, &sim, &alloc_b, &mig_big.programs, "resnet34");
-    cells.push(("fig16/36c_gpt2s_resnet34/mig", run(machine)));
     cells
 }
 

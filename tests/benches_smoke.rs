@@ -89,47 +89,3 @@ fn smoke_ablation_noc_isolation() {
 fn smoke_ablation_tlb_sweep() {
     figs::ablation_tlb_sweep::run(true);
 }
-
-#[test]
-fn smoke_serving_churn() {
-    figs::serving_churn::run(true);
-}
-
-#[test]
-fn smoke_cluster_churn() {
-    figs::cluster_churn::run(true);
-}
-
-#[test]
-fn smoke_defrag_churn() {
-    figs::defrag_churn::run(true);
-}
-
-#[test]
-fn smoke_drain_maintenance() {
-    figs::drain_maintenance::run(true);
-}
-
-#[test]
-fn smoke_fault_recovery() {
-    figs::fault_recovery::run(true);
-}
-
-#[test]
-fn smoke_temporal_check() {
-    figs::temporal_check::run(true);
-}
-
-/// The micro-benchmark harness itself, in quick mode: the same bench
-/// functions `benches/micro_criterion.rs` registers must measure and
-/// record without panicking.
-#[test]
-fn smoke_micro_criterion_harness() {
-    let mut c = vnpu_bench::harness::Criterion::with_quick(true);
-    let mut g = c.benchmark_group("smoke");
-    g.sample_size(3)
-        .bench_function("noop", |b| b.iter(|| 1 + 1));
-    g.finish();
-    assert_eq!(c.records().len(), 1);
-    assert!(c.to_json().contains("smoke/noop"));
-}

@@ -178,6 +178,37 @@ fn cluster_serve_runs_are_deterministic_with_first_fit() {
 }
 
 #[test]
+fn serve_placement_policy_moves_load_between_chips_not_arrivals() {
+    // A thousand requests over the 6x6 + 4x4 fleet under each policy.
+    let run = |placement: Arc<dyn ChipPlacement>| {
+        let mut c = ServeConfig::cluster(0xC105_7E12, 1_300, vec![SocConfig::sim(), small_soc()]);
+        c.traffic.candidate_cap = 200;
+        c.traffic.mean_interarrival_ticks = 1;
+        c.placement = placement;
+        ServeRuntime::new(c).run().unwrap()
+    };
+    let (first_fit, least_loaded) = (run(Arc::new(FirstFit)), run(Arc::new(LeastLoaded)));
+    assert!(first_fit.submitted >= 1_000, "{}", first_fit.submitted);
+    assert_eq!(
+        first_fit.submitted, least_loaded.submitted,
+        "placement policy must not perturb the arrival stream"
+    );
+    for r in [&first_fit, &least_loaded] {
+        assert!(
+            r.per_chip.iter().all(|c| c.accepted > 0),
+            "under load both chips serve: {:?}",
+            r.per_chip
+        );
+    }
+    assert!(
+        least_loaded.per_chip[1].accepted > first_fit.per_chip[1].accepted,
+        "least-loaded must push more tenants onto the second chip ({} vs {})",
+        least_loaded.per_chip[1].accepted,
+        first_fit.per_chip[1].accepted
+    );
+}
+
+#[test]
 fn step_driven_cluster_loop_with_policy_swaps_matches_itself() {
     let cfg = || {
         let mut c = ServeConfig::cluster(13, 0, vec![SocConfig::sim(), small_soc()]);

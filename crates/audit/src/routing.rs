@@ -340,12 +340,74 @@ mod tests {
     #[test]
     fn dor_fleet_shares_links_without_default_findings() {
         let topo = Topology::mesh2d(6, 6);
-        // Two plain tenants in the same rows: DOR traffic overlaps.
-        let tenants = vec![tenant(0, false, &[0, 1, 2]), tenant(1, false, &[3, 4, 5])];
+        // Two plain tenants interleaved along row 0 and a third turning
+        // through it: DOR traffic overlaps. (Until PR 25 the tenants were
+        // {0, 1, 2} and {3, 4, 5}, which share no link, so the check
+        // below held vacuously.)
+        let tenants = vec![
+            tenant(0, false, &[0, 2, 4]),
+            tenant(1, false, &[1, 3, 5]),
+            tenant(2, false, &[7, 2]),
+        ];
         assert!(audit_routing(&topo, &tenants, false).is_empty());
-        // Strict mode surfaces the sharing as warnings only.
+        // Strict mode surfaces the sharing as warnings only — one per
+        // shared link, in link order, every user named in VM order.
         let strict = audit_routing(&topo, &tenants, true);
         assert!(strict.iter().all(|f| f.rule == Rule::RouteSharedLink));
+        let got: Vec<String> = strict.iter().map(|f| f.to_string()).collect();
+        assert_eq!(
+            got,
+            [
+                "[ROUTE-SHARE] warning core1: link p1\u{2192}p2 is shared by vm0, vm1",
+                "[ROUTE-SHARE] warning core2: link p2\u{2192}p1 is shared by vm0, vm1, vm2",
+                "[ROUTE-SHARE] warning core2: link p2\u{2192}p3 is shared by vm0, vm1",
+                "[ROUTE-SHARE] warning core3: link p3\u{2192}p2 is shared by vm0, vm1",
+                "[ROUTE-SHARE] warning core3: link p3\u{2192}p4 is shared by vm0, vm1",
+                "[ROUTE-SHARE] warning core4: link p4\u{2192}p3 is shared by vm0, vm1",
+            ]
+        );
+    }
+
+    #[test]
+    fn isolated_pair_and_wrap_escape_findings_are_pinned() {
+        let topo = Topology::mesh2d(6, 6);
+        // vm0 is the wrap pair {5, 6} promised isolation: no confined
+        // path, so the router falls back to DOR across rows 0 and 1 —
+        // straight over vm1's isolated {1, 2, 3} and the plain vm2, vm3.
+        let tenants = vec![
+            tenant(0, true, &[5, 6]),
+            tenant(1, true, &[1, 2, 3]),
+            tenant(2, false, &[7, 9]),
+            tenant(3, false, &[8, 10]),
+        ];
+        let got: Vec<String> = audit_routing(&topo, &tenants, false)
+            .iter()
+            .map(|f| f.to_string())
+            .collect();
+        // Escaped cores ascending, then leaking links in link order, each
+        // naming the first isolated user and the others in VM order.
+        let conf = |core: u32| {
+            format!(
+                "[ROUTE-CONF] error vm0 core{core}: confined route crosses a core outside \
+                 the tenant's allocation (DOR fallback in effect \u{2014} isolation not \
+                 actually deployed)"
+            )
+        };
+        let iso = |from: u32, to: u32, others: &str| {
+            format!(
+                "[ROUTE-ISO] error vm0 core{from}: link p{from}\u{2192}p{to} carries traffic \
+                 of isolated tenant vm0 and of {others} \u{2014} NoC isolation violated"
+            )
+        };
+        let mut want: Vec<String> = [0, 1, 2, 3, 4, 7, 8, 9, 10, 11].map(conf).to_vec();
+        want.extend([
+            iso(2, 1, "vm1"),
+            iso(3, 2, "vm1"),
+            iso(7, 8, "vm2"),
+            iso(8, 9, "vm2, vm3"),
+            iso(9, 10, "vm3"),
+        ]);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -430,6 +492,13 @@ mod tests {
         let cycle = find_cdg_cycle(&paths).expect("cycle must be found");
         assert!(cycle.len() >= 4);
         assert_eq!(cycle.first(), cycle.last());
+        // The exact witness: the search starts from the least link and
+        // follows successors in ascending order.
+        let link = |from, to| Link { from, to };
+        assert_eq!(
+            cycle,
+            vec![link(0, 1), link(1, 7), link(7, 6), link(6, 0), link(0, 1)]
+        );
         // And through the full audit it surfaces as ROUTE-CDG: a tenant
         // whose table order induces those flows cannot exist via the
         // shortest-path router, so drive the checker directly.

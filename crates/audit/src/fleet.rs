@@ -13,6 +13,16 @@
 //!
 //! All passes are read-only: auditing a clean fleet leaves behavior,
 //! reports and cache statistics byte-identical to not auditing it.
+//!
+//! [`audit_chip`] runs after every audited tick, so its accounting half
+//! builds no map: the ownership ground truth is one `(core, tenant)`
+//! claim array, stably sorted by core. A core's claimants are then a
+//! contiguous run in the VM-ID order the tenants are visited in, and the
+//! runs come in ascending core order — the order the per-core
+//! `BTreeMap` of `Vec`s this replaced iterated in, so every finding keeps
+//! its place and text (a test-only `reference` module keeps the old pass
+//! as the oracle). A core a mapping names outside the mesh, which no
+//! per-core array could hold, sorts last and still groups by core.
 
 use crate::routing::{audit_routing, collect_tenant_routes};
 use crate::{AuditFinding, Rule};
@@ -31,13 +41,19 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
     let users = hv.core_users();
     let n = users.len();
 
-    // Ownership ground truth: which tenants claim each physical core.
-    let mut owners: BTreeMap<u32, Vec<VmId>> = BTreeMap::new();
-    for (&vm, v) in hv.vnpus() {
-        for node in v.mapping().phys_nodes() {
-            owners.entry(node.0).or_default().push(vm);
-        }
-    }
+    // Ownership ground truth: every (core, tenant) claim in one array,
+    // sorted by core — stably, so a core's claimants stay in the VM-ID
+    // order the tenants are visited in.
+    let mut claims: Vec<(u32, VmId)> = hv
+        .vnpus()
+        .flat_map(|(&vm, v)| v.mapping().phys_nodes().iter().map(move |n| (n.0, vm)))
+        .collect();
+    claims.sort_by_key(|&(core, _)| core);
+    let owners = |core: u32| {
+        let from = claims.partition_point(|&(c, _)| c < core);
+        let to = claims.partition_point(|&(c, _)| c <= core);
+        &claims[from..to]
+    };
 
     // FLEET-OWN: user counts must equal the tenant claims, core by core.
     // (A count above the claims also covers cores pinned via
@@ -45,55 +61,47 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
     // serving path never issues, and exactly the kind of residue this
     // audit exists to surface.)
     for core in 0..n as u32 {
-        let claimed = owners.get(&core).map_or(0, |o| o.len()) as u32;
-        let counted = users[core as usize];
+        let o = owners(core);
+        let (claimed, counted) = (o.len() as u32, users[core as usize]);
         if claimed != counted {
             let mut f = AuditFinding::error(
                 Rule::FleetCoreOwnership,
                 format!("user count is {counted} but {claimed} tenant(s) claim the core"),
             )
             .core(core);
-            if let Some(o) = owners.get(&core) {
-                if let Some(&vm) = o.first() {
-                    f = f.vm(vm);
-                }
+            if let Some(&(_, vm)) = o.first() {
+                f = f.vm(vm);
             }
             findings.push(f);
         }
     }
-    for node in owners.keys().filter(|&&c| c as usize >= n) {
+    let outside = &claims[claims.partition_point(|&(c, _)| (c as usize) < n)..];
+    for o in outside.chunk_by(|a, b| a.0 == b.0) {
         findings.push(
             AuditFinding::error(
                 Rule::FleetCoreOwnership,
                 "a tenant mapping names a core outside the mesh".to_string(),
             )
-            .core(*node),
+            .core(o[0].0),
         );
     }
 
     // FLEET-SHARE: multi-owner cores require unanimous temporal sharing.
-    for (&core, vms) in &owners {
-        if vms.len() < 2 {
-            continue;
-        }
-        let opted_out: Vec<VmId> = vms
-            .iter()
-            .filter(|&&vm| {
-                hv.vnpu(vm)
-                    .map(|v| !v.wants_temporal_sharing())
-                    .unwrap_or(true)
-            })
-            .copied()
-            .collect();
-        if let Some(&vm) = opted_out.first() {
-            let names: Vec<String> = vms.iter().map(|v| v.to_string()).collect();
+    for o in claims.chunk_by(|a, b| a.0 == b.0).filter(|o| o.len() >= 2) {
+        let opted_out = o.iter().filter(|&&(_, vm)| {
+            hv.vnpu(vm)
+                .map(|v| !v.wants_temporal_sharing())
+                .unwrap_or(true)
+        });
+        if let Some(&(core, vm)) = opted_out.clone().next() {
+            let names: Vec<String> = o.iter().map(|(_, v)| v.to_string()).collect();
             findings.push(
                 AuditFinding::error(
                     Rule::FleetSharedCore,
                     format!(
                         "core shared by {} but {} tenant(s) never opted into temporal sharing",
                         names.join(", "),
-                        opted_out.len()
+                        opted_out.count()
                     ),
                 )
                 .vm(vm)
@@ -105,12 +113,12 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
     // FLEET-FREE: the free set must mirror `users == 0 && !faulted`
     // exactly — a faulted core is pinned occupied regardless of users.
     let free = hv.free_set();
-    let mut truly_free: Vec<NodeId> = Vec::new();
+    let mut truly_free = FreeSet::all_occupied(n);
     for core in 0..n as u32 {
         let faulted = hv.core_faulted(core);
         let vacant = users[core as usize] == 0 && !faulted;
         if vacant {
-            truly_free.push(NodeId(core));
+            truly_free.release(NodeId(core));
         }
         if free.contains(NodeId(core)) != vacant {
             findings.push(
@@ -128,17 +136,17 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
             );
         }
     }
-    if free.free_count() != truly_free.len() {
+    if free.free_count() != truly_free.free_count() {
         findings.push(AuditFinding::error(
             Rule::FleetFreeSetDrift,
             format!(
                 "free set counts {} cores but {} have zero users",
                 free.free_count(),
-                truly_free.len()
+                truly_free.free_count()
             ),
         ));
     }
-    let expected_fp = FreeSet::from_free_nodes(n, &truly_free).fingerprint();
+    let expected_fp = truly_free.fingerprint();
     if free.fingerprint() != expected_fp {
         findings.push(AuditFinding::error(
             Rule::FleetFreeSetDrift,
@@ -196,7 +204,7 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
                 .core(core),
             );
         }
-        for &vm in owners.get(&core).map_or(&[][..], |o| o.as_slice()) {
+        for &(_, vm) in owners(core) {
             findings.push(
                 AuditFinding::error(
                     Rule::FaultMappedCore,
@@ -315,6 +323,346 @@ impl FleetAuditor {
             self.seen_topo_gens.entry(i).or_default().insert(gen);
         }
         findings
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The accounting half the flat `audit_chip` replaced, kept verbatim
+    //! as a differential oracle (the owners as a `BTreeMap` of per-core
+    //! `Vec`s, the free cores collected before the fingerprint is
+    //! rebuilt), over the reference routing pass.
+
+    use super::*;
+    use crate::routing::reference::{audit_routing, below};
+    use vnpu::cluster::ClusterVmId;
+    use vnpu::VnpuRequest;
+    use vnpu_mem::proptest_lite::Rng;
+    use vnpu_sim::SocConfig;
+
+    fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
+        let mut findings = Vec::new();
+        let users = hv.core_users();
+        let n = users.len();
+
+        // Ownership ground truth: which tenants claim each physical core.
+        let mut owners: BTreeMap<u32, Vec<VmId>> = BTreeMap::new();
+        for (&vm, v) in hv.vnpus() {
+            for node in v.mapping().phys_nodes() {
+                owners.entry(node.0).or_default().push(vm);
+            }
+        }
+
+        // FLEET-OWN: user counts must equal the tenant claims, core by core.
+        // (A count above the claims also covers cores pinned via
+        // `Hypervisor::reserve_cores` without a tenant — a reservation the
+        // serving path never issues, and exactly the kind of residue this
+        // audit exists to surface.)
+        for core in 0..n as u32 {
+            let claimed = owners.get(&core).map_or(0, |o| o.len()) as u32;
+            let counted = users[core as usize];
+            if claimed != counted {
+                let mut f = AuditFinding::error(
+                    Rule::FleetCoreOwnership,
+                    format!("user count is {counted} but {claimed} tenant(s) claim the core"),
+                )
+                .core(core);
+                if let Some(o) = owners.get(&core) {
+                    if let Some(&vm) = o.first() {
+                        f = f.vm(vm);
+                    }
+                }
+                findings.push(f);
+            }
+        }
+        for node in owners.keys().filter(|&&c| c as usize >= n) {
+            findings.push(
+                AuditFinding::error(
+                    Rule::FleetCoreOwnership,
+                    "a tenant mapping names a core outside the mesh".to_string(),
+                )
+                .core(*node),
+            );
+        }
+
+        // FLEET-SHARE: multi-owner cores require unanimous temporal sharing.
+        for (&core, vms) in &owners {
+            if vms.len() < 2 {
+                continue;
+            }
+            let opted_out: Vec<VmId> = vms
+                .iter()
+                .filter(|&&vm| {
+                    hv.vnpu(vm)
+                        .map(|v| !v.wants_temporal_sharing())
+                        .unwrap_or(true)
+                })
+                .copied()
+                .collect();
+            if let Some(&vm) = opted_out.first() {
+                let names: Vec<String> = vms.iter().map(|v| v.to_string()).collect();
+                findings.push(
+                    AuditFinding::error(
+                        Rule::FleetSharedCore,
+                        format!(
+                            "core shared by {} but {} tenant(s) never opted into temporal sharing",
+                            names.join(", "),
+                            opted_out.len()
+                        ),
+                    )
+                    .vm(vm)
+                    .core(core),
+                );
+            }
+        }
+
+        // FLEET-FREE: the free set must mirror `users == 0 && !faulted`
+        // exactly — a faulted core is pinned occupied regardless of users.
+        let free = hv.free_set();
+        let mut truly_free: Vec<NodeId> = Vec::new();
+        for core in 0..n as u32 {
+            let faulted = hv.core_faulted(core);
+            let vacant = users[core as usize] == 0 && !faulted;
+            if vacant {
+                truly_free.push(NodeId(core));
+            }
+            if free.contains(NodeId(core)) != vacant {
+                findings.push(
+                    AuditFinding::error(
+                        Rule::FleetFreeSetDrift,
+                        if vacant {
+                            "core has no users but the free set marks it occupied".to_string()
+                        } else if faulted {
+                            "core is faulted but the free set marks it free".to_string()
+                        } else {
+                            "core has users but the free set marks it free".to_string()
+                        },
+                    )
+                    .core(core),
+                );
+            }
+        }
+        if free.free_count() != truly_free.len() {
+            findings.push(AuditFinding::error(
+                Rule::FleetFreeSetDrift,
+                format!(
+                    "free set counts {} cores but {} have zero users",
+                    free.free_count(),
+                    truly_free.len()
+                ),
+            ));
+        }
+        let expected_fp = FreeSet::from_free_nodes(n, &truly_free).fingerprint();
+        if free.fingerprint() != expected_fp {
+            findings.push(AuditFinding::error(
+                Rule::FleetFreeSetDrift,
+                format!(
+                    "free-set fingerprint {:#x} does not match occupancy fingerprint {:#x}",
+                    free.fingerprint(),
+                    expected_fp
+                ),
+            ));
+        }
+
+        // FLEET-HBM: allocated bytes must be exactly the tenants' blocks.
+        let allocated = hv.hbm_total_bytes() - hv.hbm_free_bytes();
+        let tenant_bytes: u64 = hv
+            .vnpus()
+            .map(|(_, v)| v.memory_blocks().iter().map(|b| b.size).sum::<u64>())
+            .sum();
+        if allocated != tenant_bytes {
+            findings.push(AuditFinding::error(
+                Rule::FleetHbmAccounting,
+                format!(
+                    "buddy allocator holds {allocated} bytes but tenant blocks sum to \
+                     {tenant_bytes} — {} byte(s) leaked or double-counted",
+                    allocated.abs_diff(tenant_bytes)
+                ),
+            ));
+        }
+
+        // FLEET-DRAIN: maintenance requires an empty chip.
+        if sched == ChipSchedState::Drained && hv.vnpu_count() > 0 {
+            let mut f = AuditFinding::error(
+                Rule::FleetDrainedResidue,
+                format!(
+                    "chip is drained (under maintenance) but still holds {} tenant(s)",
+                    hv.vnpu_count()
+                ),
+            );
+            if let Some((&vm, _)) = hv.vnpus().next() {
+                f = f.vm(vm);
+            }
+            findings.push(f);
+        }
+
+        // FAULT-MAP / FAULT-FREE: dead cores must be off-limits — no live
+        // tenant may (still) map one, and none may be advertised free. A
+        // tenant on a dead core is expected *transiently* while recovery is
+        // converging; persisting across audits means recovery stalled.
+        for core in hv.faulted_cores() {
+            if free.contains(NodeId(core)) {
+                findings.push(
+                    AuditFinding::error(
+                        Rule::FaultFreeCore,
+                        "faulted core is advertised in the free region".to_string(),
+                    )
+                    .core(core),
+                );
+            }
+            for &vm in owners.get(&core).map_or(&[][..], |o| o.as_slice()) {
+                findings.push(
+                    AuditFinding::error(
+                        Rule::FaultMappedCore,
+                        "live tenant still maps a faulted core".to_string(),
+                    )
+                    .vm(vm)
+                    .core(core),
+                );
+            }
+        }
+
+        // FAULT-LINK: a tenant owning an endpoint of a dead link may still
+        // route around it, but its traffic terminates in the failed routers —
+        // worth surfacing while recovery decides whether to move it.
+        for (a, b) in hv.faulted_links() {
+            for (&vm, v) in hv.vnpus() {
+                let nodes = v.mapping().phys_nodes();
+                let endpoint = if nodes.contains(&NodeId(a)) {
+                    Some(a)
+                } else if nodes.contains(&NodeId(b)) {
+                    Some(b)
+                } else {
+                    None
+                };
+                if let Some(core) = endpoint {
+                    findings.push(
+                        AuditFinding::warning(
+                            Rule::FaultLinkEndpoint,
+                            format!("live tenant owns an endpoint of faulted link {a}\u{2013}{b}"),
+                        )
+                        .vm(vm)
+                        .core(core),
+                    );
+                }
+            }
+        }
+
+        // The routing pass over this chip's resident tables.
+        findings.extend(audit_routing(
+            hv.topology(),
+            &collect_tenant_routes(hv),
+            false,
+        ));
+
+        findings
+    }
+    /// Audits every chip of a cluster, tagging findings with the chip
+    /// index. Stateless — for the cache-generation monotonicity rule use a
+    /// [`FleetAuditor`].
+    fn audit_cluster(cluster: &Cluster) -> Vec<AuditFinding> {
+        let mut findings = Vec::new();
+        for i in 0..cluster.chip_count() {
+            let sched = cluster
+                .drain_state(i)
+                .unwrap_or(ChipSchedState::Schedulable);
+            findings.extend(
+                audit_chip(cluster.chip(i), sched)
+                    .into_iter()
+                    .map(|f| f.on_chip(i)),
+            );
+        }
+        findings
+    }
+
+    /// A small mesh or a core count, sometimes with guest memory,
+    /// temporal sharing or NoC isolation.
+    fn random_request(rng: &mut Rng) -> VnpuRequest {
+        let req = match below(rng, 2) {
+            0 => VnpuRequest::mesh(1 + below(rng, 4) as u32, 1 + below(rng, 4) as u32),
+            _ => VnpuRequest::cores(1 + below(rng, 6) as u32),
+        };
+        let req = match below(rng, 3) {
+            0 => req.mem_bytes((1 + below(rng, 8) as u64) << 20),
+            _ => req,
+        };
+        req.temporal_sharing(below(rng, 4) == 0)
+            .noc_isolation(below(rng, 4) == 0)
+    }
+
+    #[test]
+    fn flat_fleet_audit_matches_the_btreemap_reference() {
+        const CASES: usize = 32;
+        const STEPS: usize = 80;
+        let rng = &mut Rng::new(0x5EED_2503);
+        let mut reached = std::collections::BTreeSet::new();
+        let mut audits = 0;
+        for case in 0..CASES {
+            let mut cluster = Cluster::new(vec![SocConfig::sim(); 3]);
+            let mut auditor = FleetAuditor::new();
+            let mut live: Vec<ClusterVmId> = Vec::new();
+            for step in 0..STEPS {
+                // Churn, faults and repairs, reservation residue, drains.
+                let chip = below(rng, 3);
+                let core = below(rng, cluster.chip(chip).core_users().len()) as u32;
+                let next = cluster.chip(chip).topology().neighbors(NodeId(core));
+                let peer = next[below(rng, next.len())].0;
+                let _ = match below(rng, 12) {
+                    0..=3 => cluster
+                        .create_on(chip, random_request(rng))
+                        .map(|id| live.push(id)),
+                    4 => {
+                        // One core more than is free: temporal sharing.
+                        let cores = cluster.chip(chip).free_core_count() + 1;
+                        let req = VnpuRequest::cores(cores).temporal_sharing(true);
+                        cluster.create_on(chip, req).map(|id| live.push(id))
+                    }
+                    5 | 6 if !live.is_empty() => {
+                        cluster.destroy(live.swap_remove(below(rng, live.len())))
+                    }
+                    7 if cluster.chip(chip).core_faulted(core) => {
+                        cluster.repair_core(chip, core).map(drop)
+                    }
+                    7 => cluster.fault_core(chip, core).map(drop),
+                    8 if cluster.chip(chip).link_faulted(core, peer) => {
+                        cluster.repair_link(chip, core, peer).map(drop)
+                    }
+                    8 => cluster.fault_link(chip, core, peer).map(drop),
+                    9 => cluster.chip_mut(chip).reserve_cores(&[core]),
+                    10 => cluster.begin_drain(chip),
+                    _ => cluster
+                        .complete_drain(chip)
+                        .or_else(|_| cluster.undrain(chip)),
+                };
+                for i in 0..cluster.chip_count() {
+                    let live_state = cluster.drain_state(i).unwrap();
+                    for sched in [live_state, ChipSchedState::Drained] {
+                        let got = super::audit_chip(cluster.chip(i), sched);
+                        let want = audit_chip(cluster.chip(i), sched);
+                        assert_eq!(got, want, "case {case}, step {step}, chip {i}");
+                        reached.extend(got.iter().map(|f| f.rule));
+                        audits += 1;
+                    }
+                }
+                let got = auditor.audit(&cluster);
+                assert_eq!(got, audit_cluster(&cluster), "case {case}, step {step}");
+            }
+        }
+        for rule in [
+            Rule::FleetCoreOwnership,
+            Rule::FleetSharedCore,
+            Rule::FleetDrainedResidue,
+            Rule::FaultMappedCore,
+            Rule::FaultLinkEndpoint,
+            Rule::RouteIsolationLeak,
+        ] {
+            assert!(reached.contains(&rule), "{rule} never reached: {reached:?}");
+        }
+        println!(
+            "fleet campaign: {audits} chip audits and {} cluster audits, identical \
+             findings; rules reached {reached:?}",
+            CASES * STEPS
+        );
     }
 }
 

@@ -24,10 +24,11 @@
 //!   stateful [`FleetAuditor`]).
 //!
 //! The fleet pass is wired into the serving loop behind
-//! `ServeConfig::audit` (off by default — zero cost) and into the
-//! serving benches' quick modes as a hard gate. It is also the safety
-//! net for refactors of the serve tick: the invariants a restructured
-//! tick must preserve are exactly the rules below.
+//! `ServeConfig::audit` (off by default — zero cost), and
+//! `tests/scenarios.rs` runs the drain, fault and defrag lifecycles with
+//! it on as a hard gate. It is also the safety net for refactors of the
+//! serve tick: the invariants a restructured tick must preserve are
+//! exactly the rules below.
 //!
 //! # Rule catalogue
 //!

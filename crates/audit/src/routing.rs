@@ -21,12 +21,26 @@
 //!   acyclic (`ROUTE-CDG`). X-then-Y routing is provably acyclic; the
 //!   check covers confined direction-override paths, where a cycle is a
 //!   genuine wormhole-deadlock hazard.
+//!
+//! The pass runs after every audited serve tick, so it works on flat
+//! per-call arrays and allocates nothing per path or per search step.
+//! Every tenant's paths go node after node into one `Vec<u32>` with end
+//! offsets. Each directed link gets a dense id from the topology's sorted
+//! adjacency — `a → b` is numbered after every link leaving a lower core
+//! and after `a`'s links to lower neighbours — so ascending ids are
+//! ascending [`Link`]s. Link occupancy is one sorted `(link, tenant)`
+//! array, built only when an isolated tenant or strict mode can turn
+//! sharing into a finding; the deadlock search is one iterative DFS over
+//! link ids with a color array and an explicit stack, rooted in
+//! ascending order and taking successors in ascending order. Those are
+//! the orders the `BTreeMap`s this replaced iterated in, so the findings,
+//! their order, their text and the `ROUTE-CDG` witness are unchanged (a
+//! test-only `reference` module keeps the old pass as the oracle).
 
 use crate::{AuditFinding, Rule};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use vnpu::{Hypervisor, VirtCoreId, VmId};
-use vnpu_topo::route::{confined_path, dor_path};
+use vnpu_topo::route::{confined_path, dor_walk};
 use vnpu_topo::{NodeId, Topology};
 
 /// A directed physical mesh link `from → to` (adjacent cores).
@@ -78,31 +92,103 @@ pub fn collect_tenant_routes(hv: &Hypervisor) -> Vec<TenantRoutes> {
         .collect()
 }
 
-/// The paths this tenant's all-pairs traffic takes on the physical
-/// mesh, as node-ID sequences. Unroutable pairs are skipped (the
-/// confined router's DOR fallback is modeled, so an isolated tenant
-/// with a disconnected region yields DOR paths — which the escape rule
-/// then flags).
-fn tenant_paths(topo: &Topology, t: &TenantRoutes) -> Vec<Vec<u32>> {
-    let owned: Vec<NodeId> = t.owned_cores.iter().map(|&c| NodeId(c)).collect();
-    let mut paths = Vec::new();
-    for &src in &t.table_cores {
-        for &dst in &t.table_cores {
-            if src == dst {
-                continue;
-            }
-            let path = if t.isolated {
-                confined_path(topo, &owned, NodeId(src), NodeId(dst))
-                    .or_else(|_| dor_path(topo, NodeId(src), NodeId(dst)))
+/// Every tenant's all-pairs paths on the physical mesh, flat: path `p`
+/// visits `nodes[bounds[p]..bounds[p + 1]]`, and tenant `i`'s paths are
+/// `tenant_bounds[i]..tenant_bounds[i + 1]`, in `(src, dst)` table order.
+/// Unroutable pairs are skipped (the confined router's DOR fallback is
+/// modeled, so an isolated tenant with a disconnected region yields DOR
+/// paths — which the escape rule then flags).
+struct Flows {
+    nodes: Vec<u32>,
+    bounds: Vec<usize>,
+    tenant_bounds: Vec<usize>,
+}
+
+impl Flows {
+    fn build(topo: &Topology, tenants: &[TenantRoutes]) -> Self {
+        // At most a path per ordered pair, of a few nodes on a chip.
+        let pairs: usize = tenants.iter().map(|t| t.table_cores.len().pow(2)).sum();
+        let mut flows = Flows {
+            nodes: Vec::with_capacity(4 * pairs),
+            bounds: Vec::with_capacity(pairs + 1),
+            tenant_bounds: vec![0],
+        };
+        flows.bounds.push(0);
+        for t in tenants {
+            let owned: Vec<NodeId> = if t.isolated {
+                t.owned_cores.iter().map(|&c| NodeId(c)).collect()
             } else {
-                dor_path(topo, NodeId(src), NodeId(dst))
+                Vec::new()
             };
-            if let Ok(p) = path {
-                paths.push(p.iter().map(|n| n.0).collect());
+            for &src in &t.table_cores {
+                for &dst in t.table_cores.iter().filter(|&&dst| dst != src) {
+                    let (src, dst) = (NodeId(src), NodeId(dst));
+                    let confined = t.isolated.then(|| confined_path(topo, &owned, src, dst));
+                    match (confined, topo.mesh_shape()) {
+                        (Some(Ok(path)), _) => flows.nodes.extend(path.iter().map(|n| n.0)),
+                        (_, Some(shape)) => {
+                            // Refused (an endpoint off the mesh): visits nothing.
+                            let _ = dor_walk(shape, src, dst, |n| flows.nodes.push(n.0));
+                        }
+                        _ => {}
+                    }
+                    if flows.nodes.len() > flows.bounds[flows.bounds.len() - 1] {
+                        flows.bounds.push(flows.nodes.len());
+                    }
+                }
             }
+            flows.tenant_bounds.push(flows.bounds.len() - 1);
+        }
+        flows
+    }
+
+    /// Tenant `i`'s paths.
+    fn of(&self, i: usize) -> impl Iterator<Item = &[u32]> {
+        let paths = &self.bounds[self.tenant_bounds[i]..=self.tenant_bounds[i + 1]];
+        paths.windows(2).map(|w| &self.nodes[w[0]..w[1]])
+    }
+
+    /// Every tenant's paths.
+    fn all(&self) -> impl Iterator<Item = &[u32]> {
+        self.bounds.windows(2).map(|w| &self.nodes[w[0]..w[1]])
+    }
+}
+
+/// Dense ids for a topology's directed links: `a → b` is `first[a]` plus
+/// the rank of `b` among `a`'s sorted neighbours, so ascending ids are
+/// ascending [`Link`]s on any [`Topology`].
+struct LinkIds<'t> {
+    topo: &'t Topology,
+    /// Id of each core's first outgoing link, then the link count.
+    first: Vec<u32>,
+}
+
+impl<'t> LinkIds<'t> {
+    fn new(topo: &'t Topology) -> Self {
+        let mut first = vec![0];
+        for node in topo.nodes() {
+            first.push(first[node.index()] + topo.degree(node) as u32);
+        }
+        LinkIds { topo, first }
+    }
+
+    /// The id of hop `a → b`. Every path hop is a topology link: the
+    /// confined router walks neighbours, and DOR only runs on a
+    /// mesh-tagged topology, which only `mesh2d` / `torus2d` build.
+    fn id(&self, a: u32, b: u32) -> u32 {
+        let next = self.topo.neighbors(NodeId(a));
+        debug_assert!(next.contains(&NodeId(b)), "hop p{a}->p{b} is not a link");
+        self.first[a as usize] + next.partition_point(|n| n.0 < b) as u32
+    }
+
+    fn link(&self, id: u32) -> Link {
+        let from = self.first.partition_point(|&f| f <= id) - 1;
+        let rank = (id - self.first[from]) as usize;
+        Link {
+            from: from as u32,
+            to: self.topo.neighbors(NodeId(from as u32))[rank].0,
         }
     }
-    paths
 }
 
 /// The directed links a path traverses.
@@ -120,61 +206,72 @@ fn path_links(path: &[u32]) -> impl Iterator<Item = Link> + '_ {
 /// the graph is acyclic — i.e. the routing function is deadlock-free
 /// for these flows.
 pub fn find_cdg_cycle(paths: &[Vec<u32>]) -> Option<Vec<Link>> {
-    let mut deps: BTreeMap<Link, BTreeSet<Link>> = BTreeMap::new();
-    for path in paths {
-        let links: Vec<Link> = path_links(path).collect();
-        for w in links.windows(2) {
-            deps.entry(w[0]).or_default().insert(w[1]);
-            deps.entry(w[1]).or_default();
-        }
-        for &l in &links {
-            deps.entry(l).or_default();
-        }
-    }
-    // Iterative three-color DFS with an explicit parent stack so a
-    // witness cycle can be reconstructed.
+    // Ids by rank among the distinct links, so they ascend as links do.
+    let mut links: Vec<Link> = paths.iter().flat_map(|p| path_links(p)).collect();
+    links.sort_unstable();
+    links.dedup();
+    let id = |from, to| links.partition_point(|&l| l < Link { from, to }) as u32;
+    let deps = paths.iter().flat_map(|p| p.windows(3));
+    let deps = deps.map(|w| (id(w[0], w[1]), id(w[1], w[2]))).collect();
+    let cycle = cdg_cycle(links.len(), deps)?;
+    Some(cycle.into_iter().map(|l| links[l as usize]).collect())
+}
+
+/// The cycle search over link ids `0..links` (ascending ids = ascending
+/// links), `deps` holding one `(upstream, downstream)` pair per
+/// consecutive hop pair: an iterative three-color DFS rooted at every
+/// link in ascending order, taking successors in ascending order, that
+/// returns the first back edge's cycle, first link repeated at the end.
+fn cdg_cycle(links: usize, mut deps: Vec<(u32, u32)>) -> Option<Vec<u32>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
         Gray,
         Black,
     }
-    let mut color: BTreeMap<Link, Color> = deps.keys().map(|&l| (l, Color::White)).collect();
-    let nodes: Vec<Link> = deps.keys().copied().collect();
-    for &start in &nodes {
-        if color[&start] != Color::White {
+    deps.sort_unstable();
+    deps.dedup();
+    // Link `l`'s successors are `deps[start[l]..start[l + 1]]`.
+    let mut start = vec![0u32; links + 1];
+    for &(l, _) in &deps {
+        start[l as usize + 1] += 1;
+    }
+    for l in 0..links {
+        start[l + 1] += start[l];
+    }
+    let mut color = vec![Color::White; links];
+    // The gray chain, each link with the index of its next successor.
+    let mut stack: Vec<(u32, u32)> = Vec::new();
+    for root in 0..links {
+        // A link without successors closes no cycle: nothing to search.
+        if color[root] != Color::White || start[root] == start[root + 1] {
             continue;
         }
-        // Stack of (node, next-neighbor-index); `trail` mirrors the gray
-        // chain for cycle extraction.
-        let mut stack: Vec<(Link, usize)> = vec![(start, 0)];
-        color.insert(start, Color::Gray);
-        let mut trail: Vec<Link> = vec![start];
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            let succs: Vec<Link> = deps[&node].iter().copied().collect();
-            if *idx < succs.len() {
-                let next = succs[*idx];
-                *idx += 1;
-                match color[&next] {
-                    Color::White => {
-                        color.insert(next, Color::Gray);
-                        stack.push((next, 0));
-                        trail.push(next);
-                    }
-                    Color::Gray => {
-                        // Found a back edge: the cycle is the trail from
-                        // `next` onward, closed with `next` again.
-                        let from = trail.iter().position(|&l| l == next).unwrap_or(0);
-                        let mut cycle: Vec<Link> = trail[from..].to_vec();
-                        cycle.push(next);
-                        return Some(cycle);
-                    }
-                    Color::Black => {}
-                }
-            } else {
-                color.insert(node, Color::Black);
+        color[root] = Color::Gray;
+        stack.push((root as u32, start[root]));
+        while let Some((link, next)) = stack.last_mut() {
+            let link = *link as usize;
+            if *next == start[link + 1] {
+                color[link] = Color::Black;
                 stack.pop();
-                trail.pop();
+                continue;
+            }
+            let succ = deps[*next as usize].1;
+            *next += 1;
+            match color[succ as usize] {
+                Color::White => {
+                    color[succ as usize] = Color::Gray;
+                    stack.push((succ, start[succ as usize]));
+                }
+                Color::Gray => {
+                    // A back edge: the cycle is the chain from `succ` on,
+                    // closed with `succ` again.
+                    let from = stack.iter().position(|&(l, _)| l == succ).unwrap_or(0);
+                    let mut cycle: Vec<u32> = stack[from..].iter().map(|&(l, _)| l).collect();
+                    cycle.push(succ);
+                    return Some(cycle);
+                }
+                Color::Black => {}
             }
         }
     }
@@ -217,26 +314,17 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes], strict: bool) ->
     }
 
     // Reconstruct every tenant's flows once.
-    let tenant_flows: Vec<(VmId, bool, Vec<Vec<u32>>)> = tenants
-        .iter()
-        .map(|t| (t.vm, t.isolated, tenant_paths(topo, t)))
-        .collect();
+    let flows = Flows::build(topo, tenants);
+    let ids = LinkIds::new(topo);
 
     // ROUTE-CONF: a confined tenant's traffic must stay on its own cores.
-    for (t, (_, _, flows)) in tenants.iter().zip(&tenant_flows) {
-        if !t.isolated {
-            continue;
+    let n = topo.node_count();
+    for (i, t) in tenants.iter().enumerate().filter(|(_, t)| t.isolated) {
+        let mut escaped = vec![false; n];
+        for &node in flows.of(i).flatten() {
+            escaped[node as usize] |= !t.owned_cores.contains(&node);
         }
-        let owned: BTreeSet<u32> = t.owned_cores.iter().copied().collect();
-        let mut escaped: BTreeSet<u32> = BTreeSet::new();
-        for path in flows {
-            for &node in path {
-                if !owned.contains(&node) {
-                    escaped.insert(node);
-                }
-            }
-        }
-        for core in escaped {
+        for core in (0..n as u32).filter(|&c| escaped[c as usize]) {
             findings.push(
                 AuditFinding::error(
                     Rule::RouteEscapedRegion,
@@ -250,62 +338,58 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes], strict: bool) ->
         }
     }
 
-    // Link occupancy: which tenants put traffic on each directed link.
-    let mut link_users: BTreeMap<Link, BTreeSet<VmId>> = BTreeMap::new();
-    let isolated: BTreeSet<VmId> = tenants
-        .iter()
-        .filter(|t| t.isolated)
-        .map(|t| t.vm)
-        .collect();
-    for (vm, _, flows) in &tenant_flows {
-        for path in flows {
-            for link in path_links(path) {
-                link_users.entry(link).or_default().insert(*vm);
+    // Link occupancy — which tenants put traffic on each directed link,
+    // grouped by link, VM-ID order within — can only matter when a tenant
+    // was promised isolation or strict mode reports any sharing.
+    if strict || tenants.iter().any(|t| t.isolated) {
+        let mut users: Vec<(u32, VmId)> = Vec::new();
+        for (i, t) in tenants.iter().enumerate() {
+            for path in flows.of(i) {
+                users.extend(path.windows(2).map(|w| (ids.id(w[0], w[1]), t.vm)));
             }
         }
-    }
-    for (link, users) in &link_users {
-        if users.len() < 2 {
-            continue;
-        }
-        let vms: Vec<VmId> = users.iter().copied().collect();
-        if let Some(&iso) = vms.iter().find(|vm| isolated.contains(vm)) {
-            let others: Vec<String> = vms
-                .iter()
-                .filter(|&&vm| vm != iso)
-                .map(|vm| vm.to_string())
-                .collect();
-            findings.push(
-                AuditFinding::error(
-                    Rule::RouteIsolationLeak,
-                    format!(
-                        "link {link} carries traffic of isolated tenant {iso} and of {} — \
-                         NoC isolation violated",
-                        others.join(", ")
-                    ),
-                )
-                .vm(iso)
-                .core(link.from),
-            );
-        } else if strict {
-            let names: Vec<String> = vms.iter().map(|vm| vm.to_string()).collect();
-            findings.push(
-                AuditFinding::warning(
-                    Rule::RouteSharedLink,
-                    format!("link {link} is shared by {}", names.join(", ")),
-                )
-                .core(link.from),
-            );
+        users.sort_unstable();
+        users.dedup();
+        for group in users.chunk_by(|a, b| a.0 == b.0).filter(|g| g.len() >= 2) {
+            let link = ids.link(group[0].0);
+            let vms = group.iter().map(|&(_, vm)| vm);
+            let isolated = |vm| tenants.iter().any(|t| t.isolated && t.vm == vm);
+            if let Some(iso) = vms.clone().find(|&vm| isolated(vm)) {
+                let others: Vec<String> = vms
+                    .filter(|&vm| vm != iso)
+                    .map(|vm| vm.to_string())
+                    .collect();
+                findings.push(
+                    AuditFinding::error(
+                        Rule::RouteIsolationLeak,
+                        format!(
+                            "link {link} carries traffic of isolated tenant {iso} and of {} — \
+                             NoC isolation violated",
+                            others.join(", ")
+                        ),
+                    )
+                    .vm(iso)
+                    .core(link.from),
+                );
+            } else if strict {
+                let names: Vec<String> = vms.map(|vm| vm.to_string()).collect();
+                findings.push(
+                    AuditFinding::warning(
+                        Rule::RouteSharedLink,
+                        format!("link {link} is shared by {}", names.join(", ")),
+                    )
+                    .core(link.from),
+                );
+            }
         }
     }
 
     // ROUTE-CDG: the union of all flows must be deadlock-free.
-    let all_paths: Vec<Vec<u32>> = tenant_flows
-        .iter()
-        .flat_map(|(_, _, flows)| flows.iter().cloned())
-        .collect();
-    if let Some(cycle) = find_cdg_cycle(&all_paths) {
-        let chain: Vec<String> = cycle.iter().map(|l| l.to_string()).collect();
+    let mut deps = Vec::with_capacity(flows.nodes.len());
+    let turns = flows.all().flat_map(|p| p.windows(3));
+    deps.extend(turns.map(|w| (ids.id(w[0], w[1]), ids.id(w[1], w[2]))));
+    if let Some(cycle) = cdg_cycle(ids.first[n] as usize, deps) {
+        let chain: Vec<String> = cycle.iter().map(|&l| ids.link(l).to_string()).collect();
         findings.push(AuditFinding::error(
             Rule::RouteDeadlockCycle,
             format!(
@@ -316,6 +400,419 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes], strict: bool) ->
     }
 
     findings
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    //! The routing pass the flat `audit_routing` replaced, kept verbatim
+    //! as a differential oracle: a `Vec` per path, link occupancy and the
+    //! channel-dependency graph as `BTreeMap`s of `BTreeSet`s, a `Vec` of
+    //! successors collected on every DFS step. The campaigns hold the
+    //! two to identical findings and identical cycle witnesses.
+
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use vnpu_mem::proptest_lite::Rng;
+    use vnpu_topo::route::dor_path;
+
+    /// The paths this tenant's all-pairs traffic takes on the physical
+    /// mesh, as node-ID sequences. Unroutable pairs are skipped (the
+    /// confined router's DOR fallback is modeled, so an isolated tenant
+    /// with a disconnected region yields DOR paths — which the escape rule
+    /// then flags).
+    fn tenant_paths(topo: &Topology, t: &TenantRoutes) -> Vec<Vec<u32>> {
+        let owned: Vec<NodeId> = t.owned_cores.iter().map(|&c| NodeId(c)).collect();
+        let mut paths = Vec::new();
+        for &src in &t.table_cores {
+            for &dst in &t.table_cores {
+                if src == dst {
+                    continue;
+                }
+                let path = if t.isolated {
+                    confined_path(topo, &owned, NodeId(src), NodeId(dst))
+                        .or_else(|_| dor_path(topo, NodeId(src), NodeId(dst)))
+                } else {
+                    dor_path(topo, NodeId(src), NodeId(dst))
+                };
+                if let Ok(p) = path {
+                    paths.push(p.iter().map(|n| n.0).collect());
+                }
+            }
+        }
+        paths
+    }
+
+    /// Searches the channel-dependency graph of the given paths for a
+    /// cycle. Nodes are directed links; every consecutive hop pair of a
+    /// path contributes a dependency edge. Returns one witness cycle (as
+    /// the link sequence, first link repeated at the end) or `None` when
+    /// the graph is acyclic — i.e. the routing function is deadlock-free
+    /// for these flows.
+    pub(crate) fn find_cdg_cycle(paths: &[Vec<u32>]) -> Option<Vec<Link>> {
+        let mut deps: BTreeMap<Link, BTreeSet<Link>> = BTreeMap::new();
+        for path in paths {
+            let links: Vec<Link> = path_links(path).collect();
+            for w in links.windows(2) {
+                deps.entry(w[0]).or_default().insert(w[1]);
+                deps.entry(w[1]).or_default();
+            }
+            for &l in &links {
+                deps.entry(l).or_default();
+            }
+        }
+        // Iterative three-color DFS with an explicit parent stack so a
+        // witness cycle can be reconstructed.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Color {
+            White,
+            Gray,
+            Black,
+        }
+        let mut color: BTreeMap<Link, Color> = deps.keys().map(|&l| (l, Color::White)).collect();
+        let nodes: Vec<Link> = deps.keys().copied().collect();
+        for &start in &nodes {
+            if color[&start] != Color::White {
+                continue;
+            }
+            // Stack of (node, next-neighbor-index); `trail` mirrors the gray
+            // chain for cycle extraction.
+            let mut stack: Vec<(Link, usize)> = vec![(start, 0)];
+            color.insert(start, Color::Gray);
+            let mut trail: Vec<Link> = vec![start];
+            while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
+                let succs: Vec<Link> = deps[&node].iter().copied().collect();
+                if *idx < succs.len() {
+                    let next = succs[*idx];
+                    *idx += 1;
+                    match color[&next] {
+                        Color::White => {
+                            color.insert(next, Color::Gray);
+                            stack.push((next, 0));
+                            trail.push(next);
+                        }
+                        Color::Gray => {
+                            // Found a back edge: the cycle is the trail from
+                            // `next` onward, closed with `next` again.
+                            let from = trail.iter().position(|&l| l == next).unwrap_or(0);
+                            let mut cycle: Vec<Link> = trail[from..].to_vec();
+                            cycle.push(next);
+                            return Some(cycle);
+                        }
+                        Color::Black => {}
+                    }
+                } else {
+                    color.insert(node, Color::Black);
+                    stack.pop();
+                    trail.pop();
+                }
+            }
+        }
+        None
+    }
+
+    /// Runs the routing static analysis over a set of tenants on the given
+    /// physical topology. With `strict` set, any cross-tenant link sharing
+    /// is additionally reported as a warning (`ROUTE-SHARE`) — useful when
+    /// characterizing interference, noise when auditing a plain DOR fleet.
+    pub(crate) fn audit_routing(
+        topo: &Topology,
+        tenants: &[TenantRoutes],
+        strict: bool,
+    ) -> Vec<AuditFinding> {
+        let mut findings = Vec::new();
+
+        // ROUTE-TABLE: the table must resolve exactly the granted cores.
+        for t in tenants {
+            if t.table_cores != t.owned_cores {
+                let mismatch = t
+                    .table_cores
+                    .iter()
+                    .zip(&t.owned_cores)
+                    .position(|(a, b)| a != b)
+                    .unwrap_or_else(|| t.table_cores.len().min(t.owned_cores.len()));
+                let mut f = AuditFinding::error(
+                    Rule::RouteTableMismatch,
+                    format!(
+                        "routing table resolves {} cores {:?} but the mapping grants {} cores \
+                         {:?} (first divergence at virtual core {mismatch})",
+                        t.table_cores.len(),
+                        t.table_cores,
+                        t.owned_cores.len(),
+                        t.owned_cores
+                    ),
+                )
+                .vm(t.vm);
+                if let Some(&c) = t.table_cores.get(mismatch) {
+                    f = f.core(c);
+                }
+                findings.push(f);
+            }
+        }
+
+        // Reconstruct every tenant's flows once.
+        let tenant_flows: Vec<(VmId, bool, Vec<Vec<u32>>)> = tenants
+            .iter()
+            .map(|t| (t.vm, t.isolated, tenant_paths(topo, t)))
+            .collect();
+
+        // ROUTE-CONF: a confined tenant's traffic must stay on its own cores.
+        for (t, (_, _, flows)) in tenants.iter().zip(&tenant_flows) {
+            if !t.isolated {
+                continue;
+            }
+            let owned: BTreeSet<u32> = t.owned_cores.iter().copied().collect();
+            let mut escaped: BTreeSet<u32> = BTreeSet::new();
+            for path in flows {
+                for &node in path {
+                    if !owned.contains(&node) {
+                        escaped.insert(node);
+                    }
+                }
+            }
+            for core in escaped {
+                findings.push(
+                    AuditFinding::error(
+                        Rule::RouteEscapedRegion,
+                        "confined route crosses a core outside the tenant's allocation \
+                         (DOR fallback in effect — isolation not actually deployed)"
+                            .to_string(),
+                    )
+                    .vm(t.vm)
+                    .core(core),
+                );
+            }
+        }
+
+        // Link occupancy: which tenants put traffic on each directed link.
+        let mut link_users: BTreeMap<Link, BTreeSet<VmId>> = BTreeMap::new();
+        let isolated: BTreeSet<VmId> = tenants
+            .iter()
+            .filter(|t| t.isolated)
+            .map(|t| t.vm)
+            .collect();
+        for (vm, _, flows) in &tenant_flows {
+            for path in flows {
+                for link in path_links(path) {
+                    link_users.entry(link).or_default().insert(*vm);
+                }
+            }
+        }
+        for (link, users) in &link_users {
+            if users.len() < 2 {
+                continue;
+            }
+            let vms: Vec<VmId> = users.iter().copied().collect();
+            if let Some(&iso) = vms.iter().find(|vm| isolated.contains(vm)) {
+                let others: Vec<String> = vms
+                    .iter()
+                    .filter(|&&vm| vm != iso)
+                    .map(|vm| vm.to_string())
+                    .collect();
+                findings.push(
+                    AuditFinding::error(
+                        Rule::RouteIsolationLeak,
+                        format!(
+                            "link {link} carries traffic of isolated tenant {iso} and of {} — \
+                             NoC isolation violated",
+                            others.join(", ")
+                        ),
+                    )
+                    .vm(iso)
+                    .core(link.from),
+                );
+            } else if strict {
+                let names: Vec<String> = vms.iter().map(|vm| vm.to_string()).collect();
+                findings.push(
+                    AuditFinding::warning(
+                        Rule::RouteSharedLink,
+                        format!("link {link} is shared by {}", names.join(", ")),
+                    )
+                    .core(link.from),
+                );
+            }
+        }
+
+        // ROUTE-CDG: the union of all flows must be deadlock-free.
+        let all_paths: Vec<Vec<u32>> = tenant_flows
+            .iter()
+            .flat_map(|(_, _, flows)| flows.iter().cloned())
+            .collect();
+        if let Some(cycle) = find_cdg_cycle(&all_paths) {
+            let chain: Vec<String> = cycle.iter().map(|l| l.to_string()).collect();
+            findings.push(AuditFinding::error(
+                Rule::RouteDeadlockCycle,
+                format!(
+                    "channel-dependency cycle: {} — wormhole deadlock possible",
+                    chain.join(" \u{2192} ")
+                ),
+            ));
+        }
+
+        findings
+    }
+
+    pub(crate) fn below(rng: &mut Rng, n: usize) -> usize {
+        rng.below(n as u64) as usize
+    }
+
+    /// The cores of a `size` rectangle at `at` on a `w`-wide grid — only
+    /// its border when `ring` (a cycle for the confined router).
+    fn rectangle(w: u32, at: (u32, u32), size: (u32, u32), ring: bool) -> Vec<u32> {
+        let (x0, y0, x1, y1) = (at.0, at.1, at.0 + size.0 - 1, at.1 + size.1 - 1);
+        let cells = (y0..=y1).flat_map(|y| (x0..=x1).map(move |x| (x, y)));
+        cells
+            .filter(|&(x, y)| !ring || x == x0 || x == x1 || y == y0 || y == y1)
+            .map(|(x, y)| y * w + x)
+            .collect()
+    }
+
+    /// Up to four tenants on a `w × h` grid: scattered cores (with
+    /// duplicates and cores off the grid), runs of consecutive ids (wrap
+    /// pairs across rows), rectangles and rings; isolated or not; some
+    /// with a table that disagrees with the mapping or is empty; VM ids
+    /// from a pool of five, so some repeat.
+    fn random_tenants(rng: &mut Rng, w: u32, h: u32) -> Vec<TenantRoutes> {
+        let n = (w * h) as usize;
+        (0..below(rng, 5))
+            .map(|_| {
+                let k = below(rng, 7) as u32;
+                let at = (below(rng, w as usize) as u32, below(rng, h as usize) as u32);
+                let size = (
+                    1 + below(rng, (w - at.0).min(4) as usize) as u32,
+                    1 + below(rng, (h - at.1).min(4) as usize) as u32,
+                );
+                let owned_cores: Vec<u32> = match below(rng, 4) {
+                    0 => (0..k).map(|_| below(rng, n + 2) as u32).collect(),
+                    1 => {
+                        let first = below(rng, n) as u32;
+                        (first..first + k).collect()
+                    }
+                    2 => rectangle(w, at, size, false),
+                    _ => rectangle(w, at, size, true),
+                };
+                let mut table_cores = owned_cores.clone();
+                match below(rng, 10) {
+                    0 => table_cores.clear(),
+                    1 => {
+                        table_cores.pop();
+                    }
+                    2 => table_cores.reverse(),
+                    3 if k > 0 => table_cores[0] = below(rng, n) as u32,
+                    _ => {}
+                }
+                TenantRoutes {
+                    vm: VmId(below(rng, 5) as u32),
+                    isolated: below(rng, 2) == 0,
+                    table_cores,
+                    owned_cores,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flat_routing_matches_the_btreemap_reference() {
+        const CASES: usize = 1_400;
+        let rng = &mut Rng::new(0x5EED_2501);
+        let mut reached = BTreeSet::new();
+        let mut clean = 0;
+        for case in 0..CASES {
+            let (w, h) = match case % 7 {
+                0 => (1, 2 + below(rng, 8) as u32),
+                1 => (2 + below(rng, 8) as u32, 1),
+                2 | 5 => (4, 4),
+                3 => (6, 6),
+                4 => (8, 6),
+                _ => (5, 4),
+            };
+            let topo = match case % 7 {
+                // A torus with its mesh tag (DOR runs, confined paths
+                // may wrap) and one stripped of it (no DOR at all).
+                5 | 6 => {
+                    let mut torus = Topology::torus2d(w, h).unwrap();
+                    if case % 7 == 5 {
+                        torus.add_edge(NodeId(0), NodeId(1)).unwrap();
+                        assert!(torus.mesh_shape().is_none());
+                    }
+                    torus
+                }
+                _ => Topology::mesh2d(w, h),
+            };
+            let tenants = random_tenants(rng, w, h);
+            for strict in [false, true] {
+                let got = super::audit_routing(&topo, &tenants, strict);
+                let want = audit_routing(&topo, &tenants, strict);
+                assert_eq!(got, want, "case {case}, strict {strict}: {tenants:?}");
+                reached.extend(got.iter().map(|f| f.rule));
+                clean += usize::from(got.is_empty());
+            }
+        }
+        assert_eq!(
+            reached.len(),
+            5,
+            "a routing rule was never reached: {reached:?}"
+        );
+        assert!(clean > 0, "no clean case");
+        println!(
+            "routing campaign: {CASES} tenant sets x strict on/off, identical findings; \
+             rules reached {reached:?}, {clean} clean audits"
+        );
+    }
+
+    #[test]
+    fn flat_cycle_search_matches_the_btreemap_reference() {
+        const CASES: usize = 3_000;
+        let rng = &mut Rng::new(0x5EED_2502);
+        let mesh = Topology::mesh2d(6, 6);
+        let (mut cycles, mut acyclic) = (0, 0);
+        for case in 0..CASES {
+            let mut paths: Vec<Vec<u32>> = (0..below(rng, 10))
+                .map(|_| {
+                    let len = below(rng, 7);
+                    if below(rng, 4) == 0 {
+                        // Arbitrary ids: non-adjacent hops, repeats, self-links.
+                        return (0..len).map(|_| below(rng, 12) as u32).collect();
+                    }
+                    // A random walk on the mesh, backtracking allowed.
+                    let mut node = below(rng, 36) as u32;
+                    let mut walk = vec![node];
+                    for _ in 1..len {
+                        let next = mesh.neighbors(NodeId(node));
+                        node = next[below(rng, next.len())].0;
+                        walk.push(node);
+                    }
+                    walk
+                })
+                .collect();
+            // Inject the four turns around a random 2x2 block, either way
+            // round, at random positions.
+            if below(rng, 2) == 0 {
+                let (x, y) = (below(rng, 5) as u32, below(rng, 5) as u32);
+                let mut block = [y * 6 + x, y * 6 + x + 1, y * 6 + x + 7, y * 6 + x + 6];
+                if below(rng, 2) == 0 {
+                    block.reverse();
+                }
+                for i in 0..4 {
+                    let at = below(rng, paths.len() + 1);
+                    paths.insert(at, (0..3).map(|j| block[(i + j) % 4]).collect());
+                }
+            }
+            let got = super::find_cdg_cycle(&paths);
+            assert_eq!(got, find_cdg_cycle(&paths), "case {case}: {paths:?}");
+            if got.is_some() {
+                cycles += 1;
+            } else {
+                acyclic += 1;
+            }
+        }
+        assert!(
+            cycles > CASES / 4 && acyclic > CASES / 4,
+            "{cycles} / {acyclic}"
+        );
+        println!(
+            "CDG campaign: {CASES} path sets, identical witnesses; {cycles} cyclic, {acyclic} acyclic"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -433,6 +930,22 @@ mod tests {
             "the other tenant must be named: {}",
             leak.detail
         );
+    }
+
+    #[test]
+    fn off_mesh_cores_are_skipped_not_a_panic() {
+        let topo = Topology::mesh2d(6, 6);
+        // An isolated tenant naming core 99 of a 6x6 mesh used to panic
+        // inside `confined_path`; its pairs with 99 are unroutable and
+        // skipped, exactly as the plain tenant's are.
+        assert!(audit_routing(&topo, &[tenant(0, true, &[0, 99])], true).is_empty());
+        let mut iso = tenant(0, true, &[0, 1, 99]);
+        iso.owned_cores[2] = 98;
+        let mut plain = iso.clone();
+        plain.isolated = false;
+        let findings = audit_routing(&topo, &[iso], true);
+        assert_eq!(findings, audit_routing(&topo, &[plain], true));
+        assert_eq!(rules(&findings), vec![Rule::RouteTableMismatch]);
     }
 
     #[test]

@@ -103,7 +103,8 @@ pub fn dor_walk(
 ///
 /// # Errors
 ///
-/// Returns [`TopoError::Unroutable`] when no such path exists.
+/// Returns [`TopoError::Unroutable`] when no such path exists — also when
+/// an endpoint lies outside `topo` (members outside it are ignored).
 pub fn confined_path(
     topo: &Topology,
     allowed: &[NodeId],
@@ -112,9 +113,11 @@ pub fn confined_path(
 ) -> Result<Vec<NodeId>> {
     let mut in_set = vec![false; topo.node_count()];
     for &n in allowed {
-        in_set[n.index()] = true;
+        if let Some(member) = in_set.get_mut(n.index()) {
+            *member = true;
+        }
     }
-    if !in_set[src.index()] || !in_set[dst.index()] {
+    if in_set.get(src.index()) != Some(&true) || in_set.get(dst.index()) != Some(&true) {
         return Err(TopoError::Unroutable {
             src: src.0,
             dst: dst.0,
@@ -192,18 +195,10 @@ pub fn step_direction(topo: &Topology, a: NodeId, b: NodeId) -> Option<Direction
 
 /// Whether the DOR route between `src` and `dst` stays entirely inside
 /// `allowed` — i.e. whether default routing already avoids NoC
-/// interference for this pair.
+/// interference for this pair. `false` when an endpoint lies outside the
+/// mesh; members of `allowed` outside it are ignored.
 pub fn dor_confined(topo: &Topology, allowed: &[NodeId], src: NodeId, dst: NodeId) -> bool {
-    match dor_path(topo, src, dst) {
-        Ok(path) => {
-            let mut in_set = vec![false; topo.node_count()];
-            for &n in allowed {
-                in_set[n.index()] = true;
-            }
-            path.iter().all(|n| in_set[n.index()])
-        }
-        Err(_) => false,
-    }
+    dor_path(topo, src, dst).is_ok_and(|path| path.iter().all(|n| allowed.contains(n)))
 }
 
 #[cfg(test)]
@@ -257,6 +252,23 @@ mod tests {
         let t = Topology::mesh2d(3, 3);
         let allowed = vec![NodeId(0), NodeId(1)];
         assert!(confined_path(&t, &allowed, NodeId(0), NodeId(8)).is_err());
+    }
+
+    #[test]
+    fn nodes_outside_the_mesh_are_unroutable_not_a_panic() {
+        let t = Topology::mesh2d(6, 6);
+        let allowed = vec![NodeId(0), NodeId(1), NodeId(99)];
+        for (src, dst) in [(0, 99), (99, 0), (99, 99)] {
+            assert!(matches!(
+                confined_path(&t, &allowed, NodeId(src), NodeId(dst)),
+                Err(TopoError::Unroutable { .. })
+            ));
+            assert!(!dor_confined(&t, &allowed, NodeId(src), NodeId(dst)));
+        }
+        // In-mesh members still route.
+        let p = confined_path(&t, &allowed, NodeId(0), NodeId(1)).unwrap();
+        assert_eq!(p, vec![NodeId(0), NodeId(1)]);
+        assert!(dor_confined(&t, &allowed, NodeId(1), NodeId(0)));
     }
 
     #[test]

@@ -36,12 +36,14 @@ section "scripts/loc.sh (non-test source size)"
 # ratcheted: `core + serve` and `topo` code lines may not grow past where
 # the last simplification PR landed them. A PR that shrinks them lowers
 # the bound. (`topo` stood at 1 988 after PR 16; PR 19's allocation-free
-# search kernels, a claimed and measured gain, bought the 45 lines since.)
-# The `workspace` row — every crate's `src/**` plus the bench targets — is
-# held the same way, at where the one-bench-harness PR landed it.
+# search kernels, a claimed and measured gain, bought the 45 lines since;
+# PR 25's `dor_confined` rewrite took 7 back.) The `workspace` row — every
+# crate's `src/**` plus the bench targets — is held the same way, at where
+# the one-bench-harness PR landed it plus the 31 lines PR 25's flat fleet
+# audit (a claimed and measured gain) added net.
 CORE_SERVE_CODE_MAX=4977
-TOPO_CODE_MAX=2033
-WORKSPACE_CODE_MAX=16370
+TOPO_CODE_MAX=2026
+WORKSPACE_CODE_MAX=16401
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -142,6 +144,30 @@ cargo test --test baselines -q paper_cells_are_pinned
 cargo test -p vnpu_mem -q runs_table_matches_the_btreemap_reference -- --nocapture
 cargo test -p vnpu_mem -q tlb_matches_the_scan_everything_lru -- --nocapture
 cargo test -p vnpu_sim -q lazy_arrivals_match_a_wake_per_packet -- --nocapture
+
+section "audit gate"
+# The fleet audit runs after every audited tick over flat arrays: paths
+# in one buffer with end offsets, links as dense ids from the topology's
+# sorted adjacency, the deadlock search as one DFS over those ids. The
+# pins hold its exact outputs (the ROUTE-CDG witness, a strict-mode
+# ROUTE-SHARE list, ROUTE-CONF + ROUTE-ISO findings with their order and
+# text) and an off-mesh core that used to panic `confined_path`; the
+# campaigns hold the routing pass, the cycle search and `audit_chip` /
+# `FleetAuditor::audit` to the BTreeMap passes they replaced (test-only
+# `reference` modules): identical findings over random meshes, a torus
+# with and without its mesh tag, hostile tenant sets and churned,
+# faulted, reserved and drained fleets.
+for test in \
+  crafted_turn_cycle_is_a_deadlock_finding \
+  dor_fleet_shares_links_without_default_findings \
+  isolated_pair_and_wrap_escape_findings_are_pinned \
+  off_mesh_cores_are_skipped_not_a_panic \
+  flat_routing_matches_the_btreemap_reference \
+  flat_cycle_search_matches_the_btreemap_reference \
+  flat_fleet_audit_matches_the_btreemap_reference; do
+  cargo test -p vnpu_audit -q "$test" -- --nocapture
+done
+cargo test -p vnpu_topo -q nodes_outside_the_mesh_are_unroutable_not_a_panic
 
 section "plan/commit agreement gate"
 # A plan is the commit's op loop run on a copy, so there is no second

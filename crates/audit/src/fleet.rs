@@ -26,7 +26,7 @@
 
 use crate::routing::{audit_routing, collect_tenant_routes};
 use crate::{AuditFinding, Rule};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vnpu::cluster::Cluster;
 use vnpu::drain::ChipSchedState;
 use vnpu::{Hypervisor, VmId};
@@ -64,15 +64,14 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
         let o = owners(core);
         let (claimed, counted) = (o.len() as u32, users[core as usize]);
         if claimed != counted {
-            let mut f = AuditFinding::error(
-                Rule::FleetCoreOwnership,
-                format!("user count is {counted} but {claimed} tenant(s) claim the core"),
-            )
-            .core(core);
-            if let Some(&(_, vm)) = o.first() {
-                f = f.vm(vm);
-            }
-            findings.push(f);
+            findings.push(
+                AuditFinding::error(
+                    Rule::FleetCoreOwnership,
+                    format!("user count is {counted} but {claimed} tenant(s) claim the core"),
+                )
+                .core(core)
+                .vm(o.first().map(|&(_, vm)| vm)),
+            );
         }
     }
     let outside = &claims[claims.partition_point(|&(c, _)| (c as usize) < n)..];
@@ -80,7 +79,7 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
         findings.push(
             AuditFinding::error(
                 Rule::FleetCoreOwnership,
-                "a tenant mapping names a core outside the mesh".to_string(),
+                "a tenant mapping names a core outside the mesh",
             )
             .core(o[0].0),
         );
@@ -88,11 +87,9 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
 
     // FLEET-SHARE: multi-owner cores require unanimous temporal sharing.
     for o in claims.chunk_by(|a, b| a.0 == b.0).filter(|o| o.len() >= 2) {
-        let opted_out = o.iter().filter(|&&(_, vm)| {
-            hv.vnpu(vm)
-                .map(|v| !v.wants_temporal_sharing())
-                .unwrap_or(true)
-        });
+        let opted_out = o
+            .iter()
+            .filter(|&&(_, vm)| !hv.vnpu(vm).is_ok_and(|v| v.wants_temporal_sharing()));
         if let Some(&(core, vm)) = opted_out.clone().next() {
             let names: Vec<String> = o.iter().map(|(_, v)| v.to_string()).collect();
             findings.push(
@@ -125,11 +122,11 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
                 AuditFinding::error(
                     Rule::FleetFreeSetDrift,
                     if vacant {
-                        "core has no users but the free set marks it occupied".to_string()
+                        "core has no users but the free set marks it occupied"
                     } else if faulted {
-                        "core is faulted but the free set marks it free".to_string()
+                        "core is faulted but the free set marks it free"
                     } else {
-                        "core has users but the free set marks it free".to_string()
+                        "core has users but the free set marks it free"
                     },
                 )
                 .core(core),
@@ -146,15 +143,11 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
             ),
         ));
     }
-    let expected_fp = truly_free.fingerprint();
-    if free.fingerprint() != expected_fp {
+    let (fp, expected_fp) = (free.fingerprint(), truly_free.fingerprint());
+    if fp != expected_fp {
         findings.push(AuditFinding::error(
             Rule::FleetFreeSetDrift,
-            format!(
-                "free-set fingerprint {:#x} does not match occupancy fingerprint {:#x}",
-                free.fingerprint(),
-                expected_fp
-            ),
+            format!("free-set fingerprint {fp:#x} does not match occupancy fingerprint {expected_fp:#x}"),
         ));
     }
 
@@ -177,17 +170,16 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
 
     // FLEET-DRAIN: maintenance requires an empty chip.
     if sched == ChipSchedState::Drained && hv.vnpu_count() > 0 {
-        let mut f = AuditFinding::error(
-            Rule::FleetDrainedResidue,
-            format!(
-                "chip is drained (under maintenance) but still holds {} tenant(s)",
-                hv.vnpu_count()
-            ),
+        findings.push(
+            AuditFinding::error(
+                Rule::FleetDrainedResidue,
+                format!(
+                    "chip is drained (under maintenance) but still holds {} tenant(s)",
+                    hv.vnpu_count()
+                ),
+            )
+            .vm(hv.vnpus().next().map(|(&vm, _)| vm)),
         );
-        if let Some((&vm, _)) = hv.vnpus().next() {
-            f = f.vm(vm);
-        }
-        findings.push(f);
     }
 
     // FAULT-MAP / FAULT-FREE: dead cores must be off-limits — no live
@@ -199,7 +191,7 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
             findings.push(
                 AuditFinding::error(
                     Rule::FaultFreeCore,
-                    "faulted core is advertised in the free region".to_string(),
+                    "faulted core is advertised in the free region",
                 )
                 .core(core),
             );
@@ -208,7 +200,7 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
             findings.push(
                 AuditFinding::error(
                     Rule::FaultMappedCore,
-                    "live tenant still maps a faulted core".to_string(),
+                    "live tenant still maps a faulted core",
                 )
                 .vm(vm)
                 .core(core),
@@ -222,14 +214,7 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
     for (a, b) in hv.faulted_links() {
         for (&vm, v) in hv.vnpus() {
             let nodes = v.mapping().phys_nodes();
-            let endpoint = if nodes.contains(&NodeId(a)) {
-                Some(a)
-            } else if nodes.contains(&NodeId(b)) {
-                Some(b)
-            } else {
-                None
-            };
-            if let Some(core) = endpoint {
+            if let Some(core) = [a, b].into_iter().find(|&c| nodes.contains(&NodeId(c))) {
                 findings.push(
                     AuditFinding::warning(
                         Rule::FaultLinkEndpoint,
@@ -281,12 +266,10 @@ pub fn audit_cluster(cluster: &Cluster) -> Vec<AuditFinding> {
 /// previously observed value — a healthy chain only ever extends.
 #[derive(Debug, Default)]
 pub struct FleetAuditor {
-    /// Last observed topology generation, per chip index.
-    last_topo_gen: BTreeMap<usize, u64>,
-    /// Every generation ever observed, per chip index — the replay
-    /// detector. Bounded by the number of reconfig/fault events in the
-    /// run, not by its length.
-    seen_topo_gens: BTreeMap<usize, std::collections::BTreeSet<u64>>,
+    /// Per chip index: the last observed topology generation, and every
+    /// generation ever observed — the replay detector, bounded by the
+    /// number of reconfig/fault events in the run, not by its length.
+    history: BTreeMap<usize, (u64, BTreeSet<u64>)>,
 }
 
 impl FleetAuditor {
@@ -300,27 +283,22 @@ impl FleetAuditor {
         let mut findings = audit_cluster(cluster);
         for i in 0..cluster.chip_count() {
             let gen = cluster.chip(i).topology_generation();
-            if let Some(&last) = self.last_topo_gen.get(&i) {
-                let replayed = gen != last
-                    && self
-                        .seen_topo_gens
-                        .get(&i)
-                        .is_some_and(|seen| seen.contains(&gen));
-                if (gen == 0 && last != 0) || replayed {
-                    findings.push(
-                        AuditFinding::error(
-                            Rule::FleetGenerationRegressed,
-                            format!(
-                                "reconfiguration generation reverted: {last} \u{2192} {gen} \
-                                 (previously observed state)"
-                            ),
-                        )
-                        .on_chip(i),
-                    );
-                }
+            // A chip's first audit records its generation and checks nothing.
+            let (last, seen) = self.history.entry(i).or_insert((gen, BTreeSet::new()));
+            if (gen == 0 && *last != 0) || (gen != *last && seen.contains(&gen)) {
+                findings.push(
+                    AuditFinding::error(
+                        Rule::FleetGenerationRegressed,
+                        format!(
+                            "reconfiguration generation reverted: {last} \u{2192} {gen} \
+                             (previously observed state)"
+                        ),
+                    )
+                    .on_chip(i),
+                );
             }
-            self.last_topo_gen.insert(i, gen);
-            self.seen_topo_gens.entry(i).or_default().insert(gen);
+            *last = gen;
+            seen.insert(gen);
         }
         findings
     }
@@ -871,7 +849,7 @@ mod tests {
         let mut auditor = FleetAuditor::new();
         // Seed history with a fabricated future generation, then audit
         // the real (lower) one: the regression must be reported.
-        auditor.last_topo_gen.insert(0, u64::MAX);
+        auditor.history.insert(0, (u64::MAX, BTreeSet::new()));
         let findings = auditor.audit(&cluster);
         let hit = findings
             .iter()

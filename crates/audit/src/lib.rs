@@ -6,14 +6,10 @@
 //! consistent, reconfiguration atomic. After the transactional-plan,
 //! live-migration, defragmentation and drain layers, those invariants
 //! are upheld by construction — but nothing *checks* them. This crate is
-//! the checker: three read-only passes that never mutate the structures
+//! the checker: two read-only passes that never mutate the structures
 //! they audit and never panic, reporting violations as structured
 //! [`AuditFinding`]s instead.
 //!
-//! * [`linter`] — lints a [`vnpu::plan::PlacementTxn`] *before* commit:
-//!   double-booked cores, use-after-destroy ordering hazards, cost-sum
-//!   mismatches, budget violations, stale plan generations, plans
-//!   targeting a draining chip.
 //! * [`routing`] — rebuilds every resident tenant's physical routes from
 //!   its routing table and route policy, then proves NoC deadlock
 //!   freedom over the channel-dependency graph and checks inter-tenant
@@ -21,7 +17,12 @@
 //! * [`fleet`] — the whole-[`vnpu::cluster::Cluster`] post-tick audit:
 //!   core-ownership and free-set consistency, HBM byte conservation,
 //!   drained-chip residue, cache-generation monotonicity (via the
-//!   stateful [`FleetAuditor`]).
+//!   stateful [`FleetAuditor`]), and the fault mask.
+//!
+//! A placement plan needs no pass of its own: `Hypervisor::plan` runs
+//! the commit's op loop on a copy, so an unsound plan is an `Err` from
+//! `plan`, and a plan the chip moved away from is a `StalePlan` from
+//! `commit`.
 //!
 //! The fleet pass is wired into the serving loop behind
 //! `ServeConfig::audit` (off by default — zero cost), and
@@ -34,16 +35,6 @@
 //!
 //! | Rule id | Invariant | Layer |
 //! |---|---|---|
-//! | `PLAN-GEN` | plan generation matches the live chain | plan |
-//! | `PLAN-SNAP` | plan snapshot matches the live free region / HBM | plan |
-//! | `PLAN-COST` | declared total equals the sum of per-op costs | plan |
-//! | `PLAN-ORDER` | no op uses a VM a previous op destroys | plan |
-//! | `PLAN-VM` | every named VM is live on the chip | plan |
-//! | `PLAN-CORE` | no physical core acquired twice without release | plan |
-//! | `PLAN-FREE` | no op releases an already-free core | plan |
-//! | `PLAN-HBM` | created guest memory fits the snapshot's free HBM | plan |
-//! | `PLAN-BUDGET` | migrations stay inside the reconfiguration budget | plan |
-//! | `PLAN-DRAIN` | no create/migrate lands on an unschedulable chip | plan |
 //! | `ROUTE-TABLE` | routing-table entries agree with the core mapping | routing |
 //! | `ROUTE-CONF` | confined tenants' routes stay inside their cores | routing |
 //! | `ROUTE-ISO` | no link shared with a NoC-isolated tenant | routing |
@@ -58,21 +49,10 @@
 //! | `FAULT-MAP` | no live tenant maps a faulted core | fault |
 //! | `FAULT-FREE` | no faulted core is advertised free | fault |
 //! | `FAULT-LINK` | no live tenant owns an endpoint of a faulted link | fault |
-//! | `CONC-DET` | phase digest chains agree across runs | conc |
-//! | `TEMP-STARVE` | arrivals admitted or terminally rejected in bounded ticks | temporal |
-//! | `TEMP-DRAIN` | a silently stalled drain progresses or finishes in bounded ticks | temporal |
-//! | `TEMP-FAULT` | detected outages resolve by the recovery deadline | temporal |
-//! | `TEMP-COST` | per-event paid costs sum to the report's claims | temporal |
-//! | `TEMP-CACHE` | cache counters consistent and monotone | temporal |
-//! | `TEMP-LEAK` | quiescence implies a coalesced, leak-free free state | temporal |
-//! | `TEMP-HINT` | emitted fit hints fit the emitting admission snapshot | temporal |
 //!
-//! `CONC-DET` is produced by `vnpu_conc`'s digest-chain comparison (see
-//! that crate); [`AuditFinding`] implements
-//! `From<vnpu_conc::ConcFinding>` so determinism findings flow through
-//! the same reporting channel as the passes above. The `TEMP-*` rules
-//! are produced by `vnpu_temporal`'s streaming property checker over
-//! serve traces and lift into this channel the same way.
+//! The determinism rule `CONC-DET` lives in `vnpu_conc` and the
+//! `TEMP-*` rules in `vnpu_temporal`; each crate's rule type is the only
+//! home of its ids.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,11 +61,9 @@ use std::fmt;
 use vnpu::VmId;
 
 pub mod fleet;
-pub mod linter;
 pub mod routing;
 
 pub use fleet::{audit_chip, audit_cluster, FleetAuditor};
-pub use linter::{lint_plan, lint_view, OpKindView, OpView, PlanSnapshotView, PlanView};
 pub use routing::{audit_routing, collect_tenant_routes, Link, TenantRoutes};
 
 /// How bad a finding is.
@@ -95,8 +73,7 @@ pub enum Severity {
     /// a NoC link under plain dimension-order routing) — not a broken
     /// guarantee.
     Warning,
-    /// A violated invariant: committing the plan (or running the fleet
-    /// as-is) is unsafe.
+    /// A violated invariant: running the fleet as-is is unsafe.
     Error,
 }
 
@@ -115,26 +92,6 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Rule {
-    /// The plan's generation no longer matches the hypervisor's chain.
-    PlanStaleGeneration,
-    /// The plan's free-region/HBM snapshot drifted from the live chip.
-    PlanSnapshotDrift,
-    /// The declared total cost is not the sum of the per-op costs.
-    PlanCostMismatch,
-    /// An op names a VM that an earlier op in the same plan destroys.
-    PlanUseAfterDestroy,
-    /// An op names a VM that is not live on the chip.
-    PlanUnknownVm,
-    /// A physical core is acquired while already occupied.
-    PlanDoubleBooked,
-    /// An op releases a core that is already free.
-    PlanOverRelease,
-    /// Created guest memory exceeds the snapshot's free HBM.
-    PlanHbmOvercommit,
-    /// A migration op exceeds the reconfiguration budget.
-    PlanBudgetExceeded,
-    /// A create/migrate op targets a draining or drained chip.
-    PlanUnschedulableChip,
     /// A routing-table entry disagrees with the tenant's core mapping.
     RouteTableMismatch,
     /// A confined (NoC-isolated) tenant's route leaves its own cores.
@@ -173,44 +130,12 @@ pub enum Rule {
     /// routers. A warning — traffic may still route around the link —
     /// but recovery should be moving the tenant.
     FaultLinkEndpoint,
-    /// Phase digest chains diverged between runs that must agree.
-    ConcDeterminism,
-    /// A queued request was neither admitted nor terminally rejected
-    /// within the admission policy's starvation bound.
-    TemporalStarvation,
-    /// A draining chip sat through silent drain steps (nothing moved,
-    /// nothing explicitly skipped) past the stall bound.
-    TemporalDrainConvergence,
-    /// A detected outage was not recovered, lost, or departed by the
-    /// recovery deadline.
-    TemporalFaultDeadline,
-    /// Per-event paid reconfiguration costs do not sum to the serve
-    /// report's claimed totals.
-    TemporalCostConservation,
-    /// Mapping-cache counters are inconsistent or regressed over time.
-    TemporalCacheConservation,
-    /// The fleet claimed quiescence while leaking cores/HBM or with an
-    /// uncoalesced free region on healthy hardware.
-    TemporalQuiescenceLeak,
-    /// An emitted fit hint exceeds the largest schedulable free island
-    /// at the start of its admission pass.
-    TemporalHintSoundness,
 }
 
 impl Rule {
     /// The stable rule id used in reports and the README catalogue.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::PlanStaleGeneration => "PLAN-GEN",
-            Rule::PlanSnapshotDrift => "PLAN-SNAP",
-            Rule::PlanCostMismatch => "PLAN-COST",
-            Rule::PlanUseAfterDestroy => "PLAN-ORDER",
-            Rule::PlanUnknownVm => "PLAN-VM",
-            Rule::PlanDoubleBooked => "PLAN-CORE",
-            Rule::PlanOverRelease => "PLAN-FREE",
-            Rule::PlanHbmOvercommit => "PLAN-HBM",
-            Rule::PlanBudgetExceeded => "PLAN-BUDGET",
-            Rule::PlanUnschedulableChip => "PLAN-DRAIN",
             Rule::RouteTableMismatch => "ROUTE-TABLE",
             Rule::RouteEscapedRegion => "ROUTE-CONF",
             Rule::RouteIsolationLeak => "ROUTE-ISO",
@@ -225,14 +150,6 @@ impl Rule {
             Rule::FaultMappedCore => "FAULT-MAP",
             Rule::FaultFreeCore => "FAULT-FREE",
             Rule::FaultLinkEndpoint => "FAULT-LINK",
-            Rule::ConcDeterminism => "CONC-DET",
-            Rule::TemporalStarvation => "TEMP-STARVE",
-            Rule::TemporalDrainConvergence => "TEMP-DRAIN",
-            Rule::TemporalFaultDeadline => "TEMP-FAULT",
-            Rule::TemporalCostConservation => "TEMP-COST",
-            Rule::TemporalCacheConservation => "TEMP-CACHE",
-            Rule::TemporalQuiescenceLeak => "TEMP-LEAK",
-            Rule::TemporalHintSoundness => "TEMP-HINT",
         }
     }
 }
@@ -264,60 +181,39 @@ pub struct AuditFinding {
 }
 
 impl AuditFinding {
-    pub(crate) fn error(rule: Rule, detail: String) -> Self {
+    pub(crate) fn error(rule: Rule, detail: impl Into<String>) -> Self {
         AuditFinding {
             rule,
             severity: Severity::Error,
             chip: None,
             vm: None,
             core: None,
-            detail,
+            detail: detail.into(),
         }
     }
 
-    pub(crate) fn warning(rule: Rule, detail: String) -> Self {
+    pub(crate) fn warning(rule: Rule, detail: impl Into<String>) -> Self {
         AuditFinding {
-            rule,
             severity: Severity::Warning,
-            chip: None,
-            vm: None,
-            core: None,
-            detail,
+            ..AuditFinding::error(rule, detail)
         }
     }
 
-    pub(crate) fn vm(mut self, vm: VmId) -> Self {
-        self.vm = Some(vm);
+    /// Names the offending tenant (`None` leaves it unnamed).
+    pub(crate) fn vm(mut self, vm: impl Into<Option<VmId>>) -> Self {
+        self.vm = vm.into();
         self
     }
 
-    pub(crate) fn core(mut self, core: u32) -> Self {
-        self.core = Some(core);
+    /// Names the offending core (`None` leaves it unnamed).
+    pub(crate) fn core(mut self, core: impl Into<Option<u32>>) -> Self {
+        self.core = core.into();
         self
     }
 
     pub(crate) fn on_chip(mut self, chip: usize) -> Self {
         self.chip = Some(chip);
         self
-    }
-}
-
-impl From<vnpu_conc::ConcFinding> for AuditFinding {
-    /// Lifts a determinism finding into the audit channel: same rule id
-    /// (`CONC-DET`, the only [`vnpu_conc::ConcRule`]), same severity, chip
-    /// carried over; determinism findings never name a VM or core.
-    fn from(finding: vnpu_conc::ConcFinding) -> Self {
-        AuditFinding {
-            rule: Rule::ConcDeterminism,
-            severity: match finding.severity {
-                vnpu_conc::ConcSeverity::Warning => Severity::Warning,
-                vnpu_conc::ConcSeverity::Error => Severity::Error,
-            },
-            chip: finding.chip,
-            vm: None,
-            core: None,
-            detail: finding.detail,
-        }
     }
 }
 
@@ -343,7 +239,7 @@ mod tests {
 
     #[test]
     fn finding_display_names_the_offender() {
-        let f = AuditFinding::error(Rule::FleetSharedCore, "two exclusive owners".into())
+        let f = AuditFinding::error(Rule::FleetSharedCore, "two exclusive owners")
             .on_chip(1)
             .vm(VmId(3))
             .core(7);
@@ -358,16 +254,6 @@ mod tests {
     #[test]
     fn rule_ids_are_unique_and_stable() {
         let rules = [
-            Rule::PlanStaleGeneration,
-            Rule::PlanSnapshotDrift,
-            Rule::PlanCostMismatch,
-            Rule::PlanUseAfterDestroy,
-            Rule::PlanUnknownVm,
-            Rule::PlanDoubleBooked,
-            Rule::PlanOverRelease,
-            Rule::PlanHbmOvercommit,
-            Rule::PlanBudgetExceeded,
-            Rule::PlanUnschedulableChip,
             Rule::RouteTableMismatch,
             Rule::RouteEscapedRegion,
             Rule::RouteIsolationLeak,
@@ -382,51 +268,13 @@ mod tests {
             Rule::FaultMappedCore,
             Rule::FaultFreeCore,
             Rule::FaultLinkEndpoint,
-            Rule::ConcDeterminism,
-            Rule::TemporalStarvation,
-            Rule::TemporalDrainConvergence,
-            Rule::TemporalFaultDeadline,
-            Rule::TemporalCostConservation,
-            Rule::TemporalCacheConservation,
-            Rule::TemporalQuiescenceLeak,
-            Rule::TemporalHintSoundness,
         ];
         let ids: std::collections::BTreeSet<&str> = rules.iter().map(|r| r.id()).collect();
         assert_eq!(ids.len(), rules.len(), "duplicate rule id");
         for id in ids {
             let (layer, _) = id.split_once('-').expect("ids are LAYER-NAME");
-            assert!(
-                matches!(
-                    layer,
-                    "PLAN" | "ROUTE" | "FLEET" | "CONC" | "FAULT" | "TEMP"
-                ),
-                "{id}"
-            );
+            assert!(matches!(layer, "ROUTE" | "FLEET" | "FAULT"), "{id}");
         }
-    }
-
-    #[test]
-    fn conc_findings_convert_losslessly() {
-        let cases = [(vnpu_conc::ConcRule::Determinism, "CONC-DET")];
-        for (conc_rule, id) in cases {
-            // The conc crate and the audit catalogue must agree on ids.
-            assert_eq!(conc_rule.id(), id);
-            let lifted: AuditFinding =
-                vnpu_conc::ConcFinding::error(conc_rule, "witness".into()).into();
-            assert_eq!(lifted.rule.id(), id);
-            assert_eq!(lifted.severity, Severity::Error);
-            assert_eq!(lifted.detail, "witness");
-        }
-        let warned: AuditFinding = vnpu_conc::ConcFinding::warning(
-            vnpu_conc::ConcRule::Determinism,
-            "tick 5 diverged".into(),
-        )
-        .on_chip(3)
-        .into();
-        assert_eq!(warned.severity, Severity::Warning);
-        assert_eq!(warned.chip, Some(3));
-        assert_eq!(warned.vm, None);
-        assert_eq!(warned.core, None);
     }
 
     #[test]

@@ -294,22 +294,21 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes], strict: bool) ->
                 .zip(&t.owned_cores)
                 .position(|(a, b)| a != b)
                 .unwrap_or_else(|| t.table_cores.len().min(t.owned_cores.len()));
-            let mut f = AuditFinding::error(
-                Rule::RouteTableMismatch,
-                format!(
-                    "routing table resolves {} cores {:?} but the mapping grants {} cores \
-                     {:?} (first divergence at virtual core {mismatch})",
-                    t.table_cores.len(),
-                    t.table_cores,
-                    t.owned_cores.len(),
-                    t.owned_cores
-                ),
-            )
-            .vm(t.vm);
-            if let Some(&c) = t.table_cores.get(mismatch) {
-                f = f.core(c);
-            }
-            findings.push(f);
+            findings.push(
+                AuditFinding::error(
+                    Rule::RouteTableMismatch,
+                    format!(
+                        "routing table resolves {} cores {:?} but the mapping grants {} cores \
+                         {:?} (first divergence at virtual core {mismatch})",
+                        t.table_cores.len(),
+                        t.table_cores,
+                        t.owned_cores.len(),
+                        t.owned_cores
+                    ),
+                )
+                .vm(t.vm)
+                .core(t.table_cores.get(mismatch).copied()),
+            );
         }
     }
 
@@ -329,8 +328,7 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes], strict: bool) ->
                 AuditFinding::error(
                     Rule::RouteEscapedRegion,
                     "confined route crosses a core outside the tenant's allocation \
-                     (DOR fallback in effect — isolation not actually deployed)"
-                        .to_string(),
+                     (DOR fallback in effect — isolation not actually deployed)",
                 )
                 .vm(t.vm)
                 .core(core),

@@ -12,10 +12,8 @@
 //! `(tick, phase, chip)` instead of leaving a whole-report diff to
 //! bisect.
 //!
-//! A divergence is a [`ConcFinding`] under the stable rule id `CONC-DET`;
-//! `vnpu_audit` carries the same id in its rule catalogue and converts
-//! `ConcFinding`s into `AuditFinding`s, so it flows through the same
-//! reporting channel as the PLAN/ROUTE/FLEET passes. The workspace's
+//! A divergence is a [`ConcFinding`] under the stable rule id `CONC-DET`,
+//! and [`ConcRule`] is the only home of that id. The workspace's
 //! `conc_mutations` suite proves the rule by mutation: a chain folded in
 //! completion order is flagged against one folded in job order.
 
@@ -29,8 +27,7 @@ pub mod digest;
 pub use digest::{compare_all, compare_chains, Digest, DigestChain, DigestEntry, Phase};
 
 /// The concurrency rules this crate checks. Every rule has a stable
-/// string id (mirrored by `vnpu_audit::Rule`'s CONC entries) used in
-/// reports and CI gates.
+/// string id used in reports and CI gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum ConcRule {
@@ -54,8 +51,7 @@ impl fmt::Display for ConcRule {
     }
 }
 
-/// How bad a concurrency finding is — mirrors `vnpu_audit::Severity` so
-/// conversions are lossless without a dependency edge.
+/// How bad a concurrency finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ConcSeverity {
     /// A hazard worth knowing about, not a proven violation.

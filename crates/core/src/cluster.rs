@@ -1707,6 +1707,27 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_from_before_begin_drain_is_stale() {
+        let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
+        let id = cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        let txn = cl
+            .chip_mut(0)
+            .plan(&[
+                PlanOp::Create(VnpuRequest::mesh(2, 2)),
+                PlanOp::Migrate {
+                    vm: id.vm,
+                    to: MigrationTarget::Remap(Strategy::similar_topology()),
+                },
+            ])
+            .unwrap();
+        cl.begin_drain(0).unwrap();
+        let digest = cl.chip(0).state_digest();
+        let r = cl.chip_mut(0).commit(&txn);
+        assert!(matches!(r, Err(VnpuError::StalePlan { .. })), "{r:?}");
+        assert_eq!(cl.chip(0).state_digest(), digest, "nothing lands");
+    }
+
+    #[test]
     fn drain_step_skips_unplaceable_tenants() {
         // Chip 0 hosts a 5x5 tenant no other chip can take (chip 1 is
         // 4x4): the step moves what it can and reports the residual.

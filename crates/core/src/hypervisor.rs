@@ -1784,6 +1784,68 @@ mod tests {
     }
 
     #[test]
+    fn plan_refuses_a_vm_destroyed_earlier_in_the_plan() {
+        let mut h = hv();
+        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
+        let digest = h.state_digest();
+        let uses = [
+            PlanOp::Migrate {
+                vm,
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
+            },
+            PlanOp::Migrate {
+                vm,
+                to: MigrationTarget::CompactMemory,
+            },
+            PlanOp::Destroy(vm),
+        ];
+        for op in uses {
+            let r = h.plan(&[PlanOp::Destroy(vm), op]);
+            assert!(
+                matches!(r, Err(VnpuError::UnknownVm(v)) if v == vm),
+                "{r:?}"
+            );
+            assert_eq!(h.state_digest(), digest, "a refused plan moves nothing");
+        }
+    }
+
+    #[test]
+    fn plan_refuses_a_vm_that_never_existed() {
+        let mut h = hv();
+        h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
+        let digest = h.state_digest();
+        let ghost = VmId(77);
+        let uses = [
+            PlanOp::Migrate {
+                vm: ghost,
+                to: MigrationTarget::CompactMemory,
+            },
+            PlanOp::Destroy(ghost),
+        ];
+        for op in uses {
+            let r = h.plan(&[PlanOp::Create(VnpuRequest::mesh(1, 1)), op]);
+            assert!(
+                matches!(r, Err(VnpuError::UnknownVm(v)) if v == ghost),
+                "{r:?}"
+            );
+            assert_eq!(h.state_digest(), digest, "a refused plan moves nothing");
+        }
+    }
+
+    #[test]
+    fn plan_refuses_a_create_beyond_free_hbm() {
+        let mut h = Hypervisor::with_hbm_bytes(SocConfig::sim(), 64 << 20);
+        h.create_vnpu(VnpuRequest::mesh(2, 2).mem_bytes(16 << 20))
+            .unwrap();
+        let digest = h.state_digest();
+        let r = h.plan(&[PlanOp::Create(
+            VnpuRequest::mesh(2, 2).mem_bytes(h.hbm_free_bytes() + 1),
+        )]);
+        assert!(matches!(r, Err(VnpuError::Memory(_))), "{r:?}");
+        assert_eq!(h.state_digest(), digest, "a refused plan moves nothing");
+    }
+
+    #[test]
     fn migrate_remap_under_pin_moves_the_tenant() {
         // Occupy a 6x5 block, then a 1x6 bottom row tenant; free the big
         // block so a migration can recompact the row tenant anywhere.

@@ -173,10 +173,17 @@ pub struct PlannedOp {
 ///
 /// Produced by [`crate::Hypervisor::plan`] on a copy of the chip's
 /// placement state; applied atomically by [`crate::Hypervisor::commit`].
-/// The transaction remembers the free-region fingerprint, HBM occupancy
-/// and plan generation the copy was taken at — if any of them changed by
-/// commit time, the commit fails with [`crate::VnpuError::StalePlan`]
-/// and mutates nothing.
+/// The only constructor is the plan itself and the fields are
+/// crate-private, so every op in a transaction already applied cleanly
+/// on the copy: an unknown or already-destroyed VM, a double-booked or
+/// over-released core and an HBM overcommit are `Err`s from `plan`, and
+/// the total is the running sum of the per-op costs. What a transaction
+/// cannot know is whether the chip moved since: it remembers the
+/// free-region fingerprint and count, HBM occupancy, VM numbering and
+/// plan generation the copy was taken at — if any of them changed by
+/// commit time (a direct create or destroy, a fault, a drain's
+/// [`crate::Hypervisor::invalidate_plans`]), the commit fails with
+/// [`crate::VnpuError::StalePlan`] and mutates nothing.
 #[derive(Debug, Clone)]
 pub struct PlacementTxn {
     pub(crate) ops: Vec<PlannedOp>,
@@ -207,35 +214,6 @@ impl PlacementTxn {
     /// Whether the plan contains no ops.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// The plan generation this transaction was planned at.
-    pub fn planned_at_generation(&self) -> u64 {
-        self.plan_generation
-    }
-
-    /// The free-region fingerprint captured at plan time — the snapshot
-    /// value [`crate::Hypervisor::commit`] validates against the live
-    /// free set. Exposed read-only so static analyzers (the
-    /// `vnpu_audit` plan linter) can detect stale plans *before* a
-    /// commit attempt.
-    pub fn snapshot_free_fingerprint(&self) -> u64 {
-        self.free_fingerprint
-    }
-
-    /// The free-core count captured at plan time.
-    pub fn snapshot_free_count(&self) -> usize {
-        self.free_count
-    }
-
-    /// The free HBM bytes captured at plan time.
-    pub fn snapshot_hbm_free_bytes(&self) -> u64 {
-        self.hbm_free_bytes
-    }
-
-    /// The VM-numbering watermark captured at plan time.
-    pub fn snapshot_next_vm(&self) -> u32 {
-        self.next_vm
     }
 }
 

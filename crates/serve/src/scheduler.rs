@@ -131,12 +131,6 @@ pub struct ServeConfig {
     /// [`TickEvents::audit_findings`] and
     /// [`crate::report::ServeReport::audit_findings`].
     pub audit: bool,
-    /// Include the tick's actual [`AuditFinding`]s in
-    /// [`TickEvents::audit_detail`] (only meaningful with
-    /// [`ServeConfig::audit`] on). Opt-in because the findings are
-    /// cloned per tick; off, `audit_detail` stays empty and reports are
-    /// byte-identical either way — the report only ever counts.
-    pub audit_detail: bool,
     /// Run the [`vnpu_temporal`] online checker inside every step: the
     /// tick's [`TraceEvent`] stream feeds the streaming `TEMP-*`
     /// properties (liveness, convergence, conservation) as it is
@@ -210,7 +204,6 @@ impl ServeConfig {
             drain_policy: Arc::new(CheapestFirstDrain),
             drain_budget: ReconfigBudget::default(),
             audit: false,
-            audit_detail: false,
             temporal: false,
             record_trace: false,
             workers: 1,
@@ -237,7 +230,6 @@ impl ServeConfig {
                 .map(|a| u64::from(a).saturating_mul(STARVE_SLACK_TICKS).max(1)),
             drain_stall_ticks: DRAIN_STALL_BOUND_TICKS,
             max_recovery_ticks: self.recovery.max_recovery_ticks,
-            check_hints: true,
         }
     }
 }
@@ -269,11 +261,6 @@ pub struct TickEvents {
     /// Invariant violations the post-tick fleet audit reported (always 0
     /// when [`ServeConfig::audit`] is off).
     pub audit_findings: u64,
-    /// The tick's actual audit findings, populated only under
-    /// [`ServeConfig::audit_detail`] (empty otherwise, even when
-    /// `audit_findings` counted some) — the structured form callers and
-    /// the temporal layer consume without re-running the audit.
-    pub audit_detail: Vec<AuditFinding>,
     /// Temporal-property violations the online checker proved during
     /// this step (always 0 when [`ServeConfig::temporal`] is off).
     pub temporal_findings: u64,
@@ -1160,13 +1147,12 @@ impl ServeRuntime {
         Ok(())
     }
 
-    /// Tick phase: post-tick observation. The placement-cache
-    /// conservation sample (TEMP-CACHE checks hits + misses == lookups
-    /// and that both series are monotone across samples), then the
-    /// optional fleet audit: every invariant the tick's phases were
-    /// supposed to preserve, cross-checked read-only. Findings are data,
-    /// not errors — callers (and the report) decide how hard to fail on
-    /// them.
+    /// Tick phase: post-tick observation. The placement-cache sample
+    /// (TEMP-CACHE checks that hits and misses never regress across
+    /// samples), then the optional fleet audit: every invariant the
+    /// tick's phases were supposed to preserve, cross-checked read-only.
+    /// Findings are data, not errors — callers (and the report) decide
+    /// how hard to fail on them.
     fn audit(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         self.temporal.detail(|| {
             let cache = self.cluster.cache_stats();
@@ -1174,15 +1160,11 @@ impl ServeRuntime {
                 tick: ctx.tick,
                 hits: cache.hits,
                 misses: cache.misses,
-                lookups: cache.hits + cache.misses,
             }
         });
         if self.cfg.audit {
             let findings = self.auditor.audit(&self.cluster);
             ctx.events.audit_findings = findings.len() as u64;
-            if self.cfg.audit_detail {
-                ctx.events.audit_detail = findings.clone();
-            }
             self.audit_findings.extend(findings);
         }
         Ok(())
@@ -2308,32 +2290,28 @@ mod tests {
     }
 
     #[test]
-    fn audit_detail_is_opt_in_and_mirrors_the_count() {
+    fn per_tick_audit_counts_sum_to_the_kept_findings() {
+        // A link fault under a resident tenant makes the audit report
+        // FAULT-LINK warnings; every one a tick counts is kept, in tick
+        // order, on the runtime and in the report.
         let mut cfg = quick_cfg(17);
         cfg.audit = true;
-        let mut rt = ServeRuntime::new(cfg.clone());
-        for _ in 0..40 {
-            let ev = rt.step().unwrap();
-            assert!(
-                ev.audit_detail.is_empty(),
-                "detail stays empty unless audit_detail is on"
-            );
-        }
-        rt.drain().unwrap();
-        let plain = rt.report();
-        cfg.audit_detail = true;
+        cfg.fault_plan = FaultPlan::new().link_fault(0, 14, 15, 10, Some(30));
         let mut rt = ServeRuntime::new(cfg);
+        let mut counted = 0;
         for _ in 0..40 {
             let ev = rt.step().unwrap();
             assert_eq!(
-                ev.audit_detail.len() as u64,
-                ev.audit_findings,
-                "detail mirrors the tick's finding count"
+                rt.audit_findings().len() as u64,
+                counted + ev.audit_findings,
+                "tick {} appends exactly what it counts",
+                ev.tick
             );
+            counted += ev.audit_findings;
         }
+        assert!(counted > 0, "the link fault must surface in the audit");
         rt.drain().unwrap();
-        // Opting into per-tick detail must not perturb the run.
-        assert_eq!(rt.report(), plain);
+        assert_eq!(rt.report().audit_findings, counted);
     }
 
     #[test]

@@ -24,21 +24,17 @@ pub struct CheckerConfig {
     /// or departed) within this many ticks — mirror of the serve
     /// policy's `max_recovery_ticks`.
     pub max_recovery_ticks: u64,
-    /// `TEMP-HINT`: check emitted fit hints against the admission
-    /// pass's snapshot bound.
-    pub check_hints: bool,
 }
 
 impl Default for CheckerConfig {
     /// Defaults mirror the serve defaults: drain stalls flagged after
-    /// 16 silent ticks, recovery deadline 8 ticks, hints checked,
-    /// starvation disabled until the caller supplies the policy bound.
+    /// 16 silent ticks, recovery deadline 8 ticks, starvation disabled
+    /// until the caller supplies the policy bound.
     fn default() -> Self {
         CheckerConfig {
             starve_bound_ticks: None,
             drain_stall_ticks: 16,
             max_recovery_ticks: 8,
-            check_hints: true,
         }
     }
 }
@@ -250,22 +246,7 @@ impl TemporalChecker {
             },
         )));
 
-        // TEMP-CACHE — cumulative counters are internally consistent
-        // and never regress.
-        props.push(Box::new(always(TempRule::CacheConservation, |ev| {
-            match *ev {
-                TraceEvent::CacheSample {
-                    hits,
-                    misses,
-                    lookups,
-                    ..
-                } if hits.saturating_add(misses) != lookups => Some((
-                    Subject::Fleet,
-                    format!("cache sample inconsistent: {hits} hits + {misses} misses != {lookups} lookups"),
-                )),
-                _ => None,
-            }
-        })));
+        // TEMP-CACHE — cumulative counters never regress.
         props.push(Box::new(monotone(
             TempRule::CacheConservation,
             "cumulative cache hits",
@@ -323,32 +304,30 @@ impl TemporalChecker {
         // schedulable free island at the start of its admission pass
         // (free regions only shrink during a pass, so the pass-start
         // island is a sound upper bound for every hint in the pass).
-        if config.check_hints {
-            let mut island: Option<(u64, u32)> = None;
-            props.push(Box::new(always(
-                TempRule::HintSoundness,
-                move |ev| match *ev {
-                    TraceEvent::AdmissionStart {
-                        tick,
-                        largest_island,
-                    } => {
-                        island = Some((tick, largest_island));
-                        None
-                    }
-                    TraceEvent::HintEmitted { tick, id, cores } => match island {
-                        Some((pass_tick, bound)) if pass_tick == tick && cores > bound => Some((
-                            Subject::Request(id),
-                            format!(
-                                "hinted {cores} cores but the largest schedulable \
-                                 free island at pass start was {bound}"
-                            ),
-                        )),
-                        _ => None,
-                    },
+        let mut island: Option<(u64, u32)> = None;
+        props.push(Box::new(always(
+            TempRule::HintSoundness,
+            move |ev| match *ev {
+                TraceEvent::AdmissionStart {
+                    tick,
+                    largest_island,
+                } => {
+                    island = Some((tick, largest_island));
+                    None
+                }
+                TraceEvent::HintEmitted { tick, id, cores } => match island {
+                    Some((pass_tick, bound)) if pass_tick == tick && cores > bound => Some((
+                        Subject::Request(id),
+                        format!(
+                            "hinted {cores} cores but the largest schedulable \
+                             free island at pass start was {bound}"
+                        ),
+                    )),
                     _ => None,
                 },
-            )));
-        }
+                _ => None,
+            },
+        )));
 
         TemporalChecker {
             props,
@@ -518,12 +497,6 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, TempRule::HintSoundness);
         assert_eq!(findings[0].subject, Subject::Request(7));
-
-        let quiet = CheckerConfig {
-            check_hints: false,
-            ..CheckerConfig::default()
-        };
-        assert!(check_trace(&trace, quiet).is_empty());
     }
 
     #[test]

@@ -26,16 +26,15 @@
 //! | `TEMP-DRAIN`  | a silently stalled drain makes progress or finishes within the stall bound | leads-to |
 //! | `TEMP-FAULT`  | a detected outage recovers, is lost, or departs by `max_recovery_ticks` | leads-to + always |
 //! | `TEMP-COST`   | Σ per-event paid costs equals the report's claims, per dimension | conserved |
-//! | `TEMP-CACHE`  | `hits + misses == lookups`; cumulative counters never regress | always + monotone |
+//! | `TEMP-CACHE`  | cumulative cache hits and misses never regress | monotone |
 //! | `TEMP-LEAK`   | quiescence implies a coalesced, leak-free free state | always |
 //! | `TEMP-HINT`   | an emitted fit hint fits the admission pass's start snapshot | always |
 //!
 //! The checker is pure read-only analysis: it never mutates the runtime
 //! it observes and never panics on malformed traces (a corrupted trace
 //! is exactly the input it exists for). Findings carry a stable rule
-//! id, a witness window `(first_tick, last_tick)`, and a [`Subject`],
-//! and lift into `vnpu_audit`'s reporting channel via
-//! `From<TemporalFinding> for AuditFinding`.
+//! id, a witness window `(first_tick, last_tick)`, and a [`Subject`].
+//! [`TempRule`] is the only home of the `TEMP-*` ids.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,8 +66,7 @@ pub enum TempRule {
     /// Per-event paid reconfiguration costs do not sum to the report's
     /// claimed totals.
     CostConservation,
-    /// Mapping-cache counters are inconsistent (`hits + misses !=
-    /// lookups`) or a cumulative counter regressed.
+    /// A cumulative mapping-cache counter (hits or misses) regressed.
     CacheConservation,
     /// The fleet claimed quiescence while still holding cores or HBM,
     /// or with an uncoalesced free region on healthy hardware.
@@ -157,40 +155,6 @@ impl fmt::Display for TemporalFinding {
     }
 }
 
-impl From<TemporalFinding> for vnpu_audit::AuditFinding {
-    /// Lifts a temporal finding into the audit reporting channel: the
-    /// matching `TEMP-*` [`vnpu_audit::Rule`] variant, always
-    /// [`vnpu_audit::Severity::Error`] (every shipped rule guards a
-    /// guarantee), chip/VM carried from the subject, and the witness
-    /// window folded into the detail text.
-    fn from(finding: TemporalFinding) -> Self {
-        let (chip, vm) = match finding.subject {
-            Subject::Chip(chip) => (Some(chip), None),
-            Subject::Tenant { chip, vm } => (Some(chip), Some(vnpu::VmId(vm))),
-            Subject::Fleet | Subject::Request(_) => (None, None),
-        };
-        vnpu_audit::AuditFinding {
-            rule: match finding.rule {
-                TempRule::Starvation => vnpu_audit::Rule::TemporalStarvation,
-                TempRule::DrainConvergence => vnpu_audit::Rule::TemporalDrainConvergence,
-                TempRule::FaultDeadline => vnpu_audit::Rule::TemporalFaultDeadline,
-                TempRule::CostConservation => vnpu_audit::Rule::TemporalCostConservation,
-                TempRule::CacheConservation => vnpu_audit::Rule::TemporalCacheConservation,
-                TempRule::QuiescenceLeak => vnpu_audit::Rule::TemporalQuiescenceLeak,
-                TempRule::HintSoundness => vnpu_audit::Rule::TemporalHintSoundness,
-            },
-            severity: vnpu_audit::Severity::Error,
-            chip,
-            vm,
-            core: None,
-            detail: format!(
-                "[{}..{}] {}: {}",
-                finding.first_tick, finding.last_tick, finding.subject, finding.detail
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,41 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn temporal_rule_ids_agree_with_the_audit_catalogue() {
-        let cases = [
-            (TempRule::Starvation, vnpu_audit::Rule::TemporalStarvation),
-            (
-                TempRule::DrainConvergence,
-                vnpu_audit::Rule::TemporalDrainConvergence,
-            ),
-            (
-                TempRule::FaultDeadline,
-                vnpu_audit::Rule::TemporalFaultDeadline,
-            ),
-            (
-                TempRule::CostConservation,
-                vnpu_audit::Rule::TemporalCostConservation,
-            ),
-            (
-                TempRule::CacheConservation,
-                vnpu_audit::Rule::TemporalCacheConservation,
-            ),
-            (
-                TempRule::QuiescenceLeak,
-                vnpu_audit::Rule::TemporalQuiescenceLeak,
-            ),
-            (
-                TempRule::HintSoundness,
-                vnpu_audit::Rule::TemporalHintSoundness,
-            ),
-        ];
-        for (temp, audit) in cases {
-            assert_eq!(temp.id(), audit.id(), "catalogues must agree on ids");
-        }
-    }
-
-    #[test]
-    fn findings_lift_into_the_audit_channel() {
+    fn finding_display_names_rule_subject_and_window() {
         let finding = TemporalFinding {
             rule: TempRule::FaultDeadline,
             first_tick: 10,
@@ -260,13 +190,6 @@ mod tests {
         assert!(s.contains("[TEMP-FAULT]"), "{s}");
         assert!(s.contains("chip2/vm5"), "{s}");
         assert!(s.contains("10..19"), "{s}");
-
-        let lifted: vnpu_audit::AuditFinding = finding.into();
-        assert_eq!(lifted.rule.id(), "TEMP-FAULT");
-        assert_eq!(lifted.severity, vnpu_audit::Severity::Error);
-        assert_eq!(lifted.chip, Some(2));
-        assert_eq!(lifted.vm, Some(vnpu::VmId(5)));
-        assert!(lifted.detail.contains("[10..19]"), "{}", lifted.detail);
-        assert!(lifted.detail.contains("still pending"), "{}", lifted.detail);
+        assert!(s.contains("still pending"), "{s}");
     }
 }

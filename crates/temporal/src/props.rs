@@ -358,7 +358,6 @@ mod tests {
             tick,
             hits,
             misses: 0,
-            lookups: hits,
         };
         p.observe(&sample(0, 5), &mut out);
         p.observe(&sample(1, 7), &mut out);

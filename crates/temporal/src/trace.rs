@@ -226,9 +226,6 @@ pub enum TraceEvent {
         chip: usize,
     },
     /// Cumulative mapping-cache counters at the end of a tick.
-    /// `lookups` is carried separately from `hits + misses` so a
-    /// corrupted trace is caught by conservation instead of being
-    /// vacuously consistent.
     CacheSample {
         /// The sampled tick.
         tick: u64,
@@ -236,8 +233,6 @@ pub enum TraceEvent {
         hits: u64,
         /// Cumulative cache misses.
         misses: u64,
-        /// Cumulative lookups (must equal hits + misses).
-        lookups: u64,
     },
     /// The fleet reached quiescence (end-of-run drain): every tenant
     /// retired, so the free state must be fully coalesced and leak-free.

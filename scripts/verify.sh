@@ -31,6 +31,13 @@ section "serve output pin"
 # a refactor of the loop must reproduce them bit for bit.
 cargo test --test cluster -q serve_outputs_are_pinned_across_refactors
 
+section "benchmark manifest"
+# The benchmark package resolves against its committed lock file. A change
+# that adds or drops a workspace crate's manifest edge would rewrite
+# `benchmark/Cargo.lock` when the benchmark builds; here it fails instead.
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+echo "benchmark manifest: resolves against benchmark/Cargo.lock unchanged"
+
 section "scripts/loc.sh (non-test source size)"
 # Printed in every run so "lines removed" is a number, not a claim — and
 # ratcheted: `core + serve` and `topo` code lines may not grow past where
@@ -39,11 +46,11 @@ section "scripts/loc.sh (non-test source size)"
 # search kernels, a claimed and measured gain, bought the 45 lines since;
 # PR 25's `dor_confined` rewrite took 7 back.) The `workspace` row — every
 # crate's `src/**` plus the bench targets — is held the same way, at where
-# the one-bench-harness PR landed it plus the 31 lines PR 25's flat fleet
-# audit (a claimed and measured gain) added net.
-CORE_SERVE_CODE_MAX=4977
+# the deletion of the plan linter and the audit catalogue's mirror rules
+# landed it.
+CORE_SERVE_CODE_MAX=4954
 TOPO_CODE_MAX=2026
-WORKSPACE_CODE_MAX=16401
+WORKSPACE_CODE_MAX=15909
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -183,8 +190,8 @@ echo "plan/commit gate: every un-intervened plan committed at its planned prices
 
 section "temporal verification gate"
 # Mutation suite: every seeded trace corruption (dropped admission,
-# stalled drain, overdue recovery, inflated cost, broken cache
-# conservation, leaked quiescence, oversized hint) must be flagged
+# stalled drain, overdue recovery, inflated cost, regressed cache
+# counter, leaked quiescence, oversized hint) must be flagged
 # under exactly its TEMP-* rule while the pristine scenario traces
 # check clean online and offline.
 cargo test --test temporal_mutations -q

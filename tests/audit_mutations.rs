@@ -1,204 +1,15 @@
-//! Mutation testing for the static plan linter, on the in-repo
-//! property harness (`vnpu_mem::proptest_lite`): start from a plan the
-//! linter certifies clean, corrupt one field of its [`PlanView`] at
-//! random — duplicate an acquired core, inflate a declared cost,
-//! retarget a draining chip — and assert the linter flags **every**
-//! mutant while continuing to pass the pristine original. The last two
-//! tests are fleet-level regressions: the serving example's cluster and
-//! a hand-churned chip both audit clean end to end.
+//! Fleet-level regressions for the audit layer (`vnpu_audit`): the
+//! serving example's cluster, audited every tick, and a hand-churned
+//! cluster, audited at every waypoint, both report no finding. The
+//! mutants that prove each rule fires live beside the passes
+//! (`crates/audit/src/routing.rs` and `fleet.rs`).
 
 use std::sync::Arc;
 use vnpu::cluster::{Cluster, LeastLoaded};
-use vnpu::drain::ChipSchedState;
-use vnpu::plan::{PlanOp, ReconfigBudget};
-use vnpu::{Hypervisor, VnpuRequest};
-use vnpu_audit::{audit_cluster, lint_view, OpKindView, PlanView};
-use vnpu_mem::proptest_lite::{check, range};
-use vnpu_mem::{prop_assert, prop_assert_eq};
+use vnpu::VnpuRequest;
+use vnpu_audit::audit_cluster;
 use vnpu_serve::{ServeConfig, ServeRuntime};
 use vnpu_sim::SocConfig;
-
-/// A 6×6 chip with two resident tenants and a clean three-op plan
-/// (destroy one tenant, create two more), plus the resolved view.
-fn chip_with_plan() -> (Hypervisor, PlanView) {
-    let mut hv = Hypervisor::new(SocConfig::sim());
-    let doomed = hv.create_vnpu(VnpuRequest::mesh(2, 2)).expect("tenant a");
-    hv.create_vnpu(VnpuRequest::mesh(2, 3)).expect("tenant b");
-    let txn = hv
-        .plan(&[
-            PlanOp::Destroy(doomed),
-            PlanOp::Create(VnpuRequest::mesh(3, 2)),
-            PlanOp::Create(VnpuRequest::cores(3)),
-        ])
-        .expect("plannable churn");
-    let view = PlanView::resolve(&hv, &txn);
-    (hv, view)
-}
-
-fn rule_ids(findings: &[vnpu_audit::AuditFinding]) -> Vec<&'static str> {
-    findings.iter().map(|f| f.rule.id()).collect()
-}
-
-/// Every duplicated-core mutant is flagged as double-booked; the
-/// original plan keeps linting clean.
-#[test]
-fn mutated_duplicate_core_is_always_flagged() {
-    check(
-        "mutated_duplicate_core_is_always_flagged",
-        64,
-        (range(0u64..64), range(0u64..64)),
-        |&(op_pick, core_pick)| {
-            let (hv, view) = chip_with_plan();
-            prop_assert!(
-                lint_view(&hv, &view, ChipSchedState::Schedulable, None).is_empty(),
-                "the pristine plan must lint clean"
-            );
-            // Pick any op that acquires cores and duplicate one of them.
-            let candidates: Vec<usize> = view
-                .ops
-                .iter()
-                .enumerate()
-                .filter(|(_, op)| !op.acquires.is_empty())
-                .map(|(i, _)| i)
-                .collect();
-            prop_assert!(!candidates.is_empty(), "the plan has creates");
-            let oi = candidates[(op_pick as usize) % candidates.len()];
-            let mut mutant = view.clone();
-            let dup = {
-                let acquires = &mutant.ops[oi].acquires;
-                acquires[(core_pick as usize) % acquires.len()]
-            };
-            mutant.ops[oi].acquires.push(dup);
-            let findings = lint_view(&hv, &mutant, ChipSchedState::Schedulable, None);
-            prop_assert!(
-                rule_ids(&findings).contains(&"PLAN-CORE"),
-                "duplicating core {} in op {} must be double-booked, got {:?}",
-                dup,
-                oi,
-                findings
-            );
-            Ok(())
-        },
-    );
-}
-
-/// Every cost-inflation mutant breaks the declared cost sum; the
-/// original plan keeps linting clean.
-#[test]
-fn mutated_cost_inflation_is_always_flagged() {
-    check(
-        "mutated_cost_inflation_is_always_flagged",
-        64,
-        (range(0u64..64), range(1u64..1 << 40), range(0u64..4)),
-        |&(op_pick, delta, field)| {
-            let (hv, view) = chip_with_plan();
-            prop_assert!(
-                lint_view(&hv, &view, ChipSchedState::Schedulable, None).is_empty(),
-                "the pristine plan must lint clean"
-            );
-            let mut mutant = view.clone();
-            let oi = (op_pick as usize) % mutant.ops.len();
-            let cost = &mut mutant.ops[oi].cost;
-            match field {
-                0 => cost.routing_cycles = cost.routing_cycles.wrapping_add(delta),
-                1 => cost.rtt_cycles = cost.rtt_cycles.wrapping_add(delta),
-                2 => cost.data_move_bytes = cost.data_move_bytes.wrapping_add(delta),
-                _ => cost.paused_cycles = cost.paused_cycles.wrapping_add(delta),
-            }
-            let findings = lint_view(&hv, &mutant, ChipSchedState::Schedulable, None);
-            prop_assert!(
-                rule_ids(&findings).contains(&"PLAN-COST"),
-                "inflating cost field {} of op {} by {} must break the sum, got {:?}",
-                field,
-                oi,
-                delta,
-                findings
-            );
-            Ok(())
-        },
-    );
-}
-
-/// A plan carrying creates is flagged once per placement-adding op when
-/// the chip is draining or drained — and not at all when schedulable.
-#[test]
-fn mutated_draining_retarget_is_always_flagged() {
-    check(
-        "mutated_draining_retarget_is_always_flagged",
-        32,
-        range(0u64..2),
-        |&drained| {
-            let (hv, view) = chip_with_plan();
-            let sched = if drained == 0 {
-                ChipSchedState::Draining
-            } else {
-                ChipSchedState::Drained
-            };
-            let findings = lint_view(&hv, &view, sched, None);
-            let placements = view
-                .ops
-                .iter()
-                .filter(|op| matches!(op.kind, OpKindView::Create | OpKindView::Remap))
-                .count();
-            prop_assert!(placements > 0, "the plan adds placements");
-            prop_assert_eq!(
-                rule_ids(&findings)
-                    .iter()
-                    .filter(|id| **id == "PLAN-DRAIN")
-                    .count(),
-                placements,
-                "every placement-adding op targeting a {} chip is a finding",
-                sched
-            );
-            prop_assert!(
-                lint_view(&hv, &view, ChipSchedState::Schedulable, None).is_empty(),
-                "the same plan is clean on a schedulable chip"
-            );
-            Ok(())
-        },
-    );
-}
-
-/// The linter never panics, whatever garbage the view carries: random
-/// cores (in and out of the mesh), random byte counts, random costs and
-/// a nonsense budget all just produce findings.
-#[test]
-fn garbage_views_never_panic_the_linter() {
-    check(
-        "garbage_views_never_panic_the_linter",
-        64,
-        (
-            range(0u64..1 << 48),
-            range(0u64..200),
-            range(0u64..1 << 48),
-            range(0u64..64),
-        ),
-        |&(fingerprint, core, bytes, cost)| {
-            let (hv, mut view) = chip_with_plan();
-            view.generation = fingerprint.wrapping_mul(31);
-            view.snapshot.free_fingerprint = fingerprint;
-            view.snapshot.free_count = (core as usize).wrapping_mul(7);
-            view.snapshot.hbm_free_bytes = bytes;
-            view.declared_total.paused_cycles = cost;
-            for op in &mut view.ops {
-                op.acquires.push(core as u32);
-                op.releases.push(core.wrapping_add(1) as u32);
-                op.alloc_bytes = op.alloc_bytes.wrapping_add(bytes);
-            }
-            let tight = ReconfigBudget {
-                max_migrations: (cost % 3) as usize,
-                max_paused_cycles: cost,
-                max_data_move_bytes: bytes,
-            };
-            let findings = lint_view(&hv, &view, ChipSchedState::Draining, Some(&tight));
-            prop_assert!(
-                !findings.is_empty(),
-                "a thoroughly corrupted view cannot lint clean"
-            );
-            Ok(())
-        },
-    );
-}
 
 /// Fleet regression: the cluster-serving example's configuration —
 /// heterogeneous chips, mid-run policy swap and all — runs with the

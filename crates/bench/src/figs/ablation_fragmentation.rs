@@ -3,7 +3,7 @@
 //! NPUs, improving utilization at the price of inter-core conflict:
 //! "a trade-off between performance and resource utilization."
 
-use crate::{bind_design, print_table, Design};
+use crate::{bind_design, render_table, Design};
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::machine::Machine;
 use vnpu_sim::SocConfig;
@@ -12,11 +12,8 @@ use vnpu_workloads::compile::{compile, CompileOptions};
 use vnpu_workloads::models;
 
 /// Fragments the chip, then compares a fragmented 12-core allocation
-/// against the ideal connected one. The structural assertions (the
-/// fragmented tenant still runs, and cannot beat the ideal mapping)
-/// hold at any scale.
-pub fn run(quick: bool) {
-    let iterations = if quick { 2 } else { 6 };
+/// against the ideal connected one.
+pub fn run() -> String {
     let cfg = SocConfig::sim();
     // Fragment the chip: occupy the odd columns via 3 vertical 1x6
     // strips, leaving 18 free cores with no connected 3x4 region.
@@ -53,7 +50,7 @@ pub fn run(quick: bool) {
     // idle chip with an exact 4x3 window.
     let model = models::gpt2_small();
     let opts = CompileOptions {
-        iterations,
+        iterations: 6,
         weight_va_base: vnpu::vnpu::GUEST_VA_BASE,
         ..Default::default()
     };
@@ -81,7 +78,7 @@ pub fn run(quick: bool) {
         machine.run().expect("run").fps(tenant)
     };
     let frag = hv.vnpu(frag_vm).expect("vm");
-    print_table(
+    let mut out = render_table(
         "Ablation: fragmentation mode (disconnected allocation)",
         &["configuration", "allocated", "connected", "fps"],
         &[
@@ -105,9 +102,9 @@ pub fn run(quick: bool) {
             ],
         ],
     );
-    println!(
+    out += &format!(
         "\nFragmentation recovers otherwise-stranded cores at {:.0}% of the ideal \
-         mapping's throughput (the §4.3 performance/utilization trade-off).",
+         mapping's throughput (the §4.3 performance/utilization trade-off).\n",
         100.0 * frag_fps / ideal_fps.max(1e-9)
     );
     assert!(frag_fps > 0.0, "fragmented allocation must still run");
@@ -116,4 +113,5 @@ pub fn run(quick: bool) {
         "fragmentation cannot meaningfully beat the ideal mapping \
          ({frag_fps:.1} vs {ideal_fps:.1})"
     );
+    out
 }

@@ -10,17 +10,16 @@
 //! page TLB pays one bounded walk per miss — reproducing the paper's own
 //! caveat.
 
-use crate::print_table;
+use crate::render_table;
 use vnpu::vchunk::{build_translator, MemMode};
 use vnpu_mem::proptest_lite::Rng;
 use vnpu_mem::rtt::RttEntry;
 use vnpu_mem::{Perm, PhysAddr, TranslationCosts, VirtAddr};
 
 /// Replays random and sequential gather streams against both
-/// translators. The random-favors-pages / sequential-favors-ranges
-/// assertions are structural and hold at any stream length.
-pub fn run(quick: bool) {
-    let accesses: u64 = if quick { 2_000 } else { 20_000 };
+/// translators.
+pub fn run() -> String {
+    let accesses: u64 = 20_000;
     // 64 ranges of 1 MiB each: a 64 MiB feature store.
     let entries: Vec<RttEntry> = (0..64u64)
         .map(|i| {
@@ -48,7 +47,7 @@ pub fn run(quick: bool) {
 
     let rs = range.stats();
     let ps = page.stats();
-    print_table(
+    let mut out = render_table(
         "Ablation (§7): random GNN gathers — range vs page translation",
         &[
             "mechanism",
@@ -74,11 +73,11 @@ pub fn run(quick: bool) {
             ],
         ],
     );
-    println!(
+    out += &format!(
         "\nOn random accesses the range walker scans ~half the table per miss \
          ({:.1} probes/miss), so page translation wins — exactly the §7 caveat; \
          the hypervisor should provision GNN tenants with page-mode services \
-         (`MemMode::Page`).",
+         (`MemMode::Page`).\n",
         rs.probe_reads as f64 / rs.misses.max(1) as f64
     );
     assert!(
@@ -99,9 +98,10 @@ pub fn run(quick: bool) {
         range.stats().cycles < page.stats().cycles,
         "sequential streams must still favor ranges"
     );
-    println!(
-        "(sequential check: range {} cycles vs page {} — vChunk keeps its streaming win)",
+    out += &format!(
+        "(sequential check: range {} cycles vs page {} — vChunk keeps its streaming win)\n",
         range.stats().cycles,
         page.stats().cycles
     );
+    out
 }

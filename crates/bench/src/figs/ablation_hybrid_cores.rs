@@ -9,7 +9,7 @@
 //! tenant picked core kinds matching its stages. Matching kinds must beat
 //! uniform for both tenants.
 
-use crate::print_table;
+use crate::render_table;
 use vnpu::{Hypervisor, VirtCoreId, VnpuRequest};
 use vnpu_sim::isa::{Instr, Kernel, Program};
 use vnpu_sim::machine::Machine;
@@ -86,15 +86,13 @@ fn vector_tenant(cfg: &SocConfig, hybrid: bool, iterations: u32, elems: u64) -> 
 }
 
 /// Compares uniform vs. matched-hybrid cores for both tenant styles.
-pub fn run(quick: bool) {
-    let iterations = if quick { 3 } else { 24 };
-    let elems = if quick { 200_000 } else { 2_000_000 };
+pub fn run() -> String {
     let cfg = SocConfig::sim();
-    let m_uniform = matrix_tenant(&cfg, false, iterations);
-    let m_hybrid = matrix_tenant(&cfg, true, iterations);
-    let v_uniform = vector_tenant(&cfg, false, iterations, elems);
-    let v_hybrid = vector_tenant(&cfg, true, iterations, elems);
-    print_table(
+    let m_uniform = matrix_tenant(&cfg, false, 24);
+    let m_hybrid = matrix_tenant(&cfg, true, 24);
+    let v_uniform = vector_tenant(&cfg, false, 24, 2_000_000);
+    let v_hybrid = vector_tenant(&cfg, true, 24, 2_000_000);
+    let mut out = render_table(
         "Ablation (§7): hybrid matrix/vector cores vs uniform cores",
         &["tenant", "uniform fps", "matched-hybrid fps", "speedup"],
         &[
@@ -112,19 +110,16 @@ pub fn run(quick: bool) {
             ],
         ],
     );
-    println!(
-        "\nTenants that allocate core kinds matching their kernels gain throughput from \
-         the same silicon budget — the §7 hybrid-core proposal."
-    );
-    // Matched kinds can only speed their bottleneck up; the margin is a
-    // full-scale claim.
-    let margin = if quick { 1.0 } else { 1.2 };
+    out += "\nTenants that allocate core kinds matching their kernels gain throughput from \
+            the same silicon budget — the §7 hybrid-core proposal.\n";
+    // Matched kinds can only speed their bottleneck up.
     assert!(
-        m_hybrid > m_uniform * margin,
+        m_hybrid > m_uniform * 1.2,
         "matrix tenant must gain on matrix cores"
     );
     assert!(
-        v_hybrid > v_uniform * margin,
+        v_hybrid > v_uniform * 1.2,
         "vector tenant must gain on vector cores"
     );
+    out
 }

@@ -8,7 +8,7 @@
 //! tenant's own traffic. Confined routing (11→7→6) removes the shared
 //! link, eliminating the cross-tenant contention.
 
-use crate::{adhoc_vrouter, print_table};
+use crate::{adhoc_vrouter, render_table};
 use vnpu::vrouter::RoutePolicy;
 use vnpu_mem::translate::PhysicalTranslator;
 use vnpu_sim::isa::{Instr, Program};
@@ -97,13 +97,11 @@ fn measure(policy: RoutePolicy, iterations: u32) -> (f64, f64, u64) {
     )
 }
 
-/// Compares DOR vs confined routing; the isolation assertions are
-/// structural (per-iteration contention) and hold at any scale.
-pub fn run(quick: bool) {
-    let iterations = if quick { 16 } else { 128 };
-    let (dor_a, dor_b, dor_contention) = measure(RoutePolicy::Dor, iterations);
-    let (conf_a, conf_b, conf_contention) = measure(RoutePolicy::Confined, iterations);
-    print_table(
+/// Compares DOR vs confined routing.
+pub fn run() -> String {
+    let (dor_a, dor_b, dor_contention) = measure(RoutePolicy::Dor, 128);
+    let (conf_a, conf_b, conf_contention) = measure(RoutePolicy::Confined, 128);
+    let mut out = render_table(
         "Ablation: Figure 5's NoC interference — DOR vs confined routing for vNPU2",
         &[
             "vNPU2 policy",
@@ -126,11 +124,11 @@ pub fn run(quick: bool) {
             ],
         ],
     );
-    println!(
+    out += &format!(
         "\nUnder DOR both tenants fight for the (10,6) link ({dor_contention} wait \
          cycles); the direction-override path 11→7→6 stays inside vNPU2 and the \
          contention drops to {conf_contention} — the §4.1.2 'NoC non-interference' \
-         guarantee."
+         guarantee.\n"
     );
     assert!(
         dor_contention > 0,
@@ -144,4 +142,5 @@ pub fn run(quick: bool) {
         conf_b <= dor_b,
         "the neighbour must not slow down when vNPU2 confines itself"
     );
+    out
 }

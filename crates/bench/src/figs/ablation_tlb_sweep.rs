@@ -5,7 +5,7 @@
 //! while the page IOTLB keeps paying compulsory misses regardless of size
 //! — the structural argument for vChunk.
 
-use crate::{bind_design, print_table, Design};
+use crate::{bind_design, render_table, Design};
 use vnpu::vchunk::MemMode;
 use vnpu::vrouter::RoutePolicy;
 use vnpu::{Hypervisor, VnpuRequest};
@@ -40,20 +40,14 @@ fn stall_cycles(cfg: &SocConfig, mode: MemMode, iterations: u32) -> (u64, f64) {
     (report.translation_cycles(), report.fps(tenant))
 }
 
-/// Sweeps TLB sizes for both translation modes; `quick` trims the sweep
-/// to its endpoints (plus the vChunk operating point).
-pub fn run(quick: bool) {
-    let iterations = if quick { 2 } else { 3 };
+/// Sweeps TLB sizes for both translation modes.
+pub fn run() -> String {
+    let iterations = 3;
     let cfg = SocConfig::fpga();
-    let sweep: &[usize] = if quick {
-        &[1, 4, 32]
-    } else {
-        &[1, 2, 4, 8, 16, 32]
-    };
     let mut rows = Vec::new();
     let mut range_stalls = Vec::new();
     let mut page_stalls = Vec::new();
-    for &entries in sweep {
+    for entries in [1, 2, 4, 8, 16, 32] {
         let (rc, rf) = stall_cycles(
             &cfg,
             MemMode::Range {
@@ -78,7 +72,7 @@ pub fn run(quick: bool) {
             format!("{pf:.1}"),
         ]);
     }
-    print_table(
+    let mut out = render_table(
         "Ablation: TLB-size sweep (streamed ResNet-18, FPGA config)",
         &[
             "entries",
@@ -89,10 +83,8 @@ pub fn run(quick: bool) {
         ],
         &rows,
     );
-    println!(
-        "\nRange translation needs only a couple of entries; page translation's compulsory \
-         misses persist at any size (streaming working sets exceed any IOTLB reach)."
-    );
+    out += "\nRange translation needs only a couple of entries; page translation's compulsory \
+            misses persist at any size (streaming working sets exceed any IOTLB reach).\n";
     let stalls_at = |v: &[(usize, u64)], entries: usize| {
         v.iter()
             .find(|(e, _)| *e == entries)
@@ -113,4 +105,5 @@ pub fn run(quick: bool) {
         improvement < 2.0,
         "page-TLB scaling cannot fix streaming misses ({improvement:.2}x)"
     );
+    out
 }

@@ -5,7 +5,7 @@
 //! and even batch 32 does not close the gap — the imbalance that
 //! motivates NPU virtualization.
 
-use crate::print_table;
+use crate::render_table;
 use vnpu_sim::isa::Kernel;
 use vnpu_sim::machine::Machine;
 use vnpu_sim::SocConfig;
@@ -55,31 +55,25 @@ fn utilization(cfg: &SocConfig, model: &ModelGraph, iterations: u32) -> f64 {
     machine.run().expect("run").tenant_utilization(tenant)
 }
 
-/// Runs the Figure 3 sweep; `quick` trims the model zoo and batches.
-pub fn run(quick: bool) {
+/// Runs the Figure 3 sweep.
+pub fn run() -> String {
     let cfg = SocConfig::sim();
-    let iterations = if quick { 1 } else { 3 };
-    let zoo: Vec<ModelGraph> = if quick {
-        vec![models::alexnet(), models::dlrm()]
-    } else {
-        vec![
-            models::bert_base(),
-            models::dlrm(),
-            models::efficientnet_b0(),
-            models::alexnet(),
-            models::resnet50(),
-            models::retinanet_approx(),
-            models::resnet_rs_approx(),
-        ]
-    };
-    let batches: &[u32] = if quick { &[1, 8] } else { &[1, 8, 32] };
+    let zoo = [
+        models::bert_base(),
+        models::dlrm(),
+        models::efficientnet_b0(),
+        models::alexnet(),
+        models::resnet50(),
+        models::retinanet_approx(),
+        models::resnet_rs_approx(),
+    ];
     let mut rows = Vec::new();
     let mut below_half = 0usize;
     let mut count = 0usize;
     for model in &zoo {
         let mut row = vec![model.name().to_owned()];
-        for &batch in batches {
-            let u = utilization(&cfg, &with_batch(model, batch), iterations);
+        for batch in [1, 8, 32] {
+            let u = utilization(&cfg, &with_batch(model, batch), 3);
             assert!((0.0..=1.0).contains(&u), "utilization must be a fraction");
             count += 1;
             if u < 0.5 {
@@ -89,19 +83,18 @@ pub fn run(quick: bool) {
         }
         rows.push(row);
     }
-    print_table(
+    let mut out = render_table(
         "Figure 3: FLOPS utilization on the 36-core / 576-TOPS NPU",
         &["model", "batch 1", "batch 8", "batch 32"],
         &rows,
     );
-    println!(
+    out += &format!(
         "\n{below_half}/{count} (model, batch) points sit below 50% utilization \
-         (paper: 'the majority of traditional ML models utilize less than 50%')."
+         (paper: 'the majority of traditional ML models utilize less than 50%').\n"
     );
-    if !quick {
-        assert!(
-            below_half * 2 > count,
-            "most points must underutilize the big chip"
-        );
-    }
+    assert!(
+        below_half * 2 > count,
+        "most points must underutilize the big chip"
+    );
+    out
 }

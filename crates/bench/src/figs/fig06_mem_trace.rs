@@ -6,23 +6,18 @@
 //! same address sequence repeats (Pattern-3). These two patterns are what
 //! vChunk's `RTT_CUR` and `last_v` exploit.
 
-use crate::print_table;
+use crate::render_table;
 use vnpu_sim::machine::Machine;
 use vnpu_sim::SocConfig;
 use vnpu_workloads::compile::{compile, CompileOptions, Residency};
 use vnpu_workloads::models;
 
-/// Replays the streamed model and checks Pattern-2/Pattern-3; the
-/// pattern assertions are invariants and hold at any scale.
-pub fn run(quick: bool) {
-    let iterations: u32 = if quick { 2 } else { 3 };
-    let cores: u32 = if quick { 2 } else { 4 };
+/// Replays the streamed model and checks Pattern-2/Pattern-3.
+pub fn run() -> String {
+    let iterations: u32 = 3;
+    let cores: u32 = 4;
     let cfg = SocConfig::fpga();
-    let model = if quick {
-        models::resnet18()
-    } else {
-        models::resnet50()
-    };
+    let model = models::resnet50();
     let opts = CompileOptions {
         iterations,
         residency: Residency::Streamed,
@@ -79,7 +74,7 @@ pub fn run(quick: bool) {
         assert!(repeating, "core {core}: Pattern-3 must hold");
         assert_eq!(iters.len() as u32, iterations, "one sweep per iteration");
     }
-    print_table(
+    let mut out = render_table(
         &format!(
             "Figure 6: per-core global-memory access trace ({}, {iterations} iterations)",
             model.name()
@@ -95,8 +90,7 @@ pub fn run(quick: bool) {
         ],
         &rows,
     );
-    println!(
-        "\nEvery core sweeps its weight range monotonically within an iteration and \
-         repeats it across iterations — the patterns vChunk exploits (§4.2)."
-    );
+    out += "\nEvery core sweeps its weight range monotonically within an iteration and \
+            repeats it across iterations — the patterns vChunk exploits (§4.2).\n";
+    out
 }

@@ -5,14 +5,14 @@
 //! entry writes) is a few hundred cycles at 8 cores and grows linearly —
 //! negligible against virtual-NPU creation.
 
-use crate::print_table;
+use crate::render_table;
 use vnpu::routing_table::RoutingTable;
 use vnpu::{PhysCoreId, VmId};
 use vnpu_sim::controller;
 use vnpu_topo::MeshShape;
 
-/// Sweeps core counts; cheap enough to run identically in both modes.
-pub fn run(_quick: bool) {
+/// Sweeps core counts.
+pub fn run() -> String {
     let mut rows = Vec::new();
     for cores in 1..=8u32 {
         let standard = RoutingTable::from_dense(VmId(0), &(0..cores).collect::<Vec<_>>());
@@ -32,18 +32,19 @@ pub fn run(_quick: bool) {
             controller::rt_config_cycles(cores).to_string(),
         ]);
     }
-    print_table(
+    let mut out = render_table(
         "Figure 11: routing-table configuration cost (clocks) vs. #NPU cores",
         &["cores", "standard RT", "compact (mesh) RT", "model"],
         &rows,
     );
     let c8 = controller::rt_config_cycles(8);
-    println!(
+    out += &format!(
         "\n8-core standard configuration = {c8} clocks (paper: ~300; 'can be neglected \
-         during the virtual NPU creation')."
+         during the virtual NPU creation').\n"
     );
     assert!(
         (150..450).contains(&c8),
         "Fig11 shape: a few hundred cycles"
     );
+    out
 }

@@ -6,14 +6,14 @@
 //! with distance; both are two to three orders of magnitude below kernel
 //! execution, so routing latency is negligible.
 
-use crate::print_table;
+use crate::render_table;
 use vnpu_sim::compute::kernel_cycles;
 use vnpu_sim::controller::{dispatch_latency, DispatchPath};
 use vnpu_sim::SocConfig;
 use vnpu_workloads::kernels;
 
-/// Pure cost-model arithmetic; runs identically in both modes.
-pub fn run(_quick: bool) {
+/// Pure cost-model arithmetic.
+pub fn run() -> String {
     let cfg = SocConfig::fpga();
     let mut rows = vec![vec![
         "IBUS".to_owned(),
@@ -29,7 +29,7 @@ pub fn run(_quick: bool) {
     let matmul = kernel_cycles(&cfg, &kernels::matmul_128m_128k_128n());
     rows.push(vec!["Conv".to_owned(), conv.to_string()]);
     rows.push(vec!["Matmul".to_owned(), matmul.to_string()]);
-    print_table(
+    let mut out = render_table(
         "Figure 12: instruction dispatch latency vs. kernel execution (clocks)",
         &["path", "clocks"],
         &rows,
@@ -39,9 +39,9 @@ pub fn run(_quick: bool) {
         .map(|c| dispatch_latency(&cfg, DispatchPath::InstructionNoc, c))
         .max()
         .unwrap();
-    println!(
+    out += &format!(
         "\nWorst dispatch = {worst_noc} clocks; Conv = {conv} clocks \
-         ({}x) — dispatch cost is negligible, as in the paper.",
+         ({}x) — dispatch cost is negligible, as in the paper.\n",
         conv / worst_noc
     );
     assert!(
@@ -53,4 +53,5 @@ pub fn run(_quick: bool) {
             <= dispatch_latency(&cfg, DispatchPath::InstructionNoc, 7),
         "IBUS is the shortest fixed path"
     );
+    out
 }

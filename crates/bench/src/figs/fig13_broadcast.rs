@@ -6,7 +6,7 @@
 //! kernel execution time (fully overlappable), while UVM-sync for the
 //! Matmul kernel at 1:4 *exceeds* its computation time.
 
-use crate::{bind_design, print_table, Design};
+use crate::{bind_design, render_table, Design};
 use vnpu::vnpu::GUEST_VA_BASE;
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::isa::{Instr, Kernel, Program};
@@ -54,20 +54,15 @@ fn broadcast_cost(cfg: &SocConfig, kernel: Kernel, fanout: u32, uvm: bool) -> f6
     (per_iter - comp_cycles(cfg, kernel)).max(0.0)
 }
 
-/// Sweeps kernels × fan-outs; `quick` trims to one kernel, two fan-outs.
-pub fn run(quick: bool) {
+/// Sweeps kernels × fan-outs.
+pub fn run() -> String {
     let cfg = SocConfig::fpga();
-    let mut kernel_set = kernels::fig13_kernels().to_vec();
-    if quick {
-        kernel_set.truncate(1);
-    }
-    let max_fanout = if quick { 2 } else { 4 };
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     let mut uvm_exceeds_comp_at_1_4 = false;
-    for (name, kernel) in kernel_set {
+    for (name, kernel) in kernels::fig13_kernels() {
         let comp = comp_cycles(&cfg, kernel);
-        for fanout in 1..=max_fanout {
+        for fanout in 1..=4 {
             let vrouter = broadcast_cost(&cfg, kernel, fanout, false);
             let uvm = broadcast_cost(&cfg, kernel, fanout, true);
             if uvm > 0.0 && vrouter > 0.0 {
@@ -87,31 +82,26 @@ pub fn run(quick: bool) {
             ]);
         }
     }
-    print_table(
+    let mut out = render_table(
         "Figure 13: broadcast cost per iteration (clocks), vRouter vs UVM-sync",
         &[
             "kernel", "fan-out", "comp", "vRouter", "UVM-sync", "vR/comp", "UVM/comp",
         ],
         &rows,
     );
-    assert!(
-        !ratios.is_empty(),
-        "at least one (kernel, fanout) point must measure"
-    );
     let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;
-    println!("\nAverage UVM-sync / vRouter broadcast-cost ratio = {avg:.2}x (paper: 4.24x).");
-    if !quick {
-        println!(
-            "UVM 1:4 Matmul broadcast exceeds its computation time: {uvm_exceeds_comp_at_1_4} \
-             (paper: true)."
-        );
-        assert!(
-            avg > 3.0,
-            "vRouter must beat memory synchronization by multiples"
-        );
-        assert!(
-            uvm_exceeds_comp_at_1_4,
-            "the paper's Matmul 1:4 imbalance must reproduce"
-        );
-    }
+    out += &format!(
+        "\nAverage UVM-sync / vRouter broadcast-cost ratio = {avg:.2}x (paper: 4.24x).\n\
+         UVM 1:4 Matmul broadcast exceeds its computation time: {uvm_exceeds_comp_at_1_4} \
+         (paper: true).\n"
+    );
+    assert!(
+        avg > 3.0,
+        "vRouter must beat memory synchronization by multiples"
+    );
+    assert!(
+        uvm_exceeds_comp_at_1_4,
+        "the paper's Matmul 1:4 imbalance must reproduce"
+    );
+    out
 }

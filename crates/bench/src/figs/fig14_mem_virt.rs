@@ -7,7 +7,7 @@
 //! because whole-tensor ranges hit a 4-entry range TLB and the `last_v`
 //! chain removes scan costs across iterations.
 
-use crate::{bind_design, print_table, Design};
+use crate::{bind_design, render_table, Design};
 use vnpu::vchunk::MemMode;
 use vnpu::vrouter::RoutePolicy;
 use vnpu::{Hypervisor, VnpuRequest};
@@ -48,22 +48,17 @@ pub fn cell(cfg: &SocConfig, model: &ModelGraph, mode: MemMode, iterations: u32)
     machine.run().expect("run")
 }
 
-/// Compares the four memory modes; `quick` trims models and iterations.
-pub fn run(quick: bool) {
+/// Compares the four memory modes.
+pub fn run() -> String {
     let cfg = SocConfig::fpga();
-    let iterations = if quick { 2 } else { 4 };
-    let model_zoo: Vec<ModelGraph> = if quick {
-        vec![models::alexnet(), models::mobilenet_v1()]
-    } else {
-        vec![
-            models::alexnet(),
-            models::resnet18(),
-            models::googlenet(),
-            models::mobilenet_v1(),
-            models::yolo_lite(),
-            models::bert_base(), // the figure's "Transformer"
-        ]
-    };
+    let model_zoo = [
+        models::alexnet(),
+        models::resnet18(),
+        models::googlenet(),
+        models::mobilenet_v1(),
+        models::yolo_lite(),
+        models::bert_base(), // the figure's "Transformer"
+    ];
     let modes = [
         ("Physical", MemMode::Physical),
         ("Ours(vChunk)", MemMode::Range { tlb_entries: 4 }),
@@ -75,7 +70,7 @@ pub fn run(quick: bool) {
     for model in &model_zoo {
         let fps: Vec<f64> = modes
             .iter()
-            .map(|(_, m)| cell(&cfg, model, *m, iterations).fps(0))
+            .map(|(_, m)| cell(&cfg, model, *m, 4).fps(0))
             .collect();
         let base = fps[0].max(1e-9);
         assert!(
@@ -98,7 +93,7 @@ pub fn run(quick: bool) {
         format!("{:.3}", sums[2] / n),
         format!("{:.3}", sums[3] / n),
     ]);
-    print_table(
+    let mut out = render_table(
         "Figure 14: normalized fps under memory-virtualization methods",
         &["model", "Physical", "Ours(vChunk)", "IOTLB32", "IOTLB4"],
         &rows,
@@ -106,18 +101,17 @@ pub fn run(quick: bool) {
     let avg_ours = sums[1] / n;
     let avg_32 = sums[2] / n;
     let avg_4 = sums[3] / n;
-    println!(
+    out += &format!(
         "\nAverage overhead: vChunk {:.1}% | IOTLB32 {:.1}% | IOTLB4 {:.1}% \
-         (paper: <4.3% | 9.2% | ~20%).",
+         (paper: <4.3% | 9.2% | ~20%).\n",
         100.0 * (1.0 - avg_ours),
         100.0 * (1.0 - avg_32),
         100.0 * (1.0 - avg_4)
     );
-    if !quick {
-        assert!(avg_ours > avg_32 && avg_32 >= avg_4, "ordering must hold");
-        assert!(
-            avg_ours > 0.90,
-            "vChunk must stay near physical performance"
-        );
-    }
+    assert!(avg_ours > avg_32 && avg_32 >= avg_4, "ordering must hold");
+    assert!(
+        avg_ours > 0.90,
+        "vChunk must stay near physical performance"
+    );
+    out
 }

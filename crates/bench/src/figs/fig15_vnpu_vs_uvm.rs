@@ -8,7 +8,7 @@
 //! memory contention while vNPU's inter-core connections keep
 //! interference negligible.
 
-use crate::{bind_design, print_table, Design};
+use crate::{bind_design, render_table, Design};
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::machine::Machine;
 use vnpu_sim::{Report, SocConfig};
@@ -122,23 +122,16 @@ fn multi(
     )
 }
 
-/// Runs both halves of Figure 15; `quick` trims blocks and iterations.
-pub fn run(quick: bool) {
+/// Runs both halves of Figure 15.
+pub fn run() -> String {
     let cfg = SocConfig::sim();
-    let iterations = if quick { 2 } else { 8 };
-    let blocks = if quick {
-        vec![
-            models::transformer_block(64, 16),
-            models::resnet_block(16, 64),
-        ]
-    } else {
-        vec![
-            models::transformer_block(128, 16),
-            models::transformer_block(64, 16),
-            models::resnet_block(16, 64),
-            models::resnet_block(20, 32),
-        ]
-    };
+    let iterations = 8;
+    let blocks = [
+        models::transformer_block(128, 16),
+        models::transformer_block(64, 16),
+        models::resnet_block(16, 64),
+        models::resnet_block(20, 32),
+    ];
     // --- Single instance ---
     let mut rows = Vec::new();
     let mut tf_speedups = Vec::new();
@@ -160,7 +153,7 @@ pub fn run(quick: bool) {
             format!("{speedup:.2}x"),
         ]);
     }
-    print_table(
+    let mut out = render_table(
         "Figure 15 (single-instance): clocks per iteration",
         &["workload", "vNPU", "UVM", "vNPU speedup"],
         &rows,
@@ -196,7 +189,7 @@ pub fn run(quick: bool) {
             format!("{:.1}%", 100.0 * degr_rn),
         ]);
     }
-    print_table(
+    out += &render_table(
         "Figure 15 (multi-instance): interference of co-located instances",
         &[
             "design", "tf solo", "tf multi", "tf degr", "rn solo", "rn multi", "rn degr",
@@ -206,26 +199,23 @@ pub fn run(quick: bool) {
 
     let tf_avg = tf_speedups.iter().sum::<f64>() / tf_speedups.len() as f64;
     let rn_avg = rn_speedups.iter().sum::<f64>() / rn_speedups.len() as f64;
-    println!(
+    out += &format!(
         "\nTransformer-block speedup vNPU/UVM = {tf_avg:.2}x (paper: 2.29x); \
-         ResNet-block = {rn_avg:.2}x (paper: ~1.05x)."
-    );
-    println!(
-        "Multi-instance degradation: UVM {:.1}% (paper ~24%), vNPU {:.1}% (paper ~0%).",
+         ResNet-block = {rn_avg:.2}x (paper: ~1.05x).\n\
+         Multi-instance degradation: UVM {:.1}% (paper ~24%), vNPU {:.1}% (paper ~0%).\n",
         100.0 * uvm_degr,
         100.0 * vnpu_degr
     );
-    if !quick {
-        assert!(
-            tf_avg > 1.5,
-            "vNPU must clearly beat UVM on transformer blocks"
-        );
-        assert!(rn_avg < tf_avg, "ResNet blocks benefit less (bubbles)");
-        assert!(rn_avg > 0.9, "vNPU must not lose on ResNet blocks");
-        assert!(
-            uvm_degr > vnpu_degr + 0.03,
-            "UVM must suffer visibly more interference"
-        );
-        assert!(vnpu_degr < 0.05, "vNPU interference must stay negligible");
-    }
+    assert!(
+        tf_avg > 1.5,
+        "vNPU must clearly beat UVM on transformer blocks"
+    );
+    assert!(rn_avg < tf_avg, "ResNet blocks benefit less (bubbles)");
+    assert!(rn_avg > 0.9, "vNPU must not lose on ResNet blocks");
+    assert!(
+        uvm_degr > vnpu_degr + 0.03,
+        "UVM must suffer visibly more interference"
+    );
+    assert!(vnpu_degr < 0.05, "vNPU interference must stay negligible");
+    out
 }

@@ -13,7 +13,7 @@
 //! advantage; vNPU itself costs <1% vs bare metal (§6.3.3); warm-up time
 //! is set by weight volume over the tenant's memory bandwidth (§6.3.4).
 
-use crate::{bind_design, bind_mig, print_table, Design};
+use crate::{bind_design, bind_mig, render_table, Design};
 use vnpu::mig::MigPartitioner;
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::machine::Machine;
@@ -71,10 +71,9 @@ pub fn cell(
     machine.run().expect("run")
 }
 
-/// Runs the two-chip comparison; `quick` keeps only the 36-core scenario
-/// at few iterations (GPT2-large on 48 cores is the expensive half).
-pub fn run(quick: bool) {
-    let iterations = if quick { 4 } else { 96 };
+/// Runs the two-chip comparison.
+pub fn run() -> String {
+    let iterations = 96;
 
     // ---------------- 36-core chip ----------------
     let cfg36 = SocConfig::sim();
@@ -87,52 +86,48 @@ pub fn run(quick: bool) {
     let m36 = on36(18, None);
     let bare36 = on36(24, Some(Design::BareMetal));
 
-    let fmt = |r: &Report| {
+    // ---------------- 48-core chip ----------------
+    let cfg48 = SocConfig::sim48();
+    let gpt_l = models::gpt2_large();
+    let on48 = |design| cell(&cfg48, (&gpt_s, 12), (&gpt_l, 36), design, iterations);
+    let v48 = on48(Some(Design::Vnpu));
+    let m48 = on48(None); // 36 vcores on 24 phys: TDM
+    let bare48 = on48(Some(Design::BareMetal));
+
+    let row = |scenario: &str, r: &Report| {
         vec![
+            scenario.to_owned(),
             format!("{:.1}", r.fps(0)),
             format!("{:.1}", r.fps(1)),
             format!("{:.2}M", r.warmup_cycles(0) as f64 / 1e6),
             format!("{:.2}M", r.warmup_cycles(1) as f64 / 1e6),
         ]
     };
-    let mut scenarios = vec![
-        ("36c vNPU (GPT2-s:12 + ResNet34:24)", fmt(&v36)),
-        ("36c MIG  (GPT2-s:18p + ResNet34:18p)", fmt(&m36)),
-        ("36c bare-metal (same alloc as vNPU)", fmt(&bare36)),
-    ];
-
-    // ---------------- 48-core chip ----------------
-    let outcomes48 = if quick {
-        None
-    } else {
-        let cfg48 = SocConfig::sim48();
-        let gpt_l = models::gpt2_large();
-        let on48 = |design| cell(&cfg48, (&gpt_s, 12), (&gpt_l, 36), design, iterations);
-        let v48 = on48(Some(Design::Vnpu));
-        let m48 = on48(None); // 36 vcores on 24 phys: TDM
-        let bare48 = on48(Some(Design::BareMetal));
-        scenarios.push(("48c vNPU (GPT2-s:12 + GPT2-l:36)", fmt(&v48)));
-        scenarios.push(("48c MIG  (GPT2-s:24p + GPT2-l:24p TDM)", fmt(&m48)));
-        scenarios.push(("48c bare-metal (same alloc as vNPU)", fmt(&bare48)));
-        Some((v48, m48, bare48))
-    };
-
-    let rows: Vec<Vec<String>> = scenarios
-        .into_iter()
-        .map(|(name, cells)| {
-            let mut row = vec![name.to_owned()];
-            row.extend(cells);
-            row
-        })
-        .collect();
-    print_table(
+    let mut out = render_table(
         "Figure 16: fps and warm-up (cycles) under MIG vs vNPU",
         &["scenario", "task1 fps", "task2 fps", "warmup1", "warmup2"],
-        &rows,
+        &[
+            row("36c vNPU (GPT2-s:12 + ResNet34:24)", &v36),
+            row("36c MIG  (GPT2-s:18p + ResNet34:18p)", &m36),
+            row("36c bare-metal (same alloc as vNPU)", &bare36),
+            row("48c vNPU (GPT2-s:12 + GPT2-l:36)", &v48),
+            row("48c MIG  (GPT2-s:24p + GPT2-l:24p TDM)", &m48),
+            row("48c bare-metal (same alloc as vNPU)", &bare48),
+        ],
     );
 
     let resnet_speedup = v36.fps(1) / m36.fps(1).max(1e-9);
     let overhead36 = 1.0 - v36.fps(1) / bare36.fps(1).max(1e-9);
+    let gptl_speedup = v48.fps(1) / m48.fps(1).max(1e-9);
+    let overhead48 = 1.0 - v48.fps(1) / bare48.fps(1).max(1e-9);
+    out += &format!(
+        "\nvNPU vs MIG: ResNet34 {resnet_speedup:.2}x (paper 1.28x avg).\n\
+         vNPU vs bare metal: {:.2}% (36c) overhead (paper <1%).\n\
+         GPT2-large {gptl_speedup:.2}x vs MIG (paper up to 1.92x); \
+         48c bare-metal overhead {:.2}%.\n",
+        100.0 * overhead36,
+        100.0 * overhead48
+    );
     assert!(
         v36.fps(0) > 0.0 && v36.fps(1) > 0.0,
         "both tenants must run"
@@ -141,34 +136,21 @@ pub fn run(quick: bool) {
         v36.warmup_cycles(0) > 0 && v36.warmup_cycles(1) > 0,
         "warm-up (weight loading) must be visible"
     );
-    println!("\nvNPU vs MIG: ResNet34 {resnet_speedup:.2}x (paper 1.28x avg).");
-    println!(
-        "vNPU vs bare metal: {:.2}% (36c) overhead (paper <1%).",
-        100.0 * overhead36
+    assert!(
+        resnet_speedup > 1.1,
+        "more cores must beat MIG's fixed partition for ResNet34"
     );
-    if let Some((v48, m48, bare48)) = outcomes48 {
-        let gptl_speedup = v48.fps(1) / m48.fps(1).max(1e-9);
-        let overhead48 = 1.0 - v48.fps(1) / bare48.fps(1).max(1e-9);
-        println!(
-            "GPT2-large {gptl_speedup:.2}x vs MIG (paper up to 1.92x); \
-             48c bare-metal overhead {:.2}%.",
-            100.0 * overhead48
-        );
-        assert!(
-            resnet_speedup > 1.1,
-            "more cores must beat MIG's fixed partition for ResNet34"
-        );
-        assert!(gptl_speedup > 1.4, "TDM must cost MIG dearly on GPT2-large");
-        assert!(
-            overhead36.abs() < 0.03 && overhead48.abs() < 0.03,
-            "vNPU ~free"
-        );
-        // GPT2-small under MIG wastes partition cores; vNPU gives it exactly 12,
-        // so its fps should be comparable (within noise) across designs.
-        let gpts_ratio = v48.fps(0) / m48.fps(0).max(1e-9);
-        assert!(
-            (0.8..1.3).contains(&gpts_ratio),
-            "GPT2-small fps should be similar under both designs ({gpts_ratio:.2})"
-        );
-    }
+    assert!(gptl_speedup > 1.4, "TDM must cost MIG dearly on GPT2-large");
+    assert!(
+        overhead36.abs() < 0.03 && overhead48.abs() < 0.03,
+        "vNPU ~free"
+    );
+    // GPT2-small under MIG wastes partition cores; vNPU gives it exactly 12,
+    // so its fps should be comparable (within noise) across designs.
+    let gpts_ratio = v48.fps(0) / m48.fps(0).max(1e-9);
+    assert!(
+        (0.8..1.3).contains(&gpts_ratio),
+        "GPT2-small fps should be similar under both designs ({gpts_ratio:.2})"
+    );
+    out
 }

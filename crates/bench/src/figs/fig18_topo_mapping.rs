@@ -8,7 +8,7 @@
 //! ~89% of vNPU's mapping); and the advantage grows with core count.
 //! The bottom part traces per-core compute/send/receive activity.
 
-use crate::{bind_design, print_table, Design};
+use crate::{bind_design, render_table, Design};
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::machine::Machine;
 use vnpu_sim::stats::Activity;
@@ -28,25 +28,19 @@ fn occupy_scattered(hv: &mut Hypervisor) {
     hv.reserve_cores(&OCCUPIED).expect("reserve red nodes");
 }
 
-struct Params {
-    iterations: u32,
-    candidate_cap: usize,
-}
+const ITERATIONS: u32 = 24;
 
-fn one(
-    cfg: &SocConfig,
-    model: &ModelGraph,
-    cores: u32,
-    strategy: Strategy,
-    p: &Params,
-) -> Option<f64> {
+/// Compiles `model` for `cores`, maps it onto the partly occupied chip
+/// under `strategy` and returns its fps.
+fn one(cfg: &SocConfig, model: &ModelGraph, cores: u32, strategy: Strategy) -> f64 {
+    let what = format!("{} on {cores} cores", model.name());
     let opts = CompileOptions {
-        iterations: p.iterations,
+        iterations: ITERATIONS,
         weight_va_base: vnpu::vnpu::GUEST_VA_BASE,
         bsp: true, // IPU-style supersteps: exchange is on the critical path
         ..Default::default()
     };
-    let out = compile(model, cores, cfg, &opts).ok()?;
+    let out = compile(model, cores, cfg, &opts).unwrap_or_else(|e| panic!("compile {what}: {e}"));
     let mut hv = Hypervisor::new(cfg.clone());
     occupy_scattered(&mut hv);
     // The user topology is the compiled pipeline's communication graph
@@ -58,7 +52,7 @@ fn one(
                 .mem_bytes(1 << 30)
                 .strategy(strategy),
         )
-        .ok()?;
+        .unwrap_or_else(|e| panic!("place {what}: {e}"));
     let mut machine = Machine::new(cfg.clone());
     let tenant = bind_design(
         &mut machine,
@@ -68,53 +62,25 @@ fn one(
         Design::Vnpu,
         model.name(),
     );
-    let report = machine.run().ok()?;
-    Some(report.fps(tenant))
+    let report = machine.run().unwrap_or_else(|e| panic!("run {what}: {e}"));
+    report.fps(tenant)
 }
 
-/// Sweeps models × core counts × strategies; `quick` trims all three.
-pub fn run(quick: bool) {
+/// Sweeps models × core counts × strategies.
+pub fn run() -> String {
     let cfg = SocConfig::sim();
-    let p = if quick {
-        Params {
-            iterations: 4,
-            candidate_cap: 500,
-        }
-    } else {
-        Params {
-            iterations: 24,
-            candidate_cap: 4000,
-        }
-    };
-    let model_set: Vec<(&str, ModelGraph)> = if quick {
-        vec![("ResNet18", models::resnet18())]
-    } else {
-        vec![
-            ("ResNet18", models::resnet18()),
-            ("ResNet34", models::resnet34()),
-            ("GPT2-s", models::gpt2_small()),
-        ]
-    };
-    let core_counts: &[u32] = if quick {
-        &[12, 9]
-    } else {
-        &[28, 24, 16, 13, 12, 9]
-    };
+    let model_set = [
+        ("ResNet18", models::resnet18()),
+        ("ResNet34", models::resnet34()),
+        ("GPT2-s", models::gpt2_small()),
+    ];
     let mut rows = Vec::new();
     let mut gains: Vec<(String, u32, f64)> = Vec::new();
     for (name, model) in &model_set {
-        for &cores in core_counts {
-            let zig = one(&cfg, model, cores, Strategy::straightforward(), &p);
-            let sim = one(
-                &cfg,
-                model,
-                cores,
-                Strategy::similar_topology().candidate_cap(p.candidate_cap),
-                &p,
-            );
-            let (Some(zig), Some(sim)) = (zig, sim) else {
-                continue;
-            };
+        for cores in [28, 24, 16, 13, 12, 9] {
+            let zig = one(&cfg, model, cores, Strategy::straightforward());
+            let similar = Strategy::similar_topology().candidate_cap(4000);
+            let sim = one(&cfg, model, cores, similar);
             let gain = sim / zig.max(1e-9);
             gains.push((name.to_string(), cores, gain));
             rows.push(vec![
@@ -126,27 +92,19 @@ pub fn run(quick: bool) {
             ]);
         }
     }
-    print_table(
+    let mut out = render_table(
         "Figure 18: fps under straightforward vs similar-topology mapping",
         &["model", "cores", "zig-zag fps", "similar fps", "gain"],
         &rows,
     );
-    assert!(
-        !gains.is_empty(),
-        "at least one (model, cores) point must map"
-    );
 
     // Bottom of Figure 18: core activity trace for ResNet18 at 12 cores.
-    let trace = trace_rows(&cfg, &model_set[0].1, if quick { 9 } else { 12 }, &p);
-    print_table(
+    out += &render_table(
         "Figure 18 (bottom): per-core activity, similar mapping",
         &["vcore", "compute%", "send%", "recv-wait%"],
-        &trace,
+        &trace_rows(&cfg, &model_set[0].1, 12),
     );
 
-    if quick {
-        return;
-    }
     // Claims.
     let avg = |pred: &dyn Fn(&str, u32) -> bool| {
         let v: Vec<f64> = gains
@@ -160,16 +118,14 @@ pub fn run(quick: bool) {
     let resnet_small = avg(&|m, c| m.starts_with("ResNet") && c <= 13);
     let resnet_all = avg(&|m, _| m.starts_with("ResNet"));
     let gpt_gain = avg(&|m, _| m == "GPT2-s");
-    println!(
+    out += &format!(
         "\nResNet similar-mapping gain: {:+.1}% at >=16 cores vs {:+.1}% at <=13 cores \
          (paper: ~+40-42% at 28 cores vs ~+6% at 11 — same ordering, smaller magnitude; \
-         our BSP exchange is cheaper relative to compute than the authors' NoC).",
+         our BSP exchange is cheaper relative to compute than the authors' NoC).\n\
+         GPT2 zig-zag reaches {:.0}% of the similar mapping (paper ~89%) — far less \
+         mapping-sensitive than ResNet, as the paper reports.\n",
         100.0 * (resnet_big - 1.0),
-        100.0 * (resnet_small - 1.0)
-    );
-    println!(
-        "GPT2 zig-zag reaches {:.0}% of the similar mapping (paper ~89%) — far less \
-         mapping-sensitive than ResNet, as the paper reports.",
+        100.0 * (resnet_small - 1.0),
         100.0 / gpt_gain
     );
     assert!(
@@ -184,11 +140,12 @@ pub fn run(quick: bool) {
         gpt_gain < resnet_all,
         "GPT must be less mapping-sensitive than ResNet ({gpt_gain:.3} vs {resnet_all:.3})"
     );
+    out
 }
 
-fn trace_rows(cfg: &SocConfig, model: &ModelGraph, cores: u32, p: &Params) -> Vec<Vec<String>> {
+fn trace_rows(cfg: &SocConfig, model: &ModelGraph, cores: u32) -> Vec<Vec<String>> {
     let opts = CompileOptions {
-        iterations: p.iterations,
+        iterations: ITERATIONS,
         weight_va_base: vnpu::vnpu::GUEST_VA_BASE,
         bsp: true, // IPU-style supersteps: exchange is on the critical path
         ..Default::default()

@@ -5,14 +5,14 @@
 //! Paper result: both designs need only ≈2% extra Total LUTs and FFs; a
 //! 128-entry routing table is FF-cheap with near-zero LUTs.
 
-use crate::print_table;
+use crate::render_table;
 use vnpu::hwcost::{
     baseline_controller, baseline_core, kim_controller_overhead, kim_core_overhead,
     routing_table_cost, vnpu_controller_overhead, vnpu_core_overhead,
 };
 
-/// Pure resource-model arithmetic; runs identically in both modes.
-pub fn run(_quick: bool) {
+/// Pure resource-model arithmetic.
+pub fn run() -> String {
     let base_ctrl = baseline_controller();
     let base_core = baseline_core();
     let configs = [
@@ -49,7 +49,7 @@ pub fn run(_quick: bool) {
         format!("{} LUTRAM", rt.lutrams),
         format!("{} FFs", rt.ffs),
     ]);
-    print_table(
+    let mut out = render_table(
         "Figure 19: additional FPGA resources (% of baseline)",
         &[
             "configuration",
@@ -67,9 +67,10 @@ pub fn run(_quick: bool) {
             "{name} exceeds the Figure 19 envelope: {pct:?}"
         );
     }
-    println!(
+    out += &format!(
         "\nAll overheads stay in the ~2% envelope; the routing table needs {} FFs and \
-         only {} LUTs (paper: 'minimal FF resources ... LUT requirements nearly zero').",
+         only {} LUTs (paper: 'minimal FF resources ... LUT requirements nearly zero').\n",
         rt.ffs, rt.total_luts
     );
+    out
 }

@@ -6,7 +6,7 @@
 //! the vRouter adds only 1–2% on top of raw inter-core transfers (a fixed
 //! routing-table lookup plus a 1-cycle per-packet rewrite).
 
-use crate::{bind_design, print_table, Design};
+use crate::{bind_design, render_table, Design};
 use vnpu::{Hypervisor, VnpuRequest};
 use vnpu_sim::isa::{Instr, Program};
 use vnpu_sim::machine::Machine;
@@ -46,10 +46,9 @@ fn measure(cfg: &SocConfig, packets: u64, virtualized: bool) -> (u64, u64) {
     (send_end, recv_end)
 }
 
-/// The paper's (packets, Send, vSend) rows; per-row assertions are
-/// config invariants of the FPGA SoC model and hold at any scale, so
-/// `quick` only trims the packet counts measured.
-pub fn run(quick: bool) {
+/// The paper's (packets, Send, vSend) rows, each measured and held to
+/// the paper's absolute numbers.
+pub fn run() -> String {
     let cfg = SocConfig::fpga();
     let paper = [
         (2u64, 309u64, 342u64),
@@ -57,9 +56,8 @@ pub fn run(quick: bool) {
         (20, 2810, 2822),
         (30, 4236, 4240),
     ];
-    let take = if quick { 2 } else { paper.len() };
     let mut rows = Vec::new();
-    for &(packets, paper_send, paper_vsend) in paper.iter().take(take) {
+    for (packets, paper_send, paper_vsend) in paper {
         let (send, recv) = measure(&cfg, packets, false);
         let (vsend, vrecv) = measure(&cfg, packets, true);
         let overhead = 100.0 * (vsend as f64 - send as f64) / send as f64;
@@ -83,7 +81,7 @@ pub fn run(quick: bool) {
             "{packets} packets: vRouter overhead {overhead:.1}% too high"
         );
     }
-    print_table(
+    let mut out = render_table(
         "Table 3: NoC transfers with/without the vRouter (clocks)",
         &[
             "packets",
@@ -96,5 +94,6 @@ pub fn run(quick: bool) {
         ],
         &rows,
     );
-    println!("\nLarge transfers amortize the routing-table lookup to ~1-2% (paper's claim).");
+    out += "\nLarge transfers amortize the routing-table lookup to ~1-2% (paper's claim).\n";
+    out
 }

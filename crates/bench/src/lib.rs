@@ -1,14 +1,13 @@
-//! Shared code for the figure/table benchmarks.
-//!
-//! Each bench target under `benches/` reproduces one table or figure of
-//! the paper. This library provides what they share:
+//! The paper's figures, tables and ablations, and the design bindings
+//! they share.
 //!
 //! * the plumbing in this root module — binding compiled workloads onto
 //!   machines under the various virtualization designs (vNPU, UVM, MIG,
-//!   bare-metal), uniform table printing and the `--quick` switch;
-//! * [`figs`] — the core loop of every figure/table bench, parameterized
-//!   by a `quick` flag so `tests/benches_smoke.rs` can exercise each one
-//!   at tiny scale under `cargo test`.
+//!   bare-metal) and uniform table rendering;
+//! * [`figs`] — the sixteen reproductions, each rendering its rows at
+//!   paper scale and asserting the paper's claims. The `figs` binary
+//!   prints them, and `tests/figures.rs` holds their output to the
+//!   committed `FIGURES.txt` ledger.
 //!
 //! Nothing here times anything: wall-clock numbers come from the separate
 //! `benchmark/` package, which imports [`bind_design`], [`bind_mig`] and
@@ -171,15 +170,9 @@ pub fn adhoc_vrouter(cfg: &SocConfig, v2p: Vec<u32>, policy: RoutePolicy) -> VRo
     )
 }
 
-/// True when `--quick` is among the process arguments (cargo's own flags
-/// are ignored): the bench targets' fast mode.
-pub fn quick_from_env() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Prints a fixed-width table with a title, headers and rows.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+/// Renders a fixed-width table with a title, headers and rows: a blank
+/// line, the title, the header, a rule, then one line per row.
+pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -196,17 +189,16 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    println!(
-        "{}",
+    let mut out = format!(
+        "\n== {title} ==\n{}\n{}\n",
+        fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()),
         "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
     );
     for row in rows {
-        println!("{}", fmt_row(row));
+        out += &fmt_row(row);
+        out.push('\n');
     }
+    out
 }
 
 #[cfg(test)]

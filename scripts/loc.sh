@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Source size, per crate, for `core + serve` and for the whole workspace.
 #
-# For every `crates/*/src/**/*.rs` (plus `crates/bench/benches/*.rs`,
-# counted with `bench`), counts the lines that precede the file's first
-# `#[cfg(test)]` — all of them, and those that are neither blank nor a
-# `//` comment ("code") — and the lines from that `#[cfg(test)]` on
-# ("test"). Prints one row per crate, the four largest files by name, the
+# For every `crates/*/src/**/*.rs`, counts the lines that precede the
+# file's first `#[cfg(test)]` — all of them, and those that are neither
+# blank nor a `//` comment ("code") — and the lines from that
+# `#[cfg(test)]` on ("test"). Prints one row per crate, the four largest files by name, the
 # `core + serve` sum the simplification PRs are judged by, and a
 # `workspace` row whose test column also takes in the root `tests/*.rs`.
 #
@@ -34,7 +33,7 @@ row() {
 
 printf '%-28s %8s %8s %8s\n' "source" "lines" "code" "test"
 for crate in crates/*/; do
-  mapfile -t files < <(find "$crate"src "$crate"benches -name '*.rs' 2>/dev/null | sort)
+  mapfile -t files < <(find "$crate"src -name '*.rs' | sort)
   row "$(basename "$crate")" "${files[@]}"
 done
 for file in crates/core/src/hypervisor.rs crates/core/src/cluster.rs \
@@ -42,7 +41,7 @@ for file in crates/core/src/hypervisor.rs crates/core/src/cluster.rs \
   row "  ${file#crates/}" "$file"
 done
 row "core + serve" crates/core/src/*.rs crates/serve/src/*.rs
-mapfile -t files < <(find crates/*/src crates/*/benches -name '*.rs' 2>/dev/null | sort)
+mapfile -t files < <(find crates/*/src -name '*.rs' | sort)
 read -r lines code test < <(count "${files[@]}")
 printf '%-28s %8d %8d %8d\n' "workspace" "$lines" "$code" \
   "$((test + $(cat tests/*.rs | wc -l)))"

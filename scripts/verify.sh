@@ -31,6 +31,14 @@ section "serve output pin"
 # a refactor of the loop must reproduce them bit for bit.
 cargo test --test cluster -q serve_outputs_are_pinned_across_refactors
 
+section "paper figures"
+# Every figure, table and ablation runs at paper scale, asserts the
+# paper's claims, and must print the committed ledger byte for byte: once
+# under the test profile, once from the release binary built above.
+cargo test --test figures -q
+cargo run --release -q -p vnpu_bench --bin figs | cmp - FIGURES.txt
+echo "paper figures: the release binary prints FIGURES.txt"
+
 section "benchmark manifest"
 # The benchmark package resolves against its committed lock file. A change
 # that adds or drops a workspace crate's manifest edge would rewrite
@@ -45,12 +53,11 @@ section "scripts/loc.sh (non-test source size)"
 # the bound. (`topo` stood at 1 988 after PR 16; PR 19's allocation-free
 # search kernels, a claimed and measured gain, bought the 45 lines since;
 # PR 25's `dor_confined` rewrite took 7 back.) The `workspace` row — every
-# crate's `src/**` plus the bench targets — is held the same way, at where
-# the deletion of the plan linter and the audit catalogue's mirror rules
-# landed it.
+# crate's `src/**` — is held the same way, at where deleting the figures'
+# quick mode and their sixteen bench targets landed it.
 CORE_SERVE_CODE_MAX=4954
 TOPO_CODE_MAX=2026
-WORKSPACE_CODE_MAX=15909
+WORKSPACE_CODE_MAX=15794
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")

@@ -12,6 +12,7 @@ use vnpu_mem::proptest_lite::{check, range, vec_of};
 use vnpu_mem::rtt::{RangeTranslationTable, RangeTranslator, RttEntry};
 use vnpu_mem::{prop_assert, prop_assert_eq};
 use vnpu_mem::{Perm, PhysAddr, Translate, TranslationCosts, VirtAddr};
+use vnpu_topo::cache::FreeSet;
 use vnpu_topo::mapping::{Mapper, Strategy};
 use vnpu_topo::{canonical, enumerate, ged, NodeId, Topology, UniformCosts};
 
@@ -327,11 +328,29 @@ fn compile_and_run_arbitrary_chains() {
     );
 }
 
+/// The free-set oracle: the incrementally maintained free region is
+/// exactly the cores no tenant uses and no fault masks.
+fn free_set_is_exact(hv: &Hypervisor) -> Result<(), String> {
+    let n = hv.config().core_count();
+    let free: Vec<NodeId> = (0..n)
+        .filter(|&c| hv.core_users()[c as usize] == 0 && !hv.core_faulted(c))
+        .map(NodeId)
+        .collect();
+    prop_assert_eq!(
+        hv.free_set(),
+        &FreeSet::from_free_nodes(n as usize, &free),
+        "free set drifted from the core users and fault mask"
+    );
+    Ok(())
+}
+
 /// Buddy-allocator + hypervisor churn invariant: any random interleaving
 /// of vNPU creates and destroys (mixed shapes, sizes and admission
-/// policies) ends — after destroying the survivors — with every core
-/// free, all HBM returned, and the buddy fully coalesced back into its
-/// maximal block. No cores or memory may leak through any interleaving.
+/// policies) and core faults and repairs ends — after destroying the
+/// survivors and repairing every core — with every core free, all HBM
+/// returned, and the buddy fully coalesced back into its maximal block.
+/// No cores or memory may leak through any interleaving, and after every
+/// op the free set is exactly the unused, healthy cores.
 ///
 /// Creates go through the one admission path — a 1-chip [`Cluster`]'s
 /// queue — so the drawn policy really decides which queued requests are
@@ -344,7 +363,7 @@ fn hypervisor_churn_leaves_no_residue() {
         "hypervisor_churn_leaves_no_residue",
         64,
         (
-            vec_of((range(0u32..8), range(0u32..4)), 4..40),
+            vec_of((range(0u32..8), range(0u32..6), range(0u32..36)), 4..40),
             range(0u32..3),
         ),
         |(ops, policy_pick)| {
@@ -363,11 +382,20 @@ fn hypervisor_churn_leaves_no_residue() {
             let total_cores = cl.total_cores();
             let free_hbm_at_start = cl.chip(0).hbm_free_bytes();
             let mut live: Vec<ClusterVmId> = Vec::new();
-            for &(shape, action) in ops {
+            for &(shape, action, core) in ops {
                 if action == 0 && !live.is_empty() {
                     // Destroy the oldest live vNPU (deterministic pick).
                     let vm = live.remove(0);
                     cl.destroy(vm).expect("destroy live vnpu");
+                } else if action == 4 {
+                    // Fault a core, owned or free: an owner keeps it
+                    // until destroyed, and it rejoins no free region.
+                    cl.fault_core(0, core).expect("core on the chip");
+                } else if action == 5 {
+                    // Repair the lowest faulted core, if any.
+                    if let Some(&c) = cl.chip(0).faulted_cores().first() {
+                        prop_assert!(cl.repair_core(0, c).expect("core on the chip"));
+                    }
                 } else {
                     cl.submit(match shape {
                         0 => VnpuRequest::mesh(1, 1).mem_bytes(8 << 20),
@@ -393,10 +421,15 @@ fn hypervisor_churn_leaves_no_residue() {
                 prop_assert!(cl.free_cores() <= total_cores);
                 prop_assert!(cl.chip(0).hbm_free_bytes() <= free_hbm_at_start);
                 prop_assert_eq!(cl.live_count(), live.len());
+                free_set_is_exact(cl.chip(0))?;
             }
             for vm in live {
                 cl.destroy(vm).expect("drain");
             }
+            for c in cl.chip(0).faulted_cores() {
+                cl.repair_core(0, c).expect("core on the chip");
+            }
+            free_set_is_exact(cl.chip(0))?;
             let hv = cl.chip(0);
             prop_assert_eq!(hv.free_core_count(), total_cores, "no leaked cores");
             prop_assert_eq!(hv.hbm_free_bytes(), free_hbm_at_start, "no leaked HBM");
@@ -419,7 +452,8 @@ fn hypervisor_churn_leaves_no_residue() {
 /// leaks nothing and ends fully coalesced at quiescence, every
 /// deliberately staled commit leaves the hypervisor byte-identical
 /// (`state_digest` compare), and every un-intervened commit lands at the
-/// planned prices (`land`): the commit is the plan's oracle.
+/// planned prices (`land`): the commit is the plan's oracle. After every
+/// op the free set is exactly the cores no tenant uses.
 #[test]
 fn placement_plan_churn_is_transactional_and_leak_free() {
     use std::cell::Cell;
@@ -516,6 +550,7 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                         let swap = [PlanOp::Destroy(live[0]), PlanOp::Create(req)];
                         let Ok(txn) = hv.plan(&swap) else {
                             prop_assert_eq!(hv.state_digest(), digest, "failed plan mutated");
+                            free_set_is_exact(&hv)?;
                             continue;
                         };
                         live.remove(0);
@@ -567,6 +602,7 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                         // Placement may legitimately fail under
                         // fragmentation; planned failures change nothing.
                         let Ok(txn) = hv.plan(&[PlanOp::Create(req.clone())]) else {
+                            free_set_is_exact(&hv)?;
                             continue;
                         };
                         // Stale the plan on purpose: the failed commit
@@ -589,12 +625,14 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                 }
                 prop_assert!(hv.free_core_count() <= total_cores);
                 prop_assert!(hv.hbm_free_bytes() <= free_hbm_at_start);
+                free_set_is_exact(&hv)?;
             }
             // Drain every survivor in one transaction.
             if !live.is_empty() {
                 let drain: Vec<PlanOp> = live.drain(..).map(PlanOp::Destroy).collect();
                 let txn = hv.plan(&drain).expect("plan drain");
                 land(&mut hv, &txn)?;
+                free_set_is_exact(&hv)?;
             }
             prop_assert_eq!(hv.free_core_count(), total_cores, "no leaked cores");
             prop_assert_eq!(hv.hbm_free_bytes(), free_hbm_at_start, "no leaked HBM");

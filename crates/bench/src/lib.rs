@@ -6,7 +6,8 @@
 //!   bare-metal) and uniform table rendering;
 //! * [`figs`] — the sixteen reproductions, each rendering its rows at
 //!   paper scale and asserting the paper's claims. The `figs` binary
-//!   prints them, and `tests/figures.rs` holds their output to the
+//!   prints them, and `tests/figures.rs` (all sixteen, in order) and
+//!   `tests/benches_smoke.rs` (one test each) hold their output to the
 //!   committed `FIGURES.txt` ledger.
 //!
 //! Nothing here times anything: wall-clock numbers come from the separate

@@ -1,91 +1,104 @@
-//! Smoke tests for the figure/table benches: every self-printing bench
-//! binary's core loop (now library code in `vnpu_bench::figs`) runs at
-//! tiny scale, so bench bit-rot — a scenario that panics, asserts, or
-//! no longer terminates — is caught by plain `cargo test -q`, not only
-//! by the full `cargo bench` pass.
-//!
-//! The quick mode keeps every structural assertion (isolation,
-//! determinism, access patterns) and skips only the paper-scale claim
-//! thresholds; see `vnpu_bench::figs` for the per-figure split.
+//! One test per reproduction in `vnpu_bench::figs::ALL`: each runs its
+//! figure, table or ablation at paper scale — so its claim assertions
+//! fire under a test named after it — and requires the rendered rows to
+//! appear verbatim in the committed `FIGURES.txt`. `tests/figures.rs`
+//! additionally holds the ledger to all sixteen, in order, and nothing
+//! else.
 
-use vnpu_bench::figs;
+use vnpu_bench::figs::ALL;
+
+const LEDGER: &str = include_str!("../FIGURES.txt");
+
+/// Runs the reproduction called `name` and checks it against the ledger.
+fn pinned(name: &str) {
+    let (_, run) = ALL
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("{name} is not in figs::ALL"));
+    let rendered = run();
+    assert!(!rendered.is_empty(), "{name} rendered nothing");
+    assert!(
+        LEDGER.contains(rendered.as_str()),
+        "{name}'s output is not in FIGURES.txt; run tests/figures.rs for the first differing line"
+    );
+}
 
 #[test]
 fn smoke_fig03_utilization() {
-    figs::fig03_utilization::run(true);
+    pinned("fig03_utilization");
 }
 
 #[test]
 fn smoke_fig06_mem_trace() {
-    figs::fig06_mem_trace::run(true);
+    pinned("fig06_mem_trace");
 }
 
 #[test]
 fn smoke_fig11_rt_config() {
-    figs::fig11_rt_config::run(true);
+    pinned("fig11_rt_config");
 }
 
 #[test]
 fn smoke_fig12_inst_dispatch() {
-    figs::fig12_inst_dispatch::run(true);
+    pinned("fig12_inst_dispatch");
 }
 
 #[test]
 fn smoke_fig13_broadcast() {
-    figs::fig13_broadcast::run(true);
+    pinned("fig13_broadcast");
 }
 
 #[test]
 fn smoke_fig14_mem_virt() {
-    figs::fig14_mem_virt::run(true);
+    pinned("fig14_mem_virt");
 }
 
 #[test]
 fn smoke_fig15_vnpu_vs_uvm() {
-    figs::fig15_vnpu_vs_uvm::run(true);
+    pinned("fig15_vnpu_vs_uvm");
 }
 
 #[test]
 fn smoke_fig16_vnpu_vs_mig() {
-    figs::fig16_vnpu_vs_mig::run(true);
+    pinned("fig16_vnpu_vs_mig");
 }
 
 #[test]
 fn smoke_fig18_topo_mapping() {
-    figs::fig18_topo_mapping::run(true);
+    pinned("fig18_topo_mapping");
 }
 
 #[test]
 fn smoke_fig19_hw_cost() {
-    figs::fig19_hw_cost::run(true);
+    pinned("fig19_hw_cost");
 }
 
 #[test]
 fn smoke_table3_vrouter_noc() {
-    figs::table3_vrouter_noc::run(true);
+    pinned("table3_vrouter_noc");
 }
 
 #[test]
 fn smoke_ablation_fragmentation() {
-    figs::ablation_fragmentation::run(true);
+    pinned("ablation_fragmentation");
 }
 
 #[test]
 fn smoke_ablation_gnn_random_access() {
-    figs::ablation_gnn_random_access::run(true);
+    pinned("ablation_gnn_random_access");
 }
 
 #[test]
 fn smoke_ablation_hybrid_cores() {
-    figs::ablation_hybrid_cores::run(true);
+    pinned("ablation_hybrid_cores");
 }
 
 #[test]
 fn smoke_ablation_noc_isolation() {
-    figs::ablation_noc_isolation::run(true);
+    pinned("ablation_noc_isolation");
 }
 
 #[test]
 fn smoke_ablation_tlb_sweep() {
-    figs::ablation_tlb_sweep::run(true);
+    pinned("ablation_tlb_sweep");
 }

@@ -126,7 +126,8 @@ fn counters(report: &vnpu_sim::Report) -> String {
 
 /// The paper cells the benchmark's `paper_static` runs (same models,
 /// options and provisioning), one row per figure, each built by the
-/// figure's own `cell`: Fig. 14 ResNet18 × the four memory modes, Fig. 15
+/// figure's own `cell`: Fig. 14 ResNet18 and BERT-base (the longest DMA
+/// streams, 664 320 bursts a cell) × the four memory modes, Fig. 15
 /// transformer block 128 × {vNPU, UVM-32}, Fig. 16 36-core GPT2-small +
 /// ResNet34 × {vNPU, bare metal, MIG}.
 fn paper_cells() -> Vec<(&'static str, String)> {
@@ -134,14 +135,43 @@ fn paper_cells() -> Vec<(&'static str, String)> {
     use vnpu_bench::Design;
 
     let mut cells = Vec::new();
-    let (fpga, resnet18) = (SocConfig::fpga(), models::resnet18());
-    for (name, mode) in [
-        ("fig14/resnet18/physical", MemMode::Physical),
-        ("fig14/resnet18/range4", MemMode::Range { tlb_entries: 4 }),
-        ("fig14/resnet18/page32", MemMode::Page { tlb_entries: 32 }),
-        ("fig14/resnet18/page4", MemMode::Page { tlb_entries: 4 }),
+    let fpga = SocConfig::fpga();
+    let (resnet18, bert_base) = (models::resnet18(), models::bert_base());
+    for (name, model, mode) in [
+        ("fig14/resnet18/physical", &resnet18, MemMode::Physical),
+        (
+            "fig14/resnet18/range4",
+            &resnet18,
+            MemMode::Range { tlb_entries: 4 },
+        ),
+        (
+            "fig14/resnet18/page32",
+            &resnet18,
+            MemMode::Page { tlb_entries: 32 },
+        ),
+        (
+            "fig14/resnet18/page4",
+            &resnet18,
+            MemMode::Page { tlb_entries: 4 },
+        ),
+        ("fig14/bert_base/physical", &bert_base, MemMode::Physical),
+        (
+            "fig14/bert_base/range4",
+            &bert_base,
+            MemMode::Range { tlb_entries: 4 },
+        ),
+        (
+            "fig14/bert_base/page32",
+            &bert_base,
+            MemMode::Page { tlb_entries: 32 },
+        ),
+        (
+            "fig14/bert_base/page4",
+            &bert_base,
+            MemMode::Page { tlb_entries: 4 },
+        ),
     ] {
-        let report = fig14_mem_virt::cell(&fpga, &resnet18, mode, 16);
+        let report = fig14_mem_virt::cell(&fpga, model, mode, 16);
         cells.push((name, counters(&report)));
     }
     let (sim, block) = (SocConfig::sim(), models::transformer_block(128, 16));
@@ -207,6 +237,22 @@ const PAPER_CELL_PINS: &[(&str, &str)] = &[
     (
         "fig14/resnet18/page4",
         "makespan=42640990 noc_packets=14800 noc_contention=6720 hbm_wait=31276542 translation=9230965 | 0:112/109/3/3/709 1:432/272/160/160/32272 2:432/272/160/160/32272 3:432/272/160/160/32272 4:1296/848/448/448/90448 5:3552/2352/1200/1200/242352 6:40128/26736/13392/13392/2705136 7:90480/60304/30176/30176/6095504",
+    ),
+    (
+        "fig14/bert_base/physical",
+        "makespan=180944946 noc_packets=10752 noc_contention=0 hbm_wait=24214936240 translation=0 | 0:74496/74496/0/0/0 1:92160/92160/0/0/0 2:73728/73728/0/0/0 3:92160/92160/0/0/0 4:73728/73728/0/0/0 5:92160/92160/0/0/0 6:73728/73728/0/0/0 7:92160/92160/0/0/0",
+    ),
+    (
+        "fig14/bert_base/range4",
+        "makespan=180945249 noc_packets=10752 noc_contention=0 hbm_wait=24173089504 translation=664408 | 0:74496/74495/1/1/74507 1:92160/92159/1/1/92171 2:73728/73727/1/1/73739 3:92160/92159/1/1/92171 4:73728/73727/1/1/73739 5:92160/92159/1/1/92171 6:73728/73727/1/1/73739 7:92160/92159/1/1/92171",
+    ),
+    (
+        "fig14/bert_base/page32",
+        "makespan=195426910 noc_packets=10752 noc_contention=0 hbm_wait=382496022 translation=67121408 | 0:111360/74096/37264/37264/7526896 1:138240/92144/46096/46096/9311344 2:110592/73712/36880/36880/7449712 3:138240/92144/46096/46096/9311344 4:110592/73712/36880/36880/7449712 5:138240/92144/46096/46096/9311344 6:110592/73712/36880/36880/7449712 7:138240/92144/46096/46096/9311344",
+    ),
+    (
+        "fig14/bert_base/page4",
+        "makespan=195426910 noc_packets=10752 noc_contention=0 hbm_wait=382496022 translation=67121408 | 0:111360/74096/37264/37264/7526896 1:138240/92144/46096/46096/9311344 2:110592/73712/36880/36880/7449712 3:138240/92144/46096/46096/9311344 4:110592/73712/36880/36880/7449712 5:138240/92144/46096/46096/9311344 6:110592/73712/36880/36880/7449712 7:138240/92144/46096/46096/9311344",
     ),
     (
         "fig15/transformer_block_128/vnpu",

@@ -12,7 +12,9 @@
 //! dropping a translator costs the host what the mapping's shape costs,
 //! not what its size does.
 
-use crate::translate::{last_byte, Translate, TranslateStats, Translation, TranslationCosts};
+use crate::translate::{
+    bursts_within, last_byte, Translate, TranslateStats, Translation, TranslationCosts,
+};
 use crate::{MemError, Perm, PhysAddr, Result, VirtAddr};
 
 /// One mapped run: `pages` consecutive virtual pages from `vpn0` backed
@@ -205,6 +207,18 @@ impl PageTlb {
         self.mru = slot;
     }
 
+    /// Books `k` lookups of `vpn` if it is the most recently used entry:
+    /// an MRU hit moves nothing but the entry's tick, so `k` of them are
+    /// the last one's tick.
+    fn hit_mru(&mut self, vpn: u64, k: u64) -> bool {
+        let Some(e) = self.entries.get_mut(self.mru).filter(|e| e.0 == vpn) else {
+            return false;
+        };
+        self.tick += k;
+        e.3 = self.tick;
+        true
+    }
+
     /// Drops all entries.
     pub fn flush(&mut self) {
         self.entries.clear();
@@ -293,6 +307,25 @@ impl Translate for PageTranslator {
             cycles,
             hit: all_hit,
         })
+    }
+
+    /// The entry is the most recently used page: a successful
+    /// `translate` leaves the last page it walked there.
+    fn translate_run(&mut self, va: VirtAddr, len: u64, max: u64) -> (u64, u64) {
+        let Ok(last) = last_byte(va, len) else {
+            return (0, 0);
+        };
+        let ps = self.table.page_size();
+        let first = last & !(ps - 1); // a power of two
+        let vpn = first >> ps.trailing_zeros();
+        let k = bursts_within(va, len, first..=first + (ps - 1), max);
+        if k == 0 || !self.tlb.hit_mru(vpn, k) {
+            return (0, 0);
+        }
+        self.stats.lookups += k;
+        self.stats.hits += k;
+        self.stats.cycles += k * self.costs.tlb_hit;
+        (k, self.costs.tlb_hit)
     }
 
     fn name(&self) -> String {

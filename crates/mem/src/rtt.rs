@@ -18,7 +18,9 @@
 //!   accessed after it last time, so steady-state misses cost a single
 //!   probe even across the iteration wrap-around.
 
-use crate::translate::{last_byte, Translate, TranslateStats, Translation, TranslationCosts};
+use crate::translate::{
+    bursts_within, last_byte, Translate, TranslateStats, Translation, TranslationCosts,
+};
 use crate::{MemError, Perm, PhysAddr, Result, VirtAddr};
 use std::sync::Arc;
 
@@ -345,6 +347,26 @@ impl Translate for RangeTranslator {
             cycles: cycles + rest.cycles,
             hit: hit && rest.hit,
         })
+    }
+
+    /// The entry is the range at `RTT_CUR`: a successful `translate`
+    /// leaves it there and resident, ranges are disjoint, so it is the
+    /// only resident entry a lookup inside it can hit.
+    fn translate_run(&mut self, va: VirtAddr, len: u64, max: u64) -> (u64, u64) {
+        let cur = self.rtt_cur;
+        let Some(e) = self.rtt.entries.get(cur) else {
+            return (0, 0);
+        };
+        let k = bursts_within(va, len, e.va.value()..=e.va.value() + (e.size - 1), max);
+        let Some(slot) = self.resident.iter_mut().find(|s| k > 0 && s.0 == cur) else {
+            return (0, 0);
+        };
+        self.tick += k;
+        slot.1 = self.tick;
+        self.stats.lookups += k;
+        self.stats.hits += k;
+        self.stats.cycles += k * self.costs.tlb_hit;
+        (k, self.costs.tlb_hit)
     }
 
     fn name(&self) -> String {

@@ -4,6 +4,7 @@
 
 use crate::{MemError, Perm, PhysAddr, Result, VirtAddr};
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Latency parameters of the translation hardware, in core clock cycles.
 ///
@@ -104,6 +105,25 @@ pub trait Translate {
     ///   the access touches instead).
     fn translate(&mut self, va: VirtAddr, len: u64, perm: Perm) -> Result<Translation>;
 
+    /// Books a run of TLB hits after a successful
+    /// [`Translate::translate`] of `len` bytes at `va`: of the `max`
+    /// bursts of `len` bytes that follow it back to back (at `va + len`,
+    /// `va + 2·len`, …), the leading ones that the translation entry the
+    /// call just used serves whole. Returns how many were booked and the
+    /// cycles each of them costs.
+    ///
+    /// The contract: booking `k` bursts leaves every observable — the
+    /// statistics, the TLB's resident set and its LRU order — exactly as
+    /// `k` calls of `translate(va + i·len, len, perm)` for `i` in `1..=k`
+    /// would, each a hit costing the returned cycles. Called anywhere but
+    /// straight after a successful `translate` of the same `va` and `len`
+    /// it may book nothing. The default books nothing, so an implementor
+    /// that does not override it is translated burst by burst.
+    fn translate_run(&mut self, va: VirtAddr, len: u64, max: u64) -> (u64, u64) {
+        let _ = (va, len, max);
+        (0, 0)
+    }
+
     /// Human-readable mechanism name (for reports: "physical", "iotlb-4",
     /// "vchunk" ...).
     fn name(&self) -> String;
@@ -130,6 +150,16 @@ pub fn last_byte(va: VirtAddr, len: u64) -> Result<u64> {
         .ok_or(MemError::RangeOverrun { va, len })
 }
 
+/// How many of `max` bursts of `len` bytes following `[va, va + len)`
+/// back to back fit whole inside the entry spanning the bytes `entry` —
+/// none unless that burst itself ends inside it.
+pub(crate) fn bursts_within(va: VirtAddr, len: u64, entry: RangeInclusive<u64>, max: u64) -> u64 {
+    match last_byte(va, len) {
+        Ok(last) if len > 0 && entry.contains(&last) => ((entry.end() - last) / len).min(max),
+        _ => 0,
+    }
+}
+
 /// Identity translation with zero cost — the paper's "Physical Mem" ideal
 /// bar in Figure 14.
 #[derive(Debug, Clone, Default)]
@@ -154,6 +184,14 @@ impl Translate for PhysicalTranslator {
             cycles: 0,
             hit: true,
         })
+    }
+
+    /// The entry is the whole address space.
+    fn translate_run(&mut self, va: VirtAddr, len: u64, max: u64) -> (u64, u64) {
+        let k = bursts_within(va, len, 0..=u64::MAX, max);
+        self.stats.lookups += k;
+        self.stats.hits += k;
+        (k, 0)
     }
 
     fn name(&self) -> String {
@@ -207,5 +245,57 @@ mod tests {
     #[test]
     fn hit_rate_with_no_lookups() {
         assert_eq!(TranslateStats::default().hit_rate(), 1.0);
+    }
+
+    /// Translates `len` bytes at `va` on two copies of `t`, books a run
+    /// of up to `max` on one and translates the booked bursts one by one
+    /// on the other: each a hit at the run's cycles, and the two
+    /// translators identical after. Returns the run's length.
+    fn booked<T: Translate + Clone + fmt::Debug>(t: &T, va: u64, len: u64, max: u64) -> u64 {
+        let (mut run, mut each) = (t.clone(), t.clone());
+        let va = VirtAddr(va);
+        assert_eq!(
+            run.translate(va, len, Perm::R),
+            each.translate(va, len, Perm::R)
+        );
+        let (k, cycles) = run.translate_run(va, len, max);
+        for i in 1..=k {
+            let tr = each.translate(va.offset(i * len), len, Perm::R).unwrap();
+            assert!(tr.hit && tr.cycles == cycles, "burst {i}: {tr:?}");
+        }
+        assert_eq!(format!("{run:?}"), format!("{each:?}"));
+        k
+    }
+
+    #[test]
+    fn a_run_is_what_translating_its_bursts_would_do() {
+        use crate::page::{PageTable, PageTranslator};
+        use crate::rtt::{RangeTranslationTable, RangeTranslator, RttEntry};
+        let physical = PhysicalTranslator::new();
+        assert_eq!(booked(&physical, 0x1_0000, 2048, 100), 100);
+        assert_eq!(booked(&physical, u64::MAX - 4095, 1024, 100), 3);
+        // Two VA-contiguous ranges, 6 KiB and 12 KiB, on a one-entry TLB.
+        let rtt = RangeTranslationTable::new(vec![
+            RttEntry::new(VirtAddr(0x1_0000), PhysAddr(0x8_0000), 0x1800, Perm::RW),
+            RttEntry::new(VirtAddr(0x1_1800), PhysAddr(0x2_0000), 0x3000, Perm::RW),
+        ])
+        .unwrap();
+        let range = RangeTranslator::new(rtt, 1, TranslationCosts::default());
+        assert_eq!(booked(&range, 0x1_0000, 1024, 100), 5);
+        assert_eq!(booked(&range, 0x1_0000, 1024, 2), 2, "max binds");
+        assert_eq!(booked(&range, 0x1_1000, 0x1000, 100), 2, "after a straddle");
+        assert_eq!(
+            booked(&range, 0x1_0000, 0x1000, 100),
+            0,
+            "ragged to the end"
+        );
+        let mut pages = PageTable::new(4096);
+        pages
+            .map_range(VirtAddr(0x1_0000), PhysAddr(0x8_0000), 0x8000, Perm::RW)
+            .unwrap();
+        let page = PageTranslator::new(pages, 4, TranslationCosts::default());
+        assert_eq!(booked(&page, 0x1_0000, 1024, 100), 3);
+        assert_eq!(booked(&page, 0x1_0c00, 0x800, 100), 1, "from the last page");
+        assert_eq!(booked(&page, 0x1_0000, 3000, 100), 0);
     }
 }

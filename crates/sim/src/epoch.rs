@@ -39,6 +39,27 @@
 //! sequence number, that a per-packet event would have given it. The
 //! latest arrival feeds `EpochState::makespan` and the cycle-limit
 //! check: a packet nobody receives counts as before.
+//!
+//! # DMA streams by runs
+//!
+//! A DMA transfer is cut into `dma_burst_bytes` bursts, and the modelled
+//! engine translates and issues each one. The model does not have to:
+//! after a burst is translated, [`vnpu_mem::Translate::translate_run`]
+//! books as TLB hits the following full bursts that the translation
+//! entry just used serves whole — the whole address space under physical
+//! addressing, the range at `RTT_CUR` under vChunk, the MRU page under
+//! an IOTLB — leaving the translator as that many hits would. Those
+//! bursts arrive at the channel one hit plus one issue interval apart,
+//! so [`crate::hbm::Hbm::access_run`] serves them in closed form. A
+//! transfer inside one range therefore costs the host one lookup, not
+//! one per burst, which is Pattern-1 of §4.2 applied to the simulator.
+//! A miss, which drains the queue, and a ragged last burst are still
+//! translated on their own, and a transfer under a bandwidth limiter or
+//! on a machine recording its memory trace goes burst by burst, because
+//! both act on every burst — the schedule, forced for every transfer
+//! (`EpochState::dma_per_burst`), that tests hold the runs to. A run
+//! whose times overflow `u64`, like a transfer whose completion passes
+//! `max_cycles`, ends the run in [`SimError::CycleLimit`].
 
 use crate::compute::kernel_cycles;
 use crate::controller;
@@ -243,6 +264,10 @@ pub(crate) struct EpochState {
     /// parked receiver. Never set outside this module's tests, where it
     /// is the eager schedule the lazy one must be indistinguishable from.
     wake_per_packet: bool,
+    /// Stream every DMA transfer burst by burst, as before runs. Never
+    /// set outside this module's tests, where it is the per-burst
+    /// schedule the run path must be indistinguishable from.
+    dma_per_burst: bool,
     pub flags: HashMap<(TenantId, u32), u64>,
     /// (thread, tag, needed_total, since)
     pub flag_waiters: Vec<(usize, u32, u64, u64)>,
@@ -267,6 +292,7 @@ impl EpochState {
             free_arrival: NO_ARRIVAL,
             last_arrival: 0,
             wake_per_packet: false,
+            dma_per_burst: false,
             flags: HashMap::new(),
             flag_waiters: Vec::new(),
             barriers: HashMap::new(),
@@ -493,9 +519,11 @@ impl Machine {
                 Event::FlagWrite { tenant, tag, bytes } => self.flag_write(tenant, tag, bytes),
             }
         }
-        // An arrival past the budget is an event past the budget, queued
-        // or not.
-        if self.epoch.last_arrival > limit {
+        // A thread's last completion and an arrival nobody waits for
+        // queue no event, but past the budget they are past it all the
+        // same.
+        let makespan = self.epoch.makespan();
+        if makespan > limit {
             return Err(SimError::CycleLimit { limit });
         }
         // Done or deadlocked.
@@ -521,7 +549,7 @@ impl Machine {
                 detail: blocked.join("; "),
             });
         }
-        Ok(self.epoch.makespan())
+        Ok(makespan)
     }
 
     fn current_instr(&self, t: usize) -> Option<Instr> {
@@ -637,24 +665,32 @@ impl Machine {
     }
 
     /// Streams a DMA transfer: chunked issue, translation stalls, optional
-    /// bandwidth limiting, HBM channel contention.
+    /// bandwidth limiting, HBM channel contention — by runs of bursts
+    /// where the translation allows (see the module docs).
     fn do_dma(&mut self, t: usize, va: VirtAddr, bytes: u64, perm: Perm) -> Result<()> {
         let phys = self.epoch.threads[t].phys_core;
         Self::check_span(phys, va, bytes)?;
         let channel = self.config().interface_of(phys);
         let burst = self.config().dma_burst_bytes.max(1);
         let issue_interval = self.config().dma_issue_interval;
+        let limit = self.config().max_cycles;
+        let over = || SimError::CycleLimit { limit };
         let mem_trace_enabled = self.mem_trace_enabled;
         let now = self.epoch.now;
         let services = self.services.get_mut(t).expect("every thread has services");
+        // A limiter paces, and the trace records, every burst on its own.
+        let runs = !mem_trace_enabled && services.limiter.is_none() && !self.epoch.dma_per_burst;
+        // Full bursts not yet issued: all a run may book.
+        let mut full = bytes / burst;
         let mut issue = now;
         let mut done = now;
         let mut off = 0u64;
         while off < bytes {
+            let at = va.offset(off);
             let len = burst.min(bytes - off);
             let tr = services
                 .translator
-                .translate(va.offset(off), len, perm)
+                .translate(at, len, perm)
                 .map_err(|err| SimError::MemFault { core: phys, err })?;
             if tr.hit {
                 issue += tr.cycles;
@@ -668,15 +704,35 @@ impl Machine {
                 issue += lim.record(issue, len);
             }
             let _ = tr.pa; // physical address is modelled, not dereferenced
-            let completion = self.hbm.access(channel, len, issue);
-            done = done.max(completion);
+            done = done.max(self.hbm.access(channel, len, issue));
             if mem_trace_enabled {
-                self.epoch
-                    .mem_trace
-                    .push((issue, phys, va.offset(off).value()));
+                self.epoch.mem_trace.push((issue, phys, at.value()));
             }
             issue += issue_interval;
             off += len;
+            full = full.saturating_sub(1);
+            let (k, cycles) = if runs {
+                services.translator.translate_run(at, len, full)
+            } else {
+                (0, 0)
+            };
+            if k > 0 {
+                // Each booked hit is issued `cycles` after the interval
+                // that closed the burst before it. `issue` stays within a
+                // few intervals of `done`, which is within the budget; a
+                // run of hostile length is what may overflow.
+                let stride = cycles + issue_interval;
+                let last = self.hbm.access_run(channel, len, issue + cycles, stride, k);
+                done = done.max(last.ok_or_else(over)?);
+                issue = (k.checked_mul(stride))
+                    .and_then(|span| issue.checked_add(span))
+                    .ok_or_else(over)?;
+                off += k * len;
+                full -= k;
+            }
+            if done > limit {
+                return Err(over());
+            }
         }
         self.epoch.traces[phys as usize].push(now, done, Activity::Dma);
         self.finish_instr(t, done);
@@ -804,17 +860,19 @@ impl Machine {
         self.finish_instr(waiter.thread, done);
     }
 
-    fn do_global_write(&mut self, t: usize, va: VirtAddr, bytes: u64, tag: u32) -> Result<()> {
-        // Write the payload + a flag line through the HBM channel, at
-        // load/store (cache-line) granularity.
-        let tenant = self.epoch.threads[t].tenant;
+    /// Streams `bytes` at `va` through the load/store path, one
+    /// translated (and possibly limited) burst at a time, each holding
+    /// the channel for its latency-bound UVM occupancy. Returns when the
+    /// last burst completes, or [`SimError::CycleLimit`] as soon as one
+    /// completes past `max_cycles`, since the instruction ends later
+    /// still — a hostile size fails at the budget, not after the loop.
+    fn uvm_stream(&mut self, t: usize, va: VirtAddr, bytes: u64, perm: Perm) -> Result<u64> {
         let phys = self.epoch.threads[t].phys_core;
-        Self::check_span(phys, va, bytes)?;
         let channel = self.config().interface_of(phys);
         let burst = self.config().dma_burst_bytes.max(1);
         let (line, mlp) = (self.config().uvm_line_bytes, self.config().uvm_mlp);
         let issue_interval = self.config().dma_issue_interval;
-        let send_setup = self.config().send_setup;
+        let limit = self.config().max_cycles;
         let now = self.epoch.now;
         let services = self.services.get_mut(t).expect("every thread has services");
         let mut issue = now;
@@ -824,17 +882,34 @@ impl Machine {
             let len = burst.min(bytes - off);
             let tr = services
                 .translator
-                .translate(va.offset(off), len, Perm::W)
+                .translate(va.offset(off), len, perm)
                 .map_err(|err| SimError::MemFault { core: phys, err })?;
             issue += tr.cycles;
             if let Some(lim) = services.limiter.as_mut() {
                 issue += lim.record(issue, len);
             }
             done = done.max(self.hbm.access_uvm(channel, len, issue, line, mlp));
+            if done > limit {
+                return Err(SimError::CycleLimit { limit });
+            }
             issue += issue_interval;
             off += len;
         }
+        Ok(done)
+    }
+
+    fn do_global_write(&mut self, t: usize, va: VirtAddr, bytes: u64, tag: u32) -> Result<()> {
+        // Write the payload + a flag line through the HBM channel, at
+        // load/store (cache-line) granularity.
+        let tenant = self.epoch.threads[t].tenant;
+        let phys = self.epoch.threads[t].phys_core;
+        Self::check_span(phys, va, bytes)?;
+        let now = self.epoch.now;
+        let done = self.uvm_stream(t, va, bytes, Perm::W)?;
         // Flag publication: one extra cache-line write after the data.
+        let channel = self.config().interface_of(phys);
+        let (line, mlp) = (self.config().uvm_line_bytes, self.config().uvm_mlp);
+        let send_setup = self.config().send_setup;
         let flag_done = self.hbm.access_uvm(channel, 64, done, line, mlp);
         self.epoch.traces[phys as usize].push(now, flag_done, Activity::Send);
         self.epoch
@@ -857,29 +932,8 @@ impl Machine {
                 .consumed_flags
                 .insert(tag, consumed + bytes);
             let phys = self.epoch.threads[t].phys_core;
-            let channel = self.config().interface_of(phys);
-            let burst = self.config().dma_burst_bytes.max(1);
-            let (line, mlp) = (self.config().uvm_line_bytes, self.config().uvm_mlp);
-            let issue_interval = self.config().dma_issue_interval;
             let now = self.epoch.now;
-            let services = self.services.get_mut(t).expect("every thread has services");
-            let mut issue = now;
-            let mut done = now;
-            let mut off = 0u64;
-            while off < bytes {
-                let len = burst.min(bytes - off);
-                let tr = services
-                    .translator
-                    .translate(va.offset(off), len, Perm::R)
-                    .map_err(|err| SimError::MemFault { core: phys, err })?;
-                issue += tr.cycles;
-                if let Some(lim) = services.limiter.as_mut() {
-                    issue += lim.record(issue, len);
-                }
-                done = done.max(self.hbm.access_uvm(channel, len, issue, line, mlp));
-                issue += issue_interval;
-                off += len;
-            }
+            let done = self.uvm_stream(t, va, bytes, Perm::R)?;
             self.epoch.traces[phys as usize].push(now, done, Activity::RecvWait);
             self.finish_instr(t, done);
         } else {
@@ -1007,15 +1061,31 @@ impl Machine {
         machine.epoch.wake_per_packet = true;
         machine
     }
+
+    /// A machine that streams every DMA transfer burst by burst — one
+    /// `translate` and one `Hbm::access` each, the loop before runs —
+    /// the way it still streams one under a limiter or a memory trace.
+    fn with_per_burst_dma(cfg: crate::SocConfig) -> Machine {
+        let mut machine = Machine::new(cfg);
+        machine.epoch.dma_per_burst = true;
+        machine
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::CoreServices;
+    use crate::noc::DorRouter;
     use crate::SocConfig;
     use std::cell::Cell;
+    use std::sync::{Arc, Mutex};
+    use vnpu_mem::counter::AccessCounter;
+    use vnpu_mem::page::{PageTable, PageTranslator};
     use vnpu_mem::proptest_lite::{check, range, vec_of};
-    use vnpu_mem::{prop_assert_eq, MemError};
+    use vnpu_mem::rtt::{RangeTranslationTable, RangeTranslator, RttEntry};
+    use vnpu_mem::translate::PhysicalTranslator;
+    use vnpu_mem::{prop_assert_eq, MemError, PhysAddr, Translate, TranslationCosts};
 
     /// Everything a report holds, rendered.
     fn fingerprint(report: &Report) -> String {
@@ -1415,5 +1485,294 @@ mod tests {
         assert_eq!(m.run_epoch_makespan().unwrap(), first);
         assert_eq!(m.epoch.flows.len(), 1);
         assert_eq!(m.epoch.arrivals.capacity(), arena);
+    }
+
+    #[test]
+    fn a_last_instruction_ending_past_the_cycle_limit_is_a_cycle_limit() {
+        // A thread's final instruction queues no event, so only the
+        // check after the loop sees where it ends.
+        let run = |instr: Instr, max_cycles| {
+            let mut m = Machine::new(SocConfig {
+                max_cycles,
+                ..SocConfig::fpga()
+            });
+            let t = m.add_tenant("t");
+            m.bind(0, t, 0, Program::once(vec![instr])).unwrap();
+            m.run().map(|report| report.makespan())
+        };
+        let last = [
+            Instr::DmaLoad {
+                va: VirtAddr(0),
+                bytes: 1 << 20,
+            },
+            Instr::matmul(512, 512, 512),
+            Instr::Delay { cycles: 200_000 },
+        ];
+        for instr in last {
+            let makespan = run(instr, u64::MAX).unwrap();
+            assert!(makespan > 100_000, "{instr:?} ends at {makespan}");
+            assert_eq!(run(instr, makespan), Ok(makespan));
+            assert_eq!(
+                run(instr, makespan - 1),
+                Err(SimError::CycleLimit {
+                    limit: makespan - 1
+                }),
+                "{instr:?}"
+            );
+        }
+        // The transfer that used to end at 2 147 483 698 and return `Ok`.
+        let huge = Instr::DmaLoad {
+            va: VirtAddr(0),
+            bytes: 1 << 34,
+        };
+        let limit = SocConfig::fpga().max_cycles;
+        assert_eq!(run(huge, limit), Err(SimError::CycleLimit { limit }));
+    }
+
+    #[test]
+    fn hostile_transfer_sizes_stop_at_the_cycle_limit() {
+        // 2^50 bytes on an untranslated core: half a billion bursts of
+        // 2 KiB. A DMA is one run; a load/store stream stops once a
+        // burst completes past the budget.
+        let bytes = 1 << 50;
+        let va = VirtAddr(0);
+        let hostile = [
+            Instr::DmaLoad { va, bytes },
+            Instr::DmaStore { va, bytes },
+            Instr::GlobalWrite { va, bytes, tag: 0 },
+            Instr::GlobalRead { va, bytes, tag: 0 },
+        ];
+        let limit = SocConfig::fpga().max_cycles;
+        for instr in hostile {
+            let mut m = Machine::new(SocConfig::fpga());
+            let t = m.add_tenant("guest");
+            m.bind(5, t, 0, Program::once(vec![instr])).unwrap();
+            // The reader finds its data published.
+            m.epoch.flags.insert((t, 0), bytes);
+            assert_eq!(
+                m.run().unwrap_err(),
+                SimError::CycleLimit { limit },
+                "{instr:?}"
+            );
+        }
+    }
+
+    /// A translator the test keeps a handle on, so that its whole state
+    /// — TLB contents, LRU ticks, `last_v` hints — can be read after the
+    /// machine has run, with the bursts it booked as runs.
+    trait Inspect: Translate + std::fmt::Debug + Send {}
+    impl<T: Translate + std::fmt::Debug + Send> Inspect for T {}
+
+    #[derive(Clone)]
+    struct Shared(Arc<Mutex<(Box<dyn Inspect>, u64)>>);
+
+    impl Shared {
+        fn new(translator: impl Inspect + 'static) -> Shared {
+            let translator: Box<dyn Inspect> = Box::new(translator);
+            Shared(Arc::new(Mutex::new((translator, 0))))
+        }
+
+        fn state(&self) -> String {
+            format!("{:?}", self.0.lock().unwrap().0)
+        }
+
+        fn booked(&self) -> u64 {
+            self.0.lock().unwrap().1
+        }
+    }
+
+    impl Translate for Shared {
+        fn translate(
+            &mut self,
+            va: VirtAddr,
+            len: u64,
+            perm: Perm,
+        ) -> vnpu_mem::Result<vnpu_mem::Translation> {
+            self.0.lock().unwrap().0.translate(va, len, perm)
+        }
+
+        fn translate_run(&mut self, va: VirtAddr, len: u64, max: u64) -> (u64, u64) {
+            let mut inner = self.0.lock().unwrap();
+            let run = inner.0.translate_run(va, len, max);
+            inner.1 += run.0;
+            run
+        }
+
+        fn name(&self) -> String {
+            self.0.lock().unwrap().0.name()
+        }
+
+        fn stats(&self) -> vnpu_mem::TranslateStats {
+            self.0.lock().unwrap().0.stats()
+        }
+
+        fn reset_stats(&mut self) {
+            self.0.lock().unwrap().0.reset_stats();
+        }
+    }
+
+    /// Guest window every transfer of the DMA campaign stays in (or, when
+    /// it means to fault, runs out of).
+    const WINDOW: (u64, u64) = (0x10_0000, 64 * 1024);
+    /// VA-contiguous ranges covering the window, sized so that no burst
+    /// size divides them: bursts straddle every seam.
+    const RANGES: [u64; 8] = [6144, 10752, 3136, 13312, 8192, 7616, 9000, 7384];
+    /// Burst sizes: dividing the 4 KiB page, not dividing it, larger.
+    const BURSTS: [u64; 7] = [2048, 1536, 3000, 4096, 64, 5000, 1000];
+    /// Cores of the campaign's threads: the first three share channel 0.
+    const DMA_CORES: [u32; 4] = [0, 1, 4, 2];
+
+    /// The campaign's translator `mode` (physical, range TLB 1 / 4, page
+    /// TLB 4 / 32) over `table`: 0 maps the window as one RW range, 1 as
+    /// [`RANGES`] with scattered frames, 2 like 1 with one read-only
+    /// range (16 KiB run of pages) and nothing past the last-but-one.
+    fn dma_translator(mode: usize, table: usize) -> Shared {
+        let (base, window) = WINDOW;
+        let costs = TranslationCosts::default();
+        match mode {
+            0 => Shared::new(PhysicalTranslator::new()),
+            1 | 2 => {
+                let sizes: &[u64] = match table {
+                    0 => &[window],
+                    1 => &RANGES,
+                    _ => &RANGES[..7],
+                };
+                let mut va = base;
+                let mut entries = Vec::new();
+                for (i, &size) in sizes.iter().enumerate() {
+                    let perm = if table == 2 && i == 3 {
+                        Perm::R
+                    } else {
+                        Perm::RW
+                    };
+                    let pa = PhysAddr(0x100_0000 + (7 - i as u64) * 0x4000);
+                    entries.push(RttEntry::new(VirtAddr(va), pa, size, perm));
+                    va += size;
+                }
+                let rtt = RangeTranslationTable::new(entries).unwrap();
+                Shared::new(RangeTranslator::new(rtt, [1, 4][mode - 1], costs))
+            }
+            _ => {
+                let mut pages = PageTable::new(4096);
+                let runs = if table == 0 { 1 } else { 4 - table as u64 / 2 };
+                let run_bytes = window / [1, 4][usize::from(table > 0)];
+                for i in 0..runs {
+                    let perm = if table == 2 && i == 2 {
+                        Perm::R
+                    } else {
+                        Perm::RW
+                    };
+                    let va = VirtAddr(base + i * run_bytes);
+                    let pa = PhysAddr(0x100_0000 + (3 - i) * run_bytes);
+                    pages.map_range(va, pa, run_bytes, perm).unwrap();
+                }
+                Shared::new(PageTranslator::new(pages, [4, 32][mode - 3], costs))
+            }
+        }
+    }
+
+    #[test]
+    fn dma_runs_match_the_per_burst_reference() {
+        let (base, window) = WINDOW;
+        let booked = Cell::new([0u64; 5]);
+        let (completed, faulted, limited, traced) = (
+            Cell::new(0u32),
+            Cell::new(0u32),
+            Cell::new(0u32),
+            Cell::new(0u32),
+        );
+        let globals = (
+            range(0usize..5),
+            range(0usize..3),
+            range(0usize..BURSTS.len()),
+            range(0usize..8),
+        );
+        // (offset in 64 B steps, bytes, kind): loads, stores, a load
+        // that may run out of the window, a delay.
+        let op = (range(0u64..1024), range(1u64..30_000), range(0usize..8));
+        check(
+            "dma_runs_match_the_per_burst_reference",
+            256,
+            (globals, vec_of(vec_of(op, 1..6), 1..5)),
+            |((mode, table, burst, flags), threads)| {
+                // A 300-cycle issue interval outlasts the service of most
+                // burst sizes, so queued bursts catch up with the stride.
+                let cfg = SocConfig {
+                    dma_burst_bytes: BURSTS[*burst],
+                    dma_issue_interval: if flags & 4 == 4 { 300 } else { 4 },
+                    ..SocConfig::fpga()
+                };
+                let (limiter, trace) = (flags & 1 == 1, flags & 2 == 2);
+                let mut sides = Vec::new();
+                for mut machine in [
+                    Machine::new(cfg.clone()),
+                    Machine::with_per_burst_dma(cfg.clone()),
+                ] {
+                    if trace {
+                        machine.enable_mem_trace();
+                    }
+                    let tenant = machine.add_tenant("dma");
+                    let mut handles = Vec::new();
+                    for (i, ops) in threads.iter().enumerate() {
+                        let program = ops
+                            .iter()
+                            .map(|&(step, bytes, kind)| {
+                                let va = VirtAddr(base + step * 64);
+                                let inside = bytes.min(window - step * 64);
+                                match kind {
+                                    0..=2 => Instr::DmaLoad { va, bytes: inside },
+                                    3..=5 => Instr::DmaStore { va, bytes: inside },
+                                    6 => Instr::DmaLoad { va, bytes },
+                                    _ => Instr::Delay { cycles: bytes },
+                                }
+                            })
+                            .collect();
+                        let handle = dma_translator(*mode, *table);
+                        let services = CoreServices {
+                            router: Box::new(DorRouter::new(&cfg)),
+                            translator: Box::new(handle.clone()),
+                            limiter: limiter.then(|| AccessCounter::new(1000, Some(4096))),
+                        };
+                        let core = DMA_CORES[i];
+                        machine
+                            .bind_with(core, tenant, i as u32, Program::once(program), services)
+                            .unwrap();
+                        handles.push(handle);
+                    }
+                    let outcome = match machine.run() {
+                        Ok(report) => {
+                            Ok(format!("{} {:?}", fingerprint(&report), report.mem_trace()))
+                        }
+                        Err(error) => Err(format!("{error:?}")),
+                    };
+                    let states: Vec<String> = handles.iter().map(Shared::state).collect();
+                    let runs: u64 = handles.iter().map(Shared::booked).sum();
+                    sides.push((outcome, format!("{:?}", machine.hbm), states, runs));
+                }
+                let (reference, by_runs) = (sides.pop().unwrap(), sides.pop().unwrap());
+                prop_assert_eq!(reference.3, 0);
+                prop_assert_eq!(&by_runs.0, &reference.0);
+                prop_assert_eq!(&by_runs.1, &reference.1, "channels");
+                prop_assert_eq!(&by_runs.2, &reference.2, "translators");
+                let mut tally = booked.get();
+                tally[*mode] += by_runs.3;
+                booked.set(tally);
+                let ok = by_runs.0.is_ok();
+                let outcome = if ok { &completed } else { &faulted };
+                outcome.set(outcome.get() + 1);
+                limited.set(limited.get() + u32::from(ok && limiter));
+                traced.set(traced.get() + u32::from(ok && trace));
+                Ok(())
+            },
+        );
+        let booked = booked.get();
+        assert!(
+            booked.iter().all(|&b| b > 0)
+                && [&completed, &faulted, &limited, &traced]
+                    .iter()
+                    .all(|c| c.get() > 0),
+            "bursts booked as runs per mode {booked:?}; {completed:?} completed \
+             ({limited:?} limited, {traced:?} traced), {faulted:?} faulted"
+        );
     }
 }

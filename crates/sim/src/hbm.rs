@@ -56,15 +56,93 @@ impl Hbm {
     ///
     /// Panics if `channel` is out of range.
     pub fn access(&mut self, channel: u32, bytes: u64, now: u64) -> u64 {
+        let service = self.service(bytes);
         let ch = &mut self.channels[channel as usize];
         let start = now.max(ch.busy_until);
         self.wait_cycles += start - now;
+        ch.busy_until = start + service;
+        ch.bytes_served += bytes;
+        ch.busy_until + self.latency
+    }
+
+    /// Service cycles of a `bytes`-long DMA burst.
+    fn service(&mut self, bytes: u64) -> u64 {
         if self.last_service.0 != bytes {
             self.last_service = (bytes, bytes.div_ceil(self.bytes_per_cycle));
         }
-        ch.busy_until = start + self.last_service.1;
-        ch.bytes_served += bytes;
-        ch.busy_until + self.latency
+        self.last_service.1
+    }
+
+    /// The closed form of `k` [`Hbm::access`] calls of `bytes` each on
+    /// `channel`, arriving at `first`, `first + stride`, … : the same
+    /// channel state and wait total, and the last access's completion
+    /// (the latest, since a channel's completions never go backwards).
+    ///
+    /// With `s` the service time, `d` the stride and `w0` the first
+    /// access's wait behind `busy_until`, each access waits `s − d`
+    /// longer than the one before when `s ≥ d`, and `d − s` less, down to
+    /// zero, otherwise — so the waits are an arithmetic series.
+    ///
+    /// Returns `None`, leaving the channel untouched, when `k` is zero or
+    /// a time or total overflows `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is out of range.
+    #[inline]
+    pub fn access_run(
+        &mut self,
+        channel: u32,
+        bytes: u64,
+        first: u64,
+        stride: u64,
+        k: u64,
+    ) -> Option<u64> {
+        let service = self.service(bytes);
+        let ch = &mut self.channels[channel as usize];
+        let last = k.checked_sub(1)?;
+        let w0 = ch.busy_until.saturating_sub(first);
+        // Every product below is a part of a sum that must fit, so the
+        // checks fail only when a true total does not.
+        let (waits, last_wait) = if last == 0 {
+            // The common run under page translation — the second half of
+            // a page — is one access: no series to sum.
+            (w0, w0)
+        } else if service >= stride {
+            // w0, w0 + grow, …, w0 + (k − 1)·grow.
+            let grow = service - stride;
+            let series = match grow {
+                0 => 0,
+                _ => grow.checked_mul(triangle(k)?)?,
+            };
+            let last_wait = w0.checked_add(last.checked_mul(grow)?)?;
+            (k.checked_mul(w0)?.checked_add(series)?, last_wait)
+        } else {
+            // w0, w0 − shrink, … down to `w`, the last of the `m` that
+            // are positive: read backwards, `w`, …, `w + (m − 1)·shrink`.
+            let shrink = stride - service;
+            let m = k.min(w0.div_ceil(shrink));
+            let w = w0 - m.saturating_sub(1) * shrink;
+            let series = shrink.checked_mul(triangle(m)?)?;
+            let last_wait = last
+                .checked_mul(shrink)
+                .map_or(0, |fall| w0.saturating_sub(fall));
+            (m.checked_mul(w)?.checked_add(series)?, last_wait)
+        };
+        let busy_until = last
+            .checked_mul(stride)
+            .and_then(|span| first.checked_add(span))
+            .and_then(|start| start.checked_add(last_wait))
+            .and_then(|start| start.checked_add(service))?;
+        let completion = busy_until.checked_add(self.latency)?;
+        let wait_cycles = self.wait_cycles.checked_add(waits)?;
+        let bytes_served = k
+            .checked_mul(bytes)
+            .and_then(|run| ch.bytes_served.checked_add(run))?;
+        ch.busy_until = busy_until;
+        ch.bytes_served = bytes_served;
+        self.wait_cycles = wait_cycles;
+        Some(completion)
     }
 
     /// Services a UVM (load/store path) access: unlike a DMA burst, the
@@ -114,6 +192,16 @@ impl Hbm {
     /// Service rate of one channel in bytes per cycle.
     pub fn bytes_per_cycle(&self) -> u64 {
         self.bytes_per_cycle
+    }
+}
+
+/// `0 + 1 + … + (n − 1)`, or `None` if it overflows `u64`.
+fn triangle(n: u64) -> Option<u64> {
+    let below = n.saturating_sub(1);
+    if n % 2 == 0 {
+        (n / 2).checked_mul(below)
+    } else {
+        n.checked_mul(below / 2)
     }
 }
 
@@ -168,6 +256,65 @@ mod tests {
         h.access(0, 50, 0);
         h.access(1, 7, 0);
         assert_eq!(h.channel_loads(), vec![150, 7]);
+    }
+
+    #[test]
+    fn access_run_matches_repeated_access() {
+        // 8 B/cyc: 2048 B is 256 cycles of service, 7 B is one. Strides
+        // below, at and above the service time; the channel idle, busy
+        // until before the first arrival, and busy past it by a little
+        // and by a lot.
+        let mut runs = 0;
+        for (bytes, service) in [(2048u64, 256u64), (7, 1), (64, 8)] {
+            let strides = [0, 1, service - 1, service, service + 1, 3 * service, 1000];
+            for stride in strides {
+                for pre_busy in [None, Some(0), Some(900), Some(5_000)] {
+                    for k in (1..=64).chain([255, 256, 257, 1000, 4096]) {
+                        let (mut run, mut each) = (hbm(), hbm());
+                        for h in [&mut run, &mut each] {
+                            if let Some(at) = pre_busy {
+                                h.access(0, 4096, at);
+                            }
+                            h.access(1, 100, 0);
+                        }
+                        let first = 1_000;
+                        let last = (0..k)
+                            .map(|i| each.access(0, bytes, first + i * stride))
+                            .last();
+                        assert_eq!(
+                            run.access_run(0, bytes, first, stride, k),
+                            last,
+                            "{bytes} B, stride {stride}, {pre_busy:?}, k {k}"
+                        );
+                        assert_eq!(format!("{run:?}"), format!("{each:?}"));
+                        runs += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(runs, 3 * 7 * 4 * 69);
+    }
+
+    #[test]
+    fn access_run_overflow_is_none_and_leaves_the_channel() {
+        let mut h = hbm();
+        h.access(0, 2048, 0);
+        let before = format!("{h:?}");
+        assert_eq!(h.access_run(0, 2048, 0, 4, 0), None, "no accesses");
+        for (first, stride, k) in [
+            (0, 4, u64::MAX),
+            (u64::MAX - 100, 0, 1),
+            (0, u64::MAX, 2),
+            (0, 0, 1 << 60),
+        ] {
+            assert_eq!(h.access_run(0, 2048, first, stride, k), None);
+            assert_eq!(format!("{h:?}"), before);
+        }
+        // A run of 2^40 accesses that fits still answers.
+        assert_eq!(
+            h.access_run(0, 8, 0, 1, 1 << 40),
+            Some(256 + (1 << 40) + 40)
+        );
     }
 
     #[test]

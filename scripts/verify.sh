@@ -54,10 +54,13 @@ section "scripts/loc.sh (non-test source size)"
 # search kernels, a claimed and measured gain, bought the 45 lines since;
 # PR 25's `dor_confined` rewrite took 7 back.) The `workspace` row — every
 # crate's `src/**` — is held the same way, at where deleting the figures'
-# quick mode and their sixteen bench targets landed it.
+# quick mode and their sixteen bench targets landed it (15 794), plus the
+# 136 lines of DMA streams by translation runs (`Translate::translate_run`
+# and its three implementations, `Hbm::access_run`, the run loop), which
+# cut `paper_static`'s `op_iqm_us` by 40% in paired runs.
 CORE_SERVE_CODE_MAX=4954
 TOPO_CODE_MAX=2026
-WORKSPACE_CODE_MAX=15794
+WORKSPACE_CODE_MAX=15930
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -144,8 +147,10 @@ section "simulator miss-path gate"
 # The paper cells' simulated counters (makespan, NoC packets and
 # contention, HBM wait, translation cycles, per-core TranslateStats) are
 # pinned absolutely, at values captured before the page table, the IOTLB
-# and the packet-arrival path were rewritten: a simulator change that
-# moves any of them fails here, not only one that moves a frame rate.
+# and the packet-arrival path were rewritten (the Fig. 14 BERT-base rows,
+# the longest DMA streams, before transfers went by translation runs): a
+# simulator change that moves any of them fails here, not only one that
+# moves a frame rate.
 cargo test --test baselines -q paper_cells_are_pinned
 # Each replacement keeps what it replaced as a test-only reference and a
 # seeded campaign holds the two together: the runs page table to the
@@ -158,6 +163,19 @@ cargo test --test baselines -q paper_cells_are_pinned
 cargo test -p vnpu_mem -q runs_table_matches_the_btreemap_reference -- --nocapture
 cargo test -p vnpu_mem -q tlb_matches_the_scan_everything_lru -- --nocapture
 cargo test -p vnpu_sim -q lazy_arrivals_match_a_wake_per_packet -- --nocapture
+# A DMA transfer streams by translation runs: one lookup, then one
+# closed-form HBM service for the same-size bursts the entry serves. The
+# closed form is held to `k` repeated `Hbm::access` calls (same
+# completion, per-channel busy, wait and bytes) on idle and pre-busy
+# channels, with service above, equal to and below the stride, k 1..4096.
+cargo test -p vnpu_sim -q access_run_matches_repeated_access -- --nocapture
+# Whole machines are held to the per-burst schedule runs replaced (one
+# `translate` and one `access` per burst): physical, range TLB 1 / 4 over
+# VA-contiguous entries that bursts straddle, page TLB 4 / 32, burst sizes
+# that do not divide the page, ragged tails, limiter and memory trace on
+# and off, faults — identical reports, channels, `TranslateStats` and
+# whole translator state (resident TLB sets and LRU ticks).
+cargo test -p vnpu_sim -q dma_runs_match_the_per_burst_reference -- --nocapture
 
 section "audit gate"
 # The fleet audit runs after every audited tick over flat arrays: paths

@@ -127,7 +127,8 @@ fn counters(report: &vnpu_sim::Report) -> String {
 /// The paper cells the benchmark's `paper_static` runs (same models,
 /// options and provisioning), one row per figure, each built by the
 /// figure's own `cell`: Fig. 14 ResNet18 and BERT-base (the longest DMA
-/// streams, 664 320 bursts a cell) × the four memory modes, Fig. 15
+/// streams, 664 320 bursts a cell) × the four memory modes, AlexNet (weight
+/// slices that start mid-page) × the two IOTLB sizes, Fig. 15
 /// transformer block 128 × {vNPU, UVM-32}, Fig. 16 36-core GPT2-small +
 /// ResNet34 × {vNPU, bare metal, MIG}.
 fn paper_cells() -> Vec<(&'static str, String)> {
@@ -136,7 +137,8 @@ fn paper_cells() -> Vec<(&'static str, String)> {
 
     let mut cells = Vec::new();
     let fpga = SocConfig::fpga();
-    let (resnet18, bert_base) = (models::resnet18(), models::bert_base());
+    let (resnet18, bert_base, alexnet) =
+        (models::resnet18(), models::bert_base(), models::alexnet());
     for (name, model, mode) in [
         ("fig14/resnet18/physical", &resnet18, MemMode::Physical),
         (
@@ -168,6 +170,16 @@ fn paper_cells() -> Vec<(&'static str, String)> {
         (
             "fig14/bert_base/page4",
             &bert_base,
+            MemMode::Page { tlb_entries: 4 },
+        ),
+        (
+            "fig14/alexnet/page32",
+            &alexnet,
+            MemMode::Page { tlb_entries: 32 },
+        ),
+        (
+            "fig14/alexnet/page4",
+            &alexnet,
             MemMode::Page { tlb_entries: 4 },
         ),
     ] {
@@ -253,6 +265,14 @@ const PAPER_CELL_PINS: &[(&str, &str)] = &[
     (
         "fig14/bert_base/page4",
         "makespan=195426910 noc_packets=10752 noc_contention=0 hbm_wait=382496022 translation=67121408 | 0:111360/74096/37264/37264/7526896 1:138240/92144/46096/46096/9311344 2:110592/73712/36880/36880/7449712 3:138240/92144/46096/46096/9311344 4:110592/73712/36880/36880/7449712 5:138240/92144/46096/46096/9311344 6:110592/73712/36880/36880/7449712 7:138240/92144/46096/46096/9311344",
+    ),
+    (
+        "fig14/alexnet/page32",
+        "makespan=83614191 noc_packets=5408 noc_contention=1005584 hbm_wait=198345864 translation=22732399 | 0:288/279/9/9/2079 1:1808/1184/624/624/125984 2:1792/1184/608/608/122784 3:3600/2384/1216/1216/245584 4:10368/6896/3472/3472/701296 5:25920/17264/8656/8656/1748464 6:147456/98288/49168/49168/9931888 7:146304/97520/48784/48784/9854320",
+    ),
+    (
+        "fig14/alexnet/page4",
+        "makespan=83614191 noc_packets=5408 noc_contention=1005584 hbm_wait=197803704 translation=22759264 | 0:288/144/144/144/28944 1:1808/1184/624/624/125984 2:1792/1184/608/608/122784 3:3600/2384/1216/1216/245584 4:10368/6896/3472/3472/701296 5:25920/17264/8656/8656/1748464 6:147456/98288/49168/49168/9931888 7:146304/97520/48784/48784/9854320",
     ),
     (
         "fig15/transformer_block_128/vnpu",

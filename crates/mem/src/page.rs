@@ -10,7 +10,11 @@
 //! table keeps one run per mapped range, not one node per page, and the
 //! IOTLB scans its entries once per lookup, so building, walking and
 //! dropping a translator costs the host what the mapping's shape costs,
-//! not what its size does.
+//! not what its size does. A DMA stream's bursts on the page it just
+//! filled are booked as one run of hits, and a stream through fresh
+//! pages as one run of misses: every page still walks and evicts in the
+//! model's statistics and LRU state, but the host writes the final TLB
+//! once, however many pages went by.
 
 use crate::translate::{
     bursts_within, last_byte, Translate, TranslateStats, Translation, TranslationCosts,
@@ -110,12 +114,18 @@ impl PageTable {
         Ok(())
     }
 
+    /// The run mapping virtual page `vpn`, if any.
+    fn run_of(&self, vpn: u64) -> Option<&Run> {
+        let at = self.runs.partition_point(|r| r.vpn0 <= vpn);
+        self.runs[..at]
+            .last()
+            .filter(|run| vpn - run.vpn0 < run.pages)
+    }
+
     /// The frame and permissions of virtual page `vpn`, if mapped.
     fn lookup_vpn(&self, vpn: u64) -> Option<(u64, Perm)> {
-        let at = self.runs.partition_point(|r| r.vpn0 <= vpn);
-        let run = self.runs[..at].last()?;
-        let page = vpn - run.vpn0;
-        (page < run.pages).then(|| (run.pfn0 + page, run.perm))
+        self.run_of(vpn)
+            .map(|run| (run.pfn0 + (vpn - run.vpn0), run.perm))
     }
 
     /// Looks up the page containing `va`.
@@ -129,7 +139,7 @@ impl PageTable {
 /// A small fully-associative LRU TLB over page translations (the IOTLB of
 /// Figure 14; each entry caches one page).
 #[derive(Debug, Clone)]
-pub struct PageTlb {
+struct PageTlb {
     capacity: usize,
     /// (vpn, pfn, perm, last-use tick), linear scan — capacities are 4–32.
     /// Ticks are unique, so the least-recently-used entry is too.
@@ -146,7 +156,7 @@ impl PageTlb {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be positive");
         PageTlb {
             capacity,
@@ -156,13 +166,8 @@ impl PageTlb {
         }
     }
 
-    /// Number of entries the TLB can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Looks up a virtual page number; refreshes LRU state on hit.
-    pub fn lookup(&mut self, vpn: u64) -> Option<(u64, Perm)> {
+    fn lookup(&mut self, vpn: u64) -> Option<(u64, Perm)> {
         self.tick += 1;
         let slot = match self.entries.get(self.mru) {
             Some(e) if e.0 == vpn => self.mru,
@@ -174,21 +179,8 @@ impl PageTlb {
         Some((e.1, e.2))
     }
 
-    /// Inserts a translation, evicting the least-recently-used entry when
-    /// full.
-    pub fn insert(&mut self, vpn: u64, pfn: u64, perm: Perm) {
-        match self.entries.iter().position(|e| e.0 == vpn) {
-            Some(slot) => {
-                self.tick += 1;
-                self.entries[slot] = (vpn, pfn, perm, self.tick);
-                self.mru = slot;
-            }
-            None => self.fill(vpn, pfn, perm),
-        }
-    }
-
-    /// [`PageTlb::insert`] for a `vpn` known to be absent — the lookup
-    /// that just missed it — replacing the LRU victim where it sits.
+    /// Installs a `vpn` known to be absent — the lookup that just missed
+    /// it — replacing the LRU victim where it sits when full.
     fn fill(&mut self, vpn: u64, pfn: u64, perm: Perm) {
         self.tick += 1;
         let entry = (vpn, pfn, perm, self.tick);
@@ -219,9 +211,73 @@ impl PageTlb {
         true
     }
 
-    /// Drops all entries.
-    pub fn flush(&mut self) {
-        self.entries.clear();
+    /// Books `m` rounds of a page stream: round `j` looks `vpn0 + j` up
+    /// (after an MRU hit, if the stream `straddle`s into it from the page
+    /// before), misses, fills it with frame `pfn0 + j`, and hits it
+    /// `hits` more times. None of the `m` pages may be resident.
+    ///
+    /// Victims follow in age order: the old entries by tick, then the
+    /// pushed slots, cyclically. So the `x`-th slot of that order ends up
+    /// holding the last round `j < m` with `j ≡ x (mod capacity)`, and
+    /// the booking costs O(capacity) — O(capacity²) when earlier hits
+    /// left the ticks out of slot order — whatever `m` is.
+    fn fill_stream(&mut self, vpn0: u64, pfn0: u64, perm: Perm, m: u64, hits: u64, straddle: bool) {
+        let t0 = self.tick;
+        let per_round = hits + 2 + u64::from(straddle);
+        if straddle {
+            // Still the newest of the old entries: the MRU has the top tick.
+            self.entries[self.mru].3 = t0 + 1;
+        }
+        let (old, cap) = (self.entries.len(), self.capacity as u64);
+        let pushes = self.capacity - old;
+        // Old slots by age. A stream of fills leaves the ticks rising
+        // along the slots from the oldest, cyclically, so the next oldest
+        // is the next slot. Otherwise it is the least tick not yet
+        // replaced, one scan each.
+        let (mut descents, mut oldest) = (0, 0);
+        for (i, pair) in self.entries.windows(2).enumerate() {
+            if pair[0].3 > pair[1].3 {
+                (descents, oldest) = (descents + 1, i + 1);
+            }
+        }
+        let rotated =
+            descents == 0 || (descents == 1 && self.entries[old - 1].3 < self.entries[0].3);
+        // Round `j` lands on position `j mod cap` of the victim order; the
+        // last round on position `wrap`.
+        let (top, wrap) = ((m - 1) / cap * cap, (m - 1) % cap);
+        let mut slot = oldest;
+        for x in 0..m.min(cap) {
+            let at = x as usize;
+            slot = if at < pushes {
+                old + at
+            } else if !rotated {
+                // Replaced entries carry ticks past `t0 + 1`.
+                (0..old)
+                    .filter(|&i| self.entries[i].3 <= t0 + 1)
+                    .min_by_key(|&i| self.entries[i].3)
+                    .expect("an old entry is left for every old slot")
+            } else if at == pushes {
+                oldest
+            } else if slot + 1 == old {
+                0
+            } else {
+                slot + 1
+            };
+            let j = if x <= wrap { top + x } else { top + x - cap };
+            // Round `j` ends on its last hit; the next round's opening
+            // hits it once more when the stream straddles.
+            let last_use = t0 + (j + 1) * per_round + u64::from(straddle && j + 1 < m);
+            let entry = (vpn0 + j, pfn0 + j, perm, last_use);
+            if slot == self.entries.len() {
+                self.entries.push(entry);
+            } else {
+                self.entries[slot] = entry;
+            }
+            if x == wrap {
+                self.mru = slot;
+            }
+        }
+        self.tick = t0 + m * per_round;
     }
 }
 
@@ -328,8 +384,61 @@ impl Translate for PageTranslator {
         (k, self.costs.tlb_hit)
     }
 
+    /// A period is one page of the stream: its opening burst either
+    /// starts the page and walks, or straddles into it from the MRU page
+    /// (one hit plus one walk), and the rest hit the page it filled.
+    /// Booking stops at the end of the table run, and before the first
+    /// page already resident at or ahead of the stream.
+    fn translate_miss_run(
+        &mut self,
+        va: VirtAddr,
+        len: u64,
+        period: u64,
+        cycles: u64,
+        perm: Perm,
+        max: u64,
+    ) -> u64 {
+        let ps = self.table.page_size();
+        let (hit, walk) = (self.costs.tlb_hit, self.costs.page_walk);
+        let offset = va.value() % ps;
+        let straddle = offset != 0;
+        let opening = if straddle { hit + walk } else { walk };
+        if period.checked_mul(len) != Some(ps)
+            || cycles != opening
+            || (straddle && offset + len <= ps)
+        {
+            return 0;
+        }
+        let (tlb, vpn) = (&self.tlb, va.value() / ps);
+        let mru = tlb.entries.get(tlb.mru);
+        if straddle && !mru.is_some_and(|e| e.0 == vpn && e.2.contains(perm)) {
+            return 0;
+        }
+        let vpn0 = vpn + u64::from(straddle);
+        let Some(run) = self.table.run_of(vpn0).filter(|r| r.perm.contains(perm)) else {
+            return 0;
+        };
+        let ahead = tlb.entries.iter().map(|e| e.0).filter(|&v| v >= vpn0).min();
+        let m = max
+            .min(run.vpn0 + run.pages - vpn0)
+            .min(ahead.unwrap_or(u64::MAX) - vpn0);
+        if m == 0 {
+            return 0;
+        }
+        let (pfn0, run_perm) = (run.pfn0 + (vpn0 - run.vpn0), run.perm);
+        self.tlb
+            .fill_stream(vpn0, pfn0, run_perm, m, period - 1, straddle);
+        let lookups = period + u64::from(straddle);
+        self.stats.lookups += m * lookups;
+        self.stats.hits += m * (lookups - 1);
+        self.stats.misses += m;
+        self.stats.probe_reads += m;
+        self.stats.cycles += m * (cycles + (period - 1) * hit);
+        m
+    }
+
     fn name(&self) -> String {
-        format!("iotlb-{}", self.tlb.capacity())
+        format!("iotlb-{}", self.tlb.capacity)
     }
 
     fn stats(&self) -> TranslateStats {
@@ -344,6 +453,8 @@ impl Translate for PageTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proptest_lite::{check, range, vec_of};
+    use std::cell::Cell;
 
     fn table_64k() -> PageTable {
         let mut t = PageTable::new(4096);
@@ -387,10 +498,11 @@ mod tests {
     #[test]
     fn tlb_lru_eviction() {
         let mut tlb = PageTlb::new(2);
-        tlb.insert(1, 101, Perm::R);
-        tlb.insert(2, 102, Perm::R);
+        tlb.fill(1, 101, Perm::R);
+        tlb.fill(2, 102, Perm::R);
         assert!(tlb.lookup(1).is_some()); // 1 now MRU
-        tlb.insert(3, 103, Perm::R); // evicts 2
+        assert!(tlb.lookup(3).is_none());
+        tlb.fill(3, 103, Perm::R); // evicts 2
         assert!(tlb.lookup(2).is_none());
         assert!(tlb.lookup(1).is_some());
         assert!(tlb.lookup(3).is_some());
@@ -522,6 +634,147 @@ mod tests {
             );
         }
         assert_eq!(t.len(), 5, "a rejected range maps nothing");
+    }
+
+    const PS: u64 = 4096;
+    const BASE: u64 = 0x10_0000;
+
+    /// 128 pages from `BASE`: read-only from page 80, read-write again
+    /// from page 88, so the window holds two run ends.
+    fn window(capacity: usize) -> PageTranslator {
+        let mut t = PageTable::new(PS);
+        for (first, pages, perm) in [(0, 80, Perm::RW), (80, 8, Perm::R), (88, 40, Perm::RW)] {
+            let (va, pa) = (BASE + first * PS, 0x80_0000 + (127 - first) * PS);
+            t.map_range(VirtAddr(va), PhysAddr(pa), pages * PS, perm)
+                .unwrap();
+        }
+        PageTranslator::new(t, capacity, TranslationCosts::default())
+    }
+
+    /// Translates the two periods of `len`-byte bursts before `va` on
+    /// `tr`, then books up to `max` miss periods from `va` with the last
+    /// opening's cycles on one copy and translates the booked bursts one
+    /// by one on another. Each must repeat the burst one period before
+    /// it, and the copies must end identical; a refusal must leave `tr`
+    /// untouched. Returns the periods booked, or `None` on a fault.
+    fn book(tr: &mut PageTranslator, va: u64, len: u64, perm: Perm, max: u64) -> Option<u64> {
+        let period = PS / len;
+        let before: Vec<_> = (0..2 * period)
+            .map(|i| tr.translate(VirtAddr(va - 2 * PS + i * len), len, perm))
+            .collect::<Result<Vec<_>>>()
+            .ok()?
+            .split_off(period as usize);
+        let (untouched, mut each) = (format!("{tr:?}"), tr.clone());
+        let m = tr.translate_miss_run(VirtAddr(va), len, period, before[0].cycles, perm, max);
+        if m == 0 {
+            assert_eq!(
+                format!("{tr:?}"),
+                untouched,
+                "a refusal moved the translator"
+            );
+        }
+        assert!(m <= max);
+        for i in 0..m * period {
+            let got = each.translate(VirtAddr(va + i * len), len, perm).unwrap();
+            let want = before[(i % period) as usize];
+            assert_eq!((got.hit, got.cycles), (want.hit, want.cycles), "burst {i}");
+        }
+        assert_eq!(format!("{tr:?}"), format!("{each:?}"));
+        Some(m)
+    }
+
+    #[test]
+    fn miss_runs_match_translating_every_burst() {
+        const CAPACITIES: [usize; 3] = [1, 4, 32];
+        const BURSTS: [u64; 4] = [512, 1024, 2048, 4096];
+        // Per capacity: bookings opening at a page start and straddling,
+        // bookings of at least the capacity, and bookings into a full TLB.
+        let tally = Cell::new([[0u32; 4]; 3]);
+        let refused = Cell::new(0u32);
+        let stream = (
+            range(0usize..3),
+            range(0usize..4),
+            range(3u64..128),
+            range(0u64..64),
+        );
+        // (max, perm, warm-up behind the stream only), warm-up pages.
+        let limits = (range(1u64..80), range(0usize..2), range(0usize..2));
+        check(
+            "miss_runs_match_translating_every_burst",
+            512,
+            (stream, limits, vec_of(range(0u64..128), 0..150)),
+            |((cap, burst, page, shift), (max, write, behind), warm)| {
+                let (capacity, len) = (CAPACITIES[*cap], BURSTS[*burst]);
+                let mut tr = window(capacity);
+                for &p in warm {
+                    let p = if *behind == 1 { p % page } else { p };
+                    tr.translate(VirtAddr(BASE + p * PS), 1, Perm::R).unwrap();
+                }
+                let full = tr.tlb.entries.len() == capacity;
+                // Open at the page start, or straddle into it from the
+                // page before by a multiple of 64 bytes.
+                let straddle = *shift >= 32;
+                let into = if straddle {
+                    64 * (1 + shift % (len / 64 - 1))
+                } else {
+                    0
+                };
+                let va = BASE + page * PS - into;
+                let perm = [Perm::R, Perm::W][*write];
+                let Some(m) = book(&mut tr, va, len, perm, *max) else {
+                    return Ok(());
+                };
+                let mut counts = tally.get();
+                let row = &mut counts[*cap];
+                if m > 0 {
+                    row[usize::from(straddle)] += 1;
+                    row[2] += u32::from(m >= capacity as u64);
+                    row[3] += u32::from(full);
+                } else {
+                    refused.set(refused.get() + 1);
+                }
+                tally.set(counts);
+                Ok(())
+            },
+        );
+        let tally = tally.get();
+        assert!(
+            tally.iter().flatten().all(|&n| n > 0) && refused.get() > 0,
+            "per capacity [aligned, straddling, m >= capacity, from full]: {tally:?}; \
+             {refused:?} refused"
+        );
+    }
+
+    #[test]
+    fn miss_run_refusals_leave_the_translator_untouched() {
+        let costs = TranslationCosts::default();
+        let (walk, straddle) = (costs.page_walk, costs.tlb_hit + costs.page_walk);
+        let mut tr = window(4);
+        // Periods of two 2 KiB bursts on pages 1 and 2, then pages 3–5
+        // booked; a hit on page 2 leaves page 5 resident but not MRU.
+        assert_eq!(book(&mut tr, BASE + 3 * PS, 2048, Perm::R, 3), Some(3));
+        assert!(
+            tr.translate(VirtAddr(BASE + 2 * PS), 1, Perm::R)
+                .unwrap()
+                .hit
+        );
+        let untouched = format!("{tr:?}");
+        let mut refuse = |va: u64, len: u64, period: u64, cycles: u64, perm: Perm| {
+            let m = tr.translate_miss_run(VirtAddr(va), len, period, cycles, perm, 100);
+            assert_eq!((m, format!("{tr:?}")), (0, untouched.clone()), "{va:#x}");
+        };
+        let next = BASE + 6 * PS;
+        refuse(next, 2048, 2, 2 * walk, Perm::R); // a period that paid two walks
+        refuse(next - 1024, 2048, 2, 2 * walk, Perm::R);
+        refuse(next, 1024, 2, walk, Perm::R); // period·len is not the page
+        refuse(next - 1024, 2048, 2, straddle, Perm::R); // from a page that is not MRU
+        refuse(BASE + 80 * PS, 2048, 2, walk, Perm::W); // a write into a read-only run
+        refuse(BASE + 128 * PS, 2048, 2, walk, Perm::R); // past the last run's end
+                                                         // A run end stops a booking where it is.
+        let mut tr = window(4);
+        assert_eq!(book(&mut tr, BASE + 78 * PS, 2048, Perm::W, 100), Some(2));
+        let mut tr = window(32);
+        assert_eq!(book(&mut tr, BASE + 82 * PS, 1024, Perm::R, 100), Some(6));
     }
 }
 
@@ -719,22 +972,6 @@ mod reference {
                 hits.get() > 0 && evictions.get() > 0,
                 "capacity {capacity}: {hits:?} hits, {evictions:?} evictions"
             );
-        }
-    }
-
-    #[test]
-    fn public_insert_overwrites_in_place_like_the_reference() {
-        let mut tlb = PageTlb::new(2);
-        let mut scan = ScanTlb {
-            capacity: 2,
-            entries: Vec::new(),
-            tick: 0,
-        };
-        for (vpn, pfn) in [(1, 10), (2, 20), (1, 11), (3, 30), (3, 31), (2, 21)] {
-            tlb.insert(vpn, pfn, Perm::R);
-            scan.insert(vpn, pfn, Perm::R);
-            assert_eq!(resident(&tlb.entries), resident(&scan.entries));
-            assert_eq!(tlb.lookup(vpn), scan.lookup(vpn));
         }
     }
 }

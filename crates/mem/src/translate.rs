@@ -124,6 +124,33 @@ pub trait Translate {
         (0, 0)
     }
 
+    /// Books up to `max` *miss periods* from `va` at once: each period
+    /// is `period` bursts of `len` bytes back to back, the first a miss
+    /// costing exactly `cycles` and the rest hits on one entry each.
+    /// Returns how many periods were booked.
+    ///
+    /// The contract: booking `m` periods leaves every observable — the
+    /// statistics, the TLB's resident set, its slot order, its MRU slot
+    /// and its LRU ticks — exactly as the `m·period` calls of
+    /// `translate(va + i·len, len, perm)` for `i` in `0..m·period`
+    /// would, each returning the hit flag and cycles of the burst one
+    /// period before it. The caller has just translated that period
+    /// (bursts from `va − period·len`) and saw it open with a miss
+    /// costing `cycles` followed by hits. A translator may book fewer
+    /// periods than `max`, or none; the default books none.
+    fn translate_miss_run(
+        &mut self,
+        va: VirtAddr,
+        len: u64,
+        period: u64,
+        cycles: u64,
+        perm: Perm,
+        max: u64,
+    ) -> u64 {
+        let _ = (va, len, period, cycles, perm, max);
+        0
+    }
+
     /// Human-readable mechanism name (for reports: "physical", "iotlb-4",
     /// "vchunk" ...).
     fn name(&self) -> String;

@@ -53,13 +53,30 @@
 //! so [`crate::hbm::Hbm::access_run`] serves them in closed form. A
 //! transfer inside one range therefore costs the host one lookup, not
 //! one per burst, which is Pattern-1 of §4.2 applied to the simulator.
-//! A miss, which drains the queue, and a ragged last burst are still
-//! translated on their own, and a transfer under a bandwidth limiter or
-//! on a machine recording its memory trace goes burst by burst, because
-//! both act on every burst — the schedule, forced for every transfer
-//! (`EpochState::dma_per_burst`), that tests hold the runs to. A run
-//! whose times overflow `u64`, like a transfer whose completion passes
-//! `max_cycles`, ends the run in [`SimError::CycleLimit`].
+//!
+//! A miss drains the queue, and that is what lets a stream of misses go
+//! by runs too. A miss issues at the drain point — the later of the last
+//! completion and the next issue slot — plus its walk, and the channel
+//! is free by then unless the miss opens the transfer. So when the miss
+//! that opens a *period* (the miss and the hits after it, up to the next
+//! miss) waited on nothing, the period's issue times, completions,
+//! channel clock and waits are its drain point plus constants: a pure
+//! function of where it starts. A next period with the same translation
+//! costs starts its drain point `Δ` later and repeats it exactly, and so
+//! does each one after. After such a period,
+//! [`vnpu_mem::Translate::translate_miss_run`] books `m` more of them —
+//! under an IOTLB, one page each, filled in LRU order — and
+//! [`crate::hbm::Hbm::repeat`] shifts the channel by `m·Δ` and its wait
+//! and byte totals by `m` periods' worth. A transfer streaming through
+//! fresh pages costs the host one booking, not one walk per page.
+//!
+//! A ragged last burst is still translated on its own, and a transfer
+//! under a bandwidth limiter or on a machine recording its memory trace
+//! goes burst by burst, because both act on every burst — the schedule,
+//! forced for every transfer (`EpochState::dma_per_burst`), that tests
+//! hold the runs to. A run whose times overflow `u64`, like a transfer
+//! whose completion passes `max_cycles`, ends the run in
+//! [`SimError::CycleLimit`].
 
 use crate::compute::kernel_cycles;
 use crate::controller;
@@ -704,7 +721,11 @@ impl Machine {
                 issue += lim.record(issue, len);
             }
             let _ = tr.pa; // physical address is modelled, not dereferenced
+            let (opened_at, waited) = (issue, self.hbm.wait_cycles());
             done = done.max(self.hbm.access(channel, len, issue));
+            // A full burst that missed and waited on nothing opens a
+            // period that later ones may repeat (see the module docs).
+            let opens = runs && !tr.hit && len == burst && self.hbm.wait_cycles() == waited;
             if mem_trace_enabled {
                 self.epoch.mem_trace.push((issue, phys, at.value()));
             }
@@ -729,6 +750,33 @@ impl Machine {
                     .ok_or_else(over)?;
                 off += k * len;
                 full -= k;
+            }
+            let period = 1 + k;
+            let m = if opens && full >= period {
+                let (next, walk) = (va.offset(off), tr.cycles);
+                (services.translator).translate_miss_run(
+                    next,
+                    len,
+                    period,
+                    walk,
+                    perm,
+                    full / period,
+                )
+            } else {
+                0
+            };
+            if m > 0 {
+                // The next period opens where this one drains, and so
+                // does each booked one after it.
+                let span = (done.max(issue).checked_add(tr.cycles)).ok_or_else(over)? - opened_at;
+                let waits = self.hbm.wait_cycles() - waited;
+                let shift = (self.hbm)
+                    .repeat(channel, m, span, waits, period * len)
+                    .ok_or_else(over)?;
+                issue = issue.checked_add(shift).ok_or_else(over)?;
+                done = done.checked_add(shift).ok_or_else(over)?;
+                off += m * period * len;
+                full -= m * period;
             }
             if done > limit {
                 return Err(over());
@@ -763,6 +811,7 @@ impl Machine {
         let send_setup = self.config().send_setup;
         let packet_bytes = self.config().packet_bytes;
         let packet_overhead = self.config().packet_overhead;
+        let limit = self.config().max_cycles;
         let now = self.epoch.now;
         let engine_busy_until = self.core(phys as usize).send_engine_busy_until;
         // The path borrows from the router for the whole streaming loop,
@@ -781,13 +830,26 @@ impl Machine {
         let engine_ready = now + send_setup + lookup;
         let mut depart = engine_ready.max(engine_busy_until);
         let send_started = depart;
+        // A program picks `bytes`, and one send never waits on credit.
+        // Each packet departs at least `per_packet + packet_overhead`
+        // after the one before, so a send whose last packet cannot land
+        // within the budget stops here, and any other at the first packet
+        // that lands past it — before the arrival arena outgrows memory.
+        let spacing = per_packet + packet_overhead;
+        let packets = bytes.div_ceil(packet_bytes.max(1));
+        if packets.saturating_sub(1).saturating_mul(spacing) > limit.saturating_sub(depart) {
+            return Err(SimError::CycleLimit { limit });
+        }
         let mut off = 0u64;
         while off < bytes {
             let len = packet_bytes.min(bytes - off);
             let timing = self.noc.send_packet(path, len, depart + per_packet)?;
             depart = timing.injected_at + packet_overhead;
-            self.epoch
-                .record_arrival(fidx, timing.arrived_at + packet_overhead, len);
+            let arrival = timing.arrived_at + packet_overhead;
+            if arrival > limit {
+                return Err(SimError::CycleLimit { limit });
+            }
+            self.epoch.record_arrival(fidx, arrival, len);
             off += len;
         }
         // A receiver already parked here wakes on the packet that
@@ -1531,9 +1593,10 @@ mod tests {
 
     #[test]
     fn hostile_transfer_sizes_stop_at_the_cycle_limit() {
-        // 2^50 bytes on an untranslated core: half a billion bursts of
-        // 2 KiB. A DMA is one run; a load/store stream stops once a
-        // burst completes past the budget.
+        // 2^50 bytes on an untranslated core: half a billion bursts or
+        // packets of 2 KiB. A DMA is one run; a load/store stream stops
+        // once a burst completes past the budget, and a send before its
+        // first packet, since its last cannot land within it.
         let bytes = 1 << 50;
         let va = VirtAddr(0);
         let hostile = [
@@ -1541,6 +1604,7 @@ mod tests {
             Instr::DmaStore { va, bytes },
             Instr::GlobalWrite { va, bytes, tag: 0 },
             Instr::GlobalRead { va, bytes, tag: 0 },
+            Instr::send(1, bytes, 0),
         ];
         let limit = SocConfig::fpga().max_cycles;
         for instr in hostile {
@@ -1555,6 +1619,19 @@ mod tests {
                 "{instr:?}"
             );
         }
+        // A send whose packets could all land in the budget at their
+        // closest spacing stops at the first that lands past it: 1 MiB is
+        // 512 packets, 141 cycles apart on this hop.
+        let limit = 10_000;
+        let mut m = Machine::new(SocConfig {
+            max_cycles: limit,
+            ..SocConfig::fpga()
+        });
+        let t = m.add_tenant("guest");
+        m.bind(5, t, 0, Program::once(vec![Instr::send(1, 1 << 20, 0)]))
+            .unwrap();
+        assert_eq!(m.run().unwrap_err(), SimError::CycleLimit { limit });
+        assert_eq!(m.epoch.arrivals.len(), 70, "packets recorded");
     }
 
     /// A translator the test keeps a handle on, so that its whole state
@@ -1563,21 +1640,26 @@ mod tests {
     trait Inspect: Translate + std::fmt::Debug + Send {}
     impl<T: Translate + std::fmt::Debug + Send> Inspect for T {}
 
+    /// The translator, with the bursts it booked as hit runs and the
+    /// periods it booked as miss runs.
+    type Tallied = (Box<dyn Inspect>, u64, u64);
+
     #[derive(Clone)]
-    struct Shared(Arc<Mutex<(Box<dyn Inspect>, u64)>>);
+    struct Shared(Arc<Mutex<Tallied>>);
 
     impl Shared {
         fn new(translator: impl Inspect + 'static) -> Shared {
             let translator: Box<dyn Inspect> = Box::new(translator);
-            Shared(Arc::new(Mutex::new((translator, 0))))
+            Shared(Arc::new(Mutex::new((translator, 0, 0))))
         }
 
         fn state(&self) -> String {
             format!("{:?}", self.0.lock().unwrap().0)
         }
 
-        fn booked(&self) -> u64 {
-            self.0.lock().unwrap().1
+        fn booked(&self) -> (u64, u64) {
+            let inner = self.0.lock().unwrap();
+            (inner.1, inner.2)
         }
     }
 
@@ -1596,6 +1678,23 @@ mod tests {
             let run = inner.0.translate_run(va, len, max);
             inner.1 += run.0;
             run
+        }
+
+        fn translate_miss_run(
+            &mut self,
+            va: VirtAddr,
+            len: u64,
+            period: u64,
+            cycles: u64,
+            perm: Perm,
+            max: u64,
+        ) -> u64 {
+            let mut inner = self.0.lock().unwrap();
+            let m = inner
+                .0
+                .translate_miss_run(va, len, period, cycles, perm, max);
+            inner.2 += m;
+            m
         }
 
         fn name(&self) -> String {
@@ -1618,7 +1717,7 @@ mod tests {
     /// size divides them: bursts straddle every seam.
     const RANGES: [u64; 8] = [6144, 10752, 3136, 13312, 8192, 7616, 9000, 7384];
     /// Burst sizes: dividing the 4 KiB page, not dividing it, larger.
-    const BURSTS: [u64; 7] = [2048, 1536, 3000, 4096, 64, 5000, 1000];
+    const BURSTS: [u64; 9] = [2048, 1536, 3000, 4096, 64, 5000, 1000, 1024, 512];
     /// Cores of the campaign's threads: the first three share channel 0.
     const DMA_CORES: [u32; 4] = [0, 1, 4, 2];
 
@@ -1674,7 +1773,8 @@ mod tests {
     #[test]
     fn dma_runs_match_the_per_burst_reference() {
         let (base, window) = WINDOW;
-        let booked = Cell::new([0u64; 5]);
+        // Per mode: bursts booked as hit runs, pages booked as miss runs.
+        let booked = Cell::new([(0u64, 0u64); 5]);
         let (completed, faulted, limited, traced) = (
             Cell::new(0u32),
             Cell::new(0u32),
@@ -1688,7 +1788,8 @@ mod tests {
             range(0usize..8),
         );
         // (offset in 64 B steps, bytes, kind): loads, stores, a load
-        // that may run out of the window, a delay.
+        // that may run out of the window, a delay. One offset in four is
+        // snapped to its page, where a miss run opens on a page start.
         let op = (range(0u64..1024), range(1u64..30_000), range(0usize..8));
         check(
             "dma_runs_match_the_per_burst_reference",
@@ -1717,8 +1818,12 @@ mod tests {
                         let program = ops
                             .iter()
                             .map(|&(step, bytes, kind)| {
-                                let va = VirtAddr(base + step * 64);
-                                let inside = bytes.min(window - step * 64);
+                                let offset = match step % 4 {
+                                    0 => step * 64 / 4096 * 4096,
+                                    _ => step * 64,
+                                };
+                                let va = VirtAddr(base + offset);
+                                let inside = bytes.min(window - offset);
                                 match kind {
                                     0..=2 => Instr::DmaLoad { va, bytes: inside },
                                     3..=5 => Instr::DmaStore { va, bytes: inside },
@@ -1746,16 +1851,20 @@ mod tests {
                         Err(error) => Err(format!("{error:?}")),
                     };
                     let states: Vec<String> = handles.iter().map(Shared::state).collect();
-                    let runs: u64 = handles.iter().map(Shared::booked).sum();
+                    let runs = handles
+                        .iter()
+                        .map(Shared::booked)
+                        .fold((0, 0), |sum, b| (sum.0 + b.0, sum.1 + b.1));
                     sides.push((outcome, format!("{:?}", machine.hbm), states, runs));
                 }
                 let (reference, by_runs) = (sides.pop().unwrap(), sides.pop().unwrap());
-                prop_assert_eq!(reference.3, 0);
+                prop_assert_eq!(reference.3, (0, 0));
                 prop_assert_eq!(&by_runs.0, &reference.0);
                 prop_assert_eq!(&by_runs.1, &reference.1, "channels");
                 prop_assert_eq!(&by_runs.2, &reference.2, "translators");
                 let mut tally = booked.get();
-                tally[*mode] += by_runs.3;
+                tally[*mode].0 += by_runs.3 .0;
+                tally[*mode].1 += by_runs.3 .1;
                 booked.set(tally);
                 let ok = by_runs.0.is_ok();
                 let outcome = if ok { &completed } else { &faulted };
@@ -1767,12 +1876,14 @@ mod tests {
         );
         let booked = booked.get();
         assert!(
-            booked.iter().all(|&b| b > 0)
+            booked.iter().all(|&(hits, _)| hits > 0)
+                && booked[3..].iter().all(|&(_, pages)| pages > 0)
                 && [&completed, &faulted, &limited, &traced]
                     .iter()
                     .all(|c| c.get() > 0),
-            "bursts booked as runs per mode {booked:?}; {completed:?} completed \
-             ({limited:?} limited, {traced:?} traced), {faulted:?} faulted"
+            "(bursts, pages) booked as hit / miss runs per mode {booked:?}; \
+             {completed:?} completed ({limited:?} limited, {traced:?} traced), \
+             {faulted:?} faulted"
         );
     }
 }

@@ -145,6 +145,39 @@ impl Hbm {
         Some(completion)
     }
 
+    /// Repeats `times` more a period of accesses just served on
+    /// `channel` that moved its clock by `span` (the next period starts
+    /// `span` after it did), waited `waits` cycles in total and moved
+    /// `bytes`: the closed form of a period whose timing is a function of
+    /// where it starts alone. Returns `times · span`, or `None`, leaving
+    /// the channel untouched, when a total overflows `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is out of range.
+    pub fn repeat(
+        &mut self,
+        channel: u32,
+        times: u64,
+        span: u64,
+        waits: u64,
+        bytes: u64,
+    ) -> Option<u64> {
+        let ch = &mut self.channels[channel as usize];
+        let shift = times.checked_mul(span)?;
+        let busy_until = ch.busy_until.checked_add(shift)?;
+        let bytes_served = times
+            .checked_mul(bytes)
+            .and_then(|more| ch.bytes_served.checked_add(more))?;
+        let wait_cycles = times
+            .checked_mul(waits)
+            .and_then(|more| self.wait_cycles.checked_add(more))?;
+        ch.busy_until = busy_until;
+        ch.bytes_served = bytes_served;
+        self.wait_cycles = wait_cycles;
+        Some(shift)
+    }
+
     /// Services a UVM (load/store path) access: unlike a DMA burst, the
     /// transfer moves at cache-line granularity and the channel is held
     /// for the full latency-bound duration — `bytes/bw +
@@ -315,6 +348,30 @@ mod tests {
             h.access_run(0, 8, 0, 1, 1 << 40),
             Some(256 + (1 << 40) + 40)
         );
+    }
+
+    #[test]
+    fn repeat_is_the_period_served_again_later() {
+        // A period: a 2 KiB access on an idle channel at `x`, then three
+        // queued behind it. Served again later on an idle channel, it
+        // waits and moves exactly what it did the first time.
+        let period = |h: &mut Hbm, x: u64| {
+            h.access(0, 2048, x);
+            h.access_run(0, 2048, x + 5, 5, 3).unwrap()
+        };
+        let (mut once, mut each) = (hbm(), hbm());
+        let span = period(&mut once, 100) + 200 - 100;
+        for i in 0..=5 {
+            period(&mut each, 100 + i * span);
+        }
+        let waits = once.wait_cycles();
+        assert!(waits > 0);
+        assert_eq!(once.repeat(0, 5, span, waits, 4 * 2048), Some(5 * span));
+        assert_eq!(format!("{once:?}"), format!("{each:?}"));
+        let before = format!("{once:?}");
+        assert_eq!(once.repeat(0, u64::MAX, 2, 0, 0), None);
+        assert_eq!(once.repeat(0, 2, 1, u64::MAX, 0), None);
+        assert_eq!(format!("{once:?}"), before, "an overflow moves nothing");
     }
 
     #[test]

@@ -57,10 +57,14 @@ section "scripts/loc.sh (non-test source size)"
 # quick mode and their sixteen bench targets landed it (15 794), plus the
 # 136 lines of DMA streams by translation runs (`Translate::translate_run`
 # and its three implementations, `Hbm::access_run`, the run loop), which
-# cut `paper_static`'s `op_iqm_us` by 40% in paired runs.
+# cut `paper_static`'s `op_iqm_us` by 40% in paired runs, plus the net 153
+# lines of IOTLB miss runs (`Translate::translate_miss_run`, the page
+# translator's booking and `PageTlb::fill_stream`, `Hbm::repeat`, the
+# period booking in `do_dma`, and `do_send`'s budget stop, less the deleted
+# `PageTlb::insert` / `flush`), which cut it by a further 58%.
 CORE_SERVE_CODE_MAX=4954
 TOPO_CODE_MAX=2026
-WORKSPACE_CODE_MAX=15930
+WORKSPACE_CODE_MAX=16083
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -148,7 +152,9 @@ section "simulator miss-path gate"
 # contention, HBM wait, translation cycles, per-core TranslateStats) are
 # pinned absolutely, at values captured before the page table, the IOTLB
 # and the packet-arrival path were rewritten (the Fig. 14 BERT-base rows,
-# the longest DMA streams, before transfers went by translation runs): a
+# the longest DMA streams, before transfers went by translation runs; the
+# AlexNet IOTLB rows, whose weight slices start mid-page, before streams of
+# page misses were booked at once): a
 # simulator change that moves any of them fails here, not only one that
 # moves a frame rate.
 cargo test --test baselines -q paper_cells_are_pinned
@@ -174,8 +180,19 @@ cargo test -p vnpu_sim -q access_run_matches_repeated_access -- --nocapture
 # VA-contiguous entries that bursts straddle, page TLB 4 / 32, burst sizes
 # that do not divide the page, ragged tails, limiter and memory trace on
 # and off, faults — identical reports, channels, `TranslateStats` and
-# whole translator state (resident TLB sets and LRU ticks).
+# whole translator state (resident TLB sets and LRU ticks). Page-aligned
+# offsets and page-dividing bursts make streams of page misses, and the
+# campaign fails unless both page TLB sizes booked some as miss runs.
 cargo test -p vnpu_sim -q dma_runs_match_the_per_burst_reference -- --nocapture
+# A stream of page misses is booked at once: `m` periods (a miss, then
+# hits on the page it filled), the TLB's final slots, ticks and MRU
+# written in O(capacity). The campaign holds a booking to translating
+# its every burst — whole-translator equality, capacities 1 / 4 / 32
+# from empty, partly filled and full TLBs, resident pages behind and
+# ahead, aligned and straddling openings, bursts of 512 B to 4 KiB — and
+# every refusal (wrong walk cost, non-MRU opening, run end, read-only run,
+# a period that is not a page) to leaving the translator untouched.
+cargo test -p vnpu_mem -q miss_run -- --nocapture
 
 section "audit gate"
 # The fleet audit runs after every audited tick over flat arrays: paths

@@ -520,14 +520,15 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 
 /// An absolute pin on everything one serve run publishes: the report
-/// JSON, the trace stream's length and the digest chain. The scenario
-/// turns every reconfiguration layer on at once — churn over a
-/// heterogeneous 4-chip fleet, defrag every 4 ticks, seeded core faults
-/// plus a link fault, one begin/complete/undrain maintenance cycle, the
-/// fleet audit, the online temporal checker, trace recording and phase
-/// digests. The constants were captured at the commit *before* the serve
-/// loop was restructured into phase units; a refactor of the loop must
-/// reproduce them bit for bit.
+/// JSON, the trace stream's length and a fold over every event's `{:?}`
+/// text, and the digest chain. The scenario turns every reconfiguration
+/// layer on at once — churn over a heterogeneous 4-chip fleet, defrag
+/// every 4 ticks, seeded core faults plus a link fault, one
+/// begin/complete/undrain maintenance cycle, the fleet audit, the online
+/// temporal checker, trace recording and phase digests. The constants were
+/// captured at the commit *before* the serve loop was restructured into
+/// phase units (the trace fold later, from the same unchanged run); a
+/// refactor of the loop must reproduce them bit for bit.
 #[test]
 fn serve_outputs_are_pinned_across_refactors() {
     use vnpu::plan::GreedyDefrag;
@@ -587,6 +588,12 @@ fn serve_outputs_are_pinned_across_refactors() {
 
     let json_hash = fnv1a(report.to_json(usize::MAX).bytes());
     let trace_len = rt.trace().unwrap().len();
+    let trace_fold = fnv1a(
+        rt.trace()
+            .unwrap()
+            .iter()
+            .flat_map(|e| format!("{e:?}").into_bytes()),
+    );
     let chain = rt.digest_chain().unwrap();
     let chain_fold = fnv1a(chain.entries.iter().flat_map(|e| {
         let chip = e.chip.map_or(u64::MAX, u64::from);
@@ -595,10 +602,11 @@ fn serve_outputs_are_pinned_across_refactors() {
             .flat_map(u64::to_le_bytes)
     }));
     assert_eq!(
-        (json_hash, trace_len, chain.len(), chain_fold),
+        (json_hash, trace_len, trace_fold, chain.len(), chain_fold),
         (
             10_639_872_328_804_908_377,
             3_210,
+            8_412_402_454_987_512_650,
             1_994,
             2_749_346_674_272_218_807
         ),

@@ -50,9 +50,8 @@
 //! | `FAULT-FREE` | no faulted core is advertised free | fault |
 //! | `FAULT-LINK` | no live tenant owns an endpoint of a faulted link | fault |
 //!
-//! The determinism rule `CONC-DET` lives in `vnpu_conc` and the
-//! `TEMP-*` rules in `vnpu_temporal`; each crate's rule type is the only
-//! home of its ids.
+//! The `TEMP-*` rules live in `vnpu_temporal`; each crate's rule type is
+//! the only home of its ids.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

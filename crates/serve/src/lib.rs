@@ -27,14 +27,12 @@
 //!   sample, one machine epoch per loaded chip
 //!   ([`vnpu_sim::machine::Machine::run_epoch_makespan`], reused while
 //!   the chip's inputs are unchanged) and the optional fleet audit. Every
-//!   phase runs through a single wrapper that owns the per-phase
-//!   stopwatch ([`ServeConfig::time_phases`]) and the digest chain
-//!   ([`ServeRuntime::digest_chain`]): phases only write digest words,
-//!   the wrapper hashes and records them. The tick is single-threaded:
-//!   per-chip work (machine epochs; drain and defrag planning inside the
-//!   cluster) is a loop in chip order. Callers interleave inspection and
-//!   policy swaps between steps; [`ServeRuntime::run`] is the thin batch
-//!   loop over `step` + drain.
+//!   phase runs through a single wrapper, the only owner of the
+//!   per-phase stopwatch ([`ServeConfig::time_phases`]). The tick is
+//!   single-threaded: per-chip work (machine epochs; drain and defrag
+//!   planning inside the cluster) is a loop in chip order. Callers
+//!   interleave inspection and policy swaps between steps;
+//!   [`ServeRuntime::run`] is the thin batch loop over `step` + drain.
 //! * [`report`] — the [`ServeReport`]: accepted/rejected/queued counts,
 //!   p50/p99 time-to-placement in controller cycles, shared-cache hit
 //!   rate, the fragmentation trajectory, per-chip breakdowns
@@ -51,7 +49,10 @@
 //! with [`vnpu_temporal::check_trace`]
 //! ([`ServeRuntime::trace`] / [`ServeRuntime::trace_with_claim`]).
 //! One stream, three consumers — the numbers the report claims and the
-//! temporal properties guarding them cannot drift apart.
+//! temporal properties guarding them cannot drift apart. It is also the
+//! run's one record: two runs that must agree (the same seed twice,
+//! instrumentation on and off) are compared on their recorded traces,
+//! their per-tick [`TickEvents`] and their reports.
 //!
 //! # Example
 //!

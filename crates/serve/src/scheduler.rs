@@ -24,13 +24,13 @@
 //!
 //! The phases are plain functions over one shared tick context (the
 //! tick's [`TickEvents`] and per-chip snapshots), listed in one array,
-//! and all run through **one wrapper**. What is instrumentation rather
-//! than serving lives in that wrapper and nowhere else: the per-phase
-//! stopwatch ([`ServeConfig::time_phases`]) and the determinism digest
-//! chain ([`ServeRuntime::digest_chain`]) — a phase only *writes digest
-//! words*, per chip; the wrapper hashes and records them. The whole tick
-//! runs on the caller's thread: per-chip work (machine epochs here, drain
-//! and defrag planning in the cluster) is a loop in chip order.
+//! and all run through **one wrapper**, the only home of the per-phase
+//! stopwatch ([`ServeConfig::time_phases`]). What a tick did is recorded
+//! once, as the [`TraceEvent`] stream its phases emit; two runs that must
+//! agree are compared on that stream ([`ServeRuntime::trace`]), their
+//! [`TickEvents`] and their reports. The whole tick runs on the caller's
+//! thread: per-chip work (machine epochs here, drain and defrag planning
+//! in the cluster) is a loop in chip order.
 //!
 //! The runtime is **step-driven**: [`ServeRuntime::step`] advances one
 //! tick and returns its [`TickEvents`], so callers can interleave
@@ -51,10 +51,9 @@ use vnpu::cluster::{
     ChipPlacement, ChipSnapshot, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit,
 };
 use vnpu::drain::{CheapestFirstDrain, ChipSchedState, DrainPolicy};
-use vnpu::plan::{Defragmenter, ReconfigBudget, ReconfigCost};
+use vnpu::plan::{Defragmenter, ReconfigBudget};
 use vnpu::{Hypervisor, VirtCoreId};
 use vnpu_audit::{AuditFinding, FleetAuditor};
-use vnpu_conc::Phase;
 use vnpu_fault::{FaultDetector, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use vnpu_sim::isa::{Instr, Program};
 use vnpu_sim::machine::{Machine, TenantId};
@@ -165,10 +164,6 @@ pub struct ServeConfig {
     /// ([`vnpu_fault::RecoveryPolicy::max_recovery_ticks`]) after which
     /// an unplaceable tenant is declared lost.
     pub recovery: RecoveryPolicy,
-    /// Record the per-tick / per-phase / per-chip determinism digest
-    /// chain ([`ServeRuntime::digest_chain`]) for cross-run
-    /// [`vnpu_conc::compare_chains`] checks. Off by default.
-    pub phase_digests: bool,
 }
 
 impl ServeConfig {
@@ -210,7 +205,6 @@ impl ServeConfig {
             time_phases: false,
             fault_plan: FaultPlan::new(),
             recovery: RecoveryPolicy::default(),
-            phase_digests: false,
         }
     }
 
@@ -329,8 +323,18 @@ impl TemporalSink {
     }
 }
 
-/// The phases [`ServeRuntime::step`] times and digests: one slot per
-/// [`Phase`], indexed by it.
+/// The tick phases [`ServeRuntime::run_phase`] times, in the order a tick
+/// runs them; each indexes its [`ServeRuntime::phase_nanos`] slot.
+#[derive(Clone, Copy)]
+enum Phase {
+    Recovery,
+    Admission,
+    Drain,
+    Defrag,
+    Execution,
+}
+
+/// The phases [`ServeRuntime::step`] times: one slot per [`Phase`].
 const TIMED_PHASES: usize = Phase::Execution as usize + 1;
 
 /// What the phases of one tick share. [`ServeRuntime::step`] builds one,
@@ -350,31 +354,14 @@ struct TickCtx {
     /// stamped: the base each admission decision's incremental
     /// configuration-cycle stamp is read against.
     config_base: u64,
-    /// The digest words the running phase has written, per chip (`None`
-    /// = fleet-level); [`ServeRuntime::run_phase`] folds them into the
-    /// chain when the phase ends. `None` unless
-    /// [`ServeConfig::phase_digests`] is on.
-    words: Option<BTreeMap<Option<u32>, Vec<u64>>>,
-}
-
-impl TickCtx {
-    /// Lets the running phase append to `chip`'s digest words (opening
-    /// the entry even if nothing is written: an empty entry is still a
-    /// record). Phases only ever *write words*; hashing and recording
-    /// are the wrapper's. Free when digests are off — `write` never runs.
-    fn digest(&mut self, chip: Option<usize>, write: impl FnOnce(&mut Vec<u64>)) {
-        if let Some(words) = self.words.as_mut() {
-            write(words.entry(chip.map(|c| c as u32)).or_default());
-        }
-    }
 }
 
 /// One unit of the tick: a phase body over the shared [`TickCtx`].
 type PhaseFn = fn(&mut ServeRuntime, &mut TickCtx) -> Result<(), vnpu::VnpuError>;
 
 /// The tick, as data: every phase in the order it runs. A unit listed
-/// with a [`Phase`] is timed and digested under it by
-/// [`ServeRuntime::run_phase`]; the others are bookkeeping between them.
+/// with a [`Phase`] is timed under it by [`ServeRuntime::run_phase`]; the
+/// others are bookkeeping between them.
 const TICK_PHASES: [(Option<Phase>, PhaseFn); 9] = [
     (None, ServeRuntime::departures),
     (Some(Phase::Recovery), ServeRuntime::recovery),
@@ -431,9 +418,6 @@ pub struct ServeRuntime {
     /// zero unless [`ServeConfig::time_phases`] is on, so timed and
     /// untimed runs differ only in these slots.
     phase_nanos: [u64; TIMED_PHASES],
-    /// The determinism digest chain, recorded only under
-    /// [`ServeConfig::phase_digests`].
-    digests: Option<vnpu_conc::DigestChain>,
     /// Per chip: the inputs of the last epoch it executed and the
     /// makespan that epoch produced.
     epoch_memo: Vec<EpochMemo>,
@@ -510,7 +494,6 @@ impl ServeRuntime {
             auditor: FleetAuditor::new(),
             audit_findings: Vec::new(),
             phase_nanos: [0; TIMED_PHASES],
-            digests: cfg.phase_digests.then(vnpu_conc::DigestChain::default),
             epoch_memo: cfg.chips.iter().map(|_| EpochMemo::default()).collect(),
             epoch_memo_hits: 0,
             runnable: Vec::new(),
@@ -520,19 +503,10 @@ impl ServeRuntime {
 
     /// Chip epochs so far whose inputs equalled those of the chip's
     /// previous epoch and were therefore answered without binding or
-    /// simulating. Purely diagnostic: reports, traces and digests are the
-    /// same whether an epoch ran or was reused.
+    /// simulating. Purely diagnostic: reports and traces are the same
+    /// whether an epoch ran or was reused.
     pub fn epoch_memo_hits(&self) -> u64 {
         self.epoch_memo_hits
-    }
-
-    /// The per-phase determinism digest chain recorded so far, when
-    /// [`ServeConfig::phase_digests`] is on (`None` otherwise). Two runs
-    /// that must agree — the same seed twice, instrumentation on and off —
-    /// are compared with [`vnpu_conc::compare_chains`], which names the
-    /// first divergent `(tick, phase, chip)`.
-    pub fn digest_chain(&self) -> Option<&vnpu_conc::DigestChain> {
-        self.digests.as_ref()
     }
 
     /// Live virtual NPUs right now.
@@ -683,7 +657,6 @@ impl ServeRuntime {
             },
             snapshots: Vec::new(),
             config_base: 0,
-            words: self.digests.as_ref().map(|_| BTreeMap::new()),
         };
         self.tick += 1;
         self.controller_cycles += self.cfg.tick_cycles;
@@ -695,35 +668,23 @@ impl ServeRuntime {
         Ok(ctx.events)
     }
 
-    /// The one wrapper every tick phase runs through. What is
-    /// instrumentation rather than serving happens here, once, *around*
-    /// the phase: the stopwatch ([`ServeConfig::time_phases`]) is started
-    /// and stopped and its reading added to the phase's
-    /// [`ServeRuntime::phase_nanos`] slot, and the digest words the phase
-    /// wrote are hashed, per chip in chip order, into the chain. A unit
-    /// without a [`Phase`] is neither timed nor digested.
+    /// The one wrapper every tick phase runs through, and the only place
+    /// that times one: under [`ServeConfig::time_phases`] the stopwatch
+    /// runs *around* the phase and its reading is added to the phase's
+    /// [`ServeRuntime::phase_nanos`] slot. A unit without a [`Phase`] is
+    /// not timed.
     fn run_phase(
         &mut self,
         phase: Option<Phase>,
         run: PhaseFn,
         ctx: &mut TickCtx,
     ) -> Result<(), vnpu::VnpuError> {
-        let Some(phase) = phase else {
-            return run(self, ctx);
-        };
-        let clock = self.cfg.time_phases.then(Instant::now);
+        let clock = phase
+            .filter(|_| self.cfg.time_phases)
+            .map(|p| (p, Instant::now()));
         let result = run(self, ctx);
-        if let Some(started) = clock {
+        if let Some((phase, started)) = clock {
             self.phase_nanos[phase as usize] += started.elapsed().as_nanos() as u64;
-        }
-        if let (Some(chain), Some(words)) = (self.digests.as_mut(), ctx.words.as_mut()) {
-            for (chip, words) in std::mem::take(words) {
-                let mut d = vnpu_conc::Digest::new();
-                for word in words {
-                    d.write_u64(word);
-                }
-                chain.record(ctx.tick, phase, chip, d.finish());
-            }
         }
         result
     }
@@ -802,25 +763,6 @@ impl ServeRuntime {
         });
         let (admission_events, snapshots) = self.cluster.process_admissions_with_snapshots();
         ctx.snapshots = snapshots;
-        // Fleet-level admission digest: the merged decision sequence in
-        // nomination order — exactly what a completion-order merge would
-        // scramble.
-        ctx.digest(None, |w| {
-            for event in &admission_events {
-                w.push(event.id.0);
-                match &event.outcome {
-                    ClusterAdmissionOutcome::Admitted(id) => {
-                        w.extend([1, id.chip as u64, u64::from(id.vm.0)]);
-                    }
-                    ClusterAdmissionOutcome::Rejected(_) => w.push(2),
-                }
-                w.push(event.config_cycles_total);
-                match event.fit_hint {
-                    Some(hint) => w.extend([hint.cores, hint.width, hint.height].map(u64::from)),
-                    None => w.push(0),
-                }
-            }
-        });
         for event in admission_events {
             let (lifetime, stamp) = self
                 .queued
@@ -913,16 +855,6 @@ impl ServeRuntime {
             &ctx.snapshots,
         );
         for (chip, step) in steps {
-            // Per-chip drain digest: the applied moves in plan order plus
-            // the step's skip/remaining accounting.
-            ctx.digest(Some(chip), |w| {
-                for m in &step.moved {
-                    w.extend([m.from.chip as u64, u64::from(m.from.vm.0)]);
-                    w.extend([m.to.chip as u64, u64::from(m.to.vm.0)]);
-                    w.extend(cost_words(&m.cost));
-                }
-                w.extend([step.skipped as u64, step.remaining as u64]);
-            });
             for m in &step.moved {
                 self.relocate(m.from, m.to, m.cost.paused_cycles)?;
                 self.temporal.emit(TraceEvent::DrainMove {
@@ -972,17 +904,6 @@ impl ServeRuntime {
             .cluster
             .defrag_pass(defrag, &self.cfg.defrag_budget, &ctx.snapshots)?;
         for (chip, receipt) in receipts {
-            // Per-chip defrag digest: the committed receipt —
-            // created/migrated/destroyed VMs and their costs in commit
-            // order.
-            ctx.digest(Some(chip), |w| {
-                w.extend(receipt.created.iter().map(|vm| u64::from(vm.0)));
-                for (vm, cost) in &receipt.migrated {
-                    w.push(u64::from(vm.0));
-                    w.extend(cost_words(cost));
-                }
-                w.extend(receipt.destroyed.iter().map(|vm| u64::from(vm.0)));
-            });
             if receipt.migration_count() == 0 {
                 continue;
             }
@@ -1065,7 +986,7 @@ impl ServeRuntime {
     /// binds its residents' ring programs and runs the simulator. Chips
     /// are decided, run and folded one after another in chip order, a
     /// reused epoch exactly like a run one: same trace event, same
-    /// digest, same counters.
+    /// counters.
     fn execution(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         if !self.cfg.execute_epochs || self.live.is_empty() {
             return Ok(());
@@ -1132,15 +1053,10 @@ impl ServeRuntime {
                 }
             }
             std::mem::swap(&mut memo.key, &mut memo.next_key);
-            let makespan = memo.makespan;
-            // Per-chip execution digest: the epoch's makespan (wall-clock
-            // nanos deliberately excluded — they are nondeterministic by
-            // nature).
-            ctx.digest(Some(chip), |w| w.push(makespan));
             self.temporal.emit(TraceEvent::Executed {
                 tick,
                 chip,
-                machine_cycles: makespan,
+                machine_cycles: memo.makespan,
             });
             ctx.events.executed_chips += 1;
         }
@@ -1188,8 +1104,7 @@ impl ServeRuntime {
     /// re-placement (chips in index order), else it stays pending until
     /// [`RecoveryPolicy::max_recovery_ticks`] ticks after detection, when
     /// it is retired as lost. A pending tenant whose fault is repaired
-    /// under it self-heals without moving. Only touched chips write
-    /// digest words.
+    /// under it self-heals without moving.
     fn recovery(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         if self.cfg.fault_plan.is_empty() && self.pending_recovery.is_empty() {
             return Ok(());
@@ -1233,13 +1148,6 @@ impl ServeRuntime {
             if !changed {
                 continue; // duplicate transition: nothing new
             }
-            ctx.digest(Some(chip), |w| {
-                w.push(if faulted { 1 } else { 2 });
-                match ev.kind {
-                    FaultKind::Core { core } => w.extend([u64::from(core), u64::MAX]),
-                    FaultKind::Link { a, b } => w.extend([u64::from(a), u64::from(b)]),
-                }
-            });
             if !faulted {
                 self.temporal.emit(TraceEvent::FaultRepair { tick, chip });
                 ctx.events.fault_repairs += 1;
@@ -1286,7 +1194,6 @@ impl ServeRuntime {
                 self.pending_recovery.remove(&id);
                 continue;
             }
-            let (dt, vm) = (tick - since, u64::from(id.vm.0));
             let recovered = |kind| TraceEvent::Recovered {
                 tick,
                 chip: id.chip,
@@ -1298,7 +1205,6 @@ impl ServeRuntime {
             if !FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm) {
                 self.pending_recovery.remove(&id);
                 self.temporal.emit(recovered(RecoveryKind::SelfHealed));
-                ctx.digest(Some(id.chip), |w| w.extend([3, vm, dt]));
                 continue;
             }
             // (a) Remap-under-pin around the dead resource. The plan
@@ -1329,9 +1235,6 @@ impl ServeRuntime {
                     self.pending_recovery.remove(&id);
                     self.temporal.emit(recovered(RecoveryKind::Remapped));
                     ctx.events.recoveries_remapped += 1;
-                    ctx.digest(Some(id.chip), |w| {
-                        w.extend([4, vm, dt, cost.paused_cycles]);
-                    });
                     continue;
                 }
             }
@@ -1353,18 +1256,10 @@ impl ServeRuntime {
                 // resolved is the one detected on the source chip.
                 self.temporal.emit(recovered(RecoveryKind::Replaced));
                 ctx.events.recoveries_replaced += 1;
-                ctx.digest(Some(id.chip), |w| {
-                    let to_vm = u64::from(new_id.vm.0);
-                    w.extend([5, vm, new_id.chip as u64, to_vm, dt, cost.paused_cycles]);
-                });
                 continue;
             }
             // (c) Nowhere to go: lost after the deadline, else pending.
-            let lost = dt >= self.cfg.recovery.max_recovery_ticks;
-            ctx.digest(Some(id.chip), |w| {
-                w.extend([if lost { 6 } else { 7 }, vm, dt]);
-            });
-            if lost {
+            if tick - since >= self.cfg.recovery.max_recovery_ticks {
                 self.pending_recovery.remove(&id);
                 self.temporal.emit(TraceEvent::TenantLost {
                     tick,
@@ -1604,16 +1499,6 @@ fn tenant_name(id: ClusterVmId) -> String {
     format!("chip{}vm{}", id.chip, id.vm.0)
 }
 
-/// A reconfiguration cost as digest words.
-fn cost_words(cost: &ReconfigCost) -> [u64; 4] {
-    [
-        cost.routing_cycles,
-        cost.rtt_cycles,
-        cost.data_move_bytes,
-        cost.paused_cycles,
-    ]
-}
-
 /// Binds one live vNPU's epoch workload: each virtual core computes and
 /// forwards a small activation block around the virtual ring (vRouter +
 /// vChunk services exercise the whole virtualization stack), single cores
@@ -1848,7 +1733,8 @@ mod tests {
     #[test]
     fn reports_and_digests_rerun_identical_with_epochs_reused() {
         // Long-lived tenants on three chips: most epochs are reuses, and
-        // which ones are must repeat run after run.
+        // which ones are must repeat run after run — as must the report,
+        // every tick's events and the recorded trace.
         let run = || {
             let mut cfg = quick_cluster_cfg(19);
             cfg.chips.push(cfg.chips[0].clone());
@@ -1856,26 +1742,23 @@ mod tests {
             cfg.traffic.mean_interarrival_ticks = 3;
             cfg.traffic.mean_lifetime_epochs = 25;
             cfg.placement = Arc::new(LeastLoaded);
-            cfg.phase_digests = true;
+            cfg.record_trace = true;
             let mut rt = ServeRuntime::new(cfg);
-            for _ in 0..70 {
-                rt.step().unwrap();
-            }
+            let events: Vec<TickEvents> = (0..70).map(|_| rt.step().unwrap()).collect();
             rt.drain().unwrap();
             (
                 rt.report().to_json(usize::MAX),
-                rt.digest_chain().unwrap().clone(),
+                events,
+                rt.trace().unwrap().to_vec(),
                 rt.epoch_memo_hits(),
             )
         };
-        let (json, chain, hits) = run();
+        let (json, events, trace, hits) = run();
         assert!(hits > 50, "the scenario must actually reuse epochs: {hits}");
-        let (j, c, h) = run();
+        let (j, e, t, h) = run();
         assert_eq!(j, json);
-        assert_eq!(
-            vnpu_conc::compare_chains("first", &chain, "second", &c),
-            None
-        );
+        assert_eq!(e, events);
+        assert_eq!(t, trace);
         assert_eq!(h, hits);
     }
 
@@ -2028,7 +1911,7 @@ mod tests {
 
     #[test]
     fn defrag_phase_pays_costed_migrations_and_recovers_fragmentation() {
-        use vnpu::plan::GreedyDefrag;
+        use vnpu::plan::{GreedyDefrag, ReconfigCost};
         let baseline = ServeRuntime::new(quick_cfg(13)).run().unwrap();
         assert_eq!(baseline.migrations, 0, "no defragmenter, no migrations");
         assert_eq!(baseline.reconfig, ReconfigCost::default());
@@ -2478,37 +2361,45 @@ mod tests {
 
     #[test]
     fn recovery_phase_digests_are_recorded_per_touched_chip() {
-        let mut cfg = ServeConfig::cluster(31, 60, vec![SocConfig::sim(), SocConfig::sim()]);
+        // The recovery phase's record is its trace events: a row outage
+        // under load on chip 0 is detected and recovered there, and on no
+        // other chip.
+        let mut cfg = ServeConfig::cluster(31, 80, vec![SocConfig::sim(), SocConfig::sim()]);
         cfg.traffic.candidate_cap = 200;
         cfg.traffic.mean_interarrival_ticks = 2;
+        cfg.traffic.mean_lifetime_epochs = 20;
         cfg.placement = Arc::new(LeastLoaded);
-        cfg.fault_plan = FaultPlan::new().row_outage(0, 6, 1, 20, Some(40));
-        cfg.phase_digests = true;
-        let mut a = ServeRuntime::new(cfg.clone());
-        for _ in 0..60 {
-            a.step().unwrap();
-        }
-        let chain_a = a.digest_chain().expect("digests on").clone();
-        assert!(
-            chain_a
-                .entries
-                .iter()
-                .any(|e| e.phase == vnpu_conc::Phase::Recovery && e.chip == Some(0)),
-            "fault ticks must record recovery digests"
-        );
-        let mut b = ServeRuntime::new(cfg);
-        for _ in 0..60 {
-            b.step().unwrap();
-        }
-        let chain_b = b.digest_chain().expect("digests on").clone();
-        assert!(
-            vnpu_conc::compare_chains("first", &chain_a, "second", &chain_b).is_none(),
-            "recovery must be phase-for-phase deterministic run to run"
+        cfg.fault_plan = FaultPlan::new().row_outage(0, 6, 1, 40, Some(70));
+        cfg.record_trace = true;
+        let run = || {
+            let mut rt = ServeRuntime::new(cfg.clone());
+            for _ in 0..80 {
+                rt.step().unwrap();
+            }
+            rt.trace().unwrap().to_vec()
+        };
+        let trace = run();
+        // `(chip, detected rather than recovered)` per recovery event.
+        let recovery: Vec<(usize, bool)> = trace
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::RecoveryDetected { chip, .. } => Some((chip, true)),
+                TraceEvent::Recovered { chip, .. } => Some((chip, false)),
+                _ => None,
+            })
+            .collect();
+        assert!(recovery.contains(&(0, true)), "chip 0's outage is detected");
+        assert!(recovery.contains(&(0, false)), "and recovered");
+        assert!(recovery.iter().all(|&(chip, _)| chip == 0), "{recovery:?}");
+        assert_eq!(
+            run(),
+            trace,
+            "recovery must be event-for-event deterministic run to run"
         );
     }
 
     #[test]
-    fn the_phase_wrapper_orders_digests_and_times_only_on_request() {
+    fn the_phase_wrapper_times_only_on_request() {
         use vnpu::plan::GreedyDefrag;
         // Every timed phase has work: faults, a drain, defrag, execution.
         let busy_cfg = |time_phases: bool| {
@@ -2518,20 +2409,21 @@ mod tests {
             cfg.placement = Arc::new(LeastLoaded);
             cfg.defrag = Some(Arc::new(GreedyDefrag::default()));
             cfg.fault_plan = FaultPlan::new().row_outage(0, 6, 1, 20, Some(40));
-            cfg.phase_digests = true;
+            cfg.record_trace = true;
             cfg.time_phases = time_phases;
             cfg
         };
         let run = |time_phases: bool| {
             let mut rt = ServeRuntime::new(busy_cfg(time_phases));
+            let mut events = Vec::new();
             let started = Instant::now();
             for tick in 0..60 {
                 if tick == 30 {
                     rt.begin_drain(1).unwrap();
                 }
-                rt.step().unwrap();
+                events.push(rt.step().unwrap());
             }
-            (rt, started.elapsed().as_nanos() as u64)
+            (rt, events, started.elapsed().as_nanos() as u64)
         };
         let phase_nanos = |r: &ServeReport| {
             [
@@ -2543,29 +2435,31 @@ mod tests {
             ]
         };
 
-        let (untimed, _) = run(false);
+        let (untimed, untimed_events, _) = run(false);
         let report = untimed.report();
         assert_eq!(phase_nanos(&report), [0; 5], "timing is off by default");
         assert!(report.per_chip.iter().all(|c| c.exec_nanos == 0));
-        // Within a tick the chain runs in phase order, chips ascending
-        // within a phase — and every timed phase left entries.
-        let chain = untimed.digest_chain().unwrap();
-        let key = |e: &vnpu_conc::DigestEntry| (e.tick, e.phase, e.chip);
-        assert!(chain.entries.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-        for phase in [
-            Phase::Recovery,
-            Phase::Admission,
-            Phase::Drain,
-            Phase::Defrag,
-            Phase::Execution,
-        ] {
-            assert!(chain.entries.iter().any(|e| e.phase == phase), "{phase}");
-        }
-        // One fleet-level admission entry per tick, whatever happened.
-        let admissions = chain.entries.iter().filter(|e| e.phase == Phase::Admission);
-        assert_eq!(admissions.count(), 60);
+        // Every timed phase left events, and the admission pass one
+        // `AdmissionStart` a tick, whatever happened.
+        let trace = untimed.trace().unwrap();
+        let worked: std::collections::BTreeSet<&str> = trace
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::FaultOnset { .. } => Some("recovery"),
+                TraceEvent::Admitted { .. } => Some("admission"),
+                TraceEvent::DrainMove { .. } => Some("drain"),
+                TraceEvent::Migrated { .. } => Some("defrag"),
+                TraceEvent::Executed { .. } => Some("execution"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(worked.len(), 5, "{worked:?}");
+        let passes = trace
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::AdmissionStart { .. }));
+        assert_eq!(passes.count(), 60);
 
-        let (timed, wall) = run(true);
+        let (timed, timed_events, wall) = run(true);
         let report = timed.report();
         let nanos = phase_nanos(&report);
         assert!(nanos.iter().all(|&n| n > 0), "every phase timed: {nanos:?}");
@@ -2574,10 +2468,8 @@ mod tests {
             "phases are timed once each, inside step(): {nanos:?} vs {wall}"
         );
         // Timing observes; it changes nothing else.
-        assert_eq!(
-            vnpu_conc::compare_chains("untimed", chain, "timed", timed.digest_chain().unwrap()),
-            None
-        );
+        assert_eq!(timed_events, untimed_events);
+        assert_eq!(timed.trace(), untimed.trace());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Streaming temporal-property verification over vNPU serve traces.
 //!
-//! The repository's other analysis layers check *instants*:
-//! `vnpu_audit` validates per-tick snapshots (safety) and `vnpu_conc`
-//! validates ordering (determinism). Neither can see a run in which a
+//! The repository's other analysis layer checks *instants*: `vnpu_audit`
+//! validates per-tick snapshots (safety). It cannot see a run in which a
 //! request starves forever, a drain never converges, or a fault blows
 //! past its recovery deadline — every individual tick still audits
 //! clean. This crate adds the missing temporal axis:
@@ -10,7 +9,8 @@
 //! 1. a structured [`TraceEvent`] log, emitted by the serve loop as
 //!    transitions happen, which replaces lossy ad-hoc counters as the
 //!    single source of truth — the serve report folds its numbers from
-//!    the same stream ([`TraceFold`]) the checker verifies;
+//!    the same stream ([`TraceFold`]) the checker verifies, and two runs
+//!    that must agree are compared event by event on it;
 //! 2. a property-combinator DSL ([`props`]: `always`, `never`,
 //!    `leads_to_within(n)`, `monotone`, `conserved`) from which the
 //!    shipped `TEMP-*` catalogue is composed;

@@ -26,9 +26,10 @@ cargo test -q
 
 section "serve output pin"
 # One seeded 4-chip run with every reconfiguration layer on, compared
-# against absolute constants (report JSON hash, trace length, digest
-# chain length and fold) captured before the serve loop was restructured:
-# a refactor of the loop must reproduce them bit for bit.
+# against absolute constants (report JSON hash, trace length and a fold
+# over every trace event's Debug text) taken from the run before the serve
+# loop was restructured: a refactor of the loop must reproduce them bit
+# for bit.
 cargo test --test cluster -q serve_outputs_are_pinned_across_refactors
 
 section "paper figures"
@@ -61,10 +62,12 @@ section "scripts/loc.sh (non-test source size)"
 # lines of IOTLB miss runs (`Translate::translate_miss_run`, the page
 # translator's booking and `PageTlb::fill_stream`, `Hbm::repeat`, the
 # period booking in `do_dma`, and `do_send`'s budget stop, less the deleted
-# `PageTlb::insert` / `flush`), which cut it by a further 58%.
-CORE_SERVE_CODE_MAX=4954
+# `PageTlb::insert` / `flush`), which cut it by a further 58%, less the
+# 312 lines of the phase digest chain (`vnpu_conc`'s 231 and the serve
+# loop's 81), replaced by comparing recorded traces.
+CORE_SERVE_CODE_MAX=4873
 TOPO_CODE_MAX=2026
-WORKSPACE_CODE_MAX=16083
+WORKSPACE_CODE_MAX=15771
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -107,12 +110,12 @@ cargo fmt --check
 section "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-section "determinism sanitizer gate"
-# Mutation suite: a fold in completion order must be flagged under
-# CONC-DET while a fold in job order stays clean, and the shipped runtime
-# records identical digest chains run after run with an unperturbed report.
-cargo test --test conc_mutations -q
-echo "conc gate: mutant flagged, shipped code digest-identical"
+section "determinism gate"
+# Two same-seed runs of a 3-chip churn with defrag and the fleet audit on
+# must record identical traces, tick events and report JSON; a mismatch
+# names the first differing event, its tick and both events.
+cargo test --test scenarios -q same_seed_reruns_record_identical_traces
+echo "determinism gate: same-seed reruns record identical traces"
 
 section "epoch-memo differential gate"
 # The serve loop reuses a chip's last epoch while its inputs are

@@ -521,14 +521,14 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 
 /// An absolute pin on everything one serve run publishes: the report
 /// JSON, the trace stream's length and a fold over every event's `{:?}`
-/// text, and the digest chain. The scenario turns every reconfiguration
-/// layer on at once — churn over a heterogeneous 4-chip fleet, defrag
-/// every 4 ticks, seeded core faults plus a link fault, one
-/// begin/complete/undrain maintenance cycle, the fleet audit, the online
-/// temporal checker, trace recording and phase digests. The constants were
-/// captured at the commit *before* the serve loop was restructured into
-/// phase units (the trace fold later, from the same unchanged run); a
-/// refactor of the loop must reproduce them bit for bit.
+/// text. The scenario turns every reconfiguration layer on at once —
+/// churn over a heterogeneous 4-chip fleet, defrag every 4 ticks, seeded
+/// core faults plus a link fault, one begin/complete/undrain maintenance
+/// cycle, the fleet audit, the online temporal checker and trace
+/// recording. The constants were captured at the commit *before* the
+/// serve loop was restructured into phase units (the trace fold later,
+/// from the same unchanged run); a refactor of the loop must reproduce
+/// them bit for bit.
 #[test]
 fn serve_outputs_are_pinned_across_refactors() {
     use vnpu::plan::GreedyDefrag;
@@ -554,7 +554,6 @@ fn serve_outputs_are_pinned_across_refactors() {
     cfg.audit = true;
     cfg.temporal = true;
     cfg.record_trace = true;
-    cfg.phase_digests = true;
     let mut rt = ServeRuntime::new(cfg);
     let (mut drained_at, mut completed_at) = (None, None);
     while rt.tick_index() < 320 {
@@ -594,22 +593,9 @@ fn serve_outputs_are_pinned_across_refactors() {
             .iter()
             .flat_map(|e| format!("{e:?}").into_bytes()),
     );
-    let chain = rt.digest_chain().unwrap();
-    let chain_fold = fnv1a(chain.entries.iter().flat_map(|e| {
-        let chip = e.chip.map_or(u64::MAX, u64::from);
-        [e.tick, e.phase as u64, chip, e.digest]
-            .into_iter()
-            .flat_map(u64::to_le_bytes)
-    }));
     assert_eq!(
-        (json_hash, trace_len, trace_fold, chain.len(), chain_fold),
-        (
-            10_639_872_328_804_908_377,
-            3_210,
-            8_412_402_454_987_512_650,
-            1_994,
-            2_749_346_674_272_218_807
-        ),
+        (json_hash, trace_len, trace_fold),
+        (10_639_872_328_804_908_377, 3_210, 8_412_402_454_987_512_650),
         "the serve loop's published outputs moved"
     );
 }

@@ -10,6 +10,10 @@
 //! ends empty, and a fold-derived report that agrees with a direct count
 //! of the per-tick [`TickEvents`]. The tests then add the audit's verdict
 //! and what is particular to each lifecycle and asserted nowhere else.
+//!
+//! Determinism is proved on the same record: two same-seed runs must
+//! record identical traces, and [`first_divergence`] names the first event
+//! where they do not.
 
 use std::sync::Arc;
 use vnpu::cluster::{Cluster, LeastLoaded};
@@ -19,7 +23,7 @@ use vnpu_audit::{Rule, Severity};
 use vnpu_fault::FaultPlan;
 use vnpu_serve::{ServeConfig, ServeReport, ServeRuntime, TickEvents};
 use vnpu_sim::SocConfig;
-use vnpu_temporal::check_trace;
+use vnpu_temporal::{check_trace, TraceEvent};
 
 /// One stepped run: the runtime, every tick's events, and what the final
 /// [`ServeRuntime::drain`] retired.
@@ -167,6 +171,68 @@ fn run_checked(cfg: &ServeConfig, lifecycle: impl Fn(&mut Run)) -> (Run, ServeRe
         "every request accounted exactly once"
     );
     (observed, report)
+}
+
+/// Where two traces that must be equal first part: the index of the first
+/// differing event, its tick and both events (`None` past a trace's end),
+/// or `None` when they are equal.
+fn first_divergence(a: &[TraceEvent], b: &[TraceEvent]) -> Option<String> {
+    let at = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))?;
+    let (x, y) = (a.get(at), b.get(at));
+    let tick = x.or(y).map_or(0, TraceEvent::tick);
+    Some(format!(
+        "traces diverge first at event {at}, tick {tick}: {x:?} vs {y:?}"
+    ))
+}
+
+/// Churn over three chips (two 6×6 and a 4×4) with defrag every 7 ticks and
+/// the fleet audit on, run twice from one seed: the two recorded traces,
+/// every tick's events and the report JSON must be identical.
+#[test]
+fn same_seed_reruns_record_identical_traces() {
+    let small = SocConfig {
+        mesh_width: 4,
+        mesh_height: 4,
+        ..SocConfig::sim()
+    };
+    let mut cfg = ServeConfig::cluster(
+        0xC0_1D_CA_FE,
+        40,
+        vec![SocConfig::sim(), small, SocConfig::sim()],
+    );
+    cfg.traffic.mean_interarrival_ticks = 1;
+    cfg.traffic.candidate_cap = 120;
+    cfg.placement = Arc::new(LeastLoaded);
+    cfg.defrag = Some(Arc::new(GreedyDefrag::default()));
+    cfg.defrag_interval = 7;
+    cfg.audit = true;
+    cfg.record_trace = true;
+    let rerun = || {
+        let mut run = Run {
+            rt: ServeRuntime::new(cfg.clone()),
+            events: Vec::new(),
+            drained: 0,
+        };
+        while run.rt.tick_index() < cfg.epochs {
+            run.step();
+        }
+        run.rt.drain().expect("end-of-run drain");
+        run
+    };
+    let (first, second) = (rerun(), rerun());
+    let trace = first.rt.trace().expect("record_trace is on");
+    assert!(trace.len() > 100, "the run must do something");
+    if let Some(divergence) = first_divergence(trace, second.rt.trace().unwrap()) {
+        panic!("{divergence}");
+    }
+    assert_eq!(first.events, second.events, "tick events must agree");
+    let report = first.rt.report();
+    assert_eq!(
+        report.to_json(usize::MAX),
+        second.rt.report().to_json(usize::MAX)
+    );
+    assert_eq!(report.audit_findings, 0, "the fleet audits clean");
+    assert!(report.migrations > 0, "defrag must move someone");
 }
 
 fn twin_chip_cfg(seed: u64, epochs: u64, mean_lifetime_epochs: u64) -> ServeConfig {

@@ -128,17 +128,23 @@ fn counters(report: &vnpu_sim::Report) -> String {
 /// options and provisioning), one row per figure, each built by the
 /// figure's own `cell`: Fig. 14 ResNet18 and BERT-base (the longest DMA
 /// streams, 664 320 bursts a cell) × the four memory modes, AlexNet (weight
-/// slices that start mid-page) × the two IOTLB sizes, Fig. 15
-/// transformer block 128 × {vNPU, UVM-32}, Fig. 16 36-core GPT2-small +
-/// ResNet34 × {vNPU, bare metal, MIG}.
+/// slices that start mid-page) × the two IOTLB sizes, GoogLeNet physical
+/// (10 154 213 contention cycles: packets wait on links), Fig. 15
+/// transformer blocks 128 and 64 × {vNPU, UVM-32}, Fig. 16 36-core
+/// GPT2-small + ResNet34 and 48-core GPT2-small + GPT2-large (319 488
+/// packets a cell) × {vNPU, bare metal, MIG}.
 fn paper_cells() -> Vec<(&'static str, String)> {
     use vnpu_bench::figs::{fig14_mem_virt, fig15_vnpu_vs_uvm, fig16_vnpu_vs_mig};
     use vnpu_bench::Design;
 
     let mut cells = Vec::new();
     let fpga = SocConfig::fpga();
-    let (resnet18, bert_base, alexnet) =
-        (models::resnet18(), models::bert_base(), models::alexnet());
+    let (resnet18, bert_base, alexnet, googlenet) = (
+        models::resnet18(),
+        models::bert_base(),
+        models::alexnet(),
+        models::googlenet(),
+    );
     for (name, model, mode) in [
         ("fig14/resnet18/physical", &resnet18, MemMode::Physical),
         (
@@ -182,28 +188,54 @@ fn paper_cells() -> Vec<(&'static str, String)> {
             &alexnet,
             MemMode::Page { tlb_entries: 4 },
         ),
+        ("fig14/googlenet/physical", &googlenet, MemMode::Physical),
     ] {
         let report = fig14_mem_virt::cell(&fpga, model, mode, 16);
         cells.push((name, counters(&report)));
     }
-    let (sim, block) = (SocConfig::sim(), models::transformer_block(128, 16));
-    for (name, design) in [
-        ("fig15/transformer_block_128/vnpu", Design::Vnpu),
+    let sim = SocConfig::sim();
+    let (block128, block64) = (
+        models::transformer_block(128, 16),
+        models::transformer_block(64, 16),
+    );
+    for (name, block, design) in [
+        ("fig15/transformer_block_128/vnpu", &block128, Design::Vnpu),
         (
             "fig15/transformer_block_128/uvm32",
+            &block128,
+            Design::Uvm { iotlb: 32 },
+        ),
+        ("fig15/transformer_block_64/vnpu", &block64, Design::Vnpu),
+        (
+            "fig15/transformer_block_64/uvm32",
+            &block64,
             Design::Uvm { iotlb: 32 },
         ),
     ] {
-        let report = fig15_vnpu_vs_uvm::cell(&sim, &block, design, 32);
+        let report = fig15_vnpu_vs_uvm::cell(&sim, block, design, 32);
         cells.push((name, counters(&report)));
     }
-    let (small, big) = (models::gpt2_small(), models::resnet34());
+    let (small, resnet34, large) = (
+        models::gpt2_small(),
+        models::resnet34(),
+        models::gpt2_large(),
+    );
     for (name, resnet_cores, design) in [
         ("fig16/36c_gpt2s_resnet34/vnpu", 24, Some(Design::Vnpu)),
         ("fig16/36c_gpt2s_resnet34/bare", 24, Some(Design::BareMetal)),
         ("fig16/36c_gpt2s_resnet34/mig", 18, None),
     ] {
-        let report = fig16_vnpu_vs_mig::cell(&sim, (&small, 12), (&big, resnet_cores), design, 96);
+        let report =
+            fig16_vnpu_vs_mig::cell(&sim, (&small, 12), (&resnet34, resnet_cores), design, 96);
+        cells.push((name, counters(&report)));
+    }
+    let sim48 = SocConfig::sim48();
+    for (name, design) in [
+        ("fig16/48c_gpt2s_gpt2l/vnpu", Some(Design::Vnpu)),
+        ("fig16/48c_gpt2s_gpt2l/bare", Some(Design::BareMetal)),
+        ("fig16/48c_gpt2s_gpt2l/mig", None),
+    ] {
+        let report = fig16_vnpu_vs_mig::cell(&sim48, (&small, 12), (&large, 36), design, 96);
         cells.push((name, counters(&report)));
     }
     cells
@@ -275,12 +307,24 @@ const PAPER_CELL_PINS: &[(&str, &str)] = &[
         "makespan=83614191 noc_packets=5408 noc_contention=1005584 hbm_wait=197803704 translation=22759264 | 0:288/144/144/144/28944 1:1808/1184/624/624/125984 2:1792/1184/608/608/122784 3:3600/2384/1216/1216/245584 4:10368/6896/3472/3472/701296 5:25920/17264/8656/8656/1748464 6:147456/98288/49168/49168/9931888 7:146304/97520/48784/48784/9854320",
     ),
     (
+        "fig14/googlenet/physical",
+        "makespan=27293806 noc_packets=20576 noc_contention=10154213 hbm_wait=692956828 translation=0 | 0:96/96/0/0/0 1:224/224/0/0/0 2:224/224/0/0/0 3:448/448/0/0/0 4:1296/1296/0/0/0 5:2240/2240/0/0/0 6:3296/3296/0/0/0 7:46928/46928/0/0/0",
+    ),
+    (
         "fig15/transformer_block_128/vnpu",
         "makespan=58791 noc_packets=352 noc_contention=0 hbm_wait=34235 translation=172 | 0:56/55/1/1/67 1:8/7/1/1/19 6:32/31/1/1/43 7:32/31/1/1/43",
     ),
     (
         "fig15/transformer_block_128/uvm32",
         "makespan=156667 noc_packets=0 noc_contention=0 hbm_wait=725389 translation=13170 | 0:184/169/15/15/3169 1:232/222/10/10/2222 6:224/205/19/19/4005 7:192/174/18/18/3774",
+    ),
+    (
+        "fig15/transformer_block_64/vnpu",
+        "makespan=37720 noc_packets=224 noc_contention=10 hbm_wait=2234 translation=100 | 0:38/37/1/1/49 1:2/1/1/1/13 6:8/7/1/1/19 7:8/7/1/1/19",
+    ),
+    (
+        "fig15/transformer_block_64/uvm32",
+        "makespan=93336 noc_packets=0 noc_contention=0 hbm_wait=180141 translation=4683 | 0:134/129/5/5/1129 1:98/95/3/3/695 6:168/161/7/7/1561 7:104/98/6/6/1298",
     ),
     (
         "fig16/36c_gpt2s_resnet34/vnpu",
@@ -293,5 +337,17 @@ const PAPER_CELL_PINS: &[(&str, &str)] = &[
     (
         "fig16/36c_gpt2s_resnet34/mig",
         "makespan=8088505 noc_packets=142272 noc_contention=10752 hbm_wait=1932825656 translation=0 | 0:5760/5760/0/0/0 1:3456/3456/0/0/0 2:3456/3456/0/0/0 6:3456/3456/0/0/0 7:3456/3456/0/0/0 8:3456/3456/0/0/0 12:3456/3456/0/0/0 13:3456/3456/0/0/0 14:3456/3456/0/0/0 18:3456/3456/0/0/0 19:3456/3456/0/0/0 20:3456/3456/0/0/0 3:5/5/0/0/0 4:5/5/0/0/0 5:18/18/0/0/0 9:18/18/0/0/0 10:18/18/0/0/0 11:18/18/0/0/0 15:18/18/0/0/0 16:130/130/0/0/0 17:864/864/0/0/0 21:1168/1168/0/0/0 22:1152/1152/0/0/0 23:1152/1152/0/0/0 27:1152/1152/0/0/0 28:640/640/0/0/0 29:1152/1152/0/0/0 33:1152/1152/0/0/0 34:1152/1152/0/0/0 35:826/826/0/0/0",
+    ),
+    (
+        "fig16/48c_gpt2s_gpt2l/vnpu",
+        "makespan=25069582 noc_packets=319488 noc_contention=0 hbm_wait=97131282041 translation=394072 | 0:5760/5759/1/1/5771 1:3456/3455/1/1/3467 2:3456/3455/1/1/3467 3:3456/3455/1/1/3467 8:3456/3455/1/1/3467 9:3456/3455/1/1/3467 10:3456/3455/1/1/3467 11:3456/3455/1/1/3467 16:3456/3455/1/1/3467 17:3456/3455/1/1/3467 18:3456/3455/1/1/3467 19:3456/3455/1/1/3467 4:13440/13439/1/1/13451 5:9600/9599/1/1/9611 6:9600/9599/1/1/9611 31:9600/9599/1/1/9611 23:9600/9599/1/1/9611 15:9600/9599/1/1/9611 12:9600/9599/1/1/9611 13:9600/9599/1/1/9611 14:9600/9599/1/1/9611 22:9600/9599/1/1/9611 21:9601/9599/2/3/9631 7:9600/9599/1/2/9619 20:9600/9599/1/2/9619 28:9600/9599/1/2/9619 29:9600/9599/1/2/9619 30:9600/9599/1/2/9619 34:9600/9599/1/2/9619 26:9600/9599/1/2/9619 33:9600/9599/1/2/9619 25:9600/9599/1/2/9619 37:9600/9599/1/2/9619 36:9600/9599/1/2/9619 35:9600/9599/1/2/9619 27:9600/9599/1/2/9619 32:9601/9599/2/4/9639 24:9600/9599/1/3/9627 38:9600/9599/1/3/9627 41:9600/9599/1/3/9627 42:9600/9599/1/3/9627 43:9600/9599/1/3/9627 40:9600/9599/1/3/9627 44:9600/9599/1/3/9627 45:9600/9599/1/3/9627 46:9600/9599/1/3/9627 47:9600/9599/1/3/9627 39:9600/9599/1/3/9627",
+    ),
+    (
+        "fig16/48c_gpt2s_gpt2l/bare",
+        "makespan=25068045 noc_packets=319488 noc_contention=0 hbm_wait=98122662768 translation=0 | 0:5760/5760/0/0/0 1:3456/3456/0/0/0 2:3456/3456/0/0/0 3:3456/3456/0/0/0 8:3456/3456/0/0/0 9:3456/3456/0/0/0 10:3456/3456/0/0/0 11:3456/3456/0/0/0 16:3456/3456/0/0/0 17:3456/3456/0/0/0 18:3456/3456/0/0/0 19:3456/3456/0/0/0 4:13440/13440/0/0/0 5:9600/9600/0/0/0 6:9600/9600/0/0/0 31:9600/9600/0/0/0 23:9600/9600/0/0/0 15:9600/9600/0/0/0 12:9600/9600/0/0/0 13:9600/9600/0/0/0 14:9600/9600/0/0/0 22:9600/9600/0/0/0 21:9600/9600/0/0/0 7:9600/9600/0/0/0 20:9600/9600/0/0/0 28:9600/9600/0/0/0 29:9600/9600/0/0/0 30:9600/9600/0/0/0 34:9600/9600/0/0/0 26:9600/9600/0/0/0 33:9600/9600/0/0/0 25:9600/9600/0/0/0 37:9600/9600/0/0/0 36:9600/9600/0/0/0 35:9600/9600/0/0/0 27:9600/9600/0/0/0 32:9600/9600/0/0/0 24:9600/9600/0/0/0 38:9600/9600/0/0/0 41:9600/9600/0/0/0 42:9600/9600/0/0/0 43:9600/9600/0/0/0 40:9600/9600/0/0/0 44:9600/9600/0/0/0 45:9600/9600/0/0/0 46:9600/9600/0/0/0 47:9600/9600/0/0/0 39:9600/9600/0/0/0",
+    ),
+    (
+        "fig16/48c_gpt2s_gpt2l/mig",
+        "makespan=41243311 noc_packets=319488 noc_contention=0 hbm_wait=111076672368 translation=0 | 0:5760/5760/0/0/0 1:3456/3456/0/0/0 2:3456/3456/0/0/0 3:3456/3456/0/0/0 8:3456/3456/0/0/0 9:3456/3456/0/0/0 10:3456/3456/0/0/0 11:3456/3456/0/0/0 16:3456/3456/0/0/0 17:3456/3456/0/0/0 18:3456/3456/0/0/0 19:3456/3456/0/0/0 4:13440/13440/0/0/0 5:9600/9600/0/0/0 6:9600/9600/0/0/0 7:9600/9600/0/0/0 12:9600/9600/0/0/0 13:9600/9600/0/0/0 14:9600/9600/0/0/0 15:9600/9600/0/0/0 20:9600/9600/0/0/0 21:9600/9600/0/0/0 22:9600/9600/0/0/0 23:9600/9600/0/0/0 28:9600/9600/0/0/0 29:9600/9600/0/0/0 30:9600/9600/0/0/0 31:9600/9600/0/0/0 36:9600/9600/0/0/0 37:9600/9600/0/0/0 38:9600/9600/0/0/0 39:9600/9600/0/0/0 44:9600/9600/0/0/0 45:9600/9600/0/0/0 46:9600/9600/0/0/0 47:9600/9600/0/0/0 4:9600/9600/0/0/0 5:9600/9600/0/0/0 6:9600/9600/0/0/0 7:9600/9600/0/0/0 12:9600/9600/0/0/0 13:9600/9600/0/0/0 14:9600/9600/0/0/0 15:9600/9600/0/0/0 20:9600/9600/0/0/0 21:9600/9600/0/0/0 22:9600/9600/0/0/0 23:9600/9600/0/0/0",
     ),
 ];

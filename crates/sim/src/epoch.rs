@@ -27,18 +27,48 @@
 //! arrival does one thing: it adds to its flow's `arrived` count. So a
 //! packet is not queued. `Send` still draws one sequence number per
 //! packet — the place its arrival holds in the total `(time, seq)` order
-//! — and records `(arrival, seq, bytes)` on the flow, in one epoch-level
-//! arena of list nodes (`EpochState::arrivals`, freed nodes reused).
-//! Whoever reads `arrived` first folds in every record ordered before the
+//! — and records its packets on the flow as **run nodes** in one
+//! epoch-level arena (`EpochState::arrivals`, freed nodes reused): a node
+//! `(time, seq, bytes, count, stride)` stands for `count` packets of
+//! `bytes`, the `i`-th arriving at `time + i·stride` under `seq + i`. A
+//! packet sent alone is a run of one; a train (below) is one node.
+//! Whoever reads `arrived` first folds in every packet ordered before the
 //! event being handled, which is exactly the set of arrivals a queue
-//! would have delivered by then. Only a receiver that must wait needs the
+//! would have delivered by then: whole nodes, then the prefix of a run
+//! that is due, in closed form. Only a receiver that must wait needs the
 //! queue: it gets a single `Event::FlowWake` under the `(arrival, seq)`
-//! of the packet that completes its need — queued by `Recv` when that
-//! packet is already in flight, by the completing `Send` otherwise — so
-//! it wakes at the point in the order, and its `ThreadReady` draws the
-//! sequence number, that a per-packet event would have given it. The
-//! latest arrival feeds `EpochState::makespan` and the cycle-limit
-//! check: a packet nobody receives counts as before.
+//! of the packet that completes its need, found inside its run by one
+//! division — queued by `Recv` when that packet is already in flight, by
+//! the completing `Send` otherwise — so it wakes at the point in the
+//! order, and its `ThreadReady` draws the sequence number, that a
+//! per-packet event would have given it. Two threads bound under one
+//! core ID may stream one flow over two paths; a run that lands before
+//! the flow's last packet is filed packet by packet, splitting the run
+//! each one lands in. The latest arrival feeds `EpochState::makespan` and
+//! the cycle-limit check: a packet nobody receives counts as before.
+//!
+//! # Sends by packet trains
+//!
+//! A `Send` cuts its bytes into `packet_bytes` packets, and the modelled
+//! engine injects each one a `stride = ser + packet_overhead +
+//! per_packet` after the one before — `ser` the time a packet holds a
+//! link. Nothing else touches the links while one `Send` streams. So once
+//! a packet waited on no link of its path, it was the last packet on each
+//! of them, the next full packet reaches each link `stride ≥ ser` later —
+//! after it was freed — and waits on none either; by induction every
+//! later full packet repeats its timing shifted by `stride`. `Send`
+//! therefore walks packets one by one ([`crate::noc::Noc::send_on`]) only
+//! while they wait, and books the full packets after the first clean one
+//! as one train: [`crate::noc::Noc::send_train`] moves each path link's
+//! clock and load in O(path), and one run node records their arrivals.
+//! A self-send has no link: its train moves only the packet count. The
+//! ragged last packet is still sent alone. A train's last arrival is
+//! computed in checked arithmetic, and one past `max_cycles` ends the
+//! `Send` in the [`SimError::CycleLimit`] the per-packet loop reaches at
+//! one of its packets. A path that crosses one link twice, where a packet
+//! could meet its own predecessor, goes packet by packet; so does every
+//! `Send` under `EpochState::send_per_packet`, the schedule tests hold
+//! trains to.
 //!
 //! # DMA streams by runs
 //!
@@ -86,6 +116,7 @@ use crate::stats::{Activity, CoreTrace, Report, TenantStats};
 use crate::{Result, SimError};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use vnpu_mem::translate::last_byte;
 use vnpu_mem::{Perm, VirtAddr};
 
@@ -104,18 +135,68 @@ pub(crate) struct FlowKey {
     pub tag: u32,
 }
 
+/// Hashes a [`FlowKey`]'s four words by multiply and rotate, not SipHash:
+/// `flow_index` is looked up on every `Send` and `Recv`. The map is never
+/// iterated, so its order cannot reach an output, and a program picking
+/// colliding tags slows only the simulation of itself.
+#[derive(Default)]
+pub(crate) struct FlowHasher(u64);
+
+impl Hasher for FlowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// End of an in-flight list / no free node.
 const NO_ARRIVAL: u32 = u32::MAX;
 
-/// One packet in flight: a node of its flow's arrival list, held in
-/// [`EpochState::arrivals`].
+/// A run of packets in flight: the `i`-th of `count` packets of `bytes`
+/// arrives at `time + i·stride` under sequence number `seq + i`. A node of
+/// its flow's arrival list, held in [`EpochState::arrivals`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Arrival {
     time: u64,
     seq: u64,
     bytes: u64,
-    /// Next packet of the flow (or next free node) in the arena.
+    count: u64,
+    stride: u64,
+    /// Next run of the flow (or next free node) in the arena.
     next: u32,
+}
+
+impl Arrival {
+    /// `(time, seq)` of the `i`-th packet.
+    fn packet(&self, i: u64) -> (u64, u64) {
+        (self.time + i * self.stride, self.seq + i)
+    }
+
+    fn last_time(&self) -> u64 {
+        self.packet(self.count - 1).0
+    }
+
+    /// The packets from the `i`-th on.
+    fn skip(&self, i: u64) -> Arrival {
+        let (time, seq) = self.packet(i);
+        Arrival {
+            time,
+            seq,
+            count: self.count - i,
+            ..*self
+        }
+    }
 }
 
 /// A receiver parked on a flow.
@@ -267,7 +348,7 @@ pub(crate) struct EpochState {
     /// Sequence number of the event being handled: with `now`, the point
     /// in the total order up to which arrivals have happened.
     cur_seq: u64,
-    pub flow_index: HashMap<FlowKey, usize>,
+    pub flow_index: HashMap<FlowKey, usize, BuildHasherDefault<FlowHasher>>,
     /// Flow slots; the first `flow_index.len()` are this epoch's, the
     /// rest are kept from earlier epochs for reuse.
     pub flows: Vec<FlowState>,
@@ -285,6 +366,10 @@ pub(crate) struct EpochState {
     /// set outside this module's tests, where it is the per-burst
     /// schedule the run path must be indistinguishable from.
     dma_per_burst: bool,
+    /// Send every packet on its own, as before trains. Never set outside
+    /// this module's tests, where it is the per-packet schedule trains
+    /// must be indistinguishable from.
+    send_per_packet: bool,
     pub flags: HashMap<(TenantId, u32), u64>,
     /// (thread, tag, needed_total, since)
     pub flag_waiters: Vec<(usize, u32, u64, u64)>,
@@ -303,13 +388,14 @@ impl EpochState {
             seq: 0,
             now: 0,
             cur_seq: 0,
-            flow_index: HashMap::new(),
+            flow_index: HashMap::default(),
             flows: Vec::new(),
             arrivals: Vec::new(),
             free_arrival: NO_ARRIVAL,
             last_arrival: 0,
             wake_per_packet: false,
             dma_per_burst: false,
+            send_per_packet: false,
             flags: HashMap::new(),
             flag_waiters: Vec::new(),
             barriers: HashMap::new(),
@@ -354,19 +440,87 @@ impl EpochState {
         });
     }
 
-    /// Records a packet of `fidx` arriving at `time`, under a sequence
-    /// number of its own.
-    fn record_arrival(&mut self, fidx: usize, time: u64, bytes: u64) {
-        self.seq += 1;
-        let seq = self.seq;
-        self.last_arrival = self.last_arrival.max(time);
-        let node = Arrival {
+    /// Records `count` packets of `fidx`, the `i`-th arriving at `time +
+    /// i·stride`, under `count` sequence numbers of their own.
+    fn record_run(&mut self, fidx: usize, time: u64, bytes: u64, count: u64, stride: u64) {
+        let run = Arrival {
             time,
-            seq,
+            seq: self.seq + 1,
             bytes,
+            count,
+            stride,
             next: NO_ARRIVAL,
         };
-        let at = if self.free_arrival == NO_ARRIVAL {
+        self.seq += count;
+        self.last_arrival = self.last_arrival.max(run.last_time());
+        if self.wake_per_packet {
+            for i in 0..count {
+                let (time, seq) = run.packet(i);
+                let event = Event::FlowWake(fidx);
+                self.queue.push(QueuedEvent { time, seq, event });
+            }
+        }
+        let flow = &mut self.flows[fidx];
+        // The run's sequence numbers are the largest drawn so far, so
+        // order is decided by time alone and ties go behind.
+        if flow.tail == NO_ARRIVAL || self.arrivals[flow.tail as usize].last_time() <= time {
+            let tail = flow.tail;
+            let at = self.alloc(run);
+            let flow = &mut self.flows[fidx];
+            match tail {
+                NO_ARRIVAL => flow.head = at,
+                tail => self.arrivals[tail as usize].next = at,
+            }
+            flow.tail = at;
+        } else {
+            // Two threads bound under one core ID stream this flow over
+            // two paths, and this run overtakes one in flight: file its
+            // packets in order, and let a parked receiver look again — its
+            // need may now be complete sooner.
+            if let Some(waiter) = flow.waiter.as_mut() {
+                waiter.wake_queued = false;
+            }
+            for i in 0..count {
+                self.insert(fidx, run.skip(i));
+            }
+        }
+    }
+
+    /// Files the first packet of `run` into `fidx`'s list behind every
+    /// packet that arrives no later, splitting the run it lands in.
+    fn insert(&mut self, fidx: usize, run: Arrival) {
+        let mut prev = NO_ARRIVAL;
+        let mut cur = self.flows[fidx].head;
+        while cur != NO_ARRIVAL && self.arrivals[cur as usize].time <= run.time {
+            let node = self.arrivals[cur as usize];
+            if node.last_time() > run.time {
+                let kept = (run.time - node.time) / node.stride + 1;
+                let rest = self.alloc(node.skip(kept));
+                self.arrivals[cur as usize].count = kept;
+                self.arrivals[cur as usize].next = rest;
+                if self.flows[fidx].tail == cur {
+                    self.flows[fidx].tail = rest;
+                }
+                (prev, cur) = (cur, rest);
+                break;
+            }
+            (prev, cur) = (cur, node.next);
+        }
+        let (count, next) = (1, cur);
+        let at = self.alloc(Arrival { count, next, ..run });
+        let flow = &mut self.flows[fidx];
+        match prev {
+            NO_ARRIVAL => flow.head = at,
+            prev => self.arrivals[prev as usize].next = at,
+        }
+        if cur == NO_ARRIVAL {
+            flow.tail = at;
+        }
+    }
+
+    /// Stores `node` in the arena, reusing a freed slot first.
+    fn alloc(&mut self, node: Arrival) -> u32 {
+        if self.free_arrival == NO_ARRIVAL {
             self.arrivals.push(node);
             (self.arrivals.len() - 1) as u32
         } else {
@@ -374,59 +528,36 @@ impl EpochState {
             self.free_arrival = self.arrivals[at as usize].next;
             self.arrivals[at as usize] = node;
             at
-        };
-        if self.wake_per_packet {
-            self.queue.push(QueuedEvent {
-                time,
-                seq,
-                event: Event::FlowWake(fidx),
-            });
-        }
-        let flow = &mut self.flows[fidx];
-        // `seq` is the largest drawn so far, so order is decided by time
-        // alone and ties go behind.
-        if flow.tail == NO_ARRIVAL || self.arrivals[flow.tail as usize].time <= time {
-            match flow.tail {
-                NO_ARRIVAL => flow.head = at,
-                tail => self.arrivals[tail as usize].next = at,
-            }
-            flow.tail = at;
-        } else {
-            // Two threads bound under one core ID stream this flow over
-            // two paths, and this packet overtakes one in flight: file it
-            // in order, and let a parked receiver look again — its need
-            // may now be complete sooner.
-            if let Some(waiter) = flow.waiter.as_mut() {
-                waiter.wake_queued = false;
-            }
-            let mut prev = NO_ARRIVAL;
-            let mut cur = flow.head;
-            while self.arrivals[cur as usize].time <= time {
-                prev = cur;
-                cur = self.arrivals[cur as usize].next;
-            }
-            self.arrivals[at as usize].next = cur;
-            match prev {
-                NO_ARRIVAL => flow.head = at,
-                prev => self.arrivals[prev as usize].next = at,
-            }
         }
     }
 
     /// Folds into `arrived` every packet of `fidx` that has arrived by
-    /// the event being handled, returning its node to the free list.
+    /// the event being handled, returning emptied nodes to the free list.
     fn fold_arrivals(&mut self, fidx: usize) {
-        let by = (self.now, self.cur_seq);
+        let (now, cur_seq) = (self.now, self.cur_seq);
         let flow = &mut self.flows[fidx];
         while flow.head != NO_ARRIVAL {
             let at = flow.head;
-            let node = self.arrivals[at as usize];
-            if (node.time, node.seq) > by {
+            let node = &mut self.arrivals[at as usize];
+            if (node.time, node.seq) > (now, cur_seq) {
                 return;
             }
-            flow.arrived += node.bytes;
+            // Every packet landing before `now` has arrived; of those
+            // landing at `now`, each drawn no later than the event.
+            let (before, by_now) = match (node.stride, now - node.time) {
+                (0, late) => (if late > 0 { node.count } else { 0 }, node.count),
+                (stride, late) => (late.div_ceil(stride), late / stride + 1),
+            };
+            let n = ((cur_seq + 1).saturating_sub(node.seq))
+                .clamp(before, by_now)
+                .min(node.count);
+            flow.arrived += n * node.bytes;
+            if n < node.count {
+                *node = node.skip(n);
+                return;
+            }
             flow.head = node.next;
-            self.arrivals[at as usize].next = self.free_arrival;
+            node.next = self.free_arrival;
             self.free_arrival = at;
         }
         flow.tail = NO_ARRIVAL;
@@ -447,16 +578,18 @@ impl EpochState {
         let mut at = flow.head;
         while at != NO_ARRIVAL {
             let node = self.arrivals[at as usize];
-            have += node.bytes;
-            if have >= waiter.needed {
+            if have + node.count * node.bytes >= waiter.needed {
+                // The packets before the `i`-th leave the need unmet.
+                let i = (waiter.needed.saturating_sub(have))
+                    .div_ceil(node.bytes)
+                    .saturating_sub(1);
+                let (time, seq) = node.packet(i);
                 waiter.wake_queued = true;
-                self.queue.push(QueuedEvent {
-                    time: node.time,
-                    seq: node.seq,
-                    event: Event::FlowWake(fidx),
-                });
+                let event = Event::FlowWake(fidx);
+                self.queue.push(QueuedEvent { time, seq, event });
                 return;
             }
+            have += node.count * node.bytes;
             at = node.next;
         }
     }
@@ -809,13 +942,12 @@ impl Machine {
         }
         flow.sent += bytes;
         let send_setup = self.config().send_setup;
-        let packet_bytes = self.config().packet_bytes;
+        let packet_bytes = self.config().packet_bytes.max(1);
         let packet_overhead = self.config().packet_overhead;
         let limit = self.config().max_cycles;
+        let over = || SimError::CycleLimit { limit };
         let now = self.epoch.now;
         let engine_busy_until = self.core(phys as usize).send_engine_busy_until;
-        // The path borrows from the router for the whole streaming loop,
-        // so from here on the machine is touched field by field.
         let router = &mut self
             .services
             .get_mut(t)
@@ -834,23 +966,52 @@ impl Machine {
         // Each packet departs at least `per_packet + packet_overhead`
         // after the one before, so a send whose last packet cannot land
         // within the budget stops here, and any other at the first packet
-        // that lands past it — before the arrival arena outgrows memory.
+        // or train that lands past it — before the arrival arena outgrows
+        // memory.
         let spacing = per_packet + packet_overhead;
-        let packets = bytes.div_ceil(packet_bytes.max(1));
+        let packets = bytes.div_ceil(packet_bytes);
         if packets.saturating_sub(1).saturating_mul(spacing) > limit.saturating_sub(depart) {
-            return Err(SimError::CycleLimit { limit });
+            return Err(over());
+        }
+        // Every hop is checked before a packet is booked; an empty send
+        // books none, so it crosses no link.
+        if bytes > 0 {
+            self.noc.route(path, &mut self.route)?;
         }
         let mut off = 0u64;
         while off < bytes {
             let len = packet_bytes.min(bytes - off);
-            let timing = self.noc.send_packet(path, len, depart + per_packet)?;
-            depart = timing.injected_at + packet_overhead;
+            let timing = self.noc.send_on(&self.route, len, depart + per_packet);
+            let mut next = timing.injected_at + packet_overhead;
             let arrival = timing.arrived_at + packet_overhead;
             if arrival > limit {
-                return Err(SimError::CycleLimit { limit });
+                return Err(over());
             }
-            self.epoch.record_arrival(fidx, arrival, len);
             off += len;
+            // Every full packet after one that waited on no link repeats
+            // its timing `stride` later (see the module docs).
+            let stride = next - depart;
+            let full = (bytes - off) / packet_bytes;
+            let train = if full == 0
+                || timing.waited
+                || self.epoch.send_per_packet
+                || self.route.repeats_a_link()
+            {
+                0
+            } else {
+                full
+            };
+            if train > 0 {
+                let span = train.checked_mul(stride).ok_or_else(over)?;
+                if arrival.checked_add(span).is_none_or(|last| last > limit) {
+                    return Err(over());
+                }
+                self.noc.send_train(&self.route, len, train, stride);
+                next += span;
+                off += train * len;
+            }
+            self.epoch.record_run(fidx, arrival, len, 1 + train, stride);
+            depart = next;
         }
         // A receiver already parked here wakes on the packet that
         // completes its need: one of these, if none before them did.
@@ -1132,13 +1293,21 @@ impl Machine {
         machine.epoch.dma_per_burst = true;
         machine
     }
+
+    /// A machine that sends every packet on its own — one
+    /// `Noc::send_on` and one arrival node each, the loop before trains.
+    fn with_per_packet_sends(cfg: crate::SocConfig) -> Machine {
+        let mut machine = Machine::new(cfg);
+        machine.epoch.send_per_packet = true;
+        machine
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::CoreServices;
-    use crate::noc::DorRouter;
+    use crate::noc::{DorRouter, NocRouter};
     use crate::SocConfig;
     use std::cell::Cell;
     use std::sync::{Arc, Mutex};
@@ -1147,7 +1316,7 @@ mod tests {
     use vnpu_mem::proptest_lite::{check, range, vec_of};
     use vnpu_mem::rtt::{RangeTranslationTable, RangeTranslator, RttEntry};
     use vnpu_mem::translate::PhysicalTranslator;
-    use vnpu_mem::{prop_assert_eq, MemError, PhysAddr, Translate, TranslationCosts};
+    use vnpu_mem::{prop_assert, prop_assert_eq, MemError, PhysAddr, Translate, TranslationCosts};
 
     /// Everything a report holds, rendered.
     fn fingerprint(report: &Report) -> String {
@@ -1205,18 +1374,21 @@ mod tests {
         }
     }
 
-    /// Binds the rings described by `layout` and the per-core `specs`
-    /// `(delay, send pattern, recv split, order)`.
+    /// Binds rings of the given sizes and the per-core `specs` `(delay,
+    /// send pattern, recv split, order)`. Returns each ring's tenant and
+    /// cores.
     fn bind_rings(
         machine: &mut Machine,
-        layout: usize,
+        rings: &[usize],
         iterations: u32,
         specs: &[(u64, usize, usize, usize)],
-    ) {
+    ) -> Vec<(TenantId, &'static [u32])> {
+        let mut bound = Vec::new();
         let mut next_core = 0;
-        for &ring in RINGS[layout] {
+        for &ring in rings {
             let tenant = machine.add_tenant("ring");
             let cores = &CORE_ORDER[next_core..next_core + ring];
+            bound.push((tenant, cores));
             let ring_specs = &specs[next_core..next_core + ring];
             next_core += ring;
             for (i, (&core, &(delay, send, split, order))) in
@@ -1261,6 +1433,7 @@ mod tests {
                     .expect("bind");
             }
         }
+        bound
     }
 
     #[test]
@@ -1292,8 +1465,8 @@ mod tests {
                 };
                 let mut lazy = Machine::new(cfg.clone());
                 let mut eager = Machine::with_eager_arrivals(cfg);
-                bind_rings(&mut lazy, *layout, *iterations, specs);
-                bind_rings(&mut eager, *layout, *iterations, specs);
+                bind_rings(&mut lazy, RINGS[*layout], *iterations, specs);
+                bind_rings(&mut eager, RINGS[*layout], *iterations, specs);
                 let first = outcome(&mut lazy);
                 prop_assert_eq!(first, outcome(&mut eager));
                 match &first {
@@ -1308,8 +1481,8 @@ mod tests {
                         for _ in 0..RINGS[*layout].len() {
                             fresh.add_tenant("ring");
                         }
-                        bind_rings(&mut lazy, *layout, *iterations, specs);
-                        bind_rings(&mut fresh, *layout, *iterations, specs);
+                        bind_rings(&mut lazy, RINGS[*layout], *iterations, specs);
+                        bind_rings(&mut fresh, RINGS[*layout], *iterations, specs);
                         prop_assert_eq!(outcome(&mut lazy), outcome(&mut fresh));
                     }
                     Err(error) => {
@@ -1322,6 +1495,161 @@ mod tests {
         assert!(
             completed.get() > 0 && deadlocked.get() > 0 && waited.get() > 0,
             "{completed:?} completed ({waited:?} with a parked receiver), {deadlocked:?} deadlocked"
+        );
+    }
+
+    /// DOR routing that charges its second field in cycles a packet, as a
+    /// vRouter's destination rewrite does.
+    struct Muxed(DorRouter, u64);
+
+    impl NocRouter for Muxed {
+        fn resolve(&mut self, dst: u32) -> Result<(u32, u64)> {
+            self.0.resolve(dst)
+        }
+
+        fn path(&mut self, src: u32, dst: u32) -> Result<&[u32]> {
+            self.0.path(src, dst)
+        }
+
+        fn per_packet_overhead(&self) -> u64 {
+            self.1
+        }
+
+        fn name(&self) -> String {
+            "muxed".to_owned()
+        }
+    }
+
+    /// Every live flow's `(sent, arrived, consumed)` and its packets in
+    /// flight as `(time, seq, bytes)`, runs expanded, in list order.
+    fn in_flight(epoch: &EpochState) -> String {
+        let live = &epoch.flows[..epoch.flow_index.len()];
+        let mut out = String::new();
+        for flow in live {
+            out += &format!("{}/{}/{}:", flow.sent, flow.arrived, flow.consumed);
+            let mut at = flow.head;
+            while at != NO_ARRIVAL {
+                let node = epoch.arrivals[at as usize];
+                for i in 0..node.count {
+                    out += &format!(" {:?}", (node.packet(i), node.bytes));
+                }
+                at = node.next;
+            }
+            out += "\n";
+        }
+        out
+    }
+
+    #[test]
+    fn send_trains_match_the_per_packet_reference() {
+        // Rings of one core send to themselves.
+        const LAYOUTS: [&[usize]; 5] = [&[8], &[1, 3, 4], &[2, 1, 5], &[4, 4], &[1, 1, 2, 4]];
+        const CREDITS: [u64; 3] = [2048, 16 * 1024, 64 * 1024];
+        const PACKETS: [u64; 3] = [256, 1000, 2048];
+        // (packet_overhead, per-packet router cycles): the first two make
+        // a train's stride its serialization time.
+        const OVERHEADS: [(u64, u64); 4] = [(13, 0), (0, 0), (13, 1), (0, 3)];
+        const BUDGETS: [u64; 4] = [u64::MAX, 30_000, 12_000, 5_000];
+        const TWIN_BYTES: [u64; 4] = [2048, 6144, 9000, 700];
+        let count = |c: &Cell<u32>, yes: bool| c.set(c.get() + u32::from(yes));
+        let [completed, deadlocked, limited, mid_train, twinned] = [(); 5].map(|()| Cell::new(0));
+        // Arena nodes the trains saved: a node holds several packets only
+        // when a train was booked.
+        let saved = Cell::new(0usize);
+        let globals = (
+            (range(0usize..LAYOUTS.len()), range(0usize..CREDITS.len())),
+            (range(0usize..PACKETS.len()), range(0usize..OVERHEADS.len())),
+            (range(0usize..BUDGETS.len()), range(1u32..4)),
+            // Flags (wake per packet, degraded routers, a twin sender),
+            // then the twin's send and delay.
+            (range(0usize..8), range(0..TWIN_BYTES.len()), range(0..6000)),
+        );
+        let core = (
+            range(0u64..4),
+            range(0usize..SENDS.len()),
+            range(0usize..26),
+            range(0usize..4),
+        );
+        check(
+            "send_trains_match_the_per_packet_reference",
+            512,
+            (globals, vec_of(core, 8..9)),
+            |(((layout, credit), (packet, overhead), (budget, iterations), twin), specs)| {
+                let (flags, twin_bytes, twin_delay) = *twin;
+                let (packet_overhead, per_packet) = OVERHEADS[*overhead];
+                let cfg = SocConfig {
+                    flow_credit_bytes: CREDITS[*credit],
+                    packet_bytes: PACKETS[*packet],
+                    packet_overhead,
+                    max_cycles: BUDGETS[*budget],
+                    ..SocConfig::fpga()
+                };
+                // Trains and the per-packet reference under one wake
+                // schedule, then the reference under a wake per packet: it
+                // shares no run arithmetic with the trains.
+                let mut sides = Vec::new();
+                for (per_packet_sends, wake_per_packet) in [
+                    (false, flags & 1 == 1),
+                    (true, flags & 1 == 1),
+                    (true, true),
+                ] {
+                    let mut machine = Machine::new(cfg.clone());
+                    machine.epoch.send_per_packet = per_packet_sends;
+                    machine.epoch.wake_per_packet = wake_per_packet;
+                    if flags & 2 == 2 {
+                        machine.noc.set_degraded_penalty(4);
+                    }
+                    let rings = bind_rings(&mut machine, LAYOUTS[*layout], *iterations, specs);
+                    if flags & 4 == 4 {
+                        // A second thread under the first ring's first core
+                        // ID, on the mirrored core: its packets take another
+                        // path into the same flow and may overtake a run.
+                        let (tenant, cores) = rings[0];
+                        let send = Instr::send(cores[1 % cores.len()], TWIN_BYTES[twin_bytes], 0);
+                        let delay = vec![Instr::Delay { cycles: twin_delay }];
+                        let program = Program::looped(delay, vec![send], *iterations);
+                        machine
+                            .bind(7 - cores[0], tenant, cores[0], program)
+                            .unwrap();
+                    }
+                    for (thread, services) in machine.services.iter_mut().enumerate() {
+                        let muxed = Muxed(DorRouter::new(&cfg), per_packet + thread as u64 % 2);
+                        services.router = Box::new(muxed);
+                    }
+                    let outcome = outcome(&mut machine);
+                    let state = format!("{:?} {}", machine.noc, in_flight(&machine.epoch));
+                    sides.push((
+                        outcome,
+                        state,
+                        machine.epoch.seq,
+                        machine.epoch.arrivals.len(),
+                    ));
+                }
+                let (eager, reference, trains) = (&sides[2], &sides[1], &sides[0]);
+                prop_assert_eq!(&trains.0, &eager.0);
+                prop_assert_eq!(&trains.0, &reference.0);
+                let limit = matches!(&trains.0, Err(error) if error.contains("CycleLimit"));
+                if !limit {
+                    prop_assert_eq!(&trains.1, &reference.1, "links and packets in flight");
+                    prop_assert_eq!(trains.2, reference.2, "sequence numbers drawn");
+                }
+                prop_assert!(trains.3 <= reference.3, "{} nodes", trains.3);
+                saved.set(saved.get() + reference.3 - trains.3);
+                count(&completed, trains.0.is_ok());
+                count(&deadlocked, trains.0.is_err() && !limit);
+                count(&limited, limit);
+                count(&mid_train, limit && trains.2 < reference.2);
+                count(&twinned, trains.0.is_ok() && flags & 4 == 4);
+                Ok(())
+            },
+        );
+        assert!(
+            saved.get() > 0
+                && [&completed, &deadlocked, &limited, &mid_train, &twinned]
+                    .iter()
+                    .all(|c| c.get() > 0),
+            "{saved:?} arena nodes saved; {completed:?} completed ({twinned:?} with a twin), \
+             {deadlocked:?} deadlocked, {limited:?} out of budget ({mid_train:?} mid-train)"
         );
     }
 
@@ -1344,9 +1672,9 @@ mod tests {
         let mut epoch = EpochState::new(1);
         epoch.flows.push(FlowState::default());
         epoch.seq = 4;
-        epoch.record_arrival(0, 100, 7); // (100, 5)
-        epoch.record_arrival(0, 100, 11); // (100, 6)
-        epoch.record_arrival(0, 130, 13); // (130, 7)
+        epoch.record_run(0, 100, 7, 1, 0); // (100, 5)
+        epoch.record_run(0, 100, 11, 1, 0); // (100, 6)
+        epoch.record_run(0, 130, 13, 1, 0); // (130, 7)
         let arrived_by = |epoch: &mut EpochState, now, seq| {
             (epoch.now, epoch.cur_seq) = (now, seq);
             epoch.fold_arrivals(0);
@@ -1361,11 +1689,30 @@ mod tests {
         assert_eq!(arrived_by(&mut epoch, 131, 0), 31);
         // Folded nodes are reused before the arena grows, and a packet
         // that overtakes one in flight is filed ahead of it.
-        epoch.record_arrival(0, 140, 1);
-        epoch.record_arrival(0, 135, 2);
+        epoch.record_run(0, 140, 1, 1, 0);
+        epoch.record_run(0, 135, 2, 1, 0);
         assert_eq!(epoch.arrivals.len(), 3);
         assert_eq!(epoch.makespan(), 140);
         assert_eq!(arrived_by(&mut epoch, 135, 99), 33);
+        // A run of four 5-byte packets at (200, 10), (210, 11), (220, 12),
+        // (230, 13) folds a packet at a time, by time and then by seq; a
+        // packet landing inside it splits it.
+        epoch.record_run(0, 200, 5, 4, 10);
+        assert_eq!(epoch.makespan(), 230);
+        assert_eq!(arrived_by(&mut epoch, 150, 99), 34);
+        assert_eq!(arrived_by(&mut epoch, 200, 9), 34);
+        assert_eq!(arrived_by(&mut epoch, 210, 10), 39);
+        assert_eq!(arrived_by(&mut epoch, 210, 11), 44);
+        epoch.record_run(0, 220, 100, 1, 0); // (220, 14), behind (220, 12)
+        assert_eq!(arrived_by(&mut epoch, 220, 13), 49);
+        assert_eq!(arrived_by(&mut epoch, 220, 14), 149);
+        assert_eq!(arrived_by(&mut epoch, 225, 0), 149);
+        assert_eq!(arrived_by(&mut epoch, 230, 13), 154);
+        // Eight packets on one cycle: the sequence number alone decides.
+        epoch.record_run(0, 300, 1, 8, 0); // seq 15..=22
+        assert_eq!(arrived_by(&mut epoch, 300, 17), 157);
+        assert_eq!(arrived_by(&mut epoch, 301, 0), 162);
+        assert_eq!(epoch.flows[0].head, NO_ARRIVAL);
     }
 
     #[test]
@@ -1621,17 +1968,23 @@ mod tests {
         }
         // A send whose packets could all land in the budget at their
         // closest spacing stops at the first that lands past it: 1 MiB is
-        // 512 packets, 141 cycles apart on this hop.
+        // 512 packets, 141 cycles apart on this hop. Sent one by one, 70
+        // are recorded first; as a train behind the first, none is.
         let limit = 10_000;
-        let mut m = Machine::new(SocConfig {
+        let cfg = SocConfig {
             max_cycles: limit,
             ..SocConfig::fpga()
-        });
-        let t = m.add_tenant("guest");
-        m.bind(5, t, 0, Program::once(vec![Instr::send(1, 1 << 20, 0)]))
-            .unwrap();
-        assert_eq!(m.run().unwrap_err(), SimError::CycleLimit { limit });
-        assert_eq!(m.epoch.arrivals.len(), 70, "packets recorded");
+        };
+        for (mut m, recorded) in [
+            (Machine::with_per_packet_sends(cfg.clone()), 70),
+            (Machine::new(cfg), 0),
+        ] {
+            let t = m.add_tenant("guest");
+            m.bind(5, t, 0, Program::once(vec![Instr::send(1, 1 << 20, 0)]))
+                .unwrap();
+            assert_eq!(m.run().unwrap_err(), SimError::CycleLimit { limit });
+            assert_eq!(m.epoch.arrivals.len(), recorded, "packets recorded");
+        }
     }
 
     /// A translator the test keeps a handle on, so that its whole state

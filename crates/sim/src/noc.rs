@@ -8,6 +8,13 @@
 //! and the loser's wait shows up in [`Noc::contention_cycles`] — this is
 //! the *NoC interference* phenomenon of §4.1.2.
 //!
+//! A sender resolves its path once into a [`Route`] of link slots,
+//! checking every hop before any packet is booked, then books packets on
+//! it: one at a time ([`Noc::send_on`], which reports whether the packet
+//! waited on a link), or, behind a packet that waited on none, a whole
+//! train of equal packets at once ([`Noc::send_train`]: each link's clock
+//! moves by the train's span, in O(path)).
+//!
 //! Routing is pluggable through [`NocRouter`]: the bare-metal default
 //! ([`DorRouter`]) applies dimension-order routing on physical IDs; the
 //! `vnpu` crate supplies a vRouter implementation that first translates
@@ -153,6 +160,24 @@ pub struct PacketTiming {
     pub injected_at: u64,
     /// When the packet fully arrived at the destination.
     pub arrived_at: u64,
+    /// Whether the packet waited on any link of its path.
+    pub waited: bool,
+}
+
+/// A path resolved by [`Noc::route`] into the slots of its links, every
+/// hop checked: what one sender books all its packets along. Reuse one
+/// to keep its buffer.
+#[derive(Debug, Clone, Default)]
+pub struct Route {
+    slots: Vec<usize>,
+}
+
+impl Route {
+    /// Whether some link appears twice on the route, where a train's
+    /// packets would meet their own predecessor.
+    pub fn repeats_a_link(&self) -> bool {
+        (1..self.slots.len()).any(|i| self.slots[..i].contains(&self.slots[i]))
+    }
 }
 
 impl Noc {
@@ -218,54 +243,97 @@ impl Noc {
         })
     }
 
-    /// Sends one packet of `bytes` along `path` starting no earlier than
-    /// `depart`. Returns the injection-done and arrival times.
+    /// Resolves `path` (a node sequence, both endpoints included) into
+    /// `route`, checking every hop. A path of fewer than two nodes is a
+    /// self-send, with no link.
     ///
-    /// A single-node path (self-send) arrives after one router latency.
-    /// While the chip runs degraded (see [`Noc::set_degraded_penalty`]),
-    /// every hop pays the extra penalty on top of the router latency.
+    /// # Errors
+    ///
+    /// Returns [`SimError::RouteFault`] at the first hop that is not a
+    /// mesh link, or [`SimError::LinkFaulted`] at the first faulted one.
+    pub fn route(&self, path: &[u32], route: &mut Route) -> Result<()> {
+        route.slots.clear();
+        for w in path.windows(2) {
+            let slot = self.link_slot(w[0], w[1]).ok_or(SimError::RouteFault {
+                core: w[0],
+                dst: w[1],
+            })?;
+            if self.links[slot].faulted {
+                return Err(SimError::LinkFaulted {
+                    src: w[0],
+                    dst: w[1],
+                });
+            }
+            route.slots.push(slot);
+        }
+        Ok(())
+    }
+
+    /// Sends one packet of `bytes` along `route` starting no earlier than
+    /// `depart`. Returns the injection-done and arrival times, and whether
+    /// it waited on a link.
+    ///
+    /// A self-send arrives after one router latency. While the chip runs
+    /// degraded (see [`Noc::set_degraded_penalty`]), every hop pays the
+    /// extra penalty on top of the router latency.
+    pub fn send_on(&mut self, route: &Route, bytes: u64, depart: u64) -> PacketTiming {
+        self.packets_sent += 1;
+        let hop_latency = self.router_latency + self.degraded_penalty;
+        let ser = bytes.div_ceil(self.link_bw);
+        let contention = self.contention_cycles;
+        let mut t = depart;
+        let mut injected_at = depart;
+        for (hop, &slot) in route.slots.iter().enumerate() {
+            let link = &mut self.links[slot];
+            let start = t.max(link.busy_until);
+            self.contention_cycles += start - t;
+            link.busy_until = start + ser;
+            link.bytes_carried += bytes;
+            if hop == 0 {
+                injected_at = start + ser;
+            }
+            t = start + hop_latency + ser;
+        }
+        PacketTiming {
+            injected_at,
+            arrived_at: if route.slots.is_empty() {
+                depart + hop_latency
+            } else {
+                t
+            },
+            waited: self.contention_cycles > contention,
+        }
+    }
+
+    /// Books `count` more packets of `bytes` along `route`, each leaving
+    /// `stride` cycles after the one before, behind a packet of the same
+    /// size that [`Noc::send_on`] just sent there without waiting.
+    ///
+    /// The caller guarantees that `stride` is at least that packet's
+    /// serialization time and that the route repeats no link. Each packet
+    /// then reaches every link after the one before it freed it, and
+    /// repeats its timing `stride` later: no wait, and each link busy
+    /// `count · stride` longer.
+    pub fn send_train(&mut self, route: &Route, bytes: u64, count: u64, stride: u64) {
+        self.packets_sent += count;
+        for &slot in &route.slots {
+            let link = &mut self.links[slot];
+            link.busy_until += count * stride;
+            link.bytes_carried += count * bytes;
+        }
+    }
+
+    /// Sends one packet of `bytes` along `path`: [`Noc::route`], then
+    /// [`Noc::send_on`]. A packet that fails books nothing.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::RouteFault`] if the path uses a non-existent
     /// link, or [`SimError::LinkFaulted`] if it crosses a faulted one.
     pub fn send_packet(&mut self, path: &[u32], bytes: u64, depart: u64) -> Result<PacketTiming> {
-        self.packets_sent += 1;
-        let hop_latency = self.router_latency + self.degraded_penalty;
-        if path.len() < 2 {
-            return Ok(PacketTiming {
-                injected_at: depart,
-                arrived_at: depart + hop_latency,
-            });
-        }
-        let ser = bytes.div_ceil(self.link_bw);
-        let mut t = depart;
-        let mut injected_at = None;
-        for w in path.windows(2) {
-            let slot = self.link_slot(w[0], w[1]).ok_or(SimError::RouteFault {
-                core: w[0],
-                dst: w[1],
-            })?;
-            let link = &mut self.links[slot];
-            if link.faulted {
-                return Err(SimError::LinkFaulted {
-                    src: w[0],
-                    dst: w[1],
-                });
-            }
-            let start = t.max(link.busy_until);
-            self.contention_cycles += start - t;
-            link.busy_until = start + ser;
-            link.bytes_carried += bytes;
-            if injected_at.is_none() {
-                injected_at = Some(start + ser);
-            }
-            t = start + hop_latency + ser;
-        }
-        Ok(PacketTiming {
-            injected_at: injected_at.expect("path has at least one link"),
-            arrived_at: t,
-        })
+        let mut route = Route::default();
+        self.route(path, &mut route)?;
+        Ok(self.send_on(&route, bytes, depart))
     }
 
     /// Rewinds the NoC to an idle state for a fresh machine epoch: every
@@ -485,13 +553,14 @@ mod tests {
     fn crossing_flows_contend_on_shared_segment() {
         let c = cfg();
         let mut noc = Noc::new(&c);
-        // Flow A: 0->1->2; Flow B: 4->... wait, use 1->2 shared:
-        // A: 0->1->2, B: 5->1? 5 is below 1 on 4x2 mesh (nodes 0..3 top row,
-        // 4..7 bottom). B: 5->1->2 shares link (1,2).
+        // On the 4x2 mesh, 5 is below 1: A = 0->1->2 and B = 5->1->2
+        // share the link 1->2. A holds it from 131 to 259, so B, ready
+        // there at 131, waits 128 cycles and arrives two hops later.
         let a = noc.send_packet(&[0, 1, 2], 2048, 0).unwrap();
         let b = noc.send_packet(&[5, 1, 2], 2048, 0).unwrap();
-        assert!(noc.contention_cycles() > 0);
-        assert!(b.arrived_at > a.arrived_at || a.arrived_at > 2 * 131);
+        assert_eq!((a.arrived_at, a.waited), (262, false));
+        assert_eq!((b.arrived_at, b.waited), (390, true));
+        assert_eq!(noc.contention_cycles(), 128);
     }
 
     #[test]
@@ -500,6 +569,56 @@ mod tests {
         let mut noc = Noc::new(&c);
         // 0 and 2 are not adjacent on the 4-wide mesh.
         assert!(noc.send_packet(&[0, 2], 64, 0).is_err());
+    }
+
+    #[test]
+    fn a_failed_packet_leaves_the_noc_untouched() {
+        let mut noc = Noc::new(&cfg());
+        noc.send_packet(&[4, 0, 1], 2048, 0).unwrap();
+        noc.set_link_faulted(1, 2, true).unwrap();
+        let before = format!("{noc:?}");
+        // A faulted second hop, and a non-adjacent one after a good hop:
+        // the first hop is not booked either.
+        assert!(matches!(
+            noc.send_packet(&[0, 1, 2], 2048, 100),
+            Err(SimError::LinkFaulted { src: 1, dst: 2 })
+        ));
+        assert!(matches!(
+            noc.send_packet(&[0, 1, 3], 2048, 100),
+            Err(SimError::RouteFault { core: 1, dst: 3 })
+        ));
+        assert_eq!(format!("{noc:?}"), before);
+    }
+
+    #[test]
+    fn a_train_books_what_its_packets_would() {
+        // Behind foreign traffic, packets wait until one does not; from
+        // there, a train books the rest as sending them one by one would.
+        for (path, overhead) in [(&[0u32, 1, 2, 6][..], 13), (&[0, 1, 2, 6], 0), (&[3], 5)] {
+            let mut sides = Vec::new();
+            for train in [false, true] {
+                let mut noc = Noc::new(&cfg());
+                noc.send_packet(&[1, 2, 6], 2048, 100).unwrap();
+                noc.send_packet(&[2, 6], 2048, 600).unwrap();
+                let mut route = Route::default();
+                noc.route(path, &mut route).unwrap();
+                let (mut depart, mut left, mut last) = (0, 12, 0);
+                while left > 0 {
+                    let timing = noc.send_on(&route, 2048, depart);
+                    let next = timing.injected_at + overhead;
+                    (left, last) = (left - 1, timing.arrived_at);
+                    if train && !timing.waited {
+                        let stride = next - depart;
+                        noc.send_train(&route, 2048, left, stride);
+                        (depart, last) = (next + left * stride, last + left * stride);
+                        break;
+                    }
+                    depart = next;
+                }
+                sides.push((format!("{noc:?}"), depart, last));
+            }
+            assert_eq!(sides[0], sides[1], "{path:?}");
+        }
     }
 
     #[test]

@@ -64,10 +64,15 @@ section "scripts/loc.sh (non-test source size)"
 # period booking in `do_dma`, and `do_send`'s budget stop, less the deleted
 # `PageTlb::insert` / `flush`), which cut it by a further 58%, less the
 # 312 lines of the phase digest chain (`vnpu_conc`'s 231 and the serve
-# loop's 81), replaced by comparing recorded traces.
+# loop's 81), replaced by comparing recorded traces, plus the net 134 lines
+# of NoC packet trains (`Route` and the hop check before any booking,
+# `Noc::send_on` / `send_train`, run nodes in the arrival arena with their
+# prefix fold, division wake and overtaking split, the train booking in
+# `do_send`, and the multiply-rotate `FlowHasher`), which cut
+# `paper_static`'s `op_iqm_us` by 47% in paired runs.
 CORE_SERVE_CODE_MAX=4873
 TOPO_CODE_MAX=2026
-WORKSPACE_CODE_MAX=15771
+WORKSPACE_CODE_MAX=15905
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -157,7 +162,9 @@ section "simulator miss-path gate"
 # and the packet-arrival path were rewritten (the Fig. 14 BERT-base rows,
 # the longest DMA streams, before transfers went by translation runs; the
 # AlexNet IOTLB rows, whose weight slices start mid-page, before streams of
-# page misses were booked at once): a
+# page misses were booked at once; the Fig. 15 block-64, Fig. 16 48-core and
+# GoogLeNet physical rows, whose packets wait on links, before sends went
+# by packet trains): a
 # simulator change that moves any of them fails here, not only one that
 # moves a frame rate.
 cargo test --test baselines -q paper_cells_are_pinned
@@ -196,6 +203,19 @@ cargo test -p vnpu_sim -q dma_runs_match_the_per_burst_reference -- --nocapture
 # every refusal (wrong walk cost, non-MRU opening, run end, read-only run,
 # a period that is not a page) to leaving the translator untouched.
 cargo test -p vnpu_mem -q miss_run -- --nocapture
+# A send walks its packets one by one only while they wait on a link, then
+# books the rest of its full packets as one train (each path link's clock
+# and load moved at once, one run node for their arrivals). The campaign
+# holds trains to sending every packet on its own, over multi-tenant rings
+# with foreign traffic on the path, self-sends, ragged tails and
+# sub-packet sends, strides equal to the serialization time, small flow
+# credit, degraded routers, a second thread under one core ID overtaking a
+# run, and budgets that end mid-train: identical reports, deadlock and
+# cycle-limit texts, every link's clock and load, the packets in flight
+# and the sequence numbers drawn — and, against a wake per packet, the
+# wake times. It fails unless trains were booked and every such case was
+# reached.
+cargo test -p vnpu_sim -q send_trains_match_the_per_packet_reference -- --nocapture
 
 section "audit gate"
 # The fleet audit runs after every audited tick over flat arrays: paths

@@ -599,3 +599,42 @@ fn serve_outputs_are_pinned_across_refactors() {
         "the serve loop's published outputs moved"
     );
 }
+
+/// The same absolute pin on a saturated single 6×6 chip: one arrival a
+/// tick living 6 ticks at candidate cap 400, so most placements miss the
+/// placement cache and fall to the mapper's scored search — 3×3 requests
+/// on a fragmented chip take its bipartite (> 8-node) branch and 2-opt
+/// refinement. A change to how candidates are scored must leave every
+/// placement, and so these constants, unchanged.
+#[test]
+fn churn_placements_are_pinned() {
+    let mut cfg = ServeConfig::cluster(29, 600, vec![SocConfig::sim()]);
+    cfg.traffic.mean_interarrival_ticks = 1;
+    cfg.traffic.mean_lifetime_epochs = 6;
+    cfg.traffic.candidate_cap = 400;
+    cfg.record_trace = true;
+    let mut rt = ServeRuntime::new(cfg);
+    while rt.tick_index() < 600 {
+        rt.step().unwrap();
+    }
+    rt.drain().unwrap();
+    let report = rt.report();
+    assert!(
+        report.accepted > 0 && report.queued_at_end > 0,
+        "a saturated chip"
+    );
+
+    let json_hash = fnv1a(report.to_json(usize::MAX).bytes());
+    let trace_len = rt.trace().unwrap().len();
+    let trace_fold = fnv1a(
+        rt.trace()
+            .unwrap()
+            .iter()
+            .flat_map(|e| format!("{e:?}").into_bytes()),
+    );
+    assert_eq!(
+        (json_hash, trace_len, trace_fold),
+        (6_223_482_786_767_537_346, 3_521, 5_940_387_916_709_975_917),
+        "the churn run's placements moved"
+    );
+}

@@ -1498,6 +1498,36 @@ mod tests {
     }
 
     #[test]
+    fn hostile_edge_costs_are_an_error_not_an_overflow() {
+        // Regression: a 3x3 request whose edges cost u64::MAX / 3, on a
+        // chip with no free 3x3 window, reached the bipartite GED pricer
+        // and overflowed summing a node's deletion row (a panic under
+        // `cargo test`, a silent wrap in release). The search now refuses
+        // it up front and the chip is untouched.
+        let mut h = hv();
+        let columns_2_3 = (0..6).flat_map(|row| [6 * row + 2, 6 * row + 3]);
+        let taken: Vec<u32> = columns_2_3.chain([12, 13, 30, 31]).collect();
+        h.reserve_cores(&taken).unwrap();
+        let mut topology = Topology::empty(9);
+        for (a, b) in Topology::mesh2d(3, 3).edges().collect::<Vec<_>>() {
+            let cost = u64::MAX / 3;
+            topology
+                .add_edge_with(a, b, vnpu_topo::EdgeAttr { cost })
+                .unwrap();
+        }
+        let before = h.state_digest();
+        assert_eq!(
+            h.create_vnpu(VnpuRequest::custom(topology)),
+            Err(VnpuError::Mapping(vnpu_topo::TopoError::EdgeCostsTooLarge))
+        );
+        assert_eq!(
+            h.state_digest(),
+            before,
+            "a refused request changes nothing"
+        );
+    }
+
+    #[test]
     fn plan_and_commit_agree_on_an_over_released_tenant() {
         // Regression: the planner searched first and checked ownership
         // only when the tenant moved, so a stay-put Remap of a tenant with

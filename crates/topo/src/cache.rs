@@ -30,10 +30,30 @@
 //! cached placement is re-checked against the *current* free set, so a
 //! 64-bit fingerprint collision degrades to a cache miss instead of a
 //! silently double-allocated core.
+//!
+//! Each `MappingCache` also holds a second, finer memo — the **score
+//! memo** — which a placement-cache miss consults while it scores
+//! candidates: one table for `ged::ged(req, sub, costs)`, one for
+//! `ged::refine_mapping(req, sub, start, costs, 8)`. Both kernels are pure
+//! functions of their inputs, and the memo serves default-cost searches
+//! only (the condition of [`Strategy::cache_tag`]). [`UniformCosts`]
+//! reads a node's `kind` and an edge's `cost` and nothing else, so the key
+//! is *structural*: the request (interned by its node count, kinds and
+//! edges with costs, compared for equality) and the candidate's induced
+//! subgraph in sorted-cell order — kinds and upper-triangle adjacency,
+//! packed exactly into a `u128` for at most 12 nodes whose edges all cost
+//! the default. It drops `mem_distance`, which `UniformCosts` never reads,
+//! so candidates that are translates of each other on the mesh share an
+//! entry. Larger or cost-annotated candidates call the kernel directly.
+//! The tables are bounded and cleared whole when full, so a run's hits
+//! depend on nothing but its inputs.
+//!
+//! [`UniformCosts`]: crate::ged::UniformCosts
 
 use crate::canonical::{canonical_key, CanonicalKey};
+use crate::ged::GedResult;
 use crate::mapping::{Mapping, Strategy};
-use crate::{NodeId, Result, Topology};
+use crate::{EdgeAttr, NodeId, Result, Topology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -227,10 +247,15 @@ pub struct CacheKey {
     /// isomorphic-but-relabeled requests nor cost-only variants ever
     /// alias.
     labeled: u64,
-    /// Strategy discriminant (kind, cap, disconnected mode).
-    strategy: u64,
-    /// Free-region fingerprint + count.
-    free: (u64, usize),
+    /// Strategy discriminant (kind, disconnected mode).
+    strategy: u8,
+    /// The strategy's candidate cap, whole: no cap may alias another.
+    cap: usize,
+    /// Free-region fingerprint.
+    free: u64,
+    /// Free-region count, narrowed so the key stays 80 bytes: a placement
+    /// cache holds thousands of keys, twice.
+    free_count: u32,
 }
 
 /// Counters describing cache effectiveness.
@@ -244,7 +269,8 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted by the capacity bound.
     pub evictions: u64,
-    /// Lookups skipped because the strategy is uncacheable (custom costs).
+    /// Lookups skipped because the strategy is uncacheable (custom costs)
+    /// or the free region too large for a key.
     pub uncacheable: u64,
 }
 
@@ -284,6 +310,9 @@ pub struct MappingCache {
     /// graph, so memoize them by labeled hash. Bounded by `capacity`
     /// (requests shapes are far fewer than free regions).
     canon_memo: HashMap<u64, CanonicalKey>,
+    /// Kernel results of the searches this cache's misses ran (see the
+    /// module doc).
+    pub(crate) score: ScoreMemo,
 }
 
 impl Default for MappingCache {
@@ -301,12 +330,14 @@ impl MappingCache {
             capacity: capacity.max(1),
             stats: CacheStats::default(),
             canon_memo: HashMap::new(),
+            score: ScoreMemo::default(),
         }
     }
 
     /// Builds the key for a `(physical chip, reconfig generation, request,
     /// strategy, free-region)` tuple, or `None` when the strategy is
-    /// uncacheable (custom match costs carry state the key cannot see).
+    /// uncacheable (custom match costs carry state the key cannot see) or
+    /// the free region counts past `u32::MAX` nodes.
     /// `phys_key` is the physical topology's [`labeled_hash`] —
     /// [`crate::Mapper`] precomputes it; `generation` is the chip's
     /// reconfiguration counter (see [`CacheKey`]).
@@ -318,7 +349,9 @@ impl MappingCache {
         strategy: &Strategy,
         free: &FreeSet,
     ) -> Option<CacheKey> {
-        let Some(tag) = strategy.cache_tag() else {
+        let (Some((tag, cap)), Ok(free_count)) =
+            (strategy.cache_tag(), u32::try_from(free.free_count()))
+        else {
             self.stats.uncacheable += 1;
             return None;
         };
@@ -337,7 +370,9 @@ impl MappingCache {
             canonical,
             labeled,
             strategy: tag,
-            free: (free.fingerprint(), free.free_count()),
+            cap,
+            free: free.fingerprint(),
+            free_count,
         })
     }
 
@@ -369,32 +404,33 @@ impl MappingCache {
         }
     }
 
-    /// Memoizes a result. Eviction is FIFO and *batched*: when an insert
-    /// pushes the table past `capacity`, the oldest entries are drained in
-    /// one pass down to a low-water mark (`capacity - max(1, capacity/8)`),
-    /// so the amortized per-insert eviction cost is O(1). The capacity
-    /// bound itself is unchanged: `len() <= capacity` holds after every
-    /// insert.
+    /// Memoizes a result. Eviction is FIFO and *batched*: when a new key
+    /// finds the table full, the oldest entries are drained in one pass so
+    /// that the table, the new entry included, holds a low-water mark
+    /// (`capacity - max(1, capacity/8)`), so the amortized per-insert
+    /// eviction cost is O(1). Draining *before* the push keeps
+    /// `len() <= capacity` throughout, so the FIFO never outgrows
+    /// `capacity` keys.
     pub fn insert(&mut self, key: CacheKey, result: Result<Mapping>) {
-        if self.entries.insert(key.clone(), result).is_none() {
-            self.order.push_back(key);
-            self.stats.insertions += 1;
-            if self.entries.len() > self.capacity {
-                let low_water = (self.capacity - (self.capacity / 8).max(1)).max(1);
-                while self.entries.len() > low_water {
-                    if let Some(old) = self.order.pop_front() {
-                        self.entries.remove(&old);
-                        self.stats.evictions += 1;
-                    } else {
-                        break;
-                    }
-                }
+        if let Some(slot) = self.entries.get_mut(&key) {
+            *slot = result;
+            return;
+        }
+        if self.entries.len() >= self.capacity {
+            let low_water = (self.capacity - (self.capacity / 8).max(1)).max(1);
+            while self.entries.len() >= low_water {
+                let old = self.order.pop_front().expect("the FIFO holds every key");
+                self.entries.remove(&old);
+                self.stats.evictions += 1;
             }
         }
+        self.entries.insert(key.clone(), result);
+        self.order.push_back(key);
+        self.stats.insertions += 1;
     }
 
     /// Drops every entry (e.g. after a physical-topology change), keeping
-    /// the statistics.
+    /// the statistics and the score memo, whose entries depend on no chip.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.order.clear();
@@ -415,6 +451,146 @@ impl MappingCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
+
+    /// The score memo's counters per table, [`GED`] then [`REFINE`]:
+    /// lookups answered (`hits`), kernel runs (`misses`), results stored
+    /// (`insertions`) and dropped by a clear (`evictions`). No report
+    /// carries them.
+    pub fn score_stats(&self) -> [CacheStats; 2] {
+        self.score.stats
+    }
+}
+
+/// Bound on the entries of each score-memo table; reaching it clears the
+/// table. 7/8 of 4 096 buckets, so a full table never regrows.
+const SCORE_MEMO_CAPACITY: usize = 3_584;
+
+/// Largest candidate a packed score key describes exactly: 66 adjacency
+/// bits and 24 kind bits, under a request id at bit 96.
+const SCORE_KEY_MAX_NODES: usize = 12;
+
+/// The score-memo table of `ged::ged(req, sub, UniformCosts)`.
+pub const GED: usize = 0;
+/// The score-memo table of `ged::refine_mapping(req, sub, start,
+/// UniformCosts, 8)`.
+pub const REFINE: usize = 1;
+
+/// The score memo of a [`MappingCache`] (see the module doc). A result is
+/// one word ([`SearchMemo::score`]), so an entry is 32 B.
+#[derive(Debug, Default)]
+pub(crate) struct ScoreMemo {
+    /// Request key (node count, kinds, edges with costs) → request id.
+    requests: HashMap<Vec<u64>, u32>,
+    /// Per kernel, (candidate key, packed start mapping) → result word.
+    tables: [HashMap<[u64; 3], u64>; 2],
+    stats: [CacheStats; 2],
+}
+
+/// A [`ScoreMemo`] bound to one search's request — or unbound, when the
+/// search has no memo to use, and then every call runs its kernel.
+pub(crate) struct SearchMemo<'a> {
+    /// The memo and the request's id in it.
+    memo: Option<(&'a mut ScoreMemo, u32)>,
+    /// The request's node count, which every candidate shares (R-1).
+    n: usize,
+}
+
+impl<'a> SearchMemo<'a> {
+    /// Binds `memo` to a search for `req`, interning the request; unbound
+    /// without a memo or when `req` is too large for a packed key.
+    pub(crate) fn new(memo: Option<&'a mut ScoreMemo>, req: &Topology) -> Self {
+        let n = req.node_count();
+        let memo = memo.filter(|_| n <= SCORE_KEY_MAX_NODES).map(|memo| {
+            let mut key = vec![n as u64];
+            key.extend(req.nodes().map(|v| req.node_attr(v).kind as u64));
+            for (a, b) in req.edges() {
+                let cost = req.edge_attr(a, b).unwrap_or_default().cost;
+                key.extend([u64::from(a.0) << 32 | u64::from(b.0), cost]);
+            }
+            if memo.requests.len() >= SCORE_MEMO_CAPACITY && !memo.requests.contains_key(&key) {
+                // Ids restart, so every entry keyed by an old id goes too.
+                memo.requests.clear();
+                memo.tables = Default::default();
+            }
+            let next = memo.requests.len() as u32;
+            let id = *memo.requests.entry(key).or_insert(next);
+            (memo, id)
+        });
+        SearchMemo { memo, n }
+    }
+
+    /// The packed key of candidate `sub` — the request id, then `sub`'s
+    /// kinds and upper-triangle adjacency in node order — or `None` when
+    /// unbound or one of its edges has a non-default cost.
+    pub(crate) fn key(&self, sub: &Topology) -> Option<[u64; 2]> {
+        let (_, req_id) = self.memo.as_ref()?;
+        let n = self.n;
+        debug_assert_eq!(sub.node_count(), n, "R-1: candidates have k nodes");
+        let mut key = u128::from(*req_id) << 96;
+        for i in 0..n {
+            let v = NodeId(i as u32);
+            key |= (sub.node_attr(v).kind as u128) << (66 + 2 * i);
+            for &w in sub.neighbors(v).iter().filter(|w| w.index() > i) {
+                if sub.edge_attr(v, w) != Some(EdgeAttr::default()) {
+                    return None;
+                }
+                // Pair (i, j), i < j, in row-major upper-triangle order.
+                key |= 1 << (i * (2 * n - i - 1) / 2 + w.index() - i - 1);
+            }
+        }
+        Some([(key >> 64) as u64, key as u64])
+    }
+
+    /// Kernel `table`'s result for the candidate keyed `key` from `start`
+    /// (empty for [`GED`]): the stored one, or else what `kernel` returns,
+    /// stored as one word — the packed mapping in bits 0..48, the exact
+    /// flag at bit 48 and the cost above it. A cost past those 15 bits is
+    /// not stored; a full table is cleared first.
+    pub(crate) fn score(
+        &mut self,
+        table: usize,
+        key: Option<[u64; 2]>,
+        start: &[Option<NodeId>],
+        kernel: impl FnOnce() -> GedResult,
+    ) -> GedResult {
+        let (Some((memo, _)), Some([high, low])) = (self.memo.as_mut(), key) else {
+            return kernel();
+        };
+        let (key, stats) = ([high, low, pack(start)], &mut memo.stats[table]);
+        let table = &mut memo.tables[table];
+        if let Some(&word) = table.get(&key) {
+            stats.hits += 1;
+            let nibble = |i: usize| (word >> (4 * i) & 0xF) as u32;
+            let mapping = (0..self.n).map(|i| (nibble(i) != 0xF).then(|| NodeId(nibble(i))));
+            let (cost, exact) = (word >> 49, word >> 48 & 1 == 1);
+            let mapping = mapping.collect();
+            return GedResult {
+                cost,
+                mapping,
+                exact,
+            };
+        }
+        stats.misses += 1;
+        let scored = kernel();
+        if scored.cost < 1 << 15 {
+            if table.len() >= SCORE_MEMO_CAPACITY {
+                stats.evictions += table.len() as u64;
+                table.clear();
+            }
+            stats.insertions += 1;
+            let word = pack(&scored.mapping) | u64::from(scored.exact) << 48 | scored.cost << 49;
+            table.insert(key, word);
+        }
+        scored
+    }
+}
+
+/// A mapping of at most [`SCORE_KEY_MAX_NODES`] nodes, a nibble each
+/// (`0xF` = deleted).
+fn pack(mapping: &[Option<NodeId>]) -> u64 {
+    mapping.iter().enumerate().fold(0, |packed, (i, m)| {
+        packed | u64::from(m.map_or(0xF, |j| j.0)) << (4 * i)
+    })
 }
 
 /// Label- and attribute-sensitive topology hash: node count, per-node
@@ -646,6 +822,23 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // Same hardware model here, so the recomputed result agrees.
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn caps_far_apart_do_not_alias() {
+        // Regression: the tag packed `cap << 3` into one word, so caps
+        // 2^61 apart shared entries, `NoCandidate` proofs included.
+        let req = Topology::mesh2d(2, 2);
+        let free = FreeSet::all_free(9);
+        let mut cache = MappingCache::default();
+        let mut key = |cap| {
+            let strategy = Strategy::similar_topology().candidate_cap(cap);
+            cache.key_for(0, 0, &req, &strategy, &free).unwrap()
+        };
+        assert_ne!(key(400), key((1 << 61) + 400));
+        // Carrying the cap whole did not grow the key: the placement cache
+        // holds thousands of them, in its table and its FIFO.
+        assert_eq!(std::mem::size_of::<CacheKey>(), 80);
     }
 
     #[test]

@@ -41,6 +41,14 @@ use std::collections::BinaryHeap;
 /// the exact A\* search.
 pub const EXACT_GED_LIMIT: usize = 8;
 
+/// Largest sum of a request's edge costs a mapper search takes on
+/// ([`crate::TopoError::EdgeCostsTooLarge`] above it). Every sum the
+/// kernels form — a bipartite deletion row, an assignment total, the cost
+/// of an edit path — is then at most twice this plus terms in the node and
+/// candidate-edge counts: far below [`crate::hungarian::INF`], so no `u64`
+/// addition overflows.
+pub const EDGE_COST_BOUND: u64 = 1 << 48;
+
 /// Customizable edit costs — the paper's `NodeMatch` / `EdgeMatch`
 /// procedures (Algorithm 1, lines 1–9).
 ///
@@ -937,6 +945,39 @@ mod tests {
         };
         let r = ged_exact(&a, &b, &costs);
         assert_eq!(r.cost, 6); // both nodes shifted 3 hops from memory
+    }
+
+    #[test]
+    fn uniform_costs_ignore_mem_distance() {
+        // The score memo's soundness condition: its keys drop
+        // `mem_distance`, so under UniformCosts neither kernel may read it
+        // — on the exact (<= 8 nodes) and the bipartite branch alike.
+        use crate::testing::{connected_subset, sprinkle_kinds, Rng};
+        let mut rng = Rng(0x5EED_3032);
+        let mut mesh = Topology::mesh2d(6, 6);
+        mesh.annotate_mem_distance(&[NodeId(0), NodeId(6)]);
+        for case in 0..200 {
+            let k = 2 + rng.below(11);
+            let mut req = mesh
+                .induced_subgraph(&connected_subset(&mesh, k, &mut rng))
+                .0;
+            let mut sub = mesh
+                .induced_subgraph(&connected_subset(&mesh, k, &mut rng))
+                .0;
+            sprinkle_kinds(&mut sub, &mut rng);
+            let start: Vec<Option<NodeId>> = (0..k as u32).rev().map(|j| Some(NodeId(j))).collect();
+            let score = |req: &Topology, sub: &Topology| {
+                let refined = refine_mapping(req, sub, &start, &UniformCosts, 8);
+                (ged(req, sub, &UniformCosts), refined)
+            };
+            let before = score(&req, &sub);
+            for t in [&mut req, &mut sub] {
+                for n in t.nodes().collect::<Vec<_>>() {
+                    t.node_attr_mut(n).mem_distance = rng.below(100) as u32;
+                }
+            }
+            assert_eq!(score(&req, &sub), before, "case {case}");
+        }
     }
 
     #[test]

@@ -92,6 +92,9 @@ pub enum TopoError {
         /// Nodes in the physical topology.
         topology: usize,
     },
+    /// A mapping request's edge costs sum past [`ged::EDGE_COST_BOUND`],
+    /// beyond which edit-distance arithmetic could overflow.
+    EdgeCostsTooLarge,
     /// The requested mesh dimensions were degenerate (zero-sized).
     EmptyMesh,
     /// A routing path was requested between nodes that are not connected
@@ -123,6 +126,9 @@ impl fmt::Display for TopoError {
                 f,
                 "free set tracks {set} nodes but the topology has {topology}"
             ),
+            TopoError::EdgeCostsTooLarge => {
+                write!(f, "request edge costs sum past {}", ged::EDGE_COST_BOUND)
+            }
             TopoError::EmptyMesh => write!(f, "mesh dimensions must be non-zero"),
             TopoError::Unroutable { src, dst } => {
                 write!(

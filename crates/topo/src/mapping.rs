@@ -21,11 +21,21 @@
 //! isomorphism) and, for similar-topology, reused to deduplicate. The
 //! mapper spawns no threads; scoring is a plain loop.
 //!
+//! Scoring a candidate (`ged::ged`) and refining the best six
+//! (`ged::refine_mapping`) are pure functions of the request and the
+//! candidate's structure, so a search behind a [`MappingCache`] miss
+//! ([`Mapper::map_cached_with`]) looks both up in the cache's score memo
+//! before running them: candidates an earlier search already priced are
+//! not priced again. [`Mapper::map_in`] keeps no memo and is the
+//! reference the memo is held to. Every search first checks that the
+//! request's edge costs sum to at most [`ged::EDGE_COST_BOUND`], so the
+//! kernels' arithmetic cannot overflow.
+//!
 //! All strategies honour R-1 (node count) by construction; R-3
 //! (connectivity) is enforced unless fragmentation mode
 //! ([`Strategy::allow_disconnected`]) is enabled.
 
-use crate::cache::{FreeSet, MappingCache};
+use crate::cache::{FreeSet, MappingCache, ScoreMemo, SearchMemo, GED, REFINE};
 use crate::canonical::{canonical_key, find_isomorphism, CanonicalKey};
 use crate::enumerate::{self, Visit, DEFAULT_CANDIDATE_CAP};
 use crate::ged::{self, GedResult, MatchCosts, UniformCosts};
@@ -152,19 +162,20 @@ impl Strategy {
         self.kind
     }
 
-    /// A discriminant folding every result-affecting knob into one word for
-    /// [`MappingCache`] keys, or `None` when the strategy is uncacheable
-    /// (custom costs).
-    pub fn cache_tag(&self) -> Option<u64> {
+    /// Every result-affecting knob for [`MappingCache`] keys — the kind and
+    /// disconnected mode folded into one byte, and the candidate cap whole
+    /// — or `None` when the strategy is uncacheable (custom costs).
+    pub fn cache_tag(&self) -> Option<(u8, usize)> {
         if !self.default_costs {
             return None;
         }
         let kind = match self.kind {
-            StrategyKind::Straightforward => 0u64,
+            StrategyKind::Straightforward => 0u8,
             StrategyKind::SimilarTopology => 1,
             StrategyKind::ExactOnly => 2,
         };
-        Some(kind | (u64::from(self.allow_disconnected) << 2) | ((self.candidate_cap as u64) << 3))
+        let tag = kind | u8::from(self.allow_disconnected) << 2;
+        Some((tag, self.candidate_cap))
     }
 }
 
@@ -268,6 +279,8 @@ impl<'a> Mapper<'a> {
     ///   (violates R-1).
     /// * [`TopoError::NoCandidate`] — no allocation satisfying the
     ///   strategy's constraints (connectivity, exactness) exists.
+    /// * [`TopoError::EdgeCostsTooLarge`] — the request's edge costs sum
+    ///   past [`ged::EDGE_COST_BOUND`].
     pub fn map(&self, free: &[NodeId], req: &Topology, strategy: &Strategy) -> Result<Mapping> {
         let set = FreeSet::from_free_nodes(self.phys.node_count(), free);
         self.map_in(&set, req, strategy)
@@ -283,11 +296,31 @@ impl<'a> Mapper<'a> {
     /// (the candidate enumerators index the mask by physical node id, so
     /// an undersized set would otherwise panic).
     pub fn map_in(&self, free: &FreeSet, req: &Topology, strategy: &Strategy) -> Result<Mapping> {
+        self.search(free, req, strategy, None)
+    }
+
+    /// [`Mapper::map_in`]'s body. A similar-topology search scores its
+    /// candidates through `memo` when given one; the result is the same.
+    fn search(
+        &self,
+        free: &FreeSet,
+        req: &Topology,
+        strategy: &Strategy,
+        memo: Option<&mut ScoreMemo>,
+    ) -> Result<Mapping> {
         if free.capacity() != self.phys.node_count() {
             return Err(TopoError::FreeSetMismatch {
                 set: free.capacity(),
                 topology: self.phys.node_count(),
             });
+        }
+        // Checked once per search, so no sum the kernels form overflows.
+        let mut attrs = req
+            .edges()
+            .map(|(a, b)| req.edge_attr(a, b).unwrap_or_default());
+        let cost_sum = attrs.try_fold(0u64, |sum, e| sum.checked_add(e.cost));
+        if cost_sum.is_none_or(|sum| sum > ged::EDGE_COST_BOUND) {
+            return Err(TopoError::EdgeCostsTooLarge);
         }
         let k = req.node_count();
         if free.free_count() < k {
@@ -310,14 +343,15 @@ impl<'a> Mapper<'a> {
                 Walk::Exact(m) => Ok(m),
                 Walk::Candidates(_) => Err(TopoError::NoCandidate),
             },
-            StrategyKind::SimilarTopology => self.similar(free, req, strategy),
+            StrategyKind::SimilarTopology => self.similar(free, req, strategy, memo),
         }
     }
 
     /// [`Mapper::map_in`] memoized through a [`MappingCache`]: a hit
     /// returns the stored result (success *or* failure) for this exact
     /// `(physical topology, request, strategy, free-region)` tuple; a miss
-    /// computes and stores it. Uncacheable strategies (custom costs) fall
+    /// computes and stores it, scoring candidates through the cache's
+    /// score memo. Uncacheable strategies (custom costs) fall
     /// through to the direct path. One cache may safely be shared by
     /// mappers over different chips — the key carries the physical
     /// topology's fingerprint.
@@ -372,7 +406,8 @@ impl<'a> Mapper<'a> {
         if let Some(result) = cache.get(&key, free) {
             return result;
         }
-        let result = precomputed.unwrap_or_else(|| self.map_in(free, req, strategy));
+        let result =
+            precomputed.unwrap_or_else(|| self.search(free, req, strategy, Some(&mut cache.score)));
         cache.insert(key, result.clone());
         result
     }
@@ -451,7 +486,13 @@ impl<'a> Mapper<'a> {
 
     /// Algorithm 1: enumerate, early-exit, dedup, score, pick the
     /// minimum-edit-distance candidate.
-    fn similar(&self, free: &FreeSet, req: &Topology, strategy: &Strategy) -> Result<Mapping> {
+    fn similar(
+        &self,
+        free: &FreeSet,
+        req: &Topology,
+        strategy: &Strategy,
+        memo: Option<&mut ScoreMemo>,
+    ) -> Result<Mapping> {
         // Lines 20–29, with line 22's exact early exit.
         let candidates = match self.walk(free, req, strategy.candidate_cap, true) {
             Walk::Exact(m) => return Ok(m),
@@ -459,16 +500,19 @@ impl<'a> Mapper<'a> {
         };
         // Lines 30–32: TED scoring, one subgraph per candidate. Only the
         // best few (lowest cost, earliest first) go on to refinement, so
-        // only theirs are kept.
+        // only theirs are kept, with their memo keys. The memo's keys drop
+        // `mem_distance`, which only custom costs read.
         let costs = strategy.costs.as_ref();
-        let mut top: Vec<(GedResult, Topology, &[NodeId])> = Vec::new();
+        let mut memo = SearchMemo::new(memo.filter(|_| strategy.default_costs), req);
+        let mut top: Vec<Scored> = Vec::new();
         for cells in &candidates {
             let (sub, _) = self.phys.induced_subgraph(cells);
-            let scored = ged::ged(req, &sub, costs);
+            let key = memo.key(&sub);
+            let scored = memo.score(GED, key, &[], || ged::ged(req, &sub, costs));
             let rank = top.partition_point(|(r, ..)| r.cost <= scored.cost);
             if rank < REFINE_TOP_CANDIDATES {
                 top.truncate(REFINE_TOP_CANDIDATES - 1);
-                top.insert(rank, (scored, sub, cells));
+                top.insert(rank, (scored, sub, cells, key));
             }
         }
         // Refine them with 2-opt swaps (the bipartite assignment ignores
@@ -477,19 +521,27 @@ impl<'a> Mapper<'a> {
         // through the candidate region — which is usually the natural
         // embedding for chains.
         let mut best: Option<(u64, Vec<NodeId>)> = None;
-        for (scored, sub, cells) in &top {
+        for (scored, sub, cells, key) in &top {
             let starts = [
                 complete_option_mapping(&scored.mapping, cells.len()),
                 self.serpentine_mapping(cells),
             ];
             for start in starts {
-                let (refined, cost) = ged::refine_mapping(req, sub, &start, costs, 8);
-                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                let refined = memo.score(REFINE, *key, &start, || {
+                    let (mapping, cost) = ged::refine_mapping(req, sub, &start, costs, 8);
+                    GedResult {
+                        cost,
+                        mapping,
+                        exact: false,
+                    }
+                });
+                if best.as_ref().is_none_or(|(c, _)| refined.cost < *c) {
                     let phys_nodes = refined
+                        .mapping
                         .iter()
                         .map(|m| cells[m.expect("2-opt swaps keep a total mapping total").index()])
                         .collect();
-                    best = Some((cost, phys_nodes));
+                    best = Some((refined.cost, phys_nodes));
                 }
             }
         }
@@ -558,6 +610,10 @@ enum Walk {
     /// (empty when the caller did not ask to collect them).
     Candidates(Vec<Vec<NodeId>>),
 }
+
+/// A candidate kept for refinement: its edit distance, its subgraph, its
+/// sorted cells and its score-memo key.
+type Scored<'c> = (GedResult, Topology, &'c [NodeId], Option<[u64; 2]>);
 
 /// How many of the lowest-TED candidates receive 2-opt refinement.
 const REFINE_TOP_CANDIDATES: usize = 6;
@@ -738,7 +794,12 @@ mod reference {
     /// independently, or — with `blobs` — connected tenant-like blobs
     /// occupied until the target is met. `faults` then masks up to three
     /// more nodes.
-    fn random_free_set(phys: &Topology, rng: &mut Rng, blobs: bool, faults: bool) -> FreeSet {
+    pub(super) fn random_free_set(
+        phys: &Topology,
+        rng: &mut Rng,
+        blobs: bool,
+        faults: bool,
+    ) -> FreeSet {
         let n = phys.node_count();
         let target_free = n * (10 + rng.below(81)) / 100;
         let mut free = FreeSet::all_free(n);
@@ -789,18 +850,21 @@ mod reference {
         Topology::from_edges(n as usize, &edges).unwrap()
     }
 
-    #[test]
-    fn one_walk_search_matches_the_two_walk_reference() {
-        // A 4x4 torus stripped of its mesh tag: no rectangle fast path, BFS
-        // serpentine seeds.
+    /// The mapper campaigns' chips: meshes and a 4x4 torus stripped of its
+    /// mesh tag (no rectangle fast path, BFS serpentine seeds).
+    pub(super) fn campaign_physicals() -> [Topology; 4] {
         let torus = Topology::torus2d(4, 4).unwrap();
         let torus_edges: Vec<(u32, u32)> = torus.edges().map(|(a, b)| (a.0, b.0)).collect();
-        let physicals = [
+        [
             Topology::mesh2d(4, 4),
             Topology::mesh2d(6, 6),
             Topology::mesh2d(8, 6),
             Topology::from_edges(16, &torus_edges).unwrap(),
-        ];
+        ]
+    }
+
+    /// The mapper campaigns' requests: the shipped shapes.
+    pub(super) fn campaign_requests() -> Vec<Topology> {
         let mut requests: Vec<Topology> = (1..=4)
             .flat_map(|w| (1..=3).map(move |h| Topology::mesh2d(w, h)))
             .collect();
@@ -812,7 +876,17 @@ mod reference {
             partial_grid(7, 3),
             Topology::mesh2d(6, 4),
         ]);
-        let caps = [1, 200, 300, 400, 2_000];
+        requests
+    }
+
+    /// The candidate caps the campaigns draw from.
+    pub(super) const CAMPAIGN_CAPS: [usize; 5] = [1, 200, 300, 400, 2_000];
+
+    #[test]
+    fn one_walk_search_matches_the_two_walk_reference() {
+        let physicals = campaign_physicals();
+        let requests = campaign_requests();
+        let caps = CAMPAIGN_CAPS;
 
         const FREE_SETS: usize = 1024;
         let mut rng = Rng(0x5EED_0016);
@@ -894,6 +968,125 @@ mod tests {
                 topology: 9
             }
         ));
+    }
+
+    #[test]
+    fn score_memo_matches_fresh_scoring() {
+        use super::reference::{
+            campaign_physicals, campaign_requests, random_free_set, CAMPAIGN_CAPS,
+        };
+        use crate::cache::labeled_hash;
+        use crate::ged::HeteroCosts;
+        use crate::testing::Rng;
+        use crate::EdgeAttr;
+        use std::collections::hash_map::{Entry, HashMap};
+
+        // The chips as the hypervisor builds them, each node's distance to
+        // a west-edge memory interface annotated: translated candidates
+        // differ in `mem_distance`, which the memo's keys drop. The 8x6
+        // chip's east column is of another core kind, which they keep.
+        let physicals = campaign_physicals().map(|mut phys| {
+            let column = |n: NodeId| phys.mesh_coord(n).map_or(n.0 % 4, |(x, _)| x);
+            let west: Vec<NodeId> = phys.nodes().filter(|&n| column(n) == 0).collect();
+            let east: Vec<NodeId> = phys.nodes().filter(|&n| column(n) == 7).collect();
+            phys.annotate_mem_distance(&west);
+            for n in east {
+                phys.node_attr_mut(n).kind = crate::NodeKind::MatrixOptimized;
+            }
+            phys
+        });
+        // The shipped shapes, and each again with every other edge costing
+        // 3, as a compiled workload's traffic-scaled request does.
+        let shipped = campaign_requests();
+        let annotated = shipped.iter().map(|r| {
+            let mut t = r.clone();
+            for (a, b) in r.edges().step_by(2) {
+                t.add_edge_with(a, b, EdgeAttr { cost: 3 }).unwrap();
+            }
+            t
+        });
+        let requests: Vec<Topology> = shipped.iter().cloned().chain(annotated).collect();
+
+        // One memo for the whole campaign. Per structural key (request,
+        // candidate with `mem_distance` zeroed), the memory distances of
+        // the first candidate a scored search met under it.
+        let mut cache = MappingCache::default();
+        let mut first_seen: HashMap<(u64, u64), Vec<u32>> = HashMap::new();
+        let (mut joined, mut bypassed) = (0, 0);
+        let mut rng = Rng(0x5EED_0032);
+        for case in 0..1024 {
+            let phys = &physicals[case % physicals.len()];
+            let mapper = Mapper::new(phys);
+            let free = random_free_set(phys, &mut rng, case / 4 % 2 == 1, case / 8 % 2 == 1);
+            let fitting: Vec<&Topology> = requests
+                .iter()
+                .filter(|r| r.node_count() <= free.free_count())
+                .collect();
+            if fitting.is_empty() {
+                continue;
+            }
+            let req = fitting[rng.below(fitting.len())];
+            let cap = CAMPAIGN_CAPS[rng.below(CAMPAIGN_CAPS.len())];
+            let mut strategy = Strategy::similar_topology()
+                .candidate_cap(cap)
+                .allow_disconnected(rng.below(2) == 1);
+            let hetero = case % 4 == 3;
+            if hetero {
+                strategy = strategy.costs(Arc::new(HeteroCosts::default()));
+            }
+            let (placements, scores) = (cache.stats(), cache.score_stats());
+            let got = mapper.map_cached(&free, req, &strategy, &mut cache);
+            assert_eq!(
+                got,
+                mapper.map_in(&free, req, &strategy),
+                "case {case}: {}-node request, {strategy:?}",
+                req.node_count()
+            );
+            if hetero {
+                assert_eq!(cache.score_stats(), scores, "case {case}: custom costs");
+                bypassed += 1;
+                continue;
+            }
+            if cache.stats().misses == placements.misses || cache.score_stats() == scores {
+                continue;
+            }
+            // This search scored every candidate of its walk through the
+            // memo, and the campaign stays under the table bound, so a
+            // structural key met again was a hit.
+            let Walk::Candidates(candidates) = mapper.walk(&free, req, cap, true) else {
+                panic!("case {case}: a search that scored found an exact match");
+            };
+            for cells in candidates {
+                let (mut sub, _) = phys.induced_subgraph(&cells);
+                let mem: Vec<u32> = (0..cells.len() as u32)
+                    .map(|i| std::mem::take(&mut sub.node_attr_mut(NodeId(i)).mem_distance))
+                    .collect();
+                match first_seen.entry((labeled_hash(req), labeled_hash(&sub))) {
+                    Entry::Occupied(seen) => joined += usize::from(*seen.get() != mem),
+                    Entry::Vacant(slot) => {
+                        slot.insert(mem);
+                    }
+                }
+            }
+        }
+        let [ged, refine] = cache.score_stats();
+        println!(
+            "score-memo campaign: 1024 free sets, 0 mismatches; ged {} hits / {} misses, \
+             refine {} hits / {} misses; {joined} hits joined candidates whose \
+             mem_distance differ; {bypassed} HeteroCosts searches bypassed the memo",
+            ged.hits, ged.misses, refine.hits, refine.misses
+        );
+        let cleared = ged.evictions + refine.evictions;
+        assert_eq!(
+            cleared, 0,
+            "a table was cleared, so a repeat may have missed"
+        );
+        assert!(ged.hits > 0 && refine.hits > 0, "a kernel never hit");
+        assert!(
+            joined > 0,
+            "no hit joined translates with different mem_distance"
+        );
+        assert!(bypassed > 0);
     }
 
     #[test]

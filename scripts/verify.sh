@@ -69,10 +69,15 @@ section "scripts/loc.sh (non-test source size)"
 # `Noc::send_on` / `send_train`, run nodes in the arrival arena with their
 # prefix fold, division wake and overtaking split, the train booking in
 # `do_send`, and the multiply-rotate `FlowHasher`), which cut
-# `paper_static`'s `op_iqm_us` by 47% in paired runs.
+# `paper_static`'s `op_iqm_us` by 47% in paired runs. `topo` and the
+# workspace then took the net 146 lines of the mapper's score memo (the
+# structural key, the two packed tables and their plumbing into the
+# search, with the request edge-cost bound, the whole candidate cap in
+# the cache key and the FIFO drained before it grows), which cut
+# `churn_1chip`'s `op_tail10_us` by 37% in paired runs.
 CORE_SERVE_CODE_MAX=4873
-TOPO_CODE_MAX=2026
-WORKSPACE_CODE_MAX=15905
+TOPO_CODE_MAX=2172
+WORKSPACE_CODE_MAX=16051
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -154,6 +159,15 @@ for campaign in \
   delta_refinement_matches_the_full_recompute_reference; do
   cargo test -p vnpu_topo -q "$campaign" -- --nocapture
 done
+# Behind a placement-cache miss, a search looks each candidate's `ged` and
+# 2-opt results up in the cache's score memo, keyed by structure with
+# `mem_distance` left out. The campaign holds one long-lived cache's
+# searches to memo-free `map_in` over 1 024 free regions of chips
+# annotated with memory distances, shipped and cost-annotated requests,
+# and HeteroCosts strategies (which must bypass the memo). It fails unless
+# both tables hit and some hit joined candidates whose `mem_distance`
+# differ.
+cargo test -p vnpu_topo -q score_memo_matches_fresh_scoring -- --nocapture
 
 section "simulator miss-path gate"
 # The paper cells' simulated counters (makespan, NoC packets and

@@ -638,3 +638,76 @@ fn churn_placements_are_pinned() {
         "the churn run's placements moved"
     );
 }
+
+/// The same absolute pin on `reconfig_storm`'s shape: two 6×6 and two
+/// 4×4 chips at 1 GiB HBM, least-loaded placement at candidate cap 300,
+/// defrag every 4 ticks with one memory move, seeded core faults repaired
+/// after 30 ticks, one drain of chip 0, and the audit and temporal checker
+/// online. It covers what the other two pins do not: the per-chip hint
+/// caches, the defrag probes at cap 300 and the fault remaps. A change to
+/// how the mapper searches must leave every placement, and so these
+/// constants, unchanged.
+#[test]
+fn reconfig_placements_are_pinned() {
+    use vnpu::plan::GreedyDefrag;
+    use vnpu_fault::FaultPlan;
+    let socs = vec![SocConfig::sim(), SocConfig::sim(), small_soc(), small_soc()];
+    let mut cfg = ServeConfig::cluster(29, 600, socs);
+    for chip in &mut cfg.chips {
+        chip.hbm_bytes = 1 << 30;
+    }
+    cfg.placement = Arc::new(LeastLoaded);
+    cfg.traffic.mean_interarrival_ticks = 1;
+    cfg.traffic.mean_lifetime_epochs = 7;
+    cfg.traffic.candidate_cap = 300;
+    cfg.defrag = Some(Arc::new(GreedyDefrag {
+        max_memory_moves: 1,
+        ..GreedyDefrag::default()
+    }));
+    cfg.defrag_interval = 4;
+    cfg.fault_plan = FaultPlan::seeded(29 ^ 0xFA17, &[36, 36, 16, 16], 24, 600, Some(30));
+    cfg.audit = true;
+    cfg.temporal = true;
+    cfg.record_trace = true;
+    let mut rt = ServeRuntime::new(cfg);
+    let mut completed_at = None;
+    while rt.tick_index() < 600 {
+        let tick = rt.tick_index();
+        if tick == 150 {
+            rt.begin_drain(0).unwrap();
+        }
+        if tick >= 150 && completed_at.is_none() && rt.cluster().chip(0).vnpu_count() == 0 {
+            rt.complete_drain(0).unwrap();
+            completed_at = Some(tick);
+        }
+        if completed_at.is_some_and(|t| tick == t + 5) {
+            rt.undrain(0).unwrap();
+        }
+        rt.step().unwrap();
+    }
+    rt.drain().unwrap();
+    assert_eq!(rt.drain_state(0), Ok(ChipSchedState::Schedulable));
+    let report = rt.report();
+    assert!(
+        report.migrations > 0 && report.drain_migrations > 0,
+        "defrag and drain both migrate"
+    );
+
+    let json_hash = fnv1a(report.to_json(usize::MAX).bytes());
+    let trace_len = rt.trace().unwrap().len();
+    let trace_fold = fnv1a(
+        rt.trace()
+            .unwrap()
+            .iter()
+            .flat_map(|e| format!("{e:?}").into_bytes()),
+    );
+    assert_eq!(
+        (json_hash, trace_len, trace_fold),
+        (
+            16_643_284_090_563_796_239,
+            5_579,
+            17_377_610_400_843_546_869
+        ),
+        "the reconfiguration run's placements moved"
+    );
+}

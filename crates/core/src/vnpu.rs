@@ -43,6 +43,11 @@ pub struct VnpuRequest {
 
 impl VnpuRequest {
     /// Requests a `w × h` 2D-mesh virtual topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero or `w × h` overflows a `u32`
+    /// (see [`Topology::mesh2d`]).
     pub fn mesh(w: u32, h: u32) -> Self {
         Self::custom(Topology::mesh2d(w, h))
     }

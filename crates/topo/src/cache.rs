@@ -32,28 +32,56 @@
 //! silently double-allocated core.
 //!
 //! Each `MappingCache` also holds a second, finer memo — the **score
-//! memo** — which a placement-cache miss consults while it scores
-//! candidates: one table for `ged::ged(req, sub, costs)`, one for
-//! `ged::refine_mapping(req, sub, start, costs, 8)`. Both kernels are pure
-//! functions of their inputs, and the memo serves default-cost searches
-//! only (the condition of [`Strategy::cache_tag`]). [`UniformCosts`]
-//! reads a node's `kind` and an edge's `cost` and nothing else, so the key
-//! is *structural*: the request (interned by its node count, kinds and
-//! edges with costs, compared for equality) and the candidate's induced
-//! subgraph in sorted-cell order — kinds and upper-triangle adjacency,
-//! packed exactly into a `u128` for at most 12 nodes whose edges all cost
-//! the default. It drops `mem_distance`, which `UniformCosts` never reads,
-//! so candidates that are translates of each other on the mesh share an
-//! entry. Larger or cost-annotated candidates call the kernel directly.
-//! The tables are bounded and cleared whole when full, so a run's hits
-//! depend on nothing but its inputs.
+//! memo** — which a placement-cache miss consults for every candidate its
+//! search visits. Its four tables hold pure functions of a candidate's
+//! induced subgraph `sub`:
+//!
+//! * [`CLASS`] — `canonical::canonical_key(sub)`, the walk's dedup key;
+//! * [`ISO`] — `canonical::find_isomorphism(req, sub)`, the exact-match
+//!   check of the rectangle fast path and of the walk;
+//! * [`GED`] — `ged::ged(req, sub, costs)`;
+//! * [`REFINE`] — `ged::refine_mapping(req, sub, start, costs, 8)`.
+//!
+//! They are keyed by the candidate's **structure**: a `u128` of its node
+//! kinds and upper-triangle adjacency in sorted-cell order, under a
+//! sentinel bit that fixes the node count, computed straight from the
+//! cells and the chip's adjacency lists (`SearchMemo::structure`) for
+//! at most 12 nodes. No subgraph is built unless a lookup misses. The key
+//! drops `mem_distance` and edge costs, so translates of a candidate on
+//! the mesh share entries, and it is exact for what each table holds:
+//! `canonical_key` reads a graph's node count, kinds, degrees and
+//! adjacency, and `find_isomorphism` its kinds, degrees and edge presence
+//! (and, of the request, its interned id) — all of them fixed by the
+//! structure. The edit-distance tables also depend on costs: they serve
+//! only default-cost searches (the condition of [`Strategy::cache_tag`])
+//! on chips whose edges all cost the default, since [`UniformCosts`]
+//! reads a node's `kind` and an edge's `cost` and nothing else. The
+//! request is interned by its node count, kinds and edges with costs,
+//! compared for equality.
+//!
+//! The hashed tables (`ISO`, `GED`, `REFINE`: 32 B an entry) are bounded
+//! and cleared whole when full. The class table sees a lookup per visited
+//! candidate — about 33 000 a 4 000-tick `churn_1chip` round, over about
+//! 4 800 distinct structures — so it is **direct-mapped**: slots of
+//! `[structure, packed class]`, 16 B each, a structure of at most nine
+//! nodes (one word, as is its exact class) taking the slot its hash picks.
+//! A growing `HashMap` in its place read `churn_1chip`'s `peak_rss_mib`
+//! +9.2% with only 136 KB more live heap: glibc's dynamic mmap threshold
+//! turns small heap growth into resident pages. A table of 4 096 slots
+//! from the first lookup read +0.3% there but +5.1% on `reconfig_storm`,
+//! whose five caches include two 4x4 chips' hint caches that miss a few
+//! hundred times a round. So a table starts at 512 slots and is
+//! reallocated, empty, at 4 096 once it has missed 512 times; then
+//! `reconfig_storm` read +4.4% and `churn_1chip` +0.3%. Every entry is exact, so a hit returns
+//! what the kernel would, and what a table holds depends on nothing but
+//! the run's inputs.
 //!
 //! [`UniformCosts`]: crate::ged::UniformCosts
 
 use crate::canonical::{canonical_key, CanonicalKey};
 use crate::ged::GedResult;
 use crate::mapping::{Mapping, Strategy};
-use crate::{EdgeAttr, NodeId, Result, Topology};
+use crate::{NodeId, Result, Topology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -452,11 +480,12 @@ impl MappingCache {
         self.stats
     }
 
-    /// The score memo's counters per table, [`GED`] then [`REFINE`]:
-    /// lookups answered (`hits`), kernel runs (`misses`), results stored
-    /// (`insertions`) and dropped by a clear (`evictions`). No report
-    /// carries them.
-    pub fn score_stats(&self) -> [CacheStats; 2] {
+    /// The score memo's counters per table, [`GED`], [`REFINE`], [`ISO`]
+    /// then [`CLASS`]: lookups answered (`hits`), kernel runs (`misses`),
+    /// results stored (`insertions`) and dropped by a clear or, in the
+    /// class table, by a later key taking the slot (`evictions`). No
+    /// report carries them.
+    pub fn score_stats(&self) -> [CacheStats; 4] {
         self.score.stats
     }
 }
@@ -465,25 +494,40 @@ impl MappingCache {
 /// table. 7/8 of 4 096 buckets, so a full table never regrows.
 const SCORE_MEMO_CAPACITY: usize = 3_584;
 
-/// Largest candidate a packed score key describes exactly: 66 adjacency
-/// bits and 24 kind bits, under a request id at bit 96.
-const SCORE_KEY_MAX_NODES: usize = 12;
+/// Largest candidate a structure describes: 66 adjacency bits, 24 kind
+/// bits and the sentinel at bit 90, under a request id at bit 96.
+const STRUCTURE_MAX_NODES: usize = 12;
+
+/// The class table's slots, 16 B each: 512 from the first lookup, then,
+/// reallocated empty once 512 lookups have missed, 4 096 — so a cache
+/// that searches little (a small chip's hint cache) stays small.
+const CLASS_SLOTS: [usize; 2] = [512, 4_096];
 
 /// The score-memo table of `ged::ged(req, sub, UniformCosts)`.
 pub const GED: usize = 0;
 /// The score-memo table of `ged::refine_mapping(req, sub, start,
 /// UniformCosts, 8)`.
 pub const REFINE: usize = 1;
+/// The score-memo table of `canonical::find_isomorphism(req, sub)`.
+pub const ISO: usize = 2;
+/// The score-memo table of `canonical::canonical_key(sub)`.
+pub const CLASS: usize = 3;
 
 /// The score memo of a [`MappingCache`] (see the module doc). A result is
-/// one word ([`SearchMemo::score`]), so an entry is 32 B.
+/// one word ([`SearchMemo::score`], [`SearchMemo::iso`]), so an entry of
+/// a hashed table is 32 B.
 #[derive(Debug, Default)]
 pub(crate) struct ScoreMemo {
     /// Request key (node count, kinds, edges with costs) → request id.
     requests: HashMap<Vec<u64>, u32>,
-    /// Per kernel, (candidate key, packed start mapping) → result word.
-    tables: [HashMap<[u64; 3], u64>; 2],
-    stats: [CacheStats; 2],
+    /// Tables [`GED`], [`REFINE`] and [`ISO`]: (request id and candidate
+    /// structure, packed start mapping) → result word.
+    tables: [HashMap<[u64; 3], u64>; 3],
+    /// The [`CLASS`] table: direct-mapped `[structure, packed class]`
+    /// slots, a zero structure marking an empty one; none before the
+    /// first lookup (see [`CLASS_SLOTS`]).
+    class: Vec<[u64; 2]>,
+    stats: [CacheStats; 4],
 }
 
 /// A [`ScoreMemo`] bound to one search's request — or unbound, when the
@@ -493,14 +537,17 @@ pub(crate) struct SearchMemo<'a> {
     memo: Option<(&'a mut ScoreMemo, u32)>,
     /// The request's node count, which every candidate shares (R-1).
     n: usize,
+    /// Whether the [`GED`] and [`REFINE`] tables serve this search: the
+    /// default costs, on a chip whose edges all cost the default.
+    scores: bool,
 }
 
 impl<'a> SearchMemo<'a> {
     /// Binds `memo` to a search for `req`, interning the request; unbound
-    /// without a memo or when `req` is too large for a packed key.
-    pub(crate) fn new(memo: Option<&'a mut ScoreMemo>, req: &Topology) -> Self {
+    /// without a memo or when `req` is too large for a structure.
+    pub(crate) fn new(memo: Option<&'a mut ScoreMemo>, req: &Topology, scores: bool) -> Self {
         let n = req.node_count();
-        let memo = memo.filter(|_| n <= SCORE_KEY_MAX_NODES).map(|memo| {
+        let memo = memo.filter(|_| n <= STRUCTURE_MAX_NODES).map(|memo| {
             let mut key = vec![n as u64];
             key.extend(req.nodes().map(|v| req.node_attr(v).kind as u64));
             for (a, b) in req.edges() {
@@ -516,80 +563,153 @@ impl<'a> SearchMemo<'a> {
             let id = *memo.requests.entry(key).or_insert(next);
             (memo, id)
         });
-        SearchMemo { memo, n }
+        SearchMemo { memo, n, scores }
     }
 
-    /// The packed key of candidate `sub` — the request id, then `sub`'s
-    /// kinds and upper-triangle adjacency in node order — or `None` when
-    /// unbound or one of its edges has a non-default cost.
-    pub(crate) fn key(&self, sub: &Topology) -> Option<[u64; 2]> {
-        let (_, req_id) = self.memo.as_ref()?;
-        let n = self.n;
-        debug_assert_eq!(sub.node_count(), n, "R-1: candidates have k nodes");
-        let mut key = u128::from(*req_id) << 96;
-        for i in 0..n {
-            let v = NodeId(i as u32);
-            key |= (sub.node_attr(v).kind as u128) << (66 + 2 * i);
-            for &w in sub.neighbors(v).iter().filter(|w| w.index() > i) {
-                if sub.edge_attr(v, w) != Some(EdgeAttr::default()) {
-                    return None;
+    /// The structure of the candidate on `cells` (sorted) of `phys`, or
+    /// `None` when unbound: a sentinel bit over the cells' kinds over
+    /// their upper-triangle adjacency, row-major in `cells` order — what
+    /// `phys.induced_subgraph(cells)` holds, without building it, less
+    /// `mem_distance` and edge costs.
+    pub(crate) fn structure(&self, phys: &Topology, cells: &[NodeId]) -> Option<u128> {
+        self.memo.as_ref()?;
+        let n = cells.len();
+        debug_assert!(n == self.n && cells.is_sorted(), "R-1, in ESU order");
+        let pairs = n * n.saturating_sub(1) / 2;
+        let mut structure = 1 << (pairs + 2 * n);
+        for (i, &cell) in cells.iter().enumerate() {
+            structure |= (phys.node_attr(cell).kind as u128) << (pairs + 2 * i);
+            for w in phys.neighbors(cell).iter().filter(|&&w| w > cell) {
+                if let Ok(j) = cells[i + 1..].binary_search(w) {
+                    // Pair (i, i + 1 + j) in row-major upper-triangle order.
+                    structure |= 1 << (i * (2 * n - i - 1) / 2 + j);
                 }
-                // Pair (i, j), i < j, in row-major upper-triangle order.
-                key |= 1 << (i * (2 * n - i - 1) / 2 + w.index() - i - 1);
             }
         }
-        Some([(key >> 64) as u64, key as u64])
+        Some(structure)
     }
 
-    /// Kernel `table`'s result for the candidate keyed `key` from `start`
-    /// (empty for [`GED`]): the stored one, or else what `kernel` returns,
-    /// stored as one word — the packed mapping in bits 0..48, the exact
-    /// flag at bit 48 and the cost above it. A cost past those 15 bits is
-    /// not stored; a full table is cleared first.
+    /// The canonical key of the candidate of `structure`: the [`CLASS`]
+    /// table's, or else what `key` returns, stored for a structure of at
+    /// most nine nodes (one word) in the slot its hash picks.
+    pub(crate) fn class(
+        &mut self,
+        structure: Option<u128>,
+        key: impl FnOnce() -> CanonicalKey,
+    ) -> CanonicalKey {
+        let structure = structure.and_then(|s| u64::try_from(s).ok());
+        let (Some((memo, _)), Some(structure)) = (self.memo.as_mut(), structure) else {
+            return key();
+        };
+        let slots = CLASS_SLOTS[usize::from(memo.stats[CLASS].misses >= CLASS_SLOTS[0] as u64)];
+        if memo.class.len() < slots {
+            memo.class = vec![[0; 2]; slots];
+        }
+        let slot = &mut memo.class[mix(structure) as usize % slots];
+        let stats = &mut memo.stats[CLASS];
+        if slot[0] == structure {
+            stats.hits += 1;
+            return CanonicalKey::unpack(slot[1]);
+        }
+        stats.misses += 1;
+        let key = key();
+        if let Some(class) = key.pack() {
+            stats.evictions += u64::from(slot[0] != 0);
+            stats.insertions += 1;
+            *slot = [structure, class];
+        }
+        key
+    }
+
+    /// `find_isomorphism(req, sub)` for the candidate of `structure`: the
+    /// [`ISO`] table's, or else what `find` returns, stored — a failed
+    /// search as the all-deleted mapping, which no isomorphism is.
+    pub(crate) fn iso(
+        &mut self,
+        structure: Option<u128>,
+        find: impl FnOnce() -> Option<Vec<NodeId>>,
+    ) -> Option<Vec<NodeId>> {
+        let n = self.n;
+        let encode = |iso: &Option<Vec<_>>| Some(pack((0..n).map(|i| iso.as_ref().map(|m| m[i]))));
+        self.memoized(ISO, structure, 0, find, encode, |w| unpack(w, n).collect())
+    }
+
+    /// Kernel `table`'s result for the candidate of `structure` from
+    /// `start` (empty for [`GED`]): the stored one, or else what `kernel`
+    /// returns, stored as one word — the packed mapping in bits 0..48, the
+    /// exact flag at bit 48 and the cost above it. A cost past those 15
+    /// bits is not stored.
     pub(crate) fn score(
         &mut self,
         table: usize,
-        key: Option<[u64; 2]>,
+        structure: Option<u128>,
         start: &[Option<NodeId>],
         kernel: impl FnOnce() -> GedResult,
     ) -> GedResult {
-        let (Some((memo, _)), Some([high, low])) = (self.memo.as_mut(), key) else {
-            return kernel();
+        let (n, structure) = (self.n, structure.filter(|_| self.scores));
+        let encode = |r: &GedResult| {
+            let mapping = pack(r.mapping.iter().copied());
+            (r.cost < 1 << 15).then(|| mapping | u64::from(r.exact) << 48 | r.cost << 49)
         };
-        let (key, stats) = ([high, low, pack(start)], &mut memo.stats[table]);
-        let table = &mut memo.tables[table];
+        let decode = |word: u64| GedResult {
+            cost: word >> 49,
+            mapping: unpack(word, n).collect(),
+            exact: word >> 48 & 1 == 1,
+        };
+        // A structure means a bound memo, so a request of at most 12 nodes.
+        let start = structure.map_or(0, |_| pack(start.iter().copied()));
+        self.memoized(table, structure, start, kernel, encode, decode)
+    }
+
+    /// Hashed table `table`'s result for the candidate of `structure` and
+    /// `extra`: the stored word decoded, or else what `compute` returns,
+    /// stored when it encodes to a word. A full table is cleared first.
+    fn memoized<T>(
+        &mut self,
+        table: usize,
+        structure: Option<u128>,
+        extra: u64,
+        compute: impl FnOnce() -> T,
+        encode: impl FnOnce(&T) -> Option<u64>,
+        decode: impl FnOnce(u64) -> T,
+    ) -> T {
+        let (Some((memo, id)), Some(structure)) = (self.memo.as_mut(), structure) else {
+            return compute();
+        };
+        let key = u128::from(*id) << 96 | structure;
+        let key = [(key >> 64) as u64, key as u64, extra];
+        let (stats, table) = (&mut memo.stats[table], &mut memo.tables[table]);
         if let Some(&word) = table.get(&key) {
             stats.hits += 1;
-            let nibble = |i: usize| (word >> (4 * i) & 0xF) as u32;
-            let mapping = (0..self.n).map(|i| (nibble(i) != 0xF).then(|| NodeId(nibble(i))));
-            let (cost, exact) = (word >> 49, word >> 48 & 1 == 1);
-            let mapping = mapping.collect();
-            return GedResult {
-                cost,
-                mapping,
-                exact,
-            };
+            return decode(word);
         }
         stats.misses += 1;
-        let scored = kernel();
-        if scored.cost < 1 << 15 {
+        let result = compute();
+        if let Some(word) = encode(&result) {
             if table.len() >= SCORE_MEMO_CAPACITY {
                 stats.evictions += table.len() as u64;
                 table.clear();
             }
             stats.insertions += 1;
-            let word = pack(&scored.mapping) | u64::from(scored.exact) << 48 | scored.cost << 49;
             table.insert(key, word);
         }
-        scored
+        result
     }
 }
 
-/// A mapping of at most [`SCORE_KEY_MAX_NODES`] nodes, a nibble each
+/// A mapping of at most [`STRUCTURE_MAX_NODES`] nodes, a nibble each
 /// (`0xF` = deleted).
-fn pack(mapping: &[Option<NodeId>]) -> u64 {
-    mapping.iter().enumerate().fold(0, |packed, (i, m)| {
+fn pack(mapping: impl Iterator<Item = Option<NodeId>>) -> u64 {
+    mapping.enumerate().fold(0, |packed, (i, m)| {
         packed | u64::from(m.map_or(0xF, |j| j.0)) << (4 * i)
+    })
+}
+
+/// The first `n` nibbles of a [`pack`]ed mapping.
+fn unpack(word: u64, n: usize) -> impl Iterator<Item = Option<NodeId>> {
+    (0..n).map(move |i| {
+        let nibble = (word >> (4 * i) & 0xF) as u32;
+        (nibble != 0xF).then_some(NodeId(nibble))
     })
 }
 

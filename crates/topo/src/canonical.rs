@@ -47,11 +47,31 @@ pub const EXACT_CANONICAL_LIMIT: usize = 10;
 pub struct CanonicalKey {
     nodes: usize,
     edges: usize,
-    /// Node kinds by canonical position (exact keys; the WL hash already
-    /// carries them), so heterogeneous topologies with different core-kind
-    /// distributions never collide.
+    /// Node kinds by canonical position, two bits each (exact keys; the WL
+    /// hash already carries them), so heterogeneous topologies with
+    /// different core-kind distributions never collide.
     kinds: u64,
     code: u64,
+}
+
+impl CanonicalKey {
+    /// The key in one word when it is of at most nine nodes (and so
+    /// exact): the code in bits 0..36, the kinds in bits 36..54, the node
+    /// count at bit 54 and the edge count at bit 58.
+    pub(crate) fn pack(&self) -> Option<u64> {
+        let (nodes, edges) = (self.nodes as u64, self.edges as u64);
+        (nodes <= 9).then_some(self.code | self.kinds << 36 | nodes << 54 | edges << 58)
+    }
+
+    /// The key [`CanonicalKey::pack`] packed into `word`.
+    pub(crate) fn unpack(word: u64) -> Self {
+        CanonicalKey {
+            nodes: (word >> 54 & 0xF) as usize,
+            edges: (word >> 58) as usize,
+            kinds: word >> 36 & 0x3_FFFF,
+            code: word & 0xF_FFFF_FFFF,
+        }
+    }
 }
 
 /// Computes the dedup key for a topology.
@@ -173,7 +193,7 @@ fn exact_code(t: &Topology, colors: &[u64]) -> (u64, u64) {
         .iter()
         .enumerate()
         .fold(0, |acc, (k, &i)| {
-            acc | (t.node_attr(NodeId(i as u32)).kind as u64) << (4 * k)
+            acc | (t.node_attr(NodeId(i as u32)).kind as u64) << (2 * k)
         });
     search.place(0, 0, 0);
     (kinds, search.best)
@@ -610,6 +630,46 @@ mod tests {
         // relabel: 0->4,1->3,2->2,3->1,4->0
         let b = Topology::from_edges(5, &[(4, 3), (4, 2), (4, 1), (1, 0)]).unwrap();
         assert_eq!(canonical_form(&a), canonical_form(&b));
+    }
+
+    #[test]
+    fn keys_and_isomorphisms_ignore_memory_distance_and_edge_costs() {
+        // The mapper's memo keys both by a candidate's kinds and adjacency
+        // alone, so neither may read any other attribute.
+        use crate::testing::{connected_subset, relabeled, sprinkle_kinds, Rng};
+        let mesh = Topology::mesh2d(6, 6);
+        let mut rng = Rng(0x5EED_0033);
+        for case in 0..300 {
+            let k = 2 + case % 11;
+            let mut plain = mesh
+                .induced_subgraph(&connected_subset(&mesh, k, &mut rng))
+                .0;
+            if case % 2 == 1 {
+                sprinkle_kinds(&mut plain, &mut rng);
+            }
+            let mut scrambled = plain.clone();
+            for node in plain.nodes() {
+                scrambled.node_attr_mut(node).mem_distance = rng.below(1_000) as u32;
+            }
+            for (a, b) in plain.edges() {
+                let cost = 1 + rng.below(9) as u64;
+                scrambled
+                    .add_edge_with(a, b, crate::EdgeAttr { cost })
+                    .unwrap();
+            }
+            let key = canonical_key(&plain);
+            assert_eq!(canonical_key(&scrambled), key, "case {case}");
+            if k <= 9 {
+                assert_eq!(CanonicalKey::unpack(key.pack().unwrap()), key);
+            }
+            let other = mesh
+                .induced_subgraph(&connected_subset(&mesh, k, &mut rng))
+                .0;
+            for req in [relabeled(&plain, &mut rng), relabeled(&other, &mut rng)] {
+                let iso = find_isomorphism(&req, &plain);
+                assert_eq!(find_isomorphism(&req, &scrambled), iso, "case {case}");
+            }
+        }
     }
 
     #[test]

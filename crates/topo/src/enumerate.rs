@@ -14,7 +14,9 @@
 //!    seen.
 //!
 //! A rectangle fast-path ([`mesh_rectangles_in`]) answers `w × h` mesh
-//! requests in O(free-mask scan) time without general enumeration.
+//! requests in O(free-mask scan) time without general enumeration. Its
+//! windows come lazily, so the mapper, which tries only the first free
+//! one, scans the mask up to it and allocates that one window.
 //!
 //! Both take the free region as a [`FreeSet`], whose occupancy mask is
 //! used as-is — online serving maintains one incrementally, so no mask is
@@ -225,64 +227,43 @@ pub fn connected_candidates(
     out
 }
 
-/// Fast path for regular mesh requests: returns all placements of a
-/// `req_w × req_h` window (and its transpose when not square) whose cells
-/// are all free, as sorted node lists. Returns `None` when `topo` is not a
-/// mesh.
+/// Fast path for regular mesh requests: the placements of a
+/// `req_w × req_h` window (then of its transpose when not square) whose
+/// cells are all free, as sorted node lists, found lazily — a caller
+/// that takes the first scans only up to it. Returns `None` when `topo`
+/// is not a mesh.
 ///
 /// # Panics
 ///
 /// As for [`enumerate_connected_in`]: `free` must be sized for `topo`.
-pub fn mesh_rectangles_in(
+pub fn mesh_rectangles_in<'a>(
     topo: &Topology,
-    free: &FreeSet,
+    free: &'a FreeSet,
     req_w: u32,
     req_h: u32,
-) -> Option<Vec<Vec<NodeId>>> {
+) -> Option<impl Iterator<Item = Vec<NodeId>> + 'a> {
     assert_eq!(
         free.capacity(),
         topo.node_count(),
         "free set sized for a different topology"
     );
-    let shape = topo.mesh_shape()?;
+    let MeshShape { width, height } = topo.mesh_shape()?;
+    let shapes = [(req_w, req_h), (req_h, req_w)].into_iter();
+    let corners = shapes
+        .take(1 + usize::from(req_w != req_h))
+        .filter(move |&(w, h)| w > 0 && h > 0 && w <= width && h <= height)
+        .flat_map(move |(w, h)| {
+            (0..=height - h).flat_map(move |y| (0..=width - w).map(move |x| (w, h, y * width + x)))
+        });
     let is_free = free.mask();
-    let mut out = Vec::new();
-    let mut shapes = vec![(req_w, req_h)];
-    if req_w != req_h {
-        shapes.push((req_h, req_w));
-    }
-    for (w, h) in shapes {
-        collect_windows(&shape, is_free, w, h, &mut out);
-    }
-    Some(out)
-}
-
-fn collect_windows(
-    shape: &MeshShape,
-    is_free: &[bool],
-    w: u32,
-    h: u32,
-    out: &mut Vec<Vec<NodeId>>,
-) {
-    if w == 0 || h == 0 || w > shape.width || h > shape.height {
-        return;
-    }
-    for y0 in 0..=(shape.height - h) {
-        'win: for x0 in 0..=(shape.width - w) {
-            let mut cells = Vec::with_capacity((w * h) as usize);
-            for dy in 0..h {
-                for dx in 0..w {
-                    let id = (y0 + dy) * shape.width + (x0 + dx);
-                    if !is_free[id as usize] {
-                        continue 'win;
-                    }
-                    cells.push(NodeId(id));
-                }
-            }
-            cells.sort_unstable();
-            out.push(cells);
-        }
-    }
+    Some(corners.filter_map(move |(w, h, corner)| {
+        // Row by row, so sorted.
+        let cells = (0..h).flat_map(|dy| (0..w).map(move |dx| NodeId(corner + dy * width + dx)));
+        cells
+            .clone()
+            .all(|n| is_free[n.index()])
+            .then(|| cells.collect())
+    }))
 }
 
 #[cfg(test)]
@@ -633,7 +614,9 @@ mod tests {
     fn rectangles_on_full_mesh() {
         let t = Topology::mesh2d(5, 5);
         let free = all_free(&t);
-        let rects = mesh_rectangles_in(&t, &set_of(&t, &free), 3, 3).unwrap();
+        let rects: Vec<_> = mesh_rectangles_in(&t, &set_of(&t, &free), 3, 3)
+            .unwrap()
+            .collect();
         assert_eq!(rects.len(), 9); // 3x3 windows in a 5x5
         for r in &rects {
             assert_eq!(r.len(), 9);
@@ -645,9 +628,10 @@ mod tests {
     fn rectangles_include_transpose() {
         let t = Topology::mesh2d(4, 4);
         let free = all_free(&t);
-        let rects = mesh_rectangles_in(&t, &set_of(&t, &free), 1, 4).unwrap();
+        let free = set_of(&t, &free);
+        let rects = mesh_rectangles_in(&t, &free, 1, 4).unwrap();
         // vertical 1x4: 4 placements; horizontal 4x1: 4 placements
-        assert_eq!(rects.len(), 8);
+        assert_eq!(rects.count(), 8);
     }
 
     #[test]
@@ -660,9 +644,10 @@ mod tests {
             .collect();
         let free: Vec<NodeId> = t.nodes().filter(|n| !first.contains(n)).collect();
         assert_eq!(free.len(), 16);
-        let rects = mesh_rectangles_in(&t, &set_of(&t, &free), 3, 3).unwrap();
+        let free = set_of(&t, &free);
+        let mut rects = mesh_rectangles_in(&t, &free, 3, 3).unwrap();
         assert!(
-            rects.is_empty(),
+            rects.next().is_none(),
             "the 5x5-minus-3x3 example must exhibit topology lock-in"
         );
     }

@@ -97,6 +97,13 @@ pub enum TopoError {
     EdgeCostsTooLarge,
     /// The requested mesh dimensions were degenerate (zero-sized).
     EmptyMesh,
+    /// The requested mesh has more than `u32::MAX` nodes.
+    MeshTooLarge {
+        /// Requested width.
+        width: u32,
+        /// Requested height.
+        height: u32,
+    },
     /// A routing path was requested between nodes that are not connected
     /// inside the allowed node set.
     Unroutable {
@@ -130,6 +137,9 @@ impl fmt::Display for TopoError {
                 write!(f, "request edge costs sum past {}", ged::EDGE_COST_BOUND)
             }
             TopoError::EmptyMesh => write!(f, "mesh dimensions must be non-zero"),
+            TopoError::MeshTooLarge { width, height } => {
+                write!(f, "a {width} x {height} mesh has more than u32::MAX nodes")
+            }
             TopoError::Unroutable { src, dst } => {
                 write!(
                     f,

@@ -16,20 +16,24 @@
 //!   succeed only on an exact match (what MIG-style partitioning provides).
 //!
 //! A search is **one walk** of the candidate enumeration, shared by the
-//! last two strategies: each visited candidate gets one induced subgraph
-//! and one canonical key, compared to the request's (stop on a verified
-//! isomorphism) and, for similar-topology, reused to deduplicate. The
-//! mapper spawns no threads; scoring is a plain loop.
+//! last two strategies: each visited candidate gets one canonical key,
+//! compared to the request's (stop on a verified isomorphism) and, for
+//! similar-topology, reused to deduplicate. The mapper spawns no threads;
+//! scoring is a plain loop.
 //!
-//! Scoring a candidate (`ged::ged`) and refining the best six
+//! A candidate's canonical key, its isomorphism to the request, its edit
+//! distance (`ged::ged`) and, for the best six, its refinement
 //! (`ged::refine_mapping`) are pure functions of the request and the
-//! candidate's structure, so a search behind a [`MappingCache`] miss
-//! ([`Mapper::map_cached_with`]) looks both up in the cache's score memo
-//! before running them: candidates an earlier search already priced are
-//! not priced again. [`Mapper::map_in`] keeps no memo and is the
-//! reference the memo is held to. Every search first checks that the
-//! request's edge costs sum to at most [`ged::EDGE_COST_BOUND`], so the
-//! kernels' arithmetic cannot overflow.
+//! candidate's structure — its kinds and adjacency in sorted-cell order.
+//! So a search behind a [`MappingCache`] miss
+//! ([`Mapper::map_cached_with`]) computes each visited candidate's
+//! structure straight from its cells and looks all four up in the cache's
+//! score memo, building the candidate's subgraph only when a lookup
+//! misses: shapes an earlier search, or an earlier visit of this one,
+//! already met are not worked out again. [`Mapper::map_in`] keeps no memo
+//! and is the reference the memo is held to. Every search first checks
+//! that the request's edge costs sum to at most [`ged::EDGE_COST_BOUND`],
+//! so the kernels' arithmetic cannot overflow.
 //!
 //! All strategies honour R-1 (node count) by construction; R-3
 //! (connectivity) is enforced unless fragmentation mode
@@ -40,6 +44,7 @@ use crate::canonical::{canonical_key, find_isomorphism, CanonicalKey};
 use crate::enumerate::{self, Visit, DEFAULT_CANDIDATE_CAP};
 use crate::ged::{self, GedResult, MatchCosts, UniformCosts};
 use crate::{NodeId, Result, TopoError, Topology};
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Which allocation algorithm a [`Strategy`] runs.
@@ -299,8 +304,9 @@ impl<'a> Mapper<'a> {
         self.search(free, req, strategy, None)
     }
 
-    /// [`Mapper::map_in`]'s body. A similar-topology search scores its
-    /// candidates through `memo` when given one; the result is the same.
+    /// [`Mapper::map_in`]'s body. An exact-only or similar-topology search
+    /// looks its candidates up in `memo` when given one; the result is the
+    /// same.
     fn search(
         &self,
         free: &FreeSet,
@@ -337,21 +343,27 @@ impl<'a> Mapper<'a> {
                 connected: true,
             });
         }
+        // The memo's structures drop `mem_distance`, which only custom
+        // costs read, and edge costs, which the edit-distance kernels read.
+        let scores = strategy.default_costs && self.phys.has_default_edge_costs();
+        let mut memo = SearchMemo::new(memo, req, scores);
         match strategy.kind {
             StrategyKind::Straightforward => Ok(self.straightforward(free, req, strategy)),
-            StrategyKind::ExactOnly => match self.walk(free, req, strategy.candidate_cap, false) {
-                Walk::Exact(m) => Ok(m),
-                Walk::Candidates(_) => Err(TopoError::NoCandidate),
-            },
-            StrategyKind::SimilarTopology => self.similar(free, req, strategy, memo),
+            StrategyKind::ExactOnly => {
+                match self.walk(free, req, strategy.candidate_cap, false, &mut memo) {
+                    Walk::Exact(m) => Ok(m),
+                    Walk::Candidates(_) => Err(TopoError::NoCandidate),
+                }
+            }
+            StrategyKind::SimilarTopology => self.similar(free, req, strategy, &mut memo),
         }
     }
 
     /// [`Mapper::map_in`] memoized through a [`MappingCache`]: a hit
     /// returns the stored result (success *or* failure) for this exact
     /// `(physical topology, request, strategy, free-region)` tuple; a miss
-    /// computes and stores it, scoring candidates through the cache's
-    /// score memo. Uncacheable strategies (custom costs) fall
+    /// computes and stores it, looking candidates up in the cache's score
+    /// memo. Uncacheable strategies (custom costs) fall
     /// through to the direct path. One cache may safely be shared by
     /// mappers over different chips — the key carries the physical
     /// topology's fingerprint.
@@ -431,29 +443,38 @@ impl<'a> Mapper<'a> {
     }
 
     /// The one candidate walk of a search. Tries the rectangle fast path,
-    /// then enumerates connected `k`-node candidates up to `cap`, building
-    /// each one's subgraph and canonical key once: a candidate whose key
-    /// equals the request's and that passes the isomorphism check ends the
-    /// walk as [`Walk::Exact`]; every other one, when `collect` is set, is
-    /// kept as a sorted cell list if its key is new (Algorithm 1's
-    /// isomorphism dedup, lines 20–29).
-    fn walk(&self, free: &FreeSet, req: &Topology, cap: usize, collect: bool) -> Walk {
-        let exact = |iso: Vec<NodeId>, back: &[NodeId]| Mapping {
-            phys_nodes: iso.iter().map(|j| back[j.index()]).collect(),
+    /// then enumerates connected `k`-node candidates up to `cap`, taking
+    /// each one's canonical key from `memo` by its structure (building its
+    /// subgraph only on a miss): a candidate whose key equals the
+    /// request's and that passes the isomorphism check ends the walk as
+    /// [`Walk::Exact`]; every other one, when `collect` is set, is kept
+    /// with its structure if its key is new (Algorithm 1's isomorphism
+    /// dedup, lines 20–29).
+    fn walk(
+        &self,
+        free: &FreeSet,
+        req: &Topology,
+        cap: usize,
+        collect: bool,
+        memo: &mut SearchMemo,
+    ) -> Walk {
+        let exact = |iso: Vec<NodeId>, cells: &[NodeId]| Mapping {
+            phys_nodes: iso.iter().map(|j| cells[j.index()]).collect(),
             edit_distance: 0,
             exact_distance: true,
             connected: true,
         };
-        // Rectangle fast-path for mesh requests on mesh hardware.
-        if let Some(shape) = req.mesh_shape() {
-            let rects = enumerate::mesh_rectangles_in(self.phys, free, shape.width, shape.height);
-            if let Some(cells) = rects.and_then(|r| r.into_iter().next()) {
-                // `cells` is sorted; the window is itself row-major, so an
-                // isomorphism search gives the virtual -> physical layout.
-                let (sub, back) = self.phys.induced_subgraph(&cells);
-                if let Some(iso) = find_isomorphism(req, &sub) {
-                    return Walk::Exact(exact(iso, &back));
-                }
+        // Rectangle fast-path for mesh requests on mesh hardware: the first
+        // free window. It is sorted and itself row-major, so an
+        // isomorphism search gives the virtual -> physical layout.
+        let shape = req.mesh_shape();
+        let rects =
+            shape.and_then(|s| enumerate::mesh_rectangles_in(self.phys, free, s.width, s.height));
+        if let Some(cells) = rects.and_then(|mut windows| windows.next()) {
+            let structure = memo.structure(self.phys, &cells);
+            let sub = || self.phys.induced_subgraph(&cells).0;
+            if let Some(iso) = memo.iso(structure, || find_isomorphism(req, &sub())) {
+                return Walk::Exact(exact(iso, &cells));
             }
         }
         // General search: compare canonical keys, verify a match with an
@@ -463,20 +484,22 @@ impl<'a> Mapper<'a> {
         let mut found = None;
         // Keys seen so far, sorted.
         let mut seen: Vec<CanonicalKey> = Vec::new();
-        let mut candidates: Vec<Vec<NodeId>> = Vec::new();
+        let mut candidates = Vec::new();
         enumerate::enumerate_connected_in(self.phys, free, req.node_count(), cap, |cells| {
-            let (sub, back) = self.phys.induced_subgraph(cells);
-            let key = canonical_key(&sub);
+            let built = OnceCell::new();
+            let sub = || built.get_or_init(|| self.phys.induced_subgraph(cells).0);
+            let structure = memo.structure(self.phys, cells);
+            let key = memo.class(structure, || canonical_key(sub()));
             if key == req_key {
-                if let Some(iso) = find_isomorphism(req, &sub) {
-                    found = Some(exact(iso, &back));
+                if let Some(iso) = memo.iso(structure, || find_isomorphism(req, sub())) {
+                    found = Some(exact(iso, cells));
                     return Visit::Stop;
                 }
             }
             if collect {
                 if let Err(at) = seen.binary_search(&key) {
                     seen.insert(at, key);
-                    candidates.push(cells.to_vec());
+                    candidates.push((cells.to_vec(), structure));
                 }
             }
             Visit::Continue
@@ -491,28 +514,27 @@ impl<'a> Mapper<'a> {
         free: &FreeSet,
         req: &Topology,
         strategy: &Strategy,
-        memo: Option<&mut ScoreMemo>,
+        memo: &mut SearchMemo,
     ) -> Result<Mapping> {
         // Lines 20–29, with line 22's exact early exit.
-        let candidates = match self.walk(free, req, strategy.candidate_cap, true) {
+        let candidates = match self.walk(free, req, strategy.candidate_cap, true, memo) {
             Walk::Exact(m) => return Ok(m),
             Walk::Candidates(candidates) => candidates,
         };
-        // Lines 30–32: TED scoring, one subgraph per candidate. Only the
-        // best few (lowest cost, earliest first) go on to refinement, so
-        // only theirs are kept, with their memo keys. The memo's keys drop
-        // `mem_distance`, which only custom costs read.
+        // Lines 30–32: TED scoring, a subgraph built per memo miss. Only
+        // the best few (lowest cost, earliest first) go on to refinement,
+        // so only theirs are kept.
         let costs = strategy.costs.as_ref();
-        let mut memo = SearchMemo::new(memo.filter(|_| strategy.default_costs), req);
         let mut top: Vec<Scored> = Vec::new();
-        for cells in &candidates {
-            let (sub, _) = self.phys.induced_subgraph(cells);
-            let key = memo.key(&sub);
-            let scored = memo.score(GED, key, &[], || ged::ged(req, &sub, costs));
+        for (cells, structure) in &candidates {
+            let (sub, build) = (OnceCell::new(), || self.phys.induced_subgraph(cells).0);
+            let scored = memo.score(GED, *structure, &[], || {
+                ged::ged(req, sub.get_or_init(build), costs)
+            });
             let rank = top.partition_point(|(r, ..)| r.cost <= scored.cost);
             if rank < REFINE_TOP_CANDIDATES {
                 top.truncate(REFINE_TOP_CANDIDATES - 1);
-                top.insert(rank, (scored, sub, cells, key));
+                top.insert(rank, (scored, sub, cells, *structure));
             }
         }
         // Refine them with 2-opt swaps (the bipartite assignment ignores
@@ -521,13 +543,14 @@ impl<'a> Mapper<'a> {
         // through the candidate region — which is usually the natural
         // embedding for chains.
         let mut best: Option<(u64, Vec<NodeId>)> = None;
-        for (scored, sub, cells, key) in &top {
+        for (scored, sub, cells, structure) in &top {
             let starts = [
                 complete_option_mapping(&scored.mapping, cells.len()),
                 self.serpentine_mapping(cells),
             ];
             for start in starts {
-                let refined = memo.score(REFINE, *key, &start, || {
+                let refined = memo.score(REFINE, *structure, &start, || {
+                    let sub = sub.get_or_init(|| self.phys.induced_subgraph(cells).0);
                     let (mapping, cost) = ged::refine_mapping(req, sub, &start, costs, 8);
                     GedResult {
                         cost,
@@ -606,14 +629,15 @@ enum Walk {
     /// A candidate isomorphic to the request; the walk stopped at it.
     Exact(Mapping),
     /// No isomorphic candidate within the cap. Holds the candidates
-    /// visited, one sorted cell list per isomorphism class in visit order
-    /// (empty when the caller did not ask to collect them).
-    Candidates(Vec<Vec<NodeId>>),
+    /// visited, one per isomorphism class in visit order, each as its
+    /// sorted cells and its structure (`None` without a memo); empty when
+    /// the caller did not ask to collect them.
+    Candidates(Vec<(Vec<NodeId>, Option<u128>)>),
 }
 
-/// A candidate kept for refinement: its edit distance, its subgraph, its
-/// sorted cells and its score-memo key.
-type Scored<'c> = (GedResult, Topology, &'c [NodeId], Option<[u64; 2]>);
+/// A candidate kept for refinement: its edit distance, its subgraph once
+/// built, its sorted cells and its structure.
+type Scored<'c> = (GedResult, OnceCell<Topology>, &'c [NodeId], Option<u128>);
 
 /// How many of the lowest-TED candidates receive 2-opt refinement.
 const REFINE_TOP_CANDIDATES: usize = 6;
@@ -674,10 +698,10 @@ mod reference {
         fn try_exact(&self, free: &FreeSet, req: &Topology, cap: usize) -> Option<Mapping> {
             // Rectangle fast-path for mesh requests on mesh hardware.
             if let Some(shape) = req.mesh_shape() {
-                if let Some(rects) =
+                if let Some(mut rects) =
                     enumerate::mesh_rectangles_in(self.phys, free, shape.width, shape.height)
                 {
-                    if let Some(cells) = rects.into_iter().next() {
+                    if let Some(cells) = rects.next() {
                         // `cells` is sorted; the window is itself row-major, so an
                         // isomorphism search gives the virtual -> physical layout.
                         let (sub, back) = self.phys.induced_subgraph(&cells);
@@ -970,22 +994,13 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn score_memo_matches_fresh_scoring() {
-        use super::reference::{
-            campaign_physicals, campaign_requests, random_free_set, CAMPAIGN_CAPS,
-        };
-        use crate::cache::labeled_hash;
-        use crate::ged::HeteroCosts;
-        use crate::testing::Rng;
-        use crate::EdgeAttr;
-        use std::collections::hash_map::{Entry, HashMap};
-
-        // The chips as the hypervisor builds them, each node's distance to
-        // a west-edge memory interface annotated: translated candidates
-        // differ in `mem_distance`, which the memo's keys drop. The 8x6
-        // chip's east column is of another core kind, which they keep.
-        let physicals = campaign_physicals().map(|mut phys| {
+    /// The mapper campaigns' chips as the hypervisor builds them, each
+    /// node's distance to a west-edge memory interface annotated:
+    /// translated candidates differ in `mem_distance`, which the memo's
+    /// structures drop. The 8x6 chip's east column is of another core
+    /// kind, which they keep.
+    fn annotated_physicals() -> [Topology; 4] {
+        super::reference::campaign_physicals().map(|mut phys| {
             let column = |n: NodeId| phys.mesh_coord(n).map_or(n.0 % 4, |(x, _)| x);
             let west: Vec<NodeId> = phys.nodes().filter(|&n| column(n) == 0).collect();
             let east: Vec<NodeId> = phys.nodes().filter(|&n| column(n) == 7).collect();
@@ -994,18 +1009,32 @@ mod tests {
                 phys.node_attr_mut(n).kind = crate::NodeKind::MatrixOptimized;
             }
             phys
-        });
-        // The shipped shapes, and each again with every other edge costing
-        // 3, as a compiled workload's traffic-scaled request does.
-        let shipped = campaign_requests();
+        })
+    }
+
+    /// The shipped shapes, and each again with every other edge costing 3,
+    /// as a compiled workload's traffic-scaled request does.
+    fn annotated_requests() -> Vec<Topology> {
+        let shipped = super::reference::campaign_requests();
         let annotated = shipped.iter().map(|r| {
             let mut t = r.clone();
             for (a, b) in r.edges().step_by(2) {
-                t.add_edge_with(a, b, EdgeAttr { cost: 3 }).unwrap();
+                t.add_edge_with(a, b, crate::EdgeAttr { cost: 3 }).unwrap();
             }
             t
         });
-        let requests: Vec<Topology> = shipped.iter().cloned().chain(annotated).collect();
+        shipped.iter().cloned().chain(annotated).collect()
+    }
+
+    #[test]
+    fn score_memo_matches_fresh_scoring() {
+        use super::reference::{random_free_set, CAMPAIGN_CAPS};
+        use crate::cache::labeled_hash;
+        use crate::ged::HeteroCosts;
+        use crate::testing::Rng;
+        use std::collections::hash_map::{Entry, HashMap};
+
+        let (physicals, requests) = (annotated_physicals(), annotated_requests());
 
         // One memo for the whole campaign. Per structural key (request,
         // candidate with `mem_distance` zeroed), the memory distances of
@@ -1047,16 +1076,18 @@ mod tests {
                 bypassed += 1;
                 continue;
             }
-            if cache.stats().misses == placements.misses || cache.score_stats() == scores {
+            if cache.stats().misses == placements.misses || cache.score_stats()[GED] == scores[GED]
+            {
                 continue;
             }
             // This search scored every candidate of its walk through the
             // memo, and the campaign stays under the table bound, so a
             // structural key met again was a hit.
-            let Walk::Candidates(candidates) = mapper.walk(&free, req, cap, true) else {
+            let unbound = &mut SearchMemo::new(None, req, false);
+            let Walk::Candidates(candidates) = mapper.walk(&free, req, cap, true, unbound) else {
                 panic!("case {case}: a search that scored found an exact match");
             };
-            for cells in candidates {
+            for (cells, _) in candidates {
                 let (mut sub, _) = phys.induced_subgraph(&cells);
                 let mem: Vec<u32> = (0..cells.len() as u32)
                     .map(|i| std::mem::take(&mut sub.node_attr_mut(NodeId(i)).mem_distance))
@@ -1069,7 +1100,7 @@ mod tests {
                 }
             }
         }
-        let [ged, refine] = cache.score_stats();
+        let [ged, refine, ..] = cache.score_stats();
         println!(
             "score-memo campaign: 1024 free sets, 0 mismatches; ged {} hits / {} misses, \
              refine {} hits / {} misses; {joined} hits joined candidates whose \
@@ -1087,6 +1118,116 @@ mod tests {
             "no hit joined translates with different mem_distance"
         );
         assert!(bypassed > 0);
+    }
+
+    #[test]
+    fn structure_memo_matches_fresh_search() {
+        use super::reference::{random_free_set, CAMPAIGN_CAPS};
+        use crate::cache::{CLASS, ISO};
+        use crate::testing::Rng;
+
+        // The score-memo campaign's chips, and a 6x6 with one edge costing
+        // 3: there the edit-distance tables are bypassed, while class and
+        // isomorphism lookups, which read no costs, still run.
+        let mut costly = Topology::mesh2d(6, 6);
+        costly
+            .add_edge_with(NodeId(14), NodeId(15), crate::EdgeAttr { cost: 3 })
+            .unwrap();
+        let physicals: Vec<Topology> = annotated_physicals().into_iter().chain([costly]).collect();
+        let requests = annotated_requests();
+
+        // One long-lived memo, and per search a fresh one: ESU visits each
+        // cell set once a walk, so a class hit within one walk joined
+        // candidates at different cells.
+        let mut cache = MappingCache::default();
+        let (mut rect_hits, mut walk_hits, mut joined, mut costly_lookups) = (0, 0, 0, 0);
+        let mut rng = Rng(0x5EED_0033);
+        for case in 0..1024 {
+            let phys = &physicals[case % physicals.len()];
+            let mapper = Mapper::new(phys);
+            let free = random_free_set(phys, &mut rng, case / 5 % 2 == 1, case / 10 % 2 == 1);
+            let fitting: Vec<&Topology> = requests
+                .iter()
+                .filter(|r| r.node_count() <= free.free_count())
+                .collect();
+            if fitting.is_empty() {
+                continue;
+            }
+            let req = fitting[rng.below(fitting.len())];
+            let cap = CAMPAIGN_CAPS[rng.below(CAMPAIGN_CAPS.len())];
+            let disconnected = rng.below(2) == 1;
+            // The first free window, which the rectangle path looks up.
+            let window = req
+                .mesh_shape()
+                .and_then(|s| enumerate::mesh_rectangles_in(phys, &free, s.width, s.height))
+                .and_then(|mut windows| windows.next());
+            for strategy in [Strategy::exact_only(), Strategy::similar_topology()] {
+                let strategy = strategy.candidate_cap(cap).allow_disconnected(disconnected);
+                let want = mapper.map_in(&free, req, &strategy);
+                let context = format!(
+                    "case {case}: {}-node request, {strategy:?}",
+                    req.node_count()
+                );
+                let before = cache.score_stats();
+                assert_eq!(
+                    mapper.map_cached(&free, req, &strategy, &mut cache),
+                    want,
+                    "{context}"
+                );
+                let after = cache.score_stats();
+                let mut fresh = MappingCache::default();
+                let got = mapper.map_cached(&free, req, &strategy, &mut fresh);
+                assert_eq!(got, want, "{context}, fresh memo");
+                joined += fresh.score_stats()[CLASS].hits;
+
+                let delta =
+                    |t: usize| after[t].hits + after[t].misses - before[t].hits - before[t].misses;
+                if case % physicals.len() == 4 {
+                    assert_eq!(after[..ISO], before[..ISO], "{context}: costly chip");
+                    costly_lookups += delta(CLASS) + delta(ISO);
+                }
+                // An isomorphism lookup is the rectangle path's when it
+                // answered at the window, the walk's when there was none.
+                let iso_hits = after[ISO].hits - before[ISO].hits;
+                match &window {
+                    None => walk_hits += iso_hits,
+                    Some(cells) => {
+                        let placed = want.as_ref().map(|m| {
+                            let mut nodes = m.phys_nodes().to_vec();
+                            nodes.sort_unstable();
+                            nodes
+                        });
+                        if placed.as_ref() == Ok(cells) {
+                            rect_hits += iso_hits;
+                        }
+                    }
+                }
+            }
+        }
+        let stats = cache.score_stats();
+        println!(
+            "structure-memo campaign: 1024 free sets x exact-only and similar-topology, \
+             0 mismatches; class {} hits / {} misses / {} evictions, iso {} hits / {} misses \
+             ({rect_hits} hits on the rectangle path, {walk_hits} in walks); {joined} class \
+             hits within one walk joined candidates at different cells; {costly_lookups} \
+             class and iso lookups on the costly chip",
+            stats[CLASS].hits,
+            stats[CLASS].misses,
+            stats[CLASS].evictions,
+            stats[ISO].hits,
+            stats[ISO].misses
+        );
+        assert!(stats[CLASS].hits > 0, "the class table never hit");
+        assert!(rect_hits > 0, "the rectangle path never hit the iso table");
+        assert!(walk_hits > 0, "a walk never hit the iso table");
+        assert!(
+            joined > 0,
+            "no class hit joined candidates at different cells"
+        );
+        assert!(
+            costly_lookups > 0,
+            "the costly chip made no class or iso lookup"
+        );
     }
 
     #[test]

@@ -96,6 +96,15 @@ impl MeshShape {
     }
 }
 
+/// Node count of a `width × height` mesh or torus.
+fn mesh_nodes(width: u32, height: u32) -> Result<usize> {
+    if width == 0 || height == 0 {
+        return Err(TopoError::EmptyMesh);
+    }
+    let n = width.checked_mul(height);
+    Ok(n.ok_or(TopoError::MeshTooLarge { width, height })? as usize)
+}
+
 /// An undirected graph describing an NPU core topology.
 ///
 /// Nodes are numbered `0..n` in row-major order for meshes. Edges are stored
@@ -124,23 +133,20 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero; use [`Topology::try_mesh2d`] for a
-    /// fallible variant.
+    /// Panics if either dimension is zero or `width × height` overflows a
+    /// `u32`; use [`Topology::try_mesh2d`] for a fallible variant.
     pub fn mesh2d(width: u32, height: u32) -> Self {
-        Self::try_mesh2d(width, height).expect("mesh dimensions must be non-zero")
+        Self::try_mesh2d(width, height).expect("mesh dimensions must be non-zero and fit a u32")
     }
 
     /// Fallible variant of [`Topology::mesh2d`].
     ///
     /// # Errors
     ///
-    /// Returns [`TopoError::EmptyMesh`] if either dimension is zero.
+    /// Returns [`TopoError::EmptyMesh`] if either dimension is zero, and
+    /// [`TopoError::MeshTooLarge`] if `width × height` overflows a `u32`.
     pub fn try_mesh2d(width: u32, height: u32) -> Result<Self> {
-        if width == 0 || height == 0 {
-            return Err(TopoError::EmptyMesh);
-        }
-        let n = (width * height) as usize;
-        let mut t = Topology::empty(n);
+        let mut t = Topology::empty(mesh_nodes(width, height)?);
         for y in 0..height {
             for x in 0..width {
                 let id = y * width + x;
@@ -176,12 +182,12 @@ impl Topology {
     }
 
     /// Builds a `width × height` 2D torus (mesh with wrap-around links).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Topology::try_mesh2d`].
     pub fn torus2d(width: u32, height: u32) -> Result<Self> {
-        if width == 0 || height == 0 {
-            return Err(TopoError::EmptyMesh);
-        }
-        let n = (width * height) as usize;
-        let mut t = Topology::empty(n);
+        let mut t = Topology::empty(mesh_nodes(width, height)?);
         for y in 0..height {
             for x in 0..width {
                 let id = y * width + x;
@@ -453,6 +459,11 @@ impl Topology {
         (sub, subset.to_vec())
     }
 
+    /// Whether every edge carries the default [`EdgeAttr`].
+    pub(crate) fn has_default_edge_costs(&self) -> bool {
+        self.edges.values().all(|&e| e == EdgeAttr::default())
+    }
+
     /// Dense `n × n` edge-attribute table (row-major, symmetric): the O(1)
     /// `edge_attr` of the kernels that ask about the same graph in a loop.
     pub(crate) fn edge_table(&self) -> Vec<Option<EdgeAttr>> {
@@ -640,5 +651,17 @@ mod tests {
     #[test]
     fn empty_mesh_rejected() {
         assert_eq!(Topology::try_mesh2d(0, 3), Err(TopoError::EmptyMesh));
+    }
+
+    #[test]
+    fn oversized_meshes_are_an_error_not_a_wrap() {
+        // 65 536 × 65 536 wraps a u32 to zero nodes.
+        let too_large = Err(TopoError::MeshTooLarge {
+            width: 1 << 16,
+            height: 1 << 16,
+        });
+        assert_eq!(Topology::try_mesh2d(1 << 16, 1 << 16), too_large);
+        assert_eq!(Topology::torus2d(1 << 16, 1 << 16), too_large);
+        assert_eq!(Topology::torus2d(0, 4), Err(TopoError::EmptyMesh));
     }
 }

@@ -74,10 +74,16 @@ section "scripts/loc.sh (non-test source size)"
 # structural key, the two packed tables and their plumbing into the
 # search, with the request edge-cost bound, the whole candidate cap in
 # the cache key and the FIFO drained before it grows), which cut
-# `churn_1chip`'s `op_tail10_us` by 37% in paired runs.
+# `churn_1chip`'s `op_tail10_us` by 37% in paired runs, and then the net 78
+# lines of keying every visited candidate by its structure (the structure
+# computed from the cells, the direct-mapped class table, the isomorphism
+# table and the one lookup routine the hashed tables share, the packed
+# canonical key, subgraphs built only on a miss, and the checked mesh
+# size, less the subgraph-based score key and the eager window list),
+# which cut it by a further 23%.
 CORE_SERVE_CODE_MAX=4873
-TOPO_CODE_MAX=2172
-WORKSPACE_CODE_MAX=16051
+TOPO_CODE_MAX=2250
+WORKSPACE_CODE_MAX=16129
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -168,6 +174,16 @@ done
 # both tables hit and some hit joined candidates whose `mem_distance`
 # differ.
 cargo test -p vnpu_topo -q score_memo_matches_fresh_scoring -- --nocapture
+# Every visited candidate is keyed by its structure (kinds and adjacency
+# in sorted-cell order, computed from the cells), and its canonical key and
+# isomorphism to the request come from the memo's class and iso tables.
+# The campaign holds a long-lived cache's exact-only and similar-topology
+# searches, and a fresh cache's, to memo-free `map_in` over 1 024 free
+# regions, with a fifth chip whose one costly edge bypasses the
+# edit-distance tables but not these two. It fails unless the class table
+# hit, some class hit joined candidates at different cells, and the iso
+# table hit on the rectangle path and in a walk.
+cargo test -p vnpu_topo -q structure_memo_matches_fresh_search -- --nocapture
 
 section "simulator miss-path gate"
 # The paper cells' simulated counters (makespan, NoC packets and

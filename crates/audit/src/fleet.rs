@@ -182,20 +182,11 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
         );
     }
 
-    // FAULT-MAP / FAULT-FREE: dead cores must be off-limits — no live
-    // tenant may (still) map one, and none may be advertised free. A
-    // tenant on a dead core is expected *transiently* while recovery is
-    // converging; persisting across audits means recovery stalled.
+    // FAULT-MAP: no live tenant may (still) map a dead core (FLEET-FREE
+    // already flags one advertised free). A tenant on a dead core is
+    // expected *transiently* while recovery is converging; persisting
+    // across audits means recovery stalled.
     for core in hv.faulted_cores() {
-        if free.contains(NodeId(core)) {
-            findings.push(
-                AuditFinding::error(
-                    Rule::FaultFreeCore,
-                    "faulted core is advertised in the free region",
-                )
-                .core(core),
-            );
-        }
         for &(_, vm) in owners(core) {
             findings.push(
                 AuditFinding::error(
@@ -228,11 +219,7 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
     }
 
     // The routing pass over this chip's resident tables.
-    findings.extend(audit_routing(
-        hv.topology(),
-        &collect_tenant_routes(hv),
-        false,
-    ));
+    findings.extend(audit_routing(hv.topology(), &collect_tenant_routes(hv)));
 
     findings
 }
@@ -474,20 +461,11 @@ mod reference {
             findings.push(f);
         }
 
-        // FAULT-MAP / FAULT-FREE: dead cores must be off-limits — no live
-        // tenant may (still) map one, and none may be advertised free. A
-        // tenant on a dead core is expected *transiently* while recovery is
-        // converging; persisting across audits means recovery stalled.
+        // FAULT-MAP: no live tenant may (still) map a dead core (FLEET-FREE
+        // already flags one advertised free). A tenant on a dead core is
+        // expected *transiently* while recovery is converging; persisting
+        // across audits means recovery stalled.
         for core in hv.faulted_cores() {
-            if free.contains(NodeId(core)) {
-                findings.push(
-                    AuditFinding::error(
-                        Rule::FaultFreeCore,
-                        "faulted core is advertised in the free region".to_string(),
-                    )
-                    .core(core),
-                );
-            }
             for &vm in owners.get(&core).map_or(&[][..], |o| o.as_slice()) {
                 findings.push(
                     AuditFinding::error(
@@ -527,11 +505,7 @@ mod reference {
         }
 
         // The routing pass over this chip's resident tables.
-        findings.extend(audit_routing(
-            hv.topology(),
-            &collect_tenant_routes(hv),
-            false,
-        ));
+        findings.extend(audit_routing(hv.topology(), &collect_tenant_routes(hv)));
 
         findings
     }
@@ -767,7 +741,7 @@ mod tests {
         let vm = hv.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
         let owned = hv.vnpu(vm).unwrap().mapping().phys_nodes()[0].0;
         // Fault an *owned* core: the tenant still maps it → FAULT-MAP,
-        // but the free set stays consistent (no FLEET/FAULT-FREE).
+        // but the free set stays consistent (no FLEET-FREE).
         hv.set_core_faulted(owned, true).unwrap();
         let findings = audit_chip(&hv, ChipSchedState::Schedulable);
         assert_eq!(

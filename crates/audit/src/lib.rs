@@ -38,7 +38,6 @@
 //! | `ROUTE-TABLE` | routing-table entries agree with the core mapping | routing |
 //! | `ROUTE-CONF` | confined tenants' routes stay inside their cores | routing |
 //! | `ROUTE-ISO` | no link shared with a NoC-isolated tenant | routing |
-//! | `ROUTE-SHARE` | (strict) no two tenants share any physical link | routing |
 //! | `ROUTE-CDG` | the channel-dependency graph is acyclic | routing |
 //! | `FLEET-OWN` | per-core user counts equal the sum of tenant claims | fleet |
 //! | `FLEET-SHARE` | shared cores only between temporal-sharing tenants | fleet |
@@ -47,7 +46,6 @@
 //! | `FLEET-DRAIN` | a drained chip holds zero tenants | fleet |
 //! | `FLEET-GEN` | the mapping-cache generation never regresses | fleet |
 //! | `FAULT-MAP` | no live tenant maps a faulted core | fault |
-//! | `FAULT-FREE` | no faulted core is advertised free | fault |
 //! | `FAULT-LINK` | no live tenant owns an endpoint of a faulted link | fault |
 //!
 //! The `TEMP-*` rules live in `vnpu_temporal`; each crate's rule type is
@@ -68,9 +66,8 @@ pub use routing::{audit_routing, collect_tenant_routes, Link, TenantRoutes};
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// A diagnostic worth knowing (e.g. two best-effort tenants sharing
-    /// a NoC link under plain dimension-order routing) — not a broken
-    /// guarantee.
+    /// A diagnostic worth knowing (e.g. a live tenant owning an
+    /// endpoint of a faulted link) — not a broken guarantee.
     Warning,
     /// A violated invariant: running the fleet as-is is unsafe.
     Error,
@@ -98,8 +95,6 @@ pub enum Rule {
     /// A physical link is shared with a tenant that was promised NoC
     /// isolation.
     RouteIsolationLeak,
-    /// (Strict mode only.) Two tenants' routes share a physical link.
-    RouteSharedLink,
     /// The channel-dependency graph over all resident routes has a
     /// cycle — deadlock freedom is not provable.
     RouteDeadlockCycle,
@@ -121,9 +116,6 @@ pub enum Rule {
     /// dead — recovery has not (yet) moved it off and the placement
     /// machinery failed to exclude the core.
     FaultMappedCore,
-    /// A faulted core is a member of the chip's free region — it could
-    /// be handed to the next placement.
-    FaultFreeCore,
     /// A live tenant owns an endpoint core of a faulted NoC link: its
     /// traffic terminates in (or originates from) the dead link's
     /// routers. A warning — traffic may still route around the link —
@@ -138,7 +130,6 @@ impl Rule {
             Rule::RouteTableMismatch => "ROUTE-TABLE",
             Rule::RouteEscapedRegion => "ROUTE-CONF",
             Rule::RouteIsolationLeak => "ROUTE-ISO",
-            Rule::RouteSharedLink => "ROUTE-SHARE",
             Rule::RouteDeadlockCycle => "ROUTE-CDG",
             Rule::FleetCoreOwnership => "FLEET-OWN",
             Rule::FleetSharedCore => "FLEET-SHARE",
@@ -147,7 +138,6 @@ impl Rule {
             Rule::FleetDrainedResidue => "FLEET-DRAIN",
             Rule::FleetGenerationRegressed => "FLEET-GEN",
             Rule::FaultMappedCore => "FAULT-MAP",
-            Rule::FaultFreeCore => "FAULT-FREE",
             Rule::FaultLinkEndpoint => "FAULT-LINK",
         }
     }
@@ -256,7 +246,6 @@ mod tests {
             Rule::RouteTableMismatch,
             Rule::RouteEscapedRegion,
             Rule::RouteIsolationLeak,
-            Rule::RouteSharedLink,
             Rule::RouteDeadlockCycle,
             Rule::FleetCoreOwnership,
             Rule::FleetSharedCore,
@@ -265,7 +254,6 @@ mod tests {
             Rule::FleetDrainedResidue,
             Rule::FleetGenerationRegressed,
             Rule::FaultMappedCore,
-            Rule::FaultFreeCore,
             Rule::FaultLinkEndpoint,
         ];
         let ids: std::collections::BTreeSet<&str> = rules.iter().map(|r| r.id()).collect();

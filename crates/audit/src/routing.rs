@@ -13,9 +13,8 @@
 //! * **Isolation** — no physical link carries traffic of two tenants
 //!   when either of them was promised NoC isolation (`ROUTE-ISO`), and
 //!   no confined tenant's path escapes its own cores (`ROUTE-CONF`).
-//!   Strict mode additionally reports *any* cross-tenant link sharing
-//!   (`ROUTE-SHARE`, warning): ordinary DOR fleets share links by
-//!   design, so that rule is informational.
+//!   Ordinary DOR fleets share links by design, so sharing between
+//!   plain tenants is no finding.
 //! * **Deadlock freedom** — the channel-dependency graph over directed
 //!   mesh links (one edge per consecutive hop pair of any flow) is
 //!   acyclic (`ROUTE-CDG`). X-then-Y routing is provably acyclic; the
@@ -29,8 +28,8 @@
 //! adjacency — `a → b` is numbered after every link leaving a lower core
 //! and after `a`'s links to lower neighbours — so ascending ids are
 //! ascending [`Link`]s. Link occupancy is one sorted `(link, tenant)`
-//! array, built only when an isolated tenant or strict mode can turn
-//! sharing into a finding; the deadlock search is one iterative DFS over
+//! array, built only when an isolated tenant can turn sharing into a
+//! finding; the deadlock search is one iterative DFS over
 //! link ids with a color array and an explicit stack, rooted in
 //! ascending order and taking successors in ascending order. Those are
 //! the orders the `BTreeMap`s this replaced iterated in, so the findings,
@@ -279,10 +278,8 @@ fn cdg_cycle(links: usize, mut deps: Vec<(u32, u32)>) -> Option<Vec<u32>> {
 }
 
 /// Runs the routing static analysis over a set of tenants on the given
-/// physical topology. With `strict` set, any cross-tenant link sharing
-/// is additionally reported as a warning (`ROUTE-SHARE`) — useful when
-/// characterizing interference, noise when auditing a plain DOR fleet.
-pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes], strict: bool) -> Vec<AuditFinding> {
+/// physical topology.
+pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes]) -> Vec<AuditFinding> {
     let mut findings = Vec::new();
 
     // ROUTE-TABLE: the table must resolve exactly the granted cores.
@@ -338,8 +335,8 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes], strict: bool) ->
 
     // Link occupancy — which tenants put traffic on each directed link,
     // grouped by link, VM-ID order within — can only matter when a tenant
-    // was promised isolation or strict mode reports any sharing.
-    if strict || tenants.iter().any(|t| t.isolated) {
+    // was promised isolation.
+    if tenants.iter().any(|t| t.isolated) {
         let mut users: Vec<(u32, VmId)> = Vec::new();
         for (i, t) in tenants.iter().enumerate() {
             for path in flows.of(i) {
@@ -367,15 +364,6 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes], strict: bool) ->
                         ),
                     )
                     .vm(iso)
-                    .core(link.from),
-                );
-            } else if strict {
-                let names: Vec<String> = vms.map(|vm| vm.to_string()).collect();
-                findings.push(
-                    AuditFinding::warning(
-                        Rule::RouteSharedLink,
-                        format!("link {link} is shared by {}", names.join(", ")),
-                    )
                     .core(link.from),
                 );
             }
@@ -509,14 +497,8 @@ pub(crate) mod reference {
     }
 
     /// Runs the routing static analysis over a set of tenants on the given
-    /// physical topology. With `strict` set, any cross-tenant link sharing
-    /// is additionally reported as a warning (`ROUTE-SHARE`) — useful when
-    /// characterizing interference, noise when auditing a plain DOR fleet.
-    pub(crate) fn audit_routing(
-        topo: &Topology,
-        tenants: &[TenantRoutes],
-        strict: bool,
-    ) -> Vec<AuditFinding> {
+    /// physical topology.
+    pub(crate) fn audit_routing(topo: &Topology, tenants: &[TenantRoutes]) -> Vec<AuditFinding> {
         let mut findings = Vec::new();
 
         // ROUTE-TABLE: the table must resolve exactly the granted cores.
@@ -616,15 +598,6 @@ pub(crate) mod reference {
                         ),
                     )
                     .vm(iso)
-                    .core(link.from),
-                );
-            } else if strict {
-                let names: Vec<String> = vms.iter().map(|vm| vm.to_string()).collect();
-                findings.push(
-                    AuditFinding::warning(
-                        Rule::RouteSharedLink,
-                        format!("link {link} is shared by {}", names.join(", ")),
-                    )
                     .core(link.from),
                 );
             }
@@ -737,22 +710,20 @@ pub(crate) mod reference {
                 _ => Topology::mesh2d(w, h),
             };
             let tenants = random_tenants(rng, w, h);
-            for strict in [false, true] {
-                let got = super::audit_routing(&topo, &tenants, strict);
-                let want = audit_routing(&topo, &tenants, strict);
-                assert_eq!(got, want, "case {case}, strict {strict}: {tenants:?}");
-                reached.extend(got.iter().map(|f| f.rule));
-                clean += usize::from(got.is_empty());
-            }
+            let got = super::audit_routing(&topo, &tenants);
+            let want = audit_routing(&topo, &tenants);
+            assert_eq!(got, want, "case {case}: {tenants:?}");
+            reached.extend(got.iter().map(|f| f.rule));
+            clean += usize::from(got.is_empty());
         }
         assert_eq!(
             reached.len(),
-            5,
+            4,
             "a routing rule was never reached: {reached:?}"
         );
         assert!(clean > 0, "no clean case");
         println!(
-            "routing campaign: {CASES} tenant sets x strict on/off, identical findings; \
+            "routing campaign: {CASES} tenant sets, identical findings; \
              rules reached {reached:?}, {clean} clean audits"
         );
     }
@@ -844,23 +815,7 @@ mod tests {
             tenant(1, false, &[1, 3, 5]),
             tenant(2, false, &[7, 2]),
         ];
-        assert!(audit_routing(&topo, &tenants, false).is_empty());
-        // Strict mode surfaces the sharing as warnings only — one per
-        // shared link, in link order, every user named in VM order.
-        let strict = audit_routing(&topo, &tenants, true);
-        assert!(strict.iter().all(|f| f.rule == Rule::RouteSharedLink));
-        let got: Vec<String> = strict.iter().map(|f| f.to_string()).collect();
-        assert_eq!(
-            got,
-            [
-                "[ROUTE-SHARE] warning core1: link p1\u{2192}p2 is shared by vm0, vm1",
-                "[ROUTE-SHARE] warning core2: link p2\u{2192}p1 is shared by vm0, vm1, vm2",
-                "[ROUTE-SHARE] warning core2: link p2\u{2192}p3 is shared by vm0, vm1",
-                "[ROUTE-SHARE] warning core3: link p3\u{2192}p2 is shared by vm0, vm1",
-                "[ROUTE-SHARE] warning core3: link p3\u{2192}p4 is shared by vm0, vm1",
-                "[ROUTE-SHARE] warning core4: link p4\u{2192}p3 is shared by vm0, vm1",
-            ]
-        );
+        assert!(audit_routing(&topo, &tenants).is_empty());
     }
 
     #[test]
@@ -875,7 +830,7 @@ mod tests {
             tenant(2, false, &[7, 9]),
             tenant(3, false, &[8, 10]),
         ];
-        let got: Vec<String> = audit_routing(&topo, &tenants, false)
+        let got: Vec<String> = audit_routing(&topo, &tenants)
             .iter()
             .map(|f| f.to_string())
             .collect();
@@ -912,7 +867,7 @@ mod tests {
         // routes straight through the isolated region.
         let iso = tenant(0, true, &[7, 8, 13, 14]);
         let crossing = tenant(1, false, &[6, 9]); // DOR 6->7->8->9
-        let findings = audit_routing(&topo, &[iso, crossing], false);
+        let findings = audit_routing(&topo, &[iso, crossing]);
         let leak = findings
             .iter()
             .find(|f| f.rule == Rule::RouteIsolationLeak)
@@ -936,13 +891,13 @@ mod tests {
         // An isolated tenant naming core 99 of a 6x6 mesh used to panic
         // inside `confined_path`; its pairs with 99 are unroutable and
         // skipped, exactly as the plain tenant's are.
-        assert!(audit_routing(&topo, &[tenant(0, true, &[0, 99])], true).is_empty());
+        assert!(audit_routing(&topo, &[tenant(0, true, &[0, 99])]).is_empty());
         let mut iso = tenant(0, true, &[0, 1, 99]);
         iso.owned_cores[2] = 98;
         let mut plain = iso.clone();
         plain.isolated = false;
-        let findings = audit_routing(&topo, &[iso], true);
-        assert_eq!(findings, audit_routing(&topo, &[plain], true));
+        let findings = audit_routing(&topo, &[iso]);
+        assert_eq!(findings, audit_routing(&topo, &[plain]));
         assert_eq!(rules(&findings), vec![Rule::RouteTableMismatch]);
     }
 
@@ -950,7 +905,7 @@ mod tests {
     fn single_core_tenants_are_trivially_clean() {
         let topo = Topology::mesh2d(6, 6);
         let tenants = vec![tenant(0, true, &[0]), tenant(1, true, &[35])];
-        assert!(audit_routing(&topo, &tenants, true).is_empty());
+        assert!(audit_routing(&topo, &tenants).is_empty());
     }
 
     #[test]
@@ -959,12 +914,12 @@ mod tests {
         // Cores 5 and 6 are consecutive IDs but NOT mesh-adjacent (5 ends
         // row 0, 6 starts row 1): DOR legally crosses the row.
         let plain = vec![tenant(0, false, &[5, 6])];
-        assert!(audit_routing(&topo, &plain, false).is_empty());
+        assert!(audit_routing(&topo, &plain).is_empty());
         // The same wrap pair promised isolation has no confined path, so
         // the router falls back to DOR — the audit must expose that the
         // promise is not actually kept.
         let confined = vec![tenant(0, true, &[5, 6])];
-        let findings = audit_routing(&topo, &confined, false);
+        let findings = audit_routing(&topo, &confined);
         assert!(
             rules(&findings).contains(&Rule::RouteEscapedRegion),
             "{findings:?}"
@@ -977,7 +932,7 @@ mod tests {
         // Two isolated 2x2 rectangles sharing a border but no cores.
         let left = tenant(0, true, &[0, 1, 6, 7]);
         let right = tenant(1, true, &[2, 3, 8, 9]);
-        let findings = audit_routing(&topo, &[left, right], false);
+        let findings = audit_routing(&topo, &[left, right]);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -986,7 +941,7 @@ mod tests {
         let topo = Topology::mesh2d(6, 6);
         let mut t = tenant(0, false, &[0, 1, 2, 3]);
         t.table_cores[2] = 14; // table points somewhere the mapping never granted
-        let findings = audit_routing(&topo, &[t], false);
+        let findings = audit_routing(&topo, &[t]);
         let hit = findings
             .iter()
             .find(|f| f.rule == Rule::RouteTableMismatch)
@@ -1015,7 +970,7 @@ mod tests {
         // shortest-path router, so drive the checker directly.
         let topo = Topology::mesh2d(6, 6);
         let t = tenant(0, true, &[0, 1, 6, 7]);
-        let findings = audit_routing(&topo, &[t], false);
+        let findings = audit_routing(&topo, &[t]);
         assert!(
             !rules(&findings).contains(&Rule::RouteDeadlockCycle),
             "the real confined router must remain deadlock-free: {findings:?}"
@@ -1026,7 +981,7 @@ mod tests {
     fn dor_is_deadlock_free_by_construction() {
         let topo = Topology::mesh2d(6, 6);
         let everyone = tenant(0, false, &(0..36).collect::<Vec<u32>>());
-        let findings = audit_routing(&topo, &[everyone], false);
+        let findings = audit_routing(&topo, &[everyone]);
         assert!(
             !rules(&findings).contains(&Rule::RouteDeadlockCycle),
             "X-then-Y routing is provably acyclic: {findings:?}"
@@ -1043,7 +998,7 @@ mod tests {
         let tenants = collect_tenant_routes(&hv);
         assert_eq!(tenants.len(), 3);
         assert!(tenants.iter().all(|t| t.table_cores == t.owned_cores));
-        let findings = audit_routing(hv.topology(), &tenants, false);
+        let findings = audit_routing(hv.topology(), &tenants);
         assert!(findings.is_empty(), "{findings:?}");
     }
 }

@@ -251,9 +251,9 @@ section "audit gate"
 # The fleet audit runs after every audited tick over flat arrays: paths
 # in one buffer with end offsets, links as dense ids from the topology's
 # sorted adjacency, the deadlock search as one DFS over those ids. The
-# pins hold its exact outputs (the ROUTE-CDG witness, a strict-mode
-# ROUTE-SHARE list, ROUTE-CONF + ROUTE-ISO findings with their order and
-# text) and an off-mesh core that used to panic `confined_path`; the
+# pins hold its exact outputs (the ROUTE-CDG witness, a DOR fleet whose
+# shared links are no finding, ROUTE-CONF + ROUTE-ISO findings with their
+# order and text) and an off-mesh core that used to panic `confined_path`; the
 # campaigns hold the routing pass, the cycle search and `audit_chip` /
 # `FleetAuditor::audit` to the BTreeMap passes they replaced (test-only
 # `reference` modules): identical findings over random meshes, a torus

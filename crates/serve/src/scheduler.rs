@@ -132,8 +132,8 @@ pub struct ServeConfig {
     pub audit: bool,
     /// Run the [`vnpu_temporal`] online checker inside every step: the
     /// tick's [`TraceEvent`] stream feeds the streaming `TEMP-*`
-    /// properties (liveness, convergence, conservation) as it is
-    /// emitted. Off by default — disabled, no observation event is even
+    /// properties (liveness, convergence, deadlines, leaks, hints) as
+    /// it is emitted. Off by default — disabled, no observation event is even
     /// computed; enabled on a healthy fleet, checking is read-only and
     /// leaves the run's report byte-identical. Findings accumulate on
     /// the runtime ([`ServeRuntime::temporal_findings`]) and are
@@ -1224,7 +1224,7 @@ impl ServeRuntime {
                     .migrate_tenant(tenant, cost.paused_cycles)
                     .map_err(vnpu::VnpuError::Sim)?;
                 // Paid even when the remap fails to escape a link fault
-                // — TEMP-COST conserves *paid* costs, so the emission is
+                // — the report books *paid* costs, so the emission is
                 // tied to the commit, not to the success check below.
                 self.temporal.emit(TraceEvent::RecoveryPaid {
                     tick,
@@ -1324,10 +1324,9 @@ impl ServeRuntime {
 
     /// The recorded event stream with a final
     /// [`TraceEvent::ReportClaim`] appended, restating the run counters
-    /// the fold accumulated. An offline `TEMP-COST` pass then checks
-    /// the claim against the per-event costs — the conservation law the
-    /// report's totals must satisfy. `None` unless
-    /// [`ServeConfig::record_trace`] is on.
+    /// the fold accumulated. No rule reads the claim — it is the fold of
+    /// the events before it — and the method stays because `benchmark/`
+    /// calls it. `None` unless [`ServeConfig::record_trace`] is on.
     pub fn trace_with_claim(&self) -> Option<Vec<TraceEvent>> {
         let trace = self.temporal.trace.as_ref()?;
         let fold = &self.temporal.fold;
@@ -2165,8 +2164,7 @@ mod tests {
             plain.to_json(usize::MAX),
             "checking a healthy run must not perturb it"
         );
-        // The recorded stream replays clean offline too — including the
-        // conservation pass against the report's claimed totals.
+        // The recorded stream, claim appended, replays clean offline too.
         let trace = rt.trace_with_claim().expect("record_trace is on");
         let offline = vnpu_temporal::check_trace(&trace, cfg.temporal_checker_config());
         assert!(offline.is_empty(), "offline replay clean: {offline:?}");

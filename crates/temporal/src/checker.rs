@@ -1,8 +1,8 @@
 //! The shipped rule catalogue: [`TemporalChecker::standard`] composes
-//! the seven `TEMP-*` rules from the combinators in [`crate::props`],
+//! the six `TEMP-*` rules from the combinators in [`crate::props`],
 //! and [`check_trace`] runs them offline over a recorded trace.
 
-use crate::props::{always, conserved, leads_to_within, monotone, Property};
+use crate::props::{always, leads_to_within, monotone, Property};
 use crate::trace::TraceEvent;
 use crate::{Subject, TempRule, TemporalFinding};
 use std::fmt;
@@ -69,7 +69,7 @@ impl fmt::Debug for TemporalChecker {
 }
 
 impl TemporalChecker {
-    /// Builds the shipped seven-rule catalogue.
+    /// Builds the shipped six-rule catalogue.
     pub fn standard(config: CheckerConfig) -> Self {
         let mut props: Vec<Box<dyn Property>> = Vec::new();
 
@@ -172,76 +172,6 @@ impl TemporalChecker {
                         tick.saturating_sub(onset_tick)
                     ),
                 )),
-                _ => None,
-            },
-        )));
-
-        // TEMP-COST — conservation: per dimension, the sum of paid
-        // costs over the trace equals the report's claimed totals.
-        props.push(Box::new(conserved(
-            TempRule::CostConservation,
-            |ev| match ev {
-                TraceEvent::Migrated { cost, .. } => vec![
-                    ("migrations", 1),
-                    ("reconfig.routing_cycles", cost.routing_cycles),
-                    ("reconfig.rtt_cycles", cost.rtt_cycles),
-                    ("reconfig.data_move_bytes", cost.data_move_bytes),
-                    ("reconfig.paused_cycles", cost.paused_cycles),
-                ],
-                TraceEvent::DrainMove { cost, .. } => vec![
-                    ("drain_migrations", 1),
-                    ("drain_reconfig.routing_cycles", cost.routing_cycles),
-                    ("drain_reconfig.rtt_cycles", cost.rtt_cycles),
-                    ("drain_reconfig.data_move_bytes", cost.data_move_bytes),
-                    ("drain_reconfig.paused_cycles", cost.paused_cycles),
-                ],
-                TraceEvent::RecoveryPaid { cost, .. } => vec![
-                    ("recovery_reconfig.routing_cycles", cost.routing_cycles),
-                    ("recovery_reconfig.rtt_cycles", cost.rtt_cycles),
-                    ("recovery_reconfig.data_move_bytes", cost.data_move_bytes),
-                    ("recovery_reconfig.paused_cycles", cost.paused_cycles),
-                ],
-                _ => Vec::new(),
-            },
-            |ev| match ev {
-                TraceEvent::ReportClaim {
-                    migrations,
-                    drain_migrations,
-                    reconfig,
-                    drain_reconfig,
-                    recovery_reconfig,
-                    ..
-                } => Some(vec![
-                    ("migrations", *migrations),
-                    ("reconfig.routing_cycles", reconfig.routing_cycles),
-                    ("reconfig.rtt_cycles", reconfig.rtt_cycles),
-                    ("reconfig.data_move_bytes", reconfig.data_move_bytes),
-                    ("reconfig.paused_cycles", reconfig.paused_cycles),
-                    ("drain_migrations", *drain_migrations),
-                    (
-                        "drain_reconfig.routing_cycles",
-                        drain_reconfig.routing_cycles,
-                    ),
-                    ("drain_reconfig.rtt_cycles", drain_reconfig.rtt_cycles),
-                    (
-                        "drain_reconfig.data_move_bytes",
-                        drain_reconfig.data_move_bytes,
-                    ),
-                    ("drain_reconfig.paused_cycles", drain_reconfig.paused_cycles),
-                    (
-                        "recovery_reconfig.routing_cycles",
-                        recovery_reconfig.routing_cycles,
-                    ),
-                    ("recovery_reconfig.rtt_cycles", recovery_reconfig.rtt_cycles),
-                    (
-                        "recovery_reconfig.data_move_bytes",
-                        recovery_reconfig.data_move_bytes,
-                    ),
-                    (
-                        "recovery_reconfig.paused_cycles",
-                        recovery_reconfig.paused_cycles,
-                    ),
-                ]),
                 _ => None,
             },
         )));
@@ -384,7 +314,6 @@ pub fn check_trace(events: &[TraceEvent], config: CheckerConfig) -> Vec<Temporal
 mod tests {
     use super::*;
     use crate::trace::RecoveryKind;
-    use vnpu::plan::ReconfigCost;
 
     fn cfg() -> CheckerConfig {
         CheckerConfig {
@@ -497,39 +426,6 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, TempRule::HintSoundness);
         assert_eq!(findings[0].subject, Subject::Request(7));
-    }
-
-    #[test]
-    fn cost_claim_mismatch_fires_per_dimension() {
-        let cost = ReconfigCost {
-            routing_cycles: 2,
-            rtt_cycles: 3,
-            data_move_bytes: 64,
-            paused_cycles: 5,
-        };
-        let trace = [
-            TraceEvent::Migrated {
-                tick: 1,
-                chip: 0,
-                vm: 0,
-                cost,
-            },
-            TraceEvent::ReportClaim {
-                tick: 2,
-                migrations: 1,
-                drain_migrations: 0,
-                reconfig: ReconfigCost {
-                    paused_cycles: 6, // inflated
-                    ..cost
-                },
-                drain_reconfig: ReconfigCost::default(),
-                recovery_reconfig: ReconfigCost::default(),
-            },
-        ];
-        let findings = check_trace(&trace, cfg());
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, TempRule::CostConservation);
-        assert!(findings[0].detail.contains("paused_cycles"));
     }
 
     #[test]

@@ -250,26 +250,26 @@ impl TraceFold {
             | TraceEvent::ReportClaim { .. } => {}
         }
     }
-
-    /// Mean ticks-to-recover over every recovered tenant.
-    pub fn recovered_tenants(&self) -> u64 {
-        self.recoveries_remapped + self.recoveries_replaced + self.recoveries_self_healed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn cost(routing: u64, rtt: u64, bytes: u64, paused: u64) -> ReconfigCost {
+        ReconfigCost {
+            routing_cycles: routing,
+            rtt_cycles: rtt,
+            data_move_bytes: bytes,
+            paused_cycles: paused,
+        }
+    }
+
     #[test]
     fn fold_books_every_dimension() {
-        let cost = ReconfigCost {
-            routing_cycles: 10,
-            rtt_cycles: 4,
-            data_move_bytes: 256,
-            paused_cycles: 30,
-        };
         let mut f = TraceFold::new(2);
+        // Each cost kind is paid twice, at different costs, so every
+        // reconfiguration total must be its own per-dimension sum.
         for ev in [
             TraceEvent::Arrival { tick: 0, id: 1 },
             TraceEvent::Admitted {
@@ -283,7 +283,13 @@ mod tests {
                 tick: 2,
                 chip: 0,
                 vm: 0,
-                cost,
+                cost: cost(10, 4, 256, 30),
+            },
+            TraceEvent::Migrated {
+                tick: 2,
+                chip: 0,
+                vm: 0,
+                cost: cost(1, 2, 64, 5),
             },
             TraceEvent::DrainMove {
                 tick: 3,
@@ -291,7 +297,15 @@ mod tests {
                 from_vm: 0,
                 to_chip: 1,
                 to_vm: 4,
-                cost,
+                cost: cost(20, 8, 512, 60),
+            },
+            TraceEvent::DrainMove {
+                tick: 3,
+                from_chip: 0,
+                from_vm: 1,
+                to_chip: 1,
+                to_vm: 5,
+                cost: cost(3, 1, 128, 7),
             },
             TraceEvent::FaultOnset { tick: 4, chip: 1 },
             TraceEvent::RecoveryDetected {
@@ -302,7 +316,12 @@ mod tests {
             TraceEvent::RecoveryPaid {
                 tick: 5,
                 chip: 1,
-                cost,
+                cost: cost(5, 3, 32, 11),
+            },
+            TraceEvent::RecoveryPaid {
+                tick: 5,
+                chip: 1,
+                cost: cost(2, 6, 16, 13),
             },
             TraceEvent::Recovered {
                 tick: 5,
@@ -329,22 +348,22 @@ mod tests {
         assert_eq!(f.accepted, 1);
         assert_eq!(f.rejected, 1);
         assert_eq!(f.departed, 1);
-        assert_eq!(f.migrations, 1);
-        assert_eq!(f.reconfig, cost);
-        assert_eq!(f.drain_migrations, 1);
-        assert_eq!(f.per_chip[0].drain_evacuated, 1);
-        assert_eq!(f.per_chip[1].drain_received, 1);
+        assert_eq!(f.migrations, 2);
+        assert_eq!(f.reconfig, cost(11, 6, 320, 35));
+        assert_eq!(f.drain_migrations, 2);
+        assert_eq!(f.drain_reconfig, cost(23, 9, 640, 67));
+        assert_eq!(f.per_chip[0].drain_evacuated, 2);
+        assert_eq!(f.per_chip[1].drain_received, 2);
         assert_eq!(f.faults_injected, 1);
         assert_eq!(f.faults_repaired, 1);
         assert_eq!(f.recoveries_remapped, 1);
         assert_eq!(f.per_chip[1].recoveries_remapped, 1);
-        assert_eq!(f.recovery_reconfig, cost);
+        assert_eq!(f.recovery_reconfig, cost(7, 9, 48, 24));
         assert_eq!(f.mttr_total_ticks, 1);
         assert_eq!(f.mttr_max_ticks, 1);
         assert_eq!(f.degraded_ticks, 1);
         assert_eq!(f.executed_epochs, 1);
         assert_eq!(f.machine_cycles, 99);
-        assert_eq!(f.recovered_tenants(), 1);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!    single source of truth — the serve report folds its numbers from
 //!    the same stream ([`TraceFold`]) the checker verifies, and two runs
 //!    that must agree are compared event by event on it;
-//! 2. a property-combinator DSL ([`props`]: `always`, `never`,
-//!    `leads_to_within(n)`, `monotone`, `conserved`) from which the
-//!    shipped `TEMP-*` catalogue is composed;
+//! 2. a property-combinator DSL ([`props`]: `always`,
+//!    `leads_to_within(n)`, `monotone`) from which the shipped `TEMP-*`
+//!    catalogue is composed;
 //! 3. a checker that runs the catalogue *online* (streaming, O(1)
 //!    state per tracked subject, live inside `ServeRuntime::step`) or
 //!    *offline* over a recorded trace ([`check_trace`]).
@@ -25,7 +25,6 @@
 //! | `TEMP-STARVE` | every arrival admitted or terminally rejected within the policy bound | leads-to |
 //! | `TEMP-DRAIN`  | a silently stalled drain makes progress or finishes within the stall bound | leads-to |
 //! | `TEMP-FAULT`  | a detected outage recovers, is lost, or departs by `max_recovery_ticks` | leads-to + always |
-//! | `TEMP-COST`   | Σ per-event paid costs equals the report's claims, per dimension | conserved |
 //! | `TEMP-CACHE`  | cumulative cache hits and misses never regress | monotone |
 //! | `TEMP-LEAK`   | quiescence implies a coalesced, leak-free free state | always |
 //! | `TEMP-HINT`   | an emitted fit hint fits the admission pass's start snapshot | always |
@@ -63,9 +62,6 @@ pub enum TempRule {
     /// A detected outage was not recovered, lost, or departed by the
     /// recovery deadline — or a resolution event contradicts it.
     FaultDeadline,
-    /// Per-event paid reconfiguration costs do not sum to the report's
-    /// claimed totals.
-    CostConservation,
     /// A cumulative mapping-cache counter (hits or misses) regressed.
     CacheConservation,
     /// The fleet claimed quiescence while still holding cores or HBM,
@@ -83,7 +79,6 @@ impl TempRule {
             TempRule::Starvation => "TEMP-STARVE",
             TempRule::DrainConvergence => "TEMP-DRAIN",
             TempRule::FaultDeadline => "TEMP-FAULT",
-            TempRule::CostConservation => "TEMP-COST",
             TempRule::CacheConservation => "TEMP-CACHE",
             TempRule::QuiescenceLeak => "TEMP-LEAK",
             TempRule::HintSoundness => "TEMP-HINT",
@@ -165,7 +160,6 @@ mod tests {
             TempRule::Starvation,
             TempRule::DrainConvergence,
             TempRule::FaultDeadline,
-            TempRule::CostConservation,
             TempRule::CacheConservation,
             TempRule::QuiescenceLeak,
             TempRule::HintSoundness,

@@ -1,6 +1,6 @@
 //! The property-combinator DSL: small, streaming property machines
-//! ([`always`], [`never`](fn@never), [`leads_to_within`], [`monotone`],
-//! [`conserved`]) that a checker composes into a rule catalogue.
+//! ([`always`], [`leads_to_within`], [`monotone`]) that a checker
+//! composes into a rule catalogue.
 //!
 //! Every combinator is *online*: it observes one [`TraceEvent`] at a
 //! time, keeps O(1) state per tracked subject, and appends
@@ -42,16 +42,6 @@ where
     F: FnMut(&TraceEvent) -> Option<(Subject, String)>,
 {
     Always { rule, check }
-}
-
-/// `never(P)` ≡ `always(¬P)`: the closure returns `Some` when the
-/// *banned* condition holds. Provided as its own constructor so rule
-/// definitions read the way they are specified.
-pub fn never<F>(rule: TempRule, banned: F) -> Always<F>
-where
-    F: FnMut(&TraceEvent) -> Option<(Subject, String)>,
-{
-    always(rule, banned)
 }
 
 impl<F> Property for Always<F>
@@ -217,68 +207,6 @@ where
     fn finish(&mut self, _final_tick: u64, _out: &mut Vec<TemporalFinding>) {}
 }
 
-/// `conserved(deltas, claim)`: the per-dimension sum of event deltas
-/// must equal the claimed totals when (and each time) a claim event
-/// appears.
-pub struct Conserved<D, C> {
-    rule: TempRule,
-    deltas: D,
-    claim: C,
-    sums: BTreeMap<&'static str, u64>,
-    first_tick: Option<u64>,
-}
-
-/// Builds a [`Conserved`] property. `deltas` yields the dimensions an
-/// event pays into; `claim` yields the claimed totals (typically from a
-/// single trailing [`TraceEvent::ReportClaim`]).
-pub fn conserved<D, C>(rule: TempRule, deltas: D, claim: C) -> Conserved<D, C>
-where
-    D: FnMut(&TraceEvent) -> Vec<(&'static str, u64)>,
-    C: FnMut(&TraceEvent) -> Option<Vec<(&'static str, u64)>>,
-{
-    Conserved {
-        rule,
-        deltas,
-        claim,
-        sums: BTreeMap::new(),
-        first_tick: None,
-    }
-}
-
-impl<D, C> Property for Conserved<D, C>
-where
-    D: FnMut(&TraceEvent) -> Vec<(&'static str, u64)>,
-    C: FnMut(&TraceEvent) -> Option<Vec<(&'static str, u64)>>,
-{
-    fn observe(&mut self, ev: &TraceEvent, out: &mut Vec<TemporalFinding>) {
-        for (dim, delta) in (self.deltas)(ev) {
-            if delta > 0 {
-                self.first_tick.get_or_insert(ev.tick());
-            }
-            let slot = self.sums.entry(dim).or_insert(0);
-            *slot = slot.saturating_add(delta);
-        }
-        if let Some(claimed) = (self.claim)(ev) {
-            for (dim, claim) in claimed {
-                let paid = self.sums.get(dim).copied().unwrap_or(0);
-                if paid != claim {
-                    out.push(TemporalFinding {
-                        rule: self.rule,
-                        first_tick: self.first_tick.unwrap_or(0),
-                        last_tick: ev.tick(),
-                        subject: Subject::Fleet,
-                        detail: format!(
-                            "{dim} not conserved: events paid {paid}, report claims {claim}"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, _final_tick: u64, _out: &mut Vec<TemporalFinding>) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,53 +292,5 @@ mod tests {
         p.observe(&sample(2, 6), &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].detail.contains("regressed"));
-    }
-
-    #[test]
-    fn conserved_checks_each_dimension() {
-        let mut p = conserved(
-            TempRule::CostConservation,
-            |ev| match ev {
-                TraceEvent::Migrated { cost, .. } => {
-                    vec![("migrations", 1), ("paused", cost.paused_cycles)]
-                }
-                _ => Vec::new(),
-            },
-            |ev| match ev {
-                TraceEvent::ReportClaim { migrations, .. } => {
-                    Some(vec![("migrations", *migrations), ("paused", 30)])
-                }
-                _ => None,
-            },
-        );
-        let mut out = Vec::new();
-        let cost = vnpu::plan::ReconfigCost {
-            routing_cycles: 0,
-            rtt_cycles: 0,
-            data_move_bytes: 0,
-            paused_cycles: 30,
-        };
-        p.observe(
-            &TraceEvent::Migrated {
-                tick: 1,
-                chip: 0,
-                vm: 0,
-                cost,
-            },
-            &mut out,
-        );
-        p.observe(
-            &TraceEvent::ReportClaim {
-                tick: 2,
-                migrations: 2, // wrong: only one was paid
-                drain_migrations: 0,
-                reconfig: cost,
-                drain_reconfig: Default::default(),
-                recovery_reconfig: Default::default(),
-            },
-            &mut out,
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].detail.contains("migrations not conserved"));
     }
 }

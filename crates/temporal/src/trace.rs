@@ -253,9 +253,11 @@ pub enum TraceEvent {
         /// Chips in the fleet (an idle healthy chip is one component).
         chips: u64,
     },
-    /// The run's claimed totals, appended after the last real event so
-    /// the offline checker can verify conservation: Σ per-event paid
-    /// costs must equal the claim, per dimension.
+    /// The run's claimed totals, appended after the last real event by
+    /// `ServeRuntime::trace_with_claim`. No rule reads it: the claim
+    /// restates the [`crate::TraceFold`] of the very events before it,
+    /// so comparing the two would only re-check the fold's addition.
+    /// It stays because `benchmark/` replays traces through that method.
     ReportClaim {
         /// Tick the claim was taken.
         tick: u64,

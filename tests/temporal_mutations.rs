@@ -217,20 +217,6 @@ fn late_recovery_mutation_fires_temp_fault() {
 }
 
 #[test]
-fn inflated_cost_mutation_fires_temp_cost() {
-    let (mut trace, check) = pristine_trace(churn_cfg(), false);
-    // Corrupt: one defrag migration pays more than the report claims.
-    let slot = trace
-        .iter()
-        .position(|ev| matches!(ev, TraceEvent::Migrated { .. }))
-        .expect("defrag migrates tenants in the churn scenario");
-    if let TraceEvent::Migrated { cost, .. } = &mut trace[slot] {
-        cost.routing_cycles += 7;
-    }
-    assert_fires_exactly(&trace, check, TempRule::CostConservation);
-}
-
-#[test]
 fn cache_sample_mutations_fire_temp_cache() {
     let (mut trace, check) = pristine_trace(churn_cfg(), false);
     // The cumulative hit counter regresses.

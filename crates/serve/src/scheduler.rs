@@ -1063,21 +1063,11 @@ impl ServeRuntime {
         Ok(())
     }
 
-    /// Tick phase: post-tick observation. The placement-cache sample
-    /// (TEMP-CACHE checks that hits and misses never regress across
-    /// samples), then the optional fleet audit: every invariant the
-    /// tick's phases were supposed to preserve, cross-checked read-only.
-    /// Findings are data, not errors — callers (and the report) decide
-    /// how hard to fail on them.
+    /// Tick phase: the optional post-tick fleet audit — every invariant
+    /// the tick's phases were supposed to preserve, cross-checked
+    /// read-only. Findings are data, not errors — callers (and the
+    /// report) decide how hard to fail on them.
     fn audit(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
-        self.temporal.detail(|| {
-            let cache = self.cluster.cache_stats();
-            TraceEvent::CacheSample {
-                tick: ctx.tick,
-                hits: cache.hits,
-                misses: cache.misses,
-            }
-        });
         if self.cfg.audit {
             let findings = self.auditor.audit(&self.cluster);
             ctx.events.audit_findings = findings.len() as u64;

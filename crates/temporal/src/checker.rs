@@ -1,8 +1,8 @@
 //! The shipped rule catalogue: [`TemporalChecker::standard`] composes
-//! the six `TEMP-*` rules from the combinators in [`crate::props`],
+//! the five `TEMP-*` rules from the combinators in [`crate::props`],
 //! and [`check_trace`] runs them offline over a recorded trace.
 
-use crate::props::{always, leads_to_within, monotone, Property};
+use crate::props::{always, leads_to_within, Property};
 use crate::trace::TraceEvent;
 use crate::{Subject, TempRule, TemporalFinding};
 use std::fmt;
@@ -69,7 +69,7 @@ impl fmt::Debug for TemporalChecker {
 }
 
 impl TemporalChecker {
-    /// Builds the shipped six-rule catalogue.
+    /// Builds the shipped five-rule catalogue.
     pub fn standard(config: CheckerConfig) -> Self {
         let mut props: Vec<Box<dyn Property>> = Vec::new();
 
@@ -172,24 +172,6 @@ impl TemporalChecker {
                         tick.saturating_sub(onset_tick)
                     ),
                 )),
-                _ => None,
-            },
-        )));
-
-        // TEMP-CACHE — cumulative counters never regress.
-        props.push(Box::new(monotone(
-            TempRule::CacheConservation,
-            "cumulative cache hits",
-            |ev| match ev {
-                TraceEvent::CacheSample { hits, .. } => Some((Subject::Fleet, *hits)),
-                _ => None,
-            },
-        )));
-        props.push(Box::new(monotone(
-            TempRule::CacheConservation,
-            "cumulative cache misses",
-            |ev| match ev {
-                TraceEvent::CacheSample { misses, .. } => Some((Subject::Fleet, *misses)),
                 _ => None,
             },
         )));

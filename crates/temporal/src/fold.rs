@@ -245,7 +245,6 @@ impl TraceFold {
             | TraceEvent::HintEmitted { .. }
             | TraceEvent::DrainStep { .. }
             | TraceEvent::RecoveryDetected { .. }
-            | TraceEvent::CacheSample { .. }
             | TraceEvent::Quiesced { .. }
             | TraceEvent::ReportClaim { .. } => {}
         }

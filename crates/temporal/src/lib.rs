@@ -12,8 +12,8 @@
 //!    the same stream ([`TraceFold`]) the checker verifies, and two runs
 //!    that must agree are compared event by event on it;
 //! 2. a property-combinator DSL ([`props`]: `always`,
-//!    `leads_to_within(n)`, `monotone`) from which the shipped `TEMP-*`
-//!    catalogue is composed;
+//!    `leads_to_within(n)`) from which the shipped `TEMP-*` catalogue
+//!    is composed;
 //! 3. a checker that runs the catalogue *online* (streaming, O(1)
 //!    state per tracked subject, live inside `ServeRuntime::step`) or
 //!    *offline* over a recorded trace ([`check_trace`]).
@@ -25,7 +25,6 @@
 //! | `TEMP-STARVE` | every arrival admitted or terminally rejected within the policy bound | leads-to |
 //! | `TEMP-DRAIN`  | a silently stalled drain makes progress or finishes within the stall bound | leads-to |
 //! | `TEMP-FAULT`  | a detected outage recovers, is lost, or departs by `max_recovery_ticks` | leads-to + always |
-//! | `TEMP-CACHE`  | cumulative cache hits and misses never regress | monotone |
 //! | `TEMP-LEAK`   | quiescence implies a coalesced, leak-free free state | always |
 //! | `TEMP-HINT`   | an emitted fit hint fits the admission pass's start snapshot | always |
 //!
@@ -62,8 +61,6 @@ pub enum TempRule {
     /// A detected outage was not recovered, lost, or departed by the
     /// recovery deadline — or a resolution event contradicts it.
     FaultDeadline,
-    /// A cumulative mapping-cache counter (hits or misses) regressed.
-    CacheConservation,
     /// The fleet claimed quiescence while still holding cores or HBM,
     /// or with an uncoalesced free region on healthy hardware.
     QuiescenceLeak,
@@ -79,7 +76,6 @@ impl TempRule {
             TempRule::Starvation => "TEMP-STARVE",
             TempRule::DrainConvergence => "TEMP-DRAIN",
             TempRule::FaultDeadline => "TEMP-FAULT",
-            TempRule::CacheConservation => "TEMP-CACHE",
             TempRule::QuiescenceLeak => "TEMP-LEAK",
             TempRule::HintSoundness => "TEMP-HINT",
         }
@@ -95,7 +91,7 @@ impl fmt::Display for TempRule {
 /// What a finding is about — the entity whose property was violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Subject {
-    /// The fleet as a whole (conservation, quiescence).
+    /// The fleet as a whole (quiescence).
     Fleet,
     /// A queued admission request, by raw request id.
     Request(u64),
@@ -160,7 +156,6 @@ mod tests {
             TempRule::Starvation,
             TempRule::DrainConvergence,
             TempRule::FaultDeadline,
-            TempRule::CacheConservation,
             TempRule::QuiescenceLeak,
             TempRule::HintSoundness,
         ];

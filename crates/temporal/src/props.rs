@@ -1,6 +1,6 @@
 //! The property-combinator DSL: small, streaming property machines
-//! ([`always`], [`leads_to_within`], [`monotone`]) that a checker
-//! composes into a rule catalogue.
+//! ([`always`], [`leads_to_within`]) that a checker composes into a
+//! rule catalogue.
 //!
 //! Every combinator is *online*: it observes one [`TraceEvent`] at a
 //! time, keeps O(1) state per tracked subject, and appends
@@ -151,62 +151,6 @@ where
     }
 }
 
-/// `monotone(series)`: a per-subject numeric series must never
-/// decrease.
-pub struct Monotone<F> {
-    rule: TempRule,
-    series: F,
-    what: &'static str,
-    last: BTreeMap<Subject, (u64, u64)>,
-}
-
-/// Builds a [`Monotone`] property over the `(subject, value)` pairs the
-/// closure extracts.
-pub fn monotone<F>(rule: TempRule, what: &'static str, series: F) -> Monotone<F>
-where
-    F: FnMut(&TraceEvent) -> Option<(Subject, u64)>,
-{
-    Monotone {
-        rule,
-        series,
-        what,
-        last: BTreeMap::new(),
-    }
-}
-
-impl<F> Property for Monotone<F>
-where
-    F: FnMut(&TraceEvent) -> Option<(Subject, u64)>,
-{
-    fn observe(&mut self, ev: &TraceEvent, out: &mut Vec<TemporalFinding>) {
-        if let Some((subject, value)) = (self.series)(ev) {
-            match self.last.get(&subject).copied() {
-                Some((prev_tick, prev)) if value < prev => {
-                    out.push(TemporalFinding {
-                        rule: self.rule,
-                        first_tick: prev_tick,
-                        last_tick: ev.tick(),
-                        subject,
-                        detail: format!(
-                            "{} regressed: {} at tick {} after {} at tick {}",
-                            self.what,
-                            value,
-                            ev.tick(),
-                            prev,
-                            prev_tick
-                        ),
-                    });
-                }
-                _ => {
-                    self.last.insert(subject, (ev.tick(), value));
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, _final_tick: u64, _out: &mut Vec<TemporalFinding>) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,24 +217,5 @@ mod tests {
         p.observe(&arrival(10, 1), &mut out);
         p.finish(12, &mut out); // still inside the window
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn monotone_flags_regressions() {
-        let mut p = monotone(TempRule::CacheConservation, "hits", |ev| match ev {
-            TraceEvent::CacheSample { hits, .. } => Some((Subject::Fleet, *hits)),
-            _ => None,
-        });
-        let mut out = Vec::new();
-        let sample = |tick, hits| TraceEvent::CacheSample {
-            tick,
-            hits,
-            misses: 0,
-        };
-        p.observe(&sample(0, 5), &mut out);
-        p.observe(&sample(1, 7), &mut out);
-        p.observe(&sample(2, 6), &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].detail.contains("regressed"));
     }
 }

@@ -225,15 +225,6 @@ pub enum TraceEvent {
         /// The degraded chip.
         chip: usize,
     },
-    /// Cumulative mapping-cache counters at the end of a tick.
-    CacheSample {
-        /// The sampled tick.
-        tick: u64,
-        /// Cumulative cache hits.
-        hits: u64,
-        /// Cumulative cache misses.
-        misses: u64,
-    },
     /// The fleet reached quiescence (end-of-run drain): every tenant
     /// retired, so the free state must be fully coalesced and leak-free.
     Quiesced {
@@ -296,7 +287,6 @@ impl TraceEvent {
             | TraceEvent::TenantLost { tick, .. }
             | TraceEvent::Executed { tick, .. }
             | TraceEvent::Degraded { tick, .. }
-            | TraceEvent::CacheSample { tick, .. }
             | TraceEvent::Quiesced { tick, .. }
             | TraceEvent::ReportClaim { tick, .. } => tick,
         }

@@ -285,8 +285,8 @@ echo "plan/commit gate: every un-intervened plan committed at its planned prices
 
 section "temporal verification gate"
 # Mutation suite: every seeded trace corruption (dropped admission,
-# stalled drain, overdue recovery, regressed cache counter, leaked
-# quiescence, oversized hint) must be flagged
+# stalled drain, overdue recovery, leaked quiescence, oversized hint)
+# must be flagged
 # under exactly its TEMP-* rule while the pristine scenario traces
 # check clean online and offline.
 cargo test --test temporal_mutations -q

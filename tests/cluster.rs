@@ -595,7 +595,7 @@ fn serve_outputs_are_pinned_across_refactors() {
     );
     assert_eq!(
         (json_hash, trace_len, trace_fold),
-        (10_639_872_328_804_908_377, 3_210, 8_412_402_454_987_512_650),
+        (10_639_872_328_804_908_377, 2_890, 3_879_830_810_953_600_063),
         "the serve loop's published outputs moved"
     );
 }
@@ -634,7 +634,7 @@ fn churn_placements_are_pinned() {
     );
     assert_eq!(
         (json_hash, trace_len, trace_fold),
-        (6_223_482_786_767_537_346, 3_521, 5_940_387_916_709_975_917),
+        (6_223_482_786_767_537_346, 2_921, 12_904_678_073_205_306_551),
         "the churn run's placements moved"
     );
 }
@@ -705,8 +705,8 @@ fn reconfig_placements_are_pinned() {
         (json_hash, trace_len, trace_fold),
         (
             16_643_284_090_563_796_239,
-            5_579,
-            17_377_610_400_843_546_869
+            4_979,
+            18_188_107_238_829_779_517
         ),
         "the reconfiguration run's placements moved"
     );

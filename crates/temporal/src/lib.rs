@@ -159,10 +159,25 @@ mod tests {
             TempRule::QuiescenceLeak,
             TempRule::HintSoundness,
         ];
-        let ids: std::collections::BTreeSet<&str> = rules.iter().map(|r| r.id()).collect();
-        assert_eq!(ids.len(), rules.len(), "duplicate rule id");
-        for id in ids {
+        let ids: Vec<&str> = rules.iter().map(|r| r.id()).collect();
+        let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), rules.len(), "duplicate rule id");
+        for id in unique {
             assert!(id.starts_with("TEMP-"), "{id}");
+        }
+        // The README's rule table and the crate-doc catalogue list exactly
+        // these ids, in this order, so a deleted id cannot linger there.
+        for (doc, text) in [
+            ("README.md", include_str!("../../../README.md")),
+            ("crate docs", include_str!("lib.rs")),
+        ] {
+            let listed: Vec<&str> = text
+                .lines()
+                .filter_map(|line| line.trim_start_matches("//! ").strip_prefix("| `"))
+                .filter_map(|cell| cell.split('`').next())
+                .filter(|id| id.starts_with("TEMP-"))
+                .collect();
+            assert_eq!(listed, ids, "{doc}'s rule table");
         }
     }
 

@@ -8,10 +8,11 @@
 //! *now* and succeed *after the next departure*. This module holds the
 //! queue and the policies of that lifecycle; the one admission path that
 //! drives them is [`crate::cluster::Cluster`] — [`Cluster::submit`]
-//! enqueues a request, [`Cluster::process_admissions`] runs one admission
-//! tick under the configured [`AdmissionPolicy`], and a single chip is
-//! simply a 1-chip cluster. Every attempt remains transactional (a failed
-//! placement changes nothing, exactly as a failed
+//! enqueues a request, and [`Cluster::process_admissions`] runs one
+//! admission tick as a single loop under the configured
+//! [`AdmissionPolicy`], acting on each failure's [`FailureAction`]; a
+//! single chip is simply a 1-chip cluster. Every attempt remains
+//! transactional (a failed placement changes nothing, exactly as a failed
 //! [`Hypervisor::create_vnpu`] rolls back its partial allocations).
 //!
 //! [`AdmissionPolicy`] is an open, object-safe trait — NeuroVM-style
@@ -351,11 +352,6 @@ impl AdmissionQueue {
         self.pending.is_empty()
     }
 
-    /// IDs currently queued, in arrival order.
-    pub fn queued_ids(&self) -> Vec<RequestId> {
-        self.pending.iter().map(|p| p.id).collect()
-    }
-
     /// Snapshots of the queued requests, in arrival order.
     pub fn views(&self) -> Vec<PendingView> {
         self.pending.iter().map(|p| p.view()).collect()
@@ -411,68 +407,6 @@ impl AdmissionQueue {
         p.attempts += 1;
         p.last_failure_at_free_event = Some(free_events);
         self.max_attempts.is_some_and(|m| p.attempts >= m)
-    }
-}
-
-/// What the shared tick engine decided about a request whose placement
-/// attempt just failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TickVerdict {
-    /// Terminal: the request was removed from the queue; the caller
-    /// emits a rejection event.
-    Reject,
-    /// The request stays queued; the tick keeps attempting others.
-    Defer,
-    /// The request stays queued and the tick ends now (head-of-line
-    /// blocking).
-    EndTick,
-}
-
-/// Per-tick bookkeeping of the admission engine
-/// ([`crate::cluster::Cluster::process_admissions`]): backfill narrowing,
-/// attempt accounting, terminal/budget rejection, and [`FailureAction`]
-/// dispatch all live here. The caller owns where a request is attempted
-/// and what a rejection event carries.
-#[derive(Debug, Default)]
-pub(crate) struct AdmissionTick {
-    /// Once a policy answers [`FailureAction::BackfillBelow`], only
-    /// strictly smaller requests are attempted for the rest of the tick
-    /// (the bound only ever tightens).
-    backfill_limit: Option<u32>,
-}
-
-impl AdmissionTick {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether backfill narrowing skips this request outright.
-    pub(crate) fn skips(&self, view: &PendingView) -> bool {
-        self.backfill_limit.is_some_and(|limit| view.cores >= limit)
-    }
-
-    /// Accounts a failed attempt and decides how the tick proceeds; on
-    /// [`TickVerdict::Reject`] the request has been removed.
-    pub(crate) fn on_failure(
-        &mut self,
-        queue: &mut AdmissionQueue,
-        id: RequestId,
-        free_events: u64,
-        terminal: bool,
-    ) -> TickVerdict {
-        let budget_spent = queue.mark_failed(id, free_events);
-        if terminal || budget_spent {
-            queue.remove(id);
-            return TickVerdict::Reject;
-        }
-        match queue.failure_action(id) {
-            FailureAction::Block => TickVerdict::EndTick,
-            FailureAction::Continue => TickVerdict::Defer,
-            FailureAction::BackfillBelow(limit) => {
-                self.backfill_limit = Some(self.backfill_limit.map_or(limit, |l| l.min(limit)));
-                TickVerdict::Defer
-            }
-        }
     }
 }
 

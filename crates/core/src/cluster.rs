@@ -34,10 +34,18 @@
 //! on the caller's thread: the per-chip planning inside the latter two is
 //! a loop over the chips, in chip order. The mapper below spawns no
 //! threads either.
+//!
+//! Every one of them, and the fleet [`Cluster::fit_hint`], steers by the
+//! same per-chip picture: the memoized [`ChipSnapshot`] behind
+//! [`Cluster::snapshot_cached`]. Each mutating path clears the memo of
+//! the chips it touched, so a chip's free region is scanned once per
+//! change, not once per reader, and no caller keeps a copy to re-sync.
+//! Builds with debug assertions re-scan on every memo hit and assert the
+//! memo equals the fresh scan ([`Cluster::snapshot_of`]).
 
 use crate::admission::{
-    AdmissionPolicy, AdmissionQueue, AdmissionTick, FitHint, FragmentationStats, PendingView,
-    RequestId, TickVerdict,
+    AdmissionPolicy, AdmissionQueue, FailureAction, FitHint, FragmentationStats, PendingView,
+    RequestId,
 };
 use crate::drain::{ChipSchedState, DrainMove, DrainPolicy, DrainStep};
 use crate::hypervisor::Hypervisor;
@@ -71,35 +79,25 @@ impl fmt::Display for ClusterVmId {
 }
 
 /// A point-in-time picture of one chip, handed to [`ChipPlacement`]
-/// implementations (derived from [`Hypervisor::fragmentation`] plus the
-/// static capacities).
-#[derive(Debug, Clone, PartialEq)]
+/// implementations: its [`Hypervisor::fragmentation`] plus the static
+/// capacities.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipSnapshot {
     /// Index of the chip within the cluster.
     pub chip: usize,
     /// Physical cores on the chip.
     pub total_cores: u32,
-    /// Currently free cores.
-    pub free_cores: u32,
     /// Cores currently masked out by the hardware-fault layer
-    /// ([`Hypervisor::set_core_faulted`]). Never part of `free_cores`,
+    /// ([`Hypervisor::set_core_faulted`]). Never part of the free cores,
     /// and excluded from the capacity a temporal-sharing request may
     /// widen onto.
     pub faulted_cores: u32,
-    /// Connected components of the free-core region.
-    pub free_components: usize,
-    /// Size of the largest connected free component.
-    pub largest_free_component: usize,
-    /// Largest free component over all free cores, in `[0, 1]`.
-    pub free_connectivity: f64,
-    /// Free HBM bytes.
-    pub hbm_free_bytes: u64,
+    /// The free-core region and free HBM: one free-region scan serves
+    /// admission, fit-hint probing, drain, defragmentation and the
+    /// serving layer's fragmentation sample.
+    pub frag: FragmentationStats,
     /// Total HBM bytes.
     pub hbm_total_bytes: u64,
-    /// Largest single free buddy block.
-    pub hbm_largest_free_block: u64,
-    /// Buddy external fragmentation, in `[0, 1]`.
-    pub hbm_external_fragmentation: f64,
     /// Live virtual NPUs on the chip.
     pub live_vnpus: usize,
     /// Whether the chip may be nominated for placements — `false` while
@@ -129,25 +127,9 @@ impl ChipSnapshot {
             // Dead cores cannot be time-shared either.
             self.total_cores.saturating_sub(self.faulted_cores) >= cores
         } else {
-            self.free_cores >= cores
+            self.frag.free_cores >= cores
         };
-        cores_ok && self.hbm_free_bytes >= memory_bytes
-    }
-
-    /// The snapshot re-expressed as the per-chip [`FragmentationStats`] —
-    /// one free-region scan serves admission, fit-hint probing, the
-    /// serving layer's fragmentation sample *and* defragmentation (the
-    /// pieces that previously each re-scanned).
-    pub fn fragmentation_stats(&self) -> FragmentationStats {
-        FragmentationStats {
-            free_cores: self.free_cores,
-            free_components: self.free_components,
-            largest_free_component: self.largest_free_component,
-            free_connectivity: self.free_connectivity,
-            hbm_free_bytes: self.hbm_free_bytes,
-            hbm_largest_free_block: self.hbm_largest_free_block,
-            hbm_external_fragmentation: self.hbm_external_fragmentation,
-        }
+        cores_ok && self.frag.hbm_free_bytes >= memory_bytes
     }
 }
 
@@ -207,7 +189,7 @@ impl ChipPlacement for BestFitFragmentation {
     fn chip_order(&self, req: &PendingView, chips: &[ChipSnapshot]) -> Vec<usize> {
         let mut fitting: Vec<&ChipSnapshot> = chips.iter().filter(|c| c.fits(req)).collect();
         fitting.sort_by_key(|c| {
-            let window = c.largest_free_component as u32;
+            let window = c.frag.largest_free_component as u32;
             // Chips with a window big enough sort by window slack
             // (tightest first); window-deficient chips go after all of
             // them, least-deficient first.
@@ -234,9 +216,10 @@ impl ChipPlacement for LeastLoaded {
     fn chip_order(&self, req: &PendingView, chips: &[ChipSnapshot]) -> Vec<usize> {
         let mut fitting: Vec<&ChipSnapshot> = chips.iter().filter(|c| c.fits(req)).collect();
         fitting.sort_by(|a, b| {
-            b.free_cores
-                .cmp(&a.free_cores)
-                .then(b.hbm_free_bytes.cmp(&a.hbm_free_bytes))
+            b.frag
+                .free_cores
+                .cmp(&a.frag.free_cores)
+                .then(b.frag.hbm_free_bytes.cmp(&a.frag.hbm_free_bytes))
                 .then(a.chip.cmp(&b.chip))
         });
         fitting.into_iter().map(|c| c.chip).collect()
@@ -288,8 +271,8 @@ struct ChipSlot {
     /// Schedulability / drain lifecycle state.
     sched: ChipSchedState,
     /// The memoized snapshot (`None` = stale): every mutating path
-    /// clears it, so a tick's snapshot vector re-scans only the chips
-    /// that changed.
+    /// clears it, so [`Cluster::snapshot_cached`] re-scans only the
+    /// chips that changed.
     snap: Option<ChipSnapshot>,
 }
 
@@ -503,60 +486,51 @@ impl Cluster {
         self.chips().map(Hypervisor::free_core_count).sum()
     }
 
-    /// Per-chip fragmentation pictures, in chip order.
-    pub fn fragmentation(&self) -> Vec<FragmentationStats> {
-        self.chips().map(Hypervisor::fragmentation).collect()
-    }
-
     /// The placement snapshot of one chip, scanned afresh (read-only —
-    /// the form audits and tests use; the tick-rate entry points are
-    /// [`Cluster::tick_snapshots`] and [`Cluster::snapshot_cached`]).
+    /// the form audits and tests use, and the oracle of
+    /// [`Cluster::snapshot_cached`]).
     ///
     /// # Panics
     ///
     /// Panics when `index` is out of range.
     pub fn snapshot_of(&self, index: usize) -> ChipSnapshot {
         let ChipSlot { hv, sched, .. } = &self.chips[index];
-        let frag = hv.fragmentation();
         ChipSnapshot {
             chip: index,
             total_cores: hv.config().core_count(),
-            free_cores: frag.free_cores,
             faulted_cores: hv.faulted_core_count(),
-            free_components: frag.free_components,
-            largest_free_component: frag.largest_free_component,
-            free_connectivity: frag.free_connectivity,
-            hbm_free_bytes: frag.hbm_free_bytes,
+            frag: hv.fragmentation(),
             hbm_total_bytes: hv.hbm_total_bytes(),
-            hbm_largest_free_block: frag.hbm_largest_free_block,
-            hbm_external_fragmentation: frag.hbm_external_fragmentation,
             live_vnpus: hv.vnpu_count(),
             schedulable: *sched == ChipSchedState::Schedulable,
         }
     }
 
-    /// The per-chip snapshots, in chip order, served from the memoized
-    /// store — only chips touched since the last call are re-scanned.
-    pub fn tick_snapshots(&mut self) -> Vec<ChipSnapshot> {
-        (0..self.chips.len())
-            .map(|i| self.snapshot_cached(i))
-            .collect()
-    }
-
     /// One chip's snapshot from the memoized store, re-scanned only when
-    /// stale. Every mutating path (placements, teardowns, migrations,
-    /// fault and drain-lifecycle transitions, [`Cluster::chip_mut`])
-    /// marks the chips it touched stale, so this is always the current
-    /// picture.
+    /// stale — the picture every fleet-wide operation steers by. Every
+    /// mutating path (placements, teardowns, migrations, fault and
+    /// drain-lifecycle transitions, [`Cluster::chip_mut`]) marks the
+    /// chips it touched stale, so this is always the current picture;
+    /// builds with debug assertions re-scan on every hit and assert it.
     ///
     /// # Panics
     ///
     /// Panics when `index` is out of range.
     pub fn snapshot_cached(&mut self, index: usize) -> ChipSnapshot {
-        if self.chips[index].snap.is_none() {
-            self.chips[index].snap = Some(self.snapshot_of(index));
+        if let Some(snap) = self.chips[index].snap {
+            debug_assert_eq!(snap, self.snapshot_of(index), "stale snapshot memo");
+            return snap;
         }
-        self.chips[index].snap.clone().expect("just filled")
+        let snap = self.snapshot_of(index);
+        self.chips[index].snap = Some(snap);
+        snap
+    }
+
+    /// Every chip's snapshot from the memoized store, in chip order.
+    fn snapshots(&mut self) -> Vec<ChipSnapshot> {
+        (0..self.chips.len())
+            .map(|i| self.snapshot_cached(i))
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -602,36 +576,38 @@ impl Cluster {
     /// Runs one budgeted evacuation step on *every* draining chip — the
     /// one drain entry point. Each chip's policy proposes this epoch's
     /// `(tenant, destination)` set within `budget`, read-only, against
-    /// the schedulable chips among `snapshots` (the tick's per-chip
-    /// snapshots, in chip order, so the maintenance phase shares the
-    /// tick's single free-region scan). The proposals are then applied in
-    /// chip order, each through the transactional [`Cluster::migrate_to_chip`]
-    /// — create-before-destroy, so a failed move leaves the tenant on the
-    /// source chip. Proposals that no longer apply (tenant departed,
-    /// destination stopped fitting or draining itself, a stale snapshot)
-    /// are skipped, not errors: the tenants stay for a later step.
-    /// Returns `(chip, step)` pairs in chip order; no chip draining means
-    /// no step.
+    /// the memoized snapshots of the schedulable chips. The proposals are
+    /// then applied in chip order, each through the transactional
+    /// [`Cluster::migrate_to_chip`] — create-before-destroy, so a failed
+    /// move leaves the tenant on the source chip. Proposals that no
+    /// longer apply (tenant departed, destination stopped fitting or
+    /// draining itself) are skipped, not errors: the tenants stay for a
+    /// later step. Returns `(chip, step)` pairs in chip order; no chip
+    /// draining means no step.
     ///
     /// Every chip is planned before any proposal is applied: with several
-    /// chips draining, every plan sees the tick's snapshots rather than
-    /// its predecessors' moves.
+    /// chips draining, every plan sees the fleet as it stood at the call
+    /// rather than its predecessors' moves.
     pub fn drain_tick(
         &mut self,
         policy: &Arc<dyn DrainPolicy>,
         budget: &ReconfigBudget,
-        snapshots: &[ChipSnapshot],
     ) -> Vec<(usize, DrainStep)> {
+        if self
+            .chips
+            .iter()
+            .all(|s| s.sched != ChipSchedState::Draining)
+        {
+            return Vec::new();
+        }
+        let mut destinations = self.snapshots();
+        destinations.retain(|s| s.schedulable);
         let plans: Vec<(usize, Vec<(VmId, usize)>)> = self
             .chips
             .iter()
             .enumerate()
             .filter(|(_, slot)| slot.sched == ChipSchedState::Draining)
-            .map(|(chip, slot)| {
-                let open = snapshots.iter().filter(|s| s.chip != chip && s.schedulable);
-                let destinations: Vec<ChipSnapshot> = open.cloned().collect();
-                (chip, policy.plan_step(&slot.hv, &destinations, budget))
-            })
+            .map(|(chip, slot)| (chip, policy.plan_step(&slot.hv, &destinations, budget)))
             .collect();
         plans
             .into_iter()
@@ -859,26 +835,15 @@ impl Cluster {
     /// place on *some* schedulable chip, probed through the cluster's
     /// dedicated hint caches (the shared placement cache's statistics
     /// stay untouched). Draining and drained chips are never advertised.
-    /// Chips are probed biggest-island-first and pruned once no remaining
-    /// chip's largest free island can beat the best hint found.
+    /// Chips are probed biggest-island-first, each chip's largest free
+    /// island read from its memoized snapshot, and pruned once no
+    /// remaining chip's island can beat the best hint found.
     pub fn fit_hint(&mut self) -> Option<FitHint> {
-        let islands: Vec<usize> = self
-            .chips()
-            .map(|h| h.fragmentation().largest_free_component)
-            .collect();
-        self.fit_hint_bounded(&islands)
-    }
-
-    /// [`Cluster::fit_hint`] with every chip's largest connected free
-    /// component already known — the admission tick passes the islands
-    /// from its per-tick [`ChipSnapshot`]s, so fit-hint probing shares
-    /// the tick's single free-region scan instead of re-running one per
-    /// chip.
-    fn fit_hint_bounded(&mut self, islands: &[usize]) -> Option<FitHint> {
-        let mut order: Vec<(std::cmp::Reverse<usize>, usize)> = islands
-            .iter()
-            .enumerate()
-            .map(|(i, &island)| (std::cmp::Reverse(island), i))
+        let mut order: Vec<(std::cmp::Reverse<usize>, usize)> = (0..self.chips.len())
+            .map(|i| {
+                let island = self.snapshot_cached(i).frag.largest_free_component;
+                (std::cmp::Reverse(island), i)
+            })
             .collect();
         order.sort_unstable();
         let mut best: Option<FitHint> = None;
@@ -915,33 +880,23 @@ impl Cluster {
     /// the tick, skip-ahead policies continue, backfill policies continue
     /// for strictly smaller requests only.
     pub fn process_admissions(&mut self) -> Vec<ClusterAdmissionEvent> {
-        self.process_admissions_with_snapshots().0
-    }
-
-    /// [`Cluster::process_admissions`] returning the per-chip
-    /// [`ChipSnapshot`]s as they stood *after* the tick's placements —
-    /// the serving layer reuses them for its fragmentation sample and
-    /// its defragmentation pass, so one free-region scan per chip serves
-    /// the whole tick (admission filtering, fit-hint bounding, sampling
-    /// and defrag all included).
-    pub fn process_admissions_with_snapshots(
-        &mut self,
-    ) -> (Vec<ClusterAdmissionEvent>, Vec<ChipSnapshot>) {
         let mut events = Vec::new();
         let free_events_at_start = self.free_events();
-        let mut tick = AdmissionTick::new();
+        // Once a policy answers `BackfillBelow`, only strictly smaller
+        // requests are attempted for the rest of the tick (the bound only
+        // ever tightens).
+        let mut backfill_limit: Option<u32> = None;
         // Chip snapshots only change when a placement succeeds (failed
-        // attempts are transactional), so serve them from the memoized
-        // per-chip store and refresh only the placed chip's after each
-        // admission.
-        let mut snapshots = self.tick_snapshots();
+        // attempts are transactional), so the placement policy's view is
+        // read from the memo once and refreshed only for the placed chip.
+        let mut snapshots = self.snapshots();
         for id in self.admissions.attempt_order(free_events_at_start) {
             let Some(pending) = self.admissions.request(id) else {
                 // A policy may return stale or duplicate IDs; ignore them.
                 continue;
             };
             let view = pending.view();
-            if tick.skips(&view) {
+            if backfill_limit.is_some_and(|limit| view.cores >= limit) {
                 continue;
             }
             let request = pending.req.clone();
@@ -1028,40 +983,39 @@ impl Cluster {
                             })
                         }
                     });
-                    let free_events_now = self.free_events();
-                    match tick.on_failure(&mut self.admissions, id, free_events_now, terminal) {
-                        TickVerdict::Reject => {
-                            let fit_hint = if saw_no_candidate {
-                                // Reuse the tick's snapshots for the
-                                // island bounds instead of re-scanning
-                                // every chip's free region.
-                                let islands: Vec<usize> =
-                                    snapshots.iter().map(|s| s.largest_free_component).collect();
-                                self.fit_hint_bounded(&islands)
-                            } else {
-                                None
-                            };
-                            events.push(ClusterAdmissionEvent {
-                                id,
-                                outcome: ClusterAdmissionOutcome::Rejected(err),
-                                config_cycles_total: self.total_config_cycles(),
-                                fit_hint,
-                            });
+                    let budget_spent = self.admissions.mark_failed(id, self.free_events());
+                    if terminal || budget_spent {
+                        self.admissions.remove(id);
+                        let fit_hint = if saw_no_candidate {
+                            self.fit_hint()
+                        } else {
+                            None
+                        };
+                        events.push(ClusterAdmissionEvent {
+                            id,
+                            outcome: ClusterAdmissionOutcome::Rejected(err),
+                            config_cycles_total: self.total_config_cycles(),
+                            fit_hint,
+                        });
+                        continue;
+                    }
+                    match self.admissions.failure_action(id) {
+                        FailureAction::Block => break,
+                        FailureAction::Continue => {}
+                        FailureAction::BackfillBelow(limit) => {
+                            backfill_limit = Some(backfill_limit.map_or(limit, |l| l.min(limit)));
                         }
-                        TickVerdict::Defer => {}
-                        TickVerdict::EndTick => break,
                     }
                 }
             }
         }
-        (events, snapshots)
+        events
     }
 
     /// Runs one background-defragmentation pass over *every* schedulable
     /// chip — the one defrag entry point (a draining chip is being
     /// emptied, not compacted). The policy proposes migrations per chip
-    /// from the chip's entry in `snapshots` (the tick's per-chip
-    /// snapshots, in chip order — [`ChipSnapshot::fragmentation_stats`]),
+    /// from the chip's memoized snapshot ([`ChipSnapshot::frag`]),
     /// reading only the owning chip and probing only its dedicated hint
     /// cache. Each chip's plan is then priced through
     /// [`Hypervisor::plan_budgeted_in`] against the shared mapping cache
@@ -1078,14 +1032,14 @@ impl Cluster {
         &mut self,
         defrag: &Arc<dyn Defragmenter>,
         budget: &ReconfigBudget,
-        snapshots: &[ChipSnapshot],
     ) -> Result<Vec<(usize, CommitReceipt)>> {
         let mut receipts = Vec::new();
-        for (chip, slot) in self.chips.iter_mut().enumerate() {
-            if slot.sched != ChipSchedState::Schedulable {
+        for chip in 0..self.chips.len() {
+            if self.chips[chip].sched != ChipSchedState::Schedulable {
                 continue;
             }
-            let stats = snapshots[chip].fragmentation_stats();
+            let stats = self.snapshot_cached(chip).frag;
+            let slot = &mut self.chips[chip];
             let ops = defrag.plan(&slot.hv, &stats, budget, &mut slot.hints);
             receipts.push((chip, slot.apply_defrag_ops(&mut self.cache, ops, budget)?));
         }
@@ -1202,6 +1156,7 @@ impl Cluster {
         let landed = dest.vnpu(new_vm).expect("just created");
         let routing_cycles = landed.routing_table().config_cycles();
         let rtt_cycles = vnpu_mem::rtt::rtt_deploy_cycles(landed.rtt_entries().len());
+        self.chips[to_chip].snap = None;
         if let Err(e) = self.chips[id.chip].hv.destroy_vnpu(id.vm) {
             // Unwind the landed copy so a failed source teardown leaves
             // the fleet exactly as it was.
@@ -1212,7 +1167,6 @@ impl Cluster {
             return Err(e);
         }
         self.chips[id.chip].snap = None;
-        self.chips[to_chip].snap = None;
         let to = ClusterVmId {
             chip: to_chip,
             vm: new_vm,
@@ -1245,11 +1199,10 @@ mod tests {
         Cluster::new(vec![sim_chip(), small_chip()])
     }
 
-    /// One maintenance tick against the fleet's current snapshots.
+    /// One maintenance tick under the shipped drain policy.
     fn drain_once(cl: &mut Cluster, budget: &ReconfigBudget) -> Vec<(usize, DrainStep)> {
         let policy: Arc<dyn DrainPolicy> = Arc::new(crate::drain::CheapestFirstDrain);
-        let snapshots = cl.tick_snapshots();
-        cl.drain_tick(&policy, budget, &snapshots)
+        cl.drain_tick(&policy, budget)
     }
 
     #[test]
@@ -1491,13 +1444,11 @@ mod tests {
         }
         cl.destroy(vms[0]).unwrap();
         cl.destroy(vms[3]).unwrap();
-        let before = cl.snapshot_of(0);
+        let before = cl.snapshot_of(0).frag;
         assert_eq!(before.free_components, 2);
         assert_eq!(before.largest_free_component, 9);
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
-        let receipts = cl
-            .defrag_pass(&defrag, &ReconfigBudget::default(), &[before])
-            .unwrap();
+        let receipts = cl.defrag_pass(&defrag, &ReconfigBudget::default()).unwrap();
         assert_eq!(receipts.len(), 1, "one receipt per schedulable chip");
         let (chip, receipt) = &receipts[0];
         assert_eq!(*chip, 0);
@@ -1507,7 +1458,7 @@ mod tests {
         assert!(cost.data_move_bytes > 0);
         let after = cl.snapshot_of(0);
         assert_eq!(
-            after.largest_free_component, 18,
+            after.frag.largest_free_component, 18,
             "the exact-match window re-opens"
         );
         // An exact 3x6 request now places where it previously could not.
@@ -1561,9 +1512,8 @@ mod tests {
         let mut cl = Cluster::new(vec![sim_chip()]);
         cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
         let bogus: Arc<dyn Defragmenter> = Arc::new(Bogus);
-        let snapshots = cl.tick_snapshots();
         let receipts = cl
-            .defrag_pass(&bogus, &ReconfigBudget::default(), &snapshots)
+            .defrag_pass(&bogus, &ReconfigBudget::default())
             .expect("unplannable advisory proposals skip the pass");
         assert_eq!(receipts.len(), 1);
         assert_eq!(receipts[0].1.migration_count(), 0);
@@ -1790,11 +1740,8 @@ mod tests {
             .unwrap();
         assert!(cl.fit_hint().is_some());
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
-        let snapshots = cl.tick_snapshots();
-        assert_eq!(snapshots[0].free_components, 2);
-        let receipts = cl
-            .defrag_pass(&defrag, &ReconfigBudget::default(), &snapshots)
-            .unwrap();
+        assert_eq!(cl.snapshot_cached(0).frag.free_components, 2);
+        let receipts = cl.defrag_pass(&defrag, &ReconfigBudget::default()).unwrap();
         assert!(receipts.iter().all(|(_, r)| r.migration_count() == 0));
         let probed = cl.chips[0].hints.stats();
         assert!(probed.hits + probed.misses > 0, "the probes did run");
@@ -1816,5 +1763,67 @@ mod tests {
         assert_eq!(cl.cache_stats().misses, 2, "chip 0 re-maps after reconfig");
         cl.create_on(1, VnpuRequest::mesh(2, 2)).unwrap();
         assert_eq!(cl.cache_stats().hits, 2, "chip 1's entry survives");
+    }
+
+    #[test]
+    fn snapshot_memo_matches_fresh_scans() {
+        use crate::plan::GreedyDefrag;
+        // After every mutating step each chip's memoized snapshot equals
+        // a fresh scan. `check` first fills every memo, so the next step
+        // is checked on memo hits: a path that forgets to clear the memo
+        // of a chip it touched fails here.
+        fn check(cl: &mut Cluster, step: &str) {
+            for i in 0..cl.chip_count() {
+                assert_eq!(
+                    cl.snapshot_cached(i),
+                    cl.snapshot_of(i),
+                    "chip {i} after {step}"
+                );
+            }
+        }
+        let mut cl = Cluster::new(vec![sim_chip(), sim_chip(), small_chip()]);
+        check(&mut cl, "construction");
+        for _ in 0..4 {
+            cl.submit(VnpuRequest::mesh(3, 3));
+        }
+        let quadrants: Vec<ClusterVmId> = cl
+            .process_admissions()
+            .into_iter()
+            .filter_map(|e| match e.outcome {
+                ClusterAdmissionOutcome::Admitted(id) => Some(id),
+                ClusterAdmissionOutcome::Rejected(_) => None,
+            })
+            .collect();
+        assert_eq!(quadrants.len(), 4, "first fit fills chip 0's quadrants");
+        check(&mut cl, "admissions");
+        cl.destroy(quadrants[0]).unwrap();
+        check(&mut cl, "destroy");
+        cl.destroy(quadrants[3]).unwrap();
+        check(&mut cl, "destroy");
+        let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
+        let receipts = cl.defrag_pass(&defrag, &ReconfigBudget::default()).unwrap();
+        assert!(receipts.iter().any(|(_, r)| r.migration_count() > 0));
+        check(&mut cl, "defrag_pass");
+        assert_eq!(cl.fault_core(1, 5), Ok(true));
+        check(&mut cl, "fault_core");
+        assert_eq!(cl.fault_link(1, 0, 1), Ok(true));
+        check(&mut cl, "fault_link");
+        assert_eq!(cl.repair_core(1, 5), Ok(true));
+        check(&mut cl, "repair_core");
+        assert_eq!(cl.repair_link(1, 0, 1), Ok(true));
+        check(&mut cl, "repair_link");
+        cl.chip_mut(2).reserve_cores(&[0, 1]).unwrap();
+        check(&mut cl, "reserve_cores");
+        cl.begin_drain(0).unwrap();
+        check(&mut cl, "begin_drain");
+        for _ in 0..2 {
+            let steps = drain_once(&mut cl, &ReconfigBudget::default());
+            assert_eq!(steps[0].1.moved.len(), 1, "{steps:?}");
+            check(&mut cl, "drain_tick");
+        }
+        cl.complete_drain(0).unwrap();
+        check(&mut cl, "complete_drain");
+        cl.undrain(0).unwrap();
+        check(&mut cl, "undrain");
     }
 }

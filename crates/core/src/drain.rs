@@ -209,8 +209,8 @@ impl DrainPolicy for CheapestFirstDrain {
                 .filter(|d| d.fits_raw(cores, mem, temporal))
                 .min_by_key(|d| {
                     (
-                        std::cmp::Reverse(d.free_cores),
-                        std::cmp::Reverse(d.hbm_free_bytes),
+                        std::cmp::Reverse(d.frag.free_cores),
+                        std::cmp::Reverse(d.frag.hbm_free_bytes),
                         d.chip,
                     )
                 })
@@ -219,8 +219,8 @@ impl DrainPolicy for CheapestFirstDrain {
                 // later step (departures elsewhere may open room).
                 continue;
             };
-            dest.free_cores = dest.free_cores.saturating_sub(cores);
-            dest.hbm_free_bytes = dest.hbm_free_bytes.saturating_sub(mem);
+            dest.frag.free_cores = dest.frag.free_cores.saturating_sub(cores);
+            dest.frag.hbm_free_bytes = dest.frag.hbm_free_bytes.saturating_sub(mem);
             dest.live_vnpus += 1;
             let chip = dest.chip;
             total = total.plus(cost);

@@ -155,12 +155,6 @@ impl Hypervisor {
         &self.mmio
     }
 
-    /// Mutable MMIO access — hyper-mode configuration or guest doorbells
-    /// (access rules are enforced per call by [`MmioSpace`]).
-    pub fn mmio_mut(&mut self) -> &mut MmioSpace {
-        &mut self.mmio
-    }
-
     /// The SoC configuration.
     pub fn config(&self) -> &SocConfig {
         &self.chip.cfg
@@ -354,11 +348,6 @@ impl Hypervisor {
     /// serve report and the end-of-run quiescence probe both publish.
     pub fn leaked_core_count(&self) -> u32 {
         self.chip.cfg.core_count() - self.free_core_count() - self.masked_core_count()
-    }
-
-    /// Whether any core or link fault is currently active.
-    pub fn has_faults(&self) -> bool {
-        !self.chip.faulted_links.is_empty() || self.chip.faulted.iter().any(|&f| f)
     }
 
     /// Marks an undirected NoC link faulted (or repairs it). Links carry

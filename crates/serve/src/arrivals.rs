@@ -60,9 +60,12 @@ impl Shape {
 pub struct TrafficConfig {
     /// PRNG seed; equal seeds reproduce the whole request stream.
     pub seed: u64,
-    /// Mean ticks between consecutive arrivals (≥ 1).
+    /// Mean ticks between consecutive arrivals (≥ 1; a mean above 2^20
+    /// samples as 2^20, so a hostile mean cannot overflow or stall the
+    /// stream).
     pub mean_interarrival_ticks: u64,
-    /// Mean vNPU lifetime in epochs (≥ 1).
+    /// Mean vNPU lifetime in epochs (≥ 1; clamped like
+    /// `mean_interarrival_ticks`).
     pub mean_lifetime_epochs: u64,
     /// Weighted shape mix; weights need not be normalized.
     pub mix: Vec<(u32, Shape)>,
@@ -158,7 +161,8 @@ impl ArrivalGenerator {
             out.push(self.sample_arrival(tick));
             // A zero gap keeps several arrivals on one tick — bursts, as
             // a Poisson process produces.
-            self.next_arrival_tick += geometric(&mut self.rng, self.cfg.mean_interarrival_ticks);
+            let gap = geometric(&mut self.rng, self.cfg.mean_interarrival_ticks);
+            self.next_arrival_tick = self.next_arrival_tick.saturating_add(gap);
             if out.len() >= 64 {
                 // Burst guard: never flood one tick unboundedly.
                 self.next_arrival_tick = self.next_arrival_tick.max(tick + 1);
@@ -196,12 +200,18 @@ impl ArrivalGenerator {
     }
 }
 
-/// Geometric sample with mean `mean`: the number of failed Bernoulli
-/// trials of success rate `1/(mean+1)` before the first success (so zero
-/// is possible — same-tick bursts; `mean == 0` always returns 0), capped
-/// at `8 × (mean+1)` so a pathological streak cannot stall the stream.
+/// The largest traffic mean sampled, in ticks or epochs (2^20): a larger
+/// configured mean samples as this one, so a hostile mean costs at most
+/// `8 × (2^20 + 1)` Bernoulli trials per draw instead of an overflow.
+const MEAN_CEILING: u64 = 1 << 20;
+
+/// Geometric sample with mean `mean` (clamped to [`MEAN_CEILING`]): the
+/// number of failed Bernoulli trials of success rate `1/(mean+1)` before
+/// the first success (so zero is possible — same-tick bursts; `mean == 0`
+/// always returns 0), capped at `8 × (mean+1)` so a pathological streak
+/// cannot stall the stream.
 fn geometric(rng: &mut Rng, mean: u64) -> u64 {
-    let bound = mean + 1;
+    let bound = mean.min(MEAN_CEILING) + 1;
     let cap = bound * 8;
     let mut gap = 0;
     while gap < cap && rng.below(bound) != 0 {
@@ -255,6 +265,26 @@ mod tests {
             }
         }
         assert_eq!(labels.len(), TrafficConfig::standard(3).mix.len());
+    }
+
+    #[test]
+    fn hostile_traffic_means_are_bounded_not_a_panic() {
+        for mean in [u64::MAX, u64::MAX / 8, MEAN_CEILING + 1] {
+            let g = ArrivalGenerator::new(TrafficConfig {
+                mean_interarrival_ticks: mean,
+                ..TrafficConfig::standard(5)
+            });
+            assert!(g.next_arrival_tick <= 8 * (MEAN_CEILING + 1));
+        }
+        // A hostile lifetime mean is drawn at the first arrival.
+        let mut g = ArrivalGenerator::new(TrafficConfig {
+            mean_lifetime_epochs: u64::MAX,
+            ..TrafficConfig::standard(5)
+        });
+        let first = (0..64)
+            .find_map(|tick| g.arrivals_for_tick(tick).into_iter().next())
+            .expect("mean gap 2 places an arrival within 64 ticks");
+        assert!((1..=1 + 8 * (MEAN_CEILING + 1)).contains(&first.lifetime_epochs));
     }
 
     #[test]

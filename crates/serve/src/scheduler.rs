@@ -23,14 +23,16 @@
 //! work done up to its own admission decision.
 //!
 //! The phases are plain functions over one shared tick context (the
-//! tick's [`TickEvents`] and per-chip snapshots), listed in one array,
-//! and all run through **one wrapper**, the only home of the per-phase
+//! tick's [`TickEvents`]), listed in one array, and all run through
+//! **one wrapper**, the only home of the per-phase
 //! stopwatch ([`ServeConfig::time_phases`]). What a tick did is recorded
 //! once, as the [`TraceEvent`] stream its phases emit; two runs that must
 //! agree are compared on that stream ([`ServeRuntime::trace`]), their
-//! [`TickEvents`] and their reports. The whole tick runs on the caller's
-//! thread: per-chip work (machine epochs here, drain and defrag planning
-//! in the cluster) is a loop in chip order.
+//! [`TickEvents`] and their reports. Every phase that steers by a chip's
+//! free cores and HBM reads the cluster's memoized per-chip picture
+//! ([`Cluster::snapshot_cached`]) and keeps no copy of its own. The whole
+//! tick runs on the caller's thread: per-chip work (machine epochs here,
+//! drain and defrag planning in the cluster) is a loop in chip order.
 //!
 //! The runtime is **step-driven**: [`ServeRuntime::step`] advances one
 //! tick and returns its [`TickEvents`], so callers can interleave
@@ -46,10 +48,8 @@ use crate::report::{percentile, ChipReport, FragSample, ServeReport};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
-use vnpu::admission::{AdmissionPolicy, Fifo, FitHint, RequestId};
-use vnpu::cluster::{
-    ChipPlacement, ChipSnapshot, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit,
-};
+use vnpu::admission::{AdmissionPolicy, Fifo, FitHint, FragmentationStats, RequestId};
+use vnpu::cluster::{ChipPlacement, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit};
 use vnpu::drain::{CheapestFirstDrain, ChipSchedState, DrainPolicy};
 use vnpu::plan::{Defragmenter, ReconfigBudget};
 use vnpu::{Hypervisor, VirtCoreId};
@@ -344,12 +344,6 @@ const TIMED_PHASES: usize = Phase::Execution as usize + 1;
 struct TickCtx {
     tick: u64,
     events: TickEvents,
-    /// The tick's per-chip snapshots, in chip order: produced by the
-    /// admission pass, then refreshed by the maintenance and defrag
-    /// phases for the chips they changed — one free-region scan per
-    /// *changed* chip serves admission, drain, defrag and the
-    /// fragmentation sample.
-    snapshots: Vec<ChipSnapshot>,
     /// [`Cluster::total_config_cycles`] when the tick's arrivals were
     /// stamped: the base each admission decision's incremental
     /// configuration-cycle stamp is read against.
@@ -655,7 +649,6 @@ impl ServeRuntime {
                 tick: self.tick,
                 ..TickEvents::default()
             },
-            snapshots: Vec::new(),
             config_base: 0,
         };
         self.tick += 1;
@@ -741,29 +734,24 @@ impl ServeRuntime {
     /// Configuration cycles are accounted incrementally: every decision
     /// carries the cluster-wide cumulative config-cycle counter at the
     /// moment it was made, so each placement is stamped with only the
-    /// configuration work accrued up to *that* event. The pass hands back
-    /// its per-chip snapshots for the later phases to share.
+    /// configuration work accrued up to *that* event.
     fn admission(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         let tick = ctx.tick;
         // Pass-start snapshot of the largest schedulable island: the
         // sound upper bound TEMP-HINT checks every fit hint against (free
-        // regions only shrink during the pass). The pass below reuses the
+        // regions only shrink during the pass). The pass below reads the
         // same memoized snapshots, so this costs no extra free-region
         // scan.
         self.temporal.detail(|| TraceEvent::AdmissionStart {
             tick,
-            largest_island: self
-                .cluster
-                .tick_snapshots()
-                .iter()
+            largest_island: (0..self.cluster.chip_count())
+                .map(|chip| self.cluster.snapshot_cached(chip))
                 .filter(|s| s.schedulable)
-                .map(|s| s.largest_free_component)
+                .map(|s| s.frag.largest_free_component)
                 .max()
                 .unwrap_or(0) as u32,
         });
-        let (admission_events, snapshots) = self.cluster.process_admissions_with_snapshots();
-        ctx.snapshots = snapshots;
-        for event in admission_events {
+        for event in self.cluster.process_admissions() {
             let (lifetime, stamp) = self
                 .queued
                 .remove(&event.id)
@@ -845,15 +833,13 @@ impl ServeRuntime {
 
     /// Tick phase ([`Phase::Drain`]): every chip under an active drain
     /// gets one budgeted evacuation step — [`Cluster::drain_tick`] plans
-    /// against the tick's snapshots and applies in chip order — and each
-    /// moved tenant is [relocated](ServeRuntime::relocate).
+    /// against the cluster's memoized snapshots and applies in chip order
+    /// — and each moved tenant is [relocated](ServeRuntime::relocate).
     fn maintenance(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         let tick = ctx.tick;
-        let steps = self.cluster.drain_tick(
-            &self.cfg.drain_policy,
-            &self.cfg.drain_budget,
-            &ctx.snapshots,
-        );
+        let steps = self
+            .cluster
+            .drain_tick(&self.cfg.drain_policy, &self.cfg.drain_budget);
         for (chip, step) in steps {
             for m in &step.moved {
                 self.relocate(m.from, m.to, m.cost.paused_cycles)?;
@@ -866,7 +852,6 @@ impl ServeRuntime {
                     cost: m.cost,
                 });
                 ctx.events.drain_migrations += 1;
-                ctx.snapshots[m.to.chip] = self.cluster.snapshot_cached(m.to.chip);
             }
             self.temporal.detail(|| TraceEvent::DrainStep {
                 tick,
@@ -875,17 +860,17 @@ impl ServeRuntime {
                 skipped: step.skipped as u64,
                 remaining: step.remaining as u64,
             });
-            ctx.snapshots[chip] = self.cluster.snapshot_cached(chip);
         }
         Ok(())
     }
 
     /// Tick phase ([`Phase::Defrag`]), optional: when a policy is
     /// configured and the interval is due, [`Cluster::defrag_pass`] plans
-    /// per schedulable chip from the tick's snapshots and commits under
-    /// the budget, and each migrated tenant's machine pause lands on its
-    /// next-epoch threads. Committed passes refresh the chip's snapshot
-    /// and book the recovered fragmentation. The interval is anchored to
+    /// per schedulable chip from the cluster's memoized snapshots and
+    /// commits under the budget, and each migrated tenant's machine pause
+    /// lands on its next-epoch threads. Committed passes book the
+    /// recovered fragmentation against the before-picture read from the
+    /// memo when the pass was due. The interval is anchored to
     /// the first completed admission tick: before any placement exists a
     /// pass can only waste work, and an anchor of tick 0 would skew
     /// `defrag_interval`-relative accounting for traffic that starts
@@ -900,9 +885,10 @@ impl ServeRuntime {
         let Some(defrag) = self.cfg.defrag.as_ref().filter(|_| due) else {
             return Ok(());
         };
-        let receipts = self
-            .cluster
-            .defrag_pass(defrag, &self.cfg.defrag_budget, &ctx.snapshots)?;
+        let before: Vec<FragmentationStats> = (0..self.cluster.chip_count())
+            .map(|chip| self.cluster.snapshot_cached(chip).frag)
+            .collect();
+        let receipts = self.cluster.defrag_pass(defrag, &self.cfg.defrag_budget)?;
         for (chip, receipt) in receipts {
             if receipt.migration_count() == 0 {
                 continue;
@@ -922,9 +908,7 @@ impl ServeRuntime {
                 });
                 ctx.events.migrations += 1;
             }
-            let after = self.cluster.snapshot_cached(chip);
-            let before = std::mem::replace(&mut ctx.snapshots[chip], after);
-            let after = &ctx.snapshots[chip];
+            let (before, after) = (&before[chip], self.cluster.snapshot_cached(chip).frag);
             let delta = before.hbm_external_fragmentation - after.hbm_external_fragmentation;
             self.temporal.emit(TraceEvent::DefragRecovered {
                 tick,
@@ -945,30 +929,31 @@ impl ServeRuntime {
     /// Tick phase: folds the pass's configuration work (admissions,
     /// drain evacuations *and* defrag re-deployments) into the controller
     /// clock, then takes the fragmentation sample — after admissions,
-    /// maintenance and defrag, before execution — aggregated across chips
-    /// from the tick's shared snapshots, with no extra free-region scan.
+    /// maintenance and defrag, before execution — folded chip by chip
+    /// over the cluster's memoized snapshots, so only a chip changed
+    /// since its last scan is scanned again.
     fn sample(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         self.fold_config_cycles();
-        let snapshots = &ctx.snapshots;
-        let free_cores: u32 = snapshots.iter().map(|s| s.free_cores).sum();
-        let weighted_conn: f64 = snapshots
-            .iter()
-            .map(|s| s.free_connectivity * f64::from(s.free_cores))
-            .sum();
+        let chips = self.cluster.chip_count();
+        let (mut free_cores, mut free_components) = (0u32, 0usize);
+        let (mut weighted_conn, mut hbm_frag) = (0.0f64, 0.0f64);
+        for chip in 0..chips {
+            let frag = self.cluster.snapshot_cached(chip).frag;
+            free_cores += frag.free_cores;
+            free_components += frag.free_components;
+            weighted_conn += frag.free_connectivity * f64::from(frag.free_cores);
+            hbm_frag += frag.hbm_external_fragmentation;
+        }
         self.fragmentation.push(FragSample {
             tick: ctx.tick,
             free_cores,
-            free_components: snapshots.iter().map(|s| s.free_components).sum(),
+            free_components,
             free_connectivity: if free_cores == 0 {
                 1.0
             } else {
                 weighted_conn / f64::from(free_cores)
             },
-            hbm_external_fragmentation: snapshots
-                .iter()
-                .map(|s| s.hbm_external_fragmentation)
-                .sum::<f64>()
-                / snapshots.len().max(1) as f64,
+            hbm_external_fragmentation: hbm_frag / chips as f64,
             live_vnpus: self.live.len(),
         });
         Ok(())

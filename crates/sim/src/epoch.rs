@@ -1258,20 +1258,6 @@ impl Machine {
     }
 }
 
-/// A summary of one finished epoch, kept by the machine for trend
-/// queries without retaining whole [`Report`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochSummary {
-    /// Zero-based index of the epoch.
-    pub index: u64,
-    /// Makespan of the epoch in cycles.
-    pub makespan: u64,
-    /// Threads that ran in the epoch.
-    pub threads: usize,
-    /// Tenants that had at least one thread bound.
-    pub tenants: usize,
-}
-
 #[cfg(test)]
 impl Machine {
     /// A machine that queues an [`Event::FlowWake`] for every packet it

@@ -56,7 +56,6 @@ pub mod noc;
 pub mod stats;
 
 pub use config::SocConfig;
-pub use epoch::EpochSummary;
 pub use isa::{Instr, Kernel, Program};
 pub use machine::{Machine, TenantId};
 pub use stats::Report;

@@ -20,7 +20,7 @@
 //! chip model.
 
 use crate::config::SocConfig;
-use crate::epoch::{EpochState, EpochSummary, Phase, ThreadState};
+use crate::epoch::{EpochState, Phase, ThreadState};
 use crate::hbm::Hbm;
 use crate::isa::{Instr, Program};
 use crate::noc::{DorRouter, Noc, NocRouter, Route};
@@ -114,11 +114,6 @@ impl CoreState {
     }
 }
 
-/// Minimum number of finished-epoch summaries [`Machine`] retains; see
-/// [`Machine::epoch_history`]. Bounded so a serving runtime driving one
-/// machine through millions of epochs does not accumulate memory.
-pub const EPOCH_HISTORY_CAP: usize = 4_096;
-
 /// The simulated NPU machine.
 pub struct Machine {
     cfg: SocConfig,
@@ -136,8 +131,6 @@ pub struct Machine {
     /// list).
     pub(crate) services: Vec<CoreServices>,
     pub(crate) epoch: EpochState,
-    epoch_index: u64,
-    epoch_history: Vec<EpochSummary>,
     /// Pause debt from epoch-boundary live migrations
     /// ([`Machine::migrate_tenant`]): every thread the tenant binds in the
     /// *next* epoch starts this many cycles late (its cores were being
@@ -145,8 +138,6 @@ pub struct Machine {
     /// [`Machine::finish_epoch`]; a removed tenant's entry leaves with it.
     /// Ordered, so [`Machine::pending_migration_pauses`] is deterministic.
     pending_migration_pause: BTreeMap<TenantId, u64>,
-    migrations: u64,
-    migration_pause_cycles: u64,
     /// Hardware-reconfiguration fingerprint, evolved as a hash chain by
     /// [`Machine::set_core_scales`] and the fault-injection surface
     /// ([`Machine::fault_core`] and friends): virtualization layers fold
@@ -163,8 +154,6 @@ pub struct Machine {
     /// binding a program onto a faulted core errors with
     /// [`SimError::CoreFaulted`].
     faulted_cores: Vec<bool>,
-    faults_injected: u64,
-    faults_repaired: u64,
 }
 
 /// Extra per-hop NoC router cycles a chip pays while it has any active
@@ -179,7 +168,6 @@ impl std::fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("cores", &self.cores.len())
             .field("threads", &self.epoch.threads.len())
-            .field("epoch", &self.epoch_index)
             .field("now", &self.epoch.now)
             .finish_non_exhaustive()
     }
@@ -200,15 +188,9 @@ impl Machine {
             recv_ack: 2,
             services: Vec::new(),
             epoch: EpochState::new(n),
-            epoch_index: 0,
-            epoch_history: Vec::new(),
             pending_migration_pause: BTreeMap::new(),
-            migrations: 0,
-            migration_pause_cycles: 0,
             topology_generation: 0,
             faulted_cores: vec![false; n],
-            faults_injected: 0,
-            faults_repaired: 0,
             cfg,
         }
     }
@@ -303,8 +285,6 @@ impl Machine {
             return Err(SimError::TenantBusy(tenant));
         }
         *self.pending_migration_pause.entry(tenant).or_insert(0) += pause_cycles;
-        self.migrations += 1;
-        self.migration_pause_cycles += pause_cycles;
         Ok(())
     }
 
@@ -315,15 +295,12 @@ impl Machine {
     /// every thread it binds in its first epoch here starts that many
     /// cycles late, exactly as an intra-chip
     /// [`Machine::migrate_tenant`]'s pause lands at the next epoch
-    /// boundary. Counted as a migration in
-    /// [`Machine::migration_count`] / [`Machine::migration_pause_cycles`].
+    /// boundary.
     pub fn adopt_tenant(&mut self, name: &str, pause_cycles: u64) -> TenantId {
         let tenant = self.add_tenant(name);
         // A fresh tenant has no bound threads, so the epoch-boundary
         // precondition of `migrate_tenant` holds by construction.
         *self.pending_migration_pause.entry(tenant).or_insert(0) += pause_cycles;
-        self.migrations += 1;
-        self.migration_pause_cycles += pause_cycles;
         tenant
     }
 
@@ -333,16 +310,6 @@ impl Machine {
     /// depends on.
     pub fn pending_migration_pauses(&self) -> impl Iterator<Item = (TenantId, u64)> + '_ {
         self.pending_migration_pause.iter().map(|(&t, &p)| (t, p))
-    }
-
-    /// Live migrations declared over this machine's lifetime.
-    pub fn migration_count(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Total pause cycles charged to migrated tenants so far.
-    pub fn migration_pause_cycles(&self) -> u64 {
-        self.migration_pause_cycles
     }
 
     /// Enables per-chunk global-memory access tracing (Figure 6).
@@ -425,7 +392,6 @@ impl Machine {
             return Ok(false);
         }
         *slot = true;
-        self.faults_injected += 1;
         self.chain_fault_event(0xFC, core, 0, true);
         self.refresh_degraded_mode();
         Ok(true)
@@ -447,7 +413,6 @@ impl Machine {
             return Ok(false);
         }
         *slot = false;
-        self.faults_repaired += 1;
         self.chain_fault_event(0xFC, core, 0, false);
         self.refresh_degraded_mode();
         Ok(true)
@@ -464,7 +429,6 @@ impl Machine {
     pub fn fault_link(&mut self, a: u32, b: u32) -> Result<bool> {
         let changed = self.noc.set_link_faulted(a, b, true)?;
         if changed {
-            self.faults_injected += 1;
             self.chain_fault_event(0xF1, a, b, true);
             self.refresh_degraded_mode();
         }
@@ -480,7 +444,6 @@ impl Machine {
     pub fn repair_link(&mut self, a: u32, b: u32) -> Result<bool> {
         let changed = self.noc.set_link_faulted(a, b, false)?;
         if changed {
-            self.faults_repaired += 1;
             self.chain_fault_event(0xF1, a, b, false);
             self.refresh_degraded_mode();
         }
@@ -509,16 +472,6 @@ impl Machine {
     /// Whether any core or link fault is currently active.
     pub fn has_active_faults(&self) -> bool {
         self.faulted_cores.iter().any(|&f| f) || self.noc.faulted_link_count() > 0
-    }
-
-    /// Hardware faults injected over the machine's lifetime.
-    pub fn fault_injection_count(&self) -> u64 {
-        self.faults_injected
-    }
-
-    /// Hardware faults repaired over the machine's lifetime.
-    pub fn fault_repair_count(&self) -> u64 {
-        self.faults_repaired
     }
 
     /// Currently faulted directed NoC links, in sorted order.
@@ -627,20 +580,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Zero-based index of the epoch currently accepting bindings.
-    pub fn epoch_index(&self) -> u64 {
-        self.epoch_index
-    }
-
-    /// Summaries of recently finished epochs, oldest first. Retention is
-    /// bounded — at least the most recent [`EPOCH_HISTORY_CAP`] epochs are
-    /// kept (at most twice that) — so a long-lived serving machine does
-    /// not grow memory with uptime; [`Machine::epoch_index`] still counts
-    /// every epoch ever finished.
-    pub fn epoch_history(&self) -> &[EpochSummary] {
-        &self.epoch_history
-    }
-
     /// Ends the current epoch: drops all thread bindings, flows, flags,
     /// barriers and traces (their buffers are kept for the next batch),
     /// and rewinds the chip's clocks (core/link/channel `busy_until`) to
@@ -648,26 +587,6 @@ impl Machine {
     /// scalings, NoC link array, HBM channels) and the tenant registry
     /// survive. The machine is immediately bindable for the next batch.
     pub fn finish_epoch(&mut self) {
-        let threads = self.epoch.threads.len();
-        let tenants = self
-            .epoch
-            .tenant_threads
-            .values()
-            .filter(|&&n| n > 0)
-            .count();
-        let makespan = self.epoch.makespan();
-        // Drop the oldest half in one batch (amortized O(1) per epoch)
-        // rather than shifting the whole vector on every finish.
-        if self.epoch_history.len() >= 2 * EPOCH_HISTORY_CAP {
-            self.epoch_history.drain(..EPOCH_HISTORY_CAP);
-        }
-        self.epoch_history.push(EpochSummary {
-            index: self.epoch_index,
-            makespan,
-            threads,
-            tenants,
-        });
-        self.epoch_index += 1;
         self.epoch.reset(self.cfg.core_count() as usize);
         self.services.clear();
         // Migration pauses apply to exactly one epoch's bindings.
@@ -1225,38 +1144,13 @@ mod tests {
             m.run_epoch().unwrap().makespan()
         };
         let mut m = Machine::new(fpga());
-        for _ in 0..3 {
+        for round in 0..4 {
             bind_batch(&mut m);
-            m.run_epoch().unwrap();
-        }
-        assert_eq!(m.epoch_index(), 3);
-        bind_batch(&mut m);
-        let reused = m.run_epoch().unwrap().makespan();
-        assert_eq!(fresh, reused, "epoch reuse must not leak timing state");
-        assert_eq!(m.epoch_history().len(), 4);
-        assert!(m.epoch_history().iter().all(|e| e.makespan == fresh));
-    }
-
-    #[test]
-    fn epoch_history_retention_is_bounded() {
-        let mut m = Machine::new(fpga());
-        let total = 2 * EPOCH_HISTORY_CAP + 5;
-        for _ in 0..total {
-            m.finish_epoch(); // empty epochs: summaries only
-        }
-        assert_eq!(m.epoch_index(), total as u64, "every epoch is counted");
-        let history = m.epoch_history();
-        assert!(history.len() <= 2 * EPOCH_HISTORY_CAP);
-        assert!(history.len() >= EPOCH_HISTORY_CAP, "recent epochs retained");
-        assert_eq!(
-            history.last().unwrap().index,
-            total as u64 - 1,
-            "the newest summary survives trimming"
-        );
-        // Contiguous, oldest first.
-        let first = history.first().unwrap().index;
-        for (i, e) in history.iter().enumerate() {
-            assert_eq!(e.index, first + i as u64);
+            let reused = m.run_epoch().unwrap().makespan();
+            assert_eq!(
+                fresh, reused,
+                "epoch reuse must not leak timing state ({round})"
+            );
         }
     }
 
@@ -1334,7 +1228,6 @@ mod tests {
         assert!(m.core_faulted(0));
         assert_eq!(m.faulted_cores(), vec![0]);
         assert!(m.has_active_faults());
-        assert_eq!(m.fault_injection_count(), 1);
         assert!(matches!(
             m.bind(0, t, 0, Program::once(vec![Instr::matmul(16, 16, 16)])),
             Err(SimError::CoreFaulted { core: 0 })
@@ -1346,7 +1239,6 @@ mod tests {
         assert!(m.core_faulted(0), "faults survive epoch resets");
         assert!(m.repair_core(0).unwrap());
         assert!(!m.repair_core(0).unwrap(), "double repair is a no-op");
-        assert_eq!(m.fault_repair_count(), 1);
         assert!(!m.has_active_faults());
         assert_ne!(
             m.topology_generation(),
@@ -1414,8 +1306,10 @@ mod tests {
         // At the epoch boundary the migration is legal and the pause is
         // charged to the next epoch's threads.
         m.migrate_tenant(t, 10_000).unwrap();
-        assert_eq!(m.migration_count(), 1);
-        assert_eq!(m.migration_pause_cycles(), 10_000);
+        assert_eq!(
+            m.pending_migration_pauses().collect::<Vec<_>>(),
+            vec![(t, 10_000)]
+        );
         m.bind(0, t, 0, Program::once(vec![Instr::matmul(16, 16, 16)]))
             .unwrap();
         let paused = m.run_epoch().unwrap().makespan();
@@ -1453,8 +1347,6 @@ mod tests {
             m.pending_migration_pauses().collect::<Vec<_>>(),
             vec![(stays, 700)]
         );
-        // The lifetime counters still record the declared migration.
-        assert_eq!(m.migration_count(), 2);
         m.finish_epoch();
         assert_eq!(m.pending_migration_pauses().count(), 0);
     }
@@ -1491,13 +1383,11 @@ mod tests {
             bind_batch(&mut lean, t);
             assert_eq!(lean.run_epoch_makespan().unwrap(), expect, "round {round}");
         }
-        assert_eq!(lean.epoch_index(), 3);
         // Both flavours leave the machine equally reusable, in any order.
         bind_batch(&mut lean, t);
         assert_eq!(lean.run_epoch().unwrap().makespan(), expect);
         bind_batch(&mut lean, t);
         assert_eq!(lean.run_epoch_makespan().unwrap(), expect);
-        assert!(lean.epoch_history().iter().all(|e| e.makespan == expect));
     }
 
     #[test]
@@ -1513,8 +1403,11 @@ mod tests {
 
         let mut m = Machine::new(fpga());
         let t = m.adopt_tenant("evacuee", 25_000);
-        assert_eq!(m.migration_count(), 1, "an adoption is a migration");
-        assert_eq!(m.migration_pause_cycles(), 25_000);
+        assert_eq!(
+            m.pending_migration_pauses().collect::<Vec<_>>(),
+            vec![(t, 25_000)],
+            "an adoption owes its landing pause"
+        );
         m.bind(0, t, 0, Program::once(vec![Instr::matmul(16, 16, 16)]))
             .unwrap();
         let paused = m.run_epoch().unwrap().makespan();

@@ -85,10 +85,18 @@ section "scripts/loc.sh (non-test source size)"
 # could not fire (TEMP-COST, TEMP-CACHE, FAULT-FREE, ROUTE-SHARE), the
 # `never`, `monotone` and `conserved` combinators, the `CacheSample`
 # event and its emission, `audit_routing`'s `strict` knob and
-# `TraceFold::recovered_tenants`.
-CORE_SERVE_CODE_MAX=4865
+# `TraceFold::recovered_tenants`. Making the cluster's snapshot memo the
+# one per-chip picture took 86 lines out of `core + serve` and 152 out of
+# the workspace: the serve tick's second copy of the snapshots and its
+# hand refreshes, `process_admissions_with_snapshots`, the snapshot
+# parameters of `drain_tick` and `defrag_pass`, `fit_hint_bounded`,
+# `AdmissionTick` and `TickVerdict`, `AdmissionQueue::queued_ids`,
+# `Cluster::fragmentation`, `ChipSnapshot`'s copied fragmentation fields
+# and `fragmentation_stats`, `Hypervisor::has_faults` and `mmio_mut`, and
+# the machine's test-only epoch history and lifetime counters.
+CORE_SERVE_CODE_MAX=4779
 TOPO_CODE_MAX=2250
-WORKSPACE_CODE_MAX=15892
+WORKSPACE_CODE_MAX=15740
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -147,6 +155,16 @@ section "epoch-memo differential gate"
 # rescales, and fails if no epoch was reused or a kind of event is absent.
 cargo test --test props -q epoch_memo_matches_fresh_epochs_under_reconfiguration
 echo "epoch-memo gate: reused epochs equal fresh ones under reconfiguration"
+
+section "snapshot-memo differential gate"
+# Every fleet-wide operation steers by the cluster's memoized per-chip
+# snapshot. `cargo test` builds with debug assertions, where every memo
+# hit is also re-scanned and must equal the fresh scan; the test drives
+# that oracle, and an explicit comparison of every chip, through
+# admissions, teardowns, a defrag pass, core and link faults and repairs,
+# an administrative core reservation, drain steps and the drain lifecycle.
+cargo test -p vnpu -q snapshot_memo_matches_fresh_scans
+echo "snapshot-memo gate: memoized snapshots equal fresh scans"
 
 section "mapper differential gate"
 # A mapper search is one walk of the candidate enumeration. The campaign

@@ -393,9 +393,9 @@ fn fit_hints_and_snapshots_exclude_faulted_cores() {
     }
     let snap = cl.snapshot_of(0);
     assert_eq!(snap.faulted_cores, 6, "the snapshot names the dead row");
-    assert_eq!(snap.free_cores, 30, "dead cores are not free");
+    assert_eq!(snap.frag.free_cores, 30, "dead cores are not free");
     assert!(
-        snap.largest_free_component <= 30,
+        snap.frag.largest_free_component <= 30,
         "dead cores are not reachable free capacity"
     );
     assert!(

@@ -8,8 +8,7 @@
 //! HBM byte conservation against the tenants' buddy blocks, and
 //! drained-chip emptiness — plus the full [`crate::routing`] pass over
 //! the chip's resident routing tables. [`audit_cluster`] runs it over
-//! every chip; the stateful [`FleetAuditor`] additionally proves the
-//! per-chip cache generation never regresses between audits.
+//! every chip, and [`FleetAuditor`] is the same sweep as a value.
 //!
 //! All passes are read-only: auditing a clean fleet leaves behavior,
 //! reports and cache statistics byte-identical to not auditing it.
@@ -26,7 +25,6 @@
 
 use crate::routing::{audit_routing, collect_tenant_routes};
 use crate::{AuditFinding, Rule};
-use std::collections::{BTreeMap, BTreeSet};
 use vnpu::cluster::Cluster;
 use vnpu::drain::ChipSchedState;
 use vnpu::{Hypervisor, VmId};
@@ -225,8 +223,7 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
 }
 
 /// Audits every chip of a cluster, tagging findings with the chip
-/// index. Stateless — for the cache-generation monotonicity rule use a
-/// [`FleetAuditor`].
+/// index.
 pub fn audit_cluster(cluster: &Cluster) -> Vec<AuditFinding> {
     let mut findings = Vec::new();
     for i in 0..cluster.chip_count() {
@@ -242,52 +239,22 @@ pub fn audit_cluster(cluster: &Cluster) -> Vec<AuditFinding> {
     findings
 }
 
-/// Stateful cluster auditor: everything [`audit_cluster`] checks, plus
-/// cross-audit invariants — each chip's reconfiguration (mapping-cache)
-/// generation must never *revert* between successive audits, or cached
-/// placements could replay against hardware state they never saw.
-///
-/// Generations are hash chains (reconfigs *and* fault events fold into
-/// them), so numeric order is meaningless; a regression is the chain
-/// returning to pristine (0) after history existed, or replaying any
-/// previously observed value — a healthy chain only ever extends.
-#[derive(Debug, Default)]
-pub struct FleetAuditor {
-    /// Per chip index: the last observed topology generation, and every
-    /// generation ever observed — the replay detector, bounded by the
-    /// number of reconfig/fault events in the run, not by its length.
-    history: BTreeMap<usize, (u64, BTreeSet<u64>)>,
-}
+/// The fleet audit as a value: [`audit_cluster`], nothing more. A chip's
+/// topology generation needs no cross-audit check — its one writer, the
+/// cluster, copies the machine's hash chain, which never returns to 0
+/// and repeats a value only on a 64-bit collision.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FleetAuditor;
 
 impl FleetAuditor {
-    /// A fresh auditor with no generation history.
+    /// An auditor.
     pub fn new() -> Self {
-        FleetAuditor::default()
+        FleetAuditor
     }
 
-    /// Runs the full fleet audit and advances the generation history.
-    pub fn audit(&mut self, cluster: &Cluster) -> Vec<AuditFinding> {
-        let mut findings = audit_cluster(cluster);
-        for i in 0..cluster.chip_count() {
-            let gen = cluster.chip(i).topology_generation();
-            // A chip's first audit records its generation and checks nothing.
-            let (last, seen) = self.history.entry(i).or_insert((gen, BTreeSet::new()));
-            if (gen == 0 && *last != 0) || (gen != *last && seen.contains(&gen)) {
-                findings.push(
-                    AuditFinding::error(
-                        Rule::FleetGenerationRegressed,
-                        format!(
-                            "reconfiguration generation reverted: {last} \u{2192} {gen} \
-                             (previously observed state)"
-                        ),
-                    )
-                    .on_chip(i),
-                );
-            }
-            *last = gen;
-            seen.insert(gen);
-        }
-        findings
+    /// Runs the full fleet audit.
+    pub fn audit(&self, cluster: &Cluster) -> Vec<AuditFinding> {
+        audit_cluster(cluster)
     }
 }
 
@@ -300,6 +267,7 @@ mod reference {
 
     use super::*;
     use crate::routing::reference::{audit_routing, below};
+    use std::collections::BTreeMap;
     use vnpu::cluster::ClusterVmId;
     use vnpu::VnpuRequest;
     use vnpu_mem::proptest_lite::Rng;
@@ -510,8 +478,7 @@ mod reference {
         findings
     }
     /// Audits every chip of a cluster, tagging findings with the chip
-    /// index. Stateless — for the cache-generation monotonicity rule use a
-    /// [`FleetAuditor`].
+    /// index.
     fn audit_cluster(cluster: &Cluster) -> Vec<AuditFinding> {
         let mut findings = Vec::new();
         for i in 0..cluster.chip_count() {
@@ -551,7 +518,7 @@ mod reference {
         let mut audits = 0;
         for case in 0..CASES {
             let mut cluster = Cluster::new(vec![SocConfig::sim(); 3]);
-            let mut auditor = FleetAuditor::new();
+            let auditor = FleetAuditor::new();
             let mut live: Vec<ClusterVmId> = Vec::new();
             for step in 0..STEPS {
                 // Churn, faults and repairs, reservation residue, drains.
@@ -727,7 +694,7 @@ mod tests {
     #[test]
     fn fleet_auditor_accepts_monotone_generations() {
         let mut cluster = Cluster::new(vec![SocConfig::sim()]);
-        let mut auditor = FleetAuditor::new();
+        let auditor = FleetAuditor::new();
         assert!(auditor.audit(&cluster).is_empty());
         let id = cluster.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
         assert!(auditor.audit(&cluster).is_empty());
@@ -788,47 +755,5 @@ mod tests {
         hv.set_link_faulted(34, 35, true);
         let findings = audit_chip(&hv, ChipSchedState::Schedulable);
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn fleet_auditor_accepts_fault_hash_chain_jumps() {
-        // Fault events evolve the generation hash chain in numerically
-        // arbitrary directions; the auditor must accept every fresh
-        // value and reject only reverts to an already-seen state.
-        let mut cluster = Cluster::new(vec![SocConfig::sim()]);
-        let mut auditor = FleetAuditor::new();
-        assert!(auditor.audit(&cluster).is_empty());
-        let mut seen = vec![cluster.chip(0).topology_generation()];
-        for core in 0..8 {
-            cluster.chip_mut(0).set_topology_generation(1_000 + core);
-            assert!(
-                auditor.audit(&cluster).is_empty(),
-                "fresh generations are never regressions"
-            );
-            seen.push(1_000 + core);
-        }
-        // Replaying an old generation is exactly the bug the rule exists
-        // to catch.
-        cluster.chip_mut(0).set_topology_generation(seen[3]);
-        let findings = auditor.audit(&cluster);
-        assert!(
-            rules(&findings).contains(&Rule::FleetGenerationRegressed),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn fleet_auditor_flags_generation_regression() {
-        let cluster = Cluster::new(vec![SocConfig::sim()]);
-        let mut auditor = FleetAuditor::new();
-        // Seed history with a fabricated future generation, then audit
-        // the real (lower) one: the regression must be reported.
-        auditor.history.insert(0, (u64::MAX, BTreeSet::new()));
-        let findings = auditor.audit(&cluster);
-        let hit = findings
-            .iter()
-            .find(|f| f.rule == Rule::FleetGenerationRegressed)
-            .expect("regression must be reported");
-        assert_eq!(hit.chip, Some(0));
     }
 }

@@ -16,8 +16,9 @@
 //!   link isolation.
 //! * [`fleet`] — the whole-[`vnpu::cluster::Cluster`] post-tick audit:
 //!   core-ownership and free-set consistency, HBM byte conservation,
-//!   drained-chip residue, cache-generation monotonicity (via the
-//!   stateful [`FleetAuditor`]), and the fault mask.
+//!   drained-chip residue and the fault mask. It keeps no state between
+//!   audits: a chip's topology generation has one writer, the cluster,
+//!   which copies the machine's never-repeating hash chain.
 //!
 //! A placement plan needs no pass of its own: `Hypervisor::plan` runs
 //! the commit's op loop on a copy, so an unsound plan is an `Err` from
@@ -44,7 +45,6 @@
 //! | `FLEET-FREE` | free-set membership/fingerprint match occupancy | fleet |
 //! | `FLEET-HBM` | allocated HBM equals the sum of tenant blocks | fleet |
 //! | `FLEET-DRAIN` | a drained chip holds zero tenants | fleet |
-//! | `FLEET-GEN` | the mapping-cache generation never regresses | fleet |
 //! | `FAULT-MAP` | no live tenant maps a faulted core | fault |
 //! | `FAULT-LINK` | no live tenant owns an endpoint of a faulted link | fault |
 //!
@@ -110,8 +110,6 @@ pub enum Rule {
     FleetHbmAccounting,
     /// A drained chip still holds tenants.
     FleetDrainedResidue,
-    /// A chip's mapping-cache (topology) generation went backwards.
-    FleetGenerationRegressed,
     /// A live tenant's mapping includes a core the fault layer marked
     /// dead — recovery has not (yet) moved it off and the placement
     /// machinery failed to exclude the core.
@@ -136,7 +134,6 @@ impl Rule {
             Rule::FleetFreeSetDrift => "FLEET-FREE",
             Rule::FleetHbmAccounting => "FLEET-HBM",
             Rule::FleetDrainedResidue => "FLEET-DRAIN",
-            Rule::FleetGenerationRegressed => "FLEET-GEN",
             Rule::FaultMappedCore => "FAULT-MAP",
             Rule::FaultLinkEndpoint => "FAULT-LINK",
         }
@@ -252,7 +249,6 @@ mod tests {
             Rule::FleetFreeSetDrift,
             Rule::FleetHbmAccounting,
             Rule::FleetDrainedResidue,
-            Rule::FleetGenerationRegressed,
             Rule::FaultMappedCore,
             Rule::FaultLinkEndpoint,
         ];

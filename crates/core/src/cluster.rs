@@ -19,12 +19,20 @@
 //!   its reconfiguration generation — two identical free regions on two
 //!   identical chip models *do* share entries, which is the point.
 //!   After reconfigs, soundness relies on the generation reflecting the
-//!   actual hardware state: the serve layer mirrors the machine's
-//!   reconfig hash chain ([`Hypervisor::set_topology_generation`]), so
-//!   identical models share only while their reconfig histories match;
-//!   the bare [`Hypervisor::bump_topology_generation`] counter is only
-//!   appropriate for chips that don't share a cache with same-model
-//!   peers (see its docs).
+//!   actual hardware state, and it does by construction: each chip slot
+//!   owns the chip's simulated [`Machine`] next to its hypervisor, every
+//!   fault transition and core rescale lands on the machine first, and
+//!   the hypervisor copies the machine's reconfig hash chain
+//!   ([`Machine::topology_generation`]) — its one writer. Identical
+//!   models share entries only while their reconfig histories match.
+//!
+//! The machine is the chip the hypervisor configures, as in the paper:
+//! every cluster mutation updates both halves in one step — a placement
+//! registers a machine tenant ([`Cluster::tenants`]), a teardown removes
+//! it, a remap or a defrag move pauses it, a cross-chip move re-registers
+//! it on the destination paused for the paid cost — so a bare `Cluster`
+//! behaves exactly like a served one. A serving loop reads the machine
+//! and binds its epochs through [`Cluster::epoch_parts`].
 //!
 //! Placement attempts stay transactional per chip (a failed
 //! [`Hypervisor::create_vnpu_in`] changes nothing), so cluster admission
@@ -55,8 +63,10 @@ use crate::plan::{
 };
 use crate::vnpu::{VirtualNpu, VnpuRequest};
 use crate::{Result, VnpuError};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+use vnpu_sim::machine::{Machine, TenantId};
 use vnpu_sim::SocConfig;
 use vnpu_topo::cache::{CacheStats, MappingCache};
 use vnpu_topo::mapping::Strategy;
@@ -261,6 +271,11 @@ pub struct ClusterAdmissionEvent {
 #[derive(Debug)]
 struct ChipSlot {
     hv: Hypervisor,
+    /// The simulated chip the hypervisor configures: its tenants, their
+    /// pending migration pauses, its fault mask and core scales.
+    machine: Machine,
+    /// The machine tenant of every VM the cluster placed on the chip.
+    tenants: BTreeMap<VmId, TenantId>,
     /// The chip's dedicated cache for fit-hint and defrag probes, so
     /// advisory probing never distorts the shared placement cache's
     /// hit-rate statistics. Hint values are pure functions of the owning
@@ -287,6 +302,42 @@ fn slot_mut(chips: &mut [ChipSlot], chip: usize) -> Result<&mut ChipSlot> {
 }
 
 impl ChipSlot {
+    /// Registers a VM the hypervisor just placed as a machine tenant —
+    /// paused for `landed_pause` cycles when it landed from another chip.
+    fn add_tenant(&mut self, vm: VmId, landed_pause: Option<u64>) {
+        let name = vm.to_string();
+        let tenant = match landed_pause {
+            Some(cycles) => self.machine.adopt_tenant(&name, cycles),
+            None => self.machine.add_tenant(&name),
+        };
+        self.tenants.insert(vm, tenant);
+        self.snap = None;
+    }
+
+    /// Tears a VM down on the hypervisor, then on the machine.
+    fn destroy(&mut self, vm: VmId) -> Result<()> {
+        self.hv.destroy_vnpu(vm)?;
+        self.remove_tenant(vm)
+    }
+
+    /// Unregisters a VM the hypervisor no longer holds.
+    fn remove_tenant(&mut self, vm: VmId) -> Result<()> {
+        self.snap = None;
+        if let Some(tenant) = self.tenants.remove(&vm) {
+            self.machine.remove_tenant(tenant)?;
+        }
+        Ok(())
+    }
+
+    /// Charges a committed migration's pause to the VM's next epoch —
+    /// zero included, which still marks the tenant as moved.
+    fn pause(&mut self, vm: VmId, cycles: u64) -> Result<()> {
+        if let Some(&tenant) = self.tenants.get(&vm) {
+            self.machine.migrate_tenant(tenant, cycles)?;
+        }
+        Ok(())
+    }
+
     /// Prices and commits one chip's defrag proposals through the shared
     /// `cache` — the second half of a chip's defrag pass.
     fn apply_defrag_ops(
@@ -316,6 +367,15 @@ impl ChipSlot {
         }
         let receipt = self.hv.commit_in(&txn, cache)?;
         self.snap = None;
+        for &vm in &receipt.destroyed {
+            self.remove_tenant(vm)?;
+        }
+        for &vm in &receipt.created {
+            self.add_tenant(vm, None);
+        }
+        for &(vm, cost) in &receipt.migrated {
+            self.pause(vm, cost.paused_cycles)?;
+        }
         Ok(receipt)
     }
 }
@@ -355,6 +415,8 @@ impl Cluster {
         let chips = chips
             .into_iter()
             .map(|hv| ChipSlot {
+                machine: Machine::new(hv.config().clone()),
+                tenants: BTreeMap::new(),
                 hv,
                 hints: MappingCache::default(),
                 sched: ChipSchedState::Schedulable,
@@ -391,16 +453,12 @@ impl Cluster {
         &self.chips[index].hv
     }
 
-    /// Mutable access to the chip at `index` — administrative operations
-    /// (reserving cores, adopting a reconfiguration generation). Chips
-    /// stay self-consistent under any such operation. One caveat for
-    /// clusters with *identical* chip models: their cache keys share a
-    /// `phys_key`, so after a hardware reconfig use
-    /// [`Hypervisor::set_topology_generation`] with a value derived from
-    /// the actual hardware state (as the serve layer does) rather than
-    /// the bare [`Hypervisor::bump_topology_generation`] counter — two
-    /// same-model chips bumped the same number of times after
-    /// *different* reconfigs would otherwise alias (see the module docs).
+    /// Mutable access to the hypervisor at `index` — administrative
+    /// operations (reserving cores, planning by hand). It bypasses the
+    /// chip's machine: a vNPU created or destroyed through it gains or
+    /// keeps no machine tenant, so place, move and tear down tenants
+    /// through the cluster's own methods. The topology generation cannot
+    /// be written through it; it follows the machine.
     ///
     /// # Panics
     ///
@@ -415,6 +473,37 @@ impl Cluster {
     /// The chips, in index order.
     pub fn chips(&self) -> impl Iterator<Item = &Hypervisor> {
         self.chips.iter().map(|slot| &slot.hv)
+    }
+
+    /// The simulated chip behind the hypervisor at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub fn machine(&self, index: usize) -> &Machine {
+        &self.chips[index].machine
+    }
+
+    /// The machine tenant of every VM placed on chip `index`, by VM id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub fn tenants(&self, index: usize) -> &BTreeMap<VmId, TenantId> {
+        &self.chips[index].tenants
+    }
+
+    /// What one machine epoch on chip `index` needs: the machine, to bind
+    /// the residents' programs and run, and the hypervisor that deployed
+    /// them. Tenants are registered, paused and removed by the cluster's
+    /// mutations, not through this borrow.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub fn epoch_parts(&mut self, index: usize) -> (&mut Machine, &Hypervisor) {
+        let slot = &mut self.chips[index];
+        (&mut slot.machine, &slot.hv)
     }
 
     /// Replaces the cluster admission ordering policy (queued requests
@@ -719,21 +808,26 @@ impl Cluster {
     /// new region — and its memoized snapshot is marked stale. Other
     /// chips' hints describe other chips and stay. The *placement* cache
     /// needs no flush: its keys carry the chip's reconfiguration
-    /// generation, which the fault layer evolves on every onset/repair,
-    /// so stale entries expire by key.
+    /// generation, which the hypervisor copies here from the machine's
+    /// hash chain (extended on every onset/repair), so stale entries
+    /// expire by key.
     fn reshaped(&mut self, chip: usize) {
         let slot = &mut self.chips[chip];
         slot.hints.clear();
         slot.snap = None;
+        slot.hv
+            .set_topology_generation(slot.machine.topology_generation());
     }
 
-    /// Marks one core on one chip faulted. Returns whether the mask
-    /// changed (idempotent, like [`Hypervisor::set_core_faulted`]).
+    /// Marks one core on one chip faulted — on the machine first, then in
+    /// the hypervisor's mask. Returns whether the mask changed
+    /// (idempotent, like [`Hypervisor::set_core_faulted`]).
     ///
     /// # Errors
     ///
-    /// [`VnpuError::UnknownChip`] for a bad chip index, else as for
-    /// [`Hypervisor::set_core_faulted`].
+    /// [`VnpuError::UnknownChip`] for a bad chip index;
+    /// [`VnpuError::Sim`] ([`vnpu_sim::SimError::CoreOutOfRange`]) for a
+    /// core outside the chip, with both halves untouched.
     pub fn fault_core(&mut self, chip: usize, core: u32) -> Result<bool> {
         self.set_core_fault_state(chip, core, true)
     }
@@ -749,20 +843,28 @@ impl Cluster {
     }
 
     fn set_core_fault_state(&mut self, chip: usize, core: u32, faulted: bool) -> Result<bool> {
-        let changed = slot_mut(&mut self.chips, chip)?
-            .hv
-            .set_core_faulted(core, faulted)?;
+        let slot = slot_mut(&mut self.chips, chip)?;
+        let changed = if faulted {
+            slot.machine.fault_core(core)?
+        } else {
+            slot.machine.repair_core(core)?
+        };
+        slot.hv.set_core_faulted(core, faulted)?;
         if changed {
             self.reshaped(chip);
         }
         Ok(changed)
     }
 
-    /// Marks one undirected NoC link on one chip faulted.
+    /// Marks one undirected NoC link on one chip faulted — on the machine
+    /// first, then in the hypervisor's mask. Returns whether the mask
+    /// changed.
     ///
     /// # Errors
     ///
-    /// [`VnpuError::UnknownChip`] for a bad chip index.
+    /// [`VnpuError::UnknownChip`] for a bad chip index;
+    /// [`VnpuError::Sim`] ([`vnpu_sim::SimError::RouteFault`]) when `a`
+    /// and `b` are not neighbours on the mesh, with both halves untouched.
     pub fn fault_link(&mut self, chip: usize, a: u32, b: u32) -> Result<bool> {
         self.set_link_fault_state(chip, a, b, true)
     }
@@ -777,13 +879,41 @@ impl Cluster {
     }
 
     fn set_link_fault_state(&mut self, chip: usize, a: u32, b: u32, faulted: bool) -> Result<bool> {
-        let changed = slot_mut(&mut self.chips, chip)?
-            .hv
-            .set_link_faulted(a, b, faulted);
+        let slot = slot_mut(&mut self.chips, chip)?;
+        let changed = if faulted {
+            slot.machine.fault_link(a, b)?
+        } else {
+            slot.machine.repair_link(a, b)?
+        };
+        slot.hv.set_link_faulted(a, b, faulted);
         if changed {
             self.reshaped(chip);
         }
         Ok(changed)
+    }
+
+    /// Reconfigures a hybrid core (§7) on one chip: the machine rescales
+    /// it and extends its topology-generation hash chain, which the
+    /// hypervisor adopts, so placements memoized against the old
+    /// hardware expire instead of replaying.
+    ///
+    /// # Errors
+    ///
+    /// [`VnpuError::UnknownChip`] for a bad chip index;
+    /// [`VnpuError::Sim`] for a bad core index, with both halves
+    /// untouched.
+    pub fn set_core_scales(
+        &mut self,
+        chip: usize,
+        core: u32,
+        matrix_pct: u32,
+        vector_pct: u32,
+    ) -> Result<()> {
+        let slot = slot_mut(&mut self.chips, chip)?;
+        slot.machine.set_core_scales(core, matrix_pct, vector_pct)?;
+        slot.hv
+            .set_topology_generation(slot.machine.topology_generation());
+        Ok(())
     }
 
     /// Provisions a virtual NPU on a specific chip, through the shared
@@ -804,7 +934,7 @@ impl Cluster {
             });
         }
         let vm = slot.hv.create_vnpu_in(req, &mut self.cache)?;
-        slot.snap = None;
+        slot.add_tenant(vm, None);
         Ok(ClusterVmId { chip, vm })
     }
 
@@ -818,17 +948,16 @@ impl Cluster {
         self.slot(id.chip)?.hv.vnpu(id.vm)
     }
 
-    /// Tears down a virtual NPU, releasing its chip's cores and memory.
+    /// Tears down a virtual NPU, releasing its chip's cores and memory,
+    /// and removes its machine tenant.
     ///
     /// # Errors
     ///
     /// [`VnpuError::UnknownChip`] for an out-of-range chip index,
-    /// otherwise as for [`Hypervisor::destroy_vnpu`].
+    /// otherwise as for [`Hypervisor::destroy_vnpu`] and
+    /// [`Machine::remove_tenant`].
     pub fn destroy(&mut self, id: ClusterVmId) -> Result<()> {
-        let slot = slot_mut(&mut self.chips, id.chip)?;
-        slot.hv.destroy_vnpu(id.vm)?;
-        slot.snap = None;
-        Ok(())
+        slot_mut(&mut self.chips, id.chip)?.destroy(id.vm)
     }
 
     /// The fleet-wide fit hint: the largest shape that would currently
@@ -930,7 +1059,7 @@ impl Cluster {
                 };
                 match slot.hv.create_vnpu_in(request.clone(), &mut self.cache) {
                     Ok(vm) => {
-                        slot.snap = None;
+                        slot.add_tenant(vm, None);
                         placed = Some(ClusterVmId { chip, vm });
                         break;
                     }
@@ -1074,8 +1203,9 @@ impl Cluster {
 
     /// The one same-chip move: a remap-under-pin of `id` under
     /// `strategy`, planned and committed as a single transaction through
-    /// the shared cache. Returns the paid cost (zero when the best
-    /// mapping is the current one).
+    /// the shared cache, its pause charged to the tenant's next epoch.
+    /// Returns the paid cost (zero when the best mapping is the current
+    /// one).
     fn remap_under_pin(&mut self, id: ClusterVmId, strategy: Strategy) -> Result<ReconfigCost> {
         let slot = slot_mut(&mut self.chips, id.chip)?;
         let ops = [PlanOp::Migrate {
@@ -1085,11 +1215,9 @@ impl Cluster {
         let txn = slot.hv.plan_in(&ops, &mut self.cache)?;
         let receipt = slot.hv.commit_in(&txn, &mut self.cache)?;
         slot.snap = None;
-        Ok(receipt
-            .migrated
-            .first()
-            .map(|(_, c)| *c)
-            .unwrap_or_default())
+        let cost = receipt.migrated.first().map(|m| m.1).unwrap_or_default();
+        slot.pause(id.vm, cost.paused_cycles)?;
+        Ok(cost)
     }
 
     /// Live-migrates a virtual NPU across chips: the tenant is recreated
@@ -1154,10 +1282,13 @@ impl Cluster {
         let dest = &mut self.chips[to_chip].hv;
         let new_vm = dest.create_vnpu_in(req, &mut self.cache)?;
         let landed = dest.vnpu(new_vm).expect("just created");
-        let routing_cycles = landed.routing_table().config_cycles();
-        let rtt_cycles = vnpu_mem::rtt::rtt_deploy_cycles(landed.rtt_entries().len());
+        let cost = ReconfigCost::for_move(
+            landed.routing_table().config_cycles(),
+            vnpu_mem::rtt::rtt_deploy_cycles(landed.rtt_entries().len()),
+            data_move,
+        );
         self.chips[to_chip].snap = None;
-        if let Err(e) = self.chips[id.chip].hv.destroy_vnpu(id.vm) {
+        if let Err(e) = self.chips[id.chip].destroy(id.vm) {
             // Unwind the landed copy so a failed source teardown leaves
             // the fleet exactly as it was.
             self.chips[to_chip]
@@ -1166,15 +1297,14 @@ impl Cluster {
                 .expect("freshly created vm tears down");
             return Err(e);
         }
-        self.chips[id.chip].snap = None;
+        // The landed copy becomes a machine tenant only once the source's
+        // is gone, paused for the paid move.
+        self.chips[to_chip].add_tenant(new_vm, Some(cost.paused_cycles));
         let to = ClusterVmId {
             chip: to_chip,
             vm: new_vm,
         };
-        Ok((
-            to,
-            ReconfigCost::for_move(routing_cycles, rtt_cycles, data_move),
-        ))
+        Ok((to, cost))
     }
 }
 
@@ -1758,7 +1888,7 @@ mod tests {
         assert_eq!(cl.cache_stats().hits, 1);
         // Reconfig chip 0: its next identical request misses; chip 1's
         // still hits.
-        cl.chip_mut(0).bump_topology_generation();
+        cl.set_core_scales(0, 3, 50, 200).unwrap();
         cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
         assert_eq!(cl.cache_stats().misses, 2, "chip 0 re-maps after reconfig");
         cl.create_on(1, VnpuRequest::mesh(2, 2)).unwrap();
@@ -1766,23 +1896,68 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_memo_matches_fresh_scans() {
-        use crate::plan::GreedyDefrag;
-        // After every mutating step each chip's memoized snapshot equals
-        // a fresh scan. `check` first fills every memo, so the next step
-        // is checked on memo hits: a path that forgets to clear the memo
-        // of a chip it touched fails here.
-        fn check(cl: &mut Cluster, step: &str) {
-            for i in 0..cl.chip_count() {
-                assert_eq!(
-                    cl.snapshot_cached(i),
-                    cl.snapshot_of(i),
-                    "chip {i} after {step}"
+    fn fault_transitions_expire_cached_placements() {
+        // Two twin chips share one entry. A link fault and its repair on
+        // chip 0 move its generation along the machine's hash chain, so
+        // chip 0 re-maps while chip 1 still hits.
+        let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
+        for chip in 0..2 {
+            let id = cl.create_on(chip, VnpuRequest::mesh(2, 2)).unwrap();
+            cl.destroy(id).unwrap();
+        }
+        assert_eq!((cl.cache_stats().misses, cl.cache_stats().hits), (1, 1));
+        assert_eq!(cl.fault_link(0, 0, 1), Ok(true));
+        assert_eq!(cl.repair_link(0, 0, 1), Ok(true));
+        assert_ne!(cl.chip(0).topology_generation(), 0);
+        assert_eq!(cl.chip(1).topology_generation(), 0);
+        cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        assert_eq!(
+            cl.cache_stats().misses,
+            2,
+            "chip 0 re-maps after its faults"
+        );
+        cl.create_on(1, VnpuRequest::mesh(2, 2)).unwrap();
+        assert_eq!(cl.cache_stats().hits, 2, "chip 1's entry survives");
+    }
+
+    #[test]
+    fn link_faults_off_the_mesh_are_an_error_not_a_mask() {
+        use vnpu_sim::SimError;
+        let mut cl = Cluster::new(vec![sim_chip()]);
+        for (a, b) in [(0, 35), (999, 1000), (0, 0)] {
+            for r in [cl.fault_link(0, a, b), cl.repair_link(0, a, b)] {
+                assert!(
+                    matches!(r, Err(VnpuError::Sim(SimError::RouteFault { .. }))),
+                    "{a}-{b}: {r:?}"
                 );
             }
         }
+        assert!(matches!(
+            cl.fault_core(0, 36),
+            Err(VnpuError::Sim(SimError::CoreOutOfRange { core: 36, .. }))
+        ));
+        assert_eq!(cl.chip(0).faulted_links().count(), 0, "nothing masked");
+        assert!(!cl.machine(0).has_active_faults());
+        assert_eq!(cl.chip(0).topology_generation(), 0);
+        assert_eq!(
+            cl.snapshot_of(0),
+            Cluster::new(vec![sim_chip()]).snapshot_of(0)
+        );
+    }
+
+    /// A migration pause a step paid: the tenant's landed identity and
+    /// the cycles.
+    type Paid = (ClusterVmId, u64);
+
+    /// Drives every mutating path of a three-chip cluster — admissions,
+    /// teardowns, a defrag pass, faults and repairs, a core rescale, a
+    /// recovery, same- and cross-chip migrations, a reservation and the
+    /// drain lifecycle — and calls `check` after each step with the
+    /// step's name and the migration pauses it paid, by landed identity.
+    fn drive_mutations(check: &mut dyn FnMut(&mut Cluster, &str, &[Paid])) {
+        use crate::plan::GreedyDefrag;
         let mut cl = Cluster::new(vec![sim_chip(), sim_chip(), small_chip()]);
-        check(&mut cl, "construction");
+        check(&mut cl, "construction", &[]);
         for _ in 0..4 {
             cl.submit(VnpuRequest::mesh(3, 3));
         }
@@ -1795,35 +1970,120 @@ mod tests {
             })
             .collect();
         assert_eq!(quadrants.len(), 4, "first fit fills chip 0's quadrants");
-        check(&mut cl, "admissions");
+        check(&mut cl, "admissions", &[]);
         cl.destroy(quadrants[0]).unwrap();
-        check(&mut cl, "destroy");
+        check(&mut cl, "destroy", &[]);
         cl.destroy(quadrants[3]).unwrap();
-        check(&mut cl, "destroy");
+        check(&mut cl, "destroy", &[]);
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
         let receipts = cl.defrag_pass(&defrag, &ReconfigBudget::default()).unwrap();
         assert!(receipts.iter().any(|(_, r)| r.migration_count() > 0));
-        check(&mut cl, "defrag_pass");
+        let paid: Vec<Paid> = receipts
+            .iter()
+            .flat_map(|(chip, r)| {
+                let chip = *chip;
+                r.migrated
+                    .iter()
+                    .map(move |&(vm, c)| (ClusterVmId { chip, vm }, c.paused_cycles))
+            })
+            .collect();
+        check(&mut cl, "defrag_pass", &paid);
         assert_eq!(cl.fault_core(1, 5), Ok(true));
-        check(&mut cl, "fault_core");
+        check(&mut cl, "fault_core", &[]);
         assert_eq!(cl.fault_link(1, 0, 1), Ok(true));
-        check(&mut cl, "fault_link");
+        check(&mut cl, "fault_link", &[]);
         assert_eq!(cl.repair_core(1, 5), Ok(true));
-        check(&mut cl, "repair_core");
+        check(&mut cl, "repair_core", &[]);
         assert_eq!(cl.repair_link(1, 0, 1), Ok(true));
-        check(&mut cl, "repair_link");
+        check(&mut cl, "repair_link", &[]);
+        cl.set_core_scales(1, 7, 50, 200).unwrap();
+        check(&mut cl, "set_core_scales", &[]);
+        let cost = cl
+            .recover_in_place(quadrants[1], &Strategy::similar_topology())
+            .unwrap();
+        check(
+            &mut cl,
+            "recover_in_place",
+            &[(quadrants[1], cost.paused_cycles)],
+        );
+        let (id, cost) = cl.migrate_to_chip(quadrants[2], 0).unwrap();
+        check(&mut cl, "same-chip migrate", &[(id, cost.paused_cycles)]);
+        let visitor = cl.create_on(2, VnpuRequest::mesh(1, 2)).unwrap();
+        check(&mut cl, "create_on", &[]);
+        let (landed, cost) = cl.migrate_to_chip(visitor, 1).unwrap();
+        assert_eq!(landed.chip, 1);
+        check(
+            &mut cl,
+            "cross-chip migrate",
+            &[(landed, cost.paused_cycles)],
+        );
         cl.chip_mut(2).reserve_cores(&[0, 1]).unwrap();
-        check(&mut cl, "reserve_cores");
+        check(&mut cl, "reserve_cores", &[]);
         cl.begin_drain(0).unwrap();
-        check(&mut cl, "begin_drain");
+        check(&mut cl, "begin_drain", &[]);
         for _ in 0..2 {
             let steps = drain_once(&mut cl, &ReconfigBudget::default());
             assert_eq!(steps[0].1.moved.len(), 1, "{steps:?}");
-            check(&mut cl, "drain_tick");
+            let paid: Vec<Paid> = (steps[0].1.moved.iter())
+                .map(|m| (m.to, m.cost.paused_cycles))
+                .collect();
+            check(&mut cl, "drain_tick", &paid);
         }
         cl.complete_drain(0).unwrap();
-        check(&mut cl, "complete_drain");
+        check(&mut cl, "complete_drain", &[]);
         cl.undrain(0).unwrap();
-        check(&mut cl, "undrain");
+        check(&mut cl, "undrain", &[]);
+    }
+
+    #[test]
+    fn snapshot_memo_matches_fresh_scans() {
+        // After every mutating step each chip's memoized snapshot equals
+        // a fresh scan. The check first fills every memo, so the next
+        // step is checked on memo hits: a path that forgets to clear the
+        // memo of a chip it touched fails here.
+        drive_mutations(&mut |cl, step, _| {
+            for i in 0..cl.chip_count() {
+                assert_eq!(
+                    cl.snapshot_cached(i),
+                    cl.snapshot_of(i),
+                    "chip {i} after {step}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn each_machine_matches_its_hypervisor() {
+        // After every mutating step each chip's machine agrees with its
+        // hypervisor: the same tenants, generation and fault mask, and
+        // exactly the pauses the step paid. The check then ends the
+        // machines' epochs, so each step's pauses are its own.
+        drive_mutations(&mut |cl, step, paid| {
+            for i in 0..cl.chip_count() {
+                let (m, hv) = (cl.machine(i), cl.chip(i));
+                let at = format!("chip {i} after {step}");
+                let vms: Vec<VmId> = hv.vnpus().map(|(&vm, _)| vm).collect();
+                let tenants = cl.tenants(i);
+                assert_eq!(tenants.keys().copied().collect::<Vec<_>>(), vms, "{at}");
+                assert_eq!(m.tenant_count(), hv.vnpu_count(), "{at}");
+                assert_eq!(m.topology_generation(), hv.topology_generation(), "{at}");
+                let cores = hv.config().core_count();
+                assert!(
+                    (0..cores).all(|c| m.core_faulted(c) == hv.core_faulted(c)),
+                    "{at}"
+                );
+                let hv_faults = hv.faulted_core_count() > 0 || hv.faulted_links().count() > 0;
+                assert_eq!(m.has_active_faults(), hv_faults, "{at}");
+                let mut owed = BTreeMap::new();
+                for &(id, cycles) in paid.iter().filter(|(id, _)| id.chip == i) {
+                    *owed.entry(tenants[&id.vm]).or_insert(0) += cycles;
+                }
+                let pending: BTreeMap<TenantId, u64> = m.pending_migration_pauses().collect();
+                assert_eq!(pending, owed, "{at}");
+            }
+            for i in 0..cl.chip_count() {
+                cl.epoch_parts(i).0.finish_epoch();
+            }
+        });
     }
 }

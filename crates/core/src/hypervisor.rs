@@ -227,36 +227,20 @@ impl Hypervisor {
         self.state.config_cycles
     }
 
-    /// The reconfiguration generation mapping-cache keys are bound to.
+    /// The reconfiguration generation mapping-cache keys are bound to: a
+    /// copy of the paired [`vnpu_sim::machine::Machine`]'s hardware-state
+    /// hash chain (0 while pristine).
     pub fn topology_generation(&self) -> u64 {
         self.chip.topo_generation
     }
 
-    /// Declares a hardware reconfiguration the topology fingerprint
-    /// cannot see — hybrid-core scaling
-    /// ([`vnpu_sim::machine::Machine::set_core_scales`]) changes
-    /// heterogeneous match costs without touching the graph. Every
-    /// mapping memoized before the bump silently expires (its key carries
-    /// the old generation).
-    ///
-    /// The bare increment is sound for this hypervisor's own cache. When
-    /// several *identical-model* chips share one cache, two chips bumped
-    /// the same number of times after *different* reconfigs would alias —
-    /// chips paired with a machine should instead mirror the machine's
-    /// hardware-state hash chain via
-    /// [`Hypervisor::set_topology_generation`] (the serve layer's
-    /// `set_core_scales` does).
-    pub fn bump_topology_generation(&mut self) {
-        self.chip.topo_generation += 1;
-    }
-
-    /// Adopts an externally tracked reconfiguration counter — when the
-    /// chip is paired with a [`vnpu_sim::machine::Machine`], its
-    /// [`vnpu_sim::machine::Machine::topology_generation`] is the ground
-    /// truth (it is bumped inside `set_core_scales` itself and cannot
-    /// drift), and the pairing layer mirrors it here after every
-    /// reconfig.
-    pub fn set_topology_generation(&mut self, generation: u64) {
+    /// Adopts the paired machine's
+    /// [`vnpu_sim::machine::Machine::topology_generation`] — the ground
+    /// truth, extended by every core rescale and fault transition. Every
+    /// mapping memoized under the old value expires (its key carries it).
+    /// The cluster, which owns both halves of each chip, is the only
+    /// caller.
+    pub(crate) fn set_topology_generation(&mut self, generation: u64) {
         self.chip.topo_generation = generation;
     }
 
@@ -2157,19 +2141,20 @@ mod tests {
         // reconfig" hazard: a hybrid-core rescale between two identical
         // requests must miss the cache — the memoized strategy was costed
         // against the old hardware.
-        let mut h = hv();
-        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
-        h.destroy_vnpu(vm).unwrap();
-        assert_eq!(h.cache_stats().misses, 1);
-        h.bump_topology_generation();
-        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
-        h.destroy_vnpu(vm).unwrap();
-        let stats = h.cache_stats();
+        let mut cl = one_chip();
+        let vm = cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        cl.destroy(vm).unwrap();
+        assert_eq!(cl.cache_stats().misses, 1);
+        cl.set_core_scales(0, 3, 50, 200).unwrap();
+        assert_ne!(cl.chip(0).topology_generation(), 0);
+        let vm = cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        cl.destroy(vm).unwrap();
+        let stats = cl.cache_stats();
         assert_eq!(stats.hits, 0, "post-reconfig lookup must not hit");
         assert_eq!(stats.misses, 2);
         // Without another reconfig the new generation's entry hits.
-        h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
-        assert_eq!(h.cache_stats().hits, 1);
+        cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        assert_eq!(cl.cache_stats().hits, 1);
     }
 
     #[test]

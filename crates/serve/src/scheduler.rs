@@ -30,9 +30,14 @@
 //! agree are compared on that stream ([`ServeRuntime::trace`]), their
 //! [`TickEvents`] and their reports. Every phase that steers by a chip's
 //! free cores and HBM reads the cluster's memoized per-chip picture
-//! ([`Cluster::snapshot_cached`]) and keeps no copy of its own. The whole
-//! tick runs on the caller's thread: per-chip work (machine epochs here,
-//! drain and defrag planning in the cluster) is a loop in chip order.
+//! ([`Cluster::snapshot_cached`]) and keeps no copy of its own. Nor does
+//! the loop keep a machine: each cluster chip owns its simulated
+//! [`Machine`], whose tenants, pauses, faults and generation the
+//! cluster's mutations update in the same step as the hypervisor, and
+//! the execution phase only binds and runs epochs on it
+//! ([`Cluster::epoch_parts`]). The whole tick runs on the caller's
+//! thread: per-chip work (machine epochs here, drain and defrag planning
+//! in the cluster) is a loop in chip order.
 //!
 //! The runtime is **step-driven**: [`ServeRuntime::step`] advances one
 //! tick and returns its [`TickEvents`], so callers can interleave
@@ -52,8 +57,8 @@ use vnpu::admission::{AdmissionPolicy, Fifo, FitHint, FragmentationStats, Reques
 use vnpu::cluster::{ChipPlacement, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit};
 use vnpu::drain::{CheapestFirstDrain, ChipSchedState, DrainPolicy};
 use vnpu::plan::{Defragmenter, ReconfigBudget};
-use vnpu::{Hypervisor, VirtCoreId};
-use vnpu_audit::{AuditFinding, FleetAuditor};
+use vnpu::{Hypervisor, VirtCoreId, VmId};
+use vnpu_audit::AuditFinding;
 use vnpu_fault::{FaultDetector, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use vnpu_sim::isa::{Instr, Program};
 use vnpu_sim::machine::{Machine, TenantId};
@@ -276,13 +281,6 @@ pub struct TickEvents {
     pub tenants_lost: u64,
 }
 
-#[derive(Debug)]
-struct LiveVnpu {
-    id: ClusterVmId,
-    tenant: TenantId,
-    expires_at_epoch: u64,
-}
-
 /// The run's event channel: every state transition the loop commits is
 /// emitted here exactly once as a [`TraceEvent`]. The always-on
 /// [`TraceFold`] derives every run counter the report publishes from
@@ -368,15 +366,15 @@ const TICK_PHASES: [(Option<Phase>, PhaseFn); 9] = [
     (None, ServeRuntime::audit),
 ];
 
-/// The serving runtime: a [`Cluster`] of hypervisor-managed chips, one
-/// [`Machine`] per chip, driven through continuous churn.
+/// The serving runtime: a [`Cluster`] of chips — each a hypervisor and
+/// the [`Machine`] it configures — driven through continuous churn.
 #[derive(Debug)]
 pub struct ServeRuntime {
     cfg: ServeConfig,
     cluster: Cluster,
-    machines: Vec<Machine>,
     generator: ArrivalGenerator,
-    live: BTreeMap<ClusterVmId, LiveVnpu>,
+    /// Every live vNPU, with the tick its lifetime expires at.
+    live: BTreeMap<ClusterVmId, u64>,
     /// Every request waiting in the cluster's admission queue, by
     /// admission ID: `(tenant lifetime in epochs, controller-cycle stamp
     /// of the submission)`. Invariant: an entry is inserted when the
@@ -403,9 +401,6 @@ pub struct ServeRuntime {
     /// order *is* the deterministic recovery order.
     pending_recovery: BTreeMap<ClusterVmId, u64>,
     tick: u64,
-    /// Stateful fleet auditor (generation-monotonicity history); only
-    /// consulted when [`ServeConfig::audit`] is on.
-    auditor: FleetAuditor,
     /// Every finding the post-tick audits reported, in tick order.
     audit_findings: Vec<AuditFinding>,
     /// Per-phase wall-clock (nanoseconds), indexed by [`Phase`] — all
@@ -417,9 +412,9 @@ pub struct ServeRuntime {
     epoch_memo: Vec<EpochMemo>,
     /// Epochs answered from [`ServeRuntime::epoch_memo`] so far.
     epoch_memo_hits: u64,
-    /// This tick's runnable residents in `(chip, vm)` order — a buffer
-    /// reused across ticks.
-    runnable: Vec<(ClusterVmId, TenantId)>,
+    /// One chip's runnable residents in VM order — a buffer reused
+    /// across chips and ticks.
+    runnable: Vec<(VmId, TenantId)>,
 }
 
 /// One chip's last executed epoch. The simulator is deterministic and
@@ -440,7 +435,7 @@ struct EpochMemo {
 }
 
 impl ServeRuntime {
-    /// Builds the runtime (cluster, machines and traffic stream).
+    /// Builds the runtime (cluster and traffic stream).
     ///
     /// # Panics
     ///
@@ -456,11 +451,6 @@ impl ServeRuntime {
         cluster.set_admission_policy(Arc::clone(&cfg.policy));
         cluster.set_placement(Arc::clone(&cfg.placement));
         cluster.set_max_attempts(cfg.max_attempts);
-        let machines = cfg
-            .chips
-            .iter()
-            .map(|c| Machine::new(c.soc.clone()))
-            .collect();
         let generator = ArrivalGenerator::new(cfg.traffic.clone());
         let temporal = TemporalSink {
             fold: TraceFold::new(cfg.chips.len()),
@@ -472,7 +462,6 @@ impl ServeRuntime {
         let exec_nanos = vec![0; cfg.chips.len()];
         ServeRuntime {
             cluster,
-            machines,
             generator,
             live: BTreeMap::new(),
             queued: HashMap::new(),
@@ -485,7 +474,6 @@ impl ServeRuntime {
             exec_nanos,
             pending_recovery: BTreeMap::new(),
             tick: 0,
-            auditor: FleetAuditor::new(),
             audit_findings: Vec::new(),
             phase_nanos: [0; TIMED_PHASES],
             epoch_memo: cfg.chips.iter().map(|_| EpochMemo::default()).collect(),
@@ -578,18 +566,13 @@ impl ServeRuntime {
         self.cluster.fit_hint()
     }
 
-    /// Reconfigures a hybrid core (§7) on one chip, keeping the mapping
-    /// cache honest: the machine bumps its own
-    /// [`Machine::topology_generation`] inside `set_core_scales`, and the
-    /// chip's hypervisor adopts that counter as the ground truth — so
-    /// placements memoized against the old hardware expire instead of
-    /// replaying (the ROADMAP's "mapping-cache invalidation on reconfig"
-    /// hazard), and the two counters cannot drift.
+    /// Reconfigures a hybrid core (§7) on one chip between epochs; the
+    /// next epoch runs on the new scales, and placements memoized against
+    /// the old hardware expire instead of replaying.
     ///
     /// # Errors
     ///
-    /// [`vnpu::VnpuError::UnknownChip`] for a bad chip index,
-    /// [`vnpu::VnpuError::Sim`] for a bad core index.
+    /// As for [`Cluster::set_core_scales`].
     pub fn set_core_scales(
         &mut self,
         chip: usize,
@@ -597,19 +580,8 @@ impl ServeRuntime {
         matrix_pct: u32,
         vector_pct: u32,
     ) -> Result<(), vnpu::VnpuError> {
-        let count = self.machines.len();
-        let machine = self
-            .machines
-            .get_mut(chip)
-            .ok_or(vnpu::VnpuError::UnknownChip { chip, count })?;
-        machine
-            .set_core_scales(core, matrix_pct, vector_pct)
-            .map_err(vnpu::VnpuError::Sim)?;
-        let generation = machine.topology_generation();
         self.cluster
-            .chip_mut(chip)
-            .set_topology_generation(generation);
-        Ok(())
+            .set_core_scales(chip, core, matrix_pct, vector_pct)
     }
 
     /// Runs the configured number of epochs, drains all remaining
@@ -695,11 +667,9 @@ impl ServeRuntime {
     /// Tick phase: tenants whose lifetime expired leave first, freeing
     /// cores/HBM for this tick's admissions.
     fn departures(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
-        let expired: Vec<ClusterVmId> = self
-            .live
-            .values()
-            .filter(|l| l.expires_at_epoch <= ctx.tick)
-            .map(|l| l.id)
+        let expired: Vec<ClusterVmId> = (self.live.iter())
+            .filter(|&(_, &expires)| expires <= ctx.tick)
+            .map(|(&id, _)| id)
             .collect();
         for id in expired {
             self.retire(id, ctx.tick)?;
@@ -768,15 +738,7 @@ impl ServeRuntime {
                     let decided_at =
                         self.controller_cycles + (event.config_cycles_total - ctx.config_base);
                     self.placement_cycles.push(decided_at.saturating_sub(stamp));
-                    let tenant = self.machines[id.chip].add_tenant(&tenant_name(id));
-                    self.live.insert(
-                        id,
-                        LiveVnpu {
-                            id,
-                            tenant,
-                            expires_at_epoch: tick + lifetime.max(1),
-                        },
-                    );
+                    self.live.insert(id, tick + lifetime.max(1));
                     ctx.events.admitted.push(id);
                 }
                 ClusterAdmissionOutcome::Rejected(_) => {
@@ -802,33 +764,11 @@ impl ServeRuntime {
 
     /// Moves a live tenant's serving-loop identity after the cluster
     /// re-placed it on another chip (a drain evacuation, an emergency
-    /// recovery): it keeps its lifetime and accounting but leaves the
-    /// source chip's machine and lands on the destination's, where the
-    /// paid pause is charged to its next-epoch threads — the same
-    /// epoch-boundary semantics as a defrag migration.
-    fn relocate(
-        &mut self,
-        from: ClusterVmId,
-        to: ClusterVmId,
-        paused_cycles: u64,
-    ) -> Result<(), vnpu::VnpuError> {
-        let live = self
-            .live
-            .remove(&from)
-            .expect("relocated tenants are live in the serving loop");
-        self.machines[from.chip]
-            .remove_tenant(live.tenant)
-            .map_err(vnpu::VnpuError::Sim)?;
-        let tenant = self.machines[to.chip].adopt_tenant(&tenant_name(to), paused_cycles);
-        self.live.insert(
-            to,
-            LiveVnpu {
-                id: to,
-                tenant,
-                expires_at_epoch: live.expires_at_epoch,
-            },
-        );
-        Ok(())
+    /// recovery): it keeps its lifetime. The cluster already moved its
+    /// machine tenant, paused for the paid move.
+    fn relocate(&mut self, from: ClusterVmId, to: ClusterVmId) {
+        let expires = self.live.remove(&from).expect("relocated tenants are live");
+        self.live.insert(to, expires);
     }
 
     /// Tick phase ([`Phase::Drain`]): every chip under an active drain
@@ -842,7 +782,7 @@ impl ServeRuntime {
             .drain_tick(&self.cfg.drain_policy, &self.cfg.drain_budget);
         for (chip, step) in steps {
             for m in &step.moved {
-                self.relocate(m.from, m.to, m.cost.paused_cycles)?;
+                self.relocate(m.from, m.to);
                 self.temporal.emit(TraceEvent::DrainMove {
                     tick,
                     from_chip: m.from.chip,
@@ -867,8 +807,8 @@ impl ServeRuntime {
     /// Tick phase ([`Phase::Defrag`]), optional: when a policy is
     /// configured and the interval is due, [`Cluster::defrag_pass`] plans
     /// per schedulable chip from the cluster's memoized snapshots and
-    /// commits under the budget, and each migrated tenant's machine pause
-    /// lands on its next-epoch threads. Committed passes book the
+    /// commits under the budget, pausing each migrated tenant on its
+    /// chip's machine for the next epoch. Committed passes book the
     /// recovered fragmentation against the before-picture read from the
     /// memo when the pass was due. The interval is anchored to
     /// the first completed admission tick: before any placement exists a
@@ -894,12 +834,6 @@ impl ServeRuntime {
                 continue;
             }
             for (vm, cost) in &receipt.migrated {
-                let id = ClusterVmId { chip, vm: *vm };
-                if let Some(live) = self.live.get(&id) {
-                    self.machines[chip]
-                        .migrate_tenant(live.tenant, cost.paused_cycles)
-                        .map_err(vnpu::VnpuError::Sim)?;
-                }
                 self.temporal.emit(TraceEvent::Migrated {
                     tick,
                     chip,
@@ -962,10 +896,11 @@ impl ServeRuntime {
     /// Tick phase ([`Phase::Execution`]): one machine epoch per chip with
     /// runnable tenants, paying only for what changed.
     ///
-    /// Each loaded chip's epoch inputs are spelled into its
-    /// [`EpochMemo`] key straight from the hypervisor (who is resident,
-    /// on which deployment) and the machine (hardware generation, pending
-    /// pauses). A chip whose key equals that of the epoch it last ran —
+    /// Each chip's residents are its machine tenants
+    /// ([`Cluster::tenants`]) less those stalled by a fault. A loaded
+    /// chip's epoch inputs are spelled into its [`EpochMemo`] key
+    /// straight from the hypervisor (on which deployment) and the machine
+    /// (hardware generation, pending pauses). A chip whose key equals that of the epoch it last ran —
     /// and that owes no pause, which only a real epoch can charge and
     /// clear — is answered with that epoch's makespan. Every other chip
     /// binds its residents' ring programs and runs the simulator. Chips
@@ -977,29 +912,33 @@ impl ServeRuntime {
             return Ok(());
         }
         let tick = ctx.tick;
-        self.runnable.clear();
-        for l in self.live.values() {
-            // A tenant awaiting recovery is stalled: it still maps dead
-            // hardware, so binding it would fault and its NoC traffic
-            // could cross a dead link. It resumes the epoch after its
-            // recovery (or never, if declared lost). A tenant admitted
-            // *this* tick (after the recovery phase ran) gets the same
-            // direct check — the next tick's sweep will queue it for
-            // recovery.
-            if self.pending_recovery.contains_key(&l.id)
-                || (self.machines[l.id.chip].has_active_faults()
-                    && FaultDetector::tenant_affected(self.cluster.chip(l.id.chip), l.id.vm))
-            {
+        // Per loaded chip, in chip order: reuse, or bind and run.
+        for chip in 0..self.cluster.chip_count() {
+            let hv = self.cluster.chip(chip);
+            let degraded = self.cluster.machine(chip).has_active_faults();
+            self.runnable.clear();
+            for (&vm, &tenant) in self.cluster.tenants(chip) {
+                // A tenant awaiting recovery is stalled: it still maps
+                // dead hardware, so binding it would fault and its NoC
+                // traffic could cross a dead link. It resumes the epoch
+                // after its recovery (or never, if declared lost). A
+                // tenant admitted *this* tick (after the recovery phase
+                // ran) gets the same direct check — the next tick's sweep
+                // will queue it for recovery.
+                if self
+                    .pending_recovery
+                    .contains_key(&ClusterVmId { chip, vm })
+                    || (degraded && FaultDetector::tenant_affected(hv, vm))
+                {
+                    continue;
+                }
+                self.runnable.push((vm, tenant));
+            }
+            if self.runnable.is_empty() {
                 continue;
             }
-            self.runnable.push((l.id, l.tenant));
-        }
-
-        // Per loaded chip: reuse, or bind and run. `live` is ordered by
-        // (chip, vm), so each chip's residents are contiguous.
-        for residents in self.runnable.chunk_by(|a, b| a.0.chip == b.0.chip) {
-            let chip = residents[0].0.chip;
-            let (machine, hv) = (&mut self.machines[chip], self.cluster.chip(chip));
+            let residents = &self.runnable;
+            let (machine, hv) = self.cluster.epoch_parts(chip);
             let memo = &mut self.epoch_memo[chip];
             memo.next_key.clear();
             memo.next_key.push(machine.topology_generation());
@@ -1009,15 +948,15 @@ impl ServeRuntime {
             let owes_pause = memo.next_key.len() > 1;
             // Tenant IDs are 32-bit, so this cannot be one.
             memo.next_key.push(u64::MAX);
-            for &(id, tenant) in residents {
-                let stamp = hv.vnpu(id.vm)?.deployment_stamp();
+            for &(vm, tenant) in residents {
+                let stamp = hv.vnpu(vm)?.deployment_stamp();
                 memo.next_key
-                    .extend([u64::from(id.vm.0), u64::from(tenant), stamp]);
+                    .extend([u64::from(vm.0), u64::from(tenant), stamp]);
             }
             let reuse = !owes_pause && memo.next_key == memo.key;
             if !reuse || cfg!(debug_assertions) {
-                for &(id, tenant) in residents {
-                    bind_ring_workload(machine, hv, id, tenant)?;
+                for &(vm, tenant) in residents {
+                    bind_ring_workload(machine, hv, vm, tenant)?;
                 }
             }
             if reuse {
@@ -1025,14 +964,14 @@ impl ServeRuntime {
                 // the differential oracle for the memo.
                 #[cfg(debug_assertions)]
                 assert_eq!(
-                    machine.run_epoch_makespan().map_err(vnpu::VnpuError::Sim)?,
+                    machine.run_epoch_makespan()?,
                     memo.makespan,
                     "chip {chip}, tick {tick}: reused epoch diverges from a fresh run"
                 );
                 self.epoch_memo_hits += 1;
             } else {
                 let clock = self.cfg.time_phases.then(Instant::now);
-                memo.makespan = machine.run_epoch_makespan().map_err(vnpu::VnpuError::Sim)?;
+                memo.makespan = machine.run_epoch_makespan()?;
                 if let Some(started) = clock {
                     self.exec_nanos[chip] += started.elapsed().as_nanos() as u64;
                 }
@@ -1054,7 +993,7 @@ impl ServeRuntime {
     /// report) decide how hard to fail on them.
     fn audit(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         if self.cfg.audit {
-            let findings = self.auditor.audit(&self.cluster);
+            let findings = vnpu_audit::audit_cluster(&self.cluster);
             ctx.events.audit_findings = findings.len() as u64;
             self.audit_findings.extend(findings);
         }
@@ -1067,10 +1006,9 @@ impl ServeRuntime {
     /// configuration work is accounted with the departures', never inside
     /// an admission latency stamp.
     ///
-    /// Onsets and repairs scheduled for this tick land on the machine
-    /// first (it owns the topology-generation hash chain) and the
-    /// hypervisor adopts the machine's counter — the same lockstep rule
-    /// as [`ServeRuntime::set_core_scales`] — so placements memoized
+    /// Onsets and repairs scheduled for this tick land on the cluster,
+    /// which applies each to the chip's machine and then its hypervisor
+    /// ([`Cluster::fault_core`] and friends), so placements memoized
     /// against the pre-fault chip expire by key. Newly affected tenants
     /// join the pending-recovery queue; every pending tenant then gets
     /// one recovery attempt in deterministic [`ClusterVmId`] order:
@@ -1085,7 +1023,7 @@ impl ServeRuntime {
             return Ok(());
         }
         let tick = ctx.tick;
-        let chip_count = self.machines.len();
+        let chip_count = self.cluster.chip_count();
 
         // Scheduled onsets land, then scheduled repairs.
         let plan = &self.cfg.fault_plan;
@@ -1094,32 +1032,12 @@ impl ServeRuntime {
             .collect();
         for (ev, faulted) in transitions {
             let chip = ev.chip;
-            let machine = self
-                .machines
-                .get_mut(chip)
-                .ok_or(vnpu::VnpuError::UnknownChip {
-                    chip,
-                    count: chip_count,
-                })?;
-            // Machine first; a transition it refuses never reaches the
-            // hypervisor's mask.
-            let on_machine = match (ev.kind, faulted) {
-                (FaultKind::Core { core }, true) => machine.fault_core(core),
-                (FaultKind::Core { core }, false) => machine.repair_core(core),
-                (FaultKind::Link { a, b }, true) => machine.fault_link(a, b),
-                (FaultKind::Link { a, b }, false) => machine.repair_link(a, b),
-            };
-            let changed = on_machine.map_err(vnpu::VnpuError::Sim)?;
-            match (ev.kind, faulted) {
+            let changed = match (ev.kind, faulted) {
                 (FaultKind::Core { core }, true) => self.cluster.fault_core(chip, core)?,
                 (FaultKind::Core { core }, false) => self.cluster.repair_core(chip, core)?,
                 (FaultKind::Link { a, b }, true) => self.cluster.fault_link(chip, a, b)?,
                 (FaultKind::Link { a, b }, false) => self.cluster.repair_link(chip, a, b)?,
             };
-            let generation = self.machines[chip].topology_generation();
-            self.cluster
-                .chip_mut(chip)
-                .set_topology_generation(generation);
             if !changed {
                 continue; // duplicate transition: nothing new
             }
@@ -1149,7 +1067,7 @@ impl ServeRuntime {
             .keys()
             .copied()
             .filter(|id| {
-                self.machines[id.chip].has_active_faults()
+                self.cluster.machine(id.chip).has_active_faults()
                     && FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm)
             })
             .collect();
@@ -1194,10 +1112,6 @@ impl ServeRuntime {
                 .cluster
                 .recover_in_place(id, &self.cfg.recovery.remap_strategy)
             {
-                let tenant = self.live[&id].tenant;
-                self.machines[id.chip]
-                    .migrate_tenant(tenant, cost.paused_cycles)
-                    .map_err(vnpu::VnpuError::Sim)?;
                 // Paid even when the remap fails to escape a link fault
                 // — the report books *paid* costs, so the emission is
                 // tied to the commit, not to the success check below.
@@ -1220,7 +1134,7 @@ impl ServeRuntime {
                 .filter(|&dest| dest != id.chip)
                 .find_map(|dest| self.cluster.migrate_to_chip(id, dest).ok());
             if let Some((new_id, cost)) = landed {
-                self.relocate(id, new_id, cost.paused_cycles)?;
+                self.relocate(id, new_id);
                 self.pending_recovery.remove(&id);
                 self.temporal.emit(TraceEvent::RecoveryPaid {
                     tick,
@@ -1252,7 +1166,7 @@ impl ServeRuntime {
         // end of the phase serves this tick at the degraded router
         // penalty.
         for chip in 0..chip_count {
-            if self.machines[chip].has_active_faults() {
+            if self.cluster.machine(chip).has_active_faults() {
                 self.temporal.emit(TraceEvent::Degraded { tick, chip });
             }
         }
@@ -1348,7 +1262,7 @@ impl ServeRuntime {
                 free_components: chips()
                     .map(|hv| hv.fragmentation().free_components as u64)
                     .sum(),
-                chips: self.machines.len() as u64,
+                chips: self.cluster.chip_count() as u64,
             }
         });
         if let Some(checker) = self.temporal.checker.as_mut() {
@@ -1454,11 +1368,8 @@ impl ServeRuntime {
     }
 
     fn retire(&mut self, id: ClusterVmId, tick: u64) -> Result<(), vnpu::VnpuError> {
-        let live = self.live.remove(&id).expect("retire() only on live vms");
+        self.live.remove(&id).expect("retire() only on live vms");
         self.cluster.destroy(id)?;
-        self.machines[id.chip]
-            .remove_tenant(live.tenant)
-            .map_err(vnpu::VnpuError::Sim)?;
         self.temporal.emit(TraceEvent::Departed {
             tick,
             chip: id.chip,
@@ -1468,11 +1379,6 @@ impl ServeRuntime {
     }
 }
 
-/// The machine-side tenant name of a placed vNPU.
-fn tenant_name(id: ClusterVmId) -> String {
-    format!("chip{}vm{}", id.chip, id.vm.0)
-}
-
 /// Binds one live vNPU's epoch workload: each virtual core computes and
 /// forwards a small activation block around the virtual ring (vRouter +
 /// vChunk services exercise the whole virtualization stack), single cores
@@ -1480,14 +1386,14 @@ fn tenant_name(id: ClusterVmId) -> String {
 fn bind_ring_workload(
     machine: &mut Machine,
     hv: &Hypervisor,
-    id: ClusterVmId,
+    vm: VmId,
     tenant: TenantId,
 ) -> Result<(), vnpu::VnpuError> {
-    let vnpu = hv.vnpu(id.vm)?;
+    let vnpu = hv.vnpu(vm)?;
     let n = vnpu.core_count();
     for v in 0..n {
         let phys = vnpu.phys_core(VirtCoreId(v))?;
-        let services = hv.services(id.vm, VirtCoreId(v))?;
+        let services = hv.services(vm, VirtCoreId(v))?;
         let body = if n == 1 {
             vec![Instr::matmul(16, 16, 16)]
         } else {
@@ -1499,9 +1405,7 @@ fn bind_ring_workload(
                 Instr::recv(prev, 1024, prev),
             ]
         };
-        machine
-            .bind_with(phys, tenant, v, Program::looped(vec![], body, 1), services)
-            .map_err(vnpu::VnpuError::Sim)?;
+        machine.bind_with(phys, tenant, v, Program::looped(vec![], body, 1), services)?;
     }
     Ok(())
 }
@@ -1629,14 +1533,15 @@ mod tests {
     fn pauses_and_hardware_changes_each_force_a_fresh_epoch() {
         let mut rt = ServeRuntime::new(quiet_cfg(1, (3, 3), Shape::Mesh(2, 2)));
         settle(&mut rt, 1); // a second 2x2 does not fit a 3x3 chip
-        let tenant = rt.live.values().next().unwrap().tenant;
+        let tenant = *rt.cluster().tenants(0).values().next().unwrap();
         assert_eq!(step_reuse(&mut rt), (1, 1), "settled");
         let steady = rt.epoch_memo[0].makespan;
 
         // A migration pause: fresh on the tick it lands (the epoch runs
         // late by the pause), fresh again on the tick after (the pause is
         // spent), then steady at the old makespan.
-        rt.machines[0].migrate_tenant(tenant, 700).unwrap();
+        let (machine, _) = rt.cluster.epoch_parts(0);
+        machine.migrate_tenant(tenant, 700).unwrap();
         assert_eq!(step_reuse(&mut rt), (1, 0));
         assert!(rt.epoch_memo[0].makespan > steady + 600);
         assert_eq!(step_reuse(&mut rt), (1, 0));
@@ -2264,7 +2169,7 @@ mod tests {
             "recoveries are costed"
         );
         // The fleet audits clean once recovery has converged.
-        assert!(FleetAuditor::new().audit(rt.cluster()).is_empty());
+        assert!(vnpu_audit::audit_cluster(rt.cluster()).is_empty());
         // Same config, batch API: byte-identical report.
         let again = ServeRuntime::new(cfg).run().unwrap();
         assert_eq!(r, again);

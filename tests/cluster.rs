@@ -261,7 +261,7 @@ fn reconfig_on_one_chip_does_not_invalidate_the_fleet() {
     let b = cl.create_on(1, VnpuRequest::mesh(2, 2)).unwrap();
     cl.destroy(b).unwrap();
     let hits_before = cl.cache_stats().hits;
-    cl.chip_mut(0).bump_topology_generation();
+    cl.set_core_scales(0, 3, 50, 200).unwrap();
     // Chip 0 must re-map; chip 1 must still hit.
     cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
     assert_eq!(cl.cache_stats().hits, hits_before);

@@ -85,9 +85,10 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
 
     // FLEET-SHARE: multi-owner cores require unanimous temporal sharing.
     for o in claims.chunk_by(|a, b| a.0 == b.0).filter(|o| o.len() >= 2) {
-        let opted_out = o
-            .iter()
-            .filter(|&&(_, vm)| !hv.vnpu(vm).is_ok_and(|v| v.wants_temporal_sharing()));
+        let opted_out = o.iter().filter(|&&(_, vm)| {
+            !hv.vnpu(vm)
+                .is_ok_and(|v| v.request().wants_temporal_sharing())
+        });
         if let Some(&(core, vm)) = opted_out.clone().next() {
             let names: Vec<String> = o.iter().map(|(_, v)| v.to_string()).collect();
             findings.push(
@@ -327,7 +328,7 @@ mod reference {
                 .iter()
                 .filter(|&&vm| {
                     hv.vnpu(vm)
-                        .map(|v| !v.wants_temporal_sharing())
+                        .map(|v| !v.request().wants_temporal_sharing())
                         .unwrap_or(true)
                 })
                 .copied()

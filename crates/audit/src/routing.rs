@@ -82,7 +82,7 @@ pub fn collect_tenant_routes(hv: &Hypervisor) -> Vec<TenantRoutes> {
     hv.vnpus()
         .map(|(&vm, v)| TenantRoutes {
             vm,
-            isolated: v.has_noc_isolation(),
+            isolated: v.request().wants_noc_isolation(),
             table_cores: (0..v.core_count())
                 .filter_map(|i| v.routing_table().lookup(VirtCoreId(i)).map(|p| p.0))
                 .collect(),

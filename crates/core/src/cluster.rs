@@ -106,10 +106,6 @@ pub struct ChipSnapshot {
     /// admission, fit-hint probing, drain, defragmentation and the
     /// serving layer's fragmentation sample.
     pub frag: FragmentationStats,
-    /// Total HBM bytes.
-    pub hbm_total_bytes: u64,
-    /// Live virtual NPUs on the chip.
-    pub live_vnpus: usize,
     /// Whether the chip may be nominated for placements — `false` while
     /// it is draining for (or under) maintenance. Drained chips are never
     /// nominated by the shipped [`ChipPlacement`] policies (they gate on
@@ -589,8 +585,6 @@ impl Cluster {
             total_cores: hv.config().core_count(),
             faulted_cores: hv.faulted_core_count(),
             frag: hv.fragmentation(),
-            hbm_total_bytes: hv.hbm_total_bytes(),
-            live_vnpus: hv.vnpu_count(),
             schedulable: *sched == ChipSchedState::Schedulable,
         }
     }
@@ -1191,8 +1185,9 @@ impl Cluster {
     ///
     /// [`VnpuError::UnknownChip`] / [`VnpuError::UnknownVm`] for bad
     /// IDs; otherwise as for [`Hypervisor::plan_in`] /
-    /// [`Hypervisor::commit_in`] (notably [`VnpuError::NoPartition`]
-    /// when no fault-free placement of the tenant's shape exists).
+    /// [`Hypervisor::commit_in`] (notably [`VnpuError::Mapping`] —
+    /// `NoCandidate` or `InsufficientNodes` — when no fault-free
+    /// placement of the tenant's shape exists, changing nothing).
     pub fn recover_in_place(
         &mut self,
         id: ClusterVmId,
@@ -1255,21 +1250,13 @@ impl Cluster {
         }
         let vnpu = self.vnpu(id)?;
         if to_chip == id.chip {
-            let strategy = vnpu.mapping_strategy().clone();
+            let strategy = vnpu.request().strategy_ref().clone();
             return Ok((id, self.remap_under_pin(id, strategy)?));
         }
-        // Rebuild the tenant's request faithfully: the landed copy keeps
-        // every policy-level attribute of the original, including its
-        // mapping strategy and temporal-sharing semantics.
-        let mut req = VnpuRequest::custom(vnpu.virt_topology().clone())
-            .mem_bytes(vnpu.mem_bytes())
-            .mem_mode(vnpu.memory_mode())
-            .noc_isolation(vnpu.has_noc_isolation())
-            .temporal_sharing(vnpu.wants_temporal_sharing())
-            .strategy(vnpu.mapping_strategy().clone());
-        if let Some(cap) = vnpu.bandwidth_cap_bytes() {
-            req = req.bandwidth_cap(cap);
-        }
+        // The landed copy is placed from the tenant's own request, so it
+        // keeps every policy that request carries; only its memory is the
+        // size the source actually allocated.
+        let req = vnpu.request().clone().mem_bytes(vnpu.mem_bytes());
         // Cross-chip state: every byte of guest HBM plus each core's
         // scratchpad working set moves over the inter-chip fabric (the
         // same formula the drain estimate prices against).
@@ -1312,6 +1299,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::admission::{Backfill, SmallestFirst};
+    use crate::vchunk::MemMode;
 
     fn sim_chip() -> SocConfig {
         SocConfig::sim() // 6x6
@@ -1597,23 +1585,61 @@ mod tests {
 
     #[test]
     fn cross_chip_migration_preserves_tenant_semantics() {
-        // Regression: migrate_to_chip used to rebuild the request
-        // without the temporal-sharing flag (and with the default
-        // strategy), so a §7 over-provisioned tenant silently became a
-        // dedicated-core tenant — and could not even land on a full
-        // chip that its original semantics would share.
+        // A migrated tenant keeps every policy its request carried. A §7
+        // over-provisioned tenant lands on the full chip 1 only by
+        // widening onto busy cores — the four least-loaded, a row, which
+        // only a row-shaped exact-only tenant fits.
         let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
         cl.create_on(1, VnpuRequest::mesh(6, 6)).unwrap(); // chip 1 full
-        let a = cl
-            .create_on(0, VnpuRequest::mesh(2, 2).temporal_sharing(true))
-            .unwrap();
+        let req = VnpuRequest::mesh(4, 1)
+            .temporal_sharing(true)
+            .bandwidth_cap(1 << 16)
+            .noc_isolation(true)
+            .mem_mode(MemMode::Page { tlb_entries: 4 })
+            .strategy(Strategy::exact_only().candidate_cap(64))
+            .mem_bytes(100 << 20);
+        let a = cl.create_on(0, req).unwrap();
+        let source = cl.vnpu(a).unwrap();
+        let expected = format!(
+            "{:?}",
+            source.request().clone().mem_bytes(source.mem_bytes())
+        );
         let (b, _) = cl
             .migrate_to_chip(a, 1)
             .expect("temporal sharing must carry over and widen onto busy cores");
         let landed = cl.vnpu(b).unwrap();
-        assert!(landed.wants_temporal_sharing(), "flag survives migration");
+        assert!(
+            landed.request().wants_temporal_sharing(),
+            "flag survives migration"
+        );
+        assert_eq!(format!("{:?}", landed.request()), expected);
+        assert_eq!(landed.mapping().edit_distance(), 0, "exact-only kept");
         assert_eq!(landed.core_count(), 4);
         assert_eq!(cl.chip(0).vnpu_count(), 0);
+    }
+
+    #[test]
+    fn recover_in_place_without_a_healthy_window_rolls_back() {
+        // A full 4x4 chip: the tenant's only way off a dead core is the
+        // free region plus its own healthy cores, three of four needed.
+        let mut cl = Cluster::new(vec![small_chip()]);
+        let id = cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        cl.create_on(0, VnpuRequest::cores(12)).unwrap();
+        assert_eq!(cl.chip(0).free_core_count(), 0);
+        let dead = cl.vnpu(id).unwrap().mapping().phys_nodes()[0].0;
+        assert_eq!(cl.fault_core(0, dead), Ok(true));
+        let digest = cl.chip(0).state_digest();
+        let pauses: Vec<_> = cl.machine(0).pending_migration_pauses().collect();
+        let err = cl
+            .recover_in_place(id, &Strategy::similar_topology())
+            .unwrap_err();
+        assert!(matches!(err, VnpuError::Mapping(_)), "{err:?}");
+        assert_eq!(cl.chip(0).state_digest(), digest, "nothing moved");
+        assert_eq!(
+            cl.machine(0).pending_migration_pauses().collect::<Vec<_>>(),
+            pauses,
+            "no pause charged"
+        );
     }
 
     #[test]

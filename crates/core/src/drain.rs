@@ -203,7 +203,7 @@ impl DrainPolicy for CheapestFirstDrain {
             let vnpu = hv.vnpu(vm).expect("listed vm is live");
             let cores = vnpu.core_count();
             let mem = vnpu.mem_bytes();
-            let temporal = vnpu.wants_temporal_sharing();
+            let temporal = vnpu.request().wants_temporal_sharing();
             let Some(dest) = dests
                 .iter_mut()
                 .filter(|d| d.fits_raw(cores, mem, temporal))
@@ -221,7 +221,6 @@ impl DrainPolicy for CheapestFirstDrain {
             };
             dest.frag.free_cores = dest.frag.free_cores.saturating_sub(cores);
             dest.frag.hbm_free_bytes = dest.frag.hbm_free_bytes.saturating_sub(mem);
-            dest.live_vnpus += 1;
             let chip = dest.chip;
             total = total.plus(cost);
             proposals.push((vm, chip));

@@ -11,7 +11,6 @@
 use crate::admission::{FitHint, FragmentationStats};
 use crate::ids::{VirtCoreId, VmId};
 use crate::meta::MetaZoneLayout;
-use crate::mmio::{MmioSpace, PfReg, Requester};
 use crate::plan::{
     CommitReceipt, MigrationTarget, PlacementTxn, PlanOp, PlannedOp, ReconfigBudget, ReconfigCost,
 };
@@ -69,8 +68,8 @@ struct Chip {
     /// tenant releasing it does not return it to the free pool.
     faulted: Vec<bool>,
     /// Undirected NoC links marked faulted (endpoints stored sorted).
-    /// Links carry no occupancy, but the audit layer cross-checks live
-    /// tenants against them and routing costs degrade while any is set.
+    /// Links carry no occupancy and placement never reads the set: fault
+    /// detection and the audit layer cross-check live tenants against it.
     faulted_links: BTreeSet<(u32, u32)>,
 }
 
@@ -96,7 +95,6 @@ struct Placement {
 pub struct Hypervisor {
     chip: Chip,
     state: Placement,
-    mmio: MmioSpace,
     /// Memoized mapping results keyed by (request, strategy, free region).
     cache: MappingCache,
     /// Plan-generation hash chain: every committed [`PlacementTxn`] (and
@@ -123,9 +121,6 @@ impl Hypervisor {
             .collect();
         topo.annotate_mem_distance(&interfaces);
         let n = cfg.core_count() as usize;
-        let mut mmio = MmioSpace::new();
-        mmio.write_pf(Requester::Hypervisor, PfReg::HyperEnable, 1)
-            .expect("hypervisor owns the PF");
         Hypervisor {
             chip: Chip {
                 phys_key: labeled_hash(&topo),
@@ -144,15 +139,9 @@ impl Hypervisor {
                 config_cycles: 0,
                 free_events: 0,
             },
-            mmio,
             cache: MappingCache::default(),
             plan_generation: 0,
         }
-    }
-
-    /// The controller's MMIO register space (PF + per-tenant VFs).
-    pub fn mmio(&self) -> &MmioSpace {
-        &self.mmio
     }
 
     /// The SoC configuration.
@@ -1027,7 +1016,6 @@ impl Placement {
 
         // 2. Guest memory: buddy blocks mapped 1:1 into RTT entries.
         let (entries, blocks) = allocate_memory(&mut self.buddy, req.memory_bytes())?;
-        let mem_bytes: u64 = entries.iter().map(|e| e.size).sum();
 
         // 3. Routing table: compact form when the allocation is an exact
         //    axis-aligned mesh window, standard otherwise.
@@ -1066,13 +1054,12 @@ impl Placement {
         self.next_vm += 1;
         let vnpu = VirtualNpu::new(
             vm,
+            req.clone(),
             Arc::clone(&chip.topo),
             mapping,
             routing_table,
             entries,
             blocks,
-            mem_bytes,
-            req,
         );
         self.vnpus.insert(vm, vnpu);
         Ok((vm, cost))
@@ -1118,7 +1105,7 @@ impl Placement {
             self.release_core(chip, n.0)
                 .expect("owned() saw a user on each of the vm's distinct cores");
         }
-        for b in vnpu.blocks() {
+        for b in vnpu.memory_blocks() {
             self.buddy
                 .free(b.addr)
                 .expect("hypervisor-owned block frees cleanly");
@@ -1973,6 +1960,7 @@ mod tests {
         h.destroy_vnpu(b).unwrap();
         let frag_before = h.fragmentation().hbm_external_fragmentation;
         assert!(frag_before > 0.0, "the hole fragments free HBM");
+        let bytes_before = h.vnpu(c).unwrap().mem_bytes();
         let txn = h
             .plan(&[PlanOp::Migrate {
                 vm: c,
@@ -1989,13 +1977,16 @@ mod tests {
             "compaction must reduce buddy external fragmentation \
              ({frag_before} -> {frag_after})"
         );
-        // The tenant's RTT still covers its whole VA window contiguously.
+        // The tenant's RTT still covers its whole, unchanged VA window
+        // contiguously.
         let v = h.vnpu(c).unwrap();
+        assert_eq!(v.mem_bytes(), bytes_before);
         let mut va = GUEST_VA_BASE;
         for e in v.rtt_entries() {
             assert_eq!(e.va.value(), va);
             va += e.size;
         }
+        assert_eq!(va - GUEST_VA_BASE, bytes_before);
         h.destroy_vnpu(a).unwrap();
         h.destroy_vnpu(c).unwrap();
         assert_eq!(h.hbm_free_bytes(), 1 << 30, "no HBM leaks");

@@ -239,53 +239,39 @@ impl Deployment {
 #[derive(Debug, Clone)]
 pub struct VirtualNpu {
     vm: VmId,
-    virt_topology: Topology,
+    /// The request this virtual NPU was placed from: every policy it
+    /// carries (topology, memory mode, isolation, bandwidth cap, temporal
+    /// sharing, strategy) is read here, and a cross-chip move re-places a
+    /// copy of it.
+    request: VnpuRequest,
     phys_topology: Arc<Topology>,
     mapping: Mapping,
     routing_table: RoutingTable,
     rtt_entries: Vec<RttEntry>,
     blocks: Vec<Block>,
-    mem_bytes: u64,
-    mem_mode: MemMode,
-    noc_isolation: bool,
-    bandwidth_cap: Option<u64>,
-    temporal_sharing: bool,
-    strategy: Strategy,
-    translation_costs: TranslationCosts,
     deployment: Deployment,
 }
 
 impl VirtualNpu {
-    /// Builds the deployed vNPU; policy-level attributes (memory mode,
-    /// isolation, bandwidth cap, temporal sharing, mapping strategy) are
-    /// retained from the request so migrations can reconstruct it
-    /// faithfully.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the deployed vNPU from the request it was placed from and
+    /// what the hypervisor deployed for it.
     pub(crate) fn new(
         vm: VmId,
+        request: VnpuRequest,
         phys_topology: Arc<Topology>,
         mapping: Mapping,
         routing_table: RoutingTable,
         rtt_entries: Vec<RttEntry>,
         blocks: Vec<Block>,
-        mem_bytes: u64,
-        req: &VnpuRequest,
     ) -> Self {
         VirtualNpu {
             vm,
-            virt_topology: req.topology().clone(),
+            request,
             phys_topology,
             mapping,
             routing_table,
             rtt_entries,
             blocks,
-            mem_bytes,
-            mem_mode: req.memory_mode(),
-            noc_isolation: req.wants_noc_isolation(),
-            bandwidth_cap: req.bandwidth_cap_bytes(),
-            temporal_sharing: req.wants_temporal_sharing(),
-            strategy: req.strategy_ref().clone(),
-            translation_costs: TranslationCosts::default(),
             deployment: Deployment::new(),
         }
     }
@@ -305,14 +291,19 @@ impl VirtualNpu {
         self.vm
     }
 
+    /// The request this virtual NPU was placed from.
+    pub fn request(&self) -> &VnpuRequest {
+        &self.request
+    }
+
     /// Number of virtual cores.
     pub fn core_count(&self) -> u32 {
-        self.virt_topology.node_count() as u32
+        self.request.core_count()
     }
 
     /// The virtual topology as requested.
     pub fn virt_topology(&self) -> &Topology {
-        &self.virt_topology
+        self.request.topology()
     }
 
     /// The virtual→physical core mapping chosen by the hypervisor.
@@ -346,32 +337,11 @@ impl VirtualNpu {
         &self.rtt_entries
     }
 
-    /// Buddy blocks backing the guest memory (for hypervisor teardown).
-    pub(crate) fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
     /// The buddy blocks backing this virtual NPU's guest memory, in
     /// guest-VA order — what defragmentation policies inspect to decide
     /// which tenants' memory sits highest in HBM.
     pub fn memory_blocks(&self) -> &[Block] {
         &self.blocks
-    }
-
-    /// The bandwidth cap this virtual NPU was created with, if any.
-    pub fn bandwidth_cap_bytes(&self) -> Option<u64> {
-        self.bandwidth_cap
-    }
-
-    /// Whether this virtual NPU was created with temporal sharing (§7
-    /// over-provisioning) — migrations must preserve the semantics.
-    pub fn wants_temporal_sharing(&self) -> bool {
-        self.temporal_sharing
-    }
-
-    /// The core-allocation strategy this virtual NPU was created with.
-    pub fn mapping_strategy(&self) -> &Strategy {
-        &self.strategy
     }
 
     /// Re-deploys this virtual NPU onto new physical cores after a live
@@ -400,12 +370,7 @@ impl VirtualNpu {
 
     /// Guest memory window size (possibly rounded up by buddy blocks).
     pub fn mem_bytes(&self) -> u64 {
-        self.mem_bytes
-    }
-
-    /// Whether NoC isolation (confined routing) is deployed.
-    pub fn has_noc_isolation(&self) -> bool {
-        self.noc_isolation
+        self.blocks.iter().map(|b| b.size).sum()
     }
 
     /// Builds the per-core services (vRouter + vChunk) for binding virtual
@@ -421,7 +386,7 @@ impl VirtualNpu {
     ///
     /// Returns an error for out-of-range cores or unbuildable tables.
     pub fn services(&self, v: VirtCoreId) -> Result<CoreServices> {
-        self.services_with(v, self.mem_mode, self.route_policy())
+        self.services_with(v, self.memory_mode(), self.route_policy())
     }
 
     /// Like [`VirtualNpu::services`] but with explicit memory mode and
@@ -449,11 +414,13 @@ impl VirtualNpu {
             MemMode::Range { tlb_entries } => Box::new(RangeTranslator::new(
                 self.range_table()?,
                 tlb_entries,
-                self.translation_costs,
+                TranslationCosts::default(),
             )),
-            _ => vchunk::build_translator(&self.rtt_entries, mem_mode, self.translation_costs)?,
+            _ => {
+                vchunk::build_translator(&self.rtt_entries, mem_mode, TranslationCosts::default())?
+            }
         };
-        let limiter = self.bandwidth_cap.map(|cap| {
+        let limiter = self.request.bandwidth_cap_bytes().map(|cap| {
             AccessCounter::new(
                 BANDWIDTH_WINDOW_CYCLES,
                 Some((cap / u64::from(self.core_count())).max(1)),
@@ -479,7 +446,7 @@ impl VirtualNpu {
 
     /// The route policy implied by the isolation request.
     pub fn route_policy(&self) -> RoutePolicy {
-        if self.noc_isolation {
+        if self.request.wants_noc_isolation() {
             RoutePolicy::Confined
         } else {
             RoutePolicy::Dor
@@ -488,7 +455,7 @@ impl VirtualNpu {
 
     /// The memory mode this virtual NPU was created with.
     pub fn memory_mode(&self) -> MemMode {
-        self.mem_mode
+        self.request.memory_mode()
     }
 }
 

@@ -10,15 +10,17 @@
 //! * [`FaultPlan`] — a deterministic, seedable schedule of
 //!   [`FaultEvent`]s (core or undirected-link failures, each with an
 //!   onset tick and an optional repair tick). The plan is pure data: the
-//!   serving runtime injects each event into the chip's
-//!   [`vnpu_sim::Machine`] and masks the resource in the hypervisor at
-//!   the onset tick, and undoes both at the repair tick.
-//! * [`FaultDetector`] — maps a failed resource to the tenants it
-//!   affects via the hypervisor's live ownership state (the routing
-//!   tables and core mappings the virtualization layer already
-//!   maintains). Detection is conservative for link faults: any tenant
-//!   owning an endpoint of a dead link is treated as affected, since its
-//!   NoC traffic terminates in the failed router.
+//!   serving runtime hands each event to the cluster, which injects it
+//!   into the chip's [`vnpu_sim::Machine`] and masks the resource in the
+//!   hypervisor at the onset tick, and undoes both at the repair tick.
+//! * [`FaultDetector`] — answers "does this tenant touch a live fault"
+//!   from the hypervisor's live ownership state (the core mappings the
+//!   virtualization layer already maintains) and the chip's faulted
+//!   cores and links. The serving runtime asks it once per tick, after
+//!   the tick's onsets and repairs have landed. Detection is conservative
+//!   for link faults: any tenant owning an endpoint of a dead link is
+//!   treated as affected, since its NoC traffic terminates in the failed
+//!   router.
 //! * [`RecoveryPolicy`] — how the hypervisor responds: remap-under-pin
 //!   around the dead resource where topology edit distance allows, else
 //!   an *emergency drain* of only the affected tenants (an unplanned,
@@ -235,45 +237,21 @@ fn routes_cross_link(topo: &Topology, nodes: &[NodeId], a: u32, b: u32) -> bool 
     })
 }
 
-/// Maps a failed resource to the tenants it affects, via the
-/// hypervisor's live ownership state.
+/// Decides whether a tenant touches a live fault, via the hypervisor's
+/// live ownership state.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultDetector;
 
 impl FaultDetector {
-    /// The tenants a failure affects, in ascending [`VmId`] order (the
-    /// deterministic recovery order).
-    ///
-    /// * A core fault affects every tenant whose mapping includes the
-    ///   core.
-    /// * A link fault affects every tenant owning either endpoint core
-    ///   (its NoC traffic terminates in the failed link's routers) *or*
-    ///   whose dimension-order routes transit the link — routes are not
-    ///   confined to the cores a tenant owns.
-    pub fn affected_tenants(hv: &Hypervisor, kind: &FaultKind) -> Vec<VmId> {
-        let topo = hv.topology();
-        let touches = |nodes: &[NodeId]| match *kind {
-            FaultKind::Core { core } => nodes.contains(&NodeId(core)),
-            FaultKind::Link { a, b } => {
-                nodes.contains(&NodeId(a))
-                    || nodes.contains(&NodeId(b))
-                    || routes_cross_link(topo, nodes, a, b)
-            }
-        };
-        let mut affected: Vec<VmId> = hv
-            .vnpus()
-            .filter(|(_, v)| touches(v.mapping().phys_nodes()))
-            .map(|(&vm, _)| vm)
-            .collect();
-        affected.sort_unstable();
-        affected
-    }
-
-    /// Whether one tenant still touches *any* currently-faulted resource
-    /// on its chip — the recovery loop's convergence test. A tenant that
-    /// stopped being affected without moving (its fault was repaired, or
-    /// it was detected conservatively off a link endpoint that healed)
-    /// needs no recovery action at all.
+    /// Whether one tenant touches *any* currently-faulted resource on its
+    /// chip — both the recovery loop's detection and its convergence
+    /// test. A tenant is affected when it owns a faulted core, owns
+    /// either endpoint of a faulted link (its NoC traffic terminates in
+    /// the failed link's routers), or has a dimension-order route across
+    /// a faulted link — routes are not confined to the cores a tenant
+    /// owns. A tenant that stopped being affected without moving (its
+    /// fault was repaired, or it was detected conservatively off a link
+    /// endpoint that healed) needs no recovery action at all.
     pub fn tenant_affected(hv: &Hypervisor, vm: VmId) -> bool {
         let Ok(vnpu) = hv.vnpu(vm) else {
             return false;
@@ -367,28 +345,28 @@ mod tests {
     }
 
     #[test]
-    fn detector_names_affected_tenants_in_vm_order() {
+    fn tenant_affected_sees_cores_endpoints_and_transit_links() {
         let mut hv = Hypervisor::new(SocConfig::sim());
-        // 6x6 mesh: a 2x2 tenant lands on the first exact-match window.
-        let a = hv.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
-        let b = hv.create_vnpu(VnpuRequest::cores(1)).unwrap();
-        let a_core = hv.vnpu(a).unwrap().mapping().phys_nodes()[0].0;
-        let b_core = hv.vnpu(b).unwrap().mapping().phys_nodes()[0].0;
-        assert_ne!(a_core, b_core);
-        let hit = FaultDetector::affected_tenants(&hv, &FaultKind::Core { core: a_core });
-        assert_eq!(hit, vec![a]);
-        let hit = FaultDetector::affected_tenants(&hv, &FaultKind::Core { core: b_core });
-        assert_eq!(hit, vec![b]);
-        // A link fault touching one of a's cores affects a only.
-        let second = hv.vnpu(a).unwrap().mapping().phys_nodes()[1].0;
-        let hit = FaultDetector::affected_tenants(
-            &hv,
-            &FaultKind::Link {
-                a: a_core,
-                b: second,
-            },
+        // 6x6 mesh: with cores 1–2 reserved, a zig-zag 2-core tenant
+        // lands on cores 0 and 3, so its X-Y route transits link 1–2
+        // without owning either end.
+        hv.reserve_cores(&[1, 2]).unwrap();
+        let t = hv
+            .create_vnpu(VnpuRequest::cores(2).strategy(Strategy::straightforward()))
+            .unwrap();
+        assert_eq!(
+            hv.vnpu(t).unwrap().mapping().phys_nodes(),
+            &[NodeId(0), NodeId(3)]
         );
-        assert_eq!(hit, vec![a]);
+        let a = hv.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
+        let a_nodes = hv.vnpu(a).unwrap().mapping().phys_nodes().to_vec();
+        let affected = |hv: &Hypervisor| {
+            (
+                FaultDetector::tenant_affected(hv, t),
+                FaultDetector::tenant_affected(hv, a),
+            )
+        };
+        assert_eq!(affected(&hv), (false, false));
         // A fault on an unowned core affects nobody.
         let free = (0..36)
             .find(|&c| {
@@ -396,7 +374,24 @@ mod tests {
                     .all(|(_, v)| !v.mapping().phys_nodes().contains(&NodeId(c)))
             })
             .unwrap();
-        assert!(FaultDetector::affected_tenants(&hv, &FaultKind::Core { core: free }).is_empty());
+        assert!(hv.set_core_faulted(free, true).unwrap());
+        assert_eq!(affected(&hv), (false, false));
+        assert!(hv.set_core_faulted(free, false).unwrap());
+        // A dead owned core, then its repair.
+        assert!(hv.set_core_faulted(a_nodes[0].0, true).unwrap());
+        assert_eq!(affected(&hv), (false, true));
+        assert!(hv.set_core_faulted(a_nodes[0].0, false).unwrap());
+        assert_eq!(affected(&hv), (false, false));
+        // A dead link at an owned endpoint (inside a's window, off t's
+        // row-0 route).
+        assert!(hv.set_link_faulted(a_nodes[0].0, a_nodes[1].0, true));
+        assert_eq!(affected(&hv), (false, true));
+        assert!(hv.set_link_faulted(a_nodes[0].0, a_nodes[1].0, false));
+        // A dead transit-only link, then its repair.
+        assert!(hv.set_link_faulted(1, 2, true));
+        assert_eq!(affected(&hv), (true, false));
+        assert!(hv.set_link_faulted(1, 2, false));
+        assert_eq!(affected(&hv), (false, false));
     }
 
     #[test]

@@ -305,11 +305,6 @@ impl PageTranslator {
     pub fn table(&self) -> &PageTable {
         &self.table
     }
-
-    /// Mutable access to the page table (hypervisor updates).
-    pub fn table_mut(&mut self) -> &mut PageTable {
-        &mut self.table
-    }
 }
 
 impl Translate for PageTranslator {

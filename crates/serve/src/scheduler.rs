@@ -1009,9 +1009,11 @@ impl ServeRuntime {
     /// Onsets and repairs scheduled for this tick land on the cluster,
     /// which applies each to the chip's machine and then its hypervisor
     /// ([`Cluster::fault_core`] and friends), so placements memoized
-    /// against the pre-fault chip expire by key. Newly affected tenants
-    /// join the pending-recovery queue; every pending tenant then gets
-    /// one recovery attempt in deterministic [`ClusterVmId`] order:
+    /// against the pre-fault chip expire by key. Once all of them have
+    /// landed, every live tenant that touches a live fault
+    /// ([`FaultDetector::tenant_affected`]) joins the pending-recovery
+    /// queue, in [`ClusterVmId`] order; every pending tenant then gets
+    /// one recovery attempt in the same deterministic order:
     /// remap-under-pin on its own chip under
     /// [`RecoveryPolicy::remap_strategy`], else an emergency cross-chip
     /// re-placement (chips in index order), else it stays pending until
@@ -1048,20 +1050,14 @@ impl ServeRuntime {
             }
             self.temporal.emit(TraceEvent::FaultOnset { tick, chip });
             ctx.events.fault_onsets += 1;
-            for vm in FaultDetector::affected_tenants(self.cluster.chip(chip), &ev.kind) {
-                let id = ClusterVmId { chip, vm };
-                if self.live.contains_key(&id) {
-                    self.detect(id, tick);
-                }
-            }
         }
 
-        // Sweep for tenants that became affected *after* the onset
-        // landed: admission only masks faulted cores, so a tenant placed
-        // while a link fault is active can route across the dead link
-        // without owning any faulted resource at onset time. Any live
-        // tenant on a chip with active faults goes back through the
-        // detector so nobody keeps executing across dead hardware.
+        // Detection, once the tick's transitions have landed: every live
+        // tenant on a chip with active faults goes through the detector.
+        // This catches this tick's victims and also tenants that became
+        // affected after an earlier onset — admission only masks faulted
+        // cores, so a tenant placed while a link fault is active can
+        // route across the dead link without owning any faulted resource.
         let swept: Vec<ClusterVmId> = self
             .live
             .keys()

@@ -44,11 +44,6 @@ impl Hbm {
         }
     }
 
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Services a `bytes`-long access on `channel` arriving at `now`;
     /// returns the completion time.
     ///

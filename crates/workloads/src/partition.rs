@@ -40,14 +40,6 @@ impl Partition {
         self.stage_of[layer.index()]
     }
 
-    /// Resident weight bytes of a stage.
-    pub fn stage_weight_bytes(&self, graph: &ModelGraph, stage: usize) -> u64 {
-        self.stages[stage]
-            .iter()
-            .map(|&l| graph.layer(l).weight_bytes)
-            .sum()
-    }
-
     /// Compute cycles of a stage under a SoC configuration.
     pub fn stage_cycles(&self, graph: &ModelGraph, cfg: &SocConfig, stage: usize) -> u64 {
         self.stages[stage]

@@ -55,7 +55,7 @@ use crate::admission::{
     AdmissionPolicy, AdmissionQueue, FailureAction, FitHint, FragmentationStats, PendingView,
     RequestId,
 };
-use crate::drain::{ChipSchedState, DrainMove, DrainPolicy, DrainStep};
+use crate::drain::{plan_step, ChipSchedState, DrainMove, DrainStep};
 use crate::hypervisor::Hypervisor;
 use crate::ids::VmId;
 use crate::plan::{
@@ -657,10 +657,12 @@ impl Cluster {
     }
 
     /// Runs one budgeted evacuation step on *every* draining chip — the
-    /// one drain entry point. Each chip's policy proposes this epoch's
+    /// one drain entry point. Each chip proposes this epoch's
     /// `(tenant, destination)` set within `budget`, read-only, against
-    /// the memoized snapshots of the schedulable chips. The proposals are
-    /// then applied in chip order, each through the transactional
+    /// the memoized snapshots of the schedulable chips: its cheapest
+    /// tenants first (by estimated cross-chip [`ReconfigCost`]), each
+    /// onto the least-loaded schedulable chip that fits it. The proposals
+    /// are then applied in chip order, each through the transactional
     /// [`Cluster::migrate_to_chip`] — create-before-destroy, so a failed
     /// move leaves the tenant on the source chip. Proposals that no
     /// longer apply (tenant departed, destination stopped fitting or
@@ -671,11 +673,7 @@ impl Cluster {
     /// Every chip is planned before any proposal is applied: with several
     /// chips draining, every plan sees the fleet as it stood at the call
     /// rather than its predecessors' moves.
-    pub fn drain_tick(
-        &mut self,
-        policy: &Arc<dyn DrainPolicy>,
-        budget: &ReconfigBudget,
-    ) -> Vec<(usize, DrainStep)> {
+    pub fn drain_tick(&mut self, budget: &ReconfigBudget) -> Vec<(usize, DrainStep)> {
         if self
             .chips
             .iter()
@@ -690,7 +688,7 @@ impl Cluster {
             .iter()
             .enumerate()
             .filter(|(_, slot)| slot.sched == ChipSchedState::Draining)
-            .map(|(chip, slot)| (chip, policy.plan_step(&slot.hv, &destinations, budget)))
+            .map(|(chip, slot)| (chip, plan_step(&slot.hv, &destinations, budget)))
             .collect();
         plans
             .into_iter()
@@ -710,7 +708,7 @@ impl Cluster {
         let mut step = DrainStep::default();
         for (applied, (vm, dest)) in proposals.into_iter().enumerate() {
             // Proposals are advisory; the budget is a hard per-step cap
-            // even for non-conforming policies. Admission gates on the
+            // on what the moves actually paid. Admission gates on the
             // tenant's *estimated* cost (the landed copy's meta-tables
             // may price slightly differently), so the post-move check
             // below bounds any estimate overshoot to a single move.
@@ -1142,10 +1140,11 @@ impl Cluster {
     /// reading only the owning chip and probing only its dedicated hint
     /// cache. Each chip's plan is then priced through
     /// [`Hypervisor::plan_budgeted_in`] against the shared mapping cache
-    /// (dropping everything past `budget`) and the affordable prefix
-    /// committed atomically, in chip order. Returns `(chip, receipt)`
-    /// pairs in chip order, one per schedulable chip (empty when the
-    /// policy proposed nothing or nothing was affordable).
+    /// (dropping everything past the default [`ReconfigBudget`], per chip)
+    /// and the affordable prefix committed atomically, in chip order.
+    /// Returns `(chip, receipt)` pairs in chip order, one per schedulable
+    /// chip (empty when the policy proposed nothing or nothing was
+    /// affordable).
     ///
     /// # Errors
     ///
@@ -1154,8 +1153,8 @@ impl Cluster {
     pub fn defrag_pass(
         &mut self,
         defrag: &Arc<dyn Defragmenter>,
-        budget: &ReconfigBudget,
     ) -> Result<Vec<(usize, CommitReceipt)>> {
+        let budget = ReconfigBudget::default();
         let mut receipts = Vec::new();
         for chip in 0..self.chips.len() {
             if self.chips[chip].sched != ChipSchedState::Schedulable {
@@ -1163,8 +1162,8 @@ impl Cluster {
             }
             let stats = self.snapshot_cached(chip).frag;
             let slot = &mut self.chips[chip];
-            let ops = defrag.plan(&slot.hv, &stats, budget, &mut slot.hints);
-            receipts.push((chip, slot.apply_defrag_ops(&mut self.cache, ops, budget)?));
+            let ops = defrag.plan(&slot.hv, &stats, &budget, &mut slot.hints);
+            receipts.push((chip, slot.apply_defrag_ops(&mut self.cache, ops, &budget)?));
         }
         Ok(receipts)
     }
@@ -1173,8 +1172,8 @@ impl Cluster {
     /// caller-supplied strategy — the fault layer's remap-under-pin
     /// primitive. Unlike the same-chip arm of
     /// [`Cluster::migrate_to_chip`] (which re-runs the tenant's *own*
-    /// strategy, preserving e.g. an exact-only guarantee), this lets a
-    /// recovery policy substitute a laxer strategy when the tenant must
+    /// strategy, preserving e.g. an exact-only guarantee), this lets fault
+    /// recovery substitute a laxer strategy when the tenant must
     /// escape a faulted core at any shape cost. The plan machinery never
     /// re-offers a faulted node, so a successful remap provably leaves
     /// every dead core behind. Works on draining chips too: recovery
@@ -1315,12 +1314,6 @@ mod tests {
 
     fn two_chip_cluster() -> Cluster {
         Cluster::new(vec![sim_chip(), small_chip()])
-    }
-
-    /// One maintenance tick under the shipped drain policy.
-    fn drain_once(cl: &mut Cluster, budget: &ReconfigBudget) -> Vec<(usize, DrainStep)> {
-        let policy: Arc<dyn DrainPolicy> = Arc::new(crate::drain::CheapestFirstDrain);
-        cl.drain_tick(&policy, budget)
     }
 
     #[test]
@@ -1566,7 +1559,7 @@ mod tests {
         assert_eq!(before.free_components, 2);
         assert_eq!(before.largest_free_component, 9);
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
-        let receipts = cl.defrag_pass(&defrag, &ReconfigBudget::default()).unwrap();
+        let receipts = cl.defrag_pass(&defrag).unwrap();
         assert_eq!(receipts.len(), 1, "one receipt per schedulable chip");
         let (chip, receipt) = &receipts[0];
         assert_eq!(*chip, 0);
@@ -1649,9 +1642,6 @@ mod tests {
         #[derive(Debug)]
         struct Bogus;
         impl Defragmenter for Bogus {
-            fn name(&self) -> &'static str {
-                "bogus"
-            }
             fn plan(
                 &self,
                 _hv: &Hypervisor,
@@ -1669,7 +1659,7 @@ mod tests {
         cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
         let bogus: Arc<dyn Defragmenter> = Arc::new(Bogus);
         let receipts = cl
-            .defrag_pass(&bogus, &ReconfigBudget::default())
+            .defrag_pass(&bogus)
             .expect("unplannable advisory proposals skip the pass");
         assert_eq!(receipts.len(), 1);
         assert_eq!(receipts[0].1.migration_count(), 0);
@@ -1721,7 +1711,7 @@ mod tests {
     fn drain_lifecycle_masks_and_restores_schedulability() {
         let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
         assert!(
-            drain_once(&mut cl, &ReconfigBudget::default()).is_empty(),
+            cl.drain_tick(&ReconfigBudget::default()).is_empty(),
             "nothing draining, no step"
         );
         for _ in 0..3 {
@@ -1766,7 +1756,7 @@ mod tests {
             max_migrations: 2,
             ..ReconfigBudget::default()
         };
-        let steps = drain_once(&mut cl, &budget);
+        let steps = cl.drain_tick(&budget);
         assert_eq!(steps.len(), 1, "one step per draining chip");
         let (chip, step1) = &steps[0];
         assert_eq!(*chip, 0);
@@ -1780,14 +1770,14 @@ mod tests {
             matches!(cl.complete_drain(0), Err(VnpuError::Drain { chip: 0, .. })),
             "complete_drain refuses while residents remain"
         );
-        let step2 = &drain_once(&mut cl, &budget)[0].1;
+        let step2 = &cl.drain_tick(&budget)[0].1;
         assert!(step2.is_evacuated());
         assert_eq!(cl.chip(0).vnpu_count(), 0);
         assert_eq!(cl.chip(1).vnpu_count(), 5, "every tenant landed on chip 1");
         cl.complete_drain(0).unwrap();
         assert_eq!(cl.drain_state(0), Ok(ChipSchedState::Drained));
         assert!(
-            drain_once(&mut cl, &budget).is_empty(),
+            cl.drain_tick(&budget).is_empty(),
             "drained chips no longer step"
         );
         // Hand-back restores schedulability byte-for-byte: the chip is
@@ -1841,7 +1831,7 @@ mod tests {
         cl.create_on(0, VnpuRequest::mesh(5, 5)).unwrap();
         cl.create_on(0, VnpuRequest::mesh(1, 2)).unwrap();
         cl.begin_drain(0).unwrap();
-        let step = &drain_once(&mut cl, &ReconfigBudget::default())[0].1;
+        let step = &cl.drain_tick(&ReconfigBudget::default())[0].1;
         assert_eq!(step.moved.len(), 1, "only the small tenant fits chip 1");
         assert_eq!(step.remaining, 1, "the 5x5 tenant stays resident");
         assert!(!step.is_evacuated());
@@ -1897,7 +1887,7 @@ mod tests {
         assert!(cl.fit_hint().is_some());
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
         assert_eq!(cl.snapshot_cached(0).frag.free_components, 2);
-        let receipts = cl.defrag_pass(&defrag, &ReconfigBudget::default()).unwrap();
+        let receipts = cl.defrag_pass(&defrag).unwrap();
         assert!(receipts.iter().all(|(_, r)| r.migration_count() == 0));
         let probed = cl.chips[0].hints.stats();
         assert!(probed.hits + probed.misses > 0, "the probes did run");
@@ -2002,7 +1992,7 @@ mod tests {
         cl.destroy(quadrants[3]).unwrap();
         check(&mut cl, "destroy", &[]);
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
-        let receipts = cl.defrag_pass(&defrag, &ReconfigBudget::default()).unwrap();
+        let receipts = cl.defrag_pass(&defrag).unwrap();
         assert!(receipts.iter().any(|(_, r)| r.migration_count() > 0));
         let paid: Vec<Paid> = receipts
             .iter()
@@ -2048,7 +2038,7 @@ mod tests {
         cl.begin_drain(0).unwrap();
         check(&mut cl, "begin_drain", &[]);
         for _ in 0..2 {
-            let steps = drain_once(&mut cl, &ReconfigBudget::default());
+            let steps = cl.drain_tick(&ReconfigBudget::default());
             assert_eq!(steps[0].1.moved.len(), 1, "{steps:?}");
             let paid: Vec<Paid> = (steps[0].1.moved.iter())
                 .map(|m| (m.to, m.cost.paused_cycles))

@@ -7,12 +7,10 @@
 //! primitive, not an operator script. This module composes the existing
 //! machinery into exactly that:
 //!
-//! * a [`DrainPolicy`] decides *which* tenants leave the draining chip
-//!   this epoch and *where* they land, within a per-epoch
-//!   [`ReconfigBudget`] — the shipped [`CheapestFirstDrain`] moves the
-//!   cheapest tenants first (by estimated [`ReconfigCost`], dominated by
-//!   the cross-chip data-movement term) onto the least-loaded
-//!   schedulable destination that fits;
+//! * each epoch, the draining chip's cheapest tenants leave first (by
+//!   estimated [`ReconfigCost`], dominated by the cross-chip
+//!   data-movement term), each onto the least-loaded schedulable
+//!   destination that fits, within a per-epoch [`ReconfigBudget`];
 //! * [`crate::cluster::Cluster::begin_drain`] marks the chip
 //!   unschedulable (placement policies stop nominating it, the fleet
 //!   [`crate::admission::FitHint`] stops advertising it) and stales its
@@ -102,7 +100,7 @@ impl DrainStep {
 /// estimate ([`estimated_move_cost`]) and the charge
 /// [`crate::cluster::Cluster::migrate_to_chip`] actually pays call it,
 /// so the budget can never admit moves priced by a stale formula.
-pub fn cross_chip_data_bytes(hv: &Hypervisor, vnpu: &VirtualNpu) -> u64 {
+pub(crate) fn cross_chip_data_bytes(hv: &Hypervisor, vnpu: &VirtualNpu) -> u64 {
     vnpu.mem_bytes() + u64::from(vnpu.core_count()) * hv.config().scratchpad_bytes
 }
 
@@ -114,7 +112,7 @@ pub fn cross_chip_data_bytes(hv: &Hypervisor, vnpu: &VirtualNpu) -> u64 {
 /// differ slightly on the landed copy (a tenant landing non-exact gets
 /// a costlier table), so budget gating on this estimate bounds, rather
 /// than exactly equals, the paid cost.
-pub fn estimated_move_cost(hv: &Hypervisor, vnpu: &VirtualNpu) -> ReconfigCost {
+pub(crate) fn estimated_move_cost(hv: &Hypervisor, vnpu: &VirtualNpu) -> ReconfigCost {
     ReconfigCost::for_move(
         vnpu.routing_table().config_cycles(),
         rtt_deploy_cycles(vnpu.rtt_entries().len()),
@@ -122,109 +120,73 @@ pub fn estimated_move_cost(hv: &Hypervisor, vnpu: &VirtualNpu) -> ReconfigCost {
     )
 }
 
-/// Decides which tenants leave a draining chip this epoch, and where
-/// they land.
+/// Proposes one drain step's evacuation set for the draining chip `hv`
+/// as `(tenant, destination chip)` pairs, within `budget`, read-only.
+/// `destinations` are the snapshots of every *schedulable* chip the
+/// tenants may land on (the draining chip itself is never among them).
 ///
-/// Object-safe for the same reason [`crate::admission::AdmissionPolicy`]
-/// and [`crate::plan::Defragmenter`] are: deployments bring their own
-/// evacuation logic (tenant priority tiers, anti-affinity, rack-level
-/// spreading) without this crate enumerating it. Implementations must be
-/// deterministic functions of their inputs — serve reports are asserted
-/// byte-identical across runs. Proposals are advisory: the driver
-/// applies each through the transactional
-/// [`crate::cluster::Cluster::migrate_to_chip`] and skips (rather than
-/// fails on) proposals that no longer apply.
-pub trait DrainPolicy: fmt::Debug + Send + Sync {
-    /// Short name for reports and debugging.
-    fn name(&self) -> &'static str;
-
-    /// Proposes this step's evacuation set for the draining chip as
-    /// `(tenant, destination chip)` pairs, within `budget`. `hv` is the
-    /// draining chip's hypervisor; `destinations` are the snapshots of
-    /// every *schedulable* chip the tenants may land on (the draining
-    /// chip itself is never among them). Tenants not proposed stay for a
-    /// later step.
-    fn plan_step(
-        &self,
-        hv: &Hypervisor,
-        destinations: &[ChipSnapshot],
-        budget: &ReconfigBudget,
-    ) -> Vec<(VmId, usize)>;
-}
-
-/// The reference drain policy: cheapest-tenant-first.
-///
-/// Tenants are ordered by their estimated cross-chip
-/// [`ReconfigCost`] ([`estimated_move_cost`] — ascending data movement,
-/// then pause, then VM id for determinism) so each budgeted epoch
-/// evacuates as many tenants as the budget allows and the expensive
+/// Cheapest tenant first: tenants are ordered by their estimated
+/// cross-chip [`ReconfigCost`] ([`estimated_move_cost`] — ascending data
+/// movement, then pause, then VM id for determinism) so each budgeted
+/// epoch evacuates as many tenants as the budget allows and the expensive
 /// movers go last, when departures may have emptied them for free. Each
 /// tenant lands on the least-loaded destination that fits it (most free
 /// cores, ties broken toward more free HBM then the lower chip index);
 /// the working snapshots are debited as proposals accumulate so one
-/// step's proposals never oversubscribe a destination.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CheapestFirstDrain;
-
-impl DrainPolicy for CheapestFirstDrain {
-    fn name(&self) -> &'static str {
-        "cheapest-first"
-    }
-
-    fn plan_step(
-        &self,
-        hv: &Hypervisor,
-        destinations: &[ChipSnapshot],
-        budget: &ReconfigBudget,
-    ) -> Vec<(VmId, usize)> {
-        let mut tenants: Vec<(u64, u64, u32, ReconfigCost)> = hv
-            .vnpus()
-            .map(|(vm, v)| {
-                let cost = estimated_move_cost(hv, v);
-                (cost.data_move_bytes, cost.paused_cycles, vm.0, cost)
-            })
-            .collect();
-        tenants.sort_unstable_by_key(|&(data, paused, vm, _)| (data, paused, vm));
-        let mut dests: Vec<ChipSnapshot> = destinations.to_vec();
-        let mut proposals: Vec<(VmId, usize)> = Vec::new();
-        let mut total = ReconfigCost::default();
-        for (_, _, vm, cost) in tenants {
-            let vm = VmId(vm);
-            if proposals.len() >= budget.max_migrations {
-                break;
-            }
-            // The sort is by data movement (the dominant term), but the
-            // budget also caps paused cycles, which carry non-monotone
-            // meta-table terms — so an unaffordable tenant is skipped,
-            // not a stopping point: a later one may still fit.
-            if !budget.admits(&total, proposals.len(), &cost) {
-                continue;
-            }
-            let vnpu = hv.vnpu(vm).expect("listed vm is live");
-            let cores = vnpu.core_count();
-            let mem = vnpu.mem_bytes();
-            let temporal = vnpu.request().wants_temporal_sharing();
-            let Some(dest) = dests
-                .iter_mut()
-                .filter(|d| d.fits_raw(cores, mem, temporal))
-                .min_by_key(|d| {
-                    (
-                        std::cmp::Reverse(d.frag.free_cores),
-                        std::cmp::Reverse(d.frag.hbm_free_bytes),
-                        d.chip,
-                    )
-                })
-            else {
-                // No destination fits right now; the tenant stays for a
-                // later step (departures elsewhere may open room).
-                continue;
-            };
-            dest.frag.free_cores = dest.frag.free_cores.saturating_sub(cores);
-            dest.frag.hbm_free_bytes = dest.frag.hbm_free_bytes.saturating_sub(mem);
-            let chip = dest.chip;
-            total = total.plus(cost);
-            proposals.push((vm, chip));
+/// step's proposals never oversubscribe a destination. Tenants not
+/// proposed stay for a later step.
+pub(crate) fn plan_step(
+    hv: &Hypervisor,
+    destinations: &[ChipSnapshot],
+    budget: &ReconfigBudget,
+) -> Vec<(VmId, usize)> {
+    let mut tenants: Vec<(u64, u64, u32, ReconfigCost)> = hv
+        .vnpus()
+        .map(|(vm, v)| {
+            let cost = estimated_move_cost(hv, v);
+            (cost.data_move_bytes, cost.paused_cycles, vm.0, cost)
+        })
+        .collect();
+    tenants.sort_unstable_by_key(|&(data, paused, vm, _)| (data, paused, vm));
+    let mut dests: Vec<ChipSnapshot> = destinations.to_vec();
+    let mut proposals: Vec<(VmId, usize)> = Vec::new();
+    let mut total = ReconfigCost::default();
+    for (_, _, vm, cost) in tenants {
+        let vm = VmId(vm);
+        if proposals.len() >= budget.max_migrations {
+            break;
         }
-        proposals
+        // The sort is by data movement (the dominant term), but the
+        // budget also caps paused cycles, which carry non-monotone
+        // meta-table terms — so an unaffordable tenant is skipped,
+        // not a stopping point: a later one may still fit.
+        if !budget.admits(&total, proposals.len(), &cost) {
+            continue;
+        }
+        let vnpu = hv.vnpu(vm).expect("listed vm is live");
+        let cores = vnpu.core_count();
+        let mem = vnpu.mem_bytes();
+        let temporal = vnpu.request().wants_temporal_sharing();
+        let Some(dest) = dests
+            .iter_mut()
+            .filter(|d| d.fits_raw(cores, mem, temporal))
+            .min_by_key(|d| {
+                (
+                    std::cmp::Reverse(d.frag.free_cores),
+                    std::cmp::Reverse(d.frag.hbm_free_bytes),
+                    d.chip,
+                )
+            })
+        else {
+            // No destination fits right now; the tenant stays for a
+            // later step (departures elsewhere may open room).
+            continue;
+        };
+        dest.frag.free_cores = dest.frag.free_cores.saturating_sub(cores);
+        dest.frag.hbm_free_bytes = dest.frag.hbm_free_bytes.saturating_sub(mem);
+        let chip = dest.chip;
+        total = total.plus(cost);
+        proposals.push((vm, chip));
     }
+    proposals
 }

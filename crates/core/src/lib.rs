@@ -87,7 +87,7 @@ pub use cluster::{
     BestFitFragmentation, ChipPlacement, ChipSnapshot, Cluster, ClusterAdmissionEvent,
     ClusterAdmissionOutcome, ClusterVmId, FirstFit, LeastLoaded,
 };
-pub use drain::{CheapestFirstDrain, ChipSchedState, DrainMove, DrainPolicy, DrainStep};
+pub use drain::{ChipSchedState, DrainMove, DrainStep};
 pub use hypervisor::Hypervisor;
 pub use ids::{PhysCoreId, VirtCoreId, VmId};
 pub use plan::{

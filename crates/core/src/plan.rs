@@ -250,9 +250,6 @@ impl CommitReceipt {
 /// which drops everything past the budget, and commits the rest
 /// atomically.
 pub trait Defragmenter: fmt::Debug + Send + Sync {
-    /// Short name for reports and debugging.
-    fn name(&self) -> &'static str;
-
     /// Proposes migrations for one chip. `cache` is a scratch
     /// [`MappingCache`] for probing (pass a dedicated hint cache so
     /// advisory probes never distort placement-cache statistics).
@@ -305,10 +302,6 @@ impl Default for GreedyDefrag {
 }
 
 impl Defragmenter for GreedyDefrag {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
     fn plan(
         &self,
         hv: &Hypervisor,

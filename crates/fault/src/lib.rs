@@ -1,9 +1,9 @@
-//! **vnpu_fault** — seeded hardware-fault injection and recovery policy
-//! for the vNPU serving stack.
+//! **vnpu_fault** — seeded hardware-fault injection and detection for
+//! the vNPU serving stack.
 //!
 //! A production fleet serving millions of users must treat core and
 //! NoC-link failures as first-class events, not as impossibilities the
-//! topology-aware abstraction assumes away. This crate supplies the three
+//! topology-aware abstraction assumes away. This crate supplies the two
 //! pieces the serving runtime composes into a fault → detect → recover
 //! lifecycle:
 //!
@@ -21,12 +21,13 @@
 //!   for link faults: any tenant owning an endpoint of a dead link is
 //!   treated as affected, since its NoC traffic terminates in the failed
 //!   router.
-//! * [`RecoveryPolicy`] — how the hypervisor responds: remap-under-pin
-//!   around the dead resource where topology edit distance allows, else
-//!   an *emergency drain* of only the affected tenants (an unplanned,
-//!   unbudgeted variant of the maintenance-drain pipeline), declaring a
-//!   tenant lost after [`RecoveryPolicy::max_recovery_ticks`] ticks
-//!   without a landing spot.
+//!
+//! The response lives in the serving runtime's recovery phase:
+//! remap-under-pin around the dead resource where topology edit distance
+//! allows, else an *emergency drain* of only the affected tenants (an
+//! unplanned, unbudgeted variant of the maintenance-drain pipeline),
+//! declaring a tenant lost after a fixed number of ticks without a
+//! landing spot.
 //!
 //! Everything is deterministic: the same seed reproduces the same fault
 //! schedule, and the recovery path runs through the same transactional
@@ -37,7 +38,6 @@
 #![warn(missing_docs)]
 
 use vnpu::{Hypervisor, VmId};
-use vnpu_topo::mapping::Strategy;
 use vnpu_topo::{NodeId, Topology};
 
 /// Which hardware resource failed.
@@ -269,32 +269,12 @@ impl FaultDetector {
     }
 }
 
-/// How the hypervisor responds to a detected failure.
-#[derive(Debug, Clone)]
-pub struct RecoveryPolicy {
-    /// Mapping strategy for the remap-under-pin attempt (the affected
-    /// tenant's virtual topology is re-placed against the free region
-    /// plus its own *healthy* cores).
-    pub remap_strategy: Strategy,
-    /// Ticks an affected tenant may stay pending (no remap window, no
-    /// other chip with room) before it is declared lost. Bounds MTTR.
-    pub max_recovery_ticks: u64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            remap_strategy: Strategy::similar_topology().candidate_cap(200),
-            max_recovery_ticks: 8,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vnpu::VnpuRequest;
     use vnpu_sim::SocConfig;
+    use vnpu_topo::mapping::Strategy;
 
     #[test]
     fn plan_builders_schedule_and_query() {
@@ -392,11 +372,5 @@ mod tests {
         assert_eq!(affected(&hv), (true, false));
         assert!(hv.set_link_faulted(1, 2, false));
         assert_eq!(affected(&hv), (false, false));
-    }
-
-    #[test]
-    fn recovery_policy_default_is_bounded() {
-        let p = RecoveryPolicy::default();
-        assert!(p.max_recovery_ticks > 0);
     }
 }

@@ -174,8 +174,8 @@ pub struct ServeReport {
     /// Affected tenants whose fault was repaired under them before any
     /// recovery action landed.
     pub recoveries_self_healed: u64,
-    /// Affected tenants declared lost (no landing spot within
-    /// `RecoveryPolicy::max_recovery_ticks` of detection). Lost tenants
+    /// Affected tenants declared lost (no landing spot within the
+    /// recovery phase's deadline, 8 ticks after detection). Lost tenants
     /// are also counted in [`ServeReport::departed`].
     pub tenants_lost: u64,
     /// Affected tenants still awaiting recovery at report time (0 after

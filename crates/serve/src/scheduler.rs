@@ -55,17 +55,35 @@ use std::sync::Arc;
 use std::time::Instant;
 use vnpu::admission::{AdmissionPolicy, Fifo, FitHint, FragmentationStats, RequestId};
 use vnpu::cluster::{ChipPlacement, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit};
-use vnpu::drain::{CheapestFirstDrain, ChipSchedState, DrainPolicy};
+use vnpu::drain::ChipSchedState;
 use vnpu::plan::{Defragmenter, ReconfigBudget};
 use vnpu::{Hypervisor, VirtCoreId, VmId};
 use vnpu_audit::AuditFinding;
-use vnpu_fault::{FaultDetector, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
+use vnpu_fault::{FaultDetector, FaultEvent, FaultKind, FaultPlan};
 use vnpu_sim::isa::{Instr, Program};
 use vnpu_sim::machine::{Machine, TenantId};
 use vnpu_sim::SocConfig;
 use vnpu_temporal::{
     CheckerConfig, RecoveryKind, TemporalChecker, TemporalFinding, TraceEvent, TraceFold,
 };
+use vnpu_topo::mapping::Strategy;
+
+/// Controller cycles charged per scheduling tick (queue scan, MMIO
+/// doorbells); configuration cycles are accounted on top from the
+/// hypervisors' own meta-table cost model.
+const TICK_CYCLES: u64 = 1_000;
+
+/// Ticks an affected tenant may stay pending (no remap window, no other
+/// chip with room) before it is declared lost. Bounds MTTR; `TEMP-FAULT`
+/// checks the same deadline.
+const MAX_RECOVERY_TICKS: u64 = 8;
+
+/// The mapping strategy of a recovery's remap-under-pin attempt: the
+/// affected tenant's virtual topology is re-placed against the free
+/// region plus its own *healthy* cores.
+fn recovery_remap_strategy() -> Strategy {
+    Strategy::similar_topology().candidate_cap(200)
+}
 
 /// Ticks of slack granted per admission attempt when deriving the
 /// `TEMP-STARVE` bound from [`ServeConfig::max_attempts`]: a queued
@@ -107,25 +125,18 @@ pub struct ServeConfig {
     /// Whether to bind and execute tenant programs each epoch (off =
     /// placement-only churn, for mapping-focused benchmarks).
     pub execute_epochs: bool,
-    /// Controller cycles charged per scheduling tick (queue scan, MMIO
-    /// doorbells); configuration cycles are accounted on top from the
-    /// hypervisors' own meta-table cost model.
-    pub tick_cycles: u64,
     /// Background defragmentation policy, run as an optional phase of
     /// every [`ServeRuntime::step`]; `None` disables the phase.
     pub defrag: Option<Arc<dyn Defragmenter>>,
-    /// Reconfiguration budget per defragmentation pass (per chip).
-    pub defrag_budget: ReconfigBudget,
     /// Run the defragmenter every N ticks (0 disables even when a
     /// policy is configured). The interval is anchored to the tick of
     /// the first completed admission — before any placement exists there
     /// is nothing to defragment.
     pub defrag_interval: u64,
-    /// Evacuation policy for chips under an active drain
-    /// ([`ServeRuntime::begin_drain`]); the maintenance phase runs one
-    /// budgeted step per draining chip per tick.
-    pub drain_policy: Arc<dyn DrainPolicy>,
-    /// Reconfiguration budget per drain step (per chip, per epoch).
+    /// Reconfiguration budget per drain step (per chip, per epoch): for
+    /// chips under an active drain ([`ServeRuntime::begin_drain`]) the
+    /// maintenance phase runs one budgeted step per draining chip per
+    /// tick.
     pub drain_budget: ReconfigBudget,
     /// Run the [`vnpu_audit`] fleet invariant audit after every tick.
     /// Off by default — disabled, the phase costs nothing; enabled on a
@@ -164,11 +175,6 @@ pub struct ServeConfig {
     /// ([`vnpu_fault::FaultPlan`]); empty by default — the healthy-fleet
     /// baseline, where the recovery phase costs one branch per tick.
     pub fault_plan: FaultPlan,
-    /// How the recovery phase responds to detected failures:
-    /// remap-under-pin strategy and the pending-tenant deadline
-    /// ([`vnpu_fault::RecoveryPolicy::max_recovery_ticks`]) after which
-    /// an unplaceable tenant is declared lost.
-    pub recovery: RecoveryPolicy,
 }
 
 impl ServeConfig {
@@ -197,11 +203,8 @@ impl ServeConfig {
             placement: Arc::new(FirstFit),
             max_attempts: Some(24),
             execute_epochs: true,
-            tick_cycles: 1_000,
             defrag: None,
-            defrag_budget: ReconfigBudget::default(),
             defrag_interval: 1,
-            drain_policy: Arc::new(CheapestFirstDrain),
             drain_budget: ReconfigBudget::default(),
             audit: false,
             temporal: false,
@@ -209,7 +212,6 @@ impl ServeConfig {
             workers: 1,
             time_phases: false,
             fault_plan: FaultPlan::new(),
-            recovery: RecoveryPolicy::default(),
         }
     }
 
@@ -220,15 +222,15 @@ impl ServeConfig {
     ///
     /// `TEMP-STARVE` is bounded at [`ServeConfig::max_attempts`] ×
     /// the per-attempt slack (32 ticks; disabled for unbounded retries
-    /// — no policy, no bound); `TEMP-FAULT` mirrors
-    /// [`vnpu_fault::RecoveryPolicy::max_recovery_ticks`].
+    /// — no policy, no bound); `TEMP-FAULT` is bounded at the recovery
+    /// phase's loss deadline (8 ticks after detection).
     pub fn temporal_checker_config(&self) -> CheckerConfig {
         CheckerConfig {
             starve_bound_ticks: self
                 .max_attempts
                 .map(|a| u64::from(a).saturating_mul(STARVE_SLACK_TICKS).max(1)),
             drain_stall_ticks: DRAIN_STALL_BOUND_TICKS,
-            max_recovery_ticks: self.recovery.max_recovery_ticks,
+            max_recovery_ticks: MAX_RECOVERY_TICKS,
         }
     }
 }
@@ -277,7 +279,7 @@ pub struct TickEvents {
     /// recovery pass.
     pub recoveries_pending: u64,
     /// Affected tenants declared lost this tick (pending past the
-    /// [`vnpu_fault::RecoveryPolicy::max_recovery_ticks`] deadline).
+    /// recovery phase's deadline, 8 ticks after detection).
     pub tenants_lost: u64,
 }
 
@@ -520,9 +522,9 @@ impl ServeRuntime {
 
     /// Takes a chip out of service for maintenance: from the next tick
     /// on, the maintenance phase runs one budgeted drain step per tick
-    /// ([`ServeConfig::drain_policy`] / [`ServeConfig::drain_budget`])
-    /// until the chip is empty, and no placement or fit hint ever names
-    /// the chip while it drains.
+    /// ([`ServeConfig::drain_budget`], cheapest tenants first) until the
+    /// chip is empty, and no placement or fit hint ever names the chip
+    /// while it drains.
     ///
     /// # Errors
     ///
@@ -624,7 +626,7 @@ impl ServeRuntime {
             config_base: 0,
         };
         self.tick += 1;
-        self.controller_cycles += self.cfg.tick_cycles;
+        self.controller_cycles += TICK_CYCLES;
         let findings_before = self.temporal_findings().len();
         for (phase, run) in TICK_PHASES {
             self.run_phase(phase, run, &mut ctx)?;
@@ -777,9 +779,7 @@ impl ServeRuntime {
     /// — and each moved tenant is [relocated](ServeRuntime::relocate).
     fn maintenance(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         let tick = ctx.tick;
-        let steps = self
-            .cluster
-            .drain_tick(&self.cfg.drain_policy, &self.cfg.drain_budget);
+        let steps = self.cluster.drain_tick(&self.cfg.drain_budget);
         for (chip, step) in steps {
             for m in &step.moved {
                 self.relocate(m.from, m.to);
@@ -807,10 +807,10 @@ impl ServeRuntime {
     /// Tick phase ([`Phase::Defrag`]), optional: when a policy is
     /// configured and the interval is due, [`Cluster::defrag_pass`] plans
     /// per schedulable chip from the cluster's memoized snapshots and
-    /// commits under the budget, pausing each migrated tenant on its
-    /// chip's machine for the next epoch. Committed passes book the
-    /// recovered fragmentation against the before-picture read from the
-    /// memo when the pass was due. The interval is anchored to
+    /// commits under the default per-chip budget, pausing each migrated
+    /// tenant on its chip's machine for the next epoch. Committed passes
+    /// book the recovered fragmentation against the before-picture read
+    /// from the memo when the pass was due. The interval is anchored to
     /// the first completed admission tick: before any placement exists a
     /// pass can only waste work, and an anchor of tick 0 would skew
     /// `defrag_interval`-relative accounting for traffic that starts
@@ -828,7 +828,7 @@ impl ServeRuntime {
         let before: Vec<FragmentationStats> = (0..self.cluster.chip_count())
             .map(|chip| self.cluster.snapshot_cached(chip).frag)
             .collect();
-        let receipts = self.cluster.defrag_pass(defrag, &self.cfg.defrag_budget)?;
+        let receipts = self.cluster.defrag_pass(defrag)?;
         for (chip, receipt) in receipts {
             if receipt.migration_count() == 0 {
                 continue;
@@ -1014,12 +1014,11 @@ impl ServeRuntime {
     /// ([`FaultDetector::tenant_affected`]) joins the pending-recovery
     /// queue, in [`ClusterVmId`] order; every pending tenant then gets
     /// one recovery attempt in the same deterministic order:
-    /// remap-under-pin on its own chip under
-    /// [`RecoveryPolicy::remap_strategy`], else an emergency cross-chip
-    /// re-placement (chips in index order), else it stays pending until
-    /// [`RecoveryPolicy::max_recovery_ticks`] ticks after detection, when
-    /// it is retired as lost. A pending tenant whose fault is repaired
-    /// under it self-heals without moving.
+    /// remap-under-pin on its own chip under a similar-topology strategy
+    /// (200 candidates), else an emergency cross-chip re-placement (chips
+    /// in index order), else it stays pending until `MAX_RECOVERY_TICKS`
+    /// (8) ticks after detection, when it is retired as lost. A pending
+    /// tenant whose fault is repaired under it self-heals without moving.
     fn recovery(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         if self.cfg.fault_plan.is_empty() && self.pending_recovery.is_empty() {
             return Ok(());
@@ -1078,7 +1077,9 @@ impl ServeRuntime {
             .map(|(&id, &since)| (id, since))
             .collect();
         for (id, since) in pending {
-            // Departed while pending: the outage resolved itself.
+            // Evacuated by a drain while pending (a retirement drops the
+            // entry): the tenant lives on under a new identity, which the
+            // sweep re-detects if its new spot is affected too.
             if !self.live.contains_key(&id) {
                 self.pending_recovery.remove(&id);
                 continue;
@@ -1106,7 +1107,7 @@ impl ServeRuntime {
             //     emergency re-placement.
             if let Ok(cost) = self
                 .cluster
-                .recover_in_place(id, &self.cfg.recovery.remap_strategy)
+                .recover_in_place(id, &recovery_remap_strategy())
             {
                 // Paid even when the remap fails to escape a link fault
                 // — the report books *paid* costs, so the emission is
@@ -1144,8 +1145,7 @@ impl ServeRuntime {
                 continue;
             }
             // (c) Nowhere to go: lost after the deadline, else pending.
-            if tick - since >= self.cfg.recovery.max_recovery_ticks {
-                self.pending_recovery.remove(&id);
+            if tick - since >= MAX_RECOVERY_TICKS {
                 self.temporal.emit(TraceEvent::TenantLost {
                     tick,
                     chip: id.chip,
@@ -1363,8 +1363,10 @@ impl ServeRuntime {
         }
     }
 
+    /// Tears a live tenant down, dropping any recovery it was pending.
     fn retire(&mut self, id: ClusterVmId, tick: u64) -> Result<(), vnpu::VnpuError> {
         self.live.remove(&id).expect("retire() only on live vms");
+        self.pending_recovery.remove(&id);
         self.cluster.destroy(id)?;
         self.temporal.emit(TraceEvent::Departed {
             tick,
@@ -1791,10 +1793,25 @@ mod tests {
         assert_eq!(baseline.migrations, 0, "no defragmenter, no migrations");
         assert_eq!(baseline.reconfig, ReconfigCost::default());
 
+        // Every pass is held to the default budget, which no config field
+        // states: on this one-chip fleet no tick may book more migrations
+        // than it admits. Returns the report and the most one tick booked.
+        let cap = ReconfigBudget::default().max_migrations as u64;
+        let run_capped = |cfg: &ServeConfig| {
+            let mut rt = ServeRuntime::new(cfg.clone());
+            let mut most = 0;
+            for _ in 0..cfg.epochs {
+                let ev = rt.step().unwrap();
+                assert!(ev.migrations <= cap, "tick {}: {}", ev.tick, ev.migrations);
+                most = most.max(ev.migrations);
+            }
+            rt.drain().unwrap();
+            (rt.report(), most)
+        };
         let mut cfg = quick_cfg(13);
         cfg.defrag = Some(Arc::new(GreedyDefrag::default()));
-        let defragged = ServeRuntime::new(cfg.clone()).run().unwrap();
-        let again = ServeRuntime::new(cfg).run().unwrap();
+        let (defragged, _) = run_capped(&cfg);
+        let again = ServeRuntime::new(cfg.clone()).run().unwrap();
         assert_eq!(defragged, again, "defrag runs must stay deterministic");
         assert!(
             defragged.migrations > 0,
@@ -1821,6 +1838,40 @@ mod tests {
         assert_eq!(defragged.submitted, baseline.submitted);
         assert_eq!(defragged.leaked_cores, 0);
         assert_eq!(defragged.leaked_hbm_bytes, 0);
+
+        // A policy that ignores the budget is held to it all the same, and
+        // among thirty-odd single-core tenants of mixed HBM sizes the cap
+        // binds.
+        cfg.traffic.mix = vec![(1, Shape::Mesh(1, 1))];
+        cfg.traffic.mem_choices = vec![16 << 20, 32 << 20, 64 << 20];
+        cfg.traffic.mean_interarrival_ticks = 1;
+        cfg.traffic.mean_lifetime_epochs = 30;
+        cfg.defrag = Some(Arc::new(CompactEveryone));
+        let (compacted, most) = run_capped(&cfg);
+        assert_eq!(most, cap, "{}", compacted.summary());
+        assert_eq!(compacted.leaked_hbm_bytes, 0);
+    }
+
+    /// A defragmenter that ignores its budget: every pass proposes an HBM
+    /// compaction of every live tenant.
+    #[derive(Debug)]
+    struct CompactEveryone;
+
+    impl Defragmenter for CompactEveryone {
+        fn plan(
+            &self,
+            hv: &Hypervisor,
+            _stats: &vnpu::admission::FragmentationStats,
+            _budget: &ReconfigBudget,
+            _cache: &mut vnpu_topo::cache::MappingCache,
+        ) -> Vec<vnpu::plan::PlanOp> {
+            hv.vnpus()
+                .map(|(&vm, _)| vnpu::plan::PlanOp::Migrate {
+                    vm,
+                    to: vnpu::plan::MigrationTarget::CompactMemory,
+                })
+                .collect()
+        }
     }
 
     /// A defragmenter that proposes nothing but counts its invocations.
@@ -1828,9 +1879,6 @@ mod tests {
     struct CountingDefrag(std::sync::atomic::AtomicU64);
 
     impl Defragmenter for CountingDefrag {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
         fn plan(
             &self,
             _hv: &Hypervisor,
@@ -2156,7 +2204,7 @@ mod tests {
         );
         assert_eq!(r.per_chip[1].degraded_ticks, 0);
         assert!(
-            r.mttr_max_ticks <= cfg.recovery.max_recovery_ticks,
+            r.mttr_max_ticks <= MAX_RECOVERY_TICKS,
             "the recovery deadline bounds MTTR: {}",
             r.mttr_max_ticks
         );
@@ -2176,7 +2224,7 @@ mod tests {
     fn unplaceable_tenants_are_lost_at_the_deadline() {
         // A single chip packed with long-lived tenants loses a row
         // permanently: affected tenants have no remap window and no other
-        // chip, so after max_recovery_ticks they are declared lost. Dead
+        // chip, so after MAX_RECOVERY_TICKS they are declared lost. Dead
         // cores are dead hardware, not leaks.
         let mut cfg = ServeConfig::standard(47, 80);
         cfg.traffic.candidate_cap = 200;
@@ -2208,6 +2256,35 @@ mod tests {
         );
         let again = ServeRuntime::new(cfg).run().unwrap();
         assert_eq!(r, again, "loss declarations are deterministic");
+    }
+
+    #[test]
+    fn final_drain_clears_pending_recoveries() {
+        // One 2x2 tenant fills a 2x2 chip and loses a core for good: it
+        // has no remap window and no other chip, so it is still pending
+        // when the run ends before its deadline. The final drain retires
+        // it, and no recovery may stay pending behind it.
+        let chip = SocConfig {
+            mesh_width: 2,
+            mesh_height: 2,
+            ..SocConfig::sim()
+        };
+        let mut cfg = ServeConfig::cluster(5, 12, vec![chip]);
+        cfg.traffic.mean_interarrival_ticks = 1;
+        cfg.traffic.mean_lifetime_epochs = 10_000;
+        cfg.traffic.mix = vec![(1, Shape::Mesh(2, 2))];
+        cfg.fault_plan = FaultPlan::new().core_fault(0, 0, 10, None);
+        let mut rt = ServeRuntime::new(cfg);
+        let mut pending = 0;
+        for _ in 0..12 {
+            pending = rt.step().unwrap().recoveries_pending;
+        }
+        assert_eq!((rt.live_count(), pending), (1, 1), "stranded, not lost");
+        rt.drain().unwrap();
+        let r = rt.report();
+        assert_eq!(rt.live_count(), 0);
+        assert_eq!(r.recoveries_pending, 0, "{}", r.summary());
+        assert_eq!(r.tenants_lost, 0, "a retirement is not a loss");
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub struct CheckerConfig {
     /// residents remaining) before the drain counts as stalled.
     pub drain_stall_ticks: u64,
     /// `TEMP-FAULT`: a detected outage must resolve (recovered, lost,
-    /// or departed) within this many ticks — mirror of the serve
-    /// policy's `max_recovery_ticks`.
+    /// or departed) within this many ticks — mirror of the serve loop's
+    /// recovery deadline.
     pub max_recovery_ticks: u64,
 }
 

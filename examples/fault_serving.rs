@@ -3,13 +3,13 @@
 //!
 //! The fault lifecycle is driven entirely by the serve loop's recovery
 //! phase: the seeded `FaultPlan` lands its onsets, the `FaultDetector`
-//! maps each dead resource to the tenants it affects, and the
-//! `RecoveryPolicy` resolves every one — remap-under-pin on the wounded
-//! chip where a window exists, emergency cross-chip re-placement
-//! otherwise, self-heal if the repair beats the recovery. While any
-//! fault is active the chip serves degraded (slower fault-tolerant
-//! router arbitration), and a tenant with no way out is declared lost
-//! at the recovery deadline — never leaked.
+//! maps each dead resource to the tenants it affects, and the phase
+//! resolves every one — remap-under-pin on the wounded chip where a
+//! window exists, emergency cross-chip re-placement otherwise, self-heal
+//! if the repair beats the recovery. While any fault is active the chip
+//! serves degraded (slower fault-tolerant router arbitration), and a
+//! tenant with no way out is declared lost eight ticks after detection
+//! — never leaked.
 //!
 //! Run with:
 //!

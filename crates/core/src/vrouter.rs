@@ -275,6 +275,10 @@ fn confined_or_dor(
 mod tests {
     use super::*;
     use crate::ids::VmId;
+    use vnpu_mem::translate::PhysicalTranslator;
+    use vnpu_sim::machine::CoreServices;
+    use vnpu_sim::noc::DorRouter;
+    use vnpu_sim::{Instr, Machine, Program, SocConfig};
     use vnpu_topo::MeshShape;
 
     #[test]
@@ -361,5 +365,140 @@ mod tests {
     fn per_packet_overhead_is_one_cycle() {
         let r = fig5_router(RoutePolicy::Dor);
         assert_eq!(r.per_packet_overhead(), 1);
+    }
+
+    /// Sends a virtual core issues each iteration, as `(destination offset,
+    /// bytes)`: one destination again and again, two alternating, empty
+    /// sends around full ones, and — at offset 3 on the two-core pair — a
+    /// self-send.
+    const PATTERNS: [&[(u32, u64)]; 4] = [
+        &[(1, 4096), (1, 2048), (1, 100)],
+        &[(1, 2048), (2, 3000), (1, 2048), (2, 0), (1, 5000)],
+        &[(1, 0), (1, 4096), (1, 0), (2, 0), (2, 700)],
+        &[(2, 9000), (2, 9000), (3, 2048), (2, 1)],
+    ];
+
+    /// On a 4x4 mesh: a U whose confined routes go round the cores 1 and 5
+    /// that its DOR routes cross, an L, and a pair.
+    const LAYOUTS: [&[u32]; 3] = [&[0, 4, 8, 9, 10, 6, 2], &[3, 7, 11, 15, 14, 13], &[1, 5]];
+
+    /// One machine's outcome: every tenant's stats and the NoC counters,
+    /// or the error text. `case` picks the link faulted before the epoch
+    /// (none, one the U's routes cross, one only DOR routes cross), a
+    /// second thread under a virtual core ID, and a send to a destination
+    /// the tenant does not have.
+    fn ring_outcome(router: usize, pattern: usize, case: usize, iterations: u32) -> String {
+        let cfg = SocConfig {
+            mesh_width: 4,
+            mesh_height: 4,
+            flow_credit_bytes: 1 << 20,
+            ..SocConfig::fpga()
+        };
+        let topo = Arc::new(Topology::mesh2d(4, 4));
+        let mut machine = Machine::new(cfg.clone());
+        if let Some((a, b)) = [None, Some((4, 8)), Some((1, 2))][case % 3] {
+            machine.fault_link(a, b).unwrap();
+        }
+        for (l, &v2p) in LAYOUTS.iter().enumerate() {
+            let tenant = machine.add_tenant("ring");
+            let n = v2p.len() as u32;
+            // The first layout runs the router under test, the others DOR
+            // on physical IDs, where a program names physical cores.
+            let kind = if l == 0 { router } else { 0 };
+            let id = |v: u32| if kind == 0 { v2p[v as usize] } else { v };
+            let services = || {
+                let router: Box<dyn NocRouter> = match kind {
+                    0 => Box::new(DorRouter::new(&cfg)),
+                    _ => {
+                        let policy = [RoutePolicy::Dor, RoutePolicy::Confined][kind - 1];
+                        let mut r = VRouterNoc::new(topo.clone(), v2p.to_vec(), policy);
+                        r.precompute_paths();
+                        Box::new(r)
+                    }
+                };
+                CoreServices {
+                    router,
+                    translator: Box::new(PhysicalTranslator::new()),
+                    limiter: None,
+                }
+            };
+            let sends = |v: u32| PATTERNS[(pattern + v as usize) % PATTERNS.len()];
+            for v in 0..n {
+                let mut body: Vec<Instr> = sends(v)
+                    .iter()
+                    .map(|&(off, bytes)| Instr::send(id((v + off) % n), bytes, 0))
+                    .collect();
+                for src in 0..n {
+                    let inbound: u64 = sends(src)
+                        .iter()
+                        .filter(|&&(off, _)| (src + off) % n == v)
+                        .map(|&(_, bytes)| bytes)
+                        .sum();
+                    if inbound > 0 {
+                        body.push(Instr::recv(id(src), inbound, 0));
+                    }
+                }
+                if l == 0 && v == n - 1 && case / 6 == 1 {
+                    // A destination the tenant does not have.
+                    body.push(Instr::send(id(n - 1) + 16, 64, 0));
+                }
+                let phys = v2p[v as usize];
+                let program = Program::looped(vec![], body, iterations);
+                (machine.bind_with(phys, tenant, id(v), program, services())).unwrap();
+            }
+            if l == 0 && case / 3 % 2 == 1 {
+                // A second thread under virtual core 0, on core 12 outside
+                // the allocation: its sends join core 0's flows.
+                let body = vec![Instr::send(id(2), 2048, 0), Instr::send(id(2), 0, 0)];
+                let program = Program::looped(vec![], body, iterations);
+                (machine.bind_with(12, tenant, id(0), program, services())).unwrap();
+            }
+        }
+        match machine.run() {
+            Ok(report) => format!(
+                "{} {:?} {} {}",
+                report.makespan(),
+                report.tenants(),
+                report.noc_contention_cycles(),
+                report.noc_packets()
+            ),
+            Err(error) => format!("error: {error}"),
+        }
+    }
+
+    #[test]
+    fn route_reuse_matches_routing_every_send() {
+        // Every outcome, folded, and every error text, as the simulator
+        // gave them when it routed every send; builds with debug
+        // assertions also re-route each reused send and compare slots.
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        let mut errors = std::collections::BTreeSet::new();
+        for router in 0..3 {
+            for pattern in 0..PATTERNS.len() {
+                for case in 0..12 {
+                    for iterations in [1, 3] {
+                        let outcome = ring_outcome(router, pattern, case, iterations);
+                        for byte in outcome.bytes() {
+                            fold = (fold ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                        }
+                        if let Some(text) = outcome.strip_prefix("error: ") {
+                            errors.insert(text.to_owned());
+                        }
+                    }
+                }
+            }
+        }
+        let errors: Vec<&str> = errors.iter().map(String::as_str).collect();
+        assert_eq!(fold, 6_870_036_314_249_117_706);
+        assert_eq!(
+            errors,
+            [
+                "NoC link 2 \u{2192} 1 is faulted",
+                "NoC link 4 \u{2192} 8 is faulted",
+                "NoC link 8 \u{2192} 4 is faulted",
+                "core 2 cannot route to program destination 18",
+                "core 2 cannot route to program destination 22",
+            ]
+        );
     }
 }

@@ -164,7 +164,9 @@ fn trace_rows(cfg: &SocConfig, model: &ModelGraph, cores: u32) -> Vec<Vec<String
     (0..cores.min(6))
         .map(|v| {
             let phys = vnpu_ref.phys_core(vnpu::VirtCoreId(v)).unwrap();
-            let tr = report.core_trace(phys);
+            let tr = report
+                .core_trace(phys)
+                .expect("a placed core is on the chip");
             vec![
                 format!("v{v}(p{phys})"),
                 format!(

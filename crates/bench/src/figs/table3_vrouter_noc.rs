@@ -36,6 +36,7 @@ fn measure(cfg: &SocConfig, packets: u64, virtualized: bool) -> (u64, u64) {
     let sender_phys = hv.vnpu(vm).unwrap().phys_core(vnpu::VirtCoreId(0)).unwrap();
     let send_end = report
         .core_trace(sender_phys)
+        .expect("a placed core is on the chip")
         .intervals()
         .iter()
         .filter(|(_, _, a)| *a == Activity::Send)

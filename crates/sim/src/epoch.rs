@@ -21,6 +21,44 @@
 //! The event loop itself also lives here: it is the part of the machine
 //! that only ever touches one epoch.
 //!
+//! # The event queue
+//!
+//! Events pop in `(time, seq)` order, `seq` drawn when the event is
+//! queued, so of two events on one cycle the one queued first goes first.
+//! Most events are a thread readying itself for its next instruction
+//! (`finish_instr`), and that event is often the earliest pending one — a
+//! thread computing kernel after kernel on its own core. So the queue
+//! (`EventQueue`) keeps the event pushed last outside its binary heap. A
+//! push moves the kept event into the heap. A pop returns the kept event
+//! when nothing in the heap is earlier, without touching the heap, and
+//! otherwise swaps it for the heap's top in one sift. Keys are unique (a
+//! wake reuses the number of its packet, which no other event holds), so
+//! the pop order is exactly the heap's.
+//!
+//! Booking a thread's run of computes in one step instead would not be
+//! exact: the run would draw its successor's `seq` before the events that
+//! other threads queue in between, and a same-cycle tie would flip. The
+//! kept event captures the case in which a run is exact — the thread's next
+//! event is the earliest one.
+//!
+//! # Routes are reused
+//!
+//! A `Send` resolves its destination through the thread's router, asks
+//! the router for the path, and checks every hop into link slots
+//! ([`crate::noc::Noc::route`]). The path depends only on the two physical
+//! cores and what the router was deployed with, and no link fails or heals
+//! during [`Machine::run`]. So a thread keeps the checked slots of its
+//! last physical destination for the run, and a `Send` to the same core
+//! books on them directly — the host-side twin of the vRouter's
+//! last-destination cache (§4.1: "subsequent instructions do not need to
+//! query the routing table again"). `resolve` still runs on every `Send`,
+//! since its lookup cost depends on the router's own cache. An empty
+//! `Send` routes nothing and leaves the kept slots alone. Errors come where
+//! they did: a path the router refuses fails before the send's cycle-budget
+//! check, a missing or faulted hop after it, and a kept route has passed
+//! both. Builds with debug assertions route every reused `Send` again and
+//! assert the same slots.
+//!
 //! # Packet arrivals are not events
 //!
 //! A packet's arrival time is known the moment `Send` streams it, and an
@@ -112,6 +150,7 @@ use crate::compute::kernel_cycles;
 use crate::controller;
 use crate::isa::{Instr, Program};
 use crate::machine::{Machine, TenantId};
+use crate::noc::Route;
 use crate::stats::{Activity, CoreTrace, Report, TenantStats};
 use crate::{Result, SimError};
 use std::collections::hash_map::Entry;
@@ -264,6 +303,10 @@ pub(crate) struct ThreadState {
     pub macs: u64,
     pub consumed_flags: HashMap<u32, u64>,
     pub blocked: Option<Blocked>,
+    /// The checked link slots to `route_dst`, the physical core this
+    /// thread's last routed `Send` went to (see the module docs).
+    pub route: Route,
+    pub route_dst: Option<u32>,
 }
 
 /// Why a thread is parked. Recorded on every blocking instruction but
@@ -336,13 +379,45 @@ impl PartialOrd for QueuedEvent {
     }
 }
 
+/// The pending events: a heap, and the event pushed last held outside it
+/// (see the module docs). Pops in the heap's `(time, seq)` order.
+#[derive(Debug, Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<QueuedEvent>,
+    last: Option<QueuedEvent>,
+}
+
+impl EventQueue {
+    pub(crate) fn push(&mut self, event: QueuedEvent) {
+        if let Some(older) = self.last.replace(event) {
+            self.heap.push(older);
+        }
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
+        let Some(last) = self.last.take() else {
+            return self.heap.pop();
+        };
+        match self.heap.peek_mut() {
+            // The order is reversed: the greater event is the earlier.
+            Some(mut top) if *top > last => Some(std::mem::replace(&mut *top, last)),
+            _ => Some(last),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.last = None;
+    }
+}
+
 /// Everything one workload batch puts on the machine. Emptied in place
 /// (capacity kept) by [`Machine::finish_epoch`]; the chip state is not
 /// touched.
 #[derive(Debug)]
 pub(crate) struct EpochState {
     pub threads: Vec<ThreadState>,
-    pub queue: BinaryHeap<QueuedEvent>,
+    pub queue: EventQueue,
     pub seq: u64,
     pub now: u64,
     /// Sequence number of the event being handled: with `now`, the point
@@ -384,7 +459,7 @@ impl EpochState {
     pub(crate) fn new(core_count: usize) -> Self {
         EpochState {
             threads: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             seq: 0,
             now: 0,
             cur_seq: 0,
@@ -648,6 +723,7 @@ impl Machine {
     pub(crate) fn run_events(&mut self) -> Result<u64> {
         // Kick off every thread at its controller-dispatch offset.
         for t in 0..self.epoch.threads.len() {
+            self.epoch.threads[t].route_dst = None;
             let core = self.epoch.threads[t].phys_core;
             let offset = controller::dispatch_latency(
                 self.config(),
@@ -957,7 +1033,18 @@ impl Machine {
             .resolve(dst)
             .map_err(|_| SimError::RouteFault { core: phys, dst })?;
         let per_packet = router.per_packet_overhead();
-        let path = router.path(phys, dst_phys)?;
+        // The thread keeps the route of its last destination for the run
+        // (see the module docs).
+        let th = &mut self.epoch.threads[t];
+        let reuse = th.route_dst == Some(dst_phys);
+        #[cfg(debug_assertions)]
+        if reuse {
+            let mut fresh = Route::default();
+            let path = router.path(phys, dst_phys);
+            let routed = path.and_then(|path| self.noc.route(path, &mut fresh));
+            assert_eq!((routed, &fresh), (Ok(()), &th.route), "route to {dst_phys}");
+        }
+        let path = (!reuse).then(|| router.path(phys, dst_phys)).transpose()?;
         // The thread only programs the engine; streaming is asynchronous.
         let engine_ready = now + send_setup + lookup;
         let mut depart = engine_ready.max(engine_busy_until);
@@ -975,13 +1062,16 @@ impl Machine {
         }
         // Every hop is checked before a packet is booked; an empty send
         // books none, so it crosses no link.
-        if bytes > 0 {
-            self.noc.route(path, &mut self.route)?;
+        if let Some(path) = path.filter(|_| bytes > 0) {
+            th.route_dst = None;
+            self.noc.route(path, &mut th.route)?;
+            th.route_dst = Some(dst_phys);
         }
         let mut off = 0u64;
         while off < bytes {
             let len = packet_bytes.min(bytes - off);
-            let timing = self.noc.send_on(&self.route, len, depart + per_packet);
+            let route = &self.epoch.threads[t].route;
+            let timing = self.noc.send_on(route, len, depart + per_packet);
             let mut next = timing.injected_at + packet_overhead;
             let arrival = timing.arrived_at + packet_overhead;
             if arrival > limit {
@@ -995,7 +1085,7 @@ impl Machine {
             let train = if full == 0
                 || timing.waited
                 || self.epoch.send_per_packet
-                || self.route.repeats_a_link()
+                || route.repeats_a_link()
             {
                 0
             } else {
@@ -1006,7 +1096,7 @@ impl Machine {
                 if arrival.checked_add(span).is_none_or(|last| last > limit) {
                     return Err(over());
                 }
-                self.noc.send_train(&self.route, len, train, stride);
+                self.noc.send_train(route, len, train, stride);
                 next += span;
                 off += train * len;
             }
@@ -1307,7 +1397,7 @@ mod tests {
     /// Everything a report holds, rendered.
     fn fingerprint(report: &Report) -> String {
         let traces: Vec<_> = (0..8)
-            .map(|core| report.core_trace(core).intervals())
+            .map(|core| report.core_trace(core).unwrap().intervals())
             .collect();
         format!(
             "{} {:?} {traces:?} {} {} {} {:?}",
@@ -1639,6 +1729,75 @@ mod tests {
         );
     }
 
+    #[test]
+    fn event_queue_pops_in_heap_order() {
+        // (kind, delay, how far back a reused sequence number reaches):
+        // four kinds in six push, one in three of those under an older
+        // sequence number, as a wake does under its packet's.
+        let op = (range(0u32..6), range(0u64..40), range(1u64..30));
+        let [from_slot, swapped, reused] = [(); 3].map(|()| Cell::new(0u32));
+        let count = |c: &Cell<u32>| c.set(c.get() + 1);
+        check(
+            "event_queue_pops_in_heap_order",
+            512,
+            vec_of(op, 1..300),
+            |ops| {
+                let (mut queue, mut heap) = (EventQueue::default(), BinaryHeap::new());
+                let (mut seq, popped, mut keys) = (0u64, Cell::new((0u64, 0u64)), Vec::new());
+                let pop = |queue: &mut EventQueue, heap: &mut BinaryHeap<QueuedEvent>| {
+                    let last = queue.last.as_ref().map(|e| (e.time, e.seq));
+                    let event = queue.pop();
+                    prop_assert_eq!(&event, &heap.pop());
+                    let Some(event) = event else {
+                        return Ok(false);
+                    };
+                    popped.set((event.time, event.seq));
+                    match last {
+                        Some(key) if key == popped.get() => count(&from_slot),
+                        Some(_) => count(&swapped),
+                        None => {}
+                    }
+                    Ok(true)
+                };
+                for &(kind, delay, back) in ops {
+                    if kind >= 4 {
+                        pop(&mut queue, &mut heap)?;
+                        continue;
+                    }
+                    // Never earlier than the last pop: a fresh number is
+                    // the largest yet, a reused one comes a cycle later.
+                    let (key, event) = if kind == 3 && seq > back {
+                        let key = (popped.get().0 + delay.max(1), seq - back);
+                        (key, Event::FlowWake(back as usize))
+                    } else {
+                        seq += 1;
+                        (
+                            (popped.get().0 + delay, seq),
+                            Event::ThreadReady(kind as usize),
+                        )
+                    };
+                    if keys.contains(&key) {
+                        continue;
+                    }
+                    keys.push(key);
+                    if kind == 3 && key.1 < seq {
+                        count(&reused);
+                    }
+                    let (time, seq) = key;
+                    queue.push(QueuedEvent { time, seq, event });
+                    heap.push(QueuedEvent { time, seq, event });
+                }
+                while pop(&mut queue, &mut heap)? {}
+                Ok(())
+            },
+        );
+        assert!(
+            [&from_slot, &swapped, &reused].iter().all(|c| c.get() > 0),
+            "{from_slot:?} pops from the slot, {swapped:?} swapped with the heap top, \
+             {reused:?} pushes under an older sequence number"
+        );
+    }
+
     /// Runs the same bindings lazily and eagerly, asserting one outcome.
     fn both(cfg: &SocConfig, bind: impl Fn(&mut Machine)) -> Result<Report> {
         let mut lazy = Machine::new(cfg.clone());
@@ -1774,6 +1933,7 @@ mod tests {
             let report = run(swap);
             let waits: Vec<u64> = report
                 .core_trace(3)
+                .unwrap()
                 .intervals()
                 .iter()
                 .filter(|(_, _, what)| *what == Activity::RecvWait)

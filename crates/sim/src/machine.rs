@@ -119,9 +119,6 @@ pub struct Machine {
     cfg: SocConfig,
     cores: Vec<CoreState>,
     pub(crate) noc: Noc,
-    /// The path of the `Send` being streamed, as link slots; one buffer
-    /// for every `Send`.
-    pub(crate) route: Route,
     pub(crate) hbm: Hbm,
     pub(crate) tenant_names: HashMap<TenantId, String>,
     next_tenant: TenantId,
@@ -179,7 +176,6 @@ impl Machine {
         let n = cfg.core_count() as usize;
         Machine {
             noc: Noc::new(&cfg),
-            route: Route::default(),
             hbm: Hbm::new(&cfg),
             cores: (0..n).map(|_| CoreState::default()).collect(),
             tenant_names: HashMap::new(),
@@ -553,6 +549,10 @@ impl Machine {
         core.footprint += program.footprint_bytes;
         core.thread_count += 1;
         *self.epoch.tenant_threads.entry(tenant).or_insert(0) += 1;
+        // Each instruction the program runs pushes at most one interval.
+        let body = (program.body.len() as u64).saturating_mul(u64::from(program.iterations));
+        let runs = body.saturating_add(program.prelude.len() as u64);
+        self.epoch.traces[phys_core as usize].reserve(runs);
         let phase = if program.prelude.is_empty() {
             if program.body.is_empty() || program.iterations == 0 {
                 Phase::Done
@@ -575,6 +575,8 @@ impl Machine {
             macs: 0,
             consumed_flags: HashMap::new(),
             blocked: None,
+            route: Route::default(),
+            route_dst: None,
         });
         self.services.push(services);
         Ok(())

@@ -19,6 +19,10 @@ pub enum Activity {
     Dma,
 }
 
+/// The most intervals a bound program reserves room for on its core's
+/// trace (1.5 MiB): a longer one grows its trace by doubling.
+pub(crate) const TRACE_RESERVE_CAP: u64 = 1 << 16;
+
 /// Activity intervals of one physical core.
 #[derive(Debug, Clone, Default)]
 pub struct CoreTrace {
@@ -36,6 +40,12 @@ impl CoreTrace {
     /// Forgets every interval, keeping the buffer for the next epoch.
     pub(crate) fn clear(&mut self) {
         self.intervals.clear();
+    }
+
+    /// Makes room for `intervals` more, up to [`TRACE_RESERVE_CAP`].
+    pub(crate) fn reserve(&mut self, intervals: u64) {
+        let room = intervals.min(TRACE_RESERVE_CAP) as usize;
+        self.intervals.reserve(room);
     }
 
     /// All recorded intervals in insertion order.
@@ -192,9 +202,10 @@ impl Report {
         t.macs as f64 / peak
     }
 
-    /// Activity trace of a physical core.
-    pub fn core_trace(&self, core: u32) -> &CoreTrace {
-        &self.traces[core as usize]
+    /// Activity trace of a physical core, or `None` for a core the chip
+    /// does not have.
+    pub fn core_trace(&self, core: u32) -> Option<&CoreTrace> {
+        self.traces.get(core as usize)
     }
 
     /// Cycles packets spent queued behind busy NoC links.
@@ -231,6 +242,42 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Instr, Machine, Program, SimError};
+
+    #[test]
+    fn hostile_iteration_counts_reserve_bounded_traces() {
+        // u32::MAX passes over 4 096 instructions would reserve more
+        // intervals than memory holds: the reservation stops at the cap,
+        // and the run at the cycle budget.
+        let limit = 200_000;
+        let mut m = Machine::new(SocConfig {
+            max_cycles: limit,
+            ..SocConfig::fpga()
+        });
+        let t = m.add_tenant("guest");
+        let body = vec![Instr::matmul(16, 16, 16); 4096];
+        m.bind(
+            3,
+            t,
+            0,
+            Program::looped(vec![Instr::matmul(8, 8, 8)], body, u32::MAX),
+        )
+        .unwrap();
+        let reserved = m.epoch.traces[3].intervals.capacity() as u64;
+        assert!((TRACE_RESERVE_CAP..2 * TRACE_RESERVE_CAP).contains(&reserved));
+        assert_eq!(m.run().unwrap_err(), SimError::CycleLimit { limit });
+    }
+
+    #[test]
+    fn a_core_off_the_chip_has_no_trace() {
+        let mut m = Machine::new(SocConfig::fpga());
+        let t = m.add_tenant("t");
+        m.bind(7, t, 0, Program::once(vec![Instr::matmul(16, 16, 16)]))
+            .unwrap();
+        let report = m.run().unwrap();
+        assert_eq!(report.core_trace(7).unwrap().intervals().len(), 1);
+        assert!(report.core_trace(8).is_none() && report.core_trace(u32::MAX).is_none());
+    }
 
     #[test]
     fn trace_accounting() {

@@ -115,10 +115,16 @@ section "scripts/loc.sh (non-test source size)"
 # planning body kept as the crate-private `drain::plan_step`), the
 # `ServeConfig` fields `tick_cycles`, `defrag_budget`, `drain_policy` and
 # `recovery`, `defrag_pass`'s budget parameter, `Defragmenter::name`, and
-# `vnpu_fault::RecoveryPolicy`.
+# `vnpu_fault::RecoveryPolicy`. The workspace then took the net 52 lines
+# of the simulator's event loop — the event queue that keeps the event
+# pushed last outside its heap, each thread's reused route to its last
+# destination (less the machine's shared route buffer), bind-sized
+# activity traces, and `Report::core_trace` returning `None` off the chip
+# with its two figure callers — which raised `paper_static`'s `ops_per_s`
+# by 30% in paired runs.
 CORE_SERVE_CODE_MAX=4674
 TOPO_CODE_MAX=2250
-WORKSPACE_CODE_MAX=15568
+WORKSPACE_CODE_MAX=15620
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -136,6 +142,23 @@ if [ "$workspace_code" -gt "$WORKSPACE_CODE_MAX" ]; then
   echo "verify: FAIL (workspace is $workspace_code code lines, ratchet is $WORKSPACE_CODE_MAX)"
   exit 1
 fi
+
+section "benchmark trajectory"
+# Every `BENCH_*.json` at the root is a point of the trajectory: a full
+# `benchmark/` suite (`run --seed 29`) from a committed revision. A smoke
+# run, a file without the `git_rev` stamp or one at another seed fails
+# here. The stamp's keys sit on lines of their own, and come before the
+# results, so the first match of each is the stamp's.
+stamp() { { grep -m1 -E "^[[:space:]]*\"$2\": " "$1" || true; } | sed -E 's/^[^:]*: //; s/,$//'; }
+for bench in BENCH_*.json; do
+  [ -e "$bench" ] || continue
+  smoke=$(stamp "$bench" smoke) seed=$(stamp "$bench" seed) rev=$(stamp "$bench" git_rev)
+  if [ "$smoke" != false ] || [ "$seed" != 29 ] || ! [[ "$rev" =~ ^\"[0-9a-f]{40}\"$ ]]; then
+    echo "verify: FAIL ($bench: smoke ${smoke:-missing}, seed ${seed:-missing}, git_rev ${rev:-missing})"
+    exit 1
+  fi
+  echo "benchmark trajectory: $bench is a full seed-29 run of $rev"
+done
 
 section "serve knobs"
 # A new choice reaches the serve loop through a seam that already has a
@@ -349,6 +372,23 @@ cargo test -p vnpu_mem -q miss_run -- --nocapture
 # wake times. It fails unless trains were booked and every such case was
 # reached.
 cargo test -p vnpu_sim -q send_trains_match_the_per_packet_reference -- --nocapture
+# The event queue keeps the event pushed last outside its heap and pops it
+# without touching the heap when it is the earliest. The campaign drives
+# the queue and a plain `BinaryHeap` through random pushes and pops, with
+# unique keys never earlier than the last pop and some pushes under an
+# older sequence number (as a wake is queued under its packet's): the two
+# pop sequences must be identical, and it fails unless pops came from the
+# kept event, swapped it with the heap top, and older numbers were pushed.
+cargo test -p vnpu_sim -q event_queue_pops_in_heap_order -- --nocapture
+# A thread reuses the checked link slots of its last physical destination.
+# Builds with debug assertions route every reused send again and assert
+# the same slots; the test drives DOR-on-physical-ID rings and VRouterNoc
+# rings (DOR and confined) through repeated and alternating destinations,
+# empty sends and self-sends, two threads under one virtual core ID, a
+# destination the tenant does not have and links faulted before the
+# epoch, and holds every outcome and error text to the ones taken when
+# every send was routed.
+cargo test -p vnpu -q route_reuse_matches_routing_every_send -- --nocapture
 
 section "audit gate"
 # The fleet audit runs after every audited tick over flat arrays: paths

@@ -388,13 +388,13 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub(crate) fn push(&mut self, event: QueuedEvent) {
+    fn push(&mut self, event: QueuedEvent) {
         if let Some(older) = self.last.replace(event) {
             self.heap.push(older);
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
+    fn pop(&mut self) -> Option<QueuedEvent> {
         let Some(last) = self.last.take() else {
             return self.heap.pop();
         };

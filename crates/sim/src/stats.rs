@@ -21,7 +21,7 @@ pub enum Activity {
 
 /// The most intervals a bound program reserves room for on its core's
 /// trace (1.5 MiB): a longer one grows its trace by doubling.
-pub(crate) const TRACE_RESERVE_CAP: u64 = 1 << 16;
+const TRACE_RESERVE_CAP: u64 = 1 << 16;
 
 /// Activity intervals of one physical core.
 #[derive(Debug, Clone, Default)]

@@ -13,7 +13,8 @@
 //!   and barriers, and the per-core activity traces.
 //!   [`Machine::finish_epoch`] empties this layer *in place* — every
 //!   container keeps its capacity (flows are recycled with their
-//!   credit-waiter buffers, packets live in one arena), so a machine
+//!   credit-waiter buffers, packets live in one arena, threads hand their
+//!   route buffers to the next epoch's), so a machine
 //!   driven through many epochs stops allocating once it has seen its
 //!   largest batch — and resets the chip's *clocks* (link/channel
 //!   `busy_until`), while the chip structures themselves are never rebuilt.
@@ -453,6 +454,8 @@ pub(crate) struct EpochState {
     pub tenant_threads: HashMap<TenantId, u32>,
     pub traces: Vec<CoreTrace>,
     pub mem_trace: Vec<(u64, u32, u64)>, // (time, core, va)
+    /// Route buffers of finished epochs' threads, for the next ones.
+    pub spare_routes: Vec<Route>,
 }
 
 impl EpochState {
@@ -477,6 +480,7 @@ impl EpochState {
             tenant_threads: HashMap::new(),
             traces: (0..core_count).map(|_| CoreTrace::default()).collect(),
             mem_trace: Vec::new(),
+            spare_routes: Vec::new(),
         }
     }
 
@@ -484,7 +488,8 @@ impl EpochState {
     /// [`Machine::run`] moves the traces into its report; they are
     /// re-created here when it did.
     pub(crate) fn reset(&mut self, core_count: usize) {
-        self.threads.clear();
+        let routes = self.threads.drain(..).map(|th| th.route);
+        self.spare_routes.extend(routes);
         self.queue.clear();
         self.seq = 0;
         self.now = 0;
@@ -2036,10 +2041,14 @@ mod tests {
         assert!(flow.waiter.is_none() && flow.head == NO_ARRIVAL);
         assert!(flow.credit_waiters.capacity() > 0, "and so is its buffer");
         let arena = m.epoch.arrivals.capacity();
+        // Both threads' route buffers wait for the next epoch's threads.
+        assert_eq!(m.epoch.spare_routes.len(), 2);
         bind(&mut m);
+        assert!(m.epoch.spare_routes.is_empty());
         assert_eq!(m.run_epoch_makespan().unwrap(), first);
         assert_eq!(m.epoch.flows.len(), 1);
         assert_eq!(m.epoch.arrivals.capacity(), arena);
+        assert_eq!(m.epoch.spare_routes.len(), 2);
     }
 
     #[test]

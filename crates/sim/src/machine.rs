@@ -23,7 +23,7 @@ use crate::config::SocConfig;
 use crate::epoch::{EpochState, Phase, ThreadState};
 use crate::hbm::Hbm;
 use crate::isa::{Instr, Program};
-use crate::noc::{DorRouter, Noc, NocRouter, Route};
+use crate::noc::{DorRouter, Noc, NocRouter};
 use crate::stats::Report;
 use crate::{Result, SimError};
 use std::collections::{BTreeMap, HashMap};
@@ -575,7 +575,7 @@ impl Machine {
             macs: 0,
             consumed_flags: HashMap::new(),
             blocked: None,
-            route: Route::default(),
+            route: self.epoch.spare_routes.pop().unwrap_or_default(),
             route_dst: None,
         });
         self.services.push(services);

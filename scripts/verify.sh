@@ -115,16 +115,17 @@ section "scripts/loc.sh (non-test source size)"
 # planning body kept as the crate-private `drain::plan_step`), the
 # `ServeConfig` fields `tick_cycles`, `defrag_budget`, `drain_policy` and
 # `recovery`, `defrag_pass`'s budget parameter, `Defragmenter::name`, and
-# `vnpu_fault::RecoveryPolicy`. The workspace then took the net 52 lines
+# `vnpu_fault::RecoveryPolicy`. The workspace then took the net 55 lines
 # of the simulator's event loop — the event queue that keeps the event
 # pushed last outside its heap, each thread's reused route to its last
-# destination (less the machine's shared route buffer), bind-sized
-# activity traces, and `Report::core_trace` returning `None` off the chip
-# with its two figure callers — which raised `paper_static`'s `ops_per_s`
-# by 30% in paired runs.
+# destination with its buffer recycled across epochs (less the machine's
+# shared route buffer), bind-sized activity traces, and
+# `Report::core_trace` returning `None` off the chip with its two figure
+# callers — which raised `paper_static`'s `ops_per_s` by a median 39%
+# over ten alternating pairs.
 CORE_SERVE_CODE_MAX=4674
 TOPO_CODE_MAX=2250
-WORKSPACE_CODE_MAX=15620
+WORKSPACE_CODE_MAX=15623
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")

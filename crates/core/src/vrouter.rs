@@ -467,10 +467,9 @@ mod tests {
     }
 
     #[test]
-    fn route_reuse_matches_routing_every_send() {
-        // Every outcome, folded, and every error text, as the simulator
-        // gave them when it routed every send; builds with debug
-        // assertions also re-route each reused send and compare slots.
+    fn routed_ring_sends_are_pinned() {
+        // Every outcome, folded, and every error text: a change to how a
+        // `Send` resolves, routes and checks its path must keep them.
         let mut fold = 0xcbf2_9ce4_8422_2325u64;
         let mut errors = std::collections::BTreeSet::new();
         for router in 0..3 {

@@ -13,8 +13,7 @@
 //!   and barriers, and the per-core activity traces.
 //!   [`Machine::finish_epoch`] empties this layer *in place* — every
 //!   container keeps its capacity (flows are recycled with their
-//!   credit-waiter buffers, packets live in one arena, threads hand their
-//!   route buffers to the next epoch's), so a machine
+//!   credit-waiter buffers, packets live in one arena), so a machine
 //!   driven through many epochs stops allocating once it has seen its
 //!   largest batch — and resets the chip's *clocks* (link/channel
 //!   `busy_until`), while the chip structures themselves are never rebuilt.
@@ -41,24 +40,6 @@
 //! other threads queue in between, and a same-cycle tie would flip. The
 //! kept event captures the case in which a run is exact — the thread's next
 //! event is the earliest one.
-//!
-//! # Routes are reused
-//!
-//! A `Send` resolves its destination through the thread's router, asks
-//! the router for the path, and checks every hop into link slots
-//! ([`crate::noc::Noc::route`]). The path depends only on the two physical
-//! cores and what the router was deployed with, and no link fails or heals
-//! during [`Machine::run`]. So a thread keeps the checked slots of its
-//! last physical destination for the run, and a `Send` to the same core
-//! books on them directly — the host-side twin of the vRouter's
-//! last-destination cache (§4.1: "subsequent instructions do not need to
-//! query the routing table again"). `resolve` still runs on every `Send`,
-//! since its lookup cost depends on the router's own cache. An empty
-//! `Send` routes nothing and leaves the kept slots alone. Errors come where
-//! they did: a path the router refuses fails before the send's cycle-budget
-//! check, a missing or faulted hop after it, and a kept route has passed
-//! both. Builds with debug assertions route every reused `Send` again and
-//! assert the same slots.
 //!
 //! # Packet arrivals are not events
 //!
@@ -151,7 +132,6 @@ use crate::compute::kernel_cycles;
 use crate::controller;
 use crate::isa::{Instr, Program};
 use crate::machine::{Machine, TenantId};
-use crate::noc::Route;
 use crate::stats::{Activity, CoreTrace, Report, TenantStats};
 use crate::{Result, SimError};
 use std::collections::hash_map::Entry;
@@ -304,10 +284,6 @@ pub(crate) struct ThreadState {
     pub macs: u64,
     pub consumed_flags: HashMap<u32, u64>,
     pub blocked: Option<Blocked>,
-    /// The checked link slots to `route_dst`, the physical core this
-    /// thread's last routed `Send` went to (see the module docs).
-    pub route: Route,
-    pub route_dst: Option<u32>,
 }
 
 /// Why a thread is parked. Recorded on every blocking instruction but
@@ -454,8 +430,6 @@ pub(crate) struct EpochState {
     pub tenant_threads: HashMap<TenantId, u32>,
     pub traces: Vec<CoreTrace>,
     pub mem_trace: Vec<(u64, u32, u64)>, // (time, core, va)
-    /// Route buffers of finished epochs' threads, for the next ones.
-    pub spare_routes: Vec<Route>,
 }
 
 impl EpochState {
@@ -480,7 +454,6 @@ impl EpochState {
             tenant_threads: HashMap::new(),
             traces: (0..core_count).map(|_| CoreTrace::default()).collect(),
             mem_trace: Vec::new(),
-            spare_routes: Vec::new(),
         }
     }
 
@@ -488,8 +461,7 @@ impl EpochState {
     /// [`Machine::run`] moves the traces into its report; they are
     /// re-created here when it did.
     pub(crate) fn reset(&mut self, core_count: usize) {
-        let routes = self.threads.drain(..).map(|th| th.route);
-        self.spare_routes.extend(routes);
+        self.threads.clear();
         self.queue.clear();
         self.seq = 0;
         self.now = 0;
@@ -728,7 +700,6 @@ impl Machine {
     pub(crate) fn run_events(&mut self) -> Result<u64> {
         // Kick off every thread at its controller-dispatch offset.
         for t in 0..self.epoch.threads.len() {
-            self.epoch.threads[t].route_dst = None;
             let core = self.epoch.threads[t].phys_core;
             let offset = controller::dispatch_latency(
                 self.config(),
@@ -1038,18 +1009,7 @@ impl Machine {
             .resolve(dst)
             .map_err(|_| SimError::RouteFault { core: phys, dst })?;
         let per_packet = router.per_packet_overhead();
-        // The thread keeps the route of its last destination for the run
-        // (see the module docs).
-        let th = &mut self.epoch.threads[t];
-        let reuse = th.route_dst == Some(dst_phys);
-        #[cfg(debug_assertions)]
-        if reuse {
-            let mut fresh = Route::default();
-            let path = router.path(phys, dst_phys);
-            let routed = path.and_then(|path| self.noc.route(path, &mut fresh));
-            assert_eq!((routed, &fresh), (Ok(()), &th.route), "route to {dst_phys}");
-        }
-        let path = (!reuse).then(|| router.path(phys, dst_phys)).transpose()?;
+        let path = router.path(phys, dst_phys)?;
         // The thread only programs the engine; streaming is asynchronous.
         let engine_ready = now + send_setup + lookup;
         let mut depart = engine_ready.max(engine_busy_until);
@@ -1067,16 +1027,13 @@ impl Machine {
         }
         // Every hop is checked before a packet is booked; an empty send
         // books none, so it crosses no link.
-        if let Some(path) = path.filter(|_| bytes > 0) {
-            th.route_dst = None;
-            self.noc.route(path, &mut th.route)?;
-            th.route_dst = Some(dst_phys);
+        if bytes > 0 {
+            self.noc.route(path, &mut self.route)?;
         }
         let mut off = 0u64;
         while off < bytes {
             let len = packet_bytes.min(bytes - off);
-            let route = &self.epoch.threads[t].route;
-            let timing = self.noc.send_on(route, len, depart + per_packet);
+            let timing = self.noc.send_on(&self.route, len, depart + per_packet);
             let mut next = timing.injected_at + packet_overhead;
             let arrival = timing.arrived_at + packet_overhead;
             if arrival > limit {
@@ -1090,7 +1047,7 @@ impl Machine {
             let train = if full == 0
                 || timing.waited
                 || self.epoch.send_per_packet
-                || route.repeats_a_link()
+                || self.route.repeats_a_link()
             {
                 0
             } else {
@@ -1101,7 +1058,7 @@ impl Machine {
                 if arrival.checked_add(span).is_none_or(|last| last > limit) {
                     return Err(over());
                 }
-                self.noc.send_train(route, len, train, stride);
+                self.noc.send_train(&self.route, len, train, stride);
                 next += span;
                 off += train * len;
             }
@@ -2041,14 +1998,10 @@ mod tests {
         assert!(flow.waiter.is_none() && flow.head == NO_ARRIVAL);
         assert!(flow.credit_waiters.capacity() > 0, "and so is its buffer");
         let arena = m.epoch.arrivals.capacity();
-        // Both threads' route buffers wait for the next epoch's threads.
-        assert_eq!(m.epoch.spare_routes.len(), 2);
         bind(&mut m);
-        assert!(m.epoch.spare_routes.is_empty());
         assert_eq!(m.run_epoch_makespan().unwrap(), first);
         assert_eq!(m.epoch.flows.len(), 1);
         assert_eq!(m.epoch.arrivals.capacity(), arena);
-        assert_eq!(m.epoch.spare_routes.len(), 2);
     }
 
     #[test]

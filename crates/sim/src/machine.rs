@@ -23,7 +23,7 @@ use crate::config::SocConfig;
 use crate::epoch::{EpochState, Phase, ThreadState};
 use crate::hbm::Hbm;
 use crate::isa::{Instr, Program};
-use crate::noc::{DorRouter, Noc, NocRouter};
+use crate::noc::{DorRouter, Noc, NocRouter, Route};
 use crate::stats::Report;
 use crate::{Result, SimError};
 use std::collections::{BTreeMap, HashMap};
@@ -119,6 +119,9 @@ pub struct Machine {
     cfg: SocConfig,
     cores: Vec<CoreState>,
     pub(crate) noc: Noc,
+    /// The path of the `Send` being streamed, as link slots; one buffer
+    /// for every `Send`.
+    pub(crate) route: Route,
     pub(crate) hbm: Hbm,
     pub(crate) tenant_names: HashMap<TenantId, String>,
     next_tenant: TenantId,
@@ -176,6 +179,7 @@ impl Machine {
         let n = cfg.core_count() as usize;
         Machine {
             noc: Noc::new(&cfg),
+            route: Route::default(),
             hbm: Hbm::new(&cfg),
             cores: (0..n).map(|_| CoreState::default()).collect(),
             tenant_names: HashMap::new(),
@@ -575,8 +579,6 @@ impl Machine {
             macs: 0,
             consumed_flags: HashMap::new(),
             blocked: None,
-            route: self.epoch.spare_routes.pop().unwrap_or_default(),
-            route_dst: None,
         });
         self.services.push(services);
         Ok(())

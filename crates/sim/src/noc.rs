@@ -44,9 +44,7 @@ pub trait NocRouter: Send {
     /// Physical path (node sequence including both endpoints) between two
     /// physical cores. The slice borrows from the router — a deployed
     /// table entry, or a buffer the router reuses — so the per-`Send`
-    /// lookup allocates nothing. The path must depend on the two cores
-    /// alone: a thread reuses its last one for every `Send` to the same
-    /// core (see [`crate::epoch`]).
+    /// lookup allocates nothing.
     ///
     /// # Errors
     ///
@@ -169,7 +167,7 @@ pub struct PacketTiming {
 /// A path resolved by [`Noc::route`] into the slots of its links, every
 /// hop checked: what one sender books all its packets along. Reuse one
 /// to keep its buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Route {
     slots: Vec<usize>,
 }

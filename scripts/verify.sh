@@ -115,17 +115,15 @@ section "scripts/loc.sh (non-test source size)"
 # planning body kept as the crate-private `drain::plan_step`), the
 # `ServeConfig` fields `tick_cycles`, `defrag_budget`, `drain_policy` and
 # `recovery`, `defrag_pass`'s budget parameter, `Defragmenter::name`, and
-# `vnpu_fault::RecoveryPolicy`. The workspace then took the net 55 lines
+# `vnpu_fault::RecoveryPolicy`. The workspace then took the net 36 lines
 # of the simulator's event loop — the event queue that keeps the event
-# pushed last outside its heap, each thread's reused route to its last
-# destination with its buffer recycled across epochs (less the machine's
-# shared route buffer), bind-sized activity traces, and
+# pushed last outside its heap, bind-sized activity traces, and
 # `Report::core_trace` returning `None` off the chip with its two figure
 # callers — which raised `paper_static`'s `ops_per_s` by a median 39%
-# over ten alternating pairs.
+# over ten alternating pairs (per-pair ratio 1.27, 9 of 10 won).
 CORE_SERVE_CODE_MAX=4674
 TOPO_CODE_MAX=2250
-WORKSPACE_CODE_MAX=15623
+WORKSPACE_CODE_MAX=15604
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -381,15 +379,13 @@ cargo test -p vnpu_sim -q send_trains_match_the_per_packet_reference -- --nocapt
 # pop sequences must be identical, and it fails unless pops came from the
 # kept event, swapped it with the heap top, and older numbers were pushed.
 cargo test -p vnpu_sim -q event_queue_pops_in_heap_order -- --nocapture
-# A thread reuses the checked link slots of its last physical destination.
-# Builds with debug assertions route every reused send again and assert
-# the same slots; the test drives DOR-on-physical-ID rings and VRouterNoc
-# rings (DOR and confined) through repeated and alternating destinations,
-# empty sends and self-sends, two threads under one virtual core ID, a
-# destination the tenant does not have and links faulted before the
-# epoch, and holds every outcome and error text to the ones taken when
-# every send was routed.
-cargo test -p vnpu -q route_reuse_matches_routing_every_send -- --nocapture
+# Routed sends, pinned: the test drives DOR-on-physical-ID rings and
+# VRouterNoc rings (DOR and confined) through repeated and alternating
+# destinations, empty sends and self-sends, two threads under one virtual
+# core ID, a destination the tenant does not have and links faulted
+# before the epoch, and holds every outcome and error text to absolute
+# constants.
+cargo test -p vnpu -q routed_ring_sends_are_pinned -- --nocapture
 
 section "audit gate"
 # The fleet audit runs after every audited tick over flat arrays: paths

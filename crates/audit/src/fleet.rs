@@ -32,9 +32,15 @@ use vnpu_topo::{FreeSet, NodeId};
 
 /// Audits one chip's resource-accounting invariants. `sched` is the
 /// chip's drain-lifecycle state (pass [`ChipSchedState::Schedulable`]
-/// for a standalone hypervisor). Findings carry no chip index — the
-/// cluster-level entry points tag it.
-pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
+/// for a standalone hypervisor) and `faulted_links` the dead links its
+/// machine records (none for a standalone hypervisor, which has no
+/// links). Findings carry no chip index — the cluster-level entry
+/// points tag it.
+pub fn audit_chip(
+    hv: &Hypervisor,
+    sched: ChipSchedState,
+    faulted_links: impl IntoIterator<Item = (u32, u32)>,
+) -> Vec<AuditFinding> {
     let mut findings = Vec::new();
     let users = hv.core_users();
     let n = users.len();
@@ -201,7 +207,7 @@ pub fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
     // FAULT-LINK: a tenant owning an endpoint of a dead link may still
     // route around it, but its traffic terminates in the failed routers —
     // worth surfacing while recovery decides whether to move it.
-    for (a, b) in hv.faulted_links() {
+    for (a, b) in faulted_links {
         for (&vm, v) in hv.vnpus() {
             let nodes = v.mapping().phys_nodes();
             if let Some(core) = [a, b].into_iter().find(|&c| nodes.contains(&NodeId(c))) {
@@ -232,7 +238,7 @@ pub fn audit_cluster(cluster: &Cluster) -> Vec<AuditFinding> {
             .drain_state(i)
             .unwrap_or(ChipSchedState::Schedulable);
         findings.extend(
-            audit_chip(cluster.chip(i), sched)
+            audit_chip(cluster.chip(i), sched, cluster.machine(i).faulted_links())
                 .into_iter()
                 .map(|f| f.on_chip(i)),
         );
@@ -274,7 +280,11 @@ mod reference {
     use vnpu_mem::proptest_lite::Rng;
     use vnpu_sim::SocConfig;
 
-    fn audit_chip(hv: &Hypervisor, sched: ChipSchedState) -> Vec<AuditFinding> {
+    fn audit_chip(
+        hv: &Hypervisor,
+        sched: ChipSchedState,
+        faulted_links: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Vec<AuditFinding> {
         let mut findings = Vec::new();
         let users = hv.core_users();
         let n = users.len();
@@ -450,7 +460,7 @@ mod reference {
         // FAULT-LINK: a tenant owning an endpoint of a dead link may still
         // route around it, but its traffic terminates in the failed routers —
         // worth surfacing while recovery decides whether to move it.
-        for (a, b) in hv.faulted_links() {
+        for (a, b) in faulted_links {
             for (&vm, v) in hv.vnpus() {
                 let nodes = v.mapping().phys_nodes();
                 let endpoint = if nodes.contains(&NodeId(a)) {
@@ -487,7 +497,7 @@ mod reference {
                 .drain_state(i)
                 .unwrap_or(ChipSchedState::Schedulable);
             findings.extend(
-                audit_chip(cluster.chip(i), sched)
+                audit_chip(cluster.chip(i), sched, cluster.machine(i).faulted_links())
                     .into_iter()
                     .map(|f| f.on_chip(i)),
             );
@@ -544,7 +554,7 @@ mod reference {
                         cluster.repair_core(chip, core).map(drop)
                     }
                     7 => cluster.fault_core(chip, core).map(drop),
-                    8 if cluster.chip(chip).link_faulted(core, peer) => {
+                    8 if cluster.machine(chip).link_faulted(core, peer) => {
                         cluster.repair_link(chip, core, peer).map(drop)
                     }
                     8 => cluster.fault_link(chip, core, peer).map(drop),
@@ -557,8 +567,9 @@ mod reference {
                 for i in 0..cluster.chip_count() {
                     let live_state = cluster.drain_state(i).unwrap();
                     for sched in [live_state, ChipSchedState::Drained] {
-                        let got = super::audit_chip(cluster.chip(i), sched);
-                        let want = audit_chip(cluster.chip(i), sched);
+                        let links = || cluster.machine(i).faulted_links();
+                        let got = super::audit_chip(cluster.chip(i), sched, links());
+                        let want = audit_chip(cluster.chip(i), sched, links());
                         assert_eq!(got, want, "case {case}, step {step}, chip {i}");
                         reached.extend(got.iter().map(|f| f.rule));
                         audits += 1;
@@ -607,7 +618,7 @@ mod tests {
 
     #[test]
     fn healthy_chip_audits_clean() {
-        let findings = audit_chip(&busy_chip(), ChipSchedState::Schedulable);
+        let findings = audit_chip(&busy_chip(), ChipSchedState::Schedulable, []);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -616,7 +627,7 @@ mod tests {
         let mut hv = busy_chip();
         let vm = hv.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
         hv.destroy_vnpu(vm).unwrap();
-        let findings = audit_chip(&hv, ChipSchedState::Schedulable);
+        let findings = audit_chip(&hv, ChipSchedState::Schedulable, []);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -631,7 +642,7 @@ mod tests {
         hv.create_vnpu(VnpuRequest::mesh(w, h)).unwrap();
         hv.create_vnpu(VnpuRequest::mesh(2, 2).temporal_sharing(true))
             .unwrap();
-        let findings = audit_chip(&hv, ChipSchedState::Schedulable);
+        let findings = audit_chip(&hv, ChipSchedState::Schedulable, []);
         // The exclusive first tenant shares cores with the opted-in
         // second: that is exactly a broken exclusivity promise.
         assert!(
@@ -644,7 +655,7 @@ mod tests {
             .unwrap();
         hv2.create_vnpu(VnpuRequest::mesh(2, 2).temporal_sharing(true))
             .unwrap();
-        let findings = audit_chip(&hv2, ChipSchedState::Schedulable);
+        let findings = audit_chip(&hv2, ChipSchedState::Schedulable, []);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -652,7 +663,7 @@ mod tests {
     fn reserved_cores_surface_as_ownership_findings() {
         let mut hv = Hypervisor::new(SocConfig::sim());
         hv.reserve_cores(&[0, 1]).unwrap();
-        let findings = audit_chip(&hv, ChipSchedState::Schedulable);
+        let findings = audit_chip(&hv, ChipSchedState::Schedulable, []);
         let own: Vec<&AuditFinding> = findings
             .iter()
             .filter(|f| f.rule == Rule::FleetCoreOwnership)
@@ -665,13 +676,13 @@ mod tests {
     #[test]
     fn drained_residue_is_flagged() {
         let hv = busy_chip();
-        let findings = audit_chip(&hv, ChipSchedState::Drained);
+        let findings = audit_chip(&hv, ChipSchedState::Drained, []);
         assert!(
             rules(&findings).contains(&Rule::FleetDrainedResidue),
             "{findings:?}"
         );
         // The same tenants on a merely *draining* chip are fine.
-        let findings = audit_chip(&hv, ChipSchedState::Draining);
+        let findings = audit_chip(&hv, ChipSchedState::Draining, []);
         assert!(
             !rules(&findings).contains(&Rule::FleetDrainedResidue),
             "{findings:?}"
@@ -711,7 +722,7 @@ mod tests {
         // Fault an *owned* core: the tenant still maps it → FAULT-MAP,
         // but the free set stays consistent (no FLEET-FREE).
         hv.set_core_faulted(owned, true).unwrap();
-        let findings = audit_chip(&hv, ChipSchedState::Schedulable);
+        let findings = audit_chip(&hv, ChipSchedState::Schedulable, []);
         assert_eq!(
             rules(&findings),
             vec![Rule::FaultMappedCore],
@@ -722,39 +733,47 @@ mod tests {
         // After the tenant leaves, the dead core must stay masked; the
         // hypervisor holds it occupied, so the audit is clean again.
         hv.destroy_vnpu(vm).unwrap();
-        let findings = audit_chip(&hv, ChipSchedState::Schedulable);
+        let findings = audit_chip(&hv, ChipSchedState::Schedulable, []);
         assert!(findings.is_empty(), "{findings:?}");
         // Repair: fully healthy.
         hv.set_core_faulted(owned, false).unwrap();
-        let findings = audit_chip(&hv, ChipSchedState::Schedulable);
+        let findings = audit_chip(&hv, ChipSchedState::Schedulable, []);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn faulted_link_endpoint_is_a_warning() {
-        let mut hv = Hypervisor::new(SocConfig::sim());
-        let vm = hv.create_vnpu(VnpuRequest::mesh(2, 1)).unwrap();
-        let nodes: Vec<u32> = hv
-            .vnpu(vm)
+        let mut cl = Cluster::new(vec![SocConfig::sim()]);
+        let id = cl.create_on(0, VnpuRequest::mesh(2, 1)).unwrap();
+        let nodes: Vec<u32> = cl
+            .chip(0)
+            .vnpu(id.vm)
             .unwrap()
             .mapping()
             .phys_nodes()
             .iter()
             .map(|n| n.0)
             .collect();
-        hv.set_link_faulted(nodes[0], nodes[1], true);
-        let findings = audit_chip(&hv, ChipSchedState::Schedulable);
+        let audit = |cl: &Cluster| {
+            audit_chip(
+                cl.chip(0),
+                ChipSchedState::Schedulable,
+                cl.machine(0).faulted_links(),
+            )
+        };
+        cl.fault_link(0, nodes[0], nodes[1]).unwrap();
+        let findings = audit(&cl);
         let hits: Vec<&AuditFinding> = findings
             .iter()
             .filter(|f| f.rule == Rule::FaultLinkEndpoint)
             .collect();
         assert_eq!(hits.len(), 1, "{findings:?}");
         assert_eq!(hits[0].severity, crate::Severity::Warning);
-        assert_eq!(hits[0].vm, Some(vm));
+        assert_eq!(hits[0].vm, Some(id.vm));
         // A faulted link nobody touches reports nothing.
-        hv.set_link_faulted(nodes[0], nodes[1], false);
-        hv.set_link_faulted(34, 35, true);
-        let findings = audit_chip(&hv, ChipSchedState::Schedulable);
+        cl.repair_link(0, nodes[0], nodes[1]).unwrap();
+        cl.fault_link(0, 34, 35).unwrap();
+        let findings = audit(&cl);
         assert!(findings.is_empty(), "{findings:?}");
     }
 }

@@ -848,15 +848,16 @@ impl Cluster {
         Ok(changed)
     }
 
-    /// Marks one undirected NoC link on one chip faulted — on the machine
-    /// first, then in the hypervisor's mask. Returns whether the mask
+    /// Marks one undirected NoC link on one chip faulted. The chip's
+    /// machine is the only record of it; a change also expires the
+    /// hypervisor's outstanding plans. Returns whether the link's state
     /// changed.
     ///
     /// # Errors
     ///
     /// [`VnpuError::UnknownChip`] for a bad chip index;
     /// [`VnpuError::Sim`] ([`vnpu_sim::SimError::RouteFault`]) when `a`
-    /// and `b` are not neighbours on the mesh, with both halves untouched.
+    /// and `b` are not neighbours on the mesh, with the chip untouched.
     pub fn fault_link(&mut self, chip: usize, a: u32, b: u32) -> Result<bool> {
         self.set_link_fault_state(chip, a, b, true)
     }
@@ -877,8 +878,8 @@ impl Cluster {
         } else {
             slot.machine.repair_link(a, b)?
         };
-        slot.hv.set_link_faulted(a, b, faulted);
         if changed {
+            slot.hv.invalidate_plans();
             self.reshaped(chip);
         }
         Ok(changed)
@@ -1940,6 +1941,7 @@ mod tests {
     fn link_faults_off_the_mesh_are_an_error_not_a_mask() {
         use vnpu_sim::SimError;
         let mut cl = Cluster::new(vec![sim_chip()]);
+        let digest = cl.chip(0).state_digest();
         for (a, b) in [(0, 35), (999, 1000), (0, 0)] {
             for r in [cl.fault_link(0, a, b), cl.repair_link(0, a, b)] {
                 assert!(
@@ -1952,13 +1954,42 @@ mod tests {
             cl.fault_core(0, 36),
             Err(VnpuError::Sim(SimError::CoreOutOfRange { core: 36, .. }))
         ));
-        assert_eq!(cl.chip(0).faulted_links().count(), 0, "nothing masked");
+        assert_eq!(cl.machine(0).faulted_links().count(), 0, "nothing masked");
         assert!(!cl.machine(0).has_active_faults());
+        assert_eq!(cl.chip(0).state_digest(), digest);
         assert_eq!(cl.chip(0).topology_generation(), 0);
         assert_eq!(
             cl.snapshot_of(0),
             Cluster::new(vec![sim_chip()]).snapshot_of(0)
         );
+    }
+
+    #[test]
+    fn link_fault_transitions_invalidate_outstanding_plans() {
+        let mut cl = Cluster::new(vec![sim_chip()]);
+        let create = [PlanOp::Create(VnpuRequest::mesh(2, 2))];
+        let txn = cl.chip_mut(0).plan(&create).unwrap();
+        assert_eq!(cl.fault_link(0, 0, 1), Ok(true));
+        assert!(matches!(
+            cl.chip_mut(0).commit(&txn),
+            Err(VnpuError::StalePlan { .. })
+        ));
+        // A repeat, in either direction, changes nothing.
+        let digest = cl.chip(0).state_digest();
+        assert_eq!(cl.fault_link(0, 1, 0), Ok(false), "undirected, idempotent");
+        assert_eq!(cl.chip(0).state_digest(), digest);
+        assert!(cl.machine(0).link_faulted(1, 0));
+        assert_eq!(cl.machine(0).faulted_links().collect::<Vec<_>>(), [(0, 1)]);
+        let txn = cl.chip_mut(0).plan(&create).unwrap();
+        assert_eq!(cl.repair_link(0, 1, 0), Ok(true));
+        assert!(matches!(
+            cl.chip_mut(0).commit(&txn),
+            Err(VnpuError::StalePlan { .. })
+        ));
+        let digest = cl.chip(0).state_digest();
+        assert_eq!(cl.repair_link(0, 0, 1), Ok(false));
+        assert_eq!(cl.chip(0).state_digest(), digest);
+        assert_eq!(cl.machine(0).faulted_links().count(), 0);
     }
 
     /// A migration pause a step paid: the tenant's landed identity and
@@ -2071,7 +2102,7 @@ mod tests {
     #[test]
     fn each_machine_matches_its_hypervisor() {
         // After every mutating step each chip's machine agrees with its
-        // hypervisor: the same tenants, generation and fault mask, and
+        // hypervisor: the same tenants, generation and core fault mask, and
         // exactly the pauses the step paid. The check then ends the
         // machines' epochs, so each step's pauses are its own.
         drive_mutations(&mut |cl, step, paid| {
@@ -2088,8 +2119,6 @@ mod tests {
                     (0..cores).all(|c| m.core_faulted(c) == hv.core_faulted(c)),
                     "{at}"
                 );
-                let hv_faults = hv.faulted_core_count() > 0 || hv.faulted_links().count() > 0;
-                assert_eq!(m.has_active_faults(), hv_faults, "{at}");
                 let mut owed = BTreeMap::new();
                 for &(id, cycles) in paid.iter().filter(|(id, _)| id.chip == i) {
                     *owed.entry(tenants[&id.vm]).or_insert(0) += cycles;

@@ -18,7 +18,7 @@ use crate::routing_table::RoutingTable;
 use crate::vnpu::{VirtualNpu, VnpuRequest, GUEST_VA_BASE};
 use crate::{Result, VnpuError};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use vnpu_mem::buddy::{Block, BuddyAllocator};
@@ -67,10 +67,6 @@ struct Chip {
     /// excludes it automatically) without touching `core_users`, and a
     /// tenant releasing it does not return it to the free pool.
     faulted: Vec<bool>,
-    /// Undirected NoC links marked faulted (endpoints stored sorted).
-    /// Links carry no occupancy and placement never reads the set: fault
-    /// detection and the audit layer cross-check live tenants against it.
-    faulted_links: BTreeSet<(u32, u32)>,
 }
 
 /// Everything a [`PlanOp`] can change, as one value: a commit applies its
@@ -91,6 +87,12 @@ struct Placement {
 }
 
 /// The resource owner and meta-table manager for one physical NPU.
+///
+/// The hypervisor keeps what placement reads: the tenants, the free
+/// region, HBM, and the core fault mask that holds dead cores out of
+/// the free region. The chip's [`vnpu_sim::machine::Machine`] keeps
+/// what the hardware is, faulted NoC links included: a link carries no
+/// occupancy, so placement never asks about one.
 #[derive(Debug)]
 pub struct Hypervisor {
     chip: Chip,
@@ -127,7 +129,6 @@ impl Hypervisor {
                 topo: Arc::new(topo),
                 topo_generation: 0,
                 faulted: vec![false; n],
-                faulted_links: BTreeSet::new(),
                 cfg,
             },
             state: Placement {
@@ -321,35 +322,6 @@ impl Hypervisor {
     /// serve report and the end-of-run quiescence probe both publish.
     pub fn leaked_core_count(&self) -> u32 {
         self.chip.cfg.core_count() - self.free_core_count() - self.masked_core_count()
-    }
-
-    /// Marks an undirected NoC link faulted (or repairs it). Links carry
-    /// no core occupancy — the mask exists so detection and audit can
-    /// cross-check live tenants against dead links; the paired
-    /// [`vnpu_sim::machine::Machine`] models the timing and packet-drop
-    /// consequences. Either transition invalidates outstanding plans.
-    /// Returns whether the mask changed.
-    pub fn set_link_faulted(&mut self, a: u32, b: u32, faulted: bool) -> bool {
-        let key = (a.min(b), a.max(b));
-        let changed = if faulted {
-            self.chip.faulted_links.insert(key)
-        } else {
-            self.chip.faulted_links.remove(&key)
-        };
-        if changed {
-            self.invalidate_plans();
-        }
-        changed
-    }
-
-    /// Whether the undirected link `a`–`b` is marked faulted.
-    pub fn link_faulted(&self, a: u32, b: u32) -> bool {
-        self.chip.faulted_links.contains(&(a.min(b), a.max(b)))
-    }
-
-    /// Currently faulted undirected links, endpoints sorted, ascending.
-    pub fn faulted_links(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.chip.faulted_links.iter().copied()
     }
 
     /// Number of live virtual NPUs.
@@ -644,7 +616,6 @@ impl Hypervisor {
         self.chip.topo_generation.hash(&mut h);
         self.plan_generation.hash(&mut h);
         self.chip.faulted.hash(&mut h);
-        self.chip.faulted_links.hash(&mut h);
         h.finish()
     }
 
@@ -2305,12 +2276,6 @@ mod tests {
         let mut h = hv();
         let txn = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
         h.set_core_faulted(7, true).unwrap();
-        assert!(matches!(h.commit(&txn), Err(VnpuError::StalePlan { .. })));
-        let txn = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
-        assert!(h.set_link_faulted(0, 1, true));
-        assert!(!h.set_link_faulted(1, 0, true), "undirected, idempotent");
-        assert!(h.link_faulted(1, 0));
-        assert_eq!(h.faulted_links().collect::<Vec<_>>(), vec![(0, 1)]);
         assert!(matches!(h.commit(&txn), Err(VnpuError::StalePlan { .. })));
     }
 

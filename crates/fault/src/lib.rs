@@ -11,16 +11,17 @@
 //!   [`FaultEvent`]s (core or undirected-link failures, each with an
 //!   onset tick and an optional repair tick). The plan is pure data: the
 //!   serving runtime hands each event to the cluster, which injects it
-//!   into the chip's [`vnpu_sim::Machine`] and masks the resource in the
-//!   hypervisor at the onset tick, and undoes both at the repair tick.
+//!   into the chip's [`vnpu_sim::Machine`] at the onset tick (a dead core
+//!   is also masked in the hypervisor, out of the free region) and undoes
+//!   it at the repair tick.
 //! * [`FaultDetector`] — answers "does this tenant touch a live fault"
 //!   from the hypervisor's live ownership state (the core mappings the
-//!   virtualization layer already maintains) and the chip's faulted
-//!   cores and links. The serving runtime asks it once per tick, after
-//!   the tick's onsets and repairs have landed. Detection is conservative
-//!   for link faults: any tenant owning an endpoint of a dead link is
-//!   treated as affected, since its NoC traffic terminates in the failed
-//!   router.
+//!   virtualization layer already maintains), its core fault mask, and
+//!   the faulted links the chip's machine records. The serving runtime
+//!   asks it once per tick, after the tick's onsets and repairs have
+//!   landed. Detection is conservative for link faults: any tenant owning
+//!   an endpoint of a dead link is treated as affected, since its NoC
+//!   traffic terminates in the failed router.
 //!
 //! The response lives in the serving runtime's recovery phase:
 //! remap-under-pin around the dead resource where topology edit distance
@@ -37,7 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use vnpu::{Hypervisor, VmId};
+use vnpu::{Cluster, ClusterVmId};
 use vnpu_topo::{NodeId, Topology};
 
 /// Which hardware resource failed.
@@ -238,7 +239,7 @@ fn routes_cross_link(topo: &Topology, nodes: &[NodeId], a: u32, b: u32) -> bool 
 }
 
 /// Decides whether a tenant touches a live fault, via the hypervisor's
-/// live ownership state.
+/// live ownership state and the chip's machine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultDetector;
 
@@ -252,16 +253,15 @@ impl FaultDetector {
     /// owns. A tenant that stopped being affected without moving (its
     /// fault was repaired, or it was detected conservatively off a link
     /// endpoint that healed) needs no recovery action at all.
-    pub fn tenant_affected(hv: &Hypervisor, vm: VmId) -> bool {
-        let Ok(vnpu) = hv.vnpu(vm) else {
+    pub fn tenant_affected(cluster: &Cluster, id: ClusterVmId) -> bool {
+        let hv = cluster.chip(id.chip);
+        let Ok(vnpu) = hv.vnpu(id.vm) else {
             return false;
         };
         let nodes = vnpu.mapping().phys_nodes();
         let topo = hv.topology();
-        hv.faulted_cores()
-            .iter()
-            .any(|&c| nodes.contains(&NodeId(c)))
-            || hv.faulted_links().any(|(a, b)| {
+        nodes.iter().any(|n| hv.core_faulted(n.0))
+            || cluster.machine(id.chip).faulted_links().any(|(a, b)| {
                 nodes.contains(&NodeId(a))
                     || nodes.contains(&NodeId(b))
                     || routes_cross_link(topo, nodes, a, b)
@@ -326,51 +326,60 @@ mod tests {
 
     #[test]
     fn tenant_affected_sees_cores_endpoints_and_transit_links() {
-        let mut hv = Hypervisor::new(SocConfig::sim());
+        let mut cl = Cluster::new(vec![SocConfig::sim()]);
         // 6x6 mesh: with cores 1–2 reserved, a zig-zag 2-core tenant
         // lands on cores 0 and 3, so its X-Y route transits link 1–2
         // without owning either end.
-        hv.reserve_cores(&[1, 2]).unwrap();
-        let t = hv
-            .create_vnpu(VnpuRequest::cores(2).strategy(Strategy::straightforward()))
+        cl.chip_mut(0).reserve_cores(&[1, 2]).unwrap();
+        let t = cl
+            .create_on(
+                0,
+                VnpuRequest::cores(2).strategy(Strategy::straightforward()),
+            )
             .unwrap();
-        assert_eq!(
-            hv.vnpu(t).unwrap().mapping().phys_nodes(),
-            &[NodeId(0), NodeId(3)]
-        );
-        let a = hv.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
-        let a_nodes = hv.vnpu(a).unwrap().mapping().phys_nodes().to_vec();
-        let affected = |hv: &Hypervisor| {
+        let nodes = |cl: &Cluster, id: ClusterVmId| {
+            cl.chip(0)
+                .vnpu(id.vm)
+                .unwrap()
+                .mapping()
+                .phys_nodes()
+                .to_vec()
+        };
+        assert_eq!(nodes(&cl, t), [NodeId(0), NodeId(3)]);
+        let a = cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        let a_nodes = nodes(&cl, a);
+        let affected = |cl: &Cluster| {
             (
-                FaultDetector::tenant_affected(hv, t),
-                FaultDetector::tenant_affected(hv, a),
+                FaultDetector::tenant_affected(cl, t),
+                FaultDetector::tenant_affected(cl, a),
             )
         };
-        assert_eq!(affected(&hv), (false, false));
+        assert_eq!(affected(&cl), (false, false));
         // A fault on an unowned core affects nobody.
         let free = (0..36)
             .find(|&c| {
-                hv.vnpus()
+                cl.chip(0)
+                    .vnpus()
                     .all(|(_, v)| !v.mapping().phys_nodes().contains(&NodeId(c)))
             })
             .unwrap();
-        assert!(hv.set_core_faulted(free, true).unwrap());
-        assert_eq!(affected(&hv), (false, false));
-        assert!(hv.set_core_faulted(free, false).unwrap());
+        assert!(cl.fault_core(0, free).unwrap());
+        assert_eq!(affected(&cl), (false, false));
+        assert!(cl.repair_core(0, free).unwrap());
         // A dead owned core, then its repair.
-        assert!(hv.set_core_faulted(a_nodes[0].0, true).unwrap());
-        assert_eq!(affected(&hv), (false, true));
-        assert!(hv.set_core_faulted(a_nodes[0].0, false).unwrap());
-        assert_eq!(affected(&hv), (false, false));
+        assert!(cl.fault_core(0, a_nodes[0].0).unwrap());
+        assert_eq!(affected(&cl), (false, true));
+        assert!(cl.repair_core(0, a_nodes[0].0).unwrap());
+        assert_eq!(affected(&cl), (false, false));
         // A dead link at an owned endpoint (inside a's window, off t's
         // row-0 route).
-        assert!(hv.set_link_faulted(a_nodes[0].0, a_nodes[1].0, true));
-        assert_eq!(affected(&hv), (false, true));
-        assert!(hv.set_link_faulted(a_nodes[0].0, a_nodes[1].0, false));
+        assert!(cl.fault_link(0, a_nodes[0].0, a_nodes[1].0).unwrap());
+        assert_eq!(affected(&cl), (false, true));
+        assert!(cl.repair_link(0, a_nodes[0].0, a_nodes[1].0).unwrap());
         // A dead transit-only link, then its repair.
-        assert!(hv.set_link_faulted(1, 2, true));
-        assert_eq!(affected(&hv), (true, false));
-        assert!(hv.set_link_faulted(1, 2, false));
-        assert_eq!(affected(&hv), (false, false));
+        assert!(cl.fault_link(0, 1, 2).unwrap());
+        assert_eq!(affected(&cl), (true, false));
+        assert!(cl.repair_link(0, 1, 2).unwrap());
+        assert_eq!(affected(&cl), (false, false));
     }
 }

@@ -90,6 +90,19 @@
 //! rt.drain().expect("drain");
 //! assert_eq!(rt.report().leaked_cores, 0);
 //! ```
+//!
+//! Under a fault schedule — a dead link on chip 0 from tick 5 to tick
+//! 15:
+//!
+//! ```
+//! use vnpu_serve::{FaultPlan, ServeConfig, ServeRuntime};
+//!
+//! let mut cfg = ServeConfig::standard(42, 20);
+//! cfg.fault_plan = FaultPlan::new().link_fault(0, 14, 15, 5, Some(15));
+//! let report = ServeRuntime::new(cfg).run().expect("serving runtime completes");
+//! assert_eq!((report.faults_injected, report.faults_repaired), (1, 1));
+//! assert_eq!(report.leaked_cores, 0);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,3 +114,4 @@ pub mod scheduler;
 pub use arrivals::{Arrival, ArrivalGenerator, Shape, TrafficConfig};
 pub use report::{ChipReport, FragSample, ServeReport};
 pub use scheduler::{ChipSpec, ServeConfig, ServeRuntime, TickEvents};
+pub use vnpu_fault::FaultPlan;

@@ -914,7 +914,6 @@ impl ServeRuntime {
         let tick = ctx.tick;
         // Per loaded chip, in chip order: reuse, or bind and run.
         for chip in 0..self.cluster.chip_count() {
-            let hv = self.cluster.chip(chip);
             let degraded = self.cluster.machine(chip).has_active_faults();
             self.runnable.clear();
             for (&vm, &tenant) in self.cluster.tenants(chip) {
@@ -925,10 +924,9 @@ impl ServeRuntime {
                 // tenant admitted *this* tick (after the recovery phase
                 // ran) gets the same direct check — the next tick's sweep
                 // will queue it for recovery.
-                if self
-                    .pending_recovery
-                    .contains_key(&ClusterVmId { chip, vm })
-                    || (degraded && FaultDetector::tenant_affected(hv, vm))
+                let id = ClusterVmId { chip, vm };
+                if self.pending_recovery.contains_key(&id)
+                    || (degraded && FaultDetector::tenant_affected(&self.cluster, id))
                 {
                     continue;
                 }
@@ -1007,13 +1005,14 @@ impl ServeRuntime {
     /// an admission latency stamp.
     ///
     /// Onsets and repairs scheduled for this tick land on the cluster,
-    /// which applies each to the chip's machine and then its hypervisor
-    /// ([`Cluster::fault_core`] and friends), so placements memoized
-    /// against the pre-fault chip expire by key. Once all of them have
-    /// landed, every live tenant that touches a live fault
-    /// ([`FaultDetector::tenant_affected`]) joins the pending-recovery
-    /// queue, in [`ClusterVmId`] order; every pending tenant then gets
-    /// one recovery attempt in the same deterministic order:
+    /// which applies each to the chip's machine, and a core fault also to
+    /// its hypervisor's mask ([`Cluster::fault_core`] and friends), so
+    /// placements memoized against the pre-fault chip expire by key.
+    /// Once all of them have landed, every live tenant that touches a
+    /// live fault ([`FaultDetector::tenant_affected`]) joins the
+    /// pending-recovery queue, in [`ClusterVmId`] order; every pending
+    /// tenant then gets one recovery attempt in the same deterministic
+    /// order:
     /// remap-under-pin on its own chip under a similar-topology strategy
     /// (200 candidates), else an emergency cross-chip re-placement (chips
     /// in index order), else it stays pending until `MAX_RECOVERY_TICKS`
@@ -1063,7 +1062,7 @@ impl ServeRuntime {
             .copied()
             .filter(|id| {
                 self.cluster.machine(id.chip).has_active_faults()
-                    && FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm)
+                    && FaultDetector::tenant_affected(&self.cluster, *id)
             })
             .collect();
         for id in swept {
@@ -1092,7 +1091,7 @@ impl ServeRuntime {
                 onset_tick: since,
             };
             // Fault repaired under the tenant: self-healed in place.
-            if !FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm) {
+            if !FaultDetector::tenant_affected(&self.cluster, id) {
                 self.pending_recovery.remove(&id);
                 self.temporal.emit(recovered(RecoveryKind::SelfHealed));
                 continue;
@@ -1117,7 +1116,7 @@ impl ServeRuntime {
                     chip: id.chip,
                     cost,
                 });
-                if !FaultDetector::tenant_affected(self.cluster.chip(id.chip), id.vm) {
+                if !FaultDetector::tenant_affected(&self.cluster, id) {
                     self.pending_recovery.remove(&id);
                     self.temporal.emit(recovered(RecoveryKind::Remapped));
                     ctx.events.recoveries_remapped += 1;
@@ -2117,6 +2116,26 @@ mod tests {
         assert!(counted > 0, "the link fault must surface in the audit");
         rt.drain().unwrap();
         assert_eq!(rt.report().audit_findings, counted);
+    }
+
+    #[test]
+    fn refused_link_event_is_an_error_not_a_panic() {
+        use vnpu::VnpuError;
+        use vnpu_sim::SimError;
+        // Cores 0 and 2 are not neighbours: the machine, the only record
+        // of a link fault, refuses the event, the tick returns its error
+        // and the chip records no fault.
+        let mut cfg = quick_cfg(5);
+        cfg.fault_plan = FaultPlan::new().link_fault(0, 0, 2, 5, None);
+        let mut rt = ServeRuntime::new(cfg);
+        for _ in 0..5 {
+            rt.step().unwrap();
+        }
+        assert!(matches!(
+            rt.step(),
+            Err(VnpuError::Sim(SimError::RouteFault { core: 0, dst: 2 }))
+        ));
+        assert!(!rt.cluster().machine(0).has_active_faults());
     }
 
     #[test]

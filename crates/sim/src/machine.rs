@@ -474,9 +474,16 @@ impl Machine {
         self.faulted_cores.iter().any(|&f| f) || self.noc.faulted_link_count() > 0
     }
 
-    /// Currently faulted directed NoC links, in sorted order.
-    pub fn faulted_links(&self) -> Vec<(u32, u32)> {
-        self.noc.faulted_links().collect()
+    /// Currently faulted undirected NoC links, each once as `(a, b)` with
+    /// `a < b`, ascending.
+    pub fn faulted_links(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.noc.faulted_links()
+    }
+
+    /// Whether the undirected NoC link `a`–`b` is currently faulted
+    /// (`false` for cores that are not neighbours).
+    pub fn link_faulted(&self, a: u32, b: u32) -> bool {
+        self.noc.link_faulted(a, b)
     }
 
     /// Binds `program` as tenant `tenant`'s program-level core `prog_core`
@@ -1274,7 +1281,8 @@ mod tests {
         let mut m = Machine::new(fpga());
         let healthy = send_epoch(&mut m);
         m.fault_link(2, 3).unwrap();
-        assert_eq!(m.faulted_links(), vec![(2, 3), (3, 2)]);
+        assert_eq!(m.faulted_links().collect::<Vec<_>>(), vec![(2, 3)]);
+        assert!(m.link_faulted(3, 2) && !m.link_faulted(2, 4));
         let degraded = send_epoch(&mut m);
         assert!(
             degraded > healthy,

@@ -395,11 +395,18 @@ impl Noc {
             .is_some_and(|slot| self.links[slot].faulted)
     }
 
-    /// Currently faulted directed links, in sorted order.
+    /// Currently faulted undirected links, each once as `(a, b)` with
+    /// `a < b`, ascending. Scans the mesh only while some link is
+    /// faulted.
     pub fn faulted_links(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.directed_links()
-            .filter(|(_, link)| link.faulted)
-            .map(|(key, _)| key)
+        (self.faulted_links > 0)
+            .then(|| {
+                self.directed_links()
+                    .filter(|&((a, b), link)| a < b && link.faulted)
+                    .map(|(key, _)| key)
+            })
+            .into_iter()
+            .flatten()
     }
 
     /// Number of faulted directed links.
@@ -653,7 +660,17 @@ mod tests {
         noc.reset_epoch();
         assert!(noc.link_faulted(0, 1));
         assert_eq!(noc.faulted_link_count(), 2);
-        assert!(noc.set_link_faulted(0, 1, false).unwrap());
+        // The listing names each wire once, low end first, ascending.
+        assert!(noc.set_link_faulted(6, 2, true).unwrap());
+        assert!(noc.set_link_faulted(5, 4, true).unwrap());
+        assert_eq!(
+            noc.faulted_links().collect::<Vec<_>>(),
+            [(0, 1), (2, 6), (4, 5)]
+        );
+        for (a, b) in [(0, 1), (2, 6), (4, 5)] {
+            assert!(noc.set_link_faulted(b, a, false).unwrap());
+        }
+        assert_eq!(noc.faulted_links().count(), 0);
         assert!(noc.send_packet(&[0, 1], 2048, 0).is_ok());
         // Non-adjacent pairs cannot be faulted.
         assert!(noc.set_link_faulted(0, 2, true).is_err());

@@ -19,8 +19,7 @@
 
 use std::sync::Arc;
 use vnpu::cluster::LeastLoaded;
-use vnpu_fault::FaultPlan;
-use vnpu_serve::{ServeConfig, ServeRuntime};
+use vnpu_serve::{FaultPlan, ServeConfig, ServeRuntime};
 use vnpu_sim::SocConfig;
 
 fn main() {

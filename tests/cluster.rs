@@ -532,7 +532,7 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 #[test]
 fn serve_outputs_are_pinned_across_refactors() {
     use vnpu::plan::GreedyDefrag;
-    use vnpu_fault::FaultPlan;
+    use vnpu_serve::FaultPlan;
     let socs = vec![
         SocConfig::sim(),
         SocConfig::sim(),
@@ -650,7 +650,7 @@ fn churn_placements_are_pinned() {
 #[test]
 fn reconfig_placements_are_pinned() {
     use vnpu::plan::GreedyDefrag;
-    use vnpu_fault::FaultPlan;
+    use vnpu_serve::FaultPlan;
     let socs = vec![SocConfig::sim(), SocConfig::sim(), small_soc(), small_soc()];
     let mut cfg = ServeConfig::cluster(29, 600, socs);
     for chip in &mut cfg.chips {

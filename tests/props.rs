@@ -827,8 +827,7 @@ fn cluster_churn_reruns_are_byte_identical_and_audit_clean() {
 fn fault_churn_reruns_are_byte_identical_and_converge() {
     use std::sync::Arc;
     use vnpu::cluster::LeastLoaded;
-    use vnpu_fault::FaultPlan;
-    use vnpu_serve::{ServeConfig, ServeRuntime};
+    use vnpu_serve::{FaultPlan, ServeConfig, ServeRuntime};
     use vnpu_sim::SocConfig;
     check(
         "fault_churn_reruns_are_byte_identical_and_converge",
@@ -916,8 +915,7 @@ fn epoch_memo_matches_fresh_epochs_under_reconfiguration() {
     use vnpu::cluster::LeastLoaded;
     use vnpu::drain::ChipSchedState;
     use vnpu::plan::GreedyDefrag;
-    use vnpu_fault::FaultPlan;
-    use vnpu_serve::{ServeConfig, ServeRuntime};
+    use vnpu_serve::{FaultPlan, ServeConfig, ServeRuntime};
     use vnpu_sim::SocConfig;
 
     const TICKS: u64 = 90;

@@ -20,8 +20,7 @@ use vnpu::cluster::{Cluster, LeastLoaded};
 use vnpu::plan::{GreedyDefrag, ReconfigBudget};
 use vnpu::Hypervisor;
 use vnpu_audit::{Rule, Severity};
-use vnpu_fault::FaultPlan;
-use vnpu_serve::{ServeConfig, ServeReport, ServeRuntime, TickEvents};
+use vnpu_serve::{FaultPlan, ServeConfig, ServeReport, ServeRuntime, TickEvents};
 use vnpu_sim::SocConfig;
 use vnpu_temporal::{check_trace, TraceEvent};
 

@@ -13,8 +13,7 @@
 use std::sync::Arc;
 use vnpu::cluster::LeastLoaded;
 use vnpu::plan::GreedyDefrag;
-use vnpu_fault::FaultPlan;
-use vnpu_serve::{ServeConfig, ServeRuntime};
+use vnpu_serve::{FaultPlan, ServeConfig, ServeRuntime};
 use vnpu_sim::SocConfig;
 use vnpu_temporal::{check_trace, CheckerConfig, TempRule, TraceEvent};
 

@@ -122,13 +122,14 @@ section "scripts/loc.sh (non-test source size)"
 # callers — which raised `paper_static`'s `ops_per_s` by a median 39%
 # over ten alternating pairs (per-pair ratio 1.27, 9 of 10 won). Making
 # the chip's machine the one record of a dead link took 22 lines out of
-# `core + serve` and 9 out of the workspace: the hypervisor's
+# `core + serve` and 11 out of the workspace: the hypervisor's
 # `faulted_links` set and its `set_link_faulted` / `link_faulted` /
-# `faulted_links` methods, less the machine's undirected listing and
-# lookup, and `audit_chip`'s links parameter.
+# `faulted_links` methods and the detector's collected core list, less
+# the machine's undirected listing and lookup, and `audit_chip`'s links
+# parameter.
 CORE_SERVE_CODE_MAX=4652
 TOPO_CODE_MAX=2250
-WORKSPACE_CODE_MAX=15595
+WORKSPACE_CODE_MAX=15593
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")

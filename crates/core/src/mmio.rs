@@ -11,8 +11,7 @@
 //! the physical function (PF) holds the meta-table base/bound registers
 //! and per-core hyper registers; each virtual function (VF) exposes only
 //! its own doorbell/status window. Guest writes to PF space — or to
-//! another tenant's VF — are rejected, which is the property the
-//! capability-matrix tests lean on.
+//! another tenant's VF — are rejected, as this module's own tests check.
 
 use crate::ids::VmId;
 use crate::{Result, VnpuError};

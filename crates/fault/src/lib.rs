@@ -129,7 +129,8 @@ impl FaultPlan {
 
     /// Schedules the headline scenario: a chip loses one whole mesh row
     /// of cores at once (cores `row*mesh_width .. (row+1)*mesh_width`) —
-    /// e.g. a shared power rail or row driver failing.
+    /// e.g. a shared power rail or row driver failing. Cores of the row
+    /// past `u32::MAX` have no id and are left out.
     pub fn row_outage(
         mut self,
         chip: usize,
@@ -138,7 +139,8 @@ impl FaultPlan {
         onset: u64,
         repair: Option<u64>,
     ) -> Self {
-        for core in row * mesh_width..(row + 1) * mesh_width {
+        let first = u64::from(row) * u64::from(mesh_width);
+        for core in (first..first + u64::from(mesh_width)).map_while(|c| u32::try_from(c).ok()) {
             self = self.core_fault(chip, core, onset, repair);
         }
         self
@@ -147,8 +149,8 @@ impl FaultPlan {
     /// Samples a deterministic random plan: `count` failures spread
     /// uniformly over `chips` (each described by its core count) and over
     /// ticks `1..horizon`, with every failure repaired `repair_after`
-    /// ticks later (`None` = permanent). The same seed always produces
-    /// the same plan.
+    /// ticks later (`None` = permanent; a repair past `u64::MAX` lands at
+    /// `u64::MAX`). The same seed always produces the same plan.
     pub fn seeded(
         seed: u64,
         chips: &[u32],
@@ -170,7 +172,8 @@ impl FaultPlan {
             let cores = chips[chip].max(1);
             let core = (next() % u64::from(cores)) as u32;
             let onset = 1 + next() % (horizon - 1);
-            plan = plan.core_fault(chip, core, onset, repair_after.map(|r| onset + r.max(1)));
+            let repair = repair_after.map(|r| onset.saturating_add(r.max(1)));
+            plan = plan.core_fault(chip, core, onset, repair);
         }
         plan
     }
@@ -212,9 +215,9 @@ impl FaultPlan {
     }
 }
 
-/// The canonical splitmix64 step — the same generator the arrival
-/// streams use, re-implemented locally so the fault crate stays at the
-/// bottom of the dependency DAG.
+/// The canonical splitmix64 step, which [`FaultPlan::seeded`] draws
+/// from. (The arrival streams use a different generator, the xorshift64*
+/// `vnpu_mem::proptest_lite::Rng`.)
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -322,6 +325,27 @@ mod tests {
             assert_eq!(e.repair_tick, Some(e.onset_tick + 20));
         }
         assert!(FaultPlan::seeded(1, &[], 5, 100, None).is_empty());
+    }
+
+    #[test]
+    fn row_outage_past_u32_is_not_a_panic() {
+        // No core of row u32::MAX of a 2-wide mesh has a u32 id.
+        assert!(FaultPlan::new()
+            .row_outage(0, 2, u32::MAX, 1, None)
+            .is_empty());
+        // This row's first core is u32::MAX; the two after it are cut.
+        let plan = FaultPlan::new().row_outage(0, 3, u32::MAX / 3, 1, None);
+        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.events()[0].kind, FaultKind::Core { core: u32::MAX });
+    }
+
+    #[test]
+    fn seeded_repair_near_u64_max_is_not_a_panic() {
+        let plan = FaultPlan::seeded(1, &[16], 4, 100, Some(u64::MAX));
+        assert_eq!(plan.len(), 4);
+        for e in plan.events() {
+            assert_eq!(e.repair_tick, Some(u64::MAX));
+        }
     }
 
     #[test]

@@ -222,14 +222,6 @@ impl ServeReport {
         self.cache.hit_rate()
     }
 
-    /// Acceptance rate over submitted requests, in `[0, 1]`.
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.submitted == 0 {
-            return 1.0;
-        }
-        self.accepted as f64 / self.submitted as f64
-    }
-
     /// Tenants that recovered from a hardware fault by any path (remap,
     /// emergency re-placement, or a repair landing under them).
     pub fn recovered_tenants(&self) -> u64 {
@@ -246,140 +238,6 @@ impl ServeReport {
             return 0.0;
         }
         self.mttr_total_ticks as f64 / recovered as f64
-    }
-
-    /// Mean free-core connectivity over the trajectory (1.0 when empty).
-    pub fn mean_free_connectivity(&self) -> f64 {
-        if self.fragmentation.is_empty() {
-            return 1.0;
-        }
-        self.fragmentation
-            .iter()
-            .map(|s| s.free_connectivity)
-            .sum::<f64>()
-            / self.fragmentation.len() as f64
-    }
-
-    /// A compact human-readable summary block (cluster-level line plus
-    /// one line per chip).
-    pub fn summary(&self) -> String {
-        let mut out = format!(
-            "serve: {} chips, {} epochs, {} submitted | accepted {} ({:.1}%), \
-             rejected {}, queued {} | placement cycles p50 {} p99 {} max {} | \
-             migrations {} (reconfig {} cycles, {} B moved, {} paused; \
-             windows +{} cores, hbm frag -{:.3}) | \
-             drain: {} evacuated ({} cycles, {} B moved, {} paused) | \
-             cache hits {} misses {} (hit rate {:.1}%) | mean \
-             free-connectivity {:.3} | executed {} machine epochs ({} cycles) \
-             | leaks: {} cores, {} HBM bytes | audit findings {} | \
-             temporal findings {} | workers {}",
-            self.per_chip.len(),
-            self.epochs,
-            self.submitted,
-            self.accepted,
-            100.0 * self.acceptance_rate(),
-            self.rejected,
-            self.queued_at_end,
-            self.p50_placement_cycles,
-            self.p99_placement_cycles,
-            self.max_placement_cycles,
-            self.migrations,
-            self.reconfig.config_cycles(),
-            self.reconfig.data_move_bytes,
-            self.reconfig.paused_cycles,
-            self.frag_windows_recovered,
-            self.hbm_frag_recovered,
-            self.drain_migrations,
-            self.drain_reconfig.config_cycles(),
-            self.drain_reconfig.data_move_bytes,
-            self.drain_reconfig.paused_cycles,
-            self.cache.hits,
-            self.cache.misses,
-            100.0 * self.cache_hit_rate(),
-            self.mean_free_connectivity(),
-            self.executed_epochs,
-            self.machine_cycles,
-            self.leaked_cores,
-            self.leaked_hbm_bytes,
-            self.audit_findings,
-            self.temporal_findings,
-            self.workers,
-        );
-        if self.faults_injected > 0 || self.tenants_lost > 0 {
-            out.push_str(&format!(
-                "\n  faults: {} injected, {} repaired | recoveries: {} remapped, \
-                 {} replaced, {} self-healed, {} lost, {} pending | \
-                 mttr mean {:.2} max {} ticks | degraded {} chip-ticks | \
-                 recovery cost {} cycles, {} B moved, {} paused",
-                self.faults_injected,
-                self.faults_repaired,
-                self.recoveries_remapped,
-                self.recoveries_replaced,
-                self.recoveries_self_healed,
-                self.tenants_lost,
-                self.recoveries_pending,
-                self.mean_mttr_ticks(),
-                self.mttr_max_ticks,
-                self.degraded_ticks,
-                self.recovery_reconfig.config_cycles(),
-                self.recovery_reconfig.data_move_bytes,
-                self.recovery_reconfig.paused_cycles,
-            ));
-        }
-        let timed_nanos = self.recovery_nanos
-            + self.admission_nanos
-            + self.drain_nanos
-            + self.defrag_nanos
-            + self.execution_nanos;
-        if timed_nanos > 0 {
-            out.push_str(&format!(
-                "\n  phase wall-clock: recovery {:.2} ms, admission {:.2} ms, \
-                 drain {:.2} ms, defrag {:.2} ms, execution {:.2} ms",
-                self.recovery_nanos as f64 / 1e6,
-                self.admission_nanos as f64 / 1e6,
-                self.drain_nanos as f64 / 1e6,
-                self.defrag_nanos as f64 / 1e6,
-                self.execution_nanos as f64 / 1e6,
-            ));
-        }
-        for c in &self.per_chip {
-            out.push_str(&format!(
-                "\n  chip{} ({}x{}{}): accepted {}, departed {}, migrated {}, \
-                 drain -{}/+{} (residual {}), {} epochs ({} cycles), \
-                 leaks: {} cores, {} HBM bytes",
-                c.chip,
-                c.mesh_width,
-                c.mesh_height,
-                match c.sched {
-                    ChipSchedState::Schedulable => String::new(),
-                    s => format!(", {s}"),
-                },
-                c.accepted,
-                c.departed,
-                c.migrations,
-                c.drain_evacuated,
-                c.drain_received,
-                c.residual_vnpus,
-                c.executed_epochs,
-                c.machine_cycles,
-                c.leaked_cores,
-                c.leaked_hbm_bytes,
-            ));
-            if c.fault_onsets > 0 || c.degraded_ticks > 0 {
-                out.push_str(&format!(
-                    ", faults {}on/{}rep (remapped {}, replaced {}, lost {}, \
-                     degraded {} ticks, {} cores dead)",
-                    c.fault_onsets,
-                    c.fault_repairs,
-                    c.recoveries_remapped,
-                    c.recoveries_replaced,
-                    c.tenants_lost,
-                    c.degraded_ticks,
-                    c.faulted_cores,
-                ));
-            }
-        }
-        out
     }
 
     /// Serializes the report as a JSON object (fragmentation trajectory
@@ -677,6 +535,7 @@ mod tests {
         assert!(json.contains("\"execution_nanos\": 2500000"));
         assert!(json.contains("\"exec_nanos\":2500000"));
         assert!(json.contains("\"faults_injected\": 2"));
+        assert!(json.contains("\"faults_repaired\": 1"));
         assert!(json.contains("\"recoveries_remapped\": 1"));
         assert!(json.contains("\"tenants_lost\": 1"));
         assert!(json.contains("\"recovery_reconfig_paused_cycles\": 300"));
@@ -690,21 +549,9 @@ mod tests {
         assert!(json.contains("\"fault_onsets\":2"));
         assert!(json.contains("\"faulted_cores\":1"));
         assert!(json.contains("\"degraded_ticks\":3"));
+        assert!(json.contains("\"mesh\":\"6x6\""));
         assert!(json.contains("\"chips\": [{"));
         assert!(json.contains("\"fragmentation\": [{"));
-        assert!(!r.summary().is_empty());
-        assert!(r.summary().contains("chip0 (6x6, draining)"));
-        assert!(r.summary().contains("migrations 1"));
-        assert!(r.summary().contains("drain: 2 evacuated"));
-        assert!(r.summary().contains("audit findings 0"));
-        assert!(r.summary().contains("temporal findings 0"));
-        assert!(r.summary().contains("workers 4"));
-        assert!(r.summary().contains("faults: 2 injected, 1 repaired"));
-        assert!(r.summary().contains("mttr mean 2.00 max 3 ticks"));
-        assert!(r.summary().contains("degraded 3 ticks, 1 cores dead"));
-        assert!(r
-            .summary()
-            .contains("phase wall-clock: recovery 0.00 ms, admission 1.50 ms"));
         assert_eq!(r.recovered_tenants(), 2);
         assert!((r.mean_mttr_ticks() - 2.0).abs() < 1e-9);
         assert!(!r.per_chip[0].schedulable());

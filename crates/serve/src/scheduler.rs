@@ -1847,7 +1847,7 @@ mod tests {
         cfg.traffic.mean_lifetime_epochs = 30;
         cfg.defrag = Some(Arc::new(CompactEveryone));
         let (compacted, most) = run_capped(&cfg);
-        assert_eq!(most, cap, "{}", compacted.summary());
+        assert_eq!(most, cap, "{}", compacted.to_json(8));
         assert_eq!(compacted.leaked_hbm_bytes, 0);
     }
 
@@ -2053,7 +2053,6 @@ mod tests {
         assert!(rt.audit_findings().is_empty());
         let audited = rt.report();
         assert_eq!(audited, plain);
-        assert_eq!(audited.summary(), plain.summary());
         assert_eq!(
             audited.to_json(usize::MAX),
             plain.to_json(usize::MAX),
@@ -2259,7 +2258,7 @@ mod tests {
         assert!(
             r.tenants_lost > 0,
             "a packed single chip must lose someone: {}",
-            r.summary()
+            r.to_json(8)
         );
         assert_eq!(r.recoveries_pending, 0, "the deadline clears the queue");
         assert_eq!(r.per_chip[0].faulted_cores, 6, "the row stays dead");
@@ -2302,7 +2301,7 @@ mod tests {
         rt.drain().unwrap();
         let r = rt.report();
         assert_eq!(rt.live_count(), 0);
-        assert_eq!(r.recoveries_pending, 0, "{}", r.summary());
+        assert_eq!(r.recoveries_pending, 0, "{}", r.to_json(8));
         assert_eq!(r.tenants_lost, 0, "a retirement is not a loss");
     }
 

@@ -76,7 +76,7 @@ fn main() {
     rt.drain().expect("drain completes");
     let report = rt.report();
 
-    println!("\n{}\n", report.summary());
+    println!("\n{}\n", report.to_json(8));
 
     assert_eq!(report.per_chip.len(), 2);
     assert!(

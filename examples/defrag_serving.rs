@@ -54,8 +54,8 @@ fn main() {
     let bare = run(false);
     let defragged = run(true);
 
-    println!("[no defrag]\n{}\n", bare.summary());
-    println!("[defrag]\n{}\n", defragged.summary());
+    println!("[no defrag]\n{}\n", bare.to_json(8));
+    println!("[defrag]\n{}\n", defragged.to_json(8));
 
     // Side-by-side fragmentation trajectory, coarsely sampled: largest
     // free window connectivity and buddy external fragmentation.

@@ -89,7 +89,7 @@ fn main() {
     }
     rt.drain().expect("end-of-run drain");
     let report = rt.report();
-    println!("{}\n", report.summary());
+    println!("{}\n", report.to_json(8));
     println!(
         "maintenance paid for itself in the open: {} tenants evacuated, \
          {} config cycles, {} bytes moved cross-chip, {} tenant-pause cycles",

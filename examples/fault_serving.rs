@@ -79,7 +79,7 @@ fn main() {
     rt.drain().expect("end-of-run drain");
 
     let report = rt.report();
-    println!("\n{}", report.summary());
+    println!("\n{}", report.to_json(8));
     assert_eq!(report.recoveries_pending, 0, "recovery converged");
     assert_eq!(report.leaked_cores, 0, "faults never leak cores");
     assert_eq!(report.leaked_hbm_bytes, 0, "faults never leak HBM");

@@ -24,7 +24,7 @@ fn main() {
     );
     let report = ServeRuntime::new(cfg).run().expect("serving run completes");
 
-    println!("{}\n", report.summary());
+    println!("{}\n", report.to_json(8));
 
     // Fragmentation trajectory, coarsely sampled: watch the free region
     // shatter and heal as tenants come and go.

@@ -7,11 +7,10 @@
 //! (heterogeneous [`SocConfig`]s allowed) with three pieces:
 //!
 //! * **the admission queue** — the only one: a [`Hypervisor`] owns no
-//!   queue, and a single chip is served by a 1-chip cluster. One open
-//!   [`AdmissionPolicy`] trait object orders requests across the whole
-//!   fleet;
+//!   queue, and a single chip is served by a 1-chip cluster. Requests
+//!   are admitted fleet-wide in arrival order, head of line first;
 //! * a [`ChipPlacement`] trait deciding *which chip* each request maps
-//!   onto ([`FirstFit`], [`BestFitFragmentation`], [`LeastLoaded`] ship);
+//!   onto ([`FirstFit`], [`LeastLoaded`] ship);
 //! * a **shared [`MappingCache`]**: every chip's placements are memoized
 //!   in one table (a second `MappingCache` per chip serves only advisory
 //!   fit-hint and defrag probes). Entries never alias across chips because
@@ -51,10 +50,7 @@
 //! Builds with debug assertions re-scan on every memo hit and assert the
 //! memo equals the fresh scan ([`Cluster::snapshot_of`]).
 
-use crate::admission::{
-    AdmissionPolicy, AdmissionQueue, FailureAction, FitHint, FragmentationStats, PendingView,
-    RequestId,
-};
+use crate::admission::{AdmissionQueue, FitHint, FragmentationStats, PendingView, RequestId};
 use crate::drain::{plan_step, ChipSchedState, DrainMove, DrainStep};
 use crate::hypervisor::Hypervisor;
 use crate::ids::VmId;
@@ -141,19 +137,18 @@ impl ChipSnapshot {
 
 /// Decides which chips a request is attempted on, and in what order.
 ///
-/// Object-safe for the same reason [`AdmissionPolicy`] is: deployments
-/// bring their own placement logic (power capping, tenancy affinity,
-/// failure domains) without this crate enumerating it. Implementations
-/// must be deterministic functions of their inputs or cluster runs stop
-/// being reproducible.
+/// Object-safe so deployments bring their own placement logic (power
+/// capping, tenancy affinity, failure domains) without this crate
+/// enumerating it. Implementations must be deterministic functions of
+/// their inputs or cluster runs stop being reproducible.
 pub trait ChipPlacement: fmt::Debug + Send + Sync {
     /// Short name for reports and debugging.
     fn name(&self) -> &'static str;
 
     /// Chip indices to attempt for `req`, in preference order; chips not
     /// listed are not attempted this round. Returning an empty vector
-    /// makes the attempt fail (the request stays queued under its
-    /// admission policy's rules).
+    /// makes the attempt fail (the request stays queued, within its
+    /// attempt budget).
     fn chip_order(&self, req: &PendingView, chips: &[ChipSnapshot]) -> Vec<usize>;
 }
 
@@ -175,35 +170,6 @@ impl ChipPlacement for FirstFit {
             .filter(|c| c.fits(req))
             .map(|c| c.chip)
             .collect()
-    }
-}
-
-/// Prefer the chip whose largest connected free component is the
-/// *tightest* window still big enough for the request — filling snug
-/// windows first preserves the other chips' large windows against
-/// topology lock-in (§4.3 writ fleet-wide). Chips whose largest window
-/// is too small are still attempted last (temporal sharing or
-/// disconnected-mode strategies may yet place there).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BestFitFragmentation;
-
-impl ChipPlacement for BestFitFragmentation {
-    fn name(&self) -> &'static str {
-        "best-fit-fragmentation"
-    }
-
-    fn chip_order(&self, req: &PendingView, chips: &[ChipSnapshot]) -> Vec<usize> {
-        let mut fitting: Vec<&ChipSnapshot> = chips.iter().filter(|c| c.fits(req)).collect();
-        fitting.sort_by_key(|c| {
-            let window = c.frag.largest_free_component as u32;
-            // Chips with a window big enough sort by window slack
-            // (tightest first); window-deficient chips go after all of
-            // them, least-deficient first.
-            let deficit = req.cores.saturating_sub(window);
-            let slack = window.saturating_sub(req.cores);
-            (deficit, slack, c.chip)
-        });
-        fitting.into_iter().map(|c| c.chip).collect()
     }
 }
 
@@ -502,12 +468,6 @@ impl Cluster {
         (&mut slot.machine, &slot.hv)
     }
 
-    /// Replaces the cluster admission ordering policy (queued requests
-    /// are kept).
-    pub fn set_admission_policy(&mut self, policy: Arc<dyn AdmissionPolicy>) {
-        self.admissions.set_policy(policy);
-    }
-
     /// Replaces the chip-placement policy.
     pub fn set_placement(&mut self, placement: Arc<dyn ChipPlacement>) {
         self.placement = placement;
@@ -535,7 +495,7 @@ impl Cluster {
         self.admissions.len()
     }
 
-    /// The cluster admission queue (policy, attempt budget, queued IDs).
+    /// The cluster admission queue (attempt budget, queued count).
     pub fn admissions(&self) -> &AdmissionQueue {
         &self.admissions
     }
@@ -543,12 +503,6 @@ impl Cluster {
     /// Shared mapping-cache counters (all chips fold into one table).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Cluster-wide monotone resource-freeing counter: the sum of every
-    /// chip's [`Hypervisor::free_events`].
-    pub fn free_events(&self) -> u64 {
-        self.chips().map(Hypervisor::free_events).sum()
     }
 
     /// Cluster-wide cumulative meta-table configuration cycles.
@@ -825,7 +779,7 @@ impl Cluster {
     }
 
     /// Repairs a previously faulted core: it rejoins the free region (if
-    /// unowned) and counts as a retry-after-free event.
+    /// unowned).
     ///
     /// # Errors
     ///
@@ -988,7 +942,7 @@ impl Cluster {
         best
     }
 
-    /// Runs one cluster admission tick: requests in (cluster) policy
+    /// Runs one cluster admission tick: queued requests in arrival
     /// order, each attempted on the chips the placement policy nominates,
     /// in order, through the shared mapping cache — each attempt the same
     /// transactional [`Hypervisor::create_vnpu_in`] pipeline a direct
@@ -996,32 +950,17 @@ impl Cluster {
     /// and rejections; requests that merely stay queued produce no event.
     ///
     /// A request is terminally rejected when it cannot fit *any* chip
-    /// even idle, or when its attempt budget is spent. What happens after
-    /// a non-terminal failure is the admission policy's call
-    /// ([`crate::admission::FailureAction`]): head-of-line policies stop
-    /// the tick, skip-ahead policies continue, backfill policies continue
-    /// for strictly smaller requests only.
+    /// even idle, or when its attempt budget is spent. A placed or
+    /// rejected head leaves the queue and the tick moves on to the next
+    /// request; any other failure ends the tick (head-of-line blocking).
     pub fn process_admissions(&mut self) -> Vec<ClusterAdmissionEvent> {
         let mut events = Vec::new();
-        let free_events_at_start = self.free_events();
-        // Once a policy answers `BackfillBelow`, only strictly smaller
-        // requests are attempted for the rest of the tick (the bound only
-        // ever tightens).
-        let mut backfill_limit: Option<u32> = None;
         // Chip snapshots only change when a placement succeeds (failed
         // attempts are transactional), so the placement policy's view is
         // read from the memo once and refreshed only for the placed chip.
         let mut snapshots = self.snapshots();
-        for id in self.admissions.attempt_order(free_events_at_start) {
-            let Some(pending) = self.admissions.request(id) else {
-                // A policy may return stale or duplicate IDs; ignore them.
-                continue;
-            };
-            let view = pending.view();
-            if backfill_limit.is_some_and(|limit| view.cores >= limit) {
-                continue;
-            }
-            let request = pending.req.clone();
+        while let Some(head) = self.admissions.front() {
+            let (id, view, request) = (head.id, head.view(), head.req.clone());
             // Terminal = impossible fleet-wide: no chip's raw capacity
             // covers the request even when idle. The classification only
             // applies to *failed* attempts: if a placement path lets such
@@ -1065,7 +1004,7 @@ impl Cluster {
             }
             match placed {
                 Some(cvm) => {
-                    self.admissions.remove(id);
+                    self.admissions.pop_front();
                     snapshots[cvm.chip] = self.snapshot_cached(cvm.chip);
                     events.push(ClusterAdmissionEvent {
                         id,
@@ -1075,6 +1014,11 @@ impl Cluster {
                     });
                 }
                 None => {
+                    let budget_spent = self.admissions.mark_front_failed();
+                    if !(terminal || budget_spent) {
+                        break;
+                    }
+                    self.admissions.pop_front();
                     // No chip was nominated, or every nominated chip
                     // failed. An empty nomination means no chip's free
                     // capacity covers the request right now — blame the
@@ -1105,29 +1049,17 @@ impl Cluster {
                             })
                         }
                     });
-                    let budget_spent = self.admissions.mark_failed(id, self.free_events());
-                    if terminal || budget_spent {
-                        self.admissions.remove(id);
-                        let fit_hint = if saw_no_candidate {
-                            self.fit_hint()
-                        } else {
-                            None
-                        };
-                        events.push(ClusterAdmissionEvent {
-                            id,
-                            outcome: ClusterAdmissionOutcome::Rejected(err),
-                            config_cycles_total: self.total_config_cycles(),
-                            fit_hint,
-                        });
-                        continue;
-                    }
-                    match self.admissions.failure_action(id) {
-                        FailureAction::Block => break,
-                        FailureAction::Continue => {}
-                        FailureAction::BackfillBelow(limit) => {
-                            backfill_limit = Some(backfill_limit.map_or(limit, |l| l.min(limit)));
-                        }
-                    }
+                    let fit_hint = if saw_no_candidate {
+                        self.fit_hint()
+                    } else {
+                        None
+                    };
+                    events.push(ClusterAdmissionEvent {
+                        id,
+                        outcome: ClusterAdmissionOutcome::Rejected(err),
+                        config_cycles_total: self.total_config_cycles(),
+                        fit_hint,
+                    });
                 }
             }
         }
@@ -1298,7 +1230,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::{Backfill, SmallestFirst};
     use crate::vchunk::MemMode;
 
     fn sim_chip() -> SocConfig {
@@ -1448,40 +1379,25 @@ mod tests {
     #[test]
     fn cluster_policies_order_across_chips() {
         let mut cl = two_chip_cluster();
-        // Fill both chips except small islands.
-        cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap(); // 6 free on chip 0
-        cl.create_on(1, VnpuRequest::mesh(4, 3)).unwrap(); // 4 free on chip 1
-        let big = cl.submit(VnpuRequest::mesh(3, 3)); // fits nothing now
+        // Fill both chips except small islands: 6 free cores on chip 0,
+        // 4 on chip 1.
+        let resident = cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap();
+        cl.create_on(1, VnpuRequest::mesh(4, 3)).unwrap();
+        // The big request fits nothing now, the small one either chip:
+        // the fleet-wide queue blocks behind the big request.
+        let big = cl.submit(VnpuRequest::mesh(3, 3));
         let small = cl.submit(VnpuRequest::mesh(1, 2));
-        // FIFO blocks behind the big request.
         assert!(cl.process_admissions().is_empty());
-        cl.set_admission_policy(Arc::new(SmallestFirst));
+        assert_eq!(cl.pending_count(), 2);
+        // Once chip 0 frees up, both admit in arrival order in one tick.
+        cl.destroy(resident).unwrap();
         let events = cl.process_admissions();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].id, small);
-        // Backfill also gets the small one past the big head.
-        let small2 = cl.submit(VnpuRequest::mesh(1, 2));
-        cl.set_admission_policy(Arc::new(Backfill));
-        let events = cl.process_admissions();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].id, small2);
-        let _ = big;
-    }
-
-    #[test]
-    fn best_fit_prefers_the_tightest_window() {
-        // Chip 0 idle (36-core window), chip 1 idle (16-core window): a
-        // 2x2 request should land on chip 1 under best-fit (tightest
-        // window that still fits), not chip 0.
-        let mut cl = two_chip_cluster();
-        cl.set_placement(Arc::new(BestFitFragmentation));
-        cl.submit(VnpuRequest::mesh(2, 2));
-        let events = cl.process_admissions();
-        assert_eq!(events.len(), 1);
-        match events[0].outcome {
-            ClusterAdmissionOutcome::Admitted(cvm) => assert_eq!(cvm.chip, 1),
-            ref o => panic!("expected admission, got {o:?}"),
-        }
+        let ids: Vec<RequestId> = events.iter().map(|e| e.id).collect();
+        assert_eq!(ids, [big, small]);
+        assert!(matches!(
+            events[0].outcome,
+            ClusterAdmissionOutcome::Admitted(ClusterVmId { chip: 0, .. })
+        ));
     }
 
     #[test]
@@ -1733,8 +1649,6 @@ mod tests {
             cores: 1,
             memory_bytes: 1,
             temporal_sharing: false,
-            attempts: 0,
-            last_failure_at_free_event: None,
         }));
         assert!(matches!(
             cl.create_on(0, VnpuRequest::mesh(1, 1)),

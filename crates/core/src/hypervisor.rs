@@ -82,8 +82,6 @@ struct Placement {
     vnpus: BTreeMap<VmId, VirtualNpu>,
     next_vm: u32,
     config_cycles: u64,
-    /// Monotone count of vNPU destructions (drives retry-after-free).
-    free_events: u64,
 }
 
 /// The resource owner and meta-table manager for one physical NPU.
@@ -138,7 +136,6 @@ impl Hypervisor {
                 vnpus: BTreeMap::new(),
                 next_vm: 0,
                 config_cycles: 0,
-                free_events: 0,
             },
             cache: MappingCache::default(),
             plan_generation: 0,
@@ -199,14 +196,6 @@ impl Hypervisor {
         self.state.buddy.total_bytes()
     }
 
-    /// Monotone count of resource-freeing events — core used→free
-    /// transitions (from vNPU teardown *or* administrative core release)
-    /// and vNPU destructions (which also free HBM). This is the
-    /// retry-after-free signal.
-    pub fn free_events(&self) -> u64 {
-        self.state.free_events
-    }
-
     /// Fraction of physical cores currently allocated.
     pub fn core_utilization(&self) -> f64 {
         1.0 - f64::from(self.free_core_count()) / f64::from(self.chip.cfg.core_count())
@@ -245,10 +234,9 @@ impl Hypervisor {
     /// still pinned on it keep their user references until recovery
     /// moves or retires them, and a release while faulted does not
     /// return the core to the free pool. Repairing a core with no users
-    /// frees it and counts as a retry-after-free event. Either
-    /// transition invalidates outstanding placement plans (they were
-    /// costed against a differently-healthy chip). Returns whether the
-    /// mask changed (the call is idempotent).
+    /// frees it. Either transition invalidates outstanding placement
+    /// plans (they were costed against a differently-healthy chip).
+    /// Returns whether the mask changed (the call is idempotent).
     ///
     /// # Errors
     ///
@@ -271,7 +259,6 @@ impl Hypervisor {
                 self.state.free_set.occupy(NodeId(core));
             } else {
                 self.state.free_set.release(NodeId(core));
-                self.state.free_events += 1;
             }
         }
         self.invalidate_plans();
@@ -585,8 +572,8 @@ impl Hypervisor {
     /// An order-sensitive digest of every observable piece of hypervisor
     /// state the transaction engine may touch: core user counts, the
     /// free region, HBM occupancy, every live vNPU's placement and
-    /// memory plan, VM numbering, configuration-cycle and free-event
-    /// counters, and both generation chains. Two calls return the same
+    /// memory plan, VM numbering, the configuration-cycle counter, and
+    /// both generation chains. Two calls return the same
     /// value iff the state is identical — the "failed commit mutates
     /// nothing" invariant is asserted by comparing digests.
     pub fn state_digest(&self) -> u64 {
@@ -612,7 +599,6 @@ impl Hypervisor {
         }
         self.state.next_vm.hash(&mut h);
         self.state.config_cycles.hash(&mut h);
-        self.state.free_events.hash(&mut h);
         self.chip.topo_generation.hash(&mut h);
         self.plan_generation.hash(&mut h);
         self.chip.faulted.hash(&mut h);
@@ -928,13 +914,6 @@ impl Placement {
         *users -= 1;
         if *users == 0 && !chip.faulted[core as usize] {
             self.free_set.release(NodeId(core));
-            // Any used→free transition is a retry signal, whether it came
-            // from destroy_vnpu or an administrative release_cores — a
-            // retry-after-free request must not stall behind capacity
-            // freed outside a vNPU teardown. A *faulted* core is neither:
-            // it stays out of the free region (and is no retry signal)
-            // until repaired.
-            self.free_events += 1;
         }
         Ok(())
     }
@@ -1081,7 +1060,6 @@ impl Placement {
                 .free(b.addr)
                 .expect("hypervisor-owned block frees cleanly");
         }
-        self.free_events += 1;
         Ok(())
     }
 
@@ -1190,10 +1168,9 @@ fn allocate_memory(buddy: &mut BuddyAllocator, bytes: u64) -> Result<(Vec<RttEnt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::{Backfill, RetryAfterFree, SmallestFirst};
+    use crate::admission::RequestId;
     use crate::cluster::{Cluster, ClusterAdmissionOutcome as Outcome};
     use crate::vchunk::MemMode;
-    use std::sync::Arc;
 
     fn hv() -> Hypervisor {
         Hypervisor::new(SocConfig::sim()) // 6x6
@@ -1526,7 +1503,7 @@ mod tests {
 
     // Single-chip admission. The hypervisor owns no queue: a 1-chip
     // `Cluster` *is* the single-chip admission path, and these tests pin
-    // its queue, policy and fit-hint behaviour on one chip.
+    // its queue and fit-hint behaviour on one chip.
 
     fn one_chip() -> Cluster {
         Cluster::new(vec![SocConfig::sim()]) // 6x6
@@ -1541,38 +1518,6 @@ mod tests {
         let events = cl.process_admissions();
         assert!(events.is_empty(), "FIFO head cannot place, tick stops");
         assert_eq!(cl.pending_count(), 2);
-    }
-
-    #[test]
-    fn admission_smallest_first_places_past_blocked_head() {
-        let mut cl = one_chip();
-        cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap();
-        cl.submit(VnpuRequest::mesh(3, 3));
-        let small = cl.submit(VnpuRequest::mesh(1, 2));
-        cl.set_admission_policy(Arc::new(SmallestFirst));
-        let events = cl.process_admissions();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].id, small);
-        assert!(matches!(events[0].outcome, Outcome::Admitted(_)));
-        assert_eq!(cl.pending_count(), 1, "big request stays queued");
-    }
-
-    #[test]
-    fn admission_retry_after_free_waits_for_departure() {
-        let mut cl = one_chip();
-        let resident = cl.create_on(0, VnpuRequest::mesh(6, 6)).unwrap(); // full chip
-        cl.set_admission_policy(Arc::new(RetryAfterFree));
-        let id = cl.submit(VnpuRequest::mesh(2, 2));
-        assert!(cl.process_admissions().is_empty());
-        assert_eq!(cl.admissions().views()[0].attempts, 1);
-        // Without a destroy, the next tick does not even attempt it.
-        assert!(cl.process_admissions().is_empty());
-        assert_eq!(cl.admissions().views()[0].attempts, 1, "no re-attempt");
-        cl.destroy(resident).unwrap();
-        let events = cl.process_admissions();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].id, id);
-        assert!(matches!(events[0].outcome, Outcome::Admitted(_)));
     }
 
     #[test]
@@ -1613,18 +1558,30 @@ mod tests {
     }
 
     #[test]
-    fn admission_backfill_skips_only_smaller_requests() {
+    fn rejected_head_does_not_block_the_tick() {
+        // Submits `head` then `next`, runs one tick and expects the head
+        // rejected and `next` admitted behind it.
+        fn head_rejected_then_next_admitted(mut cl: Cluster, head: VnpuRequest, next: VnpuRequest) {
+            let head = cl.submit(head);
+            let next = cl.submit(next);
+            let events = cl.process_admissions();
+            let ids: Vec<RequestId> = events.iter().map(|e| e.id).collect();
+            assert_eq!(ids, [head, next]);
+            assert!(matches!(events[0].outcome, Outcome::Rejected(_)));
+            assert!(matches!(events[1].outcome, Outcome::Admitted(_)));
+            assert_eq!(cl.pending_count(), 0);
+        }
+        // A head that fits no chip even idle.
+        head_rejected_then_next_admitted(
+            one_chip(),
+            VnpuRequest::mesh(7, 7), // 49 > 36 cores
+            VnpuRequest::mesh(2, 2),
+        );
+        // A blocked head whose attempt budget runs out.
         let mut cl = one_chip();
         cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap(); // 6 cores left
-        cl.submit(VnpuRequest::mesh(3, 3)); // blocked head (9)
-        cl.submit(VnpuRequest::mesh(3, 3)); // same size: held back
-        let small = cl.submit(VnpuRequest::mesh(1, 2)); // backfills
-        cl.set_admission_policy(Arc::new(Backfill));
-        let events = cl.process_admissions();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].id, small);
-        assert!(matches!(events[0].outcome, Outcome::Admitted(_)));
-        assert_eq!(cl.pending_count(), 2, "both 3x3 requests stay queued");
+        cl.set_max_attempts(Some(1));
+        head_rejected_then_next_admitted(cl, VnpuRequest::mesh(3, 3), VnpuRequest::mesh(1, 2));
     }
 
     #[test]
@@ -2246,11 +2203,9 @@ mod tests {
             h.set_core_faulted(99, true),
             Err(VnpuError::VirtCoreOutOfRange { .. })
         ));
-        // Repair returns the core and signals retry-after-free.
-        let events = h.free_events();
+        // Repair returns the core.
         assert!(h.set_core_faulted(0, false).unwrap());
         assert_eq!(h.free_core_count(), 6);
-        assert_eq!(h.free_events(), events + 1);
     }
 
     #[test]
@@ -2260,13 +2215,10 @@ mod tests {
         let dead = h.vnpu(vm).unwrap().mapping().phys_nodes()[0].0;
         h.set_core_faulted(dead, true).unwrap();
         assert_eq!(h.free_core_count(), 32, "owned core: free set unchanged");
-        let events = h.free_events();
         h.destroy_vnpu(vm).unwrap();
         // Three healthy cores came back; the dead one stayed out.
         assert_eq!(h.free_core_count(), 35);
         assert!(!h.free_set().contains(NodeId(dead)));
-        // destroy bumps once per vNPU + once per healthy used→free core.
-        assert_eq!(h.free_events(), events + 4);
         h.set_core_faulted(dead, false).unwrap();
         assert_eq!(h.free_core_count(), 36);
     }

@@ -33,8 +33,7 @@
 //! alias). Admission lives on the [`cluster::Cluster`] only — a
 //! [`hypervisor::Hypervisor`] places and tears down what it is told to and
 //! owns no queue, so a single chip is served by a 1-chip cluster. The
-//! ordering is the open [`admission::AdmissionPolicy`] trait — FIFO,
-//! smallest-first, retry-after-free, backfill and aging ship in-crate.
+//! queue admits in arrival order with head-of-line blocking.
 //! Everything runs on the caller's thread, the mapper included: per-chip
 //! work (drain and defrag planning, machine epochs) is a plain loop in
 //! chip order. Fleet operations compose on top: [`plan`] makes every mutation a
@@ -79,13 +78,10 @@ pub mod vrouter;
 
 mod ids;
 
-pub use admission::{
-    AdmissionPolicy, AdmissionQueue, Aging, Backfill, FailureAction, Fifo, FitHint,
-    FragmentationStats, PendingView, RequestId, RetryAfterFree, SmallestFirst,
-};
+pub use admission::{AdmissionQueue, FitHint, FragmentationStats, PendingView, RequestId};
 pub use cluster::{
-    BestFitFragmentation, ChipPlacement, ChipSnapshot, Cluster, ClusterAdmissionEvent,
-    ClusterAdmissionOutcome, ClusterVmId, FirstFit, LeastLoaded,
+    ChipPlacement, ChipSnapshot, Cluster, ClusterAdmissionEvent, ClusterAdmissionOutcome,
+    ClusterVmId, FirstFit, LeastLoaded,
 };
 pub use drain::{ChipSchedState, DrainMove, DrainStep};
 pub use hypervisor::Hypervisor;

@@ -242,7 +242,7 @@ impl CommitReceipt {
 /// picture, propose the migration set that best re-opens exact-match
 /// windows within the budget.
 ///
-/// Object-safe for the same reason [`crate::admission::AdmissionPolicy`]
+/// Object-safe for the same reason [`crate::cluster::ChipPlacement`]
 /// is — deployments bring their own compaction logic. Implementations
 /// must be deterministic functions of their inputs (serve reports are
 /// asserted byte-identical across runs). Proposals are advisory: the

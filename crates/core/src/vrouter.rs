@@ -2,8 +2,10 @@
 //! (§4.1).
 //!
 //! * [`InstRouter`] models the controller-side redirection of NPU
-//!   instructions from virtual to physical cores (Figure 4) — used by the
-//!   Figure 11/12 micro-benchmarks and charged once per program dispatch.
+//!   instructions from virtual to physical cores (Figure 4), with the
+//!   §6.2.1 cached-translation shortcut. Only its unit test builds one;
+//!   the Figure 12 dispatch latencies come from
+//!   [`vnpu_sim::controller::dispatch_latency`].
 //! * [`VRouterNoc`] implements [`vnpu_sim::noc::NocRouter`]: the per-core
 //!   send/receive engine extension that rewrites destination core IDs
 //!   through the routing table and, when *NoC isolation* is requested,

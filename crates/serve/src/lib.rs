@@ -20,9 +20,8 @@
 //!   [`ServeRuntime::step`] runs an ordered list of phase functions over
 //!   one shared tick context — departures, fault recovery, arrivals, one
 //!   pass of the cluster admission queue ([`vnpu::admission`]; the
-//!   cluster's is the only one) under the configured
-//!   [`vnpu::AdmissionPolicy`] and [`vnpu::ChipPlacement`] trait objects,
-//!   maintenance (one budgeted [`vnpu::Cluster::drain_tick`]),
+//!   cluster's is the only one, admitting in arrival order) under the
+//!   configured [`vnpu::ChipPlacement`] trait object, maintenance (one budgeted [`vnpu::Cluster::drain_tick`]),
 //!   defragmentation ([`vnpu::Cluster::defrag_pass`]), the fragmentation
 //!   sample, one machine epoch per loaded chip
 //!   ([`vnpu_sim::machine::Machine::run_epoch_makespan`], reused while
@@ -66,12 +65,11 @@
 //! assert_eq!(report.leaked_hbm_bytes, 0);
 //! ```
 //!
-//! Step-driven, over two heterogeneous chips, with a mid-run policy
+//! Step-driven, over two heterogeneous chips, with a mid-run placement
 //! swap:
 //!
 //! ```
 //! use std::sync::Arc;
-//! use vnpu::admission::SmallestFirst;
 //! use vnpu::cluster::LeastLoaded;
 //! use vnpu_serve::{ServeConfig, ServeRuntime};
 //! use vnpu_sim::SocConfig;
@@ -82,7 +80,6 @@
 //! for _ in 0..10 {
 //!     rt.step().expect("tick");
 //! }
-//! rt.set_admission_policy(Arc::new(SmallestFirst));
 //! rt.set_placement(Arc::new(LeastLoaded));
 //! for _ in 0..10 {
 //!     rt.step().expect("tick");

@@ -9,7 +9,7 @@
 //! their vNPUs frees cores and HBM — the fragmentation churn of §4.3),
 //! lands the tick's hardware faults and recovers the tenants they hit,
 //! then submits the tick's arrivals to the cluster's admission queue and
-//! runs one admission pass under the configured [`AdmissionPolicy`] and
+//! runs one arrival-order admission pass under the configured
 //! [`ChipPlacement`], evacuates draining chips and defragments the others
 //! within their budgets, and finally executes one epoch per loaded chip —
 //! binding its tenants' per-core programs and running the simulator only
@@ -41,8 +41,8 @@
 //!
 //! The runtime is **step-driven**: [`ServeRuntime::step`] advances one
 //! tick and returns its [`TickEvents`], so callers can interleave
-//! inspection, policy swaps ([`ServeRuntime::set_admission_policy`],
-//! [`ServeRuntime::set_placement`]), maintenance
+//! inspection, placement swaps ([`ServeRuntime::set_placement`]),
+//! maintenance
 //! ([`ServeRuntime::begin_drain`]) and hardware reconfiguration
 //! ([`ServeRuntime::set_core_scales`]) at epoch boundaries.
 //! [`ServeRuntime::run`] remains as the thin batch loop: step through
@@ -53,7 +53,7 @@ use crate::report::{percentile, ChipReport, FragSample, ServeReport};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
-use vnpu::admission::{AdmissionPolicy, Fifo, FitHint, FragmentationStats, RequestId};
+use vnpu::admission::{FitHint, FragmentationStats, RequestId};
 use vnpu::cluster::{ChipPlacement, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit};
 use vnpu::drain::ChipSchedState;
 use vnpu::plan::{Defragmenter, ReconfigBudget};
@@ -116,8 +116,6 @@ pub struct ServeConfig {
     pub epochs: u64,
     /// The seeded traffic model.
     pub traffic: TrafficConfig,
-    /// Admission ordering policy (cluster-wide).
-    pub policy: Arc<dyn AdmissionPolicy>,
     /// Chip-placement policy.
     pub placement: Arc<dyn ChipPlacement>,
     /// Placement attempts per request before rejection (`None` = forever).
@@ -199,7 +197,6 @@ impl ServeConfig {
                 .collect(),
             epochs,
             traffic: TrafficConfig::standard(seed),
-            policy: Arc::new(Fifo),
             placement: Arc::new(FirstFit),
             max_attempts: Some(24),
             execute_epochs: true,
@@ -450,7 +447,6 @@ impl ServeRuntime {
                 .map(|c| Hypervisor::with_hbm_bytes(c.soc.clone(), c.hbm_bytes))
                 .collect(),
         );
-        cluster.set_admission_policy(Arc::clone(&cfg.policy));
         cluster.set_placement(Arc::clone(&cfg.placement));
         cluster.set_max_attempts(cfg.max_attempts);
         let generator = ArrivalGenerator::new(cfg.traffic.clone());
@@ -507,12 +503,6 @@ impl ServeRuntime {
     /// shared-cache statistics).
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
-    }
-
-    /// Swaps the cluster admission policy — safe at any epoch boundary;
-    /// queued requests are kept.
-    pub fn set_admission_policy(&mut self, policy: Arc<dyn AdmissionPolicy>) {
-        self.cluster.set_admission_policy(policy);
     }
 
     /// Swaps the chip-placement policy — safe at any epoch boundary.
@@ -1411,8 +1401,7 @@ fn bind_ring_workload(
 mod tests {
     use super::*;
     use crate::arrivals::Shape;
-    use vnpu::admission::{Aging, Backfill, RetryAfterFree, SmallestFirst};
-    use vnpu::cluster::{BestFitFragmentation, LeastLoaded};
+    use vnpu::cluster::LeastLoaded;
 
     fn quick_cfg(seed: u64) -> ServeConfig {
         let mut cfg = ServeConfig::standard(seed, 80);
@@ -1704,12 +1693,13 @@ mod tests {
 
     #[test]
     fn mid_run_policy_swap_keeps_running_and_queue() {
-        let mut rt = ServeRuntime::new(quick_cfg(7));
+        let mut cfg = quick_cfg(7);
+        cfg.placement = Arc::new(LeastLoaded);
+        let mut rt = ServeRuntime::new(cfg);
         for _ in 0..40 {
             rt.step().unwrap();
         }
-        rt.set_admission_policy(Arc::new(SmallestFirst));
-        rt.set_placement(Arc::new(BestFitFragmentation));
+        rt.set_placement(Arc::new(FirstFit));
         for _ in 0..40 {
             rt.step().unwrap();
         }
@@ -1753,26 +1743,6 @@ mod tests {
         }
         // Under real load the chip must not sit idle the whole run.
         assert!(r.fragmentation.iter().any(|s| s.live_vnpus > 0));
-    }
-
-    #[test]
-    fn policies_all_run_leak_free() {
-        let policies: Vec<Arc<dyn AdmissionPolicy>> = vec![
-            Arc::new(Fifo),
-            Arc::new(SmallestFirst),
-            Arc::new(RetryAfterFree),
-            Arc::new(Backfill),
-            Arc::new(Aging::default()),
-        ];
-        for policy in policies {
-            let name = policy.name();
-            let mut cfg = quick_cfg(21);
-            cfg.policy = policy;
-            let r = ServeRuntime::new(cfg).run().unwrap();
-            assert_eq!(r.leaked_cores, 0, "{name}");
-            assert_eq!(r.leaked_hbm_bytes, 0, "{name}");
-            assert!(r.accepted > 0, "{name}");
-        }
     }
 
     #[test]

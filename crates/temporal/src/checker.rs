@@ -14,7 +14,7 @@ use std::fmt;
 pub struct CheckerConfig {
     /// `TEMP-STARVE`: every arrival must be admitted or terminally
     /// rejected within this many ticks. `None` disables the rule (use
-    /// when the run's admission policy gives no bound).
+    /// when the run's admission gives no bound, e.g. no attempt budget).
     pub starve_bound_ticks: Option<u64>,
     /// `TEMP-DRAIN`: a draining chip may go at most this many ticks
     /// with *silent* steps (nothing moved, nothing explicitly skipped,

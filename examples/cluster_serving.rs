@@ -1,11 +1,10 @@
 //! Cluster serving demo: tenant churn over two *heterogeneous* chips —
 //! the paper's 6×6 SIM chip next to a 4×4 sibling — behind one admission
-//! queue, driven through the step API with policy swaps mid-run.
+//! queue, driven through the step API with a placement swap mid-run.
 //!
-//! The first half runs FIFO admission with first-fit placement (load
-//! piles onto chip 0). At the halfway epoch the loop swaps in
-//! smallest-first admission and least-loaded placement *without stopping
-//! the runtime* — queued requests are kept, and the placement
+//! The first half runs first-fit placement (load piles onto chip 0). At
+//! the halfway epoch the loop swaps in least-loaded placement *without
+//! stopping the runtime* — queued requests are kept, and the placement
 //! distribution visibly shifts toward chip 1. Both chips' placements are
 //! memoized in one shared mapping cache; entries never alias across the
 //! two chip models because every key carries the chip's topology
@@ -18,7 +17,6 @@
 //! ```
 
 use std::sync::Arc;
-use vnpu::admission::SmallestFirst;
 use vnpu::cluster::LeastLoaded;
 use vnpu_serve::{ServeConfig, ServeRuntime};
 use vnpu_sim::SocConfig;
@@ -35,7 +33,7 @@ fn main() {
     cfg.traffic.mean_interarrival_ticks = 1;
     cfg.traffic.mean_lifetime_epochs = 8;
     // Run the fleet invariant auditor after every tick: a healthy fleet
-    // must produce zero findings across both policy regimes.
+    // must produce zero findings across both placement regimes.
     cfg.audit = true;
     println!(
         "cluster serving: {} chips ({}), {} epochs, seed {}\n",
@@ -50,25 +48,23 @@ fn main() {
     );
 
     let mut rt = ServeRuntime::new(cfg);
-    println!("tick  live  queued  admitted  chips-run   policy");
+    println!("tick  live  queued  admitted  chips-run   placement");
     for tick in 0..epochs {
         if tick == epochs / 2 {
-            // Swap both policies at an epoch boundary, mid-run: the
-            // step-driven API keeps the queue and the live tenants.
-            rt.set_admission_policy(Arc::new(SmallestFirst));
+            // Swap the placement policy at an epoch boundary, mid-run:
+            // the step-driven API keeps the queue and the live tenants.
             rt.set_placement(Arc::new(LeastLoaded));
-            println!("---- policy swap: smallest-first + least-loaded ----");
+            println!("---- placement swap: least-loaded ----");
         }
         let ev = rt.step().expect("tick completes");
         if tick % 6 == 0 {
             println!(
-                "{:>4}  {:>4}  {:>6}  {:>8}  {:>9}   {}+{}",
+                "{:>4}  {:>4}  {:>6}  {:>8}  {:>9}   {}",
                 ev.tick,
                 rt.live_count(),
                 ev.queued,
                 ev.admitted.len(),
                 ev.executed_chips,
-                rt.cluster().admissions().policy().name(),
                 rt.cluster().placement().name(),
             );
         }

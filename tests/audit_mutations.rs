@@ -12,7 +12,7 @@ use vnpu_serve::{ServeConfig, ServeRuntime};
 use vnpu_sim::SocConfig;
 
 /// Fleet regression: the cluster-serving example's configuration —
-/// heterogeneous chips, mid-run policy swap and all — runs with the
+/// heterogeneous chips, least-loaded placement and all — runs with the
 /// per-tick auditor enabled and accumulates zero findings.
 #[test]
 fn serving_example_fleet_audits_clean() {

@@ -3,10 +3,8 @@
 //! heterogeneous chips, and the step-driven serve loop over a fleet.
 
 use std::sync::Arc;
-use vnpu::admission::{Backfill, SmallestFirst};
 use vnpu::cluster::{
-    BestFitFragmentation, ChipPlacement, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit,
-    LeastLoaded,
+    ChipPlacement, Cluster, ClusterAdmissionOutcome, ClusterVmId, FirstFit, LeastLoaded,
 };
 use vnpu::drain::ChipSchedState;
 use vnpu::{Hypervisor, VnpuRequest};
@@ -220,12 +218,11 @@ fn step_driven_cluster_loop_with_policy_swaps_matches_itself() {
         for _ in 0..30 {
             rt.step().unwrap();
         }
-        rt.set_admission_policy(Arc::new(Backfill));
-        rt.set_placement(Arc::new(BestFitFragmentation));
+        rt.set_placement(Arc::new(LeastLoaded));
         for _ in 0..30 {
             rt.step().unwrap();
         }
-        rt.set_admission_policy(Arc::new(SmallestFirst));
+        rt.set_placement(Arc::new(FirstFit));
         for _ in 0..20 {
             rt.step().unwrap();
         }
@@ -433,82 +430,6 @@ fn fit_hints_and_snapshots_exclude_faulted_cores() {
     let healed = cl.create_on(0, VnpuRequest::mesh(6, 6)).unwrap();
     cl.destroy(healed).unwrap();
     assert_eq!(cl.free_cores(), cl.total_cores(), "no leaks");
-}
-
-/// `Aging`'s documented bounded-wait guarantee, proved against an
-/// adversarial arrival stream: a full-chip request stuck behind an
-/// endless supply of fresh small requests (each tick one small tenant
-/// departs and a new small request arrives to eat the freed slot) must
-/// still admit within the documented bound. With
-/// `boost_per_attempt = b` the large request overtakes `s`-core rivals
-/// after at most `ceil((L - s) / b)` failed attempts (its effective
-/// size then sorts ahead); once past `reserve_after_attempts` every
-/// further failure blocks the tick, so each departure accrues to the
-/// head instead of the fresh arrivals — at most one tick per resident
-/// small tenant until the chip is clear. Bound:
-/// `ceil((L - s) / b) + residents + 1` ticks from submission.
-#[test]
-fn aging_bounds_large_request_wait_under_adversarial_small_stream() {
-    use vnpu::admission::Aging;
-
-    let mut cl = Cluster::new(vec![SocConfig::sim()]); // 6x6 = 36 cores
-    cl.set_admission_policy(Arc::new(Aging {
-        boost_per_attempt: 4,
-        reserve_after_attempts: 6,
-    }));
-    cl.set_max_attempts(None); // starvation must resolve, not time out
-
-    // Fill the chip with nine 4-core tenants.
-    let mut live_smalls: Vec<ClusterVmId> = Vec::new();
-    for _ in 0..9 {
-        cl.submit(VnpuRequest::mesh(2, 2));
-    }
-    for ev in cl.process_admissions() {
-        match ev.outcome {
-            ClusterAdmissionOutcome::Admitted(id) => live_smalls.push(id),
-            ClusterAdmissionOutcome::Rejected(_) => panic!("fill must admit"),
-        }
-    }
-    assert_eq!(live_smalls.len(), 9, "the chip starts full");
-
-    // The starving giant arrives — nothing is free, the first attempt
-    // fails silently (deferred, not rejected: no attempt cap is set).
-    let big = cl.submit(VnpuRequest::mesh(6, 6));
-    assert!(
-        cl.process_admissions().is_empty(),
-        "a deferred attempt emits no event"
-    );
-
-    // Adversarial churn: every tick one small departs and a fresh small
-    // arrives to snatch the freed slot.
-    let bound = (36u64 - 4).div_ceil(4) + 9 + 1;
-    let mut admitted_at = None;
-    for tick in 1..=2 * bound {
-        if let Some(id) = live_smalls.pop() {
-            cl.destroy(id).unwrap();
-        }
-        cl.submit(VnpuRequest::mesh(2, 2));
-        for ev in cl.process_admissions() {
-            match ev.outcome {
-                ClusterAdmissionOutcome::Admitted(id) if ev.id == big => {
-                    let _ = id;
-                    admitted_at = Some(tick);
-                }
-                ClusterAdmissionOutcome::Admitted(id) => live_smalls.push(id),
-                ClusterAdmissionOutcome::Rejected(_) => {
-                    panic!("no request may be rejected without an attempt cap")
-                }
-            }
-        }
-        if admitted_at.is_some() {
-            break;
-        }
-    }
-    let waited = admitted_at.expect("the large request must eventually admit");
-    assert!(
-        waited <= bound,
-        "head-of-line reservation must resolve within {bound} ticks, took {waited}"
-    );
 }
 
 /// FNV-1a over 64-bit words / bytes: a hash this file owns, so the pinned

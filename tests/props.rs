@@ -4,7 +4,6 @@
 //! proptest-based suite; the first seven run 64 cases, the end-to-end
 //! compile-and-run property 16 (it simulates whole pipelines per case).
 
-use vnpu::admission::{AdmissionPolicy, Fifo, RetryAfterFree, SmallestFirst};
 use vnpu::{Hypervisor, VmId, VnpuRequest};
 use vnpu_mem::buddy::BuddyAllocator;
 use vnpu_mem::page::{PageTable, PageTranslator};
@@ -345,16 +344,15 @@ fn free_set_is_exact(hv: &Hypervisor) -> Result<(), String> {
 }
 
 /// Buddy-allocator + hypervisor churn invariant: any random interleaving
-/// of vNPU creates and destroys (mixed shapes, sizes and admission
-/// policies) and core faults and repairs ends — after destroying the
-/// survivors and repairing every core — with every core free, all HBM
-/// returned, and the buddy fully coalesced back into its maximal block.
+/// of vNPU creates and destroys (mixed shapes and sizes) and core faults
+/// and repairs ends — after destroying the survivors and repairing every
+/// core — with every core free, all HBM returned, and the buddy fully
+/// coalesced back into its maximal block.
 /// No cores or memory may leak through any interleaving, and after every
 /// op the free set is exactly the unused, healthy cores.
 ///
 /// Creates go through the one admission path — a 1-chip [`Cluster`]'s
-/// queue — so the drawn policy really decides which queued requests are
-/// attempted after each op, and in which order.
+/// queue — so a blocked head really holds back the requests behind it.
 #[test]
 fn hypervisor_churn_leaves_no_residue() {
     use vnpu::cluster::{Cluster, ClusterAdmissionOutcome, ClusterVmId};
@@ -362,22 +360,13 @@ fn hypervisor_churn_leaves_no_residue() {
     check(
         "hypervisor_churn_leaves_no_residue",
         64,
-        (
-            vec_of((range(0u32..8), range(0u32..6), range(0u32..36)), 4..40),
-            range(0u32..3),
-        ),
-        |(ops, policy_pick)| {
+        vec_of((range(0u32..8), range(0u32..6), range(0u32..36)), 4..40),
+        |ops| {
             let hbm = 2 << 30;
             let mut cl =
                 Cluster::with_chips(vec![Hypervisor::with_hbm_bytes(SocConfig::sim(), hbm)]);
-            let policy: std::sync::Arc<dyn AdmissionPolicy> = match policy_pick {
-                0 => std::sync::Arc::new(Fifo),
-                1 => std::sync::Arc::new(SmallestFirst),
-                _ => std::sync::Arc::new(RetryAfterFree),
-            };
-            cl.set_admission_policy(policy);
             // A bounded budget, so blocked heads eventually leave the
-            // queue and every policy keeps making decisions.
+            // queue and the requests behind them get their turn.
             cl.set_max_attempts(Some(3));
             let total_cores = cl.total_cores();
             let free_hbm_at_start = cl.chip(0).hbm_free_bytes();
@@ -650,79 +639,6 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
     assert!(
         reached.iter().all(|&n| n > 0),
         "a multi-op outcome was never reached: {reached:?}"
-    );
-}
-
-/// The `Aging` policy's effective-size discount saturates at a floor of
-/// one core: for *any* combination of request size, attempt count and
-/// per-attempt boost — including pathological ones whose product
-/// saturates `u32` — the attempt order equals sorting by
-/// `(max(1, cores − attempts × boost), arrival)`, effective sizes never
-/// reach zero, and an aged request never sorts strictly ahead of an
-/// older request of the minimal size.
-#[test]
-fn aging_effective_size_floors_at_one_core() {
-    use vnpu::admission::{Aging, PendingView, RequestId};
-    check(
-        "aging_effective_size_floors_at_one_core",
-        64,
-        (
-            vec_of((range(1u32..64), range(0u32..u32::MAX)), 1..12),
-            range(0u32..u32::MAX),
-        ),
-        |(reqs, boost)| {
-            let aging = Aging {
-                boost_per_attempt: *boost,
-                reserve_after_attempts: 8,
-            };
-            let pending: Vec<PendingView> = reqs
-                .iter()
-                .enumerate()
-                .map(|(i, &(cores, attempts))| PendingView {
-                    id: RequestId(i as u64),
-                    cores,
-                    memory_bytes: 1,
-                    temporal_sharing: false,
-                    attempts,
-                    last_failure_at_free_event: None,
-                })
-                .collect();
-            for p in &pending {
-                let eff = aging.effective_cores(p);
-                prop_assert!(eff >= 1, "the discount floors at one core");
-                prop_assert!(eff <= p.cores.max(1), "discounts never inflate");
-            }
-            let order = aging.attempt_order(&pending, 0);
-            let mut reference: Vec<(u32, RequestId)> = pending
-                .iter()
-                .map(|p| (aging.effective_cores(p), p.id))
-                .collect();
-            reference.sort();
-            prop_assert_eq!(
-                &order,
-                &reference.iter().map(|&(_, id)| id).collect::<Vec<_>>(),
-                "order is exactly the floored-discount sort"
-            );
-            // The floor's point: an aged giant may *tie* with, but never
-            // overtake, an older minimal (1-core, fresh) request.
-            for minimal in pending.iter().filter(|p| p.cores == 1 && p.attempts == 0) {
-                let min_pos = order.iter().position(|id| *id == minimal.id).unwrap();
-                for other in pending.iter().filter(|o| o.id < minimal.id) {
-                    let other_pos = order.iter().position(|id| *id == other.id).unwrap();
-                    // An older request may precede the minimal one only
-                    // by tying at the 1-core floor (arrival order), never
-                    // by discounting *below* it.
-                    if other_pos < min_pos {
-                        prop_assert_eq!(
-                            aging.effective_cores(other),
-                            1,
-                            "only a floored tie may precede a minimal request"
-                        );
-                    }
-                }
-            }
-            Ok(())
-        },
     );
 }
 

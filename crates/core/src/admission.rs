@@ -124,7 +124,7 @@ impl AdmissionQueue {
         id
     }
 
-    /// The oldest queued request — the only one a tick may attempt.
+    /// The oldest queued request, the one a tick attempts next.
     pub(crate) fn front(&self) -> Option<&PendingRequest> {
         self.pending.front()
     }

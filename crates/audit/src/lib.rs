@@ -10,10 +10,11 @@
 //! they audit and never panic, reporting violations as structured
 //! [`AuditFinding`]s instead.
 //!
-//! * [`routing`] — rebuilds every resident tenant's physical routes from
-//!   its routing table and route policy, then proves NoC deadlock
-//!   freedom over the channel-dependency graph and checks inter-tenant
-//!   link isolation.
+//! * [`routing`] — takes every resident tenant's physical routes as its
+//!   routers do (the routes deployed with an isolated tenant's cores,
+//!   dimension-order routes otherwise), then proves NoC deadlock freedom
+//!   over the channel-dependency graph and checks inter-tenant link
+//!   isolation.
 //! * [`fleet`] — the whole-[`vnpu::cluster::Cluster`] post-tick audit:
 //!   core-ownership and free-set consistency, HBM byte conservation,
 //!   drained-chip residue and the fault mask. It keeps no state between

@@ -1,12 +1,13 @@
 //! NoC routing static analysis: deadlock freedom and inter-tenant link
-//! isolation, proven from the resident tenants' routing tables and the
-//! physical mesh link graph.
+//! isolation, proven from the resident tenants' routing tables, the routes
+//! deployed for them and the physical mesh link graph.
 //!
-//! The pass reconstructs the exact per-flow paths the vRouters would
-//! take — dimension-order (X-then-Y) for plain tenants, confined
-//! shortest paths (with the router's documented DOR fallback) for
-//! tenants that requested NoC isolation — and then checks three
-//! properties:
+//! The pass takes the exact per-flow paths the vRouters take: a pair's
+//! route from the record deployed with an isolated tenant's cores
+//! ([`ConfinedPaths`]), and the dimension-order (X-then-Y) route for a
+//! pair the record does not hold and for every pair of a plain tenant.
+//! It derives no confined route itself, so a bad deployment is what it
+//! checks. Then it checks three properties:
 //!
 //! * **Table soundness** — every routing-table entry resolves to the
 //!   physical core the tenant's mapping actually granted (`ROUTE-TABLE`).
@@ -38,8 +39,10 @@
 
 use crate::{AuditFinding, Rule};
 use std::fmt;
+use std::sync::Arc;
+use vnpu::vrouter::ConfinedPaths;
 use vnpu::{Hypervisor, VirtCoreId, VmId};
-use vnpu_topo::route::{confined_path, dor_walk};
+use vnpu_topo::route::dor_walk;
 use vnpu_topo::{NodeId, Topology};
 
 /// A directed physical mesh link `from → to` (adjacent cores).
@@ -72,6 +75,9 @@ pub struct TenantRoutes {
     /// Physical cores the tenant's mapping grants, in virtual-core
     /// order — the ownership ground truth the table must agree with.
     pub owned_cores: Vec<u32>,
+    /// The routes deployed with an isolated tenant's cores; `None` routes
+    /// every pair by DOR, as the tenant's routers do.
+    pub routes: Option<Arc<ConfinedPaths>>,
 }
 
 /// Extracts [`TenantRoutes`] for every resident tenant of a chip, in
@@ -87,6 +93,7 @@ pub fn collect_tenant_routes(hv: &Hypervisor) -> Vec<TenantRoutes> {
                 .filter_map(|i| v.routing_table().lookup(VirtCoreId(i)).map(|p| p.0))
                 .collect(),
             owned_cores: v.mapping().phys_nodes().iter().map(|n| n.0).collect(),
+            routes: v.routes().cloned(),
         })
         .collect()
 }
@@ -94,9 +101,10 @@ pub fn collect_tenant_routes(hv: &Hypervisor) -> Vec<TenantRoutes> {
 /// Every tenant's all-pairs paths on the physical mesh, flat: path `p`
 /// visits `nodes[bounds[p]..bounds[p + 1]]`, and tenant `i`'s paths are
 /// `tenant_bounds[i]..tenant_bounds[i + 1]`, in `(src, dst)` table order.
-/// Unroutable pairs are skipped (the confined router's DOR fallback is
-/// modeled, so an isolated tenant with a disconnected region yields DOR
-/// paths — which the escape rule then flags).
+/// Each pair takes its deployed route, or DOR, exactly as the router
+/// does; unroutable pairs are skipped. An isolated tenant with a
+/// disconnected region carries DOR routes in its record, which the escape
+/// rule then flags.
 struct Flows {
     nodes: Vec<u32>,
     bounds: Vec<usize>,
@@ -114,22 +122,17 @@ impl Flows {
         };
         flows.bounds.push(0);
         for t in tenants {
-            let owned: Vec<NodeId> = if t.isolated {
-                t.owned_cores.iter().map(|&c| NodeId(c)).collect()
-            } else {
-                Vec::new()
-            };
             for &src in &t.table_cores {
                 for &dst in t.table_cores.iter().filter(|&&dst| dst != src) {
-                    let (src, dst) = (NodeId(src), NodeId(dst));
-                    let confined = t.isolated.then(|| confined_path(topo, &owned, src, dst));
-                    match (confined, topo.mesh_shape()) {
-                        (Some(Ok(path)), _) => flows.nodes.extend(path.iter().map(|n| n.0)),
-                        (_, Some(shape)) => {
+                    let deployed = t.routes.as_ref().and_then(|r| r.route(src, dst));
+                    match (deployed, topo.mesh_shape()) {
+                        (Some(route), _) => flows.nodes.extend_from_slice(route),
+                        (None, Some(shape)) => {
                             // Refused (an endpoint off the mesh): visits nothing.
+                            let (src, dst) = (NodeId(src), NodeId(dst));
                             let _ = dor_walk(shape, src, dst, |n| flows.nodes.push(n.0));
                         }
-                        _ => {}
+                        (None, None) => {}
                     }
                     if flows.nodes.len() > flows.bounds[flows.bounds.len() - 1] {
                         flows.bounds.push(flows.nodes.len());
@@ -399,7 +402,7 @@ pub(crate) mod reference {
     use super::*;
     use std::collections::{BTreeMap, BTreeSet};
     use vnpu_mem::proptest_lite::Rng;
-    use vnpu_topo::route::dor_path;
+    use vnpu_topo::route::{confined_path, dor_path};
 
     /// The paths this tenant's all-pairs traffic takes on the physical
     /// mesh, as node-ID sequences. Unroutable pairs are skipped (the
@@ -676,6 +679,7 @@ pub(crate) mod reference {
                     isolated: below(rng, 2) == 0,
                     table_cores,
                     owned_cores,
+                    routes: None,
                 }
             })
             .collect()
@@ -709,7 +713,14 @@ pub(crate) mod reference {
                 }
                 _ => Topology::mesh2d(w, h),
             };
-            let tenants = random_tenants(rng, w, h);
+            let mut tenants = random_tenants(rng, w, h);
+            for t in &mut tenants {
+                // An isolated tenant carries the routes deployed for its cores.
+                let cores = &t.owned_cores;
+                t.routes = t
+                    .isolated
+                    .then(|| Arc::new(ConfinedPaths::build(&topo, cores)));
+            }
             let got = super::audit_routing(&topo, &tenants);
             let want = audit_routing(&topo, &tenants);
             assert_eq!(got, want, "case {case}: {tenants:?}");
@@ -794,12 +805,16 @@ mod tests {
         findings.iter().map(|f| f.rule).collect()
     }
 
+    /// A tenant on the 6x6 mesh every test here audits, an isolated one
+    /// with the routes deployed for its cores.
     fn tenant(vm: u32, isolated: bool, cores: &[u32]) -> TenantRoutes {
+        let topo = Topology::mesh2d(6, 6);
         TenantRoutes {
             vm: VmId(vm),
             isolated,
             table_cores: cores.to_vec(),
             owned_cores: cores.to_vec(),
+            routes: isolated.then(|| Arc::new(ConfinedPaths::build(&topo, cores))),
         }
     }
 
@@ -899,6 +914,26 @@ mod tests {
         let findings = audit_routing(&topo, &[iso]);
         assert_eq!(findings, audit_routing(&topo, &[plain]));
         assert_eq!(rules(&findings), vec![Rule::RouteTableMismatch]);
+    }
+
+    #[test]
+    fn stale_deployed_route_escaping_the_allocation_is_flagged() {
+        let topo = Topology::mesh2d(6, 6);
+        // An isolated U whose record was built for the U plus core 1: its
+        // routes between the U's arms take the shortcut over core 1.
+        let u = [0, 6, 12, 13, 14, 8, 2];
+        let mut t = tenant(0, true, &u);
+        let stale = [&u[..], &[1]].concat();
+        t.routes = Some(Arc::new(ConfinedPaths::build(&topo, &stale)));
+        let findings = audit_routing(&topo, &[t]);
+        assert_eq!(
+            rules(&findings),
+            [Rule::RouteEscapedRegion, Rule::RouteDeadlockCycle],
+            "{findings:?}"
+        );
+        assert_eq!(findings[0].core, Some(1));
+        // The routes deployed for the U alone stay inside it.
+        assert!(audit_routing(&topo, &[tenant(0, true, &u)]).is_empty());
     }
 
     #[test]

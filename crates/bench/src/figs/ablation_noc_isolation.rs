@@ -32,8 +32,7 @@ fn measure(policy: RoutePolicy, iterations: u32) -> (f64, f64, u64) {
     let a = machine.add_tenant("vnpu2");
     let a_cores = vec![3u32, 6, 7, 11];
     let bind_a = |machine: &mut Machine, vcore: u32, program: Program| {
-        let mut router = adhoc_vrouter(&cfg, a_cores.clone(), policy);
-        router.precompute_paths();
+        let router = adhoc_vrouter(&cfg, a_cores.clone(), policy);
         machine
             .bind_with(
                 a_cores[vcore as usize],

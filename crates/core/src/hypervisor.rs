@@ -976,7 +976,10 @@ impl Placement {
         let layout = MetaZoneLayout {
             noc_rt_entries: u64::from(req.core_count()),
             direction_entries: if req.wants_noc_isolation() {
-                // Worst case: every pair stores a full path.
+                // A route visits a core at most once, so a core relays
+                // each ordered pair of the tenant's cores at most once:
+                // `core_count²` direction entries bound any one core's
+                // share, whatever the mapping's shape.
                 u64::from(req.core_count()) * u64::from(req.core_count())
             } else {
                 0
@@ -1171,6 +1174,7 @@ mod tests {
     use crate::admission::RequestId;
     use crate::cluster::{Cluster, ClusterAdmissionOutcome as Outcome};
     use crate::vchunk::MemMode;
+    use crate::vrouter::ConfinedPaths;
 
     fn hv() -> Hypervisor {
         Hypervisor::new(SocConfig::sim()) // 6x6
@@ -1765,13 +1769,13 @@ mod tests {
 
     #[test]
     fn migrate_remap_under_pin_moves_the_tenant() {
-        // Occupy a 6x5 block, then a 1x6 bottom row tenant; free the big
-        // block so a migration can recompact the row tenant anywhere.
+        // Occupy a 6x5 block, then a 1x6 bottom row tenant with NoC
+        // isolation; free the big block so a migration can recompact the
+        // row tenant anywhere.
         let mut h = hv();
         let big = h.create_vnpu(VnpuRequest::mesh(6, 5)).unwrap();
-        let row = h
-            .create_vnpu(VnpuRequest::custom(Topology::line(6)))
-            .unwrap();
+        let line = VnpuRequest::custom(Topology::line(6)).noc_isolation(true);
+        let row = h.create_vnpu(line).unwrap();
         let before: Vec<u32> = h
             .vnpu(row)
             .unwrap()
@@ -1815,6 +1819,9 @@ mod tests {
                 .unwrap();
             assert!(after.contains(&p.0));
         }
+        // The routes are redeployed with the cores.
+        let routes = h.vnpu(row).unwrap().routes().unwrap();
+        assert_eq!(**routes, ConfinedPaths::build(h.topology(), &after));
         h.destroy_vnpu(row).unwrap();
         assert_eq!(h.free_core_count(), 36, "no cores leak through migration");
     }

@@ -7,11 +7,10 @@
 //!
 //! * **vRouter** ([`routing_table`], [`vrouter`]) — routing tables mapping
 //!   virtual core IDs to physical ones, in either the standard per-entry
-//!   organization or the compact base-plus-shape form for regular meshes;
-//!   an instruction router in the NPU controller; and a per-core NoC
-//!   router that rewrites destinations and can confine packets to the
-//!   virtual topology with per-hop direction overrides (*NoC
-//!   non-interference*).
+//!   organization or the compact base-plus-shape form for regular meshes,
+//!   and a per-core NoC router that rewrites destinations and can confine
+//!   packets to the virtual topology by the direction-override routes
+//!   deployed with a virtual NPU's cores (*NoC non-interference*).
 //! * **vChunk** ([`vchunk`], [`meta`]) — per-core range translation over
 //!   the hypervisor's buddy-allocated HBM blocks, plus access counters and
 //!   bandwidth caps; meta-tables live in the SRAM *meta-zone* written only

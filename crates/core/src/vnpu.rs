@@ -201,11 +201,26 @@ pub fn near_mesh_topology(n: u32) -> Topology {
     t
 }
 
+/// The routes deployed with `mapping`'s cores: a record under NoC
+/// isolation, nothing for DOR.
+fn deploy_routes(
+    request: &VnpuRequest,
+    topo: &Topology,
+    mapping: &Mapping,
+) -> Option<Arc<ConfinedPaths>> {
+    request.wants_noc_isolation().then(|| {
+        let cores: Vec<u32> = mapping.phys_nodes().iter().map(|n| n.0).collect();
+        Arc::new(ConfinedPaths::build(topo, &cores))
+    })
+}
+
 /// One deployment of a virtual NPU's meta-tables: replaced wholesale
 /// whenever the hypervisor (re-)deploys the core mapping, routing table
 /// or memory plan, so nothing in it can outlive what it was derived from.
 /// The tables are kept in the form the cores' bound services share: built
 /// by the first bind that needs them, handed to every later one by `Arc`.
+/// (The route record is not among them: it is deployed with the cores,
+/// see [`VirtualNpu::routes`].)
 #[derive(Debug, Clone)]
 struct Deployment {
     /// Unique per deployment in this process; see
@@ -213,8 +228,6 @@ struct Deployment {
     stamp: u64,
     /// Virtual core `i` → physical core (the NoC routing table's view).
     v2p: OnceLock<Arc<[u32]>>,
-    /// Direction-override paths, for binds under [`RoutePolicy::Confined`].
-    confined_paths: OnceLock<Arc<ConfinedPaths>>,
     /// The validated, VA-sorted range table, for binds in
     /// [`MemMode::Range`].
     range_table: OnceLock<Arc<RangeTranslationTable>>,
@@ -228,7 +241,6 @@ impl Deployment {
         Deployment {
             stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
             v2p: OnceLock::new(),
-            confined_paths: OnceLock::new(),
             range_table: OnceLock::new(),
         }
     }
@@ -247,6 +259,8 @@ pub struct VirtualNpu {
     phys_topology: Arc<Topology>,
     mapping: Mapping,
     routing_table: RoutingTable,
+    /// The routes deployed with the cores, under NoC isolation only.
+    routes: Option<Arc<ConfinedPaths>>,
     rtt_entries: Vec<RttEntry>,
     blocks: Vec<Block>,
     deployment: Deployment,
@@ -266,6 +280,7 @@ impl VirtualNpu {
     ) -> Self {
         VirtualNpu {
             vm,
+            routes: deploy_routes(&request, &phys_topology, &mapping),
             request,
             phys_topology,
             mapping,
@@ -332,6 +347,14 @@ impl VirtualNpu {
         &self.routing_table
     }
 
+    /// The routes deployed with the cores of a virtual NPU that requested
+    /// NoC isolation — the one record its routers, the routing audit and
+    /// the fault detector read; `None` for a DOR tenant, whose routes are
+    /// a function of the endpoints.
+    pub fn routes(&self) -> Option<&Arc<ConfinedPaths>> {
+        self.routes.as_ref()
+    }
+
     /// The deployed range-translation entries (VA-sorted).
     pub fn rtt_entries(&self) -> &[RttEntry] {
         &self.rtt_entries
@@ -345,10 +368,11 @@ impl VirtualNpu {
     }
 
     /// Re-deploys this virtual NPU onto new physical cores after a live
-    /// migration: the mapping and routing table are replaced wholesale.
-    /// Caller (the hypervisor's transaction engine) owns the core
-    /// bookkeeping.
+    /// migration: the mapping, routing table and routes are replaced
+    /// wholesale. Caller (the hypervisor's transaction engine) owns the
+    /// core bookkeeping.
     pub(crate) fn redeploy_cores(&mut self, mapping: Mapping, routing_table: RoutingTable) {
+        self.routes = deploy_routes(&self.request, &self.phys_topology, &mapping);
         self.mapping = mapping;
         self.routing_table = routing_table;
         self.deployment = Deployment::new();
@@ -376,8 +400,8 @@ impl VirtualNpu {
     /// Builds the per-core services (vRouter + vChunk) for binding virtual
     /// core `v` into a [`vnpu_sim::machine::Machine`].
     ///
-    /// What the hypervisor deployed — physical topology, core list, path
-    /// table, range table — is shared with the virtual NPU's other bound
+    /// What the hypervisor deployed — physical topology, core list, route
+    /// record, range table — is shared with the virtual NPU's other bound
     /// cores; the per-core hardware state (destination-rewrite cache,
     /// range TLB and `last_v` hints, bandwidth counter) is fresh, so every
     /// bind starts cold.
@@ -390,7 +414,9 @@ impl VirtualNpu {
     }
 
     /// Like [`VirtualNpu::services`] but with explicit memory mode and
-    /// route policy (for the Figure 14 / Figure 13 ablations).
+    /// route policy (for the Figure 14 / Figure 13 ablations). A
+    /// [`RoutePolicy::Confined`] override of a DOR tenant routes by a
+    /// record of the router's own.
     pub fn services_with(
         &self,
         v: VirtCoreId,
@@ -402,14 +428,13 @@ impl VirtualNpu {
             .deployment
             .v2p
             .get_or_init(|| self.mapping.phys_nodes().iter().map(|n| n.0).collect());
-        let mut router = VRouterNoc::new(Arc::clone(&self.phys_topology), Arc::clone(v2p), policy);
-        if policy == RoutePolicy::Confined {
-            let paths = self
-                .deployment
-                .confined_paths
-                .get_or_init(|| Arc::new(ConfinedPaths::build(&self.phys_topology, v2p)));
-            router = router.with_paths(Arc::clone(paths));
-        }
+        let (topo, v2p) = (Arc::clone(&self.phys_topology), Arc::clone(v2p));
+        let router = match (policy, &self.routes) {
+            (RoutePolicy::Confined, Some(routes)) => {
+                VRouterNoc::deployed(topo, v2p, Some(Arc::clone(routes)))
+            }
+            _ => VRouterNoc::new(topo, v2p, policy),
+        };
         let translator: Box<dyn Translate + Send> = match mem_mode {
             MemMode::Range { tlb_entries } => Box::new(RangeTranslator::new(
                 self.range_table()?,

@@ -1,71 +1,20 @@
-//! The vRouter: NPU instruction-router and NoC-router virtualization
-//! (§4.1).
+//! The vRouter: NoC-router virtualization (§4.1).
 //!
-//! * [`InstRouter`] models the controller-side redirection of NPU
-//!   instructions from virtual to physical cores (Figure 4), with the
-//!   §6.2.1 cached-translation shortcut. Only its unit test builds one;
-//!   the Figure 12 dispatch latencies come from
-//!   [`vnpu_sim::controller::dispatch_latency`].
-//! * [`VRouterNoc`] implements [`vnpu_sim::noc::NocRouter`]: the per-core
-//!   send/receive engine extension that rewrites destination core IDs
-//!   through the routing table and, when *NoC isolation* is requested,
-//!   walks direction-override paths confined to the virtual topology
-//!   (Figure 5) instead of default dimension-order routing.
+//! [`VRouterNoc`] implements [`vnpu_sim::noc::NocRouter`]: the per-core
+//! send/receive engine extension that rewrites destination core IDs
+//! through the routing table and, for a virtual NPU that requested *NoC
+//! isolation*, follows the direction-override routes the hypervisor
+//! deployed for it ([`ConfinedPaths`], Figure 5) instead of default
+//! dimension-order routing. The controller-side redirection of NPU
+//! instructions (Figure 4) is priced by
+//! [`vnpu_sim::controller::dispatch_latency`], which Figure 12 reads.
 
-use crate::ids::{PhysCoreId, VirtCoreId};
-use crate::routing_table::{RoutingTable, RT_LOOKUP_CYCLES};
-use std::collections::HashMap;
+use crate::routing_table::RT_LOOKUP_CYCLES;
 use std::sync::Arc;
 use vnpu_sim::noc::{dor_path_into, NocRouter};
 use vnpu_sim::{Result as SimResult, SimError};
-use vnpu_topo::{route, NodeId, Topology};
-
-/// Controller-side instruction router.
-#[derive(Debug, Clone)]
-pub struct InstRouter {
-    table: RoutingTable,
-    lookups: u64,
-    cached: Option<(VirtCoreId, PhysCoreId)>,
-}
-
-impl InstRouter {
-    /// Wraps a routing table.
-    pub fn new(table: RoutingTable) -> Self {
-        InstRouter {
-            table,
-            lookups: 0,
-            cached: None,
-        }
-    }
-
-    /// Redirects an instruction addressed to virtual core `v`, returning
-    /// the physical core and the lookup cost in cycles (0 when the
-    /// translation is cached from the previous instruction — §6.2.1: "if
-    /// consecutive instructions are directed to the same NPU core, the
-    /// subsequent instructions do not need to query the routing table
-    /// again").
-    pub fn redirect(&mut self, v: VirtCoreId) -> Option<(PhysCoreId, u64)> {
-        if let Some((cv, cp)) = self.cached {
-            if cv == v {
-                return Some((cp, 0));
-            }
-        }
-        let p = self.table.lookup(v)?;
-        self.lookups += 1;
-        self.cached = Some((v, p));
-        Some((p, RT_LOOKUP_CYCLES))
-    }
-
-    /// Number of real (uncached) table lookups performed.
-    pub fn lookup_count(&self) -> u64 {
-        self.lookups
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &RoutingTable {
-        &self.table
-    }
-}
+use vnpu_topo::route::{confined_path, dor_walk};
+use vnpu_topo::{NodeId, Topology};
 
 /// How the NoC vRouter picks paths between the virtual NPU's cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,20 +24,31 @@ pub enum RoutePolicy {
     Dor,
     /// Direction-override routing confined to the virtual NPU's allocated
     /// cores (paper strategy 2: "predefining the routing direction inside
-    /// the routing table"). Falls back to DOR when no confined path exists
-    /// (fragmented allocations).
+    /// the routing table"): the router follows the routes of a
+    /// [`ConfinedPaths`] record, which holds the DOR route for a pair a
+    /// fragmented allocation cannot join inside itself.
     Confined,
 }
 
-/// The direction-override paths the hypervisor deploys for one virtual
-/// NPU under [`RoutePolicy::Confined`]: every ordered pair of its cores,
-/// routed inside the allocation where a confined route exists and by DOR
-/// where the allocation is fragmented. Built once per deployment and
-/// shared by the routers of all the virtual NPU's cores.
-#[derive(Debug, Default)]
+/// The routes the hypervisor deploys for one virtual NPU under
+/// [`RoutePolicy::Confined`]: for every ordered pair of its cores, the
+/// shortest route inside the allocation, or the DOR route across foreign
+/// cores where the allocation is fragmented (the §4.3
+/// performance/utilization trade-off). Built when the cores are deployed,
+/// it is the one record of the virtual NPU's routes: the routers of all
+/// its cores, the routing audit and the fault detector read it, and none
+/// of them derives a route again.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ConfinedPaths {
-    paths: HashMap<(u32, u32), Vec<u32>>,
-    /// One per relay node of every confined path (meta-zone storage).
+    /// Physical core of each virtual core, in virtual order.
+    cores: Vec<u32>,
+    /// Every route's nodes, endpoints included, back to back.
+    nodes: Vec<u32>,
+    /// Route `p` is `nodes[bounds[p]..bounds[p + 1]]`, where the pair
+    /// `(s, d)` of virtual cores is `p = s * cores.len() + d`; empty for a
+    /// core to itself and for a pair no route joins.
+    bounds: Vec<usize>,
+    /// One per relay node of every confined route (meta-zone storage).
     direction_entries: u64,
     /// Pairs routed by DOR because no confined route exists.
     fallback_paths: u64,
@@ -98,25 +58,59 @@ impl ConfinedPaths {
     /// Routes every ordered pair of distinct cores in `v2p` on `topo`.
     pub fn build(topo: &Topology, v2p: &[u32]) -> Self {
         let allowed: Vec<NodeId> = v2p.iter().map(|&p| NodeId(p)).collect();
-        let mut table = ConfinedPaths::default();
-        for &a in v2p {
-            for &b in v2p {
-                if a == b {
-                    continue;
+        let mut paths = ConfinedPaths {
+            cores: v2p.to_vec(),
+            nodes: Vec::new(),
+            bounds: Vec::with_capacity(v2p.len().pow(2) + 1),
+            direction_entries: 0,
+            fallback_paths: 0,
+        };
+        paths.bounds.push(0);
+        for &a in &allowed {
+            for &b in &allowed {
+                if a != b {
+                    if let Ok(path) = confined_path(topo, &allowed, a, b) {
+                        // One direction entry per relay node (minus source).
+                        paths.direction_entries += path.len() as u64 - 1;
+                        paths.nodes.extend(path.iter().map(|n| n.0));
+                    } else if let Some(shape) = topo.mesh_shape() {
+                        let walk = dor_walk(shape, a, b, |n| paths.nodes.push(n.0));
+                        paths.fallback_paths += u64::from(walk.is_ok());
+                    }
                 }
-                let Ok((path, fallback)) = confined_or_dor(topo, &allowed, a, b) else {
-                    continue;
-                };
-                if fallback {
-                    table.fallback_paths += 1;
-                } else {
-                    // One direction entry per relay node (minus source).
-                    table.direction_entries += path.len().saturating_sub(1) as u64;
-                }
-                table.paths.insert((a, b), path);
+                paths.bounds.push(paths.nodes.len());
             }
         }
-        table
+        paths
+    }
+
+    /// The deployed route from physical core `src` to `dst`, both
+    /// endpoints included, or `None` for a pair the record does not hold:
+    /// a core outside the allocation, a core to itself, an unroutable
+    /// pair.
+    pub fn route(&self, src: u32, dst: u32) -> Option<&[u32]> {
+        let s = self.cores.iter().position(|&c| c == src)?;
+        let d = self.cores.iter().position(|&c| c == dst)?;
+        let p = s * self.cores.len() + d;
+        let route = &self.nodes[self.bounds[p]..self.bounds[p + 1]];
+        (!route.is_empty()).then_some(route)
+    }
+
+    /// Every route the record holds, in virtual pair order.
+    pub fn routes(&self) -> impl Iterator<Item = &[u32]> {
+        let routes = self.bounds.windows(2).map(|w| &self.nodes[w[0]..w[1]]);
+        routes.filter(|route| !route.is_empty())
+    }
+
+    /// Number of per-node direction entries the confined routes need
+    /// (meta-zone storage).
+    pub fn direction_entries(&self) -> u64 {
+        self.direction_entries
+    }
+
+    /// Pairs that fell back to DOR because no confined route existed.
+    pub fn fallback_paths(&self) -> u64 {
+        self.fallback_paths
     }
 }
 
@@ -125,17 +119,16 @@ impl ConfinedPaths {
 /// Every bound virtual core gets its own instance, but only the
 /// destination-rewrite cache is per core: the physical topology, the
 /// virtual→physical core list and (under [`RoutePolicy::Confined`]) the
-/// path table are what the hypervisor deployed for the whole virtual NPU,
-/// held here by `Arc` — steady-state routing is table-driven, and binding
-/// a core copies none of it.
+/// route record are what the hypervisor deployed for the whole virtual
+/// NPU, held here by `Arc` — steady-state routing is table-driven, and
+/// binding a core copies none of it.
 pub struct VRouterNoc {
     topo: Arc<Topology>,
     v2p: Arc<[u32]>,
-    policy: RoutePolicy,
     cached_dst: Option<u32>,
-    deployed: Option<Arc<ConfinedPaths>>,
-    /// Buffer for routes computed on the fly (DOR, or a confined pair the
-    /// deployed table does not hold).
+    /// The deployed routes; `None` routes every pair by DOR.
+    routes: Option<Arc<ConfinedPaths>>,
+    /// Buffer for DOR routes.
     scratch: Vec<u32>,
 }
 
@@ -143,64 +136,43 @@ impl std::fmt::Debug for VRouterNoc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VRouterNoc")
             .field("cores", &self.v2p.len())
-            .field("policy", &self.policy)
+            .field("confined", &self.routes.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl VRouterNoc {
     /// Creates a NoC vRouter for a virtual NPU whose virtual core `i` is
-    /// backed by physical core `v2p[i]` on the given physical mesh. Both
-    /// arguments may be owned values or `Arc`s shared with sibling
-    /// routers.
+    /// backed by physical core `v2p[i]` on the given physical mesh. Under
+    /// [`RoutePolicy::Confined`] it builds a route record of its own — an
+    /// ad-hoc router; the routers of a placed virtual NPU share the record
+    /// deployed with its cores. Both arguments may be owned values or
+    /// `Arc`s shared with sibling routers.
     pub fn new(
         phys_topo: impl Into<Arc<Topology>>,
         v2p: impl Into<Arc<[u32]>>,
         policy: RoutePolicy,
     ) -> Self {
+        let (topo, v2p) = (phys_topo.into(), v2p.into());
+        let routes =
+            (policy == RoutePolicy::Confined).then(|| Arc::new(ConfinedPaths::build(&topo, &v2p)));
+        VRouterNoc::deployed(topo, v2p, routes)
+    }
+
+    /// A router that follows `routes`, the record deployed for the
+    /// virtual NPU's cores (DOR without one).
+    pub(crate) fn deployed(
+        topo: Arc<Topology>,
+        v2p: Arc<[u32]>,
+        routes: Option<Arc<ConfinedPaths>>,
+    ) -> Self {
         VRouterNoc {
-            topo: phys_topo.into(),
-            v2p: v2p.into(),
-            policy,
+            topo,
+            v2p,
             cached_dst: None,
-            deployed: None,
+            routes,
             scratch: Vec::new(),
         }
-    }
-
-    /// Installs an already-built path table (the one the virtual NPU's
-    /// other cores use).
-    pub fn with_paths(mut self, paths: Arc<ConfinedPaths>) -> Self {
-        self.deployed = Some(paths);
-        self
-    }
-
-    /// Precomputes all pairwise paths among the virtual NPU's cores (what
-    /// the hypervisor deploys into per-core meta-zones) for a router that
-    /// was not handed a shared table. Returns the total number of
-    /// direction entries installed.
-    pub fn precompute_paths(&mut self) -> u64 {
-        // DOR needs no table: routes are a function of the endpoints.
-        if self.policy == RoutePolicy::Confined {
-            self.deployed = Some(Arc::new(ConfinedPaths::build(&self.topo, &self.v2p)));
-        }
-        self.direction_entries()
-    }
-
-    /// Number of per-node direction entries deployed for this router
-    /// (meta-zone storage accounting for [`crate::hwcost`]).
-    pub fn direction_entries(&self) -> u64 {
-        self.deployed.as_ref().map_or(0, |p| p.direction_entries)
-    }
-
-    /// Paths that fell back to DOR because no confined route existed.
-    pub fn fallback_paths(&self) -> u64 {
-        self.deployed.as_ref().map_or(0, |p| p.fallback_paths)
-    }
-
-    /// The route policy in force.
-    pub fn policy(&self) -> RoutePolicy {
-        self.policy
     }
 }
 
@@ -222,26 +194,20 @@ impl NocRouter for VRouterNoc {
     }
 
     fn path(&mut self, src_phys: u32, dst_phys: u32) -> SimResult<&[u32]> {
-        let fault = || SimError::RouteFault {
+        // The deployed route, or DOR for a pair the record does not hold
+        // (a thread bound outside the allocation, say).
+        let deployed = self
+            .routes
+            .as_ref()
+            .and_then(|r| r.route(src_phys, dst_phys));
+        if let Some(route) = deployed {
+            return Ok(route);
+        }
+        let shape = self.topo.mesh_shape().ok_or(SimError::RouteFault {
             core: src_phys,
             dst: dst_phys,
-        };
-        if self.policy == RoutePolicy::Dor {
-            let shape = self.topo.mesh_shape().ok_or_else(fault)?;
-            dor_path_into(shape, src_phys, dst_phys, &mut self.scratch)?;
-            return Ok(&self.scratch);
-        }
-        if let Some(path) = self
-            .deployed
-            .as_ref()
-            .and_then(|table| table.paths.get(&(src_phys, dst_phys)))
-        {
-            return Ok(path);
-        }
-        let allowed: Vec<NodeId> = self.v2p.iter().map(|&p| NodeId(p)).collect();
-        let (path, _) =
-            confined_or_dor(&self.topo, &allowed, src_phys, dst_phys).map_err(|_| fault())?;
-        self.scratch = path;
+        })?;
+        dor_path_into(shape, src_phys, dst_phys, &mut self.scratch)?;
         Ok(&self.scratch)
     }
 
@@ -250,61 +216,20 @@ impl NocRouter for VRouterNoc {
     }
 
     fn name(&self) -> String {
-        match self.policy {
-            RoutePolicy::Dor => "vrouter-dor".to_owned(),
-            RoutePolicy::Confined => "vrouter-confined".to_owned(),
+        match self.routes {
+            None => "vrouter-dor".to_owned(),
+            Some(_) => "vrouter-confined".to_owned(),
         }
-    }
-}
-
-/// The confined route `src → dst` inside `allowed`, or — for a fragmented
-/// virtual NPU with no such route — the DOR route across foreign cores
-/// (the §4.3 performance/utilization trade-off), flagged `true`.
-fn confined_or_dor(
-    topo: &Topology,
-    allowed: &[NodeId],
-    src: u32,
-    dst: u32,
-) -> Result<(Vec<u32>, bool), vnpu_topo::TopoError> {
-    let as_u32 = |p: Vec<NodeId>| p.into_iter().map(|n| n.0).collect::<Vec<u32>>();
-    match route::confined_path(topo, allowed, NodeId(src), NodeId(dst)) {
-        Ok(p) => Ok((as_u32(p), false)),
-        Err(_) => route::dor_path(topo, NodeId(src), NodeId(dst)).map(|p| (as_u32(p), true)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::VmId;
     use vnpu_mem::translate::PhysicalTranslator;
     use vnpu_sim::machine::CoreServices;
     use vnpu_sim::noc::DorRouter;
     use vnpu_sim::{Instr, Machine, Program, SocConfig};
-    use vnpu_topo::MeshShape;
-
-    #[test]
-    fn inst_router_caches_repeat_destinations() {
-        let table = RoutingTable::mesh2d(
-            VmId(1),
-            PhysCoreId(0),
-            MeshShape {
-                width: 2,
-                height: 2,
-            },
-            4,
-        );
-        let mut r = InstRouter::new(table);
-        let (p1, c1) = r.redirect(VirtCoreId(3)).unwrap();
-        assert_eq!(p1, PhysCoreId(5));
-        assert_eq!(c1, RT_LOOKUP_CYCLES);
-        let (_, c2) = r.redirect(VirtCoreId(3)).unwrap();
-        assert_eq!(c2, 0, "repeat destination must hit the cache");
-        let (_, c3) = r.redirect(VirtCoreId(0)).unwrap();
-        assert_eq!(c3, RT_LOOKUP_CYCLES);
-        assert_eq!(r.lookup_count(), 2);
-        assert!(r.redirect(VirtCoreId(9)).is_none());
-    }
 
     /// Figure 5's vNPU2: virtual cores on physical {3, 6, 7, 11} of a 4x3
     /// mesh; the route 11 -> 6 must avoid physical core 10.
@@ -344,21 +269,21 @@ mod tests {
 
     #[test]
     fn precompute_counts_direction_entries() {
-        let mut r = fig5_router(RoutePolicy::Confined);
-        let entries = r.precompute_paths();
-        assert!(entries > 0);
-        assert_eq!(r.fallback_paths(), 0, "fig5 vNPU2 is connected");
-        // Cached path still served.
-        assert_eq!(r.path(11, 6).unwrap(), vec![11, 7, 6]);
+        let paths = ConfinedPaths::build(&Topology::mesh2d(4, 3), &[3, 6, 7, 11]);
+        assert!(paths.direction_entries() > 0);
+        assert_eq!(paths.fallback_paths(), 0, "fig5 vNPU2 is connected");
+        assert_eq!(paths.route(11, 6), Some(&[11, 7, 6][..]));
+        // A core to itself and a core outside the allocation.
+        assert_eq!(paths.route(6, 6), None);
+        assert_eq!(paths.route(11, 10), None);
     }
 
     #[test]
     fn fragmented_vnpu_falls_back_to_dor() {
         // Two disconnected islands: {0} and {15} on a 4x4 mesh.
         let topo = Topology::mesh2d(4, 4);
+        assert_eq!(ConfinedPaths::build(&topo, &[0, 15]).fallback_paths(), 2);
         let mut r = VRouterNoc::new(topo, vec![0, 15], RoutePolicy::Confined);
-        r.precompute_paths();
-        assert!(r.fallback_paths() > 0);
         let path = r.path(0, 15).unwrap();
         assert_eq!(path.len(), 7); // DOR path exists
     }
@@ -413,9 +338,7 @@ mod tests {
                     0 => Box::new(DorRouter::new(&cfg)),
                     _ => {
                         let policy = [RoutePolicy::Dor, RoutePolicy::Confined][kind - 1];
-                        let mut r = VRouterNoc::new(topo.clone(), v2p.to_vec(), policy);
-                        r.precompute_paths();
-                        Box::new(r)
+                        Box::new(VRouterNoc::new(topo.clone(), v2p.to_vec(), policy))
                     }
                 };
                 CoreServices {

@@ -38,7 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use vnpu::{Cluster, ClusterVmId};
+use vnpu::{Cluster, ClusterVmId, VirtualNpu};
+use vnpu_topo::route::dor_walk;
 use vnpu_topo::{NodeId, Topology};
 
 /// Which hardware resource failed.
@@ -225,18 +226,30 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Whether any dimension-order route between two of `nodes` crosses the
-/// undirected link `a`–`b`. The machine routes X-then-Y, so a tenant's
-/// NoC traffic can transit links between cores it does not own — a
-/// route-aware check is the only sound link-fault detector.
-fn routes_cross_link(topo: &Topology, nodes: &[NodeId], a: u32, b: u32) -> bool {
+/// Whether a route between two of `vnpu`'s cores crosses the undirected
+/// link `a`–`b`: one of the routes deployed with a confined tenant's
+/// cores, the dimension-order route of any other tenant. DOR traffic can
+/// transit links between cores a tenant does not own — a route-aware
+/// check is the only sound link-fault detector.
+fn routes_cross_link(topo: &Topology, vnpu: &VirtualNpu, a: u32, b: u32) -> bool {
+    let on_link = |x: u32, y: u32| (x, y) == (a, b) || (x, y) == (b, a);
+    if let Some(routes) = vnpu.routes() {
+        let mut hops = routes.routes().flat_map(|r| r.windows(2));
+        return hops.any(|w| on_link(w[0], w[1]));
+    }
+    let Some(shape) = topo.mesh_shape() else {
+        return false;
+    };
+    let nodes = vnpu.mapping().phys_nodes();
     nodes.iter().any(|&s| {
         nodes.iter().any(|&d| {
-            s != d
-                && vnpu_topo::route::dor_path(topo, s, d).is_ok_and(|p| {
-                    p.windows(2)
-                        .any(|w| (w[0].0 == a && w[1].0 == b) || (w[0].0 == b && w[1].0 == a))
-                })
+            let (mut prev, mut crossed) = (s.0, false);
+            // Refused (an endpoint off the mesh): visits nothing.
+            let _ = dor_walk(shape, s, d, |n| {
+                crossed |= on_link(prev, n.0);
+                prev = n.0;
+            });
+            crossed
         })
     })
 }
@@ -251,9 +264,10 @@ impl FaultDetector {
     /// chip — both the recovery loop's detection and its convergence
     /// test. A tenant is affected when it owns a faulted core, owns
     /// either endpoint of a faulted link (its NoC traffic terminates in
-    /// the failed link's routers), or has a dimension-order route across
-    /// a faulted link — routes are not confined to the cores a tenant
-    /// owns. A tenant that stopped being affected without moving (its
+    /// the failed link's routers), or has a route across a faulted link:
+    /// for a tenant with NoC isolation one of the routes deployed with its
+    /// cores ([`VirtualNpu::routes`]), for any other its dimension-order
+    /// routes, which are not confined to the cores it owns. A tenant that stopped being affected without moving (its
     /// fault was repaired, or it was detected conservatively off a link
     /// endpoint that healed) needs no recovery action at all.
     pub fn tenant_affected(cluster: &Cluster, id: ClusterVmId) -> bool {
@@ -267,7 +281,7 @@ impl FaultDetector {
             || cluster.machine(id.chip).faulted_links().any(|(a, b)| {
                 nodes.contains(&NodeId(a))
                     || nodes.contains(&NodeId(b))
-                    || routes_cross_link(topo, nodes, a, b)
+                    || routes_cross_link(topo, vnpu, a, b)
             })
     }
 }
@@ -405,5 +419,24 @@ mod tests {
         assert_eq!(affected(&cl), (true, false));
         assert!(cl.repair_link(0, 1, 2).unwrap());
         assert_eq!(affected(&cl), (false, false));
+    }
+
+    #[test]
+    fn confined_tenant_is_affected_only_by_links_its_deployed_routes_cross() {
+        // 6x6 mesh with all cores reserved but a U down column 0, along
+        // row 3 and up column 3: the tenant's DOR route 0 -> 3 runs along
+        // row 0 over link 1–2, its confined routes go round the U.
+        let u = [0, 6, 12, 18, 19, 20, 21, 15, 9, 3];
+        let affected = |isolated: bool| {
+            let mut cl = Cluster::new(vec![SocConfig::sim()]);
+            let others: Vec<u32> = (0..36).filter(|c| !u.contains(c)).collect();
+            cl.chip_mut(0).reserve_cores(&others).unwrap();
+            let req = VnpuRequest::cores(10).noc_isolation(isolated);
+            let t = cl.create_on(0, req).unwrap();
+            assert!(cl.fault_link(0, 1, 2).unwrap());
+            FaultDetector::tenant_affected(&cl, t)
+        };
+        assert!(affected(false));
+        assert!(!affected(true));
     }
 }

@@ -139,9 +139,17 @@ section "scripts/loc.sh (non-test source size)"
 # per-tick attempt order, the backfill-limit bookkeeping, every
 # `set_admission_policy`, `ServeConfig::policy`, the `ChipPlacement` value
 # `BestFitFragmentation`, and the hypervisor's retry-after-free counter.
-CORE_SERVE_CODE_MAX=4304
+# Making the routes deployed with a confined tenant's cores the one record
+# its routers, the routing audit and the fault detector read took 27 lines
+# out of `core + serve` and 18 out of the workspace: `InstRouter`,
+# `VRouterNoc::precompute_paths`, `with_paths`, `policy`,
+# `direction_entries` and `fallback_paths` (the two counts stay on the
+# record), the router's on-the-fly `confined_or_dor` fallback, the
+# `HashMap` of one `Vec` per pair and `Deployment`'s lazy memo of it, less
+# the flat record's lookup and the detector's reading of it.
+CORE_SERVE_CODE_MAX=4277
 TOPO_CODE_MAX=2250
-WORKSPACE_CODE_MAX=15247
+WORKSPACE_CODE_MAX=15229
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -276,6 +284,26 @@ if grep -rn 'trait AdmissionPolicy' crates/core/src; then
   exit 1
 fi
 echo "one admission order: arrival order with head-of-line blocking"
+
+section "one route record"
+# A confined tenant's routes are derived once, when its cores are deployed
+# (`vrouter::ConfinedPaths::build`), and every reader takes them from that
+# record: its routers, the routing audit and the fault detector. A
+# `confined_path(` call on a non-comment line before the first
+# `#[cfg(test)]` of any file but `crates/core/src/vrouter.rs` and
+# `crates/topo/src/route.rs` derives them a second time and fails the gate.
+derivations=$(find crates/*/src src examples -name '*.rs' \
+  ! -path crates/core/src/vrouter.rs ! -path crates/topo/src/route.rs -exec awk '
+  FNR == 1 { in_tests = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+  !in_tests && !/^[[:space:]]*\/\// && /confined_path\(/ { print FILENAME ":" FNR ": " $0 }
+' {} +)
+if [ -n "$derivations" ]; then
+  echo "$derivations"
+  echo "verify: FAIL (a confined route is derived outside the deployed record)"
+  exit 1
+fi
+echo "one route record: confined routes are derived only by ConfinedPaths::build"
 
 section "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -440,19 +468,23 @@ cargo test -p vnpu -q routed_ring_sends_are_pinned -- --nocapture
 section "audit gate"
 # The fleet audit runs after every audited tick over flat arrays: paths
 # in one buffer with end offsets, links as dense ids from the topology's
-# sorted adjacency, the deadlock search as one DFS over those ids. The
-# pins hold its exact outputs (the ROUTE-CDG witness, a DOR fleet whose
-# shared links are no finding, ROUTE-CONF + ROUTE-ISO findings with their
-# order and text) and an off-mesh core that used to panic `confined_path`; the
-# campaigns hold the routing pass, the cycle search and `audit_chip` /
-# `FleetAuditor::audit` to the BTreeMap passes they replaced (test-only
-# `reference` modules): identical findings over random meshes, a torus
-# with and without its mesh tag, hostile tenant sets and churned,
-# faulted, reserved and drained fleets.
+# sorted adjacency, the deadlock search as one DFS over those ids. It
+# takes an isolated tenant's routes from the record deployed with its
+# cores and derives none itself, so a stale record is flagged. The pins
+# hold its exact outputs (the ROUTE-CDG witness, a DOR fleet whose shared
+# links are no finding, ROUTE-CONF + ROUTE-ISO findings with their order
+# and text, a deployed route over a core outside the allocation) and an
+# off-mesh core that used to panic `confined_path`; the campaigns hold the
+# routing pass, the cycle search and `audit_chip` / `FleetAuditor::audit`
+# to the BTreeMap passes they replaced (test-only `reference` modules,
+# which derive confined routes themselves): identical findings over
+# random meshes, a torus with and without its mesh tag, hostile tenant
+# sets and churned, faulted, reserved and drained fleets.
 for test in \
   crafted_turn_cycle_is_a_deadlock_finding \
   dor_fleet_shares_links_without_default_findings \
   isolated_pair_and_wrap_escape_findings_are_pinned \
+  stale_deployed_route_escaping_the_allocation_is_flagged \
   off_mesh_cores_are_skipped_not_a_panic \
   flat_routing_matches_the_btreemap_reference \
   flat_cycle_search_matches_the_btreemap_reference \
@@ -475,9 +507,11 @@ cargo test --test props -q placement_plan_churn_is_transactional_and_leak_free
 # returns the mapping error and changes neither the placement state nor
 # the machine's pauses. Detection is one predicate, checked on a dead
 # owned core, a dead link at an owned endpoint, a transit-only link, an
-# unowned fault and a repair.
+# unowned fault and a repair, and on a link only the DOR routes of a
+# tenant cross, which does not affect it once it is confined.
 cargo test -p vnpu -q recover_in_place_without_a_healthy_window_rolls_back
 cargo test -p vnpu_fault -q tenant_affected_sees_cores_endpoints_and_transit_links
+cargo test -p vnpu_fault -q confined_tenant_is_affected_only_by_links_its_deployed_routes_cross
 echo "plan/commit gate: every un-intervened plan committed at its planned prices"
 
 section "temporal verification gate"

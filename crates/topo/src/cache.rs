@@ -61,20 +61,25 @@
 //!
 //! The hashed tables (`ISO`, `GED`, `REFINE`: 32 B an entry) are bounded
 //! and cleared whole when full. The class table sees a lookup per visited
-//! candidate — about 33 000 a 4 000-tick `churn_1chip` round, over about
-//! 4 800 distinct structures — so it is **direct-mapped**: slots of
-//! `[structure, packed class]`, 16 B each, a structure of at most nine
-//! nodes (one word, as is its exact class) taking the slot its hash picks.
-//! A growing `HashMap` in its place read `churn_1chip`'s `peak_rss_mib`
-//! +9.2% with only 136 KB more live heap: glibc's dynamic mmap threshold
-//! turns small heap growth into resident pages. A table of 4 096 slots
-//! from the first lookup read +0.3% there but +5.1% on `reconfig_storm`,
-//! whose five caches include two 4x4 chips' hint caches that miss a few
-//! hundred times a round. So a table starts at 512 slots and is
-//! reallocated, empty, at 4 096 once it has missed 512 times; then
-//! `reconfig_storm` read +4.4% and `churn_1chip` +0.3%. Every entry is exact, so a hit returns
-//! what the kernel would, and what a table holds depends on nothing but
-//! the run's inputs.
+//! candidate — about 34 000 a 4 000-tick `churn_1chip` round, over about
+//! 4 700 distinct structures — so it is a fixed array of
+//! `[structure, packed class]` slots, 16 B each, **4-way
+//! set-associative**: a structure of at most nine nodes (one word, as is
+//! its exact class) goes to the front of the set of four slots its hash
+//! picks, over the set's least recently used entry, and a hit moves its
+//! slot to the front. Direct-mapped, the same slots missed 10 540 of a
+//! seed-29 round's 34 226 lookups, 5 885 of them past a structure's first
+//! (conflicts); four ways miss 7 195 times. A growing `HashMap` in its
+//! place read `churn_1chip`'s `peak_rss_mib` +9.2% with only 136 KB more
+//! live heap: glibc's dynamic mmap threshold turns small heap growth into
+//! resident pages. A table of 4 096 slots from the first lookup read
+//! +0.3% there but +5.1% on `reconfig_storm`, whose five caches include
+//! two 4x4 chips' hint caches that miss a few hundred times a round. So a
+//! table starts at 512 slots and is reallocated, empty, at 4 096 once it
+//! has missed 512 times; then `reconfig_storm` read +4.4% and
+//! `churn_1chip` +0.3%. Every entry is exact, so a hit returns what the
+//! kernel would, and what a table holds depends on nothing but the run's
+//! inputs.
 //!
 //! [`UniformCosts`]: crate::ged::UniformCosts
 
@@ -503,6 +508,9 @@ const STRUCTURE_MAX_NODES: usize = 12;
 /// that searches little (a small chip's hint cache) stays small.
 const CLASS_SLOTS: [usize; 2] = [512, 4_096];
 
+/// Slots per set of the class table, most recently used first.
+const CLASS_WAYS: usize = 4;
+
 /// The score-memo table of `ged::ged(req, sub, UniformCosts)`.
 pub const GED: usize = 0;
 /// The score-memo table of `ged::refine_mapping(req, sub, start,
@@ -523,9 +531,9 @@ pub(crate) struct ScoreMemo {
     /// Tables [`GED`], [`REFINE`] and [`ISO`]: (request id and candidate
     /// structure, packed start mapping) → result word.
     tables: [HashMap<[u64; 3], u64>; 3],
-    /// The [`CLASS`] table: direct-mapped `[structure, packed class]`
-    /// slots, a zero structure marking an empty one; none before the
-    /// first lookup (see [`CLASS_SLOTS`]).
+    /// The [`CLASS`] table: `[structure, packed class]` slots in sets of
+    /// [`CLASS_WAYS`], a zero structure marking an empty one; none before
+    /// the first lookup (see [`CLASS_SLOTS`]).
     class: Vec<[u64; 2]>,
     stats: [CacheStats; 4],
 }
@@ -591,7 +599,9 @@ impl<'a> SearchMemo<'a> {
 
     /// The canonical key of the candidate of `structure`: the [`CLASS`]
     /// table's, or else what `key` returns, stored for a structure of at
-    /// most nine nodes (one word) in the slot its hash picks.
+    /// most nine nodes (one word) at the front of the set its hash picks,
+    /// over the set's least recently used slot. A hit moves its slot to
+    /// the front.
     pub(crate) fn class(
         &mut self,
         structure: Option<u128>,
@@ -605,18 +615,21 @@ impl<'a> SearchMemo<'a> {
         if memo.class.len() < slots {
             memo.class = vec![[0; 2]; slots];
         }
-        let slot = &mut memo.class[mix(structure) as usize % slots];
+        let set = mix(structure) as usize % (slots / CLASS_WAYS) * CLASS_WAYS;
+        let set = &mut memo.class[set..set + CLASS_WAYS];
         let stats = &mut memo.stats[CLASS];
-        if slot[0] == structure {
+        if let Some(way) = set.iter().position(|slot| slot[0] == structure) {
             stats.hits += 1;
-            return CanonicalKey::unpack(slot[1]);
+            set[..=way].rotate_right(1);
+            return CanonicalKey::unpack(set[0][1]);
         }
         stats.misses += 1;
         let key = key();
         if let Some(class) = key.pack() {
-            stats.evictions += u64::from(slot[0] != 0);
+            stats.evictions += u64::from(set[CLASS_WAYS - 1][0] != 0);
             stats.insertions += 1;
-            *slot = [structure, class];
+            set.rotate_right(1);
+            set[0] = [structure, class];
         }
         key
     }

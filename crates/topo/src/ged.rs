@@ -16,25 +16,34 @@
 //!   i.e. an upper bound on the true distance;
 //! * [`ged`] — dispatches between the two on graph size.
 //!
-//! These run once per candidate of a mapper search (and [`refine_mapping`]
-//! a dozen times on top), all asking `edge_attr` of the same two graphs in
-//! a loop, so each call builds the two dense `n × n` tables of
-//! `Topology::edge_table` once and reads them from then on. Beyond
+//! These run once per candidate of a mapper search (and a 2-opt
+//! refinement a dozen times on top), all asking `edge_attr` of the same
+//! two graphs in a loop, so each call builds the two dense `n × n` tables
+//! of `Topology::edge_table` once and reads them from then on. Beyond
 //! those it allocates what it returns plus, per call, the A\* heap
 //! (whose states are `Copy` values, not owners of vectors) or the
-//! assignment matrix; a 2-opt swap is priced in place from the O(n) terms
-//! it touches. **Why results cannot move:** the tables answer exactly
-//! what the edge map answered. The A\* pushes the same states in the same
-//! order, and the heap's order is a function of `g` and `depth` alone, so
-//! it pops in the same order and returns the same optimum *and* the same
-//! mapping. The 2-opt loop visits the same swaps in the same order and
-//! accepts on the same strict `<` of the same integer — the difference of
-//! the touched terms is the difference of the full sums. The test-only
-//! `reference` module keeps the replaced kernels and holds these to
-//! identical results.
+//! assignment matrix. A mapper search under the stock costs
+//! ([`UniformCosts`] on a chip whose edges all cost the default, every
+//! served request's case) refines with `StockRefiner`, which prices a
+//! 2-opt swap from adjacency bitsets in a few word operations; custom
+//! costs and requests of more than 64 nodes take [`refine_mapping`],
+//! which prices a swap in place from the O(n) terms it touches.
+//! **Why results cannot move:** the tables answer exactly what the edge
+//! map answered. The A\* pushes the same states in the same order, and
+//! the heap's order is a function of `g` and `depth` alone, so it pops in
+//! the same order and returns the same optimum *and* the same mapping.
+//! The 2-opt loops visit the same swaps in the same order and accept on
+//! the same strict `<` of the same integer — the difference of the
+//! touched terms is the difference of the full sums, and under the stock
+//! costs each node's touched pair terms are the costs of its request
+//! edges missing from the pulled-back image row plus the popcount of the
+//! image edges missing from its request row, the same sum over the
+//! bitsets' differences. The test-only `reference` module keeps the
+//! replaced kernels and holds these to identical results, and holds
+//! `StockRefiner` to [`refine_mapping`].
 
 use crate::hungarian;
-use crate::{EdgeAttr, NodeAttr, NodeId, Topology};
+use crate::{EdgeAttr, NodeAttr, NodeId, NodeKind, Topology};
 use std::collections::BinaryHeap;
 
 /// Largest graph size (max of the two node counts) for which [`ged`] runs
@@ -478,6 +487,10 @@ fn insert_rest(
 /// moves only the node terms of `i` and `j` and their pair terms with
 /// every other node: each swap is priced by that O(n) difference.
 ///
+/// A mapper search runs this only for custom costs and for requests of
+/// more than 64 nodes; under the stock costs it runs `StockRefiner`,
+/// which returns the same result and which this is the oracle of.
+///
 /// Returns the refined mapping and its cost.
 pub fn refine_mapping(
     g1: &Topology,
@@ -518,6 +531,148 @@ pub fn refine_mapping(
         }
     }
     (best, best_cost)
+}
+
+/// [`refine_mapping`] under the stock costs — [`UniformCosts`] on a
+/// candidate whose edges all cost the default — for a request of at most
+/// 64 nodes, each swap priced from adjacency bitsets. Built once per
+/// request (one per search), run once per start.
+///
+/// Under those costs a request edge missing from the image costs its own
+/// cost, an image edge with no request edge behind it costs 1, a
+/// substituted edge 0, and a node `kind != kind`, or 1 when deleted. So
+/// with the pulled-back row `P[p]` — the virtual nodes whose images
+/// neighbour `p`'s — the pair terms of `p` over a set of other nodes are
+/// the costs over `adj[p] & !P[p]` plus the popcount of `P[p] & !adj[p]`
+/// within that set; after a swap of `i` and `j`, `i` is priced against
+/// `P[j]` and `j` against `P[i]`.
+pub(crate) struct StockRefiner {
+    /// Each virtual node's neighbours, one bit each.
+    adj: Vec<u64>,
+    /// The request's edge costs, row-major `n × n`, 0 off its edges.
+    cost: Vec<u64>,
+    kinds: Vec<NodeKind>,
+}
+
+impl StockRefiner {
+    /// The request-side tables of `g1`, or `None` past 64 nodes.
+    pub(crate) fn new(g1: &Topology) -> Option<Self> {
+        let n = g1.node_count();
+        if n > u64::BITS as usize {
+            return None;
+        }
+        let (mut adj, mut cost) = (vec![0u64; n], vec![0; n * n]);
+        for (a, b) in g1.edges() {
+            let c = g1.edge_attr(a, b).unwrap_or_default().cost;
+            let (a, b) = (a.index(), b.index());
+            adj[a] |= 1 << b;
+            adj[b] |= 1 << a;
+            cost[a * n + b] = c;
+            cost[b * n + a] = c;
+        }
+        let kinds = g1.nodes().map(|v| g1.node_attr(v).kind).collect();
+        Some(StockRefiner { adj, cost, kinds })
+    }
+
+    /// The node term of virtual node `p` with image `m`, plus its pair
+    /// terms against the pulled-back row `row` over the nodes in `within`.
+    fn terms(&self, g2: &Topology, p: usize, m: Option<NodeId>, row: u64, within: u64) -> u64 {
+        let node = m.map_or(1, |a| u64::from(self.kinds[p] != g2.node_attr(a).kind));
+        let n = self.kinds.len();
+        let deleted: u64 = bits(self.adj[p] & !row & within)
+            .map(|q| self.cost[p * n + q])
+            .sum();
+        node + deleted + u64::from((row & !self.adj[p] & within).count_ones())
+    }
+
+    /// [`refine_mapping`]`(g1, g2, mapping, &UniformCosts, max_passes)` for
+    /// the `g1` this was built from: the same swaps in the same order,
+    /// accepted on the same strict `<` of the same integers.
+    ///
+    /// # Panics
+    ///
+    /// As [`refine_mapping`] does, and if `g2` has more than 64 nodes.
+    pub(crate) fn refine(
+        &self,
+        g2: &Topology,
+        mapping: &[Option<NodeId>],
+        max_passes: usize,
+    ) -> (Vec<Option<NodeId>>, u64) {
+        let n = self.kinds.len();
+        assert_eq!(mapping.len(), n, "mapping length mismatch");
+        assert!(g2.node_count() <= 64, "a candidate row is one word");
+        debug_assert!(g2.has_default_edge_costs(), "stock costs");
+        let mut adj2 = [0u64; 64];
+        for (a, row) in adj2.iter_mut().enumerate().take(g2.node_count()) {
+            for b in g2.neighbors(NodeId(a as u32)) {
+                *row |= 1 << b.index();
+            }
+        }
+        let mut used = 0u64;
+        for a in mapping.iter().flatten() {
+            assert!(used >> a.index() & 1 == 0, "mapping must be injective");
+            used |= 1 << a.index();
+        }
+        // `P[p]`: the virtual nodes whose images neighbour `p`'s.
+        let pulled = |best: &[Option<NodeId>], p: usize| {
+            let near = best[p].map_or(0, |a| adj2[a.index()]);
+            (0..n)
+                .filter(|&q| best[q].is_some_and(|b| near >> b.index() & 1 == 1))
+                .fold(0u64, |row, q| row | 1 << q)
+        };
+        let mut best = mapping.to_vec();
+        let mut rows = [0u64; 64];
+        for (p, row) in rows.iter_mut().enumerate().take(n) {
+            *row = pulled(&best, p);
+        }
+        // Node and pair terms, each pair once, then the insertion of the
+        // candidate nodes and edges the image leaves out.
+        let mut best_cost: u64 = (0..n)
+            .map(|p| self.terms(g2, p, best[p], rows[p], u64::MAX << p << 1))
+            .sum();
+        let inside: u32 = rows[..n].iter().map(|row| row.count_ones()).sum();
+        let outside = g2.node_count() - used.count_ones() as usize;
+        best_cost += (outside + g2.edge_count() - inside as usize / 2) as u64;
+        for _ in 0..max_passes {
+            let mut improved = false;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let others = !(1u64 << i | 1 << j);
+                    let (mi, mj) = (best[i], best[j]);
+                    let before = self.terms(g2, i, mi, rows[i], others)
+                        + self.terms(g2, j, mj, rows[j], others);
+                    let after = self.terms(g2, i, mj, rows[j], others)
+                        + self.terms(g2, j, mi, rows[i], others);
+                    let c = best_cost - before + after;
+                    if c < best_cost {
+                        best_cost = c;
+                        improved = true;
+                        best.swap(i, j);
+                        // Every other row trades bits `i` and `j`.
+                        for row in &mut rows[..n] {
+                            let d = (*row >> i ^ *row >> j) & 1;
+                            *row ^= d << i | d << j;
+                        }
+                        rows[i] = pulled(&best, i);
+                        rows[j] = pulled(&best, j);
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        (best, best_cost)
+    }
+}
+
+/// The indices of `mask`'s set bits, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        bit
+    })
 }
 
 #[cfg(test)]
@@ -803,6 +958,8 @@ mod reference {
         let mut rng = Rng(0x5EED_2019);
         // Starts that refinement improved: total, partial.
         let mut improved = [0usize; 2];
+        // Bitset-kernel runs: total starts, partial starts, weighted requests.
+        let mut stock = [0usize; 3];
         for case in 0..CASES {
             let n1 = 2 + rng.below(11);
             let g1 = region(n1, case % 2 == 1, &mut rng);
@@ -828,13 +985,46 @@ mod reference {
                 );
                 improved[usize::from(partial)] += usize::from(got.1 < start);
             }
+            // The stock costs: the bitset kernel returns what the delta
+            // loop does under UniformCosts.
+            if g2.has_default_edge_costs() {
+                let kernel = StockRefiner::new(&g1).expect("at most 12 nodes");
+                let want = super::refine_mapping(&g1, &g2, &images, &UniformCosts, 8);
+                assert_eq!(kernel.refine(&g2, &images, 8), want, "case {case}: bitsets");
+                stock[usize::from(partial)] += 1;
+                stock[2] += usize::from(!g1.has_default_edge_costs());
+            }
         }
+        // One 64-node request, dressed, from a scrambled start: every
+        // row is a full word.
+        let mut g1 = Topology::mesh2d(8, 8);
+        sprinkle_kinds(&mut g1, &mut rng);
+        for (a, b) in g1.edges().collect::<Vec<_>>() {
+            let cost = 1 + rng.below(3) as u64;
+            g1.add_edge_with(a, b, EdgeAttr { cost }).unwrap();
+        }
+        let mut g2 = relabeled(&Topology::mesh2d(8, 8), &mut rng);
+        sprinkle_kinds(&mut g2, &mut rng);
+        let mut images: Vec<Option<NodeId>> = (0..64).map(|j| Some(NodeId(j))).collect();
+        for i in (1..images.len()).rev() {
+            images.swap(i, rng.below(i + 1));
+        }
+        let kernel = StockRefiner::new(&g1).expect("64 nodes fit a word");
+        let want = super::refine_mapping(&g1, &g2, &images, &UniformCosts, 8);
+        assert!(want.1 < mapping_cost(&g1, &g2, &images, &UniformCosts));
+        assert_eq!(kernel.refine(&g2, &images, 8), want, "64 nodes");
+        assert!(StockRefiner::new(&Topology::line(65)).is_none());
         println!(
             "2-opt campaign: {CASES} starts x 2 cost models, identical (mapping, cost); \
-             improved {} total and {} partial starts",
-            improved[0], improved[1]
+             improved {} total and {} partial starts; the bitset kernel matched \
+             {} total and {} partial starts, {} of weighted requests, and a 64-node one",
+            improved[0], improved[1], stock[0], stock[1], stock[2]
         );
         assert!(improved.iter().all(|&n| n > 0), "refinement never ran");
+        assert!(
+            stock.iter().all(|&n| n > 0),
+            "the bitset kernel missed a case"
+        );
     }
 }
 

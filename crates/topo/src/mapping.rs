@@ -22,10 +22,11 @@
 //! scoring is a plain loop.
 //!
 //! A candidate's canonical key, its isomorphism to the request, its edit
-//! distance (`ged::ged`) and, for the best six, its refinement
-//! (`ged::refine_mapping`) are pure functions of the request and the
-//! candidate's structure — its kinds and adjacency in sorted-cell order.
-//! So a search behind a [`MappingCache`] miss
+//! distance (`ged::ged`) and, for the best six, its 2-opt refinement
+//! (`ged::refine_mapping`, or its bitset kernel under the stock costs) are
+//! pure functions of the request and the candidate's structure — its
+//! kinds and adjacency in sorted-cell order. So a search behind a
+//! [`MappingCache`] miss
 //! ([`Mapper::map_cached_with`]) computes each visited candidate's
 //! structure straight from its cells and looks all four up in the cache's
 //! score memo, building the candidate's subgraph only when a lookup
@@ -355,7 +356,7 @@ impl<'a> Mapper<'a> {
                     Walk::Candidates(_) => Err(TopoError::NoCandidate),
                 }
             }
-            StrategyKind::SimilarTopology => self.similar(free, req, strategy, &mut memo),
+            StrategyKind::SimilarTopology => self.similar(free, req, strategy, scores, &mut memo),
         }
     }
 
@@ -508,12 +509,14 @@ impl<'a> Mapper<'a> {
     }
 
     /// Algorithm 1: enumerate, early-exit, dedup, score, pick the
-    /// minimum-edit-distance candidate.
+    /// minimum-edit-distance candidate. `stock` says the search runs the
+    /// stock costs on a chip whose edges all cost the default.
     fn similar(
         &self,
         free: &FreeSet,
         req: &Topology,
         strategy: &Strategy,
+        stock: bool,
         memo: &mut SearchMemo,
     ) -> Result<Mapping> {
         // Lines 20–29, with line 22's exact early exit.
@@ -541,7 +544,9 @@ impl<'a> Mapper<'a> {
         // global edge structure). Pipeline-style requests (virtual IDs in
         // dataflow order) additionally get a serpentine seed — a snake
         // through the candidate region — which is usually the natural
-        // embedding for chains.
+        // embedding for chains. Under the stock costs the swaps are priced
+        // from bitsets, the request's built once here.
+        let stock = stock.then(|| ged::StockRefiner::new(req)).flatten();
         let mut best: Option<(u64, Vec<NodeId>)> = None;
         for (scored, sub, cells, structure) in &top {
             let starts = [
@@ -551,7 +556,10 @@ impl<'a> Mapper<'a> {
             for start in starts {
                 let refined = memo.score(REFINE, *structure, &start, || {
                     let sub = sub.get_or_init(|| self.phys.induced_subgraph(cells).0);
-                    let (mapping, cost) = ged::refine_mapping(req, sub, &start, costs, 8);
+                    let (mapping, cost) = match &stock {
+                        Some(stock) => stock.refine(sub, &start, 8),
+                        None => ged::refine_mapping(req, sub, &start, costs, 8),
+                    };
                     GedResult {
                         cost,
                         mapping,

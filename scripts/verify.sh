@@ -152,7 +152,7 @@ section "scripts/loc.sh (non-test source size)"
 # bit iterator, and its call in `Mapper::similar`) and 4 of the class
 # table's four-way sets with LRU replacement in the same slots, which
 # together cut `churn_1chip`'s `op_tail10_us` by 26% in ten alternating
-# seed-29 pairs (10 of 10 won).
+# seed-29 pairs (10 of 10 won; an earlier set on a drifting host, 9 of 10).
 CORE_SERVE_CODE_MAX=4277
 TOPO_CODE_MAX=2366
 WORKSPACE_CODE_MAX=15345

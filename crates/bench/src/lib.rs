@@ -52,7 +52,7 @@ pub enum Design {
 /// Binds every virtual core of a provisioned virtual NPU into `machine`
 /// under the given design, returning the tenant ID.
 ///
-/// `programs[v]` is bound to physical core `mapping.phys_of(v)`. For the
+/// `programs[v]` is bound to physical core `mapping.phys_nodes()[v]`. For the
 /// UVM design, NoC programs should be pre-rewritten with
 /// [`vnpu::uvm::uvm_program`].
 ///

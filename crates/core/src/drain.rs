@@ -87,13 +87,6 @@ pub struct DrainStep {
     pub total: ReconfigCost,
 }
 
-impl DrainStep {
-    /// Whether the step left the chip empty.
-    pub fn is_evacuated(&self) -> bool {
-        self.remaining == 0
-    }
-}
-
 /// The bytes a cross-chip move of `vnpu` carries over the inter-chip
 /// fabric: its entire guest HBM plus each core's scratchpad working set.
 /// The single source of the data-movement formula — both the drain

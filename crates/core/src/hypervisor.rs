@@ -112,6 +112,11 @@ impl Hypervisor {
     }
 
     /// Creates a hypervisor with an explicit HBM capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hbm_bytes` is zero or not a multiple of
+    /// [`MIN_BLOCK_BYTES`], the HBM buddy allocator's smallest block.
     pub fn with_hbm_bytes(cfg: SocConfig, hbm_bytes: u64) -> Self {
         let mut topo = Topology::mesh2d(cfg.mesh_width, cfg.mesh_height);
         // Annotate distance to the memory interfaces (west edge) so that
@@ -400,47 +405,14 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// Releases cores previously taken with [`Hypervisor::reserve_cores`].
-    ///
-    /// The call is transactional: it validates every index *and* every
-    /// user count up front, so a failing call changes nothing.
-    ///
-    /// # Errors
-    ///
-    /// * [`VnpuError::VirtCoreOutOfRange`] — an index outside the chip.
-    /// * [`VnpuError::OverRelease`] — a core released more times than it
-    ///   was acquired (counting duplicates within this call).
-    pub fn release_cores(&mut self, cores: &[u32]) -> Result<()> {
-        let count = self.chip.cfg.core_count();
-        let mut releases = vec![0u32; count as usize];
-        for &c in cores {
-            if c >= count {
-                return Err(VnpuError::VirtCoreOutOfRange {
-                    vcore: VirtCoreId(c),
-                    count,
-                });
-            }
-            releases[c as usize] += 1;
-            if releases[c as usize] > self.state.core_users[c as usize] {
-                return Err(VnpuError::OverRelease { core: c });
-            }
-        }
-        for &c in cores {
-            self.state
-                .release_core(&self.chip, c)
-                .expect("the loop above counted a user for every release");
-        }
-        Ok(())
-    }
-
     /// Tears down a virtual NPU, releasing cores and memory.
     ///
     /// # Errors
     ///
     /// * [`VnpuError::UnknownVm`] — stale ID.
     /// * [`VnpuError::OverRelease`] — a core of this vNPU no longer has a
-    ///   user reference (an earlier [`Hypervisor::release_cores`] misuse);
-    ///   the vNPU is left untouched.
+    ///   user reference (a core released out from under it); the vNPU is
+    ///   left untouched.
     pub fn destroy_vnpu(&mut self, vm: VmId) -> Result<()> {
         self.state.destroy(&self.chip, vm)
     }
@@ -920,8 +892,8 @@ impl Placement {
 
     /// `vm`'s record, provided every core it maps still carries a user
     /// reference — checked before a teardown or a move releases them, so
-    /// neither searches or mutates on behalf of a tenant whose core an
-    /// earlier [`Hypervisor::release_cores`] misuse stripped.
+    /// neither searches or mutates on behalf of a tenant whose core was
+    /// released out from under it.
     fn owned(&self, vm: VmId) -> Result<&VirtualNpu> {
         let vnpu = self.vnpus.get(&vm).ok_or(VnpuError::UnknownVm(vm))?;
         let stripped = |n: &&NodeId| self.core_users[n.index()] == 0;
@@ -1175,6 +1147,44 @@ mod tests {
     use crate::cluster::{Cluster, ClusterAdmissionOutcome as Outcome};
     use crate::vchunk::MemMode;
     use crate::vrouter::ConfinedPaths;
+
+    // The misuse injector: releasing cores a tenant still maps is how the
+    // tests reach the `OverRelease` guard of `Placement::owned`, which no
+    // production path trips.
+    impl Hypervisor {
+        /// Releases cores previously taken with [`Hypervisor::reserve_cores`].
+        ///
+        /// The call is transactional: it validates every index *and* every
+        /// user count up front, so a failing call changes nothing.
+        ///
+        /// # Errors
+        ///
+        /// * [`VnpuError::VirtCoreOutOfRange`] — an index outside the chip.
+        /// * [`VnpuError::OverRelease`] — a core released more times than it
+        ///   was acquired (counting duplicates within this call).
+        pub(crate) fn release_cores(&mut self, cores: &[u32]) -> Result<()> {
+            let count = self.chip.cfg.core_count();
+            let mut releases = vec![0u32; count as usize];
+            for &c in cores {
+                if c >= count {
+                    return Err(VnpuError::VirtCoreOutOfRange {
+                        vcore: VirtCoreId(c),
+                        count,
+                    });
+                }
+                releases[c as usize] += 1;
+                if releases[c as usize] > self.state.core_users[c as usize] {
+                    return Err(VnpuError::OverRelease { core: c });
+                }
+            }
+            for &c in cores {
+                self.state
+                    .release_core(&self.chip, c)
+                    .expect("the loop above counted a user for every release");
+            }
+            Ok(())
+        }
+    }
 
     fn hv() -> Hypervisor {
         Hypervisor::new(SocConfig::sim()) // 6x6

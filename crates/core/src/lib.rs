@@ -13,8 +13,9 @@
 //!   deployed with a virtual NPU's cores (*NoC non-interference*).
 //! * **vChunk** ([`vchunk`], [`meta`]) — per-core range translation over
 //!   the hypervisor's buddy-allocated HBM blocks, plus access counters and
-//!   bandwidth caps; meta-tables live in the SRAM *meta-zone* written only
-//!   by the hyper-mode controller.
+//!   bandwidth caps; meta-tables live in the SRAM *meta-zone*, which the
+//!   hypervisor writes directly (the paper's §5.1 hyper-mode controller
+//!   and its PF/VF MMIO isolation are not modelled).
 //! * **Topology mapping** ([`hypervisor`]) — virtual-NPU core allocation
 //!   by exact match, zig-zag, or minimum topology edit distance
 //!   (re-exported from [`vnpu_topo::mapping`]).
@@ -67,7 +68,6 @@ pub mod hwcost;
 pub mod hypervisor;
 pub mod meta;
 pub mod mig;
-pub mod mmio;
 pub mod plan;
 pub mod routing_table;
 pub mod uvm;
@@ -165,13 +165,6 @@ pub enum VnpuError {
     },
     /// No MIG partition is free.
     NoPartition,
-    /// An MMIO access violated the PF/VF protection rules (§5.1).
-    MmioDenied {
-        /// The requesting VM.
-        vm: VmId,
-        /// Offended register offset.
-        offset: u64,
-    },
 }
 
 impl fmt::Display for VnpuError {
@@ -207,9 +200,6 @@ impl fmt::Display for VnpuError {
                 write!(f, "physical core {core} is marked faulted")
             }
             VnpuError::NoPartition => write!(f, "no free MIG partition"),
-            VnpuError::MmioDenied { vm, offset } => {
-                write!(f, "{vm} denied MMIO access at offset {offset:#x}")
-            }
         }
     }
 }

@@ -61,11 +61,6 @@ pub fn meta_zone_capacity(scratchpad_bytes: u64) -> u64 {
     (scratchpad_bytes as f64 * META_ZONE_FRACTION) as u64
 }
 
-/// Weight-zone bytes remaining after the meta-zone reservation.
-pub fn weight_zone_capacity(scratchpad_bytes: u64) -> u64 {
-    scratchpad_bytes - meta_zone_capacity(scratchpad_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,15 +88,6 @@ mod tests {
             layout.check(512 * 1024),
             Err(VnpuError::MetaZoneOverflow { .. })
         ));
-    }
-
-    #[test]
-    fn zones_partition_scratchpad() {
-        let total = 30 * 1024 * 1024;
-        assert_eq!(
-            meta_zone_capacity(total) + weight_zone_capacity(total),
-            total
-        );
     }
 
     #[test]

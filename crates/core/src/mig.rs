@@ -68,14 +68,6 @@ impl MigAllocation {
     pub fn is_tdm(&self) -> bool {
         self.tdm
     }
-
-    /// Number of physical cores left idle in the partition (the MIG
-    /// under-utilization of Figure 16: GPT2-small on an 18/24-core
-    /// partition wastes up to 50%).
-    pub fn idle_cores(&self, partition: &Partition) -> usize {
-        let used: std::collections::HashSet<u32> = self.assignment.iter().copied().collect();
-        partition.len() - used.len()
-    }
 }
 
 /// Fixed-partition allocator for the MIG baseline.
@@ -180,11 +172,6 @@ impl MigPartitioner {
             *u = false;
         }
     }
-
-    /// Number of free partitions.
-    pub fn free_partitions(&self) -> usize {
-        self.used.iter().filter(|&&u| !u).count()
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +208,10 @@ mod tests {
         let mut m = MigPartitioner::standard(&SocConfig::sim());
         let a = m.allocate(12).unwrap();
         assert!(!a.is_tdm());
-        assert_eq!(a.idle_cores(&m.partitions()[a.partition_index()]), 6);
+        assert_eq!(
+            m.partitions()[a.partition_index()].len() - a.assignment().len(),
+            6
+        );
     }
 
     #[test]
@@ -247,7 +237,6 @@ mod tests {
         m.allocate(4).unwrap();
         assert!(matches!(m.allocate(4), Err(VnpuError::NoPartition)));
         m.release(0);
-        assert_eq!(m.free_partitions(), 1);
         m.allocate(4).unwrap();
     }
 

@@ -24,9 +24,6 @@ use vnpu_topo::MeshShape;
 /// physical ID + 8-bit VMID + 4-bit direction + valid bit (padded).
 pub const RT_ENTRY_BITS: u64 = 48;
 
-/// Bits of a compact mesh entry: base IDs + 2×8-bit shape + VMID + valid.
-pub const RT_MESH_ENTRY_BITS: u64 = 64;
-
 /// Cycles for one routing-table lookup in controller SRAM (charged on the
 /// first send to a new destination; consecutive sends to the same core hit
 /// the cached translation — §6.2.1).
@@ -130,33 +127,6 @@ impl RoutingTable {
         }
     }
 
-    /// Inverse lookup: which virtual core is backed by `p`?
-    pub fn lookup_phys(&self, p: PhysCoreId) -> Option<VirtCoreId> {
-        match self {
-            RoutingTable::Standard { entries, .. } => {
-                entries.iter().find_map(|(&v, &pp)| (pp == p).then_some(v))
-            }
-            RoutingTable::Mesh2d {
-                p_origin,
-                shape,
-                phys_width,
-                ..
-            } => {
-                let off = p.0.checked_sub(p_origin.0)?;
-                let (px, py) = (off % phys_width, off / phys_width);
-                (px < shape.width && py < shape.height).then(|| VirtCoreId(py * shape.width + px))
-            }
-        }
-    }
-
-    /// SRAM storage cost in bits (the Figure 19 routing-table bar).
-    pub fn storage_bits(&self) -> u64 {
-        match self {
-            RoutingTable::Standard { entries, .. } => entries.len() as u64 * RT_ENTRY_BITS,
-            RoutingTable::Mesh2d { .. } => RT_MESH_ENTRY_BITS,
-        }
-    }
-
     /// Cycles for the hyper-mode controller to install this table
     /// (availability queries + entry writes — the Figure 11 cost).
     pub fn config_cycles(&self) -> u64 {
@@ -205,26 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_lookup_roundtrip() {
-        for t in [
-            mesh_table(),
-            RoutingTable::from_dense(VmId(0), &[6, 2, 9, 4]),
-        ] {
-            for v in 0..t.core_count() {
-                let p = t.lookup(VirtCoreId(v)).unwrap();
-                assert_eq!(t.lookup_phys(p), Some(VirtCoreId(v)));
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_lookup_foreign_core() {
-        let t = mesh_table();
-        assert_eq!(t.lookup_phys(PhysCoreId(2)), None); // outside the window
-        assert_eq!(t.lookup_phys(PhysCoreId(8)), None);
-    }
-
-    #[test]
     fn compact_form_saves_storage() {
         let mesh = RoutingTable::mesh2d(
             VmId(0),
@@ -238,7 +188,6 @@ mod tests {
         let standard = RoutingTable::from_dense(VmId(0), &(0..16).collect::<Vec<_>>());
         assert_eq!(mesh.entry_count(), 1);
         assert_eq!(standard.entry_count(), 16);
-        assert!(mesh.storage_bits() < standard.storage_bits() / 4);
     }
 
     #[test]

@@ -71,12 +71,6 @@ pub fn build_translator(
     }
 }
 
-/// Number of 4 KiB pages the same plan costs under page-based translation
-/// (table-size comparison for [`crate::hwcost`]).
-pub fn page_count(entries: &[RttEntry]) -> u64 {
-    entries.iter().map(|e| e.size.div_ceil(UVM_PAGE_SIZE)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,11 +111,6 @@ mod tests {
         let mut t = build_translator(&[], MemMode::Physical, TranslationCosts::default()).unwrap();
         let r = t.translate(VirtAddr(0x42), 8, Perm::RW).unwrap();
         assert_eq!(r.pa.value(), 0x42);
-    }
-
-    #[test]
-    fn page_count_accounting() {
-        assert_eq!(page_count(&entries()), 256 + 128);
     }
 
     #[test]

@@ -26,30 +26,6 @@ macro_rules! addr_impls {
             pub fn offset(self, bytes: u64) -> Self {
                 $t(self.0 + bytes)
             }
-
-            /// Byte distance to a higher address.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `other < self`.
-            #[inline]
-            pub fn distance_to(self, other: Self) -> u64 {
-                other.0.checked_sub(self.0).expect("address underflow")
-            }
-
-            /// Address rounded down to a multiple of `align`.
-            #[inline]
-            pub fn align_down(self, align: u64) -> Self {
-                debug_assert!(align.is_power_of_two());
-                $t(self.0 & !(align - 1))
-            }
-
-            /// Address rounded up to a multiple of `align`.
-            #[inline]
-            pub fn align_up(self, align: u64) -> Self {
-                debug_assert!(align.is_power_of_two());
-                $t((self.0 + align - 1) & !(align - 1))
-            }
         }
 
         impl Add<u64> for $t {
@@ -158,15 +134,7 @@ mod tests {
     fn offsets_and_distance() {
         let a = VirtAddr(0x1000);
         assert_eq!(a.offset(0x40), VirtAddr(0x1040));
-        assert_eq!(a.distance_to(VirtAddr(0x1100)), 0x100);
         assert_eq!(VirtAddr(0x1100) - a, 0x100);
-    }
-
-    #[test]
-    fn alignment() {
-        assert_eq!(PhysAddr(0x1234).align_down(0x1000), PhysAddr(0x1000));
-        assert_eq!(PhysAddr(0x1234).align_up(0x1000), PhysAddr(0x2000));
-        assert_eq!(PhysAddr(0x1000).align_up(0x1000), PhysAddr(0x1000));
     }
 
     #[test]
@@ -184,11 +152,5 @@ mod tests {
         assert_eq!(Perm::RW.to_string(), "rw-");
         assert_eq!(Perm::RX.to_string(), "r-x");
         assert_eq!(format!("{:x}", PhysAddr(0xbeef)), "beef");
-    }
-
-    #[test]
-    #[should_panic(expected = "address underflow")]
-    fn distance_underflow_panics() {
-        let _ = VirtAddr(0x2000).distance_to(VirtAddr(0x1000));
     }
 }

@@ -51,13 +51,7 @@ impl BuddyAllocator {
             total > 0 && total % min_block == 0,
             "total must be a positive multiple of min_block"
         );
-        let max_order = {
-            let mut o = 0;
-            while (min_block << (o + 1)) <= total {
-                o += 1;
-            }
-            o
-        };
+        let max_order = (total / min_block).ilog2() as usize;
         let mut free: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); max_order + 1];
         // Seed with maximal blocks greedily (handles non-power-of-two totals).
         let mut off = 0u64;
@@ -89,22 +83,15 @@ impl BuddyAllocator {
         self.total
     }
 
-    /// Bytes currently allocated (counting buddy rounding).
-    pub fn used_bytes(&self) -> u64 {
-        self.in_use
-    }
-
     /// Bytes currently free.
     pub fn free_bytes(&self) -> u64 {
         self.total - self.in_use
     }
 
-    fn order_for(&self, size: u64) -> usize {
-        let mut o = 0;
-        while (self.min_block << o) < size {
-            o += 1;
-        }
-        o
+    /// The smallest order whose blocks hold `size` bytes, if the
+    /// allocator has blocks that large.
+    fn order_for(&self, size: u64) -> Option<usize> {
+        (0..self.free.len()).find(|&o| self.min_block << o >= size)
     }
 
     /// Allocates a block of at least `size` bytes.
@@ -118,10 +105,9 @@ impl BuddyAllocator {
         if size == 0 {
             return Err(MemError::OutOfMemory { requested: 0 });
         }
-        let want = self.order_for(size);
-        if want >= self.free.len() {
+        let Some(want) = self.order_for(size) else {
             return Err(MemError::OutOfMemory { requested: size });
-        }
+        };
         // Find the smallest order ≥ want with a free block.
         let mut o = want;
         while o < self.free.len() && self.free[o].is_empty() {
@@ -199,11 +185,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_requests_are_refused_not_a_hang() {
+        let mut b = BuddyAllocator::new(PhysAddr(0), 1 << 30, 2 << 20);
+        let free = b.free_bytes();
+        for size in [u64::MAX, (1 << 63) + 1] {
+            assert_eq!(
+                b.alloc(size),
+                Err(MemError::OutOfMemory { requested: size })
+            );
+            assert_eq!(b.free_bytes(), free);
+        }
+        let top = BuddyAllocator::new(PhysAddr(0), 1 << 63, 4096);
+        assert_eq!(top.largest_free_block(), 1 << 63);
+    }
+
+    #[test]
     fn rounds_to_power_of_two() {
         let mut b = BuddyAllocator::new(PhysAddr(0), 1 << 20, 4096);
         let blk = b.alloc(5000).unwrap();
         assert_eq!(blk.size, 8192);
-        assert_eq!(b.used_bytes(), 8192);
+        assert_eq!(b.free_bytes(), (1 << 20) - 8192);
     }
 
     #[test]

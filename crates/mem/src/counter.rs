@@ -43,11 +43,6 @@ impl AccessCounter {
         }
     }
 
-    /// Unlimited counter (records statistics only).
-    pub fn unlimited(window_cycles: u64) -> Self {
-        Self::new(window_cycles, None)
-    }
-
     /// Records an access of `bytes` at time `now` and returns the number of
     /// cycles the access must be delayed to respect the bandwidth budget
     /// (0 when admitted immediately).
@@ -111,15 +106,6 @@ impl AccessCounter {
     pub fn budget_per_window(&self) -> Option<u64> {
         self.budget_per_window
     }
-
-    /// Achieved bandwidth in bytes/cycle over `[0, now]`.
-    pub fn achieved_bandwidth(&self, now: u64) -> f64 {
-        if now == 0 {
-            0.0
-        } else {
-            self.total_bytes as f64 / now as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +114,7 @@ mod tests {
 
     #[test]
     fn unlimited_never_delays() {
-        let mut c = AccessCounter::unlimited(1000);
+        let mut c = AccessCounter::new(1000, None);
         for t in 0..100u64 {
             assert_eq!(c.record(t * 10, 1 << 20), 0);
         }
@@ -173,18 +159,17 @@ mod tests {
 
     #[test]
     fn bandwidth_accounting() {
-        let mut c = AccessCounter::unlimited(100);
+        let mut c = AccessCounter::new(100, None);
         c.record(0, 500);
         c.record(100, 500);
-        assert_eq!(c.achieved_bandwidth(1000), 1.0);
-        assert_eq!(c.achieved_bandwidth(0), 0.0);
+        assert_eq!((c.total_bytes(), c.total_accesses()), (1000, 2));
     }
 
     #[test]
     fn throttled_counter_halves_effective_bandwidth() {
         // Two identical streams, one capped at half rate: the capped one
         // must accumulate delay roughly equal to the stream time.
-        let mut unlimited = AccessCounter::unlimited(1000);
+        let mut unlimited = AccessCounter::new(1000, None);
         let mut capped = AccessCounter::new(1000, Some(2048));
         let mut t_un = 0u64;
         let mut t_cap = 0u64;

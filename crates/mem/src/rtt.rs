@@ -161,11 +161,6 @@ impl RangeTranslationTable {
         let cand = idx - 1;
         self.entries[cand].contains(va).then_some(cand)
     }
-
-    /// Total bytes mapped.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.size).sum()
-    }
 }
 
 /// The per-core translation engine: a small range TLB over the RTT plus the
@@ -405,7 +400,6 @@ mod tests {
         assert_eq!(t.find(VirtAddr(0x20000)), Some(1));
         assert_eq!(t.find(VirtAddr(0x60400)), None); // just past the 0x400 range
         assert_eq!(t.find(VirtAddr(0x5000)), None);
-        assert_eq!(t.mapped_bytes(), 0x20400);
     }
 
     #[test]

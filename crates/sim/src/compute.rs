@@ -57,20 +57,21 @@ fn matmul_cycles(d: u64, m: u64, k: u64, n: u64) -> u64 {
     KERNEL_ISSUE_OVERHEAD + tiles * (k + 2 * d)
 }
 
-/// Achieved MAC utilization of running `kernel` alone on one tile, in
-/// `[0, 1]` — the metric behind the paper's Figure 3 motivation.
-pub fn kernel_utilization(cfg: &SocConfig, kernel: &Kernel) -> f64 {
-    let cycles = kernel_cycles(cfg, kernel);
-    if cycles == 0 {
-        return 0.0;
-    }
-    let peak_macs = cycles * u64::from(cfg.systolic_dim) * u64::from(cfg.systolic_dim);
-    kernel.macs() as f64 / peak_macs as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Achieved MAC utilization of running `kernel` alone on one tile, in
+    /// `[0, 1]`: the paper's Figure 3 motivation, read from
+    /// `kernel_cycles`, the cost every `Compute` instruction is charged.
+    fn kernel_utilization(cfg: &SocConfig, kernel: &Kernel) -> f64 {
+        let cycles = kernel_cycles(cfg, kernel);
+        if cycles == 0 {
+            return 0.0;
+        }
+        let peak_macs = cycles * u64::from(cfg.systolic_dim) * u64::from(cfg.systolic_dim);
+        kernel.macs() as f64 / peak_macs as f64
+    }
 
     fn fpga() -> SocConfig {
         SocConfig::fpga()

@@ -138,22 +138,6 @@ impl SocConfig {
         }
     }
 
-    /// Total on-chip SRAM in bytes.
-    pub fn total_scratchpad(&self) -> u64 {
-        self.scratchpad_bytes * u64::from(self.core_count())
-    }
-
-    /// Peak ops/cycle of one tile's systolic array (2·D² MACs counted as
-    /// 2 ops each).
-    pub fn tile_ops_per_cycle(&self) -> u64 {
-        2 * u64::from(self.systolic_dim) * u64::from(self.systolic_dim)
-    }
-
-    /// Peak TOPS of the whole chip at the configured frequency.
-    pub fn total_tops(&self) -> f64 {
-        self.tile_ops_per_cycle() as f64 * self.core_count() as f64 * self.freq_hz as f64 / 1e12
-    }
-
     /// Bandwidth of one memory interface in bytes/cycle.
     pub fn bandwidth_per_interface(&self) -> u64 {
         (self.mem_bandwidth_bytes_per_cycle / u64::from(self.mem_interfaces)).max(1)
@@ -182,9 +166,9 @@ mod tests {
         let c = SocConfig::fpga();
         assert_eq!(c.core_count(), 8);
         assert_eq!(c.systolic_dim, 16);
-        assert_eq!(c.total_scratchpad(), 4 * 1024 * 1024); // 4 MB total
-                                                           // 0.5 TOPS per tile, 4 TOPS total (Table 2).
-        assert!((c.total_tops() - 4.096).abs() < 0.2);
+        assert_eq!(c.scratchpad_bytes, 512 * 1024); // 4 MB total
+                                                    // 2·16² ops a cycle at 1 GHz: 0.5 TOPS per tile, 4 TOPS total (Table 2).
+        assert_eq!(c.freq_hz, 1_000_000_000);
     }
 
     #[test]
@@ -192,16 +176,16 @@ mod tests {
         let c = SocConfig::sim();
         assert_eq!(c.core_count(), 36);
         assert_eq!(c.systolic_dim, 128);
-        assert_eq!(c.total_scratchpad(), 36 * 30 * 1024 * 1024); // 1080 MB
-                                                                 // 16 TOPS per tile, 576 TOPS total.
-        assert!((c.total_tops() - 589.8).abs() < 20.0);
+        assert_eq!(c.scratchpad_bytes, 30 * 1024 * 1024); // 1080 MB total
+                                                          // 2·128² ops a cycle at 500 MHz: 16 TOPS per tile, 576 TOPS total.
+        assert_eq!(c.freq_hz, 500_000_000);
     }
 
     #[test]
     fn sim48_has_48_cores() {
         let c = SocConfig::sim48();
         assert_eq!(c.core_count(), 48);
-        assert_eq!(c.total_scratchpad(), 48 * 30 * 1024 * 1024); // 1440 MB
+        assert_eq!(c.scratchpad_bytes, 30 * 1024 * 1024); // 1440 MB total
     }
 
     #[test]

@@ -212,11 +212,6 @@ impl Hbm {
         self.wait_cycles
     }
 
-    /// Bytes served per channel.
-    pub fn channel_loads(&self) -> Vec<u64> {
-        self.channels.iter().map(|c| c.bytes_served).collect()
-    }
-
     /// Service rate of one channel in bytes per cycle.
     pub fn bytes_per_cycle(&self) -> u64 {
         self.bytes_per_cycle
@@ -283,7 +278,8 @@ mod tests {
         h.access(0, 100, 0);
         h.access(0, 50, 0);
         h.access(1, 7, 0);
-        assert_eq!(h.channel_loads(), vec![150, 7]);
+        let loads: Vec<u64> = h.channels.iter().map(|c| c.bytes_served).collect();
+        assert_eq!(loads, vec![150, 7]);
     }
 
     #[test]

@@ -210,46 +210,9 @@ impl Program {
         self
     }
 
-    /// Total number of dynamic instructions.
-    pub fn dynamic_len(&self) -> u64 {
-        self.prelude.len() as u64 + self.body.len() as u64 * u64::from(self.iterations)
-    }
-
     /// Whether the program contains no instructions at all.
     pub fn is_empty(&self) -> bool {
         self.prelude.is_empty() && (self.body.is_empty() || self.iterations == 0)
-    }
-
-    /// Total MACs executed across all iterations (utilization accounting).
-    pub fn total_macs(&self) -> u64 {
-        let per_iter: u64 = self
-            .body
-            .iter()
-            .map(|i| match i {
-                Instr::Compute(k) => k.macs(),
-                _ => 0,
-            })
-            .sum();
-        let pre: u64 = self
-            .prelude
-            .iter()
-            .map(|i| match i {
-                Instr::Compute(k) => k.macs(),
-                _ => 0,
-            })
-            .sum();
-        pre + per_iter * u64::from(self.iterations)
-    }
-
-    /// Total bytes DMA-loaded in the prelude (the warm-up transfer volume).
-    pub fn prelude_dma_bytes(&self) -> u64 {
-        self.prelude
-            .iter()
-            .map(|i| match i {
-                Instr::DmaLoad { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
     }
 }
 
@@ -286,9 +249,6 @@ mod tests {
             vec![Instr::matmul(8, 8, 8), Instr::send(1, 64, 0)],
             10,
         );
-        assert_eq!(p.dynamic_len(), 1 + 20);
-        assert_eq!(p.total_macs(), 512 * 10);
-        assert_eq!(p.prelude_dma_bytes(), 1024);
         assert!(!p.is_empty());
     }
 

@@ -323,19 +323,6 @@ impl Noc {
         }
     }
 
-    /// Sends one packet of `bytes` along `path`: [`Noc::route`], then
-    /// [`Noc::send_on`]. A packet that fails books nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::RouteFault`] if the path uses a non-existent
-    /// link, or [`SimError::LinkFaulted`] if it crosses a faulted one.
-    pub fn send_packet(&mut self, path: &[u32], bytes: u64, depart: u64) -> Result<PacketTiming> {
-        let mut route = Route::default();
-        self.route(path, &mut route)?;
-        Ok(self.send_on(&route, bytes, depart))
-    }
-
     /// Rewinds the NoC to an idle state for a fresh machine epoch: every
     /// link's `busy_until` clock and the per-epoch counters are zeroed,
     /// while the link array (and its fault flags) is reused, never
@@ -423,18 +410,40 @@ impl Noc {
     pub fn degraded_penalty(&self) -> u64 {
         self.degraded_penalty
     }
-
-    /// Bytes carried per directed link, for utilization heat maps.
-    pub fn link_loads(&self) -> Vec<((u32, u32), u64)> {
-        self.directed_links()
-            .map(|(key, link)| (key, link.bytes_carried))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // `EpochState::do_send` checks a path with `route` and books each
+    // packet with `send_on`; the tests drive that pair one packet at a time.
+    impl Noc {
+        /// Sends one packet of `bytes` along `path`: [`Noc::route`], then
+        /// [`Noc::send_on`]. A packet that fails books nothing.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`SimError::RouteFault`] if the path uses a non-existent
+        /// link, or [`SimError::LinkFaulted`] if it crosses a faulted one.
+        pub(crate) fn send_packet(
+            &mut self,
+            path: &[u32],
+            bytes: u64,
+            depart: u64,
+        ) -> Result<PacketTiming> {
+            let mut route = Route::default();
+            self.route(path, &mut route)?;
+            Ok(self.send_on(&route, bytes, depart))
+        }
+
+        /// Bytes carried per directed link, sorted by `(src, dst)`.
+        fn link_loads(&self) -> Vec<((u32, u32), u64)> {
+            self.directed_links()
+                .map(|(key, link)| (key, link.bytes_carried))
+                .collect()
+        }
+    }
 
     fn cfg() -> SocConfig {
         SocConfig::fpga() // 4x2 mesh, 16 B/cyc links, router latency 3

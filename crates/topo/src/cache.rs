@@ -484,15 +484,6 @@ impl MappingCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// The score memo's counters per table, [`GED`], [`REFINE`], [`ISO`]
-    /// then [`CLASS`]: lookups answered (`hits`), kernel runs (`misses`),
-    /// results stored (`insertions`) and dropped by a clear or, in the
-    /// class table, by a later key taking the slot (`evictions`). No
-    /// report carries them.
-    pub fn score_stats(&self) -> [CacheStats; 4] {
-        self.score.stats
-    }
 }
 
 /// Bound on the entries of each score-memo table; reaching it clears the
@@ -753,6 +744,19 @@ pub fn labeled_hash(t: &Topology) -> u64 {
 mod tests {
     use super::*;
     use crate::mapping::Mapper;
+
+    // The score memo's counters, which the memo campaigns in `mapping.rs`
+    // hold a search behind `Mapper::map_cached` to.
+    impl MappingCache {
+        /// The score memo's counters per table, [`GED`], [`REFINE`], [`ISO`]
+        /// then [`CLASS`]: lookups answered (`hits`), kernel runs (`misses`),
+        /// results stored (`insertions`) and dropped by a clear or, in the
+        /// class table, by a later key taking the slot (`evictions`). The memo
+        /// campaigns read them; no report carries them.
+        pub(crate) fn score_stats(&self) -> [CacheStats; 4] {
+            self.score.stats
+        }
+    }
 
     #[test]
     fn fingerprint_is_order_independent_and_incremental() {

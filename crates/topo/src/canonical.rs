@@ -149,26 +149,11 @@ fn wl_refine(t: &Topology, lanes: &mut [u64]) -> usize {
     n
 }
 
-/// Exact canonical form of a graph of at most [`EXACT_CANONICAL_LIMIT`]
-/// nodes: its node kinds by canonical position, then the smallest
-/// adjacency code over all node orders compatible with the WL colouring.
-/// Two such graphs are isomorphic (respecting node kinds) iff their
-/// canonical forms are equal.
-///
-/// # Panics
-///
-/// Panics if `t` has more than [`EXACT_CANONICAL_LIMIT`] nodes: the code
-/// is a fixed-width bit matrix.
-pub fn canonical_form(t: &Topology) -> Vec<u64> {
-    assert!(
-        t.node_count() <= EXACT_CANONICAL_LIMIT,
-        "exact canonical form is defined up to {EXACT_CANONICAL_LIMIT} nodes"
-    );
-    let (kinds, code) = exact_code(t, &wl_colors(t));
-    vec![kinds, code]
-}
-
-/// `(kinds, code)` of [`canonical_form`], given the graph's WL colours.
+/// `(kinds, code)`, the exact canonical form of a graph of at most
+/// [`EXACT_CANONICAL_LIMIT`] nodes given its WL colours: its node kinds by
+/// canonical position, then the smallest adjacency code over all node
+/// orders compatible with the colouring. Two such graphs are isomorphic
+/// (respecting node kinds) iff their forms are equal.
 /// Canonical position `k` may hold any node of the `k`-th smallest colour;
 /// `code` lists, position by position, whether each earlier position is a
 /// neighbour — the upper triangle of the reordered adjacency matrix, most
@@ -629,7 +614,7 @@ mod tests {
         let a = Topology::from_edges(5, &[(0, 1), (0, 2), (0, 3), (3, 4)]).unwrap();
         // relabel: 0->4,1->3,2->2,3->1,4->0
         let b = Topology::from_edges(5, &[(4, 3), (4, 2), (4, 1), (1, 0)]).unwrap();
-        assert_eq!(canonical_form(&a), canonical_form(&b));
+        assert_eq!(canonical_key(&a), canonical_key(&b));
     }
 
     #[test]

@@ -119,20 +119,6 @@ impl Strategy {
         }
     }
 
-    /// The hypervisor's *performance-first* preset (Figure 10): insist on
-    /// an exact topology match — fail rather than degrade the tenant's
-    /// data flow.
-    pub fn performance_first() -> Self {
-        Strategy::exact_only()
-    }
-
-    /// The hypervisor's *utilization-first* preset (Figure 10): accept
-    /// the closest similar topology and, when the free region is
-    /// fragmented, even a disconnected allocation — never strand cores.
-    pub fn utilization_first() -> Self {
-        Strategy::similar_topology().allow_disconnected(true)
-    }
-
     /// Limits the number of enumerated candidate sub-topologies, for
     /// similar-topology and exact-only searches alike.
     pub fn candidate_cap(mut self, cap: usize) -> Self {
@@ -190,7 +176,6 @@ impl Strategy {
 pub struct Mapping {
     phys_nodes: Vec<NodeId>,
     edit_distance: u64,
-    exact_distance: bool,
     connected: bool,
 }
 
@@ -201,20 +186,10 @@ impl Mapping {
         &self.phys_nodes
     }
 
-    /// Physical node backing virtual node `v`.
-    pub fn phys_of(&self, v: NodeId) -> NodeId {
-        self.phys_nodes[v.index()]
-    }
-
     /// Topology edit distance between the request and the allocated
     /// sub-topology (0 = exact match).
     pub fn edit_distance(&self) -> u64 {
         self.edit_distance
-    }
-
-    /// Whether [`Mapping::edit_distance`] came from the exact algorithm.
-    pub fn is_distance_exact(&self) -> bool {
-        self.exact_distance
     }
 
     /// Whether the allocated physical node set is connected (R-3).
@@ -340,7 +315,6 @@ impl<'a> Mapper<'a> {
             return Ok(Mapping {
                 phys_nodes: Vec::new(),
                 edit_distance: 0,
-                exact_distance: true,
                 connected: true,
             });
         }
@@ -437,8 +411,7 @@ impl<'a> Mapper<'a> {
         let connected = self.phys.is_connected_subset(&chosen);
         Mapping {
             phys_nodes: chosen,
-            edit_distance: distance,
-            exact_distance: true, // exact cost *of this mapping*, not a minimum
+            edit_distance: distance, // the cost of this mapping, not a minimum
             connected,
         }
     }
@@ -462,7 +435,6 @@ impl<'a> Mapper<'a> {
         let exact = |iso: Vec<NodeId>, cells: &[NodeId]| Mapping {
             phys_nodes: iso.iter().map(|j| cells[j.index()]).collect(),
             edit_distance: 0,
-            exact_distance: true,
             connected: true,
         };
         // Rectangle fast-path for mesh requests on mesh hardware: the first
@@ -580,7 +552,6 @@ impl<'a> Mapper<'a> {
             Some((edit_distance, phys_nodes)) => Ok(Mapping {
                 phys_nodes,
                 edit_distance,
-                exact_distance: false,
                 connected: true,
             }),
             // No connected candidate. Fragmentation mode falls back to
@@ -718,7 +689,6 @@ mod reference {
                             return Some(Mapping {
                                 phys_nodes,
                                 edit_distance: 0,
-                                exact_distance: true,
                                 connected: true,
                             });
                         }
@@ -737,7 +707,6 @@ mod reference {
                         found = Some(Mapping {
                             phys_nodes: iso.iter().map(|j| back[j.index()]).collect(),
                             edit_distance: 0,
-                            exact_distance: true,
                             connected: true,
                         });
                         return Visit::Stop;
@@ -793,7 +762,7 @@ mod reference {
                 .collect();
             let mut order: Vec<usize> = (0..results.len()).collect();
             order.sort_by_key(|&i| results[i].cost);
-            let mut best: Option<(u64, Vec<NodeId>, bool)> = None;
+            let mut best: Option<(u64, Vec<NodeId>)> = None;
             for &i in order.iter().take(REFINE_TOP_CANDIDATES) {
                 let cells = &candidates[i];
                 let (sub, back) = self.phys.induced_subgraph(cells);
@@ -803,20 +772,19 @@ mod reference {
                 for start in starts {
                     let (refined, cost) =
                         ged::refine_mapping(req, &sub, &start, strategy.costs.as_ref(), 8);
-                    if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
+                    if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                         let phys_nodes = refined
                             .iter()
                             .map(|m| back[m.expect("total mapping").index()])
                             .collect();
-                        best = Some((cost, phys_nodes, false));
+                        best = Some((cost, phys_nodes));
                     }
                 }
             }
-            let (cost, phys_nodes, exact) = best.expect("candidates is non-empty");
+            let (cost, phys_nodes) = best.expect("candidates is non-empty");
             Ok(Mapping {
                 phys_nodes,
                 edit_distance: cost,
-                exact_distance: exact,
                 connected: true,
             })
         }
@@ -953,10 +921,11 @@ mod reference {
                 );
                 arms[match &got {
                     Ok(m) if m.edit_distance() == 0 => 0,
-                    Ok(m) if !m.is_distance_exact() => 1,
+                    // Only the zig-zag fallback, taken when no connected
+                    // candidate exists, places a disconnected set.
+                    Ok(m) if !m.is_connected() => 3,
+                    Ok(_) => 1,
                     Err(TopoError::NoCandidate) => 2,
-                    // An exact cost above zero: only the zig-zag fallback.
-                    Ok(_) => 3,
                     Err(e) => panic!("case {case}: unexpected {e}"),
                 }] += 1;
             }
@@ -1273,7 +1242,7 @@ mod tests {
         // mapping must be a valid isomorphism: adjacent virtual nodes map to
         // adjacent physical nodes
         for (a, b) in req.edges() {
-            assert!(phys.has_edge(m.phys_of(a), m.phys_of(b)));
+            assert!(phys.has_edge(m.phys_nodes()[a.index()], m.phys_nodes()[b.index()]));
         }
     }
 
@@ -1414,11 +1383,13 @@ mod tests {
         let free = vec![NodeId(0), NodeId(2), NodeId(6), NodeId(8)];
         let req = Topology::mesh2d(2, 2);
         let mapper = Mapper::new(&phys);
-        assert!(mapper
-            .map(&free, &req, &Strategy::performance_first())
-            .is_err());
+        assert!(mapper.map(&free, &req, &Strategy::exact_only()).is_err());
         let m = mapper
-            .map(&free, &req, &Strategy::utilization_first())
+            .map(
+                &free,
+                &req,
+                &Strategy::similar_topology().allow_disconnected(true),
+            )
             .unwrap();
         assert_eq!(m.phys_nodes().len(), 4);
         assert!(!m.is_connected());
@@ -1471,7 +1442,7 @@ mod tests {
         let mapper = Mapper::new(&phys);
         let m = mapper.map(&free, &claw, &Strategy::exact_only()).unwrap();
         assert_eq!(m.edit_distance(), 0);
-        assert_eq!(m.phys_of(NodeId(0)), NodeId(4));
+        assert_eq!(m.phys_nodes()[0], NodeId(4));
         assert_eq!(
             mapper.map(&free, &claw, &Strategy::exact_only().candidate_cap(1)),
             Err(TopoError::NoCandidate)

@@ -294,12 +294,11 @@ mod tests {
         let mut cur = NodeId(0);
         for &(node, dir) in &dirs {
             assert_eq!(node, cur);
-            let (x, y) = t.mesh_coord(cur).unwrap();
             cur = match dir {
-                Direction::East => t.mesh_node(x + 1, y).unwrap(),
-                Direction::West => t.mesh_node(x - 1, y).unwrap(),
-                Direction::South => t.mesh_node(x, y + 1).unwrap(),
-                Direction::North => t.mesh_node(x, y - 1).unwrap(),
+                Direction::East => NodeId(cur.0 + 1),
+                Direction::West => NodeId(cur.0 - 1),
+                Direction::South => NodeId(cur.0 + 4),
+                Direction::North => NodeId(cur.0 - 4),
                 Direction::Local => break,
             };
         }

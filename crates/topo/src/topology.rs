@@ -205,20 +205,6 @@ impl Topology {
         Ok(t)
     }
 
-    /// Builds an arbitrary (possibly irregular) topology from an edge list.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any endpoint is out of range or an edge is a
-    /// self-loop.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self> {
-        let mut t = Topology::empty(n);
-        for &(a, b) in edges {
-            t.add_edge(NodeId(a), NodeId(b))?;
-        }
-        Ok(t)
-    }
-
     /// Adds an undirected edge with default attributes. Idempotent for
     /// duplicate edges.
     ///
@@ -305,11 +291,6 @@ impl Topology {
         &self.nodes[node.index()]
     }
 
-    /// Mutable attribute of `node`.
-    pub fn node_attr_mut(&mut self, node: NodeId) -> &mut NodeAttr {
-        &mut self.nodes[node.index()]
-    }
-
     /// Mesh shape metadata, if this topology was built as a mesh and not
     /// mutated since.
     pub fn mesh_shape(&self) -> Option<MeshShape> {
@@ -319,12 +300,6 @@ impl Topology {
     /// Mesh coordinate `(x, y)` of a node (row-major), if this is a mesh.
     pub fn mesh_coord(&self, node: NodeId) -> Option<(u32, u32)> {
         self.mesh.map(|m| (node.0 % m.width, node.0 / m.width))
-    }
-
-    /// Node at mesh coordinate `(x, y)`, if this is a mesh and in range.
-    pub fn mesh_node(&self, x: u32, y: u32) -> Option<NodeId> {
-        let m = self.mesh?;
-        (x < m.width && y < m.height).then(|| NodeId(y * m.width + x))
     }
 
     /// Manhattan distance between two mesh nodes, or BFS hop distance for
@@ -520,6 +495,30 @@ impl Topology {
 mod tests {
     use super::*;
 
+    // Production builds a topology from a mesh, a line or a ring and edits
+    // it edge by edge; the tests also build irregular ones from edge lists
+    // and set node kinds by hand, as `Mapper` sees them on a chip.
+    impl Topology {
+        /// Builds an arbitrary (possibly irregular) topology from an edge list.
+        ///
+        /// # Errors
+        ///
+        /// Returns an error if any endpoint is out of range or an edge is a
+        /// self-loop.
+        pub(crate) fn from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self> {
+            let mut t = Topology::empty(n);
+            for &(a, b) in edges {
+                t.add_edge(NodeId(a), NodeId(b))?;
+            }
+            Ok(t)
+        }
+
+        /// Mutable attribute of `node`.
+        pub(crate) fn node_attr_mut(&mut self, node: NodeId) -> &mut NodeAttr {
+            &mut self.nodes[node.index()]
+        }
+    }
+
     #[test]
     fn mesh_construction() {
         let t = Topology::mesh2d(5, 5);
@@ -541,12 +540,9 @@ mod tests {
         let t = Topology::mesh2d(4, 3);
         for y in 0..3 {
             for x in 0..4 {
-                let n = t.mesh_node(x, y).unwrap();
-                assert_eq!(t.mesh_coord(n), Some((x, y)));
+                assert_eq!(t.mesh_coord(NodeId(y * 4 + x)), Some((x, y)));
             }
         }
-        assert_eq!(t.mesh_node(4, 0), None);
-        assert_eq!(t.mesh_node(0, 3), None);
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl ModelGraph {
         &self.layers[id.index()]
     }
 
-    /// Total multiply-accumulates of one inference.
-    pub fn total_macs(&self) -> u64 {
-        self.layers.iter().map(|l| l.kernel.macs()).sum()
-    }
-
     /// Total resident weight bytes.
     pub fn total_weight_bytes(&self) -> u64 {
         self.layers.iter().map(|l| l.weight_bytes).sum()
@@ -131,19 +126,6 @@ impl ModelGraph {
             }
         }
         out
-    }
-
-    /// Whether the dependency structure is a pure chain (each layer
-    /// depends only on its predecessor) — GPT-style models are chains,
-    /// ResNet is not (residual skips).
-    pub fn is_chain(&self) -> bool {
-        self.layers.iter().enumerate().all(|(i, l)| {
-            if i == 0 {
-                l.deps.is_empty()
-            } else {
-                l.deps == vec![LayerId(i as u32 - 1)]
-            }
-        })
     }
 }
 
@@ -212,6 +194,15 @@ impl GraphBuilder {
 mod tests {
     use super::*;
 
+    // The models' tests read a graph's compute through this sum; the
+    // compiler and the simulator read each layer's `Kernel` instead.
+    impl ModelGraph {
+        /// Total multiply-accumulates of one inference.
+        pub(crate) fn total_macs(&self) -> u64 {
+            self.layers.iter().map(|l| l.kernel.macs()).sum()
+        }
+    }
+
     fn k() -> Kernel {
         Kernel::Matmul { m: 8, k: 8, n: 8 }
     }
@@ -223,7 +214,6 @@ mod tests {
         b.chain("b", LayerKind::Fc, k(), 128, 64);
         let g = b.build("m").unwrap();
         assert_eq!(g.len(), 2);
-        assert!(g.is_chain());
         assert_eq!(g.total_macs(), 1024);
         assert_eq!(g.total_weight_bytes(), 256);
     }
@@ -236,7 +226,6 @@ mod tests {
         let c2 = b.push("b2", LayerKind::Conv, k(), 0, 64, vec![a]);
         b.push("join", LayerKind::Elementwise, k(), 0, 64, vec![c1, c2]);
         let g = b.build("m").unwrap();
-        assert!(!g.is_chain());
         let cons = g.consumers();
         assert_eq!(cons[0], vec![LayerId(1), LayerId(2)]);
         assert_eq!(cons[1], vec![LayerId(3)]);

@@ -91,7 +91,10 @@ mod tests {
 
     #[test]
     fn resnet_is_not_a_chain_but_gpt_is_mostly_uniform() {
-        assert!(!resnet18().is_chain(), "residual skips break the chain");
+        assert!(
+            resnet18().consumers().iter().any(|c| c.len() >= 2),
+            "residual skips break the chain"
+        );
         // GPT-2 blocks have a residual structure too, but identical layer
         // shapes across blocks — verify uniformity of kernels per block
         // (blocks are 8 layers each, after the embedding layer).

@@ -316,7 +316,6 @@ mod tests {
     #[test]
     fn blocks_have_residual_branches() {
         let g = gpt2_small();
-        assert!(!g.is_chain());
         let cons = g.consumers();
         assert!(cons.iter().any(|c| c.len() >= 2));
     }

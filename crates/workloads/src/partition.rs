@@ -39,23 +39,6 @@ impl Partition {
     pub fn stage_of(&self, layer: LayerId) -> u32 {
         self.stage_of[layer.index()]
     }
-
-    /// Compute cycles of a stage under a SoC configuration.
-    pub fn stage_cycles(&self, graph: &ModelGraph, cfg: &SocConfig, stage: usize) -> u64 {
-        self.stages[stage]
-            .iter()
-            .map(|&l| kernel_cycles(cfg, &graph.layer(l).kernel))
-            .sum()
-    }
-
-    /// The bottleneck (max) stage cycles — the pipeline's steady-state
-    /// iteration interval lower bound.
-    pub fn bottleneck_cycles(&self, graph: &ModelGraph, cfg: &SocConfig) -> u64 {
-        (0..self.len())
-            .map(|s| self.stage_cycles(graph, cfg, s))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Partitions `graph` into at most `n_stages` contiguous stages minimizing
@@ -136,6 +119,20 @@ mod tests {
         SocConfig::sim()
     }
 
+    /// The slowest stage's compute cycles: what `partition` minimizes.
+    fn bottleneck(p: &Partition, graph: &ModelGraph, cfg: &SocConfig) -> u64 {
+        p.stages()
+            .iter()
+            .map(|stage| {
+                stage
+                    .iter()
+                    .map(|&l| kernel_cycles(cfg, &graph.layer(l).kernel))
+                    .sum()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn every_layer_assigned_once() {
         let g = models::resnet18();
@@ -180,7 +177,7 @@ mod tests {
             })
             .max()
             .unwrap();
-        assert!(p.bottleneck_cycles(&g, &c) <= naive_max);
+        assert!(bottleneck(&p, &g, &c) <= naive_max);
     }
 
     #[test]
@@ -190,7 +187,7 @@ mod tests {
         let mut prev = u64::MAX;
         for n in [2u32, 4, 8, 16] {
             let p = partition(&g, n, &c).unwrap();
-            let b = p.bottleneck_cycles(&g, &c);
+            let b = bottleneck(&p, &g, &c);
             assert!(b <= prev, "bottleneck must not grow with stages");
             prev = b;
         }
@@ -210,10 +207,6 @@ mod tests {
         let p = partition(&g, 1, &cfg()).unwrap();
         assert_eq!(p.len(), 1);
         assert_eq!(p.stages()[0].len(), g.len());
-        assert_eq!(
-            p.bottleneck_cycles(&g, &cfg()),
-            p.stage_cycles(&g, &cfg(), 0)
-        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Synthetic traffic generators for the §6.2 micro-benchmarks:
-//! compute-then-broadcast (Figure 13), reduce, and all-reduce (the
-//! heterogeneous-mapping traffic of §4.3).
+//! compute-then-broadcast (Figure 13).
 
 use crate::kernels::output_bytes;
 use vnpu_mem::VirtAddr;
@@ -63,68 +62,6 @@ pub fn broadcast_uvm(kernel: Kernel, fanout: u32, iterations: u32, va_base: u64)
         ));
     }
     programs
-}
-
-/// `n:1` reduce over the NoC: cores `1..=fanin` compute and send to core
-/// 0, which receives all and runs a combining vector op.
-pub fn reduce_noc(kernel: Kernel, fanin: u32, iterations: u32) -> Vec<Program> {
-    let bytes = output_bytes(&kernel).max(1);
-    let mut sink_body = Vec::new();
-    for src in 1..=fanin {
-        sink_body.push(Instr::Recv {
-            src,
-            bytes,
-            tag: src,
-        });
-    }
-    sink_body.push(Instr::Compute(Kernel::Vector {
-        elems: bytes * u64::from(fanin),
-    }));
-    let mut programs = vec![Program::looped(vec![], sink_body, iterations)];
-    for src in 1..=fanin {
-        programs.push(Program::looped(
-            vec![],
-            vec![
-                Instr::Compute(kernel),
-                Instr::Send {
-                    dst: 0,
-                    bytes,
-                    tag: src,
-                },
-            ],
-            iterations,
-        ));
-    }
-    programs
-}
-
-/// Ring all-reduce across `n` cores: each core computes, sends its chunk
-/// around the ring (`n-1` steps), then applies a combine. The ring edges
-/// are the *critical paths* of the heterogeneous-mapping experiment.
-pub fn allreduce_ring(kernel: Kernel, n: u32, iterations: u32) -> Vec<Program> {
-    assert!(n >= 2, "all-reduce needs at least two cores");
-    let bytes = (output_bytes(&kernel).max(1) / u64::from(n)).max(1);
-    (0..n)
-        .map(|me| {
-            let next = (me + 1) % n;
-            let prev = (me + n - 1) % n;
-            let mut body = vec![Instr::Compute(kernel)];
-            for step in 0..(n - 1) {
-                body.push(Instr::Send {
-                    dst: next,
-                    bytes,
-                    tag: step,
-                });
-                body.push(Instr::Recv {
-                    src: prev,
-                    bytes,
-                    tag: step,
-                });
-                body.push(Instr::Compute(Kernel::Vector { elems: bytes }));
-            }
-            Program::looped(vec![], body, iterations)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -196,42 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn reduce_runs() {
-        let mut m = Machine::new(SocConfig::fpga());
-        let t = m.add_tenant("reduce");
-        for (c, p) in reduce_noc(kernels::conv_32hw_16c_16oc_3k(), 3, 2)
-            .into_iter()
-            .enumerate()
-        {
-            m.bind(c as u32, t, c as u32, p).unwrap();
-        }
-        let r = m.run().unwrap();
-        assert!(r.makespan() > 0);
-    }
-
-    #[test]
-    fn allreduce_ring_completes() {
-        let mut m = Machine::new(SocConfig::fpga());
-        let t = m.add_tenant("ar");
-        for (c, p) in allreduce_ring(kernels::matmul_64m_512k_32n(), 4, 2)
-            .into_iter()
-            .enumerate()
-        {
-            m.bind(c as u32, t, c as u32, p).unwrap();
-        }
-        let r = m.run().unwrap();
-        assert!(r.noc_packets() > 0);
-    }
-
-    #[test]
     fn program_counts() {
         assert_eq!(
             broadcast_noc(kernels::matmul_128m_128k_128n(), 3, 1).len(),
-            4
-        );
-        assert_eq!(reduce_noc(kernels::matmul_128m_128k_128n(), 3, 1).len(), 4);
-        assert_eq!(
-            allreduce_ring(kernels::matmul_128m_128k_128n(), 4, 1).len(),
             4
         );
     }

@@ -166,8 +166,9 @@ mod tests {
         let c = SocConfig::fpga();
         assert_eq!(c.core_count(), 8);
         assert_eq!(c.systolic_dim, 16);
-        assert_eq!(c.scratchpad_bytes, 512 * 1024); // 4 MB total
-                                                    // 2·16² ops a cycle at 1 GHz: 0.5 TOPS per tile, 4 TOPS total (Table 2).
+        // Table 2: 4 MB of scratchpad, and 2·16² ops a cycle at 1 GHz,
+        // 0.5 TOPS per tile and 4 TOPS in total.
+        assert_eq!(c.scratchpad_bytes, 512 * 1024);
         assert_eq!(c.freq_hz, 1_000_000_000);
     }
 
@@ -176,8 +177,9 @@ mod tests {
         let c = SocConfig::sim();
         assert_eq!(c.core_count(), 36);
         assert_eq!(c.systolic_dim, 128);
-        assert_eq!(c.scratchpad_bytes, 30 * 1024 * 1024); // 1080 MB total
-                                                          // 2·128² ops a cycle at 500 MHz: 16 TOPS per tile, 576 TOPS total.
+        // Table 2: 1080 MB of scratchpad, and 2·128² ops a cycle at
+        // 500 MHz, 16 TOPS per tile and 576 TOPS in total.
+        assert_eq!(c.scratchpad_bytes, 30 * 1024 * 1024);
         assert_eq!(c.freq_hz, 500_000_000);
     }
 

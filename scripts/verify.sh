@@ -154,21 +154,21 @@ section "scripts/loc.sh (non-test source size)"
 # together cut `churn_1chip`'s `op_tail10_us` by 26% in ten alternating
 # seed-29 pairs (10 of 10 won; an earlier set on a drifting host, 9 of 10).
 # Deleting the public functions only tests called took 147 lines out of
-# `core + serve`, 29 out of `topo` and 334 out of the workspace: the
+# `core + serve`, 29 out of `topo` and 331 out of the workspace: the
 # `vnpu::mmio` register model and `VnpuError::MmioDenied`,
 # `RoutingTable::{lookup_phys, storage_bits}`, `MigAllocation::idle_cores`,
 # `MigPartitioner::free_partitions`, `weight_zone_capacity`, `page_count`,
-# `DrainStep::is_evacuated`, the address alignment helpers, the
-# `reduce_noc` / `allreduce_ring` generators, `ModelGraph::is_chain`,
-# `Partition::{bottleneck_cycles, stage_cycles}`, `bottleneck_reduction`,
-# the chip totals with `tile_ops_per_cycle`, `Hbm::channel_loads`, `Program::{dynamic_len,
-# total_macs, prelude_dma_bytes}`, the Figure 10 strategy presets,
-# `Mapping::{is_distance_exact, phys_of}` with the flag behind the first,
-# `canonical_form` and `Topology::mesh_node`. A further 68 code lines moved
-# into test modules (`Hypervisor::release_cores`, `Noc::send_packet`,
-# `kernel_utilization`, `MappingCache::score_stats`,
-# `Topology::{from_edges, node_attr_mut}`, `ModelGraph::total_macs`) and
-# are not counted in those figures.
+# `DrainStep::is_evacuated`, the address alignment helpers, `used_bytes`,
+# `achieved_bandwidth`, `AccessCounter::unlimited`, `mapped_bytes`, the
+# `reduce_noc` / `allreduce_ring` generators,
+# `ModelGraph::is_chain`, `bottleneck_reduction`, the chip totals with
+# `tile_ops_per_cycle`, three `Program` sums, the Figure 10 strategy
+# presets, `Mapping::{is_distance_exact, phys_of}` with the flag behind the
+# first, `canonical_form` and `Topology::mesh_node`. Those figures leave
+# out 71 code lines that moved into test modules: `Hypervisor::
+# release_cores`, `Noc::{send_packet, link_loads}`, `Hbm::channel_loads`,
+# `kernel_utilization`, `MappingCache::score_stats`, `Topology::{from_edges,
+# node_attr_mut}`, `ModelGraph::total_macs` and the partition bottleneck.
 CORE_SERVE_CODE_MAX=4108
 TOPO_CODE_MAX=2324
 WORKSPACE_CODE_MAX=14943

@@ -108,11 +108,6 @@ impl AdmissionQueue {
         self.pending.is_empty()
     }
 
-    /// The attempt budget.
-    pub fn max_attempts(&self) -> Option<u32> {
-        self.max_attempts
-    }
-
     pub(crate) fn push(&mut self, req: VnpuRequest) -> RequestId {
         let id = RequestId(self.next_id);
         self.next_id += 1;
@@ -161,8 +156,6 @@ pub struct FragmentationStats {
     pub free_connectivity: f64,
     /// Free HBM bytes.
     pub hbm_free_bytes: u64,
-    /// Largest single free buddy block.
-    pub hbm_largest_free_block: u64,
     /// Buddy external fragmentation: `1 − largest_free_block/free_bytes`
     /// (0.0 when no memory is free — nothing is fragmented).
     pub hbm_external_fragmentation: f64,

@@ -495,11 +495,6 @@ impl Cluster {
         self.admissions.len()
     }
 
-    /// The cluster admission queue (attempt budget, queued count).
-    pub fn admissions(&self) -> &AdmissionQueue {
-        &self.admissions
-    }
-
     /// Shared mapping-cache counters (all chips fold into one table).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()

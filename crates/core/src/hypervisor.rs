@@ -503,7 +503,6 @@ impl Hypervisor {
                 largest as f64 / free_cores as f64
             },
             hbm_free_bytes: free_bytes,
-            hbm_largest_free_block: largest_block,
             hbm_external_fragmentation: if free_bytes == 0 {
                 0.0
             } else {
@@ -515,13 +514,6 @@ impl Hypervisor {
     // ------------------------------------------------------------------
     // Transactional placement plans (see [`crate::plan`]).
     // ------------------------------------------------------------------
-
-    /// The plan-generation chain [`PlacementTxn`]s validate against; see
-    /// [`Hypervisor::commit`]. Advanced by every successful commit and by
-    /// [`Hypervisor::invalidate_plans`].
-    pub fn plan_generation(&self) -> u64 {
-        self.plan_generation
-    }
 
     /// Administratively advances the plan-generation chain, rendering
     /// every outstanding [`PlacementTxn`] stale. Use when hypervisor
@@ -978,7 +970,6 @@ impl Placement {
         self.config_cycles += cost.config_cycles();
         self.next_vm += 1;
         let vnpu = VirtualNpu::new(
-            vm,
             req.clone(),
             Arc::clone(&chip.topo),
             mapping,
@@ -1665,11 +1656,11 @@ mod tests {
     #[test]
     fn commit_advances_the_plan_generation_chain() {
         let mut h = hv();
-        assert_eq!(h.plan_generation(), 0);
+        assert_eq!(h.plan_generation, 0);
         let a = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
         let b = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
         h.commit(&a).unwrap();
-        assert_ne!(h.plan_generation(), 0);
+        assert_ne!(h.plan_generation, 0);
         // b was planned against the pre-commit generation: stale now.
         assert!(matches!(h.commit(&b), Err(VnpuError::StalePlan { .. })));
     }

@@ -8,20 +8,6 @@ macro_rules! id_type {
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u32);
 
-        impl $name {
-            /// The raw numeric value.
-            #[inline]
-            pub fn value(self) -> u32 {
-                self.0
-            }
-
-            /// The value as a `usize` index.
-            #[inline]
-            pub fn index(self) -> usize {
-                self.0 as usize
-            }
-        }
-
         impl From<u32> for $name {
             fn from(v: u32) -> Self {
                 $name(v)
@@ -66,8 +52,7 @@ mod tests {
     #[test]
     fn conversions() {
         let v: VirtCoreId = 5u32.into();
-        assert_eq!(v.value(), 5);
-        assert_eq!(v.index(), 5);
+        assert_eq!(v, VirtCoreId(5));
     }
 
     #[test]

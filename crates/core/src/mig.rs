@@ -22,11 +22,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Physical cores of the partition (row-major within the slice).
-    pub fn cores(&self) -> &[u32] {
-        &self.cores
-    }
-
     /// Number of physical cores.
     pub fn len(&self) -> usize {
         self.cores.len()
@@ -188,7 +183,7 @@ mod tests {
         let mut all: Vec<u32> = m
             .partitions()
             .iter()
-            .flat_map(|p| p.cores().to_vec())
+            .flat_map(|p| p.cores.clone())
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..36).collect::<Vec<_>>());
@@ -246,7 +241,7 @@ mod tests {
         let a = m.allocate(18).unwrap();
         let part = &m.partitions()[a.partition_index()];
         for &p in a.assignment() {
-            assert!(part.cores().contains(&p));
+            assert!(part.cores.contains(&p));
         }
     }
 

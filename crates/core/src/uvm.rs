@@ -17,10 +17,6 @@ use vnpu_mem::VirtAddr;
 use vnpu_sim::isa::{Instr, Program};
 use vnpu_sim::machine::CoreServices;
 
-/// Default IOTLB entries of the UVM baseline (the paper evaluates 4 and
-/// 32; 32 is the generous configuration).
-pub const DEFAULT_IOTLB_ENTRIES: usize = 32;
-
 /// Builds UVM-style services for a virtual core: page-based translation,
 /// DOR routing (no virtual-topology awareness).
 ///

@@ -1,7 +1,7 @@
 //! The virtual-NPU abstraction: "virtual NPU cores, topology, and memory"
 //! (§5.2), plus the request builder users hand to the hypervisor.
 
-use crate::ids::{VirtCoreId, VmId};
+use crate::ids::VirtCoreId;
 use crate::routing_table::RoutingTable;
 use crate::vchunk::{self, MemMode, BANDWIDTH_WINDOW_CYCLES};
 use crate::vrouter::{ConfinedPaths, RoutePolicy, VRouterNoc};
@@ -250,7 +250,6 @@ impl Deployment {
 /// and routing state, as deployed by the hypervisor.
 #[derive(Debug, Clone)]
 pub struct VirtualNpu {
-    vm: VmId,
     /// The request this virtual NPU was placed from: every policy it
     /// carries (topology, memory mode, isolation, bandwidth cap, temporal
     /// sharing, strategy) is read here, and a cross-chip move re-places a
@@ -270,7 +269,6 @@ impl VirtualNpu {
     /// Builds the deployed vNPU from the request it was placed from and
     /// what the hypervisor deployed for it.
     pub(crate) fn new(
-        vm: VmId,
         request: VnpuRequest,
         phys_topology: Arc<Topology>,
         mapping: Mapping,
@@ -279,7 +277,6 @@ impl VirtualNpu {
         blocks: Vec<Block>,
     ) -> Self {
         VirtualNpu {
-            vm,
             routes: deploy_routes(&request, &phys_topology, &mapping),
             request,
             phys_topology,
@@ -299,11 +296,6 @@ impl VirtualNpu {
     /// deployment, so equal stamps mean identical [`VirtualNpu::services`].
     pub fn deployment_stamp(&self) -> u64 {
         self.deployment.stamp
-    }
-
-    /// This virtual NPU's VM identifier.
-    pub fn vm(&self) -> VmId {
-        self.vm
     }
 
     /// The request this virtual NPU was placed from.
@@ -334,7 +326,7 @@ impl VirtualNpu {
     pub fn phys_core(&self, v: VirtCoreId) -> Result<u32> {
         self.mapping
             .phys_nodes()
-            .get(v.index())
+            .get(v.0 as usize)
             .map(|n| n.0)
             .ok_or(VnpuError::VirtCoreOutOfRange {
                 vcore: v,

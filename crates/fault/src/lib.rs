@@ -179,19 +179,9 @@ impl FaultPlan {
         plan
     }
 
-    /// Every scheduled event, in insertion order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// Whether the plan schedules nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
     }
 
     /// Events whose failure manifests at `tick`, in insertion order.
@@ -204,15 +194,6 @@ impl FaultPlan {
         self.events
             .iter()
             .filter(move |e| e.repair_tick == Some(tick))
-    }
-
-    /// The last tick at which anything happens (0 for an empty plan).
-    pub fn horizon(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| e.repair_tick.unwrap_or(e.onset_tick))
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -299,13 +280,12 @@ mod tests {
             .core_fault(0, 7, 10, Some(20))
             .link_fault(1, 0, 1, 12, None)
             .row_outage(0, 6, 2, 15, Some(30));
-        assert_eq!(plan.len(), 8, "a 6-wide row is 6 core faults");
+        assert_eq!(plan.events.len(), 8, "a 6-wide row is 6 core faults");
         assert_eq!(plan.onsets_at(10).count(), 1);
         assert_eq!(plan.onsets_at(15).count(), 6);
         assert_eq!(plan.repairs_at(20).count(), 1);
         assert_eq!(plan.repairs_at(30).count(), 6);
         assert_eq!(plan.onsets_at(11).count(), 0);
-        assert_eq!(plan.horizon(), 30);
         let row_cores: Vec<u32> = plan
             .onsets_at(15)
             .map(|e| match e.kind {
@@ -319,7 +299,7 @@ mod tests {
     #[test]
     fn repair_before_onset_is_dropped() {
         let plan = FaultPlan::new().core_fault(0, 0, 10, Some(5));
-        assert_eq!(plan.events()[0].repair_tick, None);
+        assert_eq!(plan.events[0].repair_tick, None);
     }
 
     #[test]
@@ -328,8 +308,8 @@ mod tests {
         let b = FaultPlan::seeded(42, &[36, 16], 10, 100, Some(20));
         assert_eq!(a, b, "same seed, same plan");
         assert_ne!(a, FaultPlan::seeded(43, &[36, 16], 10, 100, Some(20)));
-        assert_eq!(a.len(), 10);
-        for e in a.events() {
+        assert_eq!(a.events.len(), 10);
+        for e in &a.events {
             assert!(e.chip < 2);
             let FaultKind::Core { core } = e.kind else {
                 panic!("seeded plans are core faults");
@@ -349,15 +329,15 @@ mod tests {
             .is_empty());
         // This row's first core is u32::MAX; the two after it are cut.
         let plan = FaultPlan::new().row_outage(0, 3, u32::MAX / 3, 1, None);
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan.events()[0].kind, FaultKind::Core { core: u32::MAX });
+        assert_eq!(plan.events.len(), 1);
+        assert_eq!(plan.events[0].kind, FaultKind::Core { core: u32::MAX });
     }
 
     #[test]
     fn seeded_repair_near_u64_max_is_not_a_panic() {
         let plan = FaultPlan::seeded(1, &[16], 4, 100, Some(u64::MAX));
-        assert_eq!(plan.len(), 4);
-        for e in plan.events() {
+        assert_eq!(plan.events.len(), 4);
+        for e in &plan.events {
             assert_eq!(e.repair_tick, Some(u64::MAX));
         }
     }

@@ -77,8 +77,6 @@ addr_impls!(PhysAddr);
 pub struct Perm(u8);
 
 impl Perm {
-    /// No access.
-    pub const NONE: Perm = Perm(0);
     /// Read.
     pub const R: Perm = Perm(0b001);
     /// Write.
@@ -87,8 +85,6 @@ impl Perm {
     pub const X: Perm = Perm(0b100);
     /// Read + write.
     pub const RW: Perm = Perm(0b011);
-    /// Read + execute.
-    pub const RX: Perm = Perm(0b101);
 
     /// Whether all bits of `other` are granted by `self`.
     #[inline]
@@ -100,12 +96,6 @@ impl Perm {
     #[inline]
     pub fn union(self, other: Perm) -> Perm {
         Perm(self.0 | other.0)
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -142,7 +132,6 @@ mod tests {
         assert!(Perm::RW.contains(Perm::R));
         assert!(Perm::RW.contains(Perm::W));
         assert!(!Perm::R.contains(Perm::W));
-        assert!(Perm::NONE.is_empty());
         assert_eq!(Perm::R | Perm::W, Perm::RW);
     }
 
@@ -150,7 +139,7 @@ mod tests {
     fn display_formats() {
         assert_eq!(VirtAddr(0x10000).to_string(), "0x10000");
         assert_eq!(Perm::RW.to_string(), "rw-");
-        assert_eq!(Perm::RX.to_string(), "r-x");
+        assert_eq!((Perm::R | Perm::X).to_string(), "r-x");
         assert_eq!(format!("{:x}", PhysAddr(0xbeef)), "beef");
     }
 }

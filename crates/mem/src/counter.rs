@@ -16,7 +16,6 @@ pub struct AccessCounter {
     budget_per_window: Option<u64>,
     window_start: u64,
     used_in_window: u64,
-    total_bytes: u64,
     total_accesses: u64,
     throttle_events: u64,
     throttle_cycles: u64,
@@ -36,7 +35,6 @@ impl AccessCounter {
             budget_per_window: budget,
             window_start: 0,
             used_in_window: 0,
-            total_bytes: 0,
             total_accesses: 0,
             throttle_events: 0,
             throttle_cycles: 0,
@@ -52,7 +50,6 @@ impl AccessCounter {
     /// final byte fits).
     pub fn record(&mut self, now: u64, bytes: u64) -> u64 {
         self.total_accesses += 1;
-        self.total_bytes += bytes;
         self.roll_to(now);
         let Some(budget) = self.budget_per_window else {
             self.used_in_window += bytes;
@@ -82,11 +79,6 @@ impl AccessCounter {
         }
     }
 
-    /// Total bytes recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
     /// Total accesses recorded.
     pub fn total_accesses(&self) -> u64 {
         self.total_accesses
@@ -101,11 +93,6 @@ impl AccessCounter {
     pub fn throttle_cycles(&self) -> u64 {
         self.throttle_cycles
     }
-
-    /// Configured budget per window in bytes, if limited.
-    pub fn budget_per_window(&self) -> Option<u64> {
-        self.budget_per_window
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +105,6 @@ mod tests {
         for t in 0..100u64 {
             assert_eq!(c.record(t * 10, 1 << 20), 0);
         }
-        assert_eq!(c.total_bytes(), 100 << 20);
         assert_eq!(c.throttle_events(), 0);
     }
 
@@ -162,7 +148,7 @@ mod tests {
         let mut c = AccessCounter::new(100, None);
         c.record(0, 500);
         c.record(100, 500);
-        assert_eq!((c.total_bytes(), c.total_accesses()), (1000, 2));
+        assert_eq!(c.total_accesses(), 2);
     }
 
     #[test]

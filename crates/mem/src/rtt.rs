@@ -140,27 +140,6 @@ impl RangeTranslationTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Entry at `idx`.
-    pub fn get(&self, idx: usize) -> Option<&RttEntry> {
-        self.entries.get(idx)
-    }
-
-    /// All entries in VA order.
-    pub fn entries(&self) -> &[RttEntry] {
-        &self.entries
-    }
-
-    /// Reference lookup by binary search — the *functional* answer,
-    /// without the hardware cost model. Used by tests as an oracle.
-    pub fn find(&self, va: VirtAddr) -> Option<usize> {
-        let idx = self.entries.partition_point(|e| e.va <= va);
-        if idx == 0 {
-            return None;
-        }
-        let cand = idx - 1;
-        self.entries[cand].contains(va).then_some(cand)
-    }
 }
 
 /// The per-core translation engine: a small range TLB over the RTT plus the
@@ -205,21 +184,6 @@ impl RangeTranslator {
             costs,
             stats: TranslateStats::default(),
         }
-    }
-
-    /// The underlying table.
-    pub fn rtt(&self) -> &RangeTranslationTable {
-        &self.rtt
-    }
-
-    /// Current `RTT_CUR` index.
-    pub fn rtt_cur(&self) -> usize {
-        self.rtt_cur
-    }
-
-    /// Number of hardware range-TLB entries.
-    pub fn tlb_capacity(&self) -> usize {
-        self.tlb_capacity
     }
 
     fn tlb_lookup(&mut self, va: VirtAddr) -> Option<usize> {
@@ -386,7 +350,12 @@ mod tests {
         RangeTranslationTable::new(vec![
             RttEntry::new(VirtAddr(0x10000), PhysAddr(0x20000), 0x10000, Perm::RW),
             RttEntry::new(VirtAddr(0x20000), PhysAddr(0x50000), 0x10000, Perm::R),
-            RttEntry::new(VirtAddr(0x60000), PhysAddr(0x60000), 0x400, Perm::RX),
+            RttEntry::new(
+                VirtAddr(0x60000),
+                PhysAddr(0x60000),
+                0x400,
+                Perm::R | Perm::X,
+            ),
         ])
         .unwrap()
     }
@@ -395,11 +364,13 @@ mod tests {
     fn table_sorted_and_searchable() {
         let t = figure7_table();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.find(VirtAddr(0x10000)), Some(0));
-        assert_eq!(t.find(VirtAddr(0x1ffff)), Some(0));
-        assert_eq!(t.find(VirtAddr(0x20000)), Some(1));
-        assert_eq!(t.find(VirtAddr(0x60400)), None); // just past the 0x400 range
-        assert_eq!(t.find(VirtAddr(0x5000)), None);
+        assert!(t.entries.windows(2).all(|w| w[0].va < w[1].va));
+        let find = |va| t.entries.iter().position(|e| e.contains(VirtAddr(va)));
+        assert_eq!(find(0x10000), Some(0));
+        assert_eq!(find(0x1ffff), Some(0));
+        assert_eq!(find(0x20000), Some(1));
+        assert_eq!(find(0x60400), None); // just past the 0x400 range
+        assert_eq!(find(0x5000), None);
     }
 
     #[test]
@@ -520,8 +491,8 @@ mod tests {
         }
         // The wrap access sets last_v of entry 3 to 0.
         tr.translate(VirtAddr(0), 64, Perm::R).unwrap();
-        assert_eq!(tr.rtt().get(3).unwrap().last_v, Some(0));
-        assert_eq!(tr.rtt_cur(), 0);
+        assert_eq!(tr.rtt.entries[3].last_v, Some(0));
+        assert_eq!(tr.rtt_cur, 0);
     }
 
     #[test]
@@ -548,7 +519,7 @@ mod tests {
         assert!(!t.hit);
         assert_eq!(tr.stats().probe_reads, 2 + 3);
         // Hint must now be corrected.
-        assert_eq!(tr.rtt().get(0).unwrap().last_v, Some(1));
+        assert_eq!(tr.rtt.entries[0].last_v, Some(1));
     }
 
     #[test]
@@ -568,9 +539,9 @@ mod tests {
         };
         let mut first = RangeTranslator::new(Arc::clone(&shared), 1, TranslationCosts::default());
         let trained = walk(&mut first);
-        assert_eq!(first.rtt().get(3).unwrap().last_v, Some(0));
+        assert_eq!(first.rtt.entries[3].last_v, Some(0));
         assert!(
-            shared.entries().iter().all(|e| e.last_v.is_none()),
+            shared.entries.iter().all(|e| e.last_v.is_none()),
             "the deployed table is never written through a translator"
         );
         let mut second = RangeTranslator::new(Arc::clone(&shared), 1, TranslationCosts::default());
@@ -727,7 +698,7 @@ mod tests {
         let top = VirtAddr(u64::MAX - 0xfff);
         let rtt = RangeTranslationTable::new(vec![RttEntry::new(top, PhysAddr(0), 0xfff, Perm::R)])
             .unwrap();
-        let e = *rtt.get(0).unwrap();
+        let e = rtt.entries[0];
         let va = VirtAddr(u64::MAX - 10);
         assert!(e.contains(va) && e.covers(va, 10) && !e.covers(va, 64));
         assert!(!e.covers(va, u64::MAX));

@@ -28,23 +28,6 @@ pub enum Shape {
 }
 
 impl Shape {
-    /// Number of cores the shape asks for.
-    pub fn core_count(self) -> u32 {
-        match self {
-            Shape::Mesh(w, h) => w * h,
-            Shape::Line(n) | Shape::Cores(n) => n,
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(self) -> String {
-        match self {
-            Shape::Mesh(w, h) => format!("mesh{w}x{h}"),
-            Shape::Line(n) => format!("line{n}"),
-            Shape::Cores(n) => format!("cores{n}"),
-        }
-    }
-
     fn request(self) -> VnpuRequest {
         match self {
             Shape::Mesh(w, h) => VnpuRequest::mesh(w, h),
@@ -103,10 +86,6 @@ impl TrafficConfig {
 /// One generated arrival.
 #[derive(Debug, Clone)]
 pub struct Arrival {
-    /// Tick at which the request reaches the hypervisor.
-    pub at_tick: u64,
-    /// The shape drawn from the mix (for reporting).
-    pub shape: Shape,
     /// The ready-to-submit request.
     pub request: VnpuRequest,
     /// Epochs the tenant stays resident once placed.
@@ -158,7 +137,7 @@ impl ArrivalGenerator {
     pub fn arrivals_for_tick(&mut self, tick: u64) -> Vec<Arrival> {
         let mut out = Vec::new();
         while self.next_arrival_tick <= tick {
-            out.push(self.sample_arrival(tick));
+            out.push(self.sample_arrival());
             // A zero gap keeps several arrivals on one tick — bursts, as
             // a Poisson process produces.
             let gap = geometric(&mut self.rng, self.cfg.mean_interarrival_ticks);
@@ -172,7 +151,7 @@ impl ArrivalGenerator {
         out
     }
 
-    fn sample_arrival(&mut self, tick: u64) -> Arrival {
+    fn sample_arrival(&mut self) -> Arrival {
         let mut pick = self.rng.below(self.total_weight);
         let mut shape = self.cfg.mix[0].1;
         for &(w, s) in &self.cfg.mix {
@@ -192,8 +171,6 @@ impl ArrivalGenerator {
             .mem_bytes(mem)
             .strategy(Strategy::similar_topology().candidate_cap(self.cfg.candidate_cap));
         Arrival {
-            at_tick: tick,
-            shape,
             request,
             lifetime_epochs: lifetime,
         }
@@ -231,7 +208,9 @@ mod tests {
             let mut all = Vec::new();
             for tick in 0..200 {
                 for a in g.arrivals_for_tick(tick) {
-                    all.push((a.at_tick, a.shape.label(), a.lifetime_epochs));
+                    let r = &a.request;
+                    let shape = (r.core_count(), r.topology().edge_count());
+                    all.push((tick, shape, r.memory_bytes(), a.lifetime_epochs));
                 }
             }
             all
@@ -256,15 +235,16 @@ mod tests {
     #[test]
     fn mix_produces_every_shape() {
         let mut g = ArrivalGenerator::new(TrafficConfig::standard(3));
-        let mut labels = std::collections::BTreeSet::new();
+        // Every shape of the standard mix differs in its core or edge count.
+        let mut shapes = std::collections::BTreeSet::new();
         for tick in 0..2000 {
             for a in g.arrivals_for_tick(tick) {
-                labels.insert(a.shape.label());
+                shapes.insert((a.request.core_count(), a.request.topology().edge_count()));
                 assert!(a.request.core_count() >= 1);
                 assert!(a.lifetime_epochs >= 1);
             }
         }
-        assert_eq!(labels.len(), TrafficConfig::standard(3).mix.len());
+        assert_eq!(shapes.len(), TrafficConfig::standard(3).mix.len());
     }
 
     #[test]
@@ -289,8 +269,8 @@ mod tests {
 
     #[test]
     fn shape_core_counts() {
-        assert_eq!(Shape::Mesh(2, 3).core_count(), 6);
-        assert_eq!(Shape::Line(5).core_count(), 5);
-        assert_eq!(Shape::Cores(7).core_count(), 7);
+        assert_eq!(Shape::Mesh(2, 3).request().core_count(), 6);
+        assert_eq!(Shape::Line(5).request().core_count(), 5);
+        assert_eq!(Shape::Cores(7).request().core_count(), 7);
     }
 }

@@ -1058,7 +1058,7 @@ impl Machine {
                 if arrival.checked_add(span).is_none_or(|last| last > limit) {
                     return Err(over());
                 }
-                self.noc.send_train(&self.route, len, train, stride);
+                self.noc.send_train(&self.route, train, stride);
                 next += span;
                 off += train * len;
             }

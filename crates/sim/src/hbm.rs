@@ -211,11 +211,6 @@ impl Hbm {
     pub fn wait_cycles(&self) -> u64 {
         self.wait_cycles
     }
-
-    /// Service rate of one channel in bytes per cycle.
-    pub fn bytes_per_cycle(&self) -> u64 {
-        self.bytes_per_cycle
-    }
 }
 
 /// `0 + 1 + … + (n − 1)`, or `None` if it overflows `u64`.

@@ -81,7 +81,6 @@ pub(crate) struct CoreState {
     pub(crate) send_engine_busy_until: u64,
     pub(crate) last_owner: Option<usize>,
     pub(crate) thread_count: u32,
-    pub(crate) footprint: u64,
     /// Hybrid-core scaling (§7): matrix-kernel cycles are multiplied by
     /// `matrix_scale`/100 and vector kernels by `vector_scale`/100. 100 =
     /// a standard core.
@@ -96,7 +95,6 @@ impl Default for CoreState {
             send_engine_busy_until: 0,
             last_owner: None,
             thread_count: 0,
-            footprint: 0,
             matrix_scale: 100,
             vector_scale: 100,
         }
@@ -110,7 +108,6 @@ impl CoreState {
         self.send_engine_busy_until = 0;
         self.last_owner = None;
         self.thread_count = 0;
-        self.footprint = 0;
     }
 }
 
@@ -459,16 +456,6 @@ impl Machine {
             .unwrap_or(false)
     }
 
-    /// Currently faulted physical cores, ascending.
-    pub fn faulted_cores(&self) -> Vec<u32> {
-        self.faulted_cores
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
-
     /// Whether any core or link fault is currently active.
     pub fn has_active_faults(&self) -> bool {
         self.faulted_cores.iter().any(|&f| f) || self.noc.faulted_link_count() > 0
@@ -557,7 +544,6 @@ impl Machine {
                 capacity: self.cfg.scratchpad_bytes,
             });
         }
-        core.footprint += program.footprint_bytes;
         core.thread_count += 1;
         *self.epoch.tenant_threads.entry(tenant).or_insert(0) += 1;
         // Each instruction the program runs pushes at most one interval.
@@ -1237,7 +1223,10 @@ mod tests {
         let gen_after_fault = m.topology_generation();
         assert_ne!(gen_after_fault, 0, "faults evolve the generation chain");
         assert!(m.core_faulted(0));
-        assert_eq!(m.faulted_cores(), vec![0]);
+        assert_eq!(
+            m.faulted_cores,
+            [true, false, false, false, false, false, false, false]
+        );
         assert!(m.has_active_faults());
         assert!(matches!(
             m.bind(0, t, 0, Program::once(vec![Instr::matmul(16, 16, 16)])),

@@ -114,11 +114,10 @@ impl NocRouter for DorRouter {
     }
 }
 
-/// One directed mesh link: occupancy clock, load counter and fault flag.
+/// One directed mesh link: occupancy clock and fault flag.
 #[derive(Debug, Clone, Copy, Default)]
 struct Link {
     busy_until: u64,
-    bytes_carried: u64,
     /// Injected hardware failure. Faults model hardware, so — like the
     /// link array itself — they survive [`Noc::reset_epoch`] until
     /// explicitly repaired.
@@ -288,7 +287,6 @@ impl Noc {
             let start = t.max(link.busy_until);
             self.contention_cycles += start - t;
             link.busy_until = start + ser;
-            link.bytes_carried += bytes;
             if hop == 0 {
                 injected_at = start + ser;
             }
@@ -305,21 +303,20 @@ impl Noc {
         }
     }
 
-    /// Books `count` more packets of `bytes` along `route`, each leaving
-    /// `stride` cycles after the one before, behind a packet of the same
-    /// size that [`Noc::send_on`] just sent there without waiting.
+    /// Books `count` more packets along `route`, each leaving `stride`
+    /// cycles after the one before, behind a packet of the same size that
+    /// [`Noc::send_on`] just sent there without waiting.
     ///
     /// The caller guarantees that `stride` is at least that packet's
     /// serialization time and that the route repeats no link. Each packet
     /// then reaches every link after the one before it freed it, and
     /// repeats its timing `stride` later: no wait, and each link busy
     /// `count · stride` longer.
-    pub fn send_train(&mut self, route: &Route, bytes: u64, count: u64, stride: u64) {
+    pub fn send_train(&mut self, route: &Route, count: u64, stride: u64) {
         self.packets_sent += count;
         for &slot in &route.slots {
             let link = &mut self.links[slot];
             link.busy_until += count * stride;
-            link.bytes_carried += count * bytes;
         }
     }
 
@@ -330,7 +327,6 @@ impl Noc {
     pub fn reset_epoch(&mut self) {
         for link in &mut self.links {
             link.busy_until = 0;
-            link.bytes_carried = 0;
         }
         self.contention_cycles = 0;
         self.packets_sent = 0;
@@ -377,7 +373,7 @@ impl Noc {
     }
 
     /// Whether the directed link `src → dst` is currently faulted.
-    pub fn link_faulted(&self, src: u32, dst: u32) -> bool {
+    pub(crate) fn link_faulted(&self, src: u32, dst: u32) -> bool {
         self.link_slot(src, dst)
             .is_some_and(|slot| self.links[slot].faulted)
     }
@@ -405,11 +401,6 @@ impl Noc {
     pub fn set_degraded_penalty(&mut self, cycles: u64) {
         self.degraded_penalty = cycles;
     }
-
-    /// The current degraded-mode per-hop penalty.
-    pub fn degraded_penalty(&self) -> u64 {
-        self.degraded_penalty
-    }
 }
 
 #[cfg(test)]
@@ -435,13 +426,6 @@ mod tests {
             let mut route = Route::default();
             self.route(path, &mut route)?;
             Ok(self.send_on(&route, bytes, depart))
-        }
-
-        /// Bytes carried per directed link, sorted by `(src, dst)`.
-        fn link_loads(&self) -> Vec<((u32, u32), u64)> {
-            self.directed_links()
-                .map(|(key, link)| (key, link.bytes_carried))
-                .collect()
         }
     }
 
@@ -473,10 +457,10 @@ mod tests {
         // 4x2 mesh: 3 horizontal links per row x 2 rows + 4 vertical,
         // each in both directions; row ends do not wrap.
         let noc = Noc::new(&cfg());
-        let loads = noc.link_loads();
-        assert_eq!(loads.len(), 2 * (3 * 2 + 4));
-        assert!(loads.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-        let has = |a, b| loads.iter().any(|(k, _)| *k == (a, b));
+        let keys: Vec<(u32, u32)> = noc.directed_links().map(|(key, _)| key).collect();
+        assert_eq!(keys.len(), 2 * (3 * 2 + 4));
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted");
+        let has = |a, b| keys.contains(&(a, b));
         assert!(has(0, 1) && has(1, 0) && has(0, 4) && has(4, 0) && has(6, 7));
         assert!(!has(3, 4) && !has(4, 3), "no wrap across a row end");
         assert!(!noc.link_faulted(3, 4) && !noc.link_faulted(0, 99));
@@ -625,7 +609,7 @@ mod tests {
                     (left, last) = (left - 1, timing.arrived_at);
                     if train && !timing.waited {
                         let stride = next - depart;
-                        noc.send_train(&route, 2048, left, stride);
+                        noc.send_train(&route, left, stride);
                         (depart, last) = (next + left * stride, last + left * stride);
                         break;
                     }
@@ -690,24 +674,12 @@ mod tests {
         let c = cfg();
         let mut noc = Noc::new(&c);
         noc.set_degraded_penalty(5);
-        assert_eq!(noc.degraded_penalty(), 5);
+        assert_eq!(noc.degraded_penalty, 5);
         let t = noc.send_packet(&[0, 1, 2], 2048, 0).unwrap();
         assert_eq!(t.arrived_at, 2 * (128 + 3 + 5));
         noc.set_degraded_penalty(0);
         noc.reset_epoch();
         let t = noc.send_packet(&[0, 1, 2], 2048, 0).unwrap();
         assert_eq!(t.arrived_at, 2 * (128 + 3));
-    }
-
-    #[test]
-    fn link_loads_accumulate() {
-        let c = cfg();
-        let mut noc = Noc::new(&c);
-        noc.send_packet(&[0, 1], 2048, 0).unwrap();
-        noc.send_packet(&[0, 1], 2048, 0).unwrap();
-        let loads = noc.link_loads();
-        let l01 = loads.iter().find(|(k, _)| *k == (0, 1)).unwrap().1;
-        assert_eq!(l01, 4096);
-        assert_eq!(noc.packets_sent(), 2);
     }
 }

@@ -61,15 +61,6 @@ impl CoreTrace {
             .map(|(s, e, _)| e - s)
             .sum()
     }
-
-    /// Compute utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: u64) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.cycles_in(Activity::Compute) as f64 / horizon as f64
-        }
-    }
 }
 
 /// Aggregate statistics of one tenant (virtual NPU instance).
@@ -290,8 +281,6 @@ mod tests {
         assert_eq!(t.cycles_in(Activity::Send), 50);
         assert_eq!(t.cycles_in(Activity::Dma), 0);
         assert_eq!(t.intervals().len(), 3);
-        assert!((t.utilization(400) - 0.5).abs() < 1e-9);
-        assert_eq!(t.utilization(0), 0.0);
     }
 
     #[test]

@@ -158,11 +158,6 @@ impl FreeSet {
         self.free_count
     }
 
-    /// Whether no node is free.
-    pub fn is_empty(&self) -> bool {
-        self.free_count == 0
-    }
-
     /// Whether `n` is currently free.
     pub fn contains(&self, n: NodeId) -> bool {
         self.is_free.get(n.index()).copied().unwrap_or(false)
@@ -468,11 +463,6 @@ impl MappingCache {
         self.entries.clear();
         self.order.clear();
         self.canon_memo.clear();
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether the cache is empty.
@@ -851,7 +841,7 @@ mod tests {
             .map_cached(&free, &dear, &strategy, &mut cache)
             .unwrap();
         assert_eq!(cache.stats().hits, 0, "cost variants must not alias");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert_eq!(got_cheap, mapper.map_in(&free, &cheap, &strategy).unwrap());
         assert_eq!(got_dear, mapper.map_in(&free, &dear, &strategy).unwrap());
     }
@@ -956,7 +946,7 @@ mod tests {
             .unwrap();
         assert_eq!(cache.stats().hits, 0, "reconfig must invalidate");
         assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         // Same hardware model here, so the recomputed result agrees.
         assert_eq!(before, after);
     }
@@ -1029,7 +1019,7 @@ mod tests {
             .map_cached(&free, &req, &strategy, &mut cache)
             .unwrap();
         assert_eq!(cache.stats().hits, 0, "different chips must not alias");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         let mesh_direct = Mapper::new(&mesh).map_in(&free, &req, &strategy).unwrap();
         let ring_direct = Mapper::new(&ring).map_in(&free, &req, &strategy).unwrap();
         assert_eq!(on_mesh, mesh_direct);
@@ -1050,7 +1040,7 @@ mod tests {
                 .map_cached(&free, &req, &strategy, &mut cache)
                 .unwrap();
         }
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert_eq!(cache.stats().evictions, 2);
     }
 
@@ -1081,13 +1071,13 @@ mod tests {
                     );
                 }
                 assert!(
-                    cache.len() <= capacity,
+                    cache.entries.len() <= capacity,
                     "cap {capacity}: bound violated, len {}",
-                    cache.len()
+                    cache.entries.len()
                 );
                 let s = cache.stats();
                 assert_eq!(
-                    cache.len() as u64,
+                    cache.entries.len() as u64,
                     s.insertions - s.evictions,
                     "cap {capacity}: len must equal insertions - evictions"
                 );

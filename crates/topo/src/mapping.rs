@@ -149,11 +149,6 @@ impl Strategy {
         self
     }
 
-    /// The strategy kind.
-    pub fn kind(&self) -> StrategyKind {
-        self.kind
-    }
-
     /// Every result-affecting knob for [`MappingCache`] keys — the kind and
     /// disconnected mode folded into one byte, and the candidate cap whole
     /// — or `None` when the strategy is uncacheable (custom costs).
@@ -239,16 +234,6 @@ impl<'a> Mapper<'a> {
     pub fn at_generation(mut self, generation: u64) -> Self {
         self.generation = generation;
         self
-    }
-
-    /// The physical topology's [`crate::cache::labeled_hash`] fingerprint.
-    pub fn phys_key(&self) -> u64 {
-        self.phys_key
-    }
-
-    /// The reconfiguration generation cache keys are bound to.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Allocates physical nodes for the requested virtual topology `req`
@@ -1212,7 +1197,7 @@ mod tests {
         let phys = Topology::mesh2d(3, 3);
         let from_new = Mapper::new(&phys);
         let precomputed = Mapper::with_phys_key(&phys, crate::cache::labeled_hash(&phys));
-        assert_eq!(from_new.phys_key(), precomputed.phys_key());
+        assert_eq!(from_new.phys_key, precomputed.phys_key);
     }
 
     #[test]

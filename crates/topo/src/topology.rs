@@ -167,20 +167,6 @@ impl Topology {
         Self::mesh2d(n.max(1), 1)
     }
 
-    /// Builds an `n`-node ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 3`.
-    pub fn ring(n: u32) -> Self {
-        assert!(n >= 3, "a ring needs at least 3 nodes");
-        let mut t = Topology::empty(n as usize);
-        for i in 0..n {
-            t.add_edge(NodeId(i), NodeId((i + 1) % n)).unwrap();
-        }
-        t
-    }
-
     /// Builds a `width × height` 2D torus (mesh with wrap-around links).
     ///
     /// # Errors
@@ -312,7 +298,7 @@ impl Topology {
     }
 
     /// BFS hop distance between two nodes (`None` if unreachable).
-    pub fn bfs_distance(&self, a: NodeId, b: NodeId) -> Option<u32> {
+    fn bfs_distance(&self, a: NodeId, b: NodeId) -> Option<u32> {
         if a == b {
             return Some(0);
         }
@@ -495,10 +481,24 @@ impl Topology {
 mod tests {
     use super::*;
 
-    // Production builds a topology from a mesh, a line or a ring and edits
-    // it edge by edge; the tests also build irregular ones from edge lists
-    // and set node kinds by hand, as `Mapper` sees them on a chip.
+    // Production builds a topology from a mesh or a line and edits it edge
+    // by edge; the tests also build rings and irregular ones from edge
+    // lists, and set node kinds by hand, as `Mapper` sees them on a chip.
     impl Topology {
+        /// Builds an `n`-node ring.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `n < 3`.
+        pub(crate) fn ring(n: u32) -> Self {
+            assert!(n >= 3, "a ring needs at least 3 nodes");
+            let mut t = Topology::empty(n as usize);
+            for i in 0..n {
+                t.add_edge(NodeId(i), NodeId((i + 1) % n)).unwrap();
+            }
+            t
+        }
+
         /// Builds an arbitrary (possibly irregular) topology from an edge list.
         ///
         /// # Errors

@@ -18,7 +18,7 @@
 //! synchronization for the UVM baseline.
 
 use crate::graph::{LayerId, ModelGraph};
-use crate::partition::{self, Partition};
+use crate::partition;
 use crate::{Result, WorkloadError};
 use vnpu_mem::VirtAddr;
 use vnpu_sim::isa::{Instr, Program};
@@ -92,12 +92,6 @@ pub const BSP_BARRIER: u32 = 0xB5B;
 pub struct CompiledWorkload {
     /// Programs indexed by virtual core ID (= pipeline stage).
     pub programs: Vec<Program>,
-    /// The pipeline partition used.
-    pub partition: Partition,
-    /// Total weight bytes across all stages.
-    pub total_weight_bytes: u64,
-    /// The residency regime actually chosen.
-    pub residency: Residency,
     /// Guest-VA bytes consumed (weights + UVM sync buffers).
     pub va_footprint: u64,
     /// Bytes flowing between each pair of stages per iteration.
@@ -210,7 +204,6 @@ pub fn compile(
         weight_va[i] = va;
         va += l.weight_bytes;
     }
-    let total_weight_bytes = va - opts.weight_va_base;
 
     // UVM sync-buffer VAs per cross-stage edge, plus stage-level traffic
     // accounting for the communication topology.
@@ -366,9 +359,6 @@ pub fn compile(
     }
     Ok(CompiledWorkload {
         programs,
-        partition: part,
-        total_weight_bytes,
-        residency,
         va_footprint,
         stage_traffic: traffic.into_iter().collect(),
     })
@@ -431,7 +421,6 @@ mod tests {
     fn resident_on_sim_config() {
         let g = models::gpt2_small();
         let out = compile(&g, 12, &cfg(), &CompileOptions::default()).unwrap();
-        assert_eq!(out.residency, Residency::Resident);
         // Block weights only in preludes; body DMA is limited to small
         // embedding gathers (rows used this iteration, not the table).
         for p in &out.programs {
@@ -444,7 +433,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(out.total_weight_bytes, g.total_weight_bytes());
     }
 
     #[test]
@@ -452,7 +440,6 @@ mod tests {
         // AlexNet's 61 MB across 8 tiny 512 KiB scratchpads must stream.
         let g = models::alexnet();
         let out = compile(&g, 8, &SocConfig::fpga(), &CompileOptions::default()).unwrap();
-        assert_eq!(out.residency, Residency::Streamed);
         // Weight loads are in the body (per iteration).
         let body_loads = out
             .programs
@@ -492,7 +479,6 @@ mod tests {
             Err(WorkloadError::StageTooLarge { .. })
         ));
         let auto = compile(&g, 1, &SocConfig::fpga(), &CompileOptions::default()).unwrap();
-        assert_eq!(auto.residency, Residency::Streamed);
         // Sliced into <= scratchpad/2 loads.
         let max_load = auto
             .programs

@@ -169,9 +169,27 @@ section "scripts/loc.sh (non-test source size)"
 # release_cores`, `Noc::{send_packet, link_loads}`, `Hbm::channel_loads`,
 # `kernel_utilization`, `MappingCache::score_stats`, `Topology::{from_edges,
 # node_attr_mut}`, `ModelGraph::total_macs` and the partition bottleneck.
-CORE_SERVE_CODE_MAX=4108
-TOPO_CODE_MAX=2324
-WORKSPACE_CODE_MAX=14943
+# The public items rustc found dead once narrowed (the section below) took
+# 178 more: `AdmissionQueue::max_attempts`, `Cluster::admissions`,
+# `Hypervisor::plan_generation`, `uvm::DEFAULT_IOTLB_ENTRIES`, the id
+# types' `value` / `index`, `Partition::cores`, `RoutingTable::vmid`,
+# `VirtualNpu::vm` with its field, `FragmentationStats::
+# hbm_largest_free_block`, `FaultPlan::{events, len, horizon}`,
+# `Perm::{NONE, RX, is_empty}`, `PageTable::is_empty`,
+# `PageTranslator::table`, `RangeTranslationTable::{get, entries, find}`,
+# `RangeTranslator::{rtt, rtt_cur, tlb_capacity}`,
+# `AccessCounter::{total_bytes, budget_per_window}` with the byte total,
+# `Shape::{core_count, label}`,
+# `Arrival::{at_tick, shape}`, `CoreTrace::utilization`,
+# `Hbm::bytes_per_cycle`, `Noc::degraded_penalty`,
+# `Machine::faulted_cores`, the write-only `Link::bytes_carried` and
+# `CoreState::footprint`, `MappingCache::len`, `FreeSet::is_empty`,
+# `Strategy::kind`, `Mapper::{phys_key, generation}` and
+# `CompiledWorkload::{partition, total_weight_bytes, residency}`; and
+# `PageTable::{len, lookup}` and `Topology::ring` moved into test modules.
+CORE_SERVE_CODE_MAX=4054
+TOPO_CODE_MAX=2301
+WORKSPACE_CODE_MAX=14765
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -214,36 +232,114 @@ fi
 echo "test boundary: every item after a file's first #[cfg(test)] is test code"
 
 section "no test-only public functions"
-# A public function only tests call is surface every reader pays for while
-# no output depends on it: delete it with its tests, or move it into its
-# file's test module when a test reads a production model through it. The
-# scan lists each `pub fn` name in `crates/*/src` whose every use in
-# non-test code is a definition. Non-test code is `crates/*/src`, `src`,
-# `examples` and `benchmark/src`, comment lines left out, each file up to
-# its first `#[cfg(test)]` at the start of a line; an indented
-# `#[cfg(test)]` leaves out the one item it tags. Names are matched as
-# words, so a name some non-test line uses counts as used for every
-# definition of it. A flagged name must be on the allow-list below with
-# the reason it stays. An entry that is no longer flagged fails too, and
-# the list may not grow past TEST_ONLY_PUB_FNS_MAX.
-TEST_ONLY_PUB_FNS_MAX=12
+# A public function, field or const that only tests reach is surface every
+# reader pays for while no output depends on it: delete it with its tests,
+# or move it into its file's test module when a test reads a production
+# model through it. `scripts/dead_pub.sh` asks rustc which ones there are:
+# on a copy of the tree it narrows each to crate visibility, widens again
+# what another crate's non-test code needs, and prints what `dead_code`
+# then flags, so two items of one name are told apart. A printed item must
+# be on the allow-list below (`path name reason`) with the reason it
+# stays. An entry that is no longer printed fails too, and the list may not
+# grow past TEST_ONLY_PUB_FNS_MAX.
+TEST_ONLY_PUB_FNS_MAX=57
 allowed=$(cat <<'EOF'
-are_isomorphic        isomorphism check; the root props tests hold the mapper's canonical keys to it
-connected_candidates  candidate enumeration; the root props tests hold the mapper's walk to it
-create_on             placement on a named chip; the audit, fault and root cluster tests build fleets with it
-dma_load              instruction constructor; core's and the root failure-injection tests build programs with it
-exact_only            the exact-only mapping strategy; core's and the root failure-injection tests map with it
-find_cdg_cycle        channel-dependency cycle search; the deadlock-free route builder is to call it from vrouter
-fleet_fit_hint        the serve runtime's fleet-wide fit hint; the root cluster tests read it
-hop_distance          topology distance; the simulator's controller tests price configuration by it
-is_tdm                MIG time-sharing flag; the vnpu_bench and root end-to-end tests assert Figure 16's fallback
-state_digest          hypervisor state digest; the rollback oracle of core's and the root props and failure-injection tests
-tenant_count          machine tenant count; core's cluster tests hold each machine to its hypervisor with it
-torus2d               torus topology; the audit's routing tests run on a torus
+crates/audit/src/routing.rs     find_cdg_cycle          the deadlock-free confined routes item is to call it where routes are built
+crates/core/src/admission.rs    is_empty                beside a public len (clippy's len_without_is_empty)
+crates/core/src/cluster.rs      chip_mut                the audit's and fault crate's tests corrupt a chip through it
+crates/core/src/cluster.rs      create_on               placement on a named chip; the audit, fault and root cluster tests build fleets with it
+crates/core/src/cluster.rs      free_cores              the root cluster and props tests count a fleet's free cores
+crates/core/src/cluster.rs      live_count              the root props tests count a fleet's tenants
+crates/core/src/cluster.rs      new                     the audit, fault and root cluster tests build a bare cluster
+crates/core/src/cluster.rs      total_cores             the root cluster and props tests count a fleet's cores
+crates/core/src/hypervisor.rs   cache_stats             mapping-cache counters; the work ledger reports them
+crates/core/src/hypervisor.rs   free_cores              the root cluster tests read a chip's free cores
+crates/core/src/hypervisor.rs   state_digest            the rollback oracle of the root props and failure-injection tests
+crates/core/src/mig.rs          is_empty                beside a public len (clippy's len_without_is_empty)
+crates/core/src/mig.rs          is_tdm                  MIG time-sharing flag; the vnpu_bench and root end-to-end tests assert Figure 16's fallback
+crates/core/src/mig.rs          partition_index         the Figure 16 fleet item places tenants on MIG partitions through it
+crates/core/src/mig.rs          partitions              the Figure 16 fleet item places tenants on MIG partitions through it
+crates/core/src/mig.rs          release                 the Figure 16 fleet item frees MIG partitions through it
+crates/core/src/mig.rs          shape                   the Figure 16 fleet item sizes MIG partitions through it
+crates/core/src/plan.rs         len                     the root props tests measure a plan's turnover
+crates/core/src/plan.rs         total                   the root props tests price a plan
+crates/core/src/vnpu.rs         bandwidth_cap           request builder; the root failure-injection tests cap bandwidth with it
+crates/core/src/vnpu.rs         mem_mode                request builder; the served-models item gives requests a memory mode
+crates/core/src/vnpu.rs         temporal_sharing        request builder; the audit's and root extension and props tests over-provision with it
+crates/core/src/vrouter.rs      direction_entries       confined-route sizes; the work ledger reports them
+crates/core/src/vrouter.rs      fallback_paths          confined-route sizes; the work ledger reports them
+crates/mem/src/counter.rs       throttle_cycles         bandwidth-limiter counters; the work ledger reports them
+crates/mem/src/counter.rs       throttle_events         bandwidth-limiter counters; the work ledger reports them
+crates/mem/src/counter.rs       total_accesses          bandwidth-limiter counters; the work ledger reports them
+crates/mem/src/proptest_lite.rs check                   the property runner of the simulator's and root props tests
+crates/mem/src/proptest_lite.rs range                   the property runner of the simulator's and root props tests
+crates/mem/src/proptest_lite.rs vec_of                  the property runner of the simulator's and root props tests
+crates/mem/src/rtt.rs           is_empty                beside a public len (clippy's len_without_is_empty)
+crates/serve/src/scheduler.rs   audit_findings          the root audit-mutation and scenario tests read a run's findings
+crates/serve/src/scheduler.rs   drain_state             the root cluster and props tests read drain progress
+crates/serve/src/scheduler.rs   epoch_memo_hits         epoch-memo counter; the root props tests read it and the work ledger reports it
+crates/serve/src/scheduler.rs   fleet_fit_hint          the root cluster tests read the fleet-wide fit hint
+crates/serve/src/scheduler.rs   set_core_scales         the hybrid-cores item is to drive it; the root props tests scale cores with it
+crates/sim/src/isa.rs           dma_load                instruction constructor; core's and the root failure-injection tests build programs with it
+crates/sim/src/isa.rs           is_empty                the workloads tests check idle programs
+crates/sim/src/machine.rs       core_faulted            core's cluster tests hold each machine to its hypervisor
+crates/sim/src/machine.rs       link_faulted            the audit's and core's cluster tests read a machine's dead links
+crates/sim/src/machine.rs       tenant_count            core's cluster tests hold each machine to its hypervisor
+crates/sim/src/stats.rs         tenants                 core's vrouter tests read a report's tenants
+crates/topo/src/cache.rs        from_free_nodes         the audit's and root cluster and props tests build free sets
+crates/topo/src/cache.rs        is_empty                core's cluster tests check a fleet's shared cache
+crates/topo/src/canonical.rs    are_isomorphic          isomorphism check; the root props tests hold the mapper's canonical keys to it
+crates/topo/src/enumerate.rs    connected_candidates    candidate enumeration; the root props tests hold the mapper's walk to it
+crates/topo/src/mapping.rs      costs                   custom match costs; the hybrid-cores item is to install them in production
+crates/topo/src/mapping.rs      exact_only              core's paper_lock_in_scenario_on_5x5 pins the paper's §4.3 lock-in with it
+crates/topo/src/mapping.rs      map                     the root cluster and props tests map without a cache
+crates/topo/src/mapping.rs      new                     the root cluster and props tests map without a cache
+crates/topo/src/topology.rs     hop_distance            topology distance; the simulator's controller tests price configuration by it
+crates/topo/src/topology.rs     is_connected            core's vnpu tests check request topologies
+crates/topo/src/topology.rs     is_empty                beside a public len (clippy's len_without_is_empty)
+crates/topo/src/topology.rs     torus2d                 torus topology; the audit's routing tests run on a torus
+crates/workloads/src/graph.rs   is_empty                beside a public len (clippy's len_without_is_empty)
+crates/workloads/src/models/mod.rs zoo                  the model zoo; the root end-to-end tests compile every model
+crates/workloads/src/partition.rs is_empty              beside a public len (clippy's len_without_is_empty)
 EOF
 )
-flagged=$(find crates/*/src src examples benchmark/src -name '*.rs' -exec awk '
-  FNR == 1 { in_tests = 0; skip = 0 }
+flagged=$(scripts/dead_pub.sh | awk '{ sub(/:[0-9]+$/, "", $1); print $1, $2 }' | sort)
+listed=$(awk '{ print $1, $2 }' <<<"$allowed" | sort)
+unlisted=$(comm -23 <(echo "$flagged") <(echo "$listed"))
+stale=$(comm -13 <(echo "$flagged") <(echo "$listed"))
+count=$(wc -l <<<"$listed")
+echo "no test-only public functions: $count allowed (ratchet $TEST_ONLY_PUB_FNS_MAX)"
+if [ -n "$unlisted" ]; then
+  echo "$unlisted"
+  echo "verify: FAIL (public items only tests reach: delete them, or move them into a test module)"
+  exit 1
+fi
+if [ -n "$stale" ]; then
+  echo "$stale"
+  echo "verify: FAIL (allow-list entries that non-test code now reaches: take them off the list)"
+  exit 1
+fi
+if [ "$count" -gt "$TEST_ONLY_PUB_FNS_MAX" ]; then
+  echo "verify: FAIL (the test-only allow-list has $count entries, ratchet is $TEST_ONLY_PUB_FNS_MAX)"
+  exit 1
+fi
+# rustc reads `x.f += n` as a use of `f`, so it never flags a counter
+# nothing reads. This scan lists each struct field in `crates/*/src` that
+# no non-test code reads: every `.f` in `crates/*/src`, `src`, `examples`
+# and `benchmark/src` (each file up to its first column-0 `#[cfg(test)]`,
+# minus items an indented one tags, comment lines left out) is the left
+# side of `=`, `+=` or another assignment, and its other uses are
+# struct-literal initialisers. Names are matched as words. A struct that
+# derives `Hash` or `Ord` reads its fields in the derive, so they are left
+# out. A flagged field must be on the allow-list below with its reason; a
+# stale entry fails too.
+write_only_allowed=$(cat <<'EOF'
+crates/topo/src/cache.rs        insertions              CacheStats counter; the work ledger reports it
+crates/topo/src/cache.rs        uncacheable             CacheStats counter; the work ledger reports it
+EOF
+)
+write_only=$(find crates/*/src src examples benchmark/src -name '*.rs' -exec awk '
+  FNR == 1 { in_tests = 0; skip = 0; inside = 0 }
   /^#\[cfg\(test\)\]/ { in_tests = 1 }
   in_tests || /^[[:space:]]*\/\// { next }
   skip {
@@ -255,36 +351,43 @@ flagged=$(find crates/*/src src examples benchmark/src -name '*.rs' -exec awk '
     next
   }
   /^[[:space:]]+#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+  inside && index($0, indent "}") == 1 { inside = 0; next }
+  inside && match($0, /^[[:space:]]*(pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*:/) {
+    name = substr($0, RSTART, RLENGTH - 1)
+    sub(/.* /, "", name)
+    if (FILENAME ~ /^crates\//) field[name] = field[name] FILENAME " " name "\n"
+    next
+  }
+  /^[[:space:]]*#\[derive\(/ { keyed = /[( ](Hash|PartialOrd|Ord)[,)]/; next }
+  match($0, /^[[:space:]]*(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]+.*\{$/) {
+    inside = !keyed
+    indent = $0
+    sub(/[^[:space:]].*/, "", indent)
+    next
+  }
+  !/^[[:space:]]*#\[/ { keyed = 0 }
   {
     line = $0
-    if (FILENAME ~ /^crates\// && match(line, /pub (const )?fn [A-Za-z_][A-Za-z0-9_]*/)) {
-      name = substr(line, RSTART, RLENGTH)
-      sub(/.* /, "", name)
-      defined[name] = 1
+    while (match(line, /\.[a-z_][a-z0-9_]*/)) {
+      name = substr(line, RSTART + 1, RLENGTH - 1)
+      line = substr(line, RSTART + RLENGTH)
+      if (line !~ /^[[:space:]]*(([-+*\/%|&^]|<<|>>)?=[^=]|\(|::)/) read[name] = 1
     }
-    gsub(/fn [A-Za-z_][A-Za-z0-9_]*/, "fn ", line)
-    n = split(line, words, /[^A-Za-z0-9_]+/)
-    for (i = 1; i <= n; i++) used[words[i]] = 1
   }
-  END { for (name in defined) if (!(name in used)) print name }
+  END { for (name in field) if (!(name in read)) printf "%s", field[name] }
 ' {} + | sort)
-listed=$(awk '{ print $1 }' <<<"$allowed" | sort)
-unlisted=$(comm -23 <(echo "$flagged") <(echo "$listed"))
-stale=$(comm -13 <(echo "$flagged") <(echo "$listed"))
-count=$(wc -l <<<"$listed")
-echo "no test-only public functions: $count allowed (ratchet $TEST_ONLY_PUB_FNS_MAX)"
+listed=$(awk '{ print $1, $2 }' <<<"$write_only_allowed" | sort)
+unlisted=$(comm -23 <(echo "$write_only") <(echo "$listed"))
+stale=$(comm -13 <(echo "$write_only") <(echo "$listed"))
+echo "no test-only public functions: $(wc -l <<<"$listed") write-only fields allowed"
 if [ -n "$unlisted" ]; then
   echo "$unlisted"
-  echo "verify: FAIL (public functions only tests call: delete them, or move them into a test module)"
+  echo "verify: FAIL (fields no non-test code reads: delete them with their writes)"
   exit 1
 fi
 if [ -n "$stale" ]; then
   echo "$stale"
-  echo "verify: FAIL (allow-list entries that non-test code now calls: take them off the list)"
-  exit 1
-fi
-if [ "$count" -gt "$TEST_ONLY_PUB_FNS_MAX" ]; then
-  echo "verify: FAIL (the test-only allow-list has $count entries, ratchet is $TEST_ONLY_PUB_FNS_MAX)"
+  echo "verify: FAIL (write-only allow-list entries that non-test code now reads: take them off the list)"
   exit 1
 fi
 

@@ -424,8 +424,8 @@ fn hypervisor_churn_leaves_no_residue() {
             prop_assert_eq!(hv.hbm_free_bytes(), free_hbm_at_start, "no leaked HBM");
             let frag = hv.fragmentation();
             prop_assert_eq!(
-                frag.hbm_largest_free_block,
-                free_hbm_at_start,
+                frag.hbm_external_fragmentation,
+                0.0,
                 "buddy must fully coalesce"
             );
             prop_assert_eq!(frag.free_components, 1, "free region is whole again");
@@ -627,8 +627,8 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
             prop_assert_eq!(hv.hbm_free_bytes(), free_hbm_at_start, "no leaked HBM");
             let frag = hv.fragmentation();
             prop_assert_eq!(
-                frag.hbm_largest_free_block,
-                free_hbm_at_start,
+                frag.hbm_external_fragmentation,
+                0.0,
                 "buddy must fully coalesce at quiescence"
             );
             prop_assert_eq!(frag.free_components, 1, "free region is whole again");

@@ -8,7 +8,24 @@
 //! HBM byte conservation against the tenants' buddy blocks, and
 //! drained-chip emptiness — plus the full [`crate::routing`] pass over
 //! the chip's resident routing tables. [`audit_cluster`] runs it over
-//! every chip, and [`FleetAuditor`] is the same sweep as a value.
+//! every chip, memo-free.
+//!
+//! [`FleetAuditor`] is the same sweep with a routing memo per chip. The
+//! routing pass is a function of the chip's topology, fixed when the chip
+//! is built and named by its `phys_key`, and of each tenant's isolation
+//! flag, routing table, mapping and deployed routes, which change only by
+//! a redeployment, and every redeployment moves the tenant's deployment
+//! stamp. So the memo keys a chip's findings on its `phys_key` and its
+//! `(vm, stamp)` list in VM order, and a tenant's paths and turn
+//! dependencies on its `(vm, stamp)`: a chip whose list is unchanged
+//! keeps its findings, and on any other chip only the redeployed tenants
+//! are walked again before the rules run over every entry. The
+//! accounting half (`FLEET-*`, `FAULT-*`) reads the core counts, the free
+//! set, the HBM allocator, the drain state and the fault masks, which
+//! move without a stamp, so it runs fresh every audit. Debug builds
+//! re-run the fresh routing pass on every audit and assert equal
+//! findings, and the campaign below holds the memoised auditor to
+//! [`audit_cluster`] over churn, faults and redeployments.
 //!
 //! All passes are read-only: auditing a clean fleet leaves behavior,
 //! reports and cache statistics byte-identical to not auditing it.
@@ -23,20 +40,38 @@
 //! as the oracle). A core a mapping names outside the mesh, which no
 //! per-core array could hold, sorts last and still groups by core.
 
-use crate::routing::{audit_routing, collect_tenant_routes};
+use crate::routing::{
+    audit_routing, collect_tenant_routes, routing_findings, tenant_routes, LinkIds, TenantEntry,
+};
 use crate::{AuditFinding, Rule};
 use vnpu::cluster::Cluster;
 use vnpu::drain::ChipSchedState;
 use vnpu::{Hypervisor, VmId};
 use vnpu_topo::{FreeSet, NodeId};
 
-/// Audits one chip's resource-accounting invariants. `sched` is the
-/// chip's drain-lifecycle state (pass [`ChipSchedState::Schedulable`]
-/// for a standalone hypervisor) and `faulted_links` the dead links its
-/// machine records (none for a standalone hypervisor, which has no
-/// links). Findings carry no chip index — the cluster-level entry
-/// points tag it.
+/// Audits one chip's resource-accounting invariants, then its routing.
+/// `sched` is the chip's drain-lifecycle state (pass
+/// [`ChipSchedState::Schedulable`] for a standalone hypervisor) and
+/// `faulted_links` the dead links its machine records (none for a
+/// standalone hypervisor, which has no links). Findings carry no chip
+/// index — the cluster-level entry points tag it.
 pub fn audit_chip(
+    hv: &Hypervisor,
+    sched: ChipSchedState,
+    faulted_links: impl IntoIterator<Item = (u32, u32)>,
+) -> Vec<AuditFinding> {
+    let mut findings = audit_accounting(hv, sched, faulted_links);
+    findings.extend(fresh_routing(hv));
+    findings
+}
+
+/// The routing pass over a chip's resident tables, from scratch.
+fn fresh_routing(hv: &Hypervisor) -> Vec<AuditFinding> {
+    audit_routing(hv.topology(), &collect_tenant_routes(hv))
+}
+
+/// [`audit_chip`]'s accounting half: everything but the routing pass.
+fn audit_accounting(
     hv: &Hypervisor,
     sched: ChipSchedState,
     faulted_links: impl IntoIterator<Item = (u32, u32)>,
@@ -223,45 +258,106 @@ pub fn audit_chip(
         }
     }
 
-    // The routing pass over this chip's resident tables.
-    findings.extend(audit_routing(hv.topology(), &collect_tenant_routes(hv)));
-
     findings
 }
 
 /// Audits every chip of a cluster, tagging findings with the chip
-/// index.
+/// index. Memo-free: the oracle [`FleetAuditor`] is held to.
 pub fn audit_cluster(cluster: &Cluster) -> Vec<AuditFinding> {
+    audit_chips(cluster, |_, hv| fresh_routing(hv))
+}
+
+/// Every chip's accounting half, fresh, then `routing(chip, hv)`, each
+/// chip's findings tagged with its index.
+fn audit_chips(
+    cluster: &Cluster,
+    mut routing: impl FnMut(usize, &Hypervisor) -> Vec<AuditFinding>,
+) -> Vec<AuditFinding> {
     let mut findings = Vec::new();
     for i in 0..cluster.chip_count() {
+        let (hv, links) = (cluster.chip(i), cluster.machine(i).faulted_links());
         let sched = cluster
             .drain_state(i)
             .unwrap_or(ChipSchedState::Schedulable);
-        findings.extend(
-            audit_chip(cluster.chip(i), sched, cluster.machine(i).faulted_links())
-                .into_iter()
-                .map(|f| f.on_chip(i)),
-        );
+        let mut chip = audit_accounting(hv, sched, links);
+        chip.extend(routing(i, hv));
+        findings.extend(chip.into_iter().map(|f| f.on_chip(i)));
     }
     findings
 }
 
-/// The fleet audit as a value: [`audit_cluster`], nothing more. A chip's
-/// topology generation needs no cross-audit check — its one writer, the
-/// cluster, copies the machine's hash chain, which never returns to 0
-/// and repeats a value only on a 64-bit collision.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FleetAuditor;
+/// The fleet audit as a value: [`audit_cluster`]'s findings, with each
+/// chip's routing pass kept between audits. A chip's routing findings are
+/// keyed on its [`Hypervisor::phys_key`] (its topology, fixed when the
+/// chip is built) and its `(vm, deployment stamp)` list in VM order; a
+/// tenant's paths and turn dependencies on its `(vm, stamp)`. Every input
+/// of a tenant's routing — isolation flag, routing table, mapping,
+/// deployed routes — changes only by a redeployment, which moves
+/// [`vnpu::VirtualNpu::deployment_stamp`]. So an unchanged chip keeps its
+/// findings, and a changed one walks only its redeployed tenants again.
+/// The accounting half (`FLEET-*`, `FAULT-*`) runs fresh every audit.
+/// Debug builds re-run the fresh routing pass and assert equal findings.
+#[derive(Debug, Default, Clone)]
+pub struct FleetAuditor {
+    /// Per chip, by index.
+    chips: Vec<RoutingMemo>,
+}
+
+/// One chip's routing pass as of its last audit.
+#[derive(Debug, Default, Clone)]
+struct RoutingMemo {
+    phys_key: u64,
+    /// `(vm, deployment stamp)` per resident tenant, in VM-ID order.
+    key: Vec<(VmId, u64)>,
+    /// Each tenant's entry, in `key` order.
+    entries: Vec<TenantEntry>,
+    /// The routing findings of `entries`.
+    findings: Vec<AuditFinding>,
+}
+
+impl RoutingMemo {
+    /// The chip's routing findings, re-walking only redeployed tenants.
+    fn audit(&mut self, hv: &Hypervisor) -> &[AuditFinding] {
+        if self.phys_key != hv.phys_key() {
+            *self = RoutingMemo {
+                phys_key: hv.phys_key(),
+                ..RoutingMemo::default()
+            };
+        }
+        let stamps = || hv.vnpus().map(|(&vm, v)| (vm, v.deployment_stamp()));
+        if !stamps().eq(self.key.iter().copied()) {
+            let ids = LinkIds::new(hv.topology());
+            let mut old = self.key.iter().zip(self.entries.drain(..)).peekable();
+            let mut entries = Vec::with_capacity(hv.vnpu_count());
+            for (&vm, v) in hv.vnpus() {
+                let stamp = v.deployment_stamp();
+                while old.next_if(|(k, _)| k.0 < vm).is_some() {}
+                entries.push(match old.next_if(|(k, _)| **k == (vm, stamp)) {
+                    Some((_, entry)) => entry,
+                    None => TenantEntry::new(&ids, tenant_routes(vm, v)),
+                });
+            }
+            drop(old);
+            self.key = stamps().collect();
+            self.findings = routing_findings(&ids, &entries);
+            self.entries = entries;
+        }
+        debug_assert_eq!(self.findings, fresh_routing(hv), "memoised routing");
+        &self.findings
+    }
+}
 
 impl FleetAuditor {
-    /// An auditor.
+    /// An auditor with an empty memo.
     pub fn new() -> Self {
-        FleetAuditor
+        FleetAuditor::default()
     }
 
     /// Runs the full fleet audit.
-    pub fn audit(&self, cluster: &Cluster) -> Vec<AuditFinding> {
-        audit_cluster(cluster)
+    pub fn audit(&mut self, cluster: &Cluster) -> Vec<AuditFinding> {
+        self.chips
+            .resize_with(cluster.chip_count(), Default::default);
+        audit_chips(cluster, |i, hv| self.chips[i].audit(hv).to_vec())
     }
 }
 
@@ -275,10 +371,12 @@ mod reference {
     use super::*;
     use crate::routing::reference::{audit_routing, below};
     use std::collections::BTreeMap;
+    use std::sync::Arc;
     use vnpu::cluster::ClusterVmId;
-    use vnpu::VnpuRequest;
+    use vnpu::{Defragmenter, GreedyDefrag, VnpuRequest};
     use vnpu_mem::proptest_lite::Rng;
     use vnpu_sim::SocConfig;
+    use vnpu_topo::Strategy;
 
     fn audit_chip(
         hv: &Hypervisor,
@@ -525,19 +623,21 @@ mod reference {
         const CASES: usize = 32;
         const STEPS: usize = 80;
         let rng = &mut Rng::new(0x5EED_2503);
+        let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
         let mut reached = std::collections::BTreeSet::new();
-        let mut audits = 0;
+        let (mut audits, mut chip_reuses, mut mixed_rebuilds, mut redeploys) = (0, 0, 0, 0);
         for case in 0..CASES {
             let mut cluster = Cluster::new(vec![SocConfig::sim(); 3]);
-            let auditor = FleetAuditor::new();
+            let mut auditor = FleetAuditor::new();
             let mut live: Vec<ClusterVmId> = Vec::new();
             for step in 0..STEPS {
-                // Churn, faults and repairs, reservation residue, drains.
+                // Churn, faults and repairs, reservation residue, drains,
+                // and same-VM and cross-chip redeployments.
                 let chip = below(rng, 3);
                 let core = below(rng, cluster.chip(chip).core_users().len()) as u32;
                 let next = cluster.chip(chip).topology().neighbors(NodeId(core));
                 let peer = next[below(rng, next.len())].0;
-                let _ = match below(rng, 12) {
+                let _ = match below(rng, 15) {
                     0..=3 => cluster
                         .create_on(chip, random_request(rng))
                         .map(|id| live.push(id)),
@@ -560,9 +660,22 @@ mod reference {
                     8 => cluster.fault_link(chip, core, peer).map(drop),
                     9 => cluster.chip_mut(chip).reserve_cores(&[core]),
                     10 => cluster.begin_drain(chip),
-                    _ => cluster
+                    11 => cluster
                         .complete_drain(chip)
                         .or_else(|_| cluster.undrain(chip)),
+                    12 if !live.is_empty() => {
+                        let id = live[below(rng, live.len())];
+                        let lax = Strategy::similar_topology();
+                        cluster.recover_in_place(id, &lax).map(drop)
+                    }
+                    13 => cluster.defrag_pass(&defrag).map(drop),
+                    14 if !live.is_empty() => {
+                        let k = below(rng, live.len());
+                        cluster
+                            .migrate_to_chip(live[k], chip)
+                            .map(|(id, _)| live[k] = id)
+                    }
+                    _ => Ok(()),
                 };
                 for i in 0..cluster.chip_count() {
                     let live_state = cluster.drain_state(i).unwrap();
@@ -575,8 +688,21 @@ mod reference {
                         audits += 1;
                     }
                 }
+                let before: Vec<Vec<(VmId, u64)>> =
+                    auditor.chips.iter().map(|m| m.key.clone()).collect();
                 let got = auditor.audit(&cluster);
                 assert_eq!(got, audit_cluster(&cluster), "case {case}, step {step}");
+                // What the memo had to work with, chip by chip: the same
+                // tenants as last audit, or kept tenants beside new ones.
+                for (old, memo) in before.iter().zip(&auditor.chips) {
+                    let kept = memo.key.iter().filter(|k| old.contains(k)).count();
+                    chip_reuses += usize::from(!old.is_empty() && memo.key == *old);
+                    mixed_rebuilds += usize::from(kept > 0 && kept < memo.key.len());
+                    let moved = |&(vm, stamp): &(VmId, u64)| {
+                        old.iter().any(|&(o, s)| o == vm && s != stamp)
+                    };
+                    redeploys += memo.key.iter().filter(|k| moved(k)).count();
+                }
             }
         }
         for rule in [
@@ -589,9 +715,17 @@ mod reference {
         ] {
             assert!(reached.contains(&rule), "{rule} never reached: {reached:?}");
         }
+        assert!(
+            chip_reuses > 0 && mixed_rebuilds > 0 && redeploys > 0,
+            "memo reuse not exercised: {chip_reuses} whole-chip reuses, \
+             {mixed_rebuilds} chips rebuilt beside a kept tenant, {redeploys} same-VM \
+             redeployments"
+        );
         println!(
             "fleet campaign: {audits} chip audits and {} cluster audits, identical \
-             findings; rules reached {reached:?}",
+             findings; rules reached {reached:?}; the memo reused {chip_reuses} whole \
+             chips and kept tenants on {mixed_rebuilds} rebuilt ones, over \
+             {redeploys} same-VM redeployments",
             CASES * STEPS
         );
     }
@@ -602,6 +736,7 @@ mod tests {
     use super::*;
     use vnpu::VnpuRequest;
     use vnpu_sim::SocConfig;
+    use vnpu_topo::NodeId;
 
     fn rules(findings: &[AuditFinding]) -> Vec<Rule> {
         findings.iter().map(|f| f.rule).collect()
@@ -706,12 +841,65 @@ mod tests {
     #[test]
     fn fleet_auditor_accepts_monotone_generations() {
         let mut cluster = Cluster::new(vec![SocConfig::sim()]);
-        let auditor = FleetAuditor::new();
+        let mut auditor = FleetAuditor::new();
         assert!(auditor.audit(&cluster).is_empty());
         let id = cluster.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
         assert!(auditor.audit(&cluster).is_empty());
         cluster.destroy(id).unwrap();
         assert!(auditor.audit(&cluster).is_empty());
+    }
+
+    #[test]
+    fn warm_memo_still_flags_accounting_drift_and_new_route_leaks() {
+        // Faults pin every free core outside `keep` while `req` is
+        // placed, so it lands on `keep`; the repairs then free them.
+        fn place_on(cl: &mut Cluster, keep: &[u32], req: VnpuRequest) {
+            let free = cl.chip(0).free_set();
+            let pinned: Vec<u32> = (0..36)
+                .filter(|&c| !keep.contains(&c) && free.contains(NodeId(c)))
+                .collect();
+            for &c in &pinned {
+                cl.fault_core(0, c).unwrap();
+            }
+            cl.create_on(0, req).unwrap();
+            for &c in &pinned {
+                cl.repair_core(0, c).unwrap();
+            }
+        }
+        let mut cl = Cluster::new(vec![SocConfig::sim()]);
+        let mut auditor = FleetAuditor::new();
+        let iso = VnpuRequest::mesh(2, 2).noc_isolation(true);
+        place_on(&mut cl, &[14, 15, 20, 21], iso);
+        assert!(auditor.audit(&cl).is_empty());
+        let cached = auditor.chips[0].key.clone();
+        // A reservation moves no stamp: the chip's routing is reused, and
+        // the fresh accounting half still flags the residue.
+        cl.chip_mut(0).reserve_cores(&[0]).unwrap();
+        let findings = auditor.audit(&cl);
+        assert_eq!(auditor.chips[0].key, cached);
+        assert_eq!(findings, audit_cluster(&cl));
+        assert_eq!(rules(&findings), [Rule::FleetCoreOwnership]);
+        // A DOR tenant on the arch 13-7-8-9-10-16 over the cached isolated
+        // tenant routes its ends X first, over the isolated links between
+        // 14 and 15: a finding each way.
+        place_on(&mut cl, &[13, 7, 8, 9, 10, 16], VnpuRequest::mesh(6, 1));
+        let findings = auditor.audit(&cl);
+        assert_eq!(
+            auditor.chips[0].key[0], cached[0],
+            "the isolated entry is kept"
+        );
+        assert_eq!(findings, audit_cluster(&cl));
+        let leaks = findings
+            .iter()
+            .filter(|f| f.rule == Rule::RouteIsolationLeak);
+        let links: Vec<&str> = leaks
+            .filter_map(|f| f.detail.split(" carries").next())
+            .collect();
+        assert_eq!(
+            links,
+            ["link p14\u{2192}p15", "link p15\u{2192}p14"],
+            "{findings:?}"
+        );
     }
 
     #[test]

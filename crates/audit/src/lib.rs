@@ -17,9 +17,11 @@
 //!   isolation.
 //! * [`fleet`] — the whole-[`vnpu::cluster::Cluster`] post-tick audit:
 //!   core-ownership and free-set consistency, HBM byte conservation,
-//!   drained-chip residue and the fault mask. It keeps no state between
-//!   audits: a chip's topology generation has one writer, the cluster,
-//!   which copies the machine's never-repeating hash chain.
+//!   drained-chip residue and the fault mask, fresh on every audit, and
+//!   the routing pass per chip. [`FleetAuditor`] keeps each chip's
+//!   routing between audits, keyed on the chip's topology and its
+//!   tenants' deployment stamps, and re-walks only redeployed tenants;
+//!   [`audit_cluster`] keeps nothing.
 //!
 //! A placement plan needs no pass of its own: `Hypervisor::plan` runs
 //! the commit's op loop on a copy, so an unsound plan is an `Err` from

@@ -23,15 +23,21 @@
 //!   genuine wormhole-deadlock hazard.
 //!
 //! The pass runs after every audited serve tick, so it works on flat
-//! per-call arrays and allocates nothing per path or per search step.
-//! Every tenant's paths go node after node into one `Vec<u32>` with end
-//! offsets. Each directed link gets a dense id from the topology's sorted
-//! adjacency — `a → b` is numbered after every link leaving a lower core
-//! and after `a`'s links to lower neighbours — so ascending ids are
-//! ascending [`Link`]s. Link occupancy is one sorted `(link, tenant)`
-//! array, built only when an isolated tenant can turn sharing into a
-//! finding; the deadlock search is one iterative DFS over
-//! link ids with a color array and an explicit stack, rooted in
+//! arrays and allocates nothing per path or per search step. Each
+//! directed link gets a dense id from the topology's sorted adjacency —
+//! `a → b` is numbered after every link leaving a lower core and after
+//! `a`'s links to lower neighbours — so ascending ids are ascending
+//! [`Link`]s. The per-tenant half is one entry per tenant, a function of
+//! its [`TenantRoutes`] and the topology alone: its paths node after node
+//! in one `Vec<u32>` with end offsets, and its turn dependencies as
+//! link-id pairs, sorted and de-duplicated. The rules then run over every
+//! tenant's entry. [`audit_routing`] builds all the entries fresh;
+//! [`crate::FleetAuditor`] keeps them per `(vm, deployment stamp)` and
+//! rebuilds only a redeployed tenant's, and both run the same rules.
+//! Link occupancy is one sorted `(link, tenant)` array, built only when
+//! an isolated tenant can turn sharing into a finding; the deadlock
+//! search is one iterative DFS over the union of the entries' link-id
+//! dependencies with a color array and an explicit stack, rooted in
 //! ascending order and taking successors in ascending order. Those are
 //! the orders the `BTreeMap`s this replaced iterated in, so the findings,
 //! their order, their text and the `ROUTE-CDG` witness are unchanged (a
@@ -41,7 +47,7 @@ use crate::{AuditFinding, Rule};
 use std::fmt;
 use std::sync::Arc;
 use vnpu::vrouter::ConfinedPaths;
-use vnpu::{Hypervisor, VirtCoreId, VmId};
+use vnpu::{Hypervisor, VirtCoreId, VirtualNpu, VmId};
 use vnpu_topo::route::dor_walk;
 use vnpu_topo::{NodeId, Topology};
 
@@ -85,73 +91,82 @@ pub struct TenantRoutes {
 /// dropped from `table_cores`, which [`audit_routing`] reports as a
 /// table/mapping mismatch.
 pub fn collect_tenant_routes(hv: &Hypervisor) -> Vec<TenantRoutes> {
-    hv.vnpus()
-        .map(|(&vm, v)| TenantRoutes {
-            vm,
-            isolated: v.request().wants_noc_isolation(),
-            table_cores: (0..v.core_count())
-                .filter_map(|i| v.routing_table().lookup(VirtCoreId(i)).map(|p| p.0))
-                .collect(),
-            owned_cores: v.mapping().phys_nodes().iter().map(|n| n.0).collect(),
-            routes: v.routes().cloned(),
-        })
-        .collect()
+    hv.vnpus().map(|(&vm, v)| tenant_routes(vm, v)).collect()
 }
 
-/// Every tenant's all-pairs paths on the physical mesh, flat: path `p`
-/// visits `nodes[bounds[p]..bounds[p + 1]]`, and tenant `i`'s paths are
-/// `tenant_bounds[i]..tenant_bounds[i + 1]`, in `(src, dst)` table order.
-/// Each pair takes its deployed route, or DOR, exactly as the router
-/// does; unroutable pairs are skipped. An isolated tenant with a
-/// disconnected region carries DOR routes in its record, which the escape
-/// rule then flags.
-struct Flows {
+/// One resident tenant's [`TenantRoutes`].
+pub(crate) fn tenant_routes(vm: VmId, v: &VirtualNpu) -> TenantRoutes {
+    TenantRoutes {
+        vm,
+        isolated: v.request().wants_noc_isolation(),
+        table_cores: (0..v.core_count())
+            .filter_map(|i| v.routing_table().lookup(VirtCoreId(i)).map(|p| p.0))
+            .collect(),
+        owned_cores: v.mapping().phys_nodes().iter().map(|n| n.0).collect(),
+        routes: v.routes().cloned(),
+    }
+}
+
+/// One tenant's share of the routing pass, a function of its
+/// [`TenantRoutes`] and the topology alone: its all-pairs paths on the
+/// physical mesh, flat (path `p` visits `nodes[bounds[p]..bounds[p + 1]]`,
+/// in `(src, dst)` table order), and its turn dependencies as
+/// `(upstream, downstream)` link ids, sorted and de-duplicated. Each pair
+/// takes its deployed route, or DOR, exactly as the router does;
+/// unroutable pairs are skipped. An isolated tenant with a disconnected
+/// region carries DOR routes in its record, which the escape rule then
+/// flags.
+#[derive(Debug, Clone)]
+pub(crate) struct TenantEntry {
+    routes: TenantRoutes,
     nodes: Vec<u32>,
     bounds: Vec<usize>,
-    tenant_bounds: Vec<usize>,
+    deps: Vec<(u32, u32)>,
 }
 
-impl Flows {
-    fn build(topo: &Topology, tenants: &[TenantRoutes]) -> Self {
+impl TenantEntry {
+    pub(crate) fn new(ids: &LinkIds, routes: TenantRoutes) -> Self {
         // At most a path per ordered pair, of a few nodes on a chip.
-        let pairs: usize = tenants.iter().map(|t| t.table_cores.len().pow(2)).sum();
-        let mut flows = Flows {
-            nodes: Vec::with_capacity(4 * pairs),
-            bounds: Vec::with_capacity(pairs + 1),
-            tenant_bounds: vec![0],
-        };
-        flows.bounds.push(0);
-        for t in tenants {
-            for &src in &t.table_cores {
-                for &dst in t.table_cores.iter().filter(|&&dst| dst != src) {
-                    let deployed = t.routes.as_ref().and_then(|r| r.route(src, dst));
-                    match (deployed, topo.mesh_shape()) {
-                        (Some(route), _) => flows.nodes.extend_from_slice(route),
-                        (None, Some(shape)) => {
-                            // Refused (an endpoint off the mesh): visits nothing.
-                            let (src, dst) = (NodeId(src), NodeId(dst));
-                            let _ = dor_walk(shape, src, dst, |n| flows.nodes.push(n.0));
-                        }
-                        (None, None) => {}
+        let pairs = routes.table_cores.len().pow(2);
+        let mut nodes = Vec::with_capacity(4 * pairs);
+        let mut bounds = Vec::with_capacity(pairs + 1);
+        bounds.push(0);
+        let cores = &routes.table_cores;
+        for &src in cores {
+            for &dst in cores.iter().filter(|&&dst| dst != src) {
+                let deployed = routes.routes.as_ref().and_then(|r| r.route(src, dst));
+                match (deployed, ids.topo.mesh_shape()) {
+                    (Some(route), _) => nodes.extend_from_slice(route),
+                    (None, Some(shape)) => {
+                        // Refused (an endpoint off the mesh): visits nothing.
+                        let (src, dst) = (NodeId(src), NodeId(dst));
+                        let _ = dor_walk(shape, src, dst, |n| nodes.push(n.0));
                     }
-                    if flows.nodes.len() > flows.bounds[flows.bounds.len() - 1] {
-                        flows.bounds.push(flows.nodes.len());
-                    }
+                    (None, None) => {}
+                }
+                if nodes.len() > bounds[bounds.len() - 1] {
+                    bounds.push(nodes.len());
                 }
             }
-            flows.tenant_bounds.push(flows.bounds.len() - 1);
         }
-        flows
+        let mut entry = TenantEntry {
+            routes,
+            nodes,
+            bounds,
+            deps: Vec::new(),
+        };
+        let turns = entry.paths().flat_map(|p| p.windows(3));
+        let mut deps: Vec<_> = turns
+            .map(|w| (ids.id(w[0], w[1]), ids.id(w[1], w[2])))
+            .collect();
+        deps.sort_unstable();
+        deps.dedup();
+        entry.deps = deps;
+        entry
     }
 
-    /// Tenant `i`'s paths.
-    fn of(&self, i: usize) -> impl Iterator<Item = &[u32]> {
-        let paths = &self.bounds[self.tenant_bounds[i]..=self.tenant_bounds[i + 1]];
-        paths.windows(2).map(|w| &self.nodes[w[0]..w[1]])
-    }
-
-    /// Every tenant's paths.
-    fn all(&self) -> impl Iterator<Item = &[u32]> {
+    /// The tenant's paths.
+    fn paths(&self) -> impl Iterator<Item = &[u32]> {
         self.bounds.windows(2).map(|w| &self.nodes[w[0]..w[1]])
     }
 }
@@ -159,14 +174,14 @@ impl Flows {
 /// Dense ids for a topology's directed links: `a → b` is `first[a]` plus
 /// the rank of `b` among `a`'s sorted neighbours, so ascending ids are
 /// ascending [`Link`]s on any [`Topology`].
-struct LinkIds<'t> {
+pub(crate) struct LinkIds<'t> {
     topo: &'t Topology,
     /// Id of each core's first outgoing link, then the link count.
     first: Vec<u32>,
 }
 
 impl<'t> LinkIds<'t> {
-    fn new(topo: &'t Topology) -> Self {
+    pub(crate) fn new(topo: &'t Topology) -> Self {
         let mut first = vec![0];
         for node in topo.nodes() {
             first.push(first[node.index()] + topo.degree(node) as u32);
@@ -283,10 +298,21 @@ fn cdg_cycle(links: usize, mut deps: Vec<(u32, u32)>) -> Option<Vec<u32>> {
 /// Runs the routing static analysis over a set of tenants on the given
 /// physical topology.
 pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes]) -> Vec<AuditFinding> {
+    let ids = LinkIds::new(topo);
+    let entries: Vec<TenantEntry> = tenants
+        .iter()
+        .map(|t| TenantEntry::new(&ids, t.clone()))
+        .collect();
+    routing_findings(&ids, &entries)
+}
+
+/// The routing rules over every resident tenant's entry, in VM-ID order:
+/// the one place they are checked, fresh or memoised.
+pub(crate) fn routing_findings(ids: &LinkIds, entries: &[TenantEntry]) -> Vec<AuditFinding> {
     let mut findings = Vec::new();
 
     // ROUTE-TABLE: the table must resolve exactly the granted cores.
-    for t in tenants {
+    for t in entries.iter().map(|e| &e.routes) {
         if t.table_cores != t.owned_cores {
             let mismatch = t
                 .table_cores
@@ -312,15 +338,12 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes]) -> Vec<AuditFind
         }
     }
 
-    // Reconstruct every tenant's flows once.
-    let flows = Flows::build(topo, tenants);
-    let ids = LinkIds::new(topo);
-
     // ROUTE-CONF: a confined tenant's traffic must stay on its own cores.
-    let n = topo.node_count();
-    for (i, t) in tenants.iter().enumerate().filter(|(_, t)| t.isolated) {
+    let n = ids.topo.node_count();
+    for e in entries.iter().filter(|e| e.routes.isolated) {
+        let t = &e.routes;
         let mut escaped = vec![false; n];
-        for &node in flows.of(i).flatten() {
+        for &node in &e.nodes {
             escaped[node as usize] |= !t.owned_cores.contains(&node);
         }
         for core in (0..n as u32).filter(|&c| escaped[c as usize]) {
@@ -339,11 +362,11 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes]) -> Vec<AuditFind
     // Link occupancy — which tenants put traffic on each directed link,
     // grouped by link, VM-ID order within — can only matter when a tenant
     // was promised isolation.
-    if tenants.iter().any(|t| t.isolated) {
+    if entries.iter().any(|e| e.routes.isolated) {
         let mut users: Vec<(u32, VmId)> = Vec::new();
-        for (i, t) in tenants.iter().enumerate() {
-            for path in flows.of(i) {
-                users.extend(path.windows(2).map(|w| (ids.id(w[0], w[1]), t.vm)));
+        for e in entries {
+            for path in e.paths() {
+                users.extend(path.windows(2).map(|w| (ids.id(w[0], w[1]), e.routes.vm)));
             }
         }
         users.sort_unstable();
@@ -351,7 +374,11 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes]) -> Vec<AuditFind
         for group in users.chunk_by(|a, b| a.0 == b.0).filter(|g| g.len() >= 2) {
             let link = ids.link(group[0].0);
             let vms = group.iter().map(|&(_, vm)| vm);
-            let isolated = |vm| tenants.iter().any(|t| t.isolated && t.vm == vm);
+            let isolated = |vm| {
+                entries
+                    .iter()
+                    .any(|e| e.routes.isolated && e.routes.vm == vm)
+            };
             if let Some(iso) = vms.clone().find(|&vm| isolated(vm)) {
                 let others: Vec<String> = vms
                     .filter(|&vm| vm != iso)
@@ -374,9 +401,10 @@ pub fn audit_routing(topo: &Topology, tenants: &[TenantRoutes]) -> Vec<AuditFind
     }
 
     // ROUTE-CDG: the union of all flows must be deadlock-free.
-    let mut deps = Vec::with_capacity(flows.nodes.len());
-    let turns = flows.all().flat_map(|p| p.windows(3));
-    deps.extend(turns.map(|w| (ids.id(w[0], w[1]), ids.id(w[1], w[2]))));
+    let deps = entries
+        .iter()
+        .flat_map(|e| e.deps.iter().copied())
+        .collect();
     if let Some(cycle) = cdg_cycle(ids.first[n] as usize, deps) {
         let chain: Vec<String> = cycle.iter().map(|&l| ids.link(l).to_string()).collect();
         findings.push(AuditFinding::error(

@@ -280,14 +280,9 @@ impl Hypervisor {
     }
 
     /// Currently faulted cores, ascending.
-    pub fn faulted_cores(&self) -> Vec<u32> {
-        self.chip
-            .faulted
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| i as u32)
-            .collect()
+    pub fn faulted_cores(&self) -> impl Iterator<Item = u32> + '_ {
+        let faulted = self.chip.faulted.iter().enumerate();
+        faulted.filter(|(_, &f)| f).map(|(i, _)| i as u32)
     }
 
     /// Number of currently faulted cores.
@@ -2191,7 +2186,7 @@ mod tests {
         assert!(h.set_core_faulted(0, true).unwrap());
         assert!(!h.set_core_faulted(0, true).unwrap(), "idempotent");
         assert!(h.core_faulted(0));
-        assert_eq!(h.faulted_cores(), vec![0]);
+        assert_eq!(h.faulted_cores().collect::<Vec<_>>(), vec![0]);
         assert_eq!(h.free_core_count(), 35);
         assert_eq!(h.core_users()[0], 0, "fault masking never touches users");
         // Placement routes around the dead core.

@@ -58,7 +58,7 @@ use vnpu::cluster::{ChipPlacement, Cluster, ClusterAdmissionOutcome, ClusterVmId
 use vnpu::drain::ChipSchedState;
 use vnpu::plan::{Defragmenter, ReconfigBudget};
 use vnpu::{Hypervisor, VirtCoreId, VmId};
-use vnpu_audit::AuditFinding;
+use vnpu_audit::{AuditFinding, FleetAuditor};
 use vnpu_fault::{FaultDetector, FaultEvent, FaultKind, FaultPlan};
 use vnpu_sim::isa::{Instr, Program};
 use vnpu_sim::machine::{Machine, TenantId};
@@ -402,6 +402,9 @@ pub struct ServeRuntime {
     tick: u64,
     /// Every finding the post-tick audits reported, in tick order.
     audit_findings: Vec<AuditFinding>,
+    /// The post-tick audit, which keeps each chip's routing pass between
+    /// ticks.
+    auditor: FleetAuditor,
     /// Per-phase wall-clock (nanoseconds), indexed by [`Phase`] — all
     /// zero unless [`ServeConfig::time_phases`] is on, so timed and
     /// untimed runs differ only in these slots.
@@ -473,6 +476,7 @@ impl ServeRuntime {
             pending_recovery: BTreeMap::new(),
             tick: 0,
             audit_findings: Vec::new(),
+            auditor: FleetAuditor::new(),
             phase_nanos: [0; TIMED_PHASES],
             epoch_memo: cfg.chips.iter().map(|_| EpochMemo::default()).collect(),
             epoch_memo_hits: 0,
@@ -981,7 +985,7 @@ impl ServeRuntime {
     /// report) decide how hard to fail on them.
     fn audit(&mut self, ctx: &mut TickCtx) -> Result<(), vnpu::VnpuError> {
         if self.cfg.audit {
-            let findings = vnpu_audit::audit_cluster(&self.cluster);
+            let findings = self.auditor.audit(&self.cluster);
             ctx.events.audit_findings = findings.len() as u64;
             self.audit_findings.extend(findings);
         }

@@ -187,9 +187,15 @@ section "scripts/loc.sh (non-test source size)"
 # `Strategy::kind`, `Mapper::{phys_key, generation}` and
 # `CompiledWorkload::{partition, total_weight_bytes, residency}`; and
 # `PageTable::{len, lookup}` and `Topology::ring` moved into test modules.
-CORE_SERVE_CODE_MAX=4054
+# The fleet auditor's routing memo (per-chip findings and per-tenant
+# paths and turn dependencies, keyed on `phys_key` and deployment stamps)
+# took 75 lines of the workspace; it cut `reconfig_storm`'s `op_iqm_us`
+# by about a fifth in alternating pairs (see CHANGES.md, PR 58). The
+# `ServeRuntime` field that holds it costs `serve` 2 lines, and a
+# non-allocating `Hypervisor::faulted_cores` took 5 out.
+CORE_SERVE_CODE_MAX=4051
 TOPO_CODE_MAX=2301
-WORKSPACE_CODE_MAX=14765
+WORKSPACE_CODE_MAX=14840
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -694,20 +700,28 @@ cargo test -p vnpu_sim -q event_queue_pops_in_heap_order -- --nocapture
 cargo test -p vnpu -q routed_ring_sends_are_pinned -- --nocapture
 
 section "audit gate"
-# The fleet audit runs after every audited tick over flat arrays: paths
-# in one buffer with end offsets, links as dense ids from the topology's
-# sorted adjacency, the deadlock search as one DFS over those ids. It
-# takes an isolated tenant's routes from the record deployed with its
-# cores and derives none itself, so a stale record is flagged. The pins
-# hold its exact outputs (the ROUTE-CDG witness, a DOR fleet whose shared
-# links are no finding, ROUTE-CONF + ROUTE-ISO findings with their order
-# and text, a deployed route over a core outside the allocation) and an
-# off-mesh core that used to panic `confined_path`; the campaigns hold the
-# routing pass, the cycle search and `audit_chip` / `FleetAuditor::audit`
-# to the BTreeMap passes they replaced (test-only `reference` modules,
-# which derive confined routes themselves): identical findings over
-# random meshes, a torus with and without its mesh tag, hostile tenant
-# sets and churned, faulted, reserved and drained fleets.
+# The fleet audit runs after every audited tick over flat arrays: each
+# tenant's paths in one buffer with end offsets, links as dense ids from
+# the topology's sorted adjacency, the deadlock search as one DFS over
+# those ids. It takes an isolated tenant's routes from the record
+# deployed with its cores and derives none itself, so a stale record is
+# flagged. `FleetAuditor`, the serve loop's auditor, keeps each chip's
+# routing findings while its `phys_key` and `(vm, deployment stamp)` list
+# are unchanged and re-walks only redeployed tenants; the accounting half
+# runs fresh every audit. The pins hold its exact outputs (the ROUTE-CDG
+# witness, a DOR fleet whose shared links are no finding, ROUTE-CONF +
+# ROUTE-ISO findings with their order and text, a deployed route over a
+# core outside the allocation) and an off-mesh core that used to panic
+# `confined_path`. The campaigns hold the routing pass, the cycle search
+# and `audit_chip` to the BTreeMap passes they replaced (test-only
+# `reference` modules, which derive confined routes themselves), and the
+# memoised `FleetAuditor` to that oracle on every step of churned,
+# faulted, reserved, drained and redeployed (remapped, defragmented,
+# migrated across chips) fleets; the fleet campaign fails unless the
+# memo reused whole chips and kept tenants beside rebuilt ones. The
+# warm-memo test holds a filled memo to an accounting corruption that
+# moves no stamp and to a ROUTE-ISO leak a new tenant opens against a
+# cached one.
 for test in \
   crafted_turn_cycle_is_a_deadlock_finding \
   dor_fleet_shares_links_without_default_findings \
@@ -716,7 +730,8 @@ for test in \
   off_mesh_cores_are_skipped_not_a_panic \
   flat_routing_matches_the_btreemap_reference \
   flat_cycle_search_matches_the_btreemap_reference \
-  flat_fleet_audit_matches_the_btreemap_reference; do
+  flat_fleet_audit_matches_the_btreemap_reference \
+  warm_memo_still_flags_accounting_drift_and_new_route_leaks; do
   cargo test -p vnpu_audit -q "$test" -- --nocapture
 done
 cargo test -p vnpu_topo -q nodes_outside_the_mesh_are_unroutable_not_a_panic

@@ -382,7 +382,7 @@ fn hypervisor_churn_leaves_no_residue() {
                     cl.fault_core(0, core).expect("core on the chip");
                 } else if action == 5 {
                     // Repair the lowest faulted core, if any.
-                    if let Some(&c) = cl.chip(0).faulted_cores().first() {
+                    if let Some(&c) = cl.chip(0).faulted_cores().collect::<Vec<_>>().first() {
                         prop_assert!(cl.repair_core(0, c).expect("core on the chip"));
                     }
                 } else {
@@ -415,7 +415,7 @@ fn hypervisor_churn_leaves_no_residue() {
             for vm in live {
                 cl.destroy(vm).expect("drain");
             }
-            for c in cl.chip(0).faulted_cores() {
+            for c in cl.chip(0).faulted_cores().collect::<Vec<_>>() {
                 cl.repair_core(0, c).expect("core on the chip");
             }
             free_set_is_exact(cl.chip(0))?;

@@ -155,10 +155,10 @@ impl TenantEntry {
             bounds,
             deps: Vec::new(),
         };
+        // Fewer turns than nodes: one allocation.
+        let mut deps = Vec::with_capacity(entry.nodes.len());
         let turns = entry.paths().flat_map(|p| p.windows(3));
-        let mut deps: Vec<_> = turns
-            .map(|w| (ids.id(w[0], w[1]), ids.id(w[1], w[2])))
-            .collect();
+        deps.extend(turns.map(|w| (ids.id(w[0], w[1]), ids.id(w[1], w[2]))));
         deps.sort_unstable();
         deps.dedup();
         entry.deps = deps;
@@ -401,10 +401,8 @@ pub(crate) fn routing_findings(ids: &LinkIds, entries: &[TenantEntry]) -> Vec<Au
     }
 
     // ROUTE-CDG: the union of all flows must be deadlock-free.
-    let deps = entries
-        .iter()
-        .flat_map(|e| e.deps.iter().copied())
-        .collect();
+    let mut deps = Vec::with_capacity(entries.iter().map(|e| e.deps.len()).sum());
+    deps.extend(entries.iter().flat_map(|e| e.deps.iter().copied()));
     if let Some(cycle) = cdg_cycle(ids.first[n] as usize, deps) {
         let chain: Vec<String> = cycle.iter().map(|&l| ids.link(l).to_string()).collect();
         findings.push(AuditFinding::error(

@@ -736,7 +736,7 @@ mod tests {
     use super::*;
     use vnpu::VnpuRequest;
     use vnpu_sim::SocConfig;
-    use vnpu_topo::NodeId;
+    use vnpu_topo::{NodeId, Strategy};
 
     fn rules(findings: &[AuditFinding]) -> Vec<Rule> {
         findings.iter().map(|f| f.rule).collect()
@@ -851,25 +851,28 @@ mod tests {
 
     #[test]
     fn warm_memo_still_flags_accounting_drift_and_new_route_leaks() {
-        // Faults pin every free core outside `keep` while `req` is
-        // placed, so it lands on `keep`; the repairs then free them.
-        fn place_on(cl: &mut Cluster, keep: &[u32], req: VnpuRequest) {
+        // Faults pin every free core outside `keep` while `op` runs, so
+        // what it places lands on `keep`; the repairs then free them.
+        fn pinned<T>(cl: &mut Cluster, keep: &[u32], op: impl FnOnce(&mut Cluster) -> T) -> T {
             let free = cl.chip(0).free_set();
-            let pinned: Vec<u32> = (0..36)
+            let pins: Vec<u32> = (0..36)
                 .filter(|&c| !keep.contains(&c) && free.contains(NodeId(c)))
                 .collect();
-            for &c in &pinned {
+            for &c in &pins {
                 cl.fault_core(0, c).unwrap();
             }
-            cl.create_on(0, req).unwrap();
-            for &c in &pinned {
+            let out = op(cl);
+            for &c in &pins {
                 cl.repair_core(0, c).unwrap();
             }
+            out
         }
         let mut cl = Cluster::new(vec![SocConfig::sim()]);
         let mut auditor = FleetAuditor::new();
         let iso = VnpuRequest::mesh(2, 2).noc_isolation(true);
-        place_on(&mut cl, &[14, 15, 20, 21], iso);
+        pinned(&mut cl, &[14, 15, 20, 21], |cl| {
+            cl.create_on(0, iso).unwrap()
+        });
         assert!(auditor.audit(&cl).is_empty());
         let cached = auditor.chips[0].key.clone();
         // A reservation moves no stamp: the chip's routing is reused, and
@@ -882,7 +885,10 @@ mod tests {
         // A DOR tenant on the arch 13-7-8-9-10-16 over the cached isolated
         // tenant routes its ends X first, over the isolated links between
         // 14 and 15: a finding each way.
-        place_on(&mut cl, &[13, 7, 8, 9, 10, 16], VnpuRequest::mesh(6, 1));
+        let arch = [13, 7, 8, 9, 10, 16];
+        let dor = pinned(&mut cl, &arch, |cl| {
+            cl.create_on(0, VnpuRequest::mesh(6, 1)).unwrap()
+        });
         let findings = auditor.audit(&cl);
         assert_eq!(
             auditor.chips[0].key[0], cached[0],
@@ -900,6 +906,18 @@ mod tests {
             ["link p14\u{2192}p15", "link p15\u{2192}p14"],
             "{findings:?}"
         );
+        // Remapped off a dead core of the arch onto the bottom row, the
+        // same VM no longer crosses the isolated tenant: with the tenant
+        // count unchanged, its new stamp alone must drop the leaks.
+        cl.fault_core(0, 7).unwrap();
+        pinned(&mut cl, &[30, 31, 32, 33, 34, 35], |cl| {
+            cl.recover_in_place(dor, &Strategy::similar_topology())
+                .unwrap()
+        });
+        cl.repair_core(0, 7).unwrap();
+        let findings = auditor.audit(&cl);
+        assert_eq!(findings, audit_cluster(&cl));
+        assert_eq!(rules(&findings), [Rule::FleetCoreOwnership]);
     }
 
     #[test]

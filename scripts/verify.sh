@@ -190,7 +190,8 @@ section "scripts/loc.sh (non-test source size)"
 # The fleet auditor's routing memo (per-chip findings and per-tenant
 # paths and turn dependencies, keyed on `phys_key` and deployment stamps)
 # took 72 lines of the workspace; it cut `reconfig_storm`'s `op_iqm_us`
-# by about a fifth in alternating pairs (see CHANGES.md, PR 58). The
+# by 15-25% in six sets of ten alternating pairs at seeds 29 and 53 (58
+# of 60 pairs won; the medians are in CHANGES.md, PR 58). The
 # `ServeRuntime` field that holds it costs `serve` 2 lines, and a
 # non-allocating `Hypervisor::faulted_cores` took 5 out.
 CORE_SERVE_CODE_MAX=4051
@@ -720,8 +721,8 @@ section "audit gate"
 # migrated across chips) fleets; the fleet campaign fails unless the
 # memo reused whole chips and kept tenants beside rebuilt ones. The
 # warm-memo test holds a filled memo to an accounting corruption that
-# moves no stamp and to a ROUTE-ISO leak a new tenant opens against a
-# cached one.
+# moves no stamp, to a ROUTE-ISO leak a new tenant opens against a
+# cached one, and to that leak closing when the same VM is remapped.
 for test in \
   crafted_turn_cycle_is_a_deadlock_finding \
   dor_fleet_shares_links_without_default_findings \

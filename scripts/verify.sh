@@ -191,7 +191,7 @@ section "scripts/loc.sh (non-test source size)"
 # paths and turn dependencies, keyed on `phys_key` and deployment stamps)
 # took 72 lines of the workspace; it cut `reconfig_storm`'s `op_iqm_us`
 # by 15-25% in six sets of ten alternating pairs at seeds 29 and 53 (58
-# of 60 pairs won; the medians are in CHANGES.md, PR 58). The
+# of 60 pairs won; the medians are in CHANGES.md). The
 # `ServeRuntime` field that holds it costs `serve` 2 lines, and a
 # non-allocating `Hypervisor::faulted_cores` took 5 out.
 CORE_SERVE_CODE_MAX=4051

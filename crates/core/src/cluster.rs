@@ -12,8 +12,9 @@
 //! * a [`ChipPlacement`] trait deciding *which chip* each request maps
 //!   onto ([`FirstFit`], [`LeastLoaded`] ship);
 //! * a **shared [`MappingCache`]**: every chip's placements are memoized
-//!   in one table (a second `MappingCache` per chip serves only advisory
-//!   fit-hint and defrag probes). Entries never alias across chips because
+//!   in one table, and advisory fit-hint and defrag probes search through
+//!   its score memo without touching its entries or statistics
+//!   ([`vnpu_topo::mapping::Mapper::map_scored`]). Entries never alias across chips because
 //!   each key carries the chip's `labeled_hash` topology fingerprint and
 //!   its reconfiguration generation — two identical free regions on two
 //!   identical chip models *do* share entries, which is the point.
@@ -238,13 +239,6 @@ struct ChipSlot {
     machine: Machine,
     /// The machine tenant of every VM the cluster placed on the chip.
     tenants: BTreeMap<VmId, TenantId>,
-    /// The chip's dedicated cache for fit-hint and defrag probes, so
-    /// advisory probing never distorts the shared placement cache's
-    /// hit-rate statistics. Hint values are pure functions of the owning
-    /// chip's state, and a chip's hints are dropped when its placeable
-    /// region changes shape behind the probes' back
-    /// ([`Cluster::reshaped`]).
-    hints: MappingCache,
     /// Schedulability / drain lifecycle state.
     sched: ChipSchedState,
     /// The memoized snapshot (`None` = stale): every mutating path
@@ -380,7 +374,6 @@ impl Cluster {
                 machine: Machine::new(hv.config().clone()),
                 tenants: BTreeMap::new(),
                 hv,
-                hints: MappingCache::default(),
                 sched: ChipSchedState::Schedulable,
                 snap: None,
             })
@@ -717,9 +710,8 @@ impl Cluster {
     }
 
     /// Hands a draining or drained chip back to the schedulers: it is
-    /// nominated and advertised again exactly as before the drain. The
-    /// chip's hint cache is dropped so no pre-drain exhaustion proof can
-    /// shadow its post-maintenance free region.
+    /// nominated and advertised again exactly as before the drain, its
+    /// memoized snapshot marked stale.
     ///
     /// # Errors
     ///
@@ -742,19 +734,17 @@ impl Cluster {
     // Hardware-fault lifecycle (the `vnpu_fault` layer's cluster hooks).
     // ------------------------------------------------------------------
 
-    /// Cache hygiene after `chip`'s placeable region changed shape in a
-    /// way advisory probes cannot see (a fault-mask transition, a
-    /// hand-back from maintenance): the chip's own hint cache is dropped
-    /// — a fit hint or exhaustion proof from before must not shadow the
-    /// new region — and its memoized snapshot is marked stale. Other
-    /// chips' hints describe other chips and stay. The *placement* cache
-    /// needs no flush: its keys carry the chip's reconfiguration
-    /// generation, which the hypervisor copies here from the machine's
-    /// hash chain (extended on every onset/repair), so stale entries
-    /// expire by key.
+    /// Cache hygiene after `chip`'s placeable region changed shape (a
+    /// fault-mask transition, a hand-back from maintenance): its memoized
+    /// snapshot is marked stale. The placement cache needs no flush: its
+    /// keys carry the chip's reconfiguration generation, which the
+    /// hypervisor copies here from the machine's hash chain (extended on
+    /// every onset/repair), so stale entries expire by key. Advisory
+    /// probes store no results, and the score memo they share with
+    /// placements is keyed by request and candidate structure alone, so
+    /// neither has anything to drop.
     fn reshaped(&mut self, chip: usize) {
         let slot = &mut self.chips[chip];
-        slot.hints.clear();
         slot.snap = None;
         slot.hv
             .set_topology_generation(slot.machine.topology_generation());
@@ -903,9 +893,9 @@ impl Cluster {
     }
 
     /// The fleet-wide fit hint: the largest shape that would currently
-    /// place on *some* schedulable chip, probed through the cluster's
-    /// dedicated hint caches (the shared placement cache's statistics
-    /// stay untouched). Draining and drained chips are never advertised.
+    /// place on *some* schedulable chip, probed through the shared
+    /// placement cache's score memo (its entries and statistics stay
+    /// untouched). Draining and drained chips are never advertised.
     /// Chips are probed biggest-island-first, each chip's largest free
     /// island read from its memoized snapshot, and pruned once no
     /// remaining chip's island can beat the best hint found.
@@ -922,13 +912,11 @@ impl Cluster {
             if best.is_some_and(|b| island as u32 <= b.cores) {
                 break; // sorted descending: nothing further can beat it
             }
-            let ChipSlot {
-                hv, hints, sched, ..
-            } = &mut self.chips[i];
-            if *sched != ChipSchedState::Schedulable {
+            let slot = &self.chips[i];
+            if slot.sched != ChipSchedState::Schedulable {
                 continue; // a draining chip's window must not be advertised
             }
-            if let Some(hint) = hv.fit_hint_in_bounded(hints, island) {
+            if let Some(hint) = slot.hv.fit_hint_in_bounded(&mut self.cache, island) {
                 if best.is_none_or(|b| hint.cores > b.cores) {
                     best = Some(hint);
                 }
@@ -1065,8 +1053,8 @@ impl Cluster {
     /// chip — the one defrag entry point (a draining chip is being
     /// emptied, not compacted). The policy proposes migrations per chip
     /// from the chip's memoized snapshot ([`ChipSnapshot::frag`]),
-    /// reading only the owning chip and probing only its dedicated hint
-    /// cache. Each chip's plan is then priced through
+    /// reading only the owning chip and probing through the shared cache's
+    /// score memo, never its entries. Each chip's plan is then priced through
     /// [`Hypervisor::plan_budgeted_in`] against the shared mapping cache
     /// (dropping everything past the default [`ReconfigBudget`], per chip)
     /// and the affordable prefix committed atomically, in chip order.
@@ -1090,7 +1078,7 @@ impl Cluster {
             }
             let stats = self.snapshot_cached(chip).frag;
             let slot = &mut self.chips[chip];
-            let ops = defrag.plan(&slot.hv, &stats, &budget, &mut slot.hints);
+            let ops = defrag.plan(&slot.hv, &stats, &budget, &mut self.cache);
             receipts.push((chip, slot.apply_defrag_ops(&mut self.cache, ops, &budget)?));
         }
         Ok(receipts)
@@ -1748,30 +1736,6 @@ mod tests {
     }
 
     #[test]
-    fn a_fault_on_one_chip_keeps_the_other_chips_hints() {
-        // Hints are per chip and keyed by that chip's generation: a
-        // reshape of chip 0 drops chip 0's hints only.
-        let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
-        cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap(); // 6 free on chip 0
-        let ChipSlot { hv, hints, .. } = &mut cl.chips[0];
-        assert!(hv.fit_hint_in_bounded(hints, 6).is_some());
-        assert!(!cl.chips[0].hints.is_empty());
-        // Chip 1's idle 36-core window answers the fleet hint.
-        assert_eq!(cl.fit_hint().map(|h| h.cores), Some(36));
-        let before = cl.chips[1].hints.stats();
-        assert!(before.misses > 0, "the first probe of chip 1 is cold");
-        let free_core = (0..36)
-            .find(|&c| cl.chip(0).free_set().contains(vnpu_topo::NodeId(c)))
-            .unwrap();
-        assert_eq!(cl.fault_core(0, free_core), Ok(true));
-        assert!(cl.chips[0].hints.is_empty(), "chip 0's hints are dropped");
-        assert_eq!(cl.fit_hint().map(|h| h.cores), Some(36));
-        let after = cl.chips[1].hints.stats();
-        assert_eq!(after.misses, before.misses, "answered from chip 1's hints");
-        assert_eq!(after.hits, before.hits + 1);
-    }
-
-    #[test]
     fn advisory_probes_leave_the_placement_cache_alone_and_twin_chips_share_it() {
         use crate::plan::GreedyDefrag;
         // One cache for the fleet: a direct create on chip 0 and a queued
@@ -1789,18 +1753,18 @@ mod tests {
         assert_eq!((placed.misses, placed.hits), (1, 1));
         // Advisory probing — a fleet fit hint, and a defrag pass over a
         // chip whose free region is split (row 3 reserved) but cannot be
-        // improved — goes through the per-chip hint caches only.
+        // improved — searches through the same cache's score memo and
+        // leaves its entries and statistics alone.
         cl.chip_mut(0)
             .reserve_cores(&[18, 19, 20, 21, 22, 23])
             .unwrap();
         assert!(cl.fit_hint().is_some());
+        assert_eq!(cl.cache_stats(), placed, "the fit hint counted nothing");
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
         assert_eq!(cl.snapshot_cached(0).frag.free_components, 2);
         let receipts = cl.defrag_pass(&defrag).unwrap();
         assert!(receipts.iter().all(|(_, r)| r.migration_count() == 0));
-        let probed = cl.chips[0].hints.stats();
-        assert!(probed.hits + probed.misses > 0, "the probes did run");
-        assert_eq!(cl.cache_stats(), placed, "and never touched the cache");
+        assert_eq!(cl.cache_stats(), placed, "nor did the defrag probes");
     }
 
     #[test]

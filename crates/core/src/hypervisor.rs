@@ -423,19 +423,17 @@ impl Hypervisor {
     }
 
     /// The largest request shape that would place on the *current* free
-    /// region, probed largest-first with near-square mesh shapes through
-    /// the given cache — so repeated probes against an unchanged free
-    /// region replay the memoized exhaustion proofs instead of
-    /// re-enumerating. `None` when nothing fits (no free cores, or every
-    /// probe fails).
+    /// region, probed largest-first with near-square mesh shapes. `None`
+    /// when nothing fits (no free cores, or every probe fails).
     ///
     /// `largest_island` is the chip's largest connected free component
     /// ([`Hypervisor::fragmentation`], or a snapshot of it): probes
     /// enumerate *connected* candidates, so nothing larger can succeed and
-    /// probing starts there. Pass a *dedicated* hint cache (as
-    /// [`crate::cluster::Cluster::fit_hint`] does), not the placement
-    /// cache: probes are advisory and would otherwise distort the
-    /// placement-memoization hit rate.
+    /// probing starts there. The probes search through `cache`'s score
+    /// memo ([`Mapper::map_scored`]), so candidates placements already
+    /// scored are not scored again, and never read or store a placement
+    /// entry or move [`MappingCache::stats`]: the cluster passes its
+    /// placement cache, whose hit rate counts placements only.
     pub fn fit_hint_in_bounded(
         &self,
         cache: &mut MappingCache,
@@ -450,14 +448,14 @@ impl Hypervisor {
         for cores in (1..=(largest_island as u32).min(free)).rev() {
             let probe = crate::vnpu::near_mesh_topology(cores);
             if mapper
-                .map_cached(&self.state.free_set, &probe, &strategy, cache)
+                .map_scored(&self.state.free_set, &probe, &strategy, cache)
                 .is_ok()
             {
                 // Soundness of the emitted hint, re-proved in debug
                 // builds: the advertised shape must map against the
-                // *current* free set through a fresh (cache-free)
-                // attempt, so a stale memoized success can never leak
-                // out as an unplaceable advice.
+                // *current* free set through a fresh (memo-free)
+                // attempt, so no memoized score can leak out as an
+                // unplaceable advice.
                 debug_assert!(
                     mapper
                         .map_in(&self.state.free_set, &probe, &strategy)
@@ -568,8 +566,9 @@ impl Hypervisor {
     /// the tenant's own cores are treated as free (it vacates them by
     /// moving) within `free`. Defragmentation policies call this with
     /// their *simulated* free region so successive accepted moves see the
-    /// compacted state; pass a dedicated hint cache so advisory probes
-    /// never distort placement-cache statistics.
+    /// compacted state. The probe searches through `cache`'s score memo
+    /// ([`Mapper::map_scored`]) and reads, stores and counts no placement
+    /// entry, so the cluster passes its placement cache.
     ///
     /// # Errors
     ///
@@ -582,8 +581,12 @@ impl Hypervisor {
         free: &FreeSet,
         cache: &mut MappingCache,
     ) -> Result<Mapping> {
-        self.chip
-            .remap_target(self.vnpu(vm)?, strategy, free, cache)
+        let vnpu = self.vnpu(vm)?;
+        let region = self.chip.remap_region(vnpu, free);
+        Ok(self
+            .chip
+            .mapper()
+            .map_scored(&region, vnpu.virt_topology(), strategy, cache)?)
     }
 
     /// Plans a transaction over this hypervisor's own cache — see
@@ -757,25 +760,20 @@ impl Chip {
         Mapper::with_phys_key(&self.topo, self.phys_key).at_generation(self.topo_generation)
     }
 
-    /// Where a remap-under-pin would put `vnpu` given the free region
-    /// `free`: its own cores count as free (it vacates them by moving) —
-    /// except the faulted ones, which the move exists to escape and which
-    /// are never re-offered.
-    fn remap_target(
-        &self,
-        vnpu: &VirtualNpu,
-        strategy: &Strategy,
-        free: &FreeSet,
-        cache: &mut MappingCache,
-    ) -> Result<Mapping> {
-        let faulted: Vec<NodeId> = (0..self.faulted.len() as u32)
-            .map(NodeId)
-            .filter(|n| self.faulted[n.index()])
-            .collect();
-        let widened = free.with_released_except(vnpu.mapping().phys_nodes(), &faulted);
-        Ok(self
-            .mapper()
-            .map_cached(&widened, vnpu.virt_topology(), strategy, cache)?)
+    /// The region a remap-under-pin of `vnpu` searches within the free
+    /// region `free`: its own cores count as free (it vacates them by
+    /// moving) — except the faulted ones, which the move exists to escape
+    /// and which are never re-offered. The probe
+    /// ([`Hypervisor::probe_remap_in`]) and the committed remap search the
+    /// same region.
+    fn remap_region(&self, vnpu: &VirtualNpu, free: &FreeSet) -> FreeSet {
+        let mut region = free.clone();
+        for &n in vnpu.mapping().phys_nodes() {
+            if !self.faulted[n.index()] {
+                region.release(n);
+            }
+        }
+        region
     }
 
     /// Detects an axis-aligned window allocation and emits the compact
@@ -1025,7 +1023,7 @@ impl Placement {
     }
 
     /// Live-migrates `vm`'s cores: re-maps its virtual topology under pin
-    /// ([`Chip::remap_target`] against the current free region), releases
+    /// (in [`Chip::remap_region`] of the current free region), releases
     /// the old cores, acquires the new ones and re-deploys the routing
     /// table, charging the configuration cycles; the tenant's per-core
     /// scratchpad state is what moves. Zero cost when the best mapping is
@@ -1039,7 +1037,10 @@ impl Placement {
     ) -> Result<ReconfigCost> {
         let vnpu = self.owned(vm)?;
         let own: Vec<NodeId> = vnpu.mapping().phys_nodes().to_vec();
-        let mapping = chip.remap_target(vnpu, strategy, &self.free_set, cache)?;
+        let region = chip.remap_region(vnpu, &self.free_set);
+        let mapping = chip
+            .mapper()
+            .map_cached(&region, vnpu.virt_topology(), strategy, cache)?;
         if mapping.phys_nodes() == own {
             return Ok(ReconfigCost::default());
         }
@@ -2120,17 +2121,16 @@ mod tests {
     fn fit_hint_remains_sound_across_free_set_churn() {
         // A hint is advice the caller may act on immediately: the probe
         // that produced it must place on the *current* free set even
-        // when the dedicated hint cache still holds entries probed
-        // against a looser free region (the debug-build re-probe in
-        // `fit_hint_in_bounded` proves this on every emission; acting on
-        // the hint here proves it end to end).
+        // when the score memo it searched through still holds candidates
+        // scored against a looser free region (the debug-build re-probe
+        // in `fit_hint_in_bounded` proves this on every emission; acting
+        // on the hint here proves it end to end).
         let mut cl = one_chip();
         let vm = cl.create_on(0, VnpuRequest::mesh(2, 6)).unwrap();
         let loose = cl.fit_hint().expect("most of the chip is free");
         assert!(loose.cores >= 24, "a big island must be advertised");
         // Churn: release the block, then carve the free region up much
-        // more tightly — stale cache entries now describe shapes the
-        // current free set cannot hold.
+        // more tightly — shapes the looser region held no longer fit.
         cl.destroy(vm).unwrap();
         let taken: Vec<u32> = (0..36).filter(|&c| c % 3 != 0 || c >= 18).collect();
         cl.chip_mut(0).reserve_cores(&taken).unwrap();

@@ -250,9 +250,10 @@ impl CommitReceipt {
 /// which drops everything past the budget, and commits the rest
 /// atomically.
 pub trait Defragmenter: fmt::Debug + Send + Sync {
-    /// Proposes migrations for one chip. `cache` is a scratch
-    /// [`MappingCache`] for probing (pass a dedicated hint cache so
-    /// advisory probes never distort placement-cache statistics).
+    /// Proposes migrations for one chip. `cache` is the cluster's
+    /// placement [`MappingCache`], for probing through
+    /// [`crate::Hypervisor::probe_remap_in`], which searches its score
+    /// memo and reads, stores and counts no placement entry.
     fn plan(
         &self,
         hv: &Hypervisor,

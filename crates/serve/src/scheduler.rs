@@ -557,7 +557,8 @@ impl ServeRuntime {
     }
 
     /// The fleet-wide fit hint right now (schedulable chips only) —
-    /// probing mutates only the cluster's dedicated hint cache.
+    /// probing fills only the score memo of the cluster's placement cache,
+    /// never its entries or statistics.
     pub fn fleet_fit_hint(&mut self) -> Option<FitHint> {
         self.cluster.fit_hint()
     }

@@ -32,7 +32,8 @@
 //! silently double-allocated core.
 //!
 //! Each `MappingCache` also holds a second, finer memo — the **score
-//! memo** — which a placement-cache miss consults for every candidate its
+//! memo** — which a placement-cache miss, and an advisory probe
+//! ([`crate::Mapper::map_scored`]), consults for every candidate its
 //! search visits. Its four tables hold pure functions of a candidate's
 //! induced subgraph `sub`:
 //!
@@ -73,13 +74,14 @@
 //! place read `churn_1chip`'s `peak_rss_mib` +9.2% with only 136 KB more
 //! live heap: glibc's dynamic mmap threshold turns small heap growth into
 //! resident pages. A table of 4 096 slots from the first lookup read
-//! +0.3% there but +5.1% on `reconfig_storm`, whose five caches include
-//! two 4x4 chips' hint caches that miss a few hundred times a round. So a
-//! table starts at 512 slots and is reallocated, empty, at 4 096 once it
-//! has missed 512 times; then `reconfig_storm` read +4.4% and
-//! `churn_1chip` +0.3%. Every entry is exact, so a hit returns what the
-//! kernel would, and what a table holds depends on nothing but the run's
-//! inputs.
+//! +0.3% there but +5.1% on `reconfig_storm`, whose cluster then kept five
+//! score memos: its placement cache's and a hint cache's per chip, two of
+//! them 4x4 chips' that missed a few hundred times a round (advisory
+//! probes now search the placement cache's memo). So a table starts at
+//! 512 slots and is reallocated, empty, at 4 096 once it has missed 512
+//! times; then `reconfig_storm` read +4.4% and `churn_1chip` +0.3%. Every
+//! entry is exact, so a hit returns what the kernel would, and what a
+//! table holds depends on nothing but the run's inputs.
 //!
 //! [`UniformCosts`]: crate::ged::UniformCosts
 
@@ -203,21 +205,6 @@ impl FreeSet {
         widened
     }
 
-    /// [`FreeSet::with_released`] minus an exclusion list: widens the set
-    /// by `nodes` *except* those also named in `except`. This is the
-    /// remap-under-pin candidate set in the presence of hardware faults —
-    /// a tenant's own cores are released for re-placement, but a faulted
-    /// core among them must stay out of the candidate enumeration.
-    pub fn with_released_except(&self, nodes: &[NodeId], except: &[NodeId]) -> FreeSet {
-        let mut widened = self.clone();
-        for &n in nodes {
-            if !except.contains(&n) {
-                widened.release(n);
-            }
-        }
-        widened
-    }
-
     /// Occupies every node in `nodes` (already-occupied ones are ignored).
     pub fn occupy_all(&mut self, nodes: &[NodeId]) {
         for &n in nodes {
@@ -317,10 +304,12 @@ impl CacheStats {
 }
 
 /// A bounded memo table for complete mapping results — the one cache
-/// type in the workspace: a cluster's shared placement cache, its
-/// per-chip hint caches and a bare hypervisor's own cache are all plain,
-/// exclusively borrowed `MappingCache`s (no lock, no shards; the serve
-/// tick is single-threaded).
+/// type in the workspace: a cluster's shared placement cache and a bare
+/// hypervisor's own cache are plain, exclusively borrowed `MappingCache`s
+/// (no lock, no shards; the serve tick is single-threaded). A cluster's
+/// advisory probes search through its placement cache's score memo
+/// ([`crate::Mapper::map_scored`]) and leave the entries and
+/// [`MappingCache::stats`] alone, so a cluster keeps one score memo.
 ///
 /// Both successful [`Mapping`]s and mapping errors (notably
 /// [`crate::TopoError::NoCandidate`], whose exhaustion proof is the most
@@ -457,19 +446,6 @@ impl MappingCache {
         self.stats.insertions += 1;
     }
 
-    /// Drops every entry (e.g. after a physical-topology change), keeping
-    /// the statistics and the score memo, whose entries depend on no chip.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-        self.canon_memo.clear();
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Effectiveness counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -486,7 +462,7 @@ const STRUCTURE_MAX_NODES: usize = 12;
 
 /// The class table's slots, 16 B each: 512 from the first lookup, then,
 /// reallocated empty once 512 lookups have missed, 4 096 — so a cache
-/// that searches little (a small chip's hint cache) stays small.
+/// that searches little stays small.
 const CLASS_SLOTS: [usize; 2] = [512, 4_096];
 
 /// Slots per set of the class table, most recently used first.
@@ -736,8 +712,13 @@ mod tests {
     use crate::mapping::Mapper;
 
     // The score memo's counters, which the memo campaigns in `mapping.rs`
-    // hold a search behind `Mapper::map_cached` to.
+    // hold a search behind `Mapper::map_cached` to, and the entry count.
     impl MappingCache {
+        /// Live placement entries.
+        pub(crate) fn len(&self) -> usize {
+            self.entries.len()
+        }
+
         /// The score memo's counters per table, [`GED`], [`REFINE`], [`ISO`]
         /// then [`CLASS`]: lookups answered (`hits`), kernel runs (`misses`),
         /// results stored (`insertions`) and dropped by a clear or, in the
@@ -919,7 +900,10 @@ mod tests {
                 topology: 9
             })
         ));
-        assert!(cache.is_empty(), "the mismatch must not be memoized");
+        assert!(
+            cache.entries.is_empty(),
+            "the mismatch must not be memoized"
+        );
         let placed = mapper
             .map_cached(&valid, &req, &strategy, &mut cache)
             .unwrap();

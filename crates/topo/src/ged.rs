@@ -21,26 +21,36 @@
 //! two graphs in a loop, so each call builds the two dense `n × n` tables
 //! of `Topology::edge_table` once and reads them from then on. Beyond
 //! those it allocates what it returns plus, per call, the A\* heap
-//! (whose states are `Copy` values, not owners of vectors) or the
+//! (whose states are `Copy` values, not owners of vectors) or the flat
 //! assignment matrix. A mapper search under the stock costs
 //! ([`UniformCosts`] on a chip whose edges all cost the default, every
-//! served request's case) refines with `StockRefiner`, which prices a
-//! 2-opt swap from adjacency bitsets in a few word operations; custom
-//! costs and requests of more than 64 nodes take [`refine_mapping`],
-//! which prices a swap in place from the O(n) terms it touches.
+//! served request's case) scores and refines with `StockRefiner`, which
+//! reads a candidate as each node's kind and its neighbours, one bit each,
+//! computed from the candidate's cells: it builds the bipartite cost
+//! matrix from popcounts and prices an edit path, or a 2-opt swap, in a
+//! few word operations, and no subgraph is built. Custom costs and
+//! requests of more than 64 nodes take [`ged_bipartite`] and
+//! [`refine_mapping`], which price a swap in place from the O(n) terms it
+//! touches.
 //! **Why results cannot move:** the tables answer exactly what the edge
 //! map answered. The A\* pushes the same states in the same order, and
 //! the heap's order is a function of `g` and `depth` alone, so it pops in
 //! the same order and returns the same optimum *and* the same mapping.
-//! The 2-opt loops visit the same swaps in the same order and accept on
-//! the same strict `<` of the same integer — the difference of the
-//! touched terms is the difference of the full sums, and under the stock
-//! costs each node's touched pair terms are the costs of its request
-//! edges missing from the pulled-back image row plus the popcount of the
-//! image edges missing from its request row, the same sum over the
-//! bitsets' differences. The test-only `reference` module keeps the
-//! replaced kernels and holds these to identical results, and holds
-//! `StockRefiner` to [`refine_mapping`].
+//! The bitset bipartite fills the same matrix — under the stock costs a
+//! node's degree is its row's popcount and its insertion costs 1 per edge
+//! — so the solver takes the same steps to the same assignment, and the
+//! edit path is priced by the same sum. The solver's `i64` potentials
+//! stay far from overflow on these matrices (see [`hungarian::solve`]), so
+//! they compare exactly as `i128` ones did. The 2-opt loops visit the
+//! same swaps in the same order and accept on the same strict `<` of the
+//! same integer — the difference of the touched terms is the difference
+//! of the full sums, and under the stock costs each node's touched pair
+//! terms are the costs of its request edges missing from the pulled-back
+//! image row plus the popcount of the image edges missing from its
+//! request row, the same sum over the bitsets' differences. The test-only
+//! `reference` modules keep the replaced kernels and solver and hold these
+//! to identical results, and hold `StockRefiner` to [`ged_bipartite`] and
+//! [`refine_mapping`].
 
 use crate::hungarian;
 use crate::{EdgeAttr, NodeAttr, NodeId, NodeKind, Topology};
@@ -328,10 +338,11 @@ pub fn ged_bipartite(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> Ge
         };
     }
     let pricer = Pricer::new(g1, g2, costs);
-    let mut cost = vec![vec![hungarian::INF; n]; n];
+    let mut cost = vec![hungarian::INF; n * n];
     for i in 0..n1 {
         let i_id = NodeId(i as u32);
-        for (j, cell) in cost[i].iter_mut().enumerate().take(n2) {
+        let row = &mut cost[i * n..(i + 1) * n];
+        for (j, cell) in row.iter_mut().enumerate().take(n2) {
             let j_id = NodeId(j as u32);
             let sub = costs.node_substitute(g1.node_attr(i_id), g2.node_attr(j_id));
             // Local edge estimate: degree difference priced at the cheaper of
@@ -342,18 +353,19 @@ pub fn ged_bipartite(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> Ge
             *cell = sub + edge_est;
         }
         // Deletion of i: node + incident edges.
-        let row = pricer.e1[i * n1..(i + 1) * n1].iter().flatten();
-        let del_edges: u64 = row.map(|e| costs.edge_delete(e)).sum();
-        cost[i][n2 + i] = costs.node_delete(g1.node_attr(i_id)) + del_edges;
+        let edges = pricer.e1[i * n1..(i + 1) * n1].iter().flatten();
+        let del_edges: u64 = edges.map(|e| costs.edge_delete(e)).sum();
+        row[n2 + i] = costs.node_delete(g1.node_attr(i_id)) + del_edges;
     }
     for j in 0..n2 {
-        let row = pricer.e2[j * n2..(j + 1) * n2].iter().flatten();
-        let ins_edges: u64 = row.map(|e| costs.edge_insert(e)).sum();
-        cost[n1 + j][j] = costs.node_insert(g2.node_attr(NodeId(j as u32))) + ins_edges;
+        let row = &mut cost[(n1 + j) * n..(n1 + j + 1) * n];
+        let edges = pricer.e2[j * n2..(j + 1) * n2].iter().flatten();
+        let ins_edges: u64 = edges.map(|e| costs.edge_insert(e)).sum();
+        row[j] = costs.node_insert(g2.node_attr(NodeId(j as u32))) + ins_edges;
         // Dummy-to-dummy cells are free.
-        cost[n1 + j][n2..].fill(0);
+        row[n2..].fill(0);
     }
-    let (assign, _) = hungarian::solve(&cost);
+    let (assign, _) = hungarian::solve(n, &cost);
     let mapping: Vec<Option<NodeId>> = assign[..n1]
         .iter()
         .map(|&col| (col < n2).then_some(NodeId(col as u32)))
@@ -533,10 +545,12 @@ pub fn refine_mapping(
     (best, best_cost)
 }
 
-/// [`refine_mapping`] under the stock costs — [`UniformCosts`] on a
-/// candidate whose edges all cost the default — for a request of at most
-/// 64 nodes, each swap priced from adjacency bitsets. Built once per
-/// request (one per search), run once per start.
+/// The stock-cost kernels — [`ged_bipartite`] and [`refine_mapping`]
+/// under [`UniformCosts`] on a candidate whose edges all cost the default
+/// — for a request of at most 64 nodes, over adjacency bitsets. Built
+/// once per request (one per search); a candidate comes as each node's
+/// kind and its neighbours, one bit each (`rows`), so neither kernel
+/// builds a subgraph.
 ///
 /// Under those costs a request edge missing from the image costs its own
 /// cost, an image edge with no request edge behind it costs 1, a
@@ -574,10 +588,11 @@ impl StockRefiner {
         Some(StockRefiner { adj, cost, kinds })
     }
 
-    /// The node term of virtual node `p` with image `m`, plus its pair
-    /// terms against the pulled-back row `row` over the nodes in `within`.
-    fn terms(&self, g2: &Topology, p: usize, m: Option<NodeId>, row: u64, within: u64) -> u64 {
-        let node = m.map_or(1, |a| u64::from(self.kinds[p] != g2.node_attr(a).kind));
+    /// The node term of virtual node `p` with image `m` among the
+    /// candidate's `kinds`, plus its pair terms against the pulled-back
+    /// row `row` over the nodes in `within`.
+    fn terms(&self, kinds: &[NodeKind], p: usize, m: Option<NodeId>, row: u64, within: u64) -> u64 {
+        let node = m.map_or(1, |a| u64::from(self.kinds[p] != kinds[a.index()]));
         let n = self.kinds.len();
         let deleted: u64 = bits(self.adj[p] & !row & within)
             .map(|q| self.cost[p * n + q])
@@ -585,76 +600,127 @@ impl StockRefiner {
         node + deleted + u64::from((row & !self.adj[p] & within).count_ones())
     }
 
-    /// [`refine_mapping`]`(g1, g2, mapping, &UniformCosts, max_passes)` for
-    /// the `g1` this was built from: the same swaps in the same order,
-    /// accepted on the same strict `<` of the same integers.
+    /// `P[p]` under `mapping` on a candidate of neighbour rows `rows`.
+    fn pulled(rows: &[u64], mapping: &[Option<NodeId>], p: usize) -> u64 {
+        let near = mapping[p].map_or(0, |a| rows[a.index()]);
+        let images = mapping.iter().enumerate();
+        images
+            .filter(|(_, m)| m.is_some_and(|b| near >> b.index() & 1 == 1))
+            .fold(0, |row, (q, _)| row | 1 << q)
+    }
+
+    /// Every `P[p]`, and the exact cost of the edit path `mapping` induces
+    /// — [`mapping_cost`] under [`UniformCosts`]: node and pair terms, each
+    /// pair once, then the insertion of the candidate nodes and edges the
+    /// image leaves out.
     ///
     /// # Panics
     ///
-    /// As [`refine_mapping`] does, and if `g2` has more than 64 nodes.
-    pub(crate) fn refine(
+    /// As [`mapping_cost`] does, and past 64 candidate nodes.
+    fn price(
         &self,
-        g2: &Topology,
+        kinds: &[NodeKind],
+        rows: &[u64],
         mapping: &[Option<NodeId>],
-        max_passes: usize,
-    ) -> (Vec<Option<NodeId>>, u64) {
+    ) -> ([u64; 64], u64) {
         let n = self.kinds.len();
         assert_eq!(mapping.len(), n, "mapping length mismatch");
-        assert!(g2.node_count() <= 64, "a candidate row is one word");
-        debug_assert!(g2.has_default_edge_costs(), "stock costs");
-        let mut adj2 = [0u64; 64];
-        for (a, row) in adj2.iter_mut().enumerate().take(g2.node_count()) {
-            for b in g2.neighbors(NodeId(a as u32)) {
-                *row |= 1 << b.index();
-            }
-        }
+        assert!(rows.len() <= 64, "a candidate row is one word");
         let mut used = 0u64;
         for a in mapping.iter().flatten() {
             assert!(used >> a.index() & 1 == 0, "mapping must be injective");
             used |= 1 << a.index();
         }
-        // `P[p]`: the virtual nodes whose images neighbour `p`'s.
-        let pulled = |best: &[Option<NodeId>], p: usize| {
-            let near = best[p].map_or(0, |a| adj2[a.index()]);
-            (0..n)
-                .filter(|&q| best[q].is_some_and(|b| near >> b.index() & 1 == 1))
-                .fold(0u64, |row, q| row | 1 << q)
-        };
-        let mut best = mapping.to_vec();
-        let mut rows = [0u64; 64];
-        for (p, row) in rows.iter_mut().enumerate().take(n) {
-            *row = pulled(&best, p);
+        let mut pulled = [0u64; 64];
+        for (p, row) in pulled.iter_mut().enumerate().take(n) {
+            *row = Self::pulled(rows, mapping, p);
         }
-        // Node and pair terms, each pair once, then the insertion of the
-        // candidate nodes and edges the image leaves out.
-        let mut best_cost: u64 = (0..n)
-            .map(|p| self.terms(g2, p, best[p], rows[p], u64::MAX << p << 1))
-            .sum();
-        let inside: u32 = rows[..n].iter().map(|row| row.count_ones()).sum();
-        let outside = g2.node_count() - used.count_ones() as usize;
-        best_cost += (outside + g2.edge_count() - inside as usize / 2) as u64;
+        let terms = (0..n).map(|p| self.terms(kinds, p, mapping[p], pulled[p], u64::MAX << p << 1));
+        let inside: u32 = pulled[..n].iter().map(|row| row.count_ones()).sum();
+        let edges: u32 = rows.iter().map(|row| row.count_ones()).sum();
+        let outside = rows.len() - used.count_ones() as usize;
+        let cost = terms.sum::<u64>() + (outside + (edges - inside) as usize / 2) as u64;
+        (pulled, cost)
+    }
+
+    /// [`ged_bipartite`]`(g1, g2, &UniformCosts)` for the `g1` this was
+    /// built from and a candidate `g2` given by its `kinds` and `rows`: the
+    /// same cost matrix — kind mismatch plus degree difference, deletion as
+    /// 1 plus the request edges' costs, insertion as 1 plus the degree —
+    /// the same solver, and the assignment's edit path priced as
+    /// [`StockRefiner::price`] prices it. A pair of empty graphs is the one
+    /// case that differs (`exact` is `false` here), and no search scores
+    /// one.
+    pub(crate) fn bipartite(&self, kinds: &[NodeKind], rows: &[u64]) -> GedResult {
+        let (n1, n2) = (self.kinds.len(), rows.len());
+        let n = n1 + n2;
+        let mut cost = vec![hungarian::INF; n * n];
+        for (i, row) in cost.chunks_exact_mut(n.max(1)).enumerate() {
+            if let Some(j) = i.checked_sub(n1) {
+                row[j] = 1 + u64::from(rows[j].count_ones());
+                row[n2..].fill(0);
+                continue;
+            }
+            let degree = self.adj[i].count_ones();
+            for (j, cell) in row[..n2].iter_mut().enumerate() {
+                let kind = u64::from(self.kinds[i] != kinds[j]);
+                *cell = kind + u64::from(degree.abs_diff(rows[j].count_ones()));
+            }
+            let deleted: u64 = bits(self.adj[i]).map(|q| self.cost[i * n1 + q]).sum();
+            row[n2 + i] = 1 + deleted;
+        }
+        let (assign, _) = hungarian::solve(n, &cost);
+        let mapping: Vec<Option<NodeId>> = assign[..n1]
+            .iter()
+            .map(|&col| (col < n2).then_some(NodeId(col as u32)))
+            .collect();
+        GedResult {
+            cost: self.price(kinds, rows, &mapping).1,
+            mapping,
+            exact: false,
+        }
+    }
+
+    /// [`refine_mapping`]`(g1, g2, mapping, &UniformCosts, max_passes)` for
+    /// the `g1` this was built from and a candidate `g2` given by its
+    /// `kinds` and `rows`: the same swaps in the same order, accepted on the
+    /// same strict `<` of the same integers.
+    ///
+    /// # Panics
+    ///
+    /// As [`refine_mapping`] does, and past 64 candidate nodes.
+    pub(crate) fn refine(
+        &self,
+        kinds: &[NodeKind],
+        rows: &[u64],
+        mapping: &[Option<NodeId>],
+        max_passes: usize,
+    ) -> (Vec<Option<NodeId>>, u64) {
+        let n = self.kinds.len();
+        let mut best = mapping.to_vec();
+        let (mut pulled, mut best_cost) = self.price(kinds, rows, &best);
         for _ in 0..max_passes {
             let mut improved = false;
             for i in 0..n {
                 for j in (i + 1)..n {
                     let others = !(1u64 << i | 1 << j);
                     let (mi, mj) = (best[i], best[j]);
-                    let before = self.terms(g2, i, mi, rows[i], others)
-                        + self.terms(g2, j, mj, rows[j], others);
-                    let after = self.terms(g2, i, mj, rows[j], others)
-                        + self.terms(g2, j, mi, rows[i], others);
+                    let before = self.terms(kinds, i, mi, pulled[i], others)
+                        + self.terms(kinds, j, mj, pulled[j], others);
+                    let after = self.terms(kinds, i, mj, pulled[j], others)
+                        + self.terms(kinds, j, mi, pulled[i], others);
                     let c = best_cost - before + after;
                     if c < best_cost {
                         best_cost = c;
                         improved = true;
                         best.swap(i, j);
                         // Every other row trades bits `i` and `j`.
-                        for row in &mut rows[..n] {
+                        for row in &mut pulled[..n] {
                             let d = (*row >> i ^ *row >> j) & 1;
                             *row ^= d << i | d << j;
                         }
-                        rows[i] = pulled(&best, i);
-                        rows[j] = pulled(&best, j);
+                        pulled[i] = Self::pulled(rows, &best, i);
+                        pulled[j] = Self::pulled(rows, &best, j);
                     }
                 }
             }
@@ -934,6 +1000,80 @@ mod reference {
         [&UniformCosts, &HETERO]
     }
 
+    /// A candidate as the stock kernels read it: each node's kind and its
+    /// neighbours, one bit each.
+    fn stock_rows(g: &Topology) -> (Vec<NodeKind>, Vec<u64>) {
+        let kinds = g.nodes().map(|v| g.node_attr(v).kind).collect();
+        let rows = g
+            .nodes()
+            .map(|v| g.neighbors(v).iter().fold(0, |row, w| row | 1 << w.0));
+        (kinds, rows.collect())
+    }
+
+    #[test]
+    fn bitset_bipartite_matches_the_edge_table_kernel() {
+        const CASES: usize = 400;
+        let mut rng = Rng(0x5EED_6102);
+        // Cases with a weighted request, with kinds on the candidate, of
+        // more than 32 nodes, at 64 nodes, and at a nonzero distance.
+        let mut reached = [0usize; 5];
+        for case in 0..CASES {
+            // Connected regions of an 8x8 mesh, as a search's candidates
+            // are, under random labels; the request and the candidate have
+            // the node count R-1 gives them.
+            let n = if case == 0 { 64 } else { 9 + rng.below(56) };
+            let mesh = Topology::mesh2d(8, 8);
+            let mut pick = || {
+                relabeled(
+                    &mesh
+                        .induced_subgraph(&connected_subset(&mesh, n, &mut rng))
+                        .0,
+                    &mut rng,
+                )
+            };
+            let (mut g1, mut g2) = (pick(), pick());
+            if case % 2 == 1 {
+                sprinkle_kinds(&mut g1, &mut rng);
+                for (a, b) in g1.edges().collect::<Vec<_>>() {
+                    let cost = 1 + rng.below(4) as u64;
+                    g1.add_edge_with(a, b, EdgeAttr { cost }).unwrap();
+                }
+            }
+            if case % 4 >= 2 {
+                sprinkle_kinds(&mut g2, &mut rng);
+            }
+            let want = super::ged_bipartite(&g1, &g2, &UniformCosts);
+            let (kinds, rows) = stock_rows(&g2);
+            let got = StockRefiner::new(&g1)
+                .expect("at most 64 nodes")
+                .bipartite(&kinds, &rows);
+            assert_eq!(got, want, "case {case}: {n} nodes");
+            let sprinkled = kinds.iter().any(|&k| k != NodeKind::default());
+            for (i, hit) in [
+                !g1.has_default_edge_costs(),
+                sprinkled,
+                n > 32,
+                n == 64,
+                want.cost > 0,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                reached[i] += usize::from(hit);
+            }
+        }
+        println!(
+            "bitset-bipartite campaign: {CASES} request/candidate pairs of 9-64 nodes, identical \
+             GedResults; {} weighted requests, {} candidates with kinds, {} above 32 nodes, \
+             {} at 64, {} at a nonzero distance",
+            reached[0], reached[1], reached[2], reached[3], reached[4]
+        );
+        assert!(
+            reached.iter().all(|&n| n > 0),
+            "a case was never reached: {reached:?}"
+        );
+    }
+
     #[test]
     fn exact_search_matches_the_vec_cloning_reference() {
         const PAIRS: usize = 600;
@@ -990,7 +1130,9 @@ mod reference {
             if g2.has_default_edge_costs() {
                 let kernel = StockRefiner::new(&g1).expect("at most 12 nodes");
                 let want = super::refine_mapping(&g1, &g2, &images, &UniformCosts, 8);
-                assert_eq!(kernel.refine(&g2, &images, 8), want, "case {case}: bitsets");
+                let (kinds, rows) = stock_rows(&g2);
+                let got = kernel.refine(&kinds, &rows, &images, 8);
+                assert_eq!(got, want, "case {case}: bitsets");
                 stock[usize::from(partial)] += 1;
                 stock[2] += usize::from(!g1.has_default_edge_costs());
             }
@@ -1012,7 +1154,8 @@ mod reference {
         let kernel = StockRefiner::new(&g1).expect("64 nodes fit a word");
         let want = super::refine_mapping(&g1, &g2, &images, &UniformCosts, 8);
         assert!(want.1 < mapping_cost(&g1, &g2, &images, &UniformCosts));
-        assert_eq!(kernel.refine(&g2, &images, 8), want, "64 nodes");
+        let (kinds, rows) = stock_rows(&g2);
+        assert_eq!(kernel.refine(&kinds, &rows, &images, 8), want, "64 nodes");
         assert!(StockRefiner::new(&Topology::line(65)).is_none());
         println!(
             "2-opt campaign: {CASES} starts x 2 cost models, identical (mapping, cost); \

@@ -9,56 +9,63 @@
 /// potentials arithmetic cannot overflow.
 pub const INF: u64 = u64::MAX / 4;
 
-/// Solves the square assignment problem, minimizing total cost.
+/// Solves the square assignment problem over the row-major `n × n`
+/// matrix `cost`, minimizing total cost.
 ///
 /// Returns `(assignment, total_cost)` where `assignment[row] = column`.
 ///
 /// This is the O(n³) shortest-augmenting-path formulation (Jonker–Volgenant
-/// style potentials).
+/// style potentials). Its scratch is allocated once per call, not per row.
+///
+/// The potentials are `i64`. Each step adds its `delta` to the dual
+/// objective, which ends at the optimal total, so no potential moves by
+/// more than that total and no reduced cost leaves `INF ± 2·total`. The
+/// solver therefore requires an assignment that avoids every [`INF`] cell
+/// and costs less than `2^60`. A `ged::ged_bipartite` matrix has one —
+/// delete every requested node, insert every candidate node — which under
+/// the stock costs costs at most `2·ged::EDGE_COST_BOUND` plus the node
+/// and candidate-edge counts; custom costs must keep it under `2^60`
+/// themselves.
 ///
 /// # Panics
 ///
-/// Panics if `cost` is not square (every row must have `cost.len()`
-/// entries).
+/// Panics if `cost` does not hold `n * n` entries.
 ///
 /// # Example
 ///
 /// ```
 /// use vnpu_topo::hungarian::solve;
-/// let cost = vec![vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]];
-/// let (assign, total) = solve(&cost);
+/// let cost = [4, 1, 3, 2, 0, 5, 3, 2, 2];
+/// let (assign, total) = solve(3, &cost);
 /// assert_eq!(total, 5); // 1 + 2 + 2
 /// assert_eq!(assign, vec![1, 0, 2]);
 /// ```
-pub fn solve(cost: &[Vec<u64>]) -> (Vec<usize>, u64) {
-    let n = cost.len();
-    for row in cost {
-        assert_eq!(row.len(), n, "cost matrix must be square");
-    }
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
+pub fn solve(n: usize, cost: &[u64]) -> (Vec<usize>, u64) {
+    assert_eq!(cost.len(), n * n, "cost matrix must be square");
     // 1-indexed potentials per the classic formulation.
-    let mut u = vec![0i128; n + 1];
-    let mut v = vec![0i128; n + 1];
+    let mut u = vec![0i64; n + 1];
+    let mut v = vec![0i64; n + 1];
     let mut p = vec![0usize; n + 1]; // p[col] = row assigned to col (0 = none)
     let mut way = vec![0usize; n + 1];
+    let mut minv = vec![i64::MAX; n + 1];
+    let mut used = vec![false; n + 1];
 
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
-        let mut minv = vec![i128::MAX; n + 1];
-        let mut used = vec![false; n + 1];
+        minv.fill(i64::MAX);
+        used.fill(false);
         loop {
             used[j0] = true;
             let i0 = p[j0];
-            let mut delta = i128::MAX;
+            let row = &cost[(i0 - 1) * n..i0 * n];
+            let mut delta = i64::MAX;
             let mut j1 = 0usize;
             for j in 1..=n {
                 if used[j] {
                     continue;
                 }
-                let cur = cost[i0 - 1][j - 1] as i128 - u[i0] - v[j];
+                let cur = row[j - 1] as i64 - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
@@ -100,21 +107,160 @@ pub fn solve(cost: &[Vec<u64>]) -> (Vec<usize>, u64) {
     let total: u64 = assignment
         .iter()
         .enumerate()
-        .map(|(r, &c)| cost[r][c])
+        .map(|(r, &c)| cost[r * n + c])
         .sum();
     (assignment, total)
+}
+
+#[cfg(test)]
+mod reference {
+    //! The solver [`super::solve`] replaced, kept verbatim as a
+    //! differential oracle: a matrix of rows, `i128` potentials, and the
+    //! per-row scratch allocated afresh. The campaign holds the flat `i64`
+    //! solver to the same assignment on every matrix, ties included.
+
+    use super::INF;
+    use crate::testing::Rng;
+
+    pub(super) fn solve(cost: &[Vec<u64>]) -> (Vec<usize>, u64) {
+        let n = cost.len();
+        for row in cost {
+            assert_eq!(row.len(), n, "cost matrix must be square");
+        }
+        if n == 0 {
+            return (Vec::new(), 0);
+        }
+        // 1-indexed potentials per the classic formulation.
+        let mut u = vec![0i128; n + 1];
+        let mut v = vec![0i128; n + 1];
+        let mut p = vec![0usize; n + 1]; // p[col] = row assigned to col (0 = none)
+        let mut way = vec![0usize; n + 1];
+
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0usize;
+            let mut minv = vec![i128::MAX; n + 1];
+            let mut used = vec![false; n + 1];
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let mut delta = i128::MAX;
+                let mut j1 = 0usize;
+                for j in 1..=n {
+                    if used[j] {
+                        continue;
+                    }
+                    let cur = cost[i0 - 1][j - 1] as i128 - u[i0] - v[j];
+                    if cur < minv[j] {
+                        minv[j] = cur;
+                        way[j] = j0;
+                    }
+                    if minv[j] < delta {
+                        delta = minv[j];
+                        j1 = j;
+                    }
+                }
+                for j in 0..=n {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
+                }
+            }
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+
+        let mut assignment = vec![0usize; n];
+        for j in 1..=n {
+            if p[j] > 0 {
+                assignment[p[j] - 1] = j - 1;
+            }
+        }
+        let total: u64 = assignment
+            .iter()
+            .enumerate()
+            .map(|(r, &c)| cost[r][c])
+            .sum();
+        (assignment, total)
+    }
+
+    #[test]
+    fn flat_i64_solver_matches_the_i128_reference() {
+        const CASES: usize = 600;
+        let mut rng = Rng(0x5EED_6101);
+        // Cases with INF cells, with a row whose minimum is tied, and of
+        // more than 64 rows; and whether n = 128 ran.
+        let (mut forbidden, mut tied, mut large, mut full) = (0, 0, 0, false);
+        for case in 0..CASES {
+            let n = match case {
+                0 => 128,
+                _ if case % 8 == 0 => 65 + rng.below(64),
+                _ => 1 + rng.below(24),
+            };
+            // Few distinct values make ties common. One random permutation
+            // stays finite, so an assignment avoids every INF cell.
+            let spread = [2, 4, 100, 1 << 40][rng.below(4)];
+            let inf_share = rng.below(4);
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.below(i + 1));
+            }
+            let rows: Vec<Vec<u64>> = (0..n)
+                .map(|r| {
+                    (0..n)
+                        .map(|c| match rng.below(spread) as u64 {
+                            _ if c != perm[r] && rng.below(8) < inf_share => INF,
+                            cost => cost,
+                        })
+                        .collect()
+                })
+                .collect();
+            let flat: Vec<u64> = rows.concat();
+            let want = solve(&rows);
+            assert_eq!(super::solve(n, &flat), want, "case {case}: n = {n}");
+            forbidden += usize::from(flat.contains(&INF));
+            let min_twice = |row: &Vec<u64>| {
+                let min = row.iter().min();
+                row.iter().filter(|&c| Some(c) == min).count() > 1
+            };
+            tied += usize::from(rows.iter().any(min_twice));
+            large += usize::from(n > 64);
+            full |= n == 128;
+        }
+        println!(
+            "Hungarian campaign: {CASES} matrices up to 128 x 128, identical assignments; \
+             {forbidden} with INF cells, {tied} with a tied row minimum, \
+             {large} of more than 64 rows"
+        );
+        assert!(
+            forbidden > 0 && tied > 0 && large > 0 && full,
+            "a case was never reached"
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn brute_force(cost: &[Vec<u64>]) -> u64 {
-        let n = cost.len();
+    fn brute_force(n: usize, cost: &[u64]) -> u64 {
         let mut cols: Vec<usize> = (0..n).collect();
         let mut best = u64::MAX;
         permute(&mut cols, 0, &mut |perm| {
-            let total: u64 = perm.iter().enumerate().map(|(r, &c)| cost[r][c]).sum();
+            let total: u64 = perm.iter().enumerate().map(|(r, &c)| cost[r * n + c]).sum();
             best = best.min(total);
         });
         best
@@ -134,42 +280,35 @@ mod tests {
 
     #[test]
     fn known_small_case() {
-        let cost = vec![vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]];
-        let (_, total) = solve(&cost);
+        let (_, total) = solve(3, &[4, 1, 3, 2, 0, 5, 3, 2, 2]);
         assert_eq!(total, 5);
     }
 
     #[test]
     fn identity_optimal() {
-        let cost = vec![vec![0, 9, 9], vec![9, 0, 9], vec![9, 9, 0]];
-        let (assign, total) = solve(&cost);
+        let (assign, total) = solve(3, &[0, 9, 9, 9, 0, 9, 9, 9, 0]);
         assert_eq!(assign, vec![0, 1, 2]);
         assert_eq!(total, 0);
     }
 
     #[test]
     fn empty_matrix() {
-        let (assign, total) = solve(&[]);
+        let (assign, total) = solve(0, &[]);
         assert!(assign.is_empty());
         assert_eq!(total, 0);
     }
 
     #[test]
     fn single_cell() {
-        let (assign, total) = solve(&[vec![7]]);
+        let (assign, total) = solve(1, &[7]);
         assert_eq!(assign, vec![0]);
         assert_eq!(total, 7);
     }
 
     #[test]
     fn assignment_is_permutation() {
-        let cost = vec![
-            vec![5, 9, 1, 4],
-            vec![3, 2, 8, 6],
-            vec![7, 7, 7, 7],
-            vec![1, 2, 3, 4],
-        ];
-        let (assign, _) = solve(&cost);
+        let cost = [5, 9, 1, 4, 3, 2, 8, 6, 7, 7, 7, 7, 1, 2, 3, 4];
+        let (assign, _) = solve(4, &cost);
         let mut seen = [false; 4];
         for &c in &assign {
             assert!(!seen[c]);
@@ -189,10 +328,9 @@ mod tests {
         };
         for n in 1..=6usize {
             for _ in 0..20 {
-                let cost: Vec<Vec<u64>> =
-                    (0..n).map(|_| (0..n).map(|_| next()).collect()).collect();
-                let (_, total) = solve(&cost);
-                assert_eq!(total, brute_force(&cost), "n={n} cost={cost:?}");
+                let cost: Vec<u64> = (0..n * n).map(|_| next()).collect();
+                let (_, total) = solve(n, &cost);
+                assert_eq!(total, brute_force(n, &cost), "n={n} cost={cost:?}");
             }
         }
     }
@@ -200,8 +338,7 @@ mod tests {
     #[test]
     fn handles_inf_padding() {
         // One forbidden cell; solver must route around it.
-        let cost = vec![vec![INF, 1], vec![1, INF]];
-        let (assign, total) = solve(&cost);
+        let (assign, total) = solve(2, &[INF, 1, 1, INF]);
         assert_eq!(total, 2);
         assert_eq!(assign, vec![1, 0]);
     }

@@ -29,10 +29,13 @@
 //! [`MappingCache`] miss
 //! ([`Mapper::map_cached_with`]) computes each visited candidate's
 //! structure straight from its cells and looks all four up in the cache's
-//! score memo, building the candidate's subgraph only when a lookup
+//! score memo, building the candidate's subgraph — or, for the stock-cost
+//! bitset kernels, its kinds and neighbour rows — only when a lookup
 //! misses: shapes an earlier search, or an earlier visit of this one,
-//! already met are not worked out again. [`Mapper::map_in`] keeps no memo
-//! and is the reference the memo is held to. Every search first checks
+//! already met are not worked out again. An advisory probe searches
+//! through the same memo ([`Mapper::map_scored`]) without touching the
+//! cache's entries. [`Mapper::map_in`] keeps no memo and is the reference
+//! the memo is held to. Every search first checks
 //! that the request's edge costs sum to at most [`ged::EDGE_COST_BOUND`],
 //! so the kernels' arithmetic cannot overflow.
 //!
@@ -44,7 +47,7 @@ use crate::cache::{FreeSet, MappingCache, ScoreMemo, SearchMemo, GED, REFINE};
 use crate::canonical::{canonical_key, find_isomorphism, CanonicalKey};
 use crate::enumerate::{self, Visit, DEFAULT_CANDIDATE_CAP};
 use crate::ged::{self, GedResult, MatchCosts, UniformCosts};
-use crate::{NodeId, Result, TopoError, Topology};
+use crate::{NodeId, NodeKind, Result, TopoError, Topology};
 use std::cell::OnceCell;
 use std::sync::Arc;
 
@@ -341,6 +344,28 @@ impl<'a> Mapper<'a> {
         self.map_cached_with(free, req, strategy, cache, None)
     }
 
+    /// [`Mapper::map_in`] through `cache`'s score memo, as a placement-cache
+    /// miss searches, with no entry looked up or stored and no
+    /// [`MappingCache::stats`] counter moved: the path of advisory probes
+    /// (fit hints, defrag remap probes), which so reuse what placements
+    /// scored, and placements what they scored, while leaving nothing
+    /// stored that could go stale. Custom costs search memo-free, as in
+    /// [`Mapper::map_cached`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Mapper::map_in`].
+    pub fn map_scored(
+        &self,
+        free: &FreeSet,
+        req: &Topology,
+        strategy: &Strategy,
+        cache: &mut MappingCache,
+    ) -> Result<Mapping> {
+        let memo = strategy.cache_tag().map(|_| &mut cache.score);
+        self.search(free, req, strategy, memo)
+    }
+
     /// [`Mapper::map_cached`] with an optional *precomputed* result to use
     /// in place of the inline [`Mapper::map_in`] call on a cache miss, so
     /// a caller that already holds the answer (the benchmark's replay
@@ -481,41 +506,51 @@ impl<'a> Mapper<'a> {
             Walk::Exact(m) => return Ok(m),
             Walk::Candidates(candidates) => candidates,
         };
-        // Lines 30–32: TED scoring, a subgraph built per memo miss. Only
-        // the best few (lowest cost, earliest first) go on to refinement,
-        // so only theirs are kept.
+        // Lines 30–32: TED scoring, a candidate's subgraph or rows built
+        // per memo miss. Only the best few (lowest cost, earliest first) go
+        // on to refinement, so only theirs are kept. Under the stock costs
+        // the bipartite scoring and the 2-opt swaps run on bitsets, the
+        // request's built once here.
         let costs = strategy.costs.as_ref();
-        let mut top: Vec<Scored> = Vec::new();
+        let stock = stock.then(|| ged::StockRefiner::new(req)).flatten();
+        let mut top: Vec<(GedResult, Candidate)> = Vec::new();
         for (cells, structure) in &candidates {
-            let (sub, build) = (OnceCell::new(), || self.phys.induced_subgraph(cells).0);
-            let scored = memo.score(GED, *structure, &[], || {
-                ged::ged(req, sub.get_or_init(build), costs)
+            let candidate = Candidate::new(cells, *structure);
+            let scored = memo.score(GED, *structure, &[], || match &stock {
+                Some(stock) if cells.len() > ged::EXACT_GED_LIMIT => {
+                    let (kinds, rows) = candidate.rows(self.phys);
+                    stock.bipartite(kinds, rows)
+                }
+                _ => ged::ged(req, candidate.sub(self.phys), costs),
             });
-            let rank = top.partition_point(|(r, ..)| r.cost <= scored.cost);
+            let rank = top.partition_point(|(r, _)| r.cost <= scored.cost);
             if rank < REFINE_TOP_CANDIDATES {
                 top.truncate(REFINE_TOP_CANDIDATES - 1);
-                top.insert(rank, (scored, sub, cells, *structure));
+                top.insert(rank, (scored, candidate));
             }
         }
         // Refine them with 2-opt swaps (the bipartite assignment ignores
         // global edge structure). Pipeline-style requests (virtual IDs in
         // dataflow order) additionally get a serpentine seed — a snake
         // through the candidate region — which is usually the natural
-        // embedding for chains. Under the stock costs the swaps are priced
-        // from bitsets, the request's built once here.
-        let stock = stock.then(|| ged::StockRefiner::new(req)).flatten();
+        // embedding for chains.
         let mut best: Option<(u64, Vec<NodeId>)> = None;
-        for (scored, sub, cells, structure) in &top {
+        for (scored, candidate) in &top {
+            let cells = candidate.cells;
             let starts = [
                 complete_option_mapping(&scored.mapping, cells.len()),
                 self.serpentine_mapping(cells),
             ];
             for start in starts {
-                let refined = memo.score(REFINE, *structure, &start, || {
-                    let sub = sub.get_or_init(|| self.phys.induced_subgraph(cells).0);
+                let refined = memo.score(REFINE, candidate.structure, &start, || {
                     let (mapping, cost) = match &stock {
-                        Some(stock) => stock.refine(sub, &start, 8),
-                        None => ged::refine_mapping(req, sub, &start, costs, 8),
+                        Some(stock) => {
+                            let (kinds, rows) = candidate.rows(self.phys);
+                            stock.refine(kinds, rows, &start, 8)
+                        }
+                        None => {
+                            ged::refine_mapping(req, candidate.sub(self.phys), &start, costs, 8)
+                        }
                     };
                     GedResult {
                         cost,
@@ -599,9 +634,55 @@ enum Walk {
     Candidates(Vec<(Vec<NodeId>, Option<u128>)>),
 }
 
-/// A candidate kept for refinement: its edit distance, its subgraph once
-/// built, its sorted cells and its structure.
-type Scored<'c> = (GedResult, OnceCell<Topology>, &'c [NodeId], Option<u128>);
+/// A collected candidate of a search: its sorted cells, its structure, and
+/// what the kernels read of it, each built on first use — its subgraph,
+/// and for the stock kernels each cell's kind and its neighbours among the
+/// cells, one bit each.
+struct Candidate<'c> {
+    cells: &'c [NodeId],
+    structure: Option<u128>,
+    sub: OnceCell<Topology>,
+    rows: OnceCell<(Vec<NodeKind>, Vec<u64>)>,
+}
+
+impl<'c> Candidate<'c> {
+    fn new(cells: &'c [NodeId], structure: Option<u128>) -> Self {
+        let (sub, rows) = (OnceCell::new(), OnceCell::new());
+        Candidate {
+            cells,
+            structure,
+            sub,
+            rows,
+        }
+    }
+
+    /// `phys.induced_subgraph(cells)`.
+    fn sub(&self, phys: &Topology) -> &Topology {
+        self.sub.get_or_init(|| phys.induced_subgraph(self.cells).0)
+    }
+
+    /// The subgraph's kinds and neighbour rows, walked from the cells as
+    /// `SearchMemo::structure` walks them. At most 64 cells.
+    fn rows(&self, phys: &Topology) -> (&[NodeKind], &[u64]) {
+        let (kinds, rows) = self.rows.get_or_init(|| {
+            let cells = self.cells;
+            let mut rows = vec![0u64; cells.len()];
+            for (i, &cell) in cells.iter().enumerate() {
+                for w in phys.neighbors(cell).iter().filter(|&&w| w > cell) {
+                    if let Ok(j) = cells[i + 1..].binary_search(w) {
+                        rows[i] |= 1 << (i + 1 + j);
+                        rows[i + 1 + j] |= 1 << i;
+                    }
+                }
+            }
+            (
+                cells.iter().map(|&c| phys.node_attr(c).kind).collect(),
+                rows,
+            )
+        });
+        (kinds, rows)
+    }
+}
 
 /// How many of the lowest-TED candidates receive 2-opt refinement.
 const REFINE_TOP_CANDIDATES: usize = 6;
@@ -1189,6 +1270,67 @@ mod tests {
         assert!(
             costly_lookups > 0,
             "the costly chip made no class or iso lookup"
+        );
+    }
+
+    #[test]
+    fn map_scored_shares_the_score_memo_and_leaves_the_entries_alone() {
+        use super::reference::{random_free_set, CAMPAIGN_CAPS};
+        use crate::testing::Rng;
+
+        // One cache, probed and placed through in turn, as a cluster's
+        // advisory probes and placements share its placement cache.
+        let (physicals, requests) = (annotated_physicals(), annotated_requests());
+        let mut cache = MappingCache::default();
+        // Probes that moved the score memo, and those that hit it.
+        let (mut moved, mut hit) = (0, 0);
+        let mut rng = Rng(0x5EED_6103);
+        for case in 0..512 {
+            let phys = &physicals[case % physicals.len()];
+            let mapper = Mapper::new(phys);
+            let free = random_free_set(phys, &mut rng, case / 4 % 2 == 1, case / 8 % 2 == 1);
+            let fitting: Vec<&Topology> = requests
+                .iter()
+                .filter(|r| r.node_count() <= free.free_count())
+                .collect();
+            if fitting.is_empty() {
+                continue;
+            }
+            let req = fitting[rng.below(fitting.len())];
+            let cap = CAMPAIGN_CAPS[rng.below(CAMPAIGN_CAPS.len())];
+            let strategy = Strategy::similar_topology().candidate_cap(cap);
+            let want = mapper.map_in(&free, req, &strategy);
+            let context = format!("case {case}: {}-node request", req.node_count());
+            if case % 2 == 0 {
+                let got = mapper.map_cached(&free, req, &strategy, &mut cache);
+                assert_eq!(got, want, "{context}, placed");
+                continue;
+            }
+            let (stats, entries, scores) = (cache.stats(), cache.len(), cache.score_stats());
+            let got = mapper.map_scored(&free, req, &strategy, &mut cache);
+            assert_eq!(got, want, "{context}, probed");
+            assert_eq!(
+                cache.stats(),
+                stats,
+                "{context}: a probe counted as a lookup"
+            );
+            assert_eq!(cache.len(), entries, "{context}: a probe stored an entry");
+            let after = cache.score_stats();
+            let lookups =
+                |s: &[crate::CacheStats; 4]| s.iter().map(|t| t.hits + t.misses).sum::<u64>();
+            moved += usize::from(lookups(&after) > lookups(&scores));
+            hit += usize::from(after.iter().zip(&scores).any(|(a, b)| a.hits > b.hits));
+        }
+        println!(
+            "map_scored sharing: 512 free sets, placements and probes in turn through one \
+             cache, 0 mismatches; {moved} probes looked candidates up in the score memo, \
+             {hit} of them hit it; {} entries, all stored by placements",
+            cache.len()
+        );
+        assert!(moved > 0 && hit > 0, "the probes never used the score memo");
+        assert_eq!(
+            cache.len() as u64,
+            cache.stats().insertions - cache.stats().evictions
         );
     }
 

@@ -281,18 +281,19 @@ fn heterogeneous_hypervisors_with_custom_hbm() {
 
 #[test]
 fn fleet_fit_hint_skips_drained_chips_and_recovers_on_undrain() {
-    // Satellite coverage: under a partial drain the fleet hint must
-    // never advertise a window on the unschedulable chip, and the hint
-    // cache must not replay pre-drain exhaustion proofs once the chip
-    // comes back bigger.
+    // Under a partial drain the fleet hint must never advertise a window
+    // on the unschedulable chip, and once the chip comes back bigger the
+    // hint must follow its new free region: probes store no results, only
+    // the scores of the candidates they met, so no pre-drain exhaustion
+    // proof can answer for it.
     let mut cl = hetero_cluster(); // chip 0: 6x6 (36), chip 1: 4x4 (16)
     assert_eq!(
         cl.fit_hint().map(|h| h.cores),
         Some(36),
         "idle fleet: the big chip's full window is the hint"
     );
-    // Load chip 0 down to a small window, so its pre-drain hints (and
-    // exhaustion proofs for everything larger) enter the hint cache.
+    // Load chip 0 down to a small window, so its pre-drain probes fail
+    // for everything larger.
     let resident = cl.create_on(0, VnpuRequest::mesh(6, 5)).unwrap(); // 6 free
     let pre_drain = cl.fit_hint().expect("something still fits");
     assert!(pre_drain.cores <= 16, "chip 1's idle window wins now");

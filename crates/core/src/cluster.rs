@@ -60,6 +60,7 @@ use crate::plan::{
 };
 use crate::vnpu::{VirtualNpu, VnpuRequest};
 use crate::{Result, VnpuError};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -187,15 +188,15 @@ impl ChipPlacement for LeastLoaded {
     }
 
     fn chip_order(&self, req: &PendingView, chips: &[ChipSnapshot]) -> Vec<usize> {
-        let mut fitting: Vec<&ChipSnapshot> = chips.iter().filter(|c| c.fits(req)).collect();
-        fitting.sort_by(|a, b| {
-            b.frag
-                .free_cores
-                .cmp(&a.frag.free_cores)
-                .then(b.frag.hbm_free_bytes.cmp(&a.frag.hbm_free_bytes))
-                .then(a.chip.cmp(&b.chip))
+        // Sorts snapshot positions, then names their chips in place: the
+        // key ends in the chip index, so it is a total order.
+        let mut order: Vec<usize> = (0..chips.len()).filter(|&p| chips[p].fits(req)).collect();
+        order.sort_unstable_by_key(|&p| {
+            let c = &chips[p];
+            (Reverse((c.frag.free_cores, c.frag.hbm_free_bytes)), c.chip)
         });
-        fitting.into_iter().map(|c| c.chip).collect()
+        order.iter_mut().for_each(|p| *p = chips[*p].chip);
+        order
     }
 }
 
@@ -900,15 +901,15 @@ impl Cluster {
     /// island read from its memoized snapshot, and pruned once no
     /// remaining chip's island can beat the best hint found.
     pub fn fit_hint(&mut self) -> Option<FitHint> {
-        let mut order: Vec<(std::cmp::Reverse<usize>, usize)> = (0..self.chips.len())
+        let mut order: Vec<(Reverse<usize>, usize)> = (0..self.chips.len())
             .map(|i| {
                 let island = self.snapshot_cached(i).frag.largest_free_component;
-                (std::cmp::Reverse(island), i)
+                (Reverse(island), i)
             })
             .collect();
         order.sort_unstable();
         let mut best: Option<FitHint> = None;
-        for (std::cmp::Reverse(island), i) in order {
+        for (Reverse(island), i) in order {
             if best.is_some_and(|b| island as u32 <= b.cores) {
                 break; // sorted descending: nothing further can beat it
             }
@@ -943,16 +944,7 @@ impl Cluster {
         // read from the memo once and refreshed only for the placed chip.
         let mut snapshots = self.snapshots();
         while let Some(head) = self.admissions.front() {
-            let (id, view, request) = (head.id, head.view(), head.req.clone());
-            // Terminal = impossible fleet-wide: no chip's raw capacity
-            // covers the request even when idle. The classification only
-            // applies to *failed* attempts: if a placement path lets such
-            // a request place after all, the admission succeeds normally.
-            let terminal = view.cores == 0
-                || view.memory_bytes == 0
-                || self.chips().all(|h| {
-                    view.cores > h.config().core_count() || view.memory_bytes > h.hbm_total_bytes()
-                });
+            let (id, view) = (head.id, head.view());
             let order = self.placement.chip_order(&view, &snapshots);
             let mut last_err: Option<VnpuError> = None;
             // Whether *any* chip rejected for want of a candidate this
@@ -972,7 +964,7 @@ impl Cluster {
                 else {
                     continue;
                 };
-                match slot.hv.create_vnpu_in(request.clone(), &mut self.cache) {
+                match slot.hv.create_vnpu_in(&head.req, &mut self.cache) {
                     Ok(vm) => {
                         slot.add_tenant(vm, None);
                         placed = Some(ClusterVmId { chip, vm });
@@ -997,6 +989,17 @@ impl Cluster {
                     });
                 }
                 None => {
+                    // Terminal = impossible fleet-wide: no chip's raw
+                    // capacity covers the request even when idle. The
+                    // classification only applies to *failed* attempts:
+                    // if a placement path lets such a request place after
+                    // all, the admission succeeds normally.
+                    let terminal = view.cores == 0
+                        || view.memory_bytes == 0
+                        || self.chips().all(|h| {
+                            view.cores > h.config().core_count()
+                                || view.memory_bytes > h.hbm_total_bytes()
+                        });
                     let budget_spent = self.admissions.mark_front_failed();
                     if !(terminal || budget_spent) {
                         break;
@@ -1289,6 +1292,57 @@ mod tests {
             ClusterAdmissionOutcome::Admitted(cvm) => assert_eq!(cvm.chip, 1),
             ref o => panic!("expected spillover admission, got {o:?}"),
         }
+    }
+
+    #[test]
+    fn a_borrowed_head_fails_on_one_chip_and_places_on_the_next() {
+        // Chip 0 keeps columns 0, 2 and 4 free: cores enough for an
+        // exact-only 2x2, but no square among them, so the first nominated
+        // chip fails with `NoCandidate` and the second places the queued
+        // request. The same steps with an owned clone per chip must leave
+        // every chip, the shared cache and the accounting identical.
+        let fragmented = || {
+            let mut cl = Cluster::new(vec![sim_chip(), sim_chip()]);
+            let odd_columns: Vec<u32> = (0..36).filter(|c| c % 2 == 1).collect();
+            cl.chip_mut(0).reserve_cores(&odd_columns).unwrap();
+            cl
+        };
+        let req = VnpuRequest::mesh(2, 2).strategy(Strategy::exact_only());
+
+        let mut borrowed = fragmented();
+        let id = borrowed.submit(req.clone());
+        let events = borrowed.process_admissions();
+
+        let mut owned = fragmented();
+        assert_eq!(
+            owned.create_on(0, req.clone()),
+            Err(VnpuError::Mapping(TopoError::NoCandidate))
+        );
+        let placed = owned.create_on(1, req.clone()).unwrap();
+
+        assert_eq!(
+            events,
+            vec![ClusterAdmissionEvent {
+                id,
+                outcome: ClusterAdmissionOutcome::Admitted(placed),
+                config_cycles_total: owned.total_config_cycles(),
+                fit_hint: None,
+            }]
+        );
+        assert!(borrowed.admissions.is_empty());
+        for chip in 0..2 {
+            assert_eq!(
+                borrowed.chip(chip).state_digest(),
+                owned.chip(chip).state_digest(),
+                "chip {chip}"
+            );
+        }
+        assert_eq!(borrowed.cache_stats(), owned.cache_stats());
+        assert_eq!(borrowed.cache_stats().misses, 2, "one search per chip");
+        assert_eq!(
+            borrowed.vnpu(placed).unwrap().request().topology(),
+            req.topology()
+        );
     }
 
     #[test]

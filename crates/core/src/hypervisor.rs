@@ -17,6 +17,7 @@ use crate::plan::{
 use crate::routing_table::RoutingTable;
 use crate::vnpu::{VirtualNpu, VnpuRequest, GUEST_VA_BASE};
 use crate::{Result, VnpuError};
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -25,7 +26,7 @@ use vnpu_mem::buddy::{Block, BuddyAllocator};
 use vnpu_mem::rtt::{rtt_deploy_cycles, RttEntry};
 use vnpu_mem::{Perm, PhysAddr, VirtAddr};
 use vnpu_sim::SocConfig;
-use vnpu_topo::cache::{labeled_hash, CacheStats, FreeSet, MappingCache};
+use vnpu_topo::cache::{labeled_hash, CacheStats, FreeSet, MappingCache, NeighborRows};
 use vnpu_topo::mapping::{Mapper, Mapping, Strategy};
 use vnpu_topo::{NodeId, Topology};
 
@@ -67,6 +68,9 @@ struct Chip {
     /// excludes it automatically) without touching `core_users`, and a
     /// tenant releasing it does not return it to the free pool.
     faulted: Vec<bool>,
+    /// The topology's neighbour rows, built once: the free-region kernel
+    /// behind [`Hypervisor::fragmentation`] and the defrag window checks.
+    rows: NeighborRows,
 }
 
 /// Everything a [`PlanOp`] can change, as one value: a commit applies its
@@ -129,6 +133,7 @@ impl Hypervisor {
         Hypervisor {
             chip: Chip {
                 phys_key: labeled_hash(&topo),
+                rows: NeighborRows::new(&topo),
                 topo: Arc::new(topo),
                 topo_generation: 0,
                 faulted: vec![false; n],
@@ -355,13 +360,18 @@ impl Hypervisor {
     /// [`MappingCache`]. A [`crate::cluster::Cluster`] passes one cache to
     /// every chip it owns; entries cannot alias across chips because the
     /// key carries each chip's topology fingerprint and reconfiguration
-    /// generation.
+    /// generation. The request is taken owned or borrowed: it is copied
+    /// into the placed [`VirtualNpu`] only when the placement succeeds.
     ///
     /// # Errors
     ///
     /// As for [`Hypervisor::create_vnpu`].
-    pub fn create_vnpu_in(&mut self, req: VnpuRequest, cache: &mut MappingCache) -> Result<VmId> {
-        let (vm, _) = self.state.create(&self.chip, &req, true, cache)?;
+    pub fn create_vnpu_in(
+        &mut self,
+        req: impl Borrow<VnpuRequest>,
+        cache: &mut MappingCache,
+    ) -> Result<VmId> {
+        let (vm, _) = self.state.create(&self.chip, req.borrow(), true, cache)?;
         Ok(vm)
     }
 
@@ -480,15 +490,13 @@ impl Hypervisor {
     /// buddy external fragmentation (the two resources whose fragmentation
     /// gates admission).
     pub fn fragmentation(&self) -> FragmentationStats {
-        let free_nodes = self.state.free_set.nodes();
-        let components = self.chip.topo.subset_components(&free_nodes);
-        let free_cores = free_nodes.len();
-        let largest = components.first().copied().unwrap_or(0);
+        let (components, largest) = self.free_regions(&self.state.free_set);
+        let free_cores = self.state.free_set.free_count();
         let free_bytes = self.state.buddy.free_bytes();
         let largest_block = self.state.buddy.largest_free_block();
         FragmentationStats {
             free_cores: free_cores as u32,
-            free_components: components.len(),
+            free_components: components,
             largest_free_component: largest,
             free_connectivity: if free_cores == 0 {
                 1.0
@@ -502,6 +510,12 @@ impl Hypervisor {
                 1.0 - largest_block as f64 / free_bytes as f64
             },
         }
+    }
+
+    /// `(components, largest)` of the free region `free` of this chip:
+    /// its connected components and the core count of the largest.
+    pub(crate) fn free_regions(&self, free: &FreeSet) -> (usize, usize) {
+        self.chip.rows.free_regions(free)
     }
 
     // ------------------------------------------------------------------

@@ -314,13 +314,8 @@ impl Defragmenter for GreedyDefrag {
         let move_cap = self.max_core_moves.min(budget.max_migrations);
         // --- Core compaction: only a fragmented free region can gain. ---
         if stats.free_components > 1 && move_cap > 0 {
-            let topo = hv.topology();
             let mut sim_free = hv.free_set().clone();
-            let mut window = topo
-                .subset_components(&sim_free.nodes())
-                .first()
-                .copied()
-                .unwrap_or(0);
+            let (_, mut window) = hv.free_regions(&sim_free);
             // Smallest tenants first: their moves are cheapest and their
             // shapes fit the most target regions.
             let mut vms: Vec<(u32, VmId)> =
@@ -343,11 +338,7 @@ impl Defragmenter for GreedyDefrag {
                 }
                 let mut after = sim_free.with_released(&own);
                 after.occupy_all(mapping.phys_nodes());
-                let new_window = topo
-                    .subset_components(&after.nodes())
-                    .first()
-                    .copied()
-                    .unwrap_or(0);
+                let (_, new_window) = hv.free_regions(&after);
                 if new_window > window {
                     ops.push(PlanOp::Migrate {
                         vm,

@@ -13,6 +13,10 @@
 //!   membership mask with an O(delta) XOR fingerprint, so per-request
 //!   mapping no longer rebuilds an O(cores) mask and the region's identity
 //!   is a single `u64`.
+//! * [`NeighborRows`] — a topology's adjacency as bit rows, built once per
+//!   chip, and the flood fill over them that counts a free region's
+//!   connected components and sizes the largest without allocating (the
+//!   fragmentation picture admission and defragmentation read).
 //! * [`MappingCache`] — a bounded memo table keyed by
 //!   `(canonical_key(request), labeled request hash, strategy tag,
 //!   free-region fingerprint)` holding complete mapping results (including
@@ -239,6 +243,85 @@ impl FreeSet {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
+}
+
+/// Each node's neighbours as a bit row of `node_count().div_ceil(64)`
+/// words, built once per topology: the input of the free-region kernel,
+/// [`NeighborRows::free_regions`].
+#[derive(Debug, Clone)]
+pub struct NeighborRows {
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl NeighborRows {
+    /// The neighbour rows of `topo`.
+    pub fn new(topo: &Topology) -> Self {
+        let words = topo.node_count().div_ceil(64);
+        let mut rows = vec![0u64; words * topo.node_count()];
+        for u in topo.nodes() {
+            for &v in topo.neighbors(u) {
+                rows[u.index() * words + v.index() / 64] |= 1 << (v.index() % 64);
+            }
+        }
+        NeighborRows { words, rows }
+    }
+
+    /// `(components, largest)`: the number of connected components of the
+    /// subgraph induced by `free`'s free nodes, and the node count of the
+    /// largest (`(0, 0)` when nothing is free). A flood fill over a word
+    /// mask of the nodes not yet reached: a component is seeded at the
+    /// lowest such node, and each node taken from its frontier moves its
+    /// unreached neighbours, a word at a time, from the mask into the
+    /// frontier. The two masks live on the stack for chips of at most 64
+    /// nodes; a larger chip allocates them once a call.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `free` tracks a different node count than the rows.
+    pub fn free_regions(&self, free: &FreeSet) -> (usize, usize) {
+        let w = self.words;
+        assert_eq!(
+            free.capacity() * w,
+            self.rows.len(),
+            "free set sized for a different topology"
+        );
+        let mut inline = [0u64; 2];
+        let mut spill = vec![0u64; if w > 1 { 2 * w } else { 0 }];
+        let masks = if w > 1 {
+            &mut spill[..]
+        } else {
+            &mut inline[..2 * w]
+        };
+        let (unreached, frontier) = masks.split_at_mut(w);
+        for (i, _) in free.mask().iter().enumerate().filter(|(_, &f)| f) {
+            unreached[i / 64] |= 1 << (i % 64);
+        }
+        let (mut components, mut largest) = (0, 0);
+        while let Some(seed) = take_lowest(unreached) {
+            frontier[seed / 64] |= 1 << (seed % 64);
+            let mut size = 0;
+            while let Some(u) = take_lowest(frontier) {
+                size += 1;
+                let row = &self.rows[u * w..(u + 1) * w];
+                for ((left, next), &adj) in unreached.iter_mut().zip(frontier.iter_mut()).zip(row) {
+                    *next |= adj & *left;
+                    *left &= !adj;
+                }
+            }
+            components += 1;
+            largest = largest.max(size);
+        }
+        (components, largest)
+    }
+}
+
+/// Clears and returns the lowest set bit of `mask`.
+fn take_lowest(mask: &mut [u64]) -> Option<usize> {
+    let (i, word) = mask.iter_mut().enumerate().find(|(_, w)| **w != 0)?;
+    let bit = word.trailing_zeros() as usize;
+    *word &= *word - 1;
+    Some(i * 64 + bit)
 }
 
 /// Key of one memoized mapping attempt.
@@ -1100,5 +1183,120 @@ mod tests {
             .key_for(0, 0, &Topology::mesh2d(2, 2), &strategy, &free)
             .is_none());
         assert_eq!(cache.stats().uncacheable, 1);
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The free-region scan [`NeighborRows::free_regions`] replaced,
+    //! `Topology::subset_components` kept verbatim as a differential
+    //! oracle: a `bool` mask of the subset, a breadth-first search with a
+    //! `VecDeque` per component, and the component sizes sorted largest
+    //! first. The campaign holds the kernel's `(components, largest)` to
+    //! the list's length and head.
+
+    use super::*;
+    use crate::testing::Rng;
+    use std::collections::VecDeque;
+
+    fn subset_components(topo: &Topology, subset: &[NodeId]) -> Vec<usize> {
+        let mut in_set = vec![false; topo.node_count()];
+        for &n in subset {
+            in_set[n.index()] = true;
+        }
+        let mut seen = vec![false; topo.node_count()];
+        let mut sizes = Vec::new();
+        for &start in subset {
+            if seen[start.index()] {
+                continue;
+            }
+            seen[start.index()] = true;
+            let mut size = 1usize;
+            let mut q = VecDeque::from([start]);
+            while let Some(u) = q.pop_front() {
+                for &v in topo.neighbors(u) {
+                    if in_set[v.index()] && !seen[v.index()] {
+                        seen[v.index()] = true;
+                        size += 1;
+                        q.push_back(v);
+                    }
+                }
+            }
+            sizes.push(size);
+        }
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        sizes
+    }
+
+    #[test]
+    fn bitset_components_match_the_bfs_reference() {
+        const CASES: usize = 1_200;
+        let mut rng = Rng(0x5EED_4062);
+        // Sets reached: empty, full, one component, three or more, and
+        // one of more than one mask word.
+        let mut reached = [0usize; 5];
+        for case in 0..CASES {
+            // Every mesh from 1x1 to 12x12, with the two-word 9x8 and the
+            // three-word 12x12 drawn often, and a torus for wrap edges.
+            let topo = match case % 6 {
+                0 => Topology::mesh2d(9, 8),
+                1 => Topology::mesh2d(12, 12),
+                2 => Topology::torus2d(3 + rng.below(8) as u32, 3 + rng.below(8) as u32)
+                    .expect("a torus of at least 3x3"),
+                _ => Topology::mesh2d(1 + rng.below(12) as u32, 1 + rng.below(12) as u32),
+            };
+            let n = topo.node_count();
+            let mut free = FreeSet::all_free(n);
+            match rng.below(5) {
+                0 => free = FreeSet::all_occupied(n),
+                1 => {}
+                // Holed: a few scattered cores taken.
+                2 => {
+                    for _ in 0..=rng.below(n / 8 + 1) {
+                        free.occupy(NodeId(rng.below(n) as u32));
+                    }
+                }
+                // Faulted: tenants' runs of consecutive cores placed, then
+                // a few faulted cores held occupied among what is left.
+                3 => {
+                    for _ in 0..rng.below(6) {
+                        let start = rng.below(n);
+                        let len = 1 + rng.below(n / 4 + 1);
+                        for c in start..(start + len).min(n) {
+                            free.occupy(NodeId(c as u32));
+                        }
+                    }
+                    for _ in 0..rng.below(4) {
+                        free.occupy(NodeId(rng.below(n) as u32));
+                    }
+                }
+                // Any density.
+                _ => {
+                    for _ in 0..rng.below(n + 1) {
+                        free.occupy(NodeId(rng.below(n) as u32));
+                    }
+                }
+            }
+            let got = NeighborRows::new(&topo).free_regions(&free);
+            let sizes = subset_components(&topo, &free.nodes());
+            let want = (sizes.len(), sizes.first().copied().unwrap_or(0));
+            assert_eq!(got, want, "case {case}: {n} nodes, free {:?}", free.nodes());
+            reached[0] += usize::from(free.free_count() == 0);
+            reached[1] += usize::from(free.free_count() == n);
+            reached[2] += usize::from(got.0 == 1);
+            reached[3] += usize::from(got.0 >= 3);
+            reached[4] += usize::from(n > 64 && got.0 > 0);
+        }
+        assert!(
+            reached.iter().all(|&r| r > 0),
+            "a kind of free set was never reached \
+             (empty, full, one component, >= 3, multi-word): {reached:?}"
+        );
+        println!(
+            "free-region campaign: {CASES} sets, identical (components, largest); \
+             {} empty, {} full, {} of one component, {} of three or more, \
+             {} over more than one mask word",
+            reached[0], reached[1], reached[2], reached[3], reached[4]
+        );
     }
 }

@@ -55,7 +55,7 @@ pub mod mapping;
 pub mod route;
 mod topology;
 
-pub use cache::{CacheStats, FreeSet, MappingCache};
+pub use cache::{CacheStats, FreeSet, MappingCache, NeighborRows};
 pub use ged::{GedResult, MatchCosts, UniformCosts};
 pub use mapping::{Mapper, Mapping, Strategy};
 pub use route::Direction;

@@ -355,41 +355,6 @@ impl Topology {
         count == subset.len()
     }
 
-    /// Sizes of the connected components of the induced subgraph on
-    /// `subset`, largest first. Empty subsets yield an empty vector.
-    ///
-    /// This is the fragmentation view of a free-core region: one component
-    /// covering everything means any connected request of that size can at
-    /// least be attempted, many small islands mean topology lock-in.
-    pub fn subset_components(&self, subset: &[NodeId]) -> Vec<usize> {
-        let mut in_set = vec![false; self.node_count()];
-        for &n in subset {
-            in_set[n.index()] = true;
-        }
-        let mut seen = vec![false; self.node_count()];
-        let mut sizes = Vec::new();
-        for &start in subset {
-            if seen[start.index()] {
-                continue;
-            }
-            seen[start.index()] = true;
-            let mut size = 1usize;
-            let mut q = VecDeque::from([start]);
-            while let Some(u) = q.pop_front() {
-                for &v in self.neighbors(u) {
-                    if in_set[v.index()] && !seen[v.index()] {
-                        seen[v.index()] = true;
-                        size += 1;
-                        q.push_back(v);
-                    }
-                }
-            }
-            sizes.push(size);
-        }
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        sizes
-    }
-
     /// Induced subgraph on `subset`, plus the mapping from new node IDs
     /// (positions in `subset`) back to the original IDs.
     ///

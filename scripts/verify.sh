@@ -204,9 +204,16 @@ section "scripts/loc.sh (non-test source size)"
 # `FreeSet::with_released_except` and `MappingCache::{clear, is_empty}`,
 # which lost their callers; together they cut `reconfig_storm`'s
 # `op_tail10_us` in alternating pairs (the medians are in CHANGES.md).
-CORE_SERVE_CODE_MAX=4046
-TOPO_CODE_MAX=2373
-WORKSPACE_CODE_MAX=14904
+# `topo` and the workspace then took the net 30 lines of the free-region
+# kernel (`NeighborRows`, built once per chip, and its word-mask flood
+# fill, less `Topology::subset_components`, now the kernel's test-only
+# reference), which `Hypervisor::fragmentation` and the defrag window
+# checks run; with admission placing the queued request by reference it
+# cut `place_hot`'s `op_iqm_us` in alternating pairs (the medians are in
+# CHANGES.md), and `core + serve` lost a line.
+CORE_SERVE_CODE_MAX=4045
+TOPO_CODE_MAX=2403
+WORKSPACE_CODE_MAX=14933
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -583,7 +590,16 @@ cargo test -p vnpu -q snapshot_memo_matches_fresh_scans
 # tenants, topology generation and fault mask, and exactly the migration
 # pauses each step paid.
 cargo test -p vnpu -q each_machine_matches_its_hypervisor
-echo "snapshot-memo gate: memoized snapshots equal fresh scans, machines match hypervisors"
+# A snapshot's free-region figures (`free_components`,
+# `largest_free_component`) come from `NeighborRows::free_regions`, a
+# flood fill over word masks. The campaign holds it to the breadth-first
+# scan it replaced (test-only `reference` in `crates/topo/src/cache.rs`)
+# on 1 200 seeded free sets of meshes from 1x1 to 12x12 and of tori,
+# holed and faulted: the same component count and largest size. It fails
+# unless it met empty, full, one-component, three-or-more-component and
+# multi-word sets.
+cargo test -p vnpu_topo -q bitset_components_match_the_bfs_reference -- --nocapture
+echo "snapshot-memo gate: memoized snapshots equal fresh scans, the free-region kernel its reference, machines match hypervisors"
 
 section "mapper differential gate"
 # A mapper search is one walk of the candidate enumeration. The campaign

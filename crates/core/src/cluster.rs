@@ -827,8 +827,8 @@ impl Cluster {
 
     /// Reconfigures a hybrid core (§7) on one chip: the machine rescales
     /// it and extends its topology-generation hash chain, which the
-    /// hypervisor adopts, so placements memoized against the old
-    /// hardware expire instead of replaying.
+    /// hypervisor adopts, so placement-cache entries from before the
+    /// rescale expire, as they do across a fault transition.
     ///
     /// # Errors
     ///

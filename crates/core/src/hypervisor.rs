@@ -57,10 +57,8 @@ struct Chip {
     /// mappers don't re-hash the whole topology before a cache lookup.
     phys_key: u64,
     /// Reconfiguration generation, folded into every mapping-cache key:
-    /// hardware changes the topology fingerprint cannot see (hybrid-core
-    /// scaling alters heterogeneous match costs) bump this counter so
-    /// previously cached strategies expire instead of replaying stale
-    /// placements.
+    /// core scaling and fault transitions bump it, so entries cached
+    /// before them expire.
     topo_generation: u64,
     /// Per-core fault mask maintained by [`Hypervisor::set_core_faulted`]:
     /// a faulted core is held *occupied* in the free region (so every
@@ -122,13 +120,7 @@ impl Hypervisor {
     /// Panics if `hbm_bytes` is zero or not a multiple of
     /// [`MIN_BLOCK_BYTES`], the HBM buddy allocator's smallest block.
     pub fn with_hbm_bytes(cfg: SocConfig, hbm_bytes: u64) -> Self {
-        let mut topo = Topology::mesh2d(cfg.mesh_width, cfg.mesh_height);
-        // Annotate distance to the memory interfaces (west edge) so that
-        // heterogeneous mapping costs can use it.
-        let interfaces: Vec<NodeId> = (0..cfg.mesh_height)
-            .map(|row| NodeId(row * cfg.mesh_width))
-            .collect();
-        topo.annotate_mem_distance(&interfaces);
+        let topo = Topology::mesh2d(cfg.mesh_width, cfg.mesh_height);
         let n = cfg.core_count() as usize;
         Hypervisor {
             chip: Chip {
@@ -2076,8 +2068,8 @@ mod tests {
     fn reconfig_generation_invalidates_mapping_cache() {
         // Regression for the ROADMAP's "mapping-cache invalidation on
         // reconfig" hazard: a hybrid-core rescale between two identical
-        // requests must miss the cache — the memoized strategy was costed
-        // against the old hardware.
+        // requests must miss the cache — the memoized entry predates the
+        // rescale.
         let mut cl = one_chip();
         let vm = cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
         cl.destroy(vm).unwrap();

@@ -333,8 +333,8 @@ impl Machine {
             })?;
         state.matrix_scale = matrix_pct.max(1);
         state.vector_scale = vector_pct.max(1);
-        // A reconfig invalidates anything costed against the old scales
-        // (heterogeneous match costs, cached mapping strategies). Chain
+        // A reconfig expires the mapping-cache entries keyed on the old
+        // generation, as a fault transition does. Chain
         // the reconfig parameters into the fingerprint — see the
         // `topology_generation` field docs for why this is a hash chain
         // rather than a counter. `| 1` keeps 0 reserved for "pristine".

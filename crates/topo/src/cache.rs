@@ -28,12 +28,12 @@
 //! attribute-sensitive* request hash precisely so two isomorphic but
 //! differently-numbered requests can never alias (their virtual→physical
 //! assignments differ even when their canonical keys agree), and neither
-//! can two structurally-identical requests whose node or edge attributes
-//! (and therefore edit costs under the default cost model) differ. As a
-//! final guard, a hit is only trusted after every physical node of the
-//! cached placement is re-checked against the *current* free set, so a
-//! 64-bit fingerprint collision degrades to a cache miss instead of a
-//! silently double-allocated core.
+//! can two structurally-identical requests whose node kinds or edge costs
+//! (and therefore edit costs) differ. As a final guard, a hit is only
+//! trusted after every physical node of the cached placement is
+//! re-checked against the *current* free set, so a 64-bit fingerprint
+//! collision degrades to a cache miss instead of a silently
+//! double-allocated core.
 //!
 //! Each `MappingCache` also holds a second, finer memo — the **score
 //! memo** — which a placement-cache miss, and an advisory probe
@@ -44,25 +44,24 @@
 //! * [`CLASS`] — `canonical::canonical_key(sub)`, the walk's dedup key;
 //! * [`ISO`] — `canonical::find_isomorphism(req, sub)`, the exact-match
 //!   check of the rectangle fast path and of the walk;
-//! * [`GED`] — `ged::ged(req, sub, costs)`;
-//! * [`REFINE`] — `ged::refine_mapping(req, sub, start, costs, 8)`.
+//! * [`GED`] — `ged::ged(req, sub)`;
+//! * [`REFINE`] — `ged::refine_mapping(req, sub, start, 8)`.
 //!
 //! They are keyed by the candidate's **structure**: a `u128` of its node
 //! kinds and upper-triangle adjacency in sorted-cell order, under a
 //! sentinel bit that fixes the node count, computed straight from the
 //! cells and the chip's adjacency lists (`SearchMemo::structure`) for
 //! at most 12 nodes. No subgraph is built unless a lookup misses. The key
-//! drops `mem_distance` and edge costs, so translates of a candidate on
-//! the mesh share entries, and it is exact for what each table holds:
-//! `canonical_key` reads a graph's node count, kinds, degrees and
-//! adjacency, and `find_isomorphism` its kinds, degrees and edge presence
-//! (and, of the request, its interned id) — all of them fixed by the
-//! structure. The edit-distance tables also depend on costs: they serve
-//! only default-cost searches (the condition of [`Strategy::cache_tag`])
-//! on chips whose edges all cost the default, since [`UniformCosts`]
-//! reads a node's `kind` and an edge's `cost` and nothing else. The
-//! request is interned by its node count, kinds and edges with costs,
-//! compared for equality.
+//! drops edge costs, so translates of a candidate on the mesh share
+//! entries, and it is exact for what each table holds: `canonical_key`
+//! reads a graph's node count, kinds, degrees and adjacency, and
+//! `find_isomorphism` its kinds, degrees and edge presence (and, of the
+//! request, its interned id) — all of them fixed by the structure. The
+//! edit-distance tables also depend on edge costs: they serve only chips
+//! whose edges all cost the default, since the unit edit costs read a
+//! node's `kind` and an edge's `cost` and nothing else. The request is
+//! interned by its node count, kinds and edges with costs, compared for
+//! equality.
 //!
 //! The hashed tables (`ISO`, `GED`, `REFINE`: 32 B an entry) are bounded
 //! and cleared whole when full. The class table sees a lookup per visited
@@ -86,8 +85,6 @@
 //! times; then `reconfig_storm` read +4.4% and `churn_1chip` +0.3%. Every
 //! entry is exact, so a hit returns what the kernel would, and what a
 //! table holds depends on nothing but the run's inputs.
-//!
-//! [`UniformCosts`]: crate::ged::UniformCosts
 
 use crate::canonical::{canonical_key, CanonicalKey};
 use crate::ged::GedResult;
@@ -331,12 +328,9 @@ pub struct CacheKey {
     /// topology, so one cache shared across chips never aliases their
     /// entries.
     phys: u64,
-    /// The chip's reconfiguration generation. Hardware reconfiguration
-    /// that the topology fingerprint cannot see — hybrid-core scaling
-    /// (`set_core_scales`) changes heterogeneous match costs without
-    /// touching the graph — bumps this counter, so every strategy cached
-    /// before the reconfig silently expires instead of replaying
-    /// placements costed against stale hardware.
+    /// The chip's reconfiguration generation. Core scaling
+    /// (`set_core_scales`) and fault transitions bump it, so every entry
+    /// cached before them expires.
     generation: u64,
     /// Isomorphism-class key of the request topology.
     canonical: CanonicalKey,
@@ -367,9 +361,6 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted by the capacity bound.
     pub evictions: u64,
-    /// Lookups skipped because the strategy is uncacheable (custom costs)
-    /// or the free region too large for a key.
-    pub uncacheable: u64,
 }
 
 impl CacheStats {
@@ -435,9 +426,8 @@ impl MappingCache {
     }
 
     /// Builds the key for a `(physical chip, reconfig generation, request,
-    /// strategy, free-region)` tuple, or `None` when the strategy is
-    /// uncacheable (custom match costs carry state the key cannot see) or
-    /// the free region counts past `u32::MAX` nodes.
+    /// strategy, free-region)` tuple, or `None` when the free region counts
+    /// past `u32::MAX` nodes.
     /// `phys_key` is the physical topology's [`labeled_hash`] —
     /// [`crate::Mapper`] precomputes it; `generation` is the chip's
     /// reconfiguration counter (see [`CacheKey`]).
@@ -449,12 +439,8 @@ impl MappingCache {
         strategy: &Strategy,
         free: &FreeSet,
     ) -> Option<CacheKey> {
-        let (Some((tag, cap)), Ok(free_count)) =
-            (strategy.cache_tag(), u32::try_from(free.free_count()))
-        else {
-            self.stats.uncacheable += 1;
-            return None;
-        };
+        let free_count = u32::try_from(free.free_count()).ok()?;
+        let (tag, cap) = strategy.cache_tag();
         let labeled = labeled_hash(req);
         if self.canon_memo.len() >= self.capacity {
             self.canon_memo.clear();
@@ -551,10 +537,9 @@ const CLASS_SLOTS: [usize; 2] = [512, 4_096];
 /// Slots per set of the class table, most recently used first.
 const CLASS_WAYS: usize = 4;
 
-/// The score-memo table of `ged::ged(req, sub, UniformCosts)`.
+/// The score-memo table of `ged::ged(req, sub)`.
 pub const GED: usize = 0;
-/// The score-memo table of `ged::refine_mapping(req, sub, start,
-/// UniformCosts, 8)`.
+/// The score-memo table of `ged::refine_mapping(req, sub, start, 8)`.
 pub const REFINE: usize = 1;
 /// The score-memo table of `canonical::find_isomorphism(req, sub)`.
 pub const ISO: usize = 2;
@@ -585,8 +570,8 @@ pub(crate) struct SearchMemo<'a> {
     memo: Option<(&'a mut ScoreMemo, u32)>,
     /// The request's node count, which every candidate shares (R-1).
     n: usize,
-    /// Whether the [`GED`] and [`REFINE`] tables serve this search: the
-    /// default costs, on a chip whose edges all cost the default.
+    /// Whether the [`GED`] and [`REFINE`] tables serve this search: a chip
+    /// whose edges all cost the default.
     scores: bool,
 }
 
@@ -618,7 +603,7 @@ impl<'a> SearchMemo<'a> {
     /// `None` when unbound: a sentinel bit over the cells' kinds over
     /// their upper-triangle adjacency, row-major in `cells` order — what
     /// `phys.induced_subgraph(cells)` holds, without building it, less
-    /// `mem_distance` and edge costs.
+    /// edge costs.
     pub(crate) fn structure(&self, phys: &Topology, cells: &[NodeId]) -> Option<u128> {
         self.memo.as_ref()?;
         let n = cells.len();
@@ -767,12 +752,11 @@ fn unpack(word: u64, n: usize) -> impl Iterator<Item = Option<NodeId>> {
 }
 
 /// Label- and attribute-sensitive topology hash: node count, per-node
-/// attributes (kind *and* memory distance), and adjacency lists with
-/// per-edge attributes (cost) in node order. Distinguishes relabelings
-/// that `canonical_key` deliberately identifies — and, just as
-/// importantly, attribute-only variants: the default cacheable
-/// [`crate::ged::UniformCosts`] charges `EdgeAttr.cost` on edge edits, so
-/// two requests differing only in edge costs (e.g. the traffic-scaled
+/// attributes (kind), and adjacency lists with per-edge attributes (cost)
+/// in node order. Distinguishes relabelings that `canonical_key`
+/// deliberately identifies — and, just as importantly, attribute-only
+/// variants: the edit costs charge `EdgeAttr.cost` on edge edits, so two
+/// requests differing only in edge costs (e.g. the traffic-scaled
 /// costs of a compiled workload's communication topology) produce
 /// different mappings and must never share a cache entry.
 pub fn labeled_hash(t: &Topology) -> u64 {
@@ -885,10 +869,10 @@ mod tests {
     #[test]
     fn requests_differing_only_in_edge_costs_do_not_alias() {
         // Same structure, same labels — only the edge costs differ (the
-        // shape a compiled workload's comm_topology produces). Under the
-        // default UniformCosts the edit distance depends on those costs,
-        // so the two requests must occupy distinct cache entries and each
-        // must match its own uncached result.
+        // shape a compiled workload's comm_topology produces). The edit
+        // distance depends on those costs, so the two requests must occupy
+        // distinct cache entries and each must match its own uncached
+        // result.
         let cheap = line_with_costs(&[1, 1]);
         let dear = line_with_costs(&[1, 5]);
         assert_ne!(labeled_hash(&cheap), labeled_hash(&dear));
@@ -914,7 +898,7 @@ mod tests {
     fn requests_differing_only_in_node_attrs_do_not_alias() {
         let plain = Topology::line(3);
         let mut far = Topology::line(3);
-        far.node_attr_mut(NodeId(2)).mem_distance = 7;
+        far.node_attr_mut(NodeId(2)).kind = crate::NodeKind::MatrixOptimized;
         assert_ne!(labeled_hash(&plain), labeled_hash(&far));
     }
 
@@ -995,10 +979,10 @@ mod tests {
 
     #[test]
     fn generations_do_not_alias() {
-        // A reconfig (e.g. hybrid-core scaling) bumps the generation;
-        // identical (request, strategy, free region) tuples from before
-        // and after must occupy distinct entries — the second lookup is a
-        // miss, never a hit against a stale cost-annotated strategy.
+        // A reconfig (core scaling, a fault transition) bumps the
+        // generation; identical (request, strategy, free region) tuples
+        // from before and after must occupy distinct entries — the second
+        // lookup is a miss, never a hit against a stale entry.
         let phys = Topology::mesh2d(3, 3);
         let req = Topology::mesh2d(2, 2);
         let strategy = Strategy::similar_topology();
@@ -1151,38 +1135,6 @@ mod tests {
             }
             assert!(cache.stats().evictions > 0, "cap {capacity}: must evict");
         }
-    }
-
-    #[test]
-    fn custom_costs_are_uncacheable() {
-        use crate::ged::{MatchCosts, UniformCosts};
-        use crate::{EdgeAttr, NodeAttr};
-        #[derive(Debug)]
-        struct Odd;
-        impl MatchCosts for Odd {
-            fn node_substitute(&self, a: &NodeAttr, b: &NodeAttr) -> u64 {
-                UniformCosts.node_substitute(a, b)
-            }
-            fn node_delete(&self, a: &NodeAttr) -> u64 {
-                UniformCosts.node_delete(a)
-            }
-            fn node_insert(&self, b: &NodeAttr) -> u64 {
-                UniformCosts.node_insert(b)
-            }
-            fn edge_delete(&self, e: &EdgeAttr) -> u64 {
-                UniformCosts.edge_delete(e)
-            }
-            fn edge_insert(&self, e: &EdgeAttr) -> u64 {
-                UniformCosts.edge_insert(e)
-            }
-        }
-        let strategy = Strategy::similar_topology().costs(std::sync::Arc::new(Odd));
-        let mut cache = MappingCache::default();
-        let free = FreeSet::all_free(4);
-        assert!(cache
-            .key_for(0, 0, &Topology::mesh2d(2, 2), &strategy, &free)
-            .is_none());
-        assert_eq!(cache.stats().uncacheable, 1);
     }
 }
 

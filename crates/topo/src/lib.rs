@@ -4,15 +4,15 @@
 //! *best-effort topology mapping* (ISCA'25, §4.3):
 //!
 //! * [`Topology`] — an undirected graph with per-node attributes
-//!   (heterogeneous core kinds, distance to the nearest memory interface)
-//!   and per-edge attributes (criticality costs), plus 2D-mesh builders.
+//!   (heterogeneous core kinds) and per-edge attributes (criticality
+//!   costs), plus 2D-mesh builders.
 //! * [`enumerate`] — connected induced-subgraph enumeration (Algorithm 1,
 //!   lines 20–29) with a rectangle fast-path for regular mesh requests.
 //! * [`canonical`] — canonical forms for small graphs, used to deduplicate
 //!   isomorphic candidate topologies (Algorithm 1, line 25).
 //! * [`ged`] — topology edit distance: an exact A* search for small graphs
 //!   and the Riesen–Bunke bipartite heuristic (backed by [`hungarian`]) for
-//!   larger ones, both parameterized by [`MatchCosts`].
+//!   larger ones, both charging the paper's unit edit costs.
 //! * [`mapping`] — the allocation strategies evaluated in the paper:
 //!   straightforward (zig-zag by core ID) and similar-topology (minimum
 //!   topology edit distance), with optional disconnected "fragmentation"
@@ -56,7 +56,7 @@ pub mod route;
 mod topology;
 
 pub use cache::{CacheStats, FreeSet, MappingCache, NeighborRows};
-pub use ged::{GedResult, MatchCosts, UniformCosts};
+pub use ged::GedResult;
 pub use mapping::{Mapper, Mapping, Strategy};
 pub use route::Direction;
 pub use topology::{EdgeAttr, MeshShape, NodeAttr, NodeId, NodeKind, Topology};

@@ -23,13 +23,13 @@
 //!
 //! A candidate's canonical key, its isomorphism to the request, its edit
 //! distance (`ged::ged`) and, for the best six, its 2-opt refinement
-//! (`ged::refine_mapping`, or its bitset kernel under the stock costs) are
+//! (`ged::refine_mapping`, or its bitset kernel on a default-cost chip) are
 //! pure functions of the request and the candidate's structure — its
 //! kinds and adjacency in sorted-cell order. So a search behind a
 //! [`MappingCache`] miss
 //! ([`Mapper::map_cached_with`]) computes each visited candidate's
 //! structure straight from its cells and looks all four up in the cache's
-//! score memo, building the candidate's subgraph — or, for the stock-cost
+//! score memo, building the candidate's subgraph — or, for the stock
 //! bitset kernels, its kinds and neighbour rows — only when a lookup
 //! misses: shapes an earlier search, or an earlier visit of this one,
 //! already met are not worked out again. An advisory probe searches
@@ -46,10 +46,9 @@
 use crate::cache::{FreeSet, MappingCache, ScoreMemo, SearchMemo, GED, REFINE};
 use crate::canonical::{canonical_key, find_isomorphism, CanonicalKey};
 use crate::enumerate::{self, Visit, DEFAULT_CANDIDATE_CAP};
-use crate::ged::{self, GedResult, MatchCosts, UniformCosts};
+use crate::ged::{self, GedResult};
 use crate::{NodeId, NodeKind, Result, TopoError, Topology};
 use std::cell::OnceCell;
-use std::sync::Arc;
 
 /// Which allocation algorithm a [`Strategy`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,25 +71,11 @@ pub enum StrategyKind {
 ///     .candidate_cap(5_000)
 ///     .allow_disconnected(true);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Strategy {
     kind: StrategyKind,
     candidate_cap: usize,
     allow_disconnected: bool,
-    costs: Arc<dyn MatchCosts + Send + Sync>,
-    /// Whether `costs` is still the stock [`UniformCosts`] — custom costs
-    /// make a mapping attempt uncacheable (the cache key cannot see them).
-    default_costs: bool,
-}
-
-impl std::fmt::Debug for Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Strategy")
-            .field("kind", &self.kind)
-            .field("candidate_cap", &self.candidate_cap)
-            .field("allow_disconnected", &self.allow_disconnected)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Strategy {
@@ -100,13 +85,10 @@ impl Strategy {
             kind: StrategyKind::Straightforward,
             candidate_cap: DEFAULT_CANDIDATE_CAP,
             allow_disconnected: false,
-            costs: Arc::new(UniformCosts),
-            default_costs: true,
         }
     }
 
-    /// Similar-topology (minimum edit distance) allocation with uniform
-    /// costs.
+    /// Similar-topology (minimum edit distance) allocation.
     pub fn similar_topology() -> Self {
         Strategy {
             kind: StrategyKind::SimilarTopology,
@@ -144,28 +126,16 @@ impl Strategy {
         self
     }
 
-    /// Installs custom node/edge match costs (heterogeneous nodes, critical
-    /// edges). Attempts with custom costs bypass the [`MappingCache`].
-    pub fn costs(mut self, costs: Arc<dyn MatchCosts + Send + Sync>) -> Self {
-        self.costs = costs;
-        self.default_costs = false;
-        self
-    }
-
     /// Every result-affecting knob for [`MappingCache`] keys — the kind and
-    /// disconnected mode folded into one byte, and the candidate cap whole
-    /// — or `None` when the strategy is uncacheable (custom costs).
-    pub fn cache_tag(&self) -> Option<(u8, usize)> {
-        if !self.default_costs {
-            return None;
-        }
+    /// disconnected mode folded into one byte, and the candidate cap whole.
+    pub fn cache_tag(&self) -> (u8, usize) {
         let kind = match self.kind {
             StrategyKind::Straightforward => 0u8,
             StrategyKind::SimilarTopology => 1,
             StrategyKind::ExactOnly => 2,
         };
         let tag = kind | u8::from(self.allow_disconnected) << 2;
-        Some((tag, self.candidate_cap))
+        (tag, self.candidate_cap)
     }
 }
 
@@ -205,8 +175,8 @@ pub struct Mapper<'a> {
     /// whole graph per request.
     phys_key: u64,
     /// The chip's reconfiguration generation, folded into every cache
-    /// key: hardware changes the topology fingerprint cannot see (hybrid
-    /// core scaling) bump this so stale cost-annotated strategies expire.
+    /// key: core scaling and fault transitions bump it, so entries cached
+    /// before them expire.
     generation: u64,
 }
 
@@ -232,8 +202,8 @@ impl<'a> Mapper<'a> {
 
     /// Binds the mapper to a reconfiguration generation: cached lookups
     /// from different generations never alias, so bumping the counter
-    /// after a hardware reconfig (e.g. hybrid-core scaling) invalidates
-    /// every previously memoized strategy for this chip.
+    /// after core scaling or a fault transition expires every entry
+    /// cached for this chip before it.
     pub fn at_generation(mut self, generation: u64) -> Self {
         self.generation = generation;
         self
@@ -306,12 +276,12 @@ impl<'a> Mapper<'a> {
                 connected: true,
             });
         }
-        // The memo's structures drop `mem_distance`, which only custom
-        // costs read, and edge costs, which the edit-distance kernels read.
-        let scores = strategy.default_costs && self.phys.has_default_edge_costs();
+        // The memo's structures drop edge costs, which the edit-distance
+        // kernels read.
+        let scores = self.phys.has_default_edge_costs();
         let mut memo = SearchMemo::new(memo, req, scores);
         match strategy.kind {
-            StrategyKind::Straightforward => Ok(self.straightforward(free, req, strategy)),
+            StrategyKind::Straightforward => Ok(self.straightforward(free, req)),
             StrategyKind::ExactOnly => {
                 match self.walk(free, req, strategy.candidate_cap, false, &mut memo) {
                     Walk::Exact(m) => Ok(m),
@@ -326,10 +296,8 @@ impl<'a> Mapper<'a> {
     /// returns the stored result (success *or* failure) for this exact
     /// `(physical topology, request, strategy, free-region)` tuple; a miss
     /// computes and stores it, looking candidates up in the cache's score
-    /// memo. Uncacheable strategies (custom costs) fall
-    /// through to the direct path. One cache may safely be shared by
-    /// mappers over different chips — the key carries the physical
-    /// topology's fingerprint.
+    /// memo. One cache may safely be shared by mappers over different
+    /// chips — the key carries the physical topology's fingerprint.
     ///
     /// # Errors
     ///
@@ -349,8 +317,7 @@ impl<'a> Mapper<'a> {
     /// [`MappingCache::stats`] counter moved: the path of advisory probes
     /// (fit hints, defrag remap probes), which so reuse what placements
     /// scored, and placements what they scored, while leaving nothing
-    /// stored that could go stale. Custom costs search memo-free, as in
-    /// [`Mapper::map_cached`].
+    /// stored that could go stale.
     ///
     /// # Errors
     ///
@@ -362,8 +329,7 @@ impl<'a> Mapper<'a> {
         strategy: &Strategy,
         cache: &mut MappingCache,
     ) -> Result<Mapping> {
-        let memo = strategy.cache_tag().map(|_| &mut cache.score);
-        self.search(free, req, strategy, memo)
+        self.search(free, req, strategy, Some(&mut cache.score))
     }
 
     /// [`Mapper::map_cached`] with an optional *precomputed* result to use
@@ -411,13 +377,13 @@ impl<'a> Mapper<'a> {
 
     /// First-k free nodes in ascending ID order; virtual node `i` gets the
     /// `i`-th of them (the zig-zag order of paper Figure 17/18).
-    fn straightforward(&self, free: &FreeSet, req: &Topology, strategy: &Strategy) -> Mapping {
+    fn straightforward(&self, free: &FreeSet, req: &Topology) -> Mapping {
         let chosen: Vec<NodeId> = free.nodes().into_iter().take(req.node_count()).collect();
         let (sub, _) = self.phys.induced_subgraph(&chosen);
         let identity: Vec<Option<NodeId>> = (0..req.node_count() as u32)
             .map(|i| Some(NodeId(i)))
             .collect();
-        let distance = ged::mapping_cost(req, &sub, &identity, strategy.costs.as_ref());
+        let distance = ged::mapping_cost(req, &sub, &identity);
         let connected = self.phys.is_connected_subset(&chosen);
         Mapping {
             phys_nodes: chosen,
@@ -491,8 +457,8 @@ impl<'a> Mapper<'a> {
     }
 
     /// Algorithm 1: enumerate, early-exit, dedup, score, pick the
-    /// minimum-edit-distance candidate. `stock` says the search runs the
-    /// stock costs on a chip whose edges all cost the default.
+    /// minimum-edit-distance candidate. `stock` says the chip's edges all
+    /// cost the default.
     fn similar(
         &self,
         free: &FreeSet,
@@ -508,10 +474,9 @@ impl<'a> Mapper<'a> {
         };
         // Lines 30–32: TED scoring, a candidate's subgraph or rows built
         // per memo miss. Only the best few (lowest cost, earliest first) go
-        // on to refinement, so only theirs are kept. Under the stock costs
+        // on to refinement, so only theirs are kept. On a default-cost chip
         // the bipartite scoring and the 2-opt swaps run on bitsets, the
         // request's built once here.
-        let costs = strategy.costs.as_ref();
         let stock = stock.then(|| ged::StockRefiner::new(req)).flatten();
         let mut top: Vec<(GedResult, Candidate)> = Vec::new();
         for (cells, structure) in &candidates {
@@ -521,7 +486,7 @@ impl<'a> Mapper<'a> {
                     let (kinds, rows) = candidate.rows(self.phys);
                     stock.bipartite(kinds, rows)
                 }
-                _ => ged::ged(req, candidate.sub(self.phys), costs),
+                _ => ged::ged(req, candidate.sub(self.phys)),
             });
             let rank = top.partition_point(|(r, _)| r.cost <= scored.cost);
             if rank < REFINE_TOP_CANDIDATES {
@@ -548,9 +513,7 @@ impl<'a> Mapper<'a> {
                             let (kinds, rows) = candidate.rows(self.phys);
                             stock.refine(kinds, rows, &start, 8)
                         }
-                        None => {
-                            ged::refine_mapping(req, candidate.sub(self.phys), &start, costs, 8)
-                        }
+                        None => ged::refine_mapping(req, candidate.sub(self.phys), &start, 8),
                     };
                     GedResult {
                         cost,
@@ -577,7 +540,7 @@ impl<'a> Mapper<'a> {
             // No connected candidate. Fragmentation mode falls back to
             // zig-zag over whatever is free; the caller accepts inter-core
             // conflict overheads.
-            None if strategy.allow_disconnected => Ok(self.straightforward(free, req, strategy)),
+            None if strategy.allow_disconnected => Ok(self.straightforward(free, req)),
             None => Err(TopoError::NoCandidate),
         }
     }
@@ -813,7 +776,7 @@ mod reference {
                 if strategy.allow_disconnected {
                     // Fragmentation mode: fall back to zig-zag over whatever is
                     // free; the caller accepts inter-core conflict overheads.
-                    return Ok(self.straightforward(free, req, strategy));
+                    return Ok(self.straightforward(free, req));
                 }
                 return Err(TopoError::NoCandidate);
             }
@@ -823,7 +786,7 @@ mod reference {
                 .iter()
                 .map(|cells| {
                     let (sub, _) = self.phys.induced_subgraph(cells);
-                    ged::ged(req, &sub, strategy.costs.as_ref())
+                    ged::ged(req, &sub)
                 })
                 .collect();
             let mut order: Vec<usize> = (0..results.len()).collect();
@@ -836,8 +799,7 @@ mod reference {
                     vec![complete_option_mapping(&results[i].mapping, cells.len())];
                 starts.push(self.serpentine_mapping(cells));
                 for start in starts {
-                    let (refined, cost) =
-                        ged::refine_mapping(req, &sub, &start, strategy.costs.as_ref(), 8);
+                    let (refined, cost) = ged::refine_mapping(req, &sub, &start, 8);
                     if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                         let phys_nodes = refined
                             .iter()
@@ -1006,6 +968,53 @@ mod reference {
             "an outcome was never reached: {arms:?}"
         );
     }
+
+    #[test]
+    fn requests_past_64_nodes_match_the_two_walk_reference() {
+        use crate::testing::relabeled;
+
+        // A request of more than 64 nodes has no bitset kernel, so its
+        // search scores with `ged_bipartite` and refines with
+        // `refine_mapping`: relabelled partial grids of 66-80 nodes, which
+        // have no mesh shape, on a 10x10 chip with a few cores taken.
+        let phys = Topology::mesh2d(10, 10);
+        let mapper = Mapper::new(&phys);
+        let mut rng = Rng(0x5EED_6301);
+        let mut cache = MappingCache::default();
+        // Searches that placed a connected set at a nonzero distance.
+        let mut scored = 0;
+        for case in 0..6 {
+            let n = 66 + rng.below(15) as u32;
+            let req = relabeled(&partial_grid(n, 9 + case % 2), &mut rng);
+            assert!(ged::StockRefiner::new(&req).is_none() && req.mesh_shape().is_none());
+            let mut free = FreeSet::all_free(phys.node_count());
+            for _ in 0..rng.below(100 - n as usize) {
+                free.occupy(NodeId(rng.below(100) as u32));
+            }
+            let strategy = Strategy::similar_topology()
+                .candidate_cap(1 + rng.below(12))
+                .allow_disconnected(case % 3 == 0);
+            let got = mapper.map_in(&free, &req, &strategy);
+            let context = format!("case {case}: {n}-node request, {strategy:?}");
+            assert_eq!(
+                got,
+                mapper.map_reference(&free, &req, &strategy),
+                "{context}"
+            );
+            assert_eq!(
+                mapper.map_cached(&free, &req, &strategy, &mut cache),
+                got,
+                "{context}, cached"
+            );
+            scored += usize::from(got.is_ok_and(|m| m.edit_distance() > 0 && m.is_connected()));
+        }
+        println!(
+            "large-request campaign: 6 requests of 66-80 nodes on a 10x10 chip, identical to \
+             the two-walk reference and through the placement cache; {scored} placed a \
+             connected set at a nonzero distance"
+        );
+        assert!(scored > 0, "no search scored its candidates");
+    }
 }
 
 #[cfg(test)]
@@ -1037,17 +1046,12 @@ mod tests {
         ));
     }
 
-    /// The mapper campaigns' chips as the hypervisor builds them, each
-    /// node's distance to a west-edge memory interface annotated:
-    /// translated candidates differ in `mem_distance`, which the memo's
-    /// structures drop. The 8x6 chip's east column is of another core
-    /// kind, which they keep.
+    /// The mapper campaigns' chips, the 8x6 chip's east column of another
+    /// core kind, which the memo's structures keep.
     fn annotated_physicals() -> [Topology; 4] {
         super::reference::campaign_physicals().map(|mut phys| {
             let column = |n: NodeId| phys.mesh_coord(n).map_or(n.0 % 4, |(x, _)| x);
-            let west: Vec<NodeId> = phys.nodes().filter(|&n| column(n) == 0).collect();
             let east: Vec<NodeId> = phys.nodes().filter(|&n| column(n) == 7).collect();
-            phys.annotate_mem_distance(&west);
             for n in east {
                 phys.node_attr_mut(n).kind = crate::NodeKind::MatrixOptimized;
             }
@@ -1072,19 +1076,12 @@ mod tests {
     #[test]
     fn score_memo_matches_fresh_scoring() {
         use super::reference::{random_free_set, CAMPAIGN_CAPS};
-        use crate::cache::labeled_hash;
-        use crate::ged::HeteroCosts;
         use crate::testing::Rng;
-        use std::collections::hash_map::{Entry, HashMap};
 
         let (physicals, requests) = (annotated_physicals(), annotated_requests());
 
-        // One memo for the whole campaign. Per structural key (request,
-        // candidate with `mem_distance` zeroed), the memory distances of
-        // the first candidate a scored search met under it.
+        // One memo for the whole campaign.
         let mut cache = MappingCache::default();
-        let mut first_seen: HashMap<(u64, u64), Vec<u32>> = HashMap::new();
-        let (mut joined, mut bypassed) = (0, 0);
         let mut rng = Rng(0x5EED_0032);
         for case in 0..1024 {
             let phys = &physicals[case % physicals.len()];
@@ -1099,14 +1096,9 @@ mod tests {
             }
             let req = fitting[rng.below(fitting.len())];
             let cap = CAMPAIGN_CAPS[rng.below(CAMPAIGN_CAPS.len())];
-            let mut strategy = Strategy::similar_topology()
+            let strategy = Strategy::similar_topology()
                 .candidate_cap(cap)
                 .allow_disconnected(rng.below(2) == 1);
-            let hetero = case % 4 == 3;
-            if hetero {
-                strategy = strategy.costs(Arc::new(HeteroCosts::default()));
-            }
-            let (placements, scores) = (cache.stats(), cache.score_stats());
             let got = mapper.map_cached(&free, req, &strategy, &mut cache);
             assert_eq!(
                 got,
@@ -1114,40 +1106,11 @@ mod tests {
                 "case {case}: {}-node request, {strategy:?}",
                 req.node_count()
             );
-            if hetero {
-                assert_eq!(cache.score_stats(), scores, "case {case}: custom costs");
-                bypassed += 1;
-                continue;
-            }
-            if cache.stats().misses == placements.misses || cache.score_stats()[GED] == scores[GED]
-            {
-                continue;
-            }
-            // This search scored every candidate of its walk through the
-            // memo, and the campaign stays under the table bound, so a
-            // structural key met again was a hit.
-            let unbound = &mut SearchMemo::new(None, req, false);
-            let Walk::Candidates(candidates) = mapper.walk(&free, req, cap, true, unbound) else {
-                panic!("case {case}: a search that scored found an exact match");
-            };
-            for (cells, _) in candidates {
-                let (mut sub, _) = phys.induced_subgraph(&cells);
-                let mem: Vec<u32> = (0..cells.len() as u32)
-                    .map(|i| std::mem::take(&mut sub.node_attr_mut(NodeId(i)).mem_distance))
-                    .collect();
-                match first_seen.entry((labeled_hash(req), labeled_hash(&sub))) {
-                    Entry::Occupied(seen) => joined += usize::from(*seen.get() != mem),
-                    Entry::Vacant(slot) => {
-                        slot.insert(mem);
-                    }
-                }
-            }
         }
         let [ged, refine, ..] = cache.score_stats();
         println!(
             "score-memo campaign: 1024 free sets, 0 mismatches; ged {} hits / {} misses, \
-             refine {} hits / {} misses; {joined} hits joined candidates whose \
-             mem_distance differ; {bypassed} HeteroCosts searches bypassed the memo",
+             refine {} hits / {} misses",
             ged.hits, ged.misses, refine.hits, refine.misses
         );
         let cleared = ged.evictions + refine.evictions;
@@ -1156,11 +1119,6 @@ mod tests {
             "a table was cleared, so a repeat may have missed"
         );
         assert!(ged.hits > 0 && refine.hits > 0, "a kernel never hit");
-        assert!(
-            joined > 0,
-            "no hit joined translates with different mem_distance"
-        );
-        assert!(bypassed > 0);
     }
 
     #[test]

@@ -48,16 +48,12 @@ pub enum NodeKind {
     MemoryInterface,
 }
 
-/// Per-node attributes consulted by the customizable `NodeMatch` function of
+/// Per-node attributes consulted by the `NodeMatch` function of
 /// Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeAttr {
     /// Functional kind (the paper's `abbr` attribute).
     pub kind: NodeKind,
-    /// Hop distance to the nearest memory interface. The paper's example
-    /// heterogeneous penalty is "the difference in distances to the memory
-    /// interface" between required and mapped nodes.
-    pub mem_distance: u32,
 }
 
 /// Per-edge attributes consulted by the customizable `EdgeMatch` function of
@@ -402,38 +398,6 @@ impl Topology {
         table
     }
 
-    /// Recomputes each node's `mem_distance` attribute as the BFS hop
-    /// distance to the nearest node of kind [`NodeKind::MemoryInterface`]
-    /// (or to the given explicit interface set if non-empty).
-    ///
-    /// Nodes unreachable from any interface keep `u32::MAX`.
-    pub fn annotate_mem_distance(&mut self, interfaces: &[NodeId]) {
-        let sources: Vec<NodeId> = if interfaces.is_empty() {
-            self.nodes()
-                .filter(|n| self.nodes[n.index()].kind == NodeKind::MemoryInterface)
-                .collect()
-        } else {
-            interfaces.to_vec()
-        };
-        let mut dist = vec![u32::MAX; self.node_count()];
-        let mut q = VecDeque::new();
-        for s in sources {
-            dist[s.index()] = 0;
-            q.push_back(s);
-        }
-        while let Some(u) = q.pop_front() {
-            for &v in self.neighbors(u) {
-                if dist[v.index()] == u32::MAX {
-                    dist[v.index()] = dist[u.index()] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        for (i, d) in dist.into_iter().enumerate() {
-            self.nodes[i].mem_distance = d;
-        }
-    }
-
     /// Sorted degree sequence — a cheap isomorphism invariant.
     pub fn degree_sequence(&self) -> Vec<usize> {
         let mut d: Vec<usize> = (0..self.node_count()).map(|i| self.adj[i].len()).collect();
@@ -598,15 +562,6 @@ mod tests {
         assert!(r.nodes().all(|n| r.degree(n) == 2));
         let l = Topology::line(4);
         assert_eq!(l.edge_count(), 3);
-    }
-
-    #[test]
-    fn mem_distance_annotation() {
-        let mut t = Topology::mesh2d(3, 3);
-        t.node_attr_mut(NodeId(0)).kind = NodeKind::MemoryInterface;
-        t.annotate_mem_distance(&[]);
-        assert_eq!(t.node_attr(NodeId(0)).mem_distance, 0);
-        assert_eq!(t.node_attr(NodeId(8)).mem_distance, 4);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use vnpu_mem::{prop_assert, prop_assert_eq};
 use vnpu_mem::{Perm, PhysAddr, Translate, TranslationCosts, VirtAddr};
 use vnpu_topo::cache::FreeSet;
 use vnpu_topo::mapping::{Mapper, Strategy};
-use vnpu_topo::{canonical, enumerate, ged, NodeId, Topology, UniformCosts};
+use vnpu_topo::{canonical, enumerate, ged, NodeId, Topology};
 
 /// Buddy allocations never overlap and frees fully coalesce.
 #[test]
@@ -192,13 +192,13 @@ fn ged_axioms() {
             };
             let a = build(edges_a);
             let b = build(edges_b);
-            let exact = ged::ged_exact(&a, &b, &UniformCosts);
-            let approx = ged::ged_bipartite(&a, &b, &UniformCosts);
+            let exact = ged::ged_exact(&a, &b);
+            let approx = ged::ged_bipartite(&a, &b);
             prop_assert!(approx.cost >= exact.cost);
             let iso = canonical::are_isomorphic(&a, &b);
             prop_assert_eq!(exact.cost == 0, iso, "GED=0 iff isomorphic");
             // Symmetry for uniform costs.
-            let rev = ged::ged_exact(&b, &a, &UniformCosts);
+            let rev = ged::ged_exact(&b, &a);
             prop_assert_eq!(exact.cost, rev.cost);
             Ok(())
         },

@@ -69,18 +69,18 @@ pub const EXACT_GED_LIMIT: usize = 8;
 /// addition overflows.
 pub const EDGE_COST_BOUND: u64 = 1 << 48;
 
-/// The paper's unit edit costs (Algorithm 1's `NodeMatch` / `EdgeMatch`),
-/// which every kernel here charges: substituting a node costs 1 when the
-/// kinds differ, inserting or deleting one costs 1, inserting or deleting
-/// an edge costs the edge's `cost` ("different edges are assigned varying
-/// penalty values based on their importance"), and a substituted edge is
-/// free. This reproduces the paper's Figure 9 example (two edge deletions
-/// + one edge insertion + one node substitution = distance 4).
+/// Algorithm 1's `NodeMatch` under the unit costs (see the module doc):
+/// 1 when the kinds differ. With the edge terms it reproduces the paper's
+/// Figure 9 example (two edge deletions + one edge insertion + one node
+/// substitution = distance 4).
 fn node_substitute(a: &NodeAttr, b: &NodeAttr) -> u64 {
     u64::from(a.kind != b.kind)
 }
 
-/// An edge term: `a` the requested edge, `b` its image in the candidate.
+/// Algorithm 1's `EdgeMatch` under the unit costs, for the requested edge
+/// `a` and its image `b` in the candidate: a deleted or inserted edge costs
+/// its `cost` ("different edges are assigned varying penalty values based
+/// on their importance"), a substituted one nothing.
 fn edge_term(a: Option<EdgeAttr>, b: Option<EdgeAttr>) -> u64 {
     match (a, b) {
         (Some(_), Some(_)) | (None, None) => 0,
@@ -213,7 +213,7 @@ pub fn ged_exact(g1: &Topology, g2: &Topology) -> GedResult {
             g += a.cost;
         }
         // Edges from u to not-yet-decided g1 nodes will be charged when those
-        // nodes are decided (mapping against DELETED yields edge_delete).
+        // nodes are decided (mapping against DELETED prices a deletion).
         if g < best {
             heap.push(State {
                 g,

@@ -1443,6 +1443,30 @@ mod tests {
     }
 
     #[test]
+    fn oversized_requests_are_an_error_before_any_search() {
+        // A 193-node request on an idle 14x14 chip fits its free cores,
+        // but the edit-distance kernels take at most 192 nodes: the search
+        // refuses it at entry, and the chip is untouched.
+        let mut h = Hypervisor::new(SocConfig {
+            mesh_width: 14,
+            mesh_height: 14,
+            ..SocConfig::sim()
+        });
+        let before = h.state_digest();
+        assert_eq!(
+            h.create_vnpu(VnpuRequest::custom(Topology::line(193))),
+            Err(VnpuError::Mapping(vnpu_topo::TopoError::RequestTooLarge {
+                nodes: 193
+            }))
+        );
+        assert_eq!(
+            h.state_digest(),
+            before,
+            "a refused request changes nothing"
+        );
+    }
+
+    #[test]
     fn plan_and_commit_agree_on_an_over_released_tenant() {
         // Regression: the planner searched first and checked ownership
         // only when the tenant moved, so a stay-put Remap of a tenant with

@@ -44,8 +44,9 @@
 //! * [`CLASS`] — `canonical::canonical_key(sub)`, the walk's dedup key;
 //! * [`ISO`] — `canonical::find_isomorphism(req, sub)`, the exact-match
 //!   check of the rectangle fast path and of the walk;
-//! * [`GED`] — `ged::ged(req, sub)`;
-//! * [`REFINE`] — `ged::refine_mapping(req, sub, start, 8)`.
+//! * [`GED`] — the edit distance from `req` to `sub`: `ged::ged_exact`
+//!   up to 8 nodes, `ged::StockRefiner::bipartite` above;
+//! * [`REFINE`] — `ged::StockRefiner::refine` of `start`, 8 passes.
 //!
 //! They are keyed by the candidate's **structure**: a `u128` of its node
 //! kinds and upper-triangle adjacency in sorted-cell order, under a
@@ -57,11 +58,9 @@
 //! reads a graph's node count, kinds, degrees and adjacency, and
 //! `find_isomorphism` its kinds, degrees and edge presence (and, of the
 //! request, its interned id) — all of them fixed by the structure. The
-//! edit-distance tables also depend on edge costs: they serve only chips
-//! whose edges all cost the default, since the unit edit costs read a
-//! node's `kind` and an edge's `cost` and nothing else. The request is
-//! interned by its node count, kinds and edges with costs, compared for
-//! equality.
+//! edit-distance kernels read a candidate's kinds and edges and never its
+//! edge costs, so the tables serve every chip. The request is interned by
+//! its node count, kinds and edges with costs, compared for equality.
 //!
 //! The hashed tables (`ISO`, `GED`, `REFINE`: 32 B an entry) are bounded
 //! and cleared whole when full. The class table sees a lookup per visited
@@ -537,9 +536,10 @@ const CLASS_SLOTS: [usize; 2] = [512, 4_096];
 /// Slots per set of the class table, most recently used first.
 const CLASS_WAYS: usize = 4;
 
-/// The score-memo table of `ged::ged(req, sub)`.
+/// The score-memo table of a candidate's edit distance (`ged::ged_exact`
+/// or `ged::StockRefiner::bipartite`).
 pub const GED: usize = 0;
-/// The score-memo table of `ged::refine_mapping(req, sub, start, 8)`.
+/// The score-memo table of `ged::StockRefiner::refine(.., start, 8)`.
 pub const REFINE: usize = 1;
 /// The score-memo table of `canonical::find_isomorphism(req, sub)`.
 pub const ISO: usize = 2;
@@ -570,15 +570,12 @@ pub(crate) struct SearchMemo<'a> {
     memo: Option<(&'a mut ScoreMemo, u32)>,
     /// The request's node count, which every candidate shares (R-1).
     n: usize,
-    /// Whether the [`GED`] and [`REFINE`] tables serve this search: a chip
-    /// whose edges all cost the default.
-    scores: bool,
 }
 
 impl<'a> SearchMemo<'a> {
     /// Binds `memo` to a search for `req`, interning the request; unbound
     /// without a memo or when `req` is too large for a structure.
-    pub(crate) fn new(memo: Option<&'a mut ScoreMemo>, req: &Topology, scores: bool) -> Self {
+    pub(crate) fn new(memo: Option<&'a mut ScoreMemo>, req: &Topology) -> Self {
         let n = req.node_count();
         let memo = memo.filter(|_| n <= STRUCTURE_MAX_NODES).map(|memo| {
             let mut key = vec![n as u64];
@@ -596,7 +593,7 @@ impl<'a> SearchMemo<'a> {
             let id = *memo.requests.entry(key).or_insert(next);
             (memo, id)
         });
-        SearchMemo { memo, n, scores }
+        SearchMemo { memo, n }
     }
 
     /// The structure of the candidate on `cells` (sorted) of `phys`, or
@@ -684,7 +681,7 @@ impl<'a> SearchMemo<'a> {
         start: &[Option<NodeId>],
         kernel: impl FnOnce() -> GedResult,
     ) -> GedResult {
-        let (n, structure) = (self.n, structure.filter(|_| self.scores));
+        let n = self.n;
         let encode = |r: &GedResult| {
             let mapping = pack(r.mapping.iter().copied());
             (r.cost < 1 << 15).then(|| mapping | u64::from(r.exact) << 48 | r.cost << 49)

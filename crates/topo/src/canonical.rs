@@ -224,13 +224,6 @@ impl CodeSearch<'_> {
     }
 }
 
-/// Verifies isomorphism between two topologies (exact for any size, but
-/// exponential in the worst case; intended for candidate verification after
-/// a canonical-key match).
-pub fn are_isomorphic(a: &Topology, b: &Topology) -> bool {
-    find_isomorphism(a, b).is_some()
-}
-
 /// Finds an isomorphism `a → b` (respecting node kinds), returning for each
 /// `a`-node the matching `b`-node, or `None` if the graphs are not
 /// isomorphic.
@@ -368,7 +361,7 @@ mod reference {
     //! these induce.
 
     use super::*;
-    use crate::testing::{connected_subset, relabeled, sprinkle_kinds, Rng};
+    use crate::testing::{are_isomorphic, connected_subset, relabeled, sprinkle_kinds, Rng};
 
     /// `(nodes, edges, code)` of the replaced `CanonicalKey`.
     fn canonical_key(t: &Topology) -> (usize, usize, u64) {
@@ -538,6 +531,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::are_isomorphic;
     use crate::Topology;
 
     #[test]

@@ -5,61 +5,61 @@
 //! insertion, deletion, substitution — needed to transform the candidate
 //! into the requested topology. Every kernel here charges the paper's unit
 //! costs: a node substitution costs 1 when the kinds differ, a node
-//! insertion or deletion 1, an edge insertion or deletion the edge's
-//! `cost` (critical edges cost more), and a substituted edge nothing.
+//! insertion or deletion 1, a requested edge's deletion its `cost`
+//! (critical edges cost more), a candidate edge's insertion 1, and a
+//! substituted edge nothing. The paper weighs the *requested* edges by
+//! their importance; a physical link has none, so a candidate's edge costs
+//! are never read.
 //!
 //! Determining the exact minimum is NP-hard; like the references the paper
-//! cites ([51, 60, 61] — Riesen & Bunke), we provide:
+//! cites ([51, 60, 61] — Riesen & Bunke), a mapper search scores with:
 //!
-//! * [`ged_exact`] — an exact A\* search, practical up to
+//! * [`ged_exact`] — an exact A\* search, for candidates of at most
 //!   [`EXACT_GED_LIMIT`] nodes;
-//! * [`ged_bipartite`] — the bipartite (Hungarian-assignment) heuristic,
-//!   which returns the cost of a *valid but possibly suboptimal* edit path,
-//!   i.e. an upper bound on the true distance;
-//! * [`ged`] — dispatches between the two on graph size.
+//! * `StockRefiner::bipartite` — the bipartite (Hungarian-assignment)
+//!   heuristic for larger ones, which returns the cost of a *valid but
+//!   possibly suboptimal* edit path, i.e. an upper bound on the true
+//!   distance;
+//! * `StockRefiner::refine` — 2-opt swap refinement of a mapping.
 //!
-//! These run once per candidate of a mapper search (and a 2-opt
-//! refinement a dozen times on top), all asking `edge_attr` of the same
-//! two graphs in a loop, so each call builds the two dense `n × n` tables
-//! of `Topology::edge_table` once and reads them from then on. Beyond
-//! those it allocates what it returns plus, per call, the A\* heap
-//! (whose states are `Copy` values, not owners of vectors) or the flat
-//! assignment matrix. A mapper search on a chip whose edges all cost the
-//! default (every served request's case) scores and refines with
-//! `StockRefiner`, which reads a candidate as each node's kind and its
-//! neighbours, one bit each, computed from the candidate's cells: it
-//! builds the bipartite cost matrix from popcounts and prices an edit
-//! path, or a 2-opt swap, in a few word operations, and no subgraph is
-//! built. Requests of more than 64 nodes, and chips with weighted edges,
-//! take [`ged_bipartite`] and [`refine_mapping`], which price a swap in
-//! place from the O(n) terms it touches.
-//! **Why results cannot move:** the tables answer exactly what the edge
-//! map answered. The A\* pushes the same states in the same order, and
-//! the heap's order is a function of `g` and `depth` alone, so it pops in
-//! the same order and returns the same optimum *and* the same mapping.
-//! The bitset bipartite fills the same matrix — on a default-cost candidate
-//! a node's degree is its row's popcount and its insertion costs 1 per edge
-//! — so the solver takes the same steps to the same assignment, and the
-//! edit path is priced by the same sum. The solver's `i64` potentials
-//! stay far from overflow on these matrices (see [`hungarian::solve`]), so
-//! they compare exactly as `i128` ones did. The 2-opt loops visit the
-//! same swaps in the same order and accept on the same strict `<` of the
-//! same integer — the difference of the touched terms is the difference
-//! of the full sums, and on a default-cost candidate each node's touched pair
-//! terms are the costs of its request edges missing from the pulled-back
-//! image row plus the popcount of the image edges missing from its
-//! request row, the same sum over the bitsets' differences. The test-only
-//! `reference` modules keep the replaced kernels and solver and hold these
-//! to identical results under the unit costs, and hold `StockRefiner` to
-//! [`ged_bipartite`] and [`refine_mapping`].
+//! The A\* reads the request's dense `n × n` edge table and the
+//! candidate's edges, one bit each, built once a call; its states are
+//! `Copy` values, not owners of vectors. `StockRefiner` is built once per
+//! search from the request — each node's kind, its neighbours as a row of
+//! `W` words and its edge costs — and reads a candidate as each node's
+//! kind and its neighbour row, computed from the candidate's cells, so no
+//! subgraph is built: it fills the bipartite cost matrix from popcounts
+//! and prices an edit path, or a 2-opt swap, in a few word operations. A
+//! search runs it at `W = 1` for requests of at most 64 nodes and at
+//! `W = 3` up to [`MAX_REQUEST_NODES`], and refuses larger requests.
+//!
+//! The test-only `reference` module keeps the kernels these replaced: the
+//! A\* whose states own `Vec`s and ask the edge map, the bipartite
+//! heuristic over the two graphs, the edge-walking pricer and the 2-opt
+//! loop that re-prices the whole mapping for every swap. The campaigns
+//! hold the kernels to them — mappings included, not only costs — running
+//! the references, which read a candidate edge's `cost` as the replaced
+//! kernels did, on a weighted candidate's unit-cost twin. The bitset
+//! bipartite fills the reference's matrix — a candidate node's degree is
+//! its row's popcount and its insertion costs 1 per edge — so the solver
+//! takes the same steps to the same assignment. The solver's `i64`
+//! potentials stay far from overflow on these matrices (see
+//! [`hungarian::solve`]). The 2-opt loops visit the same swaps in the same
+//! order and accept on the same strict `<` of the same integer: the
+//! difference of the touched terms is the difference of the full sums.
 
 use crate::hungarian;
 use crate::{EdgeAttr, NodeAttr, NodeId, NodeKind, Topology};
 use std::collections::BinaryHeap;
 
-/// Largest graph size (max of the two node counts) for which [`ged`] runs
-/// the exact A\* search.
+/// Largest candidate (max of the two node counts) [`ged_exact`] takes; a
+/// mapper search scores larger ones with the bipartite heuristic.
 pub const EXACT_GED_LIMIT: usize = 8;
+
+/// Largest request a mapper search takes
+/// ([`crate::TopoError::RequestTooLarge`] above it): a `StockRefiner` row
+/// of three words.
+pub const MAX_REQUEST_NODES: usize = 3 * 64;
 
 /// Largest sum of a request's edge costs a mapper search takes on
 /// ([`crate::TopoError::EdgeCostsTooLarge`] above it). Every sum the
@@ -78,21 +78,23 @@ fn node_substitute(a: &NodeAttr, b: &NodeAttr) -> u64 {
 }
 
 /// Algorithm 1's `EdgeMatch` under the unit costs, for the requested edge
-/// `a` and its image `b` in the candidate: a deleted or inserted edge costs
-/// its `cost` ("different edges are assigned varying penalty values based
-/// on their importance"), a substituted one nothing.
-fn edge_term(a: Option<EdgeAttr>, b: Option<EdgeAttr>) -> u64 {
-    match (a, b) {
-        (Some(_), Some(_)) | (None, None) => 0,
-        (Some(e), None) | (None, Some(e)) => e.cost,
+/// `a` and whether its image is a candidate edge: a deleted requested edge
+/// costs its `cost` ("different edges are assigned varying penalty values
+/// based on their importance"), an inserted candidate edge 1, a
+/// substituted one nothing.
+fn edge_term(a: Option<EdgeAttr>, image: bool) -> u64 {
+    match (a, image) {
+        (Some(e), false) => e.cost,
+        (None, true) => 1,
+        _ => 0,
     }
 }
 
 /// Result of a graph-edit-distance computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GedResult {
-    /// Total edit cost (exact for [`ged_exact`], an upper bound for
-    /// [`ged_bipartite`]).
+    /// Total edit cost (exact for [`ged_exact`], an upper bound for the
+    /// bipartite heuristic).
     pub cost: u64,
     /// For each node of the first ("requested") topology, the candidate
     /// node it was substituted with, or `None` if deleted.
@@ -101,18 +103,8 @@ pub struct GedResult {
     pub exact: bool,
 }
 
-/// Computes the edit distance from `g1` (requested topology) to `g2`
-/// (candidate), choosing the exact algorithm for small graphs and the
-/// bipartite heuristic otherwise.
-pub fn ged(g1: &Topology, g2: &Topology) -> GedResult {
-    if g1.node_count().max(g2.node_count()) <= EXACT_GED_LIMIT {
-        ged_exact(g1, g2)
-    } else {
-        ged_bipartite(g1, g2)
-    }
-}
-
-/// Exact graph edit distance via A\* over partial node mappings.
+/// Exact graph edit distance from `g1` (requested topology) to `g2`
+/// (candidate) via A\* over partial node mappings.
 ///
 /// Nodes of `g1` are decided in index order; each is either substituted
 /// with an unused `g2` node or deleted. Once all `g1` nodes are decided,
@@ -123,7 +115,7 @@ pub fn ged(g1: &Topology, g2: &Topology) -> GedResult {
 /// # Panics
 ///
 /// Panics if either graph has more than [`EXACT_GED_LIMIT`] nodes: a
-/// search state is a fixed-size value (use [`ged`], which dispatches).
+/// search state is a fixed-size value.
 pub fn ged_exact(g1: &Topology, g2: &Topology) -> GedResult {
     #[derive(Clone, Copy, PartialEq, Eq)]
     struct State {
@@ -157,7 +149,18 @@ pub fn ged_exact(g1: &Topology, g2: &Topology) -> GedResult {
         "exact edit distance is limited to {EXACT_GED_LIMIT} nodes"
     );
     let e1 = g1.edge_table();
-    let e2 = g2.edge_table();
+    // The candidate's neighbours, one bit each: its edge costs are not read.
+    let mut rows = [0u8; EXACT_GED_LIMIT];
+    for (a, b) in g2.edges() {
+        rows[a.index()] |= 1 << b.index();
+        rows[b.index()] |= 1 << a.index();
+    }
+    // The edges with both ends in `set`.
+    let edges_within = |set: u8| -> u32 {
+        let ends = (0..n2).filter(|&a| set >> a & 1 == 1);
+        ends.map(|a| (rows[a] & set).count_ones()).sum::<u32>() / 2
+    };
+    let edges = edges_within(u8::MAX);
 
     let mut heap: BinaryHeap<State> = BinaryHeap::new();
     heap.push(State {
@@ -173,10 +176,10 @@ pub fn ged_exact(g1: &Topology, g2: &Topology) -> GedResult {
         if state.g >= best {
             continue;
         }
-        let is_used = |j: usize| state.used >> j & 1 == 1;
         if state.depth == n1 {
             // Close the path: insert all unused g2 nodes + their edges.
-            let total = state.g + insert_rest(&e2, n2, is_used);
+            let unused = n2 as u32 - state.used.count_ones();
+            let total = state.g + u64::from(unused + edges - edges_within(state.used));
             if total < best {
                 best = total;
                 best_mapping = state.mapping;
@@ -186,13 +189,13 @@ pub fn ged_exact(g1: &Topology, g2: &Topology) -> GedResult {
         let u = state.depth;
         let u_id = NodeId(u as u32);
         // Option A: substitute u with any unused j.
-        for j in (0..n2).filter(|&j| !is_used(j)) {
+        for j in (0..n2).filter(|&j| state.used >> j & 1 == 0) {
             let mut g =
                 state.g + node_substitute(g1.node_attr(u_id), g2.node_attr(NodeId(j as u32)));
             // Edge costs against previously decided g1 nodes.
             for w in 0..u {
                 let m = state.mapping[w];
-                let image = (m != DELETED).then(|| e2[j * n2 + m as usize]).flatten();
+                let image = m != DELETED && rows[j] >> m & 1 == 1;
                 g += edge_term(e1[u * n1 + w], image);
             }
             if g >= best {
@@ -234,322 +237,165 @@ pub fn ged_exact(g1: &Topology, g2: &Topology) -> GedResult {
     }
 }
 
-/// Bipartite (Riesen–Bunke) heuristic: solve a node-assignment problem with
-/// local edge-structure estimates, then return the *exact* cost of the edit
-/// path induced by that assignment (an upper bound on the true GED).
-pub fn ged_bipartite(g1: &Topology, g2: &Topology) -> GedResult {
-    let n1 = g1.node_count();
-    let n2 = g2.node_count();
-    let n = n1 + n2;
-    if n == 0 {
-        return GedResult {
-            cost: 0,
-            mapping: Vec::new(),
-            exact: true,
-        };
-    }
-    let pricer = Pricer::new(g1, g2);
-    let mut cost = vec![hungarian::INF; n * n];
-    for i in 0..n1 {
-        let i_id = NodeId(i as u32);
-        let row = &mut cost[i * n..(i + 1) * n];
-        for (j, cell) in row.iter_mut().enumerate().take(n2) {
-            let j_id = NodeId(j as u32);
-            let sub = node_substitute(g1.node_attr(i_id), g2.node_attr(j_id));
-            // Local edge estimate: degree difference priced at the cheaper of
-            // insert/delete over incident edges.
-            let d1 = g1.degree(i_id) as u64;
-            let d2 = g2.degree(j_id) as u64;
-            let edge_est = d1.abs_diff(d2);
-            *cell = sub + edge_est;
-        }
-        // Deletion of i: node + incident edges.
-        let edges = pricer.e1[i * n1..(i + 1) * n1].iter().flatten();
-        row[n2 + i] = 1 + edges.map(|e| e.cost).sum::<u64>();
-    }
-    for j in 0..n2 {
-        let row = &mut cost[(n1 + j) * n..(n1 + j + 1) * n];
-        let edges = pricer.e2[j * n2..(j + 1) * n2].iter().flatten();
-        row[j] = 1 + edges.map(|e| e.cost).sum::<u64>();
-        // Dummy-to-dummy cells are free.
-        row[n2..].fill(0);
-    }
-    let (assign, _) = hungarian::solve(n, &cost);
-    let mapping: Vec<Option<NodeId>> = assign[..n1]
-        .iter()
-        .map(|&col| (col < n2).then_some(NodeId(col as u32)))
-        .collect();
-    GedResult {
-        cost: pricer.total(&mapping),
-        mapping,
-        exact: false,
-    }
+/// A set of a graph's nodes, one bit each, in `W` words.
+pub(crate) type Row<const W: usize> = [u64; W];
+
+/// Every `P[p]` of a mapping (see [`StockRefiner`]), 64 rows a block.
+type Pulled<const W: usize> = [[Row<W>; 64]; W];
+
+/// Whether `row` holds node `i`.
+fn has<const W: usize>(row: &Row<W>, i: usize) -> bool {
+    row[i / 64] >> (i % 64) & 1 == 1
 }
 
-/// Exact edit cost of a *given* node mapping (`None` = deletion; `g2` nodes
-/// absent from the image are insertions). Useful both to finalize the
-/// bipartite heuristic and to audit any mapping.
-pub fn mapping_cost(g1: &Topology, g2: &Topology, mapping: &[Option<NodeId>]) -> u64 {
-    Pricer::new(g1, g2).total(mapping)
+/// Adds node `i` to `row`.
+pub(crate) fn insert<const W: usize>(row: &mut Row<W>, i: usize) {
+    row[i / 64] |= 1 << (i % 64);
 }
 
-/// Prices node mappings `g1 → g2` against dense edge tables built once:
-/// [`mapping_cost`] is one [`Pricer::total`], the bipartite heuristic
-/// reads its rows, and [`refine_mapping`] re-prices only the terms a swap
-/// touches. An edit path's cost is a sum of per-node terms
-/// ([`Pricer::node`]), per-pair terms over `g1`'s node pairs
-/// ([`Pricer::pair`]) and the insertion of whatever part of `g2` the
-/// mapping's image leaves out.
-struct Pricer<'a> {
-    g1: &'a Topology,
-    g2: &'a Topology,
-    e1: Vec<Option<EdgeAttr>>,
-    e2: Vec<Option<EdgeAttr>>,
+/// How many nodes `row` holds.
+fn ones<const W: usize>(row: &Row<W>) -> u32 {
+    row.iter().map(|word| word.count_ones()).sum()
 }
 
-impl<'a> Pricer<'a> {
-    fn new(g1: &'a Topology, g2: &'a Topology) -> Self {
-        Pricer {
-            g1,
-            g2,
-            e1: g1.edge_table(),
-            e2: g2.edge_table(),
-        }
-    }
-
-    /// Substitution or deletion of `g1` node `i`.
-    fn node(&self, mapping: &[Option<NodeId>], i: usize) -> u64 {
-        mapping[i].map_or(1, |j| {
-            node_substitute(self.g1.node_attr(NodeId(i as u32)), self.g2.node_attr(j))
-        })
-    }
-
-    /// The edge term of `g1` nodes `p != q`: a requested edge is
-    /// substituted if its image edge exists, else deleted; an image edge
-    /// with no requested edge behind it is an insertion.
-    fn pair(&self, mapping: &[Option<NodeId>], p: usize, q: usize) -> u64 {
-        let image = match (mapping[p], mapping[q]) {
-            (Some(mp), Some(mq)) => self.e2[mp.index() * self.g2.node_count() + mq.index()],
-            _ => None,
-        };
-        edge_term(self.e1[p * self.g1.node_count() + q], image)
-    }
-
-    /// Exact cost of the edit path `mapping` induces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mapping` does not give every `g1` node an entry or uses
-    /// a `g2` node twice.
-    fn total(&self, mapping: &[Option<NodeId>]) -> u64 {
-        let (n1, n2) = (self.g1.node_count(), self.g2.node_count());
-        assert_eq!(mapping.len(), n1, "mapping length mismatch");
-        let mut used = vec![false; n2];
-        for j in mapping.iter().flatten() {
-            assert!(!used[j.index()], "mapping must be injective");
-            used[j.index()] = true;
-        }
-        let mut total = 0u64;
-        for p in 0..n1 {
-            total += self.node(mapping, p);
-            total += (p + 1..n1).map(|q| self.pair(mapping, p, q)).sum::<u64>();
-        }
-        // Candidate edges inside the image are pair terms above.
-        total + insert_rest(&self.e2, n2, |j| used[j])
-    }
+/// The nodes after `p`.
+fn after<const W: usize>(p: usize) -> Row<W> {
+    std::array::from_fn(|k| match p.checked_sub(64 * k) {
+        None => u64::MAX,
+        Some(r) if r < 64 => u64::MAX << r << 1,
+        Some(_) => 0,
+    })
 }
 
-/// Cost of inserting the part of `g2` that a mapping's image leaves out:
-/// every one of its `n2` nodes `is_used` rejects and every edge (of its
-/// dense table `e2`) with such an endpoint.
-fn insert_rest(e2: &[Option<EdgeAttr>], n2: usize, is_used: impl Fn(usize) -> bool) -> u64 {
-    let mut total = 0;
-    for a in 0..n2 {
-        total += u64::from(!is_used(a));
-        for b in (a + 1..n2).filter(|&b| !(is_used(a) && is_used(b))) {
-            if let Some(e) = e2[a * n2 + b] {
-                total += e.cost;
-            }
-        }
-    }
-    total
-}
-
-/// Refines a total node mapping by 2-opt swap hill climbing: repeatedly
-/// swap two virtual nodes' images when that lowers the exact
-/// [`mapping_cost`], until a fixed point or `max_passes`. This is the
-/// standard post-processing for bipartite-GED assignments (whose local
-/// node costs ignore global edge structure) and is what untangles a
-/// pipeline chain into a snake through the candidate region.
+/// The bipartite heuristic and the 2-opt refinement, for a request of at
+/// most `64 * W` nodes, over adjacency bitsets. Built once per request
+/// (one per search); a candidate comes as each node's kind and its
+/// neighbours, one bit each (`rows`), so neither kernel builds a subgraph.
 ///
-/// A swap of the images of `i` and `j` leaves the image set alone, so it
-/// moves only the node terms of `i` and `j` and their pair terms with
-/// every other node: each swap is priced by that O(n) difference.
-///
-/// A mapper search runs this only for requests of more than 64 nodes and
-/// on chips with weighted edges; otherwise it runs `StockRefiner`, which
-/// returns the same result and which this is the oracle of.
-///
-/// Returns the refined mapping and its cost.
-pub fn refine_mapping(
-    g1: &Topology,
-    g2: &Topology,
-    mapping: &[Option<NodeId>],
-    max_passes: usize,
-) -> (Vec<Option<NodeId>>, u64) {
-    let pricer = Pricer::new(g1, g2);
-    let mut best = mapping.to_vec();
-    let mut best_cost = pricer.total(&best);
-    let n = best.len();
-    let touching = |m: &[Option<NodeId>], i: usize, j: usize| {
-        let others = (0..n).filter(|&q| q != i && q != j);
-        pricer.node(m, i)
-            + pricer.node(m, j)
-            + others
-                .map(|q| pricer.pair(m, i, q) + pricer.pair(m, j, q))
-                .sum::<u64>()
-    };
-    for _ in 0..max_passes {
-        let mut improved = false;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let before = touching(&best, i, j);
-                best.swap(i, j);
-                let c = best_cost - before + touching(&best, i, j);
-                if c < best_cost {
-                    best_cost = c;
-                    improved = true;
-                } else {
-                    best.swap(i, j);
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (best, best_cost)
-}
-
-/// The stock kernels — [`ged_bipartite`] and [`refine_mapping`] on a
-/// candidate whose edges all cost the default — for a request of at most
-/// 64 nodes, over adjacency bitsets. Built once per request (one per
-/// search); a candidate comes as each node's kind and its neighbours, one
-/// bit each (`rows`), so neither kernel builds a subgraph.
-///
-/// There a request edge missing from the image costs its own cost, an
-/// image edge with no request edge behind it costs 1, a substituted edge
-/// 0, and a node `kind != kind`, or 1 when deleted. So
-/// with the pulled-back row `P[p]` — the virtual nodes whose images
-/// neighbour `p`'s — the pair terms of `p` over a set of other nodes are
-/// the costs over `adj[p] & !P[p]` plus the popcount of `P[p] & !adj[p]`
-/// within that set; after a swap of `i` and `j`, `i` is priced against
-/// `P[j]` and `j` against `P[i]`.
-pub(crate) struct StockRefiner {
-    /// Each virtual node's neighbours, one bit each.
-    adj: Vec<u64>,
+/// A request edge missing from the image costs its own cost, an image edge
+/// with no request edge behind it 1, a substituted edge 0, and a node
+/// `kind != kind`, or 1 when deleted. So with the pulled-back row `P[p]` —
+/// the virtual nodes whose images neighbour `p`'s — the pair terms of `p`
+/// over a set of other nodes are the costs over `adj[p] & !P[p]` plus the
+/// popcount of `P[p] & !adj[p]` within that set; after a swap of `i` and
+/// `j`, `i` is priced against `P[j]` and `j` against `P[i]`.
+pub(crate) struct StockRefiner<const W: usize> {
+    /// Each virtual node's neighbours.
+    adj: Vec<Row<W>>,
     /// The request's edge costs, row-major `n × n`, 0 off its edges.
     cost: Vec<u64>,
     kinds: Vec<NodeKind>,
 }
 
-impl StockRefiner {
-    /// The request-side tables of `g1`, or `None` past 64 nodes.
-    pub(crate) fn new(g1: &Topology) -> Option<Self> {
+impl<const W: usize> StockRefiner<W> {
+    /// The request-side tables of `g1`.
+    ///
+    /// # Panics
+    ///
+    /// Past `64 * W` nodes.
+    pub(crate) fn new(g1: &Topology) -> Self {
         let n = g1.node_count();
-        if n > u64::BITS as usize {
-            return None;
-        }
-        let (mut adj, mut cost) = (vec![0u64; n], vec![0; n * n]);
+        assert!(n <= 64 * W, "a request row is {W} words");
+        let (mut adj, mut cost) = (vec![[0; W]; n], vec![0; n * n]);
         for (a, b) in g1.edges() {
             let c = g1.edge_attr(a, b).unwrap_or_default().cost;
             let (a, b) = (a.index(), b.index());
-            adj[a] |= 1 << b;
-            adj[b] |= 1 << a;
+            insert(&mut adj[a], b);
+            insert(&mut adj[b], a);
             cost[a * n + b] = c;
             cost[b * n + a] = c;
         }
         let kinds = g1.nodes().map(|v| g1.node_attr(v).kind).collect();
-        Some(StockRefiner { adj, cost, kinds })
+        StockRefiner { adj, cost, kinds }
     }
 
     /// The node term of virtual node `p` with image `m` among the
     /// candidate's `kinds`, plus its pair terms against the pulled-back
     /// row `row` over the nodes in `within`.
-    fn terms(&self, kinds: &[NodeKind], p: usize, m: Option<NodeId>, row: u64, within: u64) -> u64 {
+    fn terms(
+        &self,
+        kinds: &[NodeKind],
+        p: usize,
+        m: Option<NodeId>,
+        row: &Row<W>,
+        within: &Row<W>,
+    ) -> u64 {
         let node = m.map_or(1, |a| u64::from(self.kinds[p] != kinds[a.index()]));
-        let n = self.kinds.len();
-        let deleted: u64 = bits(self.adj[p] & !row & within)
-            .map(|q| self.cost[p * n + q])
-            .sum();
-        node + deleted + u64::from((row & !self.adj[p] & within).count_ones())
+        let (n, adj) = (self.kinds.len(), &self.adj[p]);
+        let missing: Row<W> = std::array::from_fn(|k| adj[k] & !row[k] & within[k]);
+        let extra: Row<W> = std::array::from_fn(|k| row[k] & !adj[k] & within[k]);
+        let deleted: u64 = bits(missing).map(|q| self.cost[p * n + q]).sum();
+        node + deleted + u64::from(ones(&extra))
     }
 
     /// `P[p]` under `mapping` on a candidate of neighbour rows `rows`.
-    fn pulled(rows: &[u64], mapping: &[Option<NodeId>], p: usize) -> u64 {
-        let near = mapping[p].map_or(0, |a| rows[a.index()]);
-        let images = mapping.iter().enumerate();
-        images
-            .filter(|(_, m)| m.is_some_and(|b| near >> b.index() & 1 == 1))
-            .fold(0, |row, (q, _)| row | 1 << q)
+    fn pulled(rows: &[Row<W>], mapping: &[Option<NodeId>], p: usize) -> Row<W> {
+        let near = mapping[p].map_or([0; W], |a| rows[a.index()]);
+        let mut row = [0; W];
+        for (q, m) in mapping.iter().enumerate() {
+            if m.is_some_and(|b| has(&near, b.index())) {
+                insert(&mut row, q);
+            }
+        }
+        row
     }
 
-    /// Every `P[p]`, and the exact cost of the edit path `mapping` induces
-    /// — [`mapping_cost`]: node and pair terms, each
-    /// pair once, then the insertion of the candidate nodes and edges the
-    /// image leaves out.
+    /// Every `P[p]`, and the exact cost of the edit path `mapping` induces:
+    /// node and pair terms, each pair once, then the insertion of the
+    /// candidate nodes and edges the image leaves out.
     ///
     /// # Panics
     ///
-    /// As [`mapping_cost`] does, and past 64 candidate nodes.
-    fn price(
+    /// Panics if `mapping` does not give every request node an entry or
+    /// uses a candidate node twice, and past `64 * W` candidate nodes.
+    pub(crate) fn price(
         &self,
         kinds: &[NodeKind],
-        rows: &[u64],
+        rows: &[Row<W>],
         mapping: &[Option<NodeId>],
-    ) -> ([u64; 64], u64) {
+    ) -> (Pulled<W>, u64) {
         let n = self.kinds.len();
         assert_eq!(mapping.len(), n, "mapping length mismatch");
-        assert!(rows.len() <= 64, "a candidate row is one word");
-        let mut used = 0u64;
+        assert!(rows.len() <= 64 * W, "a candidate row is {W} words");
+        let mut used = [0; W];
         for a in mapping.iter().flatten() {
-            assert!(used >> a.index() & 1 == 0, "mapping must be injective");
-            used |= 1 << a.index();
+            assert!(!has(&used, a.index()), "mapping must be injective");
+            insert(&mut used, a.index());
         }
-        let mut pulled = [0u64; 64];
-        for (p, row) in pulled.iter_mut().enumerate().take(n) {
+        let mut pulled = [[[0; W]; 64]; W];
+        let flat = pulled.as_flattened_mut();
+        for (p, row) in flat.iter_mut().enumerate().take(n) {
             *row = Self::pulled(rows, mapping, p);
         }
-        let terms = (0..n).map(|p| self.terms(kinds, p, mapping[p], pulled[p], u64::MAX << p << 1));
-        let inside: u32 = pulled[..n].iter().map(|row| row.count_ones()).sum();
-        let edges: u32 = rows.iter().map(|row| row.count_ones()).sum();
-        let outside = rows.len() - used.count_ones() as usize;
-        let cost = terms.sum::<u64>() + (outside + (edges - inside) as usize / 2) as u64;
+        let terms = (0..n).map(|p| self.terms(kinds, p, mapping[p], &flat[p], &after(p)));
+        let terms: u64 = terms.sum();
+        let inside: u32 = flat[..n].iter().map(ones).sum();
+        let edges: u32 = rows.iter().map(ones).sum();
+        let outside = rows.len() - ones(&used) as usize;
+        let cost = terms + (outside + (edges - inside) as usize / 2) as u64;
         (pulled, cost)
     }
 
-    /// [`ged_bipartite`]`(g1, g2)` for the `g1` this was
-    /// built from and a candidate `g2` given by its `kinds` and `rows`: the
-    /// same cost matrix — kind mismatch plus degree difference, deletion as
-    /// 1 plus the request edges' costs, insertion as 1 plus the degree —
-    /// the same solver, and the assignment's edit path priced as
-    /// [`StockRefiner::price`] prices it. A pair of empty graphs is the one
-    /// case that differs (`exact` is `false` here), and no search scores
-    /// one.
-    pub(crate) fn bipartite(&self, kinds: &[NodeKind], rows: &[u64]) -> GedResult {
+    /// The bipartite heuristic from the request this was built from to a
+    /// candidate given by its `kinds` and `rows`: the cost matrix holds
+    /// kind mismatch plus degree difference, deletion as 1 plus the
+    /// request edges' costs, insertion as 1 plus the degree; the
+    /// assignment's edit path is priced as [`StockRefiner::price`] prices
+    /// it.
+    pub(crate) fn bipartite(&self, kinds: &[NodeKind], rows: &[Row<W>]) -> GedResult {
         let (n1, n2) = (self.kinds.len(), rows.len());
         let n = n1 + n2;
         let mut cost = vec![hungarian::INF; n * n];
         for (i, row) in cost.chunks_exact_mut(n.max(1)).enumerate() {
             if let Some(j) = i.checked_sub(n1) {
-                row[j] = 1 + u64::from(rows[j].count_ones());
+                row[j] = 1 + u64::from(ones(&rows[j]));
                 row[n2..].fill(0);
                 continue;
             }
-            let degree = self.adj[i].count_ones();
+            let degree = ones(&self.adj[i]);
             for (j, cell) in row[..n2].iter_mut().enumerate() {
                 let kind = u64::from(self.kinds[i] != kinds[j]);
-                *cell = kind + u64::from(degree.abs_diff(rows[j].count_ones()));
+                *cell = kind + u64::from(degree.abs_diff(ones(&rows[j])));
             }
             let deleted: u64 = bits(self.adj[i]).map(|q| self.cost[i * n1 + q]).sum();
             row[n2 + i] = 1 + deleted;
@@ -566,34 +412,43 @@ impl StockRefiner {
         }
     }
 
-    /// [`refine_mapping`]`(g1, g2, mapping, max_passes)` for
-    /// the `g1` this was built from and a candidate `g2` given by its
-    /// `kinds` and `rows`: the same swaps in the same order, accepted on the
-    /// same strict `<` of the same integers.
+    /// Refines a total node mapping by 2-opt swap hill climbing: swaps two
+    /// virtual nodes' images whenever that lowers the exact edit cost, pass
+    /// after pass, until a fixed point or `max_passes`. This is the
+    /// standard post-processing for bipartite assignments (whose local
+    /// node costs ignore global edge structure) and is what untangles a
+    /// pipeline chain into a snake through the candidate region. A swap
+    /// leaves the image set alone, so it is priced by the terms of `i` and
+    /// `j` alone.
+    ///
+    /// Returns the refined mapping and its cost.
     ///
     /// # Panics
     ///
-    /// As [`refine_mapping`] does, and past 64 candidate nodes.
+    /// As [`StockRefiner::price`] does.
     pub(crate) fn refine(
         &self,
         kinds: &[NodeKind],
-        rows: &[u64],
+        rows: &[Row<W>],
         mapping: &[Option<NodeId>],
         max_passes: usize,
     ) -> (Vec<Option<NodeId>>, u64) {
         let n = self.kinds.len();
         let mut best = mapping.to_vec();
         let (mut pulled, mut best_cost) = self.price(kinds, rows, &best);
+        let pulled = pulled.as_flattened_mut();
         for _ in 0..max_passes {
             let mut improved = false;
             for i in 0..n {
                 for j in (i + 1)..n {
-                    let others = !(1u64 << i | 1 << j);
+                    let mut others = [u64::MAX; W];
+                    others[i / 64] ^= 1 << (i % 64);
+                    others[j / 64] ^= 1 << (j % 64);
                     let (mi, mj) = (best[i], best[j]);
-                    let before = self.terms(kinds, i, mi, pulled[i], others)
-                        + self.terms(kinds, j, mj, pulled[j], others);
-                    let after = self.terms(kinds, i, mj, pulled[j], others)
-                        + self.terms(kinds, j, mi, pulled[i], others);
+                    let before = self.terms(kinds, i, mi, &pulled[i], &others)
+                        + self.terms(kinds, j, mj, &pulled[j], &others);
+                    let after = self.terms(kinds, i, mj, &pulled[j], &others)
+                        + self.terms(kinds, j, mi, &pulled[i], &others);
                     let c = best_cost - before + after;
                     if c < best_cost {
                         best_cost = c;
@@ -601,8 +456,9 @@ impl StockRefiner {
                         best.swap(i, j);
                         // Every other row trades bits `i` and `j`.
                         for row in &mut pulled[..n] {
-                            let d = (*row >> i ^ *row >> j) & 1;
-                            *row ^= d << i | d << j;
+                            let d = u64::from(has(row, i) != has(row, j));
+                            row[i / 64] ^= d << (i % 64);
+                            row[j / 64] ^= d << (j % 64);
                         }
                         pulled[i] = Self::pulled(rows, &best, i);
                         pulled[j] = Self::pulled(rows, &best, j);
@@ -617,77 +473,50 @@ impl StockRefiner {
     }
 }
 
-/// The indices of `mask`'s set bits, ascending.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let bit = (mask != 0).then(|| mask.trailing_zeros() as usize);
-        mask &= mask.wrapping_sub(1);
-        bit
+/// The indices of `row`'s set bits, ascending.
+fn bits<const W: usize>(row: Row<W>) -> impl Iterator<Item = usize> {
+    row.into_iter().enumerate().flat_map(|(k, mut word)| {
+        std::iter::from_fn(move || {
+            let bit = (word != 0).then(|| 64 * k + word.trailing_zeros() as usize);
+            word &= word.wrapping_sub(1);
+            bit
+        })
     })
 }
 
 #[cfg(test)]
-mod reference {
-    //! The kernels this module replaced, kept verbatim as differential
-    //! oracles: the A\* whose states own `Vec`s and ask the edge map, the
-    //! edge-walking `mapping_cost`, and the 2-opt loop that re-prices the
-    //! whole mapping for every swap, each over the cost trait they were
-    //! written against, instantiated here with the unit costs. The
-    //! campaigns hold the replacements to identical results — mappings
-    //! included, not only costs.
+pub(crate) mod reference {
+    //! The kernels this module replaced, kept as differential oracles: the
+    //! A\* whose states own `Vec`s and ask the edge map, the bipartite
+    //! heuristic over the two graphs, the edge-walking `mapping_cost` and
+    //! the 2-opt loop that re-prices the whole mapping for every swap, with
+    //! `ged` choosing between the first two on graph size. They charge a
+    //! candidate edge's insertion its `cost`, as the replaced kernels did;
+    //! the campaigns run them on a weighted candidate's unit-cost twin
+    //! (`unit_edges`), which states the rule that the kernels never read
+    //! those costs. The campaigns hold the kernels to them — mappings
+    //! included, not only costs — and the mapper's two-walk reference
+    //! search scores with them.
 
     use super::*;
     use crate::testing::{connected_subset, relabeled, sprinkle_kinds, Rng};
 
-    /// Customizable edit costs — the paper's `NodeMatch` / `EdgeMatch`
-    /// procedures (Algorithm 1, lines 1–9).
-    trait MatchCosts {
-        /// Cost of substituting node `a` (in the requested topology) with
-        /// node `b` (in the candidate). Zero means a perfect match.
-        fn node_substitute(&self, a: &NodeAttr, b: &NodeAttr) -> u64;
+    /// The cost of `g`'s edge `(a, b)`, which exists.
+    fn edge_cost(g: &Topology, a: NodeId, b: NodeId) -> u64 {
+        g.edge_attr(a, b).expect("an edge of `g`").cost
+    }
 
-        /// Cost of deleting a requested node (leaving it unmapped).
-        fn node_delete(&self, a: &NodeAttr) -> u64;
-
-        /// Cost of inserting a candidate node not present in the request.
-        fn node_insert(&self, b: &NodeAttr) -> u64;
-
-        /// Cost of deleting a requested edge absent from the candidate.
-        fn edge_delete(&self, e: &EdgeAttr) -> u64;
-
-        /// Cost of inserting a candidate edge absent from the request.
-        fn edge_insert(&self, e: &EdgeAttr) -> u64;
-
-        /// Cost of substituting one existing edge for another (both
-        /// present); defaults to free.
-        fn edge_substitute(&self, _a: &EdgeAttr, _b: &EdgeAttr) -> u64 {
-            0
+    /// The edit distance from `g1` to `g2`: exact up to
+    /// [`EXACT_GED_LIMIT`] nodes, the bipartite heuristic above.
+    pub(crate) fn ged(g1: &Topology, g2: &Topology) -> GedResult {
+        if g1.node_count().max(g2.node_count()) <= EXACT_GED_LIMIT {
+            ged_exact(g1, g2)
+        } else {
+            ged_bipartite(g1, g2)
         }
     }
 
-    /// Unit costs: every structural difference counts 1; node kinds must
-    /// match exactly or cost 1.
-    struct UniformCosts;
-
-    impl MatchCosts for UniformCosts {
-        fn node_substitute(&self, a: &NodeAttr, b: &NodeAttr) -> u64 {
-            u64::from(a.kind != b.kind)
-        }
-        fn node_delete(&self, _a: &NodeAttr) -> u64 {
-            1
-        }
-        fn node_insert(&self, _b: &NodeAttr) -> u64 {
-            1
-        }
-        fn edge_delete(&self, e: &EdgeAttr) -> u64 {
-            e.cost
-        }
-        fn edge_insert(&self, e: &EdgeAttr) -> u64 {
-            e.cost
-        }
-    }
-
-    fn ged_exact(g1: &Topology, g2: &Topology, costs: &dyn MatchCosts) -> GedResult {
+    pub(crate) fn ged_exact(g1: &Topology, g2: &Topology) -> GedResult {
         #[derive(PartialEq, Eq)]
         struct State {
             g: u64,
@@ -732,15 +561,11 @@ mod reference {
             if state.depth == n1 {
                 // Close the path: insert all unused g2 nodes + their edges.
                 let mut total = state.g;
-                for j in 0..n2 {
-                    if !state.used[j] {
-                        total += costs.node_insert(g2.node_attr(NodeId(j as u32)));
-                    }
-                }
+                total += state.used.iter().filter(|&&u| !u).count() as u64;
                 // Edges of g2 with at least one unused endpoint are inserted.
                 for (a, b) in g2.edges() {
                     if !state.used[a.index()] || !state.used[b.index()] {
-                        total += costs.edge_insert(&g2.edge_attr(a, b).unwrap_or_default());
+                        total += edge_cost(g2, a, b);
                     }
                 }
                 if total < best {
@@ -757,7 +582,7 @@ mod reference {
                     continue;
                 }
                 let j_id = NodeId(j as u32);
-                let mut g = state.g + costs.node_substitute(g1.node_attr(u_id), g2.node_attr(j_id));
+                let mut g = state.g + node_substitute(g1.node_attr(u_id), g2.node_attr(j_id));
                 // Edge costs against previously decided g1 nodes.
                 for w in 0..u {
                     let w_id = NodeId(w as u32);
@@ -769,10 +594,8 @@ mod reference {
                         g2.edge_attr(j_id, NodeId(m))
                     };
                     g += match (e1, e2) {
-                        (Some(a), Some(b)) => costs.edge_substitute(&a, &b),
-                        (Some(a), None) => costs.edge_delete(&a),
-                        (None, Some(b)) => costs.edge_insert(&b),
-                        (None, None) => 0,
+                        (Some(_), Some(_)) | (None, None) => 0,
+                        (Some(e), None) | (None, Some(e)) => e.cost,
                     };
                 }
                 if g >= best {
@@ -790,14 +613,14 @@ mod reference {
                 });
             }
             // Option B: delete u (its edges to decided nodes are deleted too).
-            let mut g = state.g + costs.node_delete(g1.node_attr(u_id));
+            let mut g = state.g + 1;
             for w in 0..u {
                 if let Some(a) = g1.edge_attr(u_id, NodeId(w as u32)) {
-                    g += costs.edge_delete(&a);
+                    g += a.cost;
                 }
             }
             // Edges from u to not-yet-decided g1 nodes will be charged when those
-            // nodes are decided (mapping against DELETED yields edge_delete).
+            // nodes are decided (mapping against DELETED yields a deletion).
             if g < best {
                 let mut mapping = state.mapping.clone();
                 mapping.push(DELETED);
@@ -821,12 +644,61 @@ mod reference {
         }
     }
 
-    fn mapping_cost(
-        g1: &Topology,
-        g2: &Topology,
-        mapping: &[Option<NodeId>],
-        costs: &dyn MatchCosts,
-    ) -> u64 {
+    /// Bipartite (Riesen–Bunke) heuristic: solve a node-assignment problem
+    /// with local edge-structure estimates, then return the *exact* cost of
+    /// the edit path induced by that assignment.
+    pub(crate) fn ged_bipartite(g1: &Topology, g2: &Topology) -> GedResult {
+        let n1 = g1.node_count();
+        let n2 = g2.node_count();
+        let n = n1 + n2;
+        if n == 0 {
+            return GedResult {
+                cost: 0,
+                mapping: Vec::new(),
+                exact: true,
+            };
+        }
+        // A node's deletion or insertion: itself and its incident edges.
+        let alone = |g: &Topology, v: NodeId| {
+            1 + g
+                .neighbors(v)
+                .iter()
+                .map(|&w| edge_cost(g, v, w))
+                .sum::<u64>()
+        };
+        let mut cost = vec![hungarian::INF; n * n];
+        for i in 0..n1 {
+            let i_id = NodeId(i as u32);
+            let row = &mut cost[i * n..(i + 1) * n];
+            for (j, cell) in row.iter_mut().enumerate().take(n2) {
+                let j_id = NodeId(j as u32);
+                let sub = node_substitute(g1.node_attr(i_id), g2.node_attr(j_id));
+                // Local edge estimate: the degree difference.
+                *cell = sub + g1.degree(i_id).abs_diff(g2.degree(j_id)) as u64;
+            }
+            row[n2 + i] = alone(g1, i_id);
+        }
+        for j in 0..n2 {
+            let row = &mut cost[(n1 + j) * n..(n1 + j + 1) * n];
+            row[j] = alone(g2, NodeId(j as u32));
+            // Dummy-to-dummy cells are free.
+            row[n2..].fill(0);
+        }
+        let (assign, _) = hungarian::solve(n, &cost);
+        let mapping: Vec<Option<NodeId>> = assign[..n1]
+            .iter()
+            .map(|&col| (col < n2).then_some(NodeId(col as u32)))
+            .collect();
+        GedResult {
+            cost: mapping_cost(g1, g2, &mapping),
+            mapping,
+            exact: false,
+        }
+    }
+
+    /// Exact edit cost of a *given* node mapping (`None` = deletion; `g2`
+    /// nodes absent from the image are insertions).
+    pub(crate) fn mapping_cost(g1: &Topology, g2: &Topology, mapping: &[Option<NodeId>]) -> u64 {
         assert_eq!(mapping.len(), g1.node_count(), "mapping length mismatch");
         let mut total = 0u64;
         let mut used = vec![false; g2.node_count()];
@@ -836,25 +708,20 @@ mod reference {
                 Some(j) => {
                     assert!(!used[j.index()], "mapping must be injective");
                     used[j.index()] = true;
-                    total += costs.node_substitute(g1.node_attr(i_id), g2.node_attr(*j));
+                    total += node_substitute(g1.node_attr(i_id), g2.node_attr(*j));
                 }
-                None => total += costs.node_delete(g1.node_attr(i_id)),
+                None => total += 1,
             }
         }
-        for (j, &u) in used.iter().enumerate() {
-            if !u {
-                total += costs.node_insert(g2.node_attr(NodeId(j as u32)));
-            }
-        }
+        total += used.iter().filter(|&&u| !u).count() as u64;
         // Requested edges: substituted if image edge exists, else deleted.
         for (a, b) in g1.edges() {
-            let attr = g1.edge_attr(a, b).unwrap_or_default();
-            match (mapping[a.index()], mapping[b.index()]) {
-                (Some(ma), Some(mb)) => match g2.edge_attr(ma, mb) {
-                    Some(e2) => total += costs.edge_substitute(&attr, &e2),
-                    None => total += costs.edge_delete(&attr),
-                },
-                _ => total += costs.edge_delete(&attr),
+            let deleted = match (mapping[a.index()], mapping[b.index()]) {
+                (Some(ma), Some(mb)) => !g2.has_edge(ma, mb),
+                _ => true,
+            };
+            if deleted {
+                total += edge_cost(g1, a, b);
             }
         }
         // Candidate edges with no pre-image are insertions.
@@ -870,28 +737,29 @@ mod reference {
                 _ => false,
             };
             if !covered {
-                total += costs.edge_insert(&g2.edge_attr(a, b).unwrap_or_default());
+                total += edge_cost(g2, a, b);
             }
         }
         total
     }
 
-    fn refine_mapping(
+    /// 2-opt swap hill climbing that prices every swap by a full
+    /// [`mapping_cost`].
+    pub(crate) fn refine_mapping(
         g1: &Topology,
         g2: &Topology,
         mapping: &[Option<NodeId>],
-        costs: &dyn MatchCosts,
         max_passes: usize,
     ) -> (Vec<Option<NodeId>>, u64) {
         let mut best = mapping.to_vec();
-        let mut best_cost = mapping_cost(g1, g2, &best, costs);
+        let mut best_cost = mapping_cost(g1, g2, &best);
         let n = best.len();
         for _ in 0..max_passes {
             let mut improved = false;
             for i in 0..n {
                 for j in (i + 1)..n {
                     best.swap(i, j);
-                    let c = mapping_cost(g1, g2, &best, costs);
+                    let c = mapping_cost(g1, g2, &best);
                     if c < best_cost {
                         best_cost = c;
                         improved = true;
@@ -907,91 +775,191 @@ mod reference {
         (best, best_cost)
     }
 
-    /// A connected region of a 6x6 mesh as a graph of its own, under
-    /// random labels, and — `dressed` — random node kinds and edge costs.
-    fn region(k: usize, dressed: bool, rng: &mut Rng) -> Topology {
-        let mesh = Topology::mesh2d(6, 6);
-        let mut t = relabeled(
+    /// `g` with every edge at the default cost, node kinds kept: what the
+    /// kernels read of a candidate.
+    fn unit_edges(g: &Topology) -> Topology {
+        let mut twin = g.clone();
+        for (a, b) in g.edges() {
+            twin.add_edge_with(a, b, EdgeAttr::default()).unwrap();
+        }
+        twin
+    }
+
+    /// Whether some edge of `g` costs other than the default.
+    fn weighted(g: &Topology) -> bool {
+        g.edges()
+            .any(|(a, b)| g.edge_attr(a, b) != Some(EdgeAttr::default()))
+    }
+
+    /// Random node kinds on about a quarter of `t`'s nodes, and a random
+    /// cost of 1 to `max_cost` on every edge.
+    fn dress(t: &mut Topology, max_cost: usize, rng: &mut Rng) {
+        sprinkle_kinds(t, rng);
+        for (a, b) in t.edges().collect::<Vec<_>>() {
+            let cost = 1 + rng.below(max_cost) as u64;
+            t.add_edge_with(a, b, EdgeAttr { cost }).unwrap();
+        }
+    }
+
+    /// A connected `k`-node region of a `side x side` mesh as a graph of
+    /// its own, under random labels.
+    fn region_of(side: u32, k: usize, rng: &mut Rng) -> Topology {
+        let mesh = Topology::mesh2d(side, side);
+        relabeled(
             &mesh.induced_subgraph(&connected_subset(&mesh, k, rng)).0,
             rng,
-        );
+        )
+    }
+
+    /// A connected region of a 6x6 mesh and — `dressed` — random node kinds
+    /// and edge costs of 1 to 3.
+    fn region(k: usize, dressed: bool, rng: &mut Rng) -> Topology {
+        let mut t = region_of(6, k, rng);
         if dressed {
-            sprinkle_kinds(&mut t, rng);
-            for (a, b) in t.edges().collect::<Vec<_>>() {
-                let cost = 1 + rng.below(3) as u64;
-                t.add_edge_with(a, b, EdgeAttr { cost }).unwrap();
-            }
+            dress(&mut t, 3, rng);
         }
         t
     }
 
-    /// A candidate as the stock kernels read it: each node's kind and its
+    /// A candidate as the kernels read it: each node's kind and its
     /// neighbours, one bit each.
-    fn stock_rows(g: &Topology) -> (Vec<NodeKind>, Vec<u64>) {
+    pub(crate) fn stock_rows<const W: usize>(g: &Topology) -> (Vec<NodeKind>, Vec<Row<W>>) {
         let kinds = g.nodes().map(|v| g.node_attr(v).kind).collect();
-        let rows = g
-            .nodes()
-            .map(|v| g.neighbors(v).iter().fold(0, |row, w| row | 1 << w.0));
+        let rows = g.nodes().map(|v| {
+            let mut row = [0; W];
+            for w in g.neighbors(v) {
+                insert(&mut row, w.index());
+            }
+            row
+        });
         (kinds, rows.collect())
+    }
+
+    /// `StockRefiner::bipartite` from `g1` to `g2`, at the width `g1` needs.
+    pub(crate) fn kernel_bipartite(g1: &Topology, g2: &Topology) -> GedResult {
+        fn at<const W: usize>(g1: &Topology, g2: &Topology) -> GedResult {
+            let (kinds, rows) = stock_rows::<W>(g2);
+            StockRefiner::<W>::new(g1).bipartite(&kinds, &rows)
+        }
+        if g1.node_count() <= 64 {
+            at::<1>(g1, g2)
+        } else {
+            at::<3>(g1, g2)
+        }
+    }
+
+    /// `StockRefiner::refine` of `start` from `g1` to `g2`, at the width
+    /// `g1` needs.
+    pub(crate) fn kernel_refine(
+        g1: &Topology,
+        g2: &Topology,
+        start: &[Option<NodeId>],
+        max_passes: usize,
+    ) -> (Vec<Option<NodeId>>, u64) {
+        fn at<const W: usize>(
+            g1: &Topology,
+            g2: &Topology,
+            start: &[Option<NodeId>],
+            max_passes: usize,
+        ) -> (Vec<Option<NodeId>>, u64) {
+            let (kinds, rows) = stock_rows::<W>(g2);
+            StockRefiner::<W>::new(g1).refine(&kinds, &rows, start, max_passes)
+        }
+        if g1.node_count() <= 64 {
+            at::<1>(g1, g2, start, max_passes)
+        } else {
+            at::<3>(g1, g2, start, max_passes)
+        }
+    }
+
+    /// The images `0..n`, then `None` up to `len` entries, shuffled.
+    fn scrambled(n: usize, len: usize, rng: &mut Rng) -> Vec<Option<NodeId>> {
+        let mut images: Vec<Option<NodeId>> = (0..n as u32).map(|j| Some(NodeId(j))).collect();
+        images.resize(len.max(n), None);
+        for i in (1..images.len()).rev() {
+            images.swap(i, rng.below(i + 1));
+        }
+        images
+    }
+
+    /// The request sizes past one word the campaigns draw: the first and
+    /// last of the second word, the first of the third, the largest a
+    /// search takes, then any.
+    fn wide_size(at: usize, rng: &mut Rng) -> usize {
+        [65, 128, 129, MAX_REQUEST_NODES]
+            .get(at)
+            .copied()
+            .unwrap_or_else(|| 65 + rng.below(MAX_REQUEST_NODES - 64))
     }
 
     #[test]
     fn bitset_bipartite_matches_the_edge_table_kernel() {
-        const CASES: usize = 400;
+        const NARROW: usize = 400;
+        const CASES: usize = NARROW + 12;
         let mut rng = Rng(0x5EED_6102);
-        // Cases with a weighted request, with kinds on the candidate, of
-        // more than 32 nodes, at 64 nodes, and at a nonzero distance.
-        let mut reached = [0usize; 5];
+        // Cases with a weighted request, with kinds on the candidate, with
+        // a weighted candidate, of more than 32 nodes, at 64 nodes, at a
+        // nonzero distance, of more than 64 nodes, at 128, at 129 and at
+        // 192.
+        let mut reached = [0usize; 10];
         for case in 0..CASES {
-            // Connected regions of an 8x8 mesh, as a search's candidates
-            // are, under random labels; the request and the candidate have
-            // the node count R-1 gives them.
-            let n = if case == 0 { 64 } else { 9 + rng.below(56) };
-            let mesh = Topology::mesh2d(8, 8);
-            let mut pick = || {
-                relabeled(
-                    &mesh
-                        .induced_subgraph(&connected_subset(&mesh, n, &mut rng))
-                        .0,
-                    &mut rng,
-                )
+            // Connected regions of an 8x8 mesh, and past one word of a
+            // 14x14 mesh, as a search's candidates are, under random
+            // labels; the request and the candidate have the node count
+            // R-1 gives them.
+            let (side, n) = match case.checked_sub(NARROW) {
+                None if case == 0 => (8, 64),
+                None => (8, 9 + rng.below(56)),
+                Some(at) => (14, wide_size(at, &mut rng)),
             };
-            let (mut g1, mut g2) = (pick(), pick());
+            let (mut g1, mut g2) = (region_of(side, n, &mut rng), region_of(side, n, &mut rng));
             if case % 2 == 1 {
-                sprinkle_kinds(&mut g1, &mut rng);
-                for (a, b) in g1.edges().collect::<Vec<_>>() {
-                    let cost = 1 + rng.below(4) as u64;
-                    g1.add_edge_with(a, b, EdgeAttr { cost }).unwrap();
-                }
+                dress(&mut g1, 4, &mut rng);
             }
             if case % 4 >= 2 {
                 sprinkle_kinds(&mut g2, &mut rng);
             }
-            let want = super::ged_bipartite(&g1, &g2);
-            let (kinds, rows) = stock_rows(&g2);
-            let got = StockRefiner::new(&g1)
-                .expect("at most 64 nodes")
-                .bipartite(&kinds, &rows);
+            if case % 8 >= 4 {
+                dress(&mut g2, 4, &mut rng);
+            }
+            let want = ged_bipartite(&g1, &unit_edges(&g2));
+            let got = kernel_bipartite(&g1, &g2);
             assert_eq!(got, want, "case {case}: {n} nodes");
-            let sprinkled = kinds.iter().any(|&k| k != NodeKind::default());
-            for (i, hit) in [
-                !g1.has_default_edge_costs(),
+            let sprinkled = g2
+                .nodes()
+                .any(|v| g2.node_attr(v).kind != NodeKind::default());
+            let hits = [
+                weighted(&g1),
                 sprinkled,
+                weighted(&g2),
                 n > 32,
                 n == 64,
                 want.cost > 0,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                reached[i] += usize::from(hit);
+                n > 64,
+                n == 128,
+                n == 129,
+                n == MAX_REQUEST_NODES,
+            ];
+            for (count, hit) in reached.iter_mut().zip(hits) {
+                *count += usize::from(hit);
             }
         }
         println!(
-            "bitset-bipartite campaign: {CASES} request/candidate pairs of 9-64 nodes, identical \
-             GedResults; {} weighted requests, {} candidates with kinds, {} above 32 nodes, \
-             {} at 64, {} at a nonzero distance",
-            reached[0], reached[1], reached[2], reached[3], reached[4]
+            "bitset-bipartite campaign: {CASES} request/candidate pairs of 9-192 nodes, \
+             identical GedResults, weighted candidates scored by the reference on their \
+             unit-cost twin; {} weighted requests, {} candidates with kinds, {} weighted \
+             candidates, {} above 32 nodes, {} at 64, {} at a nonzero distance, {} above 64, \
+             {} at 128, {} at 129, {} at 192",
+            reached[0],
+            reached[1],
+            reached[2],
+            reached[3],
+            reached[4],
+            reached[5],
+            reached[6],
+            reached[7],
+            reached[8],
+            reached[9]
         );
         assert!(
             reached.iter().all(|&n| n > 0),
@@ -1003,21 +971,25 @@ mod reference {
     fn exact_search_matches_the_vec_cloning_reference() {
         const PAIRS: usize = 600;
         let mut rng = Rng(0x5EED_1019);
-        let mut nonzero = 0;
+        let (mut nonzero, mut weighted_candidates) = (0, 0);
         for case in 0..PAIRS {
             let g1 = region(1 + rng.below(EXACT_GED_LIMIT), case % 2 == 1, &mut rng);
             let g2 = region(1 + rng.below(EXACT_GED_LIMIT), case % 4 >= 2, &mut rng);
             let got = super::ged_exact(&g1, &g2);
-            assert_eq!(got, ged_exact(&g1, &g2, &UniformCosts), "case {case}");
+            assert_eq!(got, ged_exact(&g1, &unit_edges(&g2)), "case {case}");
             nonzero += usize::from(got.cost > 0);
+            weighted_candidates += usize::from(weighted(&g2));
         }
         println!(
-            "exact-GED campaign: {PAIRS} pairs, identical results; {nonzero} at a nonzero distance"
+            "exact-GED campaign: {PAIRS} pairs, identical results, weighted candidates scored \
+             by the reference on their unit-cost twin; {nonzero} at a nonzero distance, \
+             {weighted_candidates} weighted candidates"
         );
         assert!(
             nonzero > PAIRS / 2,
             "too few non-trivial distances: {nonzero}"
         );
+        assert!(weighted_candidates > 0, "no candidate was weighted");
     }
 
     #[test]
@@ -1026,8 +998,8 @@ mod reference {
         let mut rng = Rng(0x5EED_2019);
         // Starts that refinement improved: total, partial.
         let mut improved = [0usize; 2];
-        // Bitset-kernel runs: total starts, partial starts, weighted requests.
-        let mut stock = [0usize; 3];
+        // Weighted requests, weighted candidates.
+        let mut weights = [0usize; 2];
         for case in 0..CASES {
             let n1 = 2 + rng.below(11);
             let g1 = region(n1, case % 2 == 1, &mut rng);
@@ -1036,69 +1008,63 @@ mod reference {
             // may leave candidate nodes over.
             let n2 = if partial { 1 + rng.below(n1 + 2) } else { n1 };
             let g2 = region(n2, case % 4 >= 2, &mut rng);
-            let mut images: Vec<Option<NodeId>> = (0..n2 as u32).map(|j| Some(NodeId(j))).collect();
-            images.resize(n1.max(n2), None);
-            for i in (1..images.len()).rev() {
-                images.swap(i, rng.below(i + 1));
-            }
+            let mut images = scrambled(n2, n1, &mut rng);
             images.truncate(n1);
-            let start = mapping_cost(&g1, &g2, &images, &UniformCosts);
-            assert_eq!(super::mapping_cost(&g1, &g2, &images), start);
-            let got = super::refine_mapping(&g1, &g2, &images, 8);
-            assert_eq!(
-                got,
-                refine_mapping(&g1, &g2, &images, &UniformCosts, 8),
-                "case {case}"
-            );
+            let twin = unit_edges(&g2);
+            let start = mapping_cost(&g1, &twin, &images);
+            let want = refine_mapping(&g1, &twin, &images, 8);
+            let got = kernel_refine(&g1, &g2, &images, 8);
+            assert_eq!(got, want, "case {case}");
             improved[usize::from(partial)] += usize::from(got.1 < start);
-            // A default-cost candidate: the bitset kernel returns what the
-            // delta loop does.
-            if g2.has_default_edge_costs() {
-                let kernel = StockRefiner::new(&g1).expect("at most 12 nodes");
-                let (kinds, rows) = stock_rows(&g2);
-                let bitsets = kernel.refine(&kinds, &rows, &images, 8);
-                assert_eq!(bitsets, got, "case {case}: bitsets");
-                stock[usize::from(partial)] += 1;
-                stock[2] += usize::from(!g1.has_default_edge_costs());
-            }
+            weights[0] += usize::from(weighted(&g1));
+            weights[1] += usize::from(weighted(&g2));
         }
-        // One 64-node request, dressed, from a scrambled start: every
-        // row is a full word.
-        let mut g1 = Topology::mesh2d(8, 8);
-        sprinkle_kinds(&mut g1, &mut rng);
-        for (a, b) in g1.edges().collect::<Vec<_>>() {
-            let cost = 1 + rng.below(3) as u64;
-            g1.add_edge_with(a, b, EdgeAttr { cost }).unwrap();
+        // Dressed requests of 64 nodes and past one word, from scrambled
+        // starts: every row is a full word, or more than one. The wider
+        // ones take one pass, which the reference prices a swap at a time.
+        let mut wide = Vec::new();
+        for at in 0..5 {
+            let (side, n, passes) = match at {
+                0 => (8, 64, 8),
+                _ => (14, wide_size(at - 1, &mut rng), 1),
+            };
+            let mut g1 = region_of(side, n, &mut rng);
+            dress(&mut g1, 3, &mut rng);
+            let mut g2 = region_of(side, n, &mut rng);
+            dress(&mut g2, 3, &mut rng);
+            let images = scrambled(n, n, &mut rng);
+            let twin = unit_edges(&g2);
+            let want = refine_mapping(&g1, &twin, &images, passes);
+            assert!(
+                want.1 < mapping_cost(&g1, &twin, &images),
+                "{n} nodes: no swap helped"
+            );
+            assert_eq!(kernel_refine(&g1, &g2, &images, passes), want, "{n} nodes");
+            wide.push(n);
         }
-        let mut g2 = relabeled(&Topology::mesh2d(8, 8), &mut rng);
-        sprinkle_kinds(&mut g2, &mut rng);
-        let mut images: Vec<Option<NodeId>> = (0..64).map(|j| Some(NodeId(j))).collect();
-        for i in (1..images.len()).rev() {
-            images.swap(i, rng.below(i + 1));
-        }
-        let kernel = StockRefiner::new(&g1).expect("64 nodes fit a word");
-        let want = super::refine_mapping(&g1, &g2, &images, 8);
-        assert!(want.1 < mapping_cost(&g1, &g2, &images, &UniformCosts));
-        let (kinds, rows) = stock_rows(&g2);
-        assert_eq!(kernel.refine(&kinds, &rows, &images, 8), want, "64 nodes");
-        assert!(StockRefiner::new(&Topology::line(65)).is_none());
         println!(
-            "2-opt campaign: {CASES} starts, identical (mapping, cost); \
-             improved {} total and {} partial starts; the bitset kernel matched \
-             {} total and {} partial starts, {} of weighted requests, and a 64-node one",
-            improved[0], improved[1], stock[0], stock[1], stock[2]
+            "2-opt campaign: {CASES} starts, identical (mapping, cost), weighted candidates \
+             refined by the reference on their unit-cost twin; improved {} total and {} \
+             partial starts; {} weighted requests, {} weighted candidates; improved dressed \
+             starts of {wide:?} nodes",
+            improved[0], improved[1], weights[0], weights[1]
         );
         assert!(improved.iter().all(|&n| n > 0), "refinement never ran");
+        assert!(weights.iter().all(|&n| n > 0), "a side was never weighted");
         assert!(
-            stock.iter().all(|&n| n > 0),
-            "the bitset kernel missed a case"
+            [64, 65, 128, 129, MAX_REQUEST_NODES]
+                .iter()
+                .all(|n| wide.contains(n)),
+            "a wide size was never reached: {wide:?}"
         );
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{ged, ged_bipartite, kernel_bipartite, kernel_refine, mapping_cost};
     use super::*;
+    use crate::testing::Rng;
     use crate::{NodeKind, Topology};
 
     #[test]
@@ -1163,7 +1129,7 @@ mod tests {
         for a in &graphs {
             for b in &graphs {
                 let exact = ged_exact(a, b);
-                let approx = ged_bipartite(a, b);
+                let approx = kernel_bipartite(a, b);
                 assert!(
                     approx.cost >= exact.cost,
                     "bipartite must upper-bound exact: {} < {}",
@@ -1177,7 +1143,7 @@ mod tests {
     #[test]
     fn bipartite_zero_on_identical() {
         let a = Topology::mesh2d(4, 4); // above exact limit
-        let r = ged(&a, &a.clone());
+        let r = kernel_bipartite(&a, &a.clone());
         assert!(!r.exact);
         assert_eq!(r.cost, 0);
     }
@@ -1232,7 +1198,7 @@ mod tests {
             .map(|&i| Some(NodeId(i)))
             .collect();
         let start = mapping_cost(&chain, &mesh, &scrambled);
-        let (refined, cost) = refine_mapping(&chain, &mesh, &scrambled, 16);
+        let (refined, cost) = kernel_refine(&chain, &mesh, &scrambled, 16);
         assert_eq!(cost, mapping_cost(&chain, &mesh, &refined));
         // Hill climbing may stop in a local optimum (the global snake costs
         // 3); it must still improve substantially over the scramble.
@@ -1246,7 +1212,37 @@ mod tests {
             .iter()
             .map(|&i| Some(NodeId(i)))
             .collect();
-        let (_, s_cost) = refine_mapping(&chain, &mesh, &snake, 4);
+        let (_, s_cost) = kernel_refine(&chain, &mesh, &snake, 4);
         assert_eq!(s_cost, 3);
+    }
+
+    /// GED is zero iff isomorphic (small graphs), and the bipartite
+    /// heuristic never reports below the exact distance.
+    #[test]
+    fn ged_axioms() {
+        let mut rng = Rng(0x5EED_6401);
+        let graph = |rng: &mut Rng| {
+            let mut t = Topology::empty(5);
+            for _ in 0..rng.below(8) {
+                let (a, b) = (rng.below(5) as u32, rng.below(5) as u32);
+                if a != b {
+                    t.add_edge(NodeId(a), NodeId(b)).unwrap();
+                }
+            }
+            t
+        };
+        let mut isomorphic = 0;
+        for case in 0..64 {
+            let (a, b) = (graph(&mut rng), graph(&mut rng));
+            let exact = ged_exact(&a, &b);
+            let approx = ged_bipartite(&a, &b);
+            assert!(approx.cost >= exact.cost, "case {case}");
+            let iso = crate::testing::are_isomorphic(&a, &b);
+            assert_eq!(exact.cost == 0, iso, "case {case}: GED=0 iff isomorphic");
+            // Symmetry for uniform costs.
+            assert_eq!(exact.cost, ged_exact(&b, &a).cost, "case {case}");
+            isomorphic += usize::from(iso);
+        }
+        assert!(isomorphic > 0, "no isomorphic pair was drawn");
     }
 }

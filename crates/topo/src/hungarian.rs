@@ -21,11 +21,10 @@ pub const INF: u64 = u64::MAX / 4;
 /// objective, which ends at the optimal total, so no potential moves by
 /// more than that total and no reduced cost leaves `INF ± 2·total`. The
 /// solver therefore requires an assignment that avoids every [`INF`] cell
-/// and costs less than `2^60`. A `ged::ged_bipartite` matrix has one —
-/// delete every requested node, insert every candidate node — which under
-/// the stock costs costs at most `2·ged::EDGE_COST_BOUND` plus the node
-/// and candidate-edge counts; custom costs must keep it under `2^60`
-/// themselves.
+/// and costs less than `2^60`. A `ged::StockRefiner::bipartite` matrix
+/// has one — delete every requested node, insert every candidate node —
+/// which costs at most `2·ged::EDGE_COST_BOUND` plus the node and
+/// candidate-edge counts.
 ///
 /// # Panics
 ///

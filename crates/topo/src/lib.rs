@@ -11,8 +11,9 @@
 //! * [`canonical`] — canonical forms for small graphs, used to deduplicate
 //!   isomorphic candidate topologies (Algorithm 1, line 25).
 //! * [`ged`] — topology edit distance: an exact A* search for small graphs
-//!   and the Riesen–Bunke bipartite heuristic (backed by [`hungarian`]) for
-//!   larger ones, both charging the paper's unit edit costs.
+//!   and, over adjacency bitsets, the Riesen–Bunke bipartite heuristic
+//!   (backed by [`hungarian`]) and 2-opt refinement for larger ones, all
+//!   charging the paper's unit edit costs.
 //! * [`mapping`] — the allocation strategies evaluated in the paper:
 //!   straightforward (zig-zag by core ID) and similar-topology (minimum
 //!   topology edit distance), with optional disconnected "fragmentation"
@@ -95,6 +96,12 @@ pub enum TopoError {
     /// A mapping request's edge costs sum past [`ged::EDGE_COST_BOUND`],
     /// beyond which edit-distance arithmetic could overflow.
     EdgeCostsTooLarge,
+    /// A mapping request has more than [`ged::MAX_REQUEST_NODES`] nodes,
+    /// past the widest adjacency row the edit-distance kernels take.
+    RequestTooLarge {
+        /// Nodes requested.
+        nodes: usize,
+    },
     /// The requested mesh dimensions were degenerate (zero-sized).
     EmptyMesh,
     /// The requested mesh has more than `u32::MAX` nodes.
@@ -136,6 +143,11 @@ impl fmt::Display for TopoError {
             TopoError::EdgeCostsTooLarge => {
                 write!(f, "request edge costs sum past {}", ged::EDGE_COST_BOUND)
             }
+            TopoError::RequestTooLarge { nodes } => write!(
+                f,
+                "a request of {nodes} nodes is past the {} a mapper takes",
+                ged::MAX_REQUEST_NODES
+            ),
             TopoError::EmptyMesh => write!(f, "mesh dimensions must be non-zero"),
             TopoError::MeshTooLarge { width, height } => {
                 write!(f, "a {width} x {height} mesh has more than u32::MAX nodes")
@@ -185,6 +197,12 @@ pub(crate) mod testing {
         }
         cells.sort_unstable();
         cells
+    }
+
+    /// Whether `a` and `b` are isomorphic (node kinds respected): exact for
+    /// any size, exponential in the worst case.
+    pub(crate) fn are_isomorphic(a: &Topology, b: &Topology) -> bool {
+        crate::canonical::find_isomorphism(a, b).is_some()
     }
 
     /// Gives about a quarter of `t`'s nodes a random non-default kind.

@@ -21,23 +21,26 @@
 //! similar-topology, reused to deduplicate. The mapper spawns no threads;
 //! scoring is a plain loop.
 //!
-//! A candidate's canonical key, its isomorphism to the request, its edit
-//! distance (`ged::ged`) and, for the best six, its 2-opt refinement
-//! (`ged::refine_mapping`, or its bitset kernel on a default-cost chip) are
-//! pure functions of the request and the candidate's structure — its
-//! kinds and adjacency in sorted-cell order. So a search behind a
-//! [`MappingCache`] miss
-//! ([`Mapper::map_cached_with`]) computes each visited candidate's
-//! structure straight from its cells and looks all four up in the cache's
-//! score memo, building the candidate's subgraph — or, for the stock
-//! bitset kernels, its kinds and neighbour rows — only when a lookup
-//! misses: shapes an earlier search, or an earlier visit of this one,
-//! already met are not worked out again. An advisory probe searches
-//! through the same memo ([`Mapper::map_scored`]) without touching the
-//! cache's entries. [`Mapper::map_in`] keeps no memo and is the reference
-//! the memo is held to. Every search first checks
-//! that the request's edge costs sum to at most [`ged::EDGE_COST_BOUND`],
-//! so the kernels' arithmetic cannot overflow.
+//! A candidate is scored by one kernel path: the exact A\*
+//! (`ged::ged_exact`) up to 8 nodes, else the bitset bipartite heuristic,
+//! and the best six are refined by bitset 2-opt swaps
+//! (`ged::StockRefiner`, at one word a row for requests of at most 64
+//! nodes and three words up to [`ged::MAX_REQUEST_NODES`]). Its canonical
+//! key, its isomorphism to the request, its edit distance and its 2-opt
+//! refinement are pure functions of the request and the candidate's
+//! structure — its kinds and adjacency in sorted-cell order; the kernels
+//! never read a candidate's edge costs. So a search behind a
+//! [`MappingCache`] miss ([`Mapper::map_cached_with`]) computes each
+//! visited candidate's structure straight from its cells and looks all
+//! four up in the cache's score memo, building the candidate's subgraph,
+//! or its kinds and neighbour rows, only when a lookup misses: shapes an
+//! earlier search, or an earlier visit of this one, already met are not
+//! worked out again. An advisory probe searches through the same memo
+//! ([`Mapper::map_scored`]) without touching the cache's entries.
+//! [`Mapper::map_in`] keeps no memo and is the reference the memo is held
+//! to. Every search first checks that the request's edge costs sum to at
+//! most [`ged::EDGE_COST_BOUND`], so the kernels' arithmetic cannot
+//! overflow, and that it has at most [`ged::MAX_REQUEST_NODES`] nodes.
 //!
 //! All strategies honour R-1 (node count) by construction; R-3
 //! (connectivity) is enforced unless fragmentation mode
@@ -46,7 +49,7 @@
 use crate::cache::{FreeSet, MappingCache, ScoreMemo, SearchMemo, GED, REFINE};
 use crate::canonical::{canonical_key, find_isomorphism, CanonicalKey};
 use crate::enumerate::{self, Visit, DEFAULT_CANDIDATE_CAP};
-use crate::ged::{self, GedResult};
+use crate::ged::{self, GedResult, Row, StockRefiner};
 use crate::{NodeId, NodeKind, Result, TopoError, Topology};
 use std::cell::OnceCell;
 
@@ -220,6 +223,8 @@ impl<'a> Mapper<'a> {
     ///   strategy's constraints (connectivity, exactness) exists.
     /// * [`TopoError::EdgeCostsTooLarge`] — the request's edge costs sum
     ///   past [`ged::EDGE_COST_BOUND`].
+    /// * [`TopoError::RequestTooLarge`] — the request has more than
+    ///   [`ged::MAX_REQUEST_NODES`] nodes.
     pub fn map(&self, free: &[NodeId], req: &Topology, strategy: &Strategy) -> Result<Mapping> {
         let set = FreeSet::from_free_nodes(self.phys.node_count(), free);
         self.map_in(&set, req, strategy)
@@ -263,6 +268,9 @@ impl<'a> Mapper<'a> {
             return Err(TopoError::EdgeCostsTooLarge);
         }
         let k = req.node_count();
+        if k > ged::MAX_REQUEST_NODES {
+            return Err(TopoError::RequestTooLarge { nodes: k });
+        }
         if free.free_count() < k {
             return Err(TopoError::InsufficientNodes {
                 requested: k,
@@ -276,10 +284,7 @@ impl<'a> Mapper<'a> {
                 connected: true,
             });
         }
-        // The memo's structures drop edge costs, which the edit-distance
-        // kernels read.
-        let scores = self.phys.has_default_edge_costs();
-        let mut memo = SearchMemo::new(memo, req, scores);
+        let mut memo = SearchMemo::new(memo, req);
         match strategy.kind {
             StrategyKind::Straightforward => Ok(self.straightforward(free, req)),
             StrategyKind::ExactOnly => {
@@ -288,7 +293,11 @@ impl<'a> Mapper<'a> {
                     Walk::Candidates(_) => Err(TopoError::NoCandidate),
                 }
             }
-            StrategyKind::SimilarTopology => self.similar(free, req, strategy, scores, &mut memo),
+            // The kernels' rows: one word up to 64 nodes, else three.
+            StrategyKind::SimilarTopology if k <= 64 => {
+                self.similar::<1>(free, req, strategy, &mut memo)
+            }
+            StrategyKind::SimilarTopology => self.similar::<3>(free, req, strategy, &mut memo),
         }
     }
 
@@ -376,14 +385,23 @@ impl<'a> Mapper<'a> {
     }
 
     /// First-k free nodes in ascending ID order; virtual node `i` gets the
-    /// `i`-th of them (the zig-zag order of paper Figure 17/18).
+    /// `i`-th of them (the zig-zag order of paper Figure 17/18), priced by
+    /// the bitset kernel.
     fn straightforward(&self, free: &FreeSet, req: &Topology) -> Mapping {
+        fn price<const W: usize>(phys: &Topology, req: &Topology, cells: &[NodeId]) -> u64 {
+            let (kinds, rows) = neighbour_rows::<W>(phys, cells);
+            let identity: Vec<Option<NodeId>> =
+                (0..cells.len() as u32).map(|i| Some(NodeId(i))).collect();
+            StockRefiner::<W>::new(req)
+                .price(&kinds, &rows, &identity)
+                .1
+        }
         let chosen: Vec<NodeId> = free.nodes().into_iter().take(req.node_count()).collect();
-        let (sub, _) = self.phys.induced_subgraph(&chosen);
-        let identity: Vec<Option<NodeId>> = (0..req.node_count() as u32)
-            .map(|i| Some(NodeId(i)))
-            .collect();
-        let distance = ged::mapping_cost(req, &sub, &identity);
+        let distance = if chosen.len() <= 64 {
+            price::<1>(self.phys, req, &chosen)
+        } else {
+            price::<3>(self.phys, req, &chosen)
+        };
         let connected = self.phys.is_connected_subset(&chosen);
         Mapping {
             phys_nodes: chosen,
@@ -457,14 +475,12 @@ impl<'a> Mapper<'a> {
     }
 
     /// Algorithm 1: enumerate, early-exit, dedup, score, pick the
-    /// minimum-edit-distance candidate. `stock` says the chip's edges all
-    /// cost the default.
-    fn similar(
+    /// minimum-edit-distance candidate, the kernels' rows `W` words wide.
+    fn similar<const W: usize>(
         &self,
         free: &FreeSet,
         req: &Topology,
         strategy: &Strategy,
-        stock: bool,
         memo: &mut SearchMemo,
     ) -> Result<Mapping> {
         // Lines 20–29, with line 22's exact early exit.
@@ -474,19 +490,19 @@ impl<'a> Mapper<'a> {
         };
         // Lines 30–32: TED scoring, a candidate's subgraph or rows built
         // per memo miss. Only the best few (lowest cost, earliest first) go
-        // on to refinement, so only theirs are kept. On a default-cost chip
-        // the bipartite scoring and the 2-opt swaps run on bitsets, the
-        // request's built once here.
-        let stock = stock.then(|| ged::StockRefiner::new(req)).flatten();
-        let mut top: Vec<(GedResult, Candidate)> = Vec::new();
+        // on to refinement, so only theirs are kept. The bipartite scoring
+        // and the 2-opt swaps run on bitsets, the request's built once here.
+        let kernel = StockRefiner::<W>::new(req);
+        let mut top: Vec<(GedResult, Candidate<W>)> = Vec::new();
         for (cells, structure) in &candidates {
             let candidate = Candidate::new(cells, *structure);
-            let scored = memo.score(GED, *structure, &[], || match &stock {
-                Some(stock) if cells.len() > ged::EXACT_GED_LIMIT => {
+            let scored = memo.score(GED, *structure, &[], || {
+                if cells.len() > ged::EXACT_GED_LIMIT {
                     let (kinds, rows) = candidate.rows(self.phys);
-                    stock.bipartite(kinds, rows)
+                    kernel.bipartite(kinds, rows)
+                } else {
+                    ged::ged_exact(req, candidate.sub(self.phys))
                 }
-                _ => ged::ged(req, candidate.sub(self.phys)),
             });
             let rank = top.partition_point(|(r, _)| r.cost <= scored.cost);
             if rank < REFINE_TOP_CANDIDATES {
@@ -508,13 +524,8 @@ impl<'a> Mapper<'a> {
             ];
             for start in starts {
                 let refined = memo.score(REFINE, candidate.structure, &start, || {
-                    let (mapping, cost) = match &stock {
-                        Some(stock) => {
-                            let (kinds, rows) = candidate.rows(self.phys);
-                            stock.refine(kinds, rows, &start, 8)
-                        }
-                        None => ged::refine_mapping(req, candidate.sub(self.phys), &start, 8),
-                    };
+                    let (kinds, rows) = candidate.rows(self.phys);
+                    let (mapping, cost) = kernel.refine(kinds, rows, &start, 8);
                     GedResult {
                         cost,
                         mapping,
@@ -599,16 +610,16 @@ enum Walk {
 
 /// A collected candidate of a search: its sorted cells, its structure, and
 /// what the kernels read of it, each built on first use — its subgraph,
-/// and for the stock kernels each cell's kind and its neighbours among the
-/// cells, one bit each.
-struct Candidate<'c> {
+/// for the exact search, and for the bitset kernels each cell's kind and
+/// its neighbours among the cells, one bit each in `W` words.
+struct Candidate<'c, const W: usize> {
     cells: &'c [NodeId],
     structure: Option<u128>,
     sub: OnceCell<Topology>,
-    rows: OnceCell<(Vec<NodeKind>, Vec<u64>)>,
+    rows: OnceCell<(Vec<NodeKind>, Vec<Row<W>>)>,
 }
 
-impl<'c> Candidate<'c> {
+impl<'c, const W: usize> Candidate<'c, W> {
     fn new(cells: &'c [NodeId], structure: Option<u128>) -> Self {
         let (sub, rows) = (OnceCell::new(), OnceCell::new());
         Candidate {
@@ -624,27 +635,31 @@ impl<'c> Candidate<'c> {
         self.sub.get_or_init(|| phys.induced_subgraph(self.cells).0)
     }
 
-    /// The subgraph's kinds and neighbour rows, walked from the cells as
-    /// `SearchMemo::structure` walks them. At most 64 cells.
-    fn rows(&self, phys: &Topology) -> (&[NodeKind], &[u64]) {
-        let (kinds, rows) = self.rows.get_or_init(|| {
-            let cells = self.cells;
-            let mut rows = vec![0u64; cells.len()];
-            for (i, &cell) in cells.iter().enumerate() {
-                for w in phys.neighbors(cell).iter().filter(|&&w| w > cell) {
-                    if let Ok(j) = cells[i + 1..].binary_search(w) {
-                        rows[i] |= 1 << (i + 1 + j);
-                        rows[i + 1 + j] |= 1 << i;
-                    }
-                }
-            }
-            (
-                cells.iter().map(|&c| phys.node_attr(c).kind).collect(),
-                rows,
-            )
-        });
+    /// [`neighbour_rows`] of the cells.
+    fn rows(&self, phys: &Topology) -> (&[NodeKind], &[Row<W>]) {
+        let (kinds, rows) = self.rows.get_or_init(|| neighbour_rows(phys, self.cells));
         (kinds, rows)
     }
+}
+
+/// The kinds of `cells` (sorted, at most `64 * W`) and each one's
+/// neighbours among them, one bit each, walked from the cells as
+/// `SearchMemo::structure` walks them.
+fn neighbour_rows<const W: usize>(
+    phys: &Topology,
+    cells: &[NodeId],
+) -> (Vec<NodeKind>, Vec<Row<W>>) {
+    let mut rows = vec![[0; W]; cells.len()];
+    for (i, &cell) in cells.iter().enumerate() {
+        for w in phys.neighbors(cell).iter().filter(|&&w| w > cell) {
+            if let Ok(j) = cells[i + 1..].binary_search(w) {
+                ged::insert(&mut rows[i], i + 1 + j);
+                ged::insert(&mut rows[i + 1 + j], i);
+            }
+        }
+    }
+    let kinds = cells.iter().map(|&c| phys.node_attr(c).kind).collect();
+    (kinds, rows)
 }
 
 /// How many of the lowest-TED candidates receive 2-opt refinement.
@@ -781,12 +796,12 @@ mod reference {
                 return Err(TopoError::NoCandidate);
             }
             // Lines 30–32: TED scoring (the one-thread arm of the deleted
-            // scoring fork).
+            // scoring fork), by the kernels' references.
             let results: Vec<GedResult> = candidates
                 .iter()
                 .map(|cells| {
                     let (sub, _) = self.phys.induced_subgraph(cells);
-                    ged::ged(req, &sub)
+                    ged::reference::ged(req, &sub)
                 })
                 .collect();
             let mut order: Vec<usize> = (0..results.len()).collect();
@@ -799,7 +814,7 @@ mod reference {
                     vec![complete_option_mapping(&results[i].mapping, cells.len())];
                 starts.push(self.serpentine_mapping(cells));
                 for start in starts {
-                    let (refined, cost) = ged::refine_mapping(req, &sub, &start, 8);
+                    let (refined, cost) = ged::reference::refine_mapping(req, &sub, &start, 8);
                     if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                         let phys_nodes = refined
                             .iter()
@@ -973,10 +988,10 @@ mod reference {
     fn requests_past_64_nodes_match_the_two_walk_reference() {
         use crate::testing::relabeled;
 
-        // A request of more than 64 nodes has no bitset kernel, so its
-        // search scores with `ged_bipartite` and refines with
-        // `refine_mapping`: relabelled partial grids of 66-80 nodes, which
-        // have no mesh shape, on a 10x10 chip with a few cores taken.
+        // A request of more than 64 nodes runs the bitset kernels at three
+        // words a row, held here to the two-walk search, which scores with
+        // the kernels' references: relabelled partial grids of 66-80 nodes,
+        // which have no mesh shape, on a 10x10 chip with a few cores taken.
         let phys = Topology::mesh2d(10, 10);
         let mapper = Mapper::new(&phys);
         let mut rng = Rng(0x5EED_6301);
@@ -986,7 +1001,7 @@ mod reference {
         for case in 0..6 {
             let n = 66 + rng.below(15) as u32;
             let req = relabeled(&partial_grid(n, 9 + case % 2), &mut rng);
-            assert!(ged::StockRefiner::new(&req).is_none() && req.mesh_shape().is_none());
+            assert!(req.node_count() > 64 && req.mesh_shape().is_none());
             let mut free = FreeSet::all_free(phys.node_count());
             for _ in 0..rng.below(100 - n as usize) {
                 free.occupy(NodeId(rng.below(100) as u32));
@@ -1127,21 +1142,14 @@ mod tests {
         use crate::cache::{CLASS, ISO};
         use crate::testing::Rng;
 
-        // The score-memo campaign's chips, and a 6x6 with one edge costing
-        // 3: there the edit-distance tables are bypassed, while class and
-        // isomorphism lookups, which read no costs, still run.
-        let mut costly = Topology::mesh2d(6, 6);
-        costly
-            .add_edge_with(NodeId(14), NodeId(15), crate::EdgeAttr { cost: 3 })
-            .unwrap();
-        let physicals: Vec<Topology> = annotated_physicals().into_iter().chain([costly]).collect();
-        let requests = annotated_requests();
+        // The score-memo campaign's chips and requests.
+        let (physicals, requests) = (annotated_physicals(), annotated_requests());
 
         // One long-lived memo, and per search a fresh one: ESU visits each
         // cell set once a walk, so a class hit within one walk joined
         // candidates at different cells.
         let mut cache = MappingCache::default();
-        let (mut rect_hits, mut walk_hits, mut joined, mut costly_lookups) = (0, 0, 0, 0);
+        let (mut rect_hits, mut walk_hits, mut joined) = (0, 0, 0);
         let mut rng = Rng(0x5EED_0033);
         for case in 0..1024 {
             let phys = &physicals[case % physicals.len()];
@@ -1180,13 +1188,6 @@ mod tests {
                 let got = mapper.map_cached(&free, req, &strategy, &mut fresh);
                 assert_eq!(got, want, "{context}, fresh memo");
                 joined += fresh.score_stats()[CLASS].hits;
-
-                let delta =
-                    |t: usize| after[t].hits + after[t].misses - before[t].hits - before[t].misses;
-                if case % physicals.len() == 4 {
-                    assert_eq!(after[..ISO], before[..ISO], "{context}: costly chip");
-                    costly_lookups += delta(CLASS) + delta(ISO);
-                }
                 // An isomorphism lookup is the rectangle path's when it
                 // answered at the window, the walk's when there was none.
                 let iso_hits = after[ISO].hits - before[ISO].hits;
@@ -1210,8 +1211,7 @@ mod tests {
             "structure-memo campaign: 1024 free sets x exact-only and similar-topology, \
              0 mismatches; class {} hits / {} misses / {} evictions, iso {} hits / {} misses \
              ({rect_hits} hits on the rectangle path, {walk_hits} in walks); {joined} class \
-             hits within one walk joined candidates at different cells; {costly_lookups} \
-             class and iso lookups on the costly chip",
+             hits within one walk joined candidates at different cells",
             stats[CLASS].hits,
             stats[CLASS].misses,
             stats[CLASS].evictions,
@@ -1225,9 +1225,86 @@ mod tests {
             joined > 0,
             "no class hit joined candidates at different cells"
         );
+    }
+
+    #[test]
+    fn a_candidates_edge_costs_move_no_score() {
+        use super::reference::{random_free_set, CAMPAIGN_CAPS};
+        use crate::cache::labeled_hash;
+        use crate::testing::Rng;
+
+        // Each campaign chip beside a twin whose links cost 1 to 4, its
+        // mesh shape kept. The kernels read a candidate's kinds and edges,
+        // never its edge costs, so every search on the weighted twin
+        // returns what the plain chip's does, and its edit-distance
+        // lookups go through the score memo like any chip's.
+        let mut rng = Rng(0x5EED_6402);
+        let chips: Vec<(Topology, Topology)> = annotated_physicals()
+            .into_iter()
+            .map(|plain| {
+                let weighted = plain.weighted(|_, _| 1 + rng.below(4) as u64);
+                assert_ne!(labeled_hash(&plain), labeled_hash(&weighted));
+                (plain, weighted)
+            })
+            .collect();
+        let requests = annotated_requests();
+        let mut cache = MappingCache::default();
+        // Placements per strategy kind, similar-topology placements at a
+        // nonzero distance, and the weighted chips' GED and REFINE lookups.
+        let (mut placed, mut inexact, mut lookups) = ([0usize; 3], 0, 0);
+        for case in 0..384 {
+            let (plain, weighted) = &chips[case % chips.len()];
+            let free = random_free_set(plain, &mut rng, case / 4 % 2 == 1, case / 8 % 2 == 1);
+            let fitting: Vec<&Topology> = requests
+                .iter()
+                .filter(|r| r.node_count() <= free.free_count())
+                .collect();
+            if fitting.is_empty() {
+                continue;
+            }
+            let req = fitting[rng.below(fitting.len())];
+            let cap = CAMPAIGN_CAPS[rng.below(CAMPAIGN_CAPS.len())];
+            let disconnected = rng.below(2) == 1;
+            let (plain, weighted) = (Mapper::new(plain), Mapper::new(weighted));
+            let strategies = [
+                Strategy::straightforward(),
+                Strategy::exact_only(),
+                Strategy::similar_topology(),
+            ];
+            for (kind, strategy) in strategies.into_iter().enumerate() {
+                let strategy = strategy.candidate_cap(cap).allow_disconnected(disconnected);
+                let want = plain.map_in(&free, req, &strategy);
+                let context = format!(
+                    "case {case}: {}-node request, {strategy:?}",
+                    req.node_count()
+                );
+                assert_eq!(weighted.map_in(&free, req, &strategy), want, "{context}");
+                let before = cache.score_stats();
+                let probed = weighted.map_scored(&free, req, &strategy, &mut cache);
+                assert_eq!(probed, want, "{context}, map_scored");
+                let cached = weighted.map_cached(&free, req, &strategy, &mut cache);
+                assert_eq!(cached, want, "{context}, map_cached");
+                let after = cache.score_stats();
+                lookups += [GED, REFINE]
+                    .map(|t| after[t].hits + after[t].misses - before[t].hits - before[t].misses)
+                    .iter()
+                    .sum::<u64>();
+                placed[kind] += usize::from(want.is_ok());
+                inexact += usize::from(kind == 2 && want.is_ok_and(|m| m.edit_distance() > 0));
+            }
+        }
+        println!(
+            "weighted-chip campaign: 384 free sets x three strategy kinds, weighted chips \
+             identical to their plain twins under map_in, map_scored and map_cached; placed \
+             {} straightforward, {} exact-only and {} similar-topology, {inexact} of those \
+             at a nonzero distance; {lookups} GED and REFINE lookups on weighted chips",
+            placed[0], placed[1], placed[2]
+        );
+        assert!(placed.iter().all(|&n| n > 0), "a kind never placed");
+        assert!(inexact > 0, "no search scored its candidates");
         assert!(
-            costly_lookups > 0,
-            "the costly chip made no class or iso lookup"
+            lookups > 0,
+            "the weighted chips made no GED or REFINE lookup"
         );
     }
 
@@ -1290,6 +1367,50 @@ mod tests {
             cache.len() as u64,
             cache.stats().insertions - cache.stats().evictions
         );
+    }
+
+    #[test]
+    fn requests_past_192_nodes_are_refused_before_any_search() {
+        // A 193-node request on an idle 14x14 chip fits its free cores,
+        // but its kernel rows would take a fourth word. Every strategy
+        // kind refuses it at entry: before the free count is read (a chip
+        // with nothing free refuses it the same way), before a candidate
+        // is enumerated or looked up in the score memo.
+        let phys = Topology::mesh2d(14, 14);
+        let mapper = Mapper::new(&phys);
+        let (idle, req) = (FreeSet::all_free(196), Topology::line(193));
+        let error = TopoError::RequestTooLarge { nodes: 193 };
+        let refused = Err(error.clone());
+        let mut cache = MappingCache::default();
+        for strategy in [
+            Strategy::straightforward(),
+            Strategy::exact_only(),
+            Strategy::similar_topology(),
+        ] {
+            assert_eq!(mapper.map_in(&idle, &req, &strategy), refused);
+            assert_eq!(mapper.map(&[], &req, &strategy), refused);
+            assert_eq!(
+                mapper.map_scored(&idle, &req, &strategy, &mut cache),
+                refused
+            );
+            assert_eq!(
+                mapper.map_cached(&idle, &req, &strategy, &mut cache),
+                refused
+            );
+        }
+        assert_eq!(cache.score_stats(), [crate::CacheStats::default(); 4]);
+        assert_eq!(
+            error.to_string(),
+            "a request of 193 nodes is past the 192 a mapper takes"
+        );
+        // 192 nodes is the widest a search scores and refines.
+        let widest = Topology::line(192);
+        let strategy = Strategy::similar_topology().candidate_cap(2);
+        let m = mapper.map_in(&idle, &widest, &strategy).unwrap();
+        assert_eq!(m.phys_nodes().len(), 192);
+        assert!(m.is_connected() && m.edit_distance() > 0);
+        let zig_zag = mapper.map_in(&idle, &widest, &Strategy::straightforward());
+        assert!(zig_zag.unwrap().edit_distance() >= m.edit_distance());
     }
 
     #[test]

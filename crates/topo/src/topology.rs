@@ -381,11 +381,6 @@ impl Topology {
         (sub, subset.to_vec())
     }
 
-    /// Whether every edge carries the default [`EdgeAttr`].
-    pub(crate) fn has_default_edge_costs(&self) -> bool {
-        self.edges.values().all(|&e| e == EdgeAttr::default())
-    }
-
     /// Dense `n × n` edge-attribute table (row-major, symmetric): the O(1)
     /// `edge_attr` of the kernels that ask about the same graph in a loop.
     pub(crate) fn edge_table(&self) -> Vec<Option<EdgeAttr>> {
@@ -445,6 +440,16 @@ mod tests {
         /// Mutable attribute of `node`.
         pub(crate) fn node_attr_mut(&mut self, node: NodeId) -> &mut NodeAttr {
             &mut self.nodes[node.index()]
+        }
+
+        /// A copy whose edge `(a, b)` costs `cost(a, b)`, the mesh shape
+        /// kept (which `add_edge_with` drops): a chip's weighted twin.
+        pub(crate) fn weighted(&self, mut cost: impl FnMut(NodeId, NodeId) -> u64) -> Self {
+            let mut t = self.clone();
+            for (&(a, b), attr) in &mut t.edges {
+                attr.cost = cost(a, b);
+            }
+            t
         }
     }
 

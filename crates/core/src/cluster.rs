@@ -315,21 +315,11 @@ impl ChipSlot {
         // Nothing to do when every affordable op resolved to a no-op
         // migration — committing would pay a full rollback-snapshot
         // clone (and transient buddy churn) to change nothing.
-        let all_noop_migrations = txn
-            .ops()
-            .iter()
-            .all(|p| matches!(p.op, PlanOp::Migrate { .. }) && p.cost.is_zero());
-        if txn.is_empty() || all_noop_migrations {
+        if txn.ops().iter().all(|p| p.cost.is_zero()) {
             return Ok(CommitReceipt::default());
         }
         let receipt = self.hv.commit_in(&txn, cache)?;
         self.snap = None;
-        for &vm in &receipt.destroyed {
-            self.remove_tenant(vm)?;
-        }
-        for &vm in &receipt.created {
-            self.add_tenant(vm, None);
-        }
         for &(vm, cost) in &receipt.migrated {
             self.pause(vm, cost.paused_cycles)?;
         }
@@ -1179,11 +1169,8 @@ impl Cluster {
         // scratchpad working set moves over the inter-chip fabric (the
         // same formula the drain estimate prices against).
         let data_move = crate::drain::cross_chip_data_bytes(&self.chips[id.chip].hv, vnpu);
-        // The landed copy is a direct create, not a `PlanOp::Create`:
-        // only a direct create widens onto busy cores, so
-        // temporal-sharing tenants keep their §7 over-provisioning path;
-        // create_vnpu_in is itself all-or-nothing, and the source is
-        // only torn down after the copy stands.
+        // create_vnpu_in is all-or-nothing, and the source is only torn
+        // down after the copy stands.
         let dest = &mut self.chips[to_chip].hv;
         let new_vm = dest.create_vnpu_in(req, &mut self.cache)?;
         let landed = dest.vnpu(new_vm).expect("just created");
@@ -1517,7 +1504,7 @@ mod tests {
         assert_eq!(receipts.len(), 1, "one receipt per schedulable chip");
         let (chip, receipt) = &receipts[0];
         assert_eq!(*chip, 0);
-        assert!(receipt.migration_count() >= 1, "a window-opening move runs");
+        assert!(!receipt.migrated.is_empty(), "a window-opening move runs");
         let (_, cost) = receipt.migrated[0];
         assert!(cost.routing_cycles > 0);
         assert!(cost.data_move_bytes > 0);
@@ -1616,7 +1603,7 @@ mod tests {
             .defrag_pass(&bogus)
             .expect("unplannable advisory proposals skip the pass");
         assert_eq!(receipts.len(), 1);
-        assert_eq!(receipts[0].1.migration_count(), 0);
+        assert_eq!(receipts[0].1.migrated.len(), 0);
         assert_eq!(cl.chip(0).vnpu_count(), 1, "nothing was touched");
     }
 
@@ -1761,7 +1748,10 @@ mod tests {
         let txn = cl
             .chip_mut(0)
             .plan(&[
-                PlanOp::Create(VnpuRequest::mesh(2, 2)),
+                PlanOp::Migrate {
+                    vm: id.vm,
+                    to: MigrationTarget::CompactMemory,
+                },
                 PlanOp::Migrate {
                     vm: id.vm,
                     to: MigrationTarget::Remap(Strategy::similar_topology()),
@@ -1817,7 +1807,7 @@ mod tests {
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
         assert_eq!(cl.snapshot_cached(0).frag.free_components, 2);
         let receipts = cl.defrag_pass(&defrag).unwrap();
-        assert!(receipts.iter().all(|(_, r)| r.migration_count() == 0));
+        assert!(receipts.iter().all(|(_, r)| r.migrated.is_empty()));
         assert_eq!(cl.cache_stats(), placed, "nor did the defrag probes");
     }
 
@@ -1893,8 +1883,12 @@ mod tests {
     #[test]
     fn link_fault_transitions_invalidate_outstanding_plans() {
         let mut cl = Cluster::new(vec![sim_chip()]);
-        let create = [PlanOp::Create(VnpuRequest::mesh(2, 2))];
-        let txn = cl.chip_mut(0).plan(&create).unwrap();
+        let id = cl.create_on(0, VnpuRequest::mesh(2, 2)).unwrap();
+        let compact = [PlanOp::Migrate {
+            vm: id.vm,
+            to: MigrationTarget::CompactMemory,
+        }];
+        let txn = cl.chip_mut(0).plan(&compact).unwrap();
         assert_eq!(cl.fault_link(0, 0, 1), Ok(true));
         assert!(matches!(
             cl.chip_mut(0).commit(&txn),
@@ -1906,7 +1900,7 @@ mod tests {
         assert_eq!(cl.chip(0).state_digest(), digest);
         assert!(cl.machine(0).link_faulted(1, 0));
         assert_eq!(cl.machine(0).faulted_links().collect::<Vec<_>>(), [(0, 1)]);
-        let txn = cl.chip_mut(0).plan(&create).unwrap();
+        let txn = cl.chip_mut(0).plan(&compact).unwrap();
         assert_eq!(cl.repair_link(0, 1, 0), Ok(true));
         assert!(matches!(
             cl.chip_mut(0).commit(&txn),
@@ -1950,7 +1944,7 @@ mod tests {
         check(&mut cl, "destroy", &[]);
         let defrag: Arc<dyn Defragmenter> = Arc::new(GreedyDefrag::default());
         let receipts = cl.defrag_pass(&defrag).unwrap();
-        assert!(receipts.iter().any(|(_, r)| r.migration_count() > 0));
+        assert!(receipts.iter().any(|(_, r)| !r.migrated.is_empty()));
         let paid: Vec<Paid> = receipts
             .iter()
             .flat_map(|(chip, r)| {

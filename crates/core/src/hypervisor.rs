@@ -71,9 +71,10 @@ struct Chip {
     rows: NeighborRows,
 }
 
-/// Everything a [`PlanOp`] can change, as one value: a commit applies its
-/// ops to the live one (and assigns a clone back to roll back), a plan
-/// applies the same ops to a clone and drops it.
+/// Everything placement changes, as one value: direct creates and
+/// destroys and a commit apply to the live one (a commit assigns a clone
+/// back to roll back), a plan applies the commit's ops to a clone and
+/// drops it.
 #[derive(Debug, Clone)]
 struct Placement {
     core_users: Vec<u32>,
@@ -363,8 +364,7 @@ impl Hypervisor {
         req: impl Borrow<VnpuRequest>,
         cache: &mut MappingCache,
     ) -> Result<VmId> {
-        let (vm, _) = self.state.create(&self.chip, req.borrow(), true, cache)?;
-        Ok(vm)
+        self.state.create(&self.chip, req.borrow(), cache)
     }
 
     /// The chip's precomputed [`labeled_hash`] fingerprint (the `phys`
@@ -611,26 +611,19 @@ impl Hypervisor {
     /// Runs the commit's op loop on a *copy* of the placement state and
     /// keeps only the prices: every op goes through the one routine
     /// [`Hypervisor::commit_in`] applies to the live state (mappings
-    /// looked up through `cache`, memory split on the copy's allocator,
-    /// meta-zone budgets checked) and is priced with the
-    /// [`ReconfigCost`] it paid there. Ops apply to the copy in order, so
-    /// a plan may destroy one tenant and create into the freed region;
-    /// the copy is then dropped, so nothing on the chip moves. The
-    /// returned [`PlacementTxn`] commits atomically via
-    /// [`Hypervisor::commit_in`] — with nothing in between, at exactly
-    /// the planned prices.
-    ///
-    /// A `Create` inside a plan does not widen onto busy cores — temporal
-    /// sharing (§7 over-provisioning) remains a direct
-    /// [`Hypervisor::create_vnpu`] concern.
+    /// looked up through `cache`, memory re-allocated on the copy's
+    /// allocator) and is priced with the [`ReconfigCost`] it paid there.
+    /// Ops apply to the copy in order, so a later move sees the cores and
+    /// blocks an earlier one vacated; the copy is then dropped, so
+    /// nothing on the chip moves. The returned [`PlacementTxn`] commits
+    /// atomically via [`Hypervisor::commit_in`] — with nothing in
+    /// between, at exactly the planned prices.
     ///
     /// # Errors
     ///
     /// The first op that cannot be applied fails the whole plan:
-    /// [`VnpuError::EmptyRequest`], [`VnpuError::Mapping`],
-    /// [`VnpuError::Memory`], [`VnpuError::MetaZoneOverflow`],
-    /// [`VnpuError::OverRelease`] or [`VnpuError::UnknownVm`] (also for
-    /// VMs destroyed earlier in the same plan).
+    /// [`VnpuError::Mapping`], [`VnpuError::Memory`],
+    /// [`VnpuError::OverRelease`] or [`VnpuError::UnknownVm`].
     pub fn plan_in(&self, ops: &[PlanOp], cache: &mut MappingCache) -> Result<PlacementTxn> {
         self.plan_with(ops, None, cache)
     }
@@ -638,7 +631,8 @@ impl Hypervisor {
     /// [`Hypervisor::plan_in`] under a [`ReconfigBudget`]: migration ops
     /// are planned in order until the next one would exceed the budget,
     /// at which point planning stops and the affordable prefix is
-    /// returned (possibly empty). Create/destroy ops are not budgeted.
+    /// returned (possibly empty). Planned no-ops cost nothing and are
+    /// not counted.
     ///
     /// # Errors
     ///
@@ -659,22 +653,18 @@ impl Hypervisor {
         cache: &mut MappingCache,
     ) -> Result<PlacementTxn> {
         let mut copy = self.state.clone();
-        // What a commit would report; dropped with the copy.
-        let mut receipt = CommitReceipt::default();
         let mut planned: Vec<PlannedOp> = Vec::new();
         let mut total = ReconfigCost::default();
         let mut migrations = 0usize;
         for op in ops {
-            let cost = copy.apply(&self.chip, op, cache, &mut receipt)?;
-            if let Some(b) = budget {
-                if matches!(op, PlanOp::Migrate { .. }) && !cost.is_zero() {
-                    if !b.admits(&total, migrations, &cost) {
-                        break;
-                    }
-                    migrations += 1;
+            let cost = copy.apply(&self.chip, op, cache)?;
+            if let Some(b) = budget.filter(|_| !cost.is_zero()) {
+                if !b.admits(&total, migrations, &cost) {
+                    break;
                 }
+                migrations += 1;
+                total = total.plus(cost);
             }
-            total = total.plus(cost);
             planned.push(PlannedOp {
                 op: op.clone(),
                 cost,
@@ -687,7 +677,6 @@ impl Hypervisor {
             hbm_free_bytes: self.state.buddy.free_bytes(),
             next_vm: self.state.next_vm,
             plan_generation: self.plan_generation,
-            total,
         })
     }
 
@@ -749,9 +738,14 @@ impl Hypervisor {
         let snapshot = self.state.clone();
         let mut receipt = CommitReceipt::default();
         for p in &txn.ops {
-            if let Err(e) = self.state.apply(&self.chip, &p.op, cache, &mut receipt) {
-                self.state = snapshot;
-                return Err(e);
+            let PlanOp::Migrate { vm, .. } = p.op;
+            match self.state.apply(&self.chip, &p.op, cache) {
+                Ok(cost) if cost.is_zero() => {}
+                Ok(cost) => receipt.migrated.push((vm, cost)),
+                Err(e) => {
+                    self.state = snapshot;
+                    return Err(e);
+                }
             }
         }
         self.advance_plan_generation(txn.ops.len() as u64);
@@ -810,43 +804,23 @@ impl Chip {
 }
 
 impl Placement {
-    /// Applies one op: the only implementation of each [`PlanOp`] kind.
-    /// [`Hypervisor::commit_in`] calls it on the live state, a plan on a
-    /// clone. Returns what the op paid (zero for a destroy and for a
-    /// migration that resolved to a no-op) and records it in `receipt`.
-    /// An `Err` may leave `self` half-applied: the commit assigns its
-    /// snapshot back, the plan drops its clone.
+    /// Applies one op: the only implementation of each
+    /// [`MigrationTarget`]. [`Hypervisor::commit_in`] calls it on the
+    /// live state, a plan on a clone. Returns what the op paid (zero for
+    /// a migration that resolved to a no-op). An `Err` may leave `self`
+    /// half-applied: the commit assigns its snapshot back, the plan drops
+    /// its clone.
     fn apply(
         &mut self,
         chip: &Chip,
         op: &PlanOp,
         cache: &mut MappingCache,
-        receipt: &mut CommitReceipt,
     ) -> Result<ReconfigCost> {
-        let cost = match op {
-            PlanOp::Create(req) => {
-                let (vm, cost) = self.create(chip, req, false, cache)?;
-                receipt.created.push(vm);
-                cost
-            }
-            PlanOp::Destroy(vm) => {
-                self.destroy(chip, *vm)?;
-                receipt.destroyed.push(*vm);
-                ReconfigCost::default()
-            }
-            PlanOp::Migrate { vm, to } => {
-                let cost = match to {
-                    MigrationTarget::Remap(strategy) => self.remap(chip, *vm, strategy, cache)?,
-                    MigrationTarget::CompactMemory => self.compact(*vm)?,
-                };
-                if !cost.is_zero() {
-                    receipt.migrated.push((*vm, cost));
-                }
-                cost
-            }
-        };
-        receipt.total = receipt.total.plus(cost);
-        Ok(cost)
+        let PlanOp::Migrate { vm, to } = op;
+        match to {
+            MigrationTarget::Remap(strategy) => self.remap(chip, *vm, strategy, cache),
+            MigrationTarget::CompactMemory => self.compact(*vm),
+        }
     }
 
     /// Takes one user reference on a core, updating the free region when
@@ -894,18 +868,12 @@ impl Placement {
         }
     }
 
-    /// The provisioning pipeline behind [`Hypervisor::create_vnpu_in`]
-    /// (`direct`) and [`PlanOp::Create`]: maps cores, allocates memory,
-    /// builds and deploys the routing and range-translation tables, and
-    /// returns the new VM with the configuration cycles it was charged.
-    /// All-or-nothing on its own: a failing create changes nothing.
-    fn create(
-        &mut self,
-        chip: &Chip,
-        req: &VnpuRequest,
-        direct: bool,
-        cache: &mut MappingCache,
-    ) -> Result<(VmId, ReconfigCost)> {
+    /// The provisioning pipeline behind [`Hypervisor::create_vnpu_in`]:
+    /// maps cores, allocates memory, builds and deploys the routing and
+    /// range-translation tables, charges the configuration cycles and
+    /// returns the new VM. All-or-nothing: a failing create changes
+    /// nothing.
+    fn create(&mut self, chip: &Chip, req: &VnpuRequest, cache: &mut MappingCache) -> Result<VmId> {
         if req.core_count() == 0 || req.memory_bytes() == 0 {
             return Err(VnpuError::EmptyRequest);
         }
@@ -916,12 +884,8 @@ impl Placement {
         //    least-loaded busy cores; their current tenants will be
         //    time-division-multiplexed with this one. The widened set is
         //    its own cacheable region — its fingerprint differs from the
-        //    plain free set's. This is the one rule that separates a
-        //    direct create from a planned one: a `Create` inside a plan
-        //    never widens, so a transaction never books a core a tenant
-        //    already holds (the audit linter's PLAN-CORE rule relies on
-        //    that).
-        let widened = direct.then(|| self.widened_for(chip, req)).flatten();
+        //    plain free set's.
+        let widened = self.widened_for(chip, req);
         let available = widened.as_ref().unwrap_or(&self.free_set);
         let mapping =
             chip.mapper()
@@ -960,13 +924,7 @@ impl Placement {
         for &n in mapping.phys_nodes() {
             self.acquire_core(chip, n.0);
         }
-        let cost = ReconfigCost {
-            routing_cycles: routing_table.config_cycles(),
-            rtt_cycles: rtt_deploy_cycles(entries.len()),
-            data_move_bytes: 0,
-            paused_cycles: 0,
-        };
-        self.config_cycles += cost.config_cycles();
+        self.config_cycles += routing_table.config_cycles() + rtt_deploy_cycles(entries.len());
         self.next_vm += 1;
         let vnpu = VirtualNpu::new(
             req.clone(),
@@ -977,7 +935,7 @@ impl Placement {
             blocks,
         );
         self.vnpus.insert(vm, vnpu);
-        Ok((vm, cost))
+        Ok(vm)
     }
 
     /// The temporal-sharing widening of the free set for `req`: when the
@@ -1417,8 +1375,9 @@ mod tests {
         // Regression: a 3x3 request whose edges cost u64::MAX / 3, on a
         // chip with no free 3x3 window, reached the bipartite GED pricer
         // and overflowed summing a node's deletion row (a panic under
-        // `cargo test`, a silent wrap in release). The search now refuses
-        // it up front and the chip is untouched.
+        // `cargo test`, a silent wrap in release). The mapper now refuses
+        // it up front — before its placement cache builds, looks up or
+        // stores a key — and the chip is untouched.
         let mut h = hv();
         let columns_2_3 = (0..6).flat_map(|row| [6 * row + 2, 6 * row + 3]);
         let taken: Vec<u32> = columns_2_3.chain([12, 13, 30, 31]).collect();
@@ -1435,6 +1394,7 @@ mod tests {
             h.create_vnpu(VnpuRequest::custom(topology)),
             Err(VnpuError::Mapping(vnpu_topo::TopoError::EdgeCostsTooLarge))
         );
+        assert_eq!(h.cache_stats(), CacheStats::default());
         assert_eq!(
             h.state_digest(),
             before,
@@ -1459,6 +1419,7 @@ mod tests {
                 nodes: 193
             }))
         );
+        assert_eq!(h.cache_stats(), CacheStats::default());
         assert_eq!(
             h.state_digest(),
             before,
@@ -1481,10 +1442,9 @@ mod tests {
         let core = h.vnpu(vm).unwrap().mapping().phys_nodes()[0].0;
         h.release_cores(&[core]).unwrap(); // misuse: steals the vNPU's core
         let (digest, lookups) = (h.state_digest(), h.cache_stats());
-        for op in [remap(vm), PlanOp::Destroy(vm)] {
-            let refused = h.plan(&[op]).map(|txn| txn.len());
-            assert_eq!(refused, Err(VnpuError::OverRelease { core }));
-        }
+        let refused = h.plan(&[remap(vm)]).map(|txn| txn.ops().len());
+        assert_eq!(refused, Err(VnpuError::OverRelease { core }));
+        assert_eq!(h.destroy_vnpu(vm), Err(VnpuError::OverRelease { core }));
         assert_eq!(h.cache_stats(), lookups, "refused before the search");
         assert_eq!(h.state_digest(), digest);
         // The commit's turn: a faulted core is stripped without the free
@@ -1494,7 +1454,10 @@ mod tests {
         let core = h.vnpu(vm).unwrap().mapping().phys_nodes()[0].0;
         h.set_core_faulted(core, true).unwrap();
         let txn = h.plan(&[remap(vm)]).unwrap();
-        assert!(!txn.total().is_zero(), "the plan escapes the dead core");
+        assert!(
+            !txn.ops()[0].cost.is_zero(),
+            "the plan escapes the dead core"
+        );
         h.release_cores(&[core]).unwrap();
         let (digest, lookups) = (h.state_digest(), h.cache_stats());
         assert_eq!(h.commit(&txn), Err(VnpuError::OverRelease { core }));
@@ -1616,75 +1579,49 @@ mod tests {
     }
 
     #[test]
-    fn plan_and_commit_create_destroy_roundtrip() {
-        let mut h = hv();
-        let resident = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
-        let ops = vec![
-            PlanOp::Destroy(resident),
-            PlanOp::Create(VnpuRequest::mesh(3, 3)),
-        ];
-        let txn = h.plan(&ops).unwrap();
-        assert_eq!(txn.len(), 2);
-        assert_eq!(
-            txn.ops()[0].cost,
-            ReconfigCost::default(),
-            "destroys are free"
-        );
-        assert!(txn.ops()[1].cost.routing_cycles > 0);
-        assert!(txn.ops()[1].cost.rtt_cycles > 0);
-        let receipt = h.commit(&txn).unwrap();
-        assert_eq!(receipt.destroyed, vec![resident]);
-        assert_eq!(receipt.created.len(), 1);
-        assert!(h.vnpu(resident).is_err());
-        assert_eq!(h.vnpu(receipt.created[0]).unwrap().core_count(), 9);
-        assert_eq!(h.free_core_count(), 27);
-    }
-
-    #[test]
-    fn plan_sees_freed_resources_of_earlier_ops() {
-        // A full chip: Create alone cannot be planned, but Destroy →
-        // Create in one plan can — ops apply to the snapshot in order.
-        let mut h = hv();
-        let resident = h.create_vnpu(VnpuRequest::mesh(6, 6)).unwrap();
-        assert!(h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).is_err());
-        let txn = h
-            .plan(&[
-                PlanOp::Destroy(resident),
-                PlanOp::Create(VnpuRequest::mesh(2, 2)),
-            ])
-            .unwrap();
-        let receipt = h.commit(&txn).unwrap();
-        assert_eq!(receipt.created.len(), 1);
-    }
-
-    #[test]
     fn stale_plan_commits_nothing() {
         let mut h = hv();
         let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
-        let txn = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
-        // The chip changes between plan and commit: the plan is stale.
-        h.destroy_vnpu(vm).unwrap();
+        let other = h.create_vnpu(VnpuRequest::mesh(1, 1)).unwrap();
+        let compact = [PlanOp::Migrate {
+            vm,
+            to: MigrationTarget::CompactMemory,
+        }];
+        // The chip changes between plan and commit — a direct destroy,
+        // then a direct create: the plan is stale.
+        let txn = h.plan(&compact).unwrap();
+        h.destroy_vnpu(other).unwrap();
+        let digest = h.state_digest();
+        assert!(matches!(h.commit(&txn), Err(VnpuError::StalePlan { .. })));
+        assert_eq!(h.state_digest(), digest, "failed commit must not mutate");
+        let txn = h.plan(&compact).unwrap();
+        h.create_vnpu(VnpuRequest::mesh(1, 1)).unwrap();
         let digest = h.state_digest();
         assert!(matches!(h.commit(&txn), Err(VnpuError::StalePlan { .. })));
         assert_eq!(h.state_digest(), digest, "failed commit must not mutate");
         // Injected staleness (the generation chain) is caught even when
         // the free region happens to look identical.
-        let txn = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
+        let txn = h.plan(&compact).unwrap();
         h.invalidate_plans();
         let digest = h.state_digest();
         assert!(matches!(h.commit(&txn), Err(VnpuError::StalePlan { .. })));
         assert_eq!(h.state_digest(), digest);
         // A fresh plan against the new generation commits fine.
-        let txn = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
-        assert_eq!(h.commit(&txn).unwrap().created.len(), 1);
+        let txn = h.plan(&compact).unwrap();
+        assert!(h.commit(&txn).is_ok());
     }
 
     #[test]
     fn commit_advances_the_plan_generation_chain() {
         let mut h = hv();
         assert_eq!(h.plan_generation, 0);
-        let a = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
-        let b = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
+        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
+        let compact = [PlanOp::Migrate {
+            vm,
+            to: MigrationTarget::CompactMemory,
+        }];
+        let a = h.plan(&compact).unwrap();
+        let b = h.plan(&compact).unwrap();
         h.commit(&a).unwrap();
         assert_ne!(h.plan_generation, 0);
         // b was planned against the pre-commit generation: stale now.
@@ -1693,105 +1630,66 @@ mod tests {
 
     #[test]
     fn failed_mid_commit_rolls_back_byte_identically() {
-        // Plans referencing a VM twice after its destroy are rejected at
-        // plan time already.
+        // A genuine mid-apply failure: a full chip but for cores 20 and
+        // 21, tenant `a` on cores 0-1 and tenant `b` on core 35, with
+        // cores 0 and 35 dead. `a`'s only healthy window is 20-21 (core 1
+        // is boxed in by reserved and dead cores), and the core 1 it
+        // vacates is `b`'s only way out. Reserving core 1 between plan
+        // and commit leaves the free region, HBM occupancy and VM
+        // numbering untouched (the core was already occupied), so the
+        // staleness checks pass — but `a`'s move no longer frees core 1
+        // and `b`'s remap fails halfway through the commit.
         let mut h = hv();
-        let victim = h.create_vnpu(VnpuRequest::mesh(1, 1)).unwrap();
-        assert!(matches!(
-            h.plan(&[PlanOp::Destroy(victim), PlanOp::Destroy(victim)]),
-            Err(VnpuError::UnknownVm(_))
-        ));
-        h.destroy_vnpu(victim).unwrap();
-
-        // A genuine mid-apply failure: plan a full-chip turnover, then
-        // sneak an administrative reservation onto one of the victim's
-        // cores. The free region, HBM occupancy and VM numbering all
-        // look untouched (the core was already occupied), so the
-        // staleness checks pass — but the destroy no longer frees that
-        // core and the create fails halfway through the commit.
-        let resident = h.create_vnpu(VnpuRequest::mesh(6, 6)).unwrap();
-        let txn = h
-            .plan(&[
-                PlanOp::Destroy(resident),
-                PlanOp::Create(VnpuRequest::mesh(6, 6)),
-            ])
-            .unwrap();
-        let core = h.vnpu(resident).unwrap().mapping().phys_nodes()[0].0;
-        h.reserve_cores(&[core]).unwrap();
+        h.reserve_cores(&(2..36).collect::<Vec<u32>>()).unwrap();
+        let a = h.create_vnpu(VnpuRequest::mesh(2, 1)).unwrap();
+        h.release_cores(&[35]).unwrap();
+        let b = h.create_vnpu(VnpuRequest::mesh(1, 1)).unwrap();
+        h.set_core_faulted(0, true).unwrap();
+        h.set_core_faulted(35, true).unwrap();
+        h.release_cores(&[20, 21]).unwrap();
+        let remap = |vm| PlanOp::Migrate {
+            vm,
+            to: MigrationTarget::Remap(Strategy::similar_topology()),
+        };
+        let txn = h.plan(&[remap(a), remap(b)]).unwrap();
+        assert!(txn.ops().iter().all(|p| !p.cost.is_zero()), "both move");
+        h.reserve_cores(&[1]).unwrap();
         let digest = h.state_digest();
-        assert!(h.commit(&txn).is_err());
+        assert!(matches!(h.commit(&txn), Err(VnpuError::Mapping(_))));
         assert_eq!(
             h.state_digest(),
             digest,
             "mid-commit failure must roll everything back"
         );
-        assert!(
-            h.vnpu(resident).is_ok(),
-            "the destroyed-then-rolled-back tenant survives"
-        );
-        assert_eq!(h.free_core_count(), 0);
-    }
-
-    #[test]
-    fn plan_refuses_a_vm_destroyed_earlier_in_the_plan() {
-        let mut h = hv();
-        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
-        let digest = h.state_digest();
-        let uses = [
-            PlanOp::Migrate {
-                vm,
-                to: MigrationTarget::Remap(Strategy::similar_topology()),
-            },
-            PlanOp::Migrate {
-                vm,
-                to: MigrationTarget::CompactMemory,
-            },
-            PlanOp::Destroy(vm),
-        ];
-        for op in uses {
-            let r = h.plan(&[PlanOp::Destroy(vm), op]);
-            assert!(
-                matches!(r, Err(VnpuError::UnknownVm(v)) if v == vm),
-                "{r:?}"
-            );
-            assert_eq!(h.state_digest(), digest, "a refused plan moves nothing");
-        }
+        let cores = |vm| h.vnpu(vm).unwrap().mapping().phys_nodes().to_vec();
+        assert_eq!(cores(a), [NodeId(0), NodeId(1)], "the moved tenant is back");
+        assert_eq!(cores(b), [NodeId(35)]);
     }
 
     #[test]
     fn plan_refuses_a_vm_that_never_existed() {
         let mut h = hv();
-        h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
+        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
         let digest = h.state_digest();
         let ghost = VmId(77);
         let uses = [
-            PlanOp::Migrate {
-                vm: ghost,
-                to: MigrationTarget::CompactMemory,
-            },
-            PlanOp::Destroy(ghost),
+            MigrationTarget::Remap(Strategy::similar_topology()),
+            MigrationTarget::CompactMemory,
         ];
-        for op in uses {
-            let r = h.plan(&[PlanOp::Create(VnpuRequest::mesh(1, 1)), op]);
+        for to in uses {
+            let r = h.plan(&[
+                PlanOp::Migrate {
+                    vm,
+                    to: MigrationTarget::CompactMemory,
+                },
+                PlanOp::Migrate { vm: ghost, to },
+            ]);
             assert!(
                 matches!(r, Err(VnpuError::UnknownVm(v)) if v == ghost),
                 "{r:?}"
             );
             assert_eq!(h.state_digest(), digest, "a refused plan moves nothing");
         }
-    }
-
-    #[test]
-    fn plan_refuses_a_create_beyond_free_hbm() {
-        let mut h = Hypervisor::with_hbm_bytes(SocConfig::sim(), 64 << 20);
-        h.create_vnpu(VnpuRequest::mesh(2, 2).mem_bytes(16 << 20))
-            .unwrap();
-        let digest = h.state_digest();
-        let r = h.plan(&[PlanOp::Create(
-            VnpuRequest::mesh(2, 2).mem_bytes(h.hbm_free_bytes() + 1),
-        )]);
-        assert!(matches!(r, Err(VnpuError::Memory(_))), "{r:?}");
-        assert_eq!(h.state_digest(), digest, "a refused plan moves nothing");
     }
 
     #[test]
@@ -1819,7 +1717,7 @@ mod tests {
             }])
             .unwrap();
         let receipt = h.commit(&txn).unwrap();
-        assert_eq!(receipt.migration_count(), 1);
+        assert_eq!(receipt.migrated.len(), 1);
         let (vm, cost) = receipt.migrated[0];
         assert_eq!(vm, row);
         assert!(cost.routing_cycles > 0, "routing re-deployment is paid");
@@ -1855,38 +1753,26 @@ mod tests {
 
     #[test]
     fn plan_accounts_temporal_sharing_user_counts() {
-        // Regression: a hand-simulated plan once marked a destroyed
-        // tenant's cores free outright, while release_core keeps a shared
-        // core occupied until its *last* user leaves — so a plan could
-        // succeed whose commit failed with no intervening state change.
+        // A shared core stays occupied until its *last* user leaves —
+        // through a planned move of one of its tenants and through a
+        // direct destroy alike.
         let mut h = hv();
         let resident = h.create_vnpu(VnpuRequest::mesh(6, 6)).unwrap();
         let shared = h
             .create_vnpu(VnpuRequest::mesh(2, 2).temporal_sharing(true))
             .unwrap();
-        // Destroying only the shared tenant frees nothing (its cores are
-        // still the resident's), so the follow-up create cannot be
-        // planned — and therefore cannot fail at commit either.
-        assert!(h
-            .plan(&[
-                PlanOp::Destroy(shared),
-                PlanOp::Create(VnpuRequest::mesh(2, 2)),
-            ])
-            .is_err());
-        let txn = h.plan(&[PlanOp::Destroy(shared)]).unwrap();
-        h.commit(&txn).unwrap();
-        assert_eq!(h.free_core_count(), 0, "shared cores stay occupied");
-        // Destroying the resident in the same plan as a create works:
-        // the plan frees exactly what the commit frees.
         let txn = h
-            .plan(&[
-                PlanOp::Destroy(resident),
-                PlanOp::Create(VnpuRequest::mesh(2, 2)),
-            ])
+            .plan(&[PlanOp::Migrate {
+                vm: shared,
+                to: MigrationTarget::Remap(Strategy::similar_topology()),
+            }])
             .unwrap();
-        let receipt = h.commit(&txn).unwrap();
-        assert_eq!(receipt.created.len(), 1);
-        assert_eq!(h.free_core_count(), 32);
+        h.commit(&txn).unwrap();
+        assert_eq!(h.core_users().iter().filter(|&&u| u == 2).count(), 4);
+        h.destroy_vnpu(shared).unwrap();
+        assert_eq!(h.free_core_count(), 0, "shared cores stay occupied");
+        h.destroy_vnpu(resident).unwrap();
+        assert_eq!(h.free_core_count(), 36);
     }
 
     #[test]
@@ -1899,10 +1785,11 @@ mod tests {
                 to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
-        assert!(txn.total().is_zero(), "best mapping is the current one");
-        let receipt = h.commit(&txn).unwrap();
-        assert_eq!(receipt.migration_count(), 0);
-        assert!(receipt.total.is_zero());
+        assert!(
+            txn.ops()[0].cost.is_zero(),
+            "best mapping is the current one"
+        );
+        assert!(h.commit(&txn).unwrap().migrated.is_empty());
     }
 
     #[test]
@@ -1929,10 +1816,10 @@ mod tests {
                 to: MigrationTarget::CompactMemory,
             }])
             .unwrap();
-        assert!(txn.total().rtt_cycles > 0);
-        assert_eq!(txn.total().data_move_bytes, 256 << 20);
-        let receipt = h.commit(&txn).unwrap();
-        assert_eq!(receipt.migration_count(), 1);
+        let cost = txn.ops()[0].cost;
+        assert!(cost.rtt_cycles > 0);
+        assert_eq!(cost.data_move_bytes, 256 << 20);
+        assert_eq!(h.commit(&txn).unwrap().migrated, [(c, cost)]);
         let frag_after = h.fragmentation().hbm_external_fragmentation;
         assert!(
             frag_after < frag_before,
@@ -1975,7 +1862,7 @@ mod tests {
                 to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
-        assert_eq!(h.commit(&noop).unwrap().migration_count(), 0);
+        assert_eq!(h.commit(&noop).unwrap().migrated.len(), 0);
         assert_eq!((stamp(&h, big), stamp(&h, row)), (big0, row0));
         // A core move re-deploys the moved tenant only ...
         h.destroy_vnpu(big).unwrap();
@@ -1985,7 +1872,7 @@ mod tests {
                 to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
-        assert_eq!(h.commit(&remap).unwrap().migration_count(), 1);
+        assert_eq!(h.commit(&remap).unwrap().migrated.len(), 1);
         let row1 = stamp(&h, row);
         assert_ne!(row1, row0);
         // ... and so does a memory move.
@@ -1996,7 +1883,7 @@ mod tests {
                 to: MigrationTarget::CompactMemory,
             }])
             .unwrap();
-        assert_eq!(h.commit(&compact).unwrap().migration_count(), 1);
+        assert_eq!(h.commit(&compact).unwrap().migrated.len(), 1);
         assert_ne!(stamp(&h, row), row1);
     }
 
@@ -2041,7 +1928,7 @@ mod tests {
                 to: MigrationTarget::Remap(Strategy::similar_topology()),
             }])
             .unwrap();
-        assert_eq!(h.commit(&txn).unwrap().migration_count(), 1);
+        assert_eq!(h.commit(&txn).unwrap().migrated.len(), 1);
         let after = (phys(&h, 0), phys(&h, 5));
         assert_ne!(before, after);
         let mut moved = h.services(row, VirtCoreId(0)).unwrap();
@@ -2259,7 +2146,13 @@ mod tests {
     #[test]
     fn fault_transitions_invalidate_outstanding_plans() {
         let mut h = hv();
-        let txn = h.plan(&[PlanOp::Create(VnpuRequest::mesh(2, 2))]).unwrap();
+        let vm = h.create_vnpu(VnpuRequest::mesh(2, 2)).unwrap();
+        let txn = h
+            .plan(&[PlanOp::Migrate {
+                vm,
+                to: MigrationTarget::CompactMemory,
+            }])
+            .unwrap();
         h.set_core_faulted(7, true).unwrap();
         assert!(matches!(h.commit(&txn), Err(VnpuError::StalePlan { .. })));
     }

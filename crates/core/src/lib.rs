@@ -36,8 +36,8 @@
 //! queue admits in arrival order with head-of-line blocking.
 //! Everything runs on the caller's thread, the mapper included: per-chip
 //! work (drain and defrag planning, machine epochs) is a plain loop in
-//! chip order. Fleet operations compose on top: [`plan`] makes every mutation a
-//! costed, atomically committable transaction, and [`drain`] turns
+//! chip order. Fleet operations compose on top: [`plan`] makes every
+//! migration a costed, atomically committable transaction, and [`drain`] turns
 //! whole-chip maintenance evacuation into a budgeted pipeline over those
 //! transactions.
 //!

@@ -9,22 +9,24 @@
 //! module makes that a first-class, costed, atomically-committable
 //! operation:
 //!
-//! * a [`PlanOp`] is one mutation — [`PlanOp::Create`],
-//!   [`PlanOp::Migrate`] (re-map a tenant's cores under pin, or compact
-//!   its HBM blocks) or [`PlanOp::Destroy`];
+//! * a [`PlanOp`] is one mutation, [`PlanOp::Migrate`]: re-map a
+//!   tenant's cores under pin, or compact its HBM blocks (tenants are
+//!   created and destroyed directly, through
+//!   [`crate::Hypervisor::create_vnpu`] and
+//!   [`crate::Hypervisor::destroy_vnpu`]);
 //! * [`crate::Hypervisor::commit`] validates a transaction against the
 //!   live free region and plan generation, then applies *all* ops or —
 //!   on any failure or staleness — none (the hypervisor's observable
 //!   state is byte-identical to before the call);
 //! * [`crate::Hypervisor::plan`] *is* that commit run on a copy: the
 //!   whole op list goes through the commit's op loop — one routine per
-//!   op kind, there is no second, simulated one — against a clone of the
-//!   chip's placement state, each op keeps the [`ReconfigCost`] it paid
-//!   there (routing-table re-deployment cycles, RTT re-deployment
-//!   cycles, data-movement bytes, paused-tenant time), the clone is
-//!   dropped and the priced list comes back as a [`PlacementTxn`]. A plan
-//!   that succeeded therefore commits, at the planned prices, unless the
-//!   chip changed in between.
+//!   migration target, there is no second, simulated one — against a
+//!   clone of the chip's placement state, each op keeps the
+//!   [`ReconfigCost`] it paid there (routing-table re-deployment cycles,
+//!   RTT re-deployment cycles, data-movement bytes, paused-tenant time),
+//!   the clone is dropped and the priced list comes back as a
+//!   [`PlacementTxn`]. A plan that succeeded therefore commits, at the
+//!   planned prices, unless the chip changed in between.
 //!
 //! On top of the transaction engine, [`Defragmenter`] is the policy
 //! trait for background compaction: driven by the per-tick
@@ -35,7 +37,6 @@
 use crate::admission::FragmentationStats;
 use crate::hypervisor::Hypervisor;
 use crate::ids::VmId;
-use crate::vnpu::VnpuRequest;
 use std::fmt;
 use vnpu_topo::cache::MappingCache;
 use vnpu_topo::mapping::Strategy;
@@ -146,8 +147,6 @@ pub enum MigrationTarget {
 /// One placement mutation inside a [`PlacementTxn`].
 #[derive(Debug, Clone)]
 pub enum PlanOp {
-    /// Provision a new virtual NPU.
-    Create(VnpuRequest),
     /// Move a live virtual NPU (cores or memory; see [`MigrationTarget`]).
     Migrate {
         /// The tenant to move.
@@ -155,8 +154,6 @@ pub enum PlanOp {
         /// Where (and what) to move.
         to: MigrationTarget,
     },
-    /// Tear a virtual NPU down.
-    Destroy(VmId),
 }
 
 /// One op of a planned transaction, with its price.
@@ -164,8 +161,7 @@ pub enum PlanOp {
 pub struct PlannedOp {
     /// The operation.
     pub op: PlanOp,
-    /// Its planned [`ReconfigCost`] (zero for destroys and planned
-    /// no-ops).
+    /// Its planned [`ReconfigCost`] (zero for a planned no-op).
     pub cost: ReconfigCost,
 }
 
@@ -174,10 +170,9 @@ pub struct PlannedOp {
 /// Produced by [`crate::Hypervisor::plan`] on a copy of the chip's
 /// placement state; applied atomically by [`crate::Hypervisor::commit`].
 /// The only constructor is the plan itself and the fields are
-/// crate-private, so every op in a transaction already applied cleanly
-/// on the copy: an unknown or already-destroyed VM, a double-booked or
-/// over-released core and an HBM overcommit are `Err`s from `plan`, and
-/// the total is the running sum of the per-op costs. What a transaction
+/// crate-private, so every migration in a transaction already applied
+/// cleanly on the copy: an unknown VM, an over-released core and a
+/// target that no longer fits are `Err`s from `plan`. What a transaction
 /// cannot know is whether the chip moved since: it remembers the
 /// free-region fingerprint and count, HBM occupancy, VM numbering and
 /// plan generation the copy was taken at — if any of them changed by
@@ -192,7 +187,6 @@ pub struct PlacementTxn {
     pub(crate) hbm_free_bytes: u64,
     pub(crate) next_vm: u32,
     pub(crate) plan_generation: u64,
-    pub(crate) total: ReconfigCost,
 }
 
 impl PlacementTxn {
@@ -200,42 +194,14 @@ impl PlacementTxn {
     pub fn ops(&self) -> &[PlannedOp] {
         &self.ops
     }
-
-    /// The summed [`ReconfigCost`] of every planned op.
-    pub fn total(&self) -> ReconfigCost {
-        self.total
-    }
-
-    /// Number of planned ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the plan contains no ops.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 /// What a successful [`crate::Hypervisor::commit`] actually did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommitReceipt {
-    /// VMs created, in op order.
-    pub created: Vec<VmId>,
     /// VMs whose placement actually changed, with the paid cost (planned
     /// no-ops are omitted).
     pub migrated: Vec<(VmId, ReconfigCost)>,
-    /// VMs destroyed, in op order.
-    pub destroyed: Vec<VmId>,
-    /// The summed cost actually paid.
-    pub total: ReconfigCost,
-}
-
-impl CommitReceipt {
-    /// Number of placements that actually moved.
-    pub fn migration_count(&self) -> usize {
-        self.migrated.len()
-    }
 }
 
 /// A background-defragmentation policy: given the per-tick fragmentation

@@ -825,7 +825,7 @@ impl ServeRuntime {
             .collect();
         let receipts = self.cluster.defrag_pass(defrag)?;
         for (chip, receipt) in receipts {
-            if receipt.migration_count() == 0 {
+            if receipt.migrated.is_empty() {
                 continue;
             }
             for (vm, cost) in &receipt.migrated {

@@ -209,11 +209,8 @@ pub(crate) mod testing {
     pub(crate) fn sprinkle_kinds(t: &mut Topology, rng: &mut Rng) {
         for node in t.nodes().collect::<Vec<_>>() {
             if rng.below(4) == 0 {
-                t.node_attr_mut(node).kind = [
-                    NodeKind::MatrixOptimized,
-                    NodeKind::VectorOptimized,
-                    NodeKind::MemoryInterface,
-                ][rng.below(3)];
+                t.node_attr_mut(node).kind =
+                    [NodeKind::MatrixOptimized, NodeKind::VectorOptimized][rng.below(2)];
             }
         }
     }

@@ -240,26 +240,26 @@ impl<'a> Mapper<'a> {
     /// (the candidate enumerators index the mask by physical node id, so
     /// an undersized set would otherwise panic).
     pub fn map_in(&self, free: &FreeSet, req: &Topology, strategy: &Strategy) -> Result<Mapping> {
+        self.refuse_unsearchable(free, req)?;
         self.search(free, req, strategy, None)
     }
 
-    /// [`Mapper::map_in`]'s body. An exact-only or similar-topology search
-    /// looks its candidates up in `memo` when given one; the result is the
-    /// same.
-    fn search(
-        &self,
-        free: &FreeSet,
-        req: &Topology,
-        strategy: &Strategy,
-        memo: Option<&mut ScoreMemo>,
-    ) -> Result<Mapping> {
+    /// The refusals no free region could lift, checked at every entry
+    /// before a cache is touched or a search starts: a free set sized for
+    /// another topology, edge costs summing past [`ged::EDGE_COST_BOUND`]
+    /// (so no sum the kernels form overflows) and a request past
+    /// [`ged::MAX_REQUEST_NODES`]. A refusal here is not memoized: the
+    /// free-region fingerprint is capacity-independent, so a
+    /// wrong-capacity set would alias the correctly-sized region with the
+    /// same free membership, and an impossible request would only fill
+    /// the cache with entries no placement reads.
+    fn refuse_unsearchable(&self, free: &FreeSet, req: &Topology) -> Result<()> {
         if free.capacity() != self.phys.node_count() {
             return Err(TopoError::FreeSetMismatch {
                 set: free.capacity(),
                 topology: self.phys.node_count(),
             });
         }
-        // Checked once per search, so no sum the kernels form overflows.
         let mut attrs = req
             .edges()
             .map(|(a, b)| req.edge_attr(a, b).unwrap_or_default());
@@ -271,6 +271,21 @@ impl<'a> Mapper<'a> {
         if k > ged::MAX_REQUEST_NODES {
             return Err(TopoError::RequestTooLarge { nodes: k });
         }
+        Ok(())
+    }
+
+    /// [`Mapper::map_in`]'s body, for a request
+    /// [`Mapper::refuse_unsearchable`] passed. An exact-only or
+    /// similar-topology search looks its candidates up in `memo` when
+    /// given one; the result is the same.
+    fn search(
+        &self,
+        free: &FreeSet,
+        req: &Topology,
+        strategy: &Strategy,
+        memo: Option<&mut ScoreMemo>,
+    ) -> Result<Mapping> {
+        let k = req.node_count();
         if free.free_count() < k {
             return Err(TopoError::InsufficientNodes {
                 requested: k,
@@ -338,6 +353,7 @@ impl<'a> Mapper<'a> {
         strategy: &Strategy,
         cache: &mut MappingCache,
     ) -> Result<Mapping> {
+        self.refuse_unsearchable(free, req)?;
         self.search(free, req, strategy, Some(&mut cache.score))
     }
 
@@ -361,19 +377,9 @@ impl<'a> Mapper<'a> {
         cache: &mut MappingCache,
         precomputed: Option<Result<Mapping>>,
     ) -> Result<Mapping> {
-        // Checked before the cache is touched: the free-region fingerprint
-        // is capacity-independent, so a wrong-capacity set would alias the
-        // correctly-sized region with the same free membership — memoizing
-        // the mismatch error (or replaying a placement) under that key
-        // would poison it for valid callers.
-        if free.capacity() != self.phys.node_count() {
-            return Err(TopoError::FreeSetMismatch {
-                set: free.capacity(),
-                topology: self.phys.node_count(),
-            });
-        }
+        self.refuse_unsearchable(free, req)?;
         let Some(key) = cache.key_for(self.phys_key, self.generation, req, strategy, free) else {
-            return precomputed.unwrap_or_else(|| self.map_in(free, req, strategy));
+            return precomputed.unwrap_or_else(|| self.search(free, req, strategy, None));
         };
         if let Some(result) = cache.get(&key, free) {
             return result;
@@ -1375,7 +1381,8 @@ mod tests {
         // but its kernel rows would take a fourth word. Every strategy
         // kind refuses it at entry: before the free count is read (a chip
         // with nothing free refuses it the same way), before a candidate
-        // is enumerated or looked up in the score memo.
+        // is enumerated or looked up in the score memo, and before a
+        // placement-cache key is built, looked up or stored.
         let phys = Topology::mesh2d(14, 14);
         let mapper = Mapper::new(&phys);
         let (idle, req) = (FreeSet::all_free(196), Topology::line(193));
@@ -1399,6 +1406,8 @@ mod tests {
             );
         }
         assert_eq!(cache.score_stats(), [crate::CacheStats::default(); 4]);
+        assert_eq!(cache.stats(), crate::CacheStats::default());
+        assert_eq!(cache.len(), 0);
         assert_eq!(
             error.to_string(),
             "a request of 193 nodes is past the 192 a mapper takes"

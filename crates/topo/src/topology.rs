@@ -4,8 +4,7 @@ use crate::{Result, TopoError};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-/// Identifier of a node (an NPU core or memory-interface position) inside a
-/// [`Topology`].
+/// Identifier of a node (an NPU core) inside a [`Topology`].
 ///
 /// `NodeId` is an index into the topology that created it; it carries no
 /// global meaning on its own. The `vnpu` crate layers `PhysCoreId` /
@@ -44,8 +43,6 @@ pub enum NodeKind {
     MatrixOptimized,
     /// A core specialized for vector operations.
     VectorOptimized,
-    /// A memory-interface node (HBM controller attach point).
-    MemoryInterface,
 }
 
 /// Per-node attributes consulted by the `NodeMatch` function of

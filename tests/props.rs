@@ -398,15 +398,16 @@ fn hypervisor_churn_leaves_no_residue() {
     );
 }
 
-/// Transactional-plan churn invariant: any random interleaving of
-/// creates, destroys, core migrations and memory compactions — all
-/// driven through `Hypervisor::plan`/`commit`, one op at a time and as
-/// multi-op mixed plans, with temporal-sharing residents on the chip —
-/// leaks nothing and ends fully coalesced at quiescence, every
-/// deliberately staled commit leaves the hypervisor byte-identical
-/// (`state_digest` compare), and every un-intervened commit lands at the
-/// planned prices (`land`): the commit is the plan's oracle. After every
-/// op the free set is exactly the cores no tenant uses.
+/// Transactional-plan churn invariant: any random interleaving of direct
+/// creates and destroys with core migrations and memory compactions —
+/// the migrations driven through `Hypervisor::plan`/`commit`, one op at
+/// a time and as multi-op plans, with temporal-sharing residents on the
+/// chip — leaks nothing and ends fully coalesced at quiescence, every
+/// commit staled by a direct create or destroy leaves the hypervisor
+/// byte-identical (`state_digest` compare), and every un-intervened
+/// commit lands at the planned prices (`land`): the commit is the plan's
+/// oracle. After every op the free set is exactly the cores no tenant
+/// uses.
 #[test]
 fn placement_plan_churn_is_transactional_and_leak_free() {
     use std::cell::Cell;
@@ -422,28 +423,25 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
         let receipt = hv
             .commit(txn)
             .map_err(|e| format!("an un-intervened commit failed: {e}"))?;
-        prop_assert_eq!(receipt.total, txn.total());
-        let (mut created, mut destroyed, mut migrated) = (0, Vec::new(), Vec::new());
-        for p in txn.ops() {
-            match &p.op {
-                PlanOp::Create(_) => created += 1,
-                PlanOp::Destroy(vm) => destroyed.push(*vm),
-                PlanOp::Migrate { vm, .. } if !p.cost.is_zero() => migrated.push((*vm, p.cost)),
-                PlanOp::Migrate { .. } => {}
-            }
-        }
-        prop_assert_eq!(receipt.created.len(), created);
-        prop_assert_eq!(receipt.destroyed, destroyed);
-        prop_assert_eq!(receipt.migrated, migrated);
+        let planned: Vec<_> = txn
+            .ops()
+            .iter()
+            .filter(|p| !p.cost.is_zero())
+            .map(|p| {
+                let PlanOp::Migrate { vm, .. } = p.op;
+                (vm, p.cost)
+            })
+            .collect();
+        prop_assert_eq!(&receipt.migrated, &planned);
         Ok(receipt)
     }
 
     // How often each multi-op outcome was reached over the campaign:
-    // a landed destroy-then-create, a remap + compaction of one VM that
-    // both moved, a resident actually sharing cores, a plan the budget
-    // cut short, a no-op migration left out of a receipt.
-    let reached: [Cell<u32>; 5] = Default::default();
-    let [turnover, both_moved, sharing, cut_short, noop_omitted] = &reached;
+    // a remap + compaction of one VM that both moved, a resident actually
+    // sharing cores, a plan the budget cut short, a no-op migration left
+    // out of a receipt.
+    let reached: [Cell<u32>; 4] = Default::default();
+    let [both_moved, sharing, cut_short, noop_omitted] = &reached;
     let hit = |outcome: &Cell<u32>| outcome.set(outcome.get() + 1);
     check(
         "placement_plan_churn_is_transactional_and_leak_free",
@@ -459,6 +457,12 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                 vm,
                 to: MigrationTarget::CompactMemory,
             };
+            let move_oldest = |live: &[VmId]| -> Vec<PlanOp> {
+                let vm = live.first().copied();
+                vm.map(|vm| PlanOp::Migrate { vm, to: remap() })
+                    .into_iter()
+                    .collect()
+            };
             let mut live: Vec<VmId> = Vec::new();
             for &(shape, action) in ops {
                 let req = match shape {
@@ -473,10 +477,8 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                 };
                 match action {
                     0 if !live.is_empty() => {
-                        // Destroy the oldest tenant, transactionally.
-                        let vm = live.remove(0);
-                        let txn = hv.plan(&[PlanOp::Destroy(vm)]).expect("plan destroy");
-                        land(&mut hv, &txn)?;
+                        // Destroy the oldest tenant.
+                        hv.destroy_vnpu(live.remove(0)).expect("destroy live vnpu");
                     }
                     1 if !live.is_empty() => {
                         // Migrate the oldest tenant's cores under pin.
@@ -496,19 +498,17 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                         land(&mut hv, &txn)?;
                     }
                     5 if !live.is_empty() => {
-                        // Turn the oldest tenant over in one plan: the
-                        // create may map into the region the destroy
-                        // frees. A plan that does not fit changes nothing.
+                        // Turn the oldest tenant over: the create may map
+                        // into the region the destroy frees. A create
+                        // that does not fit changes nothing.
+                        hv.destroy_vnpu(live.remove(0)).expect("destroy live vnpu");
                         let digest = hv.state_digest();
-                        let swap = [PlanOp::Destroy(live[0]), PlanOp::Create(req)];
-                        let Ok(txn) = hv.plan(&swap) else {
-                            prop_assert_eq!(hv.state_digest(), digest, "failed plan mutated");
-                            free_set_is_exact(&hv)?;
-                            continue;
-                        };
-                        live.remove(0);
-                        live.push(land(&mut hv, &txn)?.created[0]);
-                        hit(turnover);
+                        match hv.create_vnpu(req) {
+                            Ok(vm) => live.push(vm),
+                            Err(_) => {
+                                prop_assert_eq!(hv.state_digest(), digest, "failed create mutated")
+                            }
+                        }
                     }
                     6 if !live.is_empty() => {
                         // Move one tenant's cores and memory in one plan.
@@ -516,14 +516,13 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                         let txn = hv
                             .plan(&[PlanOp::Migrate { vm, to: remap() }, compact(vm)])
                             .expect("both moves have their own spot");
-                        if land(&mut hv, &txn)?.migration_count() == 2 {
+                        if land(&mut hv, &txn)?.migrated.len() == 2 {
                             hit(both_moved);
                         }
                     }
                     7 => {
                         // A temporal-sharing resident, large enough to
-                        // need busy cores (a direct create: planned ones
-                        // never widen onto them).
+                        // need busy cores.
                         let wide = VnpuRequest::mesh(3 + shape % 4, 3).mem_bytes(8 << 20);
                         if let Ok(vm) = hv.create_vnpu(wide.temporal_sharing(true)) {
                             live.push(vm);
@@ -546,21 +545,27 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                         let txn = hv
                             .plan_budgeted_in(&all, &budget, &mut MappingCache::default())
                             .expect("budgeted moves plan");
-                        prop_assert!(land(&mut hv, &txn)?.migration_count() <= 1);
-                        if txn.len() < all.len() {
+                        prop_assert!(land(&mut hv, &txn)?.migrated.len() <= 1);
+                        if txn.ops().len() < all.len() {
                             hit(cut_short);
                         }
                     }
                     _ => {
-                        // Placement may legitimately fail under
-                        // fragmentation; planned failures change nothing.
-                        let Ok(txn) = hv.plan(&[PlanOp::Create(req.clone())]) else {
-                            free_set_is_exact(&hv)?;
-                            continue;
-                        };
-                        // Stale the plan on purpose: the failed commit
-                        // must leave the hypervisor byte-identical.
-                        hv.invalidate_plans();
+                        // Plan a move of the oldest tenant (an empty plan
+                        // on an empty chip), then stale it on purpose
+                        // with a direct create — or, when the request
+                        // does not fit, a direct destroy of the oldest
+                        // tenant: the failed commit must leave the
+                        // hypervisor byte-identical.
+                        let txn = hv
+                            .plan(&move_oldest(&live))
+                            .expect("remap-under-pin always has its own spot");
+                        match hv.create_vnpu(req) {
+                            Ok(vm) => live.push(vm),
+                            Err(_) => hv
+                                .destroy_vnpu(live.remove(0))
+                                .expect("an empty chip fits every request"),
+                        }
                         let digest = hv.state_digest();
                         prop_assert!(
                             matches!(hv.commit(&txn), Err(VnpuError::StalePlan { .. })),
@@ -571,22 +576,20 @@ fn placement_plan_churn_is_transactional_and_leak_free() {
                             digest,
                             "failed commit must be byte-identical"
                         );
-                        // Re-plan against the new generation and land it.
-                        let txn = hv.plan(&[PlanOp::Create(req)]).expect("replan");
-                        live.push(land(&mut hv, &txn)?.created[0]);
+                        // Re-plan against the changed chip and land it.
+                        let txn = hv.plan(&move_oldest(&live)).expect("replan");
+                        land(&mut hv, &txn)?;
                     }
                 }
                 prop_assert!(hv.free_core_count() <= total_cores);
                 prop_assert!(hv.hbm_free_bytes() <= free_hbm_at_start);
                 free_set_is_exact(&hv)?;
             }
-            // Drain every survivor in one transaction.
-            if !live.is_empty() {
-                let drain: Vec<PlanOp> = live.drain(..).map(PlanOp::Destroy).collect();
-                let txn = hv.plan(&drain).expect("plan drain");
-                land(&mut hv, &txn)?;
-                free_set_is_exact(&hv)?;
+            // Drain every survivor.
+            for vm in live {
+                hv.destroy_vnpu(vm).expect("destroy live vnpu");
             }
+            free_set_is_exact(&hv)?;
             prop_assert_eq!(hv.free_core_count(), total_cores, "no leaked cores");
             prop_assert_eq!(hv.hbm_free_bytes(), free_hbm_at_start, "no leaked HBM");
             let frag = hv.fragmentation();

@@ -914,6 +914,31 @@ mod tests {
     }
 
     #[test]
+    fn labeled_hashes_are_pinned() {
+        // Placement-cache keys and every chip's `phys_key` are these
+        // values, so a change to how a topology stores its neighbours must
+        // leave each one as it is: a chip, a relabelled 2x2 request, a
+        // request of mixed edge costs and a line whose rows take two words.
+        let relabeled = Topology::from_edges(4, &[(0, 3), (3, 1), (1, 2), (2, 0)]).unwrap();
+        let mut mixed = Topology::mesh2d(3, 2);
+        mixed
+            .add_edge_with(NodeId(1), NodeId(4), crate::EdgeAttr { cost: 7 })
+            .unwrap();
+        mixed
+            .add_edge_with(NodeId(0), NodeId(1), crate::EdgeAttr { cost: 3 })
+            .unwrap();
+        let pins = [
+            (Topology::mesh2d(6, 6), 0x1977_d090_6e56_9580),
+            (relabeled, 0x79a9_69cc_6282_803c),
+            (mixed, 0x593b_8584_18d4_43af),
+            (Topology::line(70), 0x75a8_d531_26ea_4fb3),
+        ];
+        for (t, want) in pins {
+            assert_eq!(labeled_hash(&t), want, "{} nodes", t.node_count());
+        }
+    }
+
+    #[test]
     fn fingerprint_collision_reads_as_miss_not_stale_placement() {
         // A hit is only trusted after its placement is re-checked against
         // the live free set: simulate a 64-bit fingerprint collision by

@@ -635,8 +635,11 @@ mod reference {
                 // and same-VM and cross-chip redeployments.
                 let chip = below(rng, 3);
                 let core = below(rng, cluster.chip(chip).core_users().len()) as u32;
-                let next = cluster.chip(chip).topology().neighbors(NodeId(core));
-                let peer = next[below(rng, next.len())].0;
+                let peer = {
+                    let topo = cluster.chip(chip).topology();
+                    let at = below(rng, topo.degree(NodeId(core)));
+                    topo.neighbors(NodeId(core)).nth(at).unwrap().0
+                };
                 let _ = match below(rng, 15) {
                     0..=3 => cluster
                         .create_on(chip, random_request(rng))

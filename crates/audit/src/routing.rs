@@ -172,8 +172,8 @@ impl TenantEntry {
 }
 
 /// Dense ids for a topology's directed links: `a → b` is `first[a]` plus
-/// the rank of `b` among `a`'s sorted neighbours, so ascending ids are
-/// ascending [`Link`]s on any [`Topology`].
+/// the rank of `b` among `a`'s neighbours, which come ascending, so
+/// ascending ids are ascending [`Link`]s on any [`Topology`].
 pub(crate) struct LinkIds<'t> {
     topo: &'t Topology,
     /// Id of each core's first outgoing link, then the link count.
@@ -193,17 +193,19 @@ impl<'t> LinkIds<'t> {
     /// confined router walks neighbours, and DOR only runs on a
     /// mesh-tagged topology, which only `mesh2d` / `torus2d` build.
     fn id(&self, a: u32, b: u32) -> u32 {
-        let next = self.topo.neighbors(NodeId(a));
-        debug_assert!(next.contains(&NodeId(b)), "hop p{a}->p{b} is not a link");
-        self.first[a as usize] + next.partition_point(|n| n.0 < b) as u32
+        let (a, b) = (NodeId(a), NodeId(b));
+        debug_assert!(self.topo.has_edge(a, b), "hop {a}->{b} is not a link");
+        let below = self.topo.neighbors(a).take_while(|&n| n < b).count();
+        self.first[a.index()] + below as u32
     }
 
     fn link(&self, id: u32) -> Link {
         let from = self.first.partition_point(|&f| f <= id) - 1;
         let rank = (id - self.first[from]) as usize;
+        let to = self.topo.neighbors(NodeId(from as u32)).nth(rank);
         Link {
             from: from as u32,
-            to: self.topo.neighbors(NodeId(from as u32))[rank].0,
+            to: to.expect("a link id ranks one of its core's neighbours").0,
         }
     }
 }
@@ -783,8 +785,12 @@ pub(crate) mod reference {
                     let mut node = below(rng, 36) as u32;
                     let mut walk = vec![node];
                     for _ in 1..len {
-                        let next = mesh.neighbors(NodeId(node));
-                        node = next[below(rng, next.len())].0;
+                        let degree = mesh.degree(NodeId(node));
+                        node = mesh
+                            .neighbors(NodeId(node))
+                            .nth(below(rng, degree))
+                            .unwrap()
+                            .0;
                         walk.push(node);
                     }
                     walk

@@ -26,7 +26,7 @@ use vnpu_mem::buddy::{Block, BuddyAllocator};
 use vnpu_mem::rtt::{rtt_deploy_cycles, RttEntry};
 use vnpu_mem::{Perm, PhysAddr, VirtAddr};
 use vnpu_sim::SocConfig;
-use vnpu_topo::cache::{labeled_hash, CacheStats, FreeSet, MappingCache, NeighborRows};
+use vnpu_topo::cache::{labeled_hash, CacheStats, FreeSet, MappingCache};
 use vnpu_topo::mapping::{Mapper, Mapping, Strategy};
 use vnpu_topo::{NodeId, Topology};
 
@@ -66,9 +66,6 @@ struct Chip {
     /// excludes it automatically) without touching `core_users`, and a
     /// tenant releasing it does not return it to the free pool.
     faulted: Vec<bool>,
-    /// The topology's neighbour rows, built once: the free-region kernel
-    /// behind [`Hypervisor::fragmentation`] and the defrag window checks.
-    rows: NeighborRows,
 }
 
 /// Everything placement changes, as one value: direct creates and
@@ -126,7 +123,6 @@ impl Hypervisor {
         Hypervisor {
             chip: Chip {
                 phys_key: labeled_hash(&topo),
-                rows: NeighborRows::new(&topo),
                 topo: Arc::new(topo),
                 topo_generation: 0,
                 faulted: vec![false; n],
@@ -507,7 +503,7 @@ impl Hypervisor {
     /// `(components, largest)` of the free region `free` of this chip:
     /// its connected components and the core count of the largest.
     pub(crate) fn free_regions(&self, free: &FreeSet) -> (usize, usize) {
-        self.chip.rows.free_regions(free)
+        free.free_regions(&self.chip.topo)
     }
 
     // ------------------------------------------------------------------
@@ -1383,7 +1379,7 @@ mod tests {
         let taken: Vec<u32> = columns_2_3.chain([12, 13, 30, 31]).collect();
         h.reserve_cores(&taken).unwrap();
         let mut topology = Topology::empty(9);
-        for (a, b) in Topology::mesh2d(3, 3).edges().collect::<Vec<_>>() {
+        for (a, b, _) in Topology::mesh2d(3, 3).edges().collect::<Vec<_>>() {
             let cost = u64::MAX / 3;
             topology
                 .add_edge_with(a, b, vnpu_topo::EdgeAttr { cost })

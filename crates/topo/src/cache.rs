@@ -12,9 +12,8 @@
 //! * [`FreeSet`] — the free-core region as an incrementally-maintained
 //!   membership mask with an O(delta) XOR fingerprint, so per-request
 //!   mapping no longer rebuilds an O(cores) mask and the region's identity
-//!   is a single `u64`.
-//! * [`NeighborRows`] — a topology's adjacency as bit rows, built once per
-//!   chip, and the flood fill over them that counts a free region's
+//!   is a single `u64`; and [`FreeSet::free_regions`], the flood fill over
+//!   the topology's neighbour bit rows that counts a free region's
 //!   connected components and sizes the largest without allocating (the
 //!   fragmentation picture admission and defragmentation read).
 //! * [`MappingCache`] — a bounded memo table keyed by
@@ -44,18 +43,20 @@
 //! * [`CLASS`] — `canonical::canonical_key(sub)`, the walk's dedup key;
 //! * [`ISO`] — `canonical::find_isomorphism(req, sub)`, the exact-match
 //!   check of the rectangle fast path and of the walk;
-//! * [`GED`] — the edit distance from `req` to `sub`: `ged::ged_exact`
-//!   up to 8 nodes, `ged::StockRefiner::bipartite` above;
+//! * [`GED`] — the edit distance from `req` to `sub`:
+//!   `ged::StockRefiner::exact` up to 8 nodes, `ged::StockRefiner::bipartite`
+//!   above;
 //! * [`REFINE`] — `ged::StockRefiner::refine` of `start`, 8 passes.
 //!
 //! They are keyed by the candidate's **structure**: a `u128` of its node
 //! kinds and upper-triangle adjacency in sorted-cell order, under a
 //! sentinel bit that fixes the node count, computed straight from the
-//! cells and the chip's adjacency lists (`SearchMemo::structure`) for
-//! at most 12 nodes. No subgraph is built unless a lookup misses. The key
-//! drops edge costs, so translates of a candidate on the mesh share
-//! entries, and it is exact for what each table holds: `canonical_key`
-//! reads a graph's node count, kinds, degrees and adjacency, and
+//! cells and the chip's neighbour rows (`SearchMemo::structure`, over the
+//! adjacent cell pairs `mapping::cell_pairs` walks) for at most 12 nodes.
+//! No subgraph is built unless a lookup misses. The key drops edge costs,
+//! so translates of a candidate on the mesh share entries, and it is
+//! exact for what each table holds: `canonical_key` reads a graph's node
+//! count, kinds, degrees and adjacency, and
 //! `find_isomorphism` its kinds, degrees and edge presence (and, of the
 //! request, its interned id) — all of them fixed by the structure. The
 //! edit-distance kernels read a candidate's kinds and edges and never its
@@ -87,7 +88,7 @@
 
 use crate::canonical::{canonical_key, CanonicalKey};
 use crate::ged::GedResult;
-use crate::mapping::{Mapping, Strategy};
+use crate::mapping::{cell_pairs, Mapping, Strategy};
 use crate::{NodeId, Result, Topology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -239,49 +240,26 @@ impl FreeSet {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-}
-
-/// Each node's neighbours as a bit row of `node_count().div_ceil(64)`
-/// words, built once per topology: the input of the free-region kernel,
-/// [`NeighborRows::free_regions`].
-#[derive(Debug, Clone)]
-pub struct NeighborRows {
-    words: usize,
-    rows: Vec<u64>,
-}
-
-impl NeighborRows {
-    /// The neighbour rows of `topo`.
-    pub fn new(topo: &Topology) -> Self {
-        let words = topo.node_count().div_ceil(64);
-        let mut rows = vec![0u64; words * topo.node_count()];
-        for u in topo.nodes() {
-            for &v in topo.neighbors(u) {
-                rows[u.index() * words + v.index() / 64] |= 1 << (v.index() % 64);
-            }
-        }
-        NeighborRows { words, rows }
-    }
 
     /// `(components, largest)`: the number of connected components of the
-    /// subgraph induced by `free`'s free nodes, and the node count of the
-    /// largest (`(0, 0)` when nothing is free). A flood fill over a word
-    /// mask of the nodes not yet reached: a component is seeded at the
+    /// subgraph of `topo` induced by the free nodes, and the node count of
+    /// the largest (`(0, 0)` when nothing is free). A flood fill over a
+    /// word mask of the nodes not yet reached: a component is seeded at the
     /// lowest such node, and each node taken from its frontier moves its
-    /// unreached neighbours, a word at a time, from the mask into the
-    /// frontier. The two masks live on the stack for chips of at most 64
-    /// nodes; a larger chip allocates them once a call.
+    /// unreached neighbours, a word of its neighbour row at a time, from
+    /// the mask into the frontier. The two masks live on the stack for
+    /// chips of at most 64 nodes; a larger chip allocates them once a call.
     ///
     /// # Panics
     ///
-    /// Panics when `free` tracks a different node count than the rows.
-    pub fn free_regions(&self, free: &FreeSet) -> (usize, usize) {
-        let w = self.words;
+    /// Panics when this set tracks a different node count than `topo`.
+    pub fn free_regions(&self, topo: &Topology) -> (usize, usize) {
         assert_eq!(
-            free.capacity() * w,
-            self.rows.len(),
+            self.capacity(),
+            topo.node_count(),
             "free set sized for a different topology"
         );
+        let w = topo.node_count().div_ceil(64);
         let mut inline = [0u64; 2];
         let mut spill = vec![0u64; if w > 1 { 2 * w } else { 0 }];
         let masks = if w > 1 {
@@ -290,7 +268,7 @@ impl NeighborRows {
             &mut inline[..2 * w]
         };
         let (unreached, frontier) = masks.split_at_mut(w);
-        for (i, _) in free.mask().iter().enumerate().filter(|(_, &f)| f) {
+        for (i, _) in self.is_free.iter().enumerate().filter(|(_, &f)| f) {
             unreached[i / 64] |= 1 << (i % 64);
         }
         let (mut components, mut largest) = (0, 0);
@@ -299,7 +277,7 @@ impl NeighborRows {
             let mut size = 0;
             while let Some(u) = take_lowest(frontier) {
                 size += 1;
-                let row = &self.rows[u * w..(u + 1) * w];
+                let row = topo.row(NodeId(u as u32));
                 for ((left, next), &adj) in unreached.iter_mut().zip(frontier.iter_mut()).zip(row) {
                     *next |= adj & *left;
                     *left &= !adj;
@@ -536,8 +514,8 @@ const CLASS_SLOTS: [usize; 2] = [512, 4_096];
 /// Slots per set of the class table, most recently used first.
 const CLASS_WAYS: usize = 4;
 
-/// The score-memo table of a candidate's edit distance (`ged::ged_exact`
-/// or `ged::StockRefiner::bipartite`).
+/// The score-memo table of a candidate's edit distance
+/// (`ged::StockRefiner::exact` or `ged::StockRefiner::bipartite`).
 pub const GED: usize = 0;
 /// The score-memo table of `ged::StockRefiner::refine(.., start, 8)`.
 pub const REFINE: usize = 1;
@@ -580,9 +558,8 @@ impl<'a> SearchMemo<'a> {
         let memo = memo.filter(|_| n <= STRUCTURE_MAX_NODES).map(|memo| {
             let mut key = vec![n as u64];
             key.extend(req.nodes().map(|v| req.node_attr(v).kind as u64));
-            for (a, b) in req.edges() {
-                let cost = req.edge_attr(a, b).unwrap_or_default().cost;
-                key.extend([u64::from(a.0) << 32 | u64::from(b.0), cost]);
+            for (a, b, attr) in req.edges() {
+                key.extend([u64::from(a.0) << 32 | u64::from(b.0), attr.cost]);
             }
             if memo.requests.len() >= SCORE_MEMO_CAPACITY && !memo.requests.contains_key(&key) {
                 // Ids restart, so every entry keyed by an old id goes too.
@@ -609,12 +586,10 @@ impl<'a> SearchMemo<'a> {
         let mut structure = 1 << (pairs + 2 * n);
         for (i, &cell) in cells.iter().enumerate() {
             structure |= (phys.node_attr(cell).kind as u128) << (pairs + 2 * i);
-            for w in phys.neighbors(cell).iter().filter(|&&w| w > cell) {
-                if let Ok(j) = cells[i + 1..].binary_search(w) {
-                    // Pair (i, i + 1 + j) in row-major upper-triangle order.
-                    structure |= 1 << (i * (2 * n - i - 1) / 2 + j);
-                }
-            }
+        }
+        for (i, j) in cell_pairs(phys, cells) {
+            // Pair (i, j) in row-major upper-triangle order.
+            structure |= 1 << (i * (2 * n - i - 1) / 2 + j - i - 1);
         }
         Some(structure)
     }
@@ -749,19 +724,20 @@ fn unpack(word: u64, n: usize) -> impl Iterator<Item = Option<NodeId>> {
 }
 
 /// Label- and attribute-sensitive topology hash: node count, per-node
-/// attributes (kind), and adjacency lists with per-edge attributes (cost)
-/// in node order. Distinguishes relabelings that `canonical_key`
-/// deliberately identifies — and, just as importantly, attribute-only
-/// variants: the edit costs charge `EdgeAttr.cost` on edge edits, so two
-/// requests differing only in edge costs (e.g. the traffic-scaled
-/// costs of a compiled workload's communication topology) produce
-/// different mappings and must never share a cache entry.
+/// attributes (kind), and each node's neighbours, ascending, with
+/// per-edge attributes (cost), in node order. Distinguishes relabelings
+/// that `canonical_key` deliberately identifies — and, just as
+/// importantly, attribute-only variants: the edit costs charge
+/// `EdgeAttr.cost` on edge edits, so two requests differing only in edge
+/// costs (e.g. the traffic-scaled costs of a compiled workload's
+/// communication topology) produce different mappings and must never
+/// share a cache entry.
 pub fn labeled_hash(t: &Topology) -> u64 {
     let mut h = DefaultHasher::new();
     t.node_count().hash(&mut h);
     for n in t.nodes() {
         t.node_attr(n).hash(&mut h);
-        for &v in t.neighbors(n) {
+        for v in t.neighbors(n) {
             v.0.hash(&mut h);
             t.edge_attr(n, v).unwrap_or_default().hash(&mut h);
         }
@@ -1162,7 +1138,7 @@ mod tests {
 
 #[cfg(test)]
 mod reference {
-    //! The free-region scan [`NeighborRows::free_regions`] replaced,
+    //! The free-region scan [`FreeSet::free_regions`] replaced,
     //! `Topology::subset_components` kept verbatim as a differential
     //! oracle: a `bool` mask of the subset, a breadth-first search with a
     //! `VecDeque` per component, and the component sizes sorted largest
@@ -1188,7 +1164,7 @@ mod reference {
             let mut size = 1usize;
             let mut q = VecDeque::from([start]);
             while let Some(u) = q.pop_front() {
-                for &v in topo.neighbors(u) {
+                for v in topo.neighbors(u) {
                     if in_set[v.index()] && !seen[v.index()] {
                         seen[v.index()] = true;
                         size += 1;
@@ -1251,7 +1227,7 @@ mod reference {
                     }
                 }
             }
-            let got = NeighborRows::new(&topo).free_regions(&free);
+            let got = free.free_regions(&topo);
             let sizes = subset_components(&topo, &free.nodes());
             let want = (sizes.len(), sizes.first().copied().unwrap_or(0));
             assert_eq!(got, want, "case {case}: {n} nodes, free {:?}", free.nodes());

@@ -135,9 +135,7 @@ fn wl_refine(t: &Topology, lanes: &mut [u64]) -> usize {
             // graphs that settle after different rounds never share one.
             let own = mix(colors[i] ^ round as u64);
             let around = t.neighbors(NodeId(i as u32));
-            *slot = mix(around
-                .iter()
-                .fold(own, |acc, v| acc.wrapping_add(mix(colors[v.index()]))));
+            *slot = mix(around.fold(own, |acc, v| acc.wrapping_add(mix(colors[v.index()]))));
         }
         colors.copy_from_slice(next);
         let refined = class_count(colors);
@@ -169,9 +167,8 @@ fn exact_code(t: &Topology, colors: &[u64]) -> (u64, u64) {
     };
     for i in 0..n {
         search.order[i] = i;
-        for v in t.neighbors(NodeId(i as u32)) {
-            search.rows[i] |= 1 << v.index();
-        }
+        // At most ten nodes: one word, of which ten bits.
+        search.rows[i] = t.row(NodeId(i as u32))[0] as u16;
     }
     search.order[..n].sort_unstable_by_key(|&i| (colors[i], i));
     let kinds = search.order[..n]
@@ -249,11 +246,10 @@ pub fn find_isomorphism(a: &Topology, b: &Topology) -> Option<Vec<NodeId>> {
     }
     // Backtracking search mapping a-nodes to b-nodes of equal colour.
     let search = IsoSearch {
-        n,
+        a,
+        b,
         ca: &ca,
         cb: &cb,
-        ea: &a.edge_table(),
-        eb: &b.edge_table(),
         order: &decision_order(a),
     };
     let mut mapping = vec![usize::MAX; n];
@@ -292,7 +288,7 @@ fn siphash_colors(t: &Topology) -> Vec<u64> {
         colors = (0..n)
             .map(|i| {
                 let around = t.neighbors(NodeId(i as u32));
-                let mut nb: Vec<u64> = around.iter().map(|v| colors[v.index()]).collect();
+                let mut nb: Vec<u64> = around.map(|v| colors[v.index()]).collect();
                 nb.sort_unstable();
                 nb.insert(0, colors[i]);
                 hash_u64s(&nb)
@@ -310,21 +306,23 @@ fn hash_u64s(vals: &[u64]) -> u64 {
 
 /// The fixed inputs of [`find_isomorphism`]'s backtracking search.
 struct IsoSearch<'a> {
-    n: usize,
+    a: &'a Topology,
+    b: &'a Topology,
     ca: &'a [u64],
     cb: &'a [u64],
-    ea: &'a [Option<crate::EdgeAttr>],
-    eb: &'a [Option<crate::EdgeAttr>],
     order: &'a [usize],
 }
 
 impl IsoSearch<'_> {
     fn backtrack(&self, depth: usize, mapping: &mut [usize], used: &mut [bool]) -> bool {
-        if depth == self.n {
+        let n = self.order.len();
+        if depth == n {
             return true;
         }
         let u = self.order[depth];
-        for v in 0..self.n {
+        let edge =
+            |t: &Topology, p: usize, q: usize| t.has_edge(NodeId(p as u32), NodeId(q as u32));
+        for v in 0..n {
             if used[v] || self.ca[u] != self.cb[v] {
                 continue;
             }
@@ -332,10 +330,9 @@ impl IsoSearch<'_> {
             // for every mapped node w, (u,w) is an edge in `a` iff (v, m(w)) is
             // an edge in `b`. Checking both directions keeps the partial mapping
             // an induced-subgraph isomorphism at every depth.
-            let ok = (0..self.n).all(|w| {
+            let ok = (0..n).all(|w| {
                 let m = mapping[w];
-                m == usize::MAX
-                    || self.ea[u * self.n + w].is_some() == self.eb[v * self.n + m].is_some()
+                m == usize::MAX || edge(self.a, u, w) == edge(self.b, v, m)
             });
             if !ok {
                 continue;
@@ -461,7 +458,6 @@ mod reference {
             out.push(t.node_attr(NodeId(orig as u32)).kind as u64);
             let mut nb: Vec<u64> = t
                 .neighbors(NodeId(orig as u32))
-                .iter()
                 .map(|v| pos[v.index()] as u64)
                 .collect();
             nb.sort_unstable();
@@ -627,7 +623,7 @@ mod tests {
                 sprinkle_kinds(&mut plain, &mut rng);
             }
             let mut scrambled = plain.clone();
-            for (a, b) in plain.edges() {
+            for (a, b, _) in plain.edges() {
                 let cost = 1 + rng.below(9) as u64;
                 scrambled
                     .add_edge_with(a, b, crate::EdgeAttr { cost })
@@ -660,7 +656,7 @@ mod tests {
     fn refinement_stops_at_the_partition_fix_point() {
         // The replaced refinement compared re-hashed colours, which differ
         // every round, and so always ran n rounds.
-        let edges = |t: &Topology| t.edges().map(|(a, b)| (a.0, b.0)).collect::<Vec<_>>();
+        let edges = |t: &Topology| t.edges().map(|(a, b, _)| (a.0, b.0)).collect::<Vec<_>>();
         let path_and_ring = {
             let mut e = edges(&Topology::line(4));
             e.extend(

@@ -118,7 +118,7 @@ pub fn enumerate_connected_in(
         ext.fill(0);
         closed.fill(0);
         set(closed, root);
-        for &u in topo.neighbors(root) {
+        for u in topo.neighbors(root) {
             set(closed, u);
             if u > root && esu.is_free[u.index()] {
                 set(ext, u);
@@ -197,7 +197,7 @@ impl<V: FnMut(&[NodeId]) -> Visit> Esu<'_, V> {
                 let (next_ext, next_closed) = deeper[..2 * self.words].split_at_mut(self.words);
                 next_ext.copy_from_slice(ext);
                 next_closed.copy_from_slice(closed);
-                for &u in self.topo.neighbors(w) {
+                for u in self.topo.neighbors(w) {
                     if u > root && self.is_free[u.index()] && !is_set(closed, u) {
                         set(next_ext, u);
                     }
@@ -310,8 +310,6 @@ mod reference {
             let mut sub = vec![root];
             let ext: BTreeSet<NodeId> = topo
                 .neighbors(root)
-                .iter()
-                .copied()
                 .filter(|&u| u > root && is_free[u.index()])
                 .collect();
             extend(
@@ -369,7 +367,7 @@ mod reference {
             // ESU guarantees uniqueness by only adding neighbors not adjacent to
             // the current subgraph before w joined).
             let mut next_ext = ext.clone();
-            for &u in topo.neighbors(w) {
+            for u in topo.neighbors(w) {
                 if u > root
                     && is_free[u.index()]
                     && !sub.contains(&u)

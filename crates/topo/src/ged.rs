@@ -14,24 +14,23 @@
 //! Determining the exact minimum is NP-hard; like the references the paper
 //! cites ([51, 60, 61] — Riesen & Bunke), a mapper search scores with:
 //!
-//! * [`ged_exact`] — an exact A\* search, for candidates of at most
-//!   [`EXACT_GED_LIMIT`] nodes;
+//! * `StockRefiner::exact` — an exact A\* search, for candidates of at
+//!   most [`EXACT_GED_LIMIT`] nodes;
 //! * `StockRefiner::bipartite` — the bipartite (Hungarian-assignment)
 //!   heuristic for larger ones, which returns the cost of a *valid but
 //!   possibly suboptimal* edit path, i.e. an upper bound on the true
 //!   distance;
 //! * `StockRefiner::refine` — 2-opt swap refinement of a mapping.
 //!
-//! The A\* reads the request's dense `n × n` edge table and the
-//! candidate's edges, one bit each, built once a call; its states are
-//! `Copy` values, not owners of vectors. `StockRefiner` is built once per
-//! search from the request — each node's kind, its neighbours as a row of
-//! `W` words and its edge costs — and reads a candidate as each node's
-//! kind and its neighbour row, computed from the candidate's cells, so no
-//! subgraph is built: it fills the bipartite cost matrix from popcounts
-//! and prices an edit path, or a 2-opt swap, in a few word operations. A
-//! search runs it at `W = 1` for requests of at most 64 nodes and at
-//! `W = 3` up to [`MAX_REQUEST_NODES`], and refuses larger requests.
+//! `StockRefiner` is built once per search from the request — each node's
+//! kind, its neighbours as a row of `W` words and its edge costs — and
+//! reads a candidate as each node's kind and its neighbour row, computed
+//! from the candidate's cells, so no subgraph is built: the A\* tests an
+//! edge with one bit and keeps `Copy` states, not owners of vectors; the
+//! bipartite heuristic fills its cost matrix from popcounts; an edit path,
+//! or a 2-opt swap, is priced in a few word operations. A search runs it
+//! at `W = 1` for requests of at most 64 nodes and at `W = 3` up to
+//! [`MAX_REQUEST_NODES`], and refuses larger requests.
 //!
 //! The test-only `reference` module keeps the kernels these replaced: the
 //! A\* whose states own `Vec`s and ask the edge map, the bipartite
@@ -49,11 +48,12 @@
 //! difference of the touched terms is the difference of the full sums.
 
 use crate::hungarian;
-use crate::{EdgeAttr, NodeAttr, NodeId, NodeKind, Topology};
+use crate::{NodeId, NodeKind, Topology};
 use std::collections::BinaryHeap;
 
-/// Largest candidate (max of the two node counts) [`ged_exact`] takes; a
-/// mapper search scores larger ones with the bipartite heuristic.
+/// Largest candidate (max of the two node counts) the exact A\*
+/// (`StockRefiner::exact`) takes; a mapper search scores larger ones with
+/// the bipartite heuristic.
 pub const EXACT_GED_LIMIT: usize = 8;
 
 /// Largest request a mapper search takes
@@ -73,18 +73,18 @@ pub const EDGE_COST_BOUND: u64 = 1 << 48;
 /// 1 when the kinds differ. With the edge terms it reproduces the paper's
 /// Figure 9 example (two edge deletions + one edge insertion + one node
 /// substitution = distance 4).
-fn node_substitute(a: &NodeAttr, b: &NodeAttr) -> u64 {
-    u64::from(a.kind != b.kind)
+fn node_substitute(a: NodeKind, b: NodeKind) -> u64 {
+    u64::from(a != b)
 }
 
-/// Algorithm 1's `EdgeMatch` under the unit costs, for the requested edge
-/// `a` and whether its image is a candidate edge: a deleted requested edge
-/// costs its `cost` ("different edges are assigned varying penalty values
-/// based on their importance"), an inserted candidate edge 1, a
-/// substituted one nothing.
-fn edge_term(a: Option<EdgeAttr>, image: bool) -> u64 {
-    match (a, image) {
-        (Some(e), false) => e.cost,
+/// Algorithm 1's `EdgeMatch` under the unit costs, for the cost of the
+/// requested edge at a pair (`None` without one) and whether its image is a
+/// candidate edge: a deleted requested edge costs its `cost` ("different
+/// edges are assigned varying penalty values based on their importance"),
+/// an inserted candidate edge 1, a substituted one nothing.
+fn edge_term(edge: Option<u64>, image: bool) -> u64 {
+    match (edge, image) {
+        (Some(cost), false) => cost,
         (None, true) => 1,
         _ => 0,
     }
@@ -93,7 +93,7 @@ fn edge_term(a: Option<EdgeAttr>, image: bool) -> u64 {
 /// Result of a graph-edit-distance computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GedResult {
-    /// Total edit cost (exact for [`ged_exact`], an upper bound for the
+    /// Total edit cost (exact for the A\*, an upper bound for the
     /// bipartite heuristic).
     pub cost: u64,
     /// For each node of the first ("requested") topology, the candidate
@@ -101,140 +101,6 @@ pub struct GedResult {
     pub mapping: Vec<Option<NodeId>>,
     /// Whether the cost is exact (A\*) rather than heuristic.
     pub exact: bool,
-}
-
-/// Exact graph edit distance from `g1` (requested topology) to `g2`
-/// (candidate) via A\* over partial node mappings.
-///
-/// Nodes of `g1` are decided in index order; each is either substituted
-/// with an unused `g2` node or deleted. Once all `g1` nodes are decided,
-/// unmapped `g2` nodes (and their incident edges) are inserted. Edge costs
-/// are charged when the *second* endpoint of an edge is decided, so every
-/// edge is charged exactly once.
-///
-/// # Panics
-///
-/// Panics if either graph has more than [`EXACT_GED_LIMIT`] nodes: a
-/// search state is a fixed-size value.
-pub fn ged_exact(g1: &Topology, g2: &Topology) -> GedResult {
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    struct State {
-        g: u64,
-        depth: usize,
-        /// mapping[i] = j for a substitution, DELETED for a deletion
-        mapping: [u8; EXACT_GED_LIMIT],
-        /// bit j set = `g2` node j is some decided node's image
-        used: u8,
-    }
-    impl Ord for State {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Max-heap on Reverse(g), tie-break deeper first for faster goal.
-            other
-                .g
-                .cmp(&self.g)
-                .then_with(|| self.depth.cmp(&other.depth))
-        }
-    }
-    impl PartialOrd for State {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    const DELETED: u8 = u8::MAX;
-    let n1 = g1.node_count();
-    let n2 = g2.node_count();
-    assert!(
-        n1.max(n2) <= EXACT_GED_LIMIT,
-        "exact edit distance is limited to {EXACT_GED_LIMIT} nodes"
-    );
-    let e1 = g1.edge_table();
-    // The candidate's neighbours, one bit each: its edge costs are not read.
-    let mut rows = [0u8; EXACT_GED_LIMIT];
-    for (a, b) in g2.edges() {
-        rows[a.index()] |= 1 << b.index();
-        rows[b.index()] |= 1 << a.index();
-    }
-    // The edges with both ends in `set`.
-    let edges_within = |set: u8| -> u32 {
-        let ends = (0..n2).filter(|&a| set >> a & 1 == 1);
-        ends.map(|a| (rows[a] & set).count_ones()).sum::<u32>() / 2
-    };
-    let edges = edges_within(u8::MAX);
-
-    let mut heap: BinaryHeap<State> = BinaryHeap::new();
-    heap.push(State {
-        g: 0,
-        depth: 0,
-        mapping: [DELETED; EXACT_GED_LIMIT],
-        used: 0,
-    });
-    let mut best = u64::MAX;
-    let mut best_mapping = [DELETED; EXACT_GED_LIMIT];
-
-    while let Some(state) = heap.pop() {
-        if state.g >= best {
-            continue;
-        }
-        if state.depth == n1 {
-            // Close the path: insert all unused g2 nodes + their edges.
-            let unused = n2 as u32 - state.used.count_ones();
-            let total = state.g + u64::from(unused + edges - edges_within(state.used));
-            if total < best {
-                best = total;
-                best_mapping = state.mapping;
-            }
-            continue;
-        }
-        let u = state.depth;
-        let u_id = NodeId(u as u32);
-        // Option A: substitute u with any unused j.
-        for j in (0..n2).filter(|&j| state.used >> j & 1 == 0) {
-            let mut g =
-                state.g + node_substitute(g1.node_attr(u_id), g2.node_attr(NodeId(j as u32)));
-            // Edge costs against previously decided g1 nodes.
-            for w in 0..u {
-                let m = state.mapping[w];
-                let image = m != DELETED && rows[j] >> m & 1 == 1;
-                g += edge_term(e1[u * n1 + w], image);
-            }
-            if g >= best {
-                continue;
-            }
-            let mut next = State {
-                g,
-                depth: u + 1,
-                used: state.used | 1 << j,
-                ..state
-            };
-            next.mapping[u] = j as u8;
-            heap.push(next);
-        }
-        // Option B: delete u (its edges to decided nodes are deleted too).
-        let mut g = state.g + 1;
-        for a in e1[u * n1..u * n1 + u].iter().flatten() {
-            g += a.cost;
-        }
-        // Edges from u to not-yet-decided g1 nodes will be charged when those
-        // nodes are decided (mapping against DELETED prices a deletion).
-        if g < best {
-            heap.push(State {
-                g,
-                depth: u + 1,
-                ..state
-            });
-        }
-    }
-
-    let mapping = best_mapping[..n1]
-        .iter()
-        .map(|&m| (m != DELETED).then_some(NodeId(u32::from(m))))
-        .collect();
-    GedResult {
-        cost: best,
-        mapping,
-        exact: true,
-    }
 }
 
 /// A set of a graph's nodes, one bit each, in `W` words.
@@ -297,16 +163,147 @@ impl<const W: usize> StockRefiner<W> {
         let n = g1.node_count();
         assert!(n <= 64 * W, "a request row is {W} words");
         let (mut adj, mut cost) = (vec![[0; W]; n], vec![0; n * n]);
-        for (a, b) in g1.edges() {
-            let c = g1.edge_attr(a, b).unwrap_or_default().cost;
+        for (a, b, attr) in g1.edges() {
             let (a, b) = (a.index(), b.index());
             insert(&mut adj[a], b);
             insert(&mut adj[b], a);
-            cost[a * n + b] = c;
-            cost[b * n + a] = c;
+            cost[a * n + b] = attr.cost;
+            cost[b * n + a] = attr.cost;
         }
         let kinds = g1.nodes().map(|v| g1.node_attr(v).kind).collect();
         StockRefiner { adj, cost, kinds }
+    }
+
+    /// The cost of the request edge `(p, q)`, or `None` without one.
+    fn edge(&self, p: usize, q: usize) -> Option<u64> {
+        has(&self.adj[p], q).then(|| self.cost[p * self.kinds.len() + q])
+    }
+
+    /// The exact edit distance from the request this was built from to a
+    /// candidate given by its `kinds` and `rows`, by A\* over partial node
+    /// mappings. Every search runs it at one word a row: a candidate it
+    /// takes has the node count of its request.
+    ///
+    /// Request nodes are decided in index order; each is either substituted
+    /// with an unused candidate node or deleted. Once all are decided, the
+    /// unused candidate nodes (and their incident edges) are inserted. Edge
+    /// costs are charged when the *second* endpoint of an edge is decided,
+    /// so every edge is charged exactly once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either side has more than [`EXACT_GED_LIMIT`] nodes: a
+    /// search state is a fixed-size value.
+    pub(crate) fn exact(&self, kinds: &[NodeKind], rows: &[Row<W>]) -> GedResult {
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        struct State {
+            g: u64,
+            depth: usize,
+            /// mapping[i] = j for a substitution, DELETED for a deletion
+            mapping: [u8; EXACT_GED_LIMIT],
+            /// bit j set = candidate node j is some decided node's image
+            used: u8,
+        }
+        impl Ord for State {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                // Max-heap on Reverse(g), tie-break deeper first for faster goal.
+                other
+                    .g
+                    .cmp(&self.g)
+                    .then_with(|| self.depth.cmp(&other.depth))
+            }
+        }
+        impl PartialOrd for State {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        const DELETED: u8 = u8::MAX;
+        let (n1, n2) = (self.kinds.len(), rows.len());
+        assert!(
+            n1.max(n2) <= EXACT_GED_LIMIT,
+            "exact edit distance is limited to {EXACT_GED_LIMIT} nodes"
+        );
+        // The candidate edges with both ends in `set`.
+        let edges_within = |set: u8| -> u32 {
+            let ends = (0..n2).filter(|&a| set >> a & 1 == 1);
+            ends.map(|a| (rows[a][0] & u64::from(set)).count_ones())
+                .sum::<u32>()
+                / 2
+        };
+        let edges = edges_within(u8::MAX);
+
+        let mut heap: BinaryHeap<State> = BinaryHeap::new();
+        heap.push(State {
+            g: 0,
+            depth: 0,
+            mapping: [DELETED; EXACT_GED_LIMIT],
+            used: 0,
+        });
+        let mut best = u64::MAX;
+        let mut best_mapping = [DELETED; EXACT_GED_LIMIT];
+
+        while let Some(state) = heap.pop() {
+            if state.g >= best {
+                continue;
+            }
+            if state.depth == n1 {
+                // Close the path: insert all unused candidate nodes + their edges.
+                let unused = n2 as u32 - state.used.count_ones();
+                let total = state.g + u64::from(unused + edges - edges_within(state.used));
+                if total < best {
+                    best = total;
+                    best_mapping = state.mapping;
+                }
+                continue;
+            }
+            let u = state.depth;
+            // Option A: substitute u with any unused j.
+            for j in (0..n2).filter(|&j| state.used >> j & 1 == 0) {
+                let mut g = state.g + node_substitute(self.kinds[u], kinds[j]);
+                // Edge costs against previously decided request nodes.
+                for w in 0..u {
+                    let m = state.mapping[w];
+                    let image = m != DELETED && has(&rows[j], usize::from(m));
+                    g += edge_term(self.edge(u, w), image);
+                }
+                if g >= best {
+                    continue;
+                }
+                let mut next = State {
+                    g,
+                    depth: u + 1,
+                    used: state.used | 1 << j,
+                    ..state
+                };
+                next.mapping[u] = j as u8;
+                heap.push(next);
+            }
+            // Option B: delete u (its edges to decided nodes are deleted too).
+            let decided = bits(self.adj[u]).take_while(|&w| w < u);
+            let g = state.g + 1 + decided.map(|w| self.cost[u * n1 + w]).sum::<u64>();
+            // Edges from u to not-yet-decided request nodes will be charged
+            // when those nodes are decided (mapping against DELETED prices a
+            // deletion).
+            if g < best {
+                heap.push(State {
+                    g,
+                    depth: u + 1,
+                    ..state
+                });
+            }
+        }
+
+        let mapping = best_mapping[..n1]
+            .iter()
+            .map(|&m| (m != DELETED).then_some(NodeId(u32::from(m))))
+            .collect();
+        GedResult {
+            cost: best,
+            mapping,
+            exact: true,
+        }
     }
 
     /// The node term of virtual node `p` with image `m` among the
@@ -473,8 +470,8 @@ impl<const W: usize> StockRefiner<W> {
     }
 }
 
-/// The indices of `row`'s set bits, ascending.
-fn bits<const W: usize>(row: Row<W>) -> impl Iterator<Item = usize> {
+/// The indices of the set bits of `row`'s words, ascending.
+pub(crate) fn bits(row: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
     row.into_iter().enumerate().flat_map(|(k, mut word)| {
         std::iter::from_fn(move || {
             let bit = (word != 0).then(|| 64 * k + word.trailing_zeros() as usize);
@@ -500,6 +497,7 @@ pub(crate) mod reference {
 
     use super::*;
     use crate::testing::{connected_subset, relabeled, sprinkle_kinds, Rng};
+    use crate::EdgeAttr;
 
     /// The cost of `g`'s edge `(a, b)`, which exists.
     fn edge_cost(g: &Topology, a: NodeId, b: NodeId) -> u64 {
@@ -563,7 +561,7 @@ pub(crate) mod reference {
                 let mut total = state.g;
                 total += state.used.iter().filter(|&&u| !u).count() as u64;
                 // Edges of g2 with at least one unused endpoint are inserted.
-                for (a, b) in g2.edges() {
+                for (a, b, _) in g2.edges() {
                     if !state.used[a.index()] || !state.used[b.index()] {
                         total += edge_cost(g2, a, b);
                     }
@@ -582,7 +580,8 @@ pub(crate) mod reference {
                     continue;
                 }
                 let j_id = NodeId(j as u32);
-                let mut g = state.g + node_substitute(g1.node_attr(u_id), g2.node_attr(j_id));
+                let mut g =
+                    state.g + node_substitute(g1.node_attr(u_id).kind, g2.node_attr(j_id).kind);
                 // Edge costs against previously decided g1 nodes.
                 for w in 0..u {
                     let w_id = NodeId(w as u32);
@@ -659,20 +658,15 @@ pub(crate) mod reference {
             };
         }
         // A node's deletion or insertion: itself and its incident edges.
-        let alone = |g: &Topology, v: NodeId| {
-            1 + g
-                .neighbors(v)
-                .iter()
-                .map(|&w| edge_cost(g, v, w))
-                .sum::<u64>()
-        };
+        let alone =
+            |g: &Topology, v: NodeId| 1 + g.neighbors(v).map(|w| edge_cost(g, v, w)).sum::<u64>();
         let mut cost = vec![hungarian::INF; n * n];
         for i in 0..n1 {
             let i_id = NodeId(i as u32);
             let row = &mut cost[i * n..(i + 1) * n];
             for (j, cell) in row.iter_mut().enumerate().take(n2) {
                 let j_id = NodeId(j as u32);
-                let sub = node_substitute(g1.node_attr(i_id), g2.node_attr(j_id));
+                let sub = node_substitute(g1.node_attr(i_id).kind, g2.node_attr(j_id).kind);
                 // Local edge estimate: the degree difference.
                 *cell = sub + g1.degree(i_id).abs_diff(g2.degree(j_id)) as u64;
             }
@@ -708,14 +702,14 @@ pub(crate) mod reference {
                 Some(j) => {
                     assert!(!used[j.index()], "mapping must be injective");
                     used[j.index()] = true;
-                    total += node_substitute(g1.node_attr(i_id), g2.node_attr(*j));
+                    total += node_substitute(g1.node_attr(i_id).kind, g2.node_attr(*j).kind);
                 }
                 None => total += 1,
             }
         }
         total += used.iter().filter(|&&u| !u).count() as u64;
         // Requested edges: substituted if image edge exists, else deleted.
-        for (a, b) in g1.edges() {
+        for (a, b, _) in g1.edges() {
             let deleted = match (mapping[a.index()], mapping[b.index()]) {
                 (Some(ma), Some(mb)) => !g2.has_edge(ma, mb),
                 _ => true,
@@ -731,7 +725,7 @@ pub(crate) mod reference {
                 preimage[j.index()] = Some(i);
             }
         }
-        for (a, b) in g2.edges() {
+        for (a, b, _) in g2.edges() {
             let covered = match (preimage[a.index()], preimage[b.index()]) {
                 (Some(pa), Some(pb)) => g1.has_edge(NodeId(pa as u32), NodeId(pb as u32)),
                 _ => false,
@@ -779,7 +773,7 @@ pub(crate) mod reference {
     /// kernels read of a candidate.
     fn unit_edges(g: &Topology) -> Topology {
         let mut twin = g.clone();
-        for (a, b) in g.edges() {
+        for (a, b, _) in g.edges() {
             twin.add_edge_with(a, b, EdgeAttr::default()).unwrap();
         }
         twin
@@ -787,15 +781,14 @@ pub(crate) mod reference {
 
     /// Whether some edge of `g` costs other than the default.
     fn weighted(g: &Topology) -> bool {
-        g.edges()
-            .any(|(a, b)| g.edge_attr(a, b) != Some(EdgeAttr::default()))
+        g.edges().any(|(_, _, attr)| attr != EdgeAttr::default())
     }
 
     /// Random node kinds on about a quarter of `t`'s nodes, and a random
     /// cost of 1 to `max_cost` on every edge.
     fn dress(t: &mut Topology, max_cost: usize, rng: &mut Rng) {
         sprinkle_kinds(t, rng);
-        for (a, b) in t.edges().collect::<Vec<_>>() {
+        for (a, b, _) in t.edges().collect::<Vec<_>>() {
             let cost = 1 + rng.below(max_cost) as u64;
             t.add_edge_with(a, b, EdgeAttr { cost }).unwrap();
         }
@@ -833,6 +826,12 @@ pub(crate) mod reference {
             row
         });
         (kinds, rows.collect())
+    }
+
+    /// `StockRefiner::exact` from `g1` to `g2`, at one word a row.
+    pub(crate) fn kernel_exact(g1: &Topology, g2: &Topology) -> GedResult {
+        let (kinds, rows) = stock_rows::<1>(g2);
+        StockRefiner::<1>::new(g1).exact(&kinds, &rows)
     }
 
     /// `StockRefiner::bipartite` from `g1` to `g2`, at the width `g1` needs.
@@ -975,7 +974,7 @@ pub(crate) mod reference {
         for case in 0..PAIRS {
             let g1 = region(1 + rng.below(EXACT_GED_LIMIT), case % 2 == 1, &mut rng);
             let g2 = region(1 + rng.below(EXACT_GED_LIMIT), case % 4 >= 2, &mut rng);
-            let got = super::ged_exact(&g1, &g2);
+            let got = kernel_exact(&g1, &g2);
             assert_eq!(got, ged_exact(&g1, &unit_edges(&g2)), "case {case}");
             nonzero += usize::from(got.cost > 0);
             weighted_candidates += usize::from(weighted(&g2));
@@ -1062,10 +1061,12 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{ged, ged_bipartite, kernel_bipartite, kernel_refine, mapping_cost};
+    use super::reference::{
+        ged, ged_bipartite, kernel_bipartite, kernel_exact, kernel_refine, mapping_cost,
+    };
     use super::*;
     use crate::testing::Rng;
-    use crate::{NodeKind, Topology};
+    use crate::{EdgeAttr, NodeKind, Topology};
 
     #[test]
     fn identical_graphs_distance_zero() {
@@ -1087,7 +1088,7 @@ mod tests {
     fn single_edge_deletion() {
         let a = Topology::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap(); // triangle
         let b = Topology::from_edges(3, &[(0, 1), (1, 2)]).unwrap(); // path
-        let r = ged_exact(&a, &b);
+        let r = kernel_exact(&a, &b);
         assert_eq!(r.cost, 1);
     }
 
@@ -1101,7 +1102,7 @@ mod tests {
         let t1 = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]).unwrap();
         let mut t2 = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]).unwrap();
         t2.node_attr_mut(NodeId(4)).kind = NodeKind::VectorOptimized;
-        let r = ged_exact(&t1, &t2);
+        let r = kernel_exact(&t1, &t2);
         // Identity mapping: delete (3,0), delete (0,4), insert (1,4), sub node4 = 4.
         let identity: Vec<Option<NodeId>> = (0..5).map(|i| Some(NodeId(i))).collect();
         let manual = mapping_cost(&t1, &t2, &identity);
@@ -1113,7 +1114,7 @@ mod tests {
     fn size_mismatch_requires_insertions() {
         let a = Topology::line(2); // 2 nodes, 1 edge
         let b = Topology::line(4); // 4 nodes, 3 edges
-        let r = ged_exact(&a, &b);
+        let r = kernel_exact(&a, &b);
         // insert 2 nodes + 2 edges
         assert_eq!(r.cost, 4);
     }
@@ -1128,7 +1129,7 @@ mod tests {
         ];
         for a in &graphs {
             for b in &graphs {
-                let exact = ged_exact(a, b);
+                let exact = kernel_exact(a, b);
                 let approx = kernel_bipartite(a, b);
                 assert!(
                     approx.cost >= exact.cost,
@@ -1162,7 +1163,7 @@ mod tests {
         a.add_edge_with(NodeId(0), NodeId(1), EdgeAttr { cost: 10 })
             .unwrap();
         let b = Topology::empty(2);
-        let r = ged_exact(&a, &b);
+        let r = kernel_exact(&a, &b);
         assert_eq!(r.cost, 10);
     }
 
@@ -1170,8 +1171,8 @@ mod tests {
     fn symmetry_with_uniform_costs_small() {
         let a = Topology::from_edges(4, &[(0, 1), (1, 2), (1, 3)]).unwrap();
         let b = Topology::ring(4);
-        let ab = ged_exact(&a, &b);
-        let ba = ged_exact(&b, &a);
+        let ab = kernel_exact(&a, &b);
+        let ba = kernel_exact(&b, &a);
         assert_eq!(ab.cost, ba.cost);
     }
 
@@ -1179,7 +1180,7 @@ mod tests {
     fn exact_mapping_is_injective_and_cost_consistent() {
         let a = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let b = Topology::ring(5);
-        let r = ged_exact(&a, &b);
+        let r = kernel_exact(&a, &b);
         let recomputed = mapping_cost(&a, &b, &r.mapping);
         assert_eq!(r.cost, recomputed);
     }
@@ -1234,13 +1235,13 @@ mod tests {
         let mut isomorphic = 0;
         for case in 0..64 {
             let (a, b) = (graph(&mut rng), graph(&mut rng));
-            let exact = ged_exact(&a, &b);
+            let exact = kernel_exact(&a, &b);
             let approx = ged_bipartite(&a, &b);
             assert!(approx.cost >= exact.cost, "case {case}");
             let iso = crate::testing::are_isomorphic(&a, &b);
             assert_eq!(exact.cost == 0, iso, "case {case}: GED=0 iff isomorphic");
             // Symmetry for uniform costs.
-            assert_eq!(exact.cost, ged_exact(&b, &a).cost, "case {case}");
+            assert_eq!(exact.cost, kernel_exact(&b, &a).cost, "case {case}");
             isomorphic += usize::from(iso);
         }
         assert!(isomorphic > 0, "no isomorphic pair was drawn");

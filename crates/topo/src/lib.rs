@@ -5,13 +5,14 @@
 //!
 //! * [`Topology`] — an undirected graph with per-node attributes
 //!   (heterogeneous core kinds) and per-edge attributes (criticality
-//!   costs), plus 2D-mesh builders.
+//!   costs), each node's neighbours kept once as a bit row, plus 2D-mesh
+//!   builders.
 //! * [`enumerate`] — connected induced-subgraph enumeration (Algorithm 1,
 //!   lines 20–29) with a rectangle fast-path for regular mesh requests.
 //! * [`canonical`] — canonical forms for small graphs, used to deduplicate
 //!   isomorphic candidate topologies (Algorithm 1, line 25).
-//! * [`ged`] — topology edit distance: an exact A* search for small graphs
-//!   and, over adjacency bitsets, the Riesen–Bunke bipartite heuristic
+//! * [`ged`] — topology edit distance over adjacency bitsets: an exact A*
+//!   search for small graphs, and the Riesen–Bunke bipartite heuristic
 //!   (backed by [`hungarian`]) and 2-opt refinement for larger ones, all
 //!   charging the paper's unit edit costs.
 //! * [`mapping`] — the allocation strategies evaluated in the paper:
@@ -21,9 +22,10 @@
 //! * [`route`] — dimension-order routing and confined (direction-override)
 //!   path computation used by the NoC vRouter.
 //! * [`cache`] — the online-serving hot path: an incrementally-maintained
-//!   free-core set ([`FreeSet`]) and a memo table for complete mapping
-//!   results ([`MappingCache`]), so repeated requests under churn skip
-//!   re-enumeration and re-scoring entirely.
+//!   free-core set ([`FreeSet`], with its free-region flood fill) and a
+//!   memo table for complete mapping results ([`MappingCache`]), so
+//!   repeated requests under churn skip re-enumeration and re-scoring
+//!   entirely.
 //!
 //! # Example
 //!
@@ -56,7 +58,7 @@ pub mod mapping;
 pub mod route;
 mod topology;
 
-pub use cache::{CacheStats, FreeSet, MappingCache, NeighborRows};
+pub use cache::{CacheStats, FreeSet, MappingCache};
 pub use ged::GedResult;
 pub use mapping::{Mapper, Mapping, Strategy};
 pub use route::Direction;
@@ -190,7 +192,7 @@ pub(crate) mod testing {
         while cells.len() < k {
             let frontier: Vec<NodeId> = cells
                 .iter()
-                .flat_map(|&c| t.neighbors(c).iter().copied())
+                .flat_map(|&c| t.neighbors(c))
                 .filter(|n| !cells.contains(n))
                 .collect();
             cells.push(frontier[rng.below(frontier.len())]);
@@ -226,8 +228,7 @@ pub(crate) mod testing {
         for node in t.nodes() {
             *out.node_attr_mut(NodeId(to[node.index()])) = *t.node_attr(node);
         }
-        for (a, b) in t.edges() {
-            let attr = t.edge_attr(a, b).expect("listed by `edges`");
+        for (a, b, attr) in t.edges() {
             out.add_edge_with(NodeId(to[a.index()]), NodeId(to[b.index()]), attr)
                 .expect("a permutation of valid endpoints");
         }

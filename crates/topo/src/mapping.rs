@@ -21,21 +21,22 @@
 //! similar-topology, reused to deduplicate. The mapper spawns no threads;
 //! scoring is a plain loop.
 //!
-//! A candidate is scored by one kernel path: the exact A\*
-//! (`ged::ged_exact`) up to 8 nodes, else the bitset bipartite heuristic,
-//! and the best six are refined by bitset 2-opt swaps
-//! (`ged::StockRefiner`, at one word a row for requests of at most 64
-//! nodes and three words up to [`ged::MAX_REQUEST_NODES`]). Its canonical
+//! A candidate is scored by one kernel path, `ged::StockRefiner` (at one
+//! word a row for requests of at most 64 nodes and three words up to
+//! [`ged::MAX_REQUEST_NODES`]): the exact A\* up to 8 nodes, else the
+//! bipartite heuristic, and the best six are refined by 2-opt swaps, all
+//! reading the request's tables, built once a search, and the candidate's
+//! kinds and neighbour bit rows, walked from its cells. Its canonical
 //! key, its isomorphism to the request, its edit distance and its 2-opt
 //! refinement are pure functions of the request and the candidate's
 //! structure — its kinds and adjacency in sorted-cell order; the kernels
 //! never read a candidate's edge costs. So a search behind a
 //! [`MappingCache`] miss ([`Mapper::map_cached_with`]) computes each
 //! visited candidate's structure straight from its cells and looks all
-//! four up in the cache's score memo, building the candidate's subgraph,
-//! or its kinds and neighbour rows, only when a lookup misses: shapes an
-//! earlier search, or an earlier visit of this one, already met are not
-//! worked out again. An advisory probe searches through the same memo
+//! four up in the cache's score memo, building the candidate's subgraph
+//! (for its canonical key and isomorphism), or its kinds and neighbour
+//! rows, only when a lookup misses: shapes an earlier search, or an
+//! earlier visit of this one, already met are not worked out again. An advisory probe searches through the same memo
 //! ([`Mapper::map_scored`]) without touching the cache's entries.
 //! [`Mapper::map_in`] keeps no memo and is the reference the memo is held
 //! to. Every search first checks that the request's edge costs sum to at
@@ -260,10 +261,8 @@ impl<'a> Mapper<'a> {
                 topology: self.phys.node_count(),
             });
         }
-        let mut attrs = req
-            .edges()
-            .map(|(a, b)| req.edge_attr(a, b).unwrap_or_default());
-        let cost_sum = attrs.try_fold(0u64, |sum, e| sum.checked_add(e.cost));
+        let mut attrs = req.edges();
+        let cost_sum = attrs.try_fold(0u64, |sum, (_, _, e)| sum.checked_add(e.cost));
         if cost_sum.is_none_or(|sum| sum > ged::EDGE_COST_BOUND) {
             return Err(TopoError::EdgeCostsTooLarge);
         }
@@ -494,20 +493,20 @@ impl<'a> Mapper<'a> {
             Walk::Exact(m) => return Ok(m),
             Walk::Candidates(candidates) => candidates,
         };
-        // Lines 30–32: TED scoring, a candidate's subgraph or rows built
-        // per memo miss. Only the best few (lowest cost, earliest first) go
-        // on to refinement, so only theirs are kept. The bipartite scoring
-        // and the 2-opt swaps run on bitsets, the request's built once here.
+        // Lines 30–32: TED scoring, a candidate's rows built per memo miss.
+        // Only the best few (lowest cost, earliest first) go on to
+        // refinement, so only theirs are kept. The scoring and the 2-opt
+        // swaps run on bitsets, the request's built once here.
         let kernel = StockRefiner::<W>::new(req);
         let mut top: Vec<(GedResult, Candidate<W>)> = Vec::new();
         for (cells, structure) in &candidates {
             let candidate = Candidate::new(cells, *structure);
             let scored = memo.score(GED, *structure, &[], || {
+                let (kinds, rows) = candidate.rows(self.phys);
                 if cells.len() > ged::EXACT_GED_LIMIT {
-                    let (kinds, rows) = candidate.rows(self.phys);
                     kernel.bipartite(kinds, rows)
                 } else {
-                    ged::ged_exact(req, candidate.sub(self.phys))
+                    kernel.exact(kinds, rows)
                 }
             });
             let rank = top.partition_point(|(r, _)| r.cost <= scored.cost);
@@ -562,9 +561,11 @@ impl<'a> Mapper<'a> {
         }
     }
 
-    /// Virtual node `i` → the `i`-th candidate cell in serpentine order
-    /// (row-major with alternating column direction on meshes; BFS order
-    /// from the lowest cell otherwise). Candidate-local node IDs.
+    /// Virtual node `i` → the `i`-th candidate cell (of sorted `cells`) in
+    /// serpentine order (row-major with alternating column direction on
+    /// meshes; BFS order from the lowest cell otherwise, each cell's
+    /// neighbours among the cells taken in ascending order).
+    /// Candidate-local node IDs.
     fn serpentine_mapping(&self, cells: &[NodeId]) -> Vec<Option<NodeId>> {
         let mut order: Vec<usize> = (0..cells.len()).collect();
         if self.phys.mesh_shape().is_some() {
@@ -578,17 +579,18 @@ impl<'a> Mapper<'a> {
             });
         } else {
             // BFS order from the lowest cell keeps neighbors close.
-            let sub = cells.to_vec();
             let mut seen = vec![false; cells.len()];
             let mut bfs = Vec::with_capacity(cells.len());
             let mut queue = std::collections::VecDeque::from([0usize]);
             seen[0] = true;
             while let Some(u) = queue.pop_front() {
                 bfs.push(u);
-                for (v, &cell) in sub.iter().enumerate() {
-                    if !seen[v] && self.phys.has_edge(sub[u], cell) {
-                        seen[v] = true;
-                        queue.push_back(v);
+                for v in self.phys.neighbors(cells[u]) {
+                    if let Ok(v) = cells.binary_search(&v) {
+                        if !seen[v] {
+                            seen[v] = true;
+                            queue.push_back(v);
+                        }
                     }
                 }
             }
@@ -615,30 +617,21 @@ enum Walk {
 }
 
 /// A collected candidate of a search: its sorted cells, its structure, and
-/// what the kernels read of it, each built on first use — its subgraph,
-/// for the exact search, and for the bitset kernels each cell's kind and
+/// what the kernels read of it, built on first use — each cell's kind and
 /// its neighbours among the cells, one bit each in `W` words.
 struct Candidate<'c, const W: usize> {
     cells: &'c [NodeId],
     structure: Option<u128>,
-    sub: OnceCell<Topology>,
     rows: OnceCell<(Vec<NodeKind>, Vec<Row<W>>)>,
 }
 
 impl<'c, const W: usize> Candidate<'c, W> {
     fn new(cells: &'c [NodeId], structure: Option<u128>) -> Self {
-        let (sub, rows) = (OnceCell::new(), OnceCell::new());
         Candidate {
             cells,
             structure,
-            sub,
-            rows,
+            rows: OnceCell::new(),
         }
-    }
-
-    /// `phys.induced_subgraph(cells)`.
-    fn sub(&self, phys: &Topology) -> &Topology {
-        self.sub.get_or_init(|| phys.induced_subgraph(self.cells).0)
     }
 
     /// [`neighbour_rows`] of the cells.
@@ -649,23 +642,33 @@ impl<'c, const W: usize> Candidate<'c, W> {
 }
 
 /// The kinds of `cells` (sorted, at most `64 * W`) and each one's
-/// neighbours among them, one bit each, walked from the cells as
-/// `SearchMemo::structure` walks them.
+/// neighbours among them, one bit each.
 fn neighbour_rows<const W: usize>(
     phys: &Topology,
     cells: &[NodeId],
 ) -> (Vec<NodeKind>, Vec<Row<W>>) {
     let mut rows = vec![[0; W]; cells.len()];
-    for (i, &cell) in cells.iter().enumerate() {
-        for w in phys.neighbors(cell).iter().filter(|&&w| w > cell) {
-            if let Ok(j) = cells[i + 1..].binary_search(w) {
-                ged::insert(&mut rows[i], i + 1 + j);
-                ged::insert(&mut rows[i + 1 + j], i);
-            }
-        }
+    for (i, j) in cell_pairs(phys, cells) {
+        ged::insert(&mut rows[i], j);
+        ged::insert(&mut rows[j], i);
     }
     let kinds = cells.iter().map(|&c| phys.node_attr(c).kind).collect();
     (kinds, rows)
+}
+
+/// The adjacent pairs `(i, j)`, `i < j`, of `cells` (sorted) in `phys`,
+/// row-major: the edges of `phys.induced_subgraph(cells)` without building
+/// it. The one walk behind a candidate's neighbour rows and its
+/// `SearchMemo::structure`.
+pub(crate) fn cell_pairs<'a>(
+    phys: &'a Topology,
+    cells: &'a [NodeId],
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    cells.iter().enumerate().flat_map(move |(i, &cell)| {
+        let later = &cells[i + 1..];
+        let above = phys.neighbors(cell).filter(move |&w| w > cell);
+        above.filter_map(move |w| later.binary_search(&w).ok().map(|j| (i, i + 1 + j)))
+    })
 }
 
 /// How many of the lowest-TED candidates receive 2-opt refinement.
@@ -859,7 +862,7 @@ mod reference {
                 let size = 1 + rng.below(6);
                 let mut at = 0;
                 while at < blob.len() && blob.len() < size {
-                    for &u in phys.neighbors(blob[at]) {
+                    for u in phys.neighbors(blob[at]) {
                         if free.contains(u) && !blob.contains(&u) && blob.len() < size {
                             blob.push(u);
                         }
@@ -903,7 +906,7 @@ mod reference {
     /// mesh tag (no rectangle fast path, BFS serpentine seeds).
     pub(super) fn campaign_physicals() -> [Topology; 4] {
         let torus = Topology::torus2d(4, 4).unwrap();
-        let torus_edges: Vec<(u32, u32)> = torus.edges().map(|(a, b)| (a.0, b.0)).collect();
+        let torus_edges: Vec<(u32, u32)> = torus.edges().map(|(a, b, _)| (a.0, b.0)).collect();
         [
             Topology::mesh2d(4, 4),
             Topology::mesh2d(6, 6),
@@ -1086,7 +1089,7 @@ mod tests {
         let shipped = super::reference::campaign_requests();
         let annotated = shipped.iter().map(|r| {
             let mut t = r.clone();
-            for (a, b) in r.edges().step_by(2) {
+            for (a, b, _) in r.edges().step_by(2) {
                 t.add_edge_with(a, b, crate::EdgeAttr { cost: 3 }).unwrap();
             }
             t
@@ -1456,7 +1459,7 @@ mod tests {
         assert!(m.is_connected());
         // mapping must be a valid isomorphism: adjacent virtual nodes map to
         // adjacent physical nodes
-        for (a, b) in req.edges() {
+        for (a, b, _) in req.edges() {
             assert!(phys.has_edge(m.phys_nodes()[a.index()], m.phys_nodes()[b.index()]));
         }
     }

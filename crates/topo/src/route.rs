@@ -131,7 +131,7 @@ pub fn confined_path(
     seen[src.index()] = true;
     let mut q = VecDeque::from([src]);
     while let Some(u) = q.pop_front() {
-        for &v in topo.neighbors(u) {
+        for v in topo.neighbors(u) {
             if in_set[v.index()] && !seen[v.index()] {
                 seen[v.index()] = true;
                 prev[v.index()] = Some(u);

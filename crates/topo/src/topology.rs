@@ -1,5 +1,6 @@
 //! The core [`Topology`] graph type and its builders.
 
+use crate::ged::bits;
 use crate::{Result, TopoError};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -100,12 +101,15 @@ fn mesh_nodes(width: u32, height: u32) -> Result<usize> {
 
 /// An undirected graph describing an NPU core topology.
 ///
-/// Nodes are numbered `0..n` in row-major order for meshes. Edges are stored
-/// both as sorted adjacency lists (for traversal) and as an attribute map
-/// (for edge-match costs).
+/// Nodes are numbered `0..n` in row-major order for meshes. Each node's
+/// neighbours are stored once, as a bit row of `⌈n/64⌉` words (for
+/// traversal, degrees and edge tests), beside an attribute map of the
+/// edges (for edge-match costs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    adj: Vec<Vec<NodeId>>,
+    /// Node `v`'s neighbours, one bit each, in words `v * w..(v + 1) * w`
+    /// for `w = ⌈n/64⌉`.
+    rows: Vec<u64>,
     edges: BTreeMap<(NodeId, NodeId), EdgeAttr>,
     nodes: Vec<NodeAttr>,
     mesh: Option<MeshShape>,
@@ -115,7 +119,7 @@ impl Topology {
     /// Creates a topology with `n` isolated nodes and default attributes.
     pub fn empty(n: usize) -> Self {
         Topology {
-            adj: vec![Vec::new(); n],
+            rows: vec![0; n * n.div_ceil(64)],
             edges: BTreeMap::new(),
             nodes: vec![NodeAttr::default(); n],
             mesh: None,
@@ -201,7 +205,7 @@ impl Topology {
     ///
     /// Returns an error on out-of-range endpoints or self-loops.
     pub fn add_edge_with(&mut self, a: NodeId, b: NodeId, attr: EdgeAttr) -> Result<()> {
-        let n = self.adj.len();
+        let n = self.node_count();
         for id in [a, b] {
             if id.index() >= n {
                 return Err(TopoError::NodeOutOfRange { node: id.0, len: n });
@@ -212,18 +216,33 @@ impl Topology {
         }
         let key = (a.min(b), a.max(b));
         if self.edges.insert(key, attr).is_none() {
-            self.adj[a.index()].push(b);
-            self.adj[b.index()].push(a);
-            self.adj[a.index()].sort_unstable();
-            self.adj[b.index()].sort_unstable();
+            self.link(a, b);
         }
         self.mesh = None; // mutation invalidates mesh shape metadata
         Ok(())
     }
 
+    /// Sets `a` and `b` in each other's row.
+    fn link(&mut self, a: NodeId, b: NodeId) {
+        let w = self.node_count().div_ceil(64);
+        self.rows[a.index() * w + b.index() / 64] |= 1 << (b.index() % 64);
+        self.rows[b.index() * w + a.index() / 64] |= 1 << (a.index() % 64);
+    }
+
+    /// The neighbour row of `node`: bit `v % 64` of word `v / 64` is set
+    /// when `v` is a neighbour.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub(crate) fn row(&self, node: NodeId) -> &[u64] {
+        let w = self.node_count().div_ceil(64);
+        &self.rows[node.index() * w..(node.index() + 1) * w]
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.nodes.len()
     }
 
     /// Number of undirected edges.
@@ -233,31 +252,34 @@ impl Topology {
 
     /// Iterator over all node IDs in increasing order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.adj.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 
-    /// Iterator over all undirected edges as `(low, high)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.edges.keys().copied()
+    /// Iterator over all undirected edges as `(low, high, attribute)`
+    /// triples, ascending by `(low, high)`.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeAttr)> + '_ {
+        self.edges.iter().map(|(&(a, b), &attr)| (a, b, attr))
     }
 
-    /// Sorted neighbor list of `node`.
+    /// The neighbours of `node`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.adj[node.index()]
+    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        bits(self.row(node).iter().copied()).map(|v| NodeId(v as u32))
     }
 
     /// Degree of `node`.
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adj[node.index()].len()
+        self.row(node).iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether an edge exists between `a` and `b`.
+    /// Whether an edge exists between `a` and `b` (`false` when either is
+    /// out of range).
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.edges.contains_key(&(a.min(b), a.max(b)))
+        let (n, i) = (self.node_count(), b.index());
+        a.index() < n && i < n && self.row(a)[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Attribute of the edge `(a, b)`, if present.
@@ -299,7 +321,7 @@ impl Topology {
         dist[a.index()] = 0;
         let mut q = VecDeque::from([a]);
         while let Some(u) = q.pop_front() {
-            for &v in self.neighbors(u) {
+            for v in self.neighbors(u) {
                 if dist[v.index()] == u32::MAX {
                     dist[v.index()] = dist[u.index()] + 1;
                     if v == b {
@@ -337,7 +359,7 @@ impl Topology {
         seen[subset[0].index()] = true;
         let mut count = 1;
         while let Some(u) = q.pop_front() {
-            for &v in self.neighbors(u) {
+            for v in self.neighbors(u) {
                 if in_set[v.index()] && !seen[v.index()] {
                     seen[v.index()] = true;
                     count += 1;
@@ -362,37 +384,22 @@ impl Topology {
         let mut sub = Topology::empty(subset.len());
         for (i, &n) in subset.iter().enumerate() {
             sub.nodes[i] = self.nodes[n.index()];
-            for &nb in self.neighbors(n) {
+            for nb in self.neighbors(n) {
                 let j = index_of[nb.index()];
                 if j != ABSENT && (i as u32) < j {
-                    let attr = self.edge_attr(n, nb).unwrap_or_default();
-                    sub.edges.insert((NodeId(i as u32), NodeId(j)), attr);
-                    sub.adj[i].push(NodeId(j));
-                    sub.adj[j as usize].push(NodeId(i as u32));
+                    let (a, b) = (NodeId(i as u32), NodeId(j));
+                    sub.edges
+                        .insert((a, b), self.edge_attr(n, nb).unwrap_or_default());
+                    sub.link(a, b);
                 }
             }
-        }
-        for list in &mut sub.adj {
-            list.sort_unstable();
         }
         (sub, subset.to_vec())
     }
 
-    /// Dense `n × n` edge-attribute table (row-major, symmetric): the O(1)
-    /// `edge_attr` of the kernels that ask about the same graph in a loop.
-    pub(crate) fn edge_table(&self) -> Vec<Option<EdgeAttr>> {
-        let n = self.node_count();
-        let mut table = vec![None; n * n];
-        for (&(a, b), &attr) in &self.edges {
-            table[a.index() * n + b.index()] = Some(attr);
-            table[b.index() * n + a.index()] = Some(attr);
-        }
-        table
-    }
-
     /// Sorted degree sequence — a cheap isomorphism invariant.
     pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = (0..self.node_count()).map(|i| self.adj[i].len()).collect();
+        let mut d: Vec<usize> = self.nodes().map(|v| self.degree(v)).collect();
         d.sort_unstable();
         d
     }

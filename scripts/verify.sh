@@ -205,9 +205,10 @@ section "scripts/loc.sh (non-test source size)"
 # which lost their callers; together they cut `reconfig_storm`'s
 # `op_tail10_us` in alternating pairs (the medians are in CHANGES.md).
 # `topo` and the workspace then took the net 30 lines of the free-region
-# kernel (`NeighborRows`, built once per chip, and its word-mask flood
-# fill, less `Topology::subset_components`, now the kernel's test-only
-# reference), which `Hypervisor::fragmentation` and the defrag window
+# kernel (`NeighborRows`, built once per chip — now gone, the flood fill
+# being `FreeSet::free_regions` over the topology's own rows — and its
+# word-mask flood fill, less `Topology::subset_components`, now the
+# kernel's test-only reference), which `Hypervisor::fragmentation` and the defrag window
 # checks run; with admission placing the queued request by reference it
 # cut `place_hot`'s `op_iqm_us` in alternating pairs (the medians are in
 # CHANGES.md), and `core + serve` lost a line. One edit-cost model then
@@ -224,9 +225,13 @@ section "scripts/loc.sh (non-test source size)"
 # (now a test helper) gone. Plans carrying migrations only then took 63
 # lines out of `core + serve`: `PlanOp::{Create, Destroy}`, the planned
 # create's no-widening switch and the plan and receipt totals are gone.
-CORE_SERVE_CODE_MAX=3978
-TOPO_CODE_MAX=2162
-WORKSPACE_CODE_MAX=14625
+# One adjacency record then took 36 lines out of `topo` and of the
+# workspace and 2 out of `core + serve`: `Topology` keeps each node's
+# neighbours once, as a bit row, and `NeighborRows` (with the hypervisor's
+# copy), `Topology::edge_table` and `Candidate::sub` are gone.
+CORE_SERVE_CODE_MAX=3976
+TOPO_CODE_MAX=2126
+WORKSPACE_CODE_MAX=14589
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -599,8 +604,8 @@ cargo test -p vnpu -q snapshot_memo_matches_fresh_scans
 # pauses each step paid.
 cargo test -p vnpu -q each_machine_matches_its_hypervisor
 # A snapshot's free-region figures (`free_components`,
-# `largest_free_component`) come from `NeighborRows::free_regions`, a
-# flood fill over word masks. The campaign holds it to the breadth-first
+# `largest_free_component`) come from `FreeSet::free_regions`, a flood
+# fill over word masks and the topology's neighbour bit rows. The campaign holds it to the breadth-first
 # scan it replaced (test-only `reference` in `crates/topo/src/cache.rs`)
 # on 1 200 seeded free sets of meshes from 1x1 to 12x12 and of tori,
 # holed and faulted: the same component count and largest size. It fails
@@ -624,6 +629,17 @@ cargo test -p vnpu_topo -q one_walk_search_matches_the_two_walk_reference -- --n
 # at small caps, and fails unless some search placed a connected set at
 # a nonzero distance.
 cargo test -p vnpu_topo -q requests_past_64_nodes_match_the_two_walk_reference -- --nocapture
+# Every kernel above reads `Topology`'s one adjacency record: each node's
+# neighbours as a bit row beside the edge-attribute map. The campaign
+# builds 64 graphs of 1-200 nodes (one to four words a row) with
+# `add_edge` and `add_edge_with`, duplicate edges, overwritten costs,
+# refused self-loops and out-of-range ids among the calls, and holds
+# `neighbors` (ascending), `degree`, `has_edge` both ways and
+# `degree_sequence` to a partner list rebuilt from `edges()`, `edge_attr`
+# to the last cost written, and `induced_subgraph` on shuffled subsets to
+# an edge-by-edge rebuild. It fails unless every kind of call was met and
+# rows of two and of four words were.
+cargo test --test props -q topology_rows_match_a_partner_list_from_edges -- --nocapture
 # The kernels a search spends its time in (canonical key, ESU walk, exact
 # A*, 2-opt refinement) each keep the implementation they replaced as a
 # test-only `reference` module beside them, and a seeded campaign holds

@@ -238,6 +238,138 @@ fn canonical_key_relabel_invariant() {
     );
 }
 
+/// A topology's neighbour rows hold what its edge map holds. Graphs of
+/// 1-200 nodes (rows of one to four words) are built by `add_edge` and
+/// `add_edge_with`, with duplicate edges, overwritten costs, refused
+/// self-loops and refused out-of-range ids among the calls; `neighbors`
+/// (ascending), `degree`, `has_edge` both ways and `degree_sequence` then
+/// agree with a partner list rebuilt from `edges()`, `edge_attr` with the
+/// last cost written, and `induced_subgraph` on shuffled subsets with an
+/// edge-by-edge rebuild.
+#[test]
+fn topology_rows_match_a_partner_list_from_edges() {
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+    use vnpu_mem::proptest_lite::Rng;
+    use vnpu_topo::EdgeAttr;
+
+    // Cases with rows of more than one word, of four words, a duplicate
+    // edge, an overwritten cost, a refused self-loop and a refused
+    // out-of-range id.
+    let reached: [Cell<usize>; 6] = Default::default();
+    check(
+        "topology_rows_match_a_partner_list_from_edges",
+        64,
+        (
+            range(1usize..5),
+            range(0usize..64),
+            vec_of(
+                (range(0u64..6), range(0u32..1024), range(0u32..1024)),
+                0..600,
+            ),
+            range(0u64..1 << 32),
+        ),
+        |(words, extra, calls, seed)| {
+            let n = (64 * (words - 1) + 1 + extra).min(200);
+            // Two ids past the last node, so some calls are refused.
+            let id = |raw: u32| NodeId(raw % (n as u32 + 2));
+            let mut t = Topology::empty(n);
+            let mut costs: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+            let mut hits = [n > 64, n > 192, false, false, false, false];
+            for (i, &(kind, x, y)) in calls.iter().enumerate() {
+                // Kinds 4 and 5 repeat an earlier call's endpoints, swapped.
+                let (a, b) = match (kind, i) {
+                    (4 | 5, 1..) => {
+                        let (_, px, py) = calls[x as usize % i];
+                        (id(py), id(px))
+                    }
+                    _ => (id(x), id(y)),
+                };
+                let (result, cost) = match kind {
+                    0 => (t.add_edge(a, b), 1),
+                    _ => (t.add_edge_with(a, b, EdgeAttr { cost: kind }), kind),
+                };
+                let out_of_range = a.index() >= n || b.index() >= n;
+                let refused = out_of_range || a == b;
+                prop_assert_eq!(result.is_err(), refused);
+                if !refused {
+                    if let Some(old) = costs.insert((a.min(b), a.max(b)), cost) {
+                        hits[2] = true;
+                        hits[3] |= old != cost;
+                    }
+                }
+                hits[4] |= a == b && !out_of_range;
+                hits[5] |= out_of_range;
+            }
+            let listed: Vec<_> = t.edges().map(|(a, b, e)| ((a, b), e.cost)).collect();
+            let written: Vec<_> = costs.iter().map(|(&k, &c)| (k, c)).collect();
+            prop_assert!(listed == written, "edges() disagrees with the calls");
+            // The partner list, rebuilt from `edges()` alone.
+            let mut partners = vec![Vec::new(); n];
+            for &((a, b), _) in &listed {
+                partners[a.index()].push(b);
+                partners[b.index()].push(a);
+            }
+            for v in t.nodes() {
+                let list = &mut partners[v.index()];
+                list.sort_unstable();
+                let got: Vec<NodeId> = t.neighbors(v).collect();
+                prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "{v}: not ascending");
+                prop_assert_eq!(&got, list);
+                prop_assert_eq!(t.degree(v), list.len());
+            }
+            for a in (0..n as u32 + 2).map(NodeId) {
+                for b in (0..n as u32 + 2).map(NodeId) {
+                    let listed = partners.get(a.index()).is_some_and(|l| l.contains(&b));
+                    prop_assert_eq!(t.has_edge(a, b), listed);
+                    prop_assert_eq!(t.has_edge(b, a), listed);
+                    let cost = costs.get(&(a.min(b), a.max(b))).copied();
+                    prop_assert_eq!(t.edge_attr(a, b).map(|e| e.cost), cost);
+                }
+            }
+            let mut degrees: Vec<usize> = partners.iter().map(Vec::len).collect();
+            degrees.sort_unstable();
+            prop_assert_eq!(t.degree_sequence(), degrees);
+            let mut rng = Rng::new(*seed);
+            for _ in 0..3 {
+                let mut subset: Vec<NodeId> = t.nodes().collect();
+                for i in (1..n).rev() {
+                    subset.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                subset.truncate(1 + rng.below(n as u64) as usize);
+                let (sub, back) = t.induced_subgraph(&subset);
+                let mut rebuilt = Topology::empty(subset.len());
+                for (i, &a) in subset.iter().enumerate() {
+                    for (j, &b) in subset.iter().enumerate().skip(i + 1) {
+                        if let Some(attr) = t.edge_attr(a, b) {
+                            let (i, j) = (NodeId(i as u32), NodeId(j as u32));
+                            rebuilt.add_edge_with(i, j, attr).expect("in range");
+                        }
+                    }
+                }
+                prop_assert_eq!(back, subset);
+                prop_assert!(sub == rebuilt, "induced subgraph differs from its rebuild");
+            }
+            for (count, hit) in reached.iter().zip(hits) {
+                count.set(count.get() + usize::from(hit));
+            }
+            Ok(())
+        },
+    );
+    let reached = reached.map(Cell::into_inner);
+    println!(
+        "topology-row campaign: 64 graphs of 1-200 nodes, rows equal to the partner lists \
+         of edges(); {} of more than one word a row, {} of four, {} with a duplicate edge, \
+         {} with an overwritten cost, {} with a refused self-loop, {} with a refused \
+         out-of-range id",
+        reached[0], reached[1], reached[2], reached[3], reached[4], reached[5]
+    );
+    assert!(
+        reached.iter().all(|&r| r > 0),
+        "a kind of case was never reached: {reached:?}"
+    );
+}
+
 /// Compiled workloads always pair sends with receives and the machine
 /// runs them to completion deterministically.
 #[test]

@@ -23,15 +23,18 @@
 //! rebuilt per request.
 //!
 //! An enumeration allocates per *call*, never per step or per candidate:
-//! the subgraph being grown, its sorted copy handed to the visitor, and
-//! one pair of bit masks over the physical node ids per recursion depth
-//! (`node_count().div_ceil(64)` words each, so a chip of any size) — the
-//! extension set, popped lowest bit first, and the subgraph's closed
-//! neighbourhood, which answers "in the subgraph or adjacent to it" with
-//! one probe. **Why results cannot move:** a bit set popped lowest-first
-//! is the ordered set it replaced, and the probe is the predicate the
-//! edge-map scan computed, so the candidate count, the step budget and the
-//! visited sequence are exactly as documented on
+//! the subgraph being grown, its sorted copy handed to the visitor, the
+//! free nodes above the current root, and one pair of bit masks over the
+//! physical node ids per recursion depth (`node_count().div_ceil(64)`
+//! words each, so a chip of any size) — the extension set, popped lowest
+//! bit first, and the subgraph's closed neighbourhood ("in the subgraph or
+//! adjacent to it"). A node joining the subgraph adds its neighbour row to
+//! the closed neighbourhood, and the part of it that is free, above the
+//! root and outside the old closed neighbourhood to the extension set, a
+//! word at a time. **Why results cannot move:** a bit set popped
+//! lowest-first is the ordered set it replaced, and the masked row is the
+//! set of neighbours the edge-map scan admitted, so the candidate count,
+//! the step budget and the visited sequence are exactly as documented on
 //! [`enumerate_connected_in`]; the test-only `reference` module keeps the
 //! replaced walk and holds this one to it.
 
@@ -89,9 +92,13 @@ pub fn enumerate_connected_in(
         return 0;
     }
     let words = topo.node_count().div_ceil(64);
+    let mut free_words = vec![0u64; words];
+    for (i, _) in free.mask().iter().enumerate().filter(|(_, &f)| f) {
+        free_words[i / 64] |= 1 << (i % 64);
+    }
     let mut esu = Esu {
         topo,
-        is_free: free.mask(),
+        allowed: vec![0; words],
         k,
         cap,
         words,
@@ -108,25 +115,27 @@ pub fn enumerate_connected_in(
     // ESU: for each root v (ascending), grow subgraphs using only nodes > v,
     // with an extension set of exclusive neighbors.
     for root in (0..topo.node_count() as u32).map(NodeId) {
-        if !esu.is_free[root.index()] {
+        if !free.contains(root) {
             continue;
         }
         if esu.done() {
             break;
         }
+        // The free nodes above the root.
+        let r = root.index();
+        esu.allowed.copy_from_slice(&free_words);
+        esu.allowed[..r / 64].fill(0);
+        esu.allowed[r / 64] &= !1 << (r % 64);
         let (ext, closed) = masks[..2 * words].split_at_mut(words);
-        ext.fill(0);
-        closed.fill(0);
-        set(closed, root);
-        for u in topo.neighbors(root) {
-            set(closed, u);
-            if u > root && esu.is_free[u.index()] {
-                set(ext, u);
-            }
+        let row = topo.row(root);
+        for i in 0..words {
+            ext[i] = row[i] & esu.allowed[i];
+            closed[i] = row[i];
         }
+        set(closed, root);
         esu.sub.clear();
         esu.sub.push(root);
-        esu.extend(root, &mut masks);
+        esu.extend(&mut masks);
     }
     esu.count
 }
@@ -135,15 +144,12 @@ fn set(mask: &mut [u64], node: NodeId) {
     mask[node.index() / 64] |= 1 << (node.index() % 64);
 }
 
-fn is_set(mask: &[u64], node: NodeId) -> bool {
-    mask[node.index() / 64] >> (node.index() % 64) & 1 == 1
-}
-
 /// State of one [`enumerate_connected_in`] call. Node sets are bit masks
 /// over the physical node ids, `words` words each.
 struct Esu<'a, V> {
     topo: &'a Topology,
-    is_free: &'a [bool],
+    /// The free nodes above the current root: those that may join.
+    allowed: Vec<u64>,
     k: usize,
     cap: usize,
     words: usize,
@@ -166,7 +172,7 @@ impl<V: FnMut(&[NodeId]) -> Visit> Esu<'_, V> {
     /// extension set (nodes that may join `sub` next, taken lowest first)
     /// and `sub`'s closed neighbourhood (`sub` and everything adjacent to
     /// it); the deeper pairs follow.
-    fn extend(&mut self, root: NodeId, masks: &mut [u64]) {
+    fn extend(&mut self, masks: &mut [u64]) {
         if self.done() {
             return;
         }
@@ -195,17 +201,14 @@ impl<V: FnMut(&[NodeId]) -> Visit> Esu<'_, V> {
             // completes the subgraph reads neither mask.
             if self.sub.len() + 1 < self.k {
                 let (next_ext, next_closed) = deeper[..2 * self.words].split_at_mut(self.words);
-                next_ext.copy_from_slice(ext);
-                next_closed.copy_from_slice(closed);
-                for u in self.topo.neighbors(w) {
-                    if u > root && self.is_free[u.index()] && !is_set(closed, u) {
-                        set(next_ext, u);
-                    }
-                    set(next_closed, u);
+                let row = self.topo.row(w);
+                for i in 0..self.words {
+                    next_ext[i] = ext[i] | (row[i] & !closed[i] & self.allowed[i]);
+                    next_closed[i] = closed[i] | row[i];
                 }
             }
             self.sub.push(w);
-            self.extend(root, deeper);
+            self.extend(deeper);
             self.sub.pop();
         }
     }

@@ -472,12 +472,16 @@ impl<const W: usize> StockRefiner<W> {
 
 /// The indices of the set bits of `row`'s words, ascending.
 pub(crate) fn bits(row: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
-    row.into_iter().enumerate().flat_map(|(k, mut word)| {
-        std::iter::from_fn(move || {
-            let bit = (word != 0).then(|| 64 * k + word.trailing_zeros() as usize);
-            word &= word.wrapping_sub(1);
-            bit
-        })
+    // `end` is 64 past the index of the word being taken apart.
+    let (mut words, mut end, mut word) = (row.into_iter(), 0, 0u64);
+    std::iter::from_fn(move || {
+        while word == 0 {
+            word = words.next()?;
+            end += 64;
+        }
+        let bit = end - 64 + word.trailing_zeros() as usize;
+        word &= word - 1;
+        Some(bit)
     })
 }
 

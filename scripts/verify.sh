@@ -225,13 +225,14 @@ section "scripts/loc.sh (non-test source size)"
 # (now a test helper) gone. Plans carrying migrations only then took 63
 # lines out of `core + serve`: `PlanOp::{Create, Destroy}`, the planned
 # create's no-widening switch and the plan and receipt totals are gone.
-# One adjacency record then took 36 lines out of `topo` and of the
+# One adjacency record then took 34 lines out of `topo` and of the
 # workspace and 2 out of `core + serve`: `Topology` keeps each node's
 # neighbours once, as a bit row, and `NeighborRows` (with the hypervisor's
-# copy), `Topology::edge_table` and `Candidate::sub` are gone.
+# copy), `Topology::edge_table` and `Candidate::sub` are gone; the ESU
+# walk grows its masks from those rows a word at a time.
 CORE_SERVE_CODE_MAX=3976
-TOPO_CODE_MAX=2126
-WORKSPACE_CODE_MAX=14589
+TOPO_CODE_MAX=2128
+WORKSPACE_CODE_MAX=14591
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")

@@ -15,9 +15,10 @@
 //!   in one table, and advisory fit-hint and defrag probes search through
 //!   its score memo without touching its entries or statistics
 //!   ([`vnpu_topo::mapping::Mapper::map_scored`]). Entries never alias across chips because
-//!   each key carries the chip's `labeled_hash` topology fingerprint and
-//!   its reconfiguration generation — two identical free regions on two
-//!   identical chip models *do* share entries, which is the point.
+//!   each key carries the chip's `labeled_hash` topology fingerprint (its
+//!   mesh shape, node kinds and edges with costs) and its reconfiguration
+//!   generation — two identical free regions on two identical chip models
+//!   *do* share entries, which is the point.
 //!   After reconfigs, soundness relies on the generation reflecting the
 //!   actual hardware state, and it does by construction: each chip slot
 //!   owns the chip's simulated [`Machine`] next to its hypervisor, every

@@ -16,9 +16,9 @@
 //!   the topology's neighbour bit rows that counts a free region's
 //!   connected components and sizes the largest without allocating (the
 //!   fragmentation picture admission and defragmentation read).
-//! * [`MappingCache`] — a bounded memo table keyed by
-//!   `(canonical_key(request), labeled request hash, strategy tag,
-//!   free-region fingerprint)` holding complete mapping results (including
+//! * [`MappingCache`] — a bounded memo table keyed by `(labeled chip
+//!   hash, reconfig generation, labeled request hash, strategy, free-region
+//!   fingerprint, free count)` holding complete mapping results (including
 //!   `NoCandidate` failures, which are the *most* expensive outcome: they
 //!   require an exhaustion proof over the candidate space).
 //!
@@ -28,7 +28,10 @@
 //! differently-numbered requests can never alias (their virtual→physical
 //! assignments differ even when their canonical keys agree), and neither
 //! can two structurally-identical requests whose node kinds or edge costs
-//! (and therefore edit costs) differ. As a final guard, a hit is only
+//! (and therefore edit costs) differ, nor a mesh and its mesh-less twin
+//! (the mapper reads mesh shapes). Each input is in the key once: the
+//! strategy whole, and no canonical key, which the labeled hash already
+//! decides. As a final guard, a hit is only
 //! trusted after every physical node of the cached placement is
 //! re-checked against the *current* free set, so a 64-bit fingerprint
 //! collision degrades to a cache miss instead of a silently
@@ -61,7 +64,9 @@
 //! request, its interned id) — all of them fixed by the structure. The
 //! edit-distance kernels read a candidate's kinds and edges and never its
 //! edge costs, so the tables serve every chip. The request is interned by
-//! its node count, kinds and edges with costs, compared for equality.
+//! its `encoding` — node count, kinds and edges with costs, the words
+//! [`labeled_hash`] hashes after the mesh shape — compared for equality;
+//! its mesh shape, which no table's kernel reads, is left out.
 //!
 //! The hashed tables (`ISO`, `GED`, `REFINE`: 32 B an entry) are bounded
 //! and cleared whole when full. The class table sees a lookup per visited
@@ -86,7 +91,7 @@
 //! entry is exact, so a hit returns what the kernel would, and what a
 //! table holds depends on nothing but the run's inputs.
 
-use crate::canonical::{canonical_key, CanonicalKey};
+use crate::canonical::CanonicalKey;
 use crate::ged::GedResult;
 use crate::mapping::{cell_pairs, Mapping, Strategy};
 use crate::{NodeId, Result, Topology};
@@ -298,33 +303,28 @@ fn take_lowest(mask: &mut [u64]) -> Option<usize> {
     Some(i * 64 + bit)
 }
 
-/// Key of one memoized mapping attempt.
+/// Key of one memoized mapping attempt: each input the mapper reads,
+/// once.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Label- and attribute-sensitive fingerprint of the *physical*
-    /// topology, so one cache shared across chips never aliases their
-    /// entries.
+pub(crate) struct CacheKey {
+    /// [`labeled_hash`] of the *physical* topology, so one cache shared
+    /// across chips never aliases their entries.
     phys: u64,
     /// The chip's reconfiguration generation. Core scaling
     /// (`set_core_scales`) and fault transitions bump it, so every entry
     /// cached before them expires.
     generation: u64,
-    /// Isomorphism-class key of the request topology.
-    canonical: CanonicalKey,
-    /// Label- and attribute-sensitive request hash (adjacency, node
-    /// attributes and edge costs in node order), so neither
-    /// isomorphic-but-relabeled requests nor cost-only variants ever
-    /// alias.
+    /// [`labeled_hash`] of the request (mesh shape, kinds in node order,
+    /// edges with costs ascending), so neither isomorphic-but-relabeled requests
+    /// nor cost-only or mesh-only variants ever alias.
     labeled: u64,
-    /// Strategy discriminant (kind, disconnected mode).
-    strategy: u8,
-    /// The strategy's candidate cap, whole: no cap may alias another.
-    cap: usize,
+    /// The strategy, every knob of it: kind, candidate cap and
+    /// disconnected mode.
+    strategy: Strategy,
     /// Free-region fingerprint.
     free: u64,
-    /// Free-region count, narrowed so the key stays 80 bytes: a placement
-    /// cache holds thousands of keys, twice.
-    free_count: u32,
+    /// Free-region count.
+    free_count: usize,
 }
 
 /// Counters describing cache effectiveness.
@@ -373,11 +373,6 @@ pub struct MappingCache {
     order: std::collections::VecDeque<CacheKey>,
     capacity: usize,
     stats: CacheStats,
-    /// Canonical keys are exact (permutation-searched) and therefore the
-    /// priciest part of a lookup; they only depend on the labeled request
-    /// graph, so memoize them by labeled hash. Bounded by `capacity`
-    /// (requests shapes are far fewer than free regions).
-    canon_memo: HashMap<u64, CanonicalKey>,
     /// Kernel results of the searches this cache's misses ran (see the
     /// module doc).
     pub(crate) score: ScoreMemo,
@@ -397,46 +392,30 @@ impl MappingCache {
             order: std::collections::VecDeque::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
-            canon_memo: HashMap::new(),
             score: ScoreMemo::default(),
         }
     }
 
-    /// Builds the key for a `(physical chip, reconfig generation, request,
-    /// strategy, free-region)` tuple, or `None` when the free region counts
-    /// past `u32::MAX` nodes.
-    /// `phys_key` is the physical topology's [`labeled_hash`] —
-    /// [`crate::Mapper`] precomputes it; `generation` is the chip's
-    /// reconfiguration counter (see [`CacheKey`]).
-    pub fn key_for(
-        &mut self,
+    /// The key of a `(physical chip, reconfig generation, request,
+    /// strategy, free-region)` tuple. `phys_key` is the physical
+    /// topology's [`labeled_hash`] — [`crate::Mapper`] precomputes it;
+    /// `generation` is the chip's reconfiguration counter (see
+    /// [`CacheKey`]). It reads no cache state and cannot fail.
+    pub(crate) fn key_for(
         phys_key: u64,
         generation: u64,
         req: &Topology,
         strategy: &Strategy,
         free: &FreeSet,
-    ) -> Option<CacheKey> {
-        let free_count = u32::try_from(free.free_count()).ok()?;
-        let (tag, cap) = strategy.cache_tag();
-        let labeled = labeled_hash(req);
-        if self.canon_memo.len() >= self.capacity {
-            self.canon_memo.clear();
-        }
-        let canonical = self
-            .canon_memo
-            .entry(labeled)
-            .or_insert_with(|| canonical_key(req))
-            .clone();
-        Some(CacheKey {
+    ) -> CacheKey {
+        CacheKey {
             phys: phys_key,
             generation,
-            canonical,
-            labeled,
-            strategy: tag,
-            cap,
+            labeled: labeled_hash(req),
+            strategy: strategy.clone(),
             free: free.fingerprint(),
-            free_count,
-        })
+            free_count: free.free_count(),
+        }
     }
 
     /// Looks up a memoized result, validating any cached *placement*
@@ -450,7 +429,7 @@ impl MappingCache {
     /// only returned when every one of its physical nodes is still free
     /// (O(k) bitmask probes); a mismatch is treated as a miss, and the
     /// recomputed result overwrites the colliding entry.
-    pub fn get(&mut self, key: &CacheKey, free: &FreeSet) -> Option<Result<Mapping>> {
+    pub(crate) fn get(&mut self, key: &CacheKey, free: &FreeSet) -> Option<Result<Mapping>> {
         match self.entries.get(key) {
             Some(Ok(m)) if !m.phys_nodes().iter().all(|&n| free.contains(n)) => {
                 self.stats.misses += 1;
@@ -474,7 +453,7 @@ impl MappingCache {
     /// eviction cost is O(1). Draining *before* the push keeps
     /// `len() <= capacity` throughout, so the FIFO never outgrows
     /// `capacity` keys.
-    pub fn insert(&mut self, key: CacheKey, result: Result<Mapping>) {
+    pub(crate) fn insert(&mut self, key: CacheKey, result: Result<Mapping>) {
         if let Some(slot) = self.entries.get_mut(&key) {
             *slot = result;
             return;
@@ -734,7 +713,7 @@ fn encoding(t: &Topology) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// Label- and attribute-sensitive topology hash: the mesh shape, then the
-/// topology's [`encoding`] (node count, kinds, edges with costs).
+/// topology's `encoding` (node count, kinds, edges with costs).
 /// Distinguishes relabelings that `canonical_key` deliberately identifies
 /// — and, just as importantly, attribute-only variants: the edit costs
 /// charge `EdgeAttr.cost` on edge edits, so two requests differing only
@@ -935,9 +914,7 @@ mod tests {
         let placed = mapper
             .map_cached(&free, &req, &strategy, &mut cache)
             .unwrap();
-        let key = cache
-            .key_for(labeled_hash(&phys), 0, &req, &strategy, &free)
-            .unwrap();
+        let key = MappingCache::key_for(labeled_hash(&phys), 0, &req, &strategy, &free);
         assert!(
             cache.get(&key, &free).is_some(),
             "sanity: the entry hits against its own free set"
@@ -1009,18 +986,82 @@ mod tests {
     #[test]
     fn caps_far_apart_do_not_alias() {
         // Regression: the tag packed `cap << 3` into one word, so caps
-        // 2^61 apart shared entries, `NoCandidate` proofs included.
+        // 2^61 apart shared entries, `NoCandidate` proofs included. The
+        // key holds the strategy itself, so every kind, disconnected mode
+        // and cap is a key of its own.
         let req = Topology::mesh2d(2, 2);
         let free = FreeSet::all_free(9);
+        let mut keys = Vec::new();
+        for base in [
+            Strategy::straightforward(),
+            Strategy::similar_topology(),
+            Strategy::exact_only(),
+        ] {
+            for disconnected in [false, true] {
+                for cap in [400, (1 << 61) + 400] {
+                    let strategy = base
+                        .clone()
+                        .allow_disconnected(disconnected)
+                        .candidate_cap(cap);
+                    keys.push(MappingCache::key_for(0, 0, &req, &strategy, &free));
+                }
+            }
+        }
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        // Carrying the strategy and the free count whole did not grow the
+        // key: the placement cache holds thousands of them, in its table
+        // and its FIFO.
+        assert_eq!(std::mem::size_of::<CacheKey>(), 56);
+    }
+
+    #[test]
+    fn mesh_less_twins_do_not_alias() {
+        // The mapper reads the mesh shape of the request (the rectangle
+        // fast path) and of the chip (the fast path and the serpentine
+        // order), so a topology and its twin built edge by edge, with the
+        // same nodes and edges but no mesh shape, are different inputs:
+        // through one cache each lookup must equal its own `map_in`, and
+        // the second must miss.
+        fn twin(t: &Topology) -> Topology {
+            let mut twin = Topology::empty(t.node_count());
+            for (a, b, attr) in t.edges() {
+                twin.add_edge_with(a, b, attr).unwrap();
+            }
+            assert!(twin.mesh_shape().is_none() && t.mesh_shape().is_some());
+            twin
+        }
+        let strategy = Strategy::similar_topology();
+        let phys = Topology::mesh2d(4, 4);
+        let free = FreeSet::from_free_nodes(16, &[1, 3, 4, 5, 9, 10, 11, 12, 13].map(NodeId));
+        let line = Topology::line(4);
         let mut cache = MappingCache::default();
-        let mut key = |cap| {
-            let strategy = Strategy::similar_topology().candidate_cap(cap);
-            cache.key_for(0, 0, &req, &strategy, &free).unwrap()
-        };
-        assert_ne!(key(400), key((1 << 61) + 400));
-        // Carrying the cap whole did not grow the key: the placement cache
-        // holds thousands of them, in its table and its FIFO.
-        assert_eq!(std::mem::size_of::<CacheKey>(), 80);
+        for req in [line.clone(), twin(&line)] {
+            let mapper = Mapper::new(&phys);
+            let got = mapper.map_cached(&free, &req, &strategy, &mut cache);
+            assert_eq!(got, mapper.map_in(&free, &req, &strategy));
+        }
+        assert_eq!(
+            cache.stats().misses,
+            2,
+            "a request and its twin must not alias"
+        );
+        let req = Topology::mesh2d(2, 3);
+        let free = FreeSet::all_free(16);
+        let mut cache = MappingCache::default();
+        for chip in [phys.clone(), twin(&phys)] {
+            let mapper = Mapper::new(&chip);
+            let got = mapper.map_cached(&free, &req, &strategy, &mut cache);
+            assert_eq!(got, mapper.map_in(&free, &req, &strategy));
+        }
+        assert_eq!(
+            cache.stats().misses,
+            2,
+            "a chip and its twin must not alias"
+        );
     }
 
     #[test]
@@ -1030,7 +1071,10 @@ mod tests {
         // them apart.
         let a = Topology::mesh2d(2, 3);
         let b = Topology::mesh2d(3, 2);
-        assert_eq!(canonical_key(&a), canonical_key(&b));
+        assert_eq!(
+            crate::canonical::canonical_key(&a),
+            crate::canonical::canonical_key(&b)
+        );
         assert_ne!(labeled_hash(&a), labeled_hash(&b));
     }
 
@@ -1115,9 +1159,7 @@ mod tests {
                 let mut free = FreeSet::all_free(64);
                 free.occupy(NodeId(i % 60));
                 free.occupy(NodeId((i / 60) % 60));
-                let key = cache
-                    .key_for(labeled_hash(&phys), 0, &req, &strategy, &free)
-                    .unwrap();
+                let key = MappingCache::key_for(labeled_hash(&phys), 0, &req, &strategy, &free);
                 if cache.get(&key, &free).is_none() {
                     cache.insert(key.clone(), mapper.map_in(&free, &req, &strategy));
                     assert!(

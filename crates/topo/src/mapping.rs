@@ -55,7 +55,7 @@ use crate::{NodeId, NodeKind, Result, TopoError, Topology};
 use std::cell::OnceCell;
 
 /// Which allocation algorithm a [`Strategy`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// First-k free cores in ID order ("zig-zag").
     Straightforward,
@@ -75,7 +75,7 @@ pub enum StrategyKind {
 ///     .candidate_cap(5_000)
 ///     .allow_disconnected(true);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Strategy {
     kind: StrategyKind,
     candidate_cap: usize,
@@ -128,18 +128,6 @@ impl Strategy {
     /// does.
     pub fn threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// Every result-affecting knob for [`MappingCache`] keys — the kind and
-    /// disconnected mode folded into one byte, and the candidate cap whole.
-    pub fn cache_tag(&self) -> (u8, usize) {
-        let kind = match self.kind {
-            StrategyKind::Straightforward => 0u8,
-            StrategyKind::SimilarTopology => 1,
-            StrategyKind::ExactOnly => 2,
-        };
-        let tag = kind | u8::from(self.allow_disconnected) << 2;
-        (tag, self.candidate_cap)
     }
 }
 
@@ -377,9 +365,7 @@ impl<'a> Mapper<'a> {
         precomputed: Option<Result<Mapping>>,
     ) -> Result<Mapping> {
         self.refuse_unsearchable(free, req)?;
-        let Some(key) = cache.key_for(self.phys_key, self.generation, req, strategy, free) else {
-            return precomputed.unwrap_or_else(|| self.search(free, req, strategy, None));
-        };
+        let key = MappingCache::key_for(self.phys_key, self.generation, req, strategy, free);
         if let Some(result) = cache.get(&key, free) {
             return result;
         }

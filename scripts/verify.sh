@@ -229,10 +229,14 @@ section "scripts/loc.sh (non-test source size)"
 # workspace and 2 out of `core + serve`: `Topology` keeps each node's
 # neighbours once, as a bit row, and `NeighborRows` (with the hypervisor's
 # copy), `Topology::edge_table` and `Candidate::sub` are gone; the ESU
-# walk grows its masks from those rows a word at a time.
+# walk grows its masks from those rows a word at a time. A placement-cache
+# key naming each input once then took 31 lines out of `topo` and of the
+# workspace: the key holds no canonical key (nor the memo of them) and the
+# `Strategy` itself in place of a packed tag, and one word encoding of a
+# topology serves `labeled_hash` and the score memo's request key.
 CORE_SERVE_CODE_MAX=3976
-TOPO_CODE_MAX=2128
-WORKSPACE_CODE_MAX=14591
+TOPO_CODE_MAX=2097
+WORKSPACE_CODE_MAX=14560
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")

@@ -315,8 +315,8 @@ pub(crate) struct CacheKey {
     /// cached before them expires.
     generation: u64,
     /// [`labeled_hash`] of the request (mesh shape, kinds in node order,
-    /// edges with costs ascending), so neither isomorphic-but-relabeled requests
-    /// nor cost-only or mesh-only variants ever alias.
+    /// edges with costs ascending), so neither isomorphic-but-relabeled
+    /// requests nor cost-only or mesh-only variants ever alias.
     labeled: u64,
     /// The strategy, every knob of it: kind, candidate cap and
     /// disconnected mode.
@@ -878,8 +878,6 @@ mod tests {
         // values, so a change to how a topology stores its neighbours must
         // leave each one as it is: a chip, a relabelled 2x2 request, a
         // request of mixed edge costs and a line whose rows take two words.
-        // Re-pinned once, on purpose, when the hash took in the mesh shape
-        // and came to hash the topology's one word encoding.
         let relabeled = Topology::from_edges(4, &[(0, 3), (3, 1), (1, 2), (2, 0)]).unwrap();
         let mut mixed = Topology::mesh2d(3, 2);
         mixed
@@ -1012,9 +1010,8 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        // Carrying the strategy and the free count whole did not grow the
-        // key: the placement cache holds thousands of them, in its table
-        // and its FIFO.
+        // The placement cache holds thousands of keys, in its table and its
+        // FIFO, so the key stays small.
         assert_eq!(std::mem::size_of::<CacheKey>(), 56);
     }
 

@@ -296,7 +296,7 @@ impl FreeSet {
 }
 
 /// Clears and returns the lowest set bit of `mask`.
-fn take_lowest(mask: &mut [u64]) -> Option<usize> {
+pub(crate) fn take_lowest(mask: &mut [u64]) -> Option<usize> {
     let (i, word) = mask.iter_mut().enumerate().find(|(_, w)| **w != 0)?;
     let bit = word.trailing_zeros() as usize;
     *word &= *word - 1;
@@ -510,6 +510,8 @@ pub const CLASS: usize = 3;
 pub(crate) struct ScoreMemo {
     /// Request key (node count, kinds, edges with costs) → request id.
     requests: HashMap<Vec<u64>, u32>,
+    /// The request key of the latest search, refilled in place.
+    key: Vec<u64>,
     /// Tables [`GED`], [`REFINE`] and [`ISO`]: (request id and candidate
     /// structure, packed start mapping) → result word.
     tables: [HashMap<[u64; 3], u64>; 3],
@@ -535,14 +537,17 @@ impl<'a> SearchMemo<'a> {
     pub(crate) fn new(memo: Option<&'a mut ScoreMemo>, req: &Topology) -> Self {
         let n = req.node_count();
         let memo = memo.filter(|_| n <= STRUCTURE_MAX_NODES).map(|memo| {
-            let key: Vec<u64> = encoding(req).collect();
-            if memo.requests.len() >= SCORE_MEMO_CAPACITY && !memo.requests.contains_key(&key) {
+            memo.key.clear();
+            memo.key.extend(encoding(req));
+            let known = memo.requests.get(memo.key.as_slice()).copied();
+            if known.is_none() && memo.requests.len() >= SCORE_MEMO_CAPACITY {
                 // Ids restart, so every entry keyed by an old id goes too.
                 memo.requests.clear();
                 memo.tables = Default::default();
             }
             let next = memo.requests.len() as u32;
-            let id = *memo.requests.entry(key).or_insert(next);
+            let id =
+                known.unwrap_or_else(|| *memo.requests.entry(memo.key.clone()).or_insert(next));
             (memo, id)
         });
         SearchMemo { memo, n }

@@ -31,14 +31,25 @@
 //! adjacent to it"). A node joining the subgraph adds its neighbour row to
 //! the closed neighbourhood, and the part of it that is free, above the
 //! root and outside the old closed neighbourhood to the extension set, a
-//! word at a time. **Why results cannot move:** a bit set popped
-//! lowest-first is the ordered set it replaced, and the masked row is the
-//! set of neighbours the edge-map scan admitted, so the candidate count,
-//! the step budget and the visited sequence are exactly as documented on
-//! [`enumerate_connected_in`]; the test-only `reference` module keeps the
-//! replaced walk and holds this one to it.
+//! word at a time.
+//!
+//! **The completion bound.** Only the extension set and the free nodes
+//! above the root outside the closed neighbourhood can still join a
+//! branch (the rest of the neighbourhood never does), so a branch with
+//! fewer than `k` nodes among them and the subgraph is cut, and the root
+//! loop stops at the first root with fewer than `k - 1` free nodes above
+//! it. A cut branch holds no candidate and spends no step.
+//!
+//! **Why results cannot move:** a bit set popped lowest-first is the
+//! ordered set it replaced, and the masked row is the set of neighbours
+//! the edge-map scan admitted, so wherever the step budget does not end
+//! the replaced walk, this one visits the same sequence and returns the
+//! same count. Where the budget ends the replaced walk, this one, whose
+//! budget counts only branches that can still complete, visits a strict
+//! extension of that walk's sequence (or the same one). The test-only
+//! `reference` module keeps the replaced walk and holds this one to it.
 
-use crate::cache::FreeSet;
+use crate::cache::{take_lowest, FreeSet};
 use crate::{MeshShape, NodeId, Topology};
 
 /// Upper bound on enumerated candidates, protecting against combinatorial
@@ -47,7 +58,9 @@ pub const DEFAULT_CANDIDATE_CAP: usize = 2_000;
 
 /// Recursion-step budget per candidate of the cap: bounds the total work
 /// of the enumeration (including the worst-case-exponential *exhaustion
-/// proof* when few candidates exist) to `cap × STEPS_PER_CANDIDATE`.
+/// proof* when few candidates exist) to `cap × STEPS_PER_CANDIDATE`
+/// steps. A step is one subgraph grown on a branch that can still reach
+/// `k` nodes; cut branches are not counted.
 pub const STEPS_PER_CANDIDATE: usize = 200;
 
 /// Outcome of the enumeration visitor.
@@ -63,9 +76,12 @@ pub enum Visit {
 /// the subgraph of `topo` induced by the free nodes of `free`, invoking
 /// `visit` once per candidate (as a sorted node list). Enumeration is
 /// exhaustive and duplicate-free (ESU), but stops after `cap` candidates,
-/// when the step budget (`cap ×` [`STEPS_PER_CANDIDATE`], at least 10 000) runs out, or when
-/// the visitor returns [`Visit::Stop`] — so the visited sequence is a pure
-/// function of `(topo, free, k, cap)` up to the stop.
+/// when the step budget (`cap ×` [`STEPS_PER_CANDIDATE`], at least
+/// 10 000) runs out, or when the visitor returns [`Visit::Stop`] — so the
+/// visited sequence is a pure function of `(topo, free, k, cap)` up to
+/// the stop. The budget counts only steps on branches that can still
+/// reach `k` nodes (see the module doc), so it binds on the search for
+/// candidates, not on proving that a near-full region holds no more.
 ///
 /// Returns the number of candidates visited.
 ///
@@ -92,9 +108,10 @@ pub fn enumerate_connected_in(
         return 0;
     }
     let words = topo.node_count().div_ceil(64);
-    let mut free_words = vec![0u64; words];
+    // The free nodes above the current root: all of them before the first.
+    let mut above = vec![0u64; words];
     for (i, _) in free.mask().iter().enumerate().filter(|(_, &f)| f) {
-        free_words[i / 64] |= 1 << (i % 64);
+        above[i / 64] |= 1 << (i % 64);
     }
     let mut esu = Esu {
         topo,
@@ -114,18 +131,14 @@ pub fn enumerate_connected_in(
 
     // ESU: for each root v (ascending), grow subgraphs using only nodes > v,
     // with an extension set of exclusive neighbors.
-    for root in (0..topo.node_count() as u32).map(NodeId) {
-        if !free.contains(root) {
-            continue;
-        }
-        if esu.done() {
+    while let Some(root) = take_lowest(&mut above).map(|i| NodeId(i as u32)) {
+        // Too few free nodes above this root to reach `k`, and later roots
+        // have fewer.
+        let joinable: u32 = above.iter().map(|w| w.count_ones()).sum();
+        if esu.done() || 1 + (joinable as usize) < k {
             break;
         }
-        // The free nodes above the root.
-        let r = root.index();
-        esu.allowed.copy_from_slice(&free_words);
-        esu.allowed[..r / 64].fill(0);
-        esu.allowed[r / 64] &= !1 << (r % 64);
+        esu.allowed.copy_from_slice(&above);
         let (ext, closed) = masks[..2 * words].split_at_mut(words);
         let row = topo.row(root);
         for i in 0..words {
@@ -189,12 +202,17 @@ impl<V: FnMut(&[NodeId]) -> Visit> Esu<'_, V> {
         }
         let (level, deeper) = masks.split_at_mut(2 * self.words);
         let (ext, closed) = level.split_at_mut(self.words);
-        while let Some((word, bits)) = ext.iter_mut().enumerate().find(|(_, w)| **w != 0) {
-            let w = NodeId((word * 64) as u32 + bits.trailing_zeros());
-            *bits &= *bits - 1;
-            if self.done() {
+        // The nodes that may still join this branch: the extension set and
+        // the allowed nodes outside the closed neighbourhood (`ext` lies in
+        // it, and the rest of it never joins). A pop takes one of them.
+        let mut joinable: usize = (0..self.words)
+            .map(|i| (ext[i] | (self.allowed[i] & !closed[i])).count_ones() as usize)
+            .sum();
+        while let Some(w) = take_lowest(ext).map(|i| NodeId(i as u32)) {
+            if self.done() || self.sub.len() + joinable < self.k {
                 return;
             }
+            joinable -= 1;
             // New extension: ext ∪ {exclusive neighbors of w} (neighbors > root,
             // free, outside the closed neighbourhood of the subgraph before w
             // joined — which is what makes ESU duplicate-free). A child that
@@ -273,9 +291,11 @@ pub fn mesh_rectangles_in<'a>(
 mod reference {
     //! The enumeration [`enumerate_connected_in`] replaced, kept verbatim
     //! as a differential oracle: extension sets as `BTreeSet`s cloned per
-    //! step, "neighbour of the subgraph" asked of the edge map. The
-    //! campaign holds the bit-mask walk to the same visited sequence and
-    //! return value, however the walk ends.
+    //! step, "neighbour of the subgraph" asked of the edge map, no
+    //! completion bound. The campaign holds the bit-mask walk to the same
+    //! visited sequence and return value wherever the step budget does
+    //! not end the reference, and to a strict extension of it where it
+    //! does.
 
     use super::*;
     use crate::testing::Rng;
@@ -454,25 +474,68 @@ mod reference {
 
         // The step budget binding: the 19-node candidates of an idle 5x4
         // mesh are few (20) and spread through a recursion far longer than
-        // the 10 000 steps a cap of 50 buys.
+        // the 10 000 steps a cap of 50 buys. The reference spends them on
+        // branches that cannot complete and visits a strict prefix of the
+        // 20; the cut walk visits all 20, as the reference does unbudgeted.
         let phys = Topology::mesh2d(5, 4);
         let free = FreeSet::all_free(20);
         let got = record(usize::MAX, |v| {
             super::enumerate_connected_in(&phys, &free, 19, 50, v)
         });
-        let want = record(usize::MAX, |v| {
+        let unbudgeted = record(usize::MAX, |v| {
+            enumerate_connected_in(&phys, &free, 19, usize::MAX, v)
+        });
+        assert_eq!(got, unbudgeted);
+        let budgeted = record(usize::MAX, |v| {
             enumerate_connected_in(&phys, &free, 19, 50, v)
         });
-        assert_eq!(got, want);
         assert!(
-            (1..20).contains(&got.1),
-            "budget-bound walk visited {}",
+            budgeted.1 < got.1 && got.0.starts_with(&budgeted.0),
+            "budget-bound reference visited {} of {}",
+            budgeted.1,
             got.1
+        );
+
+        // Near-full regions, `k` within two of the free count: a walk
+        // equals the reference or, where the reference's budget bound,
+        // visits a strict extension of its sequence.
+        const NEAR: usize = 120;
+        // Walks equal to the reference, and strictly extending it.
+        let mut near = [0usize; 2];
+        for case in 0..NEAR {
+            let phys = &physicals[case % physicals.len()];
+            let n = phys.node_count();
+            let mut free = FreeSet::all_free(n);
+            let occupied = rng.below(n / 4);
+            for _ in 0..occupied {
+                free.occupy(NodeId(rng.below(n) as u32));
+            }
+            let k = free.free_count() - rng.below(3);
+            let cap = [1, 7, 60][rng.below(3)];
+            let got = record(usize::MAX, |v| {
+                super::enumerate_connected_in(phys, &free, k, cap, v)
+            });
+            let want = record(usize::MAX, |v| {
+                enumerate_connected_in(phys, &free, k, cap, v)
+            });
+            let extends = got.1 > want.1 && got.0.starts_with(&want.0);
+            assert!(
+                got == want || extends,
+                "near-full case {case}: k {k}, cap {cap}: visited {} against {}",
+                got.1,
+                want.1
+            );
+            near[usize::from(extends)] += 1;
+        }
+        assert!(
+            near.iter().all(|&n| n > 0),
+            "near-full walks equal / extending the reference: {near:?}"
         );
         println!(
             "ESU campaign: {CASES} walks, identical sequences; {} exhausted, {} capped, \
-             {} stopped by the visitor; budget-bound walk visited {} of 20",
-            ends[0], ends[1], ends[2], got.1
+             {} stopped by the visitor; budget-bound reference visited {} of 20; \
+             {NEAR} near-full walks, {} equal, {} strictly extending the reference",
+            ends[0], ends[1], ends[2], budgeted.1, near[0], near[1]
         );
     }
 }
@@ -563,6 +626,41 @@ mod tests {
             let brute: std::collections::BTreeSet<Vec<NodeId>> =
                 brute_force_connected(&t, &free, k).into_iter().collect();
             assert_eq!(esu, brute, "mismatch at k={k}");
+        }
+    }
+
+    #[test]
+    fn near_full_walks_visit_every_candidate() {
+        // A `w x h` mesh with its 4x3 top-left corner taken: an L of free
+        // cores, which stays connected with any one core left out, so `k`
+        // one below the free count has a candidate per free core. The
+        // walk must not spend its step budget on branches that cannot
+        // reach `k` nodes.
+        let cornered = |w: u32, h: u32| {
+            let t = Topology::mesh2d(w, h);
+            let free: Vec<NodeId> = t.nodes().filter(|n| n.0 % w >= 4 || n.0 / w >= 3).collect();
+            (t, free)
+        };
+        let (six, six_free) = cornered(6, 6);
+        let (eight, eight_free) = cornered(8, 6);
+        let idle = Topology::mesh2d(5, 4);
+        let idle_free = all_free(&idle);
+        for (t, free, k, cap, want) in [
+            (&six, &six_free, 24, 50, 1),
+            (&six, &six_free, 23, 50, 24),
+            (&six, &six_free, 23, 2_000, 24),
+            (&eight, &eight_free, 36, 2_000, 1),
+            (&eight, &eight_free, 35, 2_000, 36),
+            (&idle, &idle_free, 19, 50, 20),
+        ] {
+            let got = connected_candidates(t, free, k, cap);
+            let brute = brute_force_connected(t, free, k);
+            assert_eq!(brute.len(), want);
+            // ESU order: roots ascending, so lowest nodes never fall.
+            assert!(got.windows(2).all(|p| p[0][0] <= p[1][0]));
+            let mut sorted = got.clone();
+            sorted.sort();
+            assert_eq!(sorted, brute, "k {k}, cap {cap}: visited {}", got.len());
         }
     }
 

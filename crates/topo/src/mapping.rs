@@ -437,7 +437,8 @@ impl<'a> Mapper<'a> {
         }
         // General search: compare canonical keys, verify a match with an
         // isomorphism search. The cap bounds the (worst-case exponential)
-        // exhaustion proof.
+        // exhaustion proof; the walk cuts branches that cannot reach the
+        // request's size, so a near-full region's proof is short.
         let req_key = canonical_key(req);
         let mut found = None;
         // Keys seen so far, sorted.
@@ -736,7 +737,8 @@ mod reference {
             }
             // General exact search: enumerate connected candidates, compare
             // canonical keys, verify with an isomorphism search. The cap
-            // bounds the (worst-case exponential) exhaustion proof.
+            // bounds the (worst-case exponential) exhaustion proof, less
+            // the branches the walk cuts for being unable to reach `k`.
             let req_key = canonical_key(req);
             let mut found: Option<Mapping> = None;
             enumerate::enumerate_connected_in(self.phys, free, req.node_count(), cap, |cells| {

@@ -234,9 +234,14 @@ section "scripts/loc.sh (non-test source size)"
 # workspace: the key holds no canonical key (nor the memo of them) and the
 # `Strategy` itself in place of a packed tag, and one word encoding of a
 # topology serves `labeled_hash` and the score memo's request key.
+# A completion bound on the ESU walk then added 1 line to `topo` and to
+# the workspace: the bound takes 5 (`Esu::extend`'s joinable count, its
+# decrement, the root loop's count) and cut `paper_static`'s `setup_s`
+# from 18.4 to 3.7 ms; the root loop popping free roots off a mask takes
+# 8 back, and the score memo's reusable request-key buffer adds 4.
 CORE_SERVE_CODE_MAX=3976
-TOPO_CODE_MAX=2097
-WORKSPACE_CODE_MAX=14560
+TOPO_CODE_MAX=2098
+WORKSPACE_CODE_MAX=14561
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -649,9 +654,15 @@ cargo test --test props -q topology_rows_match_a_partner_list_from_edges -- --no
 # A*, 2-opt refinement) each keep the implementation they replaced as a
 # test-only `reference` module beside them, and a seeded campaign holds
 # the two to identical results: the same key partition, the same visited
-# sequence and count however the walk ends, the same `GedResult` mapping
+# sequence and count wherever the step budget does not end the reference
+# walk (where it does, the ESU walk, which cuts branches that cannot
+# reach `k` nodes and spends no step on them, visits a strict extension
+# of the reference's sequence), the same `GedResult` mapping
 # included, the same refined `(mapping, cost)` from total and partial
-# starts. The 2-opt campaign holds the bitset kernel every search runs
+# starts. Beside the ESU campaign, near-full regions (a 6x6 and an 8x6
+# mesh less a 4x3 corner, an idle 5x4, `k` at or one below the free
+# count) must visit every brute-force candidate in root order within
+# their caps. The 2-opt campaign holds the bitset kernel every search runs
 # (`ged::StockRefiner::refine`) to the full-recompute `refine_mapping` of
 # `ged`'s test-only reference, on 1 200 starts of up to 12 nodes and on
 # dressed requests of 64, 65, 128, 129 and 192 nodes (one and three words
@@ -663,6 +674,7 @@ cargo test --test props -q topology_rows_match_a_partner_list_from_edges -- --no
 for campaign in \
   key_partition_matches_the_hashing_reference \
   bitmask_walk_matches_the_btreeset_reference \
+  near_full_walks_visit_every_candidate \
   exact_search_matches_the_vec_cloning_reference \
   delta_refinement_matches_the_full_recompute_reference; do
   cargo test -p vnpu_topo -q "$campaign" -- --nocapture

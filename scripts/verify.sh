@@ -237,8 +237,9 @@ section "scripts/loc.sh (non-test source size)"
 # A completion bound on the ESU walk then added 1 line to `topo` and to
 # the workspace: the bound takes 5 (`Esu::extend`'s joinable count, its
 # decrement, the root loop's count) and cut `paper_static`'s `setup_s`
-# from 18.4 to 3.7 ms; the root loop popping free roots off a mask takes
-# 8 back, and the score memo's reusable request-key buffer adds 4.
+# from 17.9 to 3.5 ms (10 pairs); the root loop popping free roots off
+# a mask takes 8 back, and the score memo's reusable request-key buffer
+# adds 4.
 CORE_SERVE_CODE_MAX=3976
 TOPO_CODE_MAX=2098
 WORKSPACE_CODE_MAX=14561

@@ -56,10 +56,11 @@
 //! sentinel bit that fixes the node count, computed straight from the
 //! cells and the chip's neighbour rows (`SearchMemo::structure`, over the
 //! adjacent cell pairs `mapping::cell_pairs` walks) for at most 12 nodes.
-//! No subgraph is built unless a lookup misses. The key drops edge costs,
-//! so translates of a candidate on the mesh share entries, and it is
-//! exact for what each table holds: `canonical_key` reads a graph's node
-//! count, kinds, degrees and adjacency, and
+//! No subgraph is built unless an [`ISO`] lookup misses: a class miss
+//! keys the candidate from its kinds and neighbour rows. The key drops
+//! edge costs, so translates of a candidate on the mesh share entries,
+//! and it is exact for what each table holds: `canonical_key` reads a
+//! graph's node count, kinds, degrees and adjacency, and
 //! `find_isomorphism` its kinds, degrees and edge presence (and, of the
 //! request, its interned id) — all of them fixed by the structure. The
 //! edit-distance kernels read a candidate's kinds and edges and never its

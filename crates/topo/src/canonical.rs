@@ -2,9 +2,15 @@
 //! candidate topologies (Algorithm 1, line 25: "for the same topology, we
 //! retain only one instance").
 //!
-//! [`canonical_key`] runs once per enumerated candidate, so it works on
-//! integers and allocates nothing for graphs of at most
-//! [`EXACT_CANONICAL_LIMIT`] nodes (one buffer above):
+//! A walk keys every enumerated candidate its score memo's class table
+//! misses (every one, without a memo), so the key works on integers and
+//! allocates nothing for graphs of at most [`EXACT_CANONICAL_LIMIT`] nodes
+//! (one buffer above). It reads a graph through one crate-private trait,
+//! `Graph` — each node's kind and neighbour bit row — which a [`Topology`]
+//! gives ([`canonical_key`]) and so do a candidate's kinds and rows,
+//! walked from its cells with no subgraph built (`mapping::cell_key`):
+//! one code path, so a candidate's key *value* is its built subgraph's.
+//! Its two stages:
 //!
 //! * [`wl_colors`] — Weisfeiler–Lehman colour refinement over a colour
 //!   array. A round folds each node's colour with the multiset of its
@@ -12,8 +18,8 @@
 //!   round number; refinement stops at the first round that splits no
 //!   class, which two WL-equivalent graphs reach together, so their
 //!   colours stay comparable. Sound for *distinguishing* graphs, but
-//!   WL-equivalent non-isomorphic graphs collide; [`wl_hash`] of the
-//!   colours is the key above the limit.
+//!   WL-equivalent non-isomorphic graphs collide; an order-free fold of
+//!   the colours is the key above the limit.
 //! * the exact canonical code — the smallest upper-triangle adjacency
 //!   code (45 bits at ten nodes) over the node orders that respect the
 //!   colour classes, found by a pruned search over stack arrays.
@@ -26,13 +32,16 @@
 //! gives: isomorphism classes (node kinds respected) up to the limit,
 //! WL-equivalence classes above it. The test-only `reference` module keeps
 //! the hashing implementation this one replaced and holds the two to the
-//! same partition. The one place a colour *value* used to decide something
+//! same partition, and `mapping`'s `candidate_keys_match_the_built_subgraph`
+//! holds a candidate's row-built key to its built subgraph's, value for
+//! value. The one place a colour *value* used to decide something
 //! — the order [`find_isomorphism`] settles the request's nodes in, and
 //! with it which automorphic image an exact match lands on — keeps its
 //! historical definition (`decision_order`).
 
 use crate::cache::mix;
-use crate::{NodeId, Topology};
+use crate::ged::{bits, Row};
+use crate::{NodeId, NodeKind, Topology};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -72,32 +81,70 @@ impl CanonicalKey {
             code: word & 0xF_FFFF_FFFF,
         }
     }
+
+    /// The keyed graph's edge count: keys of unequal counts differ.
+    pub(crate) fn edges(&self) -> usize {
+        self.edges
+    }
+}
+
+/// A graph as a key reads it.
+pub(crate) trait Graph {
+    fn node_count(&self) -> usize;
+    /// Node `i`'s kind and its neighbour row: bit `v % 64` of word
+    /// `v / 64` is set for each neighbour `v`.
+    fn node(&self, i: usize) -> (NodeKind, &[u64]);
+}
+
+impl Graph for Topology {
+    fn node_count(&self) -> usize {
+        Topology::node_count(self)
+    }
+    fn node(&self, i: usize) -> (NodeKind, &[u64]) {
+        let node = NodeId(i as u32);
+        (self.node_attr(node).kind, self.row(node))
+    }
+}
+
+/// A candidate's kinds and neighbour rows (`mapping::neighbour_rows`).
+impl<const W: usize> Graph for (&[NodeKind], &[Row<W>]) {
+    fn node_count(&self) -> usize {
+        self.0.len()
+    }
+    fn node(&self, i: usize) -> (NodeKind, &[u64]) {
+        (self.0[i], &self.1[i])
+    }
 }
 
 /// Computes the dedup key for a topology.
 pub fn canonical_key(t: &Topology) -> CanonicalKey {
-    let n = t.node_count();
+    key_of(t)
+}
+
+/// [`canonical_key`] of any [`Graph`].
+pub(crate) fn key_of(g: &impl Graph) -> CanonicalKey {
+    let n = g.node_count();
     let (kinds, code) = if n <= EXACT_CANONICAL_LIMIT {
         let mut lanes = [0u64; 3 * EXACT_CANONICAL_LIMIT];
-        wl_refine(t, &mut lanes[..3 * n]);
-        exact_code(t, &lanes[..n])
+        wl_refine(g, &mut lanes[..3 * n]);
+        exact_code(g, &lanes[..n])
     } else {
-        (0, wl_hash(t))
+        let mut lanes = vec![0; 3 * n];
+        wl_refine(g, &mut lanes);
+        let colors = lanes[..n].iter();
+        (0, colors.fold(0u64, |acc, &c| acc.wrapping_add(mix(c))))
     };
     CanonicalKey {
         nodes: n,
-        edges: t.edge_count(),
+        edges: (0..n).map(|i| degree(g.node(i).1)).sum::<usize>() / 2,
         kinds,
         code,
     }
 }
 
-/// Weisfeiler–Lehman colour-refinement hash: an order-free fold of the
-/// stable colouring (node/edge counts are folded in by the caller).
-pub fn wl_hash(t: &Topology) -> u64 {
-    wl_colors(t)
-        .iter()
-        .fold(0, |acc, &c| acc.wrapping_add(mix(c)))
+/// How many nodes `row` holds.
+fn degree(row: &[u64]) -> usize {
+    row.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Runs WL colour refinement to a fixed point and returns per-node colours.
@@ -114,8 +161,8 @@ pub fn wl_colors(t: &Topology) -> Vec<u64> {
 /// the number of rounds run: one more than the partition needed to settle
 /// (refinement only ever splits classes, so a round that leaves their
 /// number unchanged changed nothing), and never more than `n`.
-fn wl_refine(t: &Topology, lanes: &mut [u64]) -> usize {
-    let n = t.node_count();
+fn wl_refine(g: &impl Graph, lanes: &mut [u64]) -> usize {
+    let n = g.node_count();
     let (colors, rest) = lanes.split_at_mut(n);
     let (next, sorted) = rest.split_at_mut(n);
     let mut class_count = |colors: &[u64]| {
@@ -125,8 +172,8 @@ fn wl_refine(t: &Topology, lanes: &mut [u64]) -> usize {
     };
     // Initial colour: (degree, node kind) so heterogeneous nodes differ.
     for (i, c) in colors.iter_mut().enumerate() {
-        let node = NodeId(i as u32);
-        *c = mix((t.degree(node) as u64) << 8 | t.node_attr(node).kind as u64);
+        let (kind, row) = g.node(i);
+        *c = mix((degree(row) as u64) << 8 | kind as u64);
     }
     let mut classes = class_count(colors);
     for round in 1..=n {
@@ -134,8 +181,8 @@ fn wl_refine(t: &Topology, lanes: &mut [u64]) -> usize {
             // The round number keeps colours of different depths apart, so
             // graphs that settle after different rounds never share one.
             let own = mix(colors[i] ^ round as u64);
-            let around = t.neighbors(NodeId(i as u32));
-            *slot = mix(around.fold(own, |acc, v| acc.wrapping_add(mix(colors[v.index()]))));
+            let around = bits(g.node(i).1.iter().copied());
+            *slot = mix(around.fold(own, |acc, v| acc.wrapping_add(mix(colors[v]))));
         }
         colors.copy_from_slice(next);
         let refined = class_count(colors);
@@ -156,7 +203,7 @@ fn wl_refine(t: &Topology, lanes: &mut [u64]) -> usize {
 /// `code` lists, position by position, whether each earlier position is a
 /// neighbour — the upper triangle of the reordered adjacency matrix, most
 /// significant bit first.
-fn exact_code(t: &Topology, colors: &[u64]) -> (u64, u64) {
+fn exact_code(g: &impl Graph, colors: &[u64]) -> (u64, u64) {
     let n = colors.len();
     let mut search = CodeSearch {
         colors,
@@ -168,15 +215,13 @@ fn exact_code(t: &Topology, colors: &[u64]) -> (u64, u64) {
     for i in 0..n {
         search.order[i] = i;
         // At most ten nodes: one word, of which ten bits.
-        search.rows[i] = t.row(NodeId(i as u32))[0] as u16;
+        search.rows[i] = g.node(i).1[0] as u16;
     }
     search.order[..n].sort_unstable_by_key(|&i| (colors[i], i));
     let kinds = search.order[..n]
         .iter()
         .enumerate()
-        .fold(0, |acc, (k, &i)| {
-            acc | (t.node_attr(NodeId(i as u32)).kind as u64) << (2 * k)
-        });
+        .fold(0, |acc, (k, &i)| acc | (g.node(i).0 as u64) << (2 * k));
     search.place(0, 0, 0);
     (kinds, search.best)
 }

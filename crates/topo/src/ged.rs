@@ -190,6 +190,12 @@ impl<const W: usize> StockRefiner<W> {
     /// costs are charged when the *second* endpoint of an edge is decided,
     /// so every edge is charged exactly once.
     ///
+    /// The search stops at the first pop whose `g` reaches the best total
+    /// found: no step lowers `g`, so the heap pops in non-decreasing `g`
+    /// and every later pop would be skipped without a push. Every pop
+    /// before the stop is the one a drained heap makes, so the cost and
+    /// the choice among optimal mappings are those of the full search.
+    ///
     /// # Panics
     ///
     /// Panics if either side has more than [`EXACT_GED_LIMIT`] nodes: a
@@ -246,7 +252,8 @@ impl<const W: usize> StockRefiner<W> {
 
         while let Some(state) = heap.pop() {
             if state.g >= best {
-                continue;
+                // The heap's minimum: every later pop is at least as dear.
+                break;
             }
             if state.depth == n1 {
                 // Close the path: insert all unused candidate nodes + their edges.

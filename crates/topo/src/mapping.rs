@@ -48,7 +48,7 @@
 //! ([`Strategy::allow_disconnected`]) is enabled.
 
 use crate::cache::{FreeSet, MappingCache, ScoreMemo, SearchMemo, GED, REFINE};
-use crate::canonical::{canonical_key, find_isomorphism, CanonicalKey};
+use crate::canonical::{canonical_key, find_isomorphism, key_of, CanonicalKey};
 use crate::enumerate::{self, Visit, DEFAULT_CANDIDATE_CAP};
 use crate::ged::{self, GedResult, Row, StockRefiner};
 use crate::{NodeId, NodeKind, Result, TopoError, Topology};
@@ -289,17 +289,9 @@ impl<'a> Mapper<'a> {
         let mut memo = SearchMemo::new(memo, req);
         match strategy.kind {
             StrategyKind::Straightforward => Ok(self.straightforward(free, req)),
-            StrategyKind::ExactOnly => {
-                match self.walk(free, req, strategy.candidate_cap, false, &mut memo) {
-                    Walk::Exact(m) => Ok(m),
-                    Walk::Candidates(_) => Err(TopoError::NoCandidate),
-                }
-            }
             // The kernels' rows: one word up to 64 nodes, else three.
-            StrategyKind::SimilarTopology if k <= 64 => {
-                self.similar::<1>(free, req, strategy, &mut memo)
-            }
-            StrategyKind::SimilarTopology => self.similar::<3>(free, req, strategy, &mut memo),
+            _ if k <= 64 => self.similar::<1>(free, req, strategy, &mut memo),
+            _ => self.similar::<3>(free, req, strategy, &mut memo),
         }
     }
 
@@ -380,7 +372,7 @@ impl<'a> Mapper<'a> {
     /// the bitset kernel.
     fn straightforward(&self, free: &FreeSet, req: &Topology) -> Mapping {
         fn price<const W: usize>(phys: &Topology, req: &Topology, cells: &[NodeId]) -> u64 {
-            let (kinds, rows) = neighbour_rows::<W>(phys, cells);
+            let (kinds, rows) = neighbour_rows::<W>(phys, cells, Default::default());
             let identity: Vec<Option<NodeId>> =
                 (0..cells.len() as u32).map(|i| Some(NodeId(i))).collect();
             StockRefiner::<W>::new(req)
@@ -403,13 +395,13 @@ impl<'a> Mapper<'a> {
 
     /// The one candidate walk of a search. Tries the rectangle fast path,
     /// then enumerates connected `k`-node candidates up to `cap`, taking
-    /// each one's canonical key from `memo` by its structure (building its
-    /// subgraph only on a miss): a candidate whose key equals the
-    /// request's and that passes the isomorphism check ends the walk as
-    /// [`Walk::Exact`]; every other one, when `collect` is set, is kept
-    /// with its structure if its key is new (Algorithm 1's isomorphism
-    /// dedup, lines 20–29).
-    fn walk(
+    /// each one's canonical key from `memo` by its structure (on a miss,
+    /// from its neighbour rows, `W` words each): a candidate whose key
+    /// equals the request's and that passes the isomorphism check ends the
+    /// walk as [`Walk::Exact`]; every other one, when `collect` is set, is
+    /// kept with its structure if its key is new (Algorithm 1's
+    /// isomorphism dedup, lines 20–29).
+    fn walk<const W: usize>(
         &self,
         free: &FreeSet,
         req: &Topology,
@@ -439,17 +431,21 @@ impl<'a> Mapper<'a> {
         // isomorphism search. The cap bounds the (worst-case exponential)
         // exhaustion proof; the walk cuts branches that cannot reach the
         // request's size, so a near-full region's proof is short.
-        let req_key = canonical_key(req);
+        // Only a key of the request's edge count can equal the request's,
+        // so that is computed at the first such candidate.
+        let req_key = OnceCell::new();
         let mut found = None;
         // Keys seen so far, sorted.
         let mut seen: Vec<CanonicalKey> = Vec::new();
         let mut candidates = Vec::new();
+        let mut rows = Default::default();
         enumerate::enumerate_connected_in(self.phys, free, req.node_count(), cap, |cells| {
             let built = OnceCell::new();
             let sub = || built.get_or_init(|| self.phys.induced_subgraph(cells).0);
             let structure = memo.structure(self.phys, cells);
-            let key = memo.class(structure, || canonical_key(sub()));
-            if key == req_key {
+            let key = memo.class(structure, || cell_key::<W>(self.phys, cells, &mut rows));
+            if key.edges() == req.edge_count() && key == *req_key.get_or_init(|| canonical_key(req))
+            {
                 if let Some(iso) = memo.iso(structure, || find_isomorphism(req, sub())) {
                     found = Some(exact(iso, cells));
                     return Visit::Stop;
@@ -468,6 +464,7 @@ impl<'a> Mapper<'a> {
 
     /// Algorithm 1: enumerate, early-exit, dedup, score, pick the
     /// minimum-edit-distance candidate, the kernels' rows `W` words wide.
+    /// An exact-only strategy stops after the walk.
     fn similar<const W: usize>(
         &self,
         free: &FreeSet,
@@ -476,8 +473,10 @@ impl<'a> Mapper<'a> {
         memo: &mut SearchMemo,
     ) -> Result<Mapping> {
         // Lines 20–29, with line 22's exact early exit.
-        let candidates = match self.walk(free, req, strategy.candidate_cap, true, memo) {
+        let collect = strategy.kind != StrategyKind::ExactOnly;
+        let candidates = match self.walk::<W>(free, req, strategy.candidate_cap, collect, memo) {
             Walk::Exact(m) => return Ok(m),
+            Walk::Candidates(_) if !collect => return Err(TopoError::NoCandidate),
             Walk::Candidates(candidates) => candidates,
         };
         // Lines 30–32: TED scoring, a candidate's rows built per memo miss.
@@ -623,24 +622,40 @@ impl<'c, const W: usize> Candidate<'c, W> {
 
     /// [`neighbour_rows`] of the cells.
     fn rows(&self, phys: &Topology) -> (&[NodeKind], &[Row<W>]) {
-        let (kinds, rows) = self.rows.get_or_init(|| neighbour_rows(phys, self.cells));
+        let built = || neighbour_rows(phys, self.cells, Default::default());
+        let (kinds, rows) = self.rows.get_or_init(built);
         (kinds, rows)
     }
 }
 
 /// The kinds of `cells` (sorted, at most `64 * W`) and each one's
-/// neighbours among them, one bit each.
+/// neighbours among them, one bit each, in the buffers passed in.
 fn neighbour_rows<const W: usize>(
     phys: &Topology,
     cells: &[NodeId],
+    (mut kinds, mut rows): (Vec<NodeKind>, Vec<Row<W>>),
 ) -> (Vec<NodeKind>, Vec<Row<W>>) {
-    let mut rows = vec![[0; W]; cells.len()];
+    rows.clear();
+    rows.resize(cells.len(), [0; W]);
     for (i, j) in cell_pairs(phys, cells) {
         ged::insert(&mut rows[i], j);
         ged::insert(&mut rows[j], i);
     }
-    let kinds = cells.iter().map(|&c| phys.node_attr(c).kind).collect();
+    kinds.clear();
+    kinds.extend(cells.iter().map(|&c| phys.node_attr(c).kind));
     (kinds, rows)
+}
+
+/// The canonical key of `phys.induced_subgraph(cells)` (`cells` sorted),
+/// read off the cells' [`neighbour_rows`] — refilled in `built`, which a
+/// walk reuses — without building the subgraph.
+fn cell_key<const W: usize>(
+    phys: &Topology,
+    cells: &[NodeId],
+    built: &mut (Vec<NodeKind>, Vec<Row<W>>),
+) -> CanonicalKey {
+    *built = neighbour_rows(phys, cells, std::mem::take(built));
+    key_of(&(built.0.as_slice(), built.1.as_slice()))
 }
 
 /// The adjacent pairs `(i, j)`, `i < j`, of `cells` (sorted) in `phys`,
@@ -1221,6 +1236,55 @@ mod tests {
         assert!(
             joined > 0,
             "no class hit joined candidates at different cells"
+        );
+    }
+
+    #[test]
+    fn candidate_keys_match_the_built_subgraph() {
+        use crate::canonical::wl_colors;
+        use crate::testing::{connected_subset, Rng};
+
+        // A walk keys a class-table miss from the cells' neighbour rows,
+        // so every key value must be the built subgraph's. The chips: a
+        // 6x6 whose third column is of another kind, and a 12x12, whose
+        // own rows are three words.
+        let mut kinded = Topology::mesh2d(6, 6);
+        for y in 0..6 {
+            kinded.node_attr_mut(NodeId(y * 6 + 2)).kind = NodeKind::VectorOptimized;
+        }
+        let wide = Topology::mesh2d(12, 12);
+        assert_eq!(wide.row(NodeId(0)).len(), 3);
+        let mut rng = Rng(0x5EED_0069);
+        // Per chip, candidates by size; mixed-kind and symmetric ones.
+        let (mut sizes, mut mixed, mut symmetric) = ([[0usize; 13]; 2], 0, 0);
+        let (mut one, mut three) = (Default::default(), Default::default());
+        for (chip, phys) in [&kinded, &wide].into_iter().enumerate() {
+            for case in 0..600 {
+                let cells = connected_subset(phys, 1 + case % 12, &mut rng);
+                let sub = phys.induced_subgraph(&cells).0;
+                let key = canonical_key(&sub);
+                assert_eq!(cell_key::<1>(phys, &cells, &mut one), key, "{cells:?}");
+                assert_eq!(cell_key::<3>(phys, &cells, &mut three), key, "{cells:?}");
+                sizes[chip][cells.len()] += 1;
+                let kinds: HashSet<_> = cells.iter().map(|&c| phys.node_attr(c).kind).collect();
+                mixed += usize::from(kinds.len() > 1);
+                // Every WL colour held by several nodes.
+                let colors = wl_colors(&sub);
+                let shared = colors
+                    .iter()
+                    .all(|c| colors.iter().filter(|&d| d == c).count() > 1);
+                symmetric += usize::from(cells.len() > 2 && shared);
+            }
+        }
+        println!(
+            "candidate-key campaign: 1 200 candidates of 1-12 cells, keys equal at one and \
+             three words a row; {mixed} of mixed kinds, {symmetric} symmetric"
+        );
+        assert!(mixed > 0, "no candidate mixed kinds");
+        assert!(symmetric > 0, "no candidate shared every WL colour");
+        assert!(
+            sizes.iter().all(|s| s[9] > 0 && s[10] > 0),
+            "a chip met no 9- or 10-cell candidate: {sizes:?}"
         );
     }
 

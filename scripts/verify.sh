@@ -239,10 +239,20 @@ section "scripts/loc.sh (non-test source size)"
 # decrement, the root loop's count) and cut `paper_static`'s `setup_s`
 # from 17.9 to 3.5 ms (10 pairs); the root loop popping free roots off
 # a mask takes 8 back, and the score memo's reusable request-key buffer
-# adds 4.
+# adds 4. Cheaper search misses then added 35 lines to `topo` and to the
+# workspace, and cut `churn_1chip`'s `op_tail10_us` from 127.9 to 112.5
+# us (x0.88, 10 of 10 pairs): the canonical key reads a graph through one
+# crate-private `Graph` trait, which `Topology` and a candidate's kinds
+# and neighbour rows implement, so a walk's class-table miss builds no
+# subgraph (27 in `canonical.rs`: the trait and its two impls, `key_of`
+# beside `canonical_key`, a row-degree helper, `CanonicalKey::edges`;
+# `wl_hash` is gone), and `mapping.rs` takes 8 for `cell_key`, the
+# walk's reused row buffers and its request key computed on demand, net
+# of exact-only searches now running through the `W`-typed search. The
+# exact A*'s stop at its proof is line-neutral.
 CORE_SERVE_CODE_MAX=3976
-TOPO_CODE_MAX=2098
-WORKSPACE_CODE_MAX=14561
+TOPO_CODE_MAX=2133
+WORKSPACE_CODE_MAX=14596
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -658,12 +668,19 @@ cargo test --test props -q topology_rows_match_a_partner_list_from_edges -- --no
 # sequence and count wherever the step budget does not end the reference
 # walk (where it does, the ESU walk, which cuts branches that cannot
 # reach `k` nodes and spends no step on them, visits a strict extension
-# of the reference's sequence), the same `GedResult` mapping
-# included, the same refined `(mapping, cost)` from total and partial
-# starts. Beside the ESU campaign, near-full regions (a 6x6 and an 8x6
-# mesh less a 4x3 corner, an idle 5x4, `k` at or one below the free
-# count) must visit every brute-force candidate in root order within
-# their caps. The 2-opt campaign holds the bitset kernel every search runs
+# of the reference's sequence), the same `GedResult` mapping included
+# (the A* stops at the first pop that reaches its incumbent, where the
+# reference drains its heap), the same refined `(mapping, cost)` from
+# total and partial starts. Beside the key campaign, a walk's class-table
+# miss keys a candidate off its neighbour rows, with no subgraph built:
+# the key value must equal the built subgraph's on 1-12-cell candidates
+# of a 6x6 with a column of another kind and of a 12x12, at one and
+# three words a row, and the campaign fails unless mixed kinds, both
+# chips, 9- and 10-cell candidates and one whose every WL colour is
+# shared were met. Beside the ESU campaign, near-full regions (a 6x6
+# and an 8x6 mesh less a 4x3 corner, an idle 5x4, `k` at or one below
+# the free count) must visit every brute-force candidate in root order
+# within their caps. The 2-opt campaign holds the bitset kernel every search runs
 # (`ged::StockRefiner::refine`) to the full-recompute `refine_mapping` of
 # `ged`'s test-only reference, on 1 200 starts of up to 12 nodes and on
 # dressed requests of 64, 65, 128, 129 and 192 nodes (one and three words
@@ -674,6 +691,7 @@ cargo test --test props -q topology_rows_match_a_partner_list_from_edges -- --no
 # listed size was reached.
 for campaign in \
   key_partition_matches_the_hashing_reference \
+  candidate_keys_match_the_built_subgraph \
   bitmask_walk_matches_the_btreeset_reference \
   near_full_walks_visit_every_candidate \
   exact_search_matches_the_vec_cloning_reference \

@@ -40,7 +40,7 @@
 //! Each `MappingCache` also holds a second, finer memo — the **score
 //! memo** — which a placement-cache miss, and an advisory probe
 //! ([`crate::Mapper::map_scored`]), consults for every candidate its
-//! search visits. Its four tables hold pure functions of a candidate's
+//! search visits. Its five tables hold pure functions of a candidate's
 //! induced subgraph `sub`:
 //!
 //! * [`CLASS`] — `canonical::canonical_key(sub)`, the walk's dedup key;
@@ -49,9 +49,18 @@
 //! * [`GED`] — the edit distance from `req` to `sub`:
 //!   `ged::StockRefiner::exact` up to 8 nodes, `ged::StockRefiner::bipartite`
 //!   above;
+//! * `ASSIGN` — on a [`GED`] miss above 8 nodes, the bipartite
+//!   heuristic's Hungarian assignment (`ged::StockRefiner::assignment`),
+//!   which the kernel then prices on the candidate's own rows;
 //! * [`REFINE`] — `ged::StockRefiner::refine` of `start`, 8 passes.
 //!
-//! They are keyed by the candidate's **structure**: a `u128` of its node
+//! The assignment reads only each candidate node's kind and degree, so
+//! `ASSIGN` is keyed by those, six bits a node under a sentinel bit, not
+//! by the structure: candidates of different structure that agree on them
+//! node by node share an entry (a seed-29 `churn_1chip` pass makes 2 070
+//! bipartite runs over as many structures, but only 1 376 distinct
+//! assignment inputs). The other four are keyed by the candidate's
+//! **structure**: a `u128` of its node
 //! kinds and upper-triangle adjacency in sorted-cell order, under a
 //! sentinel bit that fixes the node count, computed straight from the
 //! cells and the chip's neighbour rows (`SearchMemo::structure`, over the
@@ -69,8 +78,8 @@
 //! [`labeled_hash`] hashes after the mesh shape — compared for equality;
 //! its mesh shape, which no table's kernel reads, is left out.
 //!
-//! The hashed tables (`ISO`, `GED`, `REFINE`: 32 B an entry) are bounded
-//! and cleared whole when full. The class table sees a lookup per visited
+//! The hashed tables (`ISO`, `GED`, `ASSIGN`, `REFINE`: 32 B an entry)
+//! are bounded and cleared whole when full. The class table sees a lookup per visited
 //! candidate — about 34 000 a 4 000-tick `churn_1chip` round, over about
 //! 4 700 distinct structures — so it is a fixed array of
 //! `[structure, packed class]` slots, 16 B each, **4-way
@@ -93,9 +102,9 @@
 //! table holds depends on nothing but the run's inputs.
 
 use crate::canonical::CanonicalKey;
-use crate::ged::GedResult;
+use crate::ged::{self, GedResult, Row};
 use crate::mapping::{cell_pairs, Mapping, Strategy};
-use crate::{NodeId, Result, Topology};
+use crate::{NodeId, NodeKind, Result, Topology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -501,26 +510,29 @@ pub const GED: usize = 0;
 pub const REFINE: usize = 1;
 /// The score-memo table of `canonical::find_isomorphism(req, sub)`.
 pub const ISO: usize = 2;
+/// The score-memo table of `ged::StockRefiner::assignment`, keyed by the
+/// candidate's kinds and degrees, not its structure.
+pub(crate) const ASSIGN: usize = 3;
 /// The score-memo table of `canonical::canonical_key(sub)`.
-pub const CLASS: usize = 3;
+pub const CLASS: usize = 4;
 
 /// The score memo of a [`MappingCache`] (see the module doc). A result is
-/// one word ([`SearchMemo::score`], [`SearchMemo::iso`]), so an entry of
-/// a hashed table is 32 B.
+/// one word ([`SearchMemo::score`], [`SearchMemo::iso`],
+/// [`SearchMemo::assignment`]), so an entry of a hashed table is 32 B.
 #[derive(Debug, Default)]
 pub(crate) struct ScoreMemo {
     /// Request key (node count, kinds, edges with costs) → request id.
     requests: HashMap<Vec<u64>, u32>,
     /// The request key of the latest search, refilled in place.
     key: Vec<u64>,
-    /// Tables [`GED`], [`REFINE`] and [`ISO`]: (request id and candidate
-    /// structure, packed start mapping) → result word.
-    tables: [HashMap<[u64; 3], u64>; 3],
+    /// Tables [`GED`], [`REFINE`], [`ISO`] and [`ASSIGN`]: (request id
+    /// and candidate key, packed start mapping) → result word.
+    tables: [HashMap<[u64; 3], u64>; 4],
     /// The [`CLASS`] table: `[structure, packed class]` slots in sets of
     /// [`CLASS_WAYS`], a zero structure marking an empty one; none before
     /// the first lookup (see [`CLASS_SLOTS`]).
     class: Vec<[u64; 2]>,
-    stats: [CacheStats; 4],
+    stats: [CacheStats; 5],
 }
 
 /// A [`ScoreMemo`] bound to one search's request — or unbound, when the
@@ -622,7 +634,8 @@ impl<'a> SearchMemo<'a> {
     ) -> Option<Vec<NodeId>> {
         let n = self.n;
         let encode = |iso: &Option<Vec<_>>| Some(pack((0..n).map(|i| iso.as_ref().map(|m| m[i]))));
-        self.memoized(ISO, structure, 0, find, encode, |w| unpack(w, n).collect())
+        let decode = |word| unpack(word, n).collect();
+        self.memoized(ISO, structure, 0, |_| find(), encode, decode)
     }
 
     /// Kernel `table`'s result for the candidate of `structure` from
@@ -635,7 +648,7 @@ impl<'a> SearchMemo<'a> {
         table: usize,
         structure: Option<u128>,
         start: &[Option<NodeId>],
-        kernel: impl FnOnce() -> GedResult,
+        kernel: impl FnOnce(&mut Self) -> GedResult,
     ) -> GedResult {
         let n = self.n;
         let encode = |r: &GedResult| {
@@ -652,30 +665,62 @@ impl<'a> SearchMemo<'a> {
         self.memoized(table, structure, start, kernel, encode, decode)
     }
 
-    /// Hashed table `table`'s result for the candidate of `structure` and
+    /// `ged::StockRefiner::assignment` for the candidate of `kinds` and
+    /// neighbour `rows`: the [`ASSIGN`] table's, or else what `solve`
+    /// returns, stored as a packed mapping. The assignment reads only each
+    /// candidate node's kind and degree, so they are the key: a sentinel
+    /// bit over six bits a node, the kind over the degree, at most 73 bits
+    /// at 12 nodes — computed only for a bound memo, whose candidates have
+    /// no more (a degree then fits its four bits). Debug builds solve again
+    /// and assert the same assignment.
+    pub(crate) fn assignment<const W: usize>(
+        &mut self,
+        kinds: &[NodeKind],
+        rows: &[Row<W>],
+        solve: impl Fn() -> Vec<Option<NodeId>>,
+    ) -> Vec<Option<NodeId>> {
+        let n = self.n;
+        let fields = kinds.iter().zip(rows);
+        let key = (self.memo.is_some() && rows.len() <= STRUCTURE_MAX_NODES).then(|| {
+            fields.fold(1, |key, (&kind, row)| {
+                key << 6 | (kind as u128) << 4 | u128::from(ged::ones(row))
+            })
+        });
+        let encode = |mapping: &Vec<_>| Some(pack(mapping.iter().copied()));
+        let decode = |word| unpack(word, n).collect();
+        let mapping = self.memoized(ASSIGN, key, 0, |_| solve(), encode, decode);
+        debug_assert!(key.is_none() || mapping == solve());
+        mapping
+    }
+
+    /// Hashed table `table`'s result for the candidate of key `candidate`
+    /// (its structure, or for [`ASSIGN`] its kinds and degrees) and
     /// `extra`: the stored word decoded, or else what `compute` returns,
     /// stored when it encodes to a word. A full table is cleared first.
+    /// `compute` gets the memo, so a kernel may look a part up in another
+    /// table.
     fn memoized<T>(
         &mut self,
         table: usize,
-        structure: Option<u128>,
+        candidate: Option<u128>,
         extra: u64,
-        compute: impl FnOnce() -> T,
+        compute: impl FnOnce(&mut Self) -> T,
         encode: impl FnOnce(&T) -> Option<u64>,
         decode: impl FnOnce(u64) -> T,
     ) -> T {
-        let (Some((memo, id)), Some(structure)) = (self.memo.as_mut(), structure) else {
-            return compute();
+        let (Some((memo, id)), Some(candidate)) = (self.memo.as_mut(), candidate) else {
+            return compute(self);
         };
-        let key = u128::from(*id) << 96 | structure;
+        let key = u128::from(*id) << 96 | candidate;
         let key = [(key >> 64) as u64, key as u64, extra];
-        let (stats, table) = (&mut memo.stats[table], &mut memo.tables[table]);
-        if let Some(&word) = table.get(&key) {
-            stats.hits += 1;
+        if let Some(&word) = memo.tables[table].get(&key) {
+            memo.stats[table].hits += 1;
             return decode(word);
         }
-        stats.misses += 1;
-        let result = compute();
+        memo.stats[table].misses += 1;
+        let result = compute(self);
+        let (memo, _) = self.memo.as_mut().expect("bound above");
+        let (stats, table) = (&mut memo.stats[table], &mut memo.tables[table]);
         if let Some(word) = encode(&result) {
             if table.len() >= SCORE_MEMO_CAPACITY {
                 stats.evictions += table.len() as u64;
@@ -748,12 +793,12 @@ mod tests {
             self.entries.len()
         }
 
-        /// The score memo's counters per table, [`GED`], [`REFINE`], [`ISO`]
-        /// then [`CLASS`]: lookups answered (`hits`), kernel runs (`misses`),
+        /// The score memo's counters per table, [`GED`], [`REFINE`], [`ISO`],
+        /// [`ASSIGN`] then [`CLASS`]: lookups answered (`hits`), kernel runs (`misses`),
         /// results stored (`insertions`) and dropped by a clear or, in the
         /// class table, by a later key taking the slot (`evictions`). The memo
         /// campaigns read them; no report carries them.
-        pub(crate) fn score_stats(&self) -> [CacheStats; 4] {
+        pub(crate) fn score_stats(&self) -> [CacheStats; 5] {
             self.score.stats
         }
     }

@@ -19,7 +19,12 @@
 //! * `StockRefiner::bipartite` — the bipartite (Hungarian-assignment)
 //!   heuristic for larger ones, which returns the cost of a *valid but
 //!   possibly suboptimal* edit path, i.e. an upper bound on the true
-//!   distance;
+//!   distance. Its assignment (`StockRefiner::assignment`) is split from
+//!   its pricing: the matrix reads only each candidate node's kind and
+//!   degree, so candidates that agree on those node by node share one
+//!   assignment — the score memo keeps it under them, and a hit builds no
+//!   matrix and runs no solver — and the pricing reads the candidate's
+//!   own rows;
 //! * `StockRefiner::refine` — 2-opt swap refinement of a mapping.
 //!
 //! `StockRefiner` is built once per search from the request — each node's
@@ -120,7 +125,7 @@ pub(crate) fn insert<const W: usize>(row: &mut Row<W>, i: usize) {
 }
 
 /// How many nodes `row` holds.
-fn ones<const W: usize>(row: &Row<W>) -> u32 {
+pub(crate) fn ones<const W: usize>(row: &Row<W>) -> u32 {
     row.iter().map(|word| word.count_ones()).sum()
 }
 
@@ -380,13 +385,14 @@ impl<const W: usize> StockRefiner<W> {
         (pulled, cost)
     }
 
-    /// The bipartite heuristic from the request this was built from to a
-    /// candidate given by its `kinds` and `rows`: the cost matrix holds
-    /// kind mismatch plus degree difference, deletion as 1 plus the
-    /// request edges' costs, insertion as 1 plus the degree; the
-    /// assignment's edit path is priced as [`StockRefiner::price`] prices
-    /// it.
-    pub(crate) fn bipartite(&self, kinds: &[NodeKind], rows: &[Row<W>]) -> GedResult {
+    /// The assignment of the bipartite heuristic from the request this was
+    /// built from to a candidate given by its `kinds` and `rows`: the
+    /// Hungarian solution of a cost matrix that holds kind mismatch plus
+    /// degree difference, deletion as 1 plus the request edges' costs,
+    /// insertion as 1 plus the degree. It reads each candidate node's kind
+    /// and degree and nothing else, so candidates that agree on both, node
+    /// by node, share it.
+    pub(crate) fn assignment(&self, kinds: &[NodeKind], rows: &[Row<W>]) -> Vec<Option<NodeId>> {
         let (n1, n2) = (self.kinds.len(), rows.len());
         let n = n1 + n2;
         let mut cost = vec![hungarian::INF; n * n];
@@ -405,10 +411,22 @@ impl<const W: usize> StockRefiner<W> {
             row[n2 + i] = 1 + deleted;
         }
         let (assign, _) = hungarian::solve(n, &cost);
-        let mapping: Vec<Option<NodeId>> = assign[..n1]
+        assign[..n1]
             .iter()
             .map(|&col| (col < n2).then_some(NodeId(col as u32)))
-            .collect();
+            .collect()
+    }
+
+    /// The bipartite heuristic from the request this was built from to a
+    /// candidate given by its `kinds` and `rows`, from the candidate's
+    /// [`StockRefiner::assignment`]: the edit path `mapping` induces,
+    /// priced as [`StockRefiner::price`] prices it.
+    pub(crate) fn bipartite(
+        &self,
+        kinds: &[NodeKind],
+        rows: &[Row<W>],
+        mapping: Vec<Option<NodeId>>,
+    ) -> GedResult {
         GedResult {
             cost: self.price(kinds, rows, &mapping).1,
             mapping,
@@ -849,7 +867,8 @@ pub(crate) mod reference {
     pub(crate) fn kernel_bipartite(g1: &Topology, g2: &Topology) -> GedResult {
         fn at<const W: usize>(g1: &Topology, g2: &Topology) -> GedResult {
             let (kinds, rows) = stock_rows::<W>(g2);
-            StockRefiner::<W>::new(g1).bipartite(&kinds, &rows)
+            let kernel = StockRefiner::<W>::new(g1);
+            kernel.bipartite(&kinds, &rows, kernel.assignment(&kinds, &rows))
         }
         if g1.node_count() <= 64 {
             at::<1>(g1, g2)

@@ -487,10 +487,11 @@ impl<'a> Mapper<'a> {
         let mut top: Vec<(GedResult, Candidate<W>)> = Vec::new();
         for (cells, structure) in &candidates {
             let candidate = Candidate::new(cells, *structure);
-            let scored = memo.score(GED, *structure, &[], || {
+            let scored = memo.score(GED, *structure, &[], |memo| {
                 let (kinds, rows) = candidate.rows(self.phys);
                 if cells.len() > ged::EXACT_GED_LIMIT {
-                    kernel.bipartite(kinds, rows)
+                    let mapping = memo.assignment(kinds, rows, || kernel.assignment(kinds, rows));
+                    kernel.bipartite(kinds, rows, mapping)
                 } else {
                     kernel.exact(kinds, rows)
                 }
@@ -514,7 +515,7 @@ impl<'a> Mapper<'a> {
                 self.serpentine_mapping(cells),
             ];
             for start in starts {
-                let refined = memo.score(REFINE, candidate.structure, &start, || {
+                let refined = memo.score(REFINE, candidate.structure, &start, |_| {
                     let (kinds, rows) = candidate.rows(self.phys);
                     let (mapping, cost) = kernel.refine(kinds, rows, &start, 8);
                     GedResult {
@@ -1134,18 +1135,108 @@ mod tests {
                 req.node_count()
             );
         }
-        let [ged, refine, ..] = cache.score_stats();
+        let [ged, refine, _, assign, _] = cache.score_stats();
         println!(
             "score-memo campaign: 1024 free sets, 0 mismatches; ged {} hits / {} misses, \
-             refine {} hits / {} misses",
-            ged.hits, ged.misses, refine.hits, refine.misses
+             refine {} hits / {} misses, assignment {} hits / {} misses",
+            ged.hits, ged.misses, refine.hits, refine.misses, assign.hits, assign.misses
         );
-        let cleared = ged.evictions + refine.evictions;
+        let cleared = ged.evictions + refine.evictions + assign.evictions;
         assert_eq!(
             cleared, 0,
             "a table was cleared, so a repeat may have missed"
         );
-        assert!(ged.hits > 0 && refine.hits > 0, "a kernel never hit");
+        assert!(
+            ged.hits > 0 && refine.hits > 0 && assign.hits > 0,
+            "a kernel never hit"
+        );
+    }
+
+    #[test]
+    fn bipartite_assignments_are_shared_by_kind_and_degree() {
+        use super::reference::random_free_set;
+        use crate::cache::{SearchMemo, ASSIGN};
+        use crate::testing::{sprinkle_kinds, Rng};
+        use std::collections::HashMap;
+
+        // A 9-12-node candidate's bipartite assignment comes from the score
+        // memo's assignment table, keyed by its kinds and degrees node by
+        // node, so candidates of different structure share one. Every
+        // memoised score must equal a fresh `StockRefiner::bipartite`. The
+        // chips: the campaign chips, one with a column of another kind, and
+        // a 6x6 with kinds sprinkled; the requests: the shipped 9-12-node
+        // shapes, cost-annotated and with kinds sprinkled.
+        let mut rng = Rng(0x5EED_0070);
+        let mut physicals = annotated_physicals().to_vec();
+        let mut sprinkled = Topology::mesh2d(6, 6);
+        sprinkle_kinds(&mut sprinkled, &mut rng);
+        physicals.push(sprinkled);
+        let mut requests: Vec<Topology> = annotated_requests()
+            .into_iter()
+            .filter(|r| (9..=12).contains(&r.node_count()))
+            .collect();
+        for r in requests.clone() {
+            let mut kinded = r;
+            sprinkle_kinds(&mut kinded, &mut rng);
+            requests.push(kinded);
+        }
+        let mut cache = MappingCache::default();
+        // The structures met per request and kind-and-degree sequence.
+        let mut seen = HashMap::new();
+        // Candidates scored, of them of mixed kinds, by weighted requests,
+        // and table hits for a candidate of another structure.
+        let (mut scored, mut mixed, mut weighted, mut shared) = (0, 0, 0, 0);
+        for case in 0..64 {
+            let phys = &physicals[case % physicals.len()];
+            let free = random_free_set(phys, &mut rng, case % 2 == 1, false);
+            let r = rng.below(requests.len());
+            let req = &requests[r];
+            let mut candidates = Vec::new();
+            enumerate::enumerate_connected_in(phys, &free, req.node_count(), 40, |cells| {
+                candidates.push(cells.to_vec());
+                Visit::Continue
+            });
+            let kernel = StockRefiner::<1>::new(req);
+            for cells in &candidates {
+                let (kinds, rows) = neighbour_rows::<1>(phys, cells, Default::default());
+                let fresh = kernel.bipartite(&kinds, &rows, kernel.assignment(&kinds, &rows));
+                let hits = cache.score_stats()[ASSIGN].hits;
+                let mut memo = SearchMemo::new(Some(&mut cache.score), req);
+                let structure = memo.structure(phys, cells).expect("a bound memo");
+                let mapping = memo.assignment(&kinds, &rows, || kernel.assignment(&kinds, &rows));
+                let got = kernel.bipartite(&kinds, &rows, mapping);
+                assert_eq!(got, fresh, "case {case}: request {r}, cells {cells:?}");
+                let sequence = kinds
+                    .iter()
+                    .zip(&rows)
+                    .map(|(&k, row)| (k, row[0].count_ones()));
+                let met: &mut Vec<u128> =
+                    seen.entry((r, sequence.collect::<Vec<_>>())).or_default();
+                if cache.score_stats()[ASSIGN].hits > hits {
+                    shared += usize::from(met.iter().any(|&s| s != structure));
+                }
+                if !met.contains(&structure) {
+                    met.push(structure);
+                }
+                scored += 1;
+                mixed += usize::from(kinds.iter().any(|&k| k != kinds[0]));
+                weighted += usize::from(req.edges().any(|(_, _, attr)| attr.cost > 1));
+            }
+        }
+        let stats = cache.score_stats()[ASSIGN];
+        println!(
+            "assignment-sharing campaign: {scored} candidates of 9-12 nodes, memoised scores \
+             equal to fresh ones; {mixed} of mixed kinds, {weighted} for weighted requests; \
+             assignment {} hits / {} misses, {shared} hits for a candidate of another \
+             structure",
+            stats.hits, stats.misses
+        );
+        assert_eq!(stats.evictions, 0, "the assignment table was cleared");
+        assert!(
+            mixed > 0 && weighted > 0,
+            "no mixed-kind candidate or weighted request"
+        );
+        assert!(shared > 0, "no assignment was shared across structures");
     }
 
     #[test]
@@ -1413,7 +1504,7 @@ mod tests {
             assert_eq!(cache.len(), entries, "{context}: a probe stored an entry");
             let after = cache.score_stats();
             let lookups =
-                |s: &[crate::CacheStats; 4]| s.iter().map(|t| t.hits + t.misses).sum::<u64>();
+                |s: &[crate::CacheStats; 5]| s.iter().map(|t| t.hits + t.misses).sum::<u64>();
             moved += usize::from(lookups(&after) > lookups(&scores));
             hit += usize::from(after.iter().zip(&scores).any(|(a, b)| a.hits > b.hits));
         }
@@ -1460,7 +1551,7 @@ mod tests {
                 refused
             );
         }
-        assert_eq!(cache.score_stats(), [crate::CacheStats::default(); 4]);
+        assert_eq!(cache.score_stats(), [crate::CacheStats::default(); 5]);
         assert_eq!(cache.stats(), crate::CacheStats::default());
         assert_eq!(cache.len(), 0);
         assert_eq!(

@@ -249,10 +249,18 @@ section "scripts/loc.sh (non-test source size)"
 # `wl_hash` is gone), and `mapping.rs` takes 8 for `cell_key`, the
 # walk's reused row buffers and its request key computed on demand, net
 # of exact-only searches now running through the `W`-typed search. The
-# exact A*'s stop at its proof is line-neutral.
+# exact A*'s stop at its proof is line-neutral. Sharing bipartite
+# assignments then added 28 lines to `topo` and to the workspace, and cut
+# `churn_1chip`'s `op_tail10_us` by about x0.89 in paired runs: the score
+# memo's fifth table, keyed by a candidate's kinds and degrees, with its
+# lookup and debug re-check (`SearchMemo::assignment`) and a lookup
+# routine whose kernel may look a part up in another table (22 in
+# `cache.rs`), `StockRefiner::assignment` split from the pricing (7 in
+# `ged.rs`) and the call in the scoring loop (1 in `mapping.rs`); the
+# Hungarian solver's lazy potentials took 2 back.
 CORE_SERVE_CODE_MAX=3976
-TOPO_CODE_MAX=2133
-WORKSPACE_CODE_MAX=14596
+TOPO_CODE_MAX=2161
+WORKSPACE_CODE_MAX=14624
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -699,9 +707,9 @@ for campaign in \
   cargo test -p vnpu_topo -q "$campaign" -- --nocapture
 done
 # A search scores a candidate of more than 8 nodes with
-# `ged::StockRefiner::bipartite`, which fills the bipartite matrix from
-# the candidate's kinds and neighbour bitsets and prices the assignment's
-# edit path on them. The campaign holds it to the reference
+# `ged::StockRefiner::bipartite`: `StockRefiner::assignment` fills the
+# bipartite matrix from the candidate's kinds and neighbour bitsets and
+# solves it, and the assignment's edit path is priced on them. The campaign holds it to the reference
 # `ged_bipartite` (run on a weighted candidate's unit-cost twin) on 400
 # seeded request/candidate pairs of 9-64 nodes (connected regions of an
 # 8x8 mesh, relabelled) and 12 of 65-192 (of a 14x14 mesh): the same
@@ -709,20 +717,38 @@ done
 # candidates with node kinds, weighted candidates, pairs above 32 nodes,
 # at 64, above 64, at 128, 129 and 192, and nonzero distances.
 cargo test -p vnpu_topo -q bitset_bipartite_matches_the_edge_table_kernel -- --nocapture
-# `hungarian::solve` takes a flat matrix, keeps `i64` potentials and
-# allocates its scratch once a call. The campaign holds it to the replaced
-# row-of-`Vec`s, `i128` solver (test-only `reference`) on 600 random square
-# matrices of up to 128 rows with INF cells (one finite assignment kept)
-# and few distinct values: the same assignment and total. It fails unless
-# it met INF cells, tied row minima, more than 64 rows and 128.
+# `hungarian::solve` takes a flat matrix, keeps `i64` potentials, settles
+# them lazily once a phase (a step is one pass over the columns outside
+# the tree) and allocates its scratch once a call. The campaign holds it
+# to the replaced row-of-`Vec`s, `i128` solver with eager potentials
+# (test-only `reference`) on 600 random square matrices of up to 128 rows
+# with INF cells (one finite assignment kept) and few distinct values, and
+# on 1 200 matrices shaped as `StockRefiner::assignment` builds them (up
+# to 12 request nodes, equal and unequal sides, kind-and-degree
+# substitutions, weighted deletions, the insertion diagonal and the zero
+# block): the same assignment and total. It fails unless it met INF cells,
+# tied row minima, more than 64 rows, 128, unequal sides and a tie for a
+# step's minimum on a multi-step augmenting path.
 cargo test -p vnpu_topo -q flat_i64_solver_matches_the_i128_reference -- --nocapture
 # Behind a placement-cache miss, a search looks each candidate's edit
 # distance and 2-opt results up in the cache's score memo, keyed by structure with
 # edge costs left out. The campaign holds one long-lived cache's searches
 # to memo-free `map_in` over 1 024 free regions of chips, one with a
 # column of another core kind, and shipped and cost-annotated requests.
-# It fails unless both tables hit and neither was cleared.
+# It fails unless the edit-distance, refinement and assignment tables hit
+# and none was cleared.
 cargo test -p vnpu_topo -q score_memo_matches_fresh_scoring -- --nocapture
+# On an edit-distance miss above 8 nodes, the bipartite assignment comes
+# from the score memo's assignment table, keyed by the candidate's kinds
+# and degrees node by node rather than its structure (debug builds solve
+# again on every lookup and assert the same assignment). The campaign holds
+# every memoised score of 9-12-node candidates (ESU walks over random free
+# regions of the campaign chips and a 6x6 with kinds sprinkled; shipped,
+# cost-annotated and kind-sprinkled requests) to a fresh
+# `StockRefiner::bipartite`, and fails unless mixed kinds and weighted
+# requests were met, the table was never cleared, and it hit for a
+# candidate of another structure than the one that stored the entry.
+cargo test -p vnpu_topo -q bipartite_assignments_are_shared_by_kind_and_degree -- --nocapture
 # Every visited candidate is keyed by its structure (kinds and adjacency
 # in sorted-cell order, computed from the cells), and its canonical key and
 # isomorphism to the request come from the memo's class and iso tables.

@@ -251,7 +251,8 @@ section "scripts/loc.sh (non-test source size)"
 # of exact-only searches now running through the `W`-typed search. The
 # exact A*'s stop at its proof is line-neutral. Sharing bipartite
 # assignments then added 28 lines to `topo` and to the workspace, and cut
-# `churn_1chip`'s `op_tail10_us` by about x0.89 in paired runs: the score
+# `churn_1chip`'s `op_tail10_us` from 112.3 to 98.9 us (x0.88, 10 of 10
+# pairs): the score
 # memo's fifth table, keyed by a candidate's kinds and degrees, with its
 # lookup and debug re-check (`SearchMemo::assignment`) and a lookup
 # routine whose kernel may look a part up in another table (22 in

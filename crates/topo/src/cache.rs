@@ -41,12 +41,14 @@
 //! memo** — which a placement-cache miss, and an advisory probe
 //! ([`crate::Mapper::map_scored`]), consults for every candidate its
 //! search visits. Its five tables hold pure functions of a candidate's
-//! induced subgraph `sub`:
+//! view — its kinds and neighbour bit rows in sorted-cell order, which
+//! the walk reads once from its cells (`mapping::neighbour_rows`):
 //!
-//! * [`CLASS`] — `canonical::canonical_key(sub)`, the walk's dedup key;
-//! * [`ISO`] — `canonical::find_isomorphism(req, sub)`, the exact-match
+//! * [`CLASS`] — the view's canonical key (`canonical::key_of`), the
+//!   walk's dedup key;
+//! * [`ISO`] — `canonical::find_isomorphism(req, view)`, the exact-match
 //!   check of the rectangle fast path and of the walk;
-//! * [`GED`] — the edit distance from `req` to `sub`:
+//! * [`GED`] — the edit distance from `req` to the view:
 //!   `ged::StockRefiner::exact` up to 8 nodes, `ged::StockRefiner::bipartite`
 //!   above;
 //! * `ASSIGN` — on a [`GED`] miss above 8 nodes, the bipartite
@@ -60,23 +62,17 @@
 //! node by node share an entry (a seed-29 `churn_1chip` pass makes 2 070
 //! bipartite runs over as many structures, but only 1 376 distinct
 //! assignment inputs). The other four are keyed by the candidate's
-//! **structure**: a `u128` of its node
-//! kinds and upper-triangle adjacency in sorted-cell order, under a
-//! sentinel bit that fixes the node count, computed straight from the
-//! cells and the chip's neighbour rows (`SearchMemo::structure`, over the
-//! adjacent cell pairs `mapping::cell_pairs` walks) for at most 12 nodes.
-//! No subgraph is built unless an [`ISO`] lookup misses: a class miss
-//! keys the candidate from its kinds and neighbour rows. The key drops
-//! edge costs, so translates of a candidate on the mesh share entries,
-//! and it is exact for what each table holds: `canonical_key` reads a
-//! graph's node count, kinds, degrees and adjacency, and
-//! `find_isomorphism` its kinds, degrees and edge presence (and, of the
-//! request, its interned id) — all of them fixed by the structure. The
-//! edit-distance kernels read a candidate's kinds and edges and never its
-//! edge costs, so the tables serve every chip. The request is interned by
-//! its `encoding` — node count, kinds and edges with costs, the words
-//! [`labeled_hash`] hashes after the mesh shape — compared for equality;
-//! its mesh shape, which no table's kernel reads, is left out.
+//! **structure**: a `u128` of its node kinds and upper-triangle adjacency
+//! under a sentinel bit that fixes the node count, packed from the view's
+//! rows (`SearchMemo::structure`) for at most 12 nodes. The structure is
+//! the whole view, so it is exact for what each table holds; it drops
+//! edge costs, which the view never holds, so translates of a candidate
+//! on the mesh share entries and the tables serve every chip (the
+//! kernels read a candidate's kinds and edges, never its edge costs).
+//! The request is interned by its `encoding` — node count, kinds and
+//! edges with costs, the words [`labeled_hash`] hashes after the mesh
+//! shape — compared for equality; its mesh shape, which no table's
+//! kernel reads, is left out.
 //!
 //! The hashed tables (`ISO`, `GED`, `ASSIGN`, `REFINE`: 32 B an entry)
 //! are bounded and cleared whole when full. The class table sees a lookup per visited
@@ -103,7 +99,7 @@
 
 use crate::canonical::CanonicalKey;
 use crate::ged::{self, GedResult, Row};
-use crate::mapping::{cell_pairs, Mapping, Strategy};
+use crate::mapping::{Mapping, Strategy};
 use crate::{NodeId, NodeKind, Result, Topology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -508,12 +504,14 @@ const CLASS_WAYS: usize = 4;
 pub const GED: usize = 0;
 /// The score-memo table of `ged::StockRefiner::refine(.., start, 8)`.
 pub const REFINE: usize = 1;
-/// The score-memo table of `canonical::find_isomorphism(req, sub)`.
+/// The score-memo table of `canonical::find_isomorphism(req, view)`, a
+/// candidate's view its kinds and neighbour rows.
 pub const ISO: usize = 2;
 /// The score-memo table of `ged::StockRefiner::assignment`, keyed by the
 /// candidate's kinds and degrees, not its structure.
 pub(crate) const ASSIGN: usize = 3;
-/// The score-memo table of `canonical::canonical_key(sub)`.
+/// The score-memo table of a candidate view's canonical key
+/// (`canonical::key_of(view)`).
 pub const CLASS: usize = 4;
 
 /// The score memo of a [`MappingCache`] (see the module doc). A result is
@@ -566,23 +564,22 @@ impl<'a> SearchMemo<'a> {
         SearchMemo { memo, n }
     }
 
-    /// The structure of the candidate on `cells` (sorted) of `phys`, or
-    /// `None` when unbound: a sentinel bit over the cells' kinds over
-    /// their upper-triangle adjacency, row-major in `cells` order — what
-    /// `phys.induced_subgraph(cells)` holds, without building it, less
-    /// edge costs.
-    pub(crate) fn structure(&self, phys: &Topology, cells: &[NodeId]) -> Option<u128> {
+    /// The structure of the candidate of view `(kinds, rows)`, or `None`
+    /// when unbound: a sentinel bit over its kinds over its upper-triangle
+    /// adjacency, row-major — everything the view holds.
+    pub(crate) fn structure<const W: usize>(
+        &self,
+        (kinds, rows): &(Vec<NodeKind>, Vec<Row<W>>),
+    ) -> Option<u128> {
         self.memo.as_ref()?;
-        let n = cells.len();
-        debug_assert!(n == self.n && cells.is_sorted(), "R-1, in ESU order");
+        let n = rows.len();
+        debug_assert!(n == self.n, "R-1");
         let pairs = n * n.saturating_sub(1) / 2;
         let mut structure = 1 << (pairs + 2 * n);
-        for (i, &cell) in cells.iter().enumerate() {
-            structure |= (phys.node_attr(cell).kind as u128) << (pairs + 2 * i);
-        }
-        for (i, j) in cell_pairs(phys, cells) {
-            // Pair (i, j) in row-major upper-triangle order.
-            structure |= 1 << (i * (2 * n - i - 1) / 2 + j - i - 1);
+        for (i, (&kind, row)) in kinds.iter().zip(rows).enumerate() {
+            structure |= (kind as u128) << (pairs + 2 * i);
+            // Row i's pairs (i, j > i), row-major in the upper triangle.
+            structure |= u128::from(row[0] >> (i + 1)) << (i * (2 * n - i - 1) / 2);
         }
         Some(structure)
     }
@@ -624,7 +621,7 @@ impl<'a> SearchMemo<'a> {
         key
     }
 
-    /// `find_isomorphism(req, sub)` for the candidate of `structure`: the
+    /// `find_isomorphism(req, view)` for the candidate of `structure`: the
     /// [`ISO`] table's, or else what `find` returns, stored — a failed
     /// search as the all-deleted mapping, which no isomorphism is.
     pub(crate) fn iso(
@@ -670,9 +667,9 @@ impl<'a> SearchMemo<'a> {
     /// returns, stored as a packed mapping. The assignment reads only each
     /// candidate node's kind and degree, so they are the key: a sentinel
     /// bit over six bits a node, the kind over the degree, at most 73 bits
-    /// at 12 nodes — computed only for a bound memo, whose candidates have
-    /// no more (a degree then fits its four bits). Debug builds solve again
-    /// and assert the same assignment.
+    /// at 12 nodes — computed only for a bound memo, whose request, and so
+    /// every candidate (R-1), has no more (a degree then fits its four
+    /// bits). Debug builds solve again and assert the same assignment.
     pub(crate) fn assignment<const W: usize>(
         &mut self,
         kinds: &[NodeKind],
@@ -681,7 +678,8 @@ impl<'a> SearchMemo<'a> {
     ) -> Vec<Option<NodeId>> {
         let n = self.n;
         let fields = kinds.iter().zip(rows);
-        let key = (self.memo.is_some() && rows.len() <= STRUCTURE_MAX_NODES).then(|| {
+        let key = self.memo.is_some().then(|| {
+            debug_assert!(rows.len() <= STRUCTURE_MAX_NODES, "a bound memo's request");
             fields.fold(1, |key, (&kind, row)| {
                 key << 6 | (kind as u128) << 4 | u128::from(ged::ones(row))
             })

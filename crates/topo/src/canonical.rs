@@ -7,12 +7,14 @@
 //! allocates nothing for graphs of at most [`EXACT_CANONICAL_LIMIT`] nodes
 //! (one buffer above). It reads a graph through one crate-private trait,
 //! `Graph` — each node's kind and neighbour bit row — which a [`Topology`]
-//! gives ([`canonical_key`]) and so do a candidate's kinds and rows,
-//! walked from its cells with no subgraph built (`mapping::cell_key`):
-//! one code path, so a candidate's key *value* is its built subgraph's.
+//! gives ([`canonical_key`]) and so does a candidate's view, its kinds
+//! and rows read from its cells with no subgraph built
+//! (`mapping::neighbour_rows`): one code path, so a candidate's key
+//! *value* is its built subgraph's. `find_isomorphism` reads the
+//! candidate through the same trait.
 //! Its two stages:
 //!
-//! * [`wl_colors`] — Weisfeiler–Lehman colour refinement over a colour
+//! * `wl_colors` — Weisfeiler–Lehman colour refinement over a colour
 //!   array. A round folds each node's colour with the multiset of its
 //!   neighbours' (a wrapping sum of mixed words, so no sorting) and the
 //!   round number; refinement stops at the first round that splits no
@@ -33,9 +35,9 @@
 //! WL-equivalence classes above it. The test-only `reference` module keeps
 //! the hashing implementation this one replaced and holds the two to the
 //! same partition, and `mapping`'s `candidate_keys_match_the_built_subgraph`
-//! holds a candidate's row-built key to its built subgraph's, value for
-//! value. The one place a colour *value* used to decide something
-//! — the order [`find_isomorphism`] settles the request's nodes in, and
+//! holds a candidate view's key and isomorphisms to its built subgraph's,
+//! value for value. The one place a colour *value* used to decide something
+//! — the order `find_isomorphism` settles the request's nodes in, and
 //! with it which automorphic image an exact match lands on — keeps its
 //! historical definition (`decision_order`).
 
@@ -106,8 +108,9 @@ impl Graph for Topology {
     }
 }
 
-/// A candidate's kinds and neighbour rows (`mapping::neighbour_rows`).
-impl<const W: usize> Graph for (&[NodeKind], &[Row<W>]) {
+/// A candidate's view: its kinds and neighbour rows
+/// (`mapping::neighbour_rows`).
+impl<const W: usize> Graph for (Vec<NodeKind>, Vec<Row<W>>) {
     fn node_count(&self) -> usize {
         self.0.len()
     }
@@ -148,10 +151,10 @@ fn degree(row: &[u64]) -> usize {
 }
 
 /// Runs WL colour refinement to a fixed point and returns per-node colours.
-pub fn wl_colors(t: &Topology) -> Vec<u64> {
-    let n = t.node_count();
+pub(crate) fn wl_colors(g: &impl Graph) -> Vec<u64> {
+    let n = g.node_count();
     let mut lanes = vec![0u64; 3 * n];
-    wl_refine(t, &mut lanes);
+    wl_refine(g, &mut lanes);
     lanes.truncate(n);
     lanes
 }
@@ -268,17 +271,12 @@ impl CodeSearch<'_> {
 
 /// Finds an isomorphism `a → b` (respecting node kinds), returning for each
 /// `a`-node the matching `b`-node, or `None` if the graphs are not
-/// isomorphic.
-pub fn find_isomorphism(a: &Topology, b: &Topology) -> Option<Vec<NodeId>> {
-    if a.node_count() != b.node_count()
-        || a.edge_count() != b.edge_count()
-        || a.degree_sequence() != b.degree_sequence()
-    {
-        return None;
-    }
+/// isomorphic. Equal sorted colours and a backtracking search that checks
+/// every pair's edge decide it, so no cheaper invariant is compared first.
+pub(crate) fn find_isomorphism(a: &Topology, b: &impl Graph) -> Option<Vec<NodeId>> {
     let n = a.node_count();
-    if n == 0 {
-        return Some(Vec::new());
+    if b.node_count() != n {
+        return None;
     }
     let ca = wl_colors(a);
     let cb = wl_colors(b);
@@ -350,23 +348,22 @@ fn hash_u64s(vals: &[u64]) -> u64 {
 }
 
 /// The fixed inputs of [`find_isomorphism`]'s backtracking search.
-struct IsoSearch<'a> {
+struct IsoSearch<'a, G> {
     a: &'a Topology,
-    b: &'a Topology,
+    b: &'a G,
     ca: &'a [u64],
     cb: &'a [u64],
     order: &'a [usize],
 }
 
-impl IsoSearch<'_> {
+impl<G: Graph> IsoSearch<'_, G> {
     fn backtrack(&self, depth: usize, mapping: &mut [usize], used: &mut [bool]) -> bool {
         let n = self.order.len();
         if depth == n {
             return true;
         }
         let u = self.order[depth];
-        let edge =
-            |t: &Topology, p: usize, q: usize| t.has_edge(NodeId(p as u32), NodeId(q as u32));
+        let edge = |row: &[u64], q: usize| row[q / 64] >> (q % 64) & 1 == 1;
         for v in 0..n {
             if used[v] || self.ca[u] != self.cb[v] {
                 continue;
@@ -375,9 +372,10 @@ impl IsoSearch<'_> {
             // for every mapped node w, (u,w) is an edge in `a` iff (v, m(w)) is
             // an edge in `b`. Checking both directions keeps the partial mapping
             // an induced-subgraph isomorphism at every depth.
+            let (row_u, row_v) = (self.a.row(NodeId(u as u32)), self.b.node(v).1);
             let ok = (0..n).all(|w| {
                 let m = mapping[w];
-                m == usize::MAX || edge(self.a, u, w) == edge(self.b, v, m)
+                m == usize::MAX || edge(row_u, w) == edge(row_v, m)
             });
             if !ok {
                 continue;
@@ -736,7 +734,12 @@ mod tests {
             let n = graph.node_count();
             let rounds = wl_refine(&graph, &mut vec![0; 3 * n]);
             assert!(rounds < n, "{n} nodes took {rounds} rounds");
-            assert_eq!(graph.degree_sequence(), twin.degree_sequence());
+            let degrees = |t: &Topology| {
+                let mut d: Vec<usize> = t.nodes().map(|v| t.degree(v)).collect();
+                d.sort_unstable();
+                d
+            };
+            assert_eq!(degrees(&graph), degrees(&twin));
             assert!(!are_isomorphic(&graph, &twin));
             // Exact keys tell the twins apart; above the limit two regular
             // graphs of one degree are WL-equivalent and share a key.

@@ -21,22 +21,24 @@
 //! similar-topology, reused to deduplicate. The mapper spawns no threads;
 //! scoring is a plain loop.
 //!
-//! A candidate is scored by one kernel path, `ged::StockRefiner` (at one
-//! word a row for requests of at most 64 nodes and three words up to
-//! [`ged::MAX_REQUEST_NODES`]): the exact A\* up to 8 nodes, else the
-//! bipartite heuristic, and the best six are refined by 2-opt swaps, all
-//! reading the request's tables, built once a search, and the candidate's
-//! kinds and neighbour bit rows, walked from its cells. Its canonical
-//! key, its isomorphism to the request, its edit distance and its 2-opt
-//! refinement are pure functions of the request and the candidate's
-//! structure — its kinds and adjacency in sorted-cell order; the kernels
-//! never read a candidate's edge costs. So a search behind a
-//! [`MappingCache`] miss ([`Mapper::map_cached_with`]) computes each
-//! visited candidate's structure straight from its cells and looks all
-//! four up in the cache's score memo, building the candidate's subgraph
-//! (for its canonical key and isomorphism), or its kinds and neighbour
-//! rows, only when a lookup misses: shapes an earlier search, or an
-//! earlier visit of this one, already met are not worked out again. An advisory probe searches through the same memo
+//! A visited candidate is read once, in one walk of its cells, into a
+//! reused **view**: its kinds and neighbour bit rows in sorted-cell order
+//! (`neighbour_rows`). Everything the walk asks of the candidate reads
+//! that view — its structure (the score memo's key), its canonical key
+//! and its isomorphism to the request — and no subgraph is built. A
+//! collected candidate is scored by one kernel path, `ged::StockRefiner`
+//! (at one word a row for requests of at most 64 nodes and three words
+//! up to [`ged::MAX_REQUEST_NODES`]): the exact A\* up to 8 nodes, else
+//! the bipartite heuristic, and the best six are refined by 2-opt swaps,
+//! all reading the request's tables, built once a search, and the
+//! candidate's view, read again on a miss. Its canonical key, its
+//! isomorphism to the request, its edit distance and its 2-opt refinement
+//! are pure functions of the request and the candidate's structure; the
+//! kernels never read a candidate's edge costs. So a search behind a
+//! [`MappingCache`] miss ([`Mapper::map_cached_with`]) looks all four up
+//! in the cache's score memo by the structure, and shapes an earlier
+//! search, or an earlier visit of this one, already met are not worked
+//! out again. An advisory probe searches through the same memo
 //! ([`Mapper::map_scored`]) without touching the cache's entries.
 //! [`Mapper::map_in`] keeps no memo and is the reference the memo is held
 //! to. Every search first checks that the request's edge costs sum to at
@@ -394,9 +396,10 @@ impl<'a> Mapper<'a> {
     }
 
     /// The one candidate walk of a search. Tries the rectangle fast path,
-    /// then enumerates connected `k`-node candidates up to `cap`, taking
-    /// each one's canonical key from `memo` by its structure (on a miss,
-    /// from its neighbour rows, `W` words each): a candidate whose key
+    /// then enumerates connected `k`-node candidates up to `cap`, reading
+    /// each one's view (its [`neighbour_rows`], `W` words each) once into
+    /// a reused buffer; its structure, its canonical key on a `memo` miss
+    /// and its isomorphism check all read that view. A candidate whose key
     /// equals the request's and that passes the isomorphism check ends the
     /// walk as [`Walk::Exact`]; every other one, when `collect` is set, is
     /// kept with its structure if its key is new (Algorithm 1's
@@ -420,10 +423,11 @@ impl<'a> Mapper<'a> {
         let shape = req.mesh_shape();
         let rects =
             shape.and_then(|s| enumerate::mesh_rectangles_in(self.phys, free, s.width, s.height));
+        let mut view = Default::default();
         if let Some(cells) = rects.and_then(|mut windows| windows.next()) {
-            let structure = memo.structure(self.phys, &cells);
-            let sub = || self.phys.induced_subgraph(&cells).0;
-            if let Some(iso) = memo.iso(structure, || find_isomorphism(req, &sub())) {
+            view = neighbour_rows::<W>(self.phys, &cells, view);
+            let structure = memo.structure(&view);
+            if let Some(iso) = memo.iso(structure, || find_isomorphism(req, &view)) {
                 return Walk::Exact(exact(iso, &cells));
             }
         }
@@ -438,15 +442,13 @@ impl<'a> Mapper<'a> {
         // Keys seen so far, sorted.
         let mut seen: Vec<CanonicalKey> = Vec::new();
         let mut candidates = Vec::new();
-        let mut rows = Default::default();
         enumerate::enumerate_connected_in(self.phys, free, req.node_count(), cap, |cells| {
-            let built = OnceCell::new();
-            let sub = || built.get_or_init(|| self.phys.induced_subgraph(cells).0);
-            let structure = memo.structure(self.phys, cells);
-            let key = memo.class(structure, || cell_key::<W>(self.phys, cells, &mut rows));
+            view = neighbour_rows(self.phys, cells, std::mem::take(&mut view));
+            let structure = memo.structure(&view);
+            let key = memo.class(structure, || key_of(&view));
             if key.edges() == req.edge_count() && key == *req_key.get_or_init(|| canonical_key(req))
             {
-                if let Some(iso) = memo.iso(structure, || find_isomorphism(req, sub())) {
+                if let Some(iso) = memo.iso(structure, || find_isomorphism(req, &view)) {
                     found = Some(exact(iso, cells));
                     return Visit::Stop;
                 }
@@ -629,8 +631,9 @@ impl<'c, const W: usize> Candidate<'c, W> {
     }
 }
 
-/// The kinds of `cells` (sorted, at most `64 * W`) and each one's
-/// neighbours among them, one bit each, in the buffers passed in.
+/// A candidate's view, read into the buffers passed in: the kinds of
+/// `cells` (sorted, at most `64 * W`) and each one's neighbours among
+/// them, one bit each, from one walk of the cells' neighbours.
 fn neighbour_rows<const W: usize>(
     phys: &Topology,
     cells: &[NodeId],
@@ -638,40 +641,18 @@ fn neighbour_rows<const W: usize>(
 ) -> (Vec<NodeKind>, Vec<Row<W>>) {
     rows.clear();
     rows.resize(cells.len(), [0; W]);
-    for (i, j) in cell_pairs(phys, cells) {
-        ged::insert(&mut rows[i], j);
-        ged::insert(&mut rows[j], i);
+    for (i, &cell) in cells.iter().enumerate() {
+        let later = &cells[i + 1..];
+        for w in phys.neighbors(cell).filter(|&w| w > cell) {
+            if let Ok(j) = later.binary_search(&w) {
+                ged::insert(&mut rows[i], i + 1 + j);
+                ged::insert(&mut rows[i + 1 + j], i);
+            }
+        }
     }
     kinds.clear();
     kinds.extend(cells.iter().map(|&c| phys.node_attr(c).kind));
     (kinds, rows)
-}
-
-/// The canonical key of `phys.induced_subgraph(cells)` (`cells` sorted),
-/// read off the cells' [`neighbour_rows`] — refilled in `built`, which a
-/// walk reuses — without building the subgraph.
-fn cell_key<const W: usize>(
-    phys: &Topology,
-    cells: &[NodeId],
-    built: &mut (Vec<NodeKind>, Vec<Row<W>>),
-) -> CanonicalKey {
-    *built = neighbour_rows(phys, cells, std::mem::take(built));
-    key_of(&(built.0.as_slice(), built.1.as_slice()))
-}
-
-/// The adjacent pairs `(i, j)`, `i < j`, of `cells` (sorted) in `phys`,
-/// row-major: the edges of `phys.induced_subgraph(cells)` without building
-/// it. The one walk behind a candidate's neighbour rows and its
-/// `SearchMemo::structure`.
-pub(crate) fn cell_pairs<'a>(
-    phys: &'a Topology,
-    cells: &'a [NodeId],
-) -> impl Iterator<Item = (usize, usize)> + 'a {
-    cells.iter().enumerate().flat_map(move |(i, &cell)| {
-        let later = &cells[i + 1..];
-        let above = phys.neighbors(cell).filter(move |&w| w > cell);
-        above.filter_map(move |w| later.binary_search(&w).ok().map(|j| (i, i + 1 + j)))
-    })
 }
 
 /// How many of the lowest-TED candidates receive 2-opt refinement.
@@ -1198,17 +1179,18 @@ mod tests {
             });
             let kernel = StockRefiner::<1>::new(req);
             for cells in &candidates {
-                let (kinds, rows) = neighbour_rows::<1>(phys, cells, Default::default());
-                let fresh = kernel.bipartite(&kinds, &rows, kernel.assignment(&kinds, &rows));
+                let view = neighbour_rows::<1>(phys, cells, Default::default());
+                let (kinds, rows) = &view;
+                let fresh = kernel.bipartite(kinds, rows, kernel.assignment(kinds, rows));
                 let hits = cache.score_stats()[ASSIGN].hits;
                 let mut memo = SearchMemo::new(Some(&mut cache.score), req);
-                let structure = memo.structure(phys, cells).expect("a bound memo");
-                let mapping = memo.assignment(&kinds, &rows, || kernel.assignment(&kinds, &rows));
-                let got = kernel.bipartite(&kinds, &rows, mapping);
+                let structure = memo.structure(&view).expect("a bound memo");
+                let mapping = memo.assignment(kinds, rows, || kernel.assignment(kinds, rows));
+                let got = kernel.bipartite(kinds, rows, mapping);
                 assert_eq!(got, fresh, "case {case}: request {r}, cells {cells:?}");
                 let sequence = kinds
                     .iter()
-                    .zip(&rows)
+                    .zip(rows)
                     .map(|(&k, row)| (k, row[0].count_ones()));
                 let met: &mut Vec<u128> =
                     seen.entry((r, sequence.collect::<Vec<_>>())).or_default();
@@ -1332,31 +1314,88 @@ mod tests {
 
     #[test]
     fn candidate_keys_match_the_built_subgraph() {
+        use crate::cache::SearchMemo;
         use crate::canonical::wl_colors;
-        use crate::testing::{connected_subset, Rng};
+        use crate::testing::{connected_subset, relabeled, Rng};
 
-        // A walk keys a class-table miss from the cells' neighbour rows,
-        // so every key value must be the built subgraph's. The chips: a
-        // 6x6 whose third column is of another kind, and a 12x12, whose
-        // own rows are three words.
+        // A walk reads each candidate into one view, its kinds and
+        // neighbour rows, and keys a class-table miss, checks an
+        // isomorphism and packs its structure from that view, so every
+        // value must be the built subgraph's. The chips: a 6x6 whose third
+        // column is of another kind, and a 12x12, whose own rows are three
+        // words.
         let mut kinded = Topology::mesh2d(6, 6);
         for y in 0..6 {
             kinded.node_attr_mut(NodeId(y * 6 + 2)).kind = NodeKind::VectorOptimized;
         }
         let wide = Topology::mesh2d(12, 12);
         assert_eq!(wide.row(NodeId(0)).len(), 3);
+        // Whether an automorphism of `t` moves a node: `t` with node `u`
+        // marked by a kind neither chip has is isomorphic to `t` with
+        // another node `v` marked.
+        let automorphic = |t: &Topology| {
+            let marked = |u: usize| {
+                let mut m = t.clone();
+                m.node_attr_mut(NodeId(u as u32)).kind = NodeKind::MatrixOptimized;
+                m
+            };
+            let n = t.node_count();
+            (0..n).any(|u| (u + 1..n).any(|v| find_isomorphism(&marked(u), &marked(v)).is_some()))
+        };
         let mut rng = Rng(0x5EED_0069);
-        // Per chip, candidates by size; mixed-kind and symmetric ones.
+        let mut score = ScoreMemo::default();
+        // Per chip, candidates by size; mixed-kind and symmetric ones;
+        // isomorphism searches that matched, that did not, and matches on
+        // a candidate with more than one automorphism.
         let (mut sizes, mut mixed, mut symmetric) = ([[0usize; 13]; 2], 0, 0);
-        let (mut one, mut three) = (Default::default(), Default::default());
+        let (mut matched, mut unmatched, mut automorphic_matches) = (0, 0, 0);
         for (chip, phys) in [&kinded, &wide].into_iter().enumerate() {
             for case in 0..600 {
                 let cells = connected_subset(phys, 1 + case % 12, &mut rng);
+                let n = cells.len();
                 let sub = phys.induced_subgraph(&cells).0;
+                let one = neighbour_rows::<1>(phys, &cells, Default::default());
+                let three = neighbour_rows::<3>(phys, &cells, Default::default());
                 let key = canonical_key(&sub);
-                assert_eq!(cell_key::<1>(phys, &cells, &mut one), key, "{cells:?}");
-                assert_eq!(cell_key::<3>(phys, &cells, &mut three), key, "{cells:?}");
-                sizes[chip][cells.len()] += 1;
+                assert_eq!(key_of(&one), key, "{cells:?}");
+                assert_eq!(key_of(&three), key, "{cells:?}");
+                let other = connected_subset(phys, n, &mut rng);
+                let requests = [
+                    relabeled(&sub, &mut rng),
+                    relabeled(&phys.induced_subgraph(&other).0, &mut rng),
+                ];
+                for req in &requests {
+                    let iso = find_isomorphism(req, &sub);
+                    assert_eq!(find_isomorphism(req, &one), iso, "{cells:?}");
+                    assert_eq!(find_isomorphism(req, &three), iso, "{cells:?}");
+                    match iso {
+                        Some(_) => matched += 1,
+                        None => unmatched += 1,
+                    }
+                    if iso.is_some() && automorphic_matches == 0 && automorphic(&sub) {
+                        automorphic_matches += 1;
+                    }
+                }
+                // The structure, rebuilt from the subgraph's kinds and
+                // `edges()`: a sentinel bit over two bits of kind a node
+                // over one bit a pair, pairs row-major.
+                let edges: HashSet<(usize, usize)> = sub
+                    .edges()
+                    .map(|(a, b, _)| (a.index(), b.index()))
+                    .collect();
+                let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+                let mut want = 0u128;
+                for (bit, pair) in pairs.enumerate() {
+                    want |= u128::from(edges.contains(&pair)) << bit;
+                }
+                let adjacency = n * (n - 1) / 2;
+                for v in sub.nodes() {
+                    want |= (sub.node_attr(v).kind as u128) << (adjacency + 2 * v.index());
+                }
+                want |= 1 << (adjacency + 2 * n);
+                let memo = SearchMemo::new(Some(&mut score), &requests[0]);
+                assert_eq!(memo.structure(&one), Some(want), "{cells:?}");
+                sizes[chip][n] += 1;
                 let kinds: HashSet<_> = cells.iter().map(|&c| phys.node_attr(c).kind).collect();
                 mixed += usize::from(kinds.len() > 1);
                 // Every WL colour held by several nodes.
@@ -1364,18 +1403,28 @@ mod tests {
                 let shared = colors
                     .iter()
                     .all(|c| colors.iter().filter(|&d| d == c).count() > 1);
-                symmetric += usize::from(cells.len() > 2 && shared);
+                symmetric += usize::from(n > 2 && shared);
             }
         }
         println!(
-            "candidate-key campaign: 1 200 candidates of 1-12 cells, keys equal at one and \
-             three words a row; {mixed} of mixed kinds, {symmetric} symmetric"
+            "candidate-view campaign: 1 200 candidates of 1-12 cells, keys, isomorphisms and \
+             structures equal to the built subgraph's at one and three words a row; {mixed} of \
+             mixed kinds, {symmetric} symmetric; {matched} isomorphism searches matched, \
+             {unmatched} did not"
         );
         assert!(mixed > 0, "no candidate mixed kinds");
         assert!(symmetric > 0, "no candidate shared every WL colour");
         assert!(
             sizes.iter().all(|s| s[9] > 0 && s[10] > 0),
             "a chip met no 9- or 10-cell candidate: {sizes:?}"
+        );
+        assert!(
+            matched > 0 && unmatched > 0,
+            "a search outcome was never met"
+        );
+        assert!(
+            automorphic_matches > 0,
+            "no match on a candidate with more than one automorphism"
         );
     }
 

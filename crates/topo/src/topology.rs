@@ -282,11 +282,6 @@ impl Topology {
         a.index() < n && i < n && self.row(a)[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Attribute of the edge `(a, b)`, if present.
-    pub fn edge_attr(&self, a: NodeId, b: NodeId) -> Option<EdgeAttr> {
-        self.edges.get(&(a.min(b), a.max(b))).copied()
-    }
-
     /// Immutable attribute of `node`.
     pub fn node_attr(&self, node: NodeId) -> &NodeAttr {
         &self.nodes[node.index()]
@@ -369,40 +364,6 @@ impl Topology {
         }
         count == subset.len()
     }
-
-    /// Induced subgraph on `subset`, plus the mapping from new node IDs
-    /// (positions in `subset`) back to the original IDs.
-    ///
-    /// Node and edge attributes are copied. The result is never a mesh (no
-    /// shape metadata), even if the subset happens to form one.
-    pub fn induced_subgraph(&self, subset: &[NodeId]) -> (Topology, Vec<NodeId>) {
-        const ABSENT: u32 = u32::MAX;
-        let mut index_of = vec![ABSENT; self.node_count()];
-        for (i, &n) in subset.iter().enumerate() {
-            index_of[n.index()] = i as u32;
-        }
-        let mut sub = Topology::empty(subset.len());
-        for (i, &n) in subset.iter().enumerate() {
-            sub.nodes[i] = self.nodes[n.index()];
-            for nb in self.neighbors(n) {
-                let j = index_of[nb.index()];
-                if j != ABSENT && (i as u32) < j {
-                    let (a, b) = (NodeId(i as u32), NodeId(j));
-                    sub.edges
-                        .insert((a, b), self.edge_attr(n, nb).unwrap_or_default());
-                    sub.link(a, b);
-                }
-            }
-        }
-        (sub, subset.to_vec())
-    }
-
-    /// Sorted degree sequence — a cheap isomorphism invariant.
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = self.nodes().map(|v| self.degree(v)).collect();
-        d.sort_unstable();
-        d
-    }
 }
 
 #[cfg(test)]
@@ -444,6 +405,39 @@ mod tests {
         /// Mutable attribute of `node`.
         pub(crate) fn node_attr_mut(&mut self, node: NodeId) -> &mut NodeAttr {
             &mut self.nodes[node.index()]
+        }
+
+        /// Attribute of the edge `(a, b)`, if present.
+        pub(crate) fn edge_attr(&self, a: NodeId, b: NodeId) -> Option<EdgeAttr> {
+            self.edges.get(&(a.min(b), a.max(b))).copied()
+        }
+
+        /// Induced subgraph on `subset`, plus the mapping from new node IDs
+        /// (positions in `subset`) back to the original IDs: the built
+        /// subgraph the mapper's row-read kernels are held to.
+        ///
+        /// Node and edge attributes are copied. The result is never a mesh
+        /// (no shape metadata), even if the subset happens to form one.
+        pub(crate) fn induced_subgraph(&self, subset: &[NodeId]) -> (Topology, Vec<NodeId>) {
+            const ABSENT: u32 = u32::MAX;
+            let mut index_of = vec![ABSENT; self.node_count()];
+            for (i, &n) in subset.iter().enumerate() {
+                index_of[n.index()] = i as u32;
+            }
+            let mut sub = Topology::empty(subset.len());
+            for (i, &n) in subset.iter().enumerate() {
+                sub.nodes[i] = self.nodes[n.index()];
+                for nb in self.neighbors(n) {
+                    let j = index_of[nb.index()];
+                    if j != ABSENT && (i as u32) < j {
+                        let (a, b) = (NodeId(i as u32), NodeId(j));
+                        sub.edges
+                            .insert((a, b), self.edge_attr(n, nb).unwrap_or_default());
+                        sub.link(a, b);
+                    }
+                }
+            }
+            (sub, subset.to_vec())
         }
 
         /// A copy whose edge `(a, b)` costs `cost(a, b)`, the mesh shape
@@ -527,6 +521,45 @@ mod tests {
         assert_eq!(sub.edge_count(), 2); // a row of three
         assert_eq!(sub.node_attr(NodeId(1)).kind, NodeKind::VectorOptimized);
         assert_eq!(back, vec![NodeId(3), NodeId(4), NodeId(5)]);
+    }
+
+    #[test]
+    fn induced_subgraph_matches_an_edge_by_edge_rebuild() {
+        use crate::testing::Rng;
+        // Graphs of 1-200 nodes (rows of one to four words), edges of
+        // costs 1-5 added with duplicates, overwrites and refused
+        // self-loops among them; three shuffled subsets of each.
+        let mut rng = Rng(0x5EED_0071);
+        for case in 0..64 {
+            let n = (64 * (case % 4) + 1 + rng.below(64)).min(200);
+            let mut t = Topology::empty(n);
+            for _ in 0..rng.below(600) {
+                let (a, b) = (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32));
+                let attr = EdgeAttr {
+                    cost: 1 + rng.below(5) as u64,
+                };
+                assert_eq!(t.add_edge_with(a, b, attr).is_err(), a == b);
+            }
+            for _ in 0..3 {
+                let mut subset: Vec<NodeId> = t.nodes().collect();
+                for i in (1..n).rev() {
+                    subset.swap(i, rng.below(i + 1));
+                }
+                subset.truncate(1 + rng.below(n));
+                let (sub, back) = t.induced_subgraph(&subset);
+                let mut rebuilt = Topology::empty(subset.len());
+                for (i, &a) in subset.iter().enumerate() {
+                    for (j, &b) in subset.iter().enumerate().skip(i + 1) {
+                        if let Some(attr) = t.edge_attr(a, b) {
+                            let (i, j) = (NodeId(i as u32), NodeId(j as u32));
+                            rebuilt.add_edge_with(i, j, attr).expect("in range");
+                        }
+                    }
+                }
+                assert_eq!(back, subset, "case {case}");
+                assert!(sub == rebuilt, "case {case}: differs from its rebuild");
+            }
+        }
     }
 
     #[test]

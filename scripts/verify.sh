@@ -258,10 +258,16 @@ section "scripts/loc.sh (non-test source size)"
 # routine whose kernel may look a part up in another table (22 in
 # `cache.rs`), `StockRefiner::assignment` split from the pricing (7 in
 # `ged.rs`) and the call in the scoring loop (1 in `mapping.rs`); the
-# Hungarian solver's lazy potentials took 2 back.
+# Hungarian solver's lazy potentials took 2 back. One candidate view then
+# took 47 lines out of `topo` and of the workspace: a walk reads each
+# candidate's kinds and neighbour rows once and packs its structure, keys
+# it and checks its isomorphism from them, so `cell_key`, `cell_pairs`,
+# the walk's subgraph closures, `find_isomorphism`'s invariant prefilter
+# and `Topology::degree_sequence` are gone, and `induced_subgraph` and
+# `edge_attr` are test-only helpers.
 CORE_SERVE_CODE_MAX=3976
-TOPO_CODE_MAX=2161
-WORKSPACE_CODE_MAX=14624
+TOPO_CODE_MAX=2114
+WORKSPACE_CODE_MAX=14577
 loc=$(scripts/loc.sh)
 echo "$loc"
 core_serve_code=$(awk '/^core \+ serve/ { print $5 }' <<<"$loc")
@@ -663,12 +669,13 @@ cargo test -p vnpu_topo -q requests_past_64_nodes_match_the_two_walk_reference -
 # neighbours as a bit row beside the edge-attribute map. The campaign
 # builds 64 graphs of 1-200 nodes (one to four words a row) with
 # `add_edge` and `add_edge_with`, duplicate edges, overwritten costs,
-# refused self-loops and out-of-range ids among the calls, and holds
-# `neighbors` (ascending), `degree`, `has_edge` both ways and
-# `degree_sequence` to a partner list rebuilt from `edges()`, `edge_attr`
-# to the last cost written, and `induced_subgraph` on shuffled subsets to
-# an edge-by-edge rebuild. It fails unless every kind of call was met and
-# rows of two and of four words were.
+# refused self-loops and out-of-range ids among the calls, holds
+# `edges()` to the last cost written and `neighbors` (ascending), `degree`
+# and `has_edge` both ways to a partner list rebuilt from `edges()`. It
+# fails unless every kind of call was met and rows of two and of four
+# words were. (`induced_subgraph`, now a test-only helper that builds the
+# subgraph a candidate's view is held to, is checked against an
+# edge-by-edge rebuild in `topology.rs`'s own tests.)
 cargo test --test props -q topology_rows_match_a_partner_list_from_edges -- --nocapture
 # The kernels a search spends its time in (canonical key, ESU walk, exact
 # A*, 2-opt refinement) each keep the implementation they replaced as a
@@ -680,13 +687,17 @@ cargo test --test props -q topology_rows_match_a_partner_list_from_edges -- --no
 # of the reference's sequence), the same `GedResult` mapping included
 # (the A* stops at the first pop that reaches its incumbent, where the
 # reference drains its heap), the same refined `(mapping, cost)` from
-# total and partial starts. Beside the key campaign, a walk's class-table
-# miss keys a candidate off its neighbour rows, with no subgraph built:
-# the key value must equal the built subgraph's on 1-12-cell candidates
-# of a 6x6 with a column of another kind and of a 12x12, at one and
-# three words a row, and the campaign fails unless mixed kinds, both
-# chips, 9- and 10-cell candidates and one whose every WL colour is
-# shared were met. Beside the ESU campaign, near-full regions (a 6x6
+# total and partial starts. Beside the key campaign, a walk reads each
+# candidate once into a view (its kinds and neighbour rows, no subgraph
+# built) and keys it, checks its isomorphism and packs its structure from
+# that view: on 1-12-cell candidates of a 6x6 with a column of another
+# kind and of a 12x12, at one and three words a row, the key and the
+# isomorphisms to a relabelled copy and to an unrelated request of the
+# same size must equal the built subgraph's, and the structure one rebuilt
+# from its kinds and `edges()`. The campaign fails unless mixed kinds,
+# both chips, 9- and 10-cell candidates, one whose every WL colour is
+# shared, matched and unmatched searches and a match on a candidate with
+# more than one automorphism were met. Beside the ESU campaign, near-full regions (a 6x6
 # and an 8x6 mesh less a 4x3 corner, an idle 5x4, `k` at or one below
 # the free count) must visit every brute-force candidate in root order
 # within their caps. The 2-opt campaign holds the bitset kernel every search runs

@@ -242,15 +242,12 @@ fn canonical_key_relabel_invariant() {
 /// 1-200 nodes (rows of one to four words) are built by `add_edge` and
 /// `add_edge_with`, with duplicate edges, overwritten costs, refused
 /// self-loops and refused out-of-range ids among the calls; `neighbors`
-/// (ascending), `degree`, `has_edge` both ways and `degree_sequence` then
-/// agree with a partner list rebuilt from `edges()`, `edge_attr` with the
-/// last cost written, and `induced_subgraph` on shuffled subsets with an
-/// edge-by-edge rebuild.
+/// (ascending), `degree` and `has_edge` both ways then agree with a
+/// partner list rebuilt from `edges()`, which lists the last cost written.
 #[test]
 fn topology_rows_match_a_partner_list_from_edges() {
     use std::cell::Cell;
     use std::collections::BTreeMap;
-    use vnpu_mem::proptest_lite::Rng;
     use vnpu_topo::EdgeAttr;
 
     // Cases with rows of more than one word, of four words, a duplicate
@@ -267,9 +264,8 @@ fn topology_rows_match_a_partner_list_from_edges() {
                 (range(0u64..6), range(0u32..1024), range(0u32..1024)),
                 0..600,
             ),
-            range(0u64..1 << 32),
         ),
-        |(words, extra, calls, seed)| {
+        |(words, extra, calls)| {
             let n = (64 * (words - 1) + 1 + extra).min(200);
             // Two ids past the last node, so some calls are refused.
             let id = |raw: u32| NodeId(raw % (n as u32 + 2));
@@ -323,32 +319,7 @@ fn topology_rows_match_a_partner_list_from_edges() {
                     let listed = partners.get(a.index()).is_some_and(|l| l.contains(&b));
                     prop_assert_eq!(t.has_edge(a, b), listed);
                     prop_assert_eq!(t.has_edge(b, a), listed);
-                    let cost = costs.get(&(a.min(b), a.max(b))).copied();
-                    prop_assert_eq!(t.edge_attr(a, b).map(|e| e.cost), cost);
                 }
-            }
-            let mut degrees: Vec<usize> = partners.iter().map(Vec::len).collect();
-            degrees.sort_unstable();
-            prop_assert_eq!(t.degree_sequence(), degrees);
-            let mut rng = Rng::new(*seed);
-            for _ in 0..3 {
-                let mut subset: Vec<NodeId> = t.nodes().collect();
-                for i in (1..n).rev() {
-                    subset.swap(i, rng.below(i as u64 + 1) as usize);
-                }
-                subset.truncate(1 + rng.below(n as u64) as usize);
-                let (sub, back) = t.induced_subgraph(&subset);
-                let mut rebuilt = Topology::empty(subset.len());
-                for (i, &a) in subset.iter().enumerate() {
-                    for (j, &b) in subset.iter().enumerate().skip(i + 1) {
-                        if let Some(attr) = t.edge_attr(a, b) {
-                            let (i, j) = (NodeId(i as u32), NodeId(j as u32));
-                            rebuilt.add_edge_with(i, j, attr).expect("in range");
-                        }
-                    }
-                }
-                prop_assert_eq!(back, subset);
-                prop_assert!(sub == rebuilt, "induced subgraph differs from its rebuild");
             }
             for (count, hit) in reached.iter().zip(hits) {
                 count.set(count.get() + usize::from(hit));
